@@ -302,6 +302,12 @@ func TestAsyncConformance(t *testing.T) {
 	}
 }
 
+// gainAllocs bounds the objects one AffineEquality projection gain is
+// made of (weights, projector, Gram matrix, factor, gain, record). The
+// conformance chain has 12 dynamics nodes, so a gain per node would show
+// as about ten times this.
+const gainAllocs = 12
+
 // TestSteadyStateAllocs pins the zero-allocation iteration loop: after
 // warm-up (operator factorization caches, scheduler chunk caches, graph
 // scratch), Iterate must perform no heap allocations for the serial,
@@ -309,7 +315,8 @@ func TestAsyncConformance(t *testing.T) {
 // objective evaluation path must be allocation-free too. ParallelFor is
 // exempt by design: its fork-join loops spawn goroutines each phase —
 // that is the executor's identity (the paper's "#pragma omp parallel
-// for"), not an accident.
+// for"), not an accident. The same holds for the iteration after a rho
+// change, once a first change has been absorbed (see below).
 func TestSteadyStateAllocs(t *testing.T) {
 	backends := []struct {
 		name string
@@ -350,6 +357,31 @@ func TestSteadyStateAllocs(t *testing.T) {
 					})
 					if allocs != 0 {
 						t.Errorf("Iterate allocates %.1f objects per iteration in steady state", allocs)
+					}
+					// The rho-change path: once a first change has been
+					// absorbed, the iteration after a later one allocates
+					// nothing where factorizations are rebuilt in place
+					// (linalg.Ridge: lasso), and on mpc only the one gain
+					// the dynamics nodes share per rho — a count that does
+					// not grow with the horizon (at most one per shard,
+					// when both publish at once).
+					scaleRho := func(f float64) {
+						for e := range inst.g.Rho {
+							inst.g.Rho[e] *= f
+						}
+					}
+					scaleRho(2)
+					backend.Iterate(inst.g, 1, &nanos)
+					allocs = testing.AllocsPerRun(5, func() {
+						scaleRho(1.25)
+						backend.Iterate(inst.g, 1, &nanos)
+					})
+					limit := 0.0
+					if wname == "mpc" {
+						limit = 2 * gainAllocs
+					}
+					if allocs > limit {
+						t.Errorf("the iteration after a rho change allocates %.1f objects, want <= %.0f", allocs, limit)
 					}
 				})
 			}

@@ -23,17 +23,14 @@ import (
 
 // LeastSquaresOp is the prox of f(s) = 1/2 ||A s - y||^2 on a
 // single-edge node: s = (A^T A + rho I)^{-1} (A^T y + rho n). The normal
-// matrix and its Cholesky factor are cached per rho.
+// matrix's factorization is kept for the last rho (linalg.Ridge).
 type LeastSquaresOp struct {
 	A *linalg.Mat
 	Y []float64
 
-	ata       *linalg.Mat
-	aty       []float64
-	cachedRho float64
-	chol      *linalg.Cholesky
-	buf       []float64
-	rbuf      []float64 // Value's residual scratch (steady state allocates nothing)
+	ridge *linalg.Ridge // A^T A
+	aty   []float64
+	rbuf  []float64 // Value's residual scratch (steady state allocates nothing)
 }
 
 // NewLeastSquares validates shapes and precomputes A^T A and A^T y.
@@ -41,18 +38,17 @@ func NewLeastSquares(a *linalg.Mat, y []float64) (*LeastSquaresOp, error) {
 	if len(y) != a.Rows {
 		return nil, fmt.Errorf("lasso: %d observations for %d rows", len(y), a.Rows)
 	}
-	op := &LeastSquaresOp{A: a, Y: y}
-	op.ata = linalg.Mul(a.T(), a)
-	op.aty = make([]float64, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		var s float64
-		for i := 0; i < a.Rows; i++ {
-			s += a.At(i, j) * y[i]
-		}
-		op.aty[j] = s
+	ridge, err := linalg.NewRidge(linalg.Gram(a))
+	if err != nil {
+		return nil, err
 	}
-	op.buf = make([]float64, a.Cols)
-	return op, nil
+	aty := make([]float64, a.Cols)
+	for i, yi := range y {
+		for j, aij := range a.Row(i) {
+			aty[j] += aij * yi
+		}
+	}
+	return &LeastSquaresOp{A: a, Y: y, ridge: ridge, aty: aty}, nil
 }
 
 // Eval implements graph.Op.
@@ -68,22 +64,12 @@ func (p *LeastSquaresOp) Eval(x, n, rho []float64, d int) {
 		x[i] = n[i]
 	}
 	r := rho[0]
-	if p.chol == nil || p.cachedRho != r {
-		m := p.ata.Clone()
-		for i := 0; i < nd; i++ {
-			m.Data[i*nd+i] += r
-		}
-		ch, err := linalg.NewCholesky(m)
-		if err != nil {
-			panic(fmt.Sprintf("lasso: normal matrix not PD: %v", err))
-		}
-		p.chol, p.cachedRho = ch, r
+	for i, v := range p.aty {
+		x[i] = v + r*n[i]
 	}
-	for i := 0; i < nd; i++ {
-		p.buf[i] = p.aty[i] + r*n[i]
+	if err := p.ridge.Solve(r, x[:nd]); err != nil {
+		panic(fmt.Sprintf("lasso: normal matrix not PD: %v", err))
 	}
-	p.chol.Solve(p.buf)
-	copy(x[:nd], p.buf)
 }
 
 // Work implements graph.Op.

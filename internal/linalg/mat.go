@@ -2,14 +2,12 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
 // Mat is a dense, row-major matrix. The zero value is an empty matrix.
-// Matrices in this repository are small (dynamics projections, local
-// quadratic solves), so all algorithms are straightforward O(n^3) dense
-// routines with partial pivoting where needed.
+// Its methods are plain loops for building problems and checking results;
+// the solves on the iteration path are in cholesky.go and affine.go.
 type Mat struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major
@@ -117,6 +115,28 @@ func Mul(a, b *Mat) *Mat {
 	return out
 }
 
+// Gram returns the symmetric matrix a^T a, accumulated one row of a at a
+// time so that no transpose is formed.
+func Gram(a *Mat) *Mat {
+	n := a.Cols
+	out := NewMat(n, n)
+	for r := 0; r < a.Rows; r++ {
+		row := a.Row(r)
+		for i, ai := range row {
+			orow := out.Data[i*n : i*n+i+1]
+			for j, aj := range row[:i+1] {
+				orow[j] += ai * aj
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			out.Data[j*n+i] = out.Data[i*n+j]
+		}
+	}
+	return out
+}
+
 // Add returns a+b as a new matrix.
 func Add(a, b *Mat) *Mat {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -145,172 +165,4 @@ func (m *Mat) String() string {
 		fmt.Fprintf(&b, "%v\n", m.Row(i))
 	}
 	return b.String()
-}
-
-// Cholesky holds the lower-triangular Cholesky factor of a symmetric
-// positive-definite matrix, for repeated solves.
-type Cholesky struct {
-	n int
-	l []float64 // row-major lower triangle (full storage)
-}
-
-// NewCholesky factors the symmetric positive-definite matrix a (only the
-// lower triangle is read). It returns an error if a is not (numerically)
-// positive definite.
-func NewCholesky(a *Mat) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Cholesky needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	l := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l[i*n+k] * l[j*n+k]
-			}
-			if i == j {
-				// Relative pivot tolerance: exact-arithmetic-singular
-				// matrices can yield tiny positive pivots under roundoff.
-				if s <= 1e-13*math.Abs(a.At(i, i)) {
-					return nil, fmt.Errorf("linalg: matrix not positive definite (pivot %d = %g)", i, s)
-				}
-				l[i*n+i] = math.Sqrt(s)
-			} else {
-				l[i*n+j] = s / l[j*n+j]
-			}
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
-}
-
-// Solve solves A x = b in place: on return, b holds x.
-func (c *Cholesky) Solve(b []float64) {
-	n := c.n
-	if len(b) != n {
-		panic("linalg: Cholesky.Solve length mismatch")
-	}
-	// Forward: L y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l[i*n+k] * b[k]
-		}
-		b[i] = s / c.l[i*n+i]
-	}
-	// Backward: L^T x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l[k*n+i] * b[k]
-		}
-		b[i] = s / c.l[i*n+i]
-	}
-}
-
-// N returns the dimension of the factored matrix.
-func (c *Cholesky) N() int { return c.n }
-
-// LU holds an LU factorization with partial pivoting of a square matrix.
-type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
-}
-
-// NewLU factors a square matrix with partial pivoting. It returns an
-// error if the matrix is singular to working precision.
-func NewLU(a *Mat) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: LU needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	lu := make([]float64, n*n)
-	copy(lu, a.Data)
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for col := 0; col < n; col++ {
-		// Pivot search.
-		p := col
-		max := math.Abs(lu[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu[r*n+col]); v > max {
-				max, p = v, r
-			}
-		}
-		if max == 0 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				lu[p*n+j], lu[col*n+j] = lu[col*n+j], lu[p*n+j]
-			}
-			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
-		}
-		pivVal := lu[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := lu[r*n+col] / pivVal
-			lu[r*n+col] = f
-			for j := col + 1; j < n; j++ {
-				lu[r*n+j] -= f * lu[col*n+j]
-			}
-		}
-	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Solve solves A x = b, writing the solution into dst (which may alias b).
-func (f *LU) Solve(dst, b []float64) {
-	n := f.n
-	if len(b) != n || len(dst) != n {
-		panic("linalg: LU.Solve length mismatch")
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution with unit lower triangle.
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= f.lu[i*n+k] * x[k]
-		}
-		x[i] = s
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= f.lu[i*n+k] * x[k]
-		}
-		x[i] = s / f.lu[i*n+i]
-	}
-	copy(dst, x)
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveSPD is a convenience that factors a (symmetric positive definite)
-// and solves a single right-hand side, returning a fresh solution slice.
-func SolveSPD(a *Mat, b []float64) ([]float64, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, len(b))
-	copy(x, b)
-	ch.Solve(x)
-	return x, nil
 }

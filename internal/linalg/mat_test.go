@@ -82,29 +82,6 @@ func TestAddScale(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		a := randSPD(rng, n)
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, xTrue)
-		ch.Solve(b)
-		for i := range b {
-			if !almostEq(b[i], xTrue[i], 1e-9) {
-				t.Fatalf("n=%d: x[%d] = %g, want %g", n, i, b[i], xTrue[i])
-			}
-		}
-	}
-}
-
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := MatFromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := NewCholesky(a); err == nil {
@@ -112,49 +89,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 	if _, err := NewCholesky(NewMat(2, 3)); err == nil {
 		t.Fatal("expected error for non-square matrix")
-	}
-}
-
-func TestLUSolveAndDet(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 5, 10} {
-		a := NewMat(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		lu, err := NewLU(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, xTrue)
-		x := make([]float64, n)
-		lu.Solve(x, b)
-		for i := range x {
-			if !almostEq(x[i], xTrue[i], 1e-8) {
-				t.Fatalf("n=%d: x[%d] = %g want %g", n, i, x[i], xTrue[i])
-			}
-		}
-	}
-	// Determinant of a known matrix, pivoting path included.
-	a := MatFromRows([][]float64{{0, 1}, {1, 0}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(lu.Det(), -1, 1e-14) {
-		t.Fatalf("Det = %g, want -1", lu.Det())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := MatFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); err == nil {
-		t.Fatal("expected singular-matrix error")
 	}
 }
 

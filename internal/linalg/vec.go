@@ -1,12 +1,38 @@
-// Package linalg provides the small dense linear-algebra substrate used by
-// the proximal operators and problem builders in this repository.
+// Package linalg provides the dense linear-algebra substrate used by the
+// proximal operators and problem builders in this repository.
 //
-// The package is deliberately minimal and allocation-conscious: the ADMM
-// inner loops evaluate proximal operators millions of times, so every
-// routine here works on caller-provided slices and avoids hidden
-// allocation. Matrices are dense, row-major, and small (the paper's MPC
-// dynamics projections involve 4x4 .. 10x10 systems); there is no attempt
-// at blocking or SIMD beyond what the compiler provides.
+// The ADMM inner loops evaluate proximal operators millions of times, so
+// every routine on that path works on caller-provided slices and does not
+// allocate. Two kernels carry the x-update of the dense workloads and are
+// written for the machine rather than for brevity.
+//
+// Cholesky (and Ridge, which refactors Q + rho I into the same buffers
+// when rho moves) serves the lasso blocks, n = 128 and 32 factors per
+// graph. A solve is bound by the bytes of the factor it streams and by
+// the latency of a dependent subtract chain, so:
+//
+//   - the factor is a packed lower triangle, n(n+1)/2 doubles and not
+//     n^2, with reciprocals on the diagonal: half the bytes, and no
+//     divisions in a solve;
+//   - the forward substitution advances four rows at a time, so each
+//     loaded b[k] feeds four independent accumulators;
+//   - the backward substitution is in axpy form: with x[i] known, row i
+//     of L is subtracted from the right-hand sides above it. The textbook
+//     form takes a dot product down column i, a stride that grows with
+//     the row in packed storage (and is n in full storage, a cache line
+//     per element); the axpy form walks the same contiguous rows as the
+//     forward pass, backwards, straight after that pass brought them into
+//     cache. It too retires four rows per sweep of b.
+//
+// The factorization needs no kernel of its own: row i of L is the forward
+// substitution of row i of A against the rows above it.
+//
+// AffineProjector serves the mpc dynamics nodes, a 4x10 constraint
+// evaluated once per node per iteration. Precompute folds the Gram
+// factorization into a gain matrix, so a projection is two small
+// matrix-vector products, with no triangular solve and no division.
+//
+// There is no assembly and no SIMD beyond what the compiler provides.
 package linalg
 
 import (

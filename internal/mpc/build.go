@@ -87,13 +87,14 @@ func Build(cfg Config) (*Problem, error) {
 	}
 	// Linearized dynamics: q(t+1) = (I+A) q(t) + B u(t), written as
 	// C [v_t; v_{t+1}] = 0 with C = [-(I+A)  -B  |  I  0].
-	cmat := dynamicsConstraint(cfg.A, cfg.B)
+	// Every step has the same constraint, so the K nodes are clones of one
+	// operator and share its precomputed projection gain.
+	dyn, err := prox.NewAffineEquality(dynamicsConstraint(cfg.A, cfg.B), make([]float64, StateDim), BlockDim)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: dynamics node: %w", err)
+	}
 	for t := 0; t < cfg.K; t++ {
-		op, err := prox.NewAffineEquality(cmat, make([]float64, StateDim), BlockDim)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: dynamics node %d: %w", t, err)
-		}
-		g.AddNode(op, t, t+1)
+		g.AddNode(dyn.Clone(), t, t+1)
 	}
 	// Initial condition clamp q(0) = q0 (u(0) free).
 	clamp := &prox.Clamp{Value: append([]float64(nil), cfg.Q0...)}

@@ -1,11 +1,14 @@
 package mpc
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/admm"
 	"repro/internal/linalg"
+	_ "repro/internal/shard" // registers the sharded executor
 )
 
 func TestPendulumLinearizeShapes(t *testing.T) {
@@ -262,5 +265,110 @@ func TestVarDegreesMatchFigure9(t *testing.T) {
 	}
 	if got := g.VarDegree(5); got != 2 { // cost + one dynamics
 		t.Fatalf("var K degree = %d, want 2", got)
+	}
+}
+
+// TestDynamicsProjectionMatchesSolveFormula checks the gain form of the
+// projection, v - K (C v - d), on the real 4x10 dynamics constraint
+// against the formula it replaced: lambda from a Cholesky solve with the
+// Gram matrix C W C^T, then v - W C^T lambda.
+func TestDynamicsProjectionMatchesSolveFormula(t *testing.T) {
+	c := dynamicsConstraint(PaperSystem())
+	m, n := c.Rows, c.Cols
+	d := []float64{0.3, -0.1, 0.2, 0.05}
+	rho := make([]float64, n)
+	for j := range rho {
+		rho[j] = 0.7 // edge to v_t
+		if j >= BlockDim {
+			rho[j] = 3.5 // edge to v_{t+1}
+		}
+	}
+	p, err := linalg.NewAffineProjector(c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Precompute(rho); err != nil {
+		t.Fatal(err)
+	}
+	gram := linalg.NewMat(m, m)
+	for i := 0; i < m; i++ {
+		for k := 0; k < m; k++ {
+			var s float64
+			for j := 0; j < n; j++ {
+				s += c.At(i, j) * c.At(k, j) / rho[j]
+			}
+			gram.Set(i, k, s)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	scratch := make([]float64, m)
+	for trial := 0; trial < 50; trial++ {
+		v := make([]float64, n)
+		for j := range v {
+			v[j] = rng.NormFloat64() * 2
+		}
+		r := make([]float64, m)
+		c.MulVec(r, v)
+		linalg.SubTo(r, r, d)
+		lambda, err := linalg.SolveSPD(gram, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, n)
+		for j := range want {
+			var s float64
+			for i := 0; i < m; i++ {
+				s += c.At(i, j) * lambda[i]
+			}
+			want[j] = v[j] - s/rho[j]
+		}
+		p.Project(v, scratch)
+		if rel := linalg.Dist2(v, want) / linalg.Norm2(want); rel > 1e-12 {
+			t.Fatalf("trial %d: gain form differs from solve form by %.3g (relative)", trial, rel)
+		}
+		if res := p.Residual(v); res > 1e-12 {
+			t.Fatalf("trial %d: residual %g", trial, res)
+		}
+	}
+}
+
+// TestShardedAdaptiveRhoMatchesSerial runs a badly tuned chain under two
+// shards with rho adaptation. Each rho change sends both shards' dynamics
+// nodes, which share one projection gain, to publish a new one at the
+// same moment; the iterates must still equal the serial run's bit for
+// bit. Run with -race.
+func TestShardedAdaptiveRhoMatchesSerial(t *testing.T) {
+	run := func(executor string) *Problem {
+		p, err := Build(Config{K: 300, Rho: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Graph.InitZero()
+		var spec admm.ExecutorSpec
+		if err := json.Unmarshal([]byte(executor), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := admm.Solve(p.Graph, admm.SolveOptions{
+			Executor: spec, MaxIter: 400, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: 20,
+			Adapt: &admm.AdaptConfig{Mu: 2, Tau: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ref := run(`{"kind":"serial"}`)
+	got := run(`{"kind":"sharded","shards":2}`)
+	if ref.Graph.Rho[0] == 200 {
+		t.Fatal("adaptation never fired: the rho-change path was not exercised")
+	}
+	for e := range ref.Graph.Rho {
+		if got.Graph.Rho[e] != ref.Graph.Rho[e] {
+			t.Fatalf("rho diverged at edge %d: %g vs %g", e, got.Graph.Rho[e], ref.Graph.Rho[e])
+		}
+	}
+	for i := range ref.Graph.Z {
+		if got.Graph.Z[i] != ref.Graph.Z[i] {
+			t.Fatalf("sharded adaptive solve diverged from serial at Z[%d]: %g vs %g", i, got.Graph.Z[i], ref.Graph.Z[i])
+		}
 	}
 }

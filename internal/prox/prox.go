@@ -16,6 +16,7 @@ package prox
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/linalg"
@@ -274,9 +275,12 @@ func (p L2Ball) Work(deg, d int) graph.Work {
 // concatenated live components. The constraint matrix columns index the
 // concatenation edge-block-by-edge-block, nd live components per block.
 // The projection is rho-weighted (each edge's components share its rho),
-// matching the exact prox. The Gram factorization is recomputed per Eval
-// only when rho changed since the last call; the common constant-rho path
-// hits a cached factorization.
+// matching the exact prox: x = n - K (C n - rhs), with the gain
+// K = W C^T (C W C^T)^{-1} computed once per rho vector. The gain depends
+// only on C and rho, so operators made from one another by Clone share
+// it: an Eval that meets a new rho takes the gain a sibling published for
+// it, or computes and publishes one. A published gain is never written
+// again.
 //
 // This operator backs the MPC linearized-dynamics prox (Appendix B) and
 // the initial-condition clamp.
@@ -285,13 +289,31 @@ type AffineEquality struct {
 	RHS []float64
 	Dim int // live components per edge block
 
-	proj     *linalg.AffineProjector
-	cachedW  []float64
 	deg      int
-	vbuf     []float64 // scratch: concatenated live components
-	rhoExp   []float64 // scratch: per-component weights
-	lastRho  []float64
+	shared   *atomic.Pointer[affineGain] // latest gain any Clone sibling computed
+	gain     *affineGain                 // the gain for this node's current rho
+	vbuf     []float64                   // scratch of the padded path: concatenated live components
 	scratchM []float64
+}
+
+// affineGain is a projector precomputed for one per-edge rho vector.
+// It is immutable once built, which is what lets nodes on different
+// shards project through one copy.
+type affineGain struct {
+	rho  []float64
+	proj *linalg.AffineProjector
+}
+
+func (g *affineGain) matches(rho []float64) bool {
+	if g == nil {
+		return false
+	}
+	for k, r := range rho {
+		if g.rho[k] != r {
+			return false
+		}
+	}
+	return true
 }
 
 // NewAffineEquality builds the operator; c must have nd*deg columns where
@@ -303,24 +325,32 @@ func NewAffineEquality(c *linalg.Mat, rhs []float64, nd int) (*AffineEquality, e
 	if c.Cols%nd != 0 {
 		return nil, fmt.Errorf("prox: constraint matrix has %d cols, not a multiple of dim %d", c.Cols, nd)
 	}
-	proj, err := linalg.NewAffineProjector(c, rhs)
-	if err != nil {
-		return nil, err
+	if len(rhs) != c.Rows {
+		return nil, fmt.Errorf("prox: AffineEquality rhs length %d != rows %d", len(rhs), c.Rows)
 	}
 	return &AffineEquality{
 		C: c, RHS: rhs, Dim: nd,
-		proj:     proj,
 		deg:      c.Cols / nd,
-		vbuf:     make([]float64, c.Cols),
-		rhoExp:   make([]float64, c.Cols),
-		lastRho:  make([]float64, c.Cols/nd),
+		shared:   new(atomic.Pointer[affineGain]),
 		scratchM: make([]float64, c.Rows),
 	}, nil
+}
+
+// Clone returns an operator for another function node under the same
+// constraint. It shares p's C, RHS (both only read) and published gain,
+// and owns its scratch, so a builder that attaches thousands of nodes to
+// one constraint matrix pays for one gain per rho, not one per node.
+func (p *AffineEquality) Clone() *AffineEquality {
+	q := *p
+	q.vbuf = nil
+	q.scratchM = make([]float64, len(p.scratchM))
+	return &q
 }
 
 // Eval implements graph.Op. It is NOT safe for concurrent use on the same
 // operator instance (it owns scratch buffers); attach one instance per
 // function node, which is how every builder in this repository uses it.
+// Clone siblings may be evaluated concurrently.
 func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 	deg := len(rho)
 	if deg != p.deg {
@@ -330,34 +360,57 @@ func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 	if nd > d {
 		panic(fmt.Sprintf("prox: AffineEquality dim %d exceeds graph dims %d", nd, d))
 	}
+	if !p.gain.matches(rho) {
+		p.gain = p.gainFor(rho)
+	}
+	if nd == d {
+		// No padding: the blocks are the concatenation already.
+		copy(x, n)
+		p.gain.proj.Project(x[:deg*d], p.scratchM)
+		return
+	}
 	copyPad(x, n, deg, d, nd)
 	// Gather live components.
+	if p.vbuf == nil {
+		p.vbuf = make([]float64, p.C.Cols)
+	}
 	for k := 0; k < deg; k++ {
 		copy(p.vbuf[k*nd:(k+1)*nd], n[k*d:k*d+nd])
 	}
-	// Refresh the factorization only when rho changed.
-	changed := p.proj == nil
-	for k, r := range rho {
-		if p.lastRho[k] != r {
-			changed = true
-			break
-		}
-	}
-	if changed {
-		copy(p.lastRho, rho)
-		for k := 0; k < deg; k++ {
-			for i := 0; i < nd; i++ {
-				p.rhoExp[k*nd+i] = rho[k]
-			}
-		}
-		if err := p.proj.Precompute(p.rhoExp); err != nil {
-			panic(fmt.Sprintf("prox: AffineEquality projection: %v", err))
-		}
-	}
-	p.proj.Project(p.vbuf, p.scratchM)
+	p.gain.proj.Project(p.vbuf, p.scratchM)
 	for k := 0; k < deg; k++ {
 		copy(x[k*d:k*d+nd], p.vbuf[k*nd:(k+1)*nd])
 	}
+}
+
+// gainFor returns the published gain if it was computed for rho, and
+// otherwise computes one and publishes it. Two nodes that race here for
+// the same rho compute bit-identical gains (a gain is a function of C and
+// rho alone), so it does not matter whose is published; the
+// compare-and-swap only keeps a slower node from replacing a gain that
+// siblings already hold with a duplicate.
+func (p *AffineEquality) gainFor(rho []float64) *affineGain {
+	cur := p.shared.Load()
+	if cur.matches(rho) {
+		return cur
+	}
+	nd := p.Dim
+	w := make([]float64, p.C.Cols)
+	for k, r := range rho {
+		for i := 0; i < nd; i++ {
+			w[k*nd+i] = r
+		}
+	}
+	proj, err := linalg.NewAffineProjector(p.C, p.RHS)
+	if err == nil {
+		err = proj.Precompute(w)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("prox: AffineEquality projection: %v", err))
+	}
+	g := &affineGain{rho: append([]float64(nil), rho...), proj: proj}
+	p.shared.CompareAndSwap(cur, g)
+	return g
 }
 
 // Work implements graph.Op.
@@ -440,27 +493,26 @@ func (p Halfspace) Work(deg, d int) graph.Work {
 
 // Quadratic is the prox of f(s) = 1/2 s^T Q s + q^T s on a single-edge
 // node over nd live components: x = (Q + rho I)^{-1} (rho n - q).
-// Q must be symmetric positive semidefinite. The factorization is cached
-// per rho value.
+// Q must be symmetric positive semidefinite. The factorization is kept
+// for the last rho (linalg.Ridge).
 type Quadratic struct {
 	Q   *linalg.Mat
 	Lin []float64 // q, length nd (nil means zero)
 	Dim int
 
-	cachedRho float64
-	chol      *linalg.Cholesky
-	buf       []float64
+	ridge *linalg.Ridge
 }
 
 // NewQuadratic validates shapes and returns the operator.
 func NewQuadratic(q *linalg.Mat, lin []float64) (*Quadratic, error) {
-	if q.Rows != q.Cols {
-		return nil, fmt.Errorf("prox: Quadratic needs square Q, got %dx%d", q.Rows, q.Cols)
+	ridge, err := linalg.NewRidge(q)
+	if err != nil {
+		return nil, fmt.Errorf("prox: Quadratic: %w", err)
 	}
 	if lin != nil && len(lin) != q.Rows {
 		return nil, fmt.Errorf("prox: Quadratic linear term length %d != %d", len(lin), q.Rows)
 	}
-	return &Quadratic{Q: q, Lin: lin, Dim: q.Rows, buf: make([]float64, q.Rows)}, nil
+	return &Quadratic{Q: q, Lin: lin, Dim: q.Rows, ridge: ridge}, nil
 }
 
 // Eval implements graph.Op. Like AffineEquality, one instance must not be
@@ -475,25 +527,15 @@ func (p *Quadratic) Eval(x, n, rho []float64, d int) {
 	}
 	copyPad(x, n, 1, d, nd)
 	r := rho[0]
-	if p.chol == nil || p.cachedRho != r {
-		a := p.Q.Clone()
-		for i := 0; i < nd; i++ {
-			a.Data[i*nd+i] += r
-		}
-		ch, err := linalg.NewCholesky(a)
-		if err != nil {
-			panic(fmt.Sprintf("prox: Quadratic Q + rho I not PD: %v", err))
-		}
-		p.chol, p.cachedRho = ch, r
-	}
 	for i := 0; i < nd; i++ {
-		p.buf[i] = r * n[i]
+		x[i] = r * n[i]
 		if p.Lin != nil {
-			p.buf[i] -= p.Lin[i]
+			x[i] -= p.Lin[i]
 		}
 	}
-	p.chol.Solve(p.buf)
-	copy(x[:nd], p.buf)
+	if err := p.ridge.Solve(r, x[:nd]); err != nil {
+		panic(fmt.Sprintf("prox: Quadratic Q + rho I not PD: %v", err))
+	}
 }
 
 // Work implements graph.Op.

@@ -330,6 +330,82 @@ func TestAffineEqualityErrors(t *testing.T) {
 	if _, err := NewAffineEquality(c3, []float64{0}, 2); err == nil {
 		t.Fatal("expected divisibility error")
 	}
+	if _, err := NewAffineEquality(c, []float64{0, 0}, 1); err == nil {
+		t.Fatal("expected rhs length error")
+	}
+}
+
+// TestAffineEqualityClonesShareGain: clones take the gain a sibling
+// published for their rho instead of computing one, keep their own when a
+// sibling moves to another rho, and give bit for bit what an unshared
+// operator gives, with and without padding.
+func TestAffineEqualityClonesShareGain(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c := linalg.NewMat(2, 6)
+	for i := range c.Data {
+		c.Data[i] = rng.NormFloat64()
+	}
+	rhs := []float64{0.5, -1}
+	first, err := NewAffineEquality(c, rhs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.Clone(), first.Clone()
+	n := make([]float64, 6)
+	for i := range n {
+		n[i] = rng.NormFloat64()
+	}
+	eval := func(op *AffineEquality, rho []float64) []float64 {
+		x := make([]float64, 6)
+		op.Eval(x, n, rho, 3)
+		return x
+	}
+	alone := func(rho []float64) []float64 {
+		op, err := NewAffineEquality(c, rhs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eval(op, rho)
+	}
+	same := func(got, want []float64) bool {
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	rho1, rho2 := []float64{1, 2}, []float64{4, 0.5}
+
+	xa := eval(a, rho1)
+	xb := eval(b, rho1)
+	if a.gain == nil || b.gain != a.gain {
+		t.Fatal("second clone did not take the gain the first published")
+	}
+	if want := alone(rho1); !same(xa, want) || !same(xb, want) {
+		t.Fatalf("clones %v %v, unshared operator %v", xa, xb, want)
+	}
+	// b moves on; a must keep projecting with its own rho.
+	if got, want := eval(b, rho2), alone(rho2); !same(got, want) {
+		t.Fatalf("after rho change: clone %v, unshared operator %v", got, want)
+	}
+	if got := eval(a, rho1); !same(got, xa) {
+		t.Fatalf("a sibling's rho change altered this node's result: %v vs %v", got, xa)
+	}
+	eval(a, rho2)
+	if a.gain != b.gain {
+		t.Fatal("first clone recomputed a gain its sibling had published")
+	}
+
+	// The padded path (d > nd) gathers the same live components.
+	padded := make([]float64, 8)
+	np := []float64{n[0], n[1], n[2], 9, n[3], n[4], n[5], -9}
+	a.Eval(padded, np, rho2, 4)
+	want := alone(rho2)
+	got := []float64{padded[0], padded[1], padded[2], padded[4], padded[5], padded[6]}
+	if !same(got, want) || padded[3] != 9 || padded[7] != -9 {
+		t.Fatalf("padded eval = %v, want live %v with padding passed through", padded, want)
+	}
 }
 
 func TestQuadratic(t *testing.T) {

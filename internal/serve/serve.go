@@ -639,7 +639,6 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 	}
-	s.cache.Put(j.key, p)
 	s.met.recordSolve(res, buildNanos)
 
 	r := &SolveResult{
@@ -659,6 +658,10 @@ func (s *Server) runJob(j *Job) {
 			r.Metrics[k] = v
 		}
 	}
+	// Only now may the instance go back to the cache: a concurrent
+	// same-shape request takes it from there and resets its graph, which
+	// everything above reads.
+	s.cache.Put(j.key, p)
 	if !math.IsNaN(res.Primal) {
 		pr := res.Primal
 		r.Primal = &pr

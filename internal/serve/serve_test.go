@@ -7,8 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/admm"
+	"repro/internal/workload"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -325,4 +329,63 @@ func TestShardMetricsReported(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentSameShapeReplies is the regression test for a wrong-answer
+// race: runJob used to return the problem instance to the graph cache
+// before reading its quality metrics, so a concurrent request of the same
+// shape could take the instance and reset its graph under the read. Two
+// clients post one shape; every reply must carry exactly the metrics of
+// an in-process solve (and -race must stay silent).
+func TestConcurrentSameShapeReplies(t *testing.T) {
+	const spec = `{"k":200}`
+	const maxIter = 30
+	adm, err := workload.Parse("mpc", json.RawMessage(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := adm.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Reset()
+	if _, err := admm.Solve(p.FactorGraph(), admm.SolveOptions{MaxIter: maxIter}); err != nil {
+		t.Fatal(err)
+	}
+	want := p.Metrics()
+
+	_, ts := newTestServer(t, Config{Workers: 2})
+	body := fmt.Sprintf(`{"workload":"mpc","spec":%s,"max_iter":%d}`, spec, maxIter)
+	perClient := 150
+	if raceEnabled {
+		perClient = 40
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("POST /v1/solve: %v", err)
+					return
+				}
+				var v JobView
+				err = json.NewDecoder(resp.Body).Decode(&v)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || v.Result == nil {
+					t.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+					return
+				}
+				for k, w := range want {
+					if got := v.Result.Metrics[k]; got != w {
+						t.Errorf("request %d: metric %s = %v, in-process solve gives %v", i, k, got, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
