@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -395,9 +396,10 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 	fmt.Printf("phase time: x %.0f%%, m %.0f%%, z %.0f%%, u %.0f%%, n %.0f%%\n",
 		100*fr[0], 100*fr[1], 100*fr[2], 100*fr[3], 100*fr[4])
 	if st != nil {
-		fmt.Printf("shards: %d (%s partition, %s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v, boundary z %v\n",
+		lo, med, hi := waitShares(st.SyncWaitByShard, res.Elapsed)
+		fmt.Printf("shards: %d (%s partition, %s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v\n",
 			st.Shards, st.PartitionLabel(), st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost,
-			nanos(st.SyncWaitNanos), nanos(st.BoundaryZNanos))
+			nanos(st.SyncWaitNanos), 100*lo, 100*med, 100*hi, nanos(st.BoundaryZNanos))
 		if st.BytesPerIter > 0 {
 			fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",
 				st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)
@@ -410,6 +412,19 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 				st.CacheHits, st.CacheGraphHits, st.CacheMisses, st.CfgSends, st.StatePushes, st.HandshakeFrames)
 		}
 	}
+}
+
+// waitShares returns the smallest, median and largest share of the
+// solve's wall time that a shard spent blocked at its sync points. The
+// shard with the smallest share is the one the others waited for.
+func waitShares(waitNanos []int64, elapsed time.Duration) (lo, med, hi float64) {
+	if len(waitNanos) == 0 || elapsed <= 0 {
+		return 0, 0, 0
+	}
+	w := slices.Sorted(slices.Values(waitNanos))
+	share := func(n int64) float64 { return float64(n) / float64(elapsed.Nanoseconds()) }
+	n := len(w)
+	return share(w[0]), (share(w[(n-1)/2]) + share(w[n/2])) / 2, share(w[n-1])
 }
 
 func nanos(n int64) string { return fmt.Sprintf("%.2fms", float64(n)/1e6) }

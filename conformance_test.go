@@ -16,6 +16,7 @@ package repro_test
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/admm"
@@ -218,6 +219,73 @@ func TestExecutorConformance(t *testing.T) {
 	}
 }
 
+// TestHubBoundaryConformance covers the shape the default partition
+// makes of a consensus star: the functions split in creation order and
+// the hub is the only boundary variable, combined by its owner from
+// every shard's m-blocks. At 2, 3 and 4 shards, over the local barrier
+// and every form of the sockets transport, fused and unfused, the
+// iterates must equal Serial's bit for bit, and dense frames must move
+// exactly what the cut-cost model prices.
+func TestHubBoundaryConformance(t *testing.T) {
+	build := func(t *testing.T) confInstance {
+		p, err := lasso.FromSpec(lasso.Spec{M: 72, Blocks: 8, Lambda: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Graph.InitZero()
+		return confInstance{g: p.Graph}
+	}
+	ref := confRun(t, build(t), admm.NewSerial(), confIters)
+	fused, unfused, deltaZero := true, false, 0.0
+	sockets := admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets}
+	overlap, overlapDelta := sockets, sockets
+	overlap.Overlap = true
+	overlapDelta.Overlap, overlapDelta.DeltaThreshold = true, &deltaZero
+	cells := []struct {
+		name  string
+		spec  admm.ExecutorSpec
+		fused *bool
+	}{
+		{"local", admm.ExecutorSpec{Kind: admm.ExecSharded}, &unfused},
+		{"local-fused", admm.ExecutorSpec{Kind: admm.ExecSharded}, &fused},
+		{"sockets", sockets, &unfused},
+		{"sockets-fused", sockets, &fused},
+		{"sockets-overlap-fused", overlap, &fused},
+		{"sockets-overlap-delta-fused", overlapDelta, &fused},
+	}
+	for _, shards := range []int{2, 3, 4} {
+		for _, c := range cells {
+			spec := c.spec
+			spec.Shards, spec.Fused = shards, c.fused
+			t.Run(c.name+"-"+strconv.Itoa(shards), func(t *testing.T) {
+				inst := build(t)
+				backend, err := spec.NewBackend(inst.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := confRun(t, inst, backend, confIters)
+				for i := range ref {
+					if ref[i] != got[i] {
+						t.Fatalf("diverged from serial at Z[%d]: %g vs %g", i, got[i], ref[i])
+					}
+				}
+				st := backend.(shard.StatsReporter).Stats()
+				if st.BoundaryVars != 1 || st.BoundaryEdges != inst.g.NumEdges() {
+					t.Fatalf("boundary %d vars / %d edges, want the hub and all %d edges",
+						st.BoundaryVars, st.BoundaryEdges, inst.g.NumEdges())
+				}
+				if len(st.SyncWaitByShard) != shards || st.SyncWaitNanos != st.SyncWaitByShard[0] {
+					t.Fatalf("sync wait %d, by shard %v", st.SyncWaitNanos, st.SyncWaitByShard)
+				}
+				dense := spec.Transport == admm.TransportSockets && spec.DeltaThreshold == nil
+				if dense && st.BytesPerIter != 8*st.CutCost {
+					t.Fatalf("dense frames moved %.1f payload bytes/iter, cut cost prices %.0f", st.BytesPerIter, 8*st.CutCost)
+				}
+			})
+		}
+	}
+}
+
 // TestDeltaThresholdConformance is the lossy half of the delta-frame
 // contract: at a small nonzero threshold every workload must stay
 // within a pinned tolerance of the serial iterates (the receiver's view
@@ -231,9 +299,7 @@ func TestDeltaThresholdConformance(t *testing.T) {
 		t.Run(wname, func(t *testing.T) {
 			ref := confRun(t, build(t), admm.NewSerial(), confIters)
 			inst := build(t)
-			// The block partition cuts every conformance workload
-			// (balanced leaves lasso boundary-free — nothing to delta).
-			backend, err := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Partition: "block",
+			backend, err := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2,
 				Transport: admm.TransportSockets, DeltaThreshold: &thr}.NewBackend(inst.g)
 			if err != nil {
 				t.Fatal(err)

@@ -66,10 +66,12 @@ const (
 	AutoMaxShards = 4
 	// AutoMaxImbalance disqualifies partition candidates whose largest
 	// shard holds more than this multiple of the mean shard load
-	// (graph.Partition.LoadImbalance). Cut cost alone cannot see the
-	// consensus-star pathology — "balanced" places every star function
-	// with the shared first variable, a zero-cut split with zero
-	// parallelism — so a candidate must be cheap on BOTH axes to win.
+	// (graph.Partition.LoadImbalance). Cut cost alone cannot see a split
+	// that bought its cut with balance — the refinement pass may pile
+	// functions onto one shard within its slack, and a graph with fewer
+	// functions than it needs to fill the shards evenly (a five-function
+	// star at four shards) has no balanced split at all — so a candidate
+	// must be cheap on BOTH axes to win.
 	AutoMaxImbalance = 1.5
 )
 

@@ -23,11 +23,9 @@
 // owner-computed z is available to the worker. What "available" means is
 // the implementation's choice:
 //
-//   - Local: both calls are crossings of one shared-memory barrier (the
-//     yield-spin barrier the sharded executor always used). Phase-A
-//     writes become visible through the barrier's happens-before edges;
-//     nothing is copied. This is the previous behavior, extracted
-//     without change.
+//   - Local: both calls are crossings of one shared-memory barrier.
+//     Phase-A writes become visible through the barrier's
+//     happens-before edges; nothing is copied.
 //
 //   - Messaged: both calls move exactly the boundary state over
 //     length-prefixed binary frames on per-peer byte streams. GatherM
@@ -43,6 +41,17 @@
 //     one worker process of a cross-process solve (NewPeer, streams
 //     backed by unix-socket or TCP connections; see internal/shard's
 //     coordinator/worker protocol and docs/transport.md).
+//
+// # Waiting
+//
+// The in-process sync points — Local's barrier, and a loopback pipe
+// whose reader arrives before the frame — wait the same way
+// (spinThenPark, local.go): yield-spin for about the cost of one futex
+// sleep/wake, then park on a condition variable. A shard's phases are
+// tens of microseconds to a millisecond, and a peer is usually a few
+// yields behind, so parking at once costs a wake per crossing — more
+// than the crossing. Real sockets (NewPeer) block in the kernel as
+// before.
 //
 // # Bit-identity
 //

@@ -6,17 +6,48 @@ import (
 	"sync/atomic"
 )
 
-// spinBarrier is a sense-reversing barrier whose waiters yield-spin
-// (runtime.Gosched) for a bounded number of rounds before parking on a
-// condition variable. The sharded executor crosses it twice per
-// iteration with sub-millisecond phases in between; futex-based
-// sleep/wake churn at that granularity costs more than the phases
-// themselves, especially when phase B is nearly empty (a chain graph
-// has a handful of boundary variables) — but pure spinning would let
-// badly-oversized shard counts (empty shards, stragglers) peg cores for
-// a whole solve, so waiters that exhaust the spin budget sleep like
-// sched.Barrier's. Atomic loads/stores give the happens-before edges
-// the phases rely on.
+// spinYields bounds the yield-spin phase of one spinThenPark. A yield
+// with nothing else runnable is about 0.1 us, so the budget is about
+// what one futex sleep/wake costs (50-90 us between two vCPUs) — the
+// point past which spinning stops being the cheaper way to wait.
+// Crossing the boundary-z barrier, or a peer's frame landing in a
+// loopback pipe, takes a handful of yields when the shards are
+// balanced and tens of microseconds when one runs a little late; a
+// waiter still spinning after the whole budget is stuck behind a
+// straggling shard and should get off the CPU, which on a shared host
+// is also what lets the straggler run at full speed.
+const spinYields = 512
+
+// spinThenPark is the one wait policy of the in-process sync points
+// (spinBarrier.Await, bufferedPipe.Read): yield-spin (runtime.Gosched)
+// on ready for up to spinYields rounds, then park on cond until ready
+// holds. The sharded executor reaches a sync point twice per iteration
+// with sub-millisecond phases in between; futex sleep/wake churn at
+// that granularity costs more than the phases themselves — but pure
+// spinning would let badly-oversized shard counts (empty shards,
+// stragglers) peg cores for a whole solve, so waiters that exhaust the
+// spin budget sleep.
+//
+// ready must read atomics only (the spin phase holds no lock), and
+// whoever makes it true must do so while holding cond.L and Broadcast
+// afterwards, so a parked waiter cannot miss the change.
+func spinThenPark(cond *sync.Cond, ready func() bool) {
+	for i := 0; i < spinYields; i++ {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	cond.L.Lock()
+	for !ready() {
+		cond.Wait()
+	}
+	cond.L.Unlock()
+}
+
+// spinBarrier is a sense-reversing barrier whose waiters spinThenPark on
+// the generation word. Atomic loads/stores give the happens-before
+// edges the phases rely on.
 type spinBarrier struct {
 	parties int32
 	count   atomic.Int32
@@ -25,12 +56,6 @@ type spinBarrier struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 }
-
-// spinYields bounds the yield-spin phase of one Await. Crossing the
-// boundary-z barrier typically takes a handful of yields; a waiter
-// still spinning after this many is stuck behind a straggling shard
-// and should get off the CPU.
-const spinYields = 256
 
 func newSpinBarrier(parties int) *spinBarrier {
 	b := &spinBarrier{parties: int32(parties)}
@@ -48,17 +73,7 @@ func (b *spinBarrier) Await() {
 		b.cond.Broadcast()
 		return
 	}
-	for i := 0; i < spinYields; i++ {
-		if b.gen.Load() != gen {
-			return
-		}
-		runtime.Gosched()
-	}
-	b.mu.Lock()
-	for b.gen.Load() == gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
+	spinThenPark(b.cond, func() bool { return b.gen.Load() != gen })
 }
 
 // Local is the shared-memory exchanger: both sync points are crossings

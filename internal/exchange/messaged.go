@@ -120,13 +120,33 @@ type msgWorkerState struct {
 	pend <-chan struct{}
 }
 
+// newWorkerState sizes worker w's scratch for the largest frame the
+// manifest has it send and receive, so a solve allocates each buffer
+// once instead of growing it by doubling over its first rounds.
+func newWorkerState(man *Manifest, w int) msgWorkerState {
+	k := man.Shards
+	out, in := 0, 0 // blocks in the largest outbound / inbound row
+	for j := 0; j < k; j++ {
+		if j == w {
+			continue
+		}
+		out = max(out, len(man.MEdges[w*k+j]), len(man.ZVars[w*k+j]))
+		in = max(in, len(man.MEdges[j*k+w]), len(man.ZVars[j*k+w]))
+	}
+	return msgWorkerState{
+		curRow:  make([]float64, 0, out*man.D),
+		sendBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(out)+out*man.D*8),
+		recvBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(in)+in*man.D*8),
+	}
+}
+
 // NewLoopback returns a messaged exchanger carrying all of the
 // manifest's workers in one process over in-memory streams, against the
 // shared graph g. Every boundary byte is framed, serialized, and
 // decoded exactly as over sockets — the wire codec without the kernel.
 func NewLoopback(g *graph.Graph, man *Manifest, fused bool) *Messaged {
 	mesh := loopbackMesh(man.Shards)
-	return &Messaged{
+	m := &Messaged{
 		g:       g,
 		man:     man,
 		fused:   fused,
@@ -135,6 +155,10 @@ func NewLoopback(g *graph.Graph, man *Manifest, fused bool) *Messaged {
 		state:   make([]msgWorkerState, man.Shards),
 		acct:    0,
 	}
+	for w := range m.state {
+		m.state[w] = newWorkerState(man, w)
+	}
+	return m
 }
 
 // NewPeer returns the messaged exchanger for worker id of a
@@ -159,7 +183,7 @@ func NewPeer(g *graph.Graph, man *Manifest, fused bool, id int, conns []io.ReadW
 	}
 	streams := make([][]io.ReadWriteCloser, k)
 	streams[id] = conns
-	return &Messaged{
+	m := &Messaged{
 		g:       g,
 		man:     man,
 		fused:   fused,
@@ -167,7 +191,9 @@ func NewPeer(g *graph.Graph, man *Manifest, fused bool, id int, conns []io.ReadW
 		streams: streams,
 		state:   make([]msgWorkerState, k),
 		acct:    id,
-	}, nil
+	}
+	m.state[id] = newWorkerState(man, id)
+	return m, nil
 }
 
 // EnableDelta switches steady-state data frames to delta encoding with
@@ -236,31 +262,33 @@ func (m *Messaged) Materialized() bool { return true }
 // directly, so the sent edges' x-phase must be complete; interior
 // functions may still be pending.
 func (m *Messaged) BeginGatherM(w int) {
+	m.state[w].pend = m.dispatchSends(w, (*Messaged).sendM)
+}
+
+// sendM gathers and ships worker w's off-diagonal m-rows.
+func (m *Messaged) sendM(w int) {
 	k, d := m.man.Shards, m.man.D
 	st := &m.state[w]
 	g := m.g
-	send := func() {
-		for j := 0; j < k; j++ {
-			row := m.man.MEdges[w*k+j]
-			if j == w || len(row) == 0 {
-				continue
-			}
-			cur := st.curRow[:0]
-			for _, e := range row {
-				base := int(e) * d
-				if m.fused {
-					for i := 0; i < d; i++ {
-						cur = append(cur, g.X[base+i]+g.U[base+i])
-					}
-				} else {
-					cur = append(cur, g.M[base:base+d]...)
-				}
-			}
-			st.curRow = cur
-			m.sendRow(st, w, j, FrameM, FrameMDelta, cur, m.primedM, m.prevM)
+	for j := 0; j < k; j++ {
+		row := m.man.MEdges[w*k+j]
+		if j == w || len(row) == 0 {
+			continue
 		}
+		cur := st.curRow[:0]
+		for _, e := range row {
+			base := int(e) * d
+			if m.fused {
+				for i := 0; i < d; i++ {
+					cur = append(cur, g.X[base+i]+g.U[base+i])
+				}
+			} else {
+				cur = append(cur, g.M[base:base+d]...)
+			}
+		}
+		st.curRow = cur
+		m.sendRow(st, w, j, FrameM, FrameMDelta, cur, m.primedM, m.prevM)
 	}
-	st.pend = m.dispatchSends(send)
 }
 
 // FinishGatherM ingests the peers' m-contributions into M and completes
@@ -324,25 +352,27 @@ func (m *Messaged) GatherM(w int) {
 // send half). The owned boundary z-update must be complete; edge-local
 // phases may still be pending.
 func (m *Messaged) BeginScatterZ(w int) {
+	m.state[w].pend = m.dispatchSends(w, (*Messaged).sendZ)
+}
+
+// sendZ gathers and ships worker w's owned boundary z rows.
+func (m *Messaged) sendZ(w int) {
 	k, d := m.man.Shards, m.man.D
 	st := &m.state[w]
 	g := m.g
-	send := func() {
-		for j := 0; j < k; j++ {
-			row := m.man.ZVars[w*k+j]
-			if j == w || len(row) == 0 {
-				continue
-			}
-			cur := st.curRow[:0]
-			for _, v := range row {
-				base := int(v) * d
-				cur = append(cur, g.Z[base:base+d]...)
-			}
-			st.curRow = cur
-			m.sendRow(st, w, j, FrameZ, FrameZDelta, cur, m.primedZ, m.prevZ)
+	for j := 0; j < k; j++ {
+		row := m.man.ZVars[w*k+j]
+		if j == w || len(row) == 0 {
+			continue
 		}
+		cur := st.curRow[:0]
+		for _, v := range row {
+			base := int(v) * d
+			cur = append(cur, g.Z[base:base+d]...)
+		}
+		st.curRow = cur
+		m.sendRow(st, w, j, FrameZ, FrameZDelta, cur, m.primedZ, m.prevZ)
 	}
-	st.pend = m.dispatchSends(send)
 }
 
 // FinishScatterZ ingests the peers' owner-combined z blocks into Z and
@@ -426,16 +456,18 @@ func (m *Messaged) sendRow(st *msgWorkerState, w, j int, denseKind, deltaKind by
 	st.sendBuf = m.sendFrame(stream, buf, w, j, int64(len(cur)*8), false)
 }
 
-// dispatchSends runs send inline on loopback streams (writes never
-// block) and on a goroutine over real sockets, where a large frame
-// could otherwise deadlock head-to-head against a peer writing to us.
-// A send failure panics; on the goroutine path the panic is captured
-// and re-raised by joinSends on the calling worker goroutine — an
-// unrecovered goroutine panic would kill the whole worker process,
-// which must instead fail the session and serve the next one.
-func (m *Messaged) dispatchSends(send func()) <-chan struct{} {
+// dispatchSends runs worker w's send (sendM or sendZ, passed as a method
+// expression so the loopback path allocates nothing per round) inline
+// on loopback streams, whose writes never block, and on a goroutine
+// over real sockets, where a large frame could otherwise deadlock
+// head-to-head against a peer writing to us. A send failure panics; on
+// the goroutine path the panic is captured and re-raised by joinSends
+// on the calling worker goroutine — an unrecovered goroutine panic
+// would kill the whole worker process, which must instead fail the
+// session and serve the next one.
+func (m *Messaged) dispatchSends(w int, send func(*Messaged, int)) <-chan struct{} {
 	if m.shared {
-		send()
+		send(m, w)
 		return closedCh
 	}
 	done := make(chan struct{})
@@ -444,7 +476,7 @@ func (m *Messaged) dispatchSends(send func()) <-chan struct{} {
 			m.sendFault = recover()
 			close(done)
 		}()
-		send()
+		send(m, w)
 	}()
 	return done
 }

@@ -3,23 +3,35 @@ package exchange
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // bufferedPipe is an in-memory unidirectional byte stream: writes append
-// to an elastic buffer and never block, reads block until data arrives.
+// to an elastic buffer and never block, reads wait until data arrives.
 // It is the loopback transport behind NewLoopback — the full frame codec
 // without sockets, and (because writes cannot block) immune to the
 // head-to-head write deadlock real sockets avoid via kernel buffering.
+// A reader that finds the pipe empty waits like a barrier waiter does
+// (spinThenPark): the peer's frame is usually a few yields away, and a
+// futex wake per frame costs more than a loopback round is worth.
 // The mutex gives receipt of a frame a happens-before edge after its
 // send, which is what the in-process messaged exchanger relies on in
 // place of barrier crossings.
 type bufferedPipe struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte
-	off    int // read offset into buf
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	buf  []byte
+	off  int // read offset into buf
+
+	// readable is what a waiting reader spins on without the lock: the
+	// unread byte count, plus pipeClosed once Close ran. Nonzero means
+	// Read will not wait. Written only under mu.
+	readable atomic.Int64
 }
+
+const pipeClosed = 1 << 62
+
+func (p *bufferedPipe) closed() bool { return p.readable.Load() >= pipeClosed }
 
 func newBufferedPipe() *bufferedPipe {
 	p := &bufferedPipe{}
@@ -30,7 +42,7 @@ func newBufferedPipe() *bufferedPipe {
 func (p *bufferedPipe) Write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed() {
 		return 0, io.ErrClosedPipe
 	}
 	// Compact once the reader has drained everything, so the buffer is
@@ -40,27 +52,36 @@ func (p *bufferedPipe) Write(b []byte) (int, error) {
 		p.off = 0
 	}
 	p.buf = append(p.buf, b...)
+	p.readable.Add(int64(len(b)))
 	p.cond.Broadcast()
 	return len(b), nil
 }
 
 func (p *bufferedPipe) Read(b []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.off == len(p.buf) {
-		if p.closed {
+	for {
+		spinThenPark(p.cond, func() bool { return p.readable.Load() != 0 })
+		p.mu.Lock()
+		if p.off < len(p.buf) {
+			n := copy(b, p.buf[p.off:])
+			p.off += n
+			p.readable.Add(int64(-n))
+			p.mu.Unlock()
+			return n, nil
+		}
+		closed := p.closed()
+		p.mu.Unlock()
+		if closed {
 			return 0, io.EOF
 		}
-		p.cond.Wait()
+		// Another reader drained the bytes this one was woken for.
 	}
-	n := copy(b, p.buf[p.off:])
-	p.off += n
-	return n, nil
 }
 
 func (p *bufferedPipe) Close() error {
 	p.mu.Lock()
-	p.closed = true
+	if !p.closed() {
+		p.readable.Add(pipeClosed)
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return nil

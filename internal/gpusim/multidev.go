@@ -123,9 +123,9 @@ func PartitionContiguous(g *graph.Graph, devices int) Partition {
 }
 
 // PartitionByVariable is the locality-aware split
-// (graph.StrategyBalanced): contiguous variable ranges of balanced
-// degree mass, each function placed with its first variable. A K-step
-// MPC chain crosses devices at only count-1 time steps.
+// (graph.StrategyBalanced): functions listed by their least-degree
+// variable and cut at equal modelled work. A K-step MPC chain crosses
+// devices at only count-1 time steps.
 func PartitionByVariable(g *graph.Graph, devices int) Partition {
 	p, err := graph.NewPartition(g, devices, graph.StrategyBalanced)
 	if err != nil {

@@ -28,7 +28,11 @@
 // boundaries each iteration), and which shard owns each one. The same
 // Partition drives the real sharded executor (internal/shard) and the
 // multi-device cost simulator (internal/gpusim.MultiDevice), so
-// predictions and measurements always describe the same split.
+// predictions and measurements always describe the same split. The
+// default, StrategyBalanced, lists functions by their least-degree
+// variable (so the builder's geometry orders them and a shared hub does
+// not) and cuts the list at equal modelled work — Op.Work for the
+// x-update plus the per-edge sweep words — in O(|F| + |E| + |V|).
 //
 // Partition quality is measured by CutCost, the degree-weighted cut
 // cost: the cross-shard traffic of one iteration in doubles (remote

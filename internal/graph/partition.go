@@ -21,12 +21,15 @@ const (
 	// shards; it is the baseline the locality-aware strategies are
 	// compared against.
 	StrategyBlock PartitionStrategy = "block"
-	// StrategyBalanced splits variable nodes into contiguous ranges of
-	// balanced degree mass and assigns each function to the shard of its
-	// first variable. Builders number variables along the problem's
-	// natural geometry (time steps in MPC, point index in SVM), so this
-	// keeps neighborhoods together: a K-step MPC chain crosses shards at
-	// only parts-1 time steps.
+	// StrategyBalanced lists the functions by anchor — each function's
+	// least-degree variable — and cuts the list at equal modelled work
+	// (funcCost). Builders number variables along the problem's natural
+	// geometry (time steps in MPC, point index in SVM, circle index in
+	// packing), so this keeps neighborhoods together: a K-step MPC chain
+	// crosses shards at only parts-1 time steps. A hub variable shared by
+	// every function never anchors one that has another variable; a pure
+	// star splits in creation order and the hub becomes one boundary
+	// variable.
 	StrategyBalanced PartitionStrategy = "balanced"
 	// StrategyGreedyMincut streams function nodes through a linear
 	// deterministic greedy placement: each function goes to the shard
@@ -138,28 +141,80 @@ func partitionBlock(g *Graph, parts int) []int {
 	return out
 }
 
-// partitionBalanced cuts the variable axis at equal degree mass and
-// places each function with its first variable.
+// partitionBalanced orders the functions along the variable axis and
+// cuts that order at equal work mass. Each function is filed under its
+// anchor — its least-degree variable, ties to the lowest index — so a
+// hub variable (a consensus star's centre) never decides where its
+// functions go unless it is all they have; a counting sort by anchor,
+// stable in creation order, then lists the functions neighbourhood by
+// neighbourhood in the builder's variable numbering (time steps in
+// MPC, circle index in packing). The list is cut where the running
+// funcCost crosses each 1/parts share, a function going to the share
+// its midpoint falls in. O(|F| + |E| + |V|), no comparison sort.
 func partitionBalanced(g *Graph, parts int) []int {
-	nV := g.NumVariables()
-	varPart := make([]int, nV)
-	total := float64(g.NumEdges())
-	var acc float64
+	nF, nV := g.NumFunctions(), g.NumVariables()
+	// out holds each function's anchor until the cut overwrites it with
+	// the shard. start[v+1] counts the functions anchored on v, then
+	// (prefix sum) becomes the next free slot of v's bucket in order.
+	out := make([]int, nF)
+	start := make([]int32, nV+1)
+	cost := make([]float64, nF)
+	var total float64
+	for a := 0; a < nF; a++ {
+		lo, hi := g.fEdgeStart[a], g.fEdgeStart[a+1]
+		best := g.edgeVar[lo]
+		bestDeg := g.vEdgeStart[best+1] - g.vEdgeStart[best]
+		for _, v := range g.edgeVar[lo+1 : hi] {
+			if dv := g.vEdgeStart[v+1] - g.vEdgeStart[v]; dv < bestDeg || (dv == bestDeg && v < best) {
+				best, bestDeg = v, dv
+			}
+		}
+		out[a] = best
+		start[best+1]++
+		cost[a] = funcCost(g, a)
+		total += cost[a]
+	}
 	for v := 0; v < nV; v++ {
-		s := int(acc / total * float64(parts))
+		start[v+1] += start[v]
+	}
+	order := make([]int32, nF)
+	for a, v := range out {
+		order[start[v]] = int32(a)
+		start[v]++
+	}
+	var acc float64
+	prev := -1
+	perWork := float64(parts) / total
+	for i, a := range order {
+		s := int((acc + cost[a]/2) * perWork)
+		// Every shard gets a function: never skip a shard, and leave no
+		// more shards than functions still to place.
+		if s > prev+1 {
+			s = prev + 1
+		}
 		if s >= parts {
 			s = parts - 1
 		}
-		varPart[v] = s
-		acc += float64(g.VarDegree(v))
-	}
-	nF := g.NumFunctions()
-	out := make([]int, nF)
-	for a := 0; a < nF; a++ {
-		lo, _ := g.FuncEdges(a)
-		out[a] = varPart[g.EdgeVar(lo)]
+		if min := parts - (nF - i); s < min {
+			s = min
+		}
+		out[a] = s
+		prev = s
+		acc += cost[a]
 	}
 	return out
+}
+
+// funcCost prices one iteration's work for function node a as a single
+// scalar — the cost model the simulators already use, collapsed: the
+// x-update's Op.Work flops plus memory words, plus the words the four
+// edge-proportional sweeps move for each of a's edges as
+// gpusim.BuildPhaseTasks counts them (m: 3d; z: one gathered m-block
+// and its CSR entry, d+1; u: 4d+2; n: 3d+1).
+func funcCost(g *Graph, a int) float64 {
+	deg := g.FuncDegree(a)
+	w := g.ops[a].Work(deg, g.d)
+	return w.Flops + w.MemWords + float64(deg*(11*g.d+4))
 }
 
 // partitionGreedyMincut is a linear deterministic greedy (LDG-style)
@@ -214,46 +269,57 @@ func partitionGreedyMincut(g *Graph, parts int) []int {
 }
 
 // analyze fills VarPart, BoundaryVars, BoundaryEdges and the boundary
-// flags from FuncPart.
+// flags from FuncPart, in two sweeps over the edges in creation order:
+// the first finds each variable's first shard and whether a second one
+// touches it, the second counts pins for the boundary variables only.
 func (p *Partition) analyze(g *Graph) {
-	edgePart := make([]int32, g.NumEdges())
-	for a, s := range p.FuncPart {
-		lo, hi := g.FuncEdges(a)
-		for e := lo; e < hi; e++ {
-			edgePart[e] = int32(s)
-		}
-	}
 	nV := g.NumVariables()
 	p.VarPart = make([]int, nV)
 	p.boundary = make([]bool, nV)
-	counts := make([]int, p.Parts)
-	for v := 0; v < nV; v++ {
-		edges := g.VarEdges(v)
-		first := edgePart[edges[0]]
-		boundary := false
-		for _, e := range edges[1:] {
-			if edgePart[e] != first {
-				boundary = true
-				break
+	p.BoundaryVars = nil
+	p.BoundaryEdges = 0
+	for v := range p.VarPart {
+		p.VarPart[v] = -1
+	}
+	nBoundary := 0
+	for a, s := range p.FuncPart {
+		for _, v := range g.edgeVar[g.fEdgeStart[a]:g.fEdgeStart[a+1]] {
+			switch first := p.VarPart[v]; {
+			case first < 0:
+				p.VarPart[v] = s
+			case first != s && !p.boundary[v]:
+				p.boundary[v] = true
+				nBoundary++
 			}
 		}
-		if !boundary {
-			p.VarPart[v] = int(first)
-			continue
+	}
+	if nBoundary == 0 {
+		return
+	}
+	// slot[v] is boundary variable v's row in the pin table.
+	slot := make([]int32, nV)
+	for v, is := range p.boundary {
+		if is {
+			slot[v] = int32(len(p.BoundaryVars))
+			p.BoundaryVars = append(p.BoundaryVars, v)
+			p.BoundaryEdges += g.VarDegree(v)
 		}
-		p.boundary[v] = true
-		p.BoundaryVars = append(p.BoundaryVars, v)
-		p.BoundaryEdges += len(edges)
-		// Majority owner, ties to the lowest shard index.
-		for s := range counts {
-			counts[s] = 0
+	}
+	pins := make([]int32, nBoundary*p.Parts)
+	for a, s := range p.FuncPart {
+		for _, v := range g.edgeVar[g.fEdgeStart[a]:g.fEdgeStart[a+1]] {
+			if p.boundary[v] {
+				pins[int(slot[v])*p.Parts+s]++
+			}
 		}
-		best, bestC := 0, -1
-		for _, e := range edges {
-			s := int(edgePart[e])
-			counts[s]++
-			if counts[s] > bestC || (counts[s] == bestC && s < best) {
-				best, bestC = s, counts[s]
+	}
+	// Majority owner, ties to the lowest shard index.
+	for i, v := range p.BoundaryVars {
+		best := 0
+		row := pins[i*p.Parts : (i+1)*p.Parts]
+		for s, c := range row {
+			if c > row[best] {
+				best = s
 			}
 		}
 		p.VarPart[v] = best

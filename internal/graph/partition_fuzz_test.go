@@ -11,6 +11,10 @@ import (
 // exactly one in-range shard, boundary set identical to a brute-force
 // recomputation, owners hold at least one edge) — and that no shape
 // panics, including degenerate single-function and parts>|F| cases.
+// hub extra functions hang off variable 0, every other one with a
+// private variable as well, so consensus stars far wider than the
+// random part are covered; the balanced strategy must additionally
+// leave no shard empty.
 // Every shape is then pushed through the FM refinement pass, which
 // must keep the partition valid and never increase the weighted cut.
 //
@@ -18,12 +22,13 @@ import (
 // run `go test -fuzz=FuzzPartitionInvariants ./internal/graph` to
 // explore.
 func FuzzPartitionInvariants(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(5), uint8(2), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(4), uint8(1))
-	f.Add(int64(3), uint8(50), uint8(9), uint8(3), uint8(2))
-	f.Add(int64(4), uint8(200), uint8(40), uint8(8), uint8(1))
-	f.Add(int64(5), uint8(7), uint8(3), uint8(255), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nFuncs, nVars, parts, strat uint8) {
+	f.Add(int64(1), uint8(10), uint8(5), uint8(2), uint8(0), uint16(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(4), uint8(1), uint16(0))
+	f.Add(int64(3), uint8(50), uint8(9), uint8(3), uint8(2), uint16(0))
+	f.Add(int64(4), uint8(200), uint8(40), uint8(8), uint8(1), uint16(0))
+	f.Add(int64(5), uint8(7), uint8(3), uint8(255), uint8(0), uint16(0))
+	f.Add(int64(6), uint8(20), uint8(6), uint8(4), uint8(1), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed int64, nFuncs, nVars, parts, strat uint8, hub uint16) {
 		if nFuncs == 0 || nVars == 0 || parts == 0 {
 			t.Skip()
 		}
@@ -44,6 +49,13 @@ func FuzzPartitionInvariants(f *testing.F) {
 				}
 			}
 			g.AddNode(partIdentityOp{}, vars...)
+		}
+		for i := 0; i < int(hub); i++ {
+			if i%2 == 0 {
+				g.AddNode(partIdentityOp{}, 0)
+			} else {
+				g.AddNode(partIdentityOp{}, 0, int(nVars)+i/2)
+			}
 		}
 		if err := g.Finalize(); err != nil {
 			// Random shapes can reference variable i without i-1 ever
@@ -67,6 +79,13 @@ func FuzzPartitionInvariants(f *testing.F) {
 		}
 		if p.Parts == 1 && (len(p.BoundaryVars) != 0 || p.BoundaryEdges != 0) {
 			t.Fatalf("single part has boundary: %+v", p)
+		}
+		if s == StrategyBalanced {
+			for shard, load := range p.PartLoads(g) {
+				if load == 0 {
+					t.Fatalf("balanced left shard %d of %d empty (%d funcs)", shard, p.Parts, g.NumFunctions())
+				}
+			}
 		}
 		// Drive the FM pass over every fuzzed shape (for mincut+fm this
 		// is a second, idempotency-checking pass): the cut must never

@@ -137,8 +137,10 @@ func TestBalancedBeatsBlockOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bal.BoundaryVars) > 8 {
-		t.Fatalf("balanced chain boundary = %d vars, want a handful", len(bal.BoundaryVars))
+	// A cut between two variables' functions costs one boundary
+	// variable, a cut between one variable's link and its unary node two.
+	if len(bal.BoundaryVars) > 6 {
+		t.Fatalf("balanced chain boundary = %d vars, want at most two per cut (6)", len(bal.BoundaryVars))
 	}
 	blk, err := NewPartition(g, 4, StrategyBlock)
 	if err != nil {
@@ -147,6 +149,140 @@ func TestBalancedBeatsBlockOnChain(t *testing.T) {
 	if len(blk.BoundaryVars) <= 10*len(bal.BoundaryVars) {
 		t.Fatalf("block boundary %d not clearly worse than balanced %d",
 			len(blk.BoundaryVars), len(bal.BoundaryVars))
+	}
+}
+
+// partCostOp is an identity operator with a declared x-update cost, so
+// tests can make functions of equal degree unequal in work.
+type partCostOp struct{ flops float64 }
+
+func (partCostOp) Eval(x, n, rho []float64, d int) { copy(x, n) }
+func (o partCostOp) Work(deg, d int) Work          { return Work{Flops: o.flops} }
+
+// TestBalancedAnchorsOnPrivateVariables: when every function shares one
+// hub variable and also has a variable of its own, the hub must not
+// decide the order — the private variables do. They are numbered
+// against creation order here, so an anchor on the hub (creation order)
+// and an anchor on the private variable (reverse creation order) give
+// opposite shard sequences.
+func TestBalancedAnchorsOnPrivateVariables(t *testing.T) {
+	const n = 40
+	g := New(1)
+	for a := 0; a < n; a++ {
+		g.AddNode(partIdentityOp{}, 0, n-a)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPartition(g, 4, StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if p.FuncPart[0] != 3 || p.FuncPart[n-1] != 0 {
+		t.Fatalf("first/last function on shards %d/%d, want 3/0 (private-variable order)", p.FuncPart[0], p.FuncPart[n-1])
+	}
+	for a := 1; a < n; a++ {
+		if p.FuncPart[a] > p.FuncPart[a-1] {
+			t.Fatalf("shards not descending in creation order at function %d: %v", a, p.FuncPart)
+		}
+	}
+	if len(p.BoundaryVars) != 1 || p.BoundaryVars[0] != 0 {
+		t.Fatalf("boundary variables %v, want the hub alone", p.BoundaryVars)
+	}
+}
+
+// TestBalancedStarSplitsInCreationOrder: a star whose functions have
+// nothing but the hub anchors on it, splits in creation order at equal
+// work, and leaves the hub as the one owner-combined boundary variable.
+func TestBalancedStarSplitsInCreationOrder(t *testing.T) {
+	g := New(3)
+	for a := 0; a < 33; a++ {
+		g.AddNode(partIdentityOp{}, 0)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{2, 3, 4} {
+		p, err := NewPartition(g, parts, StrategyBalanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		for a := 1; a < 33; a++ {
+			if p.FuncPart[a] < p.FuncPart[a-1] {
+				t.Fatalf("parts=%d: not in creation order: %v", parts, p.FuncPart)
+			}
+		}
+		loads := p.PartLoads(g)
+		for s, l := range loads {
+			if l < 33/parts || l > 33/parts+1 {
+				t.Fatalf("parts=%d: shard %d holds %d of 33 functions: %v", parts, s, l, loads)
+			}
+		}
+		if len(p.BoundaryVars) != 1 || loads[p.VarPart[0]] < 33/parts {
+			t.Fatalf("parts=%d: boundary %v owned by shard %d with loads %v", parts, p.BoundaryVars, p.VarPart[0], loads)
+		}
+	}
+}
+
+// TestBalancedCutsAtEqualWork: equal degrees, unequal x-update cost —
+// the cut follows the cost, not the edge count.
+func TestBalancedCutsAtEqualWork(t *testing.T) {
+	g := New(1)
+	for a := 0; a < 100; a++ {
+		flops := 100.0
+		if a < 20 {
+			flops = 1500 // 20 heavy functions outweigh the 80 light ones
+		}
+		g.AddNode(partCostOp{flops: flops}, a)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPartition(g, 2, StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wi := p.WorkImbalance(g); wi > 1.05 {
+		t.Fatalf("work imbalance %.3f, want an even split of the modelled work", wi)
+	}
+	if loads := p.PartLoads(g); loads[0] >= 20 {
+		t.Fatalf("shard 0 holds %d functions, want fewer than the 20 heavy ones: %v", loads[0], loads)
+	}
+}
+
+// TestBalancedLeavesNoShardEmpty: one function that outweighs all the
+// others together cannot starve a shard — parts <= |F| always yields
+// parts non-empty shards.
+func TestBalancedLeavesNoShardEmpty(t *testing.T) {
+	for _, heavy := range []int{0, 3, 7} {
+		g := New(1)
+		for a := 0; a < 8; a++ {
+			flops := 1.0
+			if a == heavy {
+				flops = 1e9
+			}
+			g.AddNode(partCostOp{flops: flops}, a)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		for parts := 1; parts <= 8; parts++ {
+			p, err := NewPartition(g, parts, StrategyBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, l := range p.PartLoads(g) {
+				if l == 0 {
+					t.Fatalf("heavy=%d parts=%d: shard %d empty: %v", heavy, parts, s, p.FuncPart)
+				}
+			}
+		}
 	}
 }
 

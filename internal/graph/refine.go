@@ -52,6 +52,27 @@ func (p *Partition) LoadImbalance(g *Graph) float64 {
 	return float64(max) * float64(p.Parts) / float64(g.NumEdges())
 }
 
+// WorkImbalance returns the largest shard's modelled work divided by
+// the mean (1.0 = perfectly balanced), where a shard's work is the sum
+// of funcCost over its functions — the quantity the balanced strategy
+// equalizes. It differs from LoadImbalance wherever functions do not
+// cost the same per edge.
+func (p *Partition) WorkImbalance(g *Graph) float64 {
+	work := make([]float64, p.Parts)
+	var total, max float64
+	for a, s := range p.FuncPart {
+		c := funcCost(g, a)
+		work[s] += c
+		total += c
+	}
+	for _, w := range work {
+		if w > max {
+			max = w
+		}
+	}
+	return max * float64(p.Parts) / total
+}
+
 // pinCounts builds the variable x shard pin table: pins[v*parts+s]
 // counts edges of variable v whose function node sits on shard s.
 func pinCounts(g *Graph, funcPart []int, parts int) []int32 {
@@ -149,8 +170,6 @@ func (p *Partition) Refine(g *Graph) RefineStats {
 		}
 	}
 	// Re-derive the boundary analysis from the (mutated) FuncPart.
-	p.BoundaryVars = nil
-	p.BoundaryEdges = 0
 	p.analyze(g)
 	st.CostAfter = CutCost(g, p)
 	return st

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/admm"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -328,6 +329,18 @@ func TestShardMetricsReported(t *testing.T) {
 				t.Errorf("boundary vars = %d, want 1..8 on an MPC chain", n)
 			}
 		}
+	}
+}
+
+// TestShardSyncWaitCountsSlowestShard: the sync-wait counter follows the
+// shard that waited longest in each solve, not shard 0 — which may be
+// the very shard the others were waiting for.
+func TestShardSyncWaitCountsSlowestShard(t *testing.T) {
+	m := newMetrics()
+	m.recordShard(shard.Stats{Shards: 3, SyncWaitNanos: 10, SyncWaitByShard: []int64{10, 500, 30}})
+	m.recordShard(shard.Stats{Shards: 2, SyncWaitNanos: 7, SyncWaitByShard: []int64{7, 3}})
+	if m.shardSyncNanos != 507 {
+		t.Fatalf("sync-wait total = %d, want 500 + 7", m.shardSyncNanos)
 	}
 }
 

@@ -10,9 +10,10 @@
 //
 // The factor graph's function nodes are split into K shards by one of
 // four strategies (graph.NewPartition): "block" (contiguous function
-// ranges — the naive baseline), "balanced" (contiguous variable ranges,
-// which follows the problem's natural geometry and is the default),
-// "greedy-mincut" (streaming greedy placement that recovers locality
+// ranges — the naive baseline), "balanced" (the default: functions
+// listed by their least-degree variable, which follows the problem's
+// natural geometry, and cut at equal modelled work; a consensus star
+// splits in creation order around its hub), "greedy-mincut" (streaming greedy placement that recovers locality
 // when construction order is scrambled), and "mincut+fm" (the greedy
 // placement polished by a Fiduccia–Mattheyses boundary-refinement pass
 // minimizing the degree-weighted cut cost, graph.CutCost). The
@@ -27,7 +28,8 @@
 //   - boundary: edges span 2+ shards. Only these variables' z-state
 //     crosses shard boundaries; the shard owning the majority of a
 //     boundary variable's edges combines its z by gathering the remote
-//     m-blocks.
+//     m-blocks. A hub every function touches is just the widest case:
+//     one boundary variable, every shard a contributor.
 //
 // # The boundary-only protocol, behind the Exchanger seam
 //
@@ -50,7 +52,7 @@
 // transport seam this executor is structured around:
 //
 //   - exchange.Local (ExecutorSpec transport "local", the default) is
-//     the shared-memory form: both crossings are one yield-spin
+//     the shared-memory form: both crossings are one spin-then-park
 //     barrier, nothing is copied.
 //   - exchange.Messaged (transport "sockets") moves exactly the
 //     boundary state as length-prefixed frames on per-peer byte
@@ -73,6 +75,22 @@
 // reference gather — every strategy and transport produces
 // bit-identical iterates to the Serial reference; the cross-executor
 // conformance suite and the cross-process integration test pin this.
+//
+// # Sync-wait accounting
+//
+// Every worker times its own two sync points — in-process workers
+// around the Exchanger calls, worker processes the same way, reported
+// in each block's Done frame — and Stats.SyncWaitByShard carries the
+// whole vector. It has to: the shard the others wait for is the one
+// that reports the least wait, so a single shard's figure
+// (Stats.SyncWaitNanos is shard 0's, kept for its readers) says little
+// about what synchronization costs the solve. paradmm-solve prints the
+// min / median / max share of the solve per shard; the serving layer's
+// paradmm_shard_sync_wait_nanos_total follows the longest-waiting
+// shard. In-process waits follow one policy (exchange.Local's barrier
+// and the loopback pipes alike): yield-spin for about the cost of a
+// futex sleep/wake, then park. Phase times and BoundaryZNanos remain
+// worker 0's.
 //
 // # Fault tolerance
 //

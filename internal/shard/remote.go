@@ -221,6 +221,7 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 		CfgSends:         r.hsCfg,
 		StatePushes:      r.hsState,
 		HandshakeFrames:  r.hsFrames,
+		SyncWaitByShard:  make([]int64, shards),
 	}
 	return r, nil
 }
@@ -487,7 +488,7 @@ func (r *Remote) Name() string {
 
 // Stats returns partition and synchronization statistics, aggregated
 // from the workers' per-block reports.
-func (r *Remote) Stats() Stats { return r.stats }
+func (r *Remote) Stats() Stats { return r.stats.snapshot() }
 
 // Iterate implements admm.Backend: one iteration block across all
 // worker processes.
@@ -571,7 +572,10 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	for p, v := range dones[0].PhaseNanos {
 		phaseNanos[p] += v
 	}
-	r.stats.SyncWaitNanos += dones[0].SyncWaitNanos
+	for i := range dones {
+		r.stats.SyncWaitByShard[i] += dones[i].SyncWaitNanos
+	}
+	r.stats.SyncWaitNanos = r.stats.SyncWaitByShard[0]
 	r.stats.BoundaryZNanos += dones[0].BoundaryZNanos
 	r.stats.Iterations += int64(iters)
 	r.stats.BytesPerIter = float64(r.exBytes) / float64(r.stats.Iterations)

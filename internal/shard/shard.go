@@ -90,23 +90,31 @@ type Stats struct {
 	BoundaryVars  int
 	BoundaryEdges int
 	InteriorVars  int
-	// PartEdges is each shard's owned-edge count (load balance).
+	// PartEdges is each shard's owned-edge count — the load the sweeps
+	// see. The default partition balances modelled work (x-update plus
+	// sweeps), which equals edge balance only when every function costs
+	// the same per edge.
 	PartEdges []int
 	// CutCost is the partition's degree-weighted cut cost
 	// (graph.CutCost): the predicted cross-shard words per iteration.
 	CutCost float64
-	// LoadImbalance is max/mean over the shards' edge loads
-	// (graph.Partition.LoadImbalance).
+	// LoadImbalance is the largest PartEdges entry over their mean
+	// (graph.Partition.LoadImbalance): 1.0 is an even edge split.
 	LoadImbalance float64
 	// Refined reports whether an FM refinement pass shaped the
 	// partition (the Refine knob or the mincut+fm strategy).
 	Refined bool
 	// Iterations executed by this backend so far.
 	Iterations int64
-	// SyncWaitNanos is shard 0's cumulative time blocked at the two
-	// per-iteration sync points; BoundaryZNanos its time combining
-	// boundary z. Together they bound what boundary synchronization
-	// costs.
+	// SyncWaitByShard is each shard's own cumulative time blocked at
+	// the two per-iteration sync points, timed by that shard's worker
+	// (in-process) or reported in its Done frames (cross-process). A
+	// shard that waits little is the one the others wait for, so a
+	// speedup is only explained by the whole vector.
+	SyncWaitByShard []int64
+	// SyncWaitNanos is SyncWaitByShard[0]; BoundaryZNanos is shard 0's
+	// cumulative time combining its owned boundary z (0 when shard 0
+	// owns no boundary variable).
 	SyncWaitNanos  int64
 	BoundaryZNanos int64
 	// BytesPerIter is the boundary-state payload a message transport
@@ -168,6 +176,7 @@ func New(shards int, strategy graph.PartitionStrategy) (*Backend, error) {
 		strategy: strat,
 		cmd:      make(chan struct{}),
 		done:     make(chan struct{}),
+		stats:    Stats{SyncWaitByShard: make([]int64, shards)},
 	}
 	for s := 0; s < shards; s++ {
 		go b.worker(s)
@@ -208,7 +217,14 @@ func (b *Backend) Name() string {
 
 // Stats returns partition and synchronization statistics. Valid after
 // the first Iterate.
-func (b *Backend) Stats() Stats { return b.stats }
+func (b *Backend) Stats() Stats { return b.stats.snapshot() }
+
+// snapshot returns s with its own copy of the per-shard counters, which
+// later Iterate calls keep accumulating into.
+func (s Stats) snapshot() Stats {
+	s.SyncWaitByShard = append([]int64(nil), s.SyncWaitByShard...)
+	return s
+}
 
 // Iterate implements admm.Backend.
 func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
@@ -225,19 +241,19 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		b.plan = p
 		b.bindExchanger(g, p)
 		b.stats = Stats{
-			Shards:         b.shards,
-			Strategy:       b.strategy,
-			Transport:      transportLabel(b.Transport),
-			BoundaryVars:   len(p.part.BoundaryVars),
-			BoundaryEdges:  p.part.BoundaryEdges,
-			InteriorVars:   p.part.InteriorVars(g),
-			PartEdges:      p.part.PartLoads(g),
-			CutCost:        graph.CutCost(g, &p.part),
-			LoadImbalance:  p.part.LoadImbalance(g),
-			Refined:        b.Refine || b.strategy == graph.StrategyMincutFM,
-			Iterations:     b.stats.Iterations,
-			SyncWaitNanos:  b.stats.SyncWaitNanos,
-			BoundaryZNanos: b.stats.BoundaryZNanos,
+			Shards:          b.shards,
+			Strategy:        b.strategy,
+			Transport:       transportLabel(b.Transport),
+			BoundaryVars:    len(p.part.BoundaryVars),
+			BoundaryEdges:   p.part.BoundaryEdges,
+			InteriorVars:    p.part.InteriorVars(g),
+			PartEdges:       p.part.PartLoads(g),
+			CutCost:         graph.CutCost(g, &p.part),
+			LoadImbalance:   p.part.LoadImbalance(g),
+			Refined:         b.Refine || b.strategy == graph.StrategyMincutFM,
+			Iterations:      b.stats.Iterations,
+			SyncWaitByShard: b.stats.SyncWaitByShard,
+			BoundaryZNanos:  b.stats.BoundaryZNanos,
 		}
 	}
 	b.g, b.iters, b.phaseNanos = g, iters, phaseNanos
@@ -248,6 +264,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		<-b.done
 	}
 	b.stats.Iterations += int64(iters)
+	b.stats.SyncWaitNanos = b.stats.SyncWaitByShard[0]
 	ex := b.ex.Stats()
 	b.stats.BytesPerIter = ex.BytesPerRound()
 	b.stats.WireBytesPerIter = ex.WireBytesPerRound()
@@ -317,35 +334,45 @@ func (b *Backend) Close() {
 }
 
 // worker is one persistent shard: it executes runShardIters for its
-// local plan on every Iterate command. Worker 0 is the lead and owns
-// the timing accounting.
+// local plan on every Iterate command. Every worker times itself, as a
+// cross-process worker does; the solve's phase and boundary-z times are
+// worker 0's.
 func (b *Backend) worker(id int) {
 	for range b.cmd {
-		var tm *workerTimings
-		var lead workerTimings
-		if id == 0 {
-			lead = workerTimings{
-				phaseNanos: b.phaseNanos,
-				syncWait:   &b.stats.SyncWaitNanos,
-				boundaryZ:  &b.stats.BoundaryZNanos,
-			}
-			tm = &lead
-		}
+		var tm workerTimings
 		if ov, ok := b.ex.(exchange.Overlapped); ok && b.overlapActive() {
-			runShardItersOverlap(b.g, &b.plan.local[id], ov, id, b.iters, tm)
+			runShardItersOverlap(b.g, &b.plan.local[id], ov, id, b.iters, &tm)
 		} else {
-			runShardIters(b.g, &b.plan.local[id], b.ex, id, b.iters, b.Fused, tm)
+			runShardIters(b.g, &b.plan.local[id], b.ex, id, b.iters, b.Fused, &tm)
+		}
+		b.stats.SyncWaitByShard[id] += tm.syncWait
+		if id == 0 {
+			for p, v := range tm.phaseNanos {
+				b.phaseNanos[p] += v
+			}
+			b.stats.BoundaryZNanos += tm.boundaryZ
 		}
 		b.done <- struct{}{}
 	}
 }
 
-// workerTimings is the lead worker's accounting: per-phase time,
-// cumulative sync-point wait, and boundary-z combine time.
+// workerTimings is one worker's accounting for a block of iterations:
+// per-phase time, time blocked at the two sync points, and boundary-z
+// combine time (also counted in the z phase).
 type workerTimings struct {
-	phaseNanos *[admm.NumPhases]int64
-	syncWait   *int64
-	boundaryZ  *int64
+	phaseNanos [admm.NumPhases]int64
+	syncWait   int64
+	boundaryZ  int64
+}
+
+// lap adds the time since *t to *acc, restarts *t, and returns what it
+// added.
+func lap(t *time.Time, acc *int64) int64 {
+	now := time.Now()
+	dt := now.Sub(*t).Nanoseconds()
+	*acc += dt
+	*t = now
+	return dt
 }
 
 // runShardIters executes iters iterations of the two-sync-point shard
@@ -379,20 +406,14 @@ type workerTimings struct {
 // or U, so the fused reads see exactly the values the reference
 // m-blocks froze.
 func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, iters int, fused bool, tm *workerTimings) {
-	lead := tm != nil
 	materialized := ex.Materialized()
-	var t time.Time
+	ph := &tm.phaseNanos
+	t := time.Now()
 	for it := 0; it < iters; it++ {
-		if lead {
-			t = time.Now()
-		}
 		for _, r := range lp.funcRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseX] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseX])
 		if fused {
 			for _, r := range lp.interiorRuns {
 				admm.UpdateZFusedRange(g, r.Lo, r.Hi)
@@ -401,23 +422,14 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 			for _, r := range lp.edgeRuns {
 				admm.UpdateMRange(g, r.Lo, r.Hi)
 			}
-			if lead {
-				tm.phaseNanos[admm.PhaseM] += time.Since(t).Nanoseconds()
-				t = time.Now()
-			}
+			lap(&t, &ph[admm.PhaseM])
 			for _, r := range lp.interiorRuns {
 				admm.UpdateZRange(g, r.Lo, r.Hi)
 			}
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseZ] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseZ])
 		ex.GatherM(id)
-		if lead {
-			*tm.syncWait += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &tm.syncWait)
 		if fused && !materialized {
 			admm.UpdateZFusedVars(g, lp.boundary)
 		} else {
@@ -425,39 +437,24 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 			// materialized with bit-identical blocks on either schedule.
 			admm.UpdateZVars(g, lp.boundary)
 		}
-		if lead {
-			dt := time.Since(t).Nanoseconds()
-			tm.phaseNanos[admm.PhaseZ] += dt
-			*tm.boundaryZ += dt
-			t = time.Now()
-		}
+		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
 		ex.ScatterZ(id)
-		if lead {
-			*tm.syncWait += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &tm.syncWait)
 		if fused {
 			for _, r := range lp.edgeRuns {
 				admm.UpdateUNRange(g, r.Lo, r.Hi)
 			}
-			if lead {
-				tm.phaseNanos[admm.PhaseU] += time.Since(t).Nanoseconds()
-			}
+			lap(&t, &ph[admm.PhaseU])
 			continue
 		}
 		for _, r := range lp.edgeRuns {
 			admm.UpdateURange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseU] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseU])
 		for _, r := range lp.edgeRuns {
 			admm.UpdateNRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseN] += time.Since(t).Nanoseconds()
-		}
+		lap(&t, &ph[admm.PhaseN])
 	}
 }
 
@@ -481,16 +478,13 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 // Every per-edge and per-variable computation is the same arithmetic in
 // the same order as the synchronous fused schedule — only the waiting
 // moves — so iterates are bit-identical; the conformance suite pins it.
-// Lead-worker accounting keeps its meaning: syncWait is now only the
-// residual blocking at the two Finish points, which is exactly the wire
-// time the overlap failed to hide.
+// The accounting keeps its meaning: syncWait is now only the residual
+// blocking at the two Finish points, which is exactly the wire time the
+// overlap failed to hide.
 func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped, id, iters int, tm *workerTimings) {
-	lead := tm != nil
-	var t time.Time
+	ph := &tm.phaseNanos
+	t := time.Now()
 	for it := 0; it < iters; it++ {
-		if lead {
-			t = time.Now()
-		}
 		for _, r := range lp.frontierFuncRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
@@ -498,52 +492,29 @@ func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped,
 		for _, r := range lp.restFuncRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseX] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseX])
 		for _, r := range lp.interiorRuns {
 			admm.UpdateZFusedRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseZ] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseZ])
 		ex.FinishGatherM(id)
-		if lead {
-			*tm.syncWait += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &tm.syncWait)
 		// Reference gather over M — the messaged exchanger materialized
 		// the complete row (peer frames plus own diagonal) in Finish.
 		admm.UpdateZVars(g, lp.boundary)
-		if lead {
-			dt := time.Since(t).Nanoseconds()
-			tm.phaseNanos[admm.PhaseZ] += dt
-			*tm.boundaryZ += dt
-		}
+		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
 		ex.BeginScatterZ(id)
-		if lead {
-			t = time.Now()
-		}
+		t = time.Now()
 		for _, r := range lp.localZEdgeRuns {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseU] += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &ph[admm.PhaseU])
 		ex.FinishScatterZ(id)
-		if lead {
-			*tm.syncWait += time.Since(t).Nanoseconds()
-			t = time.Now()
-		}
+		lap(&t, &tm.syncWait)
 		for _, r := range lp.remoteZEdgeRuns {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
-		if lead {
-			tm.phaseNanos[admm.PhaseU] += time.Since(t).Nanoseconds()
-		}
+		lap(&t, &ph[admm.PhaseU])
 	}
 }
 

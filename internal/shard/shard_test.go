@@ -164,6 +164,22 @@ func TestShardedStats(t *testing.T) {
 	if s.Iterations != 5 {
 		t.Fatalf("iterations %d", s.Iterations)
 	}
+	// Every worker times its own sync points; the vector accumulates
+	// across Iterate calls and a returned Stats is a snapshot.
+	if len(s.SyncWaitByShard) != 4 || s.SyncWaitNanos != s.SyncWaitByShard[0] {
+		t.Fatalf("sync wait %d, by shard %v", s.SyncWaitNanos, s.SyncWaitByShard)
+	}
+	for w, ns := range s.SyncWaitByShard {
+		if ns <= 0 {
+			t.Fatalf("shard %d reports no sync wait: %v", w, s.SyncWaitByShard)
+		}
+	}
+	runIters(t, b, g, 5)
+	for w, ns := range b.Stats().SyncWaitByShard {
+		if ns <= s.SyncWaitByShard[w] {
+			t.Fatalf("shard %d sync wait did not accumulate: %d then %d", w, s.SyncWaitByShard[w], ns)
+		}
+	}
 }
 
 // TestShardedMoreShardsThanFunctions: tiny graphs must not panic or

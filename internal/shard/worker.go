@@ -637,11 +637,7 @@ func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, it
 			err = fmt.Errorf("iteration block: %v", r)
 		}
 	}()
-	tm := workerTimings{
-		phaseNanos: &done.PhaseNanos,
-		syncWait:   &done.SyncWaitNanos,
-		boundaryZ:  &done.BoundaryZNanos,
-	}
+	var tm workerTimings
 	run := func(n int) {
 		if overlap && fused {
 			runShardItersOverlap(g, lp, ex, id, n, &tm)
@@ -661,6 +657,9 @@ func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, it
 	} else {
 		run(iters)
 	}
+	done.PhaseNanos = tm.phaseNanos
+	done.SyncWaitNanos = tm.syncWait
+	done.BoundaryZNanos = tm.boundaryZ
 	st := ex.Stats()
 	done.BytesMoved = st.BytesMoved
 	done.WireBytes = st.WireBytes

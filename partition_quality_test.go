@@ -5,8 +5,10 @@
 package repro_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/lasso"
@@ -28,7 +30,9 @@ func qualityWorkloads(t *testing.T) map[string]*graph.Graph {
 		t.Fatal(err)
 	}
 	sv.Graph.InitZero()
-	la, err := lasso.FromSpec(lasso.Spec{M: 96, Lambda: 0.3, Seed: 1})
+	// 32 row blocks and the L1 node on one hub variable: a 33-function
+	// consensus star.
+	la, err := lasso.FromSpec(lasso.Spec{M: 256, P: 16, Blocks: 32, Lambda: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +99,146 @@ func TestRefineNeverHurtsOnWorkloads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// variableAxisSplit is the split the balanced strategy made before it
+// was work-weighted: variables cut into contiguous ranges of equal
+// degree mass, each function placed with its first variable. Kept here
+// as the yardstick for the cut the work-weighted split pays.
+func variableAxisSplit(g *graph.Graph, parts int) graph.Partition {
+	varPart := make([]int, g.NumVariables())
+	acc, total := 0, g.NumEdges()
+	for v := range varPart {
+		varPart[v] = acc * parts / total
+		acc += g.VarDegree(v)
+	}
+	funcPart := make([]int, g.NumFunctions())
+	for a := range funcPart {
+		lo, _ := g.FuncEdges(a)
+		funcPart[a] = varPart[g.EdgeVar(lo)]
+	}
+	return graph.Partition{Parts: parts, FuncPart: funcPart}
+}
+
+// TestBalancedPartitionOnWorkloads pins what the default partition
+// promises on the four builders at 2, 3 and 4 shards: every shard has
+// work, the modelled work is within 10 % of even, and the geometry each
+// builder numbers its variables by survives the cut.
+func TestBalancedPartitionOnWorkloads(t *testing.T) {
+	for wname, g := range qualityWorkloads(t) {
+		for _, parts := range []int{2, 3, 4} {
+			p, err := graph.NewPartition(g, parts, graph.StrategyBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Validate(g); err != nil {
+				t.Errorf("%s/%d: %v", wname, parts, err)
+			}
+			for s, load := range p.PartLoads(g) {
+				if load == 0 {
+					t.Errorf("%s/%d: shard %d is empty", wname, parts, s)
+				}
+			}
+			if wi := p.WorkImbalance(g); wi > 1.10 {
+				t.Errorf("%s/%d: work imbalance %.3f > 1.10", wname, parts, wi)
+			}
+			again, err := graph.NewPartition(g, parts, graph.StrategyBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, s := range p.FuncPart {
+				if again.FuncPart[a] != s {
+					t.Fatalf("%s/%d: function %d on shard %d, then %d", wname, parts, a, s, again.FuncPart[a])
+				}
+			}
+			switch wname {
+			case "mpc":
+				// A chain is cut at parts-1 time steps and nowhere else.
+				if got := len(p.BoundaryVars); got != parts-1 {
+					t.Errorf("mpc/%d: %d boundary variables, want %d", parts, got, parts-1)
+				}
+			case "lasso":
+				// A consensus star splits in creation order; its hub is
+				// the one boundary variable, combined by a shard that
+				// holds a full share of its edges.
+				if len(p.BoundaryVars) != 1 {
+					t.Fatalf("lasso/%d: boundary variables %v, want the hub alone", parts, p.BoundaryVars)
+				}
+				hub := p.BoundaryVars[0]
+				owned := 0
+				for _, e := range g.VarEdges(hub) {
+					if p.FuncPart[g.EdgeFunc(e)] == p.VarPart[hub] {
+						owned++
+					}
+				}
+				if min := g.VarDegree(hub) / parts; owned < min {
+					t.Errorf("lasso/%d: hub owner holds %d of %d edges, want >= %d", parts, owned, g.VarDegree(hub), min)
+				}
+			case "svm":
+				old := variableAxisSplit(g, parts)
+				if got, was := graph.CutCost(g, &p), graph.CutCost(g, &old); got > 2*was {
+					t.Errorf("svm/%d: cut cost %g, more than twice the variable-axis split's %g", parts, got, was)
+				}
+			}
+		}
+	}
+}
+
+func mpcChain(tb testing.TB, k int) *graph.Graph {
+	tb.Helper()
+	p, err := mpc.FromSpec(mpc.Spec{K: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.Graph
+}
+
+// BenchmarkPartitionBalanced times the default 2-way partition of the
+// k=16000 MPC chain (32 001 functions, 48 001 edges) — what every
+// sharded solve of that graph pays before its first iteration.
+func BenchmarkPartitionBalanced(b *testing.B) {
+	g := mpcChain(b, 16000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.NewPartition(g, 2, graph.StrategyBalanced); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPartitionBalancedIsLinear: partitioning must stay O(|F| + |E|) —
+// it runs inside every sharded solve. The allocation count may not
+// depend on the graph's size (no per-function or per-bucket objects),
+// and eight times the chain may not cost much more than eight times the
+// time: the bound of 3x per element leaves room for cache effects and
+// a noisy machine while a quadratic step would show as 8x.
+func TestPartitionBalancedIsLinear(t *testing.T) {
+	small, large := mpcChain(t, 2000), mpcChain(t, 16000)
+	partition := func(g *graph.Graph) func() {
+		return func() {
+			if _, err := graph.NewPartition(g, 2, graph.StrategyBalanced); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s, l := testing.AllocsPerRun(3, partition(small)), testing.AllocsPerRun(3, partition(large)); s != l {
+		t.Errorf("allocations grow with the graph: %v at k=2000, %v at k=16000", s, l)
+	}
+	best := func(run func()) time.Duration {
+		min := time.Duration(math.MaxInt64)
+		for i := 0; i < 7; i++ {
+			t0 := time.Now()
+			run()
+			if dt := time.Since(t0); dt < min {
+				min = dt
+			}
+		}
+		return min
+	}
+	ts, tl := best(partition(small)), best(partition(large))
+	if perElem := float64(tl) / 8 / float64(ts); perElem > 3 {
+		t.Errorf("k=16000 takes %v, k=2000 %v: %.1fx per element, want about 1x (linear)", tl, ts, perElem)
 	}
 }

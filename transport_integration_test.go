@@ -94,19 +94,23 @@ func spawnWorkers(t *testing.T, addrs []string, sessions int) {
 
 // TestCrossProcessShardedSockets runs a coordinator against two real
 // worker processes over unix sockets and demands bit-identical iterates
-// to Serial — on a fixed-iteration fused MPC solve and on a
+// to Serial — on a fixed-iteration fused MPC solve, on a
 // residual-checked unfused lasso solve (multiple iteration blocks, so
 // the per-block parameter refresh and owned-state upload paths are
 // exercised, and the coordinator's residuals are computed from
-// worker-uploaded state).
+// worker-uploaded state) and on a fused lasso solve. The lasso star is
+// the hub case: each worker re-derives the default partition from the
+// strategy name, must arrive at the same creation-order split with the
+// hub as the one boundary variable (the handshake compares manifest
+// digests), and the owner combines m-blocks that crossed a real socket.
 func TestCrossProcessShardedSockets(t *testing.T) {
 	dir := t.TempDir()
 	addrs := []string{
 		"unix:" + dir + "/w0.sock",
 		"unix:" + dir + "/w1.sock",
 	}
-	// Two solves below = two coordinator sessions per worker.
-	spawnWorkers(t, addrs, 2)
+	// Three solves below = three coordinator sessions per worker.
+	spawnWorkers(t, addrs, 3)
 
 	solves := []struct {
 		name     string
@@ -115,6 +119,7 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 		build    func() (*graph.Graph, error)
 		fused    bool
 		tol      float64
+		hub      bool // a consensus star: the hub is the only boundary variable
 	}{
 		{
 			name:     "mpc-fused",
@@ -144,6 +149,22 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 			},
 			fused: false,
 			tol:   1e-9,
+			hub:   true,
+		},
+		{
+			name:     "lasso-hub-fused",
+			workload: "lasso",
+			spec:     lasso.Spec{M: 72, Blocks: 8, Lambda: 0.3},
+			build: func() (*graph.Graph, error) {
+				p, err := lasso.FromSpec(lasso.Spec{M: 72, Blocks: 8, Lambda: 0.3})
+				if err != nil {
+					return nil, err
+				}
+				p.Graph.InitZero()
+				return p.Graph, nil
+			},
+			fused: true,
+			hub:   true,
 		},
 	}
 	for _, sv := range solves {
@@ -211,6 +232,14 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 			}
 			if st.BoundaryVars > 0 && st.BytesPerIter <= 0 {
 				t.Fatalf("no exchange bytes recorded: %+v", st)
+			}
+			if sv.hub && (st.BoundaryVars != 1 || st.BoundaryEdges != g.NumEdges() || st.BytesPerIter != 8*st.CutCost) {
+				t.Fatalf("hub split: %d boundary vars / %d of %d edges, %.0f bytes/iter vs %.0f priced",
+					st.BoundaryVars, st.BoundaryEdges, g.NumEdges(), st.BytesPerIter, 8*st.CutCost)
+			}
+			// Every worker's Done frames carry its own sync wait.
+			if len(st.SyncWaitByShard) != 2 || st.SyncWaitByShard[0] <= 0 || st.SyncWaitByShard[1] <= 0 {
+				t.Fatalf("per-shard sync wait %v, want both workers' figures", st.SyncWaitByShard)
 			}
 		})
 	}
