@@ -29,7 +29,7 @@ import (
 )
 
 // commands lists the CLIs whose -h output is captured into docs/cli.md.
-var commands = []string{"paradmm-solve", "paradmm-bench", "paradmm-bulk", "paradmm-serve", "paradmm-shardworker", "benchtrend"}
+var commands = []string{"paradmm-solve", "paradmm-bench", "paradmm-bulk", "paradmm-serve", "paradmm-shardworker"}
 
 const cliDoc = "docs/cli.md"
 

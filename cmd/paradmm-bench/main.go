@@ -7,33 +7,14 @@
 //	paradmm-bench all                  # run everything
 //	paradmm-bench -full fig7           # paper-scale workloads (slow, RAM-hungry)
 //	paradmm-bench -csv fig7            # CSV instead of aligned tables
-//	paradmm-bench -shard-json BENCH_shard.json   # machine-readable executor baseline
-//	paradmm-bench -fused-json BENCH_fused.json   # fused-vs-unfused schedule sweep
-//	paradmm-bench -partition-sweep BENCH_partition.json  # per-strategy partition quality
-//	paradmm-bench -bulk-json BENCH_bulk.json     # bulk pipeline specs/sec ladder
-//	paradmm-bench -store-json BENCH_store.json   # persistent-store cold vs seeded iterations
-//	paradmm-bench -wire-json BENCH_wire.json     # overlap+delta vs sync dense over a simulated link
 //
-// Each experiment id matches the per-experiment index in DESIGN.md;
-// EXPERIMENTS.md records the paper-vs-reproduced comparison for each.
-// -shard-json writes the executor x workload throughput sweep
-// (iterations/sec, per-phase wall time, shard boundary footprint) used
-// as the committed perf-trajectory baseline and uploaded by CI;
-// -fused-json writes the fused-vs-unfused pairing of every CPU executor
-// family in the same schema; -partition-sweep writes the 4-shard
-// executor under every partitioning strategy with per-cell cut cost
-// and load imbalance; -bulk-json writes the bulk pipeline's specs/sec
-// at batch sizes 1/100/10k (graph reuse + warm starts vs per-request
-// cost); -store-json writes the persistent warm-start store's
-// cold/seeded iteration ratio and hit rate (machine-independent — gate
-// it with benchtrend -raw); -wire-json writes the simulated-link
-// exchange sweep (sync-dense vs overlap+delta elapsed and payload-byte
-// ratios — also machine-independent, gate with -raw). All six baselines
-// are gated by cmd/benchtrend.
+// Each experiment id names the paper artifact it regenerates (`list`
+// prints the index). Performance numbers that gate a change come from
+// the repository benchmark (benchmark/README.md, BENCHMARK.json), not
+// from here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,67 +26,12 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale workload sizes (slower; packing needs several GB)")
 	seed := flag.Int64("seed", 1, "seed for randomized workloads")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	shardJSON := flag.String("shard-json", "", "write the executor x workload throughput sweep to this file and exit")
-	fusedJSON := flag.String("fused-json", "", "write the fused-vs-unfused schedule sweep to this file and exit")
-	partitionSweep := flag.String("partition-sweep", "", "write the per-strategy partition-quality sweep (cut cost, imbalance, iters/sec) to this file and exit")
-	bulkJSON := flag.String("bulk-json", "", "write the bulk pipeline specs/sec ladder (batch 1/100/10k) to this file and exit")
-	storeJSON := flag.String("store-json", "", "write the persistent-store cold vs seeded iteration sweep to this file and exit")
-	wireJSON := flag.String("wire-json", "", "write the simulated-link wire sweep (overlap+delta vs sync dense ratios) to this file and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paradmm-bench [-full] [-seed N] [-csv] [-shard-json FILE] [-fused-json FILE] [-partition-sweep FILE] [-bulk-json FILE] [-store-json FILE] [-wire-json FILE] <experiment-id>... | all | list\n\n")
+		fmt.Fprintf(os.Stderr, "usage: paradmm-bench [-full] [-seed N] [-csv] <experiment-id>... | all | list\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	args := flag.Args()
-	if *shardJSON != "" || *fusedJSON != "" || *partitionSweep != "" || *bulkJSON != "" || *storeJSON != "" || *wireJSON != "" {
-		if len(args) > 0 {
-			fatal(fmt.Errorf("-shard-json/-fused-json/-partition-sweep/-bulk-json/-store-json/-wire-json run their own sweeps and take no experiment ids (got %q)", args))
-		}
-		scale := bench.Scale{Full: *full, Seed: *seed}
-		if *shardJSON != "" {
-			rep, err := bench.RunShardBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*shardJSON, rep)
-		}
-		if *fusedJSON != "" {
-			rep, err := bench.RunFusedBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*fusedJSON, rep)
-		}
-		if *partitionSweep != "" {
-			rep, err := bench.RunPartitionBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*partitionSweep, rep)
-		}
-		if *bulkJSON != "" {
-			rep, err := bench.RunBulkBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*bulkJSON, rep)
-		}
-		if *storeJSON != "" {
-			rep, err := bench.RunStoreBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*storeJSON, rep)
-		}
-		if *wireJSON != "" {
-			rep, err := bench.RunWireBench(scale)
-			if err != nil {
-				fatal(err)
-			}
-			writeReport(*wireJSON, rep)
-		}
-		return
-	}
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -147,18 +73,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func writeReport(path string, rep *bench.ShardBenchReport) {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d entries)\n", path, len(rep.Entries))
 }
 
 func fatal(err error) {

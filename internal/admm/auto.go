@@ -14,8 +14,8 @@ import (
 //   - one usable core: parallel executors only add synchronization, so
 //     everything resolves to serial (fused);
 //   - small graphs: a sharded solve pays two barriers per iteration,
-//     which dominates below ~AutoShardMinEdges edges (sharded-N trails
-//     serial on every quick-scale cell of BENCH_shard.json). Small
+//     which dominates below ~AutoShardMinEdges edges (sharded-N
+//     trailed serial on every small graph it was swept on). Small
 //     *dense* graphs — enough edges to amortize a fork-join spawn
 //     (AutoParallelMinEdges) concentrated on few variables
 //     (AutoParallelMinMeanDegree) — resolve to parallel-for: plenty of
@@ -43,8 +43,7 @@ const (
 	AutoShardMinEdges = 20000
 	// AutoParallelMinEdges is the smallest edge count for which
 	// fork-join loops amortize their per-phase goroutine spawns; below
-	// it even parallel-for trails serial (the quick-scale
-	// BENCH_shard.json cells).
+	// it even parallel-for trails serial.
 	AutoParallelMinEdges = 2048
 	// AutoParallelMinMeanDegree is the density floor for the
 	// small-graph parallel-for branch: a mean variable degree this high

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,6 +62,17 @@ func TestCellFormatters(t *testing.T) {
 	}
 }
 
+// paperIDs is the whole registry: the paper's figures and tables plus
+// the ablations of its future-work list. Throughput sweeps live in
+// benchmark/ (BENCHMARK.json), not here.
+var paperIDs = []string{
+	"abl-adaptive-rho", "abl-async", "abl-balanced-z", "abl-devices",
+	"abl-multigpu", "abl-openmp-strategy", "abl-twa",
+	"fig10", "fig11", "fig13", "fig14", "fig5", "fig7", "fig8",
+	"tab-breakdown", "tab-copy-times", "tab-ntb-mpc", "tab-ntb-packing",
+	"tab-packing-reference", "tab-svm-dim",
+}
+
 func TestRegistryLookup(t *testing.T) {
 	if _, err := Lookup("fig7"); err != nil {
 		t.Fatal(err)
@@ -68,15 +80,35 @@ func TestRegistryLookup(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("expected unknown-id error")
 	}
-	exps := Experiments()
-	if len(exps) < 13 {
-		t.Fatalf("only %d experiments registered", len(exps))
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.ID)
 	}
-	for i := 1; i < len(exps); i++ {
-		if exps[i-1].ID >= exps[i].ID {
-			t.Fatal("Experiments() not sorted")
-		}
+	if !reflect.DeepEqual(got, paperIDs) {
+		t.Fatalf("Experiments() = %q, want exactly the sorted paper registry %q", got, paperIDs)
 	}
+}
+
+// quickRuns holds each experiment's Quick-scale, seed-1 tables so the
+// sweep below and the per-figure shape tests share one run per
+// `go test` (tests in this package do not run in parallel).
+var quickRuns = map[string][]*Table{}
+
+func quickTables(t *testing.T, id string) []*Table {
+	t.Helper()
+	if tables, ok := quickRuns[id]; ok {
+		return tables
+	}
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := e.Run(Scale{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quickRuns[id] = tables
+	return tables
 }
 
 // TestAllExperimentsRunQuick executes every registered experiment at
@@ -85,10 +117,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(Scale{Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			tables := quickTables(t, e.ID)
 			if len(tables) == 0 {
 				t.Fatal("no tables")
 			}
@@ -119,14 +148,7 @@ func parseX(t *testing.T, cell string) float64 {
 }
 
 func TestFig7ShapesHold(t *testing.T) {
-	e, err := Lookup("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "fig7")
 	left, right := tables[0], tables[1]
 	// Combined speedup grows with N.
 	first := parseX(t, left.Rows[0][4])
@@ -148,14 +170,7 @@ func TestFig7ShapesHold(t *testing.T) {
 }
 
 func TestFig8CoreSweepPeaksBelowGPU(t *testing.T) {
-	e, err := Lookup("fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "fig8")
 	left, right := tables[0], tables[1]
 	// Multi-CPU combined < GPU combined at the largest size (paper:
 	// "substantially less than ... with a GPU").
@@ -183,14 +198,7 @@ func TestFig8CoreSweepPeaksBelowGPU(t *testing.T) {
 }
 
 func TestNtbPackingPrefers32(t *testing.T) {
-	e, err := Lookup("tab-ntb-packing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "tab-ntb-packing")
 	rows := tables[0].Rows
 	byNtb := map[string]float64{}
 	for _, r := range rows {
@@ -205,14 +213,7 @@ func TestNtbPackingPrefers32(t *testing.T) {
 }
 
 func TestNtbMPCGrowsWithK(t *testing.T) {
-	e, err := Lookup("tab-ntb-mpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "tab-ntb-mpc")
 	rows := tables[0].Rows
 	first, _ := strconv.Atoi(rows[0][2])
 	last, _ := strconv.Atoi(rows[len(rows)-1][2])
@@ -226,14 +227,7 @@ func TestNtbMPCGrowsWithK(t *testing.T) {
 }
 
 func TestBalancedZAblationShowsGain(t *testing.T) {
-	e, err := Lookup("abl-balanced-z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "abl-balanced-z")
 	for _, row := range tables[0].Rows {
 		contig, _ := strconv.ParseFloat(row[1], 64)
 		bal, _ := strconv.ParseFloat(row[2], 64)
@@ -244,14 +238,7 @@ func TestBalancedZAblationShowsGain(t *testing.T) {
 }
 
 func TestAdaptiveRhoAblationBeatsFixed(t *testing.T) {
-	e, err := Lookup("abl-adaptive-rho")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "abl-adaptive-rho")
 	rows := tables[0].Rows
 	fixed, _ := strconv.Atoi(rows[0][1])
 	adaptive, _ := strconv.Atoi(rows[1][1])

@@ -3,8 +3,9 @@
 // extension ablations) as textual tables — the same rows/series the
 // paper plots, with the same qualitative shapes.
 //
-// Each experiment is registered with an id matching DESIGN.md's
-// per-experiment index (fig7, fig8, fig10, fig11, fig13, fig14,
-// tab-ntb-packing, ...). cmd/paradmm-bench runs them by id; the root
-// bench_test.go wires them into `go test -bench`.
+// Each experiment is registered under the id of the paper artifact it
+// regenerates (fig7, fig8, fig10, fig11, fig13, fig14,
+// tab-ntb-packing, ...); cmd/paradmm-bench runs them by id. Numbers
+// that gate a change are not produced here: they are the cells of the
+// repository benchmark (benchmark/, BENCHMARK.json).
 package bench

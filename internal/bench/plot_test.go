@@ -89,14 +89,7 @@ func TestAttachChart(t *testing.T) {
 }
 
 func TestGPUFigureCarriesChart(t *testing.T) {
-	e, err := Lookup("fig10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(Scale{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickTables(t, "fig10")
 	found := false
 	for _, n := range tables[0].Notes {
 		if strings.Contains(n, "(curve)") {

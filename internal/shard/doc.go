@@ -19,8 +19,8 @@
 // minimizing the degree-weighted cut cost, graph.CutCost). The
 // Backend.Refine knob (ExecutorSpec "refine") runs the same FM pass on
 // top of any base strategy. docs/partitioning.md at the repo root has
-// the full catalog, the cost model, and measured cut/throughput cells
-// per strategy (BENCH_partition.json). A shard owns its functions and
+// the full catalog, the cost model, and a measured cut/imbalance table
+// per strategy. A shard owns its functions and
 // their edges. Variables split into two classes:
 //
 //   - interior: every incident edge lives on one shard. That shard
@@ -148,6 +148,6 @@
 // (packing's all-pairs collision nodes make nearly every variable
 // boundary) phase B degenerates into a global z-update executed by all
 // shards — the scaling cliff the paper's Conclusion predicts, now
-// measurable with `paradmm-bench -shard-json` instead of only
-// simulated by gpusim.Scaling.
+// measurable (the benchmark's packing-wide workload: admm.speedup2
+// below 1) instead of only simulated by gpusim.Scaling.
 package shard

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/admm"
+	"repro/internal/exchange"
 	"repro/internal/faultnet"
 	"repro/internal/graph"
 )
@@ -69,6 +71,93 @@ func TestDialRetryThroughRefusingListener(t *testing.T) {
 		if ref.Z[i] != g.Z[i] {
 			t.Fatalf("post-retry solve diverged from serial at Z[%d]", i)
 		}
+	}
+}
+
+// busyListener answers the next `refuse` session openers the way a
+// worker with a running session and a full queue slot does, and hands
+// every other connection to the worker behind it.
+type busyListener struct {
+	net.Listener
+	refuse atomic.Int32
+}
+
+func (l *busyListener) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		if l.refuse.Load() == 0 {
+			return conn, nil
+		}
+		l.refuse.Add(-1)
+		go func() {
+			exchange.ReadFrame(conn, nil) // the opener
+			refuse(conn, "worker busy with another session")
+		}()
+	}
+}
+
+// TestBusyRefusalFailsHandshakeFast: worker 1 refuses the opener as
+// busy while worker 0 (default MeshWait, 30 s) is already waiting for
+// worker 1's mesh dial. The refusal must fail the attempt at once —
+// not sit unread behind worker 0's Ready — and worker 0 must drop the
+// orphaned session when the coordinator hangs up, so the retry finds it
+// free instead of queueing behind a 30 s ghost. Same contract for the
+// warm-cache handshake.
+func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%t", warm), func(t *testing.T) {
+			builders := chainBuilders(t, 48)
+			addrs := startTestWorkers(t, 1, builders)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			busy := &busyListener{Listener: ln}
+			t.Cleanup(func() { busy.Close() })
+			go ServeWorker(busy, WorkerOptions{Builders: builders})
+			spec := chainSpec(append(addrs, "tcp:"+ln.Addr().String()))
+			spec.WarmCache = warm
+
+			busy.refuse.Store(1)
+			spec.DialAttempts = 1
+			start := time.Now()
+			_, err = NewRemote(spec, 2, chainGraph(t, 48))
+			var we *WorkerError
+			if !errors.As(err, &we) || we.Worker != 1 || we.Phase != PhaseHandshake || we.Config {
+				t.Fatalf("want a transient handshake WorkerError for worker 1, got %v", err)
+			}
+			if el := time.Since(start); el > time.Second {
+				t.Fatalf("busy refusal took %v to fail the attempt", el)
+			}
+
+			busy.refuse.Store(1)
+			spec.DialAttempts = 0
+			start = time.Now()
+			g := chainGraph(t, 48)
+			r, err := NewRemote(spec, 2, g)
+			if err != nil {
+				t.Fatalf("retry after a busy refusal did not stand up: %v", err)
+			}
+			defer r.Close()
+			if got := r.Stats().HandshakeRetries; got != 1 {
+				t.Fatalf("HandshakeRetries = %d, want 1", got)
+			}
+			var nanos [admm.NumPhases]int64
+			r.Iterate(g, 40, &nanos)
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("solve behind a busy refusal took %v", el)
+			}
+			ref := chainGraph(t, 48)
+			admm.NewSerial().Iterate(ref, 40, &nanos)
+			for i := range ref.Z {
+				if ref.Z[i] != g.Z[i] {
+					t.Fatalf("remote diverged from serial at Z[%d]", i)
+				}
+			}
+		})
 	}
 }
 

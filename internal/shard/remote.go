@@ -277,10 +277,8 @@ func (r *Remote) handshake() error {
 			return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
 		}
 	}
-	for i := 0; i < r.shards; i++ {
-		if err := r.readReady(i); err != nil {
-			return err
-		}
+	if err := r.readReadyAll(nil); err != nil {
+		return err
 	}
 	state := appendState(nil, r.g)
 	for i := 0; i < r.shards; i++ {
@@ -321,7 +319,39 @@ func (r *Remote) sendConfig(i int) error {
 	return nil
 }
 
-// readReady collects and verifies worker i's Ready acknowledgment.
+// readReadyAll collects Ready from every worker at once (need, when
+// non-nil, marks the ones that owe one) and returns the first failure.
+// Reading in worker order would leave worker 1's instant refusal unread
+// behind worker 0, which cannot answer until its mesh stands — and the
+// mesh is waiting for the very worker that refused. The first failure
+// closes the attempt's connections: that ends the other reads, and it
+// is the hang-up a worker still waiting for mesh peers acts on.
+func (r *Remote) readReadyAll(need []bool) error {
+	errs := make(chan error, r.shards)
+	pending := 0
+	for i := 0; i < r.shards; i++ {
+		if need != nil && !need[i] {
+			continue
+		}
+		pending++
+		go func(i int) { errs <- r.readReady(i) }(i)
+	}
+	var first error
+	for ; pending > 0; pending-- {
+		err := <-errs
+		if err == nil {
+			r.hsFrames++
+		} else if first == nil {
+			first = err
+			r.teardown()
+		}
+	}
+	return first
+}
+
+// readReady collects and verifies worker i's Ready acknowledgment. It
+// touches only worker i's connection and buffer, so readReadyAll runs
+// one per worker concurrently.
 func (r *Remote) readReady(i int) error {
 	werr := func(config bool, err error) error {
 		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseHandshake, Err: err, Config: config}
@@ -342,7 +372,6 @@ func (r *Remote) readReady(i int) error {
 		config := errors.As(err, &re) && !re.transient()
 		return werr(config, err)
 	}
-	r.hsFrames++
 	var ready wireReady
 	if err := decodeJSONFrame(f, &ready); err != nil {
 		return werr(true, fmt.Errorf("ready: %w", err))
@@ -453,13 +482,8 @@ func (r *Remote) handshakeCached() error {
 			return werr(i, PhaseHandshake, true, fmt.Errorf("unknown cache ack tier %q", ack.Hit))
 		}
 	}
-	for i := 0; i < r.shards; i++ {
-		if !needReady[i] {
-			continue
-		}
-		if err := r.readReady(i); err != nil {
-			return err
-		}
+	if err := r.readReadyAll(needReady); err != nil {
+		return err
 	}
 	for i := 0; i < r.shards; i++ {
 		if !needState[i] {

@@ -154,7 +154,7 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 			// processes, so their hellos arrive in any order; hold the
 			// ones a later waitPeer call will want.
 			held := map[int]net.Conn{}
-			waitPeer := func(from int) (net.Conn, error) {
+			waitPeer := func(from int, hungUp <-chan struct{}) (net.Conn, error) {
 				if pc, ok := held[from]; ok {
 					delete(held, from)
 					return pc, nil
@@ -170,6 +170,8 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 							prev.Close()
 						}
 						held[p.hello.From] = p.conn
+					case <-hungUp:
+						return nil, fmt.Errorf("coordinator hung up while waiting for mesh peer %d", from)
 					case <-timeout:
 						return nil, fmt.Errorf("timed out waiting for mesh peer %d", from)
 					}
@@ -325,6 +327,11 @@ func buildSession(cfg wireConfig, opts WorkerOptions) (*graph.Graph, *plan, *exc
 	return g, plan, exchange.NewManifest(g, &plan.part, cfg.Shards), nil
 }
 
+// waitPeerFunc delivers the mesh connection dialed in by a
+// higher-numbered worker, giving up at MeshWait or as soon as hungUp
+// closes (the session's coordinator connection is gone).
+type waitPeerFunc func(from int, hungUp <-chan struct{}) (net.Conn, error)
+
 // sessionRun is a prepared session handed to runSessionLoop: the built
 // (or cache-restored) problem plus how the loop should start.
 type sessionRun struct {
@@ -347,7 +354,7 @@ type sessionRun struct {
 // rebuild, partition, mesh, Ready, then the control loop of
 // State/Params/Iter blocks until Bye. waitPeer delivers mesh
 // connections dialed in by higher-numbered workers.
-func runSession(conn net.Conn, cfg wireConfig, opts WorkerOptions, waitPeer func(from int) (net.Conn, error)) error {
+func runSession(conn net.Conn, cfg wireConfig, opts WorkerOptions, waitPeer waitPeerFunc) error {
 	if err := checkSessionShape(cfg); err != nil {
 		return sessionFail(conn, err)
 	}
@@ -364,7 +371,7 @@ func runSession(conn net.Conn, cfg wireConfig, opts WorkerOptions, waitPeer func
 // waiting for a miss worker's mesh dial must not stall the config that
 // miss worker is itself waiting for. Mesh failures still surface as
 // FrameErr on the first control exchange.
-func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, opts WorkerOptions, waitPeer func(from int) (net.Conn, error)) error {
+func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, opts WorkerOptions, waitPeer waitPeerFunc) error {
 	cfg := probe.asConfig()
 	if err := checkSessionShape(cfg); err != nil {
 		return sessionFail(conn, err)
@@ -467,10 +474,40 @@ func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, o
 
 // runSessionLoop stands the mesh up and runs a prepared session's
 // control loop until Bye.
-func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOptions, waitPeer func(from int) (net.Conn, error)) (err error) {
+func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOptions, waitPeer waitPeerFunc) (err error) {
 	fail := func(err error) error { return sessionFail(conn, err) }
 	g, plan, man := run.g, run.plan, run.man
 	id := cfg.Worker
+
+	// The next control frame is read while the mesh stands up. The
+	// coordinator sends nothing a worker must act on before its mesh is
+	// complete, but it hangs up the moment any worker fails the
+	// handshake — and a worker that only finds out at MeshWait holds the
+	// retry (queued behind this session) hostage for that long.
+	type ctrlFrame struct {
+		f   exchange.Frame
+		buf []byte
+		err error
+	}
+	next := make(chan ctrlFrame, 1)
+	hungUp := make(chan struct{})
+	go func() {
+		var c ctrlFrame
+		c.f, c.buf, c.err = exchange.ReadFrame(conn, nil)
+		if c.err != nil {
+			close(hungUp)
+		}
+		next <- c
+	}()
+	prefetched := true
+	defer func() {
+		if prefetched {
+			// Leaving before the control loop took the frame: closing the
+			// connection ends the read.
+			conn.Close()
+			<-next
+		}
+	}()
 
 	// Mesh: dial every lower-numbered peer we share boundary state
 	// with; higher-numbered ones dial us.
@@ -502,7 +539,7 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 		if !meshNeeded(man, id, j) {
 			continue
 		}
-		pc, err := waitPeer(j)
+		pc, err := waitPeer(j, hungUp)
 		if err != nil {
 			closePeers()
 			return fail(err)
@@ -557,7 +594,13 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 	block := 0
 	for {
 		var f exchange.Frame
-		f, buf, err = exchange.ReadFrame(conn, buf)
+		if prefetched {
+			c := <-next
+			prefetched = false
+			f, buf, err = c.f, c.buf, c.err
+		} else {
+			f, buf, err = exchange.ReadFrame(conn, buf)
+		}
 		if err != nil {
 			if err == io.EOF {
 				// Coordinator went away without Bye — treat as session end.

@@ -1,0 +1,180 @@
+package workload
+
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/admm"
+	"repro/internal/exchange"
+	"repro/internal/graph"
+)
+
+// specs is one small, valid spec per registered workload.
+var specs = map[string]string{
+	"lasso":   `{"m":64,"blocks":4,"lambda":0.3}`,
+	"svm":     `{"n":40}`,
+	"mpc":     `{"k":30}`,
+	"packing": `{"n":6}`,
+}
+
+// TestBuildIsDeterministic pins the cross-process rebuild contract: a
+// shard worker that builds the same ProblemRef as its coordinator gets
+// the same graph shape, derives the same boundary manifest under the
+// default partition (the digest the handshake compares), and — because
+// the operators come from the same seeded draw — iterates bit for bit
+// alike.
+func TestBuildIsDeterministic(t *testing.T) {
+	names := Names()
+	if len(names) != len(specs) {
+		t.Fatalf("Names() = %v: the spec table above covers %d workloads", names, len(specs))
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			spec, ok := specs[name]
+			if !ok {
+				t.Fatalf("no test spec for workload %q", name)
+			}
+			a, err := Build(name, []byte(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Build(name, []byte(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("two builds of one spec differ in shape:\n%+v\n%+v", sa, sb)
+			}
+			for _, shards := range []int{2, 3} {
+				digests := [2]uint64{}
+				for i, g := range []*graph.Graph{a, b} {
+					part, err := graph.NewPartition(g, shards, graph.StrategyBalanced)
+					if err != nil {
+						t.Fatal(err)
+					}
+					digests[i] = exchange.NewManifest(g, &part, shards).Digest()
+				}
+				if digests[0] != digests[1] {
+					t.Fatalf("%d shards: manifest digests %016x != %016x", shards, digests[0], digests[1])
+				}
+			}
+			var nanos [admm.NumPhases]int64
+			for _, g := range []*graph.Graph{a, b} {
+				g.InitZero()
+				admm.NewSerial().Iterate(g, 5, &nanos)
+			}
+			if !reflect.DeepEqual(a.Z, b.Z) {
+				t.Fatal("two builds of one spec iterate to different z")
+			}
+		})
+	}
+}
+
+func TestBuildRejects(t *testing.T) {
+	if _, err := Build("nope", []byte(`{}`)); err == nil {
+		t.Error("unknown workload built")
+	}
+	for name := range specs {
+		if _, err := Build(name, nil); err == nil {
+			t.Errorf("%s: missing spec built", name)
+		}
+		if _, err := Build(name, []byte(`{"bogus":1}`)); err == nil {
+			t.Errorf("%s: unknown spec field built", name)
+		}
+	}
+}
+
+// TestParseRejects: every malformed admission is an error (never a
+// panic), and a spec error still names the workload it was for, so
+// callers count the rejection against the right workload.
+func TestParseRejects(t *testing.T) {
+	adm, err := Parse("nope", json.RawMessage(`{}`))
+	if err == nil || adm.Workload != "" || adm.Build != nil {
+		t.Fatalf("unknown workload: admission %+v, err %v", adm, err)
+	}
+	for _, name := range Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-workload error %q does not list %q", err, name)
+		}
+	}
+	cases := []struct{ name, workload, spec string }{
+		{"missing spec", "lasso", ``},
+		{"not json", "svm", `{`},
+		{"wrong type", "mpc", `{"k":"ten"}`},
+		{"lasso unknown field", "lasso", `{"m":64,"lamda":0.3}`},
+		{"svm unknown field", "svm", `{"n":40,"dims":3}`},
+		{"mpc unknown field", "mpc", `{"k":30,"horizon":30}`},
+		{"packing unknown field", "packing", `{"n":6,"radius":1}`},
+		{"lasso m low", "lasso", `{"m":1}`},
+		{"lasso m cap", "lasso", `{"m":8193}`},
+		{"lasso p cap", "lasso", `{"m":64,"p":513}`},
+		{"svm n low", "svm", `{"n":1}`},
+		{"svm n cap", "svm", `{"n":8193}`},
+		{"svm dim cap", "svm", `{"n":40,"dim":257}`},
+		{"mpc k low", "mpc", `{"k":0}`},
+		{"mpc k negative", "mpc", `{"k":-5}`},
+		{"mpc k cap", "mpc", `{"k":100001}`},
+		{"mpc q0 length", "mpc", `{"k":30,"q0":[0,0,0.1]}`},
+		{"packing n low", "packing", `{"n":0}`},
+		{"packing n cap", "packing", `{"n":513}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Names are normalized before lookup; the stamp is canonical.
+			adm, err := Parse(" "+strings.ToUpper(c.workload)+" ", json.RawMessage(c.spec))
+			if err == nil {
+				t.Fatalf("spec %s admitted", c.spec)
+			}
+			if adm.Workload != c.workload {
+				t.Fatalf("rejection stamped workload %q, want %q", adm.Workload, c.workload)
+			}
+			if adm.Build != nil {
+				t.Fatal("rejected admission carries a builder")
+			}
+		})
+	}
+}
+
+// TestResetRestoresFreshSolve: a cached problem that was solved and
+// Reset answers the next request exactly as a newly built one would.
+func TestResetRestoresFreshSolve(t *testing.T) {
+	solve := func(t *testing.T, p Problem) ([]float64, map[string]float64) {
+		t.Helper()
+		p.Reset()
+		g := p.FactorGraph()
+		if _, err := admm.Run(g, admm.Options{MaxIter: 60}); err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), g.Z...), p.Metrics()
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			build := func() Problem {
+				adm, err := Parse(name, json.RawMessage(spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if adm.Workload != name || adm.Key == "" {
+					t.Fatalf("admission %+v", adm)
+				}
+				p, err := adm.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			wantZ, wantMetrics := solve(t, build())
+			reused := build()
+			solve(t, reused)
+			gotZ, gotMetrics := solve(t, reused)
+			if !reflect.DeepEqual(gotZ, wantZ) {
+				t.Fatal("re-solve after Reset differs from a fresh problem's z")
+			}
+			if !reflect.DeepEqual(gotMetrics, wantMetrics) {
+				t.Fatalf("re-solve metrics %v, fresh %v", gotMetrics, wantMetrics)
+			}
+		})
+	}
+}
