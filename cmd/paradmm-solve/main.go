@@ -397,9 +397,9 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 		100*fr[0], 100*fr[1], 100*fr[2], 100*fr[3], 100*fr[4])
 	if st != nil {
 		lo, med, hi := waitShares(st.SyncWaitByShard, res.Elapsed)
-		fmt.Printf("shards: %d (%s partition, %s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v\n",
+		fmt.Printf("shards: %d (%s partition, %s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v (shard 0; boundary vars combined per shard %v)\n",
 			st.Shards, st.PartitionLabel(), st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost,
-			nanos(st.SyncWaitNanos), 100*lo, 100*med, 100*hi, nanos(st.BoundaryZNanos))
+			nanos(st.SyncWaitNanos), 100*lo, 100*med, 100*hi, nanos(st.BoundaryZNanos), st.BoundaryVarsByShard)
 		if st.BytesPerIter > 0 {
 			fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",
 				st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)

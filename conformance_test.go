@@ -286,6 +286,75 @@ func TestHubBoundaryConformance(t *testing.T) {
 	}
 }
 
+// TestBoundaryCombineConformance drives the one boundary-combine kernel
+// (exchange.Mailbox.Combine) through every way a fused sharded solve
+// reaches it — posted in place on the local transport, framed and
+// decoded over loopback, and decoded from delta frames under the
+// overlapped schedule — at each width the kernel specializes on: the
+// register path at d = 2 (packing), 3 (svm) and 5 (mpc), the generic
+// path at d = 128 (lasso). Each cell must have a boundary to combine,
+// account for every boundary variable in its per-shard counts, and
+// reproduce Serial bit for bit.
+func TestBoundaryCombineConformance(t *testing.T) {
+	builds := map[int]func(t *testing.T) confInstance{
+		2: confWorkloads["packing"],
+		3: confWorkloads["svm"],
+		5: confWorkloads["mpc"],
+		128: func(t *testing.T) confInstance {
+			p, err := lasso.FromSpec(lasso.Spec{M: 256, P: 128, Lambda: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Graph.InitZero()
+			return confInstance{g: p.Graph}
+		},
+	}
+	const iters = 200
+	fused, deltaZero := true, 0.0
+	cells := []struct {
+		name string
+		spec admm.ExecutorSpec
+	}{
+		{"local", admm.ExecutorSpec{Kind: admm.ExecSharded}},
+		{"loopback", admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets}},
+		{"overlap-delta", admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets,
+			Overlap: true, DeltaThreshold: &deltaZero}},
+	}
+	for d, build := range builds {
+		if got := build(t).g.D(); got != d {
+			t.Fatalf("workload built for d=%d has d=%d", d, got)
+		}
+		ref := confRun(t, build(t), admm.NewSerial(), iters)
+		for _, shards := range []int{2, 3} {
+			for _, c := range cells {
+				spec := c.spec
+				spec.Shards, spec.Fused = shards, &fused
+				t.Run("d"+strconv.Itoa(d)+"-"+c.name+"-"+strconv.Itoa(shards), func(t *testing.T) {
+					inst := build(t)
+					backend, err := spec.NewBackend(inst.g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := confRun(t, inst, backend, iters)
+					for i := range ref {
+						if ref[i] != got[i] {
+							t.Fatalf("diverged from serial at Z[%d]: %g vs %g", i, got[i], ref[i])
+						}
+					}
+					st := backend.(shard.StatsReporter).Stats()
+					combined := 0
+					for _, n := range st.BoundaryVarsByShard {
+						combined += n
+					}
+					if st.BoundaryVars == 0 || combined != st.BoundaryVars || len(st.BoundaryVarsByShard) != shards {
+						t.Fatalf("%d boundary variables, combined per shard %v", st.BoundaryVars, st.BoundaryVarsByShard)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestDeltaThresholdConformance is the lossy half of the delta-frame
 // contract: at a small nonzero threshold every workload must stay
 // within a pinned tolerance of the serial iterates (the receiver's view

@@ -1,7 +1,7 @@
 // Package exchange is the boundary-synchronization seam of the sharded
 // executor: the per-iteration protocol that publishes each shard's
 // boundary m = x + u contributions, gathers the remote ones at the
-// majority owner, and delivers the owner-computed consensus z back to
+// variable's owner, and delivers the owner-computed consensus z back to
 // every shard that touches the variable — extracted from internal/shard
 // so one executor codebase can run against shared memory today and
 // message transports (unix sockets, TCP) across processes and machines.
@@ -11,36 +11,59 @@
 // One sharded iteration has exactly two synchronization points
 // (internal/shard/doc.go):
 //
-//	phase A (local x/m/interior-z)
+//	phase A (local x/m/interior-z, post boundary rows)
 //	-- sync 1: m-contributions of boundary variables published --
 //	phase B (owner combines boundary z)
 //	-- sync 2: boundary z published --
 //	phase C (local u/n)
 //
-// Exchanger abstracts the two crossings. GatherM is sync 1: on return,
-// every m-block needed to combine the worker's owned boundary variables
-// is available. ScatterZ is sync 2: on return, every boundary variable's
-// owner-computed z is available to the worker. What "available" means is
-// the implementation's choice:
+// Boundary m-state travels in packed rows. Every ordered shard pair
+// i -> j has one: the m-blocks of i's edges on the boundary variables j
+// combines, contiguous, in the order Manifest.MEdges lists them. The
+// Mailbox holds the rows and both ends of their use — Post writes a
+// worker's outbound rows (x + u on the fused schedule), Combine
+// computes the owned boundary z from the worker's inbox rows and its
+// own edges' x + u — and the Exchanger is what carries a posted row to
+// its combiner and the combined z back. GatherM is sync 1: on return,
+// every row into the worker's inbox holds this iteration's blocks.
+// ScatterZ is sync 2: on return, every boundary variable's
+// owner-computed z is available to the worker. How a row crosses is the
+// implementation's choice:
 //
-//   - Local: both calls are crossings of one shared-memory barrier.
-//     Phase-A writes become visible through the barrier's
-//     happens-before edges; nothing is copied.
+//   - Local: both calls are crossings of one shared-memory barrier and
+//     nothing else; the exchanger holds no graph. The mailbox
+//     (NewMailbox) gives each pair one buffer, so the sender's post
+//     lands directly in the owner's inbox — 8d bytes per boundary edge
+//     streamed once — and becomes visible through the barrier's
+//     happens-before edges. The owner never reads the sender's X or U:
+//     those cache lines stay on the core that writes them every
+//     iteration. (The reference schedule shares M itself and uses no
+//     mailbox.)
 //
 //   - Messaged: both calls move exactly the boundary state over
 //     length-prefixed binary frames on per-peer byte streams. GatherM
-//     serializes the worker's owned m-contributions for remotely-owned
-//     boundary variables (reading M on the reference schedule, forming
-//     x + u on the fused one), sends one frame per peer, and ingests the
-//     peers' frames into the M array; ScatterZ does the same for the
-//     owner-computed z blocks. The per-peer payload layout is fixed at
-//     construction by a Manifest derived from the graph.Partition, so
-//     steady-state frames carry only payload doubles — no indices. The
-//     same implementation serves in-process workers over loopback
-//     streams (NewLoopback — the full wire codec without sockets) and
-//     one worker process of a cross-process solve (NewPeer, streams
-//     backed by unix-socket or TCP connections; see internal/shard's
-//     coordinator/worker protocol and docs/transport.md).
+//     sends each posted row as one frame per peer and decodes the
+//     peers' frames — dense or delta — into the worker's inbox rows;
+//     nothing is scattered into M and the worker's own contributions
+//     are not copied anywhere (the reference schedule, whose gather
+//     reads M, additionally has ingested rows copied there). ScatterZ
+//     does the same for the owner-computed z blocks. The per-peer
+//     payload layout is fixed at construction by a Manifest derived
+//     from the graph.Partition, so steady-state frames carry only
+//     payload doubles — no indices. The same implementation serves
+//     in-process workers over loopback streams (NewLoopback — the full
+//     wire codec without sockets) and one worker process of a
+//     cross-process solve (NewPeer, streams backed by unix-socket or
+//     TCP connections; see internal/shard's coordinator/worker protocol
+//     and docs/transport.md).
+//
+// Who combines a boundary variable differs by transport. Everything
+// that ships bytes uses the majority owner (graph.Partition.VarPart,
+// NewManifest): the shard holding most of the variable's edges, so the
+// fewest blocks cross. On shared memory every block costs the same
+// wherever it is combined, so the sharded executor lays its mailbox out
+// by graph.Partition.GatherOwners (NewManifestOwners), which evens the
+// shards' z-gather loads instead.
 //
 // # Waiting
 //
@@ -56,16 +79,22 @@
 // # Bit-identity
 //
 // The serial z-update gathers m-blocks in CSR edge order and multiplies
-// by the reciprocal rho sum. Local preserves it trivially (the owner
-// reads shared arrays in CSR order). Messaged preserves it by
-// materializing every m-contribution — remote blocks from the wire, the
-// owner's own from a local m = x + u pass on the fused schedule — into
-// the M array at canonical edge indices and letting the owner run the
-// unmodified reference gather: same values, same order, same rounding.
-// The m-blocks themselves are bit-identical between schedules (the
-// reference m-update computes exactly x + u), so fused and unfused
-// messaged solves reproduce Serial bit for bit; the cross-executor
-// conformance suite pins this for every workload.
+// by the reciprocal rho sum. Mailbox.Combine walks each owned boundary
+// variable's edges in that same CSR order on every transport, taking a
+// remote edge's block from the inbox row it was posted to and forming a
+// local edge's as x + u in registers. A posted block is the sum x + u
+// already rounded to a double — exactly the value the serial fused
+// gather forms before its rho multiply, and exactly the reference
+// m-block — and neither a shared buffer nor the frame codec (dense, or
+// delta at threshold 0) changes a bit of it, so the same values meet
+// the same operations in the same order: boundary z equals Serial's by
+// construction. The reference schedule keeps the M array instead
+// (shared in place on Local, ingested rows copied into it on Messaged)
+// and runs the unmodified reference gather. The cross-executor
+// conformance suite pins all of it for every workload, and
+// internal/shard's TestCombineReadsNoRemoteEdgeState pins the
+// structure: a combine with every remote X and U poisoned still
+// produces Serial's z.
 //
 // # Traffic accounting
 //
@@ -75,5 +104,10 @@
 // z broadcasts lambda(v) - 1 — so measured bytes per iteration are
 // directly comparable to the degree-weighted cut model the partitioner
 // refines and gpusim.MultiDevice prices links with: predicted bytes =
-// CutCost words x 8, and the delta is pure framing overhead.
+// CutCost words x 8, and the delta is pure framing overhead. Local
+// sends no frame and reports zeros, but it is no longer true that
+// nothing moves: each posted block is written by one core and read by
+// another, the same deg(v) - pins(v, owner) blocks per boundary
+// variable under its own owner rule — bytes the cache-coherence fabric
+// carries, which no counter here sees.
 package exchange

@@ -4,10 +4,13 @@ package exchange
 // workers of one sharded solve. Every worker calls the two methods once
 // per iteration, in order; both block until the crossing completes.
 //
-// GatherM is sync point 1, crossed after phase A: on return, every
-// m-contribution needed to combine the worker's owned boundary
-// variables is available (shared memory for Local, materialized into
-// the graph's M array for Messaged — see Materialized).
+// GatherM is sync point 1, crossed after phase A and after the worker
+// posted its outbound rows to the solve's Mailbox: on return, every
+// packed row into the worker's inbox holds this iteration's
+// m-contributions (written there by its sender on shared memory,
+// decoded from the peers' frames on a message transport), so
+// Mailbox.Combine can run. The reference schedule's M array is
+// complete for the worker's owned boundary variables as well.
 //
 // ScatterZ is sync point 2, crossed after the worker combined its owned
 // boundary z: on return, the owner-computed z of every boundary
@@ -18,15 +21,6 @@ package exchange
 type Exchanger interface {
 	GatherM(worker int)
 	ScatterZ(worker int)
-
-	// Materialized reports whether GatherM materializes m-messages into
-	// the graph's M array. When true, workers must combine boundary z
-	// with the reference CSR gather (admm.UpdateZVars) regardless of
-	// schedule — the materialized blocks are bit-identical to the fused
-	// in-register messages, so iterates are unchanged. When false,
-	// phase-A state is shared directly and fused workers may gather
-	// x + u in registers (admm.UpdateZFusedVars).
-	Materialized() bool
 
 	// Stats reports cumulative traffic counters. Must not be called
 	// concurrently with an in-flight iteration.
@@ -39,8 +33,9 @@ type Exchanger interface {
 // Overlapped is the split form of the two sync points, implemented by
 // exchangers that can put boundary frames on the wire before the
 // worker's interior compute and collect them after: Begin ships this
-// worker's outbound contributions (its boundary state is final by
-// contract), Finish blocks until the peers' inbound frames are ingested.
+// worker's outbound contributions (its posted rows, or its owned
+// boundary z, are final by contract), Finish blocks until the peers'
+// inbound frames are ingested.
 // BeginX/FinishX must bracket exactly like a single X call; the pair is
 // equivalent to X, the worker just gets to compute between them.
 // GatherM and ScatterZ remain valid (they degenerate to Begin+Finish

@@ -150,8 +150,9 @@ func TestReadFrameErrors(t *testing.T) {
 
 // TestMessagedPeerDelivery exercises the non-shared (cross-process
 // shaped) path directly: two workers on separate graph replicas,
-// connected by an in-process duplex, must deliver remote m-blocks into
-// M and remote z into Z.
+// connected by an in-process duplex, must deliver posted m-blocks into
+// the owner's inbox row (and, on this reference schedule, into M) and
+// remote z into Z.
 func TestMessagedPeerDelivery(t *testing.T) {
 	build := func() *graph.Graph { return testGraph(t, 2, 2) } // functions 0,1 share variable 1
 	g0, g1 := build(), build()
@@ -191,6 +192,7 @@ func TestMessagedPeerDelivery(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		ex1.Mailbox().Post(1)
 		ex1.GatherM(1)
 		// Owner computes z for variable 1; stand in with a sentinel.
 		if owner == 1 {
@@ -198,6 +200,7 @@ func TestMessagedPeerDelivery(t *testing.T) {
 		}
 		ex1.ScatterZ(1)
 	}()
+	ex0.Mailbox().Post(0)
 	ex0.GatherM(0)
 	if owner == 0 {
 		g0.Z[2], g0.Z[3] = 42, 43
@@ -205,13 +208,15 @@ func TestMessagedPeerDelivery(t *testing.T) {
 	ex0.ScatterZ(0)
 	<-done
 
-	ownerG, otherG := g0, g1
+	ownerG, otherG, ownerEx := g0, g1, ex0
 	if owner == 1 {
-		ownerG, otherG = g1, g0
+		ownerG, otherG, ownerEx = g1, g0, ex1
 	}
 	// The owner gathered the remote worker's m-blocks for the boundary
-	// edges it does not own.
-	for _, e := range man.MEdges[(1-owner)*2+owner] {
+	// edges it does not own: packed in manifest order in its inbox row,
+	// and at the edges' own indices in M.
+	row := ownerEx.Mailbox().Row(1-owner, owner)
+	for idx, e := range man.MEdges[(1-owner)*2+owner] {
 		for i := 0; i < 2; i++ {
 			want := 0.0
 			if owner == 0 {
@@ -221,6 +226,9 @@ func TestMessagedPeerDelivery(t *testing.T) {
 			}
 			if got := ownerG.M[int(e)*2+i]; got != want {
 				t.Fatalf("owner M[%d] = %g, want %g", int(e)*2+i, got, want)
+			}
+			if got := row[idx*2+i]; got != want {
+				t.Fatalf("owner inbox row[%d] = %g, want %g", idx*2+i, got, want)
 			}
 		}
 	}
@@ -238,15 +246,12 @@ func TestMessagedPeerDelivery(t *testing.T) {
 	}
 }
 
-// TestLocalIsBarrier: the local exchanger reports no traffic and does
-// not materialize.
+// TestLocalIsBarrier: the local exchanger is bound to no graph or plan
+// and reports no traffic.
 func TestLocalIsBarrier(t *testing.T) {
 	l := NewLocal(1)
 	l.GatherM(0)
 	l.ScatterZ(0)
-	if l.Materialized() {
-		t.Fatal("local exchanger claims materialized m")
-	}
 	if st := l.Stats(); st != (Stats{}) {
 		t.Fatalf("local stats %+v", st)
 	}

@@ -173,8 +173,14 @@ func CopyF64s(dst []float64, payload []byte) error {
 	if len(payload) != 8*len(dst) {
 		return fmt.Errorf("exchange: payload %d bytes, want %d doubles", len(payload), len(dst))
 	}
+	decodeF64s(dst, payload)
+	return nil
+}
+
+// decodeF64s decodes the first len(dst) float64s of a payload whose
+// length the caller has already checked.
+func decodeF64s(dst []float64, payload []byte) {
 	for i := range dst {
 		dst[i] = F64At(payload, i)
 	}
-	return nil
 }

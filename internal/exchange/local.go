@@ -77,10 +77,12 @@ func (b *spinBarrier) Await() {
 }
 
 // Local is the shared-memory exchanger: both sync points are crossings
-// of one yield-spin barrier, exactly the two-barrier protocol the
-// sharded executor always ran. Phase-A writes become visible to phase B
-// (and phase-B z writes to phase C) through the barrier's
-// happens-before edges; no state is copied, so Stats reports zeros.
+// of one spin-then-park barrier, and that is all it is — it holds no
+// graph and no plan. What a worker posted to a shared Mailbox (or wrote
+// to M on the reference schedule) before GatherM is visible to its
+// combiner after it, and phase-B z writes to phase C after ScatterZ,
+// through the barrier's happens-before edges. No frame is sent, so
+// Stats reports zeros.
 type Local struct {
 	barrier *spinBarrier
 }
@@ -95,9 +97,6 @@ func (l *Local) GatherM(worker int) { l.barrier.Await() }
 
 // ScatterZ implements Exchanger.
 func (l *Local) ScatterZ(worker int) { l.barrier.Await() }
-
-// Materialized implements Exchanger: phase-A state is shared directly.
-func (l *Local) Materialized() bool { return false }
 
 // Stats implements Exchanger.
 func (l *Local) Stats() Stats { return Stats{} }

@@ -22,11 +22,11 @@ type Manifest struct {
 	D int
 	// MEdges[i*Shards+j] lists, ascending, the edges owned by shard i
 	// (their function node is on i) incident to a boundary variable
-	// owned by shard j. Off-diagonal rows are wire traffic at sync
-	// point 1: i sends those m-blocks to j. The diagonal i == j is the
-	// owner's own contributions — never sent, but materialized into M
-	// locally on the fused schedule so the reference gather sees a
-	// complete row.
+	// owned by shard j. An off-diagonal row is the packed boundary row
+	// of the ordered pair i -> j: i posts those m-blocks, in this
+	// order, to j at sync point 1 (Mailbox). The diagonal i == j is the
+	// owner's own contributions — never posted; the owner forms them
+	// from its own x + u as it combines.
 	MEdges [][]int32
 	// ZVars[i*Shards+j] lists, ascending, the boundary variables owned
 	// by shard i that shard j has edges on (i != j): the z-blocks i
@@ -36,41 +36,47 @@ type Manifest struct {
 
 // NewManifest derives the manifest of partition p for a solve with the
 // given worker count (>= p.Parts; the partitioner clamps parts to the
-// function count, and surplus workers simply idle).
+// function count, and surplus workers simply idle). Boundary variables
+// are combined by their majority owner, p.VarPart — the rule every
+// message transport ships by.
 func NewManifest(g *graph.Graph, p *graph.Partition, shards int) *Manifest {
+	return NewManifestOwners(g, p, shards, p.VarPart)
+}
+
+// NewManifestOwners is NewManifest with the combiner of each boundary
+// variable given by owner (one entry per variable; the owner must hold
+// an edge of the variable). The sharded executor on shared memory
+// passes p.GatherOwners.
+func NewManifestOwners(g *graph.Graph, p *graph.Partition, shards int, owner []int) *Manifest {
 	m := &Manifest{
 		Shards: shards,
 		D:      g.D(),
 		MEdges: make([][]int32, shards*shards),
 		ZVars:  make([][]int32, shards*shards),
 	}
-	// Edge -> owning shard, via the function CSR (edges of one function
-	// are contiguous, and functions are visited ascending, so each
-	// MEdges row is built in ascending edge order).
-	edgePart := make([]int32, g.NumEdges())
+	// Functions are visited ascending and a function's edges are
+	// contiguous, so each MEdges row is built in ascending edge order.
 	for a, s := range p.FuncPart {
 		lo, hi := g.FuncEdges(a)
 		for e := lo; e < hi; e++ {
-			edgePart[e] = int32(s)
-			v := g.EdgeVar(e)
-			if p.IsBoundary(v) {
-				owner := p.VarPart[v]
-				m.MEdges[s*shards+owner] = append(m.MEdges[s*shards+owner], int32(e))
+			if v := g.EdgeVar(e); p.IsBoundary(v) {
+				o := owner[v]
+				m.MEdges[s*shards+o] = append(m.MEdges[s*shards+o], int32(e))
 			}
 		}
 	}
 	touched := make([]bool, shards)
 	for _, v := range p.BoundaryVars {
-		owner := p.VarPart[v]
+		o := owner[v]
 		for i := range touched {
 			touched[i] = false
 		}
 		for _, e := range g.VarEdges(v) {
-			touched[edgePart[e]] = true
+			touched[p.FuncPart[g.EdgeFunc(e)]] = true
 		}
 		for s, t := range touched {
-			if t && s != owner {
-				m.ZVars[owner*shards+s] = append(m.ZVars[owner*shards+s], int32(v))
+			if t && s != o {
+				m.ZVars[o*shards+s] = append(m.ZVars[o*shards+s], int32(v))
 			}
 		}
 	}

@@ -20,13 +20,15 @@ import (
 // Per iteration and worker w:
 //
 //	GatherM:  send one FrameM per peer j with manifest row
-//	          MEdges[w][j] non-empty (the m-blocks of w's edges whose
+//	          MEdges[w][j] non-empty — the packed row w posted to the
+//	          mailbox (Mailbox.Post: the m-blocks of w's edges whose
 //	          boundary variable j owns, in manifest order; on the fused
-//	          schedule the blocks are formed as x + u, bit-identical to
-//	          the reference m-update), then ingest the peers' FrameM
-//	          payloads into the M array. On the fused schedule w's own
-//	          contributions (diagonal row) are materialized into M
-//	          locally, so the reference CSR gather sees a complete row.
+//	          schedule formed as x + u, bit-identical to the reference
+//	          m-update) — then decode the peers' FrameM payloads into
+//	          w's inbox rows, which is where Mailbox.Combine reads them.
+//	          Nothing is scattered into M and w's own contributions are
+//	          not copied anywhere; only the reference schedule, whose
+//	          gather reads M, has its ingested rows copied there.
 //	ScatterZ: send one FrameZ per peer j with manifest row ZVars[w][j]
 //	          non-empty (the owner-combined z blocks), then ingest the
 //	          peers' z into the Z array.
@@ -69,7 +71,7 @@ import (
 type Messaged struct {
 	g      *graph.Graph
 	man    *Manifest
-	fused  bool
+	mb     *Mailbox
 	shared bool
 
 	// streams[w][j] is worker w's duplex stream to peer j; only local
@@ -112,9 +114,9 @@ type msgWorkerState struct {
 	round   uint32
 	sendBuf []byte
 	recvBuf []byte
-	// curRow gathers one manifest row's current doubles before
+	// zRow gathers one z manifest row's current doubles before
 	// encoding (needed for the delta compare; reused for dense).
-	curRow []float64
+	zRow []float64
 	// pend is the in-flight send completion between a Begin and its
 	// Finish on the split schedule.
 	pend <-chan struct{}
@@ -134,7 +136,7 @@ func newWorkerState(man *Manifest, w int) msgWorkerState {
 		in = max(in, len(man.MEdges[j*k+w]), len(man.ZVars[j*k+w]))
 	}
 	return msgWorkerState{
-		curRow:  make([]float64, 0, out*man.D),
+		zRow:    make([]float64, 0, out*man.D),
 		sendBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(out)+out*man.D*8),
 		recvBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(in)+in*man.D*8),
 	}
@@ -149,7 +151,7 @@ func NewLoopback(g *graph.Graph, man *Manifest, fused bool) *Messaged {
 	m := &Messaged{
 		g:       g,
 		man:     man,
-		fused:   fused,
+		mb:      newMailbox(g, man, fused, false, -1),
 		shared:  true,
 		streams: mesh,
 		state:   make([]msgWorkerState, man.Shards),
@@ -186,7 +188,7 @@ func NewPeer(g *graph.Graph, man *Manifest, fused bool, id int, conns []io.ReadW
 	m := &Messaged{
 		g:       g,
 		man:     man,
-		fused:   fused,
+		mb:      newMailbox(g, man, fused, false, id),
 		shared:  false,
 		streams: streams,
 		state:   make([]msgWorkerState, k),
@@ -253,89 +255,58 @@ func (m *Messaged) armWrite(s io.Writer) {
 	}
 }
 
-// Materialized implements Exchanger: GatherM materializes m-messages
-// into M, so boundary z must be combined with the reference CSR gather.
-func (m *Messaged) Materialized() bool { return true }
+// Mailbox returns the packed boundary rows this exchanger carries:
+// workers Post their outbound rows to it before (Begin)GatherM and
+// Combine from their inbox rows after (Finish)GatherM.
+func (m *Messaged) Mailbox() *Mailbox { return m.mb }
 
-// BeginGatherM ships worker w's outbound m-contributions (sync point 1,
-// send half). On the fused schedule the off-diagonal rows read x + u
-// directly, so the sent edges' x-phase must be complete; interior
+// BeginGatherM ships worker w's posted rows (sync point 1, send half).
+// The rows must be final — on the fused schedule Mailbox.Post reads
+// x + u of the sent edges, so their x-phase is complete; interior
 // functions may still be pending.
 func (m *Messaged) BeginGatherM(w int) {
 	m.state[w].pend = m.dispatchSends(w, (*Messaged).sendM)
 }
 
-// sendM gathers and ships worker w's off-diagonal m-rows.
+// sendM ships worker w's off-diagonal m-rows as the mailbox holds them.
 func (m *Messaged) sendM(w int) {
-	k, d := m.man.Shards, m.man.D
+	k := m.man.Shards
 	st := &m.state[w]
-	g := m.g
 	for j := 0; j < k; j++ {
-		row := m.man.MEdges[w*k+j]
-		if j == w || len(row) == 0 {
-			continue
+		if row := m.mb.out[w*k+j]; len(row) > 0 {
+			m.sendRow(st, w, j, FrameM, FrameMDelta, row, m.primedM, m.prevM)
 		}
-		cur := st.curRow[:0]
-		for _, e := range row {
-			base := int(e) * d
-			if m.fused {
-				for i := 0; i < d; i++ {
-					cur = append(cur, g.X[base+i]+g.U[base+i])
-				}
-			} else {
-				cur = append(cur, g.M[base:base+d]...)
-			}
-		}
-		st.curRow = cur
-		m.sendRow(st, w, j, FrameM, FrameMDelta, cur, m.primedM, m.prevM)
 	}
 }
 
-// FinishGatherM ingests the peers' m-contributions into M and completes
-// sync point 1. On the fused schedule it first materializes w's own
-// diagonal contributions, so every edge's x-phase must be complete.
+// FinishGatherM decodes the peers' m-rows into worker w's inbox and
+// completes sync point 1. A delta frame rewrites only the blocks it
+// carries; the rest of the row keeps what was last shipped, which is
+// what the sender's shadow holds.
 func (m *Messaged) FinishGatherM(w int) {
 	k, d := m.man.Shards, m.man.D
 	st := &m.state[w]
-	g := m.g
-	// Own contributions: the fused schedule never writes M, so the
-	// owner's blocks for its own boundary variables are formed here;
-	// the reference schedule already wrote them in phase A.
-	if m.fused {
-		for _, e := range m.man.MEdges[w*k+w] {
-			base := int(e) * d
-			for i := 0; i < d; i++ {
-				g.M[base+i] = g.X[base+i] + g.U[base+i]
-			}
-		}
-	}
 	for j := 0; j < k; j++ {
-		row := m.man.MEdges[j*k+w]
-		if j == w || len(row) == 0 {
+		row := m.mb.in[j*k+w]
+		if len(row) == 0 {
 			continue
 		}
-		payload, isDelta := m.recvData(st, w, j, FrameM, FrameMDelta, len(row))
+		blocks := len(row) / d
+		payload, isDelta := m.recvData(st, w, j, FrameM, FrameMDelta, blocks)
 		if isDelta {
-			maskLen := DeltaMaskLen(len(row))
-			data := payload[maskLen:]
+			data := payload[DeltaMaskLen(blocks):]
 			idx := 0
-			for bi, e := range row {
-				if !MaskBit(payload, bi) {
-					continue
+			for bi := 0; bi < blocks; bi++ {
+				if MaskBit(payload, bi) {
+					decodeF64s(row[bi*d:bi*d+d], data[idx*d*8:])
+					idx++
 				}
-				base := int(e) * d
-				for i := 0; i < d; i++ {
-					g.M[base+i] = F64At(data, idx*d+i)
-				}
-				idx++
 			}
-			continue
+		} else {
+			decodeF64s(row, payload)
 		}
-		for idx, e := range row {
-			base := int(e) * d
-			for i := 0; i < d; i++ {
-				g.M[base+i] = F64At(payload, idx*d+i)
-			}
+		if !m.mb.fused {
+			m.mb.scatterM(j, w)
 		}
 	}
 	m.joinSends(st.pend)
@@ -365,12 +336,12 @@ func (m *Messaged) sendZ(w int) {
 		if j == w || len(row) == 0 {
 			continue
 		}
-		cur := st.curRow[:0]
+		cur := st.zRow[:0]
 		for _, v := range row {
 			base := int(v) * d
 			cur = append(cur, g.Z[base:base+d]...)
 		}
-		st.curRow = cur
+		st.zRow = cur
 		m.sendRow(st, w, j, FrameZ, FrameZDelta, cur, m.primedZ, m.prevZ)
 	}
 }

@@ -50,7 +50,8 @@ func TestOverlappedSplitDelivery(t *testing.T) {
 	fill(g1, 2, 4, 200)
 
 	var interior atomic.Int64
-	run := func(g *graph.Graph, ex Overlapped, w int) {
+	run := func(g *graph.Graph, ex *Messaged, w int) {
+		ex.Mailbox().Post(w)
 		ex.BeginGatherM(w)
 		interior.Add(1) // stands in for rest-x + interior-z work
 		ex.FinishGatherM(w)
@@ -117,12 +118,14 @@ func TestMessagedDeltaSkipsUnchangedBlocks(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
+			ex1.Mailbox().Post(1)
 			ex1.GatherM(1)
 			if owner == 1 {
 				g1.Z[2], g1.Z[3] = z, z+1
 			}
 			ex1.ScatterZ(1)
 		}()
+		ex0.Mailbox().Post(0)
 		ex0.GatherM(0)
 		if owner == 0 {
 			g0.Z[2], g0.Z[3] = z, z+1

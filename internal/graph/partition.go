@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -422,3 +423,72 @@ func (g *Graph) edgeFunc(e int) int {
 
 // EdgeFunc returns the function node that edge e belongs to.
 func (g *Graph) EdgeFunc(e int) int { return g.edgeFunc(e) }
+
+// GatherOwners returns, per variable, the shard that combines its z
+// where any shard can reach any edge's packed contribution at the same
+// cost — the sharded executor on shared memory. Interior variables keep
+// VarPart. Boundary variables are handed out so the z-gather load
+// (GatherLoads) comes out even: the ascending boundary list is walked
+// once with a shard cursor that moves on when its shard's load would
+// pass the mean (midpoint rule, as partitionBalanced cuts), so each
+// shard combines one contiguous run of the list and two shards do not
+// write neighbouring z blocks of one cache line. A shard must hold an
+// edge of a variable to combine it (it forms that edge's message in
+// registers); where the cursor's shard holds none the variable stays
+// with its majority owner, and so does every variable when the walk
+// does not lower the largest load (a chain's or a star's one cut point
+// has nothing to balance; VarPart itself is returned then, so the
+// result must not be modified). VarPart, CutCost and everything a
+// message transport ships keep the majority rule: there a remote edge
+// is a block on the wire, and moving a variable off the shard holding
+// most of its edges buys balance with bytes.
+func (p *Partition) GatherOwners(g *Graph) []int {
+	if len(p.BoundaryVars) == 0 {
+		return p.VarPart
+	}
+	// Start from the majority rule's loads and take the boundary
+	// variables back out: what is left is each shard's interior load.
+	load := p.GatherLoads(g, p.VarPart)
+	majorMax := slices.Max(load)
+	for _, v := range p.BoundaryVars {
+		load[p.VarPart[v]] -= g.VarDegree(v)
+	}
+	// Every edge is gathered by exactly one variable, so the mean load
+	// is |E|/parts; the midpoint test is kept in integers.
+	picked := make([]int, len(p.BoundaryVars))
+	s := 0
+	for i, v := range p.BoundaryVars {
+		deg := g.VarDegree(v)
+		for s < p.Parts-1 && (2*load[s]+deg)*p.Parts > 2*g.NumEdges() {
+			s++
+		}
+		o := p.VarPart[v]
+		for _, e := range g.VarEdges(v) {
+			if p.FuncPart[g.edgeFunc(e)] == s {
+				o = s
+				break
+			}
+		}
+		picked[i] = o
+		load[o] += deg
+	}
+	if slices.Max(load) >= majorMax {
+		return p.VarPart
+	}
+	owner := slices.Clone(p.VarPart)
+	for i, v := range p.BoundaryVars {
+		owner[v] = picked[i]
+	}
+	return owner
+}
+
+// GatherLoads returns each shard's z-gather load under the given owner
+// vector: the summed degree of the variables it combines, interior and
+// boundary — the edges its z-update walks per iteration.
+func (p *Partition) GatherLoads(g *Graph, owner []int) []int {
+	loads := make([]int, p.Parts)
+	for v, s := range owner {
+		loads[s] += g.VarDegree(v)
+	}
+	return loads
+}

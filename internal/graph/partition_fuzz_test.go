@@ -15,6 +15,10 @@ import (
 // private variable as well, so consensus stars far wider than the
 // random part are covered; the balanced strategy must additionally
 // leave no shard empty.
+// The shared-memory owner rule (GatherOwners) is derived for every
+// shape: it must be deterministic, leave interior variables with their
+// only shard, and give each boundary variable to a shard that holds
+// one of its edges.
 // Every shape is then pushed through the FM refinement pass, which
 // must keep the partition valid and never increase the weighted cut.
 //
@@ -85,6 +89,25 @@ func FuzzPartitionInvariants(f *testing.F) {
 				if load == 0 {
 					t.Fatalf("balanced left shard %d of %d empty (%d funcs)", shard, p.Parts, g.NumFunctions())
 				}
+			}
+		}
+		owner, again := p.GatherOwners(g), p.GatherOwners(g)
+		for v, o := range owner {
+			if o != again[v] {
+				t.Fatalf("gather owner of variable %d is shard %d, then %d", v, o, again[v])
+			}
+			if !p.IsBoundary(v) {
+				if o != p.VarPart[v] {
+					t.Fatalf("interior variable %d moved from shard %d to %d", v, p.VarPart[v], o)
+				}
+				continue
+			}
+			holds := false
+			for _, e := range g.VarEdges(v) {
+				holds = holds || p.FuncPart[g.EdgeFunc(e)] == o
+			}
+			if !holds {
+				t.Fatalf("boundary variable %d combined by shard %d, which holds none of its edges (%d parts, %s)", v, o, p.Parts, s)
 			}
 		}
 		// Drive the FM pass over every fuzzed shape (for mincut+fm this

@@ -26,10 +26,14 @@
 //   - interior: every incident edge lives on one shard. That shard
 //     computes the variable's z locally, with no synchronization.
 //   - boundary: edges span 2+ shards. Only these variables' z-state
-//     crosses shard boundaries; the shard owning the majority of a
-//     boundary variable's edges combines its z by gathering the remote
-//     m-blocks. A hub every function touches is just the widest case:
-//     one boundary variable, every shard a contributor.
+//     crosses shard boundaries; one shard holding some of a boundary
+//     variable's edges — its owner — combines its z from the other
+//     shards' m-blocks. Where boundary state is shipped the owner is
+//     the shard with the majority of the edges (fewest bytes); on
+//     shared memory the plan evens the shards' z-gather loads instead
+//     (graph.Partition.GatherOwners). A hub every function touches is
+//     just the widest case: one boundary variable, every shard a
+//     contributor.
 //
 // # The boundary-only protocol, behind the Exchanger seam
 //
@@ -53,7 +57,10 @@
 //
 //   - exchange.Local (ExecutorSpec transport "local", the default) is
 //     the shared-memory form: both crossings are one spin-then-park
-//     barrier, nothing is copied.
+//     barrier. On the fused schedule each shard posts the m-blocks of
+//     its boundary edges into the owner's packed row before the first
+//     crossing (exchange.Mailbox) — the only boundary state another
+//     shard ever reads.
 //   - exchange.Messaged (transport "sockets") moves exactly the
 //     boundary state as length-prefixed frames on per-peer byte
 //     streams — in-process loopback streams by default, or real
@@ -70,11 +77,11 @@
 // in the next GatherM before it can disturb a slower shard. Because
 // interior z is computed by exactly the serial kernel and boundary z
 // gathers m-blocks in the same CSR order the serial z-update uses —
-// the messaged transports materialize received blocks into M at
-// canonical edge indices precisely so the owner can run the unmodified
-// reference gather — every strategy and transport produces
-// bit-identical iterates to the Serial reference; the cross-executor
-// conformance suite and the cross-process integration test pin this.
+// on this reference schedule from M, into which the messaged
+// transports copy received blocks at canonical edge indices — every
+// strategy, owner rule and transport produces bit-identical iterates
+// to the Serial reference; the cross-executor conformance suite and
+// the cross-process integration test pin this.
 //
 // # Sync-wait accounting
 //
@@ -90,7 +97,9 @@
 // shard. In-process waits follow one policy (exchange.Local's barrier
 // and the loopback pipes alike): yield-spin for about the cost of a
 // futex sleep/wake, then park. Phase times and BoundaryZNanos remain
-// worker 0's.
+// worker 0's — one shard's share of the combine, so
+// Stats.BoundaryVarsByShard says how many boundary variables each shard
+// combines and paradmm-solve prints it next to the figure.
 //
 // # Fault tolerance
 //
@@ -113,29 +122,39 @@
 // fused form — the sync structure is unchanged, still two crossings:
 //
 //	A (local):    x over owned functions;
-//	              fused z over interior vars (m = x + u in registers)
-//	-- GatherM --    (this iteration's X published; remote U was
-//	                  published by the previous iteration's crossing)
-//	B (boundary): fused z for owned boundary vars, gathering remote
-//	              x + u in CSR order (on a message transport the
-//	              exchanger forms the same x + u blocks sender-side
-//	              and the owner gathers them through M — identical
-//	              bits either way)
+//	              fused z over interior vars (m = x + u in registers);
+//	              post: m = x + u of every owned edge on a remotely
+//	              owned boundary variable, into the owner's packed row
+//	-- GatherM --    (every row into this shard's inbox is this
+//	                  iteration's: written in place by its sender on
+//	                  shared memory, decoded from the sender's frame on
+//	                  a message transport)
+//	B (boundary): z for owned boundary vars (exchange.Mailbox.Combine):
+//	              each variable's edges in CSR order, a remote edge's
+//	              block from the inbox, a local edge's as x + u in
+//	              registers
 //	-- ScatterZ --   (all z-blocks published)
 //	C (local):    fused u+n sweep over owned edges
 //
 // The m-array write and one of the two edge sweeps disappear (m/u/n
 // phases paid ~88d bytes of edge traffic per iteration on the reference
-// schedule, ~56d fused; see internal/admm/fused.go for the model). The
-// correctness argument is the same as the reference schedule's with one
-// addition: phase B reads remote X and U instead of remote M. X is
-// published by the GatherM crossing of the current iteration; U was
-// last written in the owning shard's previous phase C, which precedes
-// that shard's GatherM arrival in program order — and no phase between
-// the crossings writes X or U — so the gather observes exactly the
-// values the reference m-blocks would have frozen. Fused iterates
-// therefore stay bit-identical across all strategies, shard counts,
-// and transports.
+// schedule, ~56d fused; see internal/admm/fused.go for the model), and
+// one combine kernel serves the local transport, the loopback, the
+// overlapped schedule and the worker process. The correctness argument
+// is the reference schedule's with the packed row standing in for M:
+// a posted block is x + u rounded once, which is bit for bit the
+// reference m-block; the post follows the shard's own x-update and its
+// previous phase C in program order, and nothing between the post and
+// the combine writes X, U or the row, so the combiner meets exactly the
+// values the reference m-blocks would have frozen, in the same CSR
+// order. Phase B reads no other shard's X or U at all — each shard's
+// edge state is written and read by one core only, and the row is
+// written once and read once per iteration, ordered by the two sync
+// points (the race job runs the suite under the detector).
+// TestCombineReadsNoRemoteEdgeState poisons every remote X and U before
+// the combine and still gets Serial's z. Fused iterates therefore stay
+// bit-identical across all strategies, shard counts, owner rules and
+// transports.
 //
 // # When sharded beats barrier workers
 //
@@ -146,8 +165,16 @@
 // points under the balanced strategy) the combine is a few variables
 // and sharded wins on synchronization count alone. On dense graphs
 // (packing's all-pairs collision nodes make nearly every variable
-// boundary) phase B degenerates into a global z-update executed by all
-// shards — the scaling cliff the paper's Conclusion predicts, now
-// measurable (the benchmark's packing-wide workload: admm.speedup2
-// below 1) instead of only simulated by gpusim.Scaling.
+// boundary) phase B is a global z-update — the scaling cliff the
+// paper's Conclusion predicts — and what it costs depends on what
+// crosses cores for it. Gathering remote x + u in place made every
+// boundary edge's X and U line bounce between its writer and the
+// combiner each iteration, and the majority rule left one shard
+// combining nearly all of it: 2 shards lost to serial (the benchmark's
+// packing-wide workload read admm.speedup2 0.77–0.91). With packed rows
+// and evened z-gather loads the same workload runs about 1.2x serial on
+// shared memory; over the loopback wire, where every boundary block is
+// framed and copied, it still loses (admm.speedup2_sock below 1) — the
+// cliff is a property of the bytes shipped, measurable here instead of
+// only simulated by gpusim.Scaling.
 package shard

@@ -163,7 +163,7 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 		problem:  spec.Problem,
 		dialer:   spec.WorkerDialer,
 	}
-	r.plan, err = newPlan(g, shards, strategy, spec.Refine)
+	r.plan, err = newPlan(g, shards, strategy, spec.Refine, false)
 	if err != nil {
 		return nil, err
 	}
@@ -222,6 +222,8 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 		StatePushes:      r.hsState,
 		HandshakeFrames:  r.hsFrames,
 		SyncWaitByShard:  make([]int64, shards),
+
+		BoundaryVarsByShard: r.plan.boundaryCounts(),
 	}
 	return r, nil
 }

@@ -25,10 +25,11 @@ type Backend struct {
 
 	// Fused selects the two-pass fused phase schedule (see doc.go): the
 	// same two sync points per iteration, but phase A fuses the m-message
-	// into the interior z gather, phase B gathers remote x+u (via the
-	// exchanger's materialized m-blocks on a message transport), and
-	// phase C merges the u- and n-sweeps. Set before the first Iterate;
-	// workers observe it through the cmd handshake.
+	// into the interior z gather and posts the boundary edges' x + u to
+	// the owners' packed rows, phase B combines boundary z from those
+	// rows and the owner's own x + u (exchange.Mailbox), and phase C
+	// merges the u- and n-sweeps. Set before the first Iterate; workers
+	// observe it through the cmd handshake.
 	Fused bool
 
 	// Refine runs a Fiduccia–Mattheyses boundary-refinement pass
@@ -71,6 +72,7 @@ type Backend struct {
 
 	plan    *plan
 	ex      exchange.Exchanger
+	mb      *exchange.Mailbox
 	localEx *exchange.Local
 	stats   Stats
 }
@@ -90,6 +92,12 @@ type Stats struct {
 	BoundaryVars  int
 	BoundaryEdges int
 	InteriorVars  int
+	// BoundaryVarsByShard is how many boundary variables each shard
+	// combines. On the local transport the plan evens the shards'
+	// z-gather loads (graph.Partition.GatherOwners), so every shard
+	// that touches the cut combines a share; on a message transport a
+	// variable stays with the shard holding most of its edges.
+	BoundaryVarsByShard []int
 	// PartEdges is each shard's owned-edge count — the load the sweeps
 	// see. The default partition balances modelled work (x-update plus
 	// sweeps), which equals edge balance only when every function costs
@@ -113,8 +121,9 @@ type Stats struct {
 	// speedup is only explained by the whole vector.
 	SyncWaitByShard []int64
 	// SyncWaitNanos is SyncWaitByShard[0]; BoundaryZNanos is shard 0's
-	// cumulative time combining its owned boundary z (0 when shard 0
-	// owns no boundary variable).
+	// cumulative time combining the BoundaryVarsByShard[0] boundary
+	// variables it owns (0 when it owns none) — one shard's share of
+	// the combine, to be read next to that count, not the solve's.
 	SyncWaitNanos  int64
 	BoundaryZNanos int64
 	// BytesPerIter is the boundary-state payload a message transport
@@ -232,7 +241,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		panic("shard: Iterate on closed Backend")
 	}
 	if b.plan == nil || b.plan.g != g {
-		p, err := newPlan(g, b.shards, b.strategy, b.Refine)
+		p, err := newPlan(g, b.shards, b.strategy, b.Refine, transportLabel(b.Transport) == admm.TransportLocal)
 		if err != nil {
 			// The graph was already finalized by admm.Run; the only
 			// residual failure is a programming error.
@@ -254,6 +263,8 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 			Iterations:      b.stats.Iterations,
 			SyncWaitByShard: b.stats.SyncWaitByShard,
 			BoundaryZNanos:  b.stats.BoundaryZNanos,
+
+			BoundaryVarsByShard: p.boundaryCounts(),
 		}
 	}
 	b.g, b.iters, b.phaseNanos = g, iters, phaseNanos
@@ -287,27 +298,31 @@ func (b *Backend) overlapActive() bool {
 	return b.Transport == admm.TransportSockets
 }
 
-// bindExchanger (re)builds the exchanger for a freshly planned graph.
-// The local barrier is graph-independent and persists; a messaged
-// exchanger embeds the graph's boundary manifest and is rebuilt (and
-// the old one closed) per plan.
+// bindExchanger (re)builds the exchanger and the mailbox for a freshly
+// planned graph. The local barrier is graph-independent and persists,
+// and the fused schedule gets a shared-memory mailbox laid out by the
+// plan's owners (the reference schedule shares M itself and has none);
+// a messaged exchanger embeds the graph's boundary manifest and its
+// mailbox and is rebuilt (and the old one closed) per plan.
 func (b *Backend) bindExchanger(g *graph.Graph, p *plan) {
 	switch b.Transport {
 	case "", admm.TransportLocal:
 		if b.localEx == nil {
 			b.localEx = exchange.NewLocal(b.shards)
 		}
-		b.ex = b.localEx
+		b.ex, b.mb = b.localEx, nil
+		if b.Fused {
+			b.mb = exchange.NewMailbox(g, exchange.NewManifestOwners(g, &p.part, b.shards, p.owner))
+		}
 	case admm.TransportSockets:
 		if old, ok := b.ex.(*exchange.Messaged); ok {
 			old.Close()
 		}
-		man := exchange.NewManifest(g, &p.part, b.shards)
-		lb := exchange.NewLoopback(g, man, b.Fused)
+		lb := exchange.NewLoopback(g, exchange.NewManifest(g, &p.part, b.shards), b.Fused)
 		if b.DeltaThreshold != nil {
 			lb.EnableDelta(*b.DeltaThreshold)
 		}
-		b.ex = lb
+		b.ex, b.mb = lb, lb.Mailbox()
 	default:
 		panic(fmt.Sprintf("shard: unknown transport %q", b.Transport))
 	}
@@ -341,9 +356,9 @@ func (b *Backend) worker(id int) {
 	for range b.cmd {
 		var tm workerTimings
 		if ov, ok := b.ex.(exchange.Overlapped); ok && b.overlapActive() {
-			runShardItersOverlap(b.g, &b.plan.local[id], ov, id, b.iters, &tm)
+			runShardItersOverlap(b.g, &b.plan.local[id], ov, b.mb, id, b.iters, &tm)
 		} else {
-			runShardIters(b.g, &b.plan.local[id], b.ex, id, b.iters, b.Fused, &tm)
+			runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, b.Fused, &tm)
 		}
 		b.stats.SyncWaitByShard[id] += tm.syncWait
 		if id == 0 {
@@ -383,8 +398,8 @@ func lap(t *time.Time, acc *int64) int64 {
 //	A (local):    x over owned functions, m over owned edges,
 //	              z over interior variables
 //	-- GatherM --    (all m-contributions for owned boundary variables
-//	                  are available: shared memory, or materialized
-//	                  into M from the wire)
+//	                  are in M: shared memory, or posted to the
+//	                  mailbox, framed, and copied into M on arrival)
 //	B (boundary): z for owned boundary variables, gathering m-blocks
 //	              in CSR order (bit-identical to serial)
 //	-- ScatterZ --   (all boundary z-blocks of this iteration are
@@ -398,15 +413,18 @@ func lap(t *time.Time, acc *int64) int64 {
 // with no shared boundary state need no mutual ordering at all).
 //
 // The fused schedule keeps the same two sync points but fuses phase
-// contents: phase A skips the m sweep and gathers m = x + u in
-// registers inside the interior z-update; phase B gathers remote x+u
-// (directly from shared memory, or via the exchanger's materialized
-// m-blocks — identical bits either way, see internal/exchange); phase C
-// merges the u- and n-sweeps. No phase between the sync points writes X
-// or U, so the fused reads see exactly the values the reference
-// m-blocks froze.
-func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, iters int, fused bool, tm *workerTimings) {
-	materialized := ex.Materialized()
+// contents: phase A skips the m sweep, gathers m = x + u in registers
+// inside the interior z-update, and posts x + u of the edges on
+// remotely-owned boundary variables to the owners' packed rows; phase B
+// combines from the worker's inbox and its own x + u (mb.Combine — the
+// same kernel on every transport, reading no other shard's X or U);
+// phase C merges the u- and n-sweeps. No phase between the post and
+// phase C writes X or U, so the posted blocks are exactly what the
+// reference m-blocks froze.
+//
+// mb is nil only on the reference schedule over shared memory, where M
+// is the mailbox.
+func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, fused bool, tm *workerTimings) {
 	ph := &tm.phaseNanos
 	t := time.Now()
 	for it := 0; it < iters; it++ {
@@ -427,14 +445,15 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 				admm.UpdateZRange(g, r.Lo, r.Hi)
 			}
 		}
+		if mb != nil {
+			mb.Post(id)
+		}
 		lap(&t, &ph[admm.PhaseZ])
 		ex.GatherM(id)
 		lap(&t, &tm.syncWait)
-		if fused && !materialized {
-			admm.UpdateZFusedVars(g, lp.boundary)
+		if fused {
+			mb.Combine(id)
 		} else {
-			// Reference gather over M — which a messaged exchanger has
-			// materialized with bit-identical blocks on either schedule.
 			admm.UpdateZVars(g, lp.boundary)
 		}
 		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
@@ -463,13 +482,12 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 // are on the wire while interior compute runs, and inbound frames are
 // awaited only where they are consumed. Per iteration:
 //
-//	x over frontier functions        (their edges feed outbound m-frames)
-//	-- BeginGatherM --               (m-frames depart; x+u is final for
+//	x over frontier functions        (their edges feed outbound rows)
+//	post, -- BeginGatherM --         (m-frames depart; x+u is final for
 //	                                  every sent edge)
 //	x over rest functions, fused interior z
-//	-- FinishGatherM --              (own diagonal materialized, peer
-//	                                  m-blocks ingested)
-//	z for owned boundary variables   (reference gather over M)
+//	-- FinishGatherM --              (peer rows decoded into the inbox)
+//	z for owned boundary variables   (mb.Combine)
 //	-- BeginScatterZ --              (owned z-frames depart)
 //	u/n over local-z edges           (their z never crosses the wire)
 //	-- FinishScatterZ --             (peer z ingested)
@@ -481,13 +499,14 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, id, ite
 // The accounting keeps its meaning: syncWait is now only the residual
 // blocking at the two Finish points, which is exactly the wire time the
 // overlap failed to hide.
-func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped, id, iters int, tm *workerTimings) {
+func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
 	ph := &tm.phaseNanos
 	t := time.Now()
 	for it := 0; it < iters; it++ {
 		for _, r := range lp.frontierFuncRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
+		mb.Post(id)
 		ex.BeginGatherM(id)
 		for _, r := range lp.restFuncRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
@@ -499,9 +518,7 @@ func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped,
 		lap(&t, &ph[admm.PhaseZ])
 		ex.FinishGatherM(id)
 		lap(&t, &tm.syncWait)
-		// Reference gather over M — the messaged exchanger materialized
-		// the complete row (peer frames plus own diagonal) in Finish.
-		admm.UpdateZVars(g, lp.boundary)
+		mb.Combine(id)
 		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
 		ex.BeginScatterZ(id)
 		t = time.Now()
@@ -521,11 +538,26 @@ func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped,
 var _ admm.Backend = (*Backend)(nil)
 
 // plan is the precomputed execution structure for one graph: the
-// partition plus each worker's local index sets.
+// partition, the shard combining each variable's z, and each worker's
+// local index sets.
 type plan struct {
-	g     *graph.Graph
-	part  graph.Partition
+	g    *graph.Graph
+	part graph.Partition
+	// owner maps variable -> combining shard: part.VarPart (majority)
+	// for a message transport, part.GatherOwners (even z-gather load)
+	// on shared memory. Interior variables read the same either way.
+	owner []int
 	local []localPlan
+}
+
+// boundaryCounts returns how many boundary variables each shard
+// combines.
+func (p *plan) boundaryCounts() []int {
+	n := make([]int, len(p.local))
+	for s := range p.local {
+		n[s] = len(p.local[s].boundary)
+	}
+	return n
 }
 
 // localPlan is one shard's work: contiguous runs of owned functions,
@@ -593,11 +625,15 @@ func (lp *localPlan) appendOwnedVars(dst []int) []int {
 	return dst
 }
 
-// newPlan partitions g (optionally FM-refining the split) and derives
-// per-shard index sets. Workers beyond the partition's effective part
-// count (tiny graphs) get empty plans and only participate in the
+// newPlan partitions g (optionally FM-refining the split), picks each
+// variable's combiner — sharedMemory selects the load-balanced owners,
+// which cost nothing where no byte is shipped; everything that frames
+// boundary state keeps the majority owners the manifest digest, the
+// cut-cost model and the wire are defined by — and derives per-shard
+// index sets. Workers beyond the partition's effective part count
+// (tiny graphs) get empty plans and only participate in the
 // per-iteration sync points.
-func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refine bool) (*plan, error) {
+func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refine, sharedMemory bool) (*plan, error) {
 	part, err := graph.NewPartition(g, shards, strategy)
 	if err != nil {
 		return nil, err
@@ -605,7 +641,11 @@ func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refin
 	if refine && strategy != graph.StrategyMincutFM {
 		part.Refine(g)
 	}
-	p := &plan{g: g, part: part, local: make([]localPlan, shards)}
+	owner := part.VarPart
+	if sharedMemory {
+		owner = part.GatherOwners(g)
+	}
+	p := &plan{g: g, part: part, owner: owner, local: make([]localPlan, shards)}
 	appendRun := func(runs []sched.Range, lo, hi int) []sched.Range {
 		if n := len(runs); n > 0 && runs[n-1].Hi == lo {
 			runs[n-1].Hi = hi
@@ -631,7 +671,7 @@ func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refin
 		frontier := false
 		for e := lo; e < hi; e++ {
 			v := g.EdgeVar(e)
-			remote := part.IsBoundary(v) && part.VarPart[v] != s
+			remote := part.IsBoundary(v) && owner[v] != s
 			if remote {
 				frontier = true
 				lp.remoteZEdgeRuns = appendRun(lp.remoteZEdgeRuns, e, e+1)
@@ -647,7 +687,7 @@ func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refin
 	}
 	for v := 0; v < g.NumVariables(); v++ {
 		if !part.IsBoundary(v) {
-			lp := &p.local[part.VarPart[v]]
+			lp := &p.local[owner[v]]
 			if n := len(lp.interiorRuns); n > 0 && lp.interiorRuns[n-1].Hi == v {
 				lp.interiorRuns[n-1].Hi = v + 1
 			} else {
@@ -656,7 +696,7 @@ func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refin
 		}
 	}
 	for _, v := range part.BoundaryVars {
-		lp := &p.local[part.VarPart[v]]
+		lp := &p.local[owner[v]]
 		lp.boundary = append(lp.boundary, v)
 	}
 	return p, nil

@@ -320,7 +320,7 @@ func buildSession(cfg wireConfig, opts WorkerOptions) (*graph.Graph, *plan, *exc
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	plan, err := newPlan(g, cfg.Shards, strategy, cfg.Refine)
+	plan, err := newPlan(g, cfg.Shards, strategy, cfg.Refine, false)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -683,9 +683,9 @@ func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, it
 	var tm workerTimings
 	run := func(n int) {
 		if overlap && fused {
-			runShardItersOverlap(g, lp, ex, id, n, &tm)
+			runShardItersOverlap(g, lp, ex, ex.Mailbox(), id, n, &tm)
 		} else {
-			runShardIters(g, lp, ex, id, n, fused, &tm)
+			runShardIters(g, lp, ex, ex.Mailbox(), id, n, fused, &tm)
 		}
 	}
 	if zprev != nil {

@@ -185,6 +185,67 @@ func TestBalancedPartitionOnWorkloads(t *testing.T) {
 	}
 }
 
+// TestGatherOwnersOnWorkloads pins the owner rule of the shared-memory
+// plan (graph.Partition.GatherOwners). On the benchmark's packing shape
+// at 2 shards the z-gather load — summed degree of the variables a
+// shard combines, interior included — is within 10 % of even where the
+// majority rule leaves one shard 1.4x the mean, and the boundary list
+// is handed out in at most one run per shard. A chain's or a star's
+// single cut point has nothing to balance and keeps its majority owner.
+func TestGatherOwnersOnWorkloads(t *testing.T) {
+	imbalance := func(loads []int) float64 {
+		max, total := 0, 0
+		for _, l := range loads {
+			total += l
+			if l > max {
+				max = l
+			}
+		}
+		return float64(max) * float64(len(loads)) / float64(total)
+	}
+	pk, err := packing.FromSpec(packing.Spec{N: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 2
+	p, err := graph.NewPartition(pk.Graph, shards, graph.StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := p.GatherOwners(pk.Graph)
+	if was := imbalance(p.GatherLoads(pk.Graph, p.VarPart)); was < 1.3 {
+		t.Errorf("packing: majority owners already at z-gather imbalance %.3f — nothing left to pin", was)
+	}
+	if got := imbalance(p.GatherLoads(pk.Graph, owner)); got > 1.10 {
+		t.Errorf("packing: z-gather imbalance %.3f > 1.10 (loads %v)", got, p.GatherLoads(pk.Graph, owner))
+	}
+	runs, prev := 0, -1
+	for _, v := range p.BoundaryVars {
+		if owner[v] != prev {
+			runs, prev = runs+1, owner[v]
+		}
+	}
+	if runs > shards {
+		t.Errorf("packing: %d owner runs over the boundary list, want <= %d", runs, shards)
+	}
+
+	for _, wname := range []string{"lasso", "mpc"} {
+		g := qualityWorkloads(t)[wname]
+		p, err := graph.NewPartition(g, shards, graph.StrategyBalanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.BoundaryVars) != 1 {
+			t.Fatalf("%s: boundary variables %v, want one", wname, p.BoundaryVars)
+		}
+		for v, o := range p.GatherOwners(g) {
+			if o != p.VarPart[v] {
+				t.Errorf("%s: variable %d combined by shard %d, majority owner is %d", wname, v, o, p.VarPart[v])
+			}
+		}
+	}
+}
+
 func mpcChain(tb testing.TB, k int) *graph.Graph {
 	tb.Helper()
 	p, err := mpc.FromSpec(mpc.Spec{K: k})
