@@ -44,12 +44,12 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 0, "solve-stage workers (0 = GOMAXPROCS)")
-	executor := flag.String("executor", "serial", "stream-level executor: serial | parallel-for | barrier | async | sharded | auto (per-record executor fields override)")
-	execWorkers := flag.Int("exec-workers", 0, "workers inside parallel-for/barrier executors (0 = executor default)")
+	executor := flag.String("executor", "serial", "stream-level executor: serial | parallel-for | async | sharded | auto (per-record executor fields override)")
+	execWorkers := flag.Int("exec-workers", 0, "workers inside the parallel-for executor (0 = executor default)")
 	shards := flag.Int("shards", 0, "shard count for -executor sharded (0 = executor default)")
 	partition := flag.String("partition", "", "sharded partition strategy: block | balanced | greedy-mincut | mincut+fm")
 	refine := flag.Bool("refine", false, "FM boundary-refinement pass on top of -partition")
-	fused := flag.Bool("fused", true, "fused two-pass schedule for the CPU executors")
+	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-executor serial only)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets")
 	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints, one per shard, for -transport sockets")
 	maxIter := flag.Int("max-iter", 1000, "default iteration budget for records without max_iter")

@@ -47,14 +47,13 @@ func main() {
 	problem := flag.String("problem", "packing", "packing | mpc | svm | lasso")
 	size := flag.Int("size", 10, "circles / horizon / data points / observations")
 	iters := flag.Int("iters", 2000, "ADMM iterations")
-	backendName := flag.String("backend", "serial", "serial | parallel | barrier | async | sharded | auto | gpu | cpusim | multicpu | twa")
-	workers := flag.Int("workers", 4, "workers for parallel/barrier/multicpu")
+	backendName := flag.String("backend", "serial", "serial | parallel | async | sharded | auto | gpu | cpusim | multicpu | twa")
+	workers := flag.Int("workers", 4, "workers for parallel/multicpu")
 	shards := flag.Int("shards", 4, "shard count for -backend sharded")
 	partition := flag.String("partition", "balanced", "sharded partition strategy: block | balanced | greedy-mincut | mincut+fm")
 	refine := flag.Bool("refine", false, "FM boundary-refinement pass on top of -partition (mincut+fm implies it)")
-	fused := flag.Bool("fused", true, "fused two-pass schedule for the CPU executors (false = five-phase reference)")
+	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
-	overlap := flag.Bool("overlap", false, "sockets transport: overlapped exchange — send boundary frames first, compute interior while they fly (requires -fused; bit-identical to the sync schedule)")
 	deltaThreshold := flag.Float64("delta-threshold", -1, "sockets transport: delta-encode boundary frames, shipping only d-blocks whose change exceeds this threshold (0 = exact/bit-identical, negative = dense frames)")
 	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	dialTimeout := flag.Duration("dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
@@ -93,7 +92,6 @@ func main() {
 		refine:           *refine,
 		fused:            *fused,
 		transport:        *transport,
-		overlap:          *overlap,
 		addrs:            workerAddrs,
 		dialTimeout:      *dialTimeout,
 		handshakeTimeout: *handshakeTimeout,
@@ -156,9 +154,8 @@ type backendConfig struct {
 	fused     bool
 	transport string
 	addrs     []string
-	// Wire-hiding knobs for the sockets transport: overlapped exchange
-	// and delta-encoded boundary frames (nil = dense).
-	overlap        bool
+	// deltaThreshold delta-encodes the sockets transport's boundary
+	// frames (nil = dense).
 	deltaThreshold *float64
 	// Reliability knobs for the sockets transport (-dial-timeout etc.);
 	// zero values keep the shard package defaults.
@@ -209,7 +206,6 @@ func specFor(c backendConfig, ref *admm.ProblemRef) (*admm.ExecutorSpec, error) 
 	spec.Transport = c.transport
 	spec.Addrs = c.addrs
 	spec.Fused = &c.fused
-	spec.Overlap = c.overlap
 	spec.DeltaThreshold = c.deltaThreshold
 	spec.DialTimeoutMS = int(c.dialTimeout / time.Millisecond)
 	spec.HandshakeTimeoutMS = int(c.handshakeTimeout / time.Millisecond)

@@ -3,16 +3,21 @@
 //
 //	f(w) = f1(w1,w2,w3) + f2(w1,w4,w5) + f3(w2,w5) + f4(w5)
 //
-// through the core API and solve it on every backend. Each fi pulls its
-// variables toward a target point; the consensus minimizer is computable
-// by hand, so the output doubles as a correctness demonstration.
+// with graph.AddNode and solve it on a serial, a fork-join and a
+// simulated-GPU backend. The two tasks a user performs are exactly the
+// paper's — specify the topology, provide serial code for each proximal
+// operator — and no parallel code. Each fi pulls its variables toward a
+// target point; the consensus minimizer is computable by hand, so the
+// output doubles as a correctness demonstration.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/admm"
+	"repro/internal/gpusim"
+	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/prox"
 )
@@ -29,42 +34,62 @@ func main() {
 		return q
 	}
 
-	for _, backend := range []core.Backend{core.Serial, core.Parallel, core.GPU} {
-		e := core.New(dims)
+	build := func() *graph.Graph {
+		g := graph.New(dims)
 		// The paper's addNode calls, 0-indexed. Each fi is separable
 		// across its variables, so it is expressed as one single-edge
 		// quadratic node per variable it touches — same topology, same
 		// objective, trivially-verifiable solution.
-		e.AddNode(quad(1), 0) // f1 pulls w1 toward 1
-		e.AddNode(quad(1), 1) // f1 pulls w2 toward 1
-		e.AddNode(quad(1), 2) // f1 pulls w3 toward 1
-		e.AddNode(quad(3), 0) // f2 pulls w1 toward 3
-		e.AddNode(quad(3), 3) // f2 pulls w4 toward 3
-		e.AddNode(quad(3), 4) // f2 pulls w5 toward 3
-		e.AddNode(quad(5), 1) // f3 pulls w2 toward 5
-		e.AddNode(quad(5), 4) // f3 pulls w5 toward 5
-		e.AddNode(quad(9), 4) // f4 pulls w5 toward 9
-		if err := e.Finalize(); err != nil {
+		g.AddNode(quad(1), 0) // f1 pulls w1 toward 1
+		g.AddNode(quad(1), 1) // f1 pulls w2 toward 1
+		g.AddNode(quad(1), 2) // f1 pulls w3 toward 1
+		g.AddNode(quad(3), 0) // f2 pulls w1 toward 3
+		g.AddNode(quad(3), 3) // f2 pulls w4 toward 3
+		g.AddNode(quad(3), 4) // f2 pulls w5 toward 3
+		g.AddNode(quad(5), 1) // f3 pulls w2 toward 5
+		g.AddNode(quad(5), 4) // f3 pulls w5 toward 5
+		g.AddNode(quad(9), 4) // f4 pulls w5 toward 9
+		if err := g.Finalize(); err != nil {
 			log.Fatal(err)
 		}
-		e.SetParams(1.0, 1.0) // initialize_RHOS_ALPHAS
-		e.InitZero()
+		g.SetUniformParams(1.0, 1.0) // initialize_RHOS_ALPHAS
+		g.InitZero()
+		return g
+	}
 
-		res, err := e.Solve(core.SolveOptions{
-			MaxIter: 2000, Backend: backend, Workers: 2,
-			AbsTol: 1e-10, RelTol: 1e-10,
-		})
+	// The executor is a declarative admm.ExecutorSpec — or, for the
+	// simulated devices that sit outside the spec registry, a Backend
+	// handed to admm.Run (reported times are simulated, iterates exact).
+	const maxIter, tol = 2000, 1e-10
+	backends := []struct {
+		name    string
+		spec    admm.ExecutorSpec
+		backend admm.Backend
+	}{
+		{name: "serial"},
+		{name: "parallel", spec: admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 2}},
+		{name: "gpu", backend: gpusim.NewBackend(nil)},
+	}
+	for _, b := range backends {
+		g := build()
+		var res admm.Result
+		var err error
+		if b.backend != nil {
+			res, err = admm.Run(g, admm.Options{Backend: b.backend, MaxIter: maxIter, AbsTol: tol, RelTol: tol})
+		} else {
+			res, err = admm.Solve(g, admm.SolveOptions{Executor: b.spec, MaxIter: maxIter, AbsTol: tol, RelTol: tol})
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// Analytic minimizers: w1 = mean(1,3) = 2, w2 = mean(1,5) = 3,
 		// w3 = 1, w4 = 3, w5 = mean(3,5,9) = 17/3.
-		fmt.Printf("backend=%-8s converged=%v iters=%d\n", backend, res.Converged, res.Iterations)
+		fmt.Printf("backend=%-8s converged=%v iters=%d\n", b.name, res.Converged, res.Iterations)
 		want := []float64{2, 3, 1, 3, 17.0 / 3}
-		for b, w := range want {
-			got := e.Solution(b)[0]
-			fmt.Printf("  w%d = %8.5f (exact %8.5f)\n", b+1, got, w)
+		for v, w := range want {
+			got := g.ReadSolution(v, nil)[0]
+			fmt.Printf("  w%d = %8.5f (exact %8.5f)\n", v+1, got, w)
 		}
 	}
 }

@@ -1,6 +1,6 @@
-// Cross-module integration tests: full pipelines through the public
-// facade, device-image round trips mid-solve, and backend equivalence on
-// the real application domains.
+// Cross-module integration tests: full domain pipelines through
+// admm.Run, device-image round trips mid-solve, and backend equivalence
+// on the real application domains.
 package repro_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/admm"
-	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/graph"
 	"repro/internal/lasso"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/svm"
 )
 
-// TestPackingEndToEndOnGPU runs the packing domain through the core
-// facade on the simulated GPU and validates the geometry.
+// TestPackingEndToEndOnGPU runs the packing domain on the simulated GPU
+// and validates the geometry.
 func TestPackingEndToEndOnGPU(t *testing.T) {
 	p, err := packing.Build(packing.Config{N: 4})
 	if err != nil {
@@ -110,8 +109,8 @@ func TestBackendsAgreeOnMPC(t *testing.T) {
 	}
 }
 
-// TestFacadeSolvesLasso runs the lasso domain through core.Engine built
-// from its graph, exercising Solve option plumbing end to end.
+// TestFacadeSolvesLasso runs the lasso domain end to end through
+// admm.Run's default backend and stopping criterion.
 func TestFacadeSolvesLasso(t *testing.T) {
 	inst := lasso.Synthetic(40, 8, 2, 0.02, rand.New(rand.NewSource(9)))
 	p, err := lasso.Build(lasso.Config{Inst: inst, Blocks: 4, Lambda: 0.3})
@@ -126,32 +125,6 @@ func TestFacadeSolvesLasso(t *testing.T) {
 	if gap := p.OptimalityGap(p.Coefficients()); gap > 1e-3 {
 		t.Fatalf("optimality gap %g", gap)
 	}
-}
-
-// TestCoreFacadeAllDomainsSmoke builds a tiny instance of each domain
-// and solves via the facade's default backend.
-func TestCoreFacadeAllDomainsSmoke(t *testing.T) {
-	e := core.New(1)
-	e.AddNode(identityOp{}, 0)
-	e.AddNode(identityOp{}, 0)
-	if err := e.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	e.SetParams(1, 1)
-	e.InitRandom(-1, 1, 1)
-	if _, err := e.Solve(core.SolveOptions{MaxIter: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Edges != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-type identityOp struct{}
-
-func (identityOp) Eval(x, n, rho []float64, d int) { copy(x, n) }
-func (identityOp) Work(deg, d int) graph.Work {
-	return graph.Work{MemWords: float64(2 * deg * d)}
 }
 
 // TestSimulatedSpeedupBandsAcrossDomains pins the headline reproduction

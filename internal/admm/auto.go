@@ -12,7 +12,7 @@ import (
 // executor menu. The policy:
 //
 //   - one usable core: parallel executors only add synchronization, so
-//     everything resolves to serial (fused);
+//     everything resolves to serial;
 //   - small graphs: a sharded solve pays two barriers per iteration,
 //     which dominates below ~AutoShardMinEdges edges (sharded-N
 //     trailed serial on every small graph it was swept on). Small
@@ -35,8 +35,8 @@ import (
 //     single core: those graphs resolve to parallel-for instead of
 //     serial (ROADMAP: auto previously never picked fork-join).
 //
-// Fused stays on in every branch unless the caller explicitly disabled
-// it (the resolved spec inherits the Fused field).
+// Every branch resolves to the fused schedule; Validate rejects
+// fused: false on an auto spec (the reference schedule is serial's).
 const (
 	// AutoShardMinEdges is the smallest edge count for which a sharded
 	// solve can amortize its per-iteration barrier crossings.
@@ -89,7 +89,7 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 	if s.Kind != ExecAuto {
 		return s
 	}
-	out := ExecutorSpec{Kind: ExecSerial, Fused: s.Fused}
+	out := ExecutorSpec{Kind: ExecSerial}
 	if procs <= 1 {
 		return out
 	}
@@ -99,7 +99,7 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 		if workers > MaxWorkers {
 			workers = MaxWorkers
 		}
-		return ExecutorSpec{Kind: ExecParallelFor, Workers: workers, Fused: s.Fused}
+		return ExecutorSpec{Kind: ExecParallelFor, Workers: workers}
 	}
 	if st.Edges < AutoShardMinEdges {
 		// Too small to shard; dense enough to fork-join?

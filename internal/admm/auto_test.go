@@ -184,14 +184,24 @@ func TestResolveAutoLargeSparse(t *testing.T) {
 	}
 }
 
-// TestResolveAutoFusedOptOut: an explicit fused=false survives
-// resolution into the concrete spec.
+// TestResolveAutoFusedOptOut: auto has no opt-out of the fused schedule.
+// fused=false on an auto spec is refused up front, and resolution never
+// carries the field into the concrete spec — whose kind may be one that
+// Validate would reject it on.
 func TestResolveAutoFusedOptOut(t *testing.T) {
 	off := false
 	g := autoChainGraph(t, AutoShardMinEdges)
-	got := ExecutorSpec{Kind: ExecAuto, Fused: &off}.resolveAuto(g, 8, true)
-	if got.FusedEnabled() {
-		t.Fatal("explicit fused=false dropped during auto resolution")
+	spec := ExecutorSpec{Kind: ExecAuto, Fused: &off}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("auto with fused=false validated")
+	}
+	if _, err := spec.NewBackend(g); err == nil {
+		t.Fatal("auto with fused=false built a backend")
+	}
+	for _, procs := range []int{1, 8} {
+		if got := spec.resolveAuto(g, procs, true); got.Fused != nil {
+			t.Fatalf("procs=%d: resolved spec %+v inherited fused", procs, got)
+		}
 	}
 }
 
@@ -220,7 +230,7 @@ func TestResolveAutoUnlinkedSharded(t *testing.T) {
 // TestResolveAutoPassThrough: non-auto specs are returned unchanged.
 func TestResolveAutoPassThrough(t *testing.T) {
 	g := autoChainGraph(t, 10)
-	in := ExecutorSpec{Kind: ExecBarrier, Workers: 7}
+	in := ExecutorSpec{Kind: ExecParallelFor, Workers: 7}
 	if got := in.resolveAuto(g, 8, true); !reflect.DeepEqual(got, in) {
 		t.Fatalf("non-auto spec mutated: %+v", got)
 	}

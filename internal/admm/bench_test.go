@@ -51,14 +51,7 @@ func benchmarkIterate(b *testing.B, backend Backend) {
 func BenchmarkIterateSerial(b *testing.B)      { benchmarkIterate(b, NewSerial()) }
 func BenchmarkIterateSerialFused(b *testing.B) { benchmarkIterate(b, NewSerialFused()) }
 func BenchmarkIterateParallelFor(b *testing.B) { benchmarkIterate(b, NewParallelFor(4)) }
-func BenchmarkIterateBarrier(b *testing.B)     { benchmarkIterate(b, NewBarrier(4)) }
 func BenchmarkIterateAsync(b *testing.B)       { benchmarkIterate(b, NewAsync(1)) }
-
-func BenchmarkIterateBarrierFused(b *testing.B) {
-	be := NewBarrier(4)
-	be.Fused = true
-	benchmarkIterate(b, be)
-}
 
 // benchmarkStreamingPass times just the post-x streaming work (the
 // memory-bound phases the fused schedule collapses), isolating the

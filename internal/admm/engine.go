@@ -21,18 +21,19 @@
 // provides a fused two-pass schedule (fused.go): the x-update prox pass,
 // a z gather that forms m = x + u in registers, and one edge sweep that
 // merges the u- and n-updates. The fused path is bit-identical to the
-// five-phase reference and is the default for the CPU executors selected
-// through ExecutorSpec; the five-loop form remains the reference and the
+// five-phase reference and is what every executor but the serial oracle
+// runs; the five-loop form remains the reference (NewSerial) and the
 // shape the GPU simulator's launch model reasons about.
 //
 // The package provides several executors over identical kernels: Serial
-// (the paper's optimized single-core C baseline), ParallelFor (the
-// paper's first, faster OpenMP strategy: fork-join loops per iteration),
-// BarrierWorkers (the second strategy: persistent workers with barriers
-// — five per iteration on the reference path, three fused), and Async (a
-// randomized-activation asynchronous variant from the paper's
-// future-work list). The GPU path lives in internal/gpusim and reuses
-// these kernels.
+// (the paper's optimized single-core C baseline, on either schedule —
+// its five-phase form is the oracle everything else is compared
+// against), ParallelFor (the paper's first, faster OpenMP strategy:
+// fork-join loops per iteration), and Async (a randomized-activation
+// asynchronous variant from the paper's future-work list). The paper's
+// second strategy, persistent workers with barriers, is the sharded
+// executor in internal/shard; the GPU path lives in internal/gpusim.
+// Both reuse these kernels.
 package admm
 
 import (
@@ -44,7 +45,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/linalg"
-	"repro/internal/sched"
 )
 
 // Phase identifies one of the five update kinds of Algorithm 2.
@@ -127,14 +127,6 @@ func UpdateZRange(g *graph.Graph, lo, hi int) {
 		for i := range z {
 			z[i] *= inv
 		}
-	}
-}
-
-// UpdateZVars computes the z-update for an explicit list of variable
-// nodes (used by the degree-balanced scheduler).
-func UpdateZVars(g *graph.Graph, vars []int) {
-	for _, b := range vars {
-		UpdateZRange(g, b, b+1)
 	}
 }
 
@@ -512,6 +504,3 @@ func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases
 }
 
 var _ Backend = serialBackend{}
-
-// sanity: ensure sched is linked (executors.go uses it heavily).
-var _ = sched.Range{}

@@ -146,7 +146,6 @@ func TestBackendsProduceIdenticalIterates(t *testing.T) {
 	backends := []mk{
 		{"parallel-for-4", NewParallelFor(4)},
 		{"parallel-for-dynamic", &ParallelForBackend{Workers: 3, Dynamic: true}},
-		{"barrier-4", NewBarrier(4)},
 		{"reference", NewReference()},
 	}
 	pf := NewParallelFor(4)
@@ -216,22 +215,6 @@ func TestParallelForWorkerSweep(t *testing.T) {
 			t.Fatalf("workers=%d: Z differs by %g", w, d)
 		}
 	}
-}
-
-func TestBarrierBackendReuseAndClose(t *testing.T) {
-	b := NewBarrier(3)
-	g := mixedGraph(t, 5, 8, 20, 1)
-	var ns [NumPhases]int64
-	b.Iterate(g, 3, &ns)
-	b.Iterate(g, 3, &ns) // reuse after first batch
-	b.Close()
-	b.Close() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on Iterate after Close")
-		}
-	}()
-	b.Iterate(g, 1, &ns)
 }
 
 func TestResidualsDecreaseOnConvexProblem(t *testing.T) {
@@ -428,22 +411,9 @@ func TestBackendNames(t *testing.T) {
 	if pf.Name() != "parallel-for(2,dynamic)" {
 		t.Error("dynamic name")
 	}
-	if NewBarrier(2).Name() != "barrier-workers(2)" {
-		t.Error("barrier name")
-	}
 	if NewSerialFused().Name() != "serial-fused" {
 		t.Error("serial-fused name")
 	}
-	pff := &ParallelForBackend{Workers: 3, Fused: true}
-	if pff.Name() != "parallel-for(3,fused)" {
-		t.Error("parallel-for fused name")
-	}
-	bf := NewBarrier(2)
-	bf.Fused = true
-	if bf.Name() != "barrier-workers(2,fused)" {
-		t.Error("barrier fused name")
-	}
-	bf.Close()
 	if NewAsync(1).Name() != "async-random-activation" {
 		t.Error("async name")
 	}

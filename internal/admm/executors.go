@@ -9,8 +9,13 @@ import (
 )
 
 // ParallelForBackend is the paper's first (and measured-faster) OpenMP
-// strategy: each iteration runs five fork-join parallel loops, one per
-// update kind. Workers is the core count (the paper sweeps 1..32).
+// strategy: each iteration runs fork-join parallel loops — three on the
+// fused schedule (x, z with the m message formed inside the gather, and
+// one merged u/n edge sweep) where the paper's five-loop form has one
+// per update kind; the iterates are the same bit for bit. Workers is
+// the core count (the paper sweeps 1..32). The paper's second strategy,
+// persistent workers separated by barriers, is the sharded executor
+// over the shared-memory transport (internal/shard).
 //
 // ZGrouping selects how z-update tasks map to workers: contiguous static
 // chunks (the paper's current implementation, whose weakness on skewed
@@ -21,10 +26,6 @@ type ParallelForBackend struct {
 	// Dynamic enables self-scheduled (guided) loops instead of static
 	// chunks for the x- and z-updates, which have non-uniform task costs.
 	Dynamic bool
-	// Fused selects the two-pass fused schedule: three fork-join loops
-	// per iteration (x, fused z, fused u/n) instead of five, with the
-	// same iterates bit-for-bit.
-	Fused bool
 	// ZGrouping: nil means contiguous chunking; otherwise a precomputed
 	// degree-balanced partition from PrepareBalancedZ.
 	zGroups [][]int
@@ -59,9 +60,6 @@ func (b *ParallelForBackend) Name() string {
 	case b.Dynamic:
 		opts = ",dynamic"
 	}
-	if b.Fused {
-		opts += ",fused"
-	}
 	return fmt.Sprintf("parallel-for(%d%s)", b.Workers, opts)
 }
 
@@ -80,224 +78,28 @@ func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[Num
 			sched.DynamicFor(w, n, 0, fn)
 		}
 	}
-	if b.Fused {
-		// Fused schedule: three fork-join loops per iteration. The m
-		// message forms inside the z gather and u/n merge into one edge
-		// sweep, so two join points (and two array traversals) vanish.
-		for it := 0; it < iters; it++ {
-			t := time.Now()
-			heavyLoop(g.NumFunctions(), func(lo, hi int) { UpdateXRange(g, lo, hi) })
-			phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
-
-			t = time.Now()
-			switch {
-			case b.zGroups != nil:
-				sched.ParallelFor(len(b.zGroups), len(b.zGroups), func(lo, hi int) {
-					for gi := lo; gi < hi; gi++ {
-						UpdateZFusedVars(g, b.zGroups[gi])
-					}
-				})
-			default:
-				heavyLoop(g.NumVariables(), func(lo, hi int) { UpdateZFusedRange(g, lo, hi) })
-			}
-			phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
-
-			t = time.Now()
-			loop(g.NumEdges(), func(lo, hi int) { UpdateUNRange(g, lo, hi) })
-			phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
-		}
-		return
-	}
 	for it := 0; it < iters; it++ {
 		t := time.Now()
 		heavyLoop(g.NumFunctions(), func(lo, hi int) { UpdateXRange(g, lo, hi) })
 		phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
 
 		t = time.Now()
-		loop(g.NumEdges(), func(lo, hi int) { UpdateMRange(g, lo, hi) })
-		phaseNanos[PhaseM] += time.Since(t).Nanoseconds()
-
-		t = time.Now()
 		switch {
 		case b.zGroups != nil:
 			sched.ParallelFor(len(b.zGroups), len(b.zGroups), func(lo, hi int) {
 				for gi := lo; gi < hi; gi++ {
-					UpdateZVars(g, b.zGroups[gi])
+					UpdateZFusedVars(g, b.zGroups[gi])
 				}
 			})
 		default:
-			heavyLoop(g.NumVariables(), func(lo, hi int) { UpdateZRange(g, lo, hi) })
+			heavyLoop(g.NumVariables(), func(lo, hi int) { UpdateZFusedRange(g, lo, hi) })
 		}
 		phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
 
 		t = time.Now()
-		loop(g.NumEdges(), func(lo, hi int) { UpdateURange(g, lo, hi) })
+		loop(g.NumEdges(), func(lo, hi int) { UpdateUNRange(g, lo, hi) })
 		phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
-
-		t = time.Now()
-		loop(g.NumEdges(), func(lo, hi int) { UpdateNRange(g, lo, hi) })
-		phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
 	}
 }
 
 var _ Backend = (*ParallelForBackend)(nil)
-
-// BarrierBackend is the paper's second OpenMP strategy: persistent
-// workers created once, each processing its static share of every update
-// kind across iterations, separated by barriers. The paper found this
-// slower than fork-join loops in all three problems; the backend exists
-// to reproduce that ablation.
-type BarrierBackend struct {
-	workers int
-	cmd     chan barrierCmd
-	done    chan struct{}
-	barrier *sched.Barrier
-	closed  bool
-
-	// Fused selects the two-pass schedule: three barriers per iteration
-	// (after x, after fused z, after fused u/n) instead of five. Set it
-	// before the first Iterate; workers observe it through the same
-	// channel handshake that publishes the graph.
-	Fused bool
-
-	g     *graph.Graph
-	iters int
-	// phase boundary timestamps recorded by worker 0
-	phaseNanos *[NumPhases]int64
-}
-
-type barrierCmd struct{}
-
-// NewBarrier returns a persistent-worker backend.
-func NewBarrier(workers int) *BarrierBackend {
-	if workers <= 0 {
-		panic(fmt.Sprintf("admm: workers = %d, need > 0", workers))
-	}
-	b := &BarrierBackend{
-		workers: workers,
-		cmd:     make(chan barrierCmd),
-		done:    make(chan struct{}),
-		barrier: sched.NewBarrier(workers),
-	}
-	for p := 0; p < workers; p++ {
-		go b.worker(p)
-	}
-	return b
-}
-
-// Name implements Backend.
-func (b *BarrierBackend) Name() string {
-	if b.Fused {
-		return fmt.Sprintf("barrier-workers(%d,fused)", b.workers)
-	}
-	return fmt.Sprintf("barrier-workers(%d)", b.workers)
-}
-
-// Iterate implements Backend.
-func (b *BarrierBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
-	if b.closed {
-		panic("admm: Iterate on closed BarrierBackend")
-	}
-	b.g, b.iters, b.phaseNanos = g, iters, phaseNanos
-	for p := 0; p < b.workers; p++ {
-		b.cmd <- barrierCmd{}
-	}
-	for p := 0; p < b.workers; p++ {
-		<-b.done
-	}
-}
-
-// Close implements Backend: terminates the workers.
-func (b *BarrierBackend) Close() {
-	if b.closed {
-		return
-	}
-	b.closed = true
-	close(b.cmd)
-}
-
-func (b *BarrierBackend) worker(id int) {
-	// Static shares are a pure function of the graph shape; caching them
-	// across Iterate calls keeps the steady-state loop allocation-free.
-	var chunkedFor *graph.Graph
-	var fr, er, vr sched.Range
-	for range b.cmd {
-		g, iters := b.g, b.iters
-		if g != chunkedFor {
-			fr = sched.Chunks(g.NumFunctions(), b.workers)[id]
-			er = sched.Chunks(g.NumEdges(), b.workers)[id]
-			vr = sched.Chunks(g.NumVariables(), b.workers)[id]
-			chunkedFor = g
-		}
-		lead := id == 0
-		var t time.Time
-		if b.Fused {
-			// Fused schedule: 3 barriers per iteration. The x barrier
-			// publishes X for the fused z gather (which also reads the
-			// previous sweep's U); the z barrier publishes Z for the
-			// fused u/n sweep; the u/n barrier publishes N (and U) for
-			// the next iteration's x-update.
-			for it := 0; it < iters; it++ {
-				if lead {
-					t = time.Now()
-				}
-				UpdateXRange(g, fr.Lo, fr.Hi)
-				b.barrier.Await()
-				if lead {
-					b.phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
-					t = time.Now()
-				}
-				UpdateZFusedRange(g, vr.Lo, vr.Hi)
-				b.barrier.Await()
-				if lead {
-					b.phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
-					t = time.Now()
-				}
-				UpdateUNRange(g, er.Lo, er.Hi)
-				b.barrier.Await()
-				if lead {
-					b.phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
-				}
-			}
-			b.done <- struct{}{}
-			continue
-		}
-		for it := 0; it < iters; it++ {
-			if lead {
-				t = time.Now()
-			}
-			UpdateXRange(g, fr.Lo, fr.Hi)
-			b.barrier.Await()
-			if lead {
-				b.phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
-				t = time.Now()
-			}
-			UpdateMRange(g, er.Lo, er.Hi)
-			b.barrier.Await()
-			if lead {
-				b.phaseNanos[PhaseM] += time.Since(t).Nanoseconds()
-				t = time.Now()
-			}
-			UpdateZRange(g, vr.Lo, vr.Hi)
-			b.barrier.Await()
-			if lead {
-				b.phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
-				t = time.Now()
-			}
-			UpdateURange(g, er.Lo, er.Hi)
-			b.barrier.Await()
-			if lead {
-				b.phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
-				t = time.Now()
-			}
-			UpdateNRange(g, er.Lo, er.Hi)
-			b.barrier.Await()
-			if lead {
-				b.phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
-			}
-		}
-		b.done <- struct{}{}
-	}
-}
-
-var _ Backend = (*BarrierBackend)(nil)

@@ -13,7 +13,7 @@ import (
 // zero value selects the serial baseline.
 type ExecutorKind string
 
-// The five shared-memory executors. Simulated-device backends (GPU,
+// The shared-memory executors. Simulated-device backends (GPU,
 // multi-CPU cost models) live in internal/gpusim and are plugged in via
 // Options.Backend instead. The sharded executor's implementation lives
 // in internal/shard and registers itself via RegisterExecutor; importing
@@ -21,13 +21,12 @@ type ExecutorKind string
 const (
 	ExecSerial      ExecutorKind = "serial"
 	ExecParallelFor ExecutorKind = "parallel-for"
-	ExecBarrier     ExecutorKind = "barrier"
 	ExecAsync       ExecutorKind = "async"
 	ExecSharded     ExecutorKind = "sharded"
 	// ExecAuto defers the choice to ResolveAuto: the spec is resolved
 	// against the finalized graph's Stats (size/density thresholds and
-	// predicted cut cost) into serial, parallel-for, or sharded, fused
-	// on. See auto.go.
+	// predicted cut cost) into serial, parallel-for, or sharded. See
+	// auto.go.
 	ExecAuto ExecutorKind = "auto"
 )
 
@@ -37,8 +36,8 @@ const (
 // Solve instead of wiring backend constructors by hand.
 type ExecutorSpec struct {
 	Kind ExecutorKind `json:"kind"`
-	// Workers is the core count for parallel-for and barrier executors
-	// (default 4; ignored by serial and async).
+	// Workers is the core count for the parallel-for executor (default
+	// 4; ignored by serial and async).
 	Workers int `json:"workers,omitempty"`
 	// Dynamic enables self-scheduled loops for the non-uniform x- and
 	// z-updates (parallel-for only).
@@ -63,12 +62,12 @@ type ExecutorSpec struct {
 	// "balanced" with Refine keeps the geometric split but lets
 	// boundary swaps shave the degree-weighted cut cost.
 	Refine bool `json:"refine,omitempty"`
-	// Fused selects the two-pass fused iteration schedule (see
-	// internal/admm fused.go). nil means the executor's default — ON for
-	// every CPU executor (serial, parallel-for, barrier, sharded), since
-	// fused iterates are bit-identical and strictly cheaper; an explicit
-	// false forces the five-phase reference schedule. The async executor
-	// has no phase structure to fuse and ignores the knob.
+	// Fused, set to false, selects the five-phase reference schedule —
+	// the oracle every conformance pin and the benchmark compare
+	// against — and is valid for kind serial only: every other executor
+	// runs the fused two-pass schedule (fused.go; bit-identical
+	// iterates, strictly cheaper) and nothing else. nil and true mean
+	// that one schedule.
 	Fused *bool `json:"fused,omitempty"`
 	// Transport selects how the sharded executor's boundary exchange is
 	// carried (sharded only): "" or "local" for in-process shared
@@ -79,11 +78,10 @@ type ExecutorSpec struct {
 	// or "tcp:host:port"). Empty keeps the sockets transport in-process
 	// over loopback streams.
 	Addrs []string `json:"addrs,omitempty"`
-	// Overlap runs the sockets transport's overlapped fused schedule:
-	// boundary frames depart before interior compute and are awaited
-	// only where consumed, hiding link latency without changing a
-	// single arithmetic result (sharded sockets only; requires the
-	// fused schedule).
+	// Overlap is accepted and selects nothing: the sockets transport
+	// always sends boundary frames before interior compute and awaits
+	// them only where consumed. The field stays so specs written when
+	// that was an option still decode.
 	Overlap bool `json:"overlap,omitempty"`
 	// DeltaThreshold, when non-nil, delta-encodes the sockets
 	// transport's steady-state boundary frames: only d-blocks whose
@@ -157,7 +155,7 @@ const (
 const MaxDialAttempts = 16
 
 // FusedEnabled reports whether the spec selects the fused schedule:
-// true unless Fused explicitly disables it.
+// true unless Fused explicitly disables it (kind serial only).
 func (s ExecutorSpec) FusedEnabled() bool { return s.Fused == nil || *s.Fused }
 
 // Boundary-exchange transports for the sharded executor
@@ -187,8 +185,8 @@ type ProblemRef struct {
 }
 
 // ParseExecutor resolves a user-facing executor name ("serial",
-// "parallel-for" or "parallel", "barrier", "async", "sharded", "auto")
-// and worker count into a spec.
+// "parallel-for" or "parallel", "async", "sharded", "auto") and worker
+// count into a spec.
 func ParseExecutor(name string, workers int) (ExecutorSpec, error) {
 	s := ExecutorSpec{Workers: workers}
 	switch strings.ToLower(strings.TrimSpace(name)) {
@@ -196,8 +194,6 @@ func ParseExecutor(name string, workers int) (ExecutorSpec, error) {
 		s.Kind = ExecSerial
 	case string(ExecParallelFor), "parallel":
 		s.Kind = ExecParallelFor
-	case string(ExecBarrier), "barrier-workers":
-		s.Kind = ExecBarrier
 	case string(ExecAsync):
 		s.Kind = ExecAsync
 	case string(ExecSharded):
@@ -205,14 +201,14 @@ func ParseExecutor(name string, workers int) (ExecutorSpec, error) {
 	case string(ExecAuto):
 		s.Kind = ExecAuto
 	default:
-		return s, fmt.Errorf("admm: unknown executor %q (want serial | parallel-for | barrier | async | sharded | auto)", name)
+		return s, fmt.Errorf("admm: unknown executor %q (want serial | parallel-for | async | sharded | auto)", name)
 	}
 	return s, nil
 }
 
-// MaxWorkers bounds ExecutorSpec.Workers. The barrier executor starts
-// one goroutine per worker up front, so an unbounded count would let a
-// single serving-layer request exhaust memory.
+// MaxWorkers bounds ExecutorSpec.Workers. The parallel-for executor
+// spawns one goroutine per worker per loop, so an unbounded count would
+// let a single serving-layer request exhaust memory.
 const MaxWorkers = 1024
 
 // MaxShards bounds ExecutorSpec.Shards more tightly than MaxWorkers:
@@ -243,9 +239,12 @@ func RegisterExecutor(kind ExecutorKind, f ExecutorFactory) {
 // backend.
 func (s ExecutorSpec) Validate() error {
 	switch s.Kind {
-	case "", ExecSerial, ExecParallelFor, ExecBarrier, ExecAsync, ExecSharded, ExecAuto:
+	case "", ExecSerial, ExecParallelFor, ExecAsync, ExecSharded, ExecAuto:
 	default:
 		return fmt.Errorf("admm: unknown executor kind %q", s.Kind)
+	}
+	if !s.FusedEnabled() && s.Kind != "" && s.Kind != ExecSerial {
+		return fmt.Errorf("admm: fused: false (the five-phase reference schedule) applies only to %q, not %q", ExecSerial, s.Kind)
 	}
 	if s.Workers < 0 || s.Workers > MaxWorkers {
 		return fmt.Errorf("admm: workers = %d, need 0..%d", s.Workers, MaxWorkers)
@@ -270,13 +269,8 @@ func (s ExecutorSpec) Validate() error {
 	default:
 		return fmt.Errorf("admm: unknown transport %q (want %s | %s)", s.Transport, TransportLocal, TransportSockets)
 	}
-	if s.Overlap || s.DeltaThreshold != nil {
-		if s.Kind != ExecSharded || s.Transport != TransportSockets {
-			return fmt.Errorf("admm: overlap/delta_threshold apply only to the %q sockets transport", ExecSharded)
-		}
-	}
-	if s.Overlap && !s.FusedEnabled() {
-		return fmt.Errorf("admm: overlap requires the fused schedule (fused: false set)")
+	if s.DeltaThreshold != nil && (s.Kind != ExecSharded || s.Transport != TransportSockets) {
+		return fmt.Errorf("admm: delta_threshold applies only to the %q sockets transport", ExecSharded)
 	}
 	if s.DeltaThreshold != nil && (*s.DeltaThreshold < 0 || *s.DeltaThreshold != *s.DeltaThreshold) {
 		return fmt.Errorf("admm: delta_threshold = %v, need >= 0", *s.DeltaThreshold)
@@ -340,17 +334,12 @@ func (s ExecutorSpec) NewBackend(g *graph.Graph) (Backend, error) {
 	case ExecParallelFor:
 		b := NewParallelFor(workers)
 		b.Dynamic = s.Dynamic
-		b.Fused = s.FusedEnabled()
 		if s.BalancedZ {
 			if g == nil {
 				return nil, fmt.Errorf("admm: balanced_z needs a finalized graph")
 			}
 			b.PrepareBalancedZ(g)
 		}
-		return b, nil
-	case ExecBarrier:
-		b := NewBarrier(workers)
-		b.Fused = s.FusedEnabled()
 		return b, nil
 	case ExecAsync:
 		seed := s.Seed

@@ -16,8 +16,8 @@ func TestParseExecutor(t *testing.T) {
 		{"", ExecSerial, false},
 		{"parallel-for", ExecParallelFor, false},
 		{"parallel", ExecParallelFor, false},
-		{"barrier", ExecBarrier, false},
-		{"barrier-workers", ExecBarrier, false},
+		{"barrier", "", true},
+		{"barrier-workers", "", true},
 		{"async", ExecAsync, false},
 		{"sharded", ExecSharded, false},
 		{"  Serial ", ExecSerial, false},
@@ -37,12 +37,19 @@ func TestParseExecutor(t *testing.T) {
 }
 
 func TestExecutorSpecValidate(t *testing.T) {
+	on, off := true, false
 	bad := []ExecutorSpec{
 		{Kind: "gpu"},
+		{Kind: "barrier"},
 		{Kind: ExecSerial, Workers: -1},
-		{Kind: ExecBarrier, Workers: MaxWorkers + 1},
+		{Kind: ExecParallelFor, Workers: MaxWorkers + 1},
 		{Kind: ExecSerial, Dynamic: true},
-		{Kind: ExecBarrier, BalancedZ: true},
+		{Kind: ExecAsync, BalancedZ: true},
+		// The five-phase reference schedule is the serial oracle's alone.
+		{Kind: ExecParallelFor, Fused: &off},
+		{Kind: ExecAsync, Fused: &off},
+		{Kind: ExecSharded, Fused: &off},
+		{Kind: ExecAuto, Fused: &off},
 		{Kind: ExecSharded, Shards: -1},
 		{Kind: ExecSharded, Shards: MaxShards + 1},
 		{Kind: ExecSharded, Partition: "metis"},
@@ -60,6 +67,12 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecAsync, Seed: 3},
 		{Kind: ExecSharded, Shards: 4, Partition: "greedy-mincut"},
 		{Kind: ExecSharded},
+		{Fused: &off},
+		{Kind: ExecSerial, Fused: &off},
+		{Kind: ExecParallelFor, Fused: &on},
+		// overlap is accepted wherever it appears and selects nothing.
+		{Kind: ExecSharded, Transport: TransportSockets, Overlap: true},
+		{Kind: ExecSharded, Overlap: true},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -88,10 +101,7 @@ func TestSolveExecutors(t *testing.T) {
 		{Kind: ExecSerial},
 		{Kind: ExecSerial, Fused: &off},
 		{Kind: ExecParallelFor, Workers: 2},
-		{Kind: ExecParallelFor, Workers: 2, Fused: &off},
 		{Kind: ExecParallelFor, Workers: 2, Dynamic: true},
-		{Kind: ExecBarrier, Workers: 2},
-		{Kind: ExecBarrier, Workers: 2, Fused: &off},
 		{Kind: ExecAsync, Seed: 5},
 		{Kind: ExecAuto},
 	}
@@ -130,31 +140,30 @@ func TestSolveBalancedZ(t *testing.T) {
 	}
 }
 
-// TestSpecFusedDefault pins the CPU executors' fused-by-default policy:
-// an unset Fused field selects the fused schedule, explicit false the
-// reference one, and the constructors (NewSerial, NewParallelFor,
-// NewBarrier) stay on the reference schedule for baseline measurements.
+// TestSpecFusedDefault pins where the two schedules live: an unset Fused
+// field selects the fused schedule, explicit false the five-phase
+// reference — for kind serial, the one executor that has it — and
+// NewSerial stays the reference for baseline measurements and as the
+// conformance oracle.
 func TestSpecFusedDefault(t *testing.T) {
 	g := buildAveraging(t, []float64{1, 2})
-	for _, kind := range []ExecutorKind{ExecSerial, ExecParallelFor, ExecBarrier} {
-		b, err := ExecutorSpec{Kind: kind, Workers: 2}.NewBackend(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(b.Name(), "fused") {
-			t.Errorf("spec-built %q backend is %q, want fused default", kind, b.Name())
-		}
-		b.Close()
-
-		off := false
-		b, err = ExecutorSpec{Kind: kind, Workers: 2, Fused: &off}.NewBackend(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(b.Name(), "fused") {
-			t.Errorf("fused=false %q backend is %q", kind, b.Name())
-		}
-		b.Close()
+	b, err := ExecutorSpec{Kind: ExecSerial}.NewBackend(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name() != "serial-fused" {
+		t.Errorf("spec-built serial backend is %q, want fused default", b.Name())
+	}
+	off := false
+	b, err = ExecutorSpec{Kind: ExecSerial, Fused: &off}.NewBackend(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name() != "serial" {
+		t.Errorf("fused=false serial backend is %q", b.Name())
+	}
+	if _, err := (ExecutorSpec{Kind: ExecParallelFor, Workers: 2, Fused: &off}).NewBackend(g); err == nil {
+		t.Error("fused=false parallel-for built a backend; the reference schedule is serial's alone")
 	}
 	if NewSerial().Name() != "serial" {
 		t.Error("NewSerial must stay the unfused reference")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/packing"
 	"repro/internal/prox"
 	"repro/internal/sched"
+	"repro/internal/shard"
 )
 
 // skewedGraph builds a consensus graph with a heavy-tailed variable
@@ -323,7 +324,13 @@ func init() {
 				return nil, err
 			}
 			pf := admm.NewParallelFor(workers)
-			bw := admm.NewBarrier(workers)
+			// Persistent workers, each owning a contiguous block of the
+			// function nodes, separated by barriers: the sharded
+			// executor's block partition over shared memory.
+			bw, err := shard.New(workers, graph.StrategyBlock)
+			if err != nil {
+				return nil, err
+			}
 			defer bw.Close()
 			t := NewTable(fmt.Sprintf("shared-memory strategies (packing N=%d, %d workers, measured)", n, workers),
 				"strategy", "ms/iteration")

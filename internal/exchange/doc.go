@@ -9,44 +9,47 @@
 // # The seam
 //
 // One sharded iteration has exactly two synchronization points
-// (internal/shard/doc.go):
+// (internal/shard/doc.go), each split in a send half and a receive
+// half:
 //
-//	phase A (local x/m/interior-z, post boundary rows)
-//	-- sync 1: m-contributions of boundary variables published --
-//	phase B (owner combines boundary z)
-//	-- sync 2: boundary z published --
-//	phase C (local u/n)
+//	x over the functions feeding outbound rows, post boundary rows
+//	-- sync 1 begin: m-contributions of boundary variables depart --
+//	remaining x, interior z
+//	-- sync 1 finish: peers' m-contributions arrived --
+//	owner combines boundary z
+//	-- sync 2 begin: boundary z departs --
+//	u/n over edges whose z is local
+//	-- sync 2 finish: peers' boundary z arrived --
+//	remaining u/n
 //
 // Boundary m-state travels in packed rows. Every ordered shard pair
 // i -> j has one: the m-blocks of i's edges on the boundary variables j
 // combines, contiguous, in the order Manifest.MEdges lists them. The
 // Mailbox holds the rows and both ends of their use — Post writes a
-// worker's outbound rows (x + u on the fused schedule), Combine
-// computes the owned boundary z from the worker's inbox rows and its
-// own edges' x + u — and the Exchanger is what carries a posted row to
-// its combiner and the combined z back. GatherM is sync 1: on return,
-// every row into the worker's inbox holds this iteration's blocks.
-// ScatterZ is sync 2: on return, every boundary variable's
-// owner-computed z is available to the worker. How a row crosses is the
-// implementation's choice:
+// worker's outbound rows (x + u), Combine computes the owned boundary z
+// from the worker's inbox rows and its own edges' x + u — and the
+// Exchanger is what carries a posted row to its combiner and the
+// combined z back. On return from FinishGatherM every row into the
+// worker's inbox holds this iteration's blocks; on return from
+// FinishScatterZ every boundary variable's owner-computed z is
+// available to the worker. How a row crosses is the implementation's
+// choice:
 //
-//   - Local: both calls are crossings of one shared-memory barrier and
-//     nothing else; the exchanger holds no graph. The mailbox
-//     (NewMailbox) gives each pair one buffer, so the sender's post
-//     lands directly in the owner's inbox — 8d bytes per boundary edge
-//     streamed once — and becomes visible through the barrier's
-//     happens-before edges. The owner never reads the sender's X or U:
-//     those cache lines stay on the core that writes them every
-//     iteration. (The reference schedule shares M itself and uses no
-//     mailbox.)
+//   - Local: each Finish is a crossing of one shared-memory barrier
+//     (sched.Barrier) and each Begin is nothing; the exchanger holds no
+//     graph. The mailbox (NewMailbox) gives each pair one buffer, so
+//     the sender's post lands directly in the owner's inbox — 8d bytes
+//     per boundary edge streamed once — and becomes visible through the
+//     barrier's happens-before edges. The owner never reads the
+//     sender's X or U: those cache lines stay on the core that writes
+//     them every iteration.
 //
-//   - Messaged: both calls move exactly the boundary state over
-//     length-prefixed binary frames on per-peer byte streams. GatherM
-//     sends each posted row as one frame per peer and decodes the
-//     peers' frames — dense or delta — into the worker's inbox rows;
-//     nothing is scattered into M and the worker's own contributions
-//     are not copied anywhere (the reference schedule, whose gather
-//     reads M, additionally has ingested rows copied there). ScatterZ
+//   - Messaged: the sync points move exactly the boundary state over
+//     length-prefixed binary frames on per-peer byte streams.
+//     BeginGatherM sends each posted row as one frame per peer and
+//     FinishGatherM decodes the peers' frames — dense or delta — into
+//     the worker's inbox rows; nothing is scattered into M and the
+//     worker's own contributions are not copied anywhere. ScatterZ
 //     does the same for the owner-computed z blocks. The per-peer
 //     payload layout is fixed at construction by a Manifest derived
 //     from the graph.Partition, so steady-state frames carry only
@@ -69,7 +72,7 @@
 //
 // The in-process sync points — Local's barrier, and a loopback pipe
 // whose reader arrives before the frame — wait the same way
-// (spinThenPark, local.go): yield-spin for about the cost of one futex
+// (sched.SpinThenPark): yield-spin for about the cost of one futex
 // sleep/wake, then park on a condition variable. A shard's phases are
 // tens of microseconds to a millisecond, and a peer is usually a few
 // yields behind, so parking at once costs a wake per crossing — more
@@ -88,10 +91,7 @@
 // m-block — and neither a shared buffer nor the frame codec (dense, or
 // delta at threshold 0) changes a bit of it, so the same values meet
 // the same operations in the same order: boundary z equals Serial's by
-// construction. The reference schedule keeps the M array instead
-// (shared in place on Local, ingested rows copied into it on Messaged)
-// and runs the unmodified reference gather. The cross-executor
-// conformance suite pins all of it for every workload, and
+// construction. The cross-executor conformance suite pins all of it for every workload, and
 // internal/shard's TestCombineReadsNoRemoteEdgeState pins the
 // structure: a combine with every remote X and U poisoned still
 // produces Serial's z.

@@ -1,25 +1,35 @@
 package exchange
 
 // Exchanger synchronizes boundary-variable state between the K shard
-// workers of one sharded solve. Every worker calls the two methods once
-// per iteration, in order; both block until the crossing completes.
+// workers of one sharded solve. Every worker crosses two sync points
+// per iteration, in order, each split in a send half and a receive
+// half so a transport with a wire can have frames in flight while the
+// worker computes between the halves.
 //
-// GatherM is sync point 1, crossed after phase A and after the worker
-// posted its outbound rows to the solve's Mailbox: on return, every
-// packed row into the worker's inbox holds this iteration's
-// m-contributions (written there by its sender on shared memory,
-// decoded from the peers' frames on a message transport), so
-// Mailbox.Combine can run. The reference schedule's M array is
-// complete for the worker's owned boundary variables as well.
+// Sync point 1 (GatherM): BeginGatherM is called once the worker has
+// posted its outbound rows to the solve's Mailbox — they are final by
+// contract — and ships them; FinishGatherM blocks until every packed
+// row into the worker's inbox holds this iteration's m-contributions
+// (written there by its sender on shared memory, decoded from the
+// peers' frames on a message transport), so Mailbox.Combine can run.
 //
-// ScatterZ is sync point 2, crossed after the worker combined its owned
-// boundary z: on return, the owner-computed z of every boundary
-// variable the worker touches is available.
+// Sync point 2 (ScatterZ): BeginScatterZ is called once the worker has
+// combined its owned boundary z and ships it; on return from
+// FinishScatterZ the owner-computed z of every boundary variable the
+// worker touches is available.
+//
+// BeginX/FinishX must bracket exactly like a single X call: GatherM
+// and ScatterZ are Begin followed by Finish, back to back.
 //
 // Implementations are safe for concurrent use by their distinct
 // workers; a single worker's calls are sequential by construction.
 type Exchanger interface {
+	BeginGatherM(worker int)
+	FinishGatherM(worker int)
 	GatherM(worker int)
+
+	BeginScatterZ(worker int)
+	FinishScatterZ(worker int)
 	ScatterZ(worker int)
 
 	// Stats reports cumulative traffic counters. Must not be called
@@ -28,24 +38,6 @@ type Exchanger interface {
 
 	// Close releases transport resources. Workers must have finished.
 	Close() error
-}
-
-// Overlapped is the split form of the two sync points, implemented by
-// exchangers that can put boundary frames on the wire before the
-// worker's interior compute and collect them after: Begin ships this
-// worker's outbound contributions (its posted rows, or its owned
-// boundary z, are final by contract), Finish blocks until the peers'
-// inbound frames are ingested.
-// BeginX/FinishX must bracket exactly like a single X call; the pair is
-// equivalent to X, the worker just gets to compute between them.
-// GatherM and ScatterZ remain valid (they degenerate to Begin+Finish
-// back to back) so non-overlapping schedules run unchanged.
-type Overlapped interface {
-	Exchanger
-	BeginGatherM(worker int)
-	FinishGatherM(worker int)
-	BeginScatterZ(worker int)
-	FinishScatterZ(worker int)
 }
 
 // Stats counts an exchanger's data-plane traffic. Every byte is counted

@@ -151,8 +151,7 @@ func TestReadFrameErrors(t *testing.T) {
 // TestMessagedPeerDelivery exercises the non-shared (cross-process
 // shaped) path directly: two workers on separate graph replicas,
 // connected by an in-process duplex, must deliver posted m-blocks into
-// the owner's inbox row (and, on this reference schedule, into M) and
-// remote z into Z.
+// the owner's inbox row and remote z into Z.
 func TestMessagedPeerDelivery(t *testing.T) {
 	build := func() *graph.Graph { return testGraph(t, 2, 2) } // functions 0,1 share variable 1
 	g0, g1 := build(), build()
@@ -167,27 +166,20 @@ func TestMessagedPeerDelivery(t *testing.T) {
 	man := NewManifest(g0, &p, 2)
 
 	c0, c1 := net.Pipe()
-	ex0, err := NewPeer(g0, man, false, 0, []io.ReadWriteCloser{nil, c0})
+	ex0, err := NewPeer(g0, man, 0, []io.ReadWriteCloser{nil, c0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex1, err := NewPeer(g1, man, false, 1, []io.ReadWriteCloser{c1, nil})
+	ex1, err := NewPeer(g1, man, 1, []io.ReadWriteCloser{c1, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex0.Close()
 
-	// Each worker fills M over its own edges, exchanges, and the owner
-	// must see the remote contribution at the right edge index.
-	fill := func(g *graph.Graph, lo, hi int, base float64) {
-		for e := lo; e < hi; e++ {
-			for i := 0; i < 2; i++ {
-				g.M[e*2+i] = base + float64(e*2+i)
-			}
-		}
-	}
-	fill(g0, 0, 2, 100) // worker 0 owns function 0 (edges 0,1)
-	fill(g1, 2, 4, 200) // worker 1 owns function 1 (edges 2,3)
+	// Each worker sets x + u over its own edges, exchanges, and the
+	// owner must see the remote contribution at the right row slot.
+	fillXU(g0, 0, 2, 100) // worker 0 owns function 0 (edges 0,1)
+	fillXU(g1, 2, 4, 200) // worker 1 owns function 1 (edges 2,3)
 
 	done := make(chan struct{})
 	go func() {
@@ -208,13 +200,12 @@ func TestMessagedPeerDelivery(t *testing.T) {
 	ex0.ScatterZ(0)
 	<-done
 
-	ownerG, otherG, ownerEx := g0, g1, ex0
+	otherG, ownerEx := g1, ex0
 	if owner == 1 {
-		ownerG, otherG, ownerEx = g1, g0, ex1
+		otherG, ownerEx = g0, ex1
 	}
 	// The owner gathered the remote worker's m-blocks for the boundary
-	// edges it does not own: packed in manifest order in its inbox row,
-	// and at the edges' own indices in M.
+	// edges it does not own, packed in manifest order in its inbox row.
 	row := ownerEx.Mailbox().Row(1-owner, owner)
 	for idx, e := range man.MEdges[(1-owner)*2+owner] {
 		for i := 0; i < 2; i++ {
@@ -223,9 +214,6 @@ func TestMessagedPeerDelivery(t *testing.T) {
 				want = 200 + float64(int(e)*2+i)
 			} else {
 				want = 100 + float64(int(e)*2+i)
-			}
-			if got := ownerG.M[int(e)*2+i]; got != want {
-				t.Fatalf("owner M[%d] = %g, want %g", int(e)*2+i, got, want)
 			}
 			if got := row[idx*2+i]; got != want {
 				t.Fatalf("owner inbox row[%d] = %g, want %g", idx*2+i, got, want)
@@ -247,7 +235,9 @@ func TestMessagedPeerDelivery(t *testing.T) {
 }
 
 // TestLocalIsBarrier: the local exchanger is bound to no graph or plan
-// and reports no traffic.
+// and reports no traffic; a Begin never waits, and each Finish (like
+// each single-call form) is one barrier crossing, so what a worker
+// wrote before it is visible to its peer after it.
 func TestLocalIsBarrier(t *testing.T) {
 	l := NewLocal(1)
 	l.GatherM(0)
@@ -257,5 +247,36 @@ func TestLocalIsBarrier(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	l = NewLocal(2)
+	const rounds = 200
+	var posted, combined [2]int // written by their worker, read by the peer
+	run := func(w int) {
+		for r := 1; r <= rounds; r++ {
+			posted[w] = r
+			l.BeginGatherM(w) // alone at the sync point: must not block
+			l.FinishGatherM(w)
+			if got := posted[1-w]; got != r {
+				t.Errorf("worker %d round %d: peer's post reads %d after FinishGatherM", w, r, got)
+			}
+			combined[w] = r
+			l.BeginScatterZ(w)
+			l.FinishScatterZ(w)
+			if got := combined[1-w]; got != r {
+				t.Errorf("worker %d round %d: peer's z reads %d after FinishScatterZ", w, r, got)
+			}
+			// The next round's post must not overtake the peer's read of
+			// this one: the single-call forms are the same two crossings.
+			l.GatherM(w)
+			l.ScatterZ(w)
+		}
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); run(1) }()
+	run(0)
+	<-done
+	if st := l.Stats(); st != (Stats{}) {
+		t.Fatalf("local stats %+v after %d rounds", st, rounds)
 	}
 }

@@ -6,7 +6,7 @@ import "repro/internal/graph"
 // — for every ordered shard pair i -> j the m-blocks Manifest.MEdges
 // enumerates, contiguous and in manifest order — and the kernel that
 // combines boundary z from them. It is the only way boundary m-state
-// reaches its combiner on the fused schedule:
+// reaches its combiner:
 //
 //	Post(w)     worker w forms m = x + u for the edges of its outbound
 //	            rows and writes them into the rows
@@ -31,10 +31,6 @@ import "repro/internal/graph"
 type Mailbox struct {
 	g   *graph.Graph
 	man *Manifest
-	// fused: rows carry x + u formed by Post. Off (the reference
-	// schedule on a message transport) they carry M-blocks, and an
-	// ingested row is scattered back into M for the reference gather.
-	fused bool
 
 	// out[i*k+j] is the row of pair i -> j as worker i posts it,
 	// in[i*k+j] as worker j combines from it: the same buffer on shared
@@ -51,20 +47,20 @@ type Mailbox struct {
 	src  [][]int32
 }
 
-// NewMailbox returns the shared-memory mailbox of a fused sharded solve
-// over g: every row is one buffer shared by its sender and its
+// NewMailbox returns the shared-memory mailbox of a sharded solve over
+// g: every row is one buffer shared by its sender and its
 // receiver, who are ordered only by the sync points between Post and
 // Combine.
 func NewMailbox(g *graph.Graph, man *Manifest) *Mailbox {
-	return newMailbox(g, man, true, true, -1)
+	return newMailbox(g, man, true, -1)
 }
 
 // newMailbox builds the mailbox; only >= 0 allocates the rows and the
 // combine program of that one worker (a worker process holds no other).
-func newMailbox(g *graph.Graph, man *Manifest, fused, shared bool, only int) *Mailbox {
+func newMailbox(g *graph.Graph, man *Manifest, shared bool, only int) *Mailbox {
 	k, d := man.Shards, man.D
 	mb := &Mailbox{
-		g: g, man: man, fused: fused,
+		g: g, man: man,
 		out:   make([][]float64, k*k),
 		in:    make([][]float64, k*k),
 		inbox: make([][]float64, k),
@@ -163,12 +159,6 @@ func (mb *Mailbox) Post(w int) {
 			continue
 		}
 		row := mb.man.MEdges[w*k+j]
-		if !mb.fused {
-			for idx, e := range row {
-				copy(dst[idx*d:idx*d+d], mb.g.M[int(e)*d:])
-			}
-			continue
-		}
 		if d <= 5 {
 			// Small-d path, as in the kernels this feeds: no slice
 			// headers per block.
@@ -199,16 +189,6 @@ func (mb *Mailbox) Post(w int) {
 				m[i] = x[i] + u[i]
 			}
 		}
-	}
-}
-
-// scatterM copies the ingested row of pair i -> j into M at its edges'
-// canonical indices, where the reference schedule's gather reads it.
-func (mb *Mailbox) scatterM(i, j int) {
-	d := mb.man.D
-	src := mb.in[i*mb.man.Shards+j]
-	for idx, e := range mb.man.MEdges[i*mb.man.Shards+j] {
-		copy(mb.g.M[int(e)*d:int(e)*d+d], src[idx*d:])
 	}
 }
 

@@ -22,25 +22,22 @@ import (
 //	GatherM:  send one FrameM per peer j with manifest row
 //	          MEdges[w][j] non-empty — the packed row w posted to the
 //	          mailbox (Mailbox.Post: the m-blocks of w's edges whose
-//	          boundary variable j owns, in manifest order; on the fused
-//	          schedule formed as x + u, bit-identical to the reference
-//	          m-update) — then decode the peers' FrameM payloads into
-//	          w's inbox rows, which is where Mailbox.Combine reads them.
-//	          Nothing is scattered into M and w's own contributions are
-//	          not copied anywhere; only the reference schedule, whose
-//	          gather reads M, has its ingested rows copied there.
+//	          boundary variable j owns, in manifest order, formed as
+//	          x + u, bit-identical to the reference m-update) — then
+//	          decode the peers' FrameM payloads into w's inbox rows,
+//	          which is where Mailbox.Combine reads them. Nothing is
+//	          scattered into M and w's own contributions are not copied
+//	          anywhere.
 //	ScatterZ: send one FrameZ per peer j with manifest row ZVars[w][j]
 //	          non-empty (the owner-combined z blocks), then ingest the
 //	          peers' z into the Z array.
 //
-// Both sync points also exist in split form (BeginGatherM/FinishGatherM,
-// BeginScatterZ/FinishScatterZ — the Overlapped interface): Begin puts
-// this worker's outbound frames on the wire, Finish ingests the peers'.
-// An overlapping schedule calls Begin as soon as its outbound boundary
-// state is final, computes interior phases while the frames are in
-// flight, and calls Finish only where the remote data is consumed. The
-// combined calls are exactly Begin followed by Finish, so both
-// schedules produce bit-identical frames.
+// Each sync point is its Begin (put this worker's outbound frames on
+// the wire) followed by its Finish (ingest the peers'). The shard loop
+// calls Begin as soon as its outbound boundary state is final, computes
+// interior phases while the frames are in flight, and calls Finish only
+// where the remote data is consumed; GatherM and ScatterZ are the two
+// halves back to back and produce bit-identical frames.
 //
 // With delta mode on (EnableDelta), steady-state frames switch to
 // FrameMDelta/FrameZDelta: a block bitmap plus only the d-blocks that
@@ -118,7 +115,7 @@ type msgWorkerState struct {
 	// encoding (needed for the delta compare; reused for dense).
 	zRow []float64
 	// pend is the in-flight send completion between a Begin and its
-	// Finish on the split schedule.
+	// Finish.
 	pend <-chan struct{}
 }
 
@@ -146,12 +143,16 @@ func newWorkerState(man *Manifest, w int) msgWorkerState {
 // manifest's workers in one process over in-memory streams, against the
 // shared graph g. Every boundary byte is framed, serialized, and
 // decoded exactly as over sockets — the wire codec without the kernel.
-func NewLoopback(g *graph.Graph, man *Manifest, fused bool) *Messaged {
+//
+// The unnamed bool was the schedule selector while rows could carry
+// M-blocks; it selects nothing and stays only for callers pinned to the
+// three-argument form.
+func NewLoopback(g *graph.Graph, man *Manifest, _ bool) *Messaged {
 	mesh := loopbackMesh(man.Shards)
 	m := &Messaged{
 		g:       g,
 		man:     man,
-		mb:      newMailbox(g, man, fused, false, -1),
+		mb:      newMailbox(g, man, false, -1),
 		shared:  true,
 		streams: mesh,
 		state:   make([]msgWorkerState, man.Shards),
@@ -168,7 +169,7 @@ func NewLoopback(g *graph.Graph, man *Manifest, fused bool) *Messaged {
 // peer j (nil for id itself and for peers with no shared boundary). The
 // graph is this process's private replica, so ingested state is stored.
 // Close closes the peer connections.
-func NewPeer(g *graph.Graph, man *Manifest, fused bool, id int, conns []io.ReadWriteCloser) (*Messaged, error) {
+func NewPeer(g *graph.Graph, man *Manifest, id int, conns []io.ReadWriteCloser) (*Messaged, error) {
 	if len(conns) != man.Shards {
 		return nil, fmt.Errorf("exchange: %d peer conns for %d shards", len(conns), man.Shards)
 	}
@@ -188,7 +189,7 @@ func NewPeer(g *graph.Graph, man *Manifest, fused bool, id int, conns []io.ReadW
 	m := &Messaged{
 		g:       g,
 		man:     man,
-		mb:      newMailbox(g, man, fused, false, id),
+		mb:      newMailbox(g, man, false, id),
 		shared:  false,
 		streams: streams,
 		state:   make([]msgWorkerState, k),
@@ -256,14 +257,14 @@ func (m *Messaged) armWrite(s io.Writer) {
 }
 
 // Mailbox returns the packed boundary rows this exchanger carries:
-// workers Post their outbound rows to it before (Begin)GatherM and
-// Combine from their inbox rows after (Finish)GatherM.
+// workers Post their outbound rows to it before BeginGatherM and
+// Combine from their inbox rows after FinishGatherM.
 func (m *Messaged) Mailbox() *Mailbox { return m.mb }
 
 // BeginGatherM ships worker w's posted rows (sync point 1, send half).
-// The rows must be final — on the fused schedule Mailbox.Post reads
-// x + u of the sent edges, so their x-phase is complete; interior
-// functions may still be pending.
+// The rows must be final — Mailbox.Post reads x + u of the sent edges,
+// so their x-phase is complete; interior functions may still be
+// pending.
 func (m *Messaged) BeginGatherM(w int) {
 	m.state[w].pend = m.dispatchSends(w, (*Messaged).sendM)
 }
@@ -304,9 +305,6 @@ func (m *Messaged) FinishGatherM(w int) {
 			}
 		} else {
 			decodeF64s(row, payload)
-		}
-		if !m.mb.fused {
-			m.mb.scatterM(j, w)
 		}
 	}
 	m.joinSends(st.pend)
@@ -561,7 +559,4 @@ func (m *Messaged) Close() error {
 	return first
 }
 
-var (
-	_ Exchanger  = (*Messaged)(nil)
-	_ Overlapped = (*Messaged)(nil)
-)
+var _ Exchanger = (*Messaged)(nil)

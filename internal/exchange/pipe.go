@@ -4,6 +4,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sched"
 )
 
 // bufferedPipe is an in-memory unidirectional byte stream: writes append
@@ -12,7 +14,7 @@ import (
 // without sockets, and (because writes cannot block) immune to the
 // head-to-head write deadlock real sockets avoid via kernel buffering.
 // A reader that finds the pipe empty waits like a barrier waiter does
-// (spinThenPark): the peer's frame is usually a few yields away, and a
+// (sched.SpinThenPark): the peer's frame is usually a few yields away, and a
 // futex wake per frame costs more than a loopback round is worth.
 // The mutex gives receipt of a frame a happens-before edge after its
 // send, which is what the in-process messaged exchanger relies on in
@@ -59,7 +61,7 @@ func (p *bufferedPipe) Write(b []byte) (int, error) {
 
 func (p *bufferedPipe) Read(b []byte) (int, error) {
 	for {
-		spinThenPark(p.cond, func() bool { return p.readable.Load() != 0 })
+		sched.SpinThenPark(p.cond, func() bool { return p.readable.Load() != 0 })
 		p.mu.Lock()
 		if p.off < len(p.buf) {
 			n := copy(b, p.buf[p.off:])

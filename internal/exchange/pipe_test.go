@@ -154,7 +154,7 @@ func TestPipeCloseReleasesEveryReader(t *testing.T) {
 // and forth and a parked reader resumes without a futex wake, which no
 // real iteration gets. ns/op is the whole round, so compare runs — the
 // wait policy of bufferedPipe.Read is the difference (parking on every
-// empty read costs about 70 us a round more than spinThenPark here).
+// empty read costs about 70 us a round more than sched.SpinThenPark here).
 func BenchmarkLoopbackRound(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := graph.New(4)

@@ -12,7 +12,7 @@ import (
 // twoPeers stands up the cross-process-shaped pair from
 // TestMessagedPeerDelivery: two graph replicas over an in-process
 // duplex, block-partitioned so variable 1 is the single boundary.
-func twoPeers(t *testing.T, fused bool) (g0, g1 *graph.Graph, ex0, ex1 *Messaged, p graph.Partition) {
+func twoPeers(t *testing.T) (g0, g1 *graph.Graph, ex0, ex1 *Messaged, p graph.Partition) {
 	t.Helper()
 	g0, g1 = testGraph(t, 2, 2), testGraph(t, 2, 2)
 	p, err := graph.NewPartition(g0, 2, graph.StrategyBlock)
@@ -21,33 +21,34 @@ func twoPeers(t *testing.T, fused bool) (g0, g1 *graph.Graph, ex0, ex1 *Messaged
 	}
 	man := NewManifest(g0, &p, 2)
 	c0, c1 := net.Pipe()
-	if ex0, err = NewPeer(g0, man, fused, 0, []io.ReadWriteCloser{nil, c0}); err != nil {
+	if ex0, err = NewPeer(g0, man, 0, []io.ReadWriteCloser{nil, c0}); err != nil {
 		t.Fatal(err)
 	}
-	if ex1, err = NewPeer(g1, man, fused, 1, []io.ReadWriteCloser{c1, nil}); err != nil {
+	if ex1, err = NewPeer(g1, man, 1, []io.ReadWriteCloser{c1, nil}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ex0.Close() })
 	return g0, g1, ex0, ex1, p
 }
 
-// TestOverlappedSplitDelivery pins the Overlapped contract: Begin/
-// Finish with compute between the halves delivers exactly what the
-// single-call form does — remote m-blocks into the owner's M, the
-// owner's z into the peer's Z — while the "interior compute" runs
-// between send and receive.
-func TestOverlappedSplitDelivery(t *testing.T) {
-	g0, g1, ex0, ex1, p := twoPeers(t, false)
-	owner := p.VarPart[1]
-	fill := func(g *graph.Graph, lo, hi int, base float64) {
-		for e := lo; e < hi; e++ {
-			for i := 0; i < 2; i++ {
-				g.M[e*2+i] = base + float64(e*2+i)
-			}
-		}
+// fillXU sets x + u of edges [lo, hi) of a d = 2 graph to base plus the
+// element's flat index — the m-block Mailbox.Post will form for them.
+func fillXU(g *graph.Graph, lo, hi int, base float64) {
+	for i := lo * 2; i < hi*2; i++ {
+		g.X[i], g.U[i] = base, float64(i)
 	}
-	fill(g0, 0, 2, 100)
-	fill(g1, 2, 4, 200)
+}
+
+// TestSplitSyncDelivery pins the Begin/Finish contract: the two
+// halves with compute between them deliver exactly what the single-call
+// form does — remote m-blocks into the owner's inbox row, the owner's z
+// into the peer's Z — while the "interior compute" runs between send
+// and receive.
+func TestSplitSyncDelivery(t *testing.T) {
+	g0, g1, ex0, ex1, p := twoPeers(t)
+	owner := p.VarPart[1]
+	fillXU(g0, 0, 2, 100)
+	fillXU(g1, 2, 4, 200)
 
 	var interior atomic.Int64
 	run := func(g *graph.Graph, ex *Messaged, w int) {
@@ -70,18 +71,19 @@ func TestOverlappedSplitDelivery(t *testing.T) {
 		t.Fatalf("interior compute ran %d times, want 4", interior.Load())
 	}
 
-	ownerG, otherG := g0, g1
+	ownerEx, otherG := ex0, g1
 	if owner == 1 {
-		ownerG, otherG = g1, g0
+		ownerEx, otherG = ex1, g0
 	}
-	for _, e := range ex0.man.MEdges[(1-owner)*2+owner] {
+	row := ownerEx.Mailbox().Row(1-owner, owner)
+	for idx, e := range ex0.man.MEdges[(1-owner)*2+owner] {
 		for i := 0; i < 2; i++ {
 			want := 100 + float64(int(e)*2+i)
 			if owner == 0 {
 				want = 200 + float64(int(e)*2+i)
 			}
-			if got := ownerG.M[int(e)*2+i]; got != want {
-				t.Fatalf("owner M[%d] = %g, want %g", int(e)*2+i, got, want)
+			if got := row[idx*2+i]; got != want {
+				t.Fatalf("owner inbox row[%d] = %g, want %g", idx*2+i, got, want)
 			}
 		}
 	}
@@ -99,22 +101,14 @@ func TestOverlappedSplitDelivery(t *testing.T) {
 // delta frames (zero payload doubles), and a changed round delivers
 // the new values exactly.
 func TestMessagedDeltaSkipsUnchangedBlocks(t *testing.T) {
-	g0, g1, ex0, ex1, p := twoPeers(t, false)
+	g0, g1, ex0, ex1, p := twoPeers(t)
 	owner := p.VarPart[1]
 	ex0.EnableDelta(0)
 	ex1.EnableDelta(0)
 
 	round := func(mBase, z float64) {
-		for e := 0; e < 2; e++ {
-			for i := 0; i < 2; i++ {
-				g0.M[e*2+i] = mBase + float64(e*2+i)
-			}
-		}
-		for e := 2; e < 4; e++ {
-			for i := 0; i < 2; i++ {
-				g1.M[e*2+i] = 100 + mBase + float64(e*2+i)
-			}
-		}
+		fillXU(g0, 0, 2, mBase)
+		fillXU(g1, 2, 4, 100+mBase)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

@@ -66,14 +66,14 @@ type Plan struct {
 	// WriteDelay is write-side-only latency: each Write sleeps this
 	// long before moving bytes while reads pass through untouched — a
 	// one-way link delay that a sender pushing frames from a dedicated
-	// goroutine can hide behind compute (the wire-overlap benches
-	// price the sync and overlapped exchanges against it).
+	// goroutine can hide behind compute (what the sockets transport's
+	// send-before-interior-compute order is for).
 	WriteDelay time.Duration
 	// WriteBytesPerSec, when > 0, is the link's bandwidth term: each
 	// Write additionally sleeps len(p)/rate. Together with WriteDelay
 	// this models a latency+bandwidth link — the fixed term is what
-	// overlapped exchange hides, the size term is what delta frames
-	// shrink.
+	// sending before interior compute hides, the size term is what
+	// delta frames shrink.
 	WriteBytesPerSec int
 	// In faults bytes the wrapped endpoint reads; Out faults bytes it
 	// writes.

@@ -151,9 +151,11 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 	}
 }
 
-// Spec projects a remote decision onto an executor spec, preserving the
-// request's solver knobs (fused, tolerances ride elsewhere) and wiring
-// the registry in as the dialer so handshakes drain the prewarmed pool.
+// Spec projects a remote decision onto an executor spec, clearing the
+// knobs that belong to the kind the request named (a request that asked
+// for the serial oracle's fused: false must still validate once it is
+// rewritten to sharded; tolerances ride elsewhere) and wiring the
+// registry in as the dialer so handshakes drain the prewarmed pool.
 // Warm caching is always on for fleet routes: the whole point of a
 // persistent fleet is that the second solve of a problem skips the
 // workload down-sync.
@@ -170,6 +172,7 @@ func (d Decision) Spec(r *Registry, base admm.ExecutorSpec) admm.ExecutorSpec {
 	s.Workers = 0
 	s.Dynamic = false
 	s.BalancedZ = false
+	s.Fused = nil
 	if s.Failover == "" {
 		s.Failover = admm.FailoverSurvivors
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admm"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/prox"
@@ -197,5 +198,26 @@ func TestPlannerLoadInputIsInFlight(t *testing.T) {
 		if a == addrs[0] {
 			t.Fatal("planner chose the low-RTT worker whose session slot is taken: load input must be in-flight leases, not probe RTT")
 		}
+	}
+}
+
+// TestDecisionSpecClearsKindKnobs: a fleet-routed request keeps none of
+// the knobs of the kind it named once it is rewritten to sharded — in
+// particular a request for the serial oracle (fused: false), which is
+// fleet-eligible, must not fail Validate after routing.
+func TestDecisionSpecClearsKindKnobs(t *testing.T) {
+	r, _, pc := plannerFleet(t)
+	d := r.Plan(chainGraph(t, 64), pc)
+	defer d.Release()
+	if d.Route != fleet.RouteRemote {
+		t.Fatalf("got %s (%s), want a remote route", d.Route, d.Reason)
+	}
+	off := false
+	spec := d.Spec(r, admm.ExecutorSpec{Fused: &off, Workers: 3})
+	if spec.Kind != admm.ExecSharded || spec.Fused != nil || spec.Workers != 0 {
+		t.Fatalf("routed spec %+v still carries the request kind's knobs", spec)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("routed spec does not validate: %v", err)
 	}
 }

@@ -137,27 +137,25 @@ func (b *Backend) SimulatedIterationSec(g *graph.Graph) float64 {
 // charges modeled single-core time from the CPUModel — the simulated
 // counterpart of the paper's serial C baseline, used whenever a speedup
 // must compare simulated GPU time against simulated CPU time on equal
-// footing.
+// footing. The host state advances with the fused two-pass kernels
+// (bit-identical iterates, less wall time spent simulating); the
+// *charged* time stays the five-phase model: this backend stands in for
+// the paper's serial C engine, whose launch structure is what the cost
+// meters describe.
 type CPUBackend struct {
 	CPU *CPUModel
-	// Fused advances the host state with the fused two-pass kernels
-	// (bit-identical iterates, less wall time spent simulating). The
-	// *charged* time stays the five-phase model: this backend stands in
-	// for the paper's serial C engine, whose launch structure is what
-	// the cost meters describe. On by default.
-	Fused bool
 
 	prepared *graph.Graph
 	phaseSec [admm.NumPhases]float64
 }
 
 // NewCPUBackend returns a simulated serial backend (nil means the
-// Opteron 6300 profile) with fused host kernels.
+// Opteron 6300 profile).
 func NewCPUBackend(cpu *CPUModel) *CPUBackend {
 	if cpu == nil {
 		cpu = Opteron6300()
 	}
-	return &CPUBackend{CPU: cpu, Fused: true}
+	return &CPUBackend{CPU: cpu}
 }
 
 // Name implements admm.Backend.
@@ -186,27 +184,20 @@ func (b *CPUBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
 // Iterate implements admm.Backend.
 func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
 	b.prepare(g)
-	hostAdvance(g, iters, b.Fused)
+	hostAdvance(g, iters)
 	for p := admm.Phase(0); p < admm.NumPhases; p++ {
 		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
 	}
 }
 
 // hostAdvance moves the ADMM state forward on the host for a simulated
-// backend: the fused two-pass kernels when fused (bit-identical, ~1/3
-// less memory traffic), the five-phase reference otherwise.
-func hostAdvance(g *graph.Graph, iters int, fused bool) {
+// CPU backend with the fused two-pass kernels (bit-identical to the
+// five-phase reference, ~1/3 less memory traffic).
+func hostAdvance(g *graph.Graph, iters int) {
 	for it := 0; it < iters; it++ {
 		admm.UpdateXRange(g, 0, g.NumFunctions())
-		if fused {
-			admm.UpdateZFusedRange(g, 0, g.NumVariables())
-			admm.UpdateUNRange(g, 0, g.NumEdges())
-			continue
-		}
-		admm.UpdateMRange(g, 0, g.NumEdges())
-		admm.UpdateZRange(g, 0, g.NumVariables())
-		admm.UpdateURange(g, 0, g.NumEdges())
-		admm.UpdateNRange(g, 0, g.NumEdges())
+		admm.UpdateZFusedRange(g, 0, g.NumVariables())
+		admm.UpdateUNRange(g, 0, g.NumEdges())
 	}
 }
 

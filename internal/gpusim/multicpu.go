@@ -116,21 +116,18 @@ func (m *MultiCPUModel) IterationTime(tasks [admm.NumPhases][]Task, cores int) f
 // MultiCoreBackend is an admm.Backend that advances the ADMM with the
 // real host kernels while charging modeled multi-core time — the
 // simulated stand-in for the paper's 32-core measurements, mirroring the
-// GPU Backend's design.
+// GPU Backend's design. The host state advances with the fused two-pass
+// kernels; charged time stays the five-loop OpenMP model it simulates.
 type MultiCoreBackend struct {
 	Model *MultiCPUModel
 	Cores int
-	// Fused advances the host state with the fused two-pass kernels;
-	// charged time stays the five-loop OpenMP model it simulates. On by
-	// default.
-	Fused bool
 
 	prepared *graph.Graph
 	phaseSec [admm.NumPhases]float64
 }
 
 // NewMultiCoreBackend returns a simulated multi-core backend (nil model
-// means the 32-core Opteron profile) with fused host kernels.
+// means the 32-core Opteron profile).
 func NewMultiCoreBackend(model *MultiCPUModel, cores int) *MultiCoreBackend {
 	if model == nil {
 		model = Opteron6300x32()
@@ -138,7 +135,7 @@ func NewMultiCoreBackend(model *MultiCPUModel, cores int) *MultiCoreBackend {
 	if cores < 1 {
 		panic("gpusim: cores must be >= 1")
 	}
-	return &MultiCoreBackend{Model: model, Cores: cores, Fused: true}
+	return &MultiCoreBackend{Model: model, Cores: cores}
 }
 
 // Name implements admm.Backend.
@@ -167,7 +164,7 @@ func (b *MultiCoreBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 
 // Iterate implements admm.Backend.
 func (b *MultiCoreBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
 	b.prepare(g)
-	hostAdvance(g, iters, b.Fused)
+	hostAdvance(g, iters)
 	for p := admm.Phase(0); p < admm.NumPhases; p++ {
 		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
 	}

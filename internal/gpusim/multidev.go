@@ -26,8 +26,8 @@ type MultiDevice struct {
 	Count          int
 	LinkBandwidth  float64 // bytes/s per direction, device to device
 	LinkLatencySec float64 // per-iteration synchronization latency
-	// Overlap prices the sharded executor's overlapped exchange
-	// (admm.ExecutorSpec.Overlap): boundary frames leave before the
+	// Overlap prices the exchange the way the sharded executor's
+	// message transport runs it: boundary frames leave before the
 	// interior compute starts, so the link term hides behind the x- and
 	// z-phase work on interior edges and only the uncovered remainder
 	// extends the iteration. IterationTime's exchange component then

@@ -60,6 +60,7 @@ func FuzzSolveRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":2}}`))
 	f.Add([]byte(`{"workload":"packing","spec":{"n":3},"max_iter":50,"wait":false}`))
 	f.Add([]byte(`{"executor":{"kind":"nope"}}`))
+	f.Add([]byte(`{"executor":{"kind":"barrier","workers":2}}`))
 	f.Add([]byte(`{"workload":1}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req SolveRequest
@@ -70,7 +71,7 @@ func FuzzSolveRequestDecode(f *testing.F) {
 			return
 		}
 		switch req.Executor.Kind {
-		case "", admm.ExecSerial, admm.ExecParallelFor, admm.ExecBarrier, admm.ExecAsync, admm.ExecSharded:
+		case "", admm.ExecSerial, admm.ExecParallelFor, admm.ExecAsync, admm.ExecSharded:
 		default:
 			t.Fatalf("Validate accepted unknown kind %q", req.Executor.Kind)
 		}

@@ -68,7 +68,7 @@ func TestSolveHandler(t *testing.T) {
 		{"svm n over cap", `{"workload":"svm","spec":{"n":100000000}}`, http.StatusBadRequest},
 		{"mpc k over cap", `{"workload":"mpc","spec":{"k":100000000}}`, http.StatusBadRequest},
 		{"packing n over cap", `{"workload":"packing","spec":{"n":100000}}`, http.StatusBadRequest},
-		{"executor workers over cap", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"barrier","workers":1000000000}}`, http.StatusBadRequest},
+		{"executor workers over cap", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":1000000000}}`, http.StatusBadRequest},
 		{"shards on serial", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","shards":2}}`, http.StatusBadRequest},
 		{"unknown partition strategy", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","partition":"metis"}}`, http.StatusBadRequest},
 		{"shards over cap", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":1000000}}`, http.StatusBadRequest},
@@ -80,13 +80,14 @@ func TestSolveHandler(t *testing.T) {
 		{"lasso sharded refined", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":2,"refine":true},"max_iter":100}`, http.StatusOK},
 		{"refine on non-sharded", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","refine":true}}`, http.StatusBadRequest},
 		{"svm parallel-for", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"parallel-for","workers":2},"max_iter":100}`, http.StatusOK},
-		{"mpc barrier", `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"barrier","workers":2},"max_iter":100}`, http.StatusOK},
+		{"mpc barrier", `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"barrier","workers":2},"max_iter":100}`, http.StatusBadRequest},
 		{"packing async", `{"workload":"packing","spec":{"n":3},"executor":{"kind":"async"},"max_iter":100}`, http.StatusOK},
 		{"lasso balanced-z parallel-for", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":2,"balanced_z":true,"dynamic":true},"max_iter":100}`, http.StatusOK},
 		{"mpc with tolerance", `{"workload":"mpc","spec":{"k":4},"rel_tol":1e-9,"abs_tol":1e-9,"max_iter":5000}`, http.StatusOK},
 		{"mpc auto executor", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"auto"},"max_iter":100}`, http.StatusOK},
 		{"svm unfused reference", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"serial","fused":false},"max_iter":100}`, http.StatusOK},
-		{"sharded fused off", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"fused":false},"max_iter":100}`, http.StatusOK},
+		{"sharded fused off", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"fused":false},"max_iter":100}`, http.StatusBadRequest},
+		{"sockets with the retired overlap field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true,"delta_threshold":0},"max_iter":100}`, http.StatusOK},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

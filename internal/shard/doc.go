@@ -37,30 +37,50 @@
 //
 // # The boundary-only protocol, behind the Exchanger seam
 //
-// Each shard worker runs all five phases over its local edges; one
-// iteration needs only two synchronization points instead of the five
-// global fork-join joins of the barrier/parallel-for executors:
+// Each shard worker runs the whole iteration over its local edges — on
+// the fused two-pass kernels of internal/admm/fused.go, the one
+// schedule every executor but the serial oracle runs — and one
+// iteration needs only two synchronization points instead of a global
+// join after every phase. There is one loop (runShardIters) for every
+// transport and for the worker process; each sync point is split in a
+// send half and a receive half so a transport with a wire can have
+// frames in flight while the shard computes:
 //
-//	shard 0                 shard 1
-//	x  over local functions x  over local functions      phase A
-//	m  over local edges     m  over local edges          (no sync)
-//	z  over interior vars   z  over interior vars
-//	═════════ GatherM: boundary m-contributions available ══════
-//	z over owned boundary vars, gathering m in CSR order phase B
-//	═════════ ScatterZ: boundary z-blocks available ════════════
-//	u  over local edges     u  over local edges          phase C
-//	n  over local edges     n  over local edges          (no sync)
-//	            ... next iteration's phase A ...
+//	x over the functions feeding outbound rows   (plan: xBefore)
+//	post: m = x + u of every owned edge on a remotely combined
+//	      boundary variable, into the owner's packed row
+//	-- BeginGatherM --   (rows depart)
+//	x over the remaining functions               (plan: xAfter)
+//	z over interior vars (m = x + u in registers)
+//	══ FinishGatherM: every row into this shard's inbox is this
+//	   iteration's — written in place by its sender on shared memory,
+//	   decoded from the sender's frame on a message transport ══
+//	z for owned boundary vars (exchange.Mailbox.Combine): each
+//	   variable's edges in CSR order, a remote edge's block from the
+//	   inbox, a local edge's as x + u in registers
+//	-- BeginScatterZ --  (owned boundary z departs)
+//	u+n sweep over edges whose z is local        (plan: unBefore)
+//	══ FinishScatterZ: boundary z-blocks available ══
+//	u+n sweep over edges whose z a peer combined (plan: unAfter)
+//	            ... next iteration ...
 //
-// The two crossings are an exchange.Exchanger (internal/exchange), the
+// The schedule is data in the plan, chosen from the transport the plan
+// is built for, not by an option. A message plan fills all four lists
+// (frontier/rest functions, local-z/remote-z edges): the sockets
+// transport always sends before interior compute and awaits only where
+// the data is consumed. On shared memory nothing departs at a Begin, so
+// a shared-memory plan leaves xAfter and unBefore empty and the same
+// loop runs x, post, interior z, barrier, combine, barrier, u+n.
+// TestPlanSplitsPartitionRuns pins the split.
+//
+// The crossings are an exchange.Exchanger (internal/exchange), the
 // transport seam this executor is structured around:
 //
 //   - exchange.Local (ExecutorSpec transport "local", the default) is
-//     the shared-memory form: both crossings are one spin-then-park
-//     barrier. On the fused schedule each shard posts the m-blocks of
-//     its boundary edges into the owner's packed row before the first
-//     crossing (exchange.Mailbox) — the only boundary state another
-//     shard ever reads.
+//     the shared-memory form: each Finish is one crossing of a
+//     spin-then-park barrier (sched.Barrier), each Begin nothing. The
+//     packed rows (exchange.Mailbox) are the only boundary state
+//     another shard ever reads.
 //   - exchange.Messaged (transport "sockets") moves exactly the
 //     boundary state as length-prefixed frames on per-peer byte
 //     streams — in-process loopback streams by default, or real
@@ -72,30 +92,45 @@
 //     Stats.BytesPerIter prices the measured traffic with the same
 //     graph.CutCost word model the partitioner refines.
 //
-// Phase C and the next iteration's phase A touch only shard-local
-// state plus z delivered by ScatterZ, so a shard racing ahead blocks
-// in the next GatherM before it can disturb a slower shard. Because
-// interior z is computed by exactly the serial kernel and boundary z
-// gathers m-blocks in the same CSR order the serial z-update uses —
-// on this reference schedule from M, into which the messaged
-// transports copy received blocks at canonical edge indices — every
-// strategy, owner rule and transport produces bit-identical iterates
-// to the Serial reference; the cross-executor conformance suite and
-// the cross-process integration test pin this.
+// The u+n sweep and the next iteration's x touch only shard-local
+// state plus z delivered by FinishScatterZ, so a shard racing ahead
+// blocks in the next FinishGatherM before it can disturb a slower
+// shard. Interior z is computed by exactly the serial fused kernel. For
+// boundary z, a posted block is x + u rounded once, which is bit for
+// bit the reference m-block; the post follows the shard's own x-update
+// and its previous u+n sweep in program order, and nothing between the
+// post and the combine writes X, U or the row, so the combiner meets
+// exactly the values the reference m-blocks would have frozen, in the
+// same CSR order the serial z-update uses. The combine reads no other
+// shard's X or U at all — each shard's edge state is written and read
+// by one core only, and the row is written once and read once per
+// iteration, ordered by the two sync points (the race job runs the
+// suite under the detector). TestCombineReadsNoRemoteEdgeState poisons
+// every remote X and U before the combine and still gets Serial's z.
+// Every strategy, owner rule, shard count and transport therefore
+// produces bit-identical iterates to the Serial reference; the
+// cross-executor conformance suite and the cross-process integration
+// test pin this.
 //
 // # Sync-wait accounting
 //
-// Every worker times its own two sync points — in-process workers
-// around the Exchanger calls, worker processes the same way, reported
-// in each block's Done frame — and Stats.SyncWaitByShard carries the
-// whole vector. It has to: the shard the others wait for is the one
+// Every worker times its own loop, by one rule on every transport:
+// each nanosecond between entry and exit lands in exactly one of the x,
+// z and u phase buckets or in sync wait — Post and Combine are z work
+// (boundary z, the combine, is a sub-count of z), the four Begin/Finish
+// calls are sync wait: the barrier crossings on shared memory, frame
+// encode + write plus whatever blocking the overlap failed to hide on a
+// wire. TestShardLoopTimeAddsUp pins that the buckets add up to the
+// loop's wall time. In-process workers and worker processes time the
+// same loop, the latter reporting in each block's Done frame, and
+// Stats.SyncWaitByShard carries the whole vector. It has to: the shard the others wait for is the one
 // that reports the least wait, so a single shard's figure
 // (Stats.SyncWaitNanos is shard 0's, kept for its readers) says little
 // about what synchronization costs the solve. paradmm-solve prints the
 // min / median / max share of the solve per shard; the serving layer's
 // paradmm_shard_sync_wait_nanos_total follows the longest-waiting
-// shard. In-process waits follow one policy (exchange.Local's barrier
-// and the loopback pipes alike): yield-spin for about the cost of a
+// shard. In-process waits follow one policy (sched.SpinThenPark —
+// exchange.Local's barrier and the loopback pipes alike): yield-spin for about the cost of a
 // futex sleep/wake, then park. Phase times and BoundaryZNanos remain
 // worker 0's — one shard's share of the combine, so
 // Stats.BoundaryVarsByShard says how many boundary variables each shard
@@ -116,56 +151,20 @@
 // docs/fault-tolerance.md has the full contract and the
 // fault-injection tests (internal/faultnet) that pin it.
 //
-// # The fused schedule
+// # What the boundary costs
 //
-// With Backend.Fused (the ExecutorSpec default), each phase runs its
-// fused form — the sync structure is unchanged, still two crossings:
-//
-//	A (local):    x over owned functions;
-//	              fused z over interior vars (m = x + u in registers);
-//	              post: m = x + u of every owned edge on a remotely
-//	              owned boundary variable, into the owner's packed row
-//	-- GatherM --    (every row into this shard's inbox is this
-//	                  iteration's: written in place by its sender on
-//	                  shared memory, decoded from the sender's frame on
-//	                  a message transport)
-//	B (boundary): z for owned boundary vars (exchange.Mailbox.Combine):
-//	              each variable's edges in CSR order, a remote edge's
-//	              block from the inbox, a local edge's as x + u in
-//	              registers
-//	-- ScatterZ --   (all z-blocks published)
-//	C (local):    fused u+n sweep over owned edges
-//
-// The m-array write and one of the two edge sweeps disappear (m/u/n
-// phases paid ~88d bytes of edge traffic per iteration on the reference
-// schedule, ~56d fused; see internal/admm/fused.go for the model), and
-// one combine kernel serves the local transport, the loopback, the
-// overlapped schedule and the worker process. The correctness argument
-// is the reference schedule's with the packed row standing in for M:
-// a posted block is x + u rounded once, which is bit for bit the
-// reference m-block; the post follows the shard's own x-update and its
-// previous phase C in program order, and nothing between the post and
-// the combine writes X, U or the row, so the combiner meets exactly the
-// values the reference m-blocks would have frozen, in the same CSR
-// order. Phase B reads no other shard's X or U at all — each shard's
-// edge state is written and read by one core only, and the row is
-// written once and read once per iteration, ordered by the two sync
-// points (the race job runs the suite under the detector).
-// TestCombineReadsNoRemoteEdgeState poisons every remote X and U before
-// the combine and still gets Serial's z. Fused iterates therefore stay
-// bit-identical across all strategies, shard counts, owner rules and
-// transports.
-//
-// # When sharded beats barrier workers
-//
-// BarrierBackend pays 5 global barriers per iteration regardless of
-// graph shape. This executor pays 2 sync points plus a boundary-z
-// combine whose cost is proportional to the boundary-edge count. On
+// The paper's second OpenMP strategy — persistent workers separated by
+// barriers — is this executor over exchange.Local (bench
+// abl-openmp-strategy measures it under the "block" partition against
+// the fork-join loops). Per iteration it pays 2 sync points plus a
+// boundary-z combine whose cost is proportional to the boundary-edge
+// count, where a barrier after every update kind would pay its
+// crossings regardless of graph shape. On
 // chain-structured graphs (MPC: a K-step chain splits with K-1 cut
 // points under the balanced strategy) the combine is a few variables
 // and sharded wins on synchronization count alone. On dense graphs
 // (packing's all-pairs collision nodes make nearly every variable
-// boundary) phase B is a global z-update — the scaling cliff the
+// boundary) the combine is a global z-update — the scaling cliff the
 // paper's Conclusion predicts — and what it costs depends on what
 // crosses cores for it. Gathering remote x + u in place made every
 // boundary edge's X and U line bounce between its writer and the

@@ -48,13 +48,9 @@ type wireConfig struct {
 	Spec     json.RawMessage `json:"spec"`
 	Strategy string          `json:"strategy"`
 	Refine   bool            `json:"refine"`
-	Fused    bool            `json:"fused"`
-	// Overlap selects the overlapped fused schedule (requires Fused):
-	// boundary frames depart before interior compute. DeltaThreshold,
-	// when non-nil, delta-encodes steady-state mesh frames with the
-	// given change threshold. Every worker of a session must agree —
-	// the coordinator stamps both from its ExecutorSpec.
-	Overlap        bool     `json:"overlap,omitempty"`
+	// DeltaThreshold, when non-nil, delta-encodes steady-state mesh
+	// frames with the given change threshold. Every worker of a session
+	// must agree — the coordinator stamps it from its ExecutorSpec.
 	DeltaThreshold *float64 `json:"delta_threshold,omitempty"`
 	// Peers lists every worker's control endpoint, indexed by worker;
 	// worker i dials workers j < i it shares boundary state with.
@@ -82,8 +78,6 @@ type wireCacheProbe struct {
 	StateDigest    string   `json:"state_digest"`
 	Strategy       string   `json:"strategy"`
 	Refine         bool     `json:"refine"`
-	Fused          bool     `json:"fused"`
-	Overlap        bool     `json:"overlap,omitempty"`
 	DeltaThreshold *float64 `json:"delta_threshold,omitempty"`
 	// Peers lists every worker's control endpoint, indexed by worker
 	// (same contract as wireConfig.Peers).
@@ -126,8 +120,6 @@ func (p wireCacheProbe) asConfig() wireConfig {
 		Shards:         p.Shards,
 		Strategy:       p.Strategy,
 		Refine:         p.Refine,
-		Fused:          p.Fused,
-		Overlap:        p.Overlap,
 		DeltaThreshold: p.DeltaThreshold,
 		Peers:          p.Peers,
 		FrameTimeoutMS: p.FrameTimeoutMS,
@@ -307,10 +299,9 @@ func ListenAddr(addr string) (net.Listener, error) {
 // Rho|Alpha|X|U|N|Z; the parameter refresh (FrameParams) Rho|U — the
 // only arrays the engine mutates between Iterate calls (residual
 // checks read, rho adaptation rescales Rho and U), sent only before
-// blocks where Rho actually moved. M is never shipped:
-// both schedules fully rewrite every m-contribution they read each
-// iteration, so its value between sessions is scratch (the same
-// staleness contract the fused path documents).
+// blocks where Rho actually moved. M is never shipped: the workers'
+// kernels form every m-contribution they read in registers, so the
+// array is scratch (the staleness contract the fused path documents).
 
 func stateWords(g *graph.Graph) int {
 	e, v, d := g.NumEdges(), g.NumVariables(), g.D()

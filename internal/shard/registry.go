@@ -28,10 +28,8 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		sb.Fused = s.FusedEnabled()
 		sb.Refine = s.Refine
 		sb.Transport = s.Transport
-		sb.Overlap = s.Overlap
 		sb.DeltaThreshold = s.DeltaThreshold
 		return sb, nil
 	})

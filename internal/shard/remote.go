@@ -66,9 +66,7 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 type Remote struct {
 	shards   int
 	strategy graph.PartitionStrategy
-	fused    bool
 	refine   bool
-	overlap  bool
 	deltaThr *float64
 	session  uint64
 	addrs    []string
@@ -152,9 +150,7 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 	r := &Remote{
 		shards:   shards,
 		strategy: strategy,
-		fused:    spec.FusedEnabled(),
 		refine:   spec.Refine,
-		overlap:  spec.Overlap && spec.FusedEnabled(),
 		deltaThr: spec.DeltaThreshold,
 		addrs:    append([]string(nil), spec.Addrs...),
 		tmo:      specTimeouts(spec),
@@ -304,8 +300,6 @@ func (r *Remote) sendConfig(i int) error {
 		Spec:           r.problem.Spec,
 		Strategy:       string(r.strategy),
 		Refine:         r.refine,
-		Fused:          r.fused,
-		Overlap:        r.overlap,
 		DeltaThreshold: r.deltaThr,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
@@ -422,8 +416,6 @@ func (r *Remote) handshakeCached() error {
 		StateDigest:    stateDigest(state),
 		Strategy:       string(r.strategy),
 		Refine:         r.refine,
-		Fused:          r.fused,
-		Overlap:        r.overlap,
 		DeltaThreshold: r.deltaThr,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
@@ -502,14 +494,7 @@ func (r *Remote) handshakeCached() error {
 
 // Name implements admm.Backend.
 func (r *Remote) Name() string {
-	strat := PartitionLabel(r.strategy, r.refine)
-	if r.fused {
-		strat += ",fused"
-	}
-	if r.overlap {
-		strat += ",overlap"
-	}
-	return fmt.Sprintf("sharded(%d,%s,remote)", r.shards, strat)
+	return fmt.Sprintf("sharded(%d,%s,remote)", r.shards, PartitionLabel(r.strategy, r.refine))
 }
 
 // Stats returns partition and synchronization statistics, aggregated

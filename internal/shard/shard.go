@@ -11,26 +11,17 @@ import (
 )
 
 // Backend is the sharded executor: K persistent shard workers, each
-// executing all five ADMM phases over its own partition of the factor
-// graph, synchronizing only boundary-variable z-state between
-// iterations. The synchronization itself is delegated to an
-// exchange.Exchanger — shared-memory barriers on the local transport,
-// length-prefixed frames over byte streams on the sockets transport —
-// so the same worker loop serves both. See doc.go for the protocol and
-// when this beats the global-barrier executor; the cross-process form
-// of the same loop is Remote (remote.go) + ServeWorker (worker.go).
+// executing the whole iteration over its own partition of the factor
+// graph, synchronizing only boundary-variable state between iterations.
+// The synchronization itself is delegated to an exchange.Exchanger —
+// shared-memory barriers on the local transport, length-prefixed frames
+// over byte streams on the sockets transport — so the same worker loop
+// (runShardIters) serves both. See doc.go for the protocol; the
+// cross-process form of the same loop is Remote (remote.go) +
+// ServeWorker (worker.go).
 type Backend struct {
 	shards   int
 	strategy graph.PartitionStrategy
-
-	// Fused selects the two-pass fused phase schedule (see doc.go): the
-	// same two sync points per iteration, but phase A fuses the m-message
-	// into the interior z gather and posts the boundary edges' x + u to
-	// the owners' packed rows, phase B combines boundary z from those
-	// rows and the owner's own x + u (exchange.Mailbox), and phase C
-	// merges the u- and n-sweeps. Set before the first Iterate; workers
-	// observe it through the cmd handshake.
-	Fused bool
 
 	// Refine runs a Fiduccia–Mattheyses boundary-refinement pass
 	// (graph.Partition.Refine) over the partition before deriving the
@@ -45,15 +36,6 @@ type Backend struct {
 	// byte serialized and decoded exactly as between processes). Set
 	// before the first Iterate.
 	Transport string
-
-	// Overlap runs the overlapped fused schedule on a message transport:
-	// boundary frames go on the wire before interior compute and are
-	// collected where they are consumed (exchange.Overlapped). Requires
-	// Fused and the sockets transport; ignored otherwise (the local
-	// barrier exchanger has no split form). Bit-identical to the
-	// synchronous schedule — only the wait moves. Set before the first
-	// Iterate.
-	Overlap bool
 
 	// DeltaThreshold, when non-nil, switches the message transport's
 	// steady-state data frames to delta encoding with the given change
@@ -212,14 +194,8 @@ func (s Stats) PartitionLabel() string { return PartitionLabel(s.Strategy, s.Ref
 // Name implements admm.Backend.
 func (b *Backend) Name() string {
 	strat := PartitionLabel(b.strategy, b.Refine)
-	if b.Fused {
-		strat += ",fused"
-	}
 	if b.Transport == admm.TransportSockets {
 		strat += ",sockets"
-	}
-	if b.overlapActive() {
-		strat += ",overlap"
 	}
 	return fmt.Sprintf("sharded(%d,%s)", b.shards, strat)
 }
@@ -284,25 +260,10 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 	b.stats.DeltaFrames = ex.DeltaFrames
 }
 
-// overlapActive reports whether the overlapped schedule actually runs:
-// the knob is set and the bound (or configured) transport supports the
-// split sync points under the fused schedule.
-func (b *Backend) overlapActive() bool {
-	if !b.Overlap || !b.Fused {
-		return false
-	}
-	if b.ex != nil {
-		_, ok := b.ex.(exchange.Overlapped)
-		return ok
-	}
-	return b.Transport == admm.TransportSockets
-}
-
 // bindExchanger (re)builds the exchanger and the mailbox for a freshly
 // planned graph. The local barrier is graph-independent and persists,
-// and the fused schedule gets a shared-memory mailbox laid out by the
-// plan's owners (the reference schedule shares M itself and has none);
-// a messaged exchanger embeds the graph's boundary manifest and its
+// next to a shared-memory mailbox laid out by the plan's owners; a
+// messaged exchanger embeds the graph's boundary manifest and its
 // mailbox and is rebuilt (and the old one closed) per plan.
 func (b *Backend) bindExchanger(g *graph.Graph, p *plan) {
 	switch b.Transport {
@@ -310,15 +271,13 @@ func (b *Backend) bindExchanger(g *graph.Graph, p *plan) {
 		if b.localEx == nil {
 			b.localEx = exchange.NewLocal(b.shards)
 		}
-		b.ex, b.mb = b.localEx, nil
-		if b.Fused {
-			b.mb = exchange.NewMailbox(g, exchange.NewManifestOwners(g, &p.part, b.shards, p.owner))
-		}
+		b.ex = b.localEx
+		b.mb = exchange.NewMailbox(g, exchange.NewManifestOwners(g, &p.part, b.shards, p.owner))
 	case admm.TransportSockets:
 		if old, ok := b.ex.(*exchange.Messaged); ok {
 			old.Close()
 		}
-		lb := exchange.NewLoopback(g, exchange.NewManifest(g, &p.part, b.shards), b.Fused)
+		lb := exchange.NewLoopback(g, exchange.NewManifest(g, &p.part, b.shards), true)
 		if b.DeltaThreshold != nil {
 			lb.EnableDelta(*b.DeltaThreshold)
 		}
@@ -355,11 +314,7 @@ func (b *Backend) Close() {
 func (b *Backend) worker(id int) {
 	for range b.cmd {
 		var tm workerTimings
-		if ov, ok := b.ex.(exchange.Overlapped); ok && b.overlapActive() {
-			runShardItersOverlap(b.g, &b.plan.local[id], ov, b.mb, id, b.iters, &tm)
-		} else {
-			runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, b.Fused, &tm)
-		}
+		runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, &tm)
 		b.stats.SyncWaitByShard[id] += tm.syncWait
 		if id == 0 {
 			for p, v := range tm.phaseNanos {
@@ -371,9 +326,10 @@ func (b *Backend) worker(id int) {
 	}
 }
 
-// workerTimings is one worker's accounting for a block of iterations:
-// per-phase time, time blocked at the two sync points, and boundary-z
-// combine time (also counted in the z phase).
+// workerTimings is one worker's accounting for a block of iterations.
+// Every nanosecond of runShardIters lands in exactly one of the phase
+// buckets or syncWait; boundaryZ (the combine) is a sub-count of the z
+// phase.
 type workerTimings struct {
 	phaseNanos [admm.NumPhases]int64
 	syncWait   int64
@@ -390,125 +346,58 @@ func lap(t *time.Time, acc *int64) int64 {
 	return dt
 }
 
-// runShardIters executes iters iterations of the two-sync-point shard
-// schedule for one worker over its local plan — the shared core of the
-// in-process Backend and the cross-process worker loop (worker.go).
-// Per iteration on the reference schedule:
+// runShardIters executes iters iterations of the shard schedule for one
+// worker over its local plan — the one iteration loop of the in-process
+// Backend and the cross-process worker (worker.go). Per iteration:
 //
-//	A (local):    x over owned functions, m over owned edges,
-//	              z over interior variables
-//	-- GatherM --    (all m-contributions for owned boundary variables
-//	                  are in M: shared memory, or posted to the
-//	                  mailbox, framed, and copied into M on arrival)
-//	B (boundary): z for owned boundary variables, gathering m-blocks
-//	              in CSR order (bit-identical to serial)
-//	-- ScatterZ --   (all boundary z-blocks of this iteration are
-//	                  available)
-//	C (local):    u and n over owned edges
+//	x over lp.xBefore                (their edges feed outbound rows)
+//	post, -- BeginGatherM --         (m-rows depart; x + u is final for
+//	                                  every posted edge)
+//	x over lp.xAfter, z over interior variables
+//	-- FinishGatherM --              (every row into this worker's inbox
+//	                                  holds this iteration's blocks)
+//	z for owned boundary variables   (mb.Combine, CSR order:
+//	                                  bit-identical to serial)
+//	-- BeginScatterZ --              (owned boundary z departs)
+//	u/n over lp.unBefore             (their z never crosses a shard)
+//	-- FinishScatterZ --             (peers' boundary z arrived)
+//	u/n over lp.unAfter
 //
-// Phase C and the next iteration's phase A read only shard-local state
-// plus z delivered by ScatterZ, so no further synchronization is
-// needed: a shard racing ahead blocks in GatherM before it can touch
-// anything another shard still reads (on a message transport, shards
-// with no shared boundary state need no mutual ordering at all).
+// The schedule is data in the plan (newPlan): a message transport puts
+// the functions owning a remotely-combined edge in xBefore and the
+// edges awaiting peer z in unAfter, so frames fly while the interior
+// computes; on shared memory nothing departs at a Begin, so xAfter and
+// unBefore are empty and the loop is x, post, interior z, barrier,
+// combine, barrier, u/n. Either way every per-edge and per-variable
+// computation is the same arithmetic in the same order — only where the
+// waiting happens differs — so iterates are bit-identical to Serial;
+// the conformance suite pins it.
 //
-// The fused schedule keeps the same two sync points but fuses phase
-// contents: phase A skips the m sweep, gathers m = x + u in registers
-// inside the interior z-update, and posts x + u of the edges on
-// remotely-owned boundary variables to the owners' packed rows; phase B
-// combines from the worker's inbox and its own x + u (mb.Combine — the
-// same kernel on every transport, reading no other shard's X or U);
-// phase C merges the u- and n-sweeps. No phase between the post and
-// phase C writes X or U, so the posted blocks are exactly what the
-// reference m-blocks froze.
+// The z gather forms m = x + u in registers, Post reads x + u of the
+// posted edges, and no step between the post and the u/n sweep writes X
+// or U, so the posted blocks are exactly what the reference m-update
+// would have frozen. The u/n sweep and the next iteration's x read only
+// shard-local state plus z delivered by FinishScatterZ, so no further
+// synchronization is needed: a shard racing ahead blocks in
+// FinishGatherM before it can touch anything another shard still reads.
 //
-// mb is nil only on the reference schedule over shared memory, where M
-// is the mailbox.
-func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, fused bool, tm *workerTimings) {
+// Time accounting, the same on both transports: Post and Combine are z
+// work, the four Begin/Finish calls are syncWait — on a wire that is
+// frame encode + write plus the residual blocking the overlap failed to
+// hide, on shared memory the two barrier crossings.
+func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
 	ph := &tm.phaseNanos
 	t := time.Now()
 	for it := 0; it < iters; it++ {
-		for _, r := range lp.funcRuns {
+		for _, r := range lp.xBefore {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
 		lap(&t, &ph[admm.PhaseX])
-		if fused {
-			for _, r := range lp.interiorRuns {
-				admm.UpdateZFusedRange(g, r.Lo, r.Hi)
-			}
-		} else {
-			for _, r := range lp.edgeRuns {
-				admm.UpdateMRange(g, r.Lo, r.Hi)
-			}
-			lap(&t, &ph[admm.PhaseM])
-			for _, r := range lp.interiorRuns {
-				admm.UpdateZRange(g, r.Lo, r.Hi)
-			}
-		}
-		if mb != nil {
-			mb.Post(id)
-		}
-		lap(&t, &ph[admm.PhaseZ])
-		ex.GatherM(id)
-		lap(&t, &tm.syncWait)
-		if fused {
-			mb.Combine(id)
-		} else {
-			admm.UpdateZVars(g, lp.boundary)
-		}
-		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
-		ex.ScatterZ(id)
-		lap(&t, &tm.syncWait)
-		if fused {
-			for _, r := range lp.edgeRuns {
-				admm.UpdateUNRange(g, r.Lo, r.Hi)
-			}
-			lap(&t, &ph[admm.PhaseU])
-			continue
-		}
-		for _, r := range lp.edgeRuns {
-			admm.UpdateURange(g, r.Lo, r.Hi)
-		}
-		lap(&t, &ph[admm.PhaseU])
-		for _, r := range lp.edgeRuns {
-			admm.UpdateNRange(g, r.Lo, r.Hi)
-		}
-		lap(&t, &ph[admm.PhaseN])
-	}
-}
-
-// runShardItersOverlap executes the overlapped fused schedule: the same
-// two sync points as runShardIters, split so outbound boundary frames
-// are on the wire while interior compute runs, and inbound frames are
-// awaited only where they are consumed. Per iteration:
-//
-//	x over frontier functions        (their edges feed outbound rows)
-//	post, -- BeginGatherM --         (m-frames depart; x+u is final for
-//	                                  every sent edge)
-//	x over rest functions, fused interior z
-//	-- FinishGatherM --              (peer rows decoded into the inbox)
-//	z for owned boundary variables   (mb.Combine)
-//	-- BeginScatterZ --              (owned z-frames depart)
-//	u/n over local-z edges           (their z never crosses the wire)
-//	-- FinishScatterZ --             (peer z ingested)
-//	u/n over remote-z edges
-//
-// Every per-edge and per-variable computation is the same arithmetic in
-// the same order as the synchronous fused schedule — only the waiting
-// moves — so iterates are bit-identical; the conformance suite pins it.
-// The accounting keeps its meaning: syncWait is now only the residual
-// blocking at the two Finish points, which is exactly the wire time the
-// overlap failed to hide.
-func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
-	ph := &tm.phaseNanos
-	t := time.Now()
-	for it := 0; it < iters; it++ {
-		for _, r := range lp.frontierFuncRuns {
-			admm.UpdateXRange(g, r.Lo, r.Hi)
-		}
 		mb.Post(id)
+		lap(&t, &ph[admm.PhaseZ])
 		ex.BeginGatherM(id)
-		for _, r := range lp.restFuncRuns {
+		lap(&t, &tm.syncWait)
+		for _, r := range lp.xAfter {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
 		lap(&t, &ph[admm.PhaseX])
@@ -521,14 +410,14 @@ func runShardItersOverlap(g *graph.Graph, lp *localPlan, ex exchange.Overlapped,
 		mb.Combine(id)
 		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
 		ex.BeginScatterZ(id)
-		t = time.Now()
-		for _, r := range lp.localZEdgeRuns {
+		lap(&t, &tm.syncWait)
+		for _, r := range lp.unBefore {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
 		lap(&t, &ph[admm.PhaseU])
 		ex.FinishScatterZ(id)
 		lap(&t, &tm.syncWait)
-		for _, r := range lp.remoteZEdgeRuns {
+		for _, r := range lp.unAfter {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
 		lap(&t, &ph[admm.PhaseU])
@@ -563,25 +452,24 @@ func (p *plan) boundaryCounts() []int {
 // localPlan is one shard's work: contiguous runs of owned functions,
 // edges, and interior variables (interior ownership is contiguous up to
 // boundary gaps, so runs beat an index list), plus the boundary
-// variables it combines in phase B.
+// variables it combines.
 type localPlan struct {
 	funcRuns     []sched.Range
 	edgeRuns     []sched.Range
 	interiorRuns []sched.Range
 	boundary     []int
 
-	// Overlap splits (the overlapped fused schedule). Frontier
-	// functions own at least one edge whose boundary variable another
-	// shard owns — their x feeds an outbound m-frame, so they run
-	// before BeginGatherM; rest is the complement. localZEdges are the
-	// owned edges whose z this shard computes itself (interior or
-	// own-boundary variable), updatable before the scatter completes;
-	// remoteZEdges wait for peer z. The splits partition funcRuns and
-	// edgeRuns exactly.
-	frontierFuncRuns []sched.Range
-	restFuncRuns     []sched.Range
-	localZEdgeRuns   []sched.Range
-	remoteZEdgeRuns  []sched.Range
+	// The schedule runShardIters executes: xBefore/xAfter split
+	// funcRuns around BeginGatherM, unBefore/unAfter split edgeRuns
+	// around FinishScatterZ, each pair partitioning its parent exactly.
+	// On a message plan xBefore is the frontier — functions owning at
+	// least one edge whose boundary variable another shard combines, so
+	// their x feeds an outbound m-frame — and unAfter the edges whose z
+	// a peer computes; the rest overlaps the frames' flight. A
+	// shared-memory plan has nothing in flight to overlap: every
+	// function is in xBefore and every edge in unAfter.
+	xBefore, xAfter   []sched.Range
+	unBefore, unAfter []sched.Range
 }
 
 // ownedEdgeCount is the number of edges this shard owns.
@@ -630,9 +518,9 @@ func (lp *localPlan) appendOwnedVars(dst []int) []int {
 // which cost nothing where no byte is shipped; everything that frames
 // boundary state keeps the majority owners the manifest digest, the
 // cut-cost model and the wire are defined by — and derives per-shard
-// index sets. Workers beyond the partition's effective part count
-// (tiny graphs) get empty plans and only participate in the
-// per-iteration sync points.
+// index sets and the schedule split (see localPlan). Workers beyond
+// the partition's effective part count (tiny graphs) get empty plans
+// and only participate in the per-iteration sync points.
 func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refine, sharedMemory bool) (*plan, error) {
 	part, err := graph.NewPartition(g, shards, strategy)
 	if err != nil {
@@ -657,47 +545,45 @@ func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refin
 		s := part.FuncPart[a]
 		lo, hi := g.FuncEdges(a)
 		lp := &p.local[s]
-		if n := len(lp.funcRuns); n > 0 && lp.funcRuns[n-1].Hi == a {
-			lp.funcRuns[n-1].Hi = a + 1
-			lp.edgeRuns[len(lp.edgeRuns)-1].Hi = hi
-		} else {
-			lp.funcRuns = append(lp.funcRuns, sched.Range{Lo: a, Hi: a + 1})
-			lp.edgeRuns = append(lp.edgeRuns, sched.Range{Lo: lo, Hi: hi})
+		lp.funcRuns = appendRun(lp.funcRuns, a, a+1)
+		lp.edgeRuns = appendRun(lp.edgeRuns, lo, hi)
+		if sharedMemory {
+			continue
 		}
-		// Overlap splits: an edge whose boundary variable another shard
-		// owns is shipped at sync point 1 (its function is frontier)
-		// and receives its z back at sync point 2 (it is a remote-z
-		// edge); everything else is local.
+		// An edge whose boundary variable another shard combines is
+		// shipped at sync point 1 (its function is frontier) and
+		// receives its z back at sync point 2; everything else is local.
 		frontier := false
 		for e := lo; e < hi; e++ {
 			v := g.EdgeVar(e)
-			remote := part.IsBoundary(v) && owner[v] != s
-			if remote {
+			if part.IsBoundary(v) && owner[v] != s {
 				frontier = true
-				lp.remoteZEdgeRuns = appendRun(lp.remoteZEdgeRuns, e, e+1)
+				lp.unAfter = appendRun(lp.unAfter, e, e+1)
 			} else {
-				lp.localZEdgeRuns = appendRun(lp.localZEdgeRuns, e, e+1)
+				lp.unBefore = appendRun(lp.unBefore, e, e+1)
 			}
 		}
 		if frontier {
-			lp.frontierFuncRuns = appendRun(lp.frontierFuncRuns, a, a+1)
+			lp.xBefore = appendRun(lp.xBefore, a, a+1)
 		} else {
-			lp.restFuncRuns = appendRun(lp.restFuncRuns, a, a+1)
+			lp.xAfter = appendRun(lp.xAfter, a, a+1)
 		}
 	}
 	for v := 0; v < g.NumVariables(); v++ {
 		if !part.IsBoundary(v) {
 			lp := &p.local[owner[v]]
-			if n := len(lp.interiorRuns); n > 0 && lp.interiorRuns[n-1].Hi == v {
-				lp.interiorRuns[n-1].Hi = v + 1
-			} else {
-				lp.interiorRuns = append(lp.interiorRuns, sched.Range{Lo: v, Hi: v + 1})
-			}
+			lp.interiorRuns = appendRun(lp.interiorRuns, v, v+1)
 		}
 	}
 	for _, v := range part.BoundaryVars {
 		lp := &p.local[owner[v]]
 		lp.boundary = append(lp.boundary, v)
+	}
+	if sharedMemory {
+		for s := range p.local {
+			lp := &p.local[s]
+			lp.xBefore, lp.unAfter = lp.funcRuns, lp.edgeRuns
+		}
 	}
 	return p, nil
 }

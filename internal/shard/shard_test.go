@@ -101,6 +101,29 @@ func TestShardedSplitIterateCalls(t *testing.T) {
 	}
 }
 
+// TestShardedReuseAndClose is the persistent-worker lifecycle contract
+// (ported from the barrier executor this one replaced): a backend serves
+// Iterate after Iterate, Close is idempotent, and Iterate on a closed
+// backend panics instead of hanging on workers that are gone.
+func TestShardedReuseAndClose(t *testing.T) {
+	b, err := New(3, graph.StrategyBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := chainGraph(t, 20)
+	var nanos [admm.NumPhases]int64
+	b.Iterate(g, 3, &nanos)
+	b.Iterate(g, 3, &nanos) // reuse after first batch
+	b.Close()
+	b.Close() // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on Iterate after Close")
+		}
+	}()
+	b.Iterate(g, 1, &nanos)
+}
+
 // TestShardedThroughSolve exercises the declarative path end to end,
 // including the factory registration.
 func TestShardedThroughSolve(t *testing.T) {
@@ -239,7 +262,8 @@ func TestSpecValidationThroughAdmm(t *testing.T) {
 		{Kind: admm.ExecSharded, Shards: -1},
 		{Kind: admm.ExecSharded, Partition: "metis"},
 		{Kind: admm.ExecSerial, Shards: 2},
-		{Kind: admm.ExecBarrier, Partition: "balanced"},
+		{Kind: admm.ExecParallelFor, Partition: "balanced"},
+		{Kind: "barrier"},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v validated", bad)
@@ -252,7 +276,7 @@ func TestSpecValidationThroughAdmm(t *testing.T) {
 
 // TestAutoResolvesToShardedWhenLinked: with this package's factory
 // registered (the init above), a large sparse graph on a multi-core
-// budget resolves to a sharded fused backend and actually builds. The
+// budget resolves to a sharded backend and actually builds. The
 // serial fallback for unlinked binaries is covered in internal/admm.
 func TestAutoResolvesToShardedWhenLinked(t *testing.T) {
 	g := graph.New(1)

@@ -74,7 +74,6 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Fused = true
 			b.Transport = admm.TransportSockets
 			defer b.Close()
 			var nanos [admm.NumPhases]int64
@@ -128,7 +127,6 @@ func TestSocketsDeltaBytesBoundedByCutCostModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Fused = true
 		b.Transport = admm.TransportSockets
 		b.DeltaThreshold = thr
 		defer b.Close()
@@ -201,9 +199,8 @@ func TestSocketsTransportName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.Fused = true
 	b.Transport = admm.TransportSockets
-	if got, want := b.Name(), "sharded(2,balanced,fused,sockets)"; got != want {
+	if got, want := b.Name(), "sharded(2,balanced,sockets)"; got != want {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
 }

@@ -547,7 +547,7 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 		peers[j] = pc
 	}
 
-	ex, err := exchange.NewPeer(g, man, cfg.Fused, id, peers)
+	ex, err := exchange.NewPeer(g, man, id, peers)
 	if err != nil {
 		closePeers()
 		return fail(err)
@@ -647,7 +647,7 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 				}
 				zprev = zprevBuf
 			}
-			done, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, cfg.Fused, cfg.Overlap, ownedVars, zprev)
+			done, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev)
 			if iterErr != nil {
 				return fail(iterErr)
 			}
@@ -674,20 +674,14 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 // non-nil zprev receives this worker's owned z (appendOwnedVars order)
 // as of the block's penultimate iteration — the capture a merged
 // residual round uploads alongside the final state.
-func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, fused, overlap bool, ownedVars []int, zprev []float64) (done wireDone, err error) {
+func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, ownedVars []int, zprev []float64) (done wireDone, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("iteration block: %v", r)
 		}
 	}()
 	var tm workerTimings
-	run := func(n int) {
-		if overlap && fused {
-			runShardItersOverlap(g, lp, ex, ex.Mailbox(), id, n, &tm)
-		} else {
-			runShardIters(g, lp, ex, ex.Mailbox(), id, n, fused, &tm)
-		}
-	}
+	run := func(n int) { runShardIters(g, lp, ex, ex.Mailbox(), id, n, &tm) }
 	if zprev != nil {
 		if iters > 1 {
 			run(iters - 1)

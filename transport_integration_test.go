@@ -94,11 +94,11 @@ func spawnWorkers(t *testing.T, addrs []string, sessions int) {
 
 // TestCrossProcessShardedSockets runs a coordinator against two real
 // worker processes over unix sockets and demands bit-identical iterates
-// to Serial — on a fixed-iteration fused MPC solve, on a
-// residual-checked unfused lasso solve (multiple iteration blocks, so
-// the per-block parameter refresh and owned-state upload paths are
-// exercised, and the coordinator's residuals are computed from
-// worker-uploaded state) and on a fused lasso solve. The lasso star is
+// to Serial — on a fixed-iteration MPC solve, on a residual-checked
+// lasso solve (multiple iteration blocks, so the per-block parameter
+// refresh and owned-state upload paths are exercised, and the
+// coordinator's residuals are computed from worker-uploaded state) and
+// on a wider lasso star. The lasso star is
 // the hub case: each worker re-derives the default partition from the
 // strategy name, must arrive at the same creation-order split with the
 // hub as the one boundary variable (the handshake compares manifest
@@ -117,7 +117,6 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 		workload string
 		spec     any
 		build    func() (*graph.Graph, error)
-		fused    bool
 		tol      float64
 		hub      bool // a consensus star: the hub is the only boundary variable
 	}{
@@ -133,7 +132,6 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 				p.Graph.InitZero()
 				return p.Graph, nil
 			},
-			fused: true,
 		},
 		{
 			name:     "lasso-residual-checked",
@@ -147,9 +145,8 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 				p.Graph.InitZero()
 				return p.Graph, nil
 			},
-			fused: false,
-			tol:   1e-9,
-			hub:   true,
+			tol: 1e-9,
+			hub: true,
 		},
 		{
 			name:     "lasso-hub-fused",
@@ -163,8 +160,7 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 				p.Graph.InitZero()
 				return p.Graph, nil
 			},
-			fused: true,
-			hub:   true,
+			hub: true,
 		},
 	}
 	for _, sv := range solves {
@@ -193,13 +189,11 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fused := sv.fused
 			spec := admm.ExecutorSpec{
 				Kind:      admm.ExecSharded,
 				Shards:    2,
 				Transport: admm.TransportSockets,
 				Addrs:     addrs,
-				Fused:     &fused,
 				Problem:   &admm.ProblemRef{Workload: sv.workload, Spec: raw},
 			}
 			backend, err := spec.NewBackend(g)
