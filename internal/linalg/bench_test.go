@@ -35,32 +35,37 @@ func BenchmarkCholeskySolve(b *testing.B) {
 	})
 }
 
-// BenchmarkAffineProject times the mpc dynamics projection: a 4x10
-// constraint, one precomputed gain.
+// BenchmarkAffineProject times the projection kernel alone, one
+// precomputed gain: 4x10 is the mpc dynamics constraint (one block), 2x6
+// runs only the tail, 8x20 two blocks. An op is one projection: 2*m*n
+// multiply-adds.
 func BenchmarkAffineProject(b *testing.B) {
-	b.Run("4x10", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(2))
-		c := NewMat(4, 10)
-		for i := range c.Data {
-			c.Data[i] = rng.NormFloat64()
-		}
-		p, err := NewAffineProjector(c, make([]float64, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rho := make([]float64, 10)
-		Fill(rho, 1.5)
-		if err := p.Precompute(rho); err != nil {
-			b.Fatal(err)
-		}
-		v := make([]float64, 10)
-		scratch := make([]float64, 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := range v {
-				v[k] = float64(k + 1)
+	for _, shape := range []struct {
+		name string
+		m, n int
+	}{{"4x10", 4, 10}, {"2x6", 2, 6}, {"8x20", 8, 20}} {
+		b.Run(shape.name, func(b *testing.B) {
+			m, n := shape.m, shape.n
+			rng := rand.New(rand.NewSource(2))
+			c := &Mat{Rows: m, Cols: n, Data: randVec(rng, m*n)}
+			p, err := NewAffineProjector(c, make([]float64, m))
+			if err != nil {
+				b.Fatal(err)
 			}
-			p.Project(v, scratch)
-		}
-	})
+			rho := make([]float64, n)
+			Fill(rho, 1.5)
+			if err := p.Precompute(rho); err != nil {
+				b.Fatal(err)
+			}
+			src, dst := make([]float64, n), make([]float64, n)
+			for k := range src {
+				src[k] = float64(k + 1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Project(dst, src)
+			}
+			b.ReportMetric(float64(2*m*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+		})
+	}
 }

@@ -204,16 +204,14 @@ func TestAffineProjectorIdempotent(t *testing.T) {
 	if err := p.Precompute(rho); err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]float64, 4)
+	once, twice := make([]float64, 10), make([]float64, 10)
 	for trial := 0; trial < 20; trial++ {
-		v := randVec(rng, 10)
-		p.Project(v, scratch)
-		if r := p.Residual(v); r > 1e-12 {
+		p.Project(once, randVec(rng, 10))
+		if r := p.Residual(once); r > 1e-12 {
 			t.Fatalf("residual after projection = %g", r)
 		}
-		once := append([]float64(nil), v...)
-		p.Project(v, scratch)
-		if d := Dist2(v, once); d > 1e-12*Norm2(once) {
+		p.Project(twice, once)
+		if d := Dist2(twice, once); d > 1e-12*Norm2(once) {
 			t.Fatalf("second projection moved the point by %g", d)
 		}
 	}

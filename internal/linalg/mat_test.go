@@ -117,9 +117,8 @@ func TestAffineProjectorProjectsOntoSubspace(t *testing.T) {
 	if err := p.Precompute(rho); err != nil {
 		t.Fatal(err)
 	}
-	v := []float64{0, 0, 0}
-	scratch := make([]float64, 1)
-	p.Project(v, scratch)
+	v := make([]float64, 3)
+	p.Project(v, []float64{0, 0, 0})
 	for i := range v {
 		if !almostEq(v[i], 1, 1e-12) {
 			t.Fatalf("projection = %v, want [1 1 1]", v)
@@ -137,11 +136,12 @@ func TestAffineProjectorWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := []float64{0, 0}
 	// rho0 >> rho1: coordinate 1 should absorb nearly all the correction.
-	if err := p.ProjectWeighted(v, []float64{1e6, 1}); err != nil {
+	if err := p.Precompute([]float64{1e6, 1}); err != nil {
 		t.Fatal(err)
 	}
+	v := make([]float64, 2)
+	p.Project(v, []float64{0, 0})
 	if !(v[1] > 1.99 && v[0] < 0.01) {
 		t.Fatalf("weighted projection = %v, want approx [0 2]", v)
 	}
@@ -163,14 +163,21 @@ func TestAffineProjectorOptimality(t *testing.T) {
 	if err := p.Precompute(rho); err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]float64, 2)
+	// The same C with a zero right-hand side projects onto its null space.
+	pd, err := NewAffineProjector(c, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pd.Precompute(rho); err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 50; trial++ {
 		n := make([]float64, 4)
 		for i := range n {
 			n[i] = rng.NormFloat64() * 5
 		}
-		v := append([]float64(nil), n...)
-		p.Project(v, scratch)
+		v := make([]float64, 4)
+		p.Project(v, n)
 		if r := p.Residual(v); r > 1e-10 {
 			t.Fatalf("infeasible projection, residual %g", r)
 		}
@@ -178,18 +185,13 @@ func TestAffineProjectorOptimality(t *testing.T) {
 		// Null space basis of C (found by hand for this C):
 		// d with C d = 0. Use two random null vectors via projection.
 		for k := 0; k < 5; k++ {
+			raw := make([]float64, 4)
+			for i := range raw {
+				raw[i] = rng.NormFloat64()
+			}
+			// Project onto null space: d = raw - C^T (C C^T)^{-1} C raw.
 			d := make([]float64, 4)
-			for i := range d {
-				d[i] = rng.NormFloat64()
-			}
-			// Project d onto null space: d -= C^T (C C^T)^{-1} C d.
-			pd, err := NewAffineProjector(c, []float64{0, 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := pd.ProjectWeighted(d, rho); err != nil {
-				t.Fatal(err)
-			}
+			pd.Project(d, raw)
 			diff := make([]float64, 4)
 			SubTo(diff, v, n)
 			if dot := Dot(diff, d); math.Abs(dot) > 1e-8 {

@@ -30,7 +30,9 @@
 // AffineProjector serves the mpc dynamics nodes, a 4x10 constraint
 // evaluated once per node per iteration. Precompute folds the Gram
 // factorization into a gain matrix, so a projection is two small
-// matrix-vector products, with no triangular solve and no division.
+// matrix-vector products, with no triangular solve and no division; C and
+// the gain are stored interleaved four rows to a block, so each product is
+// one pass with four accumulators (or four gain terms) in registers.
 //
 // There is no assembly and no SIMD beyond what the compiler provides.
 package linalg

@@ -301,7 +301,7 @@ func TestDynamicsProjectionMatchesSolveFormula(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
-	scratch := make([]float64, m)
+	got := make([]float64, n)
 	for trial := 0; trial < 50; trial++ {
 		v := make([]float64, n)
 		for j := range v {
@@ -322,11 +322,11 @@ func TestDynamicsProjectionMatchesSolveFormula(t *testing.T) {
 			}
 			want[j] = v[j] - s/rho[j]
 		}
-		p.Project(v, scratch)
-		if rel := linalg.Dist2(v, want) / linalg.Norm2(want); rel > 1e-12 {
+		p.Project(got, v)
+		if rel := linalg.Dist2(got, want) / linalg.Norm2(want); rel > 1e-12 {
 			t.Fatalf("trial %d: gain form differs from solve form by %.3g (relative)", trial, rel)
 		}
-		if res := p.Residual(v); res > 1e-12 {
+		if res := p.Residual(got); res > 1e-12 {
 			t.Fatalf("trial %d: residual %g", trial, res)
 		}
 	}

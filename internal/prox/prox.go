@@ -289,11 +289,12 @@ type AffineEquality struct {
 	RHS []float64
 	Dim int // live components per edge block
 
-	deg      int
-	shared   *atomic.Pointer[affineGain] // latest gain any Clone sibling computed
-	gain     *affineGain                 // the gain for this node's current rho
-	vbuf     []float64                   // scratch of the padded path: concatenated live components
-	scratchM []float64
+	deg    int
+	shared *atomic.Pointer[affineGain] // latest gain any Clone sibling computed
+	gain   *affineGain                 // the gain for this node's current rho
+	// The padded path's concatenated live components, unprojected and
+	// projected; nil where Dim equals the graph's d.
+	vbuf, pbuf []float64
 }
 
 // affineGain is a projector precomputed for one per-edge rho vector.
@@ -330,27 +331,28 @@ func NewAffineEquality(c *linalg.Mat, rhs []float64, nd int) (*AffineEquality, e
 	}
 	return &AffineEquality{
 		C: c, RHS: rhs, Dim: nd,
-		deg:      c.Cols / nd,
-		shared:   new(atomic.Pointer[affineGain]),
-		scratchM: make([]float64, c.Rows),
+		deg:    c.Cols / nd,
+		shared: new(atomic.Pointer[affineGain]),
 	}, nil
 }
 
 // Clone returns an operator for another function node under the same
-// constraint. It shares p's C, RHS (both only read) and published gain,
-// and owns its scratch, so a builder that attaches thousands of nodes to
-// one constraint matrix pays for one gain per rho, not one per node.
+// constraint. It shares p's C, RHS (both only read) and published gain, so
+// a builder that attaches thousands of nodes to one constraint matrix pays
+// for one gain per rho, not one per node. All a clone owns is its pointer
+// to the gain for its node's current rho and, once it has evaluated on a
+// padded graph, the two buffers of that path.
 func (p *AffineEquality) Clone() *AffineEquality {
 	q := *p
-	q.vbuf = nil
-	q.scratchM = make([]float64, len(p.scratchM))
+	q.vbuf, q.pbuf = nil, nil
 	return &q
 }
 
-// Eval implements graph.Op. It is NOT safe for concurrent use on the same
-// operator instance (it owns scratch buffers); attach one instance per
-// function node, which is how every builder in this repository uses it.
-// Clone siblings may be evaluated concurrently.
+// Eval implements graph.Op. It only reads n. It is NOT safe for
+// concurrent use on the same operator instance: it caches the gain that
+// matched the last rho and, on the padded path, gathers into vbuf/pbuf.
+// Attach one instance per function node, which is how every builder in
+// this repository uses it. Clone siblings may be evaluated concurrently.
 func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 	deg := len(rho)
 	if deg != p.deg {
@@ -365,21 +367,21 @@ func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 	}
 	if nd == d {
 		// No padding: the blocks are the concatenation already.
-		copy(x, n)
-		p.gain.proj.Project(x[:deg*d], p.scratchM)
+		p.gain.proj.Project(x[:deg*d], n[:deg*d])
 		return
 	}
 	copyPad(x, n, deg, d, nd)
 	// Gather live components.
 	if p.vbuf == nil {
 		p.vbuf = make([]float64, p.C.Cols)
+		p.pbuf = make([]float64, p.C.Cols)
 	}
 	for k := 0; k < deg; k++ {
 		copy(p.vbuf[k*nd:(k+1)*nd], n[k*d:k*d+nd])
 	}
-	p.gain.proj.Project(p.vbuf, p.scratchM)
+	p.gain.proj.Project(p.pbuf, p.vbuf)
 	for k := 0; k < deg; k++ {
-		copy(x[k*d:k*d+nd], p.vbuf[k*nd:(k+1)*nd])
+		copy(x[k*d:k*d+nd], p.pbuf[k*nd:(k+1)*nd])
 	}
 }
 

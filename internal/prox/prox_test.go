@@ -408,6 +408,65 @@ func TestAffineEqualityClonesShareGain(t *testing.T) {
 	}
 }
 
+// dynamicsLike is a 4x10 constraint over two d=5 edges with the sparsity
+// of the mpc dynamics constraint [-(I+A) -B 0 | I 0].
+func dynamicsLike(rng *rand.Rand) *linalg.Mat {
+	c := linalg.NewMat(4, 10)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			c.Set(i, j, rng.NormFloat64())
+		}
+		c.Set(i, 5+i, 1)
+	}
+	return c
+}
+
+// TestAffineEqualityPerInstanceState: an operator owns no scratch beyond
+// the padded path's two buffers, so a Clone is one allocation and a
+// steady-state Eval none, and Eval projects out of place without writing n.
+func TestAffineEqualityPerInstanceState(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	first, err := NewAffineEquality(dynamicsLike(rng), []float64{0.3, -0.1, 0.2, 0.05}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clone *AffineEquality // assigned through the closure so the clone escapes
+	if a := testing.AllocsPerRun(100, func() { clone = first.Clone() }); a != 1 || clone == nil {
+		t.Errorf("Clone allocates %v times, want 1", a)
+	}
+	rho := []float64{0.7, 3.5}
+	for _, d := range []int{5, 7} { // nd == d, and the padded path
+		op := first.Clone()
+		n := make([]float64, 2*d)
+		for i := range n {
+			n[i] = rng.NormFloat64()
+		}
+		orig := append([]float64(nil), n...)
+		x := make([]float64, 2*d)
+		op.Eval(x, n, rho, d) // takes or publishes the gain, sizes the padded buffers
+		if a := testing.AllocsPerRun(100, func() { op.Eval(x, n, rho, d) }); a != 0 {
+			t.Errorf("d=%d: steady-state Eval allocates %v times, want 0", d, a)
+		}
+		for i := range n {
+			if n[i] != orig[i] {
+				t.Fatalf("d=%d: Eval wrote n[%d]", d, i)
+			}
+		}
+		live := make([]float64, 0, 10)
+		for k := 0; k < 2; k++ {
+			live = append(live, x[k*d:k*d+5]...)
+			for i := 5; i < d; i++ {
+				if x[k*d+i] != n[k*d+i] {
+					t.Fatalf("d=%d: padding component %d of block %d not passed through", d, i, k)
+				}
+			}
+		}
+		if r := op.gain.proj.Residual(live); r > 1e-12 {
+			t.Fatalf("d=%d: Eval result infeasible, residual %g", d, r)
+		}
+	}
+}
+
 func TestQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := linalg.MatFromRows([][]float64{{2, 0.5}, {0.5, 1}})
