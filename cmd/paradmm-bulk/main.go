@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/bulk"
-	_ "repro/internal/shard" // register the sharded executor
 	"repro/internal/store"
 )
 

@@ -80,9 +80,10 @@ func main() {
 	})
 	// The sharded executor partitions the factor graph up front, so the
 	// backend is built after the problem: solve* functions carry this
-	// config to run(), which builds the backend against the finalized
-	// graph (plus, for the cross-process transport, the rebuildable
-	// problem reference the worker processes reconstruct the graph from).
+	// config to run(), which dresses it into an executor spec (plus, for
+	// the cross-process transport, the rebuildable problem reference the
+	// worker processes reconstruct the graph from) and hands it to
+	// shard.Solve.
 	cfg := backendConfig{
 		name:             *backendName,
 		workers:          *workers,
@@ -176,10 +177,10 @@ type backendConfig struct {
 // the name is one of the simulated-device backends that sit outside the
 // spec registry (gpu, cpusim, multicpu, twa). ref is the rebuildable
 // problem description the sockets transport ships to remote workers.
-func specFor(c backendConfig, ref *admm.ProblemRef) (*admm.ExecutorSpec, error) {
+func specFor(c backendConfig, ref *admm.ProblemRef) *admm.ExecutorSpec {
 	spec, err := admm.ParseExecutor(c.name, c.workers)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	if spec.Kind == admm.ExecSharded {
 		spec.Workers = 0
@@ -215,20 +216,14 @@ func specFor(c backendConfig, ref *admm.ProblemRef) (*admm.ExecutorSpec, error) 
 	// -fleet implies the warm-cache handshake: a persistent fleet's
 	// whole point is that repeated solves skip the workload down-sync.
 	spec.WarmCache = c.warmCache || c.fleet
-	return &spec, nil
+	return &spec
 }
 
-func makeBackend(c backendConfig, ref *admm.ProblemRef, g *graph.Graph, withDialer func(*admm.ExecutorSpec)) (admm.Backend, error) {
-	spec, err := specFor(c, ref)
-	if err != nil {
-		return nil, err
-	}
-	if spec != nil {
-		withDialer(spec)
-		return spec.NewBackend(g)
-	}
-	if c.transport != "" || len(c.addrs) > 0 {
-		return nil, fmt.Errorf("-transport/-addrs apply to -backend sharded, not %q", c.name)
+// simulatedBackend builds one of the simulated-device backends, which
+// have no executor spec and so no transport or failover policy.
+func simulatedBackend(c backendConfig) (admm.Backend, error) {
+	if c.transport != "" || len(c.addrs) > 0 || c.failover != "" {
+		return nil, fmt.Errorf("-transport/-addrs/-failover apply to -backend sharded, not %q", c.name)
 	}
 	switch c.name {
 	case "gpu":
@@ -253,31 +248,6 @@ func problemRef(workload string, spec any) (*admm.ProblemRef, error) {
 	return &admm.ProblemRef{Workload: workload, Spec: raw}, nil
 }
 
-// stateSnapshot captures the solver state vectors so -repeat can rerun
-// the identical solve (same initial iterate) without rebuilding the
-// problem.
-type stateSnapshot struct {
-	rho, alpha, x, m, u, n, z []float64
-}
-
-func snapshotState(g *graph.Graph) stateSnapshot {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	return stateSnapshot{
-		rho: cp(g.Rho), alpha: cp(g.Alpha),
-		x: cp(g.X), m: cp(g.M), u: cp(g.U), n: cp(g.N), z: cp(g.Z),
-	}
-}
-
-func (s stateSnapshot) restore(g *graph.Graph) {
-	copy(g.Rho, s.rho)
-	copy(g.Alpha, s.alpha)
-	copy(g.X, s.x)
-	copy(g.M, s.m)
-	copy(g.U, s.u)
-	copy(g.N, s.n)
-	copy(g.Z, s.z)
-}
-
 // run solves g -repeat times from the same initial state. With -fleet
 // the worker addresses are managed by one fleet.Registry reused across
 // every repeat: probed up front, leased per solve, dialed from a
@@ -299,14 +269,14 @@ func run(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef) (admm
 		}
 		fmt.Printf("fleet: %d workers healthy\n", len(c.addrs))
 	}
-	var snap stateSnapshot
+	var snap graph.State
 	if c.repeat > 1 {
-		snap = snapshotState(g)
+		snap = g.SaveState()
 	}
 	var res admm.Result
 	for rep := 1; rep <= c.repeat; rep++ {
 		if rep > 1 {
-			snap.restore(g)
+			g.RestoreState(snap)
 			fmt.Printf("--- repeat %d/%d ---\n", rep, c.repeat)
 		}
 		var err error
@@ -330,57 +300,37 @@ func runOnce(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef, r
 		}
 		defer lease.Release()
 	}
-	withDialer := func(spec *admm.ExecutorSpec) {
-		if reg != nil && spec != nil {
-			spec.WorkerDialer = reg.Dial
-		}
-	}
-	if c.failover == admm.FailoverSurvivors || c.failover == admm.FailoverLocal {
-		// Recovery-policy solves route through shard.SolveWithFailover,
-		// which owns the retry/probe/re-partition loop that the plain
-		// Backend contract cannot express.
-		spec, err := specFor(c, ref)
+	spec := specFor(c, ref)
+	if spec == nil {
+		backend, err := simulatedBackend(c)
 		if err != nil {
 			return admm.Result{}, err
 		}
-		if spec == nil {
-			return admm.Result{}, fmt.Errorf("-failover applies to -backend sharded, not %q", c.name)
-		}
-		withDialer(spec)
-		out, err := shard.SolveWithFailover(context.Background(), g, admm.SolveOptions{
-			Executor: *spec,
-			MaxIter:  iters,
-		})
+		defer backend.Close()
+		res, err := admm.Run(g, admm.Options{MaxIter: iters, Backend: backend})
 		if err != nil {
-			return admm.Result{}, err
+			return res, err
 		}
-		var st *shard.Stats
-		if out.HasShardStats {
-			st = &out.ShardStats
-		}
-		report(out.Result, g, out.Backend, st)
-		if out.Attempts > 1 || out.Failovers > 0 || out.LocalFallback {
-			fmt.Printf("failover: %d attempts, %d failovers, local fallback %v; failures: %s\n",
-				out.Attempts, out.Failovers, out.LocalFallback, strings.Join(out.Failures, "; "))
-		}
-		return out.Result, nil
+		report(res, g, backend.Name(), nil)
+		return res, nil
 	}
-	backend, err := makeBackend(c, ref, g, withDialer)
+	if reg != nil {
+		spec.WorkerDialer = reg.Dial
+	}
+	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: *spec, MaxIter: iters})
 	if err != nil {
 		return admm.Result{}, err
 	}
-	defer backend.Close()
-	res, err := admm.Run(g, admm.Options{MaxIter: iters, Backend: backend})
-	if err != nil {
-		return res, err
-	}
 	var st *shard.Stats
-	if sb, ok := backend.(shard.StatsReporter); ok {
-		s := sb.Stats()
-		st = &s
+	if out.HasShardStats {
+		st = &out.ShardStats
 	}
-	report(res, g, backend.Name(), st)
-	return res, nil
+	report(out.Result, g, out.Backend, st)
+	if out.Attempts > 1 || out.Failovers > 0 || out.LocalFallback {
+		fmt.Printf("failover: %d attempts, %d failovers, local fallback %v; failures: %s\n",
+			out.Attempts, out.Failovers, out.LocalFallback, strings.Join(out.Failures, "; "))
+	}
+	return out.Result, nil
 }
 
 func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {

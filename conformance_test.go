@@ -14,6 +14,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -500,6 +501,23 @@ func TestSteadyStateAllocs(t *testing.T) {
 					}
 				})
 			}
+			// The route above the backend: a whole residual-checked
+			// serial solve through shard.Solve — what serve and bulk run
+			// per request — allocates nothing once the graph's scratch
+			// exists, like the admm.Solve it replaced there.
+			t.Run("shard.Solve", func(t *testing.T) {
+				inst := build(t)
+				opts := admm.SolveOptions{MaxIter: 3, AbsTol: 1e-9, RelTol: 1e-9, CheckEvery: 2}
+				solve := func() {
+					if _, err := shard.Solve(context.Background(), inst.g, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				solve() // warm-up
+				if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
+					t.Errorf("a local solve allocates %.1f objects in steady state", allocs)
+				}
+			})
 		})
 	}
 }

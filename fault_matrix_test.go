@@ -127,7 +127,7 @@ func TestFaultMatrixEveryFrameBoundary(t *testing.T) {
 	// learn how many frames cross each connection in each direction.
 	addrs, lns := startScriptedWorkers(t, []faultnet.Script{nil, nil})
 	g := matrixGraph(t)
-	if _, err := shard.SolveWithFailover(context.Background(), g, matrixOpts(matrixSpec(addrs))); err != nil {
+	if _, err := shard.Solve(context.Background(), g, matrixOpts(matrixSpec(addrs))); err != nil {
 		t.Fatalf("census solve failed: %v", err)
 	}
 	for i := range ref.Z {
@@ -167,7 +167,7 @@ func TestFaultMatrixEveryFrameBoundary(t *testing.T) {
 		scripts[victim] = faultnet.PlanAt(connIdx, plan)
 		addrs, lns := startScriptedWorkers(t, scripts)
 		g := matrixGraph(t)
-		_, err := shard.SolveWithFailover(context.Background(), g, matrixOpts(matrixSpec(addrs)))
+		_, err := shard.Solve(context.Background(), g, matrixOpts(matrixSpec(addrs)))
 		runs++
 		if err != nil {
 			failed++
@@ -241,7 +241,7 @@ func TestFailoverSurvivorConformance(t *testing.T) {
 	spec := matrixSpec(addrs)
 	spec.Failover = admm.FailoverSurvivors
 	spec.DialAttempts = 2
-	out, err := shard.SolveWithFailover(context.Background(), g, matrixOpts(spec))
+	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	if err != nil {
 		t.Fatalf("failover solve failed: %v (trail %v)", err, out.Failures)
 	}
@@ -258,7 +258,7 @@ func TestFailoverSurvivorConformance(t *testing.T) {
 	// (a) Clean solve on the survivor partition, fresh workers.
 	cleanAddrs, _ := startScriptedWorkers(t, []faultnet.Script{nil, nil})
 	gc := matrixGraph(t)
-	if _, err := shard.SolveWithFailover(context.Background(), gc, matrixOpts(matrixSpec(cleanAddrs))); err != nil {
+	if _, err := shard.Solve(context.Background(), gc, matrixOpts(matrixSpec(cleanAddrs))); err != nil {
 		t.Fatal(err)
 	}
 	// (b) Serial baseline.

@@ -156,7 +156,7 @@ func TestFleetConformance(t *testing.T) {
 					FrameTimeoutMS:     5000,
 					DialAttempts:       1,
 				})
-				out, err := shard.SolveWithFailover(context.Background(), g, admm.SolveOptions{
+				out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
 					Executor: spec, MaxIter: iters,
 				})
 				if err != nil {
@@ -210,7 +210,7 @@ func TestFleetConformance(t *testing.T) {
 }
 
 // TestFleetChaosWorkerDeath: one of three registry-routed workers dies
-// mid-solve. SolveWithFailover must recover onto the survivors with a
+// mid-solve. shard.Solve must recover onto the survivors with a
 // bit-identical result, the registry must mark the victim dead within
 // one probe round, and the teardown must leak no goroutines.
 func TestFleetChaosWorkerDeath(t *testing.T) {
@@ -244,7 +244,7 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 		FrameTimeoutMS:     5000,
 		DialAttempts:       2,
 	})
-	out, err := shard.SolveWithFailover(context.Background(), g, matrixOpts(spec))
+	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()
 	if err != nil {
 		t.Fatalf("chaos solve failed: %v (trail %v)", err, out.Failures)

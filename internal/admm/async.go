@@ -40,7 +40,7 @@ func (b *AsyncBackend) Name() string { return "async-random-activation" }
 func (b *AsyncBackend) Close() {}
 
 // Iterate implements Backend.
-func (b *AsyncBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
+func (b *AsyncBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	nF := g.NumFunctions()
 	d := g.D()
 	start := time.Now()
@@ -92,6 +92,7 @@ func (b *AsyncBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases
 	// Async has no phase structure; attribute all time to the x phase
 	// bucket so totals remain meaningful.
 	phaseNanos[PhaseX] += time.Since(start).Nanoseconds()
+	return nil
 }
 
 var _ Backend = (*AsyncBackend)(nil)

@@ -15,12 +15,8 @@ import (
 //     everything resolves to serial;
 //   - small graphs: a sharded solve pays two barriers per iteration,
 //     which dominates below ~AutoShardMinEdges edges (sharded-N
-//     trailed serial on every small graph it was swept on). Small
-//     *dense* graphs — enough edges to amortize a fork-join spawn
-//     (AutoParallelMinEdges) concentrated on few variables
-//     (AutoParallelMinMeanDegree) — resolve to parallel-for: plenty of
-//     per-iteration work, but a boundary set partitioning could never
-//     make cheap. Small sparse graphs stay serial;
+//     trailed serial on every small graph it was swept on), so they
+//     stay serial;
 //   - otherwise the decision is made on *predicted cut cost* instead of
 //     a density proxy: both refined partition candidates are computed —
 //     balanced+FM (wins on geometric graphs: chains, grids) and
@@ -30,10 +26,13 @@ import (
 //     is compared against the serial threshold. If even the best
 //     refined partition would ship more than AutoMaxCutShare of the
 //     per-iteration edge state across shards every iteration (packing's
-//     all-pairs cliff, lasso/svm's consensus star), sharding stops
-//     paying — but the graph is large, so fork-join loops still beat a
-//     single core: those graphs resolve to parallel-for instead of
-//     serial (ROADMAP: auto previously never picked fork-join).
+//     all-pairs cliff, lasso/svm's consensus star), the graph stays
+//     serial.
+//
+// auto never resolves to parallel-for: measured on the 2-vCPU reference
+// box, fork-join loops beat neither serial nor sharded-2 on any graph
+// auto used to hand them (table in ROADMAP's predictor item). The kind
+// stays explicitly requestable.
 //
 // Every branch resolves to the fused schedule; Validate rejects
 // fused: false on an auto spec (the reference schedule is serial's).
@@ -41,18 +40,6 @@ const (
 	// AutoShardMinEdges is the smallest edge count for which a sharded
 	// solve can amortize its per-iteration barrier crossings.
 	AutoShardMinEdges = 20000
-	// AutoParallelMinEdges is the smallest edge count for which
-	// fork-join loops amortize their per-phase goroutine spawns; below
-	// it even parallel-for trails serial.
-	AutoParallelMinEdges = 2048
-	// AutoParallelMinMeanDegree is the density floor for the
-	// small-graph parallel-for branch: a mean variable degree this high
-	// concentrates the z gather (and the prox evaluations feeding it)
-	// enough that fork-join parallelism pays despite the small graph —
-	// packing's all-pairs collision nodes, lasso's row blocks. Sparse
-	// chains of the same size are memory-bound streaming loops where
-	// the spawns outweigh the work.
-	AutoParallelMinMeanDegree = 4.0
 	// AutoMaxCutShare is the serial threshold on predicted boundary
 	// traffic: the refined partition's degree-weighted cut cost
 	// (graph.CutCost, words per iteration) divided by the graph's
@@ -90,31 +77,15 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 		return s
 	}
 	out := ExecutorSpec{Kind: ExecSerial}
-	if procs <= 1 {
+	// A binary that never imported internal/shard has nothing but
+	// serial to resolve to; auto's contract is "clients need not know
+	// the executor menu", so it degrades instead of erroring.
+	if procs <= 1 || !shardedLinked {
 		return out
 	}
 	st := g.Stats()
-	parallelFor := func() ExecutorSpec {
-		workers := procs
-		if workers > MaxWorkers {
-			workers = MaxWorkers
-		}
-		return ExecutorSpec{Kind: ExecParallelFor, Workers: workers}
-	}
 	if st.Edges < AutoShardMinEdges {
-		// Too small to shard; dense enough to fork-join?
-		if st.Edges >= AutoParallelMinEdges && st.MeanVarDegree >= AutoParallelMinMeanDegree {
-			return parallelFor()
-		}
 		return out
-	}
-	if !shardedLinked {
-		// Auto's contract is "clients need not know the executor menu",
-		// so a binary that never imported internal/shard degrades —
-		// to fork-join loops, which need no registration and beat a
-		// single core on exactly the large graphs auto exists to
-		// handle — instead of erroring.
-		return parallelFor()
 	}
 	shards := procs
 	if shards > AutoMaxShards {
@@ -122,9 +93,7 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 	}
 	strategy, cut, ok := bestRefinedPartition(g, shards)
 	if !ok || cut > AutoMaxCutShare*float64(st.Edges*st.D) {
-		// No partition worth its boundary — but at this size there is
-		// plenty of per-iteration work for fork-join loops.
-		return parallelFor()
+		return out
 	}
 	out.Kind = ExecSharded
 	out.Shards = shards

@@ -70,10 +70,9 @@ func TestResolveAutoSmallGraph(t *testing.T) {
 
 // TestResolveAutoDenseGraph: when even the best refined partition's
 // predicted cut cost exceeds the serial threshold (the packing cliff:
-// nearly every variable is boundary), sharding is off the table — but a
-// graph this large has plenty of per-iteration work, so auto falls back
-// to fork-join parallel loops instead of a single core (ROADMAP: auto
-// previously never picked parallel-for).
+// nearly every variable is boundary), sharding is off the table and the
+// graph stays serial — auto never hands a graph to fork-join loops,
+// which measured no faster than serial on every such graph.
 func TestResolveAutoDenseGraph(t *testing.T) {
 	g := autoDenseGraph(t, AutoShardMinEdges)
 	st := g.Stats()
@@ -84,24 +83,15 @@ func TestResolveAutoDenseGraph(t *testing.T) {
 		t.Fatalf("test graph does not exercise the cut-share branch: cut %v, ok %v", cut, ok)
 	}
 	got := ExecutorSpec{Kind: ExecAuto}.resolveAuto(g, 8, true)
-	if got.Kind != ExecParallelFor {
-		t.Fatalf("kind = %q, want parallel-for", got.Kind)
-	}
-	if got.Workers != 8 {
-		t.Fatalf("workers = %d, want all 8 cores", got.Workers)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("resolved spec invalid: %v", err)
-	}
-	if !got.FusedEnabled() {
-		t.Fatal("fused must stay on")
+	if !reflect.DeepEqual(got, ExecutorSpec{Kind: ExecSerial}) {
+		t.Fatalf("resolved %+v, want plain serial", got)
 	}
 }
 
 // autoSmallDenseGraph builds a dense-but-small graph: a clique-like
 // block where every function touches a window of shared variables, so
-// the mean variable degree clears AutoParallelMinMeanDegree while the
-// edge count stays below the shard threshold.
+// the mean variable degree is high while the edge count stays below
+// the shard threshold.
 func autoSmallDenseGraph(t *testing.T, funcs, span int) *graph.Graph {
 	t.Helper()
 	g := graph.New(1)
@@ -122,35 +112,22 @@ func autoSmallDenseGraph(t *testing.T, funcs, span int) *graph.Graph {
 	return g
 }
 
-// TestResolveAutoSmallDense: below the shard threshold but above the
-// fork-join floor, a dense graph resolves to parallel-for; an equally
-// sized sparse chain stays serial.
+// TestResolveAutoSmallDense: below the shard threshold density does not
+// matter — the dense block that once resolved to parallel-for and an
+// equally sized sparse chain both stay serial.
 func TestResolveAutoSmallDense(t *testing.T) {
-	g := autoSmallDenseGraph(t, 800, 6) // 4800 edges, mean var degree ~> 4
-	st := g.Stats()
-	if st.Edges < AutoParallelMinEdges || st.Edges >= AutoShardMinEdges {
-		t.Fatalf("test graph outside the small-dense window: %+v", st)
+	dense := autoSmallDenseGraph(t, 800, 6) // 4800 edges, mean var degree ~> 4
+	sparse := autoChainGraph(t, AutoShardMinEdges/4)
+	for name, g := range map[string]*graph.Graph{"dense": dense, "sparse": sparse} {
+		if st := g.Stats(); st.Edges < 2048 || st.Edges >= AutoShardMinEdges {
+			t.Fatalf("%s graph outside the small window: %+v", name, st)
+		}
+		if got := (ExecutorSpec{Kind: ExecAuto}).resolveAuto(g, 6, true); got.Kind != ExecSerial {
+			t.Fatalf("small %s graph resolved to %q, want serial", name, got.Kind)
+		}
 	}
-	if st.MeanVarDegree < AutoParallelMinMeanDegree {
-		t.Fatalf("test graph not dense enough: mean var degree %.1f", st.MeanVarDegree)
-	}
-	got := ExecutorSpec{Kind: ExecAuto}.resolveAuto(g, 6, true)
-	if got.Kind != ExecParallelFor || got.Workers != 6 {
-		t.Fatalf("resolved %+v, want parallel-for on 6 workers", got)
-	}
-	b, err := got.NewBackend(g)
-	if err != nil {
-		t.Fatalf("resolved spec must build: %v", err)
-	}
-	b.Close()
-
-	sparse := autoChainGraph(t, (AutoParallelMinEdges+AutoShardMinEdges)/4) // same window, mean degree ~2
-	sst := sparse.Stats()
-	if sst.Edges < AutoParallelMinEdges || sst.Edges >= AutoShardMinEdges {
-		t.Fatalf("sparse graph outside the window: %+v", sst)
-	}
-	if got := (ExecutorSpec{Kind: ExecAuto}).resolveAuto(sparse, 6, true); got.Kind != ExecSerial {
-		t.Fatalf("small sparse graph resolved to %q, want serial", got.Kind)
+	if st := dense.Stats(); st.MeanVarDegree < 4 {
+		t.Fatalf("dense graph not dense: mean var degree %.1f", st.MeanVarDegree)
 	}
 }
 
@@ -207,18 +184,17 @@ func TestResolveAutoFusedOptOut(t *testing.T) {
 
 // TestResolveAutoUnlinkedSharded: a binary that never imported
 // internal/shard must degrade on the large-sparse branch rather than
-// resolve to an executor it cannot build — and it degrades to
-// parallel-for (which needs no registration), not all the way to
-// serial. This package's tests run without the shard factory
-// registered, so the exported ResolveAuto exercises the real fallback.
+// resolve to an executor it cannot build. This package's tests run
+// without the shard factory registered, so the exported ResolveAuto
+// exercises the real fallback.
 func TestResolveAutoUnlinkedSharded(t *testing.T) {
 	g := autoChainGraph(t, AutoShardMinEdges)
-	if got := (ExecutorSpec{Kind: ExecAuto}).resolveAuto(g, 8, false); got.Kind != ExecParallelFor {
-		t.Fatalf("kind = %q, want parallel-for fallback without the shard factory", got.Kind)
+	if got := (ExecutorSpec{Kind: ExecAuto}).resolveAuto(g, 8, false); got.Kind != ExecSerial {
+		t.Fatalf("kind = %q, want the serial fallback without the shard factory", got.Kind)
 	}
 	got := ExecutorSpec{Kind: ExecAuto}.ResolveAuto(g)
-	if got.Kind == ExecSharded {
-		t.Fatal("ResolveAuto picked sharded with no factory registered")
+	if got.Kind != ExecSerial {
+		t.Fatalf("ResolveAuto picked %q with no shard factory registered", got.Kind)
 	}
 	b, err := got.NewBackend(g)
 	if err != nil {

@@ -162,8 +162,10 @@ type Backend interface {
 	// Name identifies the backend in reports.
 	Name() string
 	// Iterate runs iters full iterations, adding per-phase elapsed time
-	// into phaseNanos.
-	Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64)
+	// into phaseNanos. A non-nil error means the block did not complete
+	// and g's state is unspecified (a lost worker process, see
+	// shard.Remote); in-process executors always return nil.
+	Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error
 	// Close releases any persistent resources (workers).
 	Close()
 }
@@ -182,7 +184,7 @@ type Backend interface {
 // Run uses the extension only when iters > 1 (a 1-iteration block has
 // no mid-block boundary).
 type ZPrevIterator interface {
-	IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[NumPhases]int64)
+	IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[NumPhases]int64) error
 }
 
 // Options configures Run.
@@ -242,7 +244,9 @@ func (r Result) PhaseFractions() [NumPhases]float64 {
 // steady-state solve loop allocation-free.
 var phaseScratch = sync.Pool{New: func() any { return new([NumPhases]int64) }}
 
-// Run executes the message-passing ADMM on g.
+// Run executes the message-passing ADMM on g. A backend's Iterate error
+// ends the run at that block: Run returns it with the iterations
+// completed before it, and g's state is whatever the backend left.
 func Run(g *graph.Graph, opts Options) (Result, error) {
 	var res Result
 	if !g.Finalized() {
@@ -274,29 +278,17 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 
 	start := time.Now()
 	done := 0
+	var err error
 	for done < opts.MaxIter {
 		step := opts.MaxIter - done
 		if needResiduals && step > every {
 			step = every
 		}
+		if err = iterateBlock(backend, g, step, zPrev, phaseNanos); err != nil {
+			break
+		}
 		if needResiduals {
-			// Run the block's last iteration separately so the dual
-			// residual reflects one iteration's z movement, not the
-			// whole block's — residual-balancing rho adaptation is
-			// badly biased otherwise. Backends that can capture zPrev
-			// in flight run the block unsplit (see ZPrevIterator).
-			if zp, ok := backend.(ZPrevIterator); ok && step > 1 {
-				zp.IterateZPrev(g, step, zPrev, phaseNanos)
-			} else {
-				if step > 1 {
-					backend.Iterate(g, step-1, phaseNanos)
-				}
-				copy(zPrev, g.Z)
-				backend.Iterate(g, 1, phaseNanos)
-			}
 			res.Primal, res.Dual = Residuals(g, zPrev)
-		} else {
-			backend.Iterate(g, step, phaseNanos)
 		}
 		done += step
 		if opts.Adapt != nil {
@@ -316,7 +308,30 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	res.Elapsed = time.Since(start)
 	res.PhaseNanos = *phaseNanos
 	phaseScratch.Put(phaseNanos)
-	return res, nil
+	return res, err
+}
+
+// iterateBlock runs one block of step iterations. With a non-nil zPrev
+// (a residual round) the block's last iteration runs separately, so
+// that zPrev holds z as of iteration step-1 and the dual residual
+// reflects one iteration's z movement, not the whole block's —
+// residual-balancing rho adaptation is badly biased otherwise. Backends
+// that can capture zPrev in flight run the block unsplit (see
+// ZPrevIterator).
+func iterateBlock(backend Backend, g *graph.Graph, step int, zPrev []float64, phaseNanos *[NumPhases]int64) error {
+	if zPrev == nil {
+		return backend.Iterate(g, step, phaseNanos)
+	}
+	if step > 1 {
+		if zp, ok := backend.(ZPrevIterator); ok {
+			return zp.IterateZPrev(g, step, zPrev, phaseNanos)
+		}
+		if err := backend.Iterate(g, step-1, phaseNanos); err != nil {
+			return err
+		}
+	}
+	copy(zPrev, g.Z)
+	return backend.Iterate(g, 1, phaseNanos)
 }
 
 // Residuals computes the primal residual ||x - z||_2 (consensus
@@ -491,16 +506,17 @@ func (b serialBackend) Name() string {
 }
 func (serialBackend) Close() {}
 
-func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
+func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	if b.fused {
 		for it := 0; it < iters; it++ {
 			runPhasesFused(g, phaseNanos)
 		}
-		return
+		return nil
 	}
 	for it := 0; it < iters; it++ {
 		runPhasesSerial(g, phaseNanos)
 	}
+	return nil
 }
 
 var _ Backend = serialBackend{}

@@ -1,6 +1,7 @@
 package admm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,6 +61,54 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(g, Options{MaxIter: 0}); err == nil {
 		t.Fatal("expected MaxIter error")
+	}
+}
+
+// failingBackend is the serial backend until its failAt-th Iterate
+// call, which returns an error — what a lost worker process looks like
+// to the engine.
+type failingBackend struct {
+	Backend
+	calls, failAt int
+}
+
+var errWorkerLost = errors.New("worker lost")
+
+func (b *failingBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
+	b.calls++
+	if b.calls == b.failAt {
+		return errWorkerLost
+	}
+	return b.Backend.Iterate(g, iters, phaseNanos)
+}
+
+// TestRunReturnsIterateError: Run stops at the block whose Iterate
+// failed, returns that error with the iterations completed before it,
+// and calls the backend no further — with and without residual checks
+// (whose blocks are two Iterate calls each).
+func TestRunReturnsIterateError(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		opts      Options
+		failAt    int
+		wantIters int
+	}{
+		{"fixed-count", Options{MaxIter: 40}, 1, 0},
+		{"residual-checked, first half of block 2", Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}, 3, 10},
+		{"residual-checked, second half of block 2", Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}, 4, 10},
+	} {
+		b := &failingBackend{Backend: NewSerialFused(), failAt: tc.failAt}
+		tc.opts.Backend = b
+		res, err := Run(buildAveraging(t, []float64{1, 2, 6}), tc.opts)
+		if !errors.Is(err, errWorkerLost) {
+			t.Fatalf("%s: Run returned %v, want the backend's error", tc.name, err)
+		}
+		if b.calls != tc.failAt {
+			t.Fatalf("%s: %d Iterate calls, want Run to stop at call %d", tc.name, b.calls, tc.failAt)
+		}
+		if res.Iterations != tc.wantIters || res.Converged {
+			t.Fatalf("%s: result %+v, want %d completed iterations, not converged", tc.name, res, tc.wantIters)
+		}
 	}
 }
 

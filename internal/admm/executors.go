@@ -67,7 +67,7 @@ func (b *ParallelForBackend) Name() string {
 func (b *ParallelForBackend) Close() {}
 
 // Iterate implements Backend.
-func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
+func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	w := b.Workers
 	loop := func(n int, fn func(lo, hi int)) {
 		sched.ParallelFor(w, n, fn)
@@ -100,6 +100,7 @@ func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[Num
 		loop(g.NumEdges(), func(lo, hi int) { UpdateUNRange(g, lo, hi) })
 		phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
 	}
+	return nil
 }
 
 var _ Backend = (*ParallelForBackend)(nil)

@@ -77,7 +77,7 @@ func (r *ReferenceBackend) store(g *graph.Graph) {
 // Iterate implements Backend. The iterates match the serial backend
 // exactly (same update order, same arithmetic); only the data-structure
 // traversal differs.
-func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
+func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	d := g.D()
 	r.load(g)
 	for it := 0; it < iters; it++ {
@@ -154,6 +154,7 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 		phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
 	}
 	r.store(g)
+	return nil
 }
 
 var _ Backend = (*ReferenceBackend)(nil)

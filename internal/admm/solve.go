@@ -24,16 +24,17 @@ const (
 	ExecAsync       ExecutorKind = "async"
 	ExecSharded     ExecutorKind = "sharded"
 	// ExecAuto defers the choice to ResolveAuto: the spec is resolved
-	// against the finalized graph's Stats (size/density thresholds and
-	// predicted cut cost) into serial, parallel-for, or sharded. See
-	// auto.go.
+	// against the finalized graph's Stats (a size threshold and the
+	// predicted cut cost) into serial or sharded. See auto.go.
 	ExecAuto ExecutorKind = "auto"
 )
 
 // ExecutorSpec is a declarative backend selection: a kind plus its
 // knobs. It is the unit of per-request executor choice for the serving
-// layer and the CLI — both parse user input into a spec and hand it to
-// Solve instead of wiring backend constructors by hand.
+// layer, the bulk pipeline and the CLI — each parses user input into a
+// spec and hands it to shard.Solve, the superset of Solve that also
+// drives worker processes, instead of wiring backend constructors by
+// hand.
 type ExecutorSpec struct {
 	Kind ExecutorKind `json:"kind"`
 	// Workers is the core count for the parallel-for executor (default
@@ -112,8 +113,10 @@ type ExecutorSpec struct {
 	// "survivors" re-partitions onto the workers still alive and
 	// re-runs cold, "local" additionally falls back to the local fused
 	// executor when too few workers survive. Requires Addrs; honored by
-	// shard.SolveWithFailover (the serving layer and CLIs route through
-	// it when set).
+	// shard.Solve (the serving layer, the bulk pipeline and the CLIs
+	// route every request through it). Solve and NewBackend build the
+	// remote backend and report a lost worker as an error, whatever the
+	// policy.
 	Failover string `json:"failover,omitempty"`
 	// WarmCache opens remote worker sessions with a cache probe instead
 	// of a full config: a worker that already built this problem under
@@ -386,10 +389,12 @@ type SolveOptions struct {
 	Warm *WarmState
 }
 
-// Solve is the reusable one-call entrypoint over Run: it builds the
+// Solve is the in-process library entrypoint over Run: it builds the
 // backend the spec describes, runs ADMM on g, and releases the backend.
 // Callers that manage backend lifetimes themselves (reuse across solves,
-// simulated devices) keep using Run with an explicit Options.Backend.
+// simulated devices) keep using Run with an explicit Options.Backend;
+// the products call shard.Solve, which adds the backend's statistics
+// and the failover policies for specs that name worker processes.
 func Solve(g *graph.Graph, opts SolveOptions) (Result, error) {
 	if opts.Warm != nil && opts.Warm.Captured() {
 		if err := opts.Warm.Apply(g); err != nil {

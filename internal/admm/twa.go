@@ -44,7 +44,7 @@ func (b *TWABackend) Name() string { return "twa-serial" }
 func (b *TWABackend) Close() {}
 
 // Iterate implements Backend.
-func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) {
+func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	nE := g.NumEdges()
 	if len(b.weights) != nE {
 		b.weights = make([]graph.WeightClass, nE)
@@ -97,6 +97,7 @@ func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]i
 		UpdateNRange(g, 0, nE)
 		phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
 	}
+	return nil
 }
 
 func (b *TWABackend) updateZ(g *graph.Graph) {

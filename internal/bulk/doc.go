@@ -22,9 +22,11 @@
 //	write   one goroutine restores input order and streams results out
 //
 // Per-record failures — malformed or over-long lines, unknown
-// workloads, spec violations, solve errors, even a sharded transport
-// panic — are isolated into error records on the output stream; the
-// pipeline keeps going. Output order always matches input order, and
+// workloads, spec violations, solve errors (a lost shard worker under
+// failover "none" included), even a panic inside a solve — are isolated
+// into error records on the output stream; the pipeline keeps going.
+// Every record's solve goes through shard.Solve, so a record's failover
+// policy is honored exactly as a /v1/solve request's is. Output order always matches input order, and
 // records carry no wall-clock fields, so two runs over the same stream
 // (or the CLI and the serving endpoint fed the same body) produce
 // byte-identical output.

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -521,8 +522,9 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 	res = Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key}
 	var st *shapeState
 	defer func() {
-		// The sockets transport is fail-stop by panic; a record using it
-		// must not take the stream down.
+		// Crash guard: a panic while solving one record (a bug in an
+		// operator or a backend) must not take the stream down. Solve
+		// failures, a lost shard worker included, arrive as errors.
 		if r := recover(); r != nil {
 			if st != nil {
 				// A panic mid-solve leaves the graph in an unknown state:
@@ -561,7 +563,7 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 	if t.req.Executor != nil {
 		spec = *t.req.Executor
 	}
-	if spec.Kind == admm.ExecSharded && spec.Transport == admm.TransportSockets {
+	if len(spec.Addrs) > 0 {
 		spec.Problem = &admm.ProblemRef{Workload: t.adm.Workload, Spec: append([]byte(nil), t.req.Spec...)}
 	}
 	sopts := admm.SolveOptions{
@@ -609,7 +611,7 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 		st.prob.Reset()
 	}
 
-	r, err := admm.Solve(g, sopts)
+	out, err := shard.Solve(p.ctx, g, sopts)
 	if err != nil {
 		// The graph's state is suspect after a failed solve; drop the
 		// warm snapshot so the next record of this shape starts cold,
@@ -619,6 +621,7 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 		res.Error = err.Error()
 		return res
 	}
+	r := out.Result
 	st.warm.Capture(g)
 	st.dirty = true
 	st.iterations = r.Iterations

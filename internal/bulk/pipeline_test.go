@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -348,5 +350,39 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 	}
 	if results[2].Error != "" {
 		t.Fatalf("record after executor failure broken: %+v", results[2])
+	}
+}
+
+// TestPipelineFailoverLocalRefusedDial pins that a record's failover
+// policy is honored: under "local", worker addrs that refuse the dial
+// cost the record nothing but time — it comes back with the same
+// iterations and metrics, to the last bit, as the serial solve of the
+// same record in a stream of its own (so both solve cold).
+func TestPipelineFailoverLocalRefusedDial(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = "tcp:" + ln.Addr().String()
+		ln.Close()
+	}
+	const rec = `{"workload":"mpc","spec":{"k":24},"max_iter":200,"abs_tol":1e-6,"rel_tol":1e-6%s}` + "\n"
+	remote := fmt.Sprintf(`,"executor":{"kind":"sharded","transport":"sockets","failover":"local","dial_attempts":1,"dial_timeout_ms":500,"addrs":[%q,%q]}`,
+		addrs[0], addrs[1])
+	solve := func(executor string) Result {
+		var out bytes.Buffer
+		if _, err := Run(context.Background(), strings.NewReader(fmt.Sprintf(rec, executor)), &out, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		results := decodeResults(t, out.Bytes())
+		if len(results) != 1 || results[0].Error != "" {
+			t.Fatalf("executor %q: results %+v, want one solved record", executor, results)
+		}
+		return results[0]
+	}
+	if got, want := solve(remote), solve(""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failover-local record differs from the serial one:\n got %+v\nwant %+v", got, want)
 	}
 }

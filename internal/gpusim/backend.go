@@ -106,7 +106,7 @@ func (b *Backend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
 
 // Iterate implements admm.Backend: it advances the ADMM state with the
 // host kernels and charges simulated device time.
-func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
+func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	for it := 0; it < iters; it++ {
 		admm.UpdateXRange(g, 0, g.NumFunctions())
@@ -118,6 +118,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 	for p := admm.Phase(0); p < admm.NumPhases; p++ {
 		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
 	}
+	return nil
 }
 
 var _ admm.Backend = (*Backend)(nil)
@@ -182,12 +183,13 @@ func (b *CPUBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
 }
 
 // Iterate implements admm.Backend.
-func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
+func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	hostAdvance(g, iters)
 	for p := admm.Phase(0); p < admm.NumPhases; p++ {
 		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
 	}
+	return nil
 }
 
 // hostAdvance moves the ADMM state forward on the host for a simulated

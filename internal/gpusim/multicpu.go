@@ -162,12 +162,13 @@ func (b *MultiCoreBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 
 }
 
 // Iterate implements admm.Backend.
-func (b *MultiCoreBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
+func (b *MultiCoreBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	hostAdvance(g, iters)
 	for p := admm.Phase(0); p < admm.NumPhases; p++ {
 		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
 	}
+	return nil
 }
 
 var _ admm.Backend = (*MultiCoreBackend)(nil)

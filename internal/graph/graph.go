@@ -338,6 +338,32 @@ func (g *Graph) InitZero() {
 	}
 }
 
+// State is a copy of every array a solve mutates (parameters and ADMM
+// state), so a solve can be re-run from exactly where another started:
+// the determinism contract — bit-identical iterates for a given
+// configuration — only holds from the same starting state.
+type State [7][]float64
+
+func (g *Graph) stateArrays() State {
+	return State{g.Rho, g.Alpha, g.X, g.M, g.U, g.N, g.Z}
+}
+
+// SaveState copies g's current parameters and ADMM state.
+func (g *Graph) SaveState() State {
+	s := g.stateArrays()
+	for i, a := range s {
+		s[i] = append([]float64(nil), a...)
+	}
+	return s
+}
+
+// RestoreState writes a State taken from this graph back into it.
+func (g *Graph) RestoreState(s State) {
+	for i, a := range g.stateArrays() {
+		copy(a, s[i])
+	}
+}
+
 // Stats summarizes graph shape; used by schedulers, the GPU simulator's
 // occupancy math, and tests that pin the paper's element-count formulas.
 type Stats struct {

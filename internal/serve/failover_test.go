@@ -53,8 +53,8 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 	if fo.Failovers < 1 || fo.LocalFallback {
 		t.Fatalf("failover view %+v, want >=1 failover and no local fallback", fo)
 	}
-	if len(fo.Workers) != 2 {
-		t.Fatalf("final workers %v, want the two live ones", fo.Workers)
+	if len(fo.FinalAddrs) != 2 {
+		t.Fatalf("final workers %v, want the two live ones", fo.FinalAddrs)
 	}
 	if len(fo.Failures) == 0 {
 		t.Fatalf("failover view carries no failure trail: %+v", fo)

@@ -111,9 +111,9 @@ func (m *metrics) recordShard(s shard.Stats) {
 	m.mu.Unlock()
 }
 
-// recordFailover folds one failover-policy solve's recovery trail into
-// the aggregates (called for failed solves too — the trail is the
-// point).
+// recordFailover folds one solve's recovery trail into the aggregates
+// (called for failed solves too — the trail is the point; an
+// in-process solve's trail is empty).
 func (m *metrics) recordFailover(out shard.Outcome) {
 	m.mu.Lock()
 	m.shardRetries += uint64(out.HandshakeRetries)

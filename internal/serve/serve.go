@@ -22,10 +22,10 @@
 // (lasso's per-block Cholesky pre-factorizations, packing's O(N^2)
 // collision nodes) dominates short solves. Executor selection is
 // per-request: any of the shared-memory strategies of internal/admm
-// (serial, parallel-for, barrier, async, sharded) with their knobs,
-// or kind "auto" to resolve serial / parallel-for / sharded from the
-// graph's shape; the fused two-pass schedule is the default for every
-// CPU executor ({"fused": false} forces the five-phase reference).
+// (serial, parallel-for, async, sharded) with their knobs, or kind
+// "auto" to resolve serial / sharded from the graph's shape; every
+// executor runs the fused two-pass schedule ({"fused": false}, kind
+// serial only, selects the five-phase reference).
 // Sharded solves take a per-request boundary-exchange transport
 // ({"transport": "sockets"} with optional {"addrs": [...]} naming
 // paradmm-shardworker processes — the server ships the request's
@@ -158,30 +158,10 @@ type SolveResult struct {
 	BuildNS    int64              `json:"build_ns"`
 	PhaseNanos map[string]int64   `json:"phase_nanos"`
 	Metrics    map[string]float64 `json:"metrics"`
-	// Failover reports the recovery trail of a solve that ran under an
-	// executor failover policy (absent otherwise).
-	Failover *FailoverView `json:"failover,omitempty"`
-}
-
-// FailoverView is the response-side summary of a failover-policy solve:
-// what shard.SolveWithFailover did to produce the result.
-type FailoverView struct {
-	// Attempts counts full solve attempts, including the successful one.
-	Attempts int `json:"attempts"`
-	// DialRetries is the successful attempt's dial+handshake retries.
-	DialRetries int `json:"dial_retries,omitempty"`
-	// Failovers counts worker-set shrinks (re-partition + cold re-run).
-	Failovers int `json:"failovers,omitempty"`
-	// LocalFallback marks a result computed by the in-process fused
-	// executor after the remote pool was exhausted.
-	LocalFallback bool `json:"local_fallback,omitempty"`
-	// Backend names the backend that produced the result.
-	Backend string `json:"backend,omitempty"`
-	// Workers is the worker set that produced the result (empty when
-	// LocalFallback).
-	Workers []string `json:"workers,omitempty"`
-	// Failures is the error trail of the failed attempts, in order.
-	Failures []string `json:"failures,omitempty"`
+	// Failover reports the recovery trail of a solve that ran on worker
+	// processes — attempts, dial_retries, failovers, local_fallback,
+	// backend, workers, failures (absent for an in-process solve).
+	Failover *shard.Recovery `json:"failover,omitempty"`
 }
 
 // JobView is the JSON shape of a job in responses.
@@ -510,10 +490,10 @@ func (s *Server) runJob(j *Job) {
 		close(j.done)
 	}
 
-	// The sockets transport's mid-solve failures are fail-stop panics
-	// (a dead shard-worker process, a desynchronized stream — see
-	// docs/transport.md); convert them into a failed job instead of
-	// letting one tenant's broken worker pool take down the server.
+	// Crash guard: a panic on this pool worker (a bug in an operator or
+	// a backend) becomes a failed job instead of taking the server and
+	// every other tenant's job down with it. Solve failures, a lost
+	// shard worker included, arrive as errors, not here.
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -546,11 +526,9 @@ func (s *Server) runJob(j *Job) {
 	j.mu.Unlock()
 
 	p.Reset()
-	// Build the backend explicitly (rather than through admm.Solve) so
-	// sharded executors can be asked for their partition/boundary stats
-	// after the run. The sockets transport additionally needs the
-	// problem reference: its worker processes rebuild the graph from the
-	// request's workload + spec, exactly what this job admitted.
+	// Dress the spec, then one call. Worker processes rebuild the graph
+	// from the problem reference: the request's workload + spec, exactly
+	// what this job admitted.
 	g := p.FactorGraph()
 	spec := j.executor
 	if s.cfg.Fleet != nil && fleetEligible(spec) {
@@ -570,8 +548,7 @@ func (s *Server) runJob(j *Job) {
 			spec = d.Spec(s.cfg.Fleet, spec)
 		}
 	}
-	useFailover := false
-	if spec.Transport == admm.TransportSockets && len(spec.Addrs) > 0 {
+	if len(spec.Addrs) > 0 {
 		spec.Problem = &admm.ProblemRef{Workload: j.workload, Spec: j.rawSpec}
 		// Server-wide reliability defaults fill in where the request's
 		// spec left the knobs unset.
@@ -581,64 +558,24 @@ func (s *Server) runJob(j *Job) {
 		if spec.HandshakeTimeoutMS == 0 && s.cfg.HandshakeTimeout > 0 {
 			spec.HandshakeTimeoutMS = int(s.cfg.HandshakeTimeout / time.Millisecond)
 		}
-		useFailover = spec.Failover == admm.FailoverSurvivors || spec.Failover == admm.FailoverLocal
 	}
-	var res admm.Result
-	var fo *FailoverView
-	if useFailover {
-		// The recovery loop lives in shard.SolveWithFailover: on worker
-		// loss it re-partitions onto the probed survivors (or finishes
-		// on the local fused executor) instead of failing the job. Jobs
-		// outlive their submitting requests — async clients poll — so
-		// the solve is deliberately not bound to the request context.
-		out, err := shard.SolveWithFailover(context.Background(), g, admm.SolveOptions{
-			Executor: spec,
-			MaxIter:  j.maxIter,
-			AbsTol:   j.absTol,
-			RelTol:   j.relTol,
-		})
-		s.met.recordFailover(out)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if out.HasShardStats {
-			s.met.recordShard(out.ShardStats)
-		}
-		res = out.Result
-		fo = &FailoverView{
-			Attempts:      out.Attempts,
-			DialRetries:   out.HandshakeRetries,
-			Failovers:     out.Failovers,
-			LocalFallback: out.LocalFallback,
-			Backend:       out.Backend,
-			Workers:       out.FinalAddrs,
-			Failures:      out.Failures,
-		}
-	} else {
-		backend, err := spec.NewBackend(g)
-		if err != nil {
-			fail(err)
-			return
-		}
-		// Deferred (not inline) so a recovered mid-solve panic still
-		// releases the workers/connections; every backend's Close is
-		// idempotent.
-		defer backend.Close()
-		res, err = admm.Run(g, admm.Options{
-			MaxIter: j.maxIter,
-			Backend: backend,
-			AbsTol:  j.absTol,
-			RelTol:  j.relTol,
-		})
-		if sb, ok := backend.(shard.StatsReporter); ok && err == nil {
-			s.met.recordShard(sb.Stats())
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
+	// Jobs outlive their submitting requests — async clients poll — so
+	// the solve is deliberately not bound to the request context.
+	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
+		Executor: spec,
+		MaxIter:  j.maxIter,
+		AbsTol:   j.absTol,
+		RelTol:   j.relTol,
+	})
+	s.met.recordFailover(out)
+	if err != nil {
+		fail(err)
+		return
 	}
+	if out.HasShardStats {
+		s.met.recordShard(out.ShardStats)
+	}
+	res := out.Result
 	s.met.recordSolve(res, buildNanos)
 
 	r := &SolveResult{
@@ -648,7 +585,10 @@ func (s *Server) runJob(j *Job) {
 		BuildNS:    buildNanos,
 		PhaseNanos: map[string]int64{},
 		Metrics:    map[string]float64{},
-		Failover:   fo,
+	}
+	if out.Attempts > 0 {
+		trail := out.Recovery
+		r.Failover = &trail
 	}
 	// Drop non-finite quality metrics (a diverged nonconvex solve can
 	// produce them) — NaN/Inf are not representable in JSON and would

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -51,7 +52,7 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 
 	solve := func(g *graph.Graph, iters int) Stats {
 		t.Helper()
-		r, err := NewRemote(spec, 2, g)
+		r, err := NewRemote(context.Background(), spec, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestWarmCacheDisabled(t *testing.T) {
 	spec := warmSpec(addrs)
 	for round := 1; round <= 2; round++ {
 		g := chainGraph(t, 32)
-		r, err := NewRemote(spec, 2, g)
+		r, err := NewRemote(context.Background(), spec, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestWarmCacheLRUEviction(t *testing.T) {
 		spec := warmSpec(addrs)
 		spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(fmt.Sprintf(`{"n":%d}`, n))}
 		g := chainGraph(t, n)
-		r, err := NewRemote(spec, 2, g)
+		r, err := NewRemote(context.Background(), spec, g)
 		if err != nil {
 			t.Fatal(err)
 		}

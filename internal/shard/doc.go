@@ -141,13 +141,18 @@
 // Cross-process sessions run under deadlines (dial, handshake, and
 // optional per-frame bounds — ExecutorSpec's *_timeout_ms knobs) with
 // a retried dial+handshake budget, and every transport failure carries
-// a *WorkerError attributing worker, endpoint, and protocol phase.
-// ProbeWorkers speaks the Ping/Pong health frames the worker's accept
-// loop answers even mid-session, and SolveWithFailover (failover.go)
-// turns fail-stop workers into a policy decision: probe the pool,
-// re-partition onto the survivors, re-run cold — or finish on the
-// local fused executor. Because every shard count is bit-identical to
-// Serial, recovery changes availability, never the answer.
+// a *WorkerError attributing worker, endpoint, and protocol phase —
+// returned by NewRemote at the handshake and by Remote.Iterate (hence
+// admm.Run) mid-solve; nothing panics on a lost worker. ProbeWorkers
+// speaks the Ping/Pong health frames the worker's accept loop answers
+// even mid-session. Solve (solve.go) is the one route from an
+// ExecutorSpec to a finished solve — the serving layer, the bulk
+// pipeline and paradmm-solve all call it and nothing else — and for a
+// spec naming workers it turns a fail-stop worker into a policy
+// decision: fail with the typed error, or probe the pool, re-partition
+// onto the survivors and re-run cold — or finish on the local fused
+// executor. Because every shard count is bit-identical to Serial,
+// recovery changes availability, never the answer.
 // docs/fault-tolerance.md has the full contract and the
 // fault-injection tests (internal/faultnet) that pin it.
 //

@@ -22,10 +22,9 @@ const (
 
 // WorkerError is a typed transport failure against one worker: which
 // worker, at which endpoint, in which protocol phase. Handshake
-// failures are returned from NewRemote; mid-solve failures (the
-// admm.Backend iteration contract has no error channel) are raised as
-// panic(*WorkerError) and recovered by SolveWithFailover and the
-// serving layer.
+// failures are returned from NewRemote, mid-solve failures from
+// Remote.Iterate (and so from admm.Run); Solve acts on both under the
+// spec's failover policy.
 type WorkerError struct {
 	Worker int
 	Addr   string

@@ -55,7 +55,7 @@ func TestDialRetryThroughRefusingListener(t *testing.T) {
 	g := chainGraph(t, 48)
 	spec := chainSpec([]string{addr})
 	spec.DialAttempts = 3
-	r, err := NewRemote(spec, 1, g)
+	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		t.Fatalf("handshake did not survive one refused connection: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 			busy.refuse.Store(1)
 			spec.DialAttempts = 1
 			start := time.Now()
-			_, err = NewRemote(spec, 2, chainGraph(t, 48))
+			_, err = NewRemote(context.Background(), spec, chainGraph(t, 48))
 			var we *WorkerError
 			if !errors.As(err, &we) || we.Worker != 1 || we.Phase != PhaseHandshake || we.Config {
 				t.Fatalf("want a transient handshake WorkerError for worker 1, got %v", err)
@@ -137,7 +137,7 @@ func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 			spec.DialAttempts = 0
 			start = time.Now()
 			g := chainGraph(t, 48)
-			r, err := NewRemote(spec, 2, g)
+			r, err := NewRemote(context.Background(), spec, g)
 			if err != nil {
 				t.Fatalf("retry after a busy refusal did not stand up: %v", err)
 			}
@@ -186,7 +186,7 @@ func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
 	spec.HandshakeTimeoutMS = 200
 	spec.DialAttempts = 1
 	start := time.Now()
-	_, err = NewRemote(spec, 1, g)
+	_, err = NewRemote(context.Background(), spec, g)
 	if err == nil {
 		t.Fatal("handshake against a silent endpoint succeeded")
 	}
@@ -214,7 +214,7 @@ func TestStalledStateTimeout(t *testing.T) {
 	spec.HandshakeTimeoutMS = 300
 	spec.FrameTimeoutMS = 300
 	spec.DialAttempts = 1
-	r, err := NewRemote(spec, 1, g)
+	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		// Acceptable: the stall can already bite during handshake reads.
 		var we *WorkerError
@@ -226,18 +226,16 @@ func TestStalledStateTimeout(t *testing.T) {
 	defer r.Close()
 	// Handshake got through (Ready was frame 1); the first block's Done
 	// read must now hit the frame deadline instead of wedging.
-	done := make(chan any, 1)
+	done := make(chan error, 1)
 	go func() {
-		defer func() { done <- recover() }()
 		var nanos [admm.NumPhases]int64
-		r.Iterate(g, 5, &nanos)
-		done <- nil
+		done <- r.Iterate(g, 5, &nanos)
 	}()
 	select {
-	case rec := <-done:
-		we, ok := rec.(*WorkerError)
-		if !ok {
-			t.Fatalf("Iterate against a stalled worker returned %v, want *WorkerError panic", rec)
+	case err := <-done:
+		var we *WorkerError
+		if !errors.As(err, &we) {
+			t.Fatalf("Iterate against a stalled worker returned %v, want a *WorkerError", err)
 		}
 		if we.Phase != PhaseCollect && we.Phase != PhaseIterate {
 			t.Fatalf("unexpected phase %q", we.Phase)
@@ -299,16 +297,14 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 
 	g := chainGraph(t, 48)
 	spec := chainSpec([]string{addr})
-	r, err := NewRemote(spec, 1, g)
+	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iterDone := make(chan any, 1)
+	iterDone := make(chan error, 1)
 	go func() {
-		defer func() { iterDone <- recover() }()
 		var nanos [admm.NumPhases]int64
-		r.Iterate(g, 10, &nanos)
-		iterDone <- nil
+		iterDone <- r.Iterate(g, 10, &nanos)
 	}()
 	<-blockStarted
 	// Abrupt teardown: close the control connections without Bye while
@@ -316,15 +312,16 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 	r.teardown()
 	r.closed = true
 	close(release)
-	if rec := <-iterDone; rec == nil {
-		t.Fatal("Iterate succeeded over torn-down connections")
+	var we *WorkerError
+	if err := <-iterDone; !errors.As(err, &we) {
+		t.Fatalf("Iterate over torn-down connections returned %v, want a *WorkerError", err)
 	}
 
 	// The worker must come back: a fresh session on the same endpoint
 	// handshakes and solves to the serial answer. The previous session's
 	// teardown can race this handshake, which the retry budget absorbs.
 	g2 := chainGraph(t, 48)
-	r2, err := NewRemote(spec, 1, g2)
+	r2, err := NewRemote(context.Background(), spec, g2)
 	if err != nil {
 		t.Fatalf("worker did not accept a session after mid-solve disconnect: %v", err)
 	}
@@ -366,7 +363,7 @@ func TestSolveWithFailoverSurvivors(t *testing.T) {
 	spec := chainSpec([]string{w0, w1, w2})
 	spec.Failover = admm.FailoverSurvivors
 	spec.DialTimeoutMS = 2000
-	out, err := SolveWithFailover(context.Background(), g, admm.SolveOptions{
+	out, err := Solve(context.Background(), g, admm.SolveOptions{
 		Executor: spec, MaxIter: 30,
 	})
 	if err != nil {
@@ -421,7 +418,7 @@ func TestSolveWithFailoverLocal(t *testing.T) {
 	spec.Failover = admm.FailoverLocal
 	spec.DialTimeoutMS = 500
 	spec.DialAttempts = 1
-	out, err := SolveWithFailover(context.Background(), g, admm.SolveOptions{
+	out, err := Solve(context.Background(), g, admm.SolveOptions{
 		Executor: spec, MaxIter: 25,
 	})
 	if err != nil {
@@ -446,7 +443,7 @@ func TestSolveWithFailoverLocal(t *testing.T) {
 	// Same dead pool under "survivors": a typed failure, not a wedge.
 	g2 := chainGraph(t, n)
 	spec.Failover = admm.FailoverSurvivors
-	if _, err := SolveWithFailover(context.Background(), g2, admm.SolveOptions{
+	if _, err := Solve(context.Background(), g2, admm.SolveOptions{
 		Executor: spec, MaxIter: 25,
 	}); err == nil {
 		t.Fatal("survivors policy succeeded with zero live workers")

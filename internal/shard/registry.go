@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"context"
+
 	"repro/internal/admm"
 	"repro/internal/graph"
 )
@@ -13,16 +15,12 @@ import (
 // with one worker endpoint per shard).
 func init() {
 	admm.RegisterExecutor(admm.ExecSharded, func(s admm.ExecutorSpec, g *graph.Graph) (admm.Backend, error) {
+		if s.Transport == admm.TransportSockets && len(s.Addrs) > 0 {
+			return NewRemote(context.Background(), s, g)
+		}
 		shards := s.Shards
 		if shards == 0 {
-			if len(s.Addrs) > 0 {
-				shards = len(s.Addrs)
-			} else {
-				shards = 4
-			}
-		}
-		if s.Transport == admm.TransportSockets && len(s.Addrs) > 0 {
-			return NewRemote(s, shards, g)
+			shards = 4
 		}
 		sb, err := New(shards, graph.PartitionStrategy(s.Partition))
 		if err != nil {

@@ -59,10 +59,10 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 //
 // Remote is bound to the graph it was built for; the serving layer and
 // CLIs build one backend per solve. Mid-solve transport failures are
-// fail-stop per solve: Iterate panics with a typed *WorkerError naming
-// the worker and protocol phase, which SolveWithFailover and the
-// serving layer recover into retries, survivor re-partitioning, or a
-// failed request — never a corrupted result (see docs/fault-tolerance.md).
+// fail-stop per solve: Iterate returns a typed *WorkerError naming the
+// worker and protocol phase, admm.Run stops there, and Solve turns it
+// into a retry, a survivor re-partitioning, or a failed request —
+// never a corrupted result (see docs/fault-tolerance.md).
 type Remote struct {
 	shards   int
 	strategy graph.PartitionStrategy
@@ -71,7 +71,6 @@ type Remote struct {
 	session  uint64
 	addrs    []string
 	tmo      timeouts
-	retries  int
 
 	g         *graph.Graph
 	plan      *plan
@@ -86,10 +85,6 @@ type Remote struct {
 	warm    bool
 	problem *admm.ProblemRef
 	dialer  func(addr string, timeout time.Duration) (net.Conn, error)
-	// Per-handshake control-plane counters (reset each attempt, folded
-	// into Stats after the successful one).
-	hsHits, hsGraphHits, hsMisses int
-	hsCfg, hsState, hsFrames      int
 
 	// rhoShadow/uShadow are Rho and U as the workers last saw them
 	// (handshake state, params pushes, and each block's own uploads).
@@ -116,32 +111,26 @@ type Remote struct {
 // let a worker's accept loop discard mesh dials from a dead session.
 var remoteSessions atomic.Uint64
 
-// NewRemote dials the worker control endpoints in spec.Addrs, ships the
-// spec's ProblemRef and executor knobs, verifies every worker rebuilt
-// the same graph and boundary manifest, and pushes g's full state down.
-// The returned backend drives the workers on each Iterate. g must be
-// the finalized coordinator-side replica of the referenced problem.
-func NewRemote(spec admm.ExecutorSpec, shards int, g *graph.Graph) (*Remote, error) {
-	return NewRemoteContext(context.Background(), spec, shards, g)
-}
-
-// NewRemoteContext is NewRemote with cancellation: the dial+handshake
-// retry loop (spec.DialAttempts attempts, capped exponential backoff)
-// aborts between attempts when ctx is done. Configuration mismatches
-// (graph shape, manifest digest, unknown workload) fail immediately —
+// NewRemote dials the worker control endpoints in spec.Addrs — one
+// shard per worker — ships the spec's ProblemRef and executor knobs,
+// verifies every worker rebuilt the same graph and boundary manifest,
+// and pushes g's full state down. The returned backend drives the
+// workers on each Iterate. g must be the finalized coordinator-side
+// replica of the referenced problem. The dial+handshake retry loop
+// (spec.DialAttempts attempts, capped exponential backoff) aborts
+// between attempts when ctx is done. Configuration mismatches (graph
+// shape, manifest digest, unknown workload) fail immediately —
 // retrying the same config cannot succeed.
-func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g *graph.Graph) (*Remote, error) {
+func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Remote, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: remote transport needs a finalized graph")
 	}
 	if spec.Problem == nil {
 		return nil, fmt.Errorf("shard: remote transport needs a problem reference (workload + spec) for the workers to rebuild")
 	}
-	if len(spec.Addrs) != shards {
-		return nil, fmt.Errorf("shard: %d worker addrs for %d shards", len(spec.Addrs), shards)
-	}
-	if ctx == nil {
-		ctx = context.Background()
+	shards := len(spec.Addrs)
+	if shards == 0 {
+		return nil, fmt.Errorf("shard: remote transport needs worker addrs")
 	}
 	strategy, err := graph.ParseStrategy(spec.Partition)
 	if err != nil {
@@ -169,6 +158,8 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 		r.ownedVars[i] = r.plan.local[i].appendOwnedVars(nil)
 	}
 	r.bufs = make([][]byte, shards)
+	r.stats = r.plan.shapeStats(strategy, r.refine, admm.TransportSockets)
+	r.stats.SyncWaitByShard = make([]int64, shards)
 	backoff := 50 * time.Millisecond
 	for attempt := 1; ; attempt++ {
 		err = r.handshake()
@@ -196,30 +187,7 @@ func NewRemoteContext(ctx context.Context, spec admm.ExecutorSpec, shards int, g
 		if backoff > time.Second {
 			backoff = time.Second
 		}
-		r.retries++
-	}
-	p := &r.plan.part
-	r.stats = Stats{
-		Shards:           shards,
-		Strategy:         strategy,
-		Transport:        admm.TransportSockets,
-		BoundaryVars:     len(p.BoundaryVars),
-		BoundaryEdges:    p.BoundaryEdges,
-		InteriorVars:     p.InteriorVars(g),
-		PartEdges:        p.PartLoads(g),
-		CutCost:          graph.CutCost(g, p),
-		LoadImbalance:    p.LoadImbalance(g),
-		Refined:          r.refine || strategy == graph.StrategyMincutFM,
-		HandshakeRetries: r.retries,
-		CacheHits:        r.hsHits,
-		CacheGraphHits:   r.hsGraphHits,
-		CacheMisses:      r.hsMisses,
-		CfgSends:         r.hsCfg,
-		StatePushes:      r.hsState,
-		HandshakeFrames:  r.hsFrames,
-		SyncWaitByShard:  make([]int64, shards),
-
-		BoundaryVarsByShard: r.plan.boundaryCounts(),
+		r.stats.HandshakeRetries++
 	}
 	return r, nil
 }
@@ -255,8 +223,9 @@ func checkRebuild(st graph.Stats, wantDigest string, functions, variables, edges
 // stray mesh dials from an abandoned attempt are discarded by the
 // workers.
 func (r *Remote) handshake() error {
-	r.hsHits, r.hsGraphHits, r.hsMisses = 0, 0, 0
-	r.hsCfg, r.hsState, r.hsFrames = 0, 0, 0
+	// The control-plane counters describe the attempt that succeeds.
+	r.stats.CacheHits, r.stats.CacheGraphHits, r.stats.CacheMisses = 0, 0, 0
+	r.stats.CfgSends, r.stats.StatePushes, r.stats.HandshakeFrames = 0, 0, 0
 	if r.warm {
 		return r.handshakeCached()
 	}
@@ -310,8 +279,8 @@ func (r *Remote) sendConfig(i int) error {
 		return err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	r.hsCfg++
-	r.hsFrames++
+	r.stats.CfgSends++
+	r.stats.HandshakeFrames++
 	return nil
 }
 
@@ -336,7 +305,7 @@ func (r *Remote) readReadyAll(need []bool) error {
 	for ; pending > 0; pending-- {
 		err := <-errs
 		if err == nil {
-			r.hsFrames++
+			r.stats.HandshakeFrames++
 		} else if first == nil {
 			first = err
 			r.teardown()
@@ -388,8 +357,8 @@ func (r *Remote) pushState(i int, state []byte) error {
 		return fmt.Errorf("send state: %w", err)
 	}
 	conn.SetWriteDeadline(time.Time{})
-	r.hsState++
-	r.hsFrames++
+	r.stats.StatePushes++
+	r.stats.HandshakeFrames++
 	return nil
 }
 
@@ -433,7 +402,7 @@ func (r *Remote) handshakeCached() error {
 			return werr(i, PhaseHandshake, false, fmt.Errorf("send cache probe: %w", err))
 		}
 		conn.SetWriteDeadline(time.Time{})
-		r.hsFrames++
+		r.stats.HandshakeFrames++
 	}
 	wantDigest := fmt.Sprintf("%016x", r.man.Digest())
 	st := r.g.Stats()
@@ -449,7 +418,7 @@ func (r *Remote) handshakeCached() error {
 			config := errors.As(err, &re) && !re.transient()
 			return werr(i, PhaseHandshake, config, err)
 		}
-		r.hsFrames++
+		r.stats.HandshakeFrames++
 		var ack wireCacheAck
 		if err := decodeJSONFrame(f, &ack); err != nil {
 			return werr(i, PhaseHandshake, true, fmt.Errorf("cache ack: %w", err))
@@ -460,13 +429,13 @@ func (r *Remote) handshakeCached() error {
 				return werr(i, PhaseHandshake, true, err)
 			}
 			if ack.Hit == cacheHitState {
-				r.hsHits++
+				r.stats.CacheHits++
 			} else {
-				r.hsGraphHits++
+				r.stats.CacheGraphHits++
 				needState[i] = true
 			}
 		case "":
-			r.hsMisses++
+			r.stats.CacheMisses++
 			if err := r.sendConfig(i); err != nil {
 				return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
 			}
@@ -503,8 +472,8 @@ func (r *Remote) Stats() Stats { return r.stats.snapshot() }
 
 // Iterate implements admm.Backend: one iteration block across all
 // worker processes.
-func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
-	r.iterateBlock(g, iters, nil, phaseNanos)
+func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
+	return r.iterateBlock(g, iters, nil, phaseNanos)
 }
 
 // IterateZPrev implements admm.ZPrevIterator: the whole residual round
@@ -515,11 +484,14 @@ func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]
 // ownedVars partition the variables — so residuals are bit-identical
 // while the round costs one control round-trip and one state upload
 // instead of two.
-func (r *Remote) IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) {
-	r.iterateBlock(g, iters, zPrev, phaseNanos)
+func (r *Remote) IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
+	return r.iterateBlock(g, iters, zPrev, phaseNanos)
 }
 
-func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) {
+// iterateBlock runs one block on every worker. The first transport
+// failure is returned as a *WorkerError; the session is then dead (the
+// streams are desynchronized) and the caller must Close the backend.
+func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
 	if r.closed {
 		panic("shard: Iterate on closed Remote")
 	}
@@ -534,7 +506,7 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 		for i, conn := range r.conns {
 			r.armWrite(i)
 			if err := exchange.WriteFrame(conn, exchange.FrameParams, 0, params); err != nil {
-				panic(&WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseParams, Err: err})
+				return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseParams, Err: err}
 			}
 		}
 	}
@@ -542,7 +514,7 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	for i, conn := range r.conns {
 		r.armWrite(i)
 		if err := writeJSONFrame(conn, exchange.FrameIter, wireIter{Iters: iters, ZPrev: zPrev != nil}); err != nil {
-			panic(&WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err})
+			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
 	dones := make([]wireDone, r.shards)
@@ -556,10 +528,25 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 		}(i)
 	}
 	wg.Wait()
+	// Name the worker whose own connection failed, when there is one: a
+	// survivor's error frame only relays that one of its peers went
+	// away, and the failover policy acts on the worker the error names.
+	var relayed error
 	for i, err := range errs {
-		if err != nil {
-			panic(&WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseCollect, Err: err})
+		if err == nil {
+			continue
 		}
+		we := &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseCollect, Err: err}
+		var re *remoteError
+		if !errors.As(err, &re) {
+			return we
+		}
+		if relayed == nil {
+			relayed = we
+		}
+	}
+	if relayed != nil {
+		return relayed
 	}
 	// The slim upload drops N; rebuild it from the n = z - u identity
 	// the reference kernels maintain, against the just-installed
@@ -594,6 +581,7 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	r.stats.ExchangeFrames = r.exFrames
 	r.stats.DenseFrames = r.exDense
 	r.stats.DeltaFrames = r.exDelta
+	return nil
 }
 
 // paramsChanged reports whether Rho or U differs from the workers'

@@ -212,7 +212,7 @@ func (s Stats) snapshot() Stats {
 }
 
 // Iterate implements admm.Backend.
-func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) {
+func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	if b.closed {
 		panic("shard: Iterate on closed Backend")
 	}
@@ -225,23 +225,11 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		}
 		b.plan = p
 		b.bindExchanger(g, p)
-		b.stats = Stats{
-			Shards:          b.shards,
-			Strategy:        b.strategy,
-			Transport:       transportLabel(b.Transport),
-			BoundaryVars:    len(p.part.BoundaryVars),
-			BoundaryEdges:   p.part.BoundaryEdges,
-			InteriorVars:    p.part.InteriorVars(g),
-			PartEdges:       p.part.PartLoads(g),
-			CutCost:         graph.CutCost(g, &p.part),
-			LoadImbalance:   p.part.LoadImbalance(g),
-			Refined:         b.Refine || b.strategy == graph.StrategyMincutFM,
-			Iterations:      b.stats.Iterations,
-			SyncWaitByShard: b.stats.SyncWaitByShard,
-			BoundaryZNanos:  b.stats.BoundaryZNanos,
-
-			BoundaryVarsByShard: p.boundaryCounts(),
-		}
+		st := p.shapeStats(b.strategy, b.Refine, transportLabel(b.Transport))
+		st.Iterations = b.stats.Iterations
+		st.SyncWaitByShard = b.stats.SyncWaitByShard
+		st.BoundaryZNanos = b.stats.BoundaryZNanos
+		b.stats = st
 	}
 	b.g, b.iters, b.phaseNanos = g, iters, phaseNanos
 	for s := 0; s < b.shards; s++ {
@@ -258,6 +246,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 	b.stats.ExchangeFrames = ex.Frames
 	b.stats.DenseFrames = ex.DenseFrames
 	b.stats.DeltaFrames = ex.DeltaFrames
+	return nil
 }
 
 // bindExchanger (re)builds the exchanger and the mailbox for a freshly
@@ -439,14 +428,28 @@ type plan struct {
 	local []localPlan
 }
 
-// boundaryCounts returns how many boundary variables each shard
-// combines.
-func (p *plan) boundaryCounts() []int {
-	n := make([]int, len(p.local))
+// shapeStats is the half of Stats the plan alone decides — who holds
+// what, and what the cut costs — for both the in-process Backend and
+// the cross-process Remote; the counters start at zero.
+func (p *plan) shapeStats(strategy graph.PartitionStrategy, refine bool, transport string) Stats {
+	part := &p.part
+	byShard := make([]int, len(p.local))
 	for s := range p.local {
-		n[s] = len(p.local[s].boundary)
+		byShard[s] = len(p.local[s].boundary)
 	}
-	return n
+	return Stats{
+		Shards:              len(p.local),
+		Strategy:            strategy,
+		Transport:           transport,
+		BoundaryVars:        len(part.BoundaryVars),
+		BoundaryEdges:       part.BoundaryEdges,
+		InteriorVars:        part.InteriorVars(p.g),
+		BoundaryVarsByShard: byShard,
+		PartEdges:           part.PartLoads(p.g),
+		CutCost:             graph.CutCost(p.g, part),
+		LoadImbalance:       part.LoadImbalance(p.g),
+		Refined:             refine || strategy == graph.StrategyMincutFM,
+	}
 }
 
 // localPlan is one shard's work: contiguous runs of owned functions,

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -238,13 +239,13 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 		Problem: &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)},
 	}
 	// Coordinator graph has a different shape than the workers rebuild.
-	if _, err := NewRemote(spec, 2, chainGraph(t, 64)); err == nil ||
+	if _, err := NewRemote(context.Background(), spec, chainGraph(t, 64)); err == nil ||
 		!strings.Contains(err.Error(), "different graph") {
 		t.Fatalf("shape mismatch not detected: %v", err)
 	}
 	// Unknown workload.
 	spec.Problem = &admm.ProblemRef{Workload: "nope", Spec: []byte(`{}`)}
-	if _, err := NewRemote(spec, 2, chainGraph(t, 48)); err == nil ||
+	if _, err := NewRemote(context.Background(), spec, chainGraph(t, 48)); err == nil ||
 		!strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("unknown workload not detected: %v", err)
 	}
@@ -252,7 +253,7 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 	// workers survived the failed sessions.
 	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}
 	g := chainGraph(t, 48)
-	r, err := NewRemote(spec, 2, g)
+	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestRemoteThreeWorkersOutOfOrderMesh(t *testing.T) {
 	}
 
 	g := starGraph3(t, 30)
-	r, err := NewRemote(spec, 3, g)
+	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		t.Fatal(err)
 	}
