@@ -15,6 +15,9 @@ package repro_test
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strconv"
@@ -376,6 +379,114 @@ func TestDeltaThresholdConformance(t *testing.T) {
 			if st.BytesPerIter >= 8*st.CutCost {
 				t.Fatalf("delta mode moved %.1f payload bytes/iter, not below the dense %0.f",
 					st.BytesPerIter, 8*st.CutCost)
+			}
+		})
+	}
+}
+
+// flushTrajectory runs the 2400-iteration, CheckEvery-10 svm solve that
+// carries 21 slack duals through underflow (docs/bulk.md) and folds the
+// bits of x, u and z at every residual check, the residuals themselves
+// and the final objective into one hash. flush=false is Run's block
+// schedule driven by hand with no flush between blocks — the parent's
+// behaviour.
+func flushTrajectory(t *testing.T, backend admm.Backend, g *graph.Graph, objective func() float64, flush bool) uint64 {
+	t.Helper()
+	defer backend.Close()
+	const iters, every = 2400, 10
+	h := fnv.New64a()
+	fold := func(vs ...[]float64) {
+		var b [8]byte
+		for _, v := range vs {
+			for _, f := range v {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+				h.Write(b[:])
+			}
+		}
+	}
+	if flush {
+		res, err := admm.Run(g, admm.Options{MaxIter: iters, Backend: backend, CheckEvery: every,
+			OnIteration: func(_ int, primal, dual float64) bool {
+				fold(g.X, g.U, g.Z, []float64{primal, dual})
+				return true
+			}})
+		if err != nil || res.Iterations != iters {
+			t.Fatalf("Run = %+v, %v", res, err)
+		}
+	} else {
+		var ph [admm.NumPhases]int64
+		zPrev := make([]float64, len(g.Z))
+		for done := 0; done < iters; done += every {
+			if err := backend.Iterate(g, every-1, &ph); err != nil {
+				t.Fatal(err)
+			}
+			copy(zPrev, g.Z)
+			if err := backend.Iterate(g, 1, &ph); err != nil {
+				t.Fatal(err)
+			}
+			primal, dual := admm.Residuals(g, zPrev)
+			fold(g.X, g.U, g.Z, []float64{primal, dual})
+		}
+	}
+	fold([]float64{objective()})
+	return h.Sum64()
+}
+
+// TestFlushConformance pins that Run's block-boundary flush of stuck
+// subnormal duals sits above every executor: the solve above is
+// bit-identical at every residual check across the serial oracle, the
+// fused serial schedule, parallel-for, two shards over shared memory,
+// two over loopback sockets, and two real worker processes — the leg
+// that proves the coordinator's pre-block parameter push carries the
+// flushed U to state held elsewhere. The trajectory must also differ
+// from the unflushed one, or the comparison proves nothing.
+func TestFlushConformance(t *testing.T) {
+	build := func() (*graph.Graph, func() float64) {
+		p, err := svm.FromSpec(svm.Spec{N: 24, Dim: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Graph.InitZero()
+		return p.Graph, p.HingeObjective
+	}
+	g, obj := build()
+	want := flushTrajectory(t, admm.NewSerial(), g, obj, true)
+	g, obj = build()
+	if flushTrajectory(t, admm.NewSerial(), g, obj, false) == want {
+		t.Fatal("the unflushed trajectory hashes the same: this solve no longer exercises the flush")
+	}
+
+	dir := t.TempDir()
+	addrs := []string{"unix:" + dir + "/w0.sock", "unix:" + dir + "/w1.sock"}
+	spawnWorkers(t, addrs, 1)
+	raw, err := json.Marshal(svm.Spec{N: 24, Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}
+	loopback, remote := sharded, sharded
+	loopback.Transport = admm.TransportSockets
+	remote.Transport, remote.Addrs = admm.TransportSockets, addrs
+	remote.Problem = &admm.ProblemRef{Workload: "svm", Spec: raw}
+	legs := []struct {
+		name string
+		make func(g *graph.Graph) (admm.Backend, error)
+	}{
+		{"serial-fused", admm.ExecutorSpec{Kind: admm.ExecSerial}.NewBackend},
+		{"parallel-for", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3}.NewBackend},
+		{"sharded-2", sharded.NewBackend},
+		{"sharded-2-sockets", loopback.NewBackend},
+		{"sharded-2-remote", remote.NewBackend},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			g, obj := build()
+			backend, err := leg.make(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := flushTrajectory(t, backend, g, obj, true); got != want {
+				t.Fatalf("trajectory hash %016x, the serial oracle's is %016x", got, want)
 			}
 		})
 	}

@@ -34,6 +34,15 @@
 // second strategy, persistent workers with barriers, is the sharded
 // executor in internal/shard; the GPU path lives in internal/gpusim.
 // Both reuse these kernels.
+//
+// Run drives a Backend in blocks (one per residual check, or one for a
+// fixed-count run) and between blocks does the one thing no kernel
+// does: it zeroes the subnormal entries of U (flushSubnormals), which
+// would otherwise stick at the smallest subnormal and slow every later
+// z gather. The edit is made to the graph, above the Backend, so every
+// executor continues from the same state and the bit-identity contract
+// is untouched; a Backend's Iterate called directly never flushes.
+// Phase times are taken with one Stopwatch lap per phase boundary.
 package admm
 
 import (
@@ -287,6 +296,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		if err = iterateBlock(backend, g, step, zPrev, phaseNanos); err != nil {
 			break
 		}
+		flushSubnormals(g.U)
 		if needResiduals {
 			res.Primal, res.Dual = Residuals(g, zPrev)
 		}
@@ -309,6 +319,29 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	res.PhaseNanos = *phaseNanos
 	phaseScratch.Put(phaseNanos)
 	return res, err
+}
+
+// flushSubnormals zeroes the subnormal entries of u: Run's repair,
+// between blocks, of a cost the kernels cannot afford to test for (the
+// check inside the u/n sweep costs that sweep 21–32 %). A scaled dual
+// that decays geometrically toward zero — an svm slack edge settled at
+// x = z = 0 shrinks by 2^-1/2 per iteration — goes subnormal near
+// iteration 2033 and ends at the smallest subnormal, which
+// round-to-nearest maps to itself forever; from then on every r*(x+u)
+// of the z gather takes a floating-point microcode assist. Zero is the
+// limit the sequence was converging to. The pass edits g.U above the
+// Backend, so every executor continues from the same state
+// (shard.Remote pushes a coordinator-side change of U before its next
+// block) and iterates stay bit-identical across executors; n = z - u
+// heals in the next u/n sweep.
+func flushSubnormals(u []float64) {
+	for i, v := range u {
+		// Shifting out the sign leaves 0 for zero and at least 1<<53 for
+		// normals, infinities and NaNs; the -1 wraps zero out of range.
+		if math.Float64bits(v)<<1-1 < 1<<53-1 {
+			u[i] = 0
+		}
+	}
 }
 
 // iterateBlock runs one block of step iterations. With a non-nil zPrev
@@ -460,30 +493,6 @@ func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) {
 	}
 }
 
-// runPhasesSerial executes one iteration's five phases inline, timing
-// each. Shared by the Serial backend and as the fallback core.
-func runPhasesSerial(g *graph.Graph, phaseNanos *[NumPhases]int64) {
-	t := time.Now()
-	UpdateXRange(g, 0, g.NumFunctions())
-	phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateMRange(g, 0, g.NumEdges())
-	phaseNanos[PhaseM] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateZRange(g, 0, g.NumVariables())
-	phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateURange(g, 0, g.NumEdges())
-	phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateNRange(g, 0, g.NumEdges())
-	phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
-}
-
 // Serial is the single-core backend: the Go analogue of the paper's
 // optimized serial C implementation, against which all speedups are
 // measured.
@@ -506,15 +515,33 @@ func (b serialBackend) Name() string {
 }
 func (serialBackend) Close() {}
 
+// Iterate runs each iteration's phases inline, one stopwatch lap each.
+// On the fused schedule the m and n buckets stay zero: their work rides
+// inside the z gather and the u/n sweep.
 func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
+	sw := StartStopwatch()
 	if b.fused {
 		for it := 0; it < iters; it++ {
-			runPhasesFused(g, phaseNanos)
+			UpdateXRange(g, 0, g.NumFunctions())
+			sw.Lap(&phaseNanos[PhaseX])
+			UpdateZFusedRange(g, 0, g.NumVariables())
+			sw.Lap(&phaseNanos[PhaseZ])
+			UpdateUNRange(g, 0, g.NumEdges())
+			sw.Lap(&phaseNanos[PhaseU])
 		}
 		return nil
 	}
 	for it := 0; it < iters; it++ {
-		runPhasesSerial(g, phaseNanos)
+		UpdateXRange(g, 0, g.NumFunctions())
+		sw.Lap(&phaseNanos[PhaseX])
+		UpdateMRange(g, 0, g.NumEdges())
+		sw.Lap(&phaseNanos[PhaseM])
+		UpdateZRange(g, 0, g.NumVariables())
+		sw.Lap(&phaseNanos[PhaseZ])
+		UpdateURange(g, 0, g.NumEdges())
+		sw.Lap(&phaseNanos[PhaseU])
+		UpdateNRange(g, 0, g.NumEdges())
+		sw.Lap(&phaseNanos[PhaseN])
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package admm
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -78,12 +77,11 @@ func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[Num
 			sched.DynamicFor(w, n, 0, fn)
 		}
 	}
+	sw := StartStopwatch()
 	for it := 0; it < iters; it++ {
-		t := time.Now()
 		heavyLoop(g.NumFunctions(), func(lo, hi int) { UpdateXRange(g, lo, hi) })
-		phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseX])
 
-		t = time.Now()
 		switch {
 		case b.zGroups != nil:
 			sched.ParallelFor(len(b.zGroups), len(b.zGroups), func(lo, hi int) {
@@ -94,11 +92,10 @@ func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[Num
 		default:
 			heavyLoop(g.NumVariables(), func(lo, hi int) { UpdateZFusedRange(g, lo, hi) })
 		}
-		phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseZ])
 
-		t = time.Now()
 		loop(g.NumEdges(), func(lo, hi int) { UpdateUNRange(g, lo, hi) })
-		phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseU])
 	}
 	return nil
 }

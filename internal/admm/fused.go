@@ -1,10 +1,6 @@
 package admm
 
-import (
-	"time"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // This file implements the fused two-pass iteration: the same Algorithm-2
 // arithmetic as the five-phase reference path, restructured so the CPU
@@ -201,22 +197,4 @@ func UpdateUNRange(g *graph.Graph, lo, hi int) {
 // inspect g.M directly after a fused run use this to refresh it.
 func MaterializeM(g *graph.Graph) {
 	UpdateMRange(g, 0, g.NumEdges())
-}
-
-// runPhasesFused executes one fused iteration inline: the x-update prox
-// pass, the fused z gather, and the fused u/n sweep. Phase time is
-// charged to the x, z and u buckets; the m and n buckets stay zero (their
-// work now rides inside z and u respectively).
-func runPhasesFused(g *graph.Graph, phaseNanos *[NumPhases]int64) {
-	t := time.Now()
-	UpdateXRange(g, 0, g.NumFunctions())
-	phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateZFusedRange(g, 0, g.NumVariables())
-	phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	UpdateUNRange(g, 0, g.NumEdges())
-	phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
 }

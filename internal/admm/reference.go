@@ -1,10 +1,6 @@
 package admm
 
-import (
-	"time"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // ReferenceBackend is a deliberately naive engine in the style of the
 // general-purpose message-passing tool the paper compares against in
@@ -80,10 +76,10 @@ func (r *ReferenceBackend) store(g *graph.Graph) {
 func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	d := g.D()
 	r.load(g)
+	sw := StartStopwatch()
 	for it := 0; it < iters; it++ {
 		// x-update: gather n per function node into freshly allocated
 		// buffers, scatter x back.
-		t := time.Now()
 		for a := 0; a < g.NumFunctions(); a++ {
 			lo, hi := g.FuncEdges(a)
 			deg := hi - lo
@@ -99,9 +95,8 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 				copy(r.edges[lo+k]["x"], x[k*d:(k+1)*d])
 			}
 		}
-		phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseX])
 
-		t = time.Now()
 		for e := 0; e < g.NumEdges(); e++ {
 			ed := r.edges[e]
 			x, u, m := ed["x"], ed["u"], ed["m"]
@@ -109,9 +104,8 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 				m[i] = x[i] + u[i]
 			}
 		}
-		phaseNanos[PhaseM] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseM])
 
-		t = time.Now()
 		for b := 0; b < g.NumVariables(); b++ {
 			z := r.zs[b]
 			acc := make([]float64, d)
@@ -128,9 +122,8 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 				z[i] = acc[i] / rhoSum
 			}
 		}
-		phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseZ])
 
-		t = time.Now()
 		for e := 0; e < g.NumEdges(); e++ {
 			ed := r.edges[e]
 			z := r.zs[g.EdgeVar(e)]
@@ -140,9 +133,8 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 				u[i] += al * (x[i] - z[i])
 			}
 		}
-		phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseU])
 
-		t = time.Now()
 		for e := 0; e < g.NumEdges(); e++ {
 			ed := r.edges[e]
 			z := r.zs[g.EdgeVar(e)]
@@ -151,7 +143,7 @@ func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPh
 				n[i] = z[i] - u[i]
 			}
 		}
-		phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseN])
 	}
 	r.store(g)
 	return nil

@@ -1,10 +1,6 @@
 package admm
 
-import (
-	"time"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // This file implements the three-weight-algorithm (TWA) extension the
 // paper points to in Section II: "two parameters rho(a,b), alpha(a,b)
@@ -50,9 +46,9 @@ func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]i
 		b.weights = make([]graph.WeightClass, nE)
 	}
 	d := g.D()
+	sw := StartStopwatch()
 	for it := 0; it < iters; it++ {
 		// x-update + weight classification.
-		t := time.Now()
 		for a := 0; a < g.NumFunctions(); a++ {
 			lo, hi := g.FuncEdges(a)
 			x := g.X[lo*d : hi*d]
@@ -68,19 +64,16 @@ func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]i
 				ws.Weights(x, n, rho, d, w)
 			}
 		}
-		phaseNanos[PhaseX] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseX])
 
-		t = time.Now()
 		UpdateMRange(g, 0, nE)
-		phaseNanos[PhaseM] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseM])
 
 		// Class-aware z-update.
-		t = time.Now()
 		b.updateZ(g)
-		phaseNanos[PhaseZ] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseZ])
 
 		// u accumulates only where both sides talk with standard weight.
-		t = time.Now()
 		for e := 0; e < nE; e++ {
 			u := g.EdgeBlock(g.U, e)
 			if b.weights[e] != graph.WeightStandard {
@@ -91,11 +84,10 @@ func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]i
 			}
 			UpdateURange(g, e, e+1)
 		}
-		phaseNanos[PhaseU] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseU])
 
-		t = time.Now()
 		UpdateNRange(g, 0, nE)
-		phaseNanos[PhaseN] += time.Since(t).Nanoseconds()
+		sw.Lap(&phaseNanos[PhaseN])
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/linalg"
 )
 
 // WarmState is a reusable snapshot of the ADMM iterate — the primal
@@ -35,12 +36,20 @@ type WarmState struct {
 func (ws *WarmState) Captured() bool { return ws.d != 0 }
 
 // Capture snapshots g's x/u/z into ws, growing its buffers on first use
-// and reusing them afterwards (steady-state captures allocate nothing).
-func (ws *WarmState) Capture(g *graph.Graph) {
+// and reusing them afterwards (steady-state captures allocate nothing),
+// and reports whether it did. A NaN or Inf anywhere in the iterate — a
+// diverged solve — is nothing to continue from or to persist: Capture
+// then leaves ws empty and returns false.
+func (ws *WarmState) Capture(g *graph.Graph) bool {
+	if !linalg.AllFinite(g.X) || !linalg.AllFinite(g.U) || !linalg.AllFinite(g.Z) {
+		ws.edges, ws.vars, ws.d = 0, 0, 0
+		return false
+	}
 	ws.edges, ws.vars, ws.d = g.NumEdges(), g.NumVariables(), g.D()
 	ws.X = append(ws.X[:0], g.X...)
 	ws.U = append(ws.U[:0], g.U...)
 	ws.Z = append(ws.Z[:0], g.Z...)
+	return true
 }
 
 // Apply restores the snapshot onto g: x/u/z are copied back and the

@@ -1,6 +1,7 @@
 package admm_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/admm"
@@ -223,5 +224,47 @@ func TestWarmStateShapeMismatch(t *testing.T) {
 	}
 	if err := ws.Apply(small.Graph); err != nil {
 		t.Fatalf("Apply to the captured shape failed: %v", err)
+	}
+}
+
+// TestWarmStateCaptureRejectsNonFinite pins the divergence guard: a NaN
+// or Inf anywhere in x, u or z empties the snapshot — a previously
+// captured good state included — and Capture says so.
+func TestWarmStateCaptureRejectsNonFinite(t *testing.T) {
+	p, err := lasso.FromSpec(lasso.Spec{M: 16, Lambda: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Graph
+	g.InitZero()
+	var ws admm.WarmState
+	poison := []struct {
+		name string
+		at   *float64
+		v    float64
+	}{
+		{"x NaN", &g.X[1], math.NaN()},
+		{"u +Inf", &g.U[len(g.U)-1], math.Inf(1)},
+		{"z -Inf", &g.Z[0], math.Inf(-1)},
+	}
+	for _, c := range poison {
+		if !ws.Capture(g) || !ws.Captured() {
+			t.Fatalf("%s: Capture of a finite iterate reported failure", c.name)
+		}
+		old := *c.at
+		*c.at = c.v
+		if ws.Capture(g) {
+			t.Fatalf("%s: Capture reported success", c.name)
+		}
+		if ws.Captured() {
+			t.Fatalf("%s: snapshot still captured after a non-finite Capture", c.name)
+		}
+		if err := ws.Apply(g); err == nil {
+			t.Fatalf("%s: Apply of the emptied snapshot succeeded", c.name)
+		}
+		if _, err := ws.MarshalBinary(); err == nil {
+			t.Fatalf("%s: the emptied snapshot marshaled", c.name)
+		}
+		*c.at = old
 	}
 }

@@ -158,8 +158,8 @@ type shapeState struct {
 	warm admm.WarmState
 	// storeChecked marks that the one-per-shape store lookup happened;
 	// dirty marks that warm holds a snapshot from a successful solve
-	// that the store does not have yet (cleared whenever a failed or
-	// panicked solve resets the chain); iterations is the iteration
+	// that the store does not have yet (cleared whenever a failed,
+	// panicked or diverged solve resets the chain); iterations is the iteration
 	// count of the solve that produced the snapshot.
 	storeChecked bool
 	dirty        bool
@@ -622,8 +622,10 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 		return res
 	}
 	r := out.Result
-	st.warm.Capture(g)
-	st.dirty = true
+	// A diverged solve (NaN/Inf iterate) still reports its result, but
+	// Capture refuses it: the chain is dropped (next record of the shape
+	// starts cold) and nothing of it reaches the store.
+	st.dirty = st.warm.Capture(g)
 	st.iterations = r.Iterations
 
 	res.Warm = warm

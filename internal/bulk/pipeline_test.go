@@ -100,6 +100,44 @@ func TestPipelineWarmChains(t *testing.T) {
 	}
 }
 
+// TestPipelineDivergedRecordDropsChain pins the divergence rule: a solve
+// that ends on a NaN/Inf iterate without an error (here an mpc initial
+// state that overflows the dynamics) still reports its result, but its
+// iterate is never warm-applied to the next record of the shape nor
+// written to the store; a healthy chain beside it is untouched.
+func TestPipelineDivergedRecordDropsChain(t *testing.T) {
+	const poisoned = `{"id":"p%d","workload":"mpc","spec":{"k":4,"q0":[1e308,1e308,1e308,1e308]},"max_iter":50}` + "\n"
+	var in strings.Builder
+	for i := 0; i < 2; i++ {
+		fmt.Fprintf(&in, poisoned, i)
+		fmt.Fprintf(&in, storeLassoLine, fmt.Sprintf("ok%d", i))
+	}
+	s := openTestStore(t)
+	var out bytes.Buffer
+	stats, err := Run(context.Background(), strings.NewReader(in.String()), &out, Options{Workers: 2, Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := decodeResults(t, out.Bytes())
+	if len(results) != 4 {
+		t.Fatalf("got %d results, want 4", len(results))
+	}
+	for _, i := range []int{0, 2} {
+		if res := results[i]; res.Error != "" || res.Iterations != 50 || res.Warm {
+			t.Fatalf("diverged record %d = %+v, want its 50-iteration cold result and no error", i, res)
+		}
+	}
+	if !results[3].Warm {
+		t.Fatalf("healthy chain lost its warm start: %+v", results[3])
+	}
+	if _, ok := s.Get(results[0].Shape); ok {
+		t.Fatalf("store holds the diverged shape %q", results[0].Shape)
+	}
+	if _, ok := s.Get(results[1].Shape); !ok || stats.StoreSaves != 1 {
+		t.Fatalf("healthy chain not persisted: saves = %d", stats.StoreSaves)
+	}
+}
+
 // TestPipelineDeterministicAcrossWorkers pins the byte-determinism
 // contract: the same stream through 1, 3, and more-workers-than-shapes
 // pipelines yields identical output bytes (this is what lets CI diff

@@ -182,9 +182,13 @@ func SoftThreshold(x, t float64) float64 {
 }
 
 // AllFinite reports whether every element of v is finite (not NaN/Inf).
+// One integer test per element — the exponent field is all ones exactly
+// for NaN and ±Inf — because WarmState.Capture runs it over a whole
+// iterate per bulk record.
 func AllFinite(v []float64) bool {
+	const exp = 0x7ff << 52
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if math.Float64bits(x)&exp == exp {
 			return false
 		}
 	}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/admm"
 	"repro/internal/exchange"
@@ -325,16 +324,6 @@ type workerTimings struct {
 	boundaryZ  int64
 }
 
-// lap adds the time since *t to *acc, restarts *t, and returns what it
-// added.
-func lap(t *time.Time, acc *int64) int64 {
-	now := time.Now()
-	dt := now.Sub(*t).Nanoseconds()
-	*acc += dt
-	*t = now
-	return dt
-}
-
 // runShardIters executes iters iterations of the shard schedule for one
 // worker over its local plan — the one iteration loop of the in-process
 // Backend and the cross-process worker (worker.go). Per iteration:
@@ -376,40 +365,40 @@ func lap(t *time.Time, acc *int64) int64 {
 // hide, on shared memory the two barrier crossings.
 func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
 	ph := &tm.phaseNanos
-	t := time.Now()
+	sw := admm.StartStopwatch()
 	for it := 0; it < iters; it++ {
 		for _, r := range lp.xBefore {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
-		lap(&t, &ph[admm.PhaseX])
+		sw.Lap(&ph[admm.PhaseX])
 		mb.Post(id)
-		lap(&t, &ph[admm.PhaseZ])
+		sw.Lap(&ph[admm.PhaseZ])
 		ex.BeginGatherM(id)
-		lap(&t, &tm.syncWait)
+		sw.Lap(&tm.syncWait)
 		for _, r := range lp.xAfter {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
-		lap(&t, &ph[admm.PhaseX])
+		sw.Lap(&ph[admm.PhaseX])
 		for _, r := range lp.interiorRuns {
 			admm.UpdateZFusedRange(g, r.Lo, r.Hi)
 		}
-		lap(&t, &ph[admm.PhaseZ])
+		sw.Lap(&ph[admm.PhaseZ])
 		ex.FinishGatherM(id)
-		lap(&t, &tm.syncWait)
+		sw.Lap(&tm.syncWait)
 		mb.Combine(id)
-		ph[admm.PhaseZ] += lap(&t, &tm.boundaryZ)
+		ph[admm.PhaseZ] += sw.Lap(&tm.boundaryZ)
 		ex.BeginScatterZ(id)
-		lap(&t, &tm.syncWait)
+		sw.Lap(&tm.syncWait)
 		for _, r := range lp.unBefore {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
-		lap(&t, &ph[admm.PhaseU])
+		sw.Lap(&ph[admm.PhaseU])
 		ex.FinishScatterZ(id)
-		lap(&t, &tm.syncWait)
+		sw.Lap(&tm.syncWait)
 		for _, r := range lp.unAfter {
 			admm.UpdateUNRange(g, r.Lo, r.Hi)
 		}
-		lap(&t, &ph[admm.PhaseU])
+		sw.Lap(&ph[admm.PhaseU])
 	}
 }
 
