@@ -54,7 +54,6 @@ func main() {
 	refine := flag.Bool("refine", false, "FM boundary-refinement pass on top of -partition (mincut+fm implies it)")
 	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
-	deltaThreshold := flag.Float64("delta-threshold", -1, "sockets transport: delta-encode boundary frames, shipping only d-blocks whose change exceeds this threshold (0 = exact/bit-identical, negative = dense frames)")
 	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	dialTimeout := flag.Duration("dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
 	handshakeTimeout := flag.Duration("handshake-timeout", 0, "sockets transport: bound on each handshake frame exchange (0 = 30s default)")
@@ -102,9 +101,6 @@ func main() {
 		warmCache:        *warmCache,
 		repeat:           *repeat,
 		fleet:            *useFleet,
-	}
-	if *deltaThreshold >= 0 {
-		cfg.deltaThreshold = deltaThreshold
 	}
 	if cfg.repeat < 1 {
 		fatal(fmt.Errorf("-repeat %d out of range (>= 1)", cfg.repeat))
@@ -155,9 +151,6 @@ type backendConfig struct {
 	fused     bool
 	transport string
 	addrs     []string
-	// deltaThreshold delta-encodes the sockets transport's boundary
-	// frames (nil = dense).
-	deltaThreshold *float64
 	// Reliability knobs for the sockets transport (-dial-timeout etc.);
 	// zero values keep the shard package defaults.
 	dialTimeout      time.Duration
@@ -207,7 +200,6 @@ func specFor(c backendConfig, ref *admm.ProblemRef) *admm.ExecutorSpec {
 	spec.Transport = c.transport
 	spec.Addrs = c.addrs
 	spec.Fused = &c.fused
-	spec.DeltaThreshold = c.deltaThreshold
 	spec.DialTimeoutMS = int(c.dialTimeout / time.Millisecond)
 	spec.HandshakeTimeoutMS = int(c.handshakeTimeout / time.Millisecond)
 	spec.FrameTimeoutMS = int(c.frameTimeout / time.Millisecond)
@@ -349,9 +341,6 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 		if st.BytesPerIter > 0 {
 			fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",
 				st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)
-		}
-		if st.DeltaFrames > 0 {
-			fmt.Printf("delta: %d delta frames, %d dense frames\n", st.DeltaFrames, st.DenseFrames)
 		}
 		if st.CacheHits+st.CacheGraphHits+st.CacheMisses > 0 {
 			fmt.Printf("warm cache: %d state hits, %d graph hits, %d misses (%d cfg sends, %d state pushes, %d handshake frames)\n",

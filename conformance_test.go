@@ -125,12 +125,10 @@ var confSpecs = []struct {
 // spellings a client can send, which for every kind but serial resolve
 // to the one schedule there is. (Pruning the now-equivalent rows,
 // 37 -> ~19, waits for the recorded test list to be re-anchored.) The
-// rest are the retired overlap field (accepted, selects nothing: the
-// sockets rows already run that order), delta frames at threshold 0
-// (promised bit-identical to dense), and the non-spec constructions:
-// the shard package's own constructor and the simulated-CPU backends.
+// rest are the non-spec constructions: the shard package's own
+// constructor and the simulated-CPU backends.
 func confDeterministic() []confExec {
-	fused, unfused, deltaZero := true, false, 0.0
+	fused, unfused := true, false
 	out := []confExec{}
 	add := func(name string, spec admm.ExecutorSpec) {
 		out = append(out, confExec{name, func(g *graph.Graph) (admm.Backend, error) { return spec.NewBackend(g) }})
@@ -144,19 +142,6 @@ func confDeterministic() []confExec {
 		add(s.name, bare)
 		add(s.name+"-fused", pinned)
 	}
-	sockets := func(shards int) admm.ExecutorSpec {
-		return admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: shards, Transport: admm.TransportSockets}
-	}
-	overlap, delta, deltaPinned, overlapDelta := sockets(4), sockets(2), sockets(2), sockets(4)
-	overlap.Overlap, overlap.Fused = true, &fused
-	delta.DeltaThreshold = &deltaZero
-	deltaPinned.DeltaThreshold, deltaPinned.Fused = &deltaZero, &fused
-	// The frozen benchmark's sock2 cell sends exactly this shape.
-	overlapDelta.Overlap, overlapDelta.DeltaThreshold, overlapDelta.Fused = true, &deltaZero, &fused
-	add("sharded-4-sockets-overlap-fused", overlap)
-	add("sharded-2-sockets-delta", delta)
-	add("sharded-2-sockets-delta-fused", deltaPinned)
-	add("sharded-4-sockets-overlap-delta-fused", overlapDelta)
 	// The constructors lost their Fused field with the unfused bodies;
 	// the rows they were recorded under keep both names (see above).
 	for _, name := range []string{"sharded-via-shard-pkg", "sharded-via-shard-pkg-fused"} {
@@ -216,10 +201,10 @@ func TestExecutorConformance(t *testing.T) {
 // makes of a consensus star: the functions split in creation order and
 // the hub is the only boundary variable, combined by its owner from
 // every shard's m-blocks. At 2, 3 and 4 shards, over the local barrier
-// and every form of the sockets transport, under both spellings of the
-// spec (fused unset and fused: true — see confDeterministic), the
-// iterates must equal Serial's bit for bit, and dense frames must move
-// exactly what the cut-cost model prices.
+// and the sockets transport, under both spellings of the spec (fused
+// unset and fused: true — see confDeterministic), the iterates must
+// equal Serial's bit for bit, and the frames must move exactly what the
+// cut-cost model prices.
 func TestHubBoundaryConformance(t *testing.T) {
 	build := func(t *testing.T) confInstance {
 		p, err := lasso.FromSpec(lasso.Spec{M: 72, Blocks: 8, Lambda: 0.3})
@@ -230,11 +215,8 @@ func TestHubBoundaryConformance(t *testing.T) {
 		return confInstance{g: p.Graph}
 	}
 	ref := confRun(t, build(t), admm.NewSerial(), confIters)
-	fused, deltaZero := true, 0.0
+	fused := true
 	sockets := admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets}
-	overlap, overlapDelta := sockets, sockets
-	overlap.Overlap = true
-	overlapDelta.Overlap, overlapDelta.DeltaThreshold = true, &deltaZero
 	cells := []struct {
 		name  string
 		spec  admm.ExecutorSpec
@@ -244,8 +226,6 @@ func TestHubBoundaryConformance(t *testing.T) {
 		{"local-fused", admm.ExecutorSpec{Kind: admm.ExecSharded}, &fused},
 		{"sockets", sockets, nil},
 		{"sockets-fused", sockets, &fused},
-		{"sockets-overlap-fused", overlap, &fused},
-		{"sockets-overlap-delta-fused", overlapDelta, &fused},
 	}
 	for _, shards := range []int{2, 3, 4} {
 		for _, c := range cells {
@@ -271,9 +251,8 @@ func TestHubBoundaryConformance(t *testing.T) {
 				if len(st.SyncWaitByShard) != shards || st.SyncWaitNanos != st.SyncWaitByShard[0] {
 					t.Fatalf("sync wait %d, by shard %v", st.SyncWaitNanos, st.SyncWaitByShard)
 				}
-				dense := spec.Transport == admm.TransportSockets && spec.DeltaThreshold == nil
-				if dense && st.BytesPerIter != 8*st.CutCost {
-					t.Fatalf("dense frames moved %.1f payload bytes/iter, cut cost prices %.0f", st.BytesPerIter, 8*st.CutCost)
+				if spec.Transport == admm.TransportSockets && st.BytesPerIter != 8*st.CutCost {
+					t.Fatalf("frames moved %.1f payload bytes/iter, cut cost prices %.0f", st.BytesPerIter, 8*st.CutCost)
 				}
 			})
 		}
@@ -283,8 +262,7 @@ func TestHubBoundaryConformance(t *testing.T) {
 // TestBoundaryCombineConformance drives the one boundary-combine kernel
 // (exchange.Mailbox.Combine) through every way a sharded solve reaches
 // it — posted in place on the local transport, framed and decoded over
-// loopback, and decoded from delta frames — at each width the kernel specializes on: the
-// register path at d = 2 (packing), 3 (svm) and 5 (mpc), the generic
+// loopback — at each width the kernel specializes on: the register path at d = 2 (packing), 3 (svm) and 5 (mpc), the generic
 // path at d = 128 (lasso). Each cell must have a boundary to combine,
 // account for every boundary variable in its per-shard counts, and
 // reproduce Serial bit for bit.
@@ -303,15 +281,13 @@ func TestBoundaryCombineConformance(t *testing.T) {
 		},
 	}
 	const iters = 200
-	fused, deltaZero := true, 0.0
+	fused := true
 	cells := []struct {
 		name string
 		spec admm.ExecutorSpec
 	}{
 		{"local", admm.ExecutorSpec{Kind: admm.ExecSharded}},
 		{"loopback", admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets}},
-		{"overlap-delta", admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets,
-			Overlap: true, DeltaThreshold: &deltaZero}},
 	}
 	for d, build := range builds {
 		if got := build(t).g.D(); got != d {
@@ -345,42 +321,6 @@ func TestBoundaryCombineConformance(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestDeltaThresholdConformance is the lossy half of the delta-frame
-// contract: at a small nonzero threshold every workload must stay
-// within a pinned tolerance of the serial iterates (the receiver's view
-// of a boundary block never drifts more than the threshold from the
-// sender's), while moving strictly fewer payload bytes than the dense
-// CutCost x 8 prediction — the whole point of shipping deltas.
-func TestDeltaThresholdConformance(t *testing.T) {
-	thr := 1e-7
-	const tol = 1e-4
-	for wname, build := range confWorkloads {
-		t.Run(wname, func(t *testing.T) {
-			ref := confRun(t, build(t), admm.NewSerial(), confIters)
-			inst := build(t)
-			backend, err := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2,
-				Transport: admm.TransportSockets, DeltaThreshold: &thr}.NewBackend(inst.g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := confRun(t, inst, backend, confIters)
-			for i := range ref {
-				if d := math.Abs(got[i] - ref[i]); d > tol {
-					t.Fatalf("Z[%d] off serial by %g (> %g) at threshold %g", i, d, tol, thr)
-				}
-			}
-			st := backend.(shard.StatsReporter).Stats()
-			if st.DeltaFrames == 0 {
-				t.Fatal("no delta frames shipped")
-			}
-			if st.BytesPerIter >= 8*st.CutCost {
-				t.Fatalf("delta mode moved %.1f payload bytes/iter, not below the dense %0.f",
-					st.BytesPerIter, 8*st.CutCost)
-			}
-		})
 	}
 }
 

@@ -79,18 +79,6 @@ type ExecutorSpec struct {
 	// or "tcp:host:port"). Empty keeps the sockets transport in-process
 	// over loopback streams.
 	Addrs []string `json:"addrs,omitempty"`
-	// Overlap is accepted and selects nothing: the sockets transport
-	// always sends boundary frames before interior compute and awaits
-	// them only where consumed. The field stays so specs written when
-	// that was an option still decode.
-	Overlap bool `json:"overlap,omitempty"`
-	// DeltaThreshold, when non-nil, delta-encodes the sockets
-	// transport's steady-state boundary frames: only d-blocks whose
-	// change since last shipped exceeds the threshold cross the wire.
-	// 0 is exact (bit-pattern change detection, results unchanged);
-	// > 0 trades a bounded boundary-state staleness for fewer bytes
-	// (sharded sockets only; must be >= 0).
-	DeltaThreshold *float64 `json:"delta_threshold,omitempty"`
 	// Reliability knobs for the sharded sockets transport (sharded
 	// only; see docs/fault-tolerance.md). Zero values keep the
 	// defaults (shard.DefaultDialTimeout etc.); the timeouts are
@@ -271,12 +259,6 @@ func (s ExecutorSpec) Validate() error {
 	case "", TransportLocal, TransportSockets:
 	default:
 		return fmt.Errorf("admm: unknown transport %q (want %s | %s)", s.Transport, TransportLocal, TransportSockets)
-	}
-	if s.DeltaThreshold != nil && (s.Kind != ExecSharded || s.Transport != TransportSockets) {
-		return fmt.Errorf("admm: delta_threshold applies only to the %q sockets transport", ExecSharded)
-	}
-	if s.DeltaThreshold != nil && (*s.DeltaThreshold < 0 || *s.DeltaThreshold != *s.DeltaThreshold) {
-		return fmt.Errorf("admm: delta_threshold = %v, need >= 0", *s.DeltaThreshold)
 	}
 	if len(s.Addrs) > 0 {
 		if s.Transport != TransportSockets {

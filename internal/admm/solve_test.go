@@ -70,9 +70,6 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},
 		{Kind: ExecParallelFor, Fused: &on},
-		// overlap is accepted wherever it appears and selects nothing.
-		{Kind: ExecSharded, Transport: TransportSockets, Overlap: true},
-		{Kind: ExecSharded, Overlap: true},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {

@@ -47,9 +47,9 @@
 //   - Messaged: the sync points move exactly the boundary state over
 //     length-prefixed binary frames on per-peer byte streams.
 //     BeginGatherM sends each posted row as one frame per peer and
-//     FinishGatherM decodes the peers' frames — dense or delta — into
-//     the worker's inbox rows; nothing is scattered into M and the
-//     worker's own contributions are not copied anywhere. ScatterZ
+//     FinishGatherM decodes the peers' frames into the worker's inbox
+//     rows; nothing is scattered into M and the worker's own
+//     contributions are not copied anywhere. ScatterZ
 //     does the same for the owner-computed z blocks. The per-peer
 //     payload layout is fixed at construction by a Manifest derived
 //     from the graph.Partition, so steady-state frames carry only
@@ -88,10 +88,10 @@
 // local edge's as x + u in registers. A posted block is the sum x + u
 // already rounded to a double — exactly the value the serial fused
 // gather forms before its rho multiply, and exactly the reference
-// m-block — and neither a shared buffer nor the frame codec (dense, or
-// delta at threshold 0) changes a bit of it, so the same values meet
-// the same operations in the same order: boundary z equals Serial's by
-// construction. The cross-executor conformance suite pins all of it for every workload, and
+// m-block — and neither a shared buffer nor the frame codec changes a
+// bit of it, so the same values meet the same operations in the same
+// order: boundary z equals Serial's by construction. The cross-executor
+// conformance suite pins all of it for every workload, and
 // internal/shard's TestCombineReadsNoRemoteEdgeState pins the
 // structure: a combine with every remote X and U poisoned still
 // produces Serial's z.

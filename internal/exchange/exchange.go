@@ -46,12 +46,9 @@ type Exchanger interface {
 type Stats struct {
 	// BytesMoved is the cumulative boundary-state payload sent across
 	// all workers this exchanger carries: the doubles of the m/z blocks
-	// actually shipped, post-compression. The graph.CutCost word model
-	// prices the dense exchange, so BytesMoved per round <=
-	// PredictedWords x 8 always, with equality on dense frames
-	// (delta mode off, or every block changed) — the transport tests
-	// pin the bound and the dense-mode equality. Delta bitmaps count as
-	// framing (WireBytes), not payload.
+	// shipped. The graph.CutCost word model prices exactly this
+	// exchange, so BytesMoved per round == PredictedWords x 8 — the
+	// transport tests pin the identity.
 	BytesMoved int64
 	// WireBytes is the cumulative bytes actually written to the
 	// streams: BytesMoved plus per-frame header overhead. The gap is
@@ -60,14 +57,6 @@ type Stats struct {
 	WireBytes int64
 	// Frames is the number of data-plane frames sent.
 	Frames int64
-	// DenseFrames counts the data-plane frames sent dense (FrameM and
-	// FrameZ: full manifest rows). With delta mode off this equals
-	// Frames; with it on, only priming frames (the first round after a
-	// state install) are dense.
-	DenseFrames int64
-	// DeltaFrames counts the delta-encoded data-plane frames sent
-	// (FrameMDelta and FrameZDelta). DenseFrames + DeltaFrames == Frames.
-	DeltaFrames int64
 	// Rounds is the number of completed iterations (GatherM+ScatterZ
 	// pairs) observed by the accounting worker.
 	Rounds int64

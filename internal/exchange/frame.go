@@ -32,14 +32,9 @@ const (
 	FrameM byte = 1
 	// FrameZ carries owner-combined boundary z blocks (sync point 2).
 	FrameZ byte = 2
-	// FrameMDelta is the delta-encoded form of FrameM: a block bitmap
-	// plus only the d-blocks whose change since the last sent value
-	// exceeds the sender's threshold. Receivers patch in place against
-	// the handshake manifest; unlisted blocks keep their last-sent
-	// value. See delta.go for the payload layout.
-	FrameMDelta byte = 3
-	// FrameZDelta is the delta-encoded form of FrameZ.
-	FrameZDelta byte = 4
+	// Kinds 3 and 4 are retired (they were the delta-encoded forms of
+	// kinds 1 and 2) and must not be reused: a peer that still sends
+	// one is refused as desynchronized, not misread.
 
 	// FrameCfg opens a coordinator session: JSON worker configuration.
 	FrameCfg byte = 10

@@ -16,8 +16,10 @@ func FuzzExchangeFrameDecode(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, byte(FrameM), 1, 0, 0, 0})
 	f.Add(AppendFrame(nil, FrameZ, 3, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	f.Add(AppendFrame(AppendFrame(nil, FrameCfg, 0, []byte(`{"worker":1}`)), FrameBye, 0, nil))
-	f.Add([]byte{0, 0, 0, 255, 9, 9, 9, 9, 9}) // oversized length
-	f.Add([]byte{2, 0, 0, 0, 1})               // undersized length
+	f.Add(AppendFrame(nil, 3, 1, []byte{0x01, 1, 2, 3, 4, 5, 6, 7, 8})) // retired kind 3 (was a delta m-frame)
+	f.Add(AppendFrame(nil, 4, 1, []byte{0x00}))                         // retired kind 4 (was a delta z-frame)
+	f.Add([]byte{0, 0, 0, 255, 9, 9, 9, 9, 9})                          // oversized length
+	f.Add([]byte{2, 0, 0, 0, 1})                                        // undersized length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var buf []byte

@@ -21,8 +21,8 @@ import "repro/internal/graph"
 // copy of them. On the shared-memory transport (NewMailbox) a pair's
 // row is one buffer, written by its sender and read by its receiver on
 // opposite sides of the barrier. On a message transport the sender's
-// row is the frame payload and the receiver's row is what the frame —
-// dense or delta — is decoded into; Messaged builds that form itself.
+// row is the frame payload and the receiver's row is what the frame is
+// decoded into; Messaged builds that form itself.
 //
 // Combine gathers the same values in the same order with the same
 // rounding as admm.UpdateZFusedRange (a posted block is the x + u sum

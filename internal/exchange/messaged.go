@@ -39,21 +39,14 @@ import (
 // where the remote data is consumed; GatherM and ScatterZ are the two
 // halves back to back and produce bit-identical frames.
 //
-// With delta mode on (EnableDelta), steady-state frames switch to
-// FrameMDelta/FrameZDelta: a block bitmap plus only the d-blocks that
-// changed beyond the threshold since they were last shipped (delta.go).
-// The first frame to each peer after construction or ResetDelta is
-// dense and primes the sender's shadow. At threshold 0 the changed-set
-// is exact (bit-pattern compare), so iterates are unchanged; wire
-// payload still shrinks once blocks stop changing.
+// Every data frame carries its whole manifest row, every round: one
+// codec, no option (docs/transport.md records what a second one would
+// have to beat).
 //
 // With a shared graph (loopback) the ingested z bytes already equal the
 // owner's in-place writes, so receivers decode and verify lengths but
 // skip the store; the frame receipt itself is the happens-before edge
-// that replaces the barrier crossing. (At a nonzero delta threshold
-// this makes loopback z slightly *more* exact than a cross-process run,
-// which holds unshipped blocks at their last-shipped value; threshold 0
-// is bit-identical everywhere.)
+// that replaces the barrier crossing.
 //
 // Failure semantics are fail-stop per solve: construction and handshake
 // errors are returned by the coordinator protocol (internal/shard), but
@@ -78,18 +71,6 @@ type Messaged struct {
 	// acct is the lowest local worker id; it owns the rounds counter.
 	acct int
 
-	// Delta mode (EnableDelta): prevM/prevZ[w*k+j] shadow the last
-	// values shipped on that pair (allocated lazily at priming);
-	// primedM/primedZ gate the dense priming frame. The shadows are
-	// only touched by the owning worker's send path, which is joined
-	// before the next round begins.
-	deltaOn  bool
-	deltaThr float64
-	prevM    [][]float64
-	prevZ    [][]float64
-	primedM  []bool
-	primedZ  []bool
-
 	// ioTimeout, when > 0, bounds each mesh frame read and write via
 	// the streams' deadline support (loopback pipes have none and stay
 	// unbounded). sendFault carries a send-goroutine panic across
@@ -101,8 +82,6 @@ type Messaged struct {
 	bytes  atomic.Int64
 	wire   atomic.Int64
 	frames atomic.Int64
-	dense  atomic.Int64
-	delta  atomic.Int64
 	rounds int64
 }
 
@@ -111,9 +90,6 @@ type msgWorkerState struct {
 	round   uint32
 	sendBuf []byte
 	recvBuf []byte
-	// zRow gathers one z manifest row's current doubles before
-	// encoding (needed for the delta compare; reused for dense).
-	zRow []float64
 	// pend is the in-flight send completion between a Begin and its
 	// Finish.
 	pend <-chan struct{}
@@ -133,9 +109,8 @@ func newWorkerState(man *Manifest, w int) msgWorkerState {
 		in = max(in, len(man.MEdges[j*k+w]), len(man.ZVars[j*k+w]))
 	}
 	return msgWorkerState{
-		zRow:    make([]float64, 0, out*man.D),
-		sendBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(out)+out*man.D*8),
-		recvBuf: make([]byte, 0, frameOverhead+DeltaMaskLen(in)+in*man.D*8),
+		sendBuf: make([]byte, 0, frameOverhead+out*man.D*8),
+		recvBuf: make([]byte, 0, frameOverhead+in*man.D*8),
 	}
 }
 
@@ -145,8 +120,9 @@ func newWorkerState(man *Manifest, w int) msgWorkerState {
 // decoded exactly as over sockets — the wire codec without the kernel.
 //
 // The unnamed bool was the schedule selector while rows could carry
-// M-blocks; it selects nothing and stays only for callers pinned to the
-// three-argument form.
+// M-blocks; it selects nothing and stays only for the frozen
+// benchmark/probes.go, pinned to the three-argument form (it goes with
+// the benchmark unfreeze, ROADMAP).
 func NewLoopback(g *graph.Graph, man *Manifest, _ bool) *Messaged {
 	mesh := loopbackMesh(man.Shards)
 	m := &Messaged{
@@ -199,33 +175,6 @@ func NewPeer(g *graph.Graph, man *Manifest, id int, conns []io.ReadWriteCloser) 
 	return m, nil
 }
 
-// EnableDelta switches steady-state data frames to delta encoding with
-// the given change threshold (>= 0; 0 ships exactly the blocks whose
-// bit pattern changed). Both ends of every stream must agree — the
-// session config carries the knob. Call before the solve starts.
-func (m *Messaged) EnableDelta(threshold float64) {
-	k := m.man.Shards
-	m.deltaOn = true
-	m.deltaThr = threshold
-	m.prevM = make([][]float64, k*k)
-	m.prevZ = make([][]float64, k*k)
-	m.primedM = make([]bool, k*k)
-	m.primedZ = make([]bool, k*k)
-}
-
-// ResetDelta invalidates the delta shadows: the next frame on every
-// pair is sent dense and re-primes. Call after boundary state changed
-// out of band (a mid-session state install), never mid-iteration.
-func (m *Messaged) ResetDelta() {
-	if !m.deltaOn {
-		return
-	}
-	for i := range m.primedM {
-		m.primedM[i] = false
-		m.primedZ[i] = false
-	}
-}
-
 // SetIOTimeout bounds each subsequent frame read and write to d (0
 // restores unbounded I/O). Streams without deadline support (loopback
 // pipes) are unaffected. Call before the solve starts; the exchanger
@@ -275,36 +224,20 @@ func (m *Messaged) sendM(w int) {
 	st := &m.state[w]
 	for j := 0; j < k; j++ {
 		if row := m.mb.out[w*k+j]; len(row) > 0 {
-			m.sendRow(st, w, j, FrameM, FrameMDelta, row, m.primedM, m.prevM)
+			buf := AppendF64s(beginFrame(st.sendBuf[:0], FrameM, st.round), row)
+			st.sendBuf = m.sendFrame(m.streams[w][j], buf, w, j)
 		}
 	}
 }
 
 // FinishGatherM decodes the peers' m-rows into worker w's inbox and
-// completes sync point 1. A delta frame rewrites only the blocks it
-// carries; the rest of the row keeps what was last shipped, which is
-// what the sender's shadow holds.
+// completes sync point 1.
 func (m *Messaged) FinishGatherM(w int) {
-	k, d := m.man.Shards, m.man.D
+	k := m.man.Shards
 	st := &m.state[w]
 	for j := 0; j < k; j++ {
-		row := m.mb.in[j*k+w]
-		if len(row) == 0 {
-			continue
-		}
-		blocks := len(row) / d
-		payload, isDelta := m.recvData(st, w, j, FrameM, FrameMDelta, blocks)
-		if isDelta {
-			data := payload[DeltaMaskLen(blocks):]
-			idx := 0
-			for bi := 0; bi < blocks; bi++ {
-				if MaskBit(payload, bi) {
-					decodeF64s(row[bi*d:bi*d+d], data[idx*d*8:])
-					idx++
-				}
-			}
-		} else {
-			decodeF64s(row, payload)
+		if row := m.mb.in[j*k+w]; len(row) > 0 {
+			decodeF64s(row, m.recvData(st, w, j, FrameM, len(row)))
 		}
 	}
 	m.joinSends(st.pend)
@@ -334,13 +267,12 @@ func (m *Messaged) sendZ(w int) {
 		if j == w || len(row) == 0 {
 			continue
 		}
-		cur := st.zRow[:0]
+		buf := beginFrame(st.sendBuf[:0], FrameZ, st.round)
 		for _, v := range row {
 			base := int(v) * d
-			cur = append(cur, g.Z[base:base+d]...)
+			buf = AppendF64s(buf, g.Z[base:base+d])
 		}
-		st.zRow = cur
-		m.sendRow(st, w, j, FrameZ, FrameZDelta, cur, m.primedZ, m.prevZ)
+		st.sendBuf = m.sendFrame(m.streams[w][j], buf, w, j)
 	}
 }
 
@@ -355,7 +287,7 @@ func (m *Messaged) FinishScatterZ(w int) {
 		if j == w || len(row) == 0 {
 			continue
 		}
-		payload, isDelta := m.recvData(st, w, j, FrameZ, FrameZDelta, len(row))
+		payload := m.recvData(st, w, j, FrameZ, len(row)*d)
 		if m.shared {
 			// The owner already wrote these exact bytes into the shared
 			// Z; storing them again would race with nothing to gain.
@@ -363,27 +295,9 @@ func (m *Messaged) FinishScatterZ(w int) {
 			// worker's phase-C reads.
 			continue
 		}
-		if isDelta {
-			maskLen := DeltaMaskLen(len(row))
-			data := payload[maskLen:]
-			idx := 0
-			for bi, v := range row {
-				if !MaskBit(payload, bi) {
-					continue
-				}
-				base := int(v) * d
-				for i := 0; i < d; i++ {
-					g.Z[base+i] = F64At(data, idx*d+i)
-				}
-				idx++
-			}
-			continue
-		}
 		for idx, v := range row {
 			base := int(v) * d
-			for i := 0; i < d; i++ {
-				g.Z[base+i] = F64At(payload, idx*d+i)
-			}
+			decodeF64s(g.Z[base:base+d], payload[idx*d*8:])
 		}
 	}
 	m.joinSends(st.pend)
@@ -398,31 +312,6 @@ func (m *Messaged) FinishScatterZ(w int) {
 func (m *Messaged) ScatterZ(w int) {
 	m.BeginScatterZ(w)
 	m.FinishScatterZ(w)
-}
-
-// sendRow encodes one manifest row, already gathered into cur, and
-// ships it to peer j: dense when delta mode is off or the pair is
-// unprimed (the priming frame also seeds the shadow), delta otherwise.
-func (m *Messaged) sendRow(st *msgWorkerState, w, j int, denseKind, deltaKind byte, cur []float64, primed []bool, prev [][]float64) {
-	stream := m.streams[w][j]
-	pi := w*m.man.Shards + j
-	if m.deltaOn && primed[pi] {
-		buf := beginFrame(st.sendBuf[:0], deltaKind, st.round)
-		var sent int
-		buf, sent = AppendDeltaPayload(buf, cur, prev[pi], m.man.D, m.deltaThr)
-		st.sendBuf = m.sendFrame(stream, buf, w, j, int64(sent*m.man.D*8), true)
-		return
-	}
-	buf := beginFrame(st.sendBuf[:0], denseKind, st.round)
-	buf = AppendF64s(buf, cur)
-	if m.deltaOn {
-		if prev[pi] == nil {
-			prev[pi] = make([]float64, len(cur))
-		}
-		copy(prev[pi], cur)
-		primed[pi] = true
-	}
-	st.sendBuf = m.sendFrame(stream, buf, w, j, int64(len(cur)*8), false)
 }
 
 // dispatchSends runs worker w's send (sendM or sendZ, passed as a method
@@ -474,60 +363,39 @@ func beginFrame(buf []byte, kind byte, seq uint32) []byte {
 }
 
 // sendFrame patches the frame length, writes the frame, and accounts
-// traffic: moved is the payload doubles actually carried (excluding the
-// delta bitmap, which is framing), wire is the full frame length.
-func (m *Messaged) sendFrame(w io.Writer, buf []byte, from, to int, moved int64, delta bool) []byte {
+// traffic: the payload doubles carried and the full frame length.
+func (m *Messaged) sendFrame(w io.Writer, buf []byte, from, to int) []byte {
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	m.armWrite(w)
 	if _, err := w.Write(buf); err != nil {
 		panic(fmt.Sprintf("exchange: worker %d: send to peer %d: %v", from, to, err))
 	}
-	m.bytes.Add(moved)
+	m.bytes.Add(int64(len(buf) - frameOverhead))
 	m.wire.Add(int64(len(buf)))
 	m.frames.Add(1)
-	if delta {
-		m.delta.Add(1)
-	} else {
-		m.dense.Add(1)
-	}
 	return buf
 }
 
 // recvData reads and validates one data frame from peer j: the round
-// sequence must match, the kind must be the expected dense kind (or its
-// delta form when delta mode is on), and the payload must be exactly
-// the manifest row's dense size or a well-formed delta for it —
-// otherwise the stream has desynchronized and the solve fail-stops.
-func (m *Messaged) recvData(st *msgWorkerState, w, j int, denseKind, deltaKind byte, blocks int) ([]byte, bool) {
+// sequence and the kind must match and the payload must be exactly the
+// manifest row's doubles — otherwise the stream has desynchronized (or
+// the peer speaks a retired frame kind) and the solve fail-stops.
+func (m *Messaged) recvData(st *msgWorkerState, w, j int, kind byte, doubles int) []byte {
 	m.armRead(m.streams[w][j])
 	f, buf, err := ReadFrame(m.streams[w][j], st.recvBuf)
 	st.recvBuf = buf
 	if err != nil {
 		panic(fmt.Sprintf("exchange: worker %d: recv from peer %d: %v", w, j, err))
 	}
-	if f.Seq != st.round {
+	if f.Seq != st.round || f.Kind != kind {
 		panic(fmt.Sprintf("exchange: worker %d: peer %d desynchronized: frame kind %d seq %d, want kind %d seq %d",
-			w, j, f.Kind, f.Seq, denseKind, st.round))
+			w, j, f.Kind, f.Seq, kind, st.round))
 	}
-	switch f.Kind {
-	case denseKind:
-		if len(f.Payload) != blocks*m.man.D*8 {
-			panic(fmt.Sprintf("exchange: worker %d: peer %d frame payload %d bytes, manifest expects %d",
-				w, j, len(f.Payload), blocks*m.man.D*8))
-		}
-		return f.Payload, false
-	case deltaKind:
-		if !m.deltaOn {
-			panic(fmt.Sprintf("exchange: worker %d: peer %d sent delta frame kind %d but delta mode is off", w, j, f.Kind))
-		}
-		if _, err := CheckDeltaPayload(f.Payload, blocks, m.man.D); err != nil {
-			panic(fmt.Sprintf("exchange: worker %d: peer %d delta frame invalid: %v", w, j, err))
-		}
-		return f.Payload, true
-	default:
-		panic(fmt.Sprintf("exchange: worker %d: peer %d desynchronized: frame kind %d seq %d, want kind %d seq %d",
-			w, j, f.Kind, f.Seq, denseKind, st.round))
+	if len(f.Payload) != doubles*8 {
+		panic(fmt.Sprintf("exchange: worker %d: peer %d frame payload %d bytes, manifest expects %d",
+			w, j, len(f.Payload), doubles*8))
 	}
+	return f.Payload
 }
 
 // Stats implements Exchanger.
@@ -536,8 +404,6 @@ func (m *Messaged) Stats() Stats {
 		BytesMoved:     m.bytes.Load(),
 		WireBytes:      m.wire.Load(),
 		Frames:         m.frames.Load(),
-		DenseFrames:    m.dense.Load(),
-		DeltaFrames:    m.delta.Load(),
 		Rounds:         m.rounds,
 		PredictedWords: m.man.Words(),
 	}

@@ -72,8 +72,8 @@ type Plan struct {
 	// WriteBytesPerSec, when > 0, is the link's bandwidth term: each
 	// Write additionally sleeps len(p)/rate. Together with WriteDelay
 	// this models a latency+bandwidth link — the fixed term is what
-	// sending before interior compute hides, the size term is what
-	// delta frames shrink.
+	// sending before interior compute hides, the size term scales with
+	// the boundary rows.
 	WriteBytesPerSec int
 	// In faults bytes the wrapped endpoint reads; Out faults bytes it
 	// writes.

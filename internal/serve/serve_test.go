@@ -87,7 +87,8 @@ func TestSolveHandler(t *testing.T) {
 		{"mpc auto executor", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"auto"},"max_iter":100}`, http.StatusOK},
 		{"svm unfused reference", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"serial","fused":false},"max_iter":100}`, http.StatusOK},
 		{"sharded fused off", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"fused":false},"max_iter":100}`, http.StatusBadRequest},
-		{"sockets with the retired overlap field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true,"delta_threshold":0},"max_iter":100}`, http.StatusOK},
+		{"sockets with the retired overlap field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true},"max_iter":100}`, http.StatusBadRequest},
+		{"sockets with the retired delta_threshold field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0},"max_iter":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -119,8 +119,8 @@
 // z and u phase buckets or in sync wait — Post and Combine are z work
 // (boundary z, the combine, is a sub-count of z), the four Begin/Finish
 // calls are sync wait: the barrier crossings on shared memory, frame
-// encode + write plus whatever blocking the overlap failed to hide on a
-// wire. TestShardLoopTimeAddsUp pins that the buckets add up to the
+// encode + write plus whatever blocking the interior compute failed to
+// hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up to the
 // loop's wall time. In-process workers and worker processes time the
 // same loop, the latter reporting in each block's Done frame, and
 // Stats.SyncWaitByShard carries the whole vector. It has to: the shard the others wait for is the one

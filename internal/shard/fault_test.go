@@ -450,6 +450,102 @@ func TestSolveWithFailoverLocal(t *testing.T) {
 	}
 }
 
+// tamperConn rewrites frames on their way out. Every frame in this
+// protocol is one Write call, so the hook sees whole frames (length
+// prefix, kind at [4], seq, payload) and returns what goes on the wire.
+type tamperConn struct {
+	net.Conn
+	rewrite func(frame []byte) []byte
+}
+
+func (c *tamperConn) Write(p []byte) (int, error) {
+	if _, err := c.Conn.Write(c.rewrite(p)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// tamperListener wraps every accepted connection in a tamperConn.
+type tamperListener struct {
+	net.Listener
+	rewrite func(frame []byte) []byte
+}
+
+func (l *tamperListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tamperConn{conn, l.rewrite}, nil
+}
+
+// TestRetiredFrameKindFailsBlock: kinds 3 and 4 were the delta-encoded
+// data frames. A peer that still sends one mid-round must end the block
+// as a typed *WorkerError — the receiving worker's recvData refuses the
+// kind, runWorkerBlock recovers the fail-stop into a session error —
+// and both workers must stay up for the next session.
+func TestRetiredFrameKindFailsBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		from, retired byte
+	}{
+		{"kind 3 in place of FrameM", exchange.FrameM, 3},
+		{"kind 4 in place of FrameZ", exchange.FrameZ, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			builders := chainBuilders(t, 48)
+			// Worker 0 sends its round-2 frame of the kind under test
+			// with the retired kind byte, once.
+			var fired atomic.Bool
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := &tamperListener{ln, func(frame []byte) []byte {
+				if frame[4] != tc.from || frame[5] != 2 || !fired.CompareAndSwap(false, true) {
+					return frame
+				}
+				out := append([]byte(nil), frame...)
+				out[4] = tc.retired
+				return out
+			}}
+			t.Cleanup(func() { tl.Close() })
+			go ServeWorker(tl, WorkerOptions{Builders: builders})
+			spec := chainSpec(append([]string{"tcp:" + ln.Addr().String()}, startTestWorkers(t, 1, builders)...))
+
+			g := chainGraph(t, 48)
+			r, err := NewRemote(context.Background(), spec, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nanos [admm.NumPhases]int64
+			err = r.Iterate(g, 10, &nanos)
+			r.Close()
+			var we *WorkerError
+			if !errors.As(err, &we) || !fired.Load() {
+				t.Fatalf("Iterate over a retired frame kind returned %v (tampered: %t), want a *WorkerError", err, fired.Load())
+			}
+
+			g2 := chainGraph(t, 48)
+			r2, err := NewRemote(context.Background(), spec, g2)
+			if err != nil {
+				t.Fatalf("workers did not accept a session after the refused frame: %v", err)
+			}
+			defer r2.Close()
+			if err := r2.Iterate(g2, 10, &nanos); err != nil {
+				t.Fatal(err)
+			}
+			ref := chainGraph(t, 48)
+			admm.NewSerialFused().Iterate(ref, 10, &nanos)
+			for i := range ref.Z {
+				if ref.Z[i] != g2.Z[i] {
+					t.Fatalf("post-recovery solve diverged from serial at Z[%d]", i)
+				}
+			}
+		})
+	}
+}
+
 // TestWorkerErrorShape pins the error type's contract: message naming
 // worker/addr/phase, and Unwrap exposing the cause.
 func TestWorkerErrorShape(t *testing.T) {

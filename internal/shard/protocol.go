@@ -48,10 +48,6 @@ type wireConfig struct {
 	Spec     json.RawMessage `json:"spec"`
 	Strategy string          `json:"strategy"`
 	Refine   bool            `json:"refine"`
-	// DeltaThreshold, when non-nil, delta-encodes steady-state mesh
-	// frames with the given change threshold. Every worker of a session
-	// must agree — the coordinator stamps it from its ExecutorSpec.
-	DeltaThreshold *float64 `json:"delta_threshold,omitempty"`
 	// Peers lists every worker's control endpoint, indexed by worker;
 	// worker i dials workers j < i it shares boundary state with.
 	Peers []string `json:"peers"`
@@ -71,14 +67,13 @@ type wireConfig struct {
 // push. On a miss the coordinator follows with a full FrameCfg on the
 // same connection; the session id and knobs must match the probe's.
 type wireCacheProbe struct {
-	Session        uint64   `json:"session"`
-	Worker         int      `json:"worker"`
-	Shards         int      `json:"shards"`
-	Key            string   `json:"key"`
-	StateDigest    string   `json:"state_digest"`
-	Strategy       string   `json:"strategy"`
-	Refine         bool     `json:"refine"`
-	DeltaThreshold *float64 `json:"delta_threshold,omitempty"`
+	Session     uint64 `json:"session"`
+	Worker      int    `json:"worker"`
+	Shards      int    `json:"shards"`
+	Key         string `json:"key"`
+	StateDigest string `json:"state_digest"`
+	Strategy    string `json:"strategy"`
+	Refine      bool   `json:"refine"`
 	// Peers lists every worker's control endpoint, indexed by worker
 	// (same contract as wireConfig.Peers).
 	Peers          []string `json:"peers"`
@@ -120,7 +115,6 @@ func (p wireCacheProbe) asConfig() wireConfig {
 		Shards:         p.Shards,
 		Strategy:       p.Strategy,
 		Refine:         p.Refine,
-		DeltaThreshold: p.DeltaThreshold,
 		Peers:          p.Peers,
 		FrameTimeoutMS: p.FrameTimeoutMS,
 	}
@@ -194,8 +188,6 @@ type wireDone struct {
 	BytesMoved     int64                 `json:"bytes_moved"`
 	WireBytes      int64                 `json:"wire_bytes"`
 	Frames         int64                 `json:"frames"`
-	DenseFrames    int64                 `json:"dense_frames,omitempty"`
-	DeltaFrames    int64                 `json:"delta_frames,omitempty"`
 }
 
 // writeJSONFrame marshals v and writes it as one frame of the given kind.

@@ -28,7 +28,6 @@ func init() {
 		}
 		sb.Refine = s.Refine
 		sb.Transport = s.Transport
-		sb.DeltaThreshold = s.DeltaThreshold
 		return sb, nil
 	})
 }

@@ -67,7 +67,6 @@ type Remote struct {
 	shards   int
 	strategy graph.PartitionStrategy
 	refine   bool
-	deltaThr *float64
 	session  uint64
 	addrs    []string
 	tmo      timeouts
@@ -103,8 +102,6 @@ type Remote struct {
 	exBytes  int64
 	exWire   int64
 	exFrames int64
-	exDense  int64
-	exDelta  int64
 }
 
 // remoteSessions feeds session identifiers; combined with the PID they
@@ -140,7 +137,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		shards:   shards,
 		strategy: strategy,
 		refine:   spec.Refine,
-		deltaThr: spec.DeltaThreshold,
 		addrs:    append([]string(nil), spec.Addrs...),
 		tmo:      specTimeouts(spec),
 		g:        g,
@@ -269,7 +265,6 @@ func (r *Remote) sendConfig(i int) error {
 		Spec:           r.problem.Spec,
 		Strategy:       string(r.strategy),
 		Refine:         r.refine,
-		DeltaThreshold: r.deltaThr,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
 	}
@@ -385,7 +380,6 @@ func (r *Remote) handshakeCached() error {
 		StateDigest:    stateDigest(state),
 		Strategy:       string(r.strategy),
 		Refine:         r.refine,
-		DeltaThreshold: r.deltaThr,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
 	}
@@ -557,16 +551,13 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	// workers — both sides agree again; resync the shadows.
 	copy(r.rhoShadow, g.Rho)
 	copy(r.uShadow, g.U)
-	var bytes, wire, frames, dense, delta int64
+	var bytes, wire, frames int64
 	for i := range dones {
 		bytes += dones[i].BytesMoved
 		wire += dones[i].WireBytes
 		frames += dones[i].Frames
-		dense += dones[i].DenseFrames
-		delta += dones[i].DeltaFrames
 	}
 	r.exBytes, r.exWire, r.exFrames = bytes, wire, frames
-	r.exDense, r.exDelta = dense, delta
 	for p, v := range dones[0].PhaseNanos {
 		phaseNanos[p] += v
 	}
@@ -579,8 +570,6 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	r.stats.BytesPerIter = float64(r.exBytes) / float64(r.stats.Iterations)
 	r.stats.WireBytesPerIter = float64(r.exWire) / float64(r.stats.Iterations)
 	r.stats.ExchangeFrames = r.exFrames
-	r.stats.DenseFrames = r.exDense
-	r.stats.DeltaFrames = r.exDelta
 	return nil
 }
 

@@ -36,12 +36,6 @@ type Backend struct {
 	// before the first Iterate.
 	Transport string
 
-	// DeltaThreshold, when non-nil, switches the message transport's
-	// steady-state data frames to delta encoding with the given change
-	// threshold (0 = exact bit-pattern deltas). Ignored on the local
-	// transport. Set before the first Iterate.
-	DeltaThreshold *float64
-
 	cmd    chan struct{}
 	done   chan struct{}
 	closed bool
@@ -119,13 +113,12 @@ type Stats struct {
 	// boundaries (a chain's handful of cut points) keep the framing
 	// share visible; wide ones amortize it away.
 	WireBytesPerIter float64
-	// ExchangeFrames counts data-plane frames sent so far; DenseFrames
-	// and DeltaFrames split the count by encoding (DeltaFrames is 0
-	// unless the delta knob is on — the split makes the wire saving
-	// observable, not just inferable from byte counts).
+	// ExchangeFrames counts data-plane frames sent so far.
 	ExchangeFrames int64
-	DenseFrames    int64
-	DeltaFrames    int64
+	// DeltaFrames is always 0: the wire has one (dense) codec. The
+	// field stays only because the frozen benchmark/solver.go reads it
+	// by name; it goes with the benchmark unfreeze (ROADMAP).
+	DeltaFrames int64
 	// HandshakeRetries counts full dial+handshake attempts the remote
 	// transport burned beyond the first before the session stood up
 	// (always 0 in-process).
@@ -243,8 +236,6 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 	b.stats.BytesPerIter = ex.BytesPerRound()
 	b.stats.WireBytesPerIter = ex.WireBytesPerRound()
 	b.stats.ExchangeFrames = ex.Frames
-	b.stats.DenseFrames = ex.DenseFrames
-	b.stats.DeltaFrames = ex.DeltaFrames
 	return nil
 }
 
@@ -266,9 +257,6 @@ func (b *Backend) bindExchanger(g *graph.Graph, p *plan) {
 			old.Close()
 		}
 		lb := exchange.NewLoopback(g, exchange.NewManifest(g, &p.part, b.shards), true)
-		if b.DeltaThreshold != nil {
-			lb.EnableDelta(*b.DeltaThreshold)
-		}
 		b.ex, b.mb = lb, lb.Mailbox()
 	default:
 		panic(fmt.Sprintf("shard: unknown transport %q", b.Transport))

@@ -2,13 +2,17 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/admm"
+	"repro/internal/exchange"
 	"repro/internal/gpusim"
 	"repro/internal/graph"
 	"repro/internal/lasso"
@@ -62,12 +66,10 @@ func transportWorkloads(t *testing.T) map[string]transportWorkload {
 // payload bytes per iteration must sit within 10% of the
 // degree-weighted cut model's prediction (CutCost words x 8 bytes) —
 // the same model the FM refiner optimizes and gpusim.MultiDevice
-// prices links with. With dense frames the match is exact (the manifest
-// moves precisely the blocks the model counts; any gap means lost or
-// duplicated traffic), and the separately-tracked wire bytes exceed it
-// by the per-frame header overhead only. With delta frames the same
-// prediction is only an upper bound — that side of the contract is
-// TestSocketsDeltaBytesBoundedByCutCostModel's.
+// prices links with. The match is exact (the manifest moves precisely
+// the blocks the model counts; any gap means lost or duplicated
+// traffic), and the separately-tracked wire bytes exceed it by the
+// per-frame header overhead only.
 func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 	for name, w := range transportWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
@@ -109,64 +111,6 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 				if sim := md.ExchangeBytesPerIter(w.g); sim != st.BytesPerIter {
 					t.Errorf("gpusim predicts %.0f bytes/iter, transport measured %.0f", sim, st.BytesPerIter)
 				}
-			}
-		})
-	}
-}
-
-// TestSocketsDeltaBytesBoundedByCutCostModel pins the post-compression
-// accounting: with delta frames enabled, CutCost x 8 turns from an
-// equality into an upper bound. BytesMoved counts only the payload
-// doubles actually shipped (bitmaps are framing, counted in WireBytes),
-// so threshold 0 sits at or below the dense prediction — below it
-// exactly when boundary blocks repeat bit-identically — and a positive
-// threshold must land strictly below it once the iterates settle.
-func TestSocketsDeltaBytesBoundedByCutCostModel(t *testing.T) {
-	const iters = 200
-	run := func(t *testing.T, w transportWorkload, thr *float64) Stats {
-		b, err := New(4, w.strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Transport = admm.TransportSockets
-		b.DeltaThreshold = thr
-		defer b.Close()
-		var nanos [admm.NumPhases]int64
-		b.Iterate(w.g, iters, &nanos)
-		return b.Stats()
-	}
-	for name := range transportWorkloads(t) {
-		t.Run(name, func(t *testing.T) {
-			zero, lossy := 0.0, 1e-3
-			dense := run(t, transportWorkloads(t)[name], nil)
-			exact := run(t, transportWorkloads(t)[name], &zero)
-			below := run(t, transportWorkloads(t)[name], &lossy)
-			predicted := 8 * dense.CutCost
-			if dense.BytesPerIter != predicted {
-				t.Fatalf("dense frames moved %.1f bytes/iter, want the exact prediction %.1f", dense.BytesPerIter, predicted)
-			}
-			if dense.DeltaFrames != 0 || dense.DenseFrames != dense.ExchangeFrames {
-				t.Fatalf("dense run counted delta frames: %+v", dense)
-			}
-			if exact.BytesPerIter > predicted {
-				t.Fatalf("threshold-0 delta moved %.1f bytes/iter, above the %.1f bound", exact.BytesPerIter, predicted)
-			}
-			if exact.DeltaFrames == 0 || exact.DenseFrames == 0 {
-				t.Fatalf("threshold-0 run did not mix priming and delta frames: %+v", exact)
-			}
-			if exact.DenseFrames+exact.DeltaFrames != exact.ExchangeFrames {
-				t.Fatalf("frame counters disagree: %+v", exact)
-			}
-			// Bitmaps ride in WireBytes, not BytesMoved: the wire total
-			// must exceed payload + 9-byte headers in delta mode.
-			headers := 9 * float64(exact.ExchangeFrames) / float64(exact.Iterations)
-			if exact.WireBytesPerIter <= exact.BytesPerIter+headers-1e-9 {
-				t.Fatalf("delta wire bytes %.1f do not carry the bitmaps (payload %.1f + headers %.1f)",
-					exact.WireBytesPerIter, exact.BytesPerIter, headers)
-			}
-			if below.BytesPerIter >= predicted {
-				t.Fatalf("threshold %g moved %.1f bytes/iter, not strictly below the dense %.1f",
-					lossy, below.BytesPerIter, predicted)
 			}
 		})
 	}
@@ -249,6 +193,37 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("unknown workload not detected: %v", err)
 	}
+	// A Cfg that still carries a retired key (here stamped in on the
+	// wire, as an older coordinator would send it) is refused by the
+	// worker's strict decoder, and the refusal is a config error: one
+	// dial per worker, no retry.
+	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}
+	dials := 0
+	spec.WorkerDialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials++
+		conn, err := DialAddrTimeout(addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return &tamperConn{conn, func(frame []byte) []byte {
+			if frame[4] != exchange.FrameCfg {
+				return frame
+			}
+			// frame[9] is the JSON payload's opening brace.
+			payload := append([]byte(`{"delta_threshold":0,`), frame[10:]...)
+			return exchange.AppendFrame(nil, exchange.FrameCfg, 0, payload)
+		}}, nil
+	}
+	_, err := NewRemote(context.Background(), spec, chainGraph(t, 48))
+	var we *WorkerError
+	if !errors.As(err, &we) || !we.Config || we.Phase != PhaseHandshake ||
+		!strings.Contains(err.Error(), `unknown field "delta_threshold"`) {
+		t.Fatalf("Cfg with a retired key: got %v, want a handshake config *WorkerError naming the field", err)
+	}
+	if dials != len(addrs) {
+		t.Fatalf("%d dials for %d workers: a config refusal was retried", dials, len(addrs))
+	}
+	spec.WorkerDialer = nil
 	// Healthy handshake + solve on the same worker pool afterwards: the
 	// workers survived the failed sessions.
 	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}

@@ -553,9 +553,6 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 		return fail(err)
 	}
 	defer ex.Close()
-	if cfg.DeltaThreshold != nil {
-		ex.EnableDelta(*cfg.DeltaThreshold)
-	}
 	// The coordinator's frame timeout applies symmetrically: bound the
 	// mesh exchange and this worker's control-plane writes, so a
 	// stalled peer or coordinator fails the session instead of wedging
@@ -613,10 +610,6 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 			if err := installState(g, f.Payload); err != nil {
 				return fail(err)
 			}
-			// A wholesale state replacement invalidates the delta
-			// shadows; every peer re-primes with dense frames. All
-			// workers see the same push, so the reset stays symmetric.
-			ex.ResetDelta()
 			stateInstalled = true
 			if run.onState != nil {
 				run.onState(f.Payload)
@@ -701,7 +694,5 @@ func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, it
 	done.BytesMoved = st.BytesMoved
 	done.WireBytes = st.WireBytes
 	done.Frames = st.Frames
-	done.DenseFrames = st.DenseFrames
-	done.DeltaFrames = st.DeltaFrames
 	return done, nil
 }

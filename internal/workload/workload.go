@@ -9,97 +9,44 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/lasso"
-	"repro/internal/mpc"
-	"repro/internal/packing"
 	"repro/internal/shard"
-	"repro/internal/svm"
 )
 
-// builders maps workload names to spec-driven graph constructors. The
-// graphs come back finalized with builder-default parameters; ADMM
+// Builders returns the registry for shard.ServeWorker: every workload
+// name bound to Build, so a worker refuses exactly what admission
+// refuses — a peer's Cfg cannot make it allocate past the size caps.
+func Builders() map[string]shard.BuilderFunc {
+	out := make(map[string]shard.BuilderFunc, len(parsers))
+	for name := range parsers {
+		out[name] = func(spec []byte) (*graph.Graph, error) { return Build(name, spec) }
+	}
+	return out
+}
+
+// Build constructs the factor graph one ProblemRef describes, through
+// the same admission (strict decode, size caps) the serving layer uses.
+// The graph comes back finalized with builder-default parameters; ADMM
 // state is left for the coordinator's state push to overwrite.
-var builders = map[string]shard.BuilderFunc{
-	"lasso": func(raw []byte) (*graph.Graph, error) {
-		var s lasso.Spec
-		if err := decodeSpec(raw, &s); err != nil {
-			return nil, err
-		}
-		p, err := lasso.FromSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		return p.Graph, nil
-	},
-	"svm": func(raw []byte) (*graph.Graph, error) {
-		var s svm.Spec
-		if err := decodeSpec(raw, &s); err != nil {
-			return nil, err
-		}
-		p, err := svm.FromSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		return p.Graph, nil
-	},
-	"mpc": func(raw []byte) (*graph.Graph, error) {
-		var s mpc.Spec
-		if err := decodeSpec(raw, &s); err != nil {
-			return nil, err
-		}
-		p, err := mpc.FromSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		return p.Graph, nil
-	},
-	"packing": func(raw []byte) (*graph.Graph, error) {
-		var s packing.Spec
-		if err := decodeSpec(raw, &s); err != nil {
-			return nil, err
-		}
-		p, err := packing.FromSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		return p.Graph, nil
-	},
-}
-
-// decodeSpec decodes strictly, like the serving layer: unknown fields
-// are errors, so a typo fails the handshake instead of silently
-// rebuilding a different instance.
-func decodeSpec(raw []byte, into any) error {
-	if len(raw) == 0 {
-		return fmt.Errorf("workload: missing spec")
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(into)
-}
-
-// Builders returns the registry for shard.ServeWorker.
-func Builders() map[string]shard.BuilderFunc { return builders }
-
-// Build constructs the factor graph one ProblemRef describes.
 func Build(name string, spec []byte) (*graph.Graph, error) {
-	b, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (want one of %v)", name, Names())
+	adm, err := Parse(name, spec)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	return b(spec)
+	p, err := adm.Build()
+	if err != nil {
+		return nil, err
+	}
+	return p.FactorGraph(), nil
 }
 
 // Names lists the registered workloads, sorted.
 func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
+	out := make([]string, 0, len(parsers))
+	for n := range parsers {
 		out = append(out, n)
 	}
 	sort.Strings(out)

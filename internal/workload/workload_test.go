@@ -84,6 +84,18 @@ func TestBuildRejects(t *testing.T) {
 			t.Errorf("%s: unknown spec field built", name)
 		}
 	}
+	// A worker builds through this function from a peer's Cfg: what
+	// admission refuses for size, it must refuse too.
+	for name, spec := range map[string]string{
+		"lasso":   `{"m":8193}`,
+		"svm":     `{"n":8193}`,
+		"mpc":     `{"k":100001}`,
+		"packing": `{"n":513}`,
+	} {
+		if _, err := Builders()[name]([]byte(spec)); err == nil {
+			t.Errorf("%s: over-cap spec %s built", name, spec)
+		}
+	}
 }
 
 // TestParseRejects: every malformed admission is an error (never a
