@@ -365,6 +365,32 @@ func TestPipelineLineCap(t *testing.T) {
 	}
 }
 
+// TestPipelineNegativeParamRecord pins that a spec with a negative rho
+// or alpha is an error record naming the field, not a "solve panic"
+// from the build, and that its neighbour still solves.
+func TestPipelineNegativeParamRecord(t *testing.T) {
+	in := `{"workload":"packing","spec":{"n":4,"rho":-0.1,"delta":-0.5},"max_iter":40}
+{"workload":"mpc","spec":{"k":4,"alpha":-1},"max_iter":40}
+{"workload":"mpc","spec":{"k":4},"max_iter":40}
+`
+	var out bytes.Buffer
+	if _, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	results := decodeResults(t, out.Bytes())
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
+	}
+	for i, field := range []string{"rho", "alpha"} {
+		if r := results[i]; !strings.Contains(r.Error, field) || strings.Contains(r.Error, "panic") {
+			t.Fatalf("record %d produced %+v, want an error record naming %q", i, r, field)
+		}
+	}
+	if results[2].Error != "" || results[2].Iterations != 40 {
+		t.Fatalf("record after the refusals broken: %+v", results[2])
+	}
+}
+
 // TestPipelinePerRecordExecutor pins that a record-level executor
 // override is honored and an invalid one — an unknown kind, or either
 // retired wire key — fails only that record.

@@ -54,7 +54,11 @@ func ExpectedShape(n, s int) (funcs, vars, edges int) {
 }
 
 // Build constructs the packing factor-graph of Figure 6.
-func Build(cfg Config) (*Problem, error) {
+func Build(cfg Config) (*Problem, error) { return build(cfg, CollisionOp{}) }
+
+// build is Build with the pairwise operator as a parameter, so a test
+// can solve the same graph with a reference operator.
+func build(cfg Config, collision graph.Op) (*Problem, error) {
 	cfg.defaults()
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("packing: N = %d, need >= 1", cfg.N)
@@ -66,7 +70,7 @@ func Build(cfg Config) (*Problem, error) {
 	// Pairwise collisions.
 	for i := 0; i < cfg.N; i++ {
 		for j := i + 1; j < cfg.N; j++ {
-			g.AddNode(CollisionOp{}, centerVar(i), radiusVar(i), centerVar(j), radiusVar(j))
+			g.AddNode(collision, centerVar(i), radiusVar(i), centerVar(j), radiusVar(j))
 		}
 	}
 	// Walls.

@@ -17,7 +17,40 @@ import (
 // radii in the (+) direction, which would *grow* them on overlap — this
 // implementation uses the KKT-consistent shrink direction (see
 // DESIGN.md, "Appendix A sign fix").
+//
+// Most pairs of a packing iterate are far apart, so Eval first asks
+// apart whether the squared center distance alone proves
+// math.Hypot(dx, dy) >= r1+r2, and only computes the square root when
+// it cannot tell. The reject is exact: when apart is true the old test
+// `r1 + r2 - Hypot(dx, dy) <= 0` is true too, and the identity branch
+// writes the same bits; every pair apart cannot decide takes the Hypot
+// path unchanged. With s = r1+r2 and s2 = dx*dx+dy*dy, case by case:
+//
+//   - s NaN, s <= 1e-150 (negative radii, -Inf): the guard is false.
+//   - s*s*(1+1e-12) overflows (s >= ~1.34e154, +Inf): the right side
+//     is +Inf and `>` is false.
+//   - dx or dy NaN: s2 is NaN and `>` is false.
+//   - dx or dy ±Inf, neither NaN: s2 = +Inf beats a finite right side;
+//     math.Hypot of an infinite argument is +Inf, so s - dist <= 0.
+//   - finite dx, dy with s2 overflowed to +Inf: the exact dx²+dy² is at
+//     least MaxFloat64, so Hypot > 1.34e154 > s, whose square was finite.
+//   - everything finite: s > 1e-150 keeps s*s normal (>= 1e-300), so
+//     s2 > 1e-300 and its larger square is normal; a subnormal smaller
+//     square is off by at most 2^-1075, nothing against s2. s2 and the
+//     right side each carry a few ulps of relative error (less if the
+//     compiler fuses a multiply-add), and so does Go's Hypot; the 1e-12
+//     margin is about a thousand times all of them together, so
+//     s2 > s*s*(1+1e-12) gives Hypot(dx, dy) > s.
+//
+// Value tests feasibility with the same helper, so the two agree.
 type CollisionOp struct{}
+
+// apart reports whether math.Hypot(dx, dy) >= s is certain without
+// computing it; false means "cannot tell", not "overlapping". The
+// argument is on CollisionOp.
+func apart(dx, dy, s float64) bool {
+	return s > 1e-150 && dx*dx+dy*dy > s*s*(1+1e-12)
+}
 
 // Eval implements graph.Op.
 func (CollisionOp) Eval(x, n, rho []float64, d int) {
@@ -31,8 +64,12 @@ func (CollisionOp) Eval(x, n, rho []float64, d int) {
 	x[3*d+1] = n[3*d+1]
 
 	dx, dy := c1x-c2x, c1y-c2y
-	dist := math.Hypot(dx, dy)
-	overlap := r1 + r2 - dist
+	s := r1 + r2
+	var dist, overlap float64 // a certain reject leaves overlap 0: identity
+	if !apart(dx, dy, s) {
+		dist = math.Hypot(dx, dy)
+		overlap = s - dist
+	}
 	if overlap <= 0 {
 		// Feasible: identity.
 		x[0*d], x[0*d+1] = c1x, c1y
@@ -88,7 +125,8 @@ func (CollisionOp) Weights(x, n, rho []float64, d int, out []graph.WeightClass) 
 // with a tolerance; used by validity checks via admm.Objective.
 func (CollisionOp) Value(s []float64, d int) float64 {
 	dx, dy := s[0*d]-s[2*d], s[0*d+1]-s[2*d+1]
-	if math.Hypot(dx, dy) >= s[1*d]+s[3*d]-1e-9 {
+	need := s[1*d] + s[3*d] - 1e-9
+	if apart(dx, dy, need) || math.Hypot(dx, dy) >= need {
 		return 0
 	}
 	return math.Inf(1)

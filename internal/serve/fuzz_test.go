@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -8,12 +9,17 @@ import (
 	"repro/internal/workload"
 )
 
+// fuzzBuildMaxSize bounds the specs FuzzParseSpec builds: every size
+// field (m, p, n, dim, k) at most this, so a build takes microseconds.
+const fuzzBuildMaxSize = 8
+
 // FuzzParseSpec drives the admission parsers (strict JSON decoding of
-// the four workload specs plus size-cap validation) with arbitrary
-// bytes: no input may panic, and any accepted admission must carry a
-// usable cache key. Build functions are deliberately not run — the
-// fuzzer's job is the parsing/validation boundary, which is what faces
-// untrusted request bodies.
+// the four workload specs plus size-cap and parameter validation) with
+// arbitrary bytes: no input may panic, and any accepted admission must
+// carry a usable cache key. An accepted spec whose sizes are all at
+// most fuzzBuildMaxSize is also built, so "admitted means it builds or
+// returns an error" is fuzzed, not assumed; larger ones are not, to
+// keep the fuzzer fast.
 //
 // Run as a regression suite by plain `go test` over the seed corpus;
 // run `go test -fuzz=FuzzParseSpec ./internal/serve` to explore.
@@ -33,6 +39,13 @@ func FuzzParseSpec(f *testing.F) {
 		{"mpc", ``},
 		{"svm", `[1,2,3]`},
 		{"packing", `"n"`},
+		{"packing", `{"n":4,"rho":-0.1,"delta":-0.5}`},
+		{"packing", `{"n":4,"alpha":-1}`},
+		{"mpc", `{"k":4,"rho":-1}`},
+		{"lasso", `{"m":8,"rho":-1}`},
+		{"svm", `{"n":8,"rho":-1}`},
+		{"lasso", `{"m":8,"p":-1}`},
+		{"svm", `{"n":8,"dim":-1}`},
 	} {
 		f.Add(seed[0], []byte(seed[1]))
 	}
@@ -46,6 +59,20 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if adm.Build == nil {
 			t.Fatalf("accepted spec %q with nil builder", raw)
+		}
+		// The parsers decode the first JSON value only; read the sizes
+		// the same way, so trailing bytes cannot hide a large spec.
+		var size struct{ M, P, N, Dim, K int }
+		if json.NewDecoder(bytes.NewReader(raw)).Decode(&size) != nil {
+			return
+		}
+		for _, v := range []int{size.M, size.P, size.N, size.Dim, size.K} {
+			if v > fuzzBuildMaxSize {
+				return
+			}
+		}
+		if p, err := adm.Build(); err == nil && p.FactorGraph() == nil {
+			t.Fatalf("spec %q built a problem without a graph", raw)
 		}
 	})
 }

@@ -60,6 +60,7 @@ func TestSolveHandler(t *testing.T) {
 		{"mpc zero horizon", `{"workload":"mpc","spec":{"k":0}}`, http.StatusBadRequest},
 		{"mpc bad q0", `{"workload":"mpc","spec":{"k":4,"q0":[1,2]}}`, http.StatusBadRequest},
 		{"packing zero circles", `{"workload":"packing","spec":{"n":0}}`, http.StatusBadRequest},
+		{"packing negative rho", `{"workload":"packing","spec":{"n":4,"rho":-0.1,"delta":-0.5}}`, http.StatusBadRequest},
 		{"unknown executor kind", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"gpu"}}`, http.StatusBadRequest},
 		{"balanced_z on serial", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","balanced_z":true}}`, http.StatusBadRequest},
 		{"max_iter over limit", `{"workload":"lasso","spec":{"m":16},"max_iter":100000000}`, http.StatusBadRequest},

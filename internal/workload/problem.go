@@ -65,8 +65,23 @@ func decodeStrict(raw json.RawMessage, into any) error {
 	return dec.Decode(into)
 }
 
+// checkADMMParams refuses a negative ADMM penalty or relaxation. Every
+// spec reads 0 as "use the default 1", and graph.SetUniformParams
+// panics on anything else <= 0, so an admitted negative value would
+// fail in the build instead of at admission.
+func checkADMMParams(workload string, rho, alpha float64) error {
+	if rho < 0 {
+		return fmt.Errorf("%s: rho = %g, need > 0 (0 selects the default)", workload, rho)
+	}
+	if alpha < 0 {
+		return fmt.Errorf("%s: alpha = %g, need > 0 (0 selects the default)", workload, alpha)
+	}
+	return nil
+}
+
 // parsers maps workload names to spec parsers. Each parser validates
-// the raw spec's required fields and size caps at admission time.
+// the raw spec's required fields, size caps and ADMM parameters at
+// admission time.
 var parsers = map[string]func(json.RawMessage) (Admission, error){
 	"lasso": func(raw json.RawMessage) (Admission, error) {
 		var s lasso.Spec
@@ -76,8 +91,11 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		if s.M < 2 || s.M > maxLassoM {
 			return Admission{}, fmt.Errorf("lasso: m = %d, need 2..%d", s.M, maxLassoM)
 		}
-		if s.P > maxLassoP {
-			return Admission{}, fmt.Errorf("lasso: p = %d, max %d", s.P, maxLassoP)
+		if s.P < 0 || s.P > maxLassoP {
+			return Admission{}, fmt.Errorf("lasso: p = %d, need 0..%d (0 selects the default)", s.P, maxLassoP)
+		}
+		if err := checkADMMParams("lasso", s.Rho, s.Alpha); err != nil {
+			return Admission{}, err
 		}
 		return Admission{Key: s.Key(), Build: func() (Problem, error) {
 			p, err := lasso.FromSpec(s)
@@ -95,8 +113,11 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		if s.N < 2 || s.N > maxSVMN {
 			return Admission{}, fmt.Errorf("svm: n = %d, need 2..%d", s.N, maxSVMN)
 		}
-		if s.Dim > maxSVMDim {
-			return Admission{}, fmt.Errorf("svm: dim = %d, max %d", s.Dim, maxSVMDim)
+		if s.Dim < 0 || s.Dim > maxSVMDim {
+			return Admission{}, fmt.Errorf("svm: dim = %d, need 0..%d (0 selects the default)", s.Dim, maxSVMDim)
+		}
+		if err := checkADMMParams("svm", s.Rho, s.Alpha); err != nil {
+			return Admission{}, err
 		}
 		return Admission{Key: s.Key(), Build: func() (Problem, error) {
 			p, err := svm.FromSpec(s)
@@ -117,6 +138,9 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		if s.Q0 != nil && len(s.Q0) != mpc.StateDim {
 			return Admission{}, fmt.Errorf("mpc: q0 must have length %d", mpc.StateDim)
 		}
+		if err := checkADMMParams("mpc", s.Rho, s.Alpha); err != nil {
+			return Admission{}, err
+		}
 		return Admission{Key: s.Key(), Build: func() (Problem, error) {
 			p, err := mpc.FromSpec(s)
 			if err != nil {
@@ -132,6 +156,9 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		}
 		if s.N < 1 || s.N > maxPackingN {
 			return Admission{}, fmt.Errorf("packing: n = %d, need 1..%d", s.N, maxPackingN)
+		}
+		if err := checkADMMParams("packing", s.Rho, s.Alpha); err != nil {
+			return Admission{}, err
 		}
 		return Admission{Key: s.Key(), Build: func() (Problem, error) {
 			p, err := packing.FromSpec(s)

@@ -96,6 +96,24 @@ func TestBuildRejects(t *testing.T) {
 			t.Errorf("%s: over-cap spec %s built", name, spec)
 		}
 	}
+	// A negative rho or alpha (0 selects the default) is refused at
+	// admission with the field named; admitted, it panicked in
+	// graph.SetUniformParams.
+	for _, c := range []struct{ name, spec, field string }{
+		{"lasso", `{"m":8,"rho":-1}`, "rho"},
+		{"lasso", `{"m":8,"alpha":-1}`, "alpha"},
+		{"svm", `{"n":8,"rho":-1}`, "rho"},
+		{"svm", `{"n":8,"alpha":-1}`, "alpha"},
+		{"mpc", `{"k":4,"rho":-1}`, "rho"},
+		{"mpc", `{"k":4,"alpha":-1}`, "alpha"},
+		{"packing", `{"n":4,"rho":-0.1,"delta":-0.5}`, "rho"},
+		{"packing", `{"n":4,"alpha":-1}`, "alpha"},
+	} {
+		_, err := Build(c.name, []byte(c.spec))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s %s: err %v, want a refusal naming %q", c.name, c.spec, err, c.field)
+		}
+	}
 }
 
 // TestParseRejects: every malformed admission is an error (never a
@@ -122,9 +140,11 @@ func TestParseRejects(t *testing.T) {
 		{"lasso m low", "lasso", `{"m":1}`},
 		{"lasso m cap", "lasso", `{"m":8193}`},
 		{"lasso p cap", "lasso", `{"m":64,"p":513}`},
+		{"lasso p negative", "lasso", `{"m":64,"p":-1}`},
 		{"svm n low", "svm", `{"n":1}`},
 		{"svm n cap", "svm", `{"n":8193}`},
 		{"svm dim cap", "svm", `{"n":40,"dim":257}`},
+		{"svm dim negative", "svm", `{"n":40,"dim":-1}`},
 		{"mpc k low", "mpc", `{"k":0}`},
 		{"mpc k negative", "mpc", `{"k":-5}`},
 		{"mpc k cap", "mpc", `{"k":100001}`},
