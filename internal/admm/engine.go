@@ -43,6 +43,54 @@
 // executor continues from the same state and the bit-identity contract
 // is untouched; a Backend's Iterate called directly never flushes.
 // Phase times are taken with one Stopwatch lap per phase boundary.
+//
+// # The residual check
+//
+// A residual block ends with one pass over the edges in index order
+// (checkPass) instead of four: it accumulates Residuals' two sums in
+// Residuals' order, so Result.Primal and Dual keep their bits; it
+// zeroes subnormal U as flushSubnormals would; and it sums x² and u²
+// plainly on the way. A short pass sums z². The stopping test,
+// converged, compares the residuals with absTol·√n + relTol·‖·‖ on
+// linalg.Norm2's norms — overflow-safe, one division per element — and
+// Run needs its verdict, not the norms, so it decides from the sums
+// where they settle it (checkSums.converged):
+//
+//  1. A bracket for Norm2. Let S be the exact sum of squares of an
+//     m-element vector and u = 2⁻⁵³. A plain sum in any order is
+//     s = S(1+φ) with |φ| ≤ γ_m = mu/(1-mu): each term is one rounded
+//     square and passes through at most m-1 rounded additions, all of
+//     nonnegative terms. Norm2 keeps scale = max|v_i| exact and
+//     ssq = Σ(v_i/scale)²; each element's term takes at most 4 roundings
+//     of its own (its rounded ratio counts twice, squared; then the
+//     product and the add) and at most 5 for each later element (a
+//     rescale multiplies the sum by a rounded ratio twice, in two
+//     rounded products, then adds 1), so
+//     ssq = (S/scale²)(1+θ) with |θ| ≤ γ_{5m-1}, and Norm2 adds two
+//     roundings (the square root and the product). Underflowing terms
+//     add absolute errors below 2⁻¹⁰⁷⁴ each, negligible against
+//     s ≥ 2⁻⁹⁰⁰ (against ssq ≥ 1 in Norm2), and s ≤ 2¹⁰⁰⁰ rules out
+//     overflow in both. To first order Norm2(v) = fl(√s)·(1+η) with
+//     |η| ≤ (3m+3)u; normBounds' (m+8)·2⁻⁵⁰ = 8(m+8)u covers η and the
+//     two roundings of its own bounds with room to spare. Outside
+//     2⁻⁹⁰⁰ ≤ s ≤ 2¹⁰⁰⁰ — NaN, ±Inf, zero, underflow — there is no
+//     bracket.
+//  2. A monotone threshold. tolerance(v) = fl(a + fl(relTol·v)), with
+//     a = fl(absTol·√n), is monotone in v (each rounding is),
+//     nondecreasing for relTol ≥ 0 and nonincreasing for relTol ≤ 0,
+//     and never NaN while a and relTol are finite. With Norm2 in
+//     [lo, hi] (a max of two norms in [max lo, max hi]) the exact
+//     threshold lies between tolerance(lo) and tolerance(hi): a residual
+//     at or below the smaller end passes the exact test, and one not at
+//     or below the larger end — NaN included — fails it.
+//  3. A fallback. Both residuals certainly pass: converged. Either
+//     certainly fails: not. Anything else — a residual inside the band,
+//     a vector with no bracket, a non-finite a or relTol, or a block
+//     whose Adapt step rescaled U after the pass — calls converged
+//     itself. Either way the verdict is converged's.
+//
+// Fixed-count runs have no residual block and keep flushSubnormals as
+// their only pass.
 package admm
 
 import (
@@ -213,6 +261,8 @@ type Options struct {
 	Adapt *AdaptConfig
 	// OnIteration, if non-nil, is called after every residual check with
 	// the current iteration count and residuals; return false to stop.
+	// It must not write the graph: the stopping decision that follows
+	// reads sums the check took before the call.
 	OnIteration func(iter int, primal, dual float64) bool
 }
 
@@ -256,6 +306,13 @@ var phaseScratch = sync.Pool{New: func() any { return new([NumPhases]int64) }}
 // Run executes the message-passing ADMM on g. A backend's Iterate error
 // ends the run at that block: Run returns it with the iterations
 // completed before it, and g's state is whatever the backend left.
+//
+// Every block ends with one pass over the state. After a residual block
+// it is checkPass — the flush, Residuals' exact sums and plain sums of
+// squares in one sweep — and the stopping decision is taken from those
+// sums where they prove it, by converged itself where they do not (the
+// package doc has the proof); after a fixed-count block it is
+// flushSubnormals.
 func Run(g *graph.Graph, opts Options) (Result, error) {
 	var res Result
 	if !g.Finalized() {
@@ -296,19 +353,24 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		if err = iterateBlock(backend, g, step, zPrev, phaseNanos); err != nil {
 			break
 		}
-		flushSubnormals(g.U)
+		var sums checkSums
 		if needResiduals {
-			res.Primal, res.Dual = Residuals(g, zPrev)
+			sums = checkPass(g, zPrev)
+			res.Primal, res.Dual = sums.primal, sums.dual
+		} else {
+			flushSubnormals(g.U)
 		}
 		done += step
-		if opts.Adapt != nil {
-			adaptRho(g, opts.Adapt, res.Primal, res.Dual)
+		if opts.Adapt != nil && adaptRho(g, opts.Adapt, res.Primal, res.Dual) {
+			// U was rescaled, so the pass's sum of squares no longer
+			// describes it; NaN sends the decision to the exact test.
+			sums.uu = math.NaN()
 		}
 		if check {
 			if opts.OnIteration != nil && !opts.OnIteration(done, res.Primal, res.Dual) {
 				break
 			}
-			if converged(g, res.Primal, res.Dual, opts.AbsTol, opts.RelTol) {
+			if sums.converged(g, opts.AbsTol, opts.RelTol) {
 				res.Converged = true
 				break
 			}
@@ -333,7 +395,8 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 // Backend, so every executor continues from the same state
 // (shard.Remote pushes a coordinator-side change of U before its next
 // block) and iterates stay bit-identical across executors; n = z - u
-// heals in the next u/n sweep.
+// heals in the next u/n sweep. Run calls it after a fixed-count block;
+// a residual block's checkPass applies the same predicate in its pass.
 func flushSubnormals(u []float64) {
 	for i, v := range u {
 		// Shifting out the sign leaves 0 for zero and at least 1<<53 for
@@ -390,14 +453,16 @@ func Residuals(g *graph.Graph, zPrev []float64) (primal, dual float64) {
 	return math.Sqrt(p), math.Sqrt(du)
 }
 
+// converged is the stopping test: primal <= absTol*sqrt(n) +
+// relTol*max(||x||, ||z||) and dual <= absTol*sqrt(n) + relTol*||u||,
+// with n = |E|*d and every norm linalg.Norm2's.
 func converged(g *graph.Graph, primal, dual, absTol, relTol float64) bool {
 	if absTol <= 0 && relTol <= 0 {
 		return false
 	}
-	n := float64(g.NumEdges() * g.D())
-	epsP := absTol*math.Sqrt(n) + relTol*math.Max(linalg.Norm2(g.X), linalg.Norm2(g.Z))
-	epsD := absTol*math.Sqrt(n) + relTol*linalg.Norm2(g.U)
-	return primal <= epsP && dual <= epsD
+	a := absTerm(g, absTol)
+	return primal <= tolerance(a, relTol, math.Max(linalg.Norm2(g.X), linalg.Norm2(g.Z))) &&
+		dual <= tolerance(a, relTol, linalg.Norm2(g.U))
 }
 
 // Objective is a helper for tests and examples: it sums fa evaluated at
@@ -450,19 +515,21 @@ type AdaptConfig struct {
 	adjusted int
 }
 
-func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) {
+// adaptRho applies one adaptation step and reports whether it rescaled
+// U.
+func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) bool {
 	if c.Mu <= 0 || c.Tau <= 0 {
-		return
+		return false
 	}
 	if math.IsNaN(primal) || math.IsNaN(dual) {
-		return
+		return false
 	}
 	maxAdjust := c.MaxAdjust
 	if maxAdjust <= 0 {
 		maxAdjust = 50
 	}
 	if c.adjusted >= maxAdjust {
-		return
+		return false
 	}
 	min, max := c.Min, c.Max
 	if min <= 0 {
@@ -478,7 +545,7 @@ func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) {
 	case dual > c.Mu*primal:
 		scale = 1 / c.Tau
 	default:
-		return
+		return false
 	}
 	c.adjusted++
 	for e := range g.Rho {
@@ -491,6 +558,7 @@ func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) {
 	for i := range g.U {
 		g.U[i] *= inv
 	}
+	return true
 }
 
 // Serial is the single-core backend: the Go analogue of the paper's

@@ -367,10 +367,15 @@ func TestPipelineLineCap(t *testing.T) {
 
 // TestPipelineNegativeParamRecord pins that a spec with a negative rho
 // or alpha is an error record naming the field, not a "solve panic"
-// from the build, and that its neighbour still solves.
+// from the build; that a negative lambda (an unbounded problem that ran
+// its whole budget) or block count (a build failure) is one too; and
+// that their neighbour still solves.
 func TestPipelineNegativeParamRecord(t *testing.T) {
 	in := `{"workload":"packing","spec":{"n":4,"rho":-0.1,"delta":-0.5},"max_iter":40}
 {"workload":"mpc","spec":{"k":4,"alpha":-1},"max_iter":40}
+{"workload":"svm","spec":{"n":24,"dim":2,"lambda":-1},"max_iter":40}
+{"workload":"lasso","spec":{"m":32,"lambda":-0.3},"max_iter":40}
+{"workload":"lasso","spec":{"m":32,"blocks":-2},"max_iter":40}
 {"workload":"mpc","spec":{"k":4},"max_iter":40}
 `
 	var out bytes.Buffer
@@ -378,16 +383,17 @@ func TestPipelineNegativeParamRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := decodeResults(t, out.Bytes())
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	fields := []string{"rho", "alpha", "lambda", "lambda", "blocks"}
+	if len(results) != len(fields)+1 {
+		t.Fatalf("got %d results, want %d", len(results), len(fields)+1)
 	}
-	for i, field := range []string{"rho", "alpha"} {
-		if r := results[i]; !strings.Contains(r.Error, field) || strings.Contains(r.Error, "panic") {
+	for i, field := range fields {
+		if r := results[i]; !strings.Contains(r.Error, field) || strings.Contains(r.Error, "panic") || r.Iterations != 0 {
 			t.Fatalf("record %d produced %+v, want an error record naming %q", i, r, field)
 		}
 	}
-	if results[2].Error != "" || results[2].Iterations != 40 {
-		t.Fatalf("record after the refusals broken: %+v", results[2])
+	if last := results[len(fields)]; last.Error != "" || last.Iterations != 40 {
+		t.Fatalf("record after the refusals broken: %+v", last)
 	}
 }
 

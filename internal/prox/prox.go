@@ -24,14 +24,17 @@ import (
 
 // copyPad copies the identity part of each edge block: components
 // nd..d-1 of every block are set to the incoming message. Operators call
-// this first and then overwrite the live components.
+// this first and then overwrite the live components. A pad is one to a
+// few doubles, so it is copied by an element loop: the builtin copy
+// would pay a memmove call for each.
 func copyPad(x, n []float64, deg, d, nd int) {
 	if nd >= d {
 		return
 	}
 	for k := 0; k < deg; k++ {
-		off := k * d
-		copy(x[off+nd:off+d], n[off+nd:off+d])
+		for i := k*d + nd; i < (k+1)*d; i++ {
+			x[i] = n[i]
+		}
 	}
 }
 
@@ -206,6 +209,14 @@ func (p SquaredNorm) Work(deg, d int) graph.Work {
 // (the paper's "equality" operator, Appendix C.4, generalized to any
 // degree): every block becomes the rho-weighted average of the incoming
 // blocks.
+//
+// A two-edge node (the svm equality chain, one node per data point) takes
+// its own path: one sliced loop over the two blocks' live components,
+// free of bounds checks, in the generic loop's operation order exactly
+// — rhoSum = (0 + rho0) + rho1, s = (0 + rho0*n0) + rho1*n1, then
+// s /= rhoSum — so both paths write the same bits. The leading 0 + is
+// kept: it turns a -0 product into +0, as the generic accumulator does.
+// Every other degree takes the generic loop.
 type Consensus struct{ Dim int }
 
 // Eval implements graph.Op.
@@ -214,6 +225,10 @@ func (p Consensus) Eval(x, n, rho []float64, d int) {
 	nd := p.Dim
 	if nd > d {
 		nd = d
+	}
+	if deg == 2 {
+		consensus2(x, n, rho, d, nd)
+		return
 	}
 	copyPad(x, n, deg, d, nd)
 	var rhoSum float64
@@ -229,6 +244,28 @@ func (p Consensus) Eval(x, n, rho []float64, d int) {
 		for k := 0; k < deg; k++ {
 			x[k*d+i] = s
 		}
+	}
+}
+
+// consensus2 is Consensus.Eval on a two-edge node with nd <= d live
+// components per block. Like the generic loop it reads rho[k] inside
+// the loop, which keeps the compiler's operand order — and so the
+// payload x86 propagates when both operands are NaN — the generic
+// loop's.
+func consensus2(x, n, rho []float64, d, nd int) {
+	x0, x1 := x[:d], x[d:2*d]
+	n0, n1 := n[:d], n[d:2*d]
+	for i := nd; i < d; i++ {
+		x0[i], x1[i] = n0[i], n1[i]
+	}
+	r := rho[:2]
+	rhoSum := (0 + r[0]) + r[1]
+	a := n0[:nd]
+	b, y0, y1 := n1[:len(a)], x0[:len(a)], x1[:len(a)]
+	for i, v := range a {
+		s := (0 + r[0]*v) + r[1]*b[i]
+		s /= rhoSum
+		y0[i], y1[i] = s, s
 	}
 }
 

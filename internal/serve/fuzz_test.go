@@ -46,6 +46,10 @@ func FuzzParseSpec(f *testing.F) {
 		{"svm", `{"n":8,"rho":-1}`},
 		{"lasso", `{"m":8,"p":-1}`},
 		{"svm", `{"n":8,"dim":-1}`},
+		{"svm", `{"n":24,"dim":2,"lambda":-1}`},
+		{"lasso", `{"m":32,"lambda":-0.3}`},
+		{"lasso", `{"m":32,"blocks":-2}`},
+		{"lasso", `{"m":8,"blocks":9}`},
 	} {
 		f.Add(seed[0], []byte(seed[1]))
 	}

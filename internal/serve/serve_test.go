@@ -61,6 +61,9 @@ func TestSolveHandler(t *testing.T) {
 		{"mpc bad q0", `{"workload":"mpc","spec":{"k":4,"q0":[1,2]}}`, http.StatusBadRequest},
 		{"packing zero circles", `{"workload":"packing","spec":{"n":0}}`, http.StatusBadRequest},
 		{"packing negative rho", `{"workload":"packing","spec":{"n":4,"rho":-0.1,"delta":-0.5}}`, http.StatusBadRequest},
+		{"svm negative lambda", `{"workload":"svm","spec":{"n":24,"dim":2,"lambda":-1}}`, http.StatusBadRequest},
+		{"lasso negative lambda", `{"workload":"lasso","spec":{"m":32,"lambda":-0.3}}`, http.StatusBadRequest},
+		{"lasso negative blocks", `{"workload":"lasso","spec":{"m":32,"blocks":-2}}`, http.StatusBadRequest},
 		{"unknown executor kind", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"gpu"}}`, http.StatusBadRequest},
 		{"balanced_z on serial", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","balanced_z":true}}`, http.StatusBadRequest},
 		{"max_iter over limit", `{"workload":"lasso","spec":{"m":16},"max_iter":100000000}`, http.StatusBadRequest},

@@ -33,12 +33,18 @@ type NormOp struct {
 	WDim int // number of w components; component WDim is the bias
 }
 
-// Eval implements graph.Op.
+// Eval implements graph.Op. The block is a few doubles, so the bias
+// and pads are copied by an element loop, not by the builtin copy and
+// its memmove call.
 func (p NormOp) Eval(x, n, rho []float64, d int) {
-	copy(x, n) // bias + pads
 	s := rho[0] / (rho[0] + p.C)
-	for j := 0; j < p.WDim && j < d; j++ {
+	w := min(p.WDim, d, len(x))
+	n = n[:len(x)]
+	for j := 0; j < w; j++ {
 		x[j] = s * n[j]
+	}
+	for j := max(w, 0); j < len(x); j++ {
+		x[j] = n[j] // bias + pads
 	}
 }
 
@@ -65,8 +71,11 @@ type MarginOp struct {
 // Eval implements graph.Op.
 func (p MarginOp) Eval(x, n, rho []float64, d int) {
 	wd := len(p.X)
-	// Pads and default identity.
-	copy(x, n)
+	// Pads and default identity, element by element: two blocks of a few
+	// doubles do not repay a memmove call.
+	for i, v := range n[:len(x)] {
+		x[i] = v
+	}
 	nw := n[:wd]
 	nb := n[wd]
 	nxi := n[d]

@@ -79,6 +79,17 @@ func checkADMMParams(workload string, rho, alpha float64) error {
 	return nil
 }
 
+// checkLambda refuses a negative penalty weight (lasso's L1 weight,
+// svm's slack weight). 0 selects the default; a negative weight makes
+// the problem unbounded below, so an admitted one ran its whole
+// iteration budget and replied with garbage.
+func checkLambda(workload string, lambda float64) error {
+	if lambda < 0 {
+		return fmt.Errorf("%s: lambda = %g, need > 0 (0 selects the default)", workload, lambda)
+	}
+	return nil
+}
+
 // parsers maps workload names to spec parsers. Each parser validates
 // the raw spec's required fields, size caps and ADMM parameters at
 // admission time.
@@ -93,6 +104,14 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		}
 		if s.P < 0 || s.P > maxLassoP {
 			return Admission{}, fmt.Errorf("lasso: p = %d, need 0..%d (0 selects the default)", s.P, maxLassoP)
+		}
+		// The build splits the m rows into blocks, so a negative count or
+		// more blocks than rows fails there.
+		if s.Blocks < 0 || s.Blocks > s.M {
+			return Admission{}, fmt.Errorf("lasso: blocks = %d, need 0..m = %d (0 selects the default)", s.Blocks, s.M)
+		}
+		if err := checkLambda("lasso", s.Lambda); err != nil {
+			return Admission{}, err
 		}
 		if err := checkADMMParams("lasso", s.Rho, s.Alpha); err != nil {
 			return Admission{}, err
@@ -115,6 +134,9 @@ var parsers = map[string]func(json.RawMessage) (Admission, error){
 		}
 		if s.Dim < 0 || s.Dim > maxSVMDim {
 			return Admission{}, fmt.Errorf("svm: dim = %d, need 0..%d (0 selects the default)", s.Dim, maxSVMDim)
+		}
+		if err := checkLambda("svm", s.Lambda); err != nil {
+			return Admission{}, err
 		}
 		if err := checkADMMParams("svm", s.Rho, s.Alpha); err != nil {
 			return Admission{}, err

@@ -108,6 +108,12 @@ func TestBuildRejects(t *testing.T) {
 		{"mpc", `{"k":4,"alpha":-1}`, "alpha"},
 		{"packing", `{"n":4,"rho":-0.1,"delta":-0.5}`, "rho"},
 		{"packing", `{"n":4,"alpha":-1}`, "alpha"},
+		// A negative lambda is an unbounded problem that ran its whole
+		// budget; a negative or over-m block count failed in the build.
+		{"svm", `{"n":24,"dim":2,"lambda":-1}`, "lambda"},
+		{"lasso", `{"m":32,"lambda":-0.3}`, "lambda"},
+		{"lasso", `{"m":32,"blocks":-2}`, "blocks"},
+		{"lasso", `{"m":32,"blocks":33}`, "blocks"},
 	} {
 		_, err := Build(c.name, []byte(c.spec))
 		if err == nil || !strings.Contains(err.Error(), c.field) {
@@ -141,6 +147,10 @@ func TestParseRejects(t *testing.T) {
 		{"lasso m cap", "lasso", `{"m":8193}`},
 		{"lasso p cap", "lasso", `{"m":64,"p":513}`},
 		{"lasso p negative", "lasso", `{"m":64,"p":-1}`},
+		{"lasso lambda negative", "lasso", `{"m":32,"lambda":-0.3}`},
+		{"lasso blocks negative", "lasso", `{"m":32,"blocks":-2}`},
+		{"lasso blocks over m", "lasso", `{"m":32,"blocks":33}`},
+		{"svm lambda negative", "svm", `{"n":24,"dim":2,"lambda":-1}`},
 		{"svm n low", "svm", `{"n":1}`},
 		{"svm n cap", "svm", `{"n":8193}`},
 		{"svm dim cap", "svm", `{"n":40,"dim":257}`},
