@@ -46,8 +46,6 @@ func main() {
 	executor := flag.String("executor", "serial", "stream-level executor: serial | parallel-for | async | sharded | auto (per-record executor fields override)")
 	execWorkers := flag.Int("exec-workers", 0, "workers inside the parallel-for executor (0 = executor default)")
 	shards := flag.Int("shards", 0, "shard count for -executor sharded (0 = executor default)")
-	partition := flag.String("partition", "", "sharded partition strategy: block | balanced | greedy-mincut | mincut+fm")
-	refine := flag.Bool("refine", false, "FM boundary-refinement pass on top of -partition")
 	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-executor serial only)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets")
 	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints, one per shard, for -transport sockets")
@@ -84,8 +82,6 @@ func main() {
 	if spec.Kind == admm.ExecSharded {
 		spec.Workers = 0
 		spec.Shards = *shards
-		spec.Partition = *partition
-		spec.Refine = *refine
 	}
 	if spec.Kind == admm.ExecAuto {
 		spec.Workers = 0

@@ -7,8 +7,7 @@
 //	paradmm-solve -problem packing -size 20 -iters 4000 -backend gpu
 //	paradmm-solve -problem mpc -size 50 -iters 20000 -backend serial
 //	paradmm-solve -problem svm -size 200 -iters 5000 -backend parallel -workers 4
-//	paradmm-solve -problem mpc -size 2000 -iters 1000 -backend sharded -shards 4 -partition balanced
-//	paradmm-solve -problem packing -size 20 -iters 2000 -backend sharded -shards 4 -partition mincut+fm
+//	paradmm-solve -problem mpc -size 2000 -iters 1000 -backend sharded -shards 4
 //	paradmm-solve -problem lasso -size 100 -iters 5000
 //
 // Cross-process sharding (one paradmm-shardworker process per shard;
@@ -50,8 +49,6 @@ func main() {
 	backendName := flag.String("backend", "serial", "serial | parallel | async | sharded | auto | gpu | cpusim | multicpu | twa")
 	workers := flag.Int("workers", 4, "workers for parallel/multicpu")
 	shards := flag.Int("shards", 4, "shard count for -backend sharded")
-	partition := flag.String("partition", "balanced", "sharded partition strategy: block | balanced | greedy-mincut | mincut+fm")
-	refine := flag.Bool("refine", false, "FM boundary-refinement pass on top of -partition (mincut+fm implies it)")
 	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
 	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
@@ -88,8 +85,6 @@ func main() {
 		workers:          *workers,
 		shards:           *shards,
 		shardsSet:        shardsSet,
-		partition:        *partition,
-		refine:           *refine,
 		fused:            *fused,
 		transport:        *transport,
 		addrs:            workerAddrs,
@@ -146,8 +141,6 @@ type backendConfig struct {
 	workers   int
 	shards    int
 	shardsSet bool // -shards passed explicitly (vs its default)
-	partition string
-	refine    bool
 	fused     bool
 	transport string
 	addrs     []string
@@ -178,8 +171,6 @@ func specFor(c backendConfig, ref *admm.ProblemRef) *admm.ExecutorSpec {
 	if spec.Kind == admm.ExecSharded {
 		spec.Workers = 0
 		spec.Shards = c.shards
-		spec.Partition = c.partition
-		spec.Refine = c.refine
 		if len(c.addrs) > 0 {
 			// One worker process per shard. An un-passed -shards
 			// follows the addr count; an explicit one must agree
@@ -335,8 +326,8 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 		100*fr[0], 100*fr[1], 100*fr[2], 100*fr[3], 100*fr[4])
 	if st != nil {
 		lo, med, hi := waitShares(st.SyncWaitByShard, res.Elapsed)
-		fmt.Printf("shards: %d (%s partition, %s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v (shard 0; boundary vars combined per shard %v)\n",
-			st.Shards, st.PartitionLabel(), st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost,
+		fmt.Printf("shards: %d (%s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v (shard 0; boundary vars combined per shard %v)\n",
+			st.Shards, st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost,
 			nanos(st.SyncWaitNanos), 100*lo, 100*med, 100*hi, nanos(st.BoundaryZNanos), st.BoundaryVarsByShard)
 		if st.BytesPerIter > 0 {
 			fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",

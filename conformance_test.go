@@ -100,11 +100,11 @@ var confSpecs = []struct {
 	{"parallel-for-balanced-z", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3, BalancedZ: true}},
 	{"sharded-1", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 1}},
 	{"sharded-2", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}},
+	{"sharded-3", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 3}},
 	{"sharded-4", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4}},
-	{"sharded-2-block", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Partition: "block"}},
-	{"sharded-4-greedy-mincut", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4, Partition: "greedy-mincut"}},
-	{"sharded-4-mincut-fm", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4, Partition: "mincut+fm"}},
-	{"sharded-3-balanced-refined", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 3, Refine: true}},
+	// More shards than lasso has functions (5), so three shards own
+	// nothing, and every packing variable is a boundary variable.
+	{"sharded-8", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 8}},
 	// The message transport over in-process loopback streams: every
 	// boundary byte is framed, serialized, and decoded exactly as
 	// between processes, so bit-identity here pins the wire protocol
@@ -112,7 +112,10 @@ var confSpecs = []struct {
 	// suite's coordinator + worker-process test). This transport always
 	// runs the split order: frames depart before interior compute.
 	{"sharded-4-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4, Transport: admm.TransportSockets}},
-	{"sharded-2-sockets-mincut-fm", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Partition: "mincut+fm", Transport: admm.TransportSockets}},
+	// The benchmark's sock2 cell.
+	{"sharded-2-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets}},
+	{"sharded-3-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 3, Transport: admm.TransportSockets}},
+	{"sharded-8-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 8, Transport: admm.TransportSockets}},
 	{"auto", admm.ExecutorSpec{Kind: admm.ExecAuto}},
 }
 
@@ -146,7 +149,7 @@ func confDeterministic() []confExec {
 	// the rows they were recorded under keep both names (see above).
 	for _, name := range []string{"sharded-via-shard-pkg", "sharded-via-shard-pkg-fused"} {
 		out = append(out, confExec{name, func(g *graph.Graph) (admm.Backend, error) {
-			return shard.New(3, graph.StrategyBalanced)
+			return shard.New(3)
 		}})
 	}
 	for _, name := range []string{"cpusim", "cpusim-fused"} {
@@ -200,7 +203,7 @@ func TestExecutorConformance(t *testing.T) {
 // TestHubBoundaryConformance covers the shape the default partition
 // makes of a consensus star: the functions split in creation order and
 // the hub is the only boundary variable, combined by its owner from
-// every shard's m-blocks. At 2, 3 and 4 shards, over the local barrier
+// every shard's m-blocks. At 2, 3, 4 and 8 shards, over the local barrier
 // and the sockets transport, under both spellings of the spec (fused
 // unset and fused: true — see confDeterministic), the iterates must
 // equal Serial's bit for bit, and the frames must move exactly what the
@@ -227,7 +230,7 @@ func TestHubBoundaryConformance(t *testing.T) {
 		{"sockets", sockets, nil},
 		{"sockets-fused", sockets, &fused},
 	}
-	for _, shards := range []int{2, 3, 4} {
+	for _, shards := range []int{2, 3, 4, 8} {
 		for _, c := range cells {
 			spec := c.spec
 			spec.Shards, spec.Fused = shards, c.fused
@@ -501,7 +504,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}{
 		{"serial", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerial(), nil }},
 		{"serial-fused", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerialFused(), nil }},
-		{"sharded-2", func(g *graph.Graph) (admm.Backend, error) { return shard.New(2, graph.StrategyBalanced) }},
+		{"sharded-2", func(g *graph.Graph) (admm.Backend, error) { return shard.New(2) }},
 		{"sharded-2-fused", func(g *graph.Graph) (admm.Backend, error) {
 			fused := true
 			return admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused}.NewBackend(g)

@@ -29,7 +29,7 @@ func autoChainGraph(t *testing.T, funcs int) *graph.Graph {
 // function touches the single shared variable 0 plus a private one, so
 // variable 0 is boundary under any multi-shard split and roughly
 // (parts-1)/parts of its edges — 3/8 of all edge state at 4 shards —
-// must cross shards every iteration. No refinement can fix that.
+// must cross shards every iteration. No partition can fix that.
 func autoDenseGraph(t *testing.T, funcs int) *graph.Graph {
 	t.Helper()
 	g := graph.New(1)
@@ -68,8 +68,8 @@ func TestResolveAutoSmallGraph(t *testing.T) {
 	}
 }
 
-// TestResolveAutoDenseGraph: when even the best refined partition's
-// predicted cut cost exceeds the serial threshold (the packing cliff:
+// TestResolveAutoDenseGraph: when the balanced partition's predicted
+// cut cost exceeds the serial threshold (the packing cliff:
 // nearly every variable is boundary), sharding is off the table and the
 // graph stays serial — auto never hands a graph to fork-join loops,
 // which measured no faster than serial on every such graph.
@@ -79,7 +79,7 @@ func TestResolveAutoDenseGraph(t *testing.T) {
 	if st.Edges < AutoShardMinEdges {
 		t.Fatalf("test graph below the size threshold: %+v", st)
 	}
-	if _, cut, ok := bestRefinedPartition(g, AutoMaxShards); !ok || cut <= AutoMaxCutShare*float64(st.Edges*st.D) {
+	if cut, ok := ShardedCutCost(g, AutoMaxShards); !ok || cut <= AutoMaxCutShare*float64(st.Edges*st.D) {
 		t.Fatalf("test graph does not exercise the cut-share branch: cut %v, ok %v", cut, ok)
 	}
 	got := ExecutorSpec{Kind: ExecAuto}.resolveAuto(g, 8, true)
@@ -132,11 +132,7 @@ func TestResolveAutoSmallDense(t *testing.T) {
 }
 
 // TestResolveAutoLargeSparse: big and sparse resolves to the sharded
-// executor, capped shard count, refined partition, fused on. On a
-// chain the balanced split's boundary is already geometric (parts-1
-// cut points), so the resolved spec keeps it and adds the FM pass via
-// the Refine knob rather than switching to the greedy-seeded
-// mincut+fm strategy.
+// executor, capped shard count, fused on.
 func TestResolveAutoLargeSparse(t *testing.T) {
 	g := autoChainGraph(t, AutoShardMinEdges) // 2x the edge threshold
 	got := ExecutorSpec{Kind: ExecAuto}.resolveAuto(g, 8, true)
@@ -145,9 +141,6 @@ func TestResolveAutoLargeSparse(t *testing.T) {
 	}
 	if got.Shards != AutoMaxShards {
 		t.Fatalf("shards = %d, want cap %d", got.Shards, AutoMaxShards)
-	}
-	if got.Partition != string(graph.StrategyBalanced) || !got.Refine {
-		t.Fatalf("partition = %q refine = %v, want refined balanced", got.Partition, got.Refine)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("resolved spec invalid: %v", err)

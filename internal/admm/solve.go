@@ -52,17 +52,6 @@ type ExecutorSpec struct {
 	// Shards is the shard count for the sharded executor (default 4;
 	// sharded only).
 	Shards int `json:"shards,omitempty"`
-	// Partition selects the sharded executor's graph-partitioning
-	// strategy: "block" | "balanced" | "greedy-mincut" | "mincut+fm"
-	// (default "balanced"; sharded only).
-	Partition string `json:"partition,omitempty"`
-	// Refine applies a Fiduccia–Mattheyses boundary-refinement pass
-	// (graph.Partition.Refine) on top of the selected partition
-	// strategy (sharded only). The "mincut+fm" strategy implies the
-	// pass; Refine extends it to any base strategy — e.g. Partition
-	// "balanced" with Refine keeps the geometric split but lets
-	// boundary swaps shave the degree-weighted cut cost.
-	Refine bool `json:"refine,omitempty"`
 	// Fused, set to false, selects the five-phase reference schedule —
 	// the oracle every conformance pin and the benchmark compare
 	// against — and is valid for kind serial only: every other executor
@@ -107,8 +96,8 @@ type ExecutorSpec struct {
 	// policy.
 	Failover string `json:"failover,omitempty"`
 	// WarmCache opens remote worker sessions with a cache probe instead
-	// of a full config: a worker that already built this problem under
-	// the same partition knobs skips the rebuild, and — when the state
+	// of a full config: a worker that already built this problem at the
+	// same shard count skips the rebuild, and — when the state
 	// fingerprint also matches — the coordinator skips the state push
 	// entirely (sharded sockets with addrs only; requires Problem).
 	// The fleet registry sets this for registry-routed solves.
@@ -246,11 +235,8 @@ func (s ExecutorSpec) Validate() error {
 	if s.Shards < 0 || s.Shards > MaxShards {
 		return fmt.Errorf("admm: shards = %d, need 0..%d", s.Shards, MaxShards)
 	}
-	if (s.Shards != 0 || s.Partition != "" || s.Refine) && s.Kind != ExecSharded {
-		return fmt.Errorf("admm: shards/partition/refine apply only to %q, not %q", ExecSharded, s.Kind)
-	}
-	if _, err := graph.ParseStrategy(s.Partition); err != nil {
-		return err
+	if s.Shards != 0 && s.Kind != ExecSharded {
+		return fmt.Errorf("admm: shards apply only to %q, not %q", ExecSharded, s.Kind)
 	}
 	if (s.Transport != "" || len(s.Addrs) > 0) && s.Kind != ExecSharded {
 		return fmt.Errorf("admm: transport/addrs apply only to %q, not %q", ExecSharded, s.Kind)

@@ -52,9 +52,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecAuto, Fused: &off},
 		{Kind: ExecSharded, Shards: -1},
 		{Kind: ExecSharded, Shards: MaxShards + 1},
-		{Kind: ExecSharded, Partition: "metis"},
 		{Kind: ExecSerial, Shards: 2},
-		{Kind: ExecAsync, Partition: "balanced"},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -65,7 +63,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{},
 		{Kind: ExecParallelFor, Workers: 8, Dynamic: true, BalancedZ: true},
 		{Kind: ExecAsync, Seed: 3},
-		{Kind: ExecSharded, Shards: 4, Partition: "greedy-mincut"},
+		{Kind: ExecSharded, Shards: 4},
 		{Kind: ExecSharded},
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},

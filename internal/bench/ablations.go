@@ -324,10 +324,10 @@ func init() {
 				return nil, err
 			}
 			pf := admm.NewParallelFor(workers)
-			// Persistent workers, each owning a contiguous block of the
+			// Persistent workers, each owning one balanced share of the
 			// function nodes, separated by barriers: the sharded
-			// executor's block partition over shared memory.
-			bw, err := shard.New(workers, graph.StrategyBlock)
+			// executor over shared memory.
+			bw, err := shard.New(workers)
 			if err != nil {
 				return nil, err
 			}

@@ -104,7 +104,7 @@ func gpuFigure(title, sizeLabel string, sizes []int, itersShown int,
 		combined = append(combined, s.Combined)
 		xups = append(xups, s.PerPhase[admm.PhaseX])
 	}
-	left.AddNote("GPU time is simulated (Tesla-K40-class device model); CPU time is the matching single-core model — see DESIGN.md substitutions.")
+	left.AddNote("GPU time is simulated (Tesla-K40-class device model); CPU time is the matching single-core model, substituted for the paper's measured K40 and Opteron runs.")
 	chart := NewChart(title+" (curve)", sizeLabel, "speedup")
 	chart.AddSeries("combined", xs, combined)
 	chart.AddSeries("x-update", xs, xups)
@@ -144,7 +144,7 @@ func cpuFigure(title, sizeLabel string, sizes []int, itersShown, coresLeft, size
 		cxs = append(cxs, float64(cores))
 		cys = append(cys, mc.Combined)
 	}
-	left.AddNote("multi-core times use the modeled 32-core Opteron-6300 fork-join profile (this host has too few cores to measure; see DESIGN.md substitutions).")
+	left.AddNote("multi-core times use the modeled 32-core Opteron-6300 fork-join profile (substituted for the paper's measured runs: this host has too few cores to measure them).")
 	chart := NewChart(title+" — speedup vs cores (curve)", "cores", "speedup")
 	chart.AddSeries("combined", cxs, cys)
 	AttachChart(right, chart)

@@ -398,7 +398,7 @@ func TestPipelineNegativeParamRecord(t *testing.T) {
 }
 
 // TestPipelinePerRecordExecutor pins that a record-level executor
-// override is honored and an invalid one — an unknown kind, or either
+// override is honored and an invalid one — an unknown kind, or any
 // retired wire key — fails only that record.
 func TestPipelinePerRecordExecutor(t *testing.T) {
 	in := `{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"parallel-for","workers":2}}
@@ -406,14 +406,16 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 {"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60}
 {"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true}}
 {"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0}}
+{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"partition":"balanced"}}
+{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"refine":true}}
 `
 	var out bytes.Buffer
 	if _, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	results := decodeResults(t, out.Bytes())
-	if len(results) != 5 {
-		t.Fatalf("got %d results, want 5", len(results))
+	if len(results) != 7 {
+		t.Fatalf("got %d results, want 7", len(results))
 	}
 	if results[0].Error != "" || results[0].Iterations != 60 {
 		t.Fatalf("parallel-for record broken: %+v", results[0])
@@ -424,8 +426,8 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 	if results[2].Error != "" {
 		t.Fatalf("record after executor failure broken: %+v", results[2])
 	}
-	for i, key := range []string{"overlap", "delta_threshold"} {
-		if r := results[3+i]; !strings.Contains(r.Error, key) {
+	for i, key := range []string{"overlap", "delta_threshold", "partition", "refine"} {
+		if r := results[3+i]; !strings.Contains(r.Error, `"`+key+`"`) || r.Iterations != 0 {
 			t.Fatalf("record with the retired %q key produced %+v, want an error record naming it", key, r)
 		}
 	}

@@ -102,8 +102,8 @@
 // headers). The Manifest's word counts equal graph.CutCost by
 // construction — remote gathers cost deg(v) - pins(v, owner) blocks,
 // z broadcasts lambda(v) - 1 — so measured bytes per iteration are
-// directly comparable to the degree-weighted cut model the partitioner
-// refines and gpusim.MultiDevice prices links with: predicted bytes =
+// directly comparable to the degree-weighted cut model auto decides on
+// and gpusim.MultiDevice prices links with: predicted bytes =
 // CutCost words x 8, and the delta is pure framing overhead. Local
 // sends no frame and reports zeros, but it is no longer true that
 // nothing moves: each posted block is written by one core and read by

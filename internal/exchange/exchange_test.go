@@ -43,8 +43,8 @@ func starGraph(t *testing.T, funcs, d int) *graph.Graph {
 }
 
 // TestManifestWordsMatchCutCost pins the identity behind the traffic
-// accounting: the manifest's steady-state words equal graph.CutCost for
-// every strategy and shard count, so measured bytes are comparable to
+// accounting: the manifest's steady-state words equal graph.CutCost at
+// every shard count, so measured bytes are comparable to
 // the predicted cut.
 func TestManifestWordsMatchCutCost(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -54,17 +54,13 @@ func TestManifestWordsMatchCutCost(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, parts := range []int{1, 2, 3, 4, 7} {
-			for _, strat := range []graph.PartitionStrategy{
-				graph.StrategyBlock, graph.StrategyBalanced, graph.StrategyGreedyMincut, graph.StrategyMincutFM,
-			} {
-				p, err := graph.NewPartition(g, parts, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				man := NewManifest(g, &p, parts)
-				if got, want := man.Words(), int(graph.CutCost(g, &p)); got != want {
-					t.Errorf("%s parts=%d %s: manifest words %d != cut cost %d", name, parts, strat, got, want)
-				}
+			p, err := graph.NewPartition(g, parts, graph.StrategyBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man := NewManifest(g, &p, parts)
+			if got, want := man.Words(), int(graph.CutCost(g, &p)); got != want {
+				t.Errorf("%s parts=%d: manifest words %d != cut cost %d", name, parts, got, want)
 			}
 		}
 	}
@@ -155,7 +151,7 @@ func TestReadFrameErrors(t *testing.T) {
 func TestMessagedPeerDelivery(t *testing.T) {
 	build := func() *graph.Graph { return testGraph(t, 2, 2) } // functions 0,1 share variable 1
 	g0, g1 := build(), build()
-	p, err := graph.NewPartition(g0, 2, graph.StrategyBlock)
+	p, err := graph.NewPartition(g0, 2, graph.StrategyBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 
 // twoPeers stands up the cross-process-shaped pair from
 // TestMessagedPeerDelivery: two graph replicas over an in-process
-// duplex, block-partitioned so variable 1 is the single boundary.
+// duplex, partitioned so variable 1 is the single boundary.
 func twoPeers(t *testing.T) (g0, g1 *graph.Graph, ex0, ex1 *Messaged, p graph.Partition) {
 	t.Helper()
 	g0, g1 = testGraph(t, 2, 2), testGraph(t, 2, 2)
-	p, err := graph.NewPartition(g0, 2, graph.StrategyBlock)
+	p, err := graph.NewPartition(g0, 2, graph.StrategyBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}

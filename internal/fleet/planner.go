@@ -15,8 +15,8 @@ type PlannerConfig struct {
 	// MinEdges is the remote floor: graphs below it solve locally
 	// regardless of fleet state (default admm.AutoShardMinEdges).
 	MinEdges int
-	// MaxCutShare caps the predicted exchange share — the winning
-	// refined partition's graph.CutCost divided by the graph's
+	// MaxCutShare caps the predicted exchange share — the balanced
+	// partition's graph.CutCost divided by the graph's
 	// per-iteration edge-state words (Edges * D). Above it, boundary
 	// traffic would dominate the solve and the request stays local
 	// (default admm.AutoMaxCutShare).
@@ -70,11 +70,9 @@ const (
 type Decision struct {
 	Route  Route  `json:"route"`
 	Reason string `json:"reason"`
-	// Addrs / Shards / Strategy / Refine describe the remote plan.
-	Addrs    []string `json:"addrs,omitempty"`
-	Shards   int      `json:"shards,omitempty"`
-	Strategy string   `json:"strategy,omitempty"`
-	Refine   bool     `json:"refine,omitempty"`
+	// Addrs / Shards describe the remote plan.
+	Addrs  []string `json:"addrs,omitempty"`
+	Shards int      `json:"shards,omitempty"`
 	// CutShare is the predicted exchange share that justified (or
 	// vetoed) the remote route.
 	CutShare float64 `json:"cut_share,omitempty"`
@@ -130,7 +128,7 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 	shards := len(lease.Addrs)
 	// Partition evaluation runs outside the registry lock — CutCost is
 	// O(E) and must not stall probe rounds or concurrent admissions.
-	strategy, cut, ok := admm.BestRefinedPartition(g, shards)
+	cut, ok := admm.ShardedCutCost(g, shards)
 	share := cut / float64(st.Edges*st.D)
 	if !ok || share > pc.MaxCutShare {
 		lease.Release()
@@ -144,8 +142,6 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 		Reason:   fmt.Sprintf("%d workers leased, exchange share %.2f", shards, share),
 		Addrs:    lease.Addrs,
 		Shards:   shards,
-		Strategy: string(strategy),
-		Refine:   strategy != graph.StrategyMincutFM,
 		CutShare: share,
 		lease:    lease,
 	}
@@ -165,8 +161,6 @@ func (d Decision) Spec(r *Registry, base admm.ExecutorSpec) admm.ExecutorSpec {
 	s.Transport = admm.TransportSockets
 	s.Addrs = append([]string(nil), d.Addrs...)
 	s.Shards = len(d.Addrs)
-	s.Partition = d.Strategy
-	s.Refine = d.Refine
 	s.WarmCache = true
 	s.WorkerDialer = r.Dial
 	s.Workers = 0

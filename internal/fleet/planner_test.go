@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +11,13 @@ import (
 	"repro/internal/admm"
 	"repro/internal/fleet"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/prox"
 	"repro/internal/shard"
 )
 
-// chainGraph is an MPC-like consensus chain: geometric, so its refined
-// partition has a tiny cut — the remote-friendly shape.
+// chainGraph is an MPC-like consensus chain: geometric, so its
+// balanced partition has a tiny cut — the remote-friendly shape.
 func chainGraph(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	g := graph.New(2)
@@ -93,7 +95,7 @@ func TestPlannerTable(t *testing.T) {
 		if d.Route != fleet.RouteRemote {
 			t.Fatalf("got %s (%s), want remote", d.Route, d.Reason)
 		}
-		if d.Shards != 3 || len(d.Addrs) != 3 || d.Strategy == "" {
+		if d.Shards != 3 || len(d.Addrs) != 3 {
 			t.Fatalf("remote plan incomplete: %+v", d)
 		}
 		if d.CutShare <= 0 || d.CutShare > pc.MaxCutShare {
@@ -219,5 +221,50 @@ func TestDecisionSpecClearsKindKnobs(t *testing.T) {
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("routed spec does not validate: %v", err)
+	}
+}
+
+// TestOnePartitionPriced: the auto policy, the fleet planner and the
+// sharded backend all price one split. On the benchmark's mpc chain
+// (k=16000) at 2 shards, auto resolves to sharded, the planner's cut
+// share is the balanced partition's graph.CutCost over the edge-state
+// words, and the backend reports that same CutCost after a solve.
+func TestOnePartitionPriced(t *testing.T) {
+	p, err := mpc.FromSpec(mpc.Spec{K: 16000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Graph
+	g.InitZero()
+	part, err := graph.NewPartition(g, 2, graph.StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := graph.CutCost(g, &part)
+	st := g.Stats()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec := admm.ExecutorSpec{Kind: admm.ExecAuto}.ResolveAuto(g)
+	if spec.Kind != admm.ExecSharded || spec.Shards != 2 {
+		t.Fatalf("auto resolved to %+v, want sharded at 2 shards", spec)
+	}
+
+	r, _, pc := plannerFleet(t)
+	pc.MaxWorkers = 2
+	d := r.Plan(g, pc)
+	d.Release()
+	if d.Route != fleet.RouteRemote || d.Shards != 2 {
+		t.Fatalf("planner: %s (%s) at %d shards, want remote at 2", d.Route, d.Reason, d.Shards)
+	}
+	if want := cut / float64(st.Edges*st.D); d.CutShare != want {
+		t.Fatalf("planner cut share %v, want CutCost %v / %d edge words = %v", d.CutShare, cut, st.Edges*st.D, want)
+	}
+
+	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.HasShardStats || out.ShardStats.CutCost != cut {
+		t.Fatalf("backend cut cost %v (stats %v), want %v", out.ShardStats.CutCost, out.HasShardStats, cut)
 	}
 }

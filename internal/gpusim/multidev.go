@@ -78,7 +78,7 @@ type Partition struct {
 
 // fromGraphPartition adapts the shared analysis to the simulator view,
 // pricing the boundary with the same degree-weighted cost model the
-// sharded executor and the FM refiner optimize.
+// sharded executor reports.
 func fromGraphPartition(g *graph.Graph, p graph.Partition) Partition {
 	return Partition{
 		FuncDevice:    p.FuncPart,
@@ -110,37 +110,12 @@ func (p Partition) ExchangeBytesPerIter(g *graph.Graph) float64 {
 	return bytesPerWord * p.ExchangeWords(g)
 }
 
-// PartitionContiguous is the naive "shard by construction order" split
-// (graph.StrategyBlock): contiguous function ranges with balanced edge
-// counts, the baseline the locality-aware PartitionByVariable is
-// compared against.
-func PartitionContiguous(g *graph.Graph, devices int) Partition {
-	p, err := graph.NewPartition(g, devices, graph.StrategyBlock)
-	if err != nil {
-		panic(err)
-	}
-	return fromGraphPartition(g, p)
-}
-
-// PartitionByVariable is the locality-aware split
+// PartitionByVariable is the sharded executor's split
 // (graph.StrategyBalanced): functions listed by their least-degree
 // variable and cut at equal modelled work. A K-step MPC chain crosses
 // devices at only count-1 time steps.
 func PartitionByVariable(g *graph.Graph, devices int) Partition {
 	p, err := graph.NewPartition(g, devices, graph.StrategyBalanced)
-	if err != nil {
-		panic(err)
-	}
-	return fromGraphPartition(g, p)
-}
-
-// PartitionRefined is the strongest split (graph.StrategyMincutFM):
-// greedy streaming placement polished by a Fiduccia–Mattheyses
-// boundary-refinement pass minimizing the degree-weighted cut cost —
-// the same objective IterationTime charges the interconnect with, so
-// refinement directly shrinks the simulated exchange term.
-func PartitionRefined(g *graph.Graph, devices int) Partition {
-	p, err := graph.NewPartition(g, devices, graph.StrategyMincutFM)
 	if err != nil {
 		panic(err)
 	}

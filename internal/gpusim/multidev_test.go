@@ -28,34 +28,9 @@ func TestNewMultiDeviceValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionContiguousCoversAllFunctions(t *testing.T) {
-	g := testGraph(t, 2, 50, 200, 2)
-	for _, devs := range []int{1, 2, 3, 4} {
-		p := PartitionContiguous(g, devs)
-		if len(p.FuncDevice) != g.NumFunctions() {
-			t.Fatalf("partition covers %d of %d functions", len(p.FuncDevice), g.NumFunctions())
-		}
-		seen := map[int]bool{}
-		prev := 0
-		for _, d := range p.FuncDevice {
-			if d < 0 || d >= devs {
-				t.Fatalf("device %d out of range", d)
-			}
-			if d < prev {
-				t.Fatal("contiguous partition not monotone")
-			}
-			prev = d
-			seen[d] = true
-		}
-		if devs > 1 && len(seen) < 2 {
-			t.Fatalf("partition used only %d devices of %d", len(seen), devs)
-		}
-	}
-}
-
 func TestPartitionSingleDeviceHasNoBoundary(t *testing.T) {
 	g := testGraph(t, 3, 30, 100, 2)
-	p := PartitionContiguous(g, 1)
+	p := PartitionByVariable(g, 1)
 	if len(p.BoundaryVars) != 0 || p.BoundaryEdges != 0 {
 		t.Fatalf("single-device partition has boundary: %+v", p)
 	}
@@ -86,13 +61,6 @@ func TestChainGraphHasTinyBoundary(t *testing.T) {
 	// The locality-aware split cuts the chain at 3 places only.
 	if len(p.BoundaryVars) > 8 {
 		t.Fatalf("chain boundary vars = %d, want a handful", len(p.BoundaryVars))
-	}
-	// The naive function-order split, by contrast, strands the unary
-	// anchors away from their chain edges: almost everything is boundary.
-	naive := PartitionContiguous(g, 4)
-	if len(naive.BoundaryVars) <= len(p.BoundaryVars)*10 {
-		t.Fatalf("naive split boundary %d not clearly worse than locality-aware %d",
-			len(naive.BoundaryVars), len(p.BoundaryVars))
 	}
 }
 
@@ -166,12 +134,11 @@ func TestScalingMonotonicBookkeeping(t *testing.T) {
 
 // TestPartitionCutWordsModel: partitions built through the shared
 // analysis carry the degree-weighted cut cost, and IterationTime
-// charges the interconnect with it — so a refined partition of a
-// scrambled graph predicts a strictly cheaper exchange than the naive
-// contiguous split of the same graph.
+// charges the interconnect with it — a partition priced at more cut
+// words predicts a strictly dearer exchange.
 func TestPartitionCutWordsModel(t *testing.T) {
-	// A chain built in scrambled order: contiguous splits lose the
-	// geometry, refinement recovers it.
+	// A chain built in scrambled order: the balanced split orders
+	// functions by variable, so the construction order does not matter.
 	rng := rand.New(rand.NewSource(3))
 	g := graph.New(2)
 	for _, i := range rng.Perm(2000) {
@@ -183,26 +150,26 @@ func TestPartitionCutWordsModel(t *testing.T) {
 	g.SetUniformParams(1, 1)
 	g.InitZero()
 
-	naive := PartitionContiguous(g, 4)
-	refined := PartitionRefined(g, 4)
-	if naive.CutWords <= 0 || refined.CutWords <= 0 {
-		t.Fatalf("CutWords not populated: naive %g, refined %g", naive.CutWords, refined.CutWords)
+	p := PartitionByVariable(g, 4)
+	if p.CutWords <= 0 || p.ExchangeWords(g) != p.CutWords {
+		t.Fatalf("CutWords not populated or not used: %g (exchange words %g)", p.CutWords, p.ExchangeWords(g))
 	}
-	if refined.CutWords >= naive.CutWords {
-		t.Fatalf("refined cut %g not below naive %g", refined.CutWords, naive.CutWords)
+	if len(p.BoundaryVars) > 3 {
+		t.Fatalf("scrambled chain boundary vars = %d, want one per cut", len(p.BoundaryVars))
 	}
 	md, err := NewMultiDevice(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, naiveExch := md.IterationTime(g, naive)
-	_, _, refinedExch := md.IterationTime(g, refined)
-	if refinedExch >= naiveExch {
-		t.Fatalf("refined exchange %g not below naive %g", refinedExch, naiveExch)
+	dearer := p
+	dearer.CutWords *= 10
+	_, _, exch := md.IterationTime(g, p)
+	if _, _, dearerExch := md.IterationTime(g, dearer); dearerExch <= exch {
+		t.Fatalf("10x the cut words priced at %g, not above %g", dearerExch, exch)
 	}
 	// A hand-built partition (no CutWords) still prices its boundary
 	// via the raw-edge fallback.
-	hand := Partition{FuncDevice: naive.FuncDevice, BoundaryVars: naive.BoundaryVars, BoundaryEdges: naive.BoundaryEdges}
+	hand := Partition{FuncDevice: p.FuncDevice, BoundaryVars: p.BoundaryVars, BoundaryEdges: p.BoundaryEdges}
 	if _, _, exch := md.IterationTime(g, hand); exch <= 0 {
 		t.Fatalf("fallback exchange %g", exch)
 	}

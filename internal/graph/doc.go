@@ -21,18 +21,17 @@
 // # The partitioning layer
 //
 // NewPartition splits the function nodes (and their edges) across K
-// shards under one of four strategies — StrategyBlock,
-// StrategyBalanced, StrategyGreedyMincut, StrategyMincutFM — and
-// derives the boundary analysis every multi-device consumer needs:
-// which variables span shards (only their consensus z crosses shard
+// shards with the one balanced split (StrategyBalanced) and derives
+// the boundary analysis every multi-device consumer needs: which
+// variables span shards (only their consensus z crosses shard
 // boundaries each iteration), and which shard owns each one. The same
 // Partition drives the real sharded executor (internal/shard) and the
 // multi-device cost simulator (internal/gpusim.MultiDevice), so
-// predictions and measurements always describe the same split. The
-// default, StrategyBalanced, lists functions by their least-degree
-// variable (so the builder's geometry orders them and a shared hub does
-// not) and cuts the list at equal modelled work — Op.Work for the
-// x-update plus the per-edge sweep words — in O(|F| + |E| + |V|).
+// predictions and measurements always describe the same split. It
+// lists functions by their least-degree variable (so the builder's
+// geometry orders them and a shared hub does not) and cuts the list at
+// equal modelled work — Op.Work for the x-update plus the per-edge
+// sweep words — in O(|F| + |E| + |V|).
 //
 // Partition quality is measured by CutCost, the degree-weighted cut
 // cost: the cross-shard traffic of one iteration in doubles (remote
@@ -40,8 +39,8 @@
 // dimension D) rather than a raw cut-edge count. Partition.Refine is a
 // Fiduccia–Mattheyses-style pass that sweeps boundary function nodes
 // through a gain-bucket structure to shrink that cost under a balance
-// constraint; the "mincut+fm" strategy runs it on top of the greedy
-// streaming placement.
+// constraint. No product path runs it: the benchmark's graph.refine_ms
+// probe is its one caller.
 //
 // Invariants (checked by Partition.Validate, fuzzed by
 // FuzzPartitionInvariants): every function node sits on exactly one
@@ -52,6 +51,7 @@
 // guarantees the cut cost never increases, the balance bound holds,
 // and no shard is emptied.
 //
-// The full strategy catalog, the cost model, the FM invariants, and a
-// worked cut example live in docs/partitioning.md at the repo root.
+// The one split, the measurements that retired the others, the cost
+// model, the FM invariants, and a worked cut example live in
+// docs/partitioning.md at the repo root.
 package graph

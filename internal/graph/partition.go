@@ -3,70 +3,27 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"strings"
 )
 
-// PartitionStrategy names a function-node partitioning heuristic. The
-// same strategies drive both the multi-device cost simulator
-// (internal/gpusim.MultiDevice) and the real sharded executor
-// (internal/shard): they were extracted here so the simulator's
-// predictions and the executor's measurements always describe the same
-// split.
+// PartitionStrategy names a function-node partitioning heuristic.
+// StrategyBalanced is the only one. The type and NewPartition's
+// strategy parameter stay only because the benchmark's probes name
+// them.
 type PartitionStrategy string
 
-const (
-	// StrategyBlock splits function nodes into contiguous ranges with
-	// balanced edge counts — the naive "shard by construction order"
-	// split. Builders group functions by kind (all costs, then all
-	// dynamics, ...), so this strands related functions on different
-	// shards; it is the baseline the locality-aware strategies are
-	// compared against.
-	StrategyBlock PartitionStrategy = "block"
-	// StrategyBalanced lists the functions by anchor — each function's
-	// least-degree variable — and cuts the list at equal modelled work
-	// (funcCost). Builders number variables along the problem's natural
-	// geometry (time steps in MPC, point index in SVM, circle index in
-	// packing), so this keeps neighborhoods together: a K-step MPC chain
-	// crosses shards at only parts-1 time steps. A hub variable shared by
-	// every function never anchors one that has another variable; a pure
-	// star splits in creation order and the hub becomes one boundary
-	// variable.
-	StrategyBalanced PartitionStrategy = "balanced"
-	// StrategyGreedyMincut streams function nodes through a linear
-	// deterministic greedy placement: each function goes to the shard
-	// already holding the most edges incident to its variables, scaled
-	// by remaining shard capacity so no shard hoards everything. It
-	// beats the contiguous splits on graphs whose construction order
-	// does not follow the geometry.
-	StrategyGreedyMincut PartitionStrategy = "greedy-mincut"
-	// StrategyMincutFM is StrategyGreedyMincut followed by a
-	// Fiduccia–Mattheyses refinement pass (Partition.Refine): boundary
-	// function nodes are swept through a gain-bucket structure and
-	// greedily moved across shards under a balance constraint,
-	// minimizing the degree-weighted cut cost (CutCost). The strongest
-	// strategy on dense graphs, at a one-time O(passes * boundary)
-	// partitioning cost. See docs/partitioning.md.
-	StrategyMincutFM PartitionStrategy = "mincut+fm"
-)
-
-// ParseStrategy resolves a user-facing strategy name; the empty string
-// selects StrategyBalanced (the locality-aware default).
-func ParseStrategy(name string) (PartitionStrategy, error) {
-	switch PartitionStrategy(strings.ToLower(strings.TrimSpace(name))) {
-	case "":
-		return StrategyBalanced, nil
-	case StrategyBlock:
-		return StrategyBlock, nil
-	case StrategyBalanced:
-		return StrategyBalanced, nil
-	case StrategyGreedyMincut:
-		return StrategyGreedyMincut, nil
-	case StrategyMincutFM:
-		return StrategyMincutFM, nil
-	}
-	return "", fmt.Errorf("graph: unknown partition strategy %q (want %s | %s | %s | %s)",
-		name, StrategyBlock, StrategyBalanced, StrategyGreedyMincut, StrategyMincutFM)
-}
+// StrategyBalanced lists the functions by anchor — each function's
+// least-degree variable — and cuts the list at equal modelled work
+// (funcCost). Builders number variables along the problem's natural
+// geometry (time steps in MPC, point index in SVM, circle index in
+// packing), so this keeps neighborhoods together: a K-step MPC chain
+// crosses shards at only parts-1 time steps. A hub variable shared by
+// every function never anchors one that has another variable; a pure
+// star splits in creation order and the hub becomes one boundary
+// variable. The same split drives both the multi-device cost simulator
+// (internal/gpusim.MultiDevice) and the real sharded executor
+// (internal/shard), so the simulator's predictions and the executor's
+// measurements always describe the same partition.
+const StrategyBalanced PartitionStrategy = "balanced"
 
 // Partition is a placement of every function node (and its edges) onto
 // one of Parts shards, plus the boundary analysis the executors need:
@@ -91,10 +48,10 @@ type Partition struct {
 	boundary []bool
 }
 
-// NewPartition computes the partition of g's function nodes into parts
-// shards under the given strategy. parts is clamped to the function
-// count (every shard gets at least a chance at work); parts < 1 is an
-// error. The graph must be finalized.
+// NewPartition computes the balanced partition of g's function nodes
+// into parts shards; strategy must be "" or StrategyBalanced. parts is
+// clamped to the function count (every shard gets at least a chance at
+// work); parts < 1 is an error. The graph must be finalized.
 func NewPartition(g *Graph, parts int, strategy PartitionStrategy) (Partition, error) {
 	if !g.Finalized() {
 		return Partition{}, fmt.Errorf("graph: partition requires a finalized graph")
@@ -105,41 +62,12 @@ func NewPartition(g *Graph, parts int, strategy PartitionStrategy) (Partition, e
 	if parts > g.NumFunctions() {
 		parts = g.NumFunctions()
 	}
-	var funcPart []int
-	switch strategy {
-	case "", StrategyBalanced:
-		funcPart = partitionBalanced(g, parts)
-	case StrategyBlock:
-		funcPart = partitionBlock(g, parts)
-	case StrategyGreedyMincut, StrategyMincutFM:
-		funcPart = partitionGreedyMincut(g, parts)
-	default:
+	if strategy != "" && strategy != StrategyBalanced {
 		return Partition{}, fmt.Errorf("graph: unknown partition strategy %q", strategy)
 	}
-	p := Partition{Parts: parts, FuncPart: funcPart}
+	p := Partition{Parts: parts, FuncPart: partitionBalanced(g, parts)}
 	p.analyze(g)
-	if strategy == StrategyMincutFM {
-		p.Refine(g)
-	}
 	return p, nil
-}
-
-// partitionBlock walks functions accumulating edge weight and cuts at
-// equal shares.
-func partitionBlock(g *Graph, parts int) []int {
-	nF := g.NumFunctions()
-	out := make([]int, nF)
-	total := float64(g.NumEdges())
-	var acc float64
-	for a := 0; a < nF; a++ {
-		s := int(acc / total * float64(parts))
-		if s >= parts {
-			s = parts - 1
-		}
-		out[a] = s
-		acc += float64(g.FuncDegree(a))
-	}
-	return out
 }
 
 // partitionBalanced orders the functions along the variable axis and
@@ -216,57 +144,6 @@ func funcCost(g *Graph, a int) float64 {
 	deg := g.FuncDegree(a)
 	w := g.ops[a].Work(deg, g.d)
 	return w.Flops + w.MemWords + float64(deg*(11*g.d+4))
-}
-
-// partitionGreedyMincut is a linear deterministic greedy (LDG-style)
-// streaming placement: functions are visited in creation order; each
-// goes to the shard maximizing affinity * (1 - load/capacity), where
-// affinity counts edges already placed on the shard that share a
-// variable with the candidate. Ties break to the lighter, then lower,
-// shard, so the result is deterministic.
-func partitionGreedyMincut(g *Graph, parts int) []int {
-	nF := g.NumFunctions()
-	out := make([]int, nF)
-	if parts == 1 {
-		return out
-	}
-	// capacity: balanced edge share with 10% slack so affinity can win
-	// near the boundary.
-	capacity := float64(g.NumEdges())/float64(parts)*1.1 + 1
-	load := make([]float64, parts)
-	// varEdgesOn[v*parts+s] counts placed edges of variable v on shard s.
-	varEdgesOn := make([]int32, g.NumVariables()*parts)
-	affinity := make([]float64, parts)
-	for a := 0; a < nF; a++ {
-		lo, hi := g.FuncEdges(a)
-		for s := range affinity {
-			affinity[s] = 0
-		}
-		for e := lo; e < hi; e++ {
-			row := g.EdgeVar(e) * parts
-			for s := 0; s < parts; s++ {
-				affinity[s] += float64(varEdgesOn[row+s])
-			}
-		}
-		best, bestScore := 0, -1.0
-		for s := 0; s < parts; s++ {
-			penalty := 1 - load[s]/capacity
-			if penalty < 0 {
-				penalty = 0
-			}
-			// +1 keeps empty-affinity placements driven by load balance.
-			score := (affinity[s] + 1) * penalty
-			if score > bestScore || (score == bestScore && load[s] < load[best]) {
-				best, bestScore = s, score
-			}
-		}
-		out[a] = best
-		load[best] += float64(hi - lo)
-		for e := lo; e < hi; e++ {
-			varEdgesOn[g.EdgeVar(e)*parts+best]++
-		}
-	}
-	return out
 }
 
 // analyze fills VarPart, BoundaryVars, BoundaryEdges and the boundary

@@ -6,15 +6,14 @@ import (
 )
 
 // FuzzPartitionInvariants drives NewPartition over randomized graph
-// shapes, shard counts, and all four strategies, checking the
-// partitioner's invariants via Partition.Validate (every function on
+// shapes and shard counts, checking the balanced split's
+// invariants via Partition.Validate (every function on
 // exactly one in-range shard, boundary set identical to a brute-force
 // recomputation, owners hold at least one edge) — and that no shape
 // panics, including degenerate single-function and parts>|F| cases.
 // hub extra functions hang off variable 0, every other one with a
 // private variable as well, so consensus stars far wider than the
-// random part are covered; the balanced strategy must additionally
-// leave no shard empty.
+// random part are covered; no shard may be left empty.
 // The shared-memory owner rule (GatherOwners) is derived for every
 // shape: it must be deterministic, leave interior variables with their
 // only shard, and give each boundary variable to a shard that holds
@@ -26,13 +25,13 @@ import (
 // run `go test -fuzz=FuzzPartitionInvariants ./internal/graph` to
 // explore.
 func FuzzPartitionInvariants(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(5), uint8(2), uint8(0), uint16(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(4), uint8(1), uint16(0))
-	f.Add(int64(3), uint8(50), uint8(9), uint8(3), uint8(2), uint16(0))
-	f.Add(int64(4), uint8(200), uint8(40), uint8(8), uint8(1), uint16(0))
-	f.Add(int64(5), uint8(7), uint8(3), uint8(255), uint8(0), uint16(0))
-	f.Add(int64(6), uint8(20), uint8(6), uint8(4), uint8(1), uint16(1000))
-	f.Fuzz(func(t *testing.T, seed int64, nFuncs, nVars, parts, strat uint8, hub uint16) {
+	f.Add(int64(1), uint8(10), uint8(5), uint8(2), uint16(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(4), uint16(0))
+	f.Add(int64(3), uint8(50), uint8(9), uint8(3), uint16(0))
+	f.Add(int64(4), uint8(200), uint8(40), uint8(8), uint16(0))
+	f.Add(int64(5), uint8(7), uint8(3), uint8(255), uint16(0))
+	f.Add(int64(6), uint8(20), uint8(6), uint8(4), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed int64, nFuncs, nVars, parts uint8, hub uint16) {
 		if nFuncs == 0 || nVars == 0 || parts == 0 {
 			t.Skip()
 		}
@@ -67,14 +66,12 @@ func FuzzPartitionInvariants(f *testing.F) {
 			// partitioner bug.
 			t.Skip()
 		}
-		strategies := []PartitionStrategy{StrategyBlock, StrategyBalanced, StrategyGreedyMincut, StrategyMincutFM}
-		s := strategies[int(strat)%len(strategies)]
-		p, err := NewPartition(g, int(parts), s)
+		p, err := NewPartition(g, int(parts), StrategyBalanced)
 		if err != nil {
-			t.Fatalf("NewPartition(%d funcs, %d parts, %s): %v", g.NumFunctions(), parts, s, err)
+			t.Fatalf("NewPartition(%d funcs, %d parts): %v", g.NumFunctions(), parts, err)
 		}
 		if err := p.Validate(g); err != nil {
-			t.Fatalf("invalid partition (%d funcs, %d parts, %s): %v", g.NumFunctions(), parts, s, err)
+			t.Fatalf("invalid partition (%d funcs, %d parts): %v", g.NumFunctions(), parts, err)
 		}
 		// Parts must never exceed the function count (empty-shard guard
 		// for the executor), and with one part nothing is boundary.
@@ -84,11 +81,9 @@ func FuzzPartitionInvariants(f *testing.F) {
 		if p.Parts == 1 && (len(p.BoundaryVars) != 0 || p.BoundaryEdges != 0) {
 			t.Fatalf("single part has boundary: %+v", p)
 		}
-		if s == StrategyBalanced {
-			for shard, load := range p.PartLoads(g) {
-				if load == 0 {
-					t.Fatalf("balanced left shard %d of %d empty (%d funcs)", shard, p.Parts, g.NumFunctions())
-				}
+		for shard, load := range p.PartLoads(g) {
+			if load == 0 {
+				t.Fatalf("balanced left shard %d of %d empty (%d funcs)", shard, p.Parts, g.NumFunctions())
 			}
 		}
 		owner, again := p.GatherOwners(g), p.GatherOwners(g)
@@ -107,19 +102,18 @@ func FuzzPartitionInvariants(f *testing.F) {
 				holds = holds || p.FuncPart[g.EdgeFunc(e)] == o
 			}
 			if !holds {
-				t.Fatalf("boundary variable %d combined by shard %d, which holds none of its edges (%d parts, %s)", v, o, p.Parts, s)
+				t.Fatalf("boundary variable %d combined by shard %d, which holds none of its edges (%d parts)", v, o, p.Parts)
 			}
 		}
-		// Drive the FM pass over every fuzzed shape (for mincut+fm this
-		// is a second, idempotency-checking pass): the cut must never
+		// Drive the FM pass over every fuzzed shape: the cut must never
 		// increase and the partition must stay valid.
 		before := CutCost(g, &p)
 		rst := p.Refine(g)
 		if rst.CostBefore != before || rst.CostAfter > before {
-			t.Fatalf("refine (%d funcs, %d parts, %s): cost %g -> %+v", g.NumFunctions(), parts, s, before, rst)
+			t.Fatalf("refine (%d funcs, %d parts): cost %g -> %+v", g.NumFunctions(), parts, before, rst)
 		}
 		if err := p.Validate(g); err != nil {
-			t.Fatalf("refined partition invalid (%d funcs, %d parts, %s): %v", g.NumFunctions(), parts, s, err)
+			t.Fatalf("refined partition invalid (%d funcs, %d parts): %v", g.NumFunctions(), parts, err)
 		}
 	})
 }

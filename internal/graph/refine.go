@@ -120,9 +120,8 @@ type RefineStats struct {
 	CostBefore, CostAfter float64
 }
 
-// Refinement tuning. The balance slack matches the greedy-mincut
-// placement's capacity slack so "mincut+fm" never trades more imbalance
-// than its seed strategy was allowed; the pass cap bounds worst-case
+// Refinement tuning. The balance slack bounds how much imbalance a
+// move may trade for cut; the pass cap bounds worst-case
 // time (each improving pass strictly reduces the integer cut units, so
 // termination needs no cap — runaway cost does).
 const (
@@ -141,14 +140,12 @@ const (
 // Moves respect a balance bound — no shard may exceed
 // max(ceil((1+slack)*|E|/parts), initial max load) edges, and no shard
 // is ever emptied — so refinement never worsens the load imbalance the
-// input partition arrived with beyond the greedy strategies' slack.
+// input partition arrived with beyond that slack.
 // VarPart, BoundaryVars and BoundaryEdges are re-derived before
 // returning, so the partition stays Validate-clean.
 //
 // The graph must be finalized and p must be a partition of g (as
-// produced by NewPartition); Refine panics otherwise. The "mincut+fm"
-// strategy is greedy-mincut followed by this pass; Refine can equally
-// polish any other strategy's output.
+// produced by NewPartition); Refine panics otherwise.
 func (p *Partition) Refine(g *Graph) RefineStats {
 	g.mustFinal()
 	if len(p.FuncPart) != g.NumFunctions() {

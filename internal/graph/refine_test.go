@@ -76,20 +76,33 @@ func TestCutCostModel(t *testing.T) {
 	}
 }
 
+// refineSeeds are the partitions the refinement properties start from:
+// the balanced split, and a round-robin scatter that puts almost every
+// variable on the cut so the pass has moves to make.
+func refineSeeds(t *testing.T, g *Graph, parts int) map[string]Partition {
+	t.Helper()
+	bal, err := NewPartition(g, parts, StrategyBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := Partition{Parts: bal.Parts, FuncPart: make([]int, g.NumFunctions())}
+	for a := range rr.FuncPart {
+		rr.FuncPart[a] = a % rr.Parts
+	}
+	rr.analyze(g)
+	return map[string]Partition{"balanced": bal, "round-robin": rr}
+}
+
 // TestRefineProperties is the refinement property suite: over every
-// shape x seed strategy x part count, Refine must (1) never increase
+// shape x seed partition x part count, Refine must (1) never increase
 // the degree-weighted cut cost, (2) keep the partition Validate-clean,
 // (3) respect the balance bound max(ceil(1.1*|E|/parts), initial max
 // load), (4) never empty a shard that had work, and (5) report stats
 // consistent with CutCost.
 func TestRefineProperties(t *testing.T) {
 	for gname, g := range refineGraphs(t) {
-		for _, strat := range []PartitionStrategy{StrategyBlock, StrategyBalanced, StrategyGreedyMincut} {
-			for _, parts := range []int{2, 3, 4, 7} {
-				p, err := NewPartition(g, parts, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, parts := range []int{2, 3, 4, 7} {
+			for seed, p := range refineSeeds(t, g, parts) {
 				before := CutCost(g, &p)
 				var maxBefore int
 				for _, l := range p.PartLoads(g) {
@@ -105,17 +118,17 @@ func TestRefineProperties(t *testing.T) {
 				st := p.Refine(g)
 				after := CutCost(g, &p)
 				if after > before {
-					t.Fatalf("%s/%s/%d: refine increased cut %g -> %g", gname, strat, parts, before, after)
+					t.Fatalf("%s/%s/%d: refine increased cut %g -> %g", gname, seed, parts, before, after)
 				}
 				if st.CostBefore != before || st.CostAfter != after {
-					t.Fatalf("%s/%s/%d: stats %+v disagree with CutCost %g -> %g", gname, strat, parts, st, before, after)
+					t.Fatalf("%s/%s/%d: stats %+v disagree with CutCost %g -> %g", gname, seed, parts, st, before, after)
 				}
 				if err := p.Validate(g); err != nil {
-					t.Fatalf("%s/%s/%d: refined partition invalid: %v", gname, strat, parts, err)
+					t.Fatalf("%s/%s/%d: refined partition invalid: %v", gname, seed, parts, err)
 				}
 				for s, l := range p.PartLoads(g) {
 					if l > bound {
-						t.Fatalf("%s/%s/%d: shard %d load %d exceeds balance bound %d", gname, strat, parts, s, l, bound)
+						t.Fatalf("%s/%s/%d: shard %d load %d exceeds balance bound %d", gname, seed, parts, s, l, bound)
 					}
 				}
 				counts := make([]int, p.Parts)
@@ -124,8 +137,11 @@ func TestRefineProperties(t *testing.T) {
 				}
 				for s, c := range counts {
 					if c == 0 && p.Parts <= g.NumFunctions() {
-						t.Fatalf("%s/%s/%d: refine emptied shard %d", gname, strat, parts, s)
+						t.Fatalf("%s/%s/%d: refine emptied shard %d", gname, seed, parts, s)
 					}
+				}
+				if seed == "round-robin" && parts == 2 && after >= before {
+					t.Fatalf("%s/%d: refine found no move on a round-robin scatter (cut %g)", gname, parts, before)
 				}
 			}
 		}
@@ -137,14 +153,9 @@ func TestRefineProperties(t *testing.T) {
 // placement-for-placement.
 func TestRefineDeterministic(t *testing.T) {
 	g := refineGraphs(t)["dense"]
-	a, err := NewPartition(g, 4, StrategyMincutFM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewPartition(g, 4, StrategyMincutFM)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := refineSeeds(t, g, 4)["round-robin"], refineSeeds(t, g, 4)["round-robin"]
+	a.Refine(g)
+	b.Refine(g)
 	for i := range a.FuncPart {
 		if a.FuncPart[i] != b.FuncPart[i] {
 			t.Fatalf("nondeterministic refinement: FuncPart[%d] = %d vs %d", i, a.FuncPart[i], b.FuncPart[i])
@@ -152,28 +163,10 @@ func TestRefineDeterministic(t *testing.T) {
 	}
 }
 
-// TestMincutFMBeatsGreedyOnScrambledChain: the headline property of the
-// refinement pass on sparse graphs — the one-pass streaming greedy
-// leaves gains on the table that boundary swaps recover.
-func TestMincutFMBeatsGreedyOnScrambledChain(t *testing.T) {
-	g := refineGraphs(t)["shuffled-chain"]
-	greedy, err := NewPartition(g, 4, StrategyGreedyMincut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := NewPartition(g, 4, StrategyMincutFM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc, fc := CutCost(g, &greedy), CutCost(g, &fm); fc >= gc {
-		t.Fatalf("mincut+fm cut %g not below greedy-mincut %g", fc, gc)
-	}
-}
-
 // TestRefineSinglePartNoop: one shard has nothing to refine.
 func TestRefineSinglePartNoop(t *testing.T) {
 	g := partChain(t, 50)
-	p, err := NewPartition(g, 1, StrategyGreedyMincut)
+	p, err := NewPartition(g, 1, StrategyBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // c_j, r_j. The closed form is the weighted KKT solution along the line
 // joining the incoming centers; note the paper's printed formula moves
 // radii in the (+) direction, which would *grow* them on overlap — this
-// implementation uses the KKT-consistent shrink direction (see
-// DESIGN.md, "Appendix A sign fix").
+// implementation uses the KKT-consistent shrink direction (the
+// "radii shrink" step in Eval below; TestCollisionOpResolvesOverlapExactly
+// pins it).
 //
 // Most pairs of a packing iterate are far apart, so Eval first asks
 // apart whether the squared center distance alone proves

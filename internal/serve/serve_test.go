@@ -78,10 +78,12 @@ func TestSolveHandler(t *testing.T) {
 		{"shards over cap", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":1000000}}`, http.StatusBadRequest},
 
 		{"lasso serial", `{"workload":"lasso","spec":{"m":16},"max_iter":100}`, http.StatusOK},
-		{"mpc sharded", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"partition":"balanced"},"max_iter":100}`, http.StatusOK},
-		{"packing sharded greedy", `{"workload":"packing","spec":{"n":4},"executor":{"kind":"sharded","shards":3,"partition":"greedy-mincut"},"max_iter":100}`, http.StatusOK},
-		{"packing sharded mincut+fm", `{"workload":"packing","spec":{"n":4},"executor":{"kind":"sharded","shards":3,"partition":"mincut+fm"},"max_iter":100}`, http.StatusOK},
-		{"lasso sharded refined", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":2,"refine":true},"max_iter":100}`, http.StatusOK},
+		{"mpc sharded", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2},"max_iter":100}`, http.StatusOK},
+		// partition and refine are retired keys: one split remains, so
+		// both are unknown fields now, whatever they name.
+		{"packing sharded greedy", `{"workload":"packing","spec":{"n":4},"executor":{"kind":"sharded","shards":3,"partition":"greedy-mincut"},"max_iter":100}`, http.StatusBadRequest},
+		{"packing sharded mincut+fm", `{"workload":"packing","spec":{"n":4},"executor":{"kind":"sharded","shards":3,"partition":"mincut+fm"},"max_iter":100}`, http.StatusBadRequest},
+		{"lasso sharded refined", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":2,"refine":true},"max_iter":100}`, http.StatusBadRequest},
 		{"refine on non-sharded", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","refine":true}}`, http.StatusBadRequest},
 		{"svm parallel-for", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"parallel-for","workers":2},"max_iter":100}`, http.StatusOK},
 		{"mpc barrier", `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"barrier","workers":2},"max_iter":100}`, http.StatusBadRequest},
@@ -113,6 +115,22 @@ func TestSolveHandler(t *testing.T) {
 				t.Errorf("no quality metrics reported")
 			}
 		})
+	}
+}
+
+// TestRetiredPartitionKeysRefused: a sharded spec that still sends
+// "partition" — even naming the one split there is — or "refine" gets
+// the strict-JSON unknown-field refusal, and the message names the key.
+func TestRetiredPartitionKeysRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for key, executor := range map[string]string{
+		"partition": `{"kind":"sharded","shards":2,"partition":"balanced"}`,
+		"refine":    `{"kind":"sharded","shards":2,"refine":true}`,
+	} {
+		code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":8},"executor":`+executor+`,"max_iter":100}`)
+		if code != http.StatusBadRequest || !strings.Contains(v.Error, `"`+key+`"`) {
+			t.Fatalf("%s: status %d, error %q; want 400 naming the field", key, code, v.Error)
+		}
 	}
 }
 
@@ -323,8 +341,8 @@ func TestShardMetricsReported(t *testing.T) {
 			t.Errorf("metrics missing %q\n---\n%s", want, text)
 		}
 	}
-	// The MPC chain must not be boundary-dominated under the default
-	// balanced strategy.
+	// The MPC chain must not be boundary-dominated under the balanced
+	// split.
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "paradmm_shard_boundary_vars ") {
 			var n int

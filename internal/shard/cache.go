@@ -25,16 +25,14 @@ type cacheEntry struct {
 	g    *graph.Graph
 	plan *plan
 	man  *exchange.Manifest
-	// The partition knobs — and this worker's shard index — the entry
+	// The shard count — and this worker's shard index — the entry
 	// was built under; a probe that disagrees (a key collision, a
 	// coordinator bug, or a fleet lease that reordered the same addrs)
 	// is served as a miss and the entry rebuilt: the plan is
 	// shard-index-specific, so reusing it under another index would
 	// compute the wrong shard's blocks.
-	worker   int
-	shards   int
-	strategy string
-	refine   bool
+	worker int
+	shards int
 	// snapshot is the exact FrameState payload last installed into g;
 	// digest fingerprints it (stateDigest). g itself holds post-solve
 	// state between sessions — a state-tier hit restores snapshot first.

@@ -40,13 +40,13 @@ type mailboxCell struct {
 // mailboxCells builds the fused shared-memory cell (balanced owners,
 // one buffer per row) and the fused loopback cell (majority owners,
 // every row framed and decoded) of one partition.
-func mailboxCells(tb testing.TB, g *graph.Graph, shards int, strategy graph.PartitionStrategy) []mailboxCell {
+func mailboxCells(tb testing.TB, g *graph.Graph, shards int) []mailboxCell {
 	tb.Helper()
-	local, err := newPlan(g, shards, strategy, false, true)
+	local, err := newPlan(g, shards, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wire, err := newPlan(g, shards, strategy, false, false)
+	wire, err := newPlan(g, shards, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCombineReadsNoRemoteEdgeState(t *testing.T) {
 		admm.UpdateZFusedRange(ref, 0, ref.NumVariables())
 		for _, build := range []int{0, 1} {
 			g := packingGraph(t, 12)
-			c := mailboxCells(t, g, shards, graph.StrategyBalanced)[build]
+			c := mailboxCells(t, g, shards)[build]
 			t.Run(fmt.Sprintf("%s-%d", c.name, shards), func(t *testing.T) {
 				if len(c.plan.part.BoundaryVars) == 0 {
 					t.Fatal("no boundary to combine")
@@ -138,39 +138,33 @@ func TestCombineReadsNoRemoteEdgeState(t *testing.T) {
 	}
 }
 
-// TestInboxRowsMatchManifest: under every strategy and shard count, on
+// TestInboxRowsMatchManifest: at every shard count, on
 // every workload and both transports, each ordered pair's inbox row is
 // exactly its off-diagonal Manifest.MEdges row — one d-block of x + u
 // per listed edge, in manifest order, nothing else.
 func TestInboxRowsMatchManifest(t *testing.T) {
-	strategies := []graph.PartitionStrategy{
-		graph.StrategyBlock, graph.StrategyBalanced, graph.StrategyGreedyMincut, graph.StrategyMincutFM,
-	}
-	for wname, wl := range transportWorkloads(t) {
-		g := wl.g
+	for wname, g := range transportWorkloads(t) {
 		g.InitRandom(-1, 1, rand.New(rand.NewSource(5)))
 		d := g.D()
-		for _, strategy := range strategies {
-			for _, shards := range []int{2, 3, 4, 7} {
-				for _, c := range mailboxCells(t, g, shards, strategy) {
-					c.phaseAThroughSync1(g)
-					for i := 0; i < shards; i++ {
-						for j := 0; j < shards; j++ {
-							edges, row := c.man.MEdges[i*shards+j], c.mb.Row(i, j)
-							if i == j {
-								edges = nil
-							}
-							if len(row) != len(edges)*d {
-								t.Fatalf("%s/%s/%d/%s: row %d->%d holds %d doubles for %d edges (d=%d)",
-									wname, strategy, shards, c.name, i, j, len(row), len(edges), d)
-							}
-							for idx, e := range edges {
-								for k := 0; k < d; k++ {
-									at := int(e)*d + k
-									if want := g.X[at] + g.U[at]; math.Float64bits(row[idx*d+k]) != math.Float64bits(want) {
-										t.Fatalf("%s/%s/%d/%s: row %d->%d block %d (edge %d) [%d] = %g, want x+u = %g",
-											wname, strategy, shards, c.name, i, j, idx, e, k, row[idx*d+k], want)
-									}
+		for _, shards := range []int{2, 3, 4, 7} {
+			for _, c := range mailboxCells(t, g, shards) {
+				c.phaseAThroughSync1(g)
+				for i := 0; i < shards; i++ {
+					for j := 0; j < shards; j++ {
+						edges, row := c.man.MEdges[i*shards+j], c.mb.Row(i, j)
+						if i == j {
+							edges = nil
+						}
+						if len(row) != len(edges)*d {
+							t.Fatalf("%s/%d/%s: row %d->%d holds %d doubles for %d edges (d=%d)",
+								wname, shards, c.name, i, j, len(row), len(edges), d)
+						}
+						for idx, e := range edges {
+							for k := 0; k < d; k++ {
+								at := int(e)*d + k
+								if want := g.X[at] + g.U[at]; math.Float64bits(row[idx*d+k]) != math.Float64bits(want) {
+									t.Fatalf("%s/%d/%s: row %d->%d block %d (edge %d) [%d] = %g, want x+u = %g",
+										wname, shards, c.name, i, j, idx, e, k, row[idx*d+k], want)
 								}
 							}
 						}
@@ -187,7 +181,7 @@ func TestInboxRowsMatchManifest(t *testing.T) {
 // goroutine, in ns per boundary edge.
 func BenchmarkBoundaryCombine(b *testing.B) {
 	g := packingGraph(b, 64)
-	c := mailboxCells(b, g, 2, graph.StrategyBalanced)[0]
+	c := mailboxCells(b, g, 2)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.mb.Post(0)

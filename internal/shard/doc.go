@@ -8,19 +8,13 @@
 //
 // # Partitioning
 //
-// The factor graph's function nodes are split into K shards by one of
-// four strategies (graph.NewPartition): "block" (contiguous function
-// ranges — the naive baseline), "balanced" (the default: functions
-// listed by their least-degree variable, which follows the problem's
-// natural geometry, and cut at equal modelled work; a consensus star
-// splits in creation order around its hub), "greedy-mincut" (streaming greedy placement that recovers locality
-// when construction order is scrambled), and "mincut+fm" (the greedy
-// placement polished by a Fiduccia–Mattheyses boundary-refinement pass
-// minimizing the degree-weighted cut cost, graph.CutCost). The
-// Backend.Refine knob (ExecutorSpec "refine") runs the same FM pass on
-// top of any base strategy. docs/partitioning.md at the repo root has
-// the full catalog, the cost model, and a measured cut/imbalance table
-// per strategy. A shard owns its functions and
+// The factor graph's function nodes are split into K shards by the
+// balanced split (graph.NewPartition): functions listed by their
+// least-degree variable, which follows the problem's natural geometry,
+// and cut at equal modelled work; a consensus star splits in creation
+// order around its hub. docs/partitioning.md at the repo root has the
+// cost model (graph.CutCost) and the measurements that retired the
+// other strategies. A shard owns its functions and
 // their edges. Variables split into two classes:
 //
 //   - interior: every incident edge lives on one shard. That shard
@@ -90,7 +84,7 @@
 //     (worker.go) runs the far side. docs/transport.md documents the
 //     frame protocol, handshake, manifests, and failure semantics;
 //     Stats.BytesPerIter prices the measured traffic with the same
-//     graph.CutCost word model the partitioner refines.
+//     graph.CutCost word model auto and the fleet planner decide on.
 //
 // The u+n sweep and the next iteration's x touch only shard-local
 // state plus z delivered by FinishScatterZ, so a shard racing ahead
@@ -160,13 +154,12 @@
 //
 // The paper's second OpenMP strategy — persistent workers separated by
 // barriers — is this executor over exchange.Local (bench
-// abl-openmp-strategy measures it under the "block" partition against
-// the fork-join loops). Per iteration it pays 2 sync points plus a
+// abl-openmp-strategy measures it against the fork-join loops). Per iteration it pays 2 sync points plus a
 // boundary-z combine whose cost is proportional to the boundary-edge
 // count, where a barrier after every update kind would pay its
 // crossings regardless of graph shape. On
 // chain-structured graphs (MPC: a K-step chain splits with K-1 cut
-// points under the balanced strategy) the combine is a few variables
+// points under the balanced split) the combine is a few variables
 // and sharded wins on synchronization count alone. On dense graphs
 // (packing's all-pairs collision nodes make nearly every variable
 // boundary) the combine is a global z-update — the scaling cliff the

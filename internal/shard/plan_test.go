@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/exchange"
-	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
@@ -37,7 +36,7 @@ func flatten(t *testing.T, what string, runs []sched.Range) []int {
 // own an edge on a boundary variable another shard combines, and after
 // FinishScatterZ exactly those edges.
 func TestPlanSplitsPartitionRuns(t *testing.T) {
-	for name, w := range transportWorkloads(t) {
+	for name, g := range transportWorkloads(t) {
 		for _, shards := range []int{1, 2, 4} {
 			for _, shared := range []bool{true, false} {
 				kind := "message"
@@ -45,8 +44,7 @@ func TestPlanSplitsPartitionRuns(t *testing.T) {
 					kind = "shared-memory"
 				}
 				t.Run(fmt.Sprintf("%s-%d-%s", name, shards, kind), func(t *testing.T) {
-					g := w.g
-					p, err := newPlan(g, shards, w.strategy, false, shared)
+					p, err := newPlan(g, shards, shared)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,7 +111,7 @@ func TestShardLoopTimeAddsUp(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			g := chainGraph(t, 400)
 			shared := transport == admm.TransportLocal
-			p, err := newPlan(g, shards, graph.StrategyBalanced, false, shared)
+			p, err := newPlan(g, shards, shared)
 			if err != nil {
 				t.Fatal(err)
 			}

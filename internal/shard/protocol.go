@@ -46,8 +46,6 @@ type wireConfig struct {
 	Shards   int             `json:"shards"`
 	Workload string          `json:"workload"`
 	Spec     json.RawMessage `json:"spec"`
-	Strategy string          `json:"strategy"`
-	Refine   bool            `json:"refine"`
 	// Peers lists every worker's control endpoint, indexed by worker;
 	// worker i dials workers j < i it shares boundary state with.
 	Peers []string `json:"peers"`
@@ -61,7 +59,7 @@ type wireConfig struct {
 // wireCacheProbe opens a session against the worker's warm cache
 // (FrameCacheProbe payload): everything wireConfig carries except the
 // problem itself, which is named by Key — a digest over the ProblemRef
-// and partition knobs. StateDigest fingerprints the exact FrameState
+// and shard count. StateDigest fingerprints the exact FrameState
 // payload the coordinator would push, so the worker can prove its
 // cached snapshot is bit-identical before the coordinator skips the
 // push. On a miss the coordinator follows with a full FrameCfg on the
@@ -72,8 +70,6 @@ type wireCacheProbe struct {
 	Shards      int    `json:"shards"`
 	Key         string `json:"key"`
 	StateDigest string `json:"state_digest"`
-	Strategy    string `json:"strategy"`
-	Refine      bool   `json:"refine"`
 	// Peers lists every worker's control endpoint, indexed by worker
 	// (same contract as wireConfig.Peers).
 	Peers          []string `json:"peers"`
@@ -113,21 +109,20 @@ func (p wireCacheProbe) asConfig() wireConfig {
 		Session:        p.Session,
 		Worker:         p.Worker,
 		Shards:         p.Shards,
-		Strategy:       p.Strategy,
-		Refine:         p.Refine,
 		Peers:          p.Peers,
 		FrameTimeoutMS: p.FrameTimeoutMS,
 	}
 }
 
 // problemKey fingerprints what a worker must have rebuilt for a cached
-// session to be reusable: the problem reference plus every knob that
-// shapes the partition. Same key => same graph topology, plan, and
-// manifest on a worker that rebuilds deterministically (the ack's
-// shape+digest check still verifies, never trusts, this).
-func problemKey(p *admm.ProblemRef, shards int, strategy string, refine bool) string {
+// session to be reusable: the problem reference plus the shard count,
+// the only knob that shapes the partition. Same key => same graph
+// topology, plan, and manifest on a worker that rebuilds
+// deterministically (the ack's shape+digest check still verifies,
+// never trusts, this).
+func problemKey(p *admm.ProblemRef, shards int) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s|%t|", p.Workload, shards, strategy, refine)
+	fmt.Fprintf(h, "%s|%d|", p.Workload, shards)
 	h.Write(p.Spec)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

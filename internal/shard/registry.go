@@ -22,11 +22,10 @@ func init() {
 		if shards == 0 {
 			shards = 4
 		}
-		sb, err := New(shards, graph.PartitionStrategy(s.Partition))
+		sb, err := New(shards)
 		if err != nil {
 			return nil, err
 		}
-		sb.Refine = s.Refine
 		sb.Transport = s.Transport
 		return sb, nil
 	})

@@ -64,12 +64,10 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 // into a retry, a survivor re-partitioning, or a failed request —
 // never a corrupted result (see docs/fault-tolerance.md).
 type Remote struct {
-	shards   int
-	strategy graph.PartitionStrategy
-	refine   bool
-	session  uint64
-	addrs    []string
-	tmo      timeouts
+	shards  int
+	session uint64
+	addrs   []string
+	tmo     timeouts
 
 	g         *graph.Graph
 	plan      *plan
@@ -129,22 +127,17 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 	if shards == 0 {
 		return nil, fmt.Errorf("shard: remote transport needs worker addrs")
 	}
-	strategy, err := graph.ParseStrategy(spec.Partition)
-	if err != nil {
-		return nil, err
-	}
 	r := &Remote{
-		shards:   shards,
-		strategy: strategy,
-		refine:   spec.Refine,
-		addrs:    append([]string(nil), spec.Addrs...),
-		tmo:      specTimeouts(spec),
-		g:        g,
-		warm:     spec.WarmCache,
-		problem:  spec.Problem,
-		dialer:   spec.WorkerDialer,
+		shards:  shards,
+		addrs:   append([]string(nil), spec.Addrs...),
+		tmo:     specTimeouts(spec),
+		g:       g,
+		warm:    spec.WarmCache,
+		problem: spec.Problem,
+		dialer:  spec.WorkerDialer,
 	}
-	r.plan, err = newPlan(g, shards, strategy, spec.Refine, false)
+	var err error
+	r.plan, err = newPlan(g, shards, false)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +147,7 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		r.ownedVars[i] = r.plan.local[i].appendOwnedVars(nil)
 	}
 	r.bufs = make([][]byte, shards)
-	r.stats = r.plan.shapeStats(strategy, r.refine, admm.TransportSockets)
+	r.stats = r.plan.shapeStats(admm.TransportSockets)
 	r.stats.SyncWaitByShard = make([]int64, shards)
 	backoff := 50 * time.Millisecond
 	for attempt := 1; ; attempt++ {
@@ -263,8 +256,6 @@ func (r *Remote) sendConfig(i int) error {
 		Shards:         r.shards,
 		Workload:       r.problem.Workload,
 		Spec:           r.problem.Spec,
-		Strategy:       string(r.strategy),
-		Refine:         r.refine,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
 	}
@@ -376,10 +367,8 @@ func (r *Remote) handshakeCached() error {
 	probe := wireCacheProbe{
 		Session:        r.session,
 		Shards:         r.shards,
-		Key:            problemKey(r.problem, r.shards, string(r.strategy), r.refine),
+		Key:            problemKey(r.problem, r.shards),
 		StateDigest:    stateDigest(state),
-		Strategy:       string(r.strategy),
-		Refine:         r.refine,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
 	}
@@ -457,7 +446,7 @@ func (r *Remote) handshakeCached() error {
 
 // Name implements admm.Backend.
 func (r *Remote) Name() string {
-	return fmt.Sprintf("sharded(%d,%s,remote)", r.shards, PartitionLabel(r.strategy, r.refine))
+	return fmt.Sprintf("sharded(%d,remote)", r.shards)
 }
 
 // Stats returns partition and synchronization statistics, aggregated

@@ -19,15 +19,7 @@ import (
 // cross-process form of the same loop is Remote (remote.go) +
 // ServeWorker (worker.go).
 type Backend struct {
-	shards   int
-	strategy graph.PartitionStrategy
-
-	// Refine runs a Fiduccia–Mattheyses boundary-refinement pass
-	// (graph.Partition.Refine) over the partition before deriving the
-	// shard plans, whatever the base strategy — the "mincut+fm"
-	// strategy already includes the pass and ignores the knob. Set
-	// before the first Iterate.
-	Refine bool
+	shards int
 
 	// Transport selects the exchanger: "" or admm.TransportLocal for the
 	// shared-memory spin barriers, admm.TransportSockets for the framed
@@ -56,8 +48,7 @@ type Backend struct {
 // backend's most recent graph. It must not be called concurrently with
 // Iterate; counters accumulate across Iterate calls.
 type Stats struct {
-	Shards   int
-	Strategy graph.PartitionStrategy
+	Shards int
 	// Transport names the boundary-exchange implementation ("local"
 	// shared memory, "sockets" message transport).
 	Transport string
@@ -84,9 +75,6 @@ type Stats struct {
 	// LoadImbalance is the largest PartEdges entry over their mean
 	// (graph.Partition.LoadImbalance): 1.0 is an even edge split.
 	LoadImbalance float64
-	// Refined reports whether an FM refinement pass shaped the
-	// partition (the Refine knob or the mincut+fm strategy).
-	Refined bool
 	// Iterations executed by this backend so far.
 	Iterations int64
 	// SyncWaitByShard is each shard's own cumulative time blocked at
@@ -142,24 +130,18 @@ type Stats struct {
 	HandshakeFrames int
 }
 
-// New returns a sharded backend with the given shard count and
-// partitioning strategy ("" selects balanced). The graph is partitioned
-// lazily on the first Iterate and re-partitioned whenever Iterate sees
-// a different graph.
-func New(shards int, strategy graph.PartitionStrategy) (*Backend, error) {
+// New returns a sharded backend with the given shard count. The graph
+// is partitioned (graph.StrategyBalanced) lazily on the first Iterate
+// and re-partitioned whenever Iterate sees a different graph.
+func New(shards int) (*Backend, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shards = %d, need > 0", shards)
 	}
-	strat, err := graph.ParseStrategy(string(strategy))
-	if err != nil {
-		return nil, err
-	}
 	b := &Backend{
-		shards:   shards,
-		strategy: strat,
-		cmd:      make(chan struct{}),
-		done:     make(chan struct{}),
-		stats:    Stats{SyncWaitByShard: make([]int64, shards)},
+		shards: shards,
+		cmd:    make(chan struct{}),
+		done:   make(chan struct{}),
+		stats:  Stats{SyncWaitByShard: make([]int64, shards)},
 	}
 	for s := 0; s < shards; s++ {
 		go b.worker(s)
@@ -167,29 +149,12 @@ func New(shards int, strategy graph.PartitionStrategy) (*Backend, error) {
 	return b, nil
 }
 
-// PartitionLabel names the effective partitioning of a strategy plus
-// refinement knob: the strategy, with "+fm" appended when a refinement
-// pass was layered on top of a base strategy (mincut+fm already names
-// its pass). The single source for backend names, CLI output, and the
-// bench sweep's partition column.
-func PartitionLabel(strategy graph.PartitionStrategy, refined bool) string {
-	if refined && strategy != graph.StrategyMincutFM {
-		return string(strategy) + "+fm"
-	}
-	return string(strategy)
-}
-
-// PartitionLabel names the Stats' effective partitioning (see the
-// package-level PartitionLabel).
-func (s Stats) PartitionLabel() string { return PartitionLabel(s.Strategy, s.Refined) }
-
 // Name implements admm.Backend.
 func (b *Backend) Name() string {
-	strat := PartitionLabel(b.strategy, b.Refine)
 	if b.Transport == admm.TransportSockets {
-		strat += ",sockets"
+		return fmt.Sprintf("sharded(%d,sockets)", b.shards)
 	}
-	return fmt.Sprintf("sharded(%d,%s)", b.shards, strat)
+	return fmt.Sprintf("sharded(%d)", b.shards)
 }
 
 // Stats returns partition and synchronization statistics. Valid after
@@ -209,7 +174,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		panic("shard: Iterate on closed Backend")
 	}
 	if b.plan == nil || b.plan.g != g {
-		p, err := newPlan(g, b.shards, b.strategy, b.Refine, transportLabel(b.Transport) == admm.TransportLocal)
+		p, err := newPlan(g, b.shards, transportLabel(b.Transport) == admm.TransportLocal)
 		if err != nil {
 			// The graph was already finalized by admm.Run; the only
 			// residual failure is a programming error.
@@ -217,7 +182,7 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		}
 		b.plan = p
 		b.bindExchanger(g, p)
-		st := p.shapeStats(b.strategy, b.Refine, transportLabel(b.Transport))
+		st := p.shapeStats(transportLabel(b.Transport))
 		st.Iterations = b.stats.Iterations
 		st.SyncWaitByShard = b.stats.SyncWaitByShard
 		st.BoundaryZNanos = b.stats.BoundaryZNanos
@@ -408,7 +373,7 @@ type plan struct {
 // shapeStats is the half of Stats the plan alone decides — who holds
 // what, and what the cut costs — for both the in-process Backend and
 // the cross-process Remote; the counters start at zero.
-func (p *plan) shapeStats(strategy graph.PartitionStrategy, refine bool, transport string) Stats {
+func (p *plan) shapeStats(transport string) Stats {
 	part := &p.part
 	byShard := make([]int, len(p.local))
 	for s := range p.local {
@@ -416,7 +381,6 @@ func (p *plan) shapeStats(strategy graph.PartitionStrategy, refine bool, transpo
 	}
 	return Stats{
 		Shards:              len(p.local),
-		Strategy:            strategy,
 		Transport:           transport,
 		BoundaryVars:        len(part.BoundaryVars),
 		BoundaryEdges:       part.BoundaryEdges,
@@ -425,7 +389,6 @@ func (p *plan) shapeStats(strategy graph.PartitionStrategy, refine bool, transpo
 		PartEdges:           part.PartLoads(p.g),
 		CutCost:             graph.CutCost(p.g, part),
 		LoadImbalance:       part.LoadImbalance(p.g),
-		Refined:             refine || strategy == graph.StrategyMincutFM,
 	}
 }
 
@@ -493,7 +456,7 @@ func (lp *localPlan) appendOwnedVars(dst []int) []int {
 	return dst
 }
 
-// newPlan partitions g (optionally FM-refining the split), picks each
+// newPlan partitions g (graph.StrategyBalanced), picks each
 // variable's combiner — sharedMemory selects the load-balanced owners,
 // which cost nothing where no byte is shipped; everything that frames
 // boundary state keeps the majority owners the manifest digest, the
@@ -501,13 +464,10 @@ func (lp *localPlan) appendOwnedVars(dst []int) []int {
 // index sets and the schedule split (see localPlan). Workers beyond
 // the partition's effective part count (tiny graphs) get empty plans
 // and only participate in the per-iteration sync points.
-func newPlan(g *graph.Graph, shards int, strategy graph.PartitionStrategy, refine, sharedMemory bool) (*plan, error) {
-	part, err := graph.NewPartition(g, shards, strategy)
+func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
+	part, err := graph.NewPartition(g, shards, graph.StrategyBalanced)
 	if err != nil {
 		return nil, err
-	}
-	if refine && strategy != graph.StrategyMincutFM {
-		part.Refine(g)
 	}
 	owner := part.VarPart
 	if sharedMemory {

@@ -56,21 +56,17 @@ func TestShardedMatchesSerialBitIdentical(t *testing.T) {
 	}
 	for gname, build := range builds {
 		ref := runIters(t, admm.NewSerial(), build(t), 200)
-		for _, strategy := range []graph.PartitionStrategy{
-			graph.StrategyBlock, graph.StrategyBalanced, graph.StrategyGreedyMincut,
-		} {
-			for _, shards := range []int{1, 2, 3, 4, 9} {
-				b, err := New(shards, strategy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runIters(t, b, build(t), 200)
-				b.Close()
-				for i := range ref {
-					if ref[i] != got[i] {
-						t.Fatalf("%s/%s/%d shards: diverged from serial at Z[%d]: %g vs %g",
-							gname, strategy, shards, i, got[i], ref[i])
-					}
+		for _, shards := range []int{1, 2, 3, 4, 9} {
+			b, err := New(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runIters(t, b, build(t), 200)
+			b.Close()
+			for i := range ref {
+				if ref[i] != got[i] {
+					t.Fatalf("%s/%d shards: diverged from serial at Z[%d]: %g vs %g",
+						gname, shards, i, got[i], ref[i])
 				}
 			}
 		}
@@ -81,7 +77,7 @@ func TestShardedMatchesSerialBitIdentical(t *testing.T) {
 // batching (admm.Run's residual checking splits iterations).
 func TestShardedSplitIterateCalls(t *testing.T) {
 	ref := runIters(t, admm.NewSerial(), chainGraph(t, 40), 100)
-	b, err := New(3, graph.StrategyBalanced)
+	b, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +102,7 @@ func TestShardedSplitIterateCalls(t *testing.T) {
 // Iterate after Iterate, Close is idempotent, and Iterate on a closed
 // backend panics instead of hanging on workers that are gone.
 func TestShardedReuseAndClose(t *testing.T) {
-	b, err := New(3, graph.StrategyBlock)
+	b, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +129,7 @@ func TestShardedThroughSolve(t *testing.T) {
 	}
 	p.Graph.InitZero()
 	res, err := admm.Solve(p.Graph, admm.SolveOptions{
-		Executor: admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4, Partition: "balanced"},
+		Executor: admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4},
 		MaxIter:  400,
 	})
 	if err != nil {
@@ -158,9 +154,9 @@ func TestShardedThroughSolve(t *testing.T) {
 }
 
 // TestShardedStats pins the boundary bookkeeping on a chain: few
-// boundary vars under the balanced strategy, loads roughly even.
+// boundary vars under the balanced split, loads roughly even.
 func TestShardedStats(t *testing.T) {
-	b, err := New(4, "")
+	b, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +164,7 @@ func TestShardedStats(t *testing.T) {
 	g := chainGraph(t, 1000)
 	runIters(t, b, g, 5)
 	s := b.Stats()
-	if s.Shards != 4 || s.Strategy != graph.StrategyBalanced {
+	if s.Shards != 4 {
 		t.Fatalf("stats %+v", s)
 	}
 	if s.BoundaryVars == 0 || s.BoundaryVars > 8 {
@@ -217,7 +213,7 @@ func TestShardedMoreShardsThanFunctions(t *testing.T) {
 	g.SetUniformParams(1, 1)
 	g.InitRandom(-1, 1, rand.New(rand.NewSource(2)))
 	ref := runIters(t, admm.NewSerial(), cloneInit(t, g), 50)
-	b, err := New(8, graph.StrategyGreedyMincut)
+	b, err := New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,24 +241,19 @@ func cloneInit(t testing.TB, src *graph.Graph) *graph.Graph {
 }
 
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := New(0, ""); err == nil {
+	if _, err := New(0); err == nil {
 		t.Error("accepted 0 shards")
-	}
-	if _, err := New(2, "metis"); err == nil {
-		t.Error("accepted unknown strategy")
 	}
 }
 
 func TestSpecValidationThroughAdmm(t *testing.T) {
-	ok := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4, Partition: "greedy-mincut"}
+	ok := admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 4}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []admm.ExecutorSpec{
 		{Kind: admm.ExecSharded, Shards: -1},
-		{Kind: admm.ExecSharded, Partition: "metis"},
 		{Kind: admm.ExecSerial, Shards: 2},
-		{Kind: admm.ExecParallelFor, Partition: "balanced"},
 		{Kind: "barrier"},
 	} {
 		if err := bad.Validate(); err == nil {

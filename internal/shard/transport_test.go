@@ -22,42 +22,37 @@ import (
 	"repro/internal/svm"
 )
 
-// transportWorkload is one domain instance plus the strategy that
-// gives it a real (non-degenerate) boundary: the consensus stars
-// (lasso, svm) collapse to a zero-cut single shard under "balanced" and
-// need the mincut split to exercise the transport.
-type transportWorkload struct {
-	g        *graph.Graph
-	strategy graph.PartitionStrategy
-}
-
-func transportWorkloads(t *testing.T) map[string]transportWorkload {
+// transportWorkloads builds one instance of each domain. Every one has
+// a real boundary under the balanced split at 4 shards: the consensus
+// stars (lasso, svm) cut at their hub, the chain and the packing clique
+// along their geometry.
+func transportWorkloads(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	out := map[string]transportWorkload{}
+	out := map[string]*graph.Graph{}
 	lp, err := lasso.FromSpec(lasso.Spec{M: 128, Lambda: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lp.Graph.InitZero()
-	out["lasso"] = transportWorkload{lp.Graph, graph.StrategyMincutFM}
+	out["lasso"] = lp.Graph
 	sp, err := svm.FromSpec(svm.Spec{N: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Graph.InitZero()
-	out["svm"] = transportWorkload{sp.Graph, graph.StrategyMincutFM}
+	out["svm"] = sp.Graph
 	mp, err := mpc.FromSpec(mpc.Spec{K: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mp.Graph.InitZero()
-	out["mpc"] = transportWorkload{mp.Graph, graph.StrategyBalanced}
+	out["mpc"] = mp.Graph
 	pp, err := packing.FromSpec(packing.Spec{N: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pp.InitRandom(rand.New(rand.NewSource(1)))
-	out["packing"] = transportWorkload{pp.Graph, graph.StrategyBalanced}
+	out["packing"] = pp.Graph
 	return out
 }
 
@@ -65,15 +60,15 @@ func transportWorkloads(t *testing.T) map[string]transportWorkload {
 // acceptance band on every workload: the message transport's measured
 // payload bytes per iteration must sit within 10% of the
 // degree-weighted cut model's prediction (CutCost words x 8 bytes) —
-// the same model the FM refiner optimizes and gpusim.MultiDevice
+// the same model auto decides on and gpusim.MultiDevice
 // prices links with. The match is exact (the manifest moves precisely
 // the blocks the model counts; any gap means lost or duplicated
 // traffic), and the separately-tracked wire bytes exceed it by the
 // per-frame header overhead only.
 func TestSocketsBytesMatchCutCostModel(t *testing.T) {
-	for name, w := range transportWorkloads(t) {
+	for name, g := range transportWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
-			b, err := New(4, w.strategy)
+			b, err := New(4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +76,7 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 			defer b.Close()
 			var nanos [admm.NumPhases]int64
 			const iters = 50
-			b.Iterate(w.g, iters, &nanos)
+			b.Iterate(g, iters, &nanos)
 			st := b.Stats()
 			if st.Transport != admm.TransportSockets {
 				t.Fatalf("transport label %q", st.Transport)
@@ -106,11 +101,9 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 			// The multi-device simulator's link model prices the same
 			// partition with the same words — its predicted bytes must
 			// equal what the real transport measured.
-			if w.strategy == graph.StrategyBalanced {
-				md := gpusim.PartitionByVariable(w.g, 4)
-				if sim := md.ExchangeBytesPerIter(w.g); sim != st.BytesPerIter {
-					t.Errorf("gpusim predicts %.0f bytes/iter, transport measured %.0f", sim, st.BytesPerIter)
-				}
+			md := gpusim.PartitionByVariable(g, 4)
+			if sim := md.ExchangeBytesPerIter(g); sim != st.BytesPerIter {
+				t.Errorf("gpusim predicts %.0f bytes/iter, transport measured %.0f", sim, st.BytesPerIter)
 			}
 		})
 	}
@@ -120,7 +113,7 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 // zero traffic, and the stats label the transport.
 func TestLocalTransportMovesNoBytes(t *testing.T) {
 	g := chainGraph(t, 64)
-	b, err := New(3, graph.StrategyBalanced)
+	b, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +132,13 @@ func TestLocalTransportMovesNoBytes(t *testing.T) {
 // TestSocketsTransportName: the backend name surfaces the transport so
 // bench tables and CLI output distinguish the paths.
 func TestSocketsTransportName(t *testing.T) {
-	b, err := New(2, graph.StrategyBalanced)
+	b, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	b.Transport = admm.TransportSockets
-	if got, want := b.Name(), "sharded(2,balanced,sockets)"; got != want {
+	if got, want := b.Name(), "sharded(2,sockets)"; got != want {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
 }
@@ -278,8 +271,7 @@ func TestRemoteThreeWorkersOutOfOrderMesh(t *testing.T) {
 	addrs := startTestWorkers(t, 3, builders)
 	spec := admm.ExecutorSpec{
 		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs,
-		Partition: string(graph.StrategyBlock),
-		Problem:   &admm.ProblemRef{Workload: "star", Spec: []byte(`{}`)},
+		Problem: &admm.ProblemRef{Workload: "star", Spec: []byte(`{}`)},
 	}
 	opts := admm.Options{
 		MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: 20,

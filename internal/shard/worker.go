@@ -316,11 +316,7 @@ func buildSession(cfg wireConfig, opts WorkerOptions) (*graph.Graph, *plan, *exc
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("build %s: %w", cfg.Workload, err)
 	}
-	strategy, err := graph.ParseStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, err := newPlan(g, cfg.Shards, strategy, cfg.Refine, false)
+	plan, err := newPlan(g, cfg.Shards, false)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -385,9 +381,9 @@ func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, o
 		}
 	}
 	ent := cache.get(probe.Key)
-	if ent != nil && (ent.worker != probe.Worker || ent.shards != probe.Shards || ent.strategy != probe.Strategy || ent.refine != probe.Refine) {
+	if ent != nil && (ent.worker != probe.Worker || ent.shards != probe.Shards) {
 		// A key collision or a coordinator bug: never serve a plan built
-		// under different partition knobs. Rebuild below.
+		// for a different shard layout. Rebuild below.
 		cache.remove(probe.Key)
 		ent = nil
 	}
@@ -417,8 +413,7 @@ func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, o
 		if err := decodeJSONFrame(f, &full); err != nil {
 			return sessionFail(conn, fmt.Errorf("bad config: %v", err))
 		}
-		if full.Session != probe.Session || full.Worker != probe.Worker || full.Shards != probe.Shards ||
-			full.Strategy != probe.Strategy || full.Refine != probe.Refine {
+		if full.Session != probe.Session || full.Worker != probe.Worker || full.Shards != probe.Shards {
 			return sessionFail(conn, fmt.Errorf("config does not match its cache probe"))
 		}
 		if err := checkSessionShape(full); err != nil {
@@ -432,7 +427,7 @@ func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, o
 		run.onState = func(payload []byte) {
 			cache.put(probe.Key, &cacheEntry{
 				g: g, plan: plan, man: man,
-				worker: probe.Worker, shards: probe.Shards, strategy: probe.Strategy, refine: probe.Refine,
+				worker: probe.Worker, shards: probe.Shards,
 				snapshot: append([]byte(nil), payload...),
 				digest:   stateDigest(payload),
 			})

@@ -1,7 +1,7 @@
-// Partition-quality acceptance tests: the cross-package properties the
-// FM refinement pass was built for, pinned on the real workload
-// builders (internal/graph's own tests cover synthetic shapes). See
-// docs/partitioning.md for the cost model and strategy catalog.
+// Partition-quality acceptance tests: the cross-package properties of
+// the balanced split and the FM refinement pass, pinned on the real
+// workload builders (internal/graph's own tests cover synthetic
+// shapes). See docs/partitioning.md for the cost model.
 package repro_test
 
 import (
@@ -50,53 +50,23 @@ func qualityWorkloads(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestMincutFMReducesPackingCut is the headline acceptance property: on
-// packing's dense all-pairs collision graph, the FM pass strictly
-// reduces the degree-weighted cut cost below the greedy streaming
-// placement it seeds from, without giving up its load balance.
-func TestMincutFMReducesPackingCut(t *testing.T) {
-	g := qualityWorkloads(t)["packing"]
-	greedy, err := graph.NewPartition(g, 4, graph.StrategyGreedyMincut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := graph.NewPartition(g, 4, graph.StrategyMincutFM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, fc := graph.CutCost(g, &greedy), graph.CutCost(g, &fm)
-	if fc >= gc {
-		t.Fatalf("packing: mincut+fm cut %g not strictly below greedy-mincut %g", fc, gc)
-	}
-	if gi, fi := greedy.LoadImbalance(g), fm.LoadImbalance(g); fi > gi+0.10 {
-		t.Fatalf("packing: refinement bought cut with imbalance: %.3f -> %.3f", gi, fi)
-	}
-	if err := fm.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRefineNeverHurtsOnWorkloads: across every domain builder and
-// every base strategy, the refinement pass never increases the weighted
-// cut and keeps the partition valid — the executor-facing version of
-// the graph package's synthetic property tests.
+// TestRefineNeverHurtsOnWorkloads: across every domain builder, the
+// refinement pass never increases the balanced split's weighted cut and
+// keeps the partition valid — the workload-facing version of the graph
+// package's synthetic property tests.
 func TestRefineNeverHurtsOnWorkloads(t *testing.T) {
 	for wname, g := range qualityWorkloads(t) {
-		for _, strat := range []graph.PartitionStrategy{
-			graph.StrategyBlock, graph.StrategyBalanced, graph.StrategyGreedyMincut,
-		} {
-			for _, parts := range []int{2, 4} {
-				p, err := graph.NewPartition(g, parts, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := p.Refine(g)
-				if st.CostAfter > st.CostBefore {
-					t.Errorf("%s/%s/%d: refine increased cut %g -> %g", wname, strat, parts, st.CostBefore, st.CostAfter)
-				}
-				if err := p.Validate(g); err != nil {
-					t.Errorf("%s/%s/%d: %v", wname, strat, parts, err)
-				}
+		for _, parts := range []int{2, 4} {
+			p, err := graph.NewPartition(g, parts, graph.StrategyBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.Refine(g)
+			if st.CostAfter > st.CostBefore {
+				t.Errorf("%s/%d: refine increased cut %g -> %g", wname, parts, st.CostBefore, st.CostAfter)
+			}
+			if err := p.Validate(g); err != nil {
+				t.Errorf("%s/%d: %v", wname, parts, err)
 			}
 		}
 	}

@@ -99,8 +99,8 @@ func spawnWorkers(t *testing.T, addrs []string, sessions int) {
 // refresh and owned-state upload paths are exercised, and the
 // coordinator's residuals are computed from worker-uploaded state) and
 // on a wider lasso star. The lasso star is
-// the hub case: each worker re-derives the default partition from the
-// strategy name, must arrive at the same creation-order split with the
+// the hub case: each worker re-derives the balanced partition on its
+// own, must arrive at the same creation-order split with the
 // hub as the one boundary variable (the handshake compares manifest
 // digests), and the owner combines m-blocks that crossed a real socket.
 func TestCrossProcessShardedSockets(t *testing.T) {
