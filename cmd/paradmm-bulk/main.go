@@ -7,7 +7,7 @@
 // Usage:
 //
 //	paradmm-bulk < requests.jsonl > results.jsonl
-//	paradmm-bulk -workers 8 -executor parallel-for -exec-workers 2 < requests.jsonl
+//	paradmm-bulk -workers 8 -executor auto < requests.jsonl
 //	paradmm-bulk -gen 10000 -seed 7 > requests.jsonl   # deterministic test stream
 //	paradmm-bulk -store ./solutions < requests.jsonl   # persist warm-start chains across runs (docs/store.md)
 //
@@ -43,8 +43,7 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 0, "solve-stage workers (0 = GOMAXPROCS)")
-	executor := flag.String("executor", "serial", "stream-level executor: serial | parallel-for | async | sharded | auto (per-record executor fields override)")
-	execWorkers := flag.Int("exec-workers", 0, "workers inside the parallel-for executor (0 = executor default)")
+	executor := flag.String("executor", "serial", "stream-level executor: serial | sharded | auto (per-record executor fields override)")
 	shards := flag.Int("shards", 0, "shard count for -executor sharded (0 = executor default)")
 	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-executor serial only)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets")
@@ -75,16 +74,12 @@ func main() {
 		return
 	}
 
-	spec, err := admm.ParseExecutor(*executor, *execWorkers)
+	spec, err := admm.ParseExecutor(*executor)
 	if err != nil {
 		fatal(err)
 	}
 	if spec.Kind == admm.ExecSharded {
-		spec.Workers = 0
 		spec.Shards = *shards
-	}
-	if spec.Kind == admm.ExecAuto {
-		spec.Workers = 0
 	}
 	spec.Transport = *transport
 	spec.Addrs = splitAddrs(*addrs)

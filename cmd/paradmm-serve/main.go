@@ -12,7 +12,7 @@
 //	curl -s localhost:8080/v1/solve -d '{
 //	  "workload": "lasso",
 //	  "spec": {"m": 64, "blocks": 4, "lambda": 0.3},
-//	  "executor": {"kind": "parallel-for", "workers": 4},
+//	  "executor": {"kind": "sharded", "shards": 4},
 //	  "max_iter": 2000
 //	}'
 //

@@ -29,7 +29,7 @@ func main() {
 	sessions := flag.Int("sessions", 0, "exit after N coordinator sessions (0 = serve forever)")
 	quiet := flag.Bool("quiet", false, "suppress session lifecycle logging")
 	dialTimeout := flag.Duration("dial-timeout", 0, "bound on each mesh peer connection establishment (0 = 10s default)")
-	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound on waiting for inbound mesh peers during session setup (0 = 30s default)")
+	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound on finishing a new connection's opening frame once its first byte arrives, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
 	cacheEntries := flag.Int("cache", 4, "warm problem-cache entries: built graphs (and their last state) kept between sessions so a coordinator re-solving the same problem skips the workload down-sync (0 = disabled)")
 	chaosKillBlock := flag.Int("chaos-kill-block", -1, "fault injection: exit(2) immediately before executing the Nth iteration block of the first session (-1 = disabled; for failover testing)")
 	flag.Usage = func() {

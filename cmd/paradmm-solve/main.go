@@ -1,12 +1,14 @@
 // Command paradmm-solve builds one of the four application domains and
-// solves it with a chosen backend, printing domain-specific quality
-// metrics — a quick way to exercise the full stack end to end.
+// solves it with a chosen executor (serial, sharded or auto), printing
+// domain-specific quality metrics — a quick way to exercise the full
+// stack end to end. Every solve goes through shard.Solve, the route the
+// serving layer and the bulk pipeline take. The paper's fork-join and
+// simulated-device backends run in paradmm-bench and examples/quickstart.
 //
 // Usage:
 //
-//	paradmm-solve -problem packing -size 20 -iters 4000 -backend gpu
 //	paradmm-solve -problem mpc -size 50 -iters 20000 -backend serial
-//	paradmm-solve -problem svm -size 200 -iters 5000 -backend parallel -workers 4
+//	paradmm-solve -problem svm -size 200 -iters 5000 -backend auto
 //	paradmm-solve -problem mpc -size 2000 -iters 1000 -backend sharded -shards 4
 //	paradmm-solve -problem lasso -size 100 -iters 5000
 //
@@ -33,7 +35,6 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/fleet"
-	"repro/internal/gpusim"
 	"repro/internal/graph"
 	"repro/internal/lasso"
 	"repro/internal/mpc"
@@ -46,8 +47,7 @@ func main() {
 	problem := flag.String("problem", "packing", "packing | mpc | svm | lasso")
 	size := flag.Int("size", 10, "circles / horizon / data points / observations")
 	iters := flag.Int("iters", 2000, "ADMM iterations")
-	backendName := flag.String("backend", "serial", "serial | parallel | async | sharded | auto | gpu | cpusim | multicpu | twa")
-	workers := flag.Int("workers", 4, "workers for parallel/multicpu")
+	backendName := flag.String("backend", "serial", "serial | sharded | auto")
 	shards := flag.Int("shards", 4, "shard count for -backend sharded")
 	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
@@ -67,44 +67,51 @@ func main() {
 	}
 	flag.Parse()
 
-	workerAddrs := splitAddrs(*addrs)
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
+	spec, err := admm.ParseExecutor(*backendName)
+	if err != nil {
+		fatal(err)
+	}
+	// The sharded knobs are set whatever the kind: Validate rejects them
+	// on any other, so a -transport or -failover request against the
+	// wrong backend errors instead of silently solving locally.
+	spec.Transport = *transport
+	spec.Addrs = splitAddrs(*addrs)
+	spec.Fused = fused
+	spec.DialTimeoutMS = int(*dialTimeout / time.Millisecond)
+	spec.HandshakeTimeoutMS = int(*handshakeTimeout / time.Millisecond)
+	spec.FrameTimeoutMS = int(*frameTimeout / time.Millisecond)
+	spec.DialAttempts = *dialAttempts
+	spec.Failover = *failover
+	// -fleet implies the warm-cache handshake: a persistent fleet's
+	// whole point is that repeated solves skip the workload down-sync.
+	spec.WarmCache = *warmCache || *useFleet
+	if spec.Kind == admm.ExecSharded {
+		spec.Shards = *shards
+		// One worker process per shard. An un-passed -shards follows the
+		// addr count; an explicit one must agree (Validate reports the
+		// mismatch).
+		passed := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { passed[f.Name] = true })
+		if len(spec.Addrs) > 0 && !passed["shards"] {
+			spec.Shards = len(spec.Addrs)
 		}
-	})
+	}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
+	}
 	// The sharded executor partitions the factor graph up front, so the
 	// backend is built after the problem: solve* functions carry this
-	// config to run(), which dresses it into an executor spec (plus, for
-	// the cross-process transport, the rebuildable problem reference the
-	// worker processes reconstruct the graph from) and hands it to
+	// config to run(), which adds the rebuildable problem reference that
+	// worker processes reconstruct the graph from and hands the spec to
 	// shard.Solve.
-	cfg := backendConfig{
-		name:             *backendName,
-		workers:          *workers,
-		shards:           *shards,
-		shardsSet:        shardsSet,
-		fused:            *fused,
-		transport:        *transport,
-		addrs:            workerAddrs,
-		dialTimeout:      *dialTimeout,
-		handshakeTimeout: *handshakeTimeout,
-		frameTimeout:     *frameTimeout,
-		dialAttempts:     *dialAttempts,
-		failover:         *failover,
-		warmCache:        *warmCache,
-		repeat:           *repeat,
-		fleet:            *useFleet,
-	}
+	cfg := runConfig{spec: spec, repeat: *repeat, fleet: *useFleet}
 	if cfg.repeat < 1 {
 		fatal(fmt.Errorf("-repeat %d out of range (>= 1)", cfg.repeat))
 	}
-	if cfg.fleet && len(workerAddrs) == 0 {
+	if cfg.fleet && len(spec.Addrs) == 0 {
 		fatal(fmt.Errorf("-fleet needs -addrs naming the shardworker fleet"))
 	}
 
-	var err error
 	switch *problem {
 	case "packing":
 		err = solvePacking(*size, *iters, cfg, *seed)
@@ -136,89 +143,14 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-type backendConfig struct {
-	name      string
-	workers   int
-	shards    int
-	shardsSet bool // -shards passed explicitly (vs its default)
-	fused     bool
-	transport string
-	addrs     []string
-	// Reliability knobs for the sockets transport (-dial-timeout etc.);
-	// zero values keep the shard package defaults.
-	dialTimeout      time.Duration
-	handshakeTimeout time.Duration
-	frameTimeout     time.Duration
-	dialAttempts     int
-	failover         string
-	// warmCache enables the cache-probe handshake; fleet manages the
-	// addrs through a fleet.Registry reused across repeat solves.
-	warmCache bool
-	repeat    int
-	fleet     bool
-}
-
-// specFor resolves the config into a declarative executor spec — the
-// same selection path the serving layer uses per request — or nil when
-// the name is one of the simulated-device backends that sit outside the
-// spec registry (gpu, cpusim, multicpu, twa). ref is the rebuildable
-// problem description the sockets transport ships to remote workers.
-func specFor(c backendConfig, ref *admm.ProblemRef) *admm.ExecutorSpec {
-	spec, err := admm.ParseExecutor(c.name, c.workers)
-	if err != nil {
-		return nil
-	}
-	if spec.Kind == admm.ExecSharded {
-		spec.Workers = 0
-		spec.Shards = c.shards
-		if len(c.addrs) > 0 {
-			// One worker process per shard. An un-passed -shards
-			// follows the addr count; an explicit one must agree
-			// (Validate reports the mismatch).
-			if !c.shardsSet {
-				spec.Shards = len(c.addrs)
-			}
-			spec.Problem = ref
-		}
-	}
-	if spec.Kind == admm.ExecAuto {
-		spec.Workers = 0
-	}
-	// Set unconditionally: Validate rejects transport/addrs (and the
-	// reliability knobs) on any non-sharded kind, so a -transport or
-	// -failover request against the wrong backend errors instead of
-	// silently solving locally.
-	spec.Transport = c.transport
-	spec.Addrs = c.addrs
-	spec.Fused = &c.fused
-	spec.DialTimeoutMS = int(c.dialTimeout / time.Millisecond)
-	spec.HandshakeTimeoutMS = int(c.handshakeTimeout / time.Millisecond)
-	spec.FrameTimeoutMS = int(c.frameTimeout / time.Millisecond)
-	spec.DialAttempts = c.dialAttempts
-	spec.Failover = c.failover
-	// -fleet implies the warm-cache handshake: a persistent fleet's
-	// whole point is that repeated solves skip the workload down-sync.
-	spec.WarmCache = c.warmCache || c.fleet
-	return &spec
-}
-
-// simulatedBackend builds one of the simulated-device backends, which
-// have no executor spec and so no transport or failover policy.
-func simulatedBackend(c backendConfig) (admm.Backend, error) {
-	if c.transport != "" || len(c.addrs) > 0 || c.failover != "" {
-		return nil, fmt.Errorf("-transport/-addrs/-failover apply to -backend sharded, not %q", c.name)
-	}
-	switch c.name {
-	case "gpu":
-		return gpusim.NewBackend(nil), nil
-	case "cpusim":
-		return gpusim.NewCPUBackend(nil), nil
-	case "multicpu":
-		return gpusim.NewMultiCoreBackend(nil, c.workers), nil
-	case "twa":
-		return admm.NewTWA(), nil
-	}
-	return nil, fmt.Errorf("unknown backend %q", c.name)
+// runConfig is what every solve* function hands to run: the executor
+// spec from the flags, and how many times to solve.
+type runConfig struct {
+	spec   admm.ExecutorSpec
+	repeat int
+	// fleet manages spec.Addrs through a fleet.Registry reused across
+	// repeat solves.
+	fleet bool
 }
 
 // problemRef marshals a workload spec into the reference remote shard
@@ -236,11 +168,11 @@ func problemRef(workload string, spec any) (*admm.ProblemRef, error) {
 // every repeat: probed up front, leased per solve, dialed from a
 // prewarmed pool — so repeats after the first hit the workers' warm
 // caches through the registry-held fleet.
-func run(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef) (admm.Result, error) {
+func run(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef) (admm.Result, error) {
 	var reg *fleet.Registry
 	if c.fleet {
 		var err error
-		reg, err = fleet.New(fleet.Config{Addrs: c.addrs, Prewarm: 1})
+		reg, err = fleet.New(fleet.Config{Addrs: c.spec.Addrs, Prewarm: 1})
 		if err != nil {
 			return admm.Result{}, err
 		}
@@ -250,7 +182,7 @@ func run(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef) (admm
 				return admm.Result{}, fmt.Errorf("fleet worker %s is %s: %s", w.Addr, w.State, w.LastErr)
 			}
 		}
-		fmt.Printf("fleet: %d workers healthy\n", len(c.addrs))
+		fmt.Printf("fleet: %d workers healthy\n", len(c.spec.Addrs))
 	}
 	var snap graph.State
 	if c.repeat > 1 {
@@ -274,33 +206,21 @@ func run(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef) (admm
 	return res, nil
 }
 
-func runOnce(g *graph.Graph, iters int, c backendConfig, ref *admm.ProblemRef, reg *fleet.Registry) (admm.Result, error) {
-	var lease *fleet.Lease
+func runOnce(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef, reg *fleet.Registry) (admm.Result, error) {
+	spec := c.spec
+	if len(spec.Addrs) > 0 {
+		spec.Problem = ref
+	}
 	if reg != nil {
-		if lease = reg.Acquire(len(c.addrs)); lease == nil || len(lease.Addrs) < len(c.addrs) {
+		lease := reg.Acquire(len(spec.Addrs))
+		if lease == nil || len(lease.Addrs) < len(spec.Addrs) {
 			lease.Release()
 			return admm.Result{}, fmt.Errorf("fleet has no free session slots")
 		}
 		defer lease.Release()
-	}
-	spec := specFor(c, ref)
-	if spec == nil {
-		backend, err := simulatedBackend(c)
-		if err != nil {
-			return admm.Result{}, err
-		}
-		defer backend.Close()
-		res, err := admm.Run(g, admm.Options{MaxIter: iters, Backend: backend})
-		if err != nil {
-			return res, err
-		}
-		report(res, g, backend.Name(), nil)
-		return res, nil
-	}
-	if reg != nil {
 		spec.WorkerDialer = reg.Dial
 	}
-	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: *spec, MaxIter: iters})
+	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: iters})
 	if err != nil {
 		return admm.Result{}, err
 	}
@@ -355,7 +275,7 @@ func waitShares(waitNanos []int64, elapsed time.Duration) (lo, med, hi float64) 
 
 func nanos(n int64) string { return fmt.Sprintf("%.2fms", float64(n)/1e6) }
 
-func solvePacking(n, iters int, cfg backendConfig, seed int64) error {
+func solvePacking(n, iters int, cfg runConfig, seed int64) error {
 	if seed == 0 {
 		// packing.Spec's documented default; applying it here keeps the
 		// local InitRandom consistent with what the shipped spec (and a
@@ -381,7 +301,7 @@ func solvePacking(n, iters int, cfg backendConfig, seed int64) error {
 	return nil
 }
 
-func solveMPC(k, iters int, cfg backendConfig) error {
+func solveMPC(k, iters int, cfg runConfig) error {
 	spec := mpc.Spec{K: k}
 	ref, err := problemRef("mpc", spec)
 	if err != nil {
@@ -400,7 +320,7 @@ func solveMPC(k, iters int, cfg backendConfig) error {
 	return nil
 }
 
-func solveSVM(n, iters int, cfg backendConfig, seed int64) error {
+func solveSVM(n, iters int, cfg runConfig, seed int64) error {
 	spec := svm.Spec{N: n, Lambda: 0.5, Seed: seed}
 	ref, err := problemRef("svm", spec)
 	if err != nil {
@@ -420,7 +340,7 @@ func solveSVM(n, iters int, cfg backendConfig, seed int64) error {
 	return nil
 }
 
-func solveLasso(m, iters int, cfg backendConfig, seed int64) error {
+func solveLasso(m, iters int, cfg runConfig, seed int64) error {
 	spec := lasso.Spec{M: m, Lambda: 0.3, Seed: seed}
 	ref, err := problemRef("lasso", spec)
 	if err != nil {

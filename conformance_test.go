@@ -95,9 +95,6 @@ var confSpecs = []struct {
 	spec admm.ExecutorSpec
 }{
 	{"serial", admm.ExecutorSpec{Kind: admm.ExecSerial}},
-	{"parallel-for", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3}},
-	{"parallel-for-dynamic", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3, Dynamic: true}},
-	{"parallel-for-balanced-z", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3, BalancedZ: true}},
 	{"sharded-1", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 1}},
 	{"sharded-2", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}},
 	{"sharded-3", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 3}},
@@ -119,6 +116,27 @@ var confSpecs = []struct {
 	{"auto", admm.ExecutorSpec{Kind: admm.ExecAuto}},
 }
 
+// confBuilt lists the deterministic backends built by their
+// constructors rather than a spec: the fork-join loops (no spec names
+// them since the kind was retired; the rows keep the names they were
+// recorded under as spec rows), the shard package's own constructor and
+// the simulated CPU.
+var confBuilt = []confExec{
+	{"parallel-for", func(g *graph.Graph) (admm.Backend, error) { return admm.NewParallelFor(3), nil }},
+	{"parallel-for-dynamic", func(g *graph.Graph) (admm.Backend, error) {
+		b := admm.NewParallelFor(3)
+		b.Dynamic = true
+		return b, nil
+	}},
+	{"parallel-for-balanced-z", func(g *graph.Graph) (admm.Backend, error) {
+		b := admm.NewParallelFor(3)
+		b.PrepareBalancedZ(g)
+		return b, nil
+	}},
+	{"sharded-via-shard-pkg", func(g *graph.Graph) (admm.Backend, error) { return shard.New(3) }},
+	{"cpusim", func(g *graph.Graph) (admm.Backend, error) { return gpusim.NewCPUBackend(nil), nil }},
+}
+
 // confDeterministic is every executor expected to reproduce the oracle
 // exactly. Rows were recorded as fused on/off pairs while every executor
 // had both bodies, and every recorded name but the barrier family's is
@@ -127,9 +145,8 @@ var confSpecs = []struct {
 // five-phase one — and "-fused" is the spec with fused: true, the two
 // spellings a client can send, which for every kind but serial resolve
 // to the one schedule there is. (Pruning the now-equivalent rows,
-// 37 -> ~19, waits for the recorded test list to be re-anchored.) The
-// rest are the non-spec constructions: the shard package's own
-// constructor and the simulated-CPU backends.
+// 37 -> ~19, waits for the recorded test list to be re-anchored.) A
+// constructed backend has one schedule and runs it under both names.
 func confDeterministic() []confExec {
 	fused, unfused := true, false
 	out := []confExec{}
@@ -145,17 +162,8 @@ func confDeterministic() []confExec {
 		add(s.name, bare)
 		add(s.name+"-fused", pinned)
 	}
-	// The constructors lost their Fused field with the unfused bodies;
-	// the rows they were recorded under keep both names (see above).
-	for _, name := range []string{"sharded-via-shard-pkg", "sharded-via-shard-pkg-fused"} {
-		out = append(out, confExec{name, func(g *graph.Graph) (admm.Backend, error) {
-			return shard.New(3)
-		}})
-	}
-	for _, name := range []string{"cpusim", "cpusim-fused"} {
-		out = append(out, confExec{name, func(g *graph.Graph) (admm.Backend, error) {
-			return gpusim.NewCPUBackend(nil), nil
-		}})
+	for _, b := range confBuilt {
+		out = append(out, b, confExec{b.name + "-fused", b.make})
 	}
 	out = append(out, confExec{"multicpu-sim-fused", func(g *graph.Graph) (admm.Backend, error) {
 		return gpusim.NewMultiCoreBackend(nil, 8), nil
@@ -416,7 +424,7 @@ func TestFlushConformance(t *testing.T) {
 		make func(g *graph.Graph) (admm.Backend, error)
 	}{
 		{"serial-fused", admm.ExecutorSpec{Kind: admm.ExecSerial}.NewBackend},
-		{"parallel-for", admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 3}.NewBackend},
+		{"parallel-for", func(g *graph.Graph) (admm.Backend, error) { return admm.NewParallelFor(3), nil }},
 		{"sharded-2", sharded.NewBackend},
 		{"sharded-2-sockets", loopback.NewBackend},
 		{"sharded-2-remote", remote.NewBackend},
@@ -462,11 +470,7 @@ func TestAsyncConformance(t *testing.T) {
 			want := refInst.objective()
 
 			inst := build(t)
-			backend, err := admm.ExecutorSpec{Kind: admm.ExecAsync, Seed: 1}.NewBackend(inst.g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			confRun(t, inst, backend, iters[wname])
+			confRun(t, inst, admm.NewAsync(1), iters[wname])
 			got := inst.objective()
 
 			if math.IsNaN(got) || math.IsInf(got, 0) {

@@ -58,8 +58,9 @@ func main() {
 	}
 
 	// The executor is a declarative admm.ExecutorSpec — or, for the
-	// simulated devices that sit outside the spec registry, a Backend
-	// handed to admm.Run (reported times are simulated, iterates exact).
+	// paper's fork-join loops and simulated devices, which no spec names,
+	// a Backend handed to admm.Run (the GPU's reported times are
+	// simulated, its iterates exact).
 	const maxIter, tol = 2000, 1e-10
 	backends := []struct {
 		name    string
@@ -67,7 +68,7 @@ func main() {
 		backend admm.Backend
 	}{
 		{name: "serial"},
-		{name: "parallel", spec: admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 2}},
+		{name: "parallel", backend: admm.NewParallelFor(2)},
 		{name: "gpu", backend: gpusim.NewBackend(nil)},
 	}
 	for _, b := range backends {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/packing"
 	"repro/internal/shard"
 	"repro/internal/svm"
+	"repro/internal/workload"
 )
 
 // fleetWorkload pairs a deterministic graph builder with the
@@ -206,6 +208,74 @@ func TestFleetConformance(t *testing.T) {
 			t.Logf("%s: cold %d wire frames (%d handshake), warm %d (%d handshake)",
 				name, coldFrames, st1.HandshakeFrames, warmFrames, st2.HandshakeFrames)
 		})
+	}
+}
+
+// TestFleetPrewarmedPoolOutlivesMeshWait: a registry's prewarmed control
+// connections sit idle until a solve takes them, which can be longer
+// than the workers' handshake budget. The workers must keep them: a
+// solve that starts after MeshWait has passed runs its handshake on the
+// pooled connections, succeeds on the first attempt with no fresh
+// control dial, and matches Serial bit for bit.
+func TestFleetPrewarmedPoolOutlivesMeshWait(t *testing.T) {
+	const meshWait = 200 * time.Millisecond
+	addrs := make([]string, 2)
+	lns := make([]*faultnet.Listener, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fln := faultnet.WrapListener(ln, faultnet.Plans())
+		t.Cleanup(func() { fln.Close() })
+		go shard.ServeWorker(fln, shard.WorkerOptions{Builders: workload.Builders(), MeshWait: meshWait})
+		addrs[i], lns[i] = "tcp:"+ln.Addr().String(), fln
+	}
+	reg, err := fleet.New(fleet.Config{Addrs: addrs, Prewarm: 1, ProbeTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	for _, w := range reg.ProbeOnce(context.Background()) {
+		if w.State != fleet.StateHealthy {
+			t.Fatalf("worker %s failed its first probe: %s (%s)", w.Addr, w.State, w.LastErr)
+		}
+	}
+	time.Sleep(meshWait + 100*time.Millisecond)
+	// Worker 1 dials its mesh link out to worker 0, so past the probe
+	// and the prewarm dial (both accepted by now) its listener sees
+	// nothing unless the solve passes over its pooled control connection.
+	before := lns[1].Accepted()
+
+	g := matrixGraph(t)
+	d := fleetPlan(t, reg, g, 2)
+	spec := d.Spec(reg, admm.ExecutorSpec{
+		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
+		DialTimeoutMS:      2000,
+		HandshakeTimeoutMS: 5000,
+		FrameTimeoutMS:     5000,
+		DialAttempts:       1,
+	})
+	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
+	d.Release()
+	if err != nil {
+		t.Fatalf("solve over connections pooled longer than MeshWait failed: %v (trail %v)", err, out.Failures)
+	}
+	if out.HandshakeRetries != 0 || out.Attempts != 1 {
+		t.Fatalf("handshake retries %d, attempts %d: want 0 and 1", out.HandshakeRetries, out.Attempts)
+	}
+	if n := lns[1].Accepted(); n != before {
+		t.Fatalf("worker 1 accepted %d new connections during the solve, want 0: the pooled one was not used", n-before)
+	}
+
+	ref := matrixGraph(t)
+	if _, err := admm.Solve(ref, matrixOpts(admm.ExecutorSpec{})); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Z {
+		if ref.Z[i] != g.Z[i] {
+			t.Fatalf("solve over pooled connections != serial at Z[%d]: %g vs %g", i, g.Z[i], ref.Z[i])
+		}
 	}
 }
 

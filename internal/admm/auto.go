@@ -26,10 +26,11 @@ import (
 //     shards every iteration (packing's all-pairs cliff, lasso/svm's
 //     consensus star), the graph stays serial.
 //
-// auto never resolves to parallel-for: measured on the 2-vCPU reference
-// box, fork-join loops beat neither serial nor sharded-2 on any graph
-// auto used to hand them (table in ROADMAP's predictor item). The kind
-// stays explicitly requestable.
+// Serial and sharded are the only kinds a spec can name, so they are
+// the only answers: measured on the 2-vCPU reference box, the fork-join
+// loops of ParallelForBackend beat neither on any graph auto used to
+// hand them, nor on any benchmark shape (tables in ROADMAP's predictor
+// item).
 //
 // Every branch resolves to the fused schedule; Validate rejects
 // fused: false on an auto spec (the reference schedule is serial's).

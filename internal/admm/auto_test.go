@@ -113,8 +113,8 @@ func autoSmallDenseGraph(t *testing.T, funcs, span int) *graph.Graph {
 }
 
 // TestResolveAutoSmallDense: below the shard threshold density does not
-// matter — the dense block that once resolved to parallel-for and an
-// equally sized sparse chain both stay serial.
+// matter — a dense block and an equally sized sparse chain both stay
+// serial.
 func TestResolveAutoSmallDense(t *testing.T) {
 	dense := autoSmallDenseGraph(t, 800, 6) // 4800 edges, mean var degree ~> 4
 	sparse := autoChainGraph(t, AutoShardMinEdges/4)
@@ -199,7 +199,7 @@ func TestResolveAutoUnlinkedSharded(t *testing.T) {
 // TestResolveAutoPassThrough: non-auto specs are returned unchanged.
 func TestResolveAutoPassThrough(t *testing.T) {
 	g := autoChainGraph(t, 10)
-	in := ExecutorSpec{Kind: ExecParallelFor, Workers: 7}
+	in := ExecutorSpec{Kind: ExecSharded, Shards: 7, Transport: TransportSockets}
 	if got := in.resolveAuto(g, 8, true); !reflect.DeepEqual(got, in) {
 		t.Fatalf("non-auto spec mutated: %+v", got)
 	}
@@ -227,7 +227,7 @@ func TestAutoNewBackend(t *testing.T) {
 
 // TestParseExecutorAuto: the CLI/serve name resolves.
 func TestParseExecutorAuto(t *testing.T) {
-	s, err := ParseExecutor("auto", 0)
+	s, err := ParseExecutor("auto")
 	if err != nil {
 		t.Fatal(err)
 	}

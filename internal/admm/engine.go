@@ -33,7 +33,10 @@
 // asynchronous variant from the paper's future-work list). The paper's
 // second strategy, persistent workers with barriers, is the sharded
 // executor in internal/shard; the GPU path lives in internal/gpusim.
-// Both reuse these kernels.
+// Both reuse these kernels. A spec (ExecutorSpec, the products' only
+// way to choose) names serial, sharded or auto; ParallelFor, Async and
+// the simulated devices are built directly by the paper figures
+// (internal/bench), the examples and the tests, and run through Run.
 //
 // Run drives a Backend in blocks (one per residual check, or one for a
 // fixed-count run) and between blocks does the one thing no kernel

@@ -31,7 +31,7 @@ func ExampleSolve() {
 	g.InitZero()
 
 	res, err := admm.Solve(g, admm.SolveOptions{
-		Executor: admm.ExecutorSpec{Kind: admm.ExecParallelFor, Workers: 2},
+		Executor: admm.ExecutorSpec{Kind: admm.ExecAuto},
 		MaxIter:  1000,
 		AbsTol:   1e-9,
 		RelTol:   1e-9,

@@ -9,20 +9,20 @@ import (
 	"repro/internal/graph"
 )
 
-// ExecutorKind names one of the shared-memory execution strategies. The
-// zero value selects the serial baseline.
+// ExecutorKind names how a spec runs a solve. The zero value selects the
+// serial baseline.
 type ExecutorKind string
 
-// The shared-memory executors. Simulated-device backends (GPU,
-// multi-CPU cost models) live in internal/gpusim and are plugged in via
-// Options.Backend instead. The sharded executor's implementation lives
-// in internal/shard and registers itself via RegisterExecutor; importing
-// that package links it in.
+// The executors a spec can name. The sharded executor's implementation
+// lives in internal/shard and registers itself via RegisterExecutor;
+// importing that package links it in. The other backends of this
+// package (ParallelForBackend, AsyncBackend, TWABackend) and the
+// simulated devices of internal/gpusim are library types for the paper
+// figures: no spec names them, and a caller plugs one in through
+// Options.Backend.
 const (
-	ExecSerial      ExecutorKind = "serial"
-	ExecParallelFor ExecutorKind = "parallel-for"
-	ExecAsync       ExecutorKind = "async"
-	ExecSharded     ExecutorKind = "sharded"
+	ExecSerial  ExecutorKind = "serial"
+	ExecSharded ExecutorKind = "sharded"
 	// ExecAuto defers the choice to ResolveAuto: the spec is resolved
 	// against the finalized graph's Stats (a size threshold and the
 	// predicted cut cost) into serial or sharded. See auto.go.
@@ -37,18 +37,6 @@ const (
 // hand.
 type ExecutorSpec struct {
 	Kind ExecutorKind `json:"kind"`
-	// Workers is the core count for the parallel-for executor (default
-	// 4; ignored by serial and async).
-	Workers int `json:"workers,omitempty"`
-	// Dynamic enables self-scheduled loops for the non-uniform x- and
-	// z-updates (parallel-for only).
-	Dynamic bool `json:"dynamic,omitempty"`
-	// BalancedZ enables the degree-balanced z-update partition
-	// (parallel-for only) — the paper's proposed fix for skewed
-	// variable-degree distributions.
-	BalancedZ bool `json:"balanced_z,omitempty"`
-	// Seed seeds the async executor's activation schedule (default 1).
-	Seed int64 `json:"seed,omitempty"`
 	// Shards is the shard count for the sharded executor (default 4;
 	// sharded only).
 	Shards int `json:"shards,omitempty"`
@@ -165,37 +153,28 @@ type ProblemRef struct {
 }
 
 // ParseExecutor resolves a user-facing executor name ("serial",
-// "parallel-for" or "parallel", "async", "sharded", "auto") and worker
-// count into a spec.
-func ParseExecutor(name string, workers int) (ExecutorSpec, error) {
-	s := ExecutorSpec{Workers: workers}
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", string(ExecSerial):
+// "sharded" or "auto"; "" is serial) into a spec.
+func ParseExecutor(name string) (ExecutorSpec, error) {
+	var s ExecutorSpec
+	switch kind := ExecutorKind(strings.ToLower(strings.TrimSpace(name))); kind {
+	case "", ExecSerial:
 		s.Kind = ExecSerial
-	case string(ExecParallelFor), "parallel":
-		s.Kind = ExecParallelFor
-	case string(ExecAsync):
-		s.Kind = ExecAsync
-	case string(ExecSharded):
-		s.Kind = ExecSharded
-	case string(ExecAuto):
-		s.Kind = ExecAuto
+	case ExecSharded, ExecAuto:
+		s.Kind = kind
 	default:
-		return s, fmt.Errorf("admm: unknown executor %q (want serial | parallel-for | async | sharded | auto)", name)
+		return s, fmt.Errorf("admm: unknown executor %q (want %s)", name, executorKinds)
 	}
 	return s, nil
 }
 
-// MaxWorkers bounds ExecutorSpec.Workers. The parallel-for executor
-// spawns one goroutine per worker per loop, so an unbounded count would
-// let a single serving-layer request exhaust memory.
-const MaxWorkers = 1024
+// executorKinds lists the kinds a spec can name, for error messages.
+const executorKinds = "serial | sharded | auto"
 
-// MaxShards bounds ExecutorSpec.Shards more tightly than MaxWorkers:
-// beyond shared-memory core counts, extra shards only amplify the
-// partitioner's O(vars x shards) working memory and the per-shard
-// goroutine count for a single serving-layer request (cross-machine
-// sharding is a different transport, not more shards here).
+// MaxShards bounds ExecutorSpec.Shards: beyond shared-memory core
+// counts, extra shards only amplify the partitioner's O(vars x shards)
+// working memory and the per-shard goroutine count for a single
+// serving-layer request (cross-machine sharding is a different
+// transport, not more shards here).
 const MaxShards = 64
 
 // ExecutorFactory builds a backend for a registered executor kind.
@@ -219,18 +198,12 @@ func RegisterExecutor(kind ExecutorKind, f ExecutorFactory) {
 // backend.
 func (s ExecutorSpec) Validate() error {
 	switch s.Kind {
-	case "", ExecSerial, ExecParallelFor, ExecAsync, ExecSharded, ExecAuto:
+	case "", ExecSerial, ExecSharded, ExecAuto:
 	default:
-		return fmt.Errorf("admm: unknown executor kind %q", s.Kind)
+		return fmt.Errorf("admm: unknown executor kind %q (want %s)", s.Kind, executorKinds)
 	}
 	if !s.FusedEnabled() && s.Kind != "" && s.Kind != ExecSerial {
 		return fmt.Errorf("admm: fused: false (the five-phase reference schedule) applies only to %q, not %q", ExecSerial, s.Kind)
-	}
-	if s.Workers < 0 || s.Workers > MaxWorkers {
-		return fmt.Errorf("admm: workers = %d, need 0..%d", s.Workers, MaxWorkers)
-	}
-	if (s.Dynamic || s.BalancedZ) && s.Kind != ExecParallelFor {
-		return fmt.Errorf("admm: dynamic/balanced_z apply only to %q, not %q", ExecParallelFor, s.Kind)
 	}
 	if s.Shards < 0 || s.Shards > MaxShards {
 		return fmt.Errorf("admm: shards = %d, need 0..%d", s.Shards, MaxShards)
@@ -280,16 +253,12 @@ func (s ExecutorSpec) Validate() error {
 	return nil
 }
 
-// NewBackend builds the backend the spec describes. g may be nil unless
-// BalancedZ is set (the partition is precomputed from the graph's
-// variable degrees). The caller owns the backend and must Close it.
+// NewBackend builds the backend the spec describes. g may be nil for
+// kind serial; auto and sharded partition it up front. The caller owns
+// the backend and must Close it.
 func (s ExecutorSpec) NewBackend(g *graph.Graph) (Backend, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = 4
 	}
 	switch s.Kind {
 	case "", ExecSerial:
@@ -302,22 +271,6 @@ func (s ExecutorSpec) NewBackend(g *graph.Graph) (Backend, error) {
 			return nil, fmt.Errorf("admm: auto executor needs a finalized graph")
 		}
 		return s.ResolveAuto(g).NewBackend(g)
-	case ExecParallelFor:
-		b := NewParallelFor(workers)
-		b.Dynamic = s.Dynamic
-		if s.BalancedZ {
-			if g == nil {
-				return nil, fmt.Errorf("admm: balanced_z needs a finalized graph")
-			}
-			b.PrepareBalancedZ(g)
-		}
-		return b, nil
-	case ExecAsync:
-		seed := s.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		return NewAsync(seed), nil
 	case ExecSharded:
 		f, ok := executorFactories[ExecSharded]
 		if !ok {

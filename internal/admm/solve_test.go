@@ -14,18 +14,21 @@ func TestParseExecutor(t *testing.T) {
 	}{
 		{"serial", ExecSerial, false},
 		{"", ExecSerial, false},
-		{"parallel-for", ExecParallelFor, false},
-		{"parallel", ExecParallelFor, false},
+		{"sharded", ExecSharded, false},
+		{"auto", ExecAuto, false},
+		{"  Serial ", ExecSerial, false},
+		// Retired kinds: the fork-join and async backends are library
+		// types now, built directly, never named by a spec.
+		{"parallel-for", "", true},
+		{"parallel", "", true},
+		{"async", "", true},
 		{"barrier", "", true},
 		{"barrier-workers", "", true},
-		{"async", ExecAsync, false},
-		{"sharded", ExecSharded, false},
-		{"  Serial ", ExecSerial, false},
 		{"gpu", "", true},
 		{"openmp", "", true},
 	}
 	for _, tc := range tests {
-		spec, err := ParseExecutor(tc.name, 2)
+		spec, err := ParseExecutor(tc.name)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("ParseExecutor(%q) error = %v, wantErr %t", tc.name, err, tc.wantErr)
 			continue
@@ -41,13 +44,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 	bad := []ExecutorSpec{
 		{Kind: "gpu"},
 		{Kind: "barrier"},
-		{Kind: ExecSerial, Workers: -1},
-		{Kind: ExecParallelFor, Workers: MaxWorkers + 1},
-		{Kind: ExecSerial, Dynamic: true},
-		{Kind: ExecAsync, BalancedZ: true},
 		// The five-phase reference schedule is the serial oracle's alone.
-		{Kind: ExecParallelFor, Fused: &off},
-		{Kind: ExecAsync, Fused: &off},
 		{Kind: ExecSharded, Fused: &off},
 		{Kind: ExecAuto, Fused: &off},
 		{Kind: ExecSharded, Shards: -1},
@@ -59,15 +56,19 @@ func TestExecutorSpecValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", s)
 		}
 	}
+	for _, kind := range []ExecutorKind{"parallel-for", "parallel", "async"} {
+		if err := (ExecutorSpec{Kind: kind}).Validate(); err == nil || !strings.Contains(err.Error(), `"`+string(kind)+`"`) {
+			t.Errorf("Validate(kind %q) = %v, want an error naming the kind", kind, err)
+		}
+	}
 	good := []ExecutorSpec{
 		{},
-		{Kind: ExecParallelFor, Workers: 8, Dynamic: true, BalancedZ: true},
-		{Kind: ExecAsync, Seed: 3},
 		{Kind: ExecSharded, Shards: 4},
 		{Kind: ExecSharded},
+		{Kind: ExecSharded, Fused: &on},
+		{Kind: ExecAuto},
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},
-		{Kind: ExecParallelFor, Fused: &on},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -95,9 +96,6 @@ func TestSolveExecutors(t *testing.T) {
 	specs := []ExecutorSpec{
 		{Kind: ExecSerial},
 		{Kind: ExecSerial, Fused: &off},
-		{Kind: ExecParallelFor, Workers: 2},
-		{Kind: ExecParallelFor, Workers: 2, Dynamic: true},
-		{Kind: ExecAsync, Seed: 5},
 		{Kind: ExecAuto},
 	}
 	for _, spec := range specs {
@@ -115,12 +113,14 @@ func TestSolveExecutors(t *testing.T) {
 	}
 }
 
-// TestSolveBalancedZ exercises the degree-balanced z-partition path,
-// which needs the graph at backend-construction time.
+// TestSolveBalancedZ exercises the degree-balanced z-partition path of
+// the fork-join backend, which needs the graph before its first
+// iteration; no spec names it, so the backend goes through Run.
 func TestSolveBalancedZ(t *testing.T) {
 	g := buildAveraging(t, []float64{1, 2, 6, 7})
-	spec := ExecutorSpec{Kind: ExecParallelFor, Workers: 2, BalancedZ: true}
-	res, err := Solve(g, SolveOptions{Executor: spec, MaxIter: 2000, AbsTol: 1e-9, RelTol: 1e-9})
+	b := NewParallelFor(2)
+	b.PrepareBalancedZ(g)
+	res, err := Run(g, Options{MaxIter: 2000, Backend: b, AbsTol: 1e-9, RelTol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,6 @@ func TestSolveBalancedZ(t *testing.T) {
 	}
 	if got := g.Z[0]; math.Abs(got-4) > 1e-6 {
 		t.Errorf("z = %g, want 4", got)
-	}
-	if _, err := spec.NewBackend(nil); err == nil {
-		t.Errorf("NewBackend(nil) with balanced_z should fail")
 	}
 }
 
@@ -157,8 +154,8 @@ func TestSpecFusedDefault(t *testing.T) {
 	if b.Name() != "serial" {
 		t.Errorf("fused=false serial backend is %q", b.Name())
 	}
-	if _, err := (ExecutorSpec{Kind: ExecParallelFor, Workers: 2, Fused: &off}).NewBackend(g); err == nil {
-		t.Error("fused=false parallel-for built a backend; the reference schedule is serial's alone")
+	if _, err := (ExecutorSpec{Kind: ExecAuto, Fused: &off}).NewBackend(g); err == nil {
+		t.Error("fused=false auto built a backend; the reference schedule is serial's alone")
 	}
 	if NewSerial().Name() != "serial" {
 		t.Error("NewSerial must stay the unfused reference")

@@ -398,37 +398,56 @@ func TestPipelineNegativeParamRecord(t *testing.T) {
 }
 
 // TestPipelinePerRecordExecutor pins that a record-level executor
-// override is honored and an invalid one — an unknown kind, or any
-// retired wire key — fails only that record.
+// override is honored and an invalid one — an unknown or retired kind,
+// or any retired wire key — fails only that record.
 func TestPipelinePerRecordExecutor(t *testing.T) {
-	in := `{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"parallel-for","workers":2}}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"warp-drive"}}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true}}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0}}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"partition":"balanced"}}
-{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60,"executor":{"kind":"sharded","shards":2,"refine":true}}
-`
+	const rec = `{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":60`
+	var in strings.Builder
+	line := func(executor string) {
+		in.WriteString(rec)
+		if executor != "" {
+			in.WriteString(`,"executor":` + executor)
+		}
+		in.WriteString("}\n")
+	}
+	// Each refused record must name what it is refused for: the kind, or
+	// the key the strict decoder does not know.
+	refused := []struct{ name, executor string }{
+		{"workers", `{"kind":"parallel-for","workers":2}`},
+		{"warp-drive", `{"kind":"warp-drive"}`},
+		{"parallel-for", `{"kind":"parallel-for"}`},
+		{"parallel", `{"kind":"parallel"}`},
+		{"async", `{"kind":"async"}`},
+		{"workers", `{"kind":"serial","workers":2}`},
+		{"dynamic", `{"kind":"serial","dynamic":true}`},
+		{"balanced_z", `{"kind":"serial","balanced_z":true}`},
+		{"seed", `{"kind":"serial","seed":1}`},
+		{"overlap", `{"kind":"sharded","shards":2,"transport":"sockets","overlap":true}`},
+		{"delta_threshold", `{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0}`},
+		{"partition", `{"kind":"sharded","shards":2,"partition":"balanced"}`},
+		{"refine", `{"kind":"sharded","shards":2,"refine":true}`},
+	}
+	for _, r := range refused {
+		line(r.executor)
+	}
+	line(`{"kind":"sharded","shards":2}`)
+	line("")
 	var out bytes.Buffer
-	if _, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 2}); err != nil {
+	if _, err := Run(context.Background(), strings.NewReader(in.String()), &out, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	results := decodeResults(t, out.Bytes())
-	if len(results) != 7 {
-		t.Fatalf("got %d results, want 7", len(results))
+	if len(results) != len(refused)+2 {
+		t.Fatalf("got %d results, want %d", len(results), len(refused)+2)
 	}
-	if results[0].Error != "" || results[0].Iterations != 60 {
-		t.Fatalf("parallel-for record broken: %+v", results[0])
+	for i, r := range refused {
+		if got := results[i]; !strings.Contains(got.Error, `"`+r.name+`"`) || got.Iterations != 0 {
+			t.Fatalf("record %d (%s) produced %+v, want an error record naming %q", i, r.executor, got, r.name)
+		}
 	}
-	if !strings.Contains(results[1].Error, "warp-drive") {
-		t.Fatalf("invalid executor record produced %+v", results[1])
-	}
-	if results[2].Error != "" {
-		t.Fatalf("record after executor failure broken: %+v", results[2])
-	}
-	for i, key := range []string{"overlap", "delta_threshold", "partition", "refine"} {
-		if r := results[3+i]; !strings.Contains(r.Error, `"`+key+`"`) || r.Iterations != 0 {
-			t.Fatalf("record with the retired %q key produced %+v, want an error record naming it", key, r)
+	for _, r := range results[len(refused):] {
+		if r.Error != "" || r.Iterations != 60 {
+			t.Fatalf("record after the refusals broken: %+v", r)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package exchange
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -140,6 +143,47 @@ func TestReadFrameErrors(t *testing.T) {
 	for name, data := range cases {
 		if _, _, err := ReadFrame(bytes.NewReader(data), nil); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestReadFrameGrowsWithPayload: a frame length is a peer's claim, so
+// the buffer ReadFrame allocates tracks the bytes that arrived, not the
+// length declared. A stream that declares MaxFrameLen, sends 10 bytes
+// and hangs up is a truncated-frame error holding at most 1 MiB; a
+// 3 MiB frame still decodes exactly, into a nil buffer and into a
+// reused one.
+func TestReadFrameGrowsWithPayload(t *testing.T) {
+	hostile := binary.LittleEndian.AppendUint32(nil, MaxFrameLen)
+	hostile = append(hostile, make([]byte, 10)...)
+	_, buf, err := ReadFrame(bytes.NewReader(hostile), nil)
+	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("err = %v, want the truncated-frame error", err)
+	}
+	if cap(buf) > 1<<20 {
+		t.Fatalf("a 10-byte frame body pinned a %d-byte buffer", cap(buf))
+	}
+
+	payload := make([]byte, 3<<20)
+	for i := range payload {
+		payload[i] = byte(i * 131)
+	}
+	wire := AppendFrame(nil, FrameState, 9, payload)
+	for _, start := range []struct {
+		name string
+		buf  []byte
+	}{{"nil", nil}, {"small", make([]byte, 100)}, {"large", make([]byte, 4<<20)}} {
+		var wireTwice []byte
+		wireTwice = append(append(wireTwice, wire...), wire...)
+		r := bytes.NewReader(wireTwice)
+		buf := start.buf
+		for round := 0; round < 2; round++ {
+			var f Frame
+			f, buf, err = ReadFrame(r, buf)
+			if err != nil || f.Kind != FrameState || f.Seq != 9 || !bytes.Equal(f.Payload, payload) {
+				t.Fatalf("%s buffer, read %d: frame kind %d seq %d, %d payload bytes, err %v",
+					start.name, round, f.Kind, f.Seq, len(f.Payload), err)
+			}
 		}
 	}
 }

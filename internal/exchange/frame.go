@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The wire format is a single length-prefixed frame shape shared by the
@@ -110,32 +111,49 @@ func WriteFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
 	return err
 }
 
+// frameReadStep is the most ReadFrame allocates for a frame its buffer
+// cannot hold before any of that frame's bytes have arrived.
+const frameReadStep = 64 << 10
+
 // ReadFrame reads one frame from r, reusing buf for the payload when it
 // is large enough. It returns the frame and the (possibly grown) buffer
 // for the caller's next read. Truncated streams, lengths below the
 // 5-byte header, and lengths beyond MaxFrameLen are errors; ReadFrame
 // never panics on malformed input.
+//
+// A length is only a peer's claim, so a buffer too small for it grows
+// as bytes arrive: each step reads at most as many bytes as the buffer
+// already holds (frameReadStep at first), so a peer that declares a
+// large frame and stalls or hangs up pins about twice what it sent, not
+// what it declared. A buffer that is already large enough — every
+// steady-state data-plane read — is filled in one read.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, buf, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[:])
+	length := int(binary.LittleEndian.Uint32(hdr[:]))
 	if length < 5 {
 		return Frame{}, buf, fmt.Errorf("exchange: frame length %d below header size", length)
 	}
 	if length > MaxFrameLen {
 		return Frame{}, buf, fmt.Errorf("exchange: frame length %d exceeds limit %d", length, MaxFrameLen)
 	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < length {
+		step := length - len(buf)
+		if cap(buf) < length {
+			step = min(step, max(len(buf), frameReadStep))
 		}
-		return Frame{}, buf, fmt.Errorf("exchange: truncated frame (want %d payload bytes): %w", length, err)
+		buf = slices.Grow(buf, step)
+		n, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, buf, fmt.Errorf("exchange: truncated frame (want %d payload bytes): %w", length, err)
+		}
 	}
 	return Frame{
 		Kind:    buf[0],

@@ -20,6 +20,7 @@ func FuzzExchangeFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, 4, 1, []byte{0x00}))                         // retired kind 4 (was a delta z-frame)
 	f.Add([]byte{0, 0, 0, 255, 9, 9, 9, 9, 9})                          // oversized length
 	f.Add([]byte{2, 0, 0, 0, 1})                                        // undersized length
+	f.Add([]byte{0, 0, 0, 16, 1, 0, 0, 0, 0, 1, 2, 3, 4, 5})            // MaxFrameLen declared, 10 bytes sent
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var buf []byte

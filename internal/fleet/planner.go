@@ -148,9 +148,9 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 }
 
 // Spec projects a remote decision onto an executor spec, clearing the
-// knobs that belong to the kind the request named (a request that asked
-// for the serial oracle's fused: false must still validate once it is
-// rewritten to sharded; tolerances ride elsewhere) and wiring the
+// one knob that belongs to the kind the request named (a request that
+// asked for the serial oracle's fused: false must still validate once
+// it is rewritten to sharded; tolerances ride elsewhere) and wiring the
 // registry in as the dialer so handshakes drain the prewarmed pool.
 // Warm caching is always on for fleet routes: the whole point of a
 // persistent fleet is that the second solve of a problem skips the
@@ -163,9 +163,6 @@ func (d Decision) Spec(r *Registry, base admm.ExecutorSpec) admm.ExecutorSpec {
 	s.Shards = len(d.Addrs)
 	s.WarmCache = true
 	s.WorkerDialer = r.Dial
-	s.Workers = 0
-	s.Dynamic = false
-	s.BalancedZ = false
 	s.Fused = nil
 	if s.Failover == "" {
 		s.Failover = admm.FailoverSurvivors

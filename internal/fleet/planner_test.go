@@ -215,8 +215,8 @@ func TestDecisionSpecClearsKindKnobs(t *testing.T) {
 		t.Fatalf("got %s (%s), want a remote route", d.Route, d.Reason)
 	}
 	off := false
-	spec := d.Spec(r, admm.ExecutorSpec{Fused: &off, Workers: 3})
-	if spec.Kind != admm.ExecSharded || spec.Fused != nil || spec.Workers != 0 {
+	spec := d.Spec(r, admm.ExecutorSpec{Kind: admm.ExecSerial, Fused: &off})
+	if spec.Kind != admm.ExecSharded || spec.Fused != nil {
 		t.Fatalf("routed spec %+v still carries the request kind's knobs", spec)
 	}
 	if err := spec.Validate(); err != nil {

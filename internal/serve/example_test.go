@@ -24,7 +24,7 @@ func ExampleServer() {
 	body := `{
 		"workload": "mpc",
 		"spec": {"k": 4},
-		"executor": {"kind": "parallel-for", "workers": 2},
+		"executor": {"kind": "sharded", "shards": 2},
 		"max_iter": 500
 	}`
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))

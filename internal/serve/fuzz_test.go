@@ -88,6 +88,7 @@ func FuzzParseSpec(f *testing.F) {
 // the executor registry knows.
 func FuzzSolveRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"mpc","spec":{"k":4},"executor":{"kind":"sharded","shards":2}}`))
+	f.Add([]byte(`{"workload":"lasso","spec":{"m":16},"executor":{"kind":"auto"}}`))
 	f.Add([]byte(`{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":2}}`))
 	f.Add([]byte(`{"workload":"packing","spec":{"n":3},"max_iter":50,"wait":false}`))
 	f.Add([]byte(`{"executor":{"kind":"nope"}}`))
@@ -102,7 +103,7 @@ func FuzzSolveRequestDecode(f *testing.F) {
 			return
 		}
 		switch req.Executor.Kind {
-		case "", admm.ExecSerial, admm.ExecParallelFor, admm.ExecAsync, admm.ExecSharded:
+		case "", admm.ExecSerial, admm.ExecSharded, admm.ExecAuto:
 		default:
 			t.Fatalf("Validate accepted unknown kind %q", req.Executor.Kind)
 		}

@@ -21,11 +21,11 @@
 // skip factor-graph construction, which for the heavier workloads
 // (lasso's per-block Cholesky pre-factorizations, packing's O(N^2)
 // collision nodes) dominates short solves. Executor selection is
-// per-request: any of the shared-memory strategies of internal/admm
-// (serial, parallel-for, async, sharded) with their knobs, or kind
-// "auto" to resolve serial / sharded from the graph's shape; every
-// executor runs the fused two-pass schedule ({"fused": false}, kind
-// serial only, selects the five-phase reference).
+// per-request: kind "serial", "sharded" (with its shard count and
+// transport knobs), or "auto" to resolve serial / sharded from the
+// graph's shape; every executor runs the fused two-pass schedule
+// ({"fused": false}, kind serial only, selects the five-phase
+// reference).
 // Sharded solves take a per-request boundary-exchange transport
 // ({"transport": "sockets"} with optional {"addrs": [...]} naming
 // paradmm-shardworker processes — the server ships the request's

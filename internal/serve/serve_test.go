@@ -85,10 +85,12 @@ func TestSolveHandler(t *testing.T) {
 		{"packing sharded mincut+fm", `{"workload":"packing","spec":{"n":4},"executor":{"kind":"sharded","shards":3,"partition":"mincut+fm"},"max_iter":100}`, http.StatusBadRequest},
 		{"lasso sharded refined", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":2,"refine":true},"max_iter":100}`, http.StatusBadRequest},
 		{"refine on non-sharded", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","refine":true}}`, http.StatusBadRequest},
-		{"svm parallel-for", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"parallel-for","workers":2},"max_iter":100}`, http.StatusOK},
+		// parallel-for and async are retired kinds: the backends are
+		// library types for the paper figures, and no spec names them.
+		{"svm parallel-for", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"parallel-for","workers":2},"max_iter":100}`, http.StatusBadRequest},
 		{"mpc barrier", `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"barrier","workers":2},"max_iter":100}`, http.StatusBadRequest},
-		{"packing async", `{"workload":"packing","spec":{"n":3},"executor":{"kind":"async"},"max_iter":100}`, http.StatusOK},
-		{"lasso balanced-z parallel-for", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":2,"balanced_z":true,"dynamic":true},"max_iter":100}`, http.StatusOK},
+		{"packing async", `{"workload":"packing","spec":{"n":3},"executor":{"kind":"async"},"max_iter":100}`, http.StatusBadRequest},
+		{"lasso balanced-z parallel-for", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"parallel-for","workers":2,"balanced_z":true,"dynamic":true},"max_iter":100}`, http.StatusBadRequest},
 		{"mpc with tolerance", `{"workload":"mpc","spec":{"k":4},"rel_tol":1e-9,"abs_tol":1e-9,"max_iter":5000}`, http.StatusOK},
 		{"mpc auto executor", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"auto"},"max_iter":100}`, http.StatusOK},
 		{"svm unfused reference", `{"workload":"svm","spec":{"n":8},"executor":{"kind":"serial","fused":false},"max_iter":100}`, http.StatusOK},
@@ -130,6 +132,26 @@ func TestRetiredPartitionKeysRefused(t *testing.T) {
 		code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":8},"executor":`+executor+`,"max_iter":100}`)
 		if code != http.StatusBadRequest || !strings.Contains(v.Error, `"`+key+`"`) {
 			t.Fatalf("%s: status %d, error %q; want 400 naming the field", key, code, v.Error)
+		}
+	}
+}
+
+// TestRetiredExecutorKindsRefused: the retired kinds get a 400 naming
+// the kind, and the four knobs only they read get the strict-JSON
+// unknown-field refusal naming the key — even on a kind that is kept.
+func TestRetiredExecutorKindsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cases := map[string]string{}
+	for _, kind := range []string{"parallel-for", "parallel", "async"} {
+		cases[kind] = `{"kind":"` + kind + `"}`
+	}
+	for key, value := range map[string]string{"workers": "2", "dynamic": "true", "balanced_z": "true", "seed": "1"} {
+		cases[key] = `{"kind":"serial","` + key + `":` + value + `}`
+	}
+	for name, executor := range cases {
+		code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":8},"executor":`+executor+`,"max_iter":100}`)
+		if code != http.StatusBadRequest || !strings.Contains(v.Error, `"`+name+`"`) {
+			t.Fatalf("%s: status %d, error %q; want 400 naming it", name, code, v.Error)
 		}
 	}
 }

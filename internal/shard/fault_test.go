@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -543,6 +544,53 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSilentOpenerDropped: a client that connects, writes only a frame
+// header declaring MaxFrameLen and then says nothing is dropped once the
+// worker's handshake budget (MeshWait) runs out — its read ends in EOF,
+// well before its own 1 s deadline — and a normal session on the same
+// worker afterwards matches Serial bit for bit.
+func TestSilentOpenerDropped(t *testing.T) {
+	builders := chainBuilders(t, 48)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go ServeWorker(ln, WorkerOptions{Builders: builders, MeshWait: 200 * time.Millisecond})
+
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if _, err := silent.Write([]byte{0, 0, 0, 0x10}); err != nil { // length MaxFrameLen
+		t.Fatal(err)
+	}
+	silent.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent opener's read ended with %v, want EOF: the worker kept the connection", err)
+	}
+
+	spec := chainSpec(append([]string{"tcp:" + ln.Addr().String()}, startTestWorkers(t, 1, builders)...))
+	g := chainGraph(t, 48)
+	r, err := NewRemote(context.Background(), spec, g)
+	if err != nil {
+		t.Fatalf("worker refused a session after dropping the silent opener: %v", err)
+	}
+	defer r.Close()
+	var nanos [admm.NumPhases]int64
+	if err := r.Iterate(g, 10, &nanos); err != nil {
+		t.Fatal(err)
+	}
+	ref := chainGraph(t, 48)
+	admm.NewSerialFused().Iterate(ref, 10, &nanos)
+	for i := range ref.Z {
+		if ref.Z[i] != g.Z[i] {
+			t.Fatalf("session after the silent opener diverged from serial at Z[%d]", i)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -29,10 +30,12 @@ type WorkerOptions struct {
 	// DialTimeout bounds this worker's mesh dials to lower-numbered
 	// peers (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
-	// MeshWait bounds how long a session waits for its mesh to
-	// complete — peers dialing in and peers being dialed (0 =
-	// DefaultHandshakeTimeout, the same budget the coordinator gives
-	// the whole handshake).
+	// MeshWait bounds how long a new connection may take to finish an
+	// opening frame once its first byte has arrived (an idle connection
+	// is kept: a fleet registry pools them), and how long a session
+	// waits for its mesh to complete — peers dialing in and peers being
+	// dialed (0 = DefaultHandshakeTimeout, the same budget the
+	// coordinator gives the whole handshake).
 	MeshWait time.Duration
 	// OnIterBlock, when non-nil, observes each iteration-block command
 	// just before it executes (session id, 0-based block index within
@@ -87,11 +90,24 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 			go func(conn net.Conn) {
 				// First frame classifies the connection; a malformed
 				// opener only poisons this connection, not the worker.
-				f, _, err := exchange.ReadFrame(conn, nil)
+				// A fleet registry dials control connections ahead of
+				// need and may hold one idle for any length of time, so
+				// the wait for the first byte is unbounded (an idle
+				// connection pins no buffer). Once a frame has started,
+				// the rest of it gets the handshake budget: a client that
+				// begins an opener and stalls is dropped, not kept.
+				var first [1]byte
+				if _, err := io.ReadFull(conn, first[:]); err != nil {
+					conn.Close()
+					return
+				}
+				conn.SetReadDeadline(time.Now().Add(opts.meshWait()))
+				f, _, err := exchange.ReadFrame(io.MultiReader(bytes.NewReader(first[:]), conn), nil)
 				if err != nil {
 					conn.Close()
 					return
 				}
+				conn.SetReadDeadline(time.Time{})
 				conns <- accepted{conn, f}
 			}(conn)
 		}
