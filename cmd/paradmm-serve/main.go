@@ -1,7 +1,8 @@
 // Command paradmm-serve runs the batched solve service: an HTTP JSON
 // API accepting factor-graph problem specs for the four workloads and
 // dispatching them onto a bounded worker pool over the internal/admm
-// executors, with a shape-keyed graph cache.
+// executors, with a shape-keyed graph cache that pools a shape from its
+// second miss on, within a 64 MiB budget (graph.CacheBudget).
 //
 // Usage:
 //
@@ -64,66 +65,106 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "admission queue depth")
-	cachePerKey := flag.Int("cache-per-key", 2, "pooled graphs per shape key")
-	maxIter := flag.Int("max-iter-limit", 200000, "reject requests asking for more iterations")
-	bulkStreams := flag.Int("bulk-streams", 2, "max concurrent POST /v1/bulk streams")
-	bulkWorkers := flag.Int("bulk-workers", 0, "solve workers per bulk stream (0 = -workers)")
-	maxBodyBytes := flag.Int64("max-body-bytes", 1<<20, "max POST /v1/solve body size in bytes")
-	readHeaderTimeout := flag.Duration("read-header-timeout", serve.DefaultReadHeaderTimeout, "drop connections that stall delivering request headers")
-	idleTimeout := flag.Duration("idle-timeout", serve.DefaultIdleTimeout, "drop keep-alive connections idle this long between requests")
-	storeDir := flag.String("store", "", "persistent warm-start store directory (empty = disabled); bulk streams seed from and persist to it across restarts")
-	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "solution store log size cap before compaction")
-	dialTimeout := flag.Duration("dial-timeout", 0, "default worker dial timeout for sharded sockets solves whose specs leave dial_timeout_ms unset (0 = 10s)")
-	handshakeTimeout := flag.Duration("handshake-timeout", 0, "default worker handshake timeout for sharded sockets solves whose specs leave handshake_timeout_ms unset (0 = 30s)")
-	fleetAddrs := flag.String("fleet-addrs", "", "comma-separated paradmm-shardworker endpoints forming a persistent serve fleet; eligible requests are routed local/remote/shed by the admission planner (see docs/fleet.md)")
-	fleetProbeInterval := flag.Duration("fleet-probe-interval", 2*time.Second, "fleet registry health-probe period")
-	fleetProbeTimeout := flag.Duration("fleet-probe-timeout", time.Second, "per-worker health-probe deadline")
-	fleetDeadAfter := flag.Int("fleet-dead-after", 3, "consecutive probe failures before a fleet worker is marked dead")
-	fleetPrewarm := flag.Int("fleet-prewarm", 1, "control connections kept dialed per healthy fleet worker")
-	fleetMinEdges := flag.Int("fleet-min-edges", 0, "smallest graph (edges) the planner will route to the fleet (0 = the auto policy's sharding floor)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paradmm-serve [-addr :8080] [-workers N] [-queue N] [flags]\n\n")
-		flag.PrintDefaults()
+// options are the flags that set up the process around the server: its
+// listener and HTTP timeouts, the solution store and the fleet registry
+// (no fleet when fleet.Addrs is empty).
+type options struct {
+	addr              string
+	readHeaderTimeout time.Duration
+	idleTimeout       time.Duration
+	storeDir          string
+	storeMaxBytes     int64
+	fleet             fleet.Config
+}
+
+// parseConfig parses the command line into the server's Config and the
+// process options. A malformed value, a stray argument or a negative
+// count or size is an error, reported with the usage the way the flag
+// package reports its own; -h prints the usage and returns
+// flag.ErrHelp.
+func parseConfig(args []string) (serve.Config, options, error) {
+	var cfg serve.Config
+	var o options
+	var fleetAddrs string
+	fs := flag.NewFlagSet("paradmm-serve", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.Workers, "workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.QueueDepth, "queue", 64, "admission queue depth")
+	fs.IntVar(&cfg.CachePerKey, "cache-per-key", 2, "pooled graphs per shape key")
+	fs.IntVar(&cfg.MaxIterLimit, "max-iter-limit", 200000, "reject requests asking for more iterations")
+	fs.IntVar(&cfg.BulkStreams, "bulk-streams", 2, "max concurrent POST /v1/bulk streams")
+	fs.IntVar(&cfg.BulkWorkers, "bulk-workers", 0, "solve workers per bulk stream (0 = -workers)")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", 1<<20, "max POST /v1/solve body size in bytes")
+	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", serve.DefaultReadHeaderTimeout, "drop connections that stall delivering request headers")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", serve.DefaultIdleTimeout, "drop keep-alive connections idle this long between requests")
+	fs.StringVar(&o.storeDir, "store", "", "persistent warm-start store directory (empty = disabled); bulk streams seed from and persist to it across restarts")
+	fs.Int64Var(&o.storeMaxBytes, "store-max-bytes", 256<<20, "solution store log size cap before compaction")
+	fs.DurationVar(&cfg.DialTimeout, "dial-timeout", 0, "default worker dial timeout for sharded sockets solves whose specs leave dial_timeout_ms unset (0 = 10s)")
+	fs.DurationVar(&cfg.HandshakeTimeout, "handshake-timeout", 0, "default worker handshake timeout for sharded sockets solves whose specs leave handshake_timeout_ms unset (0 = 30s)")
+	fs.StringVar(&fleetAddrs, "fleet-addrs", "", "comma-separated paradmm-shardworker endpoints forming a persistent serve fleet; eligible requests are routed local/remote/shed by the admission planner (see docs/fleet.md)")
+	fs.DurationVar(&o.fleet.ProbeInterval, "fleet-probe-interval", 2*time.Second, "fleet registry health-probe period")
+	fs.DurationVar(&o.fleet.ProbeTimeout, "fleet-probe-timeout", time.Second, "per-worker health-probe deadline")
+	fs.IntVar(&o.fleet.DeadAfter, "fleet-dead-after", 3, "consecutive probe failures before a fleet worker is marked dead")
+	fs.IntVar(&o.fleet.Prewarm, "fleet-prewarm", 1, "control connections kept dialed per healthy fleet worker")
+	fs.IntVar(&cfg.FleetPlanner.MinEdges, "fleet-min-edges", 0, "smallest graph (edges) the planner will route to the fleet (0 = the auto policy's sharding floor)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: paradmm-serve [-addr :8080] [-workers N] [-queue N] [flags]\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cfg, o, err
+	}
+	var bad error
+	if fs.NArg() > 0 {
+		bad = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	// Every integer flag is a count or a size, every duration a timeout
+	// or a period; string flags take any value.
+	fs.Visit(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case int64:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && bad == nil {
+			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
+		}
+	})
+	if bad != nil {
+		fmt.Fprintln(fs.Output(), bad)
+		fs.Usage()
+		return cfg, o, bad
+	}
+	o.fleet.Addrs = splitAddrs(fleetAddrs)
+	return cfg, o, nil
+}
 
-	cfg := serve.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CachePerKey:  *cachePerKey,
-		MaxIterLimit: *maxIter,
-		BulkStreams:  *bulkStreams,
-		BulkWorkers:  *bulkWorkers,
-		MaxBodyBytes: *maxBodyBytes,
-
-		DialTimeout:      *dialTimeout,
-		HandshakeTimeout: *handshakeTimeout,
+func main() {
+	cfg, o, err := parseConfig(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err != nil:
+		os.Exit(2) // parseConfig printed the error and the usage
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if addrs := splitAddrs(*fleetAddrs); len(addrs) > 0 {
-		reg, err := fleet.New(fleet.Config{
-			Addrs:         addrs,
-			ProbeInterval: *fleetProbeInterval,
-			ProbeTimeout:  *fleetProbeTimeout,
-			DeadAfter:     *fleetDeadAfter,
-			Prewarm:       *fleetPrewarm,
-			Logf:          log.Printf,
-		})
+	if len(o.fleet.Addrs) > 0 {
+		o.fleet.Logf = log.Printf
+		reg, err := fleet.New(o.fleet)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer reg.Close()
 		go reg.Run(ctx)
 		cfg.Fleet = reg
-		cfg.FleetPlanner = fleet.PlannerConfig{MinEdges: *fleetMinEdges}
 	}
-	if *storeDir != "" {
-		st, err := store.Open(store.Options{Dir: *storeDir, MaxBytes: *storeMaxBytes})
+	if o.storeDir != "" {
+		st, err := store.Open(store.Options{Dir: o.storeDir, MaxBytes: o.storeMaxBytes})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -131,7 +172,7 @@ func main() {
 		cfg.Store = st
 	}
 	srv := serve.New(cfg)
-	httpSrv := serve.NewHTTPServer(*addr, srv.Handler(), *readHeaderTimeout, *idleTimeout)
+	httpSrv := serve.NewHTTPServer(o.addr, srv.Handler(), o.readHeaderTimeout, o.idleTimeout)
 
 	go func() {
 		<-ctx.Done()
@@ -140,8 +181,8 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Printf("paradmm-serve listening on %s (workloads: %v)\n", *addr, serve.Workloads())
-	err := httpSrv.ListenAndServe()
+	fmt.Printf("paradmm-serve listening on %s (workloads: %v)\n", o.addr, serve.Workloads())
+	err = httpSrv.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 //	group   a resequencer/dispatcher routes records to solve workers
 //	        by shape key, so same-shape specs land on the same worker
 //	        in input order
-//	solve   shape-affine workers hold one graph.Cache entry per shape
+//	solve   shape-affine workers hold one built problem per shape
 //	        and a warm-start snapshot (admm.WarmState): the first record
 //	        of a shape solves cold, later records warm-start from the
 //	        previous solution of that shape

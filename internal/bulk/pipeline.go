@@ -42,9 +42,10 @@ type Options struct {
 	// non-zero values override them.
 	AbsTol, RelTol float64
 	// Cache, when non-nil, is a shared graph cache (e.g. the serving
-	// layer's); nil uses a private per-run cache. Built graphs are
-	// returned to it when the run ends.
-	Cache *graph.Cache
+	// layer's): each shape is looked up there on first sight, and its
+	// problem is returned to it when the run ends. Nil builds every
+	// shape.
+	Cache *graph.Cache[workload.Problem]
 	// MaxLineBytes bounds one input line's payload, excluding the line
 	// terminator (default 1 MiB). Longer lines become error records
 	// without buffering the excess.
@@ -81,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIterLimit <= 0 {
 		o.MaxIterLimit = 200000
-	}
-	if o.Cache == nil {
-		o.Cache = graph.NewCache(1)
 	}
 	if o.MaxLineBytes <= 0 {
 		o.MaxLineBytes = 1 << 20
@@ -150,9 +148,9 @@ type encodeScratch struct {
 }
 
 // shapeState is the per-shape solve state a worker carries across the
-// stream: the built problem (one graph.Cache entry) and the warm-start
-// snapshot of its last solution. Shape-affine routing guarantees a
-// single worker touches it.
+// stream: the built problem (checked out of the graph cache, if any)
+// and the warm-start snapshot of its last solution. Shape-affine
+// routing guarantees a single worker touches it.
 type shapeState struct {
 	prob workload.Problem
 	warm admm.WarmState
@@ -308,7 +306,7 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 				p.storeSaves.Add(1)
 			}
 		}
-		if st.prob != nil {
+		if st.prob != nil && p.opts.Cache != nil {
 			p.opts.Cache.Put(key, st.prob)
 		}
 	}
@@ -540,23 +538,19 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 	}()
 
 	st = p.shape(t.adm.Key)
-	if st.prob == nil {
-		if pooled, hit := p.opts.Cache.Get(t.adm.Key); hit {
-			if prob, isProb := pooled.(workload.Problem); isProb {
-				st.prob = prob
-				p.cacheHits.Add(1)
-			} else {
-				p.opts.Cache.Put(t.adm.Key, pooled)
-			}
-		}
-		if st.prob == nil {
-			prob, err := t.adm.Build()
-			if err != nil {
-				res.Error = err.Error()
-				return res
-			}
+	if st.prob == nil && p.opts.Cache != nil {
+		if prob, hit := p.opts.Cache.Get(t.adm.Key); hit {
 			st.prob = prob
+			p.cacheHits.Add(1)
 		}
+	}
+	if st.prob == nil {
+		prob, err := t.adm.Build()
+		if err != nil {
+			res.Error = err.Error()
+			return res
+		}
+		st.prob = prob
 	}
 
 	spec := p.opts.Executor

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 func decodeResults(t *testing.T, out []byte) []Result {
@@ -170,7 +171,7 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 // correctness half; the assertions pin that both streams complete with
 // every record accounted for.
 func TestPipelineSharedCacheConcurrent(t *testing.T) {
-	cache := graph.NewCache(2)
+	cache := graph.NewCache[workload.Problem](2)
 	var in bytes.Buffer
 	if err := Generate(&in, 80, 11); err != nil {
 		t.Fatal(err)

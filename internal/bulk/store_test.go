@@ -120,6 +120,7 @@ func (panicOp) Work(deg, d int) graph.Work      { return prox.Identity{}.Work(de
 type brokenProblem struct{ g *graph.Graph }
 
 func (b brokenProblem) FactorGraph() *graph.Graph   { return b.g }
+func (b brokenProblem) Bytes() int64                { return b.g.Bytes() }
 func (b brokenProblem) Reset()                      {}
 func (b brokenProblem) Metrics() map[string]float64 { return nil }
 

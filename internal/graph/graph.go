@@ -245,6 +245,17 @@ func (g *Graph) ScratchEdgeBuf() []float64 {
 	return g.scratchEdge[:0]
 }
 
+// Bytes prices the graph's own arrays — topology, parameters, ADMM
+// state and scratch — from their capacities, plus one interface value
+// per operator. What an operator owns behind that interface is its
+// builder's to add (see the workload packages' Problem.Bytes).
+func (g *Graph) Bytes() int64 {
+	words := cap(g.fEdgeStart) + cap(g.edgeVar) + cap(g.vEdgeStart) + cap(g.vEdges) +
+		cap(g.Rho) + cap(g.Alpha) + cap(g.X) + cap(g.M) + cap(g.U) + cap(g.N) + cap(g.Z) +
+		cap(g.scratchZ) + cap(g.scratchEdge) + 2*cap(g.ops)
+	return 8 * int64(words)
+}
+
 // mustFinal panics if the graph has not been finalized.
 func (g *Graph) mustFinal() {
 	if !g.finalized {

@@ -7,8 +7,23 @@ import (
 	"repro/internal/graph"
 )
 
-// FactorGraph implements graph.Pooled, the serving layer's cache hook.
+// FactorGraph returns the built graph (the serving layer's accessor).
 func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
+
+// Bytes prices the problem for the serving layer's graph cache: the
+// graph's arrays, each block's rows of A with its ridge factors and
+// A^T y, and the full instance Objective reads. The blocks' observations
+// alias the instance's and count once.
+func (p *Problem) Bytes() int64 {
+	inst := p.Cfg.Inst
+	n := p.Graph.Bytes() + 8*int64(cap(inst.A.Data)+cap(inst.Y)+cap(inst.XTrue))
+	for a := 0; a < p.Graph.NumFunctions(); a++ {
+		if ls, ok := p.Graph.Op(a).(*LeastSquaresOp); ok {
+			n += 8*int64(cap(ls.A.Data)+cap(ls.aty)+cap(ls.rbuf)) + ls.ridge.Bytes()
+		}
+	}
+	return n
+}
 
 // Spec is the declarative, JSON-friendly description of a synthetic
 // consensus-Lasso problem, the unit of request admission for the serving

@@ -207,6 +207,9 @@ func NewRidge(q *Mat) (*Ridge, error) {
 	return &Ridge{q: p, ch: Cholesky{n: q.Rows, l: make([]float64, len(p))}}, nil
 }
 
+// Bytes is the heap the Ridge keeps: Q's packed triangle and the factor.
+func (r *Ridge) Bytes() int64 { return 8 * int64(cap(r.q)+cap(r.ch.l)) }
+
 // Solve overwrites b with (Q + rho I)^{-1} b. It returns an error if
 // Q + rho I is not positive definite.
 func (r *Ridge) Solve(rho float64, b []float64) error {

@@ -6,8 +6,13 @@ import (
 	"repro/internal/graph"
 )
 
-// FactorGraph implements graph.Pooled, the serving layer's cache hook.
+// FactorGraph returns the built graph (the serving layer's accessor).
 func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
+
+// Bytes prices the problem for the serving layer's graph cache. The
+// graph's arrays are all of it: the K dynamics nodes share one
+// projection gain and the stage costs one weight vector.
+func (p *Problem) Bytes() int64 { return p.Graph.Bytes() }
 
 // Spec is the declarative, JSON-friendly description of an MPC instance
 // for the serving layer. The dynamics are the paper's inverted-pendulum

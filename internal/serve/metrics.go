@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/bulk"
+	"repro/internal/graph"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -149,7 +150,7 @@ func (m *metrics) recordBulk(st bulk.Stats, outcome string) {
 
 // render writes the exposition text. Cache and queue gauges come from
 // the server, which owns those components.
-func (m *metrics) render(b *strings.Builder, queueDepth int, cacheHits, cacheMisses, cacheSize uint64) {
+func (m *metrics) render(b *strings.Builder, queueDepth int, cs graph.CacheStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -185,13 +186,21 @@ func (m *metrics) render(b *strings.Builder, queueDepth int, cacheHits, cacheMis
 
 	fmt.Fprintf(b, "# HELP paradmm_graph_cache_hits_total Graph cache hits.\n")
 	fmt.Fprintf(b, "# TYPE paradmm_graph_cache_hits_total counter\n")
-	fmt.Fprintf(b, "paradmm_graph_cache_hits_total %d\n", cacheHits)
+	fmt.Fprintf(b, "paradmm_graph_cache_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(b, "# HELP paradmm_graph_cache_misses_total Graph cache misses.\n")
 	fmt.Fprintf(b, "# TYPE paradmm_graph_cache_misses_total counter\n")
-	fmt.Fprintf(b, "paradmm_graph_cache_misses_total %d\n", cacheMisses)
+	fmt.Fprintf(b, "paradmm_graph_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(b, "# HELP paradmm_graph_cache_size Graphs currently pooled.\n")
 	fmt.Fprintf(b, "# TYPE paradmm_graph_cache_size gauge\n")
-	fmt.Fprintf(b, "paradmm_graph_cache_size %d\n", cacheSize)
+	fmt.Fprintf(b, "paradmm_graph_cache_size %d\n", cs.Size)
+	fmt.Fprintf(b, "# HELP paradmm_graph_cache_bytes Priced bytes of the pooled graphs (workload.Problem.Bytes), within graph.CacheBudget.\n")
+	fmt.Fprintf(b, "# TYPE paradmm_graph_cache_bytes gauge\n")
+	fmt.Fprintf(b, "paradmm_graph_cache_bytes %d\n", cs.Bytes)
+	fmt.Fprintf(b, "# HELP paradmm_graph_cache_evictions_total Graphs the cache dropped: pushed out or too big for the byte budget, beyond a key's -cache-per-key pool, or of a shape missed only once.\n")
+	fmt.Fprintf(b, "# TYPE paradmm_graph_cache_evictions_total counter\n")
+	fmt.Fprintf(b, "paradmm_graph_cache_evictions_total{reason=\"budget\"} %d\n", cs.BudgetEvictions)
+	fmt.Fprintf(b, "paradmm_graph_cache_evictions_total{reason=\"per_key\"} %d\n", cs.PerKeyEvictions)
+	fmt.Fprintf(b, "paradmm_graph_cache_evictions_total{reason=\"first_sight\"} %d\n", cs.FirstSightEvictions)
 
 	fmt.Fprintf(b, "# HELP paradmm_shard_solves_total Solves run on the sharded executor.\n")
 	fmt.Fprintf(b, "# TYPE paradmm_shard_solves_total counter\n")

@@ -20,7 +20,9 @@
 // shape-keyed graph cache (internal/graph.Cache) lets repeated requests
 // skip factor-graph construction, which for the heavier workloads
 // (lasso's per-block Cholesky pre-factorizations, packing's O(N^2)
-// collision nodes) dominates short solves. Executor selection is
+// collision nodes) dominates short solves. It pools a shape from its
+// second miss on, within a byte budget (graph.CacheBudget), so one-off
+// shapes cost a build and no memory afterwards. Executor selection is
 // per-request: kind "serial", "sharded" (with its shard count and
 // transport knobs), or "auto" to resolve serial / sharded from the
 // graph's shape; every executor runs the fused two-pass schedule
@@ -42,6 +44,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -222,12 +225,18 @@ func (j *Job) view() JobView {
 	}
 }
 
+func (j *Job) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status == StatusDone || j.status == StatusFailed
+}
+
 // Server is the batched solve service. Create with New, mount Handler,
 // Close on shutdown.
 type Server struct {
 	cfg     Config
 	pool    *pool
-	cache   *graph.Cache
+	cache   *graph.Cache[problem]
 	met     *metrics
 	bulkSem chan struct{}
 
@@ -242,7 +251,7 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
 		cfg:     cfg,
-		cache:   graph.NewCache(cfg.CachePerKey),
+		cache:   graph.NewCache[problem](cfg.CachePerKey),
 		met:     newMetrics(),
 		jobs:    map[string]*Job{},
 		bulkSem: make(chan struct{}, cfg.BulkStreams),
@@ -425,8 +434,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	cs := s.cache.Stats()
-	s.met.render(&b, s.pool.Depth(), cs.Hits, cs.Misses, uint64(cs.Size))
+	s.met.render(&b, s.pool.Depth(), s.cache.Stats())
 	if s.cfg.Store != nil {
 		renderStoreMetrics(&b, s.cfg.Store.Stats())
 	}
@@ -444,17 +452,17 @@ func (s *Server) register(j *Job) {
 	j.id = fmt.Sprintf("job-%d", s.nextID)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	// Prune oldest finished jobs beyond the history bound.
-	for len(s.order) > s.cfg.JobHistory {
-		oldest := s.jobs[s.order[0]]
-		oldest.mu.Lock()
-		finished := oldest.status == StatusDone || oldest.status == StatusFailed
-		oldest.mu.Unlock()
-		if !finished {
-			break
+	// Prune the oldest finished jobs beyond the history bound. Queued and
+	// running jobs are skipped, not waited for: one long solve at the
+	// head must not pin every job that finished after it.
+	for i := 0; len(s.order) > s.cfg.JobHistory && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].finished() {
+			i++
+			continue
 		}
-		delete(s.jobs, s.order[0])
-		s.order = s.order[1:]
+		delete(s.jobs, id)
+		s.order = slices.Delete(s.order, i, i+1)
 	}
 }
 
@@ -499,10 +507,7 @@ func (s *Server) runJob(j *Job) {
 		if rec == nil {
 			return
 		}
-		j.mu.Lock()
-		finished := j.status == StatusDone || j.status == StatusFailed
-		j.mu.Unlock()
-		if finished {
+		if j.finished() {
 			// Nothing left to report the failure to; re-raise.
 			panic(rec)
 		}
@@ -510,7 +515,7 @@ func (s *Server) runJob(j *Job) {
 	}()
 
 	var buildNanos int64
-	p, hit := s.cacheGet(j.key)
+	p, hit := s.cache.Get(j.key)
 	if !hit {
 		t := time.Now()
 		built, err := j.build()
@@ -618,17 +623,4 @@ func (s *Server) runJob(j *Job) {
 	j.result = r
 	j.mu.Unlock()
 	close(j.done)
-}
-
-// cacheGet narrows the cache's Pooled to the serve-side problem type.
-func (s *Server) cacheGet(key string) (problem, bool) {
-	v, ok := s.cache.Get(key)
-	if !ok {
-		return nil, false
-	}
-	p, ok := v.(problem)
-	if !ok {
-		return nil, false
-	}
-	return p, true
 }

@@ -176,45 +176,73 @@ func TestResidualsReported(t *testing.T) {
 	}
 }
 
-// TestGraphCacheHit is the acceptance scenario: the second
-// identical-shape request must reuse the cached factor graph (and still
-// produce the same solution metrics, since Reset clears all ADMM state).
+// TestGraphCacheHit is the acceptance scenario: the second identical
+// request builds again and the third reuses the cached factor graph (and
+// still produces the same solution metrics, since Reset clears all ADMM
+// state). The cache pools a shape only from its second miss on: a shape
+// asked for once — a fresh seed, say — is never asked for again often
+// enough to be worth the memory, and pooling it forever is what made
+// the old cache grow without bound.
 func TestGraphCacheHit(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	body := `{"workload":"lasso","spec":{"m":24,"blocks":4,"lambda":0.3},"max_iter":300}`
 
-	code, first := postSolve(t, ts, body)
-	if code != http.StatusOK {
-		t.Fatalf("first request: status %d", code)
-	}
-	if first.CacheHit {
-		t.Fatalf("first request claims a cache hit")
-	}
-	code, second := postSolve(t, ts, body)
-	if code != http.StatusOK {
-		t.Fatalf("second request: status %d", code)
-	}
-	if !second.CacheHit {
-		t.Fatalf("second identical-shape request missed the graph cache")
+	var replies []JobView
+	for i, wantHit := range []bool{false, false, true} {
+		code, v := postSolve(t, ts, body)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i+1, code)
+		}
+		if v.CacheHit != wantHit {
+			t.Fatalf("request %d: cache_hit = %v, want %v", i+1, v.CacheHit, wantHit)
+		}
+		if hit := v.Result.BuildNS == 0; hit != wantHit {
+			t.Fatalf("request %d: build_ns = %d with cache_hit %v", i+1, v.Result.BuildNS, v.CacheHit)
+		}
+		replies = append(replies, v)
 	}
 	cs := s.CacheStats()
-	if cs.Hits != 1 || cs.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", cs)
+	if cs.Hits != 1 || cs.Misses != 2 || cs.FirstSightEvictions != 1 || cs.Size != 1 || cs.Bytes <= 0 {
+		t.Errorf("cache stats = %+v, want 1 hit / 2 misses / 1 first-sight drop / 1 pooled", cs)
 	}
 	// Determinism across reuse: same spec, same init, same iterations —
 	// byte-identical quality metrics.
-	for k, v1 := range first.Result.Metrics {
-		if v2 := second.Result.Metrics[k]; v2 != v1 {
-			t.Errorf("metric %s diverged across cache reuse: %g vs %g", k, v1, v2)
+	for _, v := range replies[1:] {
+		for k, v1 := range replies[0].Result.Metrics {
+			if v2 := v.Result.Metrics[k]; v2 != v1 {
+				t.Errorf("metric %s diverged across cache reuse: %g vs %g", k, v1, v2)
+			}
 		}
 	}
 	// A different shape must not hit.
-	code, third := postSolve(t, ts, `{"workload":"lasso","spec":{"m":32,"blocks":4,"lambda":0.3},"max_iter":300}`)
+	code, other := postSolve(t, ts, `{"workload":"lasso","spec":{"m":32,"blocks":4,"lambda":0.3},"max_iter":300}`)
 	if code != http.StatusOK {
-		t.Fatalf("third request: status %d", code)
+		t.Fatalf("different-shape request: status %d", code)
 	}
-	if third.CacheHit {
+	if other.CacheHit {
 		t.Errorf("different-shape request claims a cache hit")
+	}
+}
+
+// TestJobHistorySkipsRunningJobs: pruning the job registry skips an
+// unfinished job instead of stopping at it, so one long solve at the
+// head of the history cannot pin every job that finishes after it.
+func TestJobHistorySkipsRunningJobs(t *testing.T) {
+	const history = 16
+	s := New(Config{Workers: 1, JobHistory: history})
+	defer s.Close()
+	blocked := &Job{status: StatusRunning}
+	s.register(blocked)
+	for i := 0; i < history+50; i++ {
+		s.register(&Job{status: StatusDone})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) > history+1 || len(s.order) != len(s.jobs) {
+		t.Fatalf("%d jobs in the registry (%d in order), want at most %d", len(s.jobs), len(s.order), history+1)
+	}
+	if s.jobs[blocked.id] != blocked || s.order[0] != blocked.id {
+		t.Fatal("the running job was pruned")
 	}
 }
 
@@ -322,6 +350,10 @@ func TestHealthAndMetrics(t *testing.T) {
 		"paradmm_iterations_total 120",
 		`paradmm_phase_nanos_total{phase="x-update"}`,
 		"paradmm_graph_cache_misses_total 1",
+		// One request is a first sighting: built, solved, not pooled.
+		"paradmm_graph_cache_bytes 0",
+		`paradmm_graph_cache_evictions_total{reason="first_sight"} 1`,
+		`paradmm_graph_cache_evictions_total{reason="budget"} 0`,
 		"paradmm_jobs_inflight 0",
 		"paradmm_queue_depth 0",
 		"paradmm_shard_solves_total 0",

@@ -7,8 +7,20 @@ import (
 	"repro/internal/graph"
 )
 
-// FactorGraph implements graph.Pooled, the serving layer's cache hook.
+// FactorGraph returns the built graph (the serving layer's accessor).
 func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
+
+// Bytes prices the problem for the serving layer's graph cache: the
+// graph's arrays plus the dataset, whose points the margin operators
+// share.
+func (p *Problem) Bytes() int64 {
+	ds := p.Cfg.Data
+	n := p.Graph.Bytes() + 8*int64(cap(ds.Y)) + 24*int64(cap(ds.X))
+	for _, x := range ds.X {
+		n += 8 * int64(cap(x))
+	}
+	return n
+}
 
 // Spec is the declarative, JSON-friendly description of a synthetic SVM
 // training problem for the serving layer: it fully determines the

@@ -14,11 +14,17 @@ import (
 )
 
 // Problem is the uniform serving-side view of a built workload: the
-// cacheable graph owner plus reset and quality-metric hooks. Both the
-// per-request solve service (internal/serve) and the streaming bulk
-// pipeline (internal/bulk) admit requests through it.
+// graph owner a graph.Cache pools, plus reset and quality-metric hooks.
+// Both the per-request solve service (internal/serve) and the streaming
+// bulk pipeline (internal/bulk) admit requests through it.
 type Problem interface {
-	graph.Pooled
+	// FactorGraph returns the finalized graph the solve runs on.
+	FactorGraph() *graph.Graph
+	// Bytes prices the built problem for the graph cache's budget: the
+	// graph's arrays plus the data its operators own, from slice
+	// capacities. Graph arrays alone undercount lasso's heap many times
+	// over (its per-block design rows and ridge factors dominate).
+	Bytes() int64
 	// Reset reinitializes ADMM state so a (possibly cache-reused) graph
 	// starts a fresh solve.
 	Reset()
