@@ -14,35 +14,89 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
-func main() {
-	listen := flag.String("listen", "", "control endpoint: unix:/path or tcp:host:port (required)")
-	sessions := flag.Int("sessions", 0, "exit after N coordinator sessions (0 = serve forever)")
-	quiet := flag.Bool("quiet", false, "suppress session lifecycle logging")
-	dialTimeout := flag.Duration("dial-timeout", 0, "bound on each mesh peer connection establishment (0 = 10s default)")
-	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound on finishing a new connection's opening frame once its first byte arrives, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
-	cacheEntries := flag.Int("cache", 4, "warm problem-cache entries: built graphs (and their last state) kept between sessions so a coordinator re-solving the same problem skips the workload down-sync (0 = disabled)")
-	chaosKillBlock := flag.Int("chaos-kill-block", -1, "fault injection: exit(2) immediately before executing the Nth iteration block of the first session (-1 = disabled; for failover testing)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paradmm-shardworker -listen ADDR [-sessions N] [-quiet]\n\n")
-		flag.PrintDefaults()
+// config is what the command line sets.
+type config struct {
+	listen           string
+	sessions         int
+	quiet            bool
+	dialTimeout      time.Duration
+	handshakeTimeout time.Duration
+	cacheEntries     int
+	chaosKillBlock   int
+}
+
+// parseConfig parses the command line. A missing -listen, a malformed
+// value, a stray argument, or a negative count or duration is an error,
+// reported with the usage the way the flag package reports its own; -h
+// prints the usage and returns flag.ErrHelp.
+func parseConfig(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("paradmm-shardworker", flag.ContinueOnError)
+	fs.StringVar(&c.listen, "listen", "", "control endpoint: unix:/path or tcp:host:port (required)")
+	fs.IntVar(&c.sessions, "sessions", 0, "exit after N coordinator sessions (0 = serve forever)")
+	fs.BoolVar(&c.quiet, "quiet", false, "suppress session lifecycle logging")
+	fs.DurationVar(&c.dialTimeout, "dial-timeout", 0, "bound on each mesh peer connection establishment (0 = 10s default)")
+	fs.DurationVar(&c.handshakeTimeout, "handshake-timeout", 0, "bound on finishing a new connection's opening frame once its first byte arrives, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
+	fs.IntVar(&c.cacheEntries, "cache", 4, "problem-cache entries: built graphs (and their last state) kept between sessions, so a coordinator re-solving the same problem skips the rebuild and, from the same state, the state down-sync (0 = disabled)")
+	fs.IntVar(&c.chaosKillBlock, "chaos-kill-block", -1, "fault injection: exit(2) immediately before executing the Nth iteration block of a session (-1 = disabled; for failover testing)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: paradmm-shardworker -listen ADDR [-sessions N] [-quiet]\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if *listen == "" {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	var bad error
+	switch {
+	case fs.NArg() > 0:
+		bad = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case c.listen == "":
+		bad = errors.New("-listen is required")
+	}
+	// Every count and duration but the fault drill's block index (any
+	// negative disables it) must not be negative.
+	fs.Visit(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0 && f.Name != "chaos-kill-block"
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && bad == nil {
+			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
+		}
+	})
+	if bad != nil {
+		fmt.Fprintln(fs.Output(), bad)
+		fs.Usage()
+		return c, bad
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseConfig(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err != nil:
+		os.Exit(2) // parseConfig printed the error and the usage
 	}
 
-	ln, err := shard.ListenAddr(*listen)
+	ln, err := shard.ListenAddr(c.listen)
 	if err != nil {
 		fatal(err)
 	}
@@ -50,13 +104,13 @@ func main() {
 
 	opts := shard.WorkerOptions{
 		Builders:     workload.Builders(),
-		MaxSessions:  *sessions,
-		DialTimeout:  *dialTimeout,
-		MeshWait:     *handshakeTimeout,
-		CacheEntries: *cacheEntries,
+		MaxSessions:  c.sessions,
+		DialTimeout:  c.dialTimeout,
+		MeshWait:     c.handshakeTimeout,
+		CacheEntries: c.cacheEntries,
 	}
-	if *chaosKillBlock >= 0 {
-		kill := *chaosKillBlock
+	if c.chaosKillBlock >= 0 {
+		kill := c.chaosKillBlock
 		opts.OnIterBlock = func(session uint64, block int) {
 			if block == kill {
 				fmt.Fprintf(os.Stderr, "paradmm-shardworker: chaos kill at block %d (session %d)\n", block, session)
@@ -64,11 +118,11 @@ func main() {
 			}
 		}
 	}
-	if !*quiet {
+	if !c.quiet {
 		logger := log.New(os.Stderr, "", log.LstdFlags)
 		opts.Logf = logger.Printf
 		logger.Printf("paradmm-shardworker: listening on %s (workloads: %s)",
-			*listen, strings.Join(workload.Names(), ", "))
+			c.listen, strings.Join(workload.Names(), ", "))
 	}
 	if err := shard.ServeWorker(ln, opts); err != nil {
 		fatal(err)

@@ -57,8 +57,7 @@ func main() {
 	frameTimeout := flag.Duration("frame-timeout", 0, "sockets transport: bound on every mid-solve frame read/write; must exceed a block's compute time (0 = unbounded)")
 	dialAttempts := flag.Int("dial-attempts", 0, "sockets transport: dial+handshake retry budget with capped exponential backoff (0 = 3 attempts)")
 	failover := flag.String("failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
-	warmCache := flag.Bool("warm-cache", false, "sockets transport: probe the workers' warm caches before shipping the workload; a worker that already holds this problem skips the Cfg/State down-sync (see docs/fleet.md)")
-	repeat := flag.Int("repeat", 1, "solve the same problem N times from the same initial state (with -warm-cache, repeats after the first hit the workers' caches)")
+	repeat := flag.Int("repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
 	useFleet := flag.Bool("fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve, dial from a prewarmed pool")
 	seed := flag.Int64("seed", 1, "workload seed (0 selects the workload spec's default seed)")
 	flag.Usage = func() {
@@ -82,9 +81,6 @@ func main() {
 	spec.FrameTimeoutMS = int(*frameTimeout / time.Millisecond)
 	spec.DialAttempts = *dialAttempts
 	spec.Failover = *failover
-	// -fleet implies the warm-cache handshake: a persistent fleet's
-	// whole point is that repeated solves skip the workload down-sync.
-	spec.WarmCache = *warmCache || *useFleet
 	if spec.Kind == admm.ExecSharded {
 		spec.Shards = *shards
 		// One worker process per shard. An un-passed -shards follows the
@@ -166,8 +162,8 @@ func problemRef(workload string, spec any) (*admm.ProblemRef, error) {
 // run solves g -repeat times from the same initial state. With -fleet
 // the worker addresses are managed by one fleet.Registry reused across
 // every repeat: probed up front, leased per solve, dialed from a
-// prewarmed pool — so repeats after the first hit the workers' warm
-// caches through the registry-held fleet.
+// prewarmed pool. Over worker processes, with or without -fleet, the
+// repeats after the first hit the workers' caches.
 func run(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef) (admm.Result, error) {
 	var reg *fleet.Registry
 	if c.fleet {
@@ -254,8 +250,8 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 				st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)
 		}
 		if st.CacheHits+st.CacheGraphHits+st.CacheMisses > 0 {
-			fmt.Printf("warm cache: %d state hits, %d graph hits, %d misses (%d cfg sends, %d state pushes, %d handshake frames)\n",
-				st.CacheHits, st.CacheGraphHits, st.CacheMisses, st.CfgSends, st.StatePushes, st.HandshakeFrames)
+			fmt.Printf("worker cache: %d state hits, %d graph hits, %d misses (%d state pushes, %d handshake frames)\n",
+				st.CacheHits, st.CacheGraphHits, st.CacheMisses, st.StatePushes, st.HandshakeFrames)
 		}
 	}
 }

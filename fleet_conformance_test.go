@@ -1,10 +1,10 @@
 // Fleet conformance: solves routed through the persistent worker
-// registry (lease → warm-cache handshake → registry dialer) must stay
+// registry (lease → handshake → registry dialer) must stay
 // bit-identical to Serial on every workload, and a second solve of the
-// same ProblemRef must reuse the workers' warm caches — pinned both by
-// the coordinator's handshake accounting (zero Cfg sends, zero State
-// pushes) and by the faultnet listeners' frame counters (strictly fewer
-// frames on the wire). The chaos test kills a registered worker
+// same ProblemRef must reuse the workers' caches — pinned both by the
+// coordinator's handshake accounting (state hits, zero State pushes)
+// and by the faultnet listeners' frame counters (one State frame fewer
+// per worker on the wire). The chaos test kills a registered worker
 // mid-solve and demands failover recovery, a dead mark within one probe
 // round, and no leaked goroutines.
 package repro_test
@@ -116,23 +116,41 @@ func fleetPlan(t *testing.T, reg *fleet.Registry, g *graph.Graph, workers int) f
 	return d
 }
 
-// listenerFrames sums complete frames moved (both directions) across
-// every connection the scripted listeners have accepted.
-func listenerFrames(lns []*faultnet.Listener) int {
-	total := 0
-	for _, ln := range lns {
-		for _, c := range ln.Conns() {
-			total += c.FramesIn() + c.FramesOut()
+// frameMeter returns a function reporting the complete frames moved
+// (both directions, every connection the scripted listeners accepted)
+// since its previous call. It first waits until every worker reports no
+// session running — a worker reads a solve's Bye after the coordinator
+// has returned — and leaves those probes' own Ping and Pong out.
+func frameMeter(t *testing.T, addrs []string, lns []*faultnet.Listener) func() int {
+	var last, probeFrames int
+	return func() int {
+		t.Helper()
+		for busy := true; busy; probeFrames += 2 * len(addrs) {
+			busy = false
+			for _, h := range shard.ProbeWorkers(context.Background(), addrs, 2*time.Second) {
+				if !h.Alive {
+					t.Fatalf("worker %s stopped answering probes: %s", h.Addr, h.Err)
+				}
+				busy = busy || h.Busy
+			}
 		}
+		total := -probeFrames
+		for _, ln := range lns {
+			for _, c := range ln.Conns() {
+				total += c.FramesIn() + c.FramesOut()
+			}
+		}
+		moved := total - last
+		last = total
+		return moved
 	}
-	return total
 }
 
 // TestFleetConformance: for every workload, a registry-routed fleet
 // solve is bit-identical to Serial, and re-solving the same ProblemRef
-// through the same registry is a state-tier warm-cache hit on every
-// worker — the workload is never re-sent and the handshake moves
-// strictly fewer frames.
+// through the same registry is a state-tier cache hit on every worker —
+// nothing is rebuilt, the state is never re-sent, and the wire carries
+// exactly one frame fewer per worker: the skipped State.
 func TestFleetConformance(t *testing.T) {
 	const iters = 24
 	for name, w := range fleetWorkloads() {
@@ -144,7 +162,8 @@ func TestFleetConformance(t *testing.T) {
 
 			addrs, lns := startScriptedWorkers(t, []faultnet.Script{nil, nil})
 			reg := fleetRegistry(t, addrs, 3)
-			framesAfterProbe := listenerFrames(lns)
+			moved := frameMeter(t, addrs, lns)
+			moved() // the registry's first probe
 
 			solve := func() (*graph.Graph, shard.Stats) {
 				t.Helper()
@@ -180,11 +199,11 @@ func TestFleetConformance(t *testing.T) {
 
 			g1, st1 := solve()
 			checkZ("cold fleet solve", g1)
-			if st1.CacheMisses != 2 || st1.CfgSends != 2 || st1.StatePushes != 2 {
-				t.Fatalf("cold solve: misses/cfg/state = %d/%d/%d, want 2/2/2",
-					st1.CacheMisses, st1.CfgSends, st1.StatePushes)
+			if st1.CacheMisses != 2 || st1.StatePushes != 2 || st1.HandshakeFrames != 6 {
+				t.Fatalf("cold solve: misses/state pushes/handshake frames = %d/%d/%d, want 2/2/6",
+					st1.CacheMisses, st1.StatePushes, st1.HandshakeFrames)
 			}
-			coldFrames := listenerFrames(lns) - framesAfterProbe
+			coldFrames := moved()
 
 			g2, st2 := solve()
 			checkZ("warm fleet solve", g2)
@@ -192,17 +211,16 @@ func TestFleetConformance(t *testing.T) {
 				t.Fatalf("warm solve: hits/graph/misses = %d/%d/%d, want 2/0/0",
 					st2.CacheHits, st2.CacheGraphHits, st2.CacheMisses)
 			}
-			if st2.CfgSends != 0 || st2.StatePushes != 0 {
-				t.Fatalf("warm solve re-sent the workload: %d cfg sends, %d state pushes",
-					st2.CfgSends, st2.StatePushes)
+			if st2.StatePushes != 0 {
+				t.Fatalf("warm solve re-sent the state: %d state pushes", st2.StatePushes)
 			}
 			if st2.HandshakeFrames >= st1.HandshakeFrames {
 				t.Fatalf("warm handshake not cheaper: %d frames vs %d cold",
 					st2.HandshakeFrames, st1.HandshakeFrames)
 			}
-			warmFrames := listenerFrames(lns) - framesAfterProbe - coldFrames
-			if warmFrames >= coldFrames {
-				t.Fatalf("warm solve moved %d frames on the wire, cold moved %d — want strictly fewer",
+			warmFrames := moved()
+			if warmFrames != coldFrames-2 {
+				t.Fatalf("warm solve moved %d frames on the wire, cold moved %d — want the two State pushes fewer",
 					warmFrames, coldFrames)
 			}
 			t.Logf("%s: cold %d wire frames (%d handshake), warm %d (%d handshake)",

@@ -83,13 +83,6 @@ type ExecutorSpec struct {
 	// remote backend and report a lost worker as an error, whatever the
 	// policy.
 	Failover string `json:"failover,omitempty"`
-	// WarmCache opens remote worker sessions with a cache probe instead
-	// of a full config: a worker that already built this problem at the
-	// same shard count skips the rebuild, and — when the state
-	// fingerprint also matches — the coordinator skips the state push
-	// entirely (sharded sockets with addrs only; requires Problem).
-	// The fleet registry sets this for registry-routed solves.
-	WarmCache bool `json:"warm_cache,omitempty"`
 	// Problem lets the sockets transport ship a rebuildable problem
 	// description to remote workers. It is filled by the serving layer
 	// and the CLIs from their request context, never decoded from the
@@ -246,9 +239,6 @@ func (s ExecutorSpec) Validate() error {
 	}
 	if (s.Failover == FailoverSurvivors || s.Failover == FailoverLocal) && len(s.Addrs) == 0 {
 		return fmt.Errorf("admm: failover %q needs worker addrs (transport %q)", s.Failover, TransportSockets)
-	}
-	if s.WarmCache && (s.Kind != ExecSharded || s.Transport != TransportSockets || len(s.Addrs) == 0) {
-		return fmt.Errorf("admm: warm_cache needs the sharded sockets transport with worker addrs")
 	}
 	return nil
 }

@@ -427,6 +427,7 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 		{"delta_threshold", `{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0}`},
 		{"partition", `{"kind":"sharded","shards":2,"partition":"balanced"}`},
 		{"refine", `{"kind":"sharded","shards":2,"refine":true}`},
+		{"warm_cache", `{"kind":"sharded","shards":2,"transport":"sockets","warm_cache":true}`},
 	}
 	for _, r := range refused {
 		line(r.executor)

@@ -65,15 +65,10 @@ const (
 	FramePing byte = 20
 	// FramePong answers FramePing: JSON {active, sessions}.
 	FramePong byte = 21
-	// FrameCacheProbe opens a coordinator session against a worker's
-	// warm cache: JSON problem key + state digest + session knobs. The
-	// worker answers FrameCacheAck; on a miss the coordinator follows
-	// with a full FrameCfg on the same connection.
-	FrameCacheProbe byte = 22
-	// FrameCacheAck answers FrameCacheProbe: JSON hit tier ("state",
-	// "graph", or miss) plus the cached graph's shape and manifest
-	// digest on a hit — the same proof FrameReady carries.
-	FrameCacheAck byte = 23
+	// Kinds 22 and 23 are retired (they were the warm-cache CacheProbe
+	// opener and its CacheAck; FrameCfg and FrameReady carry the cache
+	// handshake now) and must not be reused: a worker refuses either as
+	// an unexpected frame.
 )
 
 // frameOverhead is the non-payload bytes of one frame on the wire.

@@ -152,16 +152,15 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 // asked for the serial oracle's fused: false must still validate once
 // it is rewritten to sharded; tolerances ride elsewhere) and wiring the
 // registry in as the dialer so handshakes drain the prewarmed pool.
-// Warm caching is always on for fleet routes: the whole point of a
-// persistent fleet is that the second solve of a problem skips the
-// workload down-sync.
+// The workers' caches need no knob: every session consults them, so the
+// second solve of a problem on a persistent fleet skips the rebuild and
+// the state down-sync.
 func (d Decision) Spec(r *Registry, base admm.ExecutorSpec) admm.ExecutorSpec {
 	s := base
 	s.Kind = admm.ExecSharded
 	s.Transport = admm.TransportSockets
 	s.Addrs = append([]string(nil), d.Addrs...)
 	s.Shards = len(d.Addrs)
-	s.WarmCache = true
 	s.WorkerDialer = r.Dial
 	s.Fused = nil
 	if s.Failover == "" {

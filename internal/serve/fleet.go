@@ -14,11 +14,11 @@ import (
 // Fleet wiring: when Config.Fleet is set (paradmm-serve -fleet-addrs),
 // eligible solve requests pass through the registry's admission planner
 // before execution. The planner routes each job local, remote (onto
-// leased shardworkers with the warm-cache handshake and survivor
-// failover), or shed (HTTP 429 — the healthy fleet has no free session
-// slots and queueing behind a busy shardworker would only move the 429
-// to a refused handshake). GET /v1/fleet exposes the registry snapshot;
-// /metrics grows a paradmm_fleet_* section.
+// leased shardworkers with survivor failover), or shed (HTTP 429 — the
+// healthy fleet has no free session slots and queueing behind a busy
+// shardworker would only move the 429 to a refused handshake). GET
+// /v1/fleet exposes the registry snapshot; /metrics grows a
+// paradmm_fleet_* section.
 
 // fleetEligible reports whether a request's executor spec delegates the
 // local-vs-remote choice to the fleet planner: an unset or auto kind,
@@ -62,8 +62,8 @@ func (m *metrics) countFleetRoute(route string) {
 }
 
 // renderFleetMetrics writes the paradmm_fleet_* section: worker states
-// and lease load from the registry, route verdicts and warm-cache
-// handshake tallies from the request path. Rendered only when a fleet
+// and lease load from the registry, route verdicts and worker-cache
+// tiers from the request path. Rendered only when a fleet
 // is configured.
 func (s *Server) renderFleetMetrics(b *strings.Builder) {
 	st := s.cfg.Fleet.Stats()
@@ -96,13 +96,13 @@ func (s *Server) renderFleetMetrics(b *strings.Builder) {
 	hits, graphHits, misses := s.met.shardCacheHits, s.met.shardCacheGraphHits, s.met.shardCacheMisses
 	s.met.mu.Unlock()
 
-	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_hits_total Warm-cache handshakes that skipped both the workload and state down-sync (state tier).\n")
+	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_hits_total Remote worker sessions served from the worker's cache with their state: no rebuild, no state push (state tier).\n")
 	fmt.Fprintf(b, "# TYPE paradmm_fleet_cache_hits_total counter\n")
 	fmt.Fprintf(b, "paradmm_fleet_cache_hits_total %d\n", hits)
-	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_graph_hits_total Warm-cache handshakes that reused the cached graph but re-pushed state (graph tier).\n")
+	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_graph_hits_total Remote worker sessions that reused the cached graph but took the state push (graph tier).\n")
 	fmt.Fprintf(b, "# TYPE paradmm_fleet_cache_graph_hits_total counter\n")
 	fmt.Fprintf(b, "paradmm_fleet_cache_graph_hits_total %d\n", graphHits)
-	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_misses_total Warm-cache handshakes that fell back to the full workload down-sync.\n")
+	fmt.Fprintf(b, "# HELP paradmm_fleet_cache_misses_total Remote worker sessions that built the problem from the config.\n")
 	fmt.Fprintf(b, "# TYPE paradmm_fleet_cache_misses_total counter\n")
 	fmt.Fprintf(b, "paradmm_fleet_cache_misses_total %d\n", misses)
 }

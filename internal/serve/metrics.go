@@ -47,9 +47,9 @@ type metrics struct {
 	shardWorkerFailures uint64
 	shardHealth         []shard.WorkerHealth
 
-	// Fleet aggregates: planner verdicts by route, and warm-cache
-	// handshake tallies folded out of sharded-solve stats (nonzero only
-	// for solves run with the warm-cache handshake, i.e. fleet routes).
+	// Fleet aggregates: planner verdicts by route, and the worker-cache
+	// tiers every remote solve's Ready frames reported, folded out of
+	// sharded-solve stats (rendered only when a fleet is configured).
 	fleetRouted         map[string]uint64
 	shardCacheHits      uint64
 	shardCacheGraphHits uint64

@@ -89,8 +89,8 @@ type Config struct {
 	// Fleet, when non-nil, is the persistent shardworker registry:
 	// eligible requests (executor kind unset/auto, or sharded sockets
 	// with no pinned addrs) pass through its admission planner, which
-	// routes them local, onto leased fleet workers with the warm-cache
-	// handshake, or sheds them with 429 when every healthy worker's
+	// routes them local, onto leased fleet workers (whose problem caches
+	// let a repeated solve skip the rebuild), or sheds them with 429 when every healthy worker's
 	// session slot is taken. The caller owns the registry's probe loop
 	// (fleet.Registry.Run) and its shutdown.
 	Fleet *fleet.Registry

@@ -97,6 +97,9 @@ func TestSolveHandler(t *testing.T) {
 		{"sharded fused off", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"fused":false},"max_iter":100}`, http.StatusBadRequest},
 		{"sockets with the retired overlap field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","overlap":true},"max_iter":100}`, http.StatusBadRequest},
 		{"sockets with the retired delta_threshold field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","delta_threshold":0},"max_iter":100}`, http.StatusBadRequest},
+		// warm_cache is a retired key: every remote session consults the
+		// workers' caches, so there is nothing to switch on.
+		{"sockets with the retired warm_cache field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","warm_cache":true},"max_iter":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

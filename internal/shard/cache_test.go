@@ -10,8 +10,8 @@ import (
 	"repro/internal/graph"
 )
 
-// startCacheWorkers hosts n in-process shard workers with a warm cache
-// of the given size.
+// startCacheWorkers hosts n in-process shard workers with a problem
+// cache of the given size (0 = none).
 func startCacheWorkers(t *testing.T, n, entries int, builders map[string]BuilderFunc) []string {
 	t.Helper()
 	dir := t.TempDir()
@@ -28,27 +28,19 @@ func startCacheWorkers(t *testing.T, n, entries int, builders map[string]Builder
 	return addrs
 }
 
-func warmSpec(addrs []string) admm.ExecutorSpec {
-	return admm.ExecutorSpec{
-		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs,
-		WarmCache: true,
-		Problem:   &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)},
-	}
-}
-
 // TestWarmCacheHandshakeTiers drives all three cache tiers through the
-// real session protocol and pins the frame accounting: a first solve
-// misses (full Cfg/Ready/State), an identical second solve is a
-// state-tier hit on every worker (no Cfg, no State push, strictly
-// fewer handshake frames), and a third solve from a different initial
-// iterate is a graph-tier hit (state push only). Every tier's result
-// must stay bit-identical to Serial.
+// one session handshake and pins its frame accounting — Cfg and Ready
+// always, State unless the worker reports a state hit: a first solve
+// misses (3 frames per worker), an identical second solve is a
+// state-tier hit on every worker (2: no State push), and a third solve
+// from a different initial iterate is a graph-tier hit (3: the push
+// follows). Every tier's result must stay bit-identical to Serial.
 func TestWarmCacheHandshakeTiers(t *testing.T) {
 	builders := map[string]BuilderFunc{
 		"chain": func(spec []byte) (*graph.Graph, error) { return chainGraph(t, 48), nil },
 	}
 	addrs := startCacheWorkers(t, 2, 2, builders)
-	spec := warmSpec(addrs)
+	spec := chainSpec(addrs)
 
 	solve := func(g *graph.Graph, iters int) Stats {
 		t.Helper()
@@ -82,30 +74,26 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 		}
 	}
 
-	// Solve 1: cold workers — every probe misses.
+	// Solve 1: cold workers — every worker builds.
 	g1 := chainGraph(t, 48)
 	st1 := solve(g1, 40)
 	if st1.CacheMisses != 2 || st1.CacheHits != 0 || st1.CacheGraphHits != 0 {
 		t.Fatalf("first solve: hits/graph/misses = %d/%d/%d, want 0/0/2", st1.CacheHits, st1.CacheGraphHits, st1.CacheMisses)
 	}
-	if st1.CfgSends != 2 || st1.StatePushes != 2 {
-		t.Fatalf("first solve: %d cfg sends, %d state pushes, want 2 and 2", st1.CfgSends, st1.StatePushes)
+	if st1.StatePushes != 2 || st1.HandshakeFrames != 6 {
+		t.Fatalf("first solve: %d state pushes, %d handshake frames, want 2 and 6", st1.StatePushes, st1.HandshakeFrames)
 	}
 	checkZ("miss tier", g1, serial(nil, 40))
 
 	// Solve 2: identical problem and initial state — state-tier hit on
-	// both workers, the workload is never re-sent, and the handshake
-	// exchanges strictly fewer frames.
+	// both workers: nothing is rebuilt and the state is never re-sent.
 	g2 := chainGraph(t, 48)
 	st2 := solve(g2, 40)
 	if st2.CacheHits != 2 || st2.CacheMisses != 0 || st2.CacheGraphHits != 0 {
 		t.Fatalf("second solve: hits/graph/misses = %d/%d/%d, want 2/0/0", st2.CacheHits, st2.CacheGraphHits, st2.CacheMisses)
 	}
-	if st2.CfgSends != 0 || st2.StatePushes != 0 {
-		t.Fatalf("second solve re-sent the workload: %d cfg sends, %d state pushes", st2.CfgSends, st2.StatePushes)
-	}
-	if st2.HandshakeFrames >= st1.HandshakeFrames {
-		t.Fatalf("warm handshake not cheaper: %d frames vs %d cold", st2.HandshakeFrames, st1.HandshakeFrames)
+	if st2.StatePushes != 0 || st2.HandshakeFrames != 4 {
+		t.Fatalf("second solve: %d state pushes, %d handshake frames, want 0 and 4", st2.StatePushes, st2.HandshakeFrames)
 	}
 	checkZ("state-hit tier", g2, serial(nil, 40))
 
@@ -122,8 +110,8 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 	if st3.CacheGraphHits != 2 || st3.CacheHits != 0 || st3.CacheMisses != 0 {
 		t.Fatalf("third solve: hits/graph/misses = %d/%d/%d, want 0/2/0", st3.CacheHits, st3.CacheGraphHits, st3.CacheMisses)
 	}
-	if st3.CfgSends != 0 || st3.StatePushes != 2 {
-		t.Fatalf("third solve: %d cfg sends, %d state pushes, want 0 and 2", st3.CfgSends, st3.StatePushes)
+	if st3.StatePushes != 2 || st3.HandshakeFrames != 6 {
+		t.Fatalf("third solve: %d state pushes, %d handshake frames, want 2 and 6", st3.StatePushes, st3.HandshakeFrames)
 	}
 	checkZ("graph-hit tier", g3, serial(bump, 40))
 
@@ -138,14 +126,15 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 	checkZ("re-captured state", g4, serial(bump, 40))
 }
 
-// TestWarmCacheDisabled: a worker with no cache answers probes with a
-// miss every time — the protocol still works, nothing is retained.
+// TestWarmCacheDisabled: a worker with no cache reports a miss every
+// time — the one handshake still works, with its full 3 frames per
+// worker, and nothing is retained.
 func TestWarmCacheDisabled(t *testing.T) {
 	builders := map[string]BuilderFunc{
 		"chain": func(spec []byte) (*graph.Graph, error) { return chainGraph(t, 32), nil },
 	}
 	addrs := startCacheWorkers(t, 2, 0, builders)
-	spec := warmSpec(addrs)
+	spec := chainSpec(addrs)
 	for round := 1; round <= 2; round++ {
 		g := chainGraph(t, 32)
 		r, err := NewRemote(context.Background(), spec, g)
@@ -156,8 +145,9 @@ func TestWarmCacheDisabled(t *testing.T) {
 		r.Iterate(g, 20, &nanos)
 		st := r.Stats()
 		r.Close()
-		if st.CacheMisses != 2 || st.CacheHits != 0 {
-			t.Fatalf("round %d: hits/misses = %d/%d, want 0/2 with the cache disabled", round, st.CacheHits, st.CacheMisses)
+		if st.CacheMisses != 2 || st.CacheHits != 0 || st.StatePushes != 2 || st.HandshakeFrames != 6 {
+			t.Fatalf("round %d: hits/misses = %d/%d, %d state pushes, %d handshake frames; want 0/2, 2 and 6 with the cache disabled",
+				round, st.CacheHits, st.CacheMisses, st.StatePushes, st.HandshakeFrames)
 		}
 		ref := chainGraph(t, 32)
 		b := admm.NewSerialFused()
@@ -189,7 +179,7 @@ func TestWarmCacheLRUEviction(t *testing.T) {
 	addrs := startCacheWorkers(t, 2, 1, builders)
 	solveN := func(n int) Stats {
 		t.Helper()
-		spec := warmSpec(addrs)
+		spec := chainSpec(addrs)
 		spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(fmt.Sprintf(`{"n":%d}`, n))}
 		g := chainGraph(t, n)
 		r, err := NewRemote(context.Background(), spec, g)

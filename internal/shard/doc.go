@@ -81,7 +81,10 @@
 //     sockets when ExecutorSpec.Addrs names paradmm-shardworker
 //     processes, in which case Remote (remote.go) coordinates one
 //     worker process per shard and this package's ServeWorker
-//     (worker.go) runs the far side. docs/transport.md documents the
+//     (worker.go) runs the far side. Every session opens the same way:
+//     Cfg out, Ready back — naming the tier of the worker's problem
+//     cache (cache.go) that served it — and the State push unless the
+//     worker already holds that exact state. docs/transport.md documents the
 //     frame protocol, handshake, manifests, and failure semantics;
 //     Stats.BytesPerIter prices the measured traffic with the same
 //     graph.CutCost word model auto and the fleet planner decide on.

@@ -105,22 +105,25 @@ func (l *busyListener) Accept() (net.Conn, error) {
 // worker 1's mesh dial. The refusal must fail the attempt at once —
 // not sit unread behind worker 0's Ready — and worker 0 must drop the
 // orphaned session when the coordinator hangs up, so the retry finds it
-// free instead of queueing behind a 30 s ghost. Same contract for the
-// warm-cache handshake.
+// free instead of queueing behind a 30 s ghost. Same contract whether
+// the workers keep a problem cache (warm) or not.
 func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		t.Run(fmt.Sprintf("warm=%t", warm), func(t *testing.T) {
+			entries := 0
+			if warm {
+				entries = 4
+			}
 			builders := chainBuilders(t, 48)
-			addrs := startTestWorkers(t, 1, builders)
+			addrs := startCacheWorkers(t, 1, entries, builders)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			busy := &busyListener{Listener: ln}
 			t.Cleanup(func() { busy.Close() })
-			go ServeWorker(busy, WorkerOptions{Builders: builders})
+			go ServeWorker(busy, WorkerOptions{Builders: builders, CacheEntries: entries})
 			spec := chainSpec(append(addrs, "tcp:"+ln.Addr().String()))
-			spec.WarmCache = warm
 
 			busy.refuse.Store(1)
 			spec.DialAttempts = 1

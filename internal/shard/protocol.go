@@ -22,12 +22,13 @@ import (
 // from the same deterministic partition. docs/transport.md documents
 // the full session lifecycle, frame-by-frame.
 //
-// Session lifecycle, per solve:
+// Session lifecycle, per solve — one opener, whatever the worker's
+// cache holds:
 //
-//	coordinator -> worker i:  Cfg   {worker, shards, problem, knobs, peers}
+//	coordinator -> worker i:  Cfg   {worker, shards, problem, knobs, peers, state digest}
 //	worker i    -> worker j<i: Peer {from, session}      (mesh dial)
-//	worker i    -> coordinator: Ready {graph shape, manifest digest}
-//	coordinator -> worker i:  State {Rho|Alpha|X|U|N|Z}
+//	worker i    -> coordinator: Ready {graph shape, manifest digest, cache hit}
+//	coordinator -> worker i:  State {Rho|Alpha|X|U|N|Z}   (skipped on a state hit)
 //	repeat:
 //	  coordinator -> worker i:  [Params {Rho|U}]  Iter {iters}
 //	  ...workers exchange FrameM/FrameZ over the mesh per iteration...
@@ -54,76 +55,36 @@ type wireConfig struct {
 	// coordinator propagates its ExecutorSpec.FrameTimeoutMS so both
 	// sides of a stalled stream give up instead of wedging.
 	FrameTimeoutMS int `json:"frame_timeout_ms,omitempty"`
+	// StateDigest fingerprints the exact FrameState payload the
+	// coordinator would push (stateDigest): a worker whose cached
+	// snapshot has the same digest restores it and answers a state hit,
+	// and the push is skipped.
+	StateDigest string `json:"state_digest,omitempty"`
 }
 
-// wireCacheProbe opens a session against the worker's warm cache
-// (FrameCacheProbe payload): everything wireConfig carries except the
-// problem itself, which is named by Key — a digest over the ProblemRef
-// and shard count. StateDigest fingerprints the exact FrameState
-// payload the coordinator would push, so the worker can prove its
-// cached snapshot is bit-identical before the coordinator skips the
-// push. On a miss the coordinator follows with a full FrameCfg on the
-// same connection; the session id and knobs must match the probe's.
-type wireCacheProbe struct {
-	Session     uint64 `json:"session"`
-	Worker      int    `json:"worker"`
-	Shards      int    `json:"shards"`
-	Key         string `json:"key"`
-	StateDigest string `json:"state_digest"`
-	// Peers lists every worker's control endpoint, indexed by worker
-	// (same contract as wireConfig.Peers).
-	Peers          []string `json:"peers"`
-	FrameTimeoutMS int      `json:"frame_timeout_ms,omitempty"`
-}
-
-// Warm-cache hit tiers (wireCacheAck.Hit). The empty string is a miss.
+// Worker-cache tiers (wireReady.Hit). The empty string is a miss: the
+// worker built the problem from the Cfg's workload spec.
 const (
-	// cacheHitState: key and state digest both match — the worker
-	// restored its cached snapshot; the coordinator skips Cfg, Ready
-	// and the State push entirely.
+	// cacheHitState: problem key and state digest both match — the
+	// worker restored its cached snapshot and the State push is skipped.
 	cacheHitState = "state"
-	// cacheHitGraph: key matches but the state digest differs (a warm
-	// start, rho adaptation, or a different initial iterate) — the
-	// worker reuses the cached graph/partition/manifest but still needs
-	// the State push.
+	// cacheHitGraph: the problem key matches but the state digest does
+	// not (a warm start, rho adaptation, or a different initial iterate)
+	// — the worker reuses the cached graph, partition and manifest, and
+	// the State push follows.
 	cacheHitGraph = "graph"
 )
 
-// wireCacheAck answers a cache probe (FrameCacheAck payload). On any
-// hit it doubles as the Ready acknowledgment: the cached graph's shape
-// and manifest digest, verified by the coordinator exactly like
-// wireReady before any state is trusted.
-type wireCacheAck struct {
-	Hit            string `json:"hit,omitempty"`
-	Functions      int    `json:"functions,omitempty"`
-	Variables      int    `json:"variables,omitempty"`
-	Edges          int    `json:"edges,omitempty"`
-	D              int    `json:"d,omitempty"`
-	ManifestDigest string `json:"manifest_digest,omitempty"`
-}
-
-// asConfig projects a probe onto the session knobs the control loop
-// reads (everything but the problem itself, which a hit makes moot).
-func (p wireCacheProbe) asConfig() wireConfig {
-	return wireConfig{
-		Session:        p.Session,
-		Worker:         p.Worker,
-		Shards:         p.Shards,
-		Peers:          p.Peers,
-		FrameTimeoutMS: p.FrameTimeoutMS,
-	}
-}
-
-// problemKey fingerprints what a worker must have rebuilt for a cached
-// session to be reusable: the problem reference plus the shard count,
-// the only knob that shapes the partition. Same key => same graph
-// topology, plan, and manifest on a worker that rebuilds
-// deterministically (the ack's shape+digest check still verifies,
-// never trusts, this).
-func problemKey(p *admm.ProblemRef, shards int) string {
+// problemKey fingerprints what a worker must have built for a cached
+// session to be reusable: the workload and its spec plus the shard
+// count, the only knob that shapes the partition. The worker computes
+// it from the Cfg; same key => same graph topology, plan and manifest
+// on a worker that rebuilds deterministically (the coordinator's
+// shape+digest check on Ready still verifies, never trusts, this).
+func problemKey(workload string, spec []byte, shards int) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|", p.Workload, shards)
-	h.Write(p.Spec)
+	fmt.Fprintf(h, "%s|%d|", workload, shards)
+	h.Write(spec)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -143,15 +104,18 @@ type wirePeer struct {
 	From    int    `json:"from"`
 }
 
-// wireReady acknowledges a config (FrameReady payload): the rebuilt
-// graph's shape and the worker's boundary-manifest digest, which the
-// coordinator verifies against its own before any state moves.
+// wireReady acknowledges a config (FrameReady payload): the graph's
+// shape and the worker's boundary-manifest digest, which the
+// coordinator verifies against its own before any state moves, and the
+// worker-cache tier the session was served from (cacheHitState,
+// cacheHitGraph, or "" for a build).
 type wireReady struct {
 	Functions      int    `json:"functions"`
 	Variables      int    `json:"variables"`
 	Edges          int    `json:"edges"`
 	D              int    `json:"d"`
 	ManifestDigest string `json:"manifest_digest"`
+	Hit            string `json:"hit,omitempty"`
 }
 
 // wireIter commands one block of iterations (FrameIter payload). ZPrev

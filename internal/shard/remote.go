@@ -76,12 +76,10 @@ type Remote struct {
 	conns     []net.Conn
 	bufs      [][]byte
 
-	// warm enables the cache-probe handshake; dialer, when non-nil,
-	// replaces DialAddrTimeout (the fleet registry's pre-warmed
-	// connection pool plugs in here).
-	warm    bool
 	problem *admm.ProblemRef
-	dialer  func(addr string, timeout time.Duration) (net.Conn, error)
+	// dialer, when non-nil, replaces DialAddrTimeout (the fleet
+	// registry's pre-warmed connection pool plugs in here).
+	dialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 	// rhoShadow/uShadow are Rho and U as the workers last saw them
 	// (handshake state, params pushes, and each block's own uploads).
@@ -132,7 +130,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		addrs:   append([]string(nil), spec.Addrs...),
 		tmo:     specTimeouts(spec),
 		g:       g,
-		warm:    spec.WarmCache,
 		problem: spec.Problem,
 		dialer:  spec.WorkerDialer,
 	}
@@ -190,38 +187,31 @@ func (r *Remote) dialWorker(addr string) (net.Conn, error) {
 	return DialAddrTimeout(addr, r.tmo.dial)
 }
 
-// checkRebuild verifies a worker's claimed graph shape and boundary
-// manifest against the coordinator's own — the proof gate every
-// session passes (Ready or cache ack) before any state is trusted.
-func checkRebuild(st graph.Stats, wantDigest string, functions, variables, edges, d int, digest string) error {
-	if functions != st.Functions || variables != st.Variables || edges != st.Edges || d != st.D {
-		return fmt.Errorf("rebuilt a different graph (%d/%d/%d/%d vs %d/%d/%d/%d functions/variables/edges/d) — problem spec mismatch",
-			functions, variables, edges, d, st.Functions, st.Variables, st.Edges, st.D)
-	}
-	if digest != wantDigest {
-		return fmt.Errorf("boundary manifest %s != coordinator %s — partition derivations diverged",
-			digest, wantDigest)
-	}
-	return nil
-}
-
 // handshake runs Cfg -> Ready -> State against every worker under the
-// handshake deadline. Configs go out in ascending worker order so that
-// by the time worker i dials its mesh peers j < i, those workers
-// already know the session. Each attempt uses a fresh session id so
-// stray mesh dials from an abandoned attempt are discarded by the
-// workers.
+// handshake deadline; a worker whose Ready reports a state-tier cache
+// hit already holds the exact state, and its push is skipped. Configs
+// go out in ascending worker order so that by the time worker i dials
+// its mesh peers j < i, those workers already know the session. Each
+// attempt uses a fresh session id so stray mesh dials from an abandoned
+// attempt are discarded by the workers.
 func (r *Remote) handshake() error {
 	// The control-plane counters describe the attempt that succeeds.
 	r.stats.CacheHits, r.stats.CacheGraphHits, r.stats.CacheMisses = 0, 0, 0
-	r.stats.CfgSends, r.stats.StatePushes, r.stats.HandshakeFrames = 0, 0, 0
-	if r.warm {
-		return r.handshakeCached()
-	}
+	r.stats.StatePushes, r.stats.HandshakeFrames = 0, 0
 	r.session = uint64(os.Getpid())<<32 | remoteSessions.Add(1)
 	r.conns = make([]net.Conn, r.shards)
 	werr := func(i int, phase string, config bool, err error) error {
 		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: phase, Err: err, Config: config}
+	}
+	state := appendState(nil, r.g)
+	cfg := wireConfig{
+		Session:        r.session,
+		Shards:         r.shards,
+		Workload:       r.problem.Workload,
+		Spec:           r.problem.Spec,
+		Peers:          r.addrs,
+		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
+		StateDigest:    stateDigest(state),
 	}
 	for i := 0; i < r.shards; i++ {
 		conn, err := r.dialWorker(r.addrs[i])
@@ -229,15 +219,28 @@ func (r *Remote) handshake() error {
 			return werr(i, PhaseDial, false, err)
 		}
 		r.conns[i] = conn
-		if err := r.sendConfig(i); err != nil {
+		cfg.Worker = i
+		conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
+		if err := writeJSONFrame(conn, exchange.FrameCfg, cfg); err != nil {
 			return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
 		}
+		conn.SetWriteDeadline(time.Time{})
+		r.stats.HandshakeFrames++
 	}
-	if err := r.readReadyAll(nil); err != nil {
+	hits, err := r.readReadyAll()
+	if err != nil {
 		return err
 	}
-	state := appendState(nil, r.g)
-	for i := 0; i < r.shards; i++ {
+	for i, hit := range hits {
+		switch hit {
+		case cacheHitState:
+			r.stats.CacheHits++
+			continue
+		case cacheHitGraph:
+			r.stats.CacheGraphHits++
+		default:
+			r.stats.CacheMisses++
+		}
 		if err := r.pushState(i, state); err != nil {
 			return werr(i, PhaseState, false, err)
 		}
@@ -247,48 +250,25 @@ func (r *Remote) handshake() error {
 	return nil
 }
 
-// sendConfig ships worker i's full session config under the handshake
-// deadline.
-func (r *Remote) sendConfig(i int) error {
-	cfg := wireConfig{
-		Session:        r.session,
-		Worker:         i,
-		Shards:         r.shards,
-		Workload:       r.problem.Workload,
-		Spec:           r.problem.Spec,
-		Peers:          r.addrs,
-		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
-	}
-	conn := r.conns[i]
-	conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
-	if err := writeJSONFrame(conn, exchange.FrameCfg, cfg); err != nil {
-		return err
-	}
-	conn.SetWriteDeadline(time.Time{})
-	r.stats.CfgSends++
-	r.stats.HandshakeFrames++
-	return nil
-}
-
-// readReadyAll collects Ready from every worker at once (need, when
-// non-nil, marks the ones that owe one) and returns the first failure.
-// Reading in worker order would leave worker 1's instant refusal unread
-// behind worker 0, which cannot answer until its mesh stands — and the
-// mesh is waiting for the very worker that refused. The first failure
-// closes the attempt's connections: that ends the other reads, and it
-// is the hang-up a worker still waiting for mesh peers acts on.
-func (r *Remote) readReadyAll(need []bool) error {
+// readReadyAll collects Ready from every worker at once and returns
+// each one's cache tier, or the first failure. Reading in worker order
+// would leave worker 1's instant refusal unread behind worker 0, which
+// cannot answer until its mesh stands — and the mesh is waiting for the
+// very worker that refused. The first failure closes the attempt's
+// connections: that ends the other reads, and it is the hang-up a
+// worker still waiting for mesh peers acts on.
+func (r *Remote) readReadyAll() ([]string, error) {
+	hits := make([]string, r.shards)
 	errs := make(chan error, r.shards)
-	pending := 0
-	for i := 0; i < r.shards; i++ {
-		if need != nil && !need[i] {
-			continue
-		}
-		pending++
-		go func(i int) { errs <- r.readReady(i) }(i)
+	for i := range hits {
+		go func(i int) {
+			var err error
+			hits[i], err = r.readReady(i)
+			errs <- err
+		}(i)
 	}
 	var first error
-	for ; pending > 0; pending-- {
+	for range hits {
 		err := <-errs
 		if err == nil {
 			r.stats.HandshakeFrames++
@@ -297,13 +277,13 @@ func (r *Remote) readReadyAll(need []bool) error {
 			r.teardown()
 		}
 	}
-	return first
+	return hits, first
 }
 
-// readReady collects and verifies worker i's Ready acknowledgment. It
-// touches only worker i's connection and buffer, so readReadyAll runs
-// one per worker concurrently.
-func (r *Remote) readReady(i int) error {
+// readReady collects and verifies worker i's Ready acknowledgment and
+// returns its cache tier. It touches only worker i's connection and
+// buffer, so readReadyAll runs one per worker concurrently.
+func (r *Remote) readReady(i int) (string, error) {
 	werr := func(config bool, err error) error {
 		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseHandshake, Err: err, Config: config}
 	}
@@ -321,17 +301,24 @@ func (r *Remote) readReady(i int) error {
 		// session, which a retry outwaits.
 		var re *remoteError
 		config := errors.As(err, &re) && !re.transient()
-		return werr(config, err)
+		return "", werr(config, err)
 	}
 	var ready wireReady
 	if err := decodeJSONFrame(f, &ready); err != nil {
-		return werr(true, fmt.Errorf("ready: %w", err))
+		return "", werr(true, fmt.Errorf("ready: %w", err))
 	}
-	if err := checkRebuild(r.g.Stats(), fmt.Sprintf("%016x", r.man.Digest()),
-		ready.Functions, ready.Variables, ready.Edges, ready.D, ready.ManifestDigest); err != nil {
-		return werr(true, err)
+	// The proof gate every session passes, cache hit or not, before any
+	// state is trusted: the worker's graph shape and boundary manifest
+	// must be the coordinator's own.
+	if st := r.g.Stats(); ready.Functions != st.Functions || ready.Variables != st.Variables || ready.Edges != st.Edges || ready.D != st.D {
+		return "", werr(true, fmt.Errorf("rebuilt a different graph (%d/%d/%d/%d vs %d/%d/%d/%d functions/variables/edges/d) — problem spec mismatch",
+			ready.Functions, ready.Variables, ready.Edges, ready.D, st.Functions, st.Variables, st.Edges, st.D))
 	}
-	return nil
+	if want := fmt.Sprintf("%016x", r.man.Digest()); ready.ManifestDigest != want {
+		return "", werr(true, fmt.Errorf("boundary manifest %s != coordinator %s — partition derivations diverged",
+			ready.ManifestDigest, want))
+	}
+	return ready.Hit, nil
 }
 
 // pushState ships the full state payload to worker i under the
@@ -345,102 +332,6 @@ func (r *Remote) pushState(i int, state []byte) error {
 	conn.SetWriteDeadline(time.Time{})
 	r.stats.StatePushes++
 	r.stats.HandshakeFrames++
-	return nil
-}
-
-// handshakeCached is the warm-cache variant of handshake: each worker
-// gets a FrameCacheProbe naming the problem (key) and the exact state
-// payload (digest); its FrameCacheAck reports the hit tier. State-tier
-// hits are done — the worker restored a bit-identical snapshot. Graph
-// hits take only the state push. Misses get the full config inline as
-// their ack is processed (so a missed worker can build and mesh while
-// later acks are still being read), then Ready and the state push as
-// usual. Ordering note: workers ack before standing their mesh up, so
-// reading acks in worker order cannot deadlock against mesh dials.
-func (r *Remote) handshakeCached() error {
-	r.session = uint64(os.Getpid())<<32 | remoteSessions.Add(1)
-	r.conns = make([]net.Conn, r.shards)
-	werr := func(i int, phase string, config bool, err error) error {
-		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: phase, Err: err, Config: config}
-	}
-	state := appendState(nil, r.g)
-	probe := wireCacheProbe{
-		Session:        r.session,
-		Shards:         r.shards,
-		Key:            problemKey(r.problem, r.shards),
-		StateDigest:    stateDigest(state),
-		Peers:          r.addrs,
-		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
-	}
-	for i := 0; i < r.shards; i++ {
-		conn, err := r.dialWorker(r.addrs[i])
-		if err != nil {
-			return werr(i, PhaseDial, false, err)
-		}
-		r.conns[i] = conn
-		p := probe
-		p.Worker = i
-		conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
-		if err := writeJSONFrame(conn, exchange.FrameCacheProbe, p); err != nil {
-			return werr(i, PhaseHandshake, false, fmt.Errorf("send cache probe: %w", err))
-		}
-		conn.SetWriteDeadline(time.Time{})
-		r.stats.HandshakeFrames++
-	}
-	wantDigest := fmt.Sprintf("%016x", r.man.Digest())
-	st := r.g.Stats()
-	needReady := make([]bool, r.shards)
-	needState := make([]bool, r.shards)
-	for i := 0; i < r.shards; i++ {
-		r.conns[i].SetReadDeadline(time.Now().Add(r.tmo.handshake))
-		f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameCacheAck)
-		r.bufs[i] = buf
-		r.conns[i].SetReadDeadline(time.Time{})
-		if err != nil {
-			var re *remoteError
-			config := errors.As(err, &re) && !re.transient()
-			return werr(i, PhaseHandshake, config, err)
-		}
-		r.stats.HandshakeFrames++
-		var ack wireCacheAck
-		if err := decodeJSONFrame(f, &ack); err != nil {
-			return werr(i, PhaseHandshake, true, fmt.Errorf("cache ack: %w", err))
-		}
-		switch ack.Hit {
-		case cacheHitState, cacheHitGraph:
-			if err := checkRebuild(st, wantDigest, ack.Functions, ack.Variables, ack.Edges, ack.D, ack.ManifestDigest); err != nil {
-				return werr(i, PhaseHandshake, true, err)
-			}
-			if ack.Hit == cacheHitState {
-				r.stats.CacheHits++
-			} else {
-				r.stats.CacheGraphHits++
-				needState[i] = true
-			}
-		case "":
-			r.stats.CacheMisses++
-			if err := r.sendConfig(i); err != nil {
-				return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
-			}
-			needReady[i] = true
-			needState[i] = true
-		default:
-			return werr(i, PhaseHandshake, true, fmt.Errorf("unknown cache ack tier %q", ack.Hit))
-		}
-	}
-	if err := r.readReadyAll(needReady); err != nil {
-		return err
-	}
-	for i := 0; i < r.shards; i++ {
-		if !needState[i] {
-			continue
-		}
-		if err := r.pushState(i, state); err != nil {
-			return werr(i, PhaseState, false, err)
-		}
-	}
-	r.rhoShadow = append([]float64(nil), r.g.Rho...)
-	r.uShadow = append([]float64(nil), r.g.U...)
 	return nil
 }
 

@@ -111,21 +111,21 @@ type Stats struct {
 	// transport burned beyond the first before the session stood up
 	// (always 0 in-process).
 	HandshakeRetries int
-	// Warm-cache handshake outcomes per worker (remote transport with
-	// warm_cache; all zero otherwise). CacheHits are state-tier hits —
-	// the worker restored its cached problem and state, and the
-	// coordinator sent neither Cfg, Ready-wait, nor State push;
-	// CacheGraphHits reused the cached problem but still took the state
-	// push; CacheMisses rebuilt from a full config.
+	// Worker-cache outcomes per worker, as each Ready reported them
+	// (remote transport only; all zero in-process). CacheHits are
+	// state-tier hits — the worker restored its cached problem and
+	// state, and the coordinator skipped the State push; CacheGraphHits
+	// reused the cached problem but still took the push; CacheMisses
+	// built the problem from the Cfg.
 	CacheHits      int
 	CacheGraphHits int
 	CacheMisses    int
-	// CfgSends/StatePushes count the full-config and full-state
-	// downloads the successful handshake actually sent, and
-	// HandshakeFrames every control frame it exchanged in either
-	// direction — the fleet conformance suite pins a warm re-solve to
-	// strictly fewer frames and zero Cfg/State re-sends.
-	CfgSends        int
+	// StatePushes counts the full-state downloads the successful
+	// handshake sent, and HandshakeFrames every control frame it
+	// exchanged in either direction: Cfg, Ready and State per worker,
+	// less the State a state hit skips — the fleet conformance suite
+	// pins a repeated solve to zero State pushes and one frame fewer
+	// per worker.
 	StatePushes     int
 	HandshakeFrames int
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/admm"
 	"repro/internal/exchange"
 	"repro/internal/graph"
 )
@@ -41,12 +42,12 @@ type WorkerOptions struct {
 	// just before it executes (session id, 0-based block index within
 	// the session). The -chaos-kill-block fault drill hooks here.
 	OnIterBlock func(session uint64, block int)
-	// CacheEntries bounds the worker's warm problem cache: sessions
-	// opened with FrameCacheProbe retain their graph, partition plan,
-	// manifest, and last-installed state snapshot, keyed by the
-	// coordinator's problem key and LRU-evicted past this bound. 0
-	// disables the cache — probes are still answered, but always miss
-	// and nothing is retained. Plain FrameCfg sessions never touch it.
+	// CacheEntries bounds the worker's problem cache, which every
+	// session consults: a session's graph, partition plan, manifest and
+	// last-installed state snapshot are kept under the problem key of
+	// its Cfg and LRU-evicted past this bound. 0 disables the cache —
+	// every session builds, Ready always reports a miss, and nothing is
+	// retained.
 	CacheEntries int
 }
 
@@ -66,13 +67,13 @@ func (o *WorkerOptions) meshWait() time.Duration {
 // ServeWorker runs one shard-worker endpoint on ln: it accepts
 // coordinator sessions (FrameCfg) and worker-to-worker mesh connections
 // (FramePeer) on the same listener, executing one session at a time.
-// Within a session the worker rebuilds the problem from the shipped
-// ProblemRef, derives the same partition and boundary manifest the
-// coordinator did (the Ready digest proves it), installs the pushed
-// state, and then runs iteration blocks with a socket-meshed
-// exchange.Messaged — the exact worker loop the in-process executor
-// runs, pointed at a different Exchanger. It returns when the listener
-// closes or MaxSessions is reached.
+// Within a session the worker takes the problem from its cache or
+// rebuilds it from the shipped ProblemRef, derives the same partition
+// and boundary manifest the coordinator did (the Ready digest proves
+// it), installs the pushed (or cached) state, and then runs iteration
+// blocks with a socket-meshed exchange.Messaged — the exact worker loop
+// the in-process executor runs, pointed at a different Exchanger. It
+// returns when the listener closes or MaxSessions is reached.
 func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 	type accepted struct {
 		conn net.Conn
@@ -117,14 +118,14 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 		conn  net.Conn
 		hello wirePeer
 	}
-	// opener is a session-opening connection: a full config (FrameCfg)
-	// or a warm-cache probe (FrameCacheProbe).
+	// opener is a session-opening connection and its checked config.
 	type opener struct {
-		conn  net.Conn
-		cfg   wireConfig
-		probe *wireCacheProbe
+		conn net.Conn
+		cfg  wireConfig
 	}
 	cache := newWorkerCache(opts.CacheEntries)
+	// pendingPeers parks mesh dials that raced ahead of their session's
+	// config, at most admm.MaxShards of them (the oldest is dropped).
 	var pendingPeers []peerConn
 	var pendingOpen *opener
 	var sessPeers chan peerConn
@@ -132,6 +133,22 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 	sessEnd := make(chan error, 1)
 	sessions := 0
 	active := false
+	defer func() {
+		for _, p := range pendingPeers {
+			p.conn.Close()
+		}
+	}()
+
+	// offerPeer hands a mesh dial to the running session without ever
+	// blocking the accept loop: the session takes one per peer, so a
+	// surplus dial is closed.
+	offerPeer := func(p peerConn) {
+		select {
+		case sessPeers <- p:
+		default:
+			p.conn.Close()
+		}
+	}
 
 	endSession := func(err error) (stop bool) {
 		if err != nil {
@@ -140,6 +157,9 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 			opts.logf("shard worker: session %d done", sessID)
 		}
 		active = false
+		for len(sessPeers) > 0 {
+			(<-sessPeers).conn.Close()
+		}
 		sessPeers = nil
 		sessions++
 		return opts.MaxSessions > 0 && sessions >= opts.MaxSessions
@@ -154,17 +174,13 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 		// strays from dead sessions.
 		for _, p := range pendingPeers {
 			if p.hello.Session == cfg.Session {
-				sessPeers <- p
+				offerPeer(p)
 			} else {
 				p.conn.Close()
 			}
 		}
 		pendingPeers = pendingPeers[:0]
-		if o.probe != nil {
-			opts.logf("shard worker: session %d: worker %d/%d, cache probe %s", cfg.Session, cfg.Worker, cfg.Shards, o.probe.Key)
-		} else {
-			opts.logf("shard worker: session %d: worker %d/%d, workload %s", cfg.Session, cfg.Worker, cfg.Shards, cfg.Workload)
-		}
+		opts.logf("shard worker: session %d: worker %d/%d, workload %s", cfg.Session, cfg.Worker, cfg.Shards, cfg.Workload)
 		go func(peers chan peerConn) {
 			// Higher-numbered peers dial in concurrently from separate
 			// processes, so their hellos arrive in any order; hold the
@@ -193,12 +209,7 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 					}
 				}
 			}
-			var err error
-			if o.probe != nil {
-				err = runCachedSession(conn, *o.probe, cache, opts, waitPeer)
-			} else {
-				err = runSession(conn, cfg, opts, waitPeer)
-			}
+			err := runSession(conn, cfg, cache, opts, waitPeer)
 			for _, pc := range held {
 				pc.Close()
 			}
@@ -225,56 +236,53 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 			if active {
 				// Let the in-flight session finish; its connections
 				// are independent of the listener.
-				if serr := <-sessEnd; serr != nil {
-					opts.logf("shard worker: session %d failed: %v", sessID, serr)
-				}
+				endSession(<-sessEnd)
 			}
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		case a := <-conns:
-			// admit queues or starts a session opener: sessions execute
-			// one at a time, but the previous coordinator's Close does
-			// not wait for our teardown, so a back-to-back session's
-			// opener legitimately races the Bye; queue one.
-			admit := func(o opener) {
-				if active {
-					if pendingOpen != nil {
-						refuse(o.conn, "worker busy with another session")
-						return
-					}
-					pendingOpen = &o
-					return
-				}
-				startSession(o)
-			}
 			switch a.f.Kind {
 			case exchange.FrameCfg:
 				var cfg wireConfig
-				if err := decodeJSONFrame(a.f, &cfg); err != nil {
+				err := decodeJSONFrame(a.f, &cfg)
+				if err == nil {
+					err = checkSessionShape(cfg)
+				}
+				if err != nil {
 					refuse(a.conn, fmt.Sprintf("bad config: %v", err))
 					continue
 				}
-				admit(opener{conn: a.conn, cfg: cfg})
-			case exchange.FrameCacheProbe:
-				var probe wireCacheProbe
-				if err := decodeJSONFrame(a.f, &probe); err != nil {
-					refuse(a.conn, fmt.Sprintf("bad cache probe: %v", err))
-					continue
+				// Sessions execute one at a time, but the previous
+				// coordinator's Close does not wait for our teardown, so
+				// a back-to-back session's opener legitimately races the
+				// Bye; queue one.
+				o := opener{a.conn, cfg}
+				switch {
+				case !active:
+					startSession(o)
+				case pendingOpen == nil:
+					pendingOpen = &o
+				default:
+					refuse(o.conn, "worker busy with another session")
 				}
-				admit(opener{conn: a.conn, cfg: probe.asConfig(), probe: &probe})
 			case exchange.FramePeer:
 				var hello wirePeer
 				if err := decodeJSONFrame(a.f, &hello); err != nil {
 					a.conn.Close()
 					continue
 				}
+				p := peerConn{a.conn, hello}
 				if active && hello.Session == sessID {
-					sessPeers <- peerConn{a.conn, hello}
-				} else {
-					pendingPeers = append(pendingPeers, peerConn{a.conn, hello})
+					offerPeer(p)
+					continue
 				}
+				if len(pendingPeers) == admm.MaxShards {
+					pendingPeers[0].conn.Close()
+					pendingPeers = pendingPeers[1:]
+				}
+				pendingPeers = append(pendingPeers, p)
 			case exchange.FramePing:
 				// Health probe: answer with this worker's session state
 				// and close. Handled here (not in the classification
@@ -309,10 +317,11 @@ func sessionFail(conn net.Conn, err error) error {
 	return err
 }
 
-// checkSessionShape validates an opener's worker/shard indices.
+// checkSessionShape validates an opener's worker/shard indices. The
+// accept loop runs it before a session allocates anything they size.
 func checkSessionShape(cfg wireConfig) error {
-	if cfg.Shards < 1 || cfg.Worker < 0 || cfg.Worker >= cfg.Shards {
-		return fmt.Errorf("bad worker/shard config %d/%d", cfg.Worker, cfg.Shards)
+	if cfg.Shards < 1 || cfg.Shards > admm.MaxShards || cfg.Worker < 0 || cfg.Worker >= cfg.Shards {
+		return fmt.Errorf("worker %d of %d shards (want 1..%d shards)", cfg.Worker, cfg.Shards, admm.MaxShards)
 	}
 	if len(cfg.Peers) != cfg.Shards {
 		return fmt.Errorf("%d peer addrs for %d shards", len(cfg.Peers), cfg.Shards)
@@ -321,22 +330,24 @@ func checkSessionShape(cfg wireConfig) error {
 }
 
 // buildSession rebuilds the problem a config names and derives the
-// partition plan and boundary manifest — the work a warm-cache hit
-// skips.
-func buildSession(cfg wireConfig, opts WorkerOptions) (*graph.Graph, *plan, *exchange.Manifest, error) {
+// partition plan and boundary manifest — the work a cache hit skips.
+func buildSession(cfg wireConfig, opts WorkerOptions) (*cacheEntry, error) {
 	builder, ok := opts.Builders[cfg.Workload]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown workload %q", cfg.Workload)
+		return nil, fmt.Errorf("unknown workload %q", cfg.Workload)
 	}
 	g, err := builder(cfg.Spec)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("build %s: %w", cfg.Workload, err)
+		return nil, fmt.Errorf("build %s: %w", cfg.Workload, err)
 	}
 	plan, err := newPlan(g, cfg.Shards, false)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return g, plan, exchange.NewManifest(g, &plan.part, cfg.Shards), nil
+	return &cacheEntry{
+		g: g, plan: plan, man: exchange.NewManifest(g, &plan.part, cfg.Shards),
+		worker: cfg.Worker, shards: cfg.Shards,
+	}, nil
 }
 
 // waitPeerFunc delivers the mesh connection dialed in by a
@@ -344,151 +355,32 @@ func buildSession(cfg wireConfig, opts WorkerOptions) (*graph.Graph, *plan, *exc
 // closes (the session's coordinator connection is gone).
 type waitPeerFunc func(from int, hungUp <-chan struct{}) (net.Conn, error)
 
-// sessionRun is a prepared session handed to runSessionLoop: the built
-// (or cache-restored) problem plus how the loop should start.
-type sessionRun struct {
-	g    *graph.Graph
-	plan *plan
-	man  *exchange.Manifest
-	// sendReady: acknowledge with wireReady once the mesh stands
-	// (plain and cache-miss sessions); cache-hit sessions already sent
-	// the same proof in their FrameCacheAck.
-	sendReady bool
-	// stateInstalled: a state-tier cache hit restored the snapshot
-	// before the loop started, so FrameIter is legal without a push.
-	stateInstalled bool
-	// onState, when non-nil, observes each successfully installed
-	// FrameState payload (warm-cache capture).
-	onState func(payload []byte)
-}
-
-// runSession executes one plain (FrameCfg-opened) coordinator session:
-// rebuild, partition, mesh, Ready, then the control loop of
-// State/Params/Iter blocks until Bye. waitPeer delivers mesh
-// connections dialed in by higher-numbered workers.
-func runSession(conn net.Conn, cfg wireConfig, opts WorkerOptions, waitPeer waitPeerFunc) error {
-	if err := checkSessionShape(cfg); err != nil {
-		return sessionFail(conn, err)
-	}
-	g, plan, man, err := buildSession(cfg, opts)
-	if err != nil {
-		return sessionFail(conn, err)
-	}
-	return runSessionLoop(conn, cfg, sessionRun{g: g, plan: plan, man: man, sendReady: true}, opts, waitPeer)
-}
-
-// runCachedSession executes one FrameCacheProbe-opened session. The
-// ack goes out before the mesh stands (unlike Ready) so the
-// coordinator can keep processing other workers' acks — a hit worker
-// waiting for a miss worker's mesh dial must not stall the config that
-// miss worker is itself waiting for. Mesh failures still surface as
-// FrameErr on the first control exchange.
-func runCachedSession(conn net.Conn, probe wireCacheProbe, cache *workerCache, opts WorkerOptions, waitPeer waitPeerFunc) error {
-	cfg := probe.asConfig()
-	if err := checkSessionShape(cfg); err != nil {
-		return sessionFail(conn, err)
-	}
-	if probe.Key == "" {
-		return sessionFail(conn, fmt.Errorf("cache probe without a problem key"))
-	}
-	armWrite := func() {
-		if cfg.FrameTimeoutMS > 0 {
-			conn.SetWriteDeadline(time.Now().Add(time.Duration(cfg.FrameTimeoutMS) * time.Millisecond))
+// runSession executes one coordinator session: take the problem from
+// the cache (restoring the cached state too when the Cfg's state digest
+// matches) or build it, stand the mesh up, answer Ready with the cache
+// tier, then run the control loop of State/Params/Iter blocks until
+// Bye. waitPeer delivers mesh connections dialed in by higher-numbered
+// workers.
+func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOptions, waitPeer waitPeerFunc) (err error) {
+	fail := func(err error) error { return sessionFail(conn, err) }
+	id := cfg.Worker
+	key := problemKey(cfg.Workload, cfg.Spec, cfg.Shards)
+	ent := cache.get(key, id, cfg.Shards)
+	var hit string
+	switch {
+	case ent == nil:
+		if ent, err = buildSession(cfg, opts); err != nil {
+			return fail(err)
 		}
-	}
-	ent := cache.get(probe.Key)
-	if ent != nil && (ent.worker != probe.Worker || ent.shards != probe.Shards) {
-		// A key collision or a coordinator bug: never serve a plan built
-		// for a different shard layout. Rebuild below.
-		cache.remove(probe.Key)
-		ent = nil
-	}
-	if ent == nil {
-		// Miss: ack empty, then the coordinator ships the full config on
-		// this same connection and the session proceeds like a plain one —
-		// except the installed problem and state are captured for next time.
-		armWrite()
-		if err := writeJSONFrame(conn, exchange.FrameCacheAck, wireCacheAck{}); err != nil {
-			return err
-		}
-		f, _, err := exchange.ReadFrame(conn, nil)
-		if err != nil {
-			if err == io.EOF {
-				// Coordinator abandoned the handshake (a peer failed).
-				return nil
-			}
-			return err
-		}
-		if f.Kind == exchange.FrameBye {
-			return nil
-		}
-		if f.Kind != exchange.FrameCfg {
-			return sessionFail(conn, fmt.Errorf("expected config after cache miss, got frame kind %d", f.Kind))
-		}
-		var full wireConfig
-		if err := decodeJSONFrame(f, &full); err != nil {
-			return sessionFail(conn, fmt.Errorf("bad config: %v", err))
-		}
-		if full.Session != probe.Session || full.Worker != probe.Worker || full.Shards != probe.Shards {
-			return sessionFail(conn, fmt.Errorf("config does not match its cache probe"))
-		}
-		if err := checkSessionShape(full); err != nil {
-			return sessionFail(conn, err)
-		}
-		g, plan, man, err := buildSession(full, opts)
-		if err != nil {
-			return sessionFail(conn, err)
-		}
-		run := sessionRun{g: g, plan: plan, man: man, sendReady: true}
-		run.onState = func(payload []byte) {
-			cache.put(probe.Key, &cacheEntry{
-				g: g, plan: plan, man: man,
-				worker: probe.Worker, shards: probe.Shards,
-				snapshot: append([]byte(nil), payload...),
-				digest:   stateDigest(payload),
-			})
-		}
-		return runSessionLoop(conn, full, run, opts, waitPeer)
-	}
-	// Hit: the cached graph/plan/manifest stand in for the rebuild. A
-	// matching state digest additionally proves the cached snapshot is
-	// byte-identical to what the coordinator would push — restore it and
-	// the push is skipped too; otherwise the state still comes down.
-	run := sessionRun{g: ent.g, plan: ent.plan, man: ent.man}
-	hit := cacheHitGraph
-	if ent.digest != "" && ent.digest == probe.StateDigest {
+	case ent.digest == cfg.StateDigest:
 		if err := installState(ent.g, ent.snapshot); err != nil {
-			return sessionFail(conn, err)
+			return fail(err)
 		}
 		hit = cacheHitState
-		run.stateInstalled = true
+	default:
+		hit = cacheHitGraph
 	}
-	run.onState = func(payload []byte) {
-		ent.snapshot = append(ent.snapshot[:0], payload...)
-		ent.digest = stateDigest(payload)
-	}
-	st := ent.g.Stats()
-	ack := wireCacheAck{
-		Hit:            hit,
-		Functions:      st.Functions,
-		Variables:      st.Variables,
-		Edges:          st.Edges,
-		D:              st.D,
-		ManifestDigest: fmt.Sprintf("%016x", ent.man.Digest()),
-	}
-	armWrite()
-	if err := writeJSONFrame(conn, exchange.FrameCacheAck, ack); err != nil {
-		return err
-	}
-	return runSessionLoop(conn, cfg, run, opts, waitPeer)
-}
-
-// runSessionLoop stands the mesh up and runs a prepared session's
-// control loop until Bye.
-func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOptions, waitPeer waitPeerFunc) (err error) {
-	fail := func(err error) error { return sessionFail(conn, err) }
-	g, plan, man := run.g, run.plan, run.man
-	id := cfg.Worker
+	g, plan, man := ent.g, ent.plan, ent.man
 
 	// The next control frame is read while the mesh stands up. The
 	// coordinator sends nothing a worker must act on before its mesh is
@@ -579,26 +471,25 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 		}
 	}
 
-	if run.sendReady {
-		st := g.Stats()
-		ready := wireReady{
-			Functions:      st.Functions,
-			Variables:      st.Variables,
-			Edges:          st.Edges,
-			D:              st.D,
-			ManifestDigest: fmt.Sprintf("%016x", man.Digest()),
-		}
-		armWrite()
-		if err := writeJSONFrame(conn, exchange.FrameReady, ready); err != nil {
-			return err
-		}
+	st := g.Stats()
+	ready := wireReady{
+		Functions:      st.Functions,
+		Variables:      st.Variables,
+		Edges:          st.Edges,
+		D:              st.D,
+		ManifestDigest: fmt.Sprintf("%016x", man.Digest()),
+		Hit:            hit,
+	}
+	armWrite()
+	if err := writeJSONFrame(conn, exchange.FrameReady, ready); err != nil {
+		return err
 	}
 
 	lp := &plan.local[id]
 	ownedVars := lp.appendOwnedVars(nil)
 	var buf, out []byte
 	var zprevBuf []float64
-	stateInstalled := run.stateInstalled
+	stateInstalled := hit == cacheHitState
 	block := 0
 	for {
 		var f exchange.Frame
@@ -622,9 +513,7 @@ func runSessionLoop(conn net.Conn, cfg wireConfig, run sessionRun, opts WorkerOp
 				return fail(err)
 			}
 			stateInstalled = true
-			if run.onState != nil {
-				run.onState(f.Payload)
-			}
+			cache.capture(key, ent, f.Payload)
 		case exchange.FrameParams:
 			if err := installParams(g, f.Payload); err != nil {
 				return fail(err)

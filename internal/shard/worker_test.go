@@ -1,0 +1,391 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/admm"
+	"repro/internal/exchange"
+)
+
+// startWorker hosts one in-process worker on a loopback TCP listener
+// and returns its addr, the listener, and ServeWorker's result.
+func startWorker(t testing.TB, opts WorkerOptions) (string, net.Listener, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan error, 1)
+	go func() { done <- ServeWorker(ln, opts) }()
+	return "tcp:" + ln.Addr().String(), ln, done
+}
+
+// dialFrame opens a connection to the worker and writes one frame on it.
+func dialFrame(t testing.TB, addr string, kind byte, payload []byte) net.Conn {
+	t.Helper()
+	conn, err := DialAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := exchange.WriteFrame(conn, kind, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+func mustJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkPing demands the worker answer a health probe within 2 s.
+func checkPing(t testing.TB, addr string) WorkerHealth {
+	t.Helper()
+	h := ProbeWorkers(context.Background(), []string{addr}, 2*time.Second)[0]
+	if !h.Alive {
+		t.Fatalf("worker no longer answers Ping: %+v", h)
+	}
+	return h
+}
+
+// checkCleanSession runs a one-worker chain session of n variables
+// against addr and demands Serial's iterates bit for bit. The dial
+// budget outwaits a worker still draining earlier sessions.
+func checkCleanSession(t testing.TB, addr string, n int) {
+	t.Helper()
+	spec := chainSpec([]string{addr})
+	spec.DialAttempts = admm.MaxDialAttempts
+	g := chainGraph(t, n)
+	r, err := NewRemote(context.Background(), spec, g)
+	if err != nil {
+		t.Fatalf("clean session refused: %v", err)
+	}
+	defer r.Close()
+	var nanos [admm.NumPhases]int64
+	if err := r.Iterate(g, 10, &nanos); err != nil {
+		t.Fatal(err)
+	}
+	ref := chainGraph(t, n)
+	admm.NewSerialFused().Iterate(ref, 10, &nanos)
+	for i := range ref.Z {
+		if ref.Z[i] != g.Z[i] {
+			t.Fatalf("clean session diverged from serial at Z[%d]: %g vs %g", i, g.Z[i], ref.Z[i])
+		}
+	}
+}
+
+// TestHostileShardCountRefused: a Cfg whose shape no session can have —
+// a negative shard count, one whose peer channel alone would not fit in
+// memory, one past admm.MaxShards, a worker index out of range, a peer
+// list of the wrong length — is answered with FrameErr on the accept
+// loop, before anything is sized by it, and the worker then serves a
+// clean session bit-identical to Serial.
+func TestHostileShardCountRefused(t *testing.T) {
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, 48)})
+	peers := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = addr
+		}
+		return out
+	}
+	for _, cfg := range []wireConfig{
+		{Shards: -1},
+		{Shards: 1 << 40},
+		{Shards: admm.MaxShards + 1, Peers: peers(admm.MaxShards + 1)},
+		{Shards: 2, Worker: 2, Peers: peers(2)},
+		{Shards: 2, Worker: -1, Peers: peers(2)},
+		{Shards: 2, Peers: peers(3)},
+	} {
+		cfg.Session, cfg.Workload, cfg.Spec = 7, "chain", []byte(`{}`)
+		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, _, err := readFrameKind(conn, nil, exchange.FrameReady)
+		var re *remoteError
+		if !errors.As(err, &re) || re.transient() {
+			t.Fatalf("worker %d of %d shards, %d peers: got %v, want a FrameErr refusal", cfg.Worker, cfg.Shards, len(cfg.Peers), err)
+		}
+		conn.Close()
+	}
+	checkCleanSession(t, addr, 48)
+}
+
+// TestRetiredOpenerKindsRefused: kinds 22 and 23, the retired
+// CacheProbe opener and its CacheAck, open nothing — the worker answers
+// FrameErr and serves the next session as usual.
+func TestRetiredOpenerKindsRefused(t *testing.T) {
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, 16)})
+	for _, kind := range []byte{22, 23} {
+		conn := dialFrame(t, addr, kind, []byte(`{}`))
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, _, err := readFrameKind(conn, nil, exchange.FrameReady); !errors.As(err, new(*remoteError)) {
+			t.Fatalf("kind %d opener: got %v, want a FrameErr refusal", kind, err)
+		}
+	}
+	checkCleanSession(t, addr, 16)
+}
+
+// TestSurplusMeshHellosDoNotWedgeWorker: a session takes one mesh hello
+// per peer, and hellos past that — more than its shard count carrying
+// the live session id — are closed instead of blocking the accept loop:
+// the worker still answers Ping mid-session and the session finishes
+// bit-identical to Serial. Hellos for sessions that have not started
+// are parked at most admm.MaxShards deep; one more closes one of them.
+func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, 48)})
+	g := chainGraph(t, 48)
+	r, err := NewRemote(context.Background(), chainSpec([]string{addr}), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 3; i++ {
+		dialFrame(t, addr, exchange.FramePeer, mustJSON(t, wirePeer{Session: r.session}))
+	}
+	if h := checkPing(t, addr); !h.Busy {
+		t.Fatalf("worker mid-session reports idle: %+v", h)
+	}
+
+	parked := make([]net.Conn, admm.MaxShards+1)
+	for i := range parked {
+		parked[i] = dialFrame(t, addr, exchange.FramePeer, mustJSON(t, wirePeer{Session: r.session + 1}))
+	}
+	eofs := make(chan struct{}, len(parked))
+	for _, c := range parked {
+		go func() {
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err == io.EOF {
+				eofs <- struct{}{}
+			}
+		}()
+	}
+	select {
+	case <-eofs:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("none of %d parked hellos was closed (the bound is %d)", len(parked), admm.MaxShards)
+	}
+	select {
+	case <-eofs:
+		t.Fatalf("two of %d parked hellos were closed, want one (the bound is %d)", len(parked), admm.MaxShards)
+	case <-time.After(100 * time.Millisecond):
+	}
+	checkPing(t, addr)
+
+	var nanos [admm.NumPhases]int64
+	if err := r.Iterate(g, 10, &nanos); err != nil {
+		t.Fatal(err)
+	}
+	ref := chainGraph(t, 48)
+	admm.NewSerialFused().Iterate(ref, 10, &nanos)
+	for i := range ref.Z {
+		if ref.Z[i] != g.Z[i] {
+			t.Fatalf("session diverged from serial at Z[%d]", i)
+		}
+	}
+}
+
+// Op codes of a FuzzWorkerSession input: five bytes per op, [code,
+// conn, x, y, z]. conn%4 picks one of three persistent connections (a
+// closed one is redialed) or, for 3, a fresh one-shot connection.
+const (
+	opCfg = iota
+	opState
+	opParams
+	opIter
+	opPeer
+	opPing
+	opBye
+	opRetired
+	opHeader
+	opClose
+	opRaw
+	numOps
+)
+
+// fuzzChainVars sizes the fuzzed worker's chain problem.
+const fuzzChainVars = 16
+
+// FuzzWorkerSession drives one in-process worker with a fuzzed
+// sequence of frames: openers with fuzzed shape, workload, spec, state
+// digest and peers; State and Params of fuzzed lengths; Iter, also
+// before any State; mesh hellos; Ping; Bye; the retired kinds 3, 4, 22
+// and 23; a bare header declaring MaxFrameLen; and frames of any kind.
+// Whatever the sequence, the worker must still answer Ping, then serve
+// a clean session bit-identical to Serial, and once its listener
+// closes, leave no goroutine behind. Peer addresses are the worker's own
+// or a socket nobody listens on, so nothing leaves the machine.
+// Fuzzed configs always carry a frame timeout: without one, mid-solve
+// mesh I/O is unbounded by design, and a config naming a peer that
+// never answers holds its session until the peer does.
+func FuzzWorkerSession(f *testing.F) {
+	op := func(code, conn, x, y, z byte) []byte { return []byte{code, conn, x, y, z} }
+	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+	// A negative shard count, and one too large to allocate for.
+	f.Add(seq(op(opCfg, 0, 0xff, 0, 0), op(opCfg, 3, 0x80, 0, 0)))
+	// Surplus mesh hellos for the live one-worker session.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opPeer, 3, 0, 0, 0), op(opPeer, 3, 0, 0, 0), op(opPeer, 3, 0, 0, 0)))
+	// TestSilentOpenerDropped's header, then a session behind it.
+	f.Add(seq(op(opHeader, 3, 0, 0, 0), op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 0, 0)))
+	// A second Cfg mid-session.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 1, 0), op(opCfg, 0, 1, 0, 0)))
+	// Iter before State; retired kinds as openers and mid-session.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opIter, 0, 1, 0, 0), op(opRetired, 3, 2, 0, 0), op(opRetired, 3, 3, 0, 0),
+		op(opCfg, 1, 1, 0, 0), op(opState, 1, 1, 0, 0), op(opRetired, 1, 0, 0, 0)))
+	// A two-worker session that dials itself for its mesh, State of the
+	// wrong length, Params, Bye.
+	f.Add(seq(op(opCfg, 0, 2, 1, 0), op(opState, 0, 0, 3, 5), op(opCfg, 1, 2, 0, 1), op(opParams, 1, 1, 0, 0), op(opBye, 1, 0, 0, 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		baseline := runtime.NumGoroutine()
+		dir := t.TempDir()
+		addr, ln, served := startWorker(t, WorkerOptions{
+			Builders:     chainBuilders(t, fuzzChainVars),
+			DialTimeout:  time.Second,
+			MeshWait:     200 * time.Millisecond,
+			CacheEntries: 2,
+		})
+		g := chainGraph(t, fuzzChainVars)
+		stateLen, paramsLen := stateWords(g)*8, paramsWords(g)*8
+
+		var conns [3]net.Conn
+		var oneShot []net.Conn
+		closeAll := func() {
+			for _, c := range append(conns[:], oneShot...) {
+				if c != nil {
+					c.Close()
+				}
+			}
+			conns, oneShot = [3]net.Conn{}, nil
+		}
+		defer closeAll()
+		dial := func() net.Conn {
+			c, err := DialAddr(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go io.Copy(io.Discard, c) // the worker's replies
+			return c
+		}
+		connFor := func(i byte) net.Conn {
+			if i%4 == 3 {
+				c := dial()
+				oneShot = append(oneShot, c)
+				return c
+			}
+			if conns[i%4] == nil {
+				conns[i%4] = dial()
+			}
+			return conns[i%4]
+		}
+		send := func(c net.Conn, raw []byte) {
+			c.SetWriteDeadline(time.Now().Add(time.Second))
+			c.Write(raw) // the worker may already have hung up
+		}
+		sized := func(exact bool, n, exactLen int, fill byte) []byte {
+			if exact {
+				n = exactLen
+			}
+			return bytes.Repeat([]byte{fill}, n)
+		}
+
+		const maxOps = 32
+		for k := 0; k+5 <= len(data) && k < 5*maxOps; k += 5 {
+			code, ci, x, y, z := data[k]%numOps, data[k+1], data[k+2], data[k+3], data[k+4]
+			var frame []byte
+			switch code {
+			case opCfg:
+				shards := int(int8(x))
+				if x == 0x80 {
+					shards = 1 << 40
+				}
+				cfg := wireConfig{
+					Session:        uint64(z&3) + 1,
+					Worker:         int(int8(y)) % 4,
+					Workload:       "chain",
+					Spec:           []byte(`{}`),
+					FrameTimeoutMS: 100 + 200*int(z>>7),
+				}
+				peer := addr
+				if z&0x08 != 0 {
+					peer = "unix:" + dir + "/nobody.sock"
+				}
+				npeers := min(max(shards, 0), admm.MaxShards+1)
+				if z&0x04 != 0 {
+					npeers = int(z>>4) & 3
+				}
+				for range npeers {
+					cfg.Peers = append(cfg.Peers, peer)
+				}
+				cfg.Shards = shards
+				if z&0x10 != 0 {
+					cfg.Spec = []byte(`{"n":1}`)
+				}
+				if z&0x20 != 0 {
+					cfg.Workload = "nope"
+				}
+				if z&0x40 != 0 {
+					cfg.StateDigest = "0000000000000000"
+				}
+				frame = exchange.AppendFrame(nil, exchange.FrameCfg, 0, mustJSON(t, cfg))
+			case opState:
+				frame = exchange.AppendFrame(nil, exchange.FrameState, 0, sized(x&1 != 0, int(y)*8+int(z&7), stateLen, y))
+			case opParams:
+				frame = exchange.AppendFrame(nil, exchange.FrameParams, 0, sized(x&1 != 0, int(y)*8+int(z&7), paramsLen, y))
+			case opIter:
+				frame = exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: int(int8(x)) % 4, ZPrev: y&1 != 0}))
+			case opPeer:
+				frame = exchange.AppendFrame(nil, exchange.FramePeer, 0, mustJSON(t, wirePeer{Session: uint64(x&3) + 1, From: int(int8(y))}))
+			case opPing:
+				frame = exchange.AppendFrame(nil, exchange.FramePing, 0, nil)
+			case opBye:
+				frame = exchange.AppendFrame(nil, exchange.FrameBye, 0, nil)
+			case opRetired:
+				frame = exchange.AppendFrame(nil, []byte{3, 4, 22, 23}[x&3], 0, bytes.Repeat([]byte{z}, int(y&15)))
+			case opHeader:
+				frame = []byte{0, 0, 0, 0x10} // length MaxFrameLen, and nothing after it
+			case opClose:
+				if c := conns[ci%3]; c != nil {
+					c.Close()
+					conns[ci%3] = nil
+				}
+				continue
+			case opRaw:
+				frame = exchange.AppendFrame(nil, x, 0, bytes.Repeat([]byte{z}, int(y)))
+			}
+			send(connFor(ci), frame)
+		}
+
+		checkPing(t, addr)
+		closeAll()
+		checkCleanSession(t, addr, fuzzChainVars)
+
+		ln.Close()
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("ServeWorker: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ServeWorker did not return after its listener closed")
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	})
+}
