@@ -160,10 +160,12 @@ func UpdateXRange(g *graph.Graph, lo, hi int) {
 	}
 }
 
-// UpdateMRange computes m = x + u for edges [lo, hi).
+// UpdateMRange computes m = x + u for edges [lo, hi), allocating M
+// first if nothing has asked for it yet (graph.EnsureM; that first call
+// must not race with another).
 func UpdateMRange(g *graph.Graph, lo, hi int) {
 	d := g.D()
-	linalg.AddTo(g.M[lo*d:hi*d], g.X[lo*d:hi*d], g.U[lo*d:hi*d])
+	linalg.AddTo(g.EnsureM()[lo*d:hi*d], g.X[lo*d:hi*d], g.U[lo*d:hi*d])
 }
 
 // UpdateZRange computes the rho-weighted consensus average for variable

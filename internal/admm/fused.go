@@ -25,13 +25,17 @@ import "repro/internal/graph"
 //	           (40d bytes/edge)
 //
 // That is ~56d bytes of edge traffic per iteration against the reference
-// path's ~88d, and one fewer array (M) in the working set. Per-edge
+// path's ~88d, and one fewer array (M) in the working set — and in
+// memory: a graph only the fused path runs on never allocates M. Per-edge
 // arithmetic order is exactly the reference kernels' — the sum x+u is
 // rounded before the rho multiply, the CSR gather order is unchanged, and
 // n reads the just-updated u — so fused iterates are bit-identical to
 // Serial; the cross-executor conformance suite pins this.
 //
-// M is left stale by the fused path. The synchronous executors are safe
+// M does not exist until a five-phase consumer asks for it: Finalize
+// leaves g.M nil, the fused path never touches it, and UpdateMRange
+// allocates it (graph.EnsureM) on first use. Once it exists the fused
+// path leaves it stale. The synchronous five-phase executors are safe
 // against that: the reference m-update fully overwrites M from X and U
 // before the z-update reads it, so they can resume on a graph last
 // advanced by a fused backend. Consumers that read M without first
@@ -192,9 +196,10 @@ func UpdateUNRange(g *graph.Graph, lo, hi int) {
 	}
 }
 
-// MaterializeM recomputes the M array from the current X and U. The fused
-// path never writes M (the message lives only in registers); callers that
-// inspect g.M directly after a fused run use this to refresh it.
+// MaterializeM recomputes the M array from the current X and U,
+// allocating it on first use. The fused path never writes M (the message
+// lives only in registers); callers that inspect g.M directly after a
+// fused run use this to refresh it.
 func MaterializeM(g *graph.Graph) {
 	UpdateMRange(g, 0, g.NumEdges())
 }

@@ -28,6 +28,7 @@ func (r *ReferenceBackend) Close() {}
 
 func (r *ReferenceBackend) load(g *graph.Graph) {
 	d := g.D()
+	g.EnsureM()
 	r.owner = g
 	r.edges = make(map[int]map[string][]float64, g.NumEdges())
 	for e := 0; e < g.NumEdges(); e++ {

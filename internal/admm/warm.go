@@ -24,7 +24,7 @@ import (
 // before consuming it, so the iterate trajectory after Apply is
 // identical to continuing the captured run, regardless of whether the
 // capture came from a fused schedule (which never materializes M) or
-// the five-phase reference.
+// the five-phase reference. A graph that has no M yet keeps none.
 type WarmState struct {
 	X, U, Z []float64
 	// edges/vars/d pin the captured shape so Apply can reject a
@@ -53,8 +53,9 @@ func (ws *WarmState) Capture(g *graph.Graph) bool {
 }
 
 // Apply restores the snapshot onto g: x/u/z are copied back and the
-// derived message arrays are recomputed (m = x + u, n = z_b - u). The
-// graph must have the shape the snapshot was captured from.
+// derived message arrays are recomputed (m = x + u where M exists,
+// n = z_b - u). The graph must have the shape the snapshot was captured
+// from.
 func (ws *WarmState) Apply(g *graph.Graph) error {
 	if !ws.Captured() {
 		return fmt.Errorf("admm: warm state is empty")
@@ -66,7 +67,9 @@ func (ws *WarmState) Apply(g *graph.Graph) error {
 	copy(g.X, ws.X)
 	copy(g.U, ws.U)
 	copy(g.Z, ws.Z)
-	UpdateMRange(g, 0, g.NumEdges())
+	if g.M != nil {
+		UpdateMRange(g, 0, g.NumEdges())
+	}
 	UpdateNRange(g, 0, g.NumEdges())
 	return nil
 }

@@ -12,7 +12,9 @@
 //
 // The memory layout deliberately mirrors the paper's parADMM C engine:
 // all edge state lives in flat []float64 arrays in edge-creation order
-// (X, M, U, N), and Z is variable-major in variable-creation order. This
+// (X, M, U, N; M is allocated only once a five-phase consumer asks for
+// it, see Graph.EnsureM), and Z is variable-major in variable-creation
+// order. This
 // struct-of-arrays layout is what the GPU simulator's coalescing model
 // reasons about, and is also what makes the shared-memory executors
 // false-sharing-friendly: each update phase writes exactly one array,

@@ -82,10 +82,15 @@ type Graph struct {
 	// Per-edge ADMM parameters.
 	Rho, Alpha []float64
 
-	// ADMM state. X, M, U, N are edge-major (numEdges*d); Z is
+	// ADMM state. X, U, N are edge-major (numEdges*d); Z is
 	// variable-major (numVars*d).
-	X, M, U, N []float64
-	Z          []float64
+	X, U, N []float64
+	Z       []float64
+	// M is the edge-major m = x + u message array of the five-phase
+	// schedule. The fused schedule every product executor runs forms m
+	// in registers and never reads it, so M does not exist (nil) until a
+	// five-phase consumer asks for it through EnsureM.
+	M []float64
 
 	// Reusable engine workspace (ScratchZ, ScratchEdgeBuf): lazily
 	// allocated once so the steady-state iteration loop — residual
@@ -155,10 +160,11 @@ func (g *Graph) AddNode(op Op, vars ...int) int {
 	return len(g.ops) - 1
 }
 
-// Finalize builds the variable-side adjacency and allocates all state
-// arrays. After Finalize the topology is immutable. It returns an error
-// if any variable node ended up with no incident edge (the z-update would
-// divide by zero).
+// Finalize builds the variable-side adjacency and allocates the
+// parameters and the state arrays the fused iteration reads (X, U, N,
+// Z); M waits for EnsureM. After Finalize the topology is immutable. It
+// returns an error if any variable node ended up with no incident edge
+// (the z-update would divide by zero).
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return errors.New("graph: already finalized")
@@ -196,12 +202,26 @@ func (g *Graph) Finalize() error {
 		g.Alpha[i] = 1
 	}
 	g.X = make([]float64, nE*g.d)
-	g.M = make([]float64, nE*g.d)
 	g.U = make([]float64, nE*g.d)
 	g.N = make([]float64, nE*g.d)
 	g.Z = make([]float64, g.numVars*g.d)
 	g.finalized = true
 	return nil
+}
+
+// EnsureM returns M, allocating it zeroed (NumEdges*D doubles) on the
+// first call. Its callers are the five-phase consumers — UpdateMRange
+// (and through it the serial oracle, TWA, async and the simulated
+// devices) and the naive ReferenceBackend — and each overwrites M from
+// X and U before reading it, so the zero fill is never observed. The
+// first call writes g.M and must not race with another user of the
+// graph; every caller today is single-threaded.
+func (g *Graph) EnsureM() []float64 {
+	if g.M == nil {
+		g.mustFinal()
+		g.M = make([]float64, g.NumEdges()*g.d)
+	}
+	return g.M
 }
 
 // maxFuncDegree returns (computing lazily on first use) the largest
@@ -246,9 +266,10 @@ func (g *Graph) ScratchEdgeBuf() []float64 {
 }
 
 // Bytes prices the graph's own arrays — topology, parameters, ADMM
-// state and scratch — from their capacities, plus one interface value
-// per operator. What an operator owns behind that interface is its
-// builder's to add (see the workload packages' Problem.Bytes).
+// state (M once allocated) and scratch — from their capacities, plus one
+// interface value per operator. What an operator owns behind that
+// interface is its builder's to add (see the workload packages'
+// Problem.Bytes).
 func (g *Graph) Bytes() int64 {
 	words := cap(g.fEdgeStart) + cap(g.edgeVar) + cap(g.vEdgeStart) + cap(g.vEdges) +
 		cap(g.Rho) + cap(g.Alpha) + cap(g.X) + cap(g.M) + cap(g.U) + cap(g.N) + cap(g.Z) +
@@ -320,7 +341,8 @@ func (g *Graph) SetUniformParams(rho, alpha float64) {
 
 // InitRandom initializes X, M, U, N, Z uniformly at random in [lo, hi]
 // (paper: initialize_X_N_Z_M_U_rand). A nil rng uses a fixed seed so
-// experiments are reproducible by default.
+// experiments are reproducible by default. M's values are drawn whether
+// or not M is allocated, so X, U, N and Z get the same bits either way.
 func (g *Graph) InitRandom(lo, hi float64, rng *rand.Rand) {
 	g.mustFinal()
 	if rng == nil {
@@ -333,13 +355,19 @@ func (g *Graph) InitRandom(lo, hi float64, rng *rand.Rand) {
 		}
 	}
 	fill(g.X)
-	fill(g.M)
+	if g.M != nil {
+		fill(g.M)
+	} else {
+		for range g.NumEdges() * g.d {
+			rng.Float64()
+		}
+	}
 	fill(g.U)
 	fill(g.N)
 	fill(g.Z)
 }
 
-// InitZero zeroes all ADMM state.
+// InitZero zeroes all ADMM state (an absent M stays absent).
 func (g *Graph) InitZero() {
 	g.mustFinal()
 	for _, v := range [][]float64{g.X, g.M, g.U, g.N, g.Z} {
@@ -352,7 +380,9 @@ func (g *Graph) InitZero() {
 // State is a copy of every array a solve mutates (parameters and ADMM
 // state), so a solve can be re-run from exactly where another started:
 // the determinism contract — bit-identical iterates for a given
-// configuration — only holds from the same starting state.
+// configuration — only holds from the same starting state. An absent M
+// is saved as nil and restores nothing: every consumer of M rewrites it
+// before reading it.
 type State [7][]float64
 
 func (g *Graph) stateArrays() State {
@@ -414,36 +444,57 @@ func (g *Graph) Stats() Stats {
 }
 
 // Validate performs consistency checks on the finalized graph, returning
-// the first problem found. It is O(|E|) and intended for tests and for
-// builders to call once after construction.
+// the first problem found. It is O(|E|) and intended for tests, for
+// builders to call once after construction, and for Decode, whose input
+// may be hostile: it checks every index before it uses one.
 func (g *Graph) Validate() error {
 	if !g.finalized {
 		return errors.New("graph: not finalized")
 	}
-	if got, want := g.fEdgeStart[len(g.fEdgeStart)-1], g.NumEdges(); got != want {
-		return fmt.Errorf("graph: function CSR covers %d edges, have %d", got, want)
+	nE := g.NumEdges()
+	if err := checkCSR("function", g.fEdgeStart, len(g.ops), nE); err != nil {
+		return err
+	}
+	if err := checkCSR("variable", g.vEdgeStart, g.numVars, nE); err != nil {
+		return err
+	}
+	if len(g.vEdges) != nE {
+		return fmt.Errorf("graph: variable CSR has %d entries, have %d edges", len(g.vEdges), nE)
 	}
 	for e, v := range g.edgeVar {
 		if v < 0 || v >= g.numVars {
 			return fmt.Errorf("graph: edge %d references variable %d out of range", e, v)
 		}
 	}
-	// Variable CSR must be the inverse of edgeVar.
-	seen := 0
+	// Variable CSR must be the inverse of edgeVar: each variable lists
+	// its own edges in increasing order, so, with the counts above, every
+	// edge appears exactly once.
 	for b := 0; b < g.numVars; b++ {
+		prev := -1
 		for _, e := range g.VarEdges(b) {
-			if g.edgeVar[e] != b {
+			if e <= prev || e >= nE || g.edgeVar[e] != b {
 				return fmt.Errorf("graph: CSR mismatch at variable %d edge %d", b, e)
 			}
-			seen++
+			prev = e
 		}
-	}
-	if seen != g.NumEdges() {
-		return fmt.Errorf("graph: variable CSR covers %d of %d edges", seen, g.NumEdges())
 	}
 	for a := range g.ops {
 		if g.ops[a] == nil {
 			return fmt.Errorf("graph: function %d has nil op", a)
+		}
+	}
+	return nil
+}
+
+// checkCSR checks that start is a CSR offset array over n nodes covering
+// nE edges with at least one edge per node.
+func checkCSR(kind string, start []int, n, nE int) error {
+	if len(start) != n+1 || start[0] != 0 || start[n] != nE {
+		return fmt.Errorf("graph: %s CSR does not cover %d edges", kind, nE)
+	}
+	for i := 0; i < n; i++ {
+		if start[i+1] <= start[i] {
+			return fmt.Errorf("graph: %s node %d has no edges", kind, i)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -248,6 +249,7 @@ func TestReadSolution(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g := paperGraph(t, 2)
 	g.SetUniformParams(1.5, 0.8)
+	g.EnsureM() // so the image carries a nonzero M
 	g.InitRandom(-2, 2, rand.New(rand.NewSource(5)))
 	img := g.Encode()
 	if len(img) != g.EncodedSize() {
@@ -284,6 +286,112 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	check("Z", g.Z, g2.Z)
 	if err := g2.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeDecodeWithoutM: a graph no five-phase consumer touched has
+// no M; its image has the usual layout with a zero M section, and it
+// decodes to a graph that has no M either.
+func TestEncodeDecodeWithoutM(t *testing.T) {
+	g := paperGraph(t, 3)
+	g.InitRandom(-1, 1, rand.New(rand.NewSource(8)))
+	img := g.Encode()
+	if g.M != nil {
+		t.Fatal("Encode allocated M")
+	}
+	if len(img) != g.EncodedSize() {
+		t.Fatalf("EncodedSize = %d, len(image) = %d", g.EncodedSize(), len(img))
+	}
+	ops := make([]Op, g.NumFunctions())
+	for i := range ops {
+		ops[i] = identOp{}
+	}
+	g2, err := Decode(img, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.M != nil {
+		t.Fatal("an image with a zero M section decoded to an allocated M")
+	}
+	for name, pair := range map[string][2][]float64{
+		"Rho": {g.Rho, g2.Rho}, "Alpha": {g.Alpha, g2.Alpha},
+		"X": {g.X, g2.X}, "U": {g.U, g2.U}, "N": {g.N, g2.N}, "Z": {g.Z, g2.Z},
+	} {
+		a, b := pair[0], pair[1]
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d values decoded, want %d", name, len(b), len(a))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %g, want %g", name, i, b[i], a[i])
+			}
+		}
+	}
+	if again := g2.Encode(); string(again) != string(img) {
+		t.Fatal("re-encoding the decoded graph changed the image")
+	}
+}
+
+// TestEnsureMIsLazy: Finalize leaves M absent, EnsureM allocates it once,
+// zeroed, and Bytes prices it only from then on; the whole-state helpers
+// treat an absent M as empty and leave it absent.
+func TestEnsureMIsLazy(t *testing.T) {
+	g := paperGraph(t, 2)
+	if g.M != nil {
+		t.Fatal("Finalize allocated M")
+	}
+	g.InitZero()
+	g.RestoreState(g.SaveState())
+	if g.M != nil {
+		t.Fatal("InitZero or SaveState/RestoreState allocated M")
+	}
+	before := g.Bytes()
+	m := g.EnsureM()
+	if len(m) != g.NumEdges()*g.D() {
+		t.Fatalf("EnsureM returned %d doubles, want %d", len(m), g.NumEdges()*g.D())
+	}
+	for _, v := range m {
+		if v != 0 {
+			t.Fatal("EnsureM did not zero M")
+		}
+	}
+	if got, want := g.Bytes()-before, int64(8*len(m)); got != want {
+		t.Fatalf("Bytes grew by %d on EnsureM, want %d", got, want)
+	}
+	m[0] = 7
+	if again := g.EnsureM(); &again[0] != &m[0] || again[0] != 7 {
+		t.Fatal("a second EnsureM reallocated M")
+	}
+}
+
+// TestInitRandomSameStateWithoutM: InitRandom draws M's values whether or
+// not M exists, so X, U, N and Z get the same bits either way.
+func TestInitRandomSameStateWithoutM(t *testing.T) {
+	lazy, full := paperGraph(t, 2), paperGraph(t, 2)
+	full.EnsureM()
+	lazy.InitRandom(-1, 1, rand.New(rand.NewSource(3)))
+	full.InitRandom(-1, 1, rand.New(rand.NewSource(3)))
+	if lazy.M != nil {
+		t.Fatal("InitRandom allocated M")
+	}
+	for name, pair := range map[string][2][]float64{
+		"X": {lazy.X, full.X}, "U": {lazy.U, full.U}, "N": {lazy.N, full.N}, "Z": {lazy.Z, full.Z},
+	} {
+		for i := range pair[0] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d] = %g without M, %g with it", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+	nonzero := false
+	for _, v := range full.M {
+		if v < -1 || v > 1 {
+			t.Fatalf("InitRandom drew M value %g outside [-1, 1]", v)
+		}
+		nonzero = nonzero || v != 0
+	}
+	if !nonzero {
+		t.Fatal("InitRandom left an allocated M at zero")
 	}
 }
 

@@ -174,8 +174,10 @@ func Build(cfg Config) (*Problem, error) {
 	for b := 0; b < cfg.Blocks; b++ {
 		lo := b * m / cfg.Blocks
 		hi := (b + 1) * m / cfg.Blocks
-		sub := linalg.NewMat(hi-lo, p)
-		copy(sub.Data, inst.A.Data[lo*p:hi*p])
+		// The block's rows are a view of the instance, not a copy: Eval
+		// never reads A (it solves with the Gram factor) and Value only
+		// reads it. The capacity bound keeps the view to its own rows.
+		sub := &linalg.Mat{Rows: hi - lo, Cols: p, Data: inst.A.Data[lo*p : hi*p : hi*p]}
 		op, err := NewLeastSquares(sub, inst.Y[lo:hi])
 		if err != nil {
 			return nil, err

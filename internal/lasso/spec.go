@@ -11,15 +11,15 @@ import (
 func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
 
 // Bytes prices the problem for the serving layer's graph cache: the
-// graph's arrays, each block's rows of A with its ridge factors and
-// A^T y, and the full instance Objective reads. The blocks' observations
-// alias the instance's and count once.
+// graph's arrays, each block's ridge factors and A^T y, and the full
+// instance Objective reads. A block's rows of A and its observations
+// are views of the instance's and count once.
 func (p *Problem) Bytes() int64 {
 	inst := p.Cfg.Inst
 	n := p.Graph.Bytes() + 8*int64(cap(inst.A.Data)+cap(inst.Y)+cap(inst.XTrue))
 	for a := 0; a < p.Graph.NumFunctions(); a++ {
 		if ls, ok := p.Graph.Op(a).(*LeastSquaresOp); ok {
-			n += 8*int64(cap(ls.A.Data)+cap(ls.aty)+cap(ls.rbuf)) + ls.ridge.Bytes()
+			n += 8*int64(cap(ls.aty)+cap(ls.rbuf)) + ls.ridge.Bytes()
 		}
 	}
 	return n

@@ -81,14 +81,18 @@ func Build(cfg Config) (*Problem, error) {
 	copy(w, cfg.QDiag)
 	copy(w[StateDim:], cfg.RDiag)
 
-	// Stage costs: one single-edge quadratic node per time step.
+	// Stage costs: one single-edge quadratic node per time step. The cost
+	// is the same at every step and DiagQuadratic is a read-only value, so
+	// all K+1 nodes hold one boxed operator instead of K+1 copies.
+	var cost graph.Op = prox.DiagQuadratic{W: w, Dim: BlockDim}
 	for t := 0; t <= cfg.K; t++ {
-		g.AddNode(prox.DiagQuadratic{W: w, Dim: BlockDim}, t)
+		g.AddNode(cost, t)
 	}
 	// Linearized dynamics: q(t+1) = (I+A) q(t) + B u(t), written as
 	// C [v_t; v_{t+1}] = 0 with C = [-(I+A)  -B  |  I  0].
 	// Every step has the same constraint, so the K nodes are clones of one
-	// operator and share its precomputed projection gain.
+	// operator: they share C and the precomputed projection gain, and each
+	// clone is 24 bytes of per-node state (prox.AffineEquality).
 	dyn, err := prox.NewAffineEquality(dynamicsConstraint(cfg.A, cfg.B), make([]float64, StateDim), BlockDim)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: dynamics node: %w", err)

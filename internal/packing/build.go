@@ -122,7 +122,7 @@ func (p *Problem) InitRandom(rng *rand.Rand) {
 		centers[i] = sample()
 	}
 	// Write z, and make every message consistent with it (x = m = n = z
-	// restricted to each edge; u = 0).
+	// restricted to each edge, m only where M exists; u = 0).
 	for i := 0; i < p.Cfg.N; i++ {
 		zc := g.VarBlock(g.Z, centerVar(i))
 		zc[0], zc[1] = centers[i].X, centers[i].Y
@@ -133,7 +133,9 @@ func (p *Problem) InitRandom(rng *rand.Rand) {
 	for e := 0; e < g.NumEdges(); e++ {
 		z := g.VarBlock(g.Z, g.EdgeVar(e))
 		copy(g.EdgeBlock(g.X, e), z)
-		copy(g.EdgeBlock(g.M, e), z)
+		if g.M != nil {
+			copy(g.EdgeBlock(g.M, e), z)
+		}
 		copy(g.EdgeBlock(g.N, e), z)
 		u := g.EdgeBlock(g.U, e)
 		u[0], u[1] = 0, 0

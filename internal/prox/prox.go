@@ -319,20 +319,33 @@ func (p L2Ball) Work(deg, d int) graph.Work {
 // it, or computes and publishes one. A published gain is never written
 // again.
 //
+// An operator is a flyweight: C, RHS, the live dimension, the degree and
+// the published gain live in one affineConstraint every Clone points to,
+// and an operator adds only its own gain pointer and, once it has
+// evaluated on a padded graph, a pointer to that path's buffers — three
+// words, so a chain of thousands of clones costs 24 bytes a node.
+//
 // This operator backs the MPC linearized-dynamics prox (Appendix B) and
 // the initial-condition clamp.
 type AffineEquality struct {
-	C   *linalg.Mat
-	RHS []float64
-	Dim int // live components per edge block
-
-	deg    int
-	shared *atomic.Pointer[affineGain] // latest gain any Clone sibling computed
-	gain   *affineGain                 // the gain for this node's current rho
-	// The padded path's concatenated live components, unprojected and
-	// projected; nil where Dim equals the graph's d.
-	vbuf, pbuf []float64
+	con  *affineConstraint // shared by every Clone sibling
+	gain *affineGain       // the gain for this node's current rho
+	pad  *affinePad        // the padded path's buffers; nil until it runs
 }
+
+// affineConstraint is what Clone siblings share: the constraint (only
+// read) and the latest gain any of them computed.
+type affineConstraint struct {
+	c      *linalg.Mat
+	rhs    []float64
+	dim    int // live components per edge block
+	deg    int
+	shared atomic.Pointer[affineGain]
+}
+
+// affinePad holds the padded path's concatenated live components,
+// unprojected and projected.
+type affinePad struct{ in, out []float64 }
 
 // affineGain is a projector precomputed for one per-edge rho vector.
 // It is immutable once built, which is what lets nodes on different
@@ -366,41 +379,37 @@ func NewAffineEquality(c *linalg.Mat, rhs []float64, nd int) (*AffineEquality, e
 	if len(rhs) != c.Rows {
 		return nil, fmt.Errorf("prox: AffineEquality rhs length %d != rows %d", len(rhs), c.Rows)
 	}
-	return &AffineEquality{
-		C: c, RHS: rhs, Dim: nd,
-		deg:    c.Cols / nd,
-		shared: new(atomic.Pointer[affineGain]),
-	}, nil
+	return &AffineEquality{con: &affineConstraint{c: c, rhs: rhs, dim: nd, deg: c.Cols / nd}}, nil
 }
 
 // Clone returns an operator for another function node under the same
-// constraint. It shares p's C, RHS (both only read) and published gain, so
-// a builder that attaches thousands of nodes to one constraint matrix pays
-// for one gain per rho, not one per node. All a clone owns is its pointer
-// to the gain for its node's current rho and, once it has evaluated on a
-// padded graph, the two buffers of that path.
+// constraint, in one 24-byte allocation. It shares p's constraint and
+// published gain, so a builder that attaches thousands of nodes to one
+// constraint matrix pays for one gain per rho, not one per node. All a
+// clone owns is its pointer to the gain for its node's current rho and,
+// once it has evaluated on a padded graph, the two buffers of that path.
 func (p *AffineEquality) Clone() *AffineEquality {
-	q := *p
-	q.vbuf, q.pbuf = nil, nil
-	return &q
+	return &AffineEquality{con: p.con, gain: p.gain}
 }
 
 // Eval implements graph.Op. It only reads n. It is NOT safe for
 // concurrent use on the same operator instance: it caches the gain that
-// matched the last rho and, on the padded path, gathers into vbuf/pbuf.
-// Attach one instance per function node, which is how every builder in
-// this repository uses it. Clone siblings may be evaluated concurrently.
+// matched the last rho and, on the padded path, gathers into its own
+// buffers. Attach one instance per function node, which is how every
+// builder in this repository uses it. Clone siblings may be evaluated
+// concurrently.
 func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
+	con := p.con
 	deg := len(rho)
-	if deg != p.deg {
-		panic(fmt.Sprintf("prox: AffineEquality built for degree %d, attached to degree %d", p.deg, deg))
+	if deg != con.deg {
+		panic(fmt.Sprintf("prox: AffineEquality built for degree %d, attached to degree %d", con.deg, deg))
 	}
-	nd := p.Dim
+	nd := con.dim
 	if nd > d {
 		panic(fmt.Sprintf("prox: AffineEquality dim %d exceeds graph dims %d", nd, d))
 	}
 	if !p.gain.matches(rho) {
-		p.gain = p.gainFor(rho)
+		p.gain = con.gainFor(rho)
 	}
 	if nd == d {
 		// No padding: the blocks are the concatenation already.
@@ -409,16 +418,16 @@ func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 	}
 	copyPad(x, n, deg, d, nd)
 	// Gather live components.
-	if p.vbuf == nil {
-		p.vbuf = make([]float64, p.C.Cols)
-		p.pbuf = make([]float64, p.C.Cols)
+	if p.pad == nil {
+		p.pad = &affinePad{in: make([]float64, con.c.Cols), out: make([]float64, con.c.Cols)}
 	}
+	in, out := p.pad.in, p.pad.out
 	for k := 0; k < deg; k++ {
-		copy(p.vbuf[k*nd:(k+1)*nd], n[k*d:k*d+nd])
+		copy(in[k*nd:(k+1)*nd], n[k*d:k*d+nd])
 	}
-	p.gain.proj.Project(p.pbuf, p.vbuf)
+	p.gain.proj.Project(out, in)
 	for k := 0; k < deg; k++ {
-		copy(x[k*d:k*d+nd], p.pbuf[k*nd:(k+1)*nd])
+		copy(x[k*d:k*d+nd], out[k*nd:(k+1)*nd])
 	}
 }
 
@@ -428,19 +437,19 @@ func (p *AffineEquality) Eval(x, n, rho []float64, d int) {
 // rho alone), so it does not matter whose is published; the
 // compare-and-swap only keeps a slower node from replacing a gain that
 // siblings already hold with a duplicate.
-func (p *AffineEquality) gainFor(rho []float64) *affineGain {
-	cur := p.shared.Load()
+func (con *affineConstraint) gainFor(rho []float64) *affineGain {
+	cur := con.shared.Load()
 	if cur.matches(rho) {
 		return cur
 	}
-	nd := p.Dim
-	w := make([]float64, p.C.Cols)
+	nd := con.dim
+	w := make([]float64, con.c.Cols)
 	for k, r := range rho {
 		for i := 0; i < nd; i++ {
 			w[k*nd+i] = r
 		}
 	}
-	proj, err := linalg.NewAffineProjector(p.C, p.RHS)
+	proj, err := linalg.NewAffineProjector(con.c, con.rhs)
 	if err == nil {
 		err = proj.Precompute(w)
 	}
@@ -448,14 +457,14 @@ func (p *AffineEquality) gainFor(rho []float64) *affineGain {
 		panic(fmt.Sprintf("prox: AffineEquality projection: %v", err))
 	}
 	g := &affineGain{rho: append([]float64(nil), rho...), proj: proj}
-	p.shared.CompareAndSwap(cur, g)
+	con.shared.CompareAndSwap(cur, g)
 	return g
 }
 
 // Work implements graph.Op.
 func (p *AffineEquality) Work(deg, d int) graph.Work {
-	m := float64(p.C.Rows)
-	n := float64(p.C.Cols)
+	m := float64(p.con.c.Rows)
+	n := float64(p.con.c.Cols)
 	// Charged as a solve per call (gram formation, factorization,
 	// substitutions, rank-m update) — the cost profile of the paper's C
 	// implementation, which refactors inside the PO; our cached fast

@@ -3,6 +3,7 @@ package prox
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -422,8 +423,10 @@ func dynamicsLike(rng *rand.Rand) *linalg.Mat {
 }
 
 // TestAffineEqualityPerInstanceState: an operator owns no scratch beyond
-// the padded path's two buffers, so a Clone is one allocation and a
-// steady-state Eval none, and Eval projects out of place without writing n.
+// the padded path's two buffers, so a Clone is one allocation of at most
+// 24 bytes (three pointers: the shared constraint, its gain, its padded
+// buffers) and a steady-state Eval none, and Eval projects out of place
+// without writing n.
 func TestAffineEqualityPerInstanceState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	first, err := NewAffineEquality(dynamicsLike(rng), []float64{0.3, -0.1, 0.2, 0.05}, 5)
@@ -433,6 +436,18 @@ func TestAffineEqualityPerInstanceState(t *testing.T) {
 	var clone *AffineEquality // assigned through the closure so the clone escapes
 	if a := testing.AllocsPerRun(100, func() { clone = first.Clone() }); a != 1 || clone == nil {
 		t.Errorf("Clone allocates %v times, want 1", a)
+	}
+	const clones = 1000
+	keep := make([]*AffineEquality, clones)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = first.Clone()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / clones; per > 24 {
+		t.Errorf("a Clone allocates %.1f bytes, want at most 24", per)
 	}
 	rho := []float64{0.7, 3.5}
 	for _, d := range []int{5, 7} { // nd == d, and the padded path

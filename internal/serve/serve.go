@@ -485,17 +485,23 @@ func (s *Server) unregister(id string) {
 // record metrics, and return the graph to the cache.
 func (s *Server) runJob(j *Job) {
 	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.mu.Unlock()
 
+	// finish leaves the inflight gauge before it wakes the job's
+	// waiters, so a client that reads /metrics after its reply never
+	// sees its own job still in flight.
+	finish := func() {
+		s.met.inflight.Add(-1)
+		close(j.done)
+	}
 	fail := func(err error) {
 		j.mu.Lock()
 		j.status = StatusFailed
 		j.err = err.Error()
 		j.mu.Unlock()
-		close(j.done)
+		finish()
 	}
 
 	// Crash guard: a panic on this pool worker (a bug in an operator or
@@ -622,5 +628,5 @@ func (s *Server) runJob(j *Job) {
 	j.status = StatusDone
 	j.result = r
 	j.mu.Unlock()
-	close(j.done)
+	finish()
 }

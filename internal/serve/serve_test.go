@@ -367,6 +367,31 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// TestJobsInflightZeroAfterWaitReply: a job leaves the inflight gauge
+// before its waiter is woken, so a scrape right after a wait reply never
+// counts the job that produced it.
+func TestJobsInflightZeroAfterWaitReply(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i := 0; i < 5; i++ {
+		code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":2},"max_iter":10}`)
+		if code != http.StatusOK || v.Status != StatusDone {
+			t.Fatalf("solve %d: status %d, job %+v", i, code, v)
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(text), "paradmm_jobs_inflight 0\n") {
+			t.Fatalf("after wait reply %d the gauge still counts the job:\n%s", i, text)
+		}
+	}
+}
+
 // TestShardMetricsReported: a sharded solve must surface its partition
 // footprint (boundary vars/edges, shard count) through /metrics.
 func TestShardMetricsReported(t *testing.T) {
