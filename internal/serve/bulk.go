@@ -18,7 +18,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	case s.bulkSem <- struct{}{}:
 		defer func() { <-s.bulkSem }()
 	default:
-		s.met.countBulk("rejected")
+		s.met.recordBulk(bulk.Stats{}, "rejected")
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "bulk stream limit reached"})
 		return
 	}

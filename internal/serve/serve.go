@@ -14,7 +14,8 @@
 //	GET  /v1/jobs/{id} poll an async job
 //	GET  /healthz      liveness + accepted workloads
 //	GET  /metrics      Prometheus text: requests, iterations, per-phase
-//	                   time, cache and queue gauges
+//	                   time, cache and queue gauges, and histograms of
+//	                   queue wait, build, solve and per-route latency
 //
 // Two knobs bound admission (Config.Workers, Config.QueueDepth); a
 // shape-keyed graph cache (internal/graph.Cache) lets repeated requests
@@ -45,7 +46,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -200,6 +200,7 @@ type Job struct {
 	maxIter  int
 	absTol   float64
 	relTol   float64
+	admitted time.Time // stamped before Submit: a worker may start the job first
 
 	mu       sync.Mutex
 	status   string
@@ -252,10 +253,18 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   graph.NewCache[problem](cfg.CachePerKey),
-		met:     newMetrics(),
 		jobs:    map[string]*Job{},
 		bulkSem: make(chan struct{}, cfg.BulkStreams),
 	}
+	s.met = newMetrics(cfg.Store != nil, cfg.Fleet != nil, func(sn *snapshot) {
+		sn.cache, sn.queue = s.cache.Stats(), s.pool.Depth()
+		if cfg.Store != nil {
+			sn.store = cfg.Store.Stats()
+		}
+		if cfg.Fleet != nil {
+			sn.fleet = cfg.Fleet.Stats()
+		}
+	})
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runJob)
 	return s
 }
@@ -269,12 +278,12 @@ func (s *Server) CacheStats() graph.CacheStats { return s.cache.Stats() }
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("POST /v1/bulk", s.handleBulk)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/solve", s.met.timed("solve", s.handleSolve))
+	mux.HandleFunc("POST /v1/bulk", s.met.timed("bulk", s.handleBulk))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.met.timed("jobs", s.handleJob))
+	mux.HandleFunc("GET /v1/fleet", s.met.timed("fleet", s.handleFleet))
+	mux.HandleFunc("GET /healthz", s.met.timed("healthz", s.handleHealth))
+	mux.HandleFunc("GET /metrics", s.met.timed("metrics", s.handleMetrics))
 	return mux
 }
 
@@ -321,14 +330,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.met.countRequest("unknown", "too_large")
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+			s.reply(w, "unknown", "too_large", http.StatusRequestEntityTooLarge, errorBody{
 				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
 			})
 			return
 		}
-		s.met.countRequest("unknown", "bad_request")
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		s.reply(w, "unknown", "bad_request", http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	adm, err := workload.Parse(req.Workload, req.Spec)
@@ -337,22 +344,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if name == "" {
 			name = "unknown"
 		}
-		s.met.countRequest(name, "bad_request")
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad spec: " + err.Error()})
+		s.reply(w, name, "bad_request", http.StatusBadRequest, errorBody{Error: "bad spec: " + err.Error()})
 		return
 	}
 	wl := adm.Workload
 	if err := req.Executor.Validate(); err != nil {
-		s.met.countRequest(wl, "bad_request")
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad executor: " + err.Error()})
+		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: "bad executor: " + err.Error()})
 		return
 	}
 	if req.MaxIter == 0 {
 		req.MaxIter = 1000
 	}
 	if req.MaxIter < 0 || req.MaxIter > s.cfg.MaxIterLimit {
-		s.met.countRequest(wl, "bad_request")
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{
 			Error: fmt.Sprintf("max_iter = %d out of range (1..%d)", req.MaxIter, s.cfg.MaxIterLimit),
 		})
 		return
@@ -369,30 +373,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		relTol:   req.RelTol,
 		status:   StatusQueued,
 		done:     make(chan struct{}),
+		admitted: time.Now(),
 	}
 	s.register(job)
 	if err := s.pool.Submit(job); err != nil {
 		s.unregister(job.id)
-		s.met.countRequest(wl, "queue_full")
 		code := http.StatusTooManyRequests
 		if err == ErrClosed {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, errorBody{Error: err.Error()})
+		s.reply(w, wl, "queue_full", code, errorBody{Error: err.Error()})
 		return
 	}
 
 	if req.Wait != nil && !*req.Wait {
-		s.met.countRequest(wl, "accepted")
-		writeJSON(w, http.StatusAccepted, job.view())
+		s.reply(w, wl, "accepted", http.StatusAccepted, job.view())
 		return
 	}
 	select {
 	case <-job.done:
 	case <-r.Context().Done():
 		// Client went away; the job keeps running and stays pollable.
-		s.met.countRequest(wl, "abandoned")
-		writeJSON(w, http.StatusAccepted, job.view())
+		s.reply(w, wl, "abandoned", http.StatusAccepted, job.view())
 		return
 	}
 	v := job.view()
@@ -401,16 +403,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			// The fleet planner refused admission: every healthy worker's
 			// session slot is leased. 429 tells the client to back off,
 			// exactly like a full queue.
-			s.met.countRequest(wl, "shed")
-			writeJSON(w, http.StatusTooManyRequests, v)
+			s.reply(w, wl, "shed", http.StatusTooManyRequests, v)
 			return
 		}
-		s.met.countRequest(wl, "failed")
-		writeJSON(w, http.StatusBadRequest, v)
+		s.reply(w, wl, "failed", http.StatusBadRequest, v)
 		return
 	}
-	s.met.countRequest(wl, "ok")
-	writeJSON(w, http.StatusOK, v)
+	s.reply(w, wl, "ok", http.StatusOK, v)
+}
+
+// reply counts a solve admission's outcome and writes its response.
+func (s *Server) reply(w http.ResponseWriter, workload, outcome string, code int, v any) {
+	s.met.countRequest(workload, outcome)
+	writeJSON(w, code, v)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -433,16 +438,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.met.render(&b, s.pool.Depth(), s.cache.Stats())
-	if s.cfg.Store != nil {
-		renderStoreMetrics(&b, s.cfg.Store.Stats())
-	}
-	if s.cfg.Fleet != nil {
-		s.renderFleetMetrics(&b)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.Write([]byte(b.String()))
+	w.Write(s.met.appendText(make([]byte, 0, 16<<10)))
 }
 
 func (s *Server) register(j *Job) {
@@ -484,6 +481,7 @@ func (s *Server) unregister(id string) {
 // cache, build on miss, reset state, solve with the requested executor,
 // record metrics, and return the graph to the cache.
 func (s *Server) runJob(j *Job) {
+	s.met.queueWait.observe(time.Since(j.admitted).Nanoseconds())
 	s.met.inflight.Add(1)
 	j.mu.Lock()
 	j.status = StatusRunning
@@ -547,7 +545,7 @@ func (s *Server) runJob(j *Job) {
 		// The lease (if any) outlives the whole solve, including the
 		// failover loop's re-partitioned retries.
 		defer d.Release()
-		s.met.countFleetRoute(string(d.Route))
+		s.met.fleetRouted[index(fleetRoutes[:], string(d.Route))].Add(1)
 		switch d.Route {
 		case fleet.RouteShed:
 			j.mu.Lock()

@@ -442,11 +442,11 @@ func TestShardMetricsReported(t *testing.T) {
 // shard that waited longest in each solve, not shard 0 — which may be
 // the very shard the others were waiting for.
 func TestShardSyncWaitCountsSlowestShard(t *testing.T) {
-	m := newMetrics()
+	m := newMetrics(false, false, nil)
 	m.recordShard(shard.Stats{Shards: 3, SyncWaitNanos: 10, SyncWaitByShard: []int64{10, 500, 30}})
 	m.recordShard(shard.Stats{Shards: 2, SyncWaitNanos: 7, SyncWaitByShard: []int64{7, 3}})
-	if m.shardSyncNanos != 507 {
-		t.Fatalf("sync-wait total = %d, want 500 + 7", m.shardSyncNanos)
+	if got := m.shardSyncNanos.Load(); got != 507 {
+		t.Fatalf("sync-wait total = %d, want 500 + 7", got)
 	}
 }
 
