@@ -24,6 +24,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -43,84 +44,137 @@ import (
 	"repro/internal/svm"
 )
 
-func main() {
-	problem := flag.String("problem", "packing", "packing | mpc | svm | lasso")
-	size := flag.Int("size", 10, "circles / horizon / data points / observations")
-	iters := flag.Int("iters", 2000, "ADMM iterations")
-	backendName := flag.String("backend", "serial", "serial | sharded | auto")
-	shards := flag.Int("shards", 4, "shard count for -backend sharded")
-	fused := flag.Bool("fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
-	transport := flag.String("transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
-	addrs := flag.String("addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
-	dialTimeout := flag.Duration("dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
-	handshakeTimeout := flag.Duration("handshake-timeout", 0, "sockets transport: bound on each handshake frame exchange (0 = 30s default)")
-	frameTimeout := flag.Duration("frame-timeout", 0, "sockets transport: bound on every mid-solve frame read/write; must exceed a block's compute time (0 = unbounded)")
-	dialAttempts := flag.Int("dial-attempts", 0, "sockets transport: dial+handshake retry budget with capped exponential backoff (0 = 3 attempts)")
-	failover := flag.String("failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
-	repeat := flag.Int("repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
-	useFleet := flag.Bool("fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve, dial from a prewarmed pool")
-	seed := flag.Int64("seed", 1, "workload seed (0 selects the workload spec's default seed)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paradmm-solve [-problem P] [-size N] [-iters N] [-backend B] [flags]\n\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+// config is what the command line sets: the problem to build and how
+// to solve it.
+type config struct {
+	problem string
+	size    int
+	iters   int
+	seed    int64
+	run     runConfig
+}
 
-	spec, err := admm.ParseExecutor(*backendName)
-	if err != nil {
-		fatal(err)
+// solvers maps each -problem to the function that builds and solves it.
+var solvers = map[string]func(size, iters int, cfg runConfig, seed int64) error{
+	"packing": solvePacking,
+	"mpc":     solveMPC,
+	"svm":     solveSVM,
+	"lasso":   solveLasso,
+}
+
+// parseConfig parses the command line. A malformed value, a stray
+// argument, a negative count or duration, an unknown problem or an
+// invalid executor is an error, reported with the usage the way the
+// flag package reports its own; -h prints the usage and returns
+// flag.ErrHelp.
+func parseConfig(args []string) (config, error) {
+	var c config
+	var backend, transport, addrs, failover string
+	var shards, dialAttempts int
+	var fused bool
+	var dialTimeout, handshakeTimeout, frameTimeout time.Duration
+	fs := flag.NewFlagSet("paradmm-solve", flag.ContinueOnError)
+	fs.StringVar(&c.problem, "problem", "packing", "packing | mpc | svm | lasso")
+	fs.IntVar(&c.size, "size", 10, "circles / horizon / data points / observations")
+	fs.IntVar(&c.iters, "iters", 2000, "ADMM iterations")
+	fs.StringVar(&backend, "backend", "serial", "serial | sharded | auto")
+	fs.IntVar(&shards, "shards", 4, "shard count for -backend sharded")
+	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
+	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
+	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
+	fs.DurationVar(&dialTimeout, "dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
+	fs.DurationVar(&handshakeTimeout, "handshake-timeout", 0, "sockets transport: bound on each handshake frame exchange (0 = 30s default)")
+	fs.DurationVar(&frameTimeout, "frame-timeout", 0, "sockets transport: bound on every mid-solve frame read/write; must exceed a block's compute time (0 = unbounded)")
+	fs.IntVar(&dialAttempts, "dial-attempts", 0, "sockets transport: dial+handshake retry budget with capped exponential backoff (0 = 3 attempts)")
+	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
+	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
+	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve, dial from a prewarmed pool")
+	fs.Int64Var(&c.seed, "seed", 1, "workload seed (0 selects the workload spec's default seed)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: paradmm-solve [-problem P] [-size N] [-iters N] [-backend B] [flags]\n\n")
+		fs.PrintDefaults()
 	}
-	// The sharded knobs are set whatever the kind: Validate rejects them
-	// on any other, so a -transport or -failover request against the
-	// wrong backend errors instead of silently solving locally.
-	spec.Transport = *transport
-	spec.Addrs = splitAddrs(*addrs)
-	spec.Fused = fused
-	spec.DialTimeoutMS = int(*dialTimeout / time.Millisecond)
-	spec.HandshakeTimeoutMS = int(*handshakeTimeout / time.Millisecond)
-	spec.FrameTimeoutMS = int(*frameTimeout / time.Millisecond)
-	spec.DialAttempts = *dialAttempts
-	spec.Failover = *failover
-	if spec.Kind == admm.ExecSharded {
-		spec.Shards = *shards
-		// One worker process per shard. An un-passed -shards follows the
-		// addr count; an explicit one must agree (Validate reports the
-		// mismatch).
-		passed := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { passed[f.Name] = true })
-		if len(spec.Addrs) > 0 && !passed["shards"] {
-			spec.Shards = len(spec.Addrs)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	var bad error
+	switch {
+	case fs.NArg() > 0:
+		bad = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case solvers[c.problem] == nil:
+		bad = fmt.Errorf("unknown problem %q", c.problem)
+	}
+	// Every count and duration must not be negative; -seed may be.
+	passed := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		passed[f.Name] = true
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
 		}
+		if neg && bad == nil {
+			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
+		}
+	})
+	if bad == nil {
+		c.run.spec, bad = admm.ParseExecutor(backend)
 	}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
+	if bad == nil {
+		spec := &c.run.spec
+		// The sharded knobs are set whatever the kind: Validate rejects
+		// them on any other, so a -transport or -failover request against
+		// the wrong backend errors instead of silently solving locally.
+		spec.Transport = transport
+		spec.Addrs = splitAddrs(addrs)
+		spec.Fused = &fused
+		spec.DialTimeoutMS = int(dialTimeout / time.Millisecond)
+		spec.HandshakeTimeoutMS = int(handshakeTimeout / time.Millisecond)
+		spec.FrameTimeoutMS = int(frameTimeout / time.Millisecond)
+		spec.DialAttempts = dialAttempts
+		spec.Failover = failover
+		if spec.Kind == admm.ExecSharded {
+			// One worker process per shard. An un-passed -shards follows
+			// the addr count; an explicit one must agree (Validate reports
+			// the mismatch).
+			spec.Shards = shards
+			if len(spec.Addrs) > 0 && !passed["shards"] {
+				spec.Shards = len(spec.Addrs)
+			}
+		}
+		bad = spec.Validate()
+	}
+	switch {
+	case bad != nil:
+	case c.run.repeat < 1:
+		bad = fmt.Errorf("-repeat %d out of range (>= 1)", c.run.repeat)
+	case c.run.fleet && len(c.run.spec.Addrs) == 0:
+		bad = fmt.Errorf("-fleet needs -addrs naming the shardworker fleet")
+	}
+	if bad != nil {
+		fmt.Fprintln(fs.Output(), bad)
+		fs.Usage()
+		return c, bad
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseConfig(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err != nil:
+		os.Exit(2) // parseConfig printed the error and the usage
 	}
 	// The sharded executor partitions the factor graph up front, so the
-	// backend is built after the problem: solve* functions carry this
-	// config to run(), which adds the rebuildable problem reference that
-	// worker processes reconstruct the graph from and hands the spec to
-	// shard.Solve.
-	cfg := runConfig{spec: spec, repeat: *repeat, fleet: *useFleet}
-	if cfg.repeat < 1 {
-		fatal(fmt.Errorf("-repeat %d out of range (>= 1)", cfg.repeat))
-	}
-	if cfg.fleet && len(spec.Addrs) == 0 {
-		fatal(fmt.Errorf("-fleet needs -addrs naming the shardworker fleet"))
-	}
-
-	switch *problem {
-	case "packing":
-		err = solvePacking(*size, *iters, cfg, *seed)
-	case "mpc":
-		err = solveMPC(*size, *iters, cfg)
-	case "svm":
-		err = solveSVM(*size, *iters, cfg, *seed)
-	case "lasso":
-		err = solveLasso(*size, *iters, cfg, *seed)
-	default:
-		err = fmt.Errorf("unknown problem %q", *problem)
-	}
-	if err != nil {
+	// backend is built after the problem: solve* functions carry the
+	// run config to run(), which adds the rebuildable problem reference
+	// that worker processes reconstruct the graph from and hands the
+	// spec to shard.Solve.
+	if err := solvers[c.problem](c.size, c.iters, c.run, c.seed); err != nil {
 		fatal(err)
 	}
 }
@@ -297,7 +351,7 @@ func solvePacking(n, iters int, cfg runConfig, seed int64) error {
 	return nil
 }
 
-func solveMPC(k, iters int, cfg runConfig) error {
+func solveMPC(k, iters int, cfg runConfig, _ int64) error {
 	spec := mpc.Spec{K: k}
 	ref, err := problemRef("mpc", spec)
 	if err != nil {

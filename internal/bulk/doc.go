@@ -4,22 +4,23 @@
 // construction, cold ADMM iterations, encode scratch — amortized across
 // the stream.
 //
-// The pipeline is staged, each stage a bounded worker pool connected by
-// bounded channels (backpressure propagates from the writer back to the
-// reader; a slow consumer slows admission instead of ballooning memory):
+// The pipeline has three stages connected by bounded channels
+// (backpressure propagates from the writer back to the reader; a slow
+// consumer slows admission instead of ballooning memory):
 //
-//	read    one goroutine splits the input into length-capped lines
-//	decode  strict JSONL envelope decode + workload admission
-//	        (internal/workload.Parse: spec validation and size caps)
-//	group   a resequencer/dispatcher routes records to solve workers
-//	        by shape key, so same-shape specs land on the same worker
-//	        in input order
-//	solve   shape-affine workers hold one built problem per shape
-//	        and a warm-start snapshot (admm.WarmState): the first record
-//	        of a shape solves cold, later records warm-start from the
-//	        previous solution of that shape
-//	encode  workers render result records with pooled scratch buffers
-//	write   one goroutine restores input order and streams results out
+//	read   one goroutine splits the input into length-capped lines,
+//	       decodes and admits each (strict JSONL envelope decode,
+//	       internal/workload.Parse: spec validation and size caps) and
+//	       routes it, in input order, to its shape's solve worker
+//	solve  shape-affine workers hold one built problem per shape and a
+//	       warm-start snapshot (admm.WarmState): the first record of a
+//	       shape solves cold, later records warm-start from the previous
+//	       solution of that shape; each worker encodes its own results
+//	       with pooled scratch buffers
+//	write  Run's goroutine restores input order and streams results out
+//
+// At most 1024 records are in flight, read but not yet written, so the
+// writer's reorder buffer stays bounded whatever the input.
 //
 // Per-record failures — malformed or over-long lines, unknown
 // workloads, spec violations, solve errors (a lost shard worker under

@@ -26,10 +26,6 @@ type Options struct {
 	// always solve sequentially in input order on one worker — that is
 	// what makes warm-start chains deterministic.
 	Workers int
-	// DecodeWorkers/EncodeWorkers size the decode and encode pools
-	// (default min(Workers, 4)).
-	DecodeWorkers int
-	EncodeWorkers int
 	// Executor is the stream-level executor spec; a record's own
 	// executor field replaces it wholesale for that record.
 	Executor admm.ExecutorSpec
@@ -71,12 +67,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.DecodeWorkers <= 0 {
-		o.DecodeWorkers = min(o.Workers, 4)
-	}
-	if o.EncodeWorkers <= 0 {
-		o.EncodeWorkers = min(o.Workers, 4)
-	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
 	}
@@ -88,6 +78,15 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+const (
+	// window bounds the records in flight — read but not yet written —
+	// and with them the writer's reorder buffer, whatever the input.
+	window = 1024
+	// queueDepth is each solve worker's queue length. A shallow queue
+	// stalls the reader on one busy worker while another sits idle.
+	queueDepth = 16
+)
 
 // Stats summarizes one pipeline run. Results/Errors count records
 // actually written to the output; the solve counters count work
@@ -118,15 +117,9 @@ type Stats struct {
 	StoreSaves  uint64 `json:"store_saves,omitempty"`
 }
 
-// rawLine is one length-capped input line with its record index.
-type rawLine struct {
-	seq    int
-	data   []byte
-	errMsg string // set for over-long lines; data is empty then
-}
-
-// task is a decoded record on its way to a solve worker (or, when
-// errMsg is set, straight to the output as an error record).
+// task is an admitted record on its way to its solve worker. When
+// errMsg is set the record was refused and the worker only encodes the
+// error.
 type task struct {
 	seq    int
 	req    Request
@@ -168,9 +161,6 @@ type pipeline struct {
 	ctx  context.Context
 	opts Options
 
-	mu     sync.Mutex
-	shapes map[string]*shapeState
-
 	scratch sync.Pool
 
 	lines      atomic.Uint64
@@ -207,107 +197,73 @@ func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 // teardown that cancels the request context; files and pipes with
 // data never block) must arrange that themselves.
 func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, error) {
-	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), shapes: map[string]*shapeState{}}
+	p := &pipeline{ctx: ctx, opts: opts.withDefaults()}
 	p.scratch.New = func() any {
 		s := &encodeScratch{}
 		s.enc = json.NewEncoder(&s.buf)
 		return s
 	}
 
-	linesCh := make(chan rawLine, 16)
-	decodedCh := make(chan *task, 16)
-	solveChs := make([]chan *task, p.opts.Workers)
-	for i := range solveChs {
-		solveChs[i] = make(chan *task, 4)
+	// The reader takes a token for each record it routes and the writer
+	// returns it once the record is written.
+	tokens := make(chan struct{}, window)
+	queues := make([]chan *task, p.opts.Workers)
+	shapes := make([]map[string]*shapeState, p.opts.Workers)
+	// out's buffer lets a worker hand off a finished record and start
+	// the next one while the writer is inside a Write.
+	out := make(chan encoded, 16)
+
+	var wg sync.WaitGroup
+	for i := range queues {
+		queues[i] = make(chan *task, queueDepth)
+		shapes[i] = map[string]*shapeState{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.solve(queues[i], out, shapes[i])
+		}()
 	}
-	resultsCh := make(chan Result, 16)
-	encodedCh := make(chan encoded, 16)
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
 
 	// The reader's error travels over a buffered channel so the
 	// goroutine can deposit it and exit unconditionally; Run joins it
 	// with a blocking receive once the downstream stages have unwound.
 	readErrCh := make(chan error, 1)
 	go func() {
-		readErrCh <- p.read(r, linesCh)
-		close(linesCh)
-	}()
-
-	var decWG sync.WaitGroup
-	for i := 0; i < p.opts.DecodeWorkers; i++ {
-		decWG.Add(1)
-		go func() {
-			defer decWG.Done()
-			p.decode(linesCh, decodedCh)
-		}()
-	}
-	go func() {
-		decWG.Wait()
-		close(decodedCh)
-	}()
-
-	// resultsCh is fed by the dispatcher (error records) and every
-	// solve worker; it closes when all of them are done.
-	var resWG sync.WaitGroup
-	resWG.Add(1 + p.opts.Workers)
-	go func() {
-		defer resWG.Done()
-		p.dispatch(decodedCh, solveChs, resultsCh)
-		for _, ch := range solveChs {
-			close(ch)
+		readErrCh <- p.read(r, queues, tokens)
+		for _, q := range queues {
+			close(q)
 		}
 	}()
-	for i := 0; i < p.opts.Workers; i++ {
-		go func(ch <-chan *task) {
-			defer resWG.Done()
-			p.solve(ch, resultsCh)
-		}(solveChs[i])
-	}
-	go func() {
-		resWG.Wait()
-		close(resultsCh)
-	}()
 
-	var encWG sync.WaitGroup
-	for i := 0; i < p.opts.EncodeWorkers; i++ {
-		encWG.Add(1)
-		go func() {
-			defer encWG.Done()
-			p.encode(resultsCh, encodedCh)
-		}()
-	}
-	go func() {
-		encWG.Wait()
-		close(encodedCh)
-	}()
-
-	writeErr := p.write(w, encodedCh)
-
-	// write returning means the encode stage closed encodedCh, but on
-	// cancellation the solve stage can still be mid-record (encode
-	// workers exit on ctx.Done without draining resultsCh). Join every
-	// stage before touching p.shapes: solve workers create entries via
-	// p.shape and mutate shapeState, and a graph still being solved
-	// must not be published into a shared cache. All of these waits
-	// terminate — once the context is done every stage's receives and
-	// sends fall through to ctx.Done, and the reader deposits its error
-	// as soon as the in-flight r.Read returns.
-	resWG.Wait()
-	decWG.Wait()
-	encWG.Wait()
+	// write returns once out is closed, that is once every solve worker
+	// has exited, so the shape maps are no longer touched and no graph
+	// is still being solved when it is published to a shared cache
+	// below. The reader join terminates too: once the context is done
+	// its sends fall through to ctx.Done, and it deposits its error as
+	// soon as the in-flight r.Read returns.
+	writeErr := p.write(w, out, tokens)
 	readErr := <-readErrCh
 
 	// Persist each chain's final snapshot, then return built graphs to
 	// the cache for the next stream (or the serving layer's other
 	// handlers). Only dirty chains are written: a chain whose last solve
 	// failed or panicked was reset and must not poison the store.
-	for key, st := range p.shapes {
-		if p.opts.Store != nil && st.dirty && st.warm.Captured() {
-			if err := p.opts.Store.Put(key, store.Snapshot{Warm: st.warm, Iterations: st.iterations}); err == nil {
-				p.storeSaves.Add(1)
+	nShapes := 0
+	for _, m := range shapes {
+		nShapes += len(m)
+		for key, st := range m {
+			if p.opts.Store != nil && st.dirty && st.warm.Captured() {
+				if err := p.opts.Store.Put(key, store.Snapshot{Warm: st.warm, Iterations: st.iterations}); err == nil {
+					p.storeSaves.Add(1)
+				}
 			}
-		}
-		if st.prob != nil && p.opts.Cache != nil {
-			p.opts.Cache.Put(key, st.prob)
+			if st.prob != nil && p.opts.Cache != nil {
+				p.opts.Cache.Put(key, st.prob)
+			}
 		}
 	}
 
@@ -319,7 +275,7 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 		WarmStarts: p.warmStarts.Load(),
 		Iterations: p.iterations.Load(),
 		CacheHits:  p.cacheHits.Load(),
-		Shapes:     len(p.shapes),
+		Shapes:     nShapes,
 
 		StoreHits:   p.storeHits.Load(),
 		StoreMisses: p.storeMisses.Load(),
@@ -335,10 +291,13 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 	}
 }
 
-// read splits the input into length-capped lines, assigning each
-// non-blank line its record index. Over-long lines are consumed (not
-// buffered) and forwarded as error records.
-func (p *pipeline) read(r io.Reader, out chan<- rawLine) error {
+// read splits the input into length-capped lines, admits each non-blank
+// line and routes it, in input order, to a solve worker: an admitted
+// record to its shape's worker, a refused one (over-long, undecodable
+// or inadmissible) to worker seq % Workers. Over-long lines are
+// consumed, not buffered. Each record takes a token first, so the
+// reader stalls while the window is full.
+func (p *pipeline) read(r io.Reader, queues []chan *task, tokens chan<- struct{}) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	seq := 0
 	for {
@@ -346,16 +305,14 @@ func (p *pipeline) read(r io.Reader, out chan<- rawLine) error {
 			return nil
 		}
 		line, tooLong, err := readLine(br, p.opts.MaxLineBytes)
-		switch {
-		case tooLong:
+		if tooLong || len(bytes.TrimSpace(line)) > 0 {
 			p.lines.Add(1)
-			if !send(p.ctx, out, rawLine{seq: seq, errMsg: fmt.Sprintf("line exceeds %d bytes", p.opts.MaxLineBytes)}) {
-				return nil
+			t := p.admit(seq, line, tooLong)
+			q := queues[seq%len(queues)]
+			if t.errMsg == "" {
+				q = queues[shapeWorker(t.adm.Key, len(queues))]
 			}
-			seq++
-		case len(bytes.TrimSpace(line)) > 0:
-			p.lines.Add(1)
-			if !send(p.ctx, out, rawLine{seq: seq, data: line}) {
+			if !send(p.ctx, tokens, struct{}{}) || !send(p.ctx, q, t) {
 				return nil
 			}
 			seq++
@@ -397,41 +354,29 @@ func readLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err error) 
 	}
 }
 
-// decode turns raw lines into validated tasks: strict envelope decode,
+// admit turns one input line into a task: strict envelope decode,
 // workload admission (spec validation + shape key), per-record control
-// validation. Failures ride along as error tasks.
-func (p *pipeline) decode(in <-chan rawLine, out chan<- *task) {
-	for {
-		var l rawLine
-		var ok bool
-		select {
-		case l, ok = <-in:
-			if !ok {
-				return
-			}
-		case <-p.ctx.Done():
-			return
-		}
-		t := &task{seq: l.seq, errMsg: l.errMsg}
-		if t.errMsg == "" {
-			req, err := DecodeLine(l.data)
-			if err != nil {
-				t.errMsg = err.Error()
-			} else {
-				t.req = req
-				adm, err := workload.Parse(req.Workload, req.Spec)
-				t.adm = adm
-				if err != nil {
-					t.errMsg = err.Error()
-				} else if err := req.validate(p.opts.MaxIterLimit); err != nil {
-					t.errMsg = err.Error()
-				}
-			}
-		}
-		if !send(p.ctx, out, t) {
-			return
-		}
+// validation. A failure rides along as the task's error.
+func (p *pipeline) admit(seq int, line []byte, tooLong bool) *task {
+	t := &task{seq: seq}
+	if tooLong {
+		t.errMsg = fmt.Sprintf("line exceeds %d bytes", p.opts.MaxLineBytes)
+		return t
 	}
+	req, err := DecodeLine(line)
+	if err != nil {
+		t.errMsg = err.Error()
+		return t
+	}
+	t.req = req
+	t.adm, err = workload.Parse(req.Workload, req.Spec)
+	if err == nil {
+		err = req.validate(p.opts.MaxIterLimit)
+	}
+	if err != nil {
+		t.errMsg = err.Error()
+	}
+	return t
 }
 
 // shapeWorker routes a shape key to a solve worker (FNV-1a). All
@@ -444,61 +389,10 @@ func shapeWorker(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-// dispatch restores input order on the decoded stream (decode workers
-// race), then routes each task: error tasks straight to the results
-// stage, solvable tasks to their shape's worker. In-order dispatch is
-// what makes warm-start chains follow input order.
-func (p *pipeline) dispatch(in <-chan *task, solveChs []chan *task, results chan<- Result) {
-	pending := map[int]*task{}
-	next := 0
-	handle := func(t *task) bool {
-		if t.errMsg != "" {
-			return send(p.ctx, results, Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg})
-		}
-		return send(p.ctx, solveChs[shapeWorker(t.adm.Key, len(solveChs))], t)
-	}
-	for {
-		select {
-		case t, ok := <-in:
-			if !ok {
-				return
-			}
-			pending[t.seq] = t
-			for {
-				t2, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				if !handle(t2) {
-					return
-				}
-				next++
-			}
-		case <-p.ctx.Done():
-			return
-		}
-	}
-}
-
-// shape returns the state entry for a key, creating it on first sight.
-// The map is shared (hence the lock) but each entry is only ever
-// touched by its shape's worker.
-func (p *pipeline) shape(key string) *shapeState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.shapes[key]
-	if !ok {
-		st = &shapeState{}
-		p.shapes[key] = st
-	}
-	return st
-}
-
-// solve runs one worker's share of the stream: bind the shape's
-// problem (cache hit or build), warm-start from the shape's previous
-// solution when one exists, solve, capture the new solution.
-func (p *pipeline) solve(in <-chan *task, results chan<- Result) {
+// solve runs one worker's share of the stream: each record is solved
+// (or keeps its admission error), encoded, and handed to the writer.
+// shapes holds the state of every shape routed to this worker.
+func (p *pipeline) solve(in <-chan *task, out chan<- encoded, shapes map[string]*shapeState) {
 	for {
 		var t *task
 		var ok bool
@@ -510,34 +404,44 @@ func (p *pipeline) solve(in <-chan *task, results chan<- Result) {
 		case <-p.ctx.Done():
 			return
 		}
-		if !send(p.ctx, results, p.solveOne(t)) {
+		res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg}
+		if t.errMsg == "" {
+			st := shapes[t.adm.Key]
+			if st == nil {
+				st = &shapeState{}
+				shapes[t.adm.Key] = st
+			}
+			res = p.solveOne(st, t)
+		}
+		e := p.encode(res)
+		if !send(p.ctx, out, e) {
+			p.scratch.Put(e.s)
 			return
 		}
 	}
 }
 
-func (p *pipeline) solveOne(t *task) (res Result) {
+// solveOne solves one record on its shape's state: bind the shape's
+// problem (cache hit or build), warm-start from the shape's previous
+// solution when one exists, solve, capture the new solution.
+func (p *pipeline) solveOne(st *shapeState, t *task) (res Result) {
 	res = Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key}
-	var st *shapeState
 	defer func() {
 		// Crash guard: a panic while solving one record (a bug in an
 		// operator or a backend) must not take the stream down. Solve
 		// failures, a lost shard worker included, arrive as errors.
 		if r := recover(); r != nil {
-			if st != nil {
-				// A panic mid-solve leaves the graph in an unknown state:
-				// the chain's snapshot can no longer be trusted, so the
-				// next record of this shape starts cold and the poisoned
-				// chain is never persisted.
-				st.warm = admm.WarmState{}
-				st.dirty = false
-			}
+			// A panic mid-solve leaves the graph in an unknown state: the
+			// chain's snapshot can no longer be trusted, so the next record
+			// of this shape starts cold and the poisoned chain is never
+			// persisted.
+			st.warm = admm.WarmState{}
+			st.dirty = false
 			res = Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key,
 				Error: fmt.Sprintf("solve panic: %v", r)}
 		}
 	}()
 
-	st = p.shape(t.adm.Key)
 	if st.prob == nil && p.opts.Cache != nil {
 		if prob, hit := p.opts.Cache.Get(t.adm.Key); hit {
 			st.prob = prob
@@ -625,7 +529,7 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 	res.Warm = warm
 	res.Iterations = r.Iterations
 	res.Converged = r.Converged
-	res.Metrics = cleanMetrics(st.prob.Metrics())
+	res.Metrics = st.prob.Metrics()
 	p.solved.Add(1)
 	if warm {
 		p.warmStarts.Add(1)
@@ -634,39 +538,24 @@ func (p *pipeline) solveOne(t *task) (res Result) {
 	return res
 }
 
-// encode renders result records into pooled scratch buffers.
-func (p *pipeline) encode(in <-chan Result, out chan<- encoded) {
-	for {
-		var res Result
-		var ok bool
-		select {
-		case res, ok = <-in:
-			if !ok {
-				return
-			}
-		case <-p.ctx.Done():
-			return
-		}
-		s := p.scratch.Get().(*encodeScratch)
+// encode renders one result record into a pooled scratch buffer.
+func (p *pipeline) encode(res Result) encoded {
+	s := p.scratch.Get().(*encodeScratch)
+	s.buf.Reset()
+	if err := s.enc.Encode(res); err != nil {
+		// Results are plain structs over finite floats; this is
+		// unreachable short of memory corruption, but keep the record
+		// rather than dropping a seq.
 		s.buf.Reset()
-		if err := s.enc.Encode(res); err != nil {
-			// Results are plain structs over finite floats; this is
-			// unreachable short of memory corruption, but keep the
-			// record rather than dropping a seq.
-			s.buf.Reset()
-			fmt.Fprintf(&s.buf, `{"seq":%d,"error":"encode: %s"}`+"\n", res.Seq, err)
-		}
-		if !send(p.ctx, out, encoded{seq: res.Seq, isErr: res.Error != "", s: s}) {
-			p.scratch.Put(s)
-			return
-		}
+		fmt.Fprintf(&s.buf, `{"seq":%d,"error":"encode: %s"}`+"\n", res.Seq, err)
 	}
+	return encoded{seq: res.Seq, isErr: res.Error != "", s: s}
 }
 
-// write restores input order and streams records out. On a write
-// error (client gone) it keeps draining so upstream stages unwind, but
-// writes nothing further.
-func (p *pipeline) write(w io.Writer, in <-chan encoded) error {
+// write restores input order and streams records out, returning each
+// written record's token. On a write error (client gone) it keeps
+// draining so upstream stages unwind, but writes nothing further.
+func (p *pipeline) write(w io.Writer, in <-chan encoded, tokens <-chan struct{}) error {
 	pending := map[int]encoded{}
 	next := 0
 	var writeErr error
@@ -689,6 +578,7 @@ func (p *pipeline) write(w io.Writer, in <-chan encoded) error {
 				}
 			}
 			p.scratch.Put(cur.s)
+			<-tokens
 			next++
 		}
 	}

@@ -12,10 +12,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -151,8 +153,7 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 3, 16} {
 		var out bytes.Buffer
-		if _, err := Run(context.Background(), bytes.NewReader(in.Bytes()), &out,
-			Options{Workers: workers, DecodeWorkers: 3, EncodeWorkers: 3}); err != nil {
+		if _, err := Run(context.Background(), bytes.NewReader(in.Bytes()), &out, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {
@@ -316,6 +317,105 @@ func TestRunJoinsReader(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after the reader unblocked")
+	}
+}
+
+// blockingStore finds nothing for any key, and its Get blocks on one
+// key until released.
+type blockingStore struct {
+	key     string
+	release chan struct{}
+}
+
+func (s blockingStore) Get(key string) (store.Snapshot, bool) {
+	if key == s.key {
+		<-s.release
+	}
+	return store.Snapshot{}, false
+}
+
+func (blockingStore) Put(string, store.Snapshot) error { return nil }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestPipelineReorderWindowBounded pins the window: one record stuck in
+// its solve ahead of a long run of fast records routed to the other
+// worker stalls the reader once the window is full, instead of letting
+// the writer's reorder buffer grow with the input. Released, the stream
+// completes in order.
+func TestPipelineReorderWindowBounded(t *testing.T) {
+	const fast = 100000
+	const rec = `{"id":"r%06d","workload":"mpc","spec":{"k":%d},"max_iter":1}` + "\n"
+	key := func(k int) string {
+		adm, err := workload.Parse("mpc", []byte(fmt.Sprintf(`{"k":%d}`, k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adm.Key
+	}
+	// The fast records are mpc k=1. Record 0 is the first horizon routed
+	// to the other of two workers; its shape's first store lookup blocks.
+	stuck := 2
+	for shapeWorker(key(stuck), 2) == shapeWorker(key(1), 2) {
+		stuck++
+	}
+	var in bytes.Buffer
+	fmt.Fprintf(&in, rec, 0, stuck)
+	for i := 1; i <= fast; i++ {
+		fmt.Fprintf(&in, rec, i, 1)
+	}
+	lineLen := int64(len(fmt.Sprintf(rec, 1, 1)))
+
+	cr := &countingReader{r: &in}
+	st := blockingStore{key: key(stuck), release: make(chan struct{})}
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), cr, &out, Options{Workers: 2, Store: st})
+		done <- err
+	}()
+
+	// The reader has stalled once the count holds across ten polls.
+	var read int64
+	for stable := 0; stable < 10; {
+		time.Sleep(20 * time.Millisecond)
+		if n := cr.n.Load(); n == read {
+			stable++
+		} else {
+			read, stable = n, 0
+		}
+	}
+	// The window's records, the one line waiting for a token, and what
+	// the reader's 64 KiB bufio buffer holds ahead.
+	if bound := window*lineLen + 64<<10 + 4<<10; read > bound {
+		close(st.release)
+		<-done
+		t.Fatalf("read %d bytes past a stuck record, want <= %d (window %d x %d-byte lines + buffer)",
+			read, bound, window, lineLen)
+	}
+
+	close(st.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != fast+1 {
+		t.Fatalf("got %d records, want %d", len(lines), fast+1)
+	}
+	for i, l := range lines {
+		if !bytes.HasPrefix(l, []byte(fmt.Sprintf(`{"seq":%d,`, i))) || bytes.Contains(l, []byte(`"error"`)) {
+			t.Fatalf("record %d is %s, want seq %d solved", i, l, i)
+		}
 	}
 }
 

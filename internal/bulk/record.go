@@ -3,10 +3,10 @@ package bulk
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/admm"
+	"repro/internal/workload"
 )
 
 // Request is one input record of the bulk stream: a workload spec plus
@@ -51,8 +51,8 @@ type Result struct {
 	// Iterations/Converged report how the solve stopped.
 	Iterations int  `json:"iterations,omitempty"`
 	Converged  bool `json:"converged,omitempty"`
-	// Metrics carries the workload's quality numbers (non-finite values
-	// are dropped: they are not representable in JSON).
+	// Metrics carries the workload's quality numbers, finite values only
+	// (workload.Problem drops the rest: JSON cannot carry them).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Error, when non-empty, marks a failed record; the other solve
 	// fields are zero. Failures are per-record: the stream continues.
@@ -76,36 +76,14 @@ func DecodeLine(line []byte) (Request, error) {
 	return req, nil
 }
 
-// validate checks the per-record solve controls against the stream
-// limits. It runs on the decode stage so solve workers only ever see
-// well-formed work.
+// validate checks the per-record executor and solve controls against
+// the stream limits. It runs at admission so solve workers only ever
+// see well-formed work.
 func (r *Request) validate(maxIterLimit int) error {
 	if r.Executor != nil {
 		if err := r.Executor.Validate(); err != nil {
 			return err
 		}
 	}
-	if r.MaxIter < 0 || r.MaxIter > maxIterLimit {
-		return fmt.Errorf("max_iter = %d, need 0..%d", r.MaxIter, maxIterLimit)
-	}
-	if r.AbsTol < 0 || r.RelTol < 0 || math.IsNaN(r.AbsTol) || math.IsNaN(r.RelTol) ||
-		math.IsInf(r.AbsTol, 0) || math.IsInf(r.RelTol, 0) {
-		return fmt.Errorf("abs_tol/rel_tol must be finite and >= 0")
-	}
-	return nil
-}
-
-// cleanMetrics drops non-finite metric values in place and returns the
-// map (encoding/json rejects NaN/Inf; a workload metric like packing's
-// min_radius can be NaN on a degenerate solve).
-func cleanMetrics(m map[string]float64) map[string]float64 {
-	for k, v := range m {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			delete(m, k)
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
+	return workload.CheckControls(r.MaxIter, maxIterLimit, r.AbsTol, r.RelTol)
 }

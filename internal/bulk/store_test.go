@@ -129,7 +129,7 @@ func (b brokenProblem) Metrics() map[string]float64 { return nil }
 // warm chain (this was the bug — the error path reset it, the panic
 // path did not) so the stale snapshot is neither reused nor persisted.
 func TestPipelineStorePanicResetsChain(t *testing.T) {
-	p := &pipeline{ctx: context.Background(), opts: Options{}.withDefaults(), shapes: map[string]*shapeState{}}
+	p := &pipeline{ctx: context.Background(), opts: Options{}.withDefaults()}
 
 	// A previously successful chain for the shape...
 	good := graph.New(1)
@@ -137,7 +137,7 @@ func TestPipelineStorePanicResetsChain(t *testing.T) {
 	if err := good.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	st := p.shape("poison-key")
+	st := &shapeState{}
 	st.warm.Capture(good)
 	st.dirty = true
 	st.iterations = 3
@@ -151,7 +151,7 @@ func TestPipelineStorePanicResetsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.prob = brokenProblem{g: bad}
-	res := p.solveOne(&task{seq: 0, adm: workload.Admission{Key: "poison-key"}})
+	res := p.solveOne(st, &task{seq: 0, adm: workload.Admission{Key: "poison-key"}})
 	if !strings.Contains(res.Error, "solve panic") {
 		t.Fatalf("result error = %q, want a solve panic", res.Error)
 	}

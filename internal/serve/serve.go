@@ -355,10 +355,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.MaxIter == 0 {
 		req.MaxIter = 1000
 	}
-	if req.MaxIter < 0 || req.MaxIter > s.cfg.MaxIterLimit {
-		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{
-			Error: fmt.Sprintf("max_iter = %d out of range (1..%d)", req.MaxIter, s.cfg.MaxIterLimit),
-		})
+	if err := workload.CheckControls(req.MaxIter, s.cfg.MaxIterLimit, req.AbsTol, req.RelTol); err != nil {
+		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 
@@ -593,19 +591,11 @@ func (s *Server) runJob(j *Job) {
 		ElapsedNS:  res.Elapsed.Nanoseconds(),
 		BuildNS:    buildNanos,
 		PhaseNanos: map[string]int64{},
-		Metrics:    map[string]float64{},
+		Metrics:    p.Metrics(),
 	}
 	if out.Attempts > 0 {
 		trail := out.Recovery
 		r.Failover = &trail
-	}
-	// Drop non-finite quality metrics (a diverged nonconvex solve can
-	// produce them) — NaN/Inf are not representable in JSON and would
-	// abort encoding mid-response.
-	for k, v := range p.Metrics() {
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			r.Metrics[k] = v
-		}
 	}
 	// Only now may the instance go back to the cache: a concurrent
 	// same-shape request takes it from there and resets its graph, which

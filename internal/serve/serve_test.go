@@ -67,6 +67,8 @@ func TestSolveHandler(t *testing.T) {
 		{"unknown executor kind", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"gpu"}}`, http.StatusBadRequest},
 		{"balanced_z on serial", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","balanced_z":true}}`, http.StatusBadRequest},
 		{"max_iter over limit", `{"workload":"lasso","spec":{"m":16},"max_iter":100000000}`, http.StatusBadRequest},
+		{"negative abs_tol", `{"workload":"lasso","spec":{"m":16},"abs_tol":-1}`, http.StatusBadRequest},
+		{"negative rel_tol", `{"workload":"lasso","spec":{"m":16},"rel_tol":-1}`, http.StatusBadRequest},
 		{"lasso m over cap", `{"workload":"lasso","spec":{"m":100000000}}`, http.StatusBadRequest},
 		{"lasso p over cap", `{"workload":"lasso","spec":{"m":16,"p":100000}}`, http.StatusBadRequest},
 		{"svm n over cap", `{"workload":"svm","spec":{"n":100000000}}`, http.StatusBadRequest},

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -28,7 +29,10 @@ type Problem interface {
 	// Reset reinitializes ADMM state so a (possibly cache-reused) graph
 	// starts a fresh solve.
 	Reset()
-	// Metrics reports domain-specific quality numbers after a solve.
+	// Metrics reports domain-specific quality numbers after a solve:
+	// finite values only, always in a non-nil map. A degenerate solve
+	// can make a metric NaN or ±Inf (packing's min_radius), and JSON
+	// cannot carry those, so they are left out.
 	Metrics() map[string]float64
 }
 
@@ -215,37 +219,62 @@ func Parse(name string, raw json.RawMessage) (Admission, error) {
 	return adm, err
 }
 
+// CheckControls validates a request's solve controls, the same for the
+// per-request and the bulk envelope: an iteration budget in
+// 0..maxIterLimit (0 selects the caller's default) and finite,
+// non-negative stopping tolerances.
+func CheckControls(maxIter, maxIterLimit int, absTol, relTol float64) error {
+	if maxIter < 0 || maxIter > maxIterLimit {
+		return fmt.Errorf("max_iter = %d, need 0..%d", maxIter, maxIterLimit)
+	}
+	// !(x >= 0) refuses NaN along with the negatives.
+	if !(absTol >= 0) || !(relTol >= 0) || math.IsInf(absTol, 1) || math.IsInf(relTol, 1) {
+		return fmt.Errorf("abs_tol/rel_tol must be finite and >= 0")
+	}
+	return nil
+}
+
+// finite drops m's NaN and ±Inf values in place and returns it.
+func finite(m map[string]float64) map[string]float64 {
+	for k, v := range m {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			delete(m, k)
+		}
+	}
+	return m
+}
+
 type lassoProblem struct{ *lasso.Problem }
 
 func (p lassoProblem) Reset() { p.Graph.InitZero() }
 func (p lassoProblem) Metrics() map[string]float64 {
 	x := p.Coefficients()
-	return map[string]float64{
+	return finite(map[string]float64{
 		"objective":      p.Objective(x),
 		"optimality_gap": p.OptimalityGap(x),
-	}
+	})
 }
 
 type svmProblem struct{ *svm.Problem }
 
 func (p svmProblem) Reset() { p.Graph.InitZero() }
 func (p svmProblem) Metrics() map[string]float64 {
-	return map[string]float64{
+	return finite(map[string]float64{
 		"accuracy":        p.Accuracy(p.Cfg.Data),
 		"hinge_objective": p.HingeObjective(),
 		"plane_spread":    p.PlaneSpread(),
-	}
+	})
 }
 
 type mpcProblem struct{ *mpc.Problem }
 
 func (p mpcProblem) Reset() { p.Graph.InitZero() }
 func (p mpcProblem) Metrics() map[string]float64 {
-	return map[string]float64{
+	return finite(map[string]float64{
 		"cost":              p.Cost(),
 		"dynamics_residual": p.DynamicsResidual(),
 		"u0":                p.Input(0),
-	}
+	})
 }
 
 type packingProblem struct {
@@ -265,10 +294,10 @@ func (p packingProblem) Reset() {
 
 func (p packingProblem) Metrics() map[string]float64 {
 	v := p.CheckValidity()
-	return map[string]float64{
+	return finite(map[string]float64{
 		"coverage":    p.Coverage(),
 		"max_overlap": v.MaxOverlap,
 		"max_wall":    v.MaxWall,
 		"min_radius":  v.MinRadius,
-	}
+	})
 }

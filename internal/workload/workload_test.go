@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +18,41 @@ var specs = map[string]string{
 	"svm":     `{"n":40}`,
 	"mpc":     `{"k":30}`,
 	"packing": `{"n":6}`,
+}
+
+// TestMetricsFinite pins the Problem.Metrics contract the serving and
+// bulk encoders rely on: a non-nil map of finite values, after a healthy
+// solve and after one that diverged to an Inf/NaN iterate.
+func TestMetricsFinite(t *testing.T) {
+	cases := map[string][2]string{"mpc diverged": {"mpc", `{"k":4,"q0":[1e308,1e308,1e308,1e308]}`}}
+	for name, spec := range specs {
+		cases[name] = [2]string{name, spec}
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			adm, err := Parse(c[0], []byte(c[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := adm.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Reset()
+			if _, err := admm.Solve(p.FactorGraph(), admm.SolveOptions{MaxIter: 50}); err != nil {
+				t.Fatal(err)
+			}
+			m := p.Metrics()
+			if m == nil {
+				t.Fatal("Metrics returned a nil map")
+			}
+			for k, v := range m {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("metric %s = %g, want finite values only", k, v)
+				}
+			}
+		})
+	}
 }
 
 // TestBuildIsDeterministic pins the cross-process rebuild contract: a
