@@ -219,6 +219,15 @@ func (s ExecutorSpec) Validate() error {
 		if s.Shards != 0 && s.Shards != len(s.Addrs) {
 			return fmt.Errorf("admm: %d addrs for %d shards — the sockets transport runs one worker process per shard", len(s.Addrs), s.Shards)
 		}
+		// A worker runs one session at a time, so a worker named twice
+		// would wait on its own second session for the mesh.
+		seen := make(map[string]bool, len(s.Addrs))
+		for _, a := range s.Addrs {
+			if seen[a] {
+				return fmt.Errorf("admm: addr %q named twice — one worker process per shard", a)
+			}
+			seen[a] = true
+		}
 	}
 	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 || s.FrameTimeoutMS != 0 ||
 		s.DialAttempts != 0 || s.Failover != "") && s.Kind != ExecSharded {

@@ -1,9 +1,9 @@
 package bulk
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/admm"
 	"repro/internal/workload"
@@ -64,7 +64,7 @@ type Result struct {
 // workload admission layer's job.
 func DecodeLine(line []byte) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(strings.NewReader(string(line)))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("decode: %v", err)

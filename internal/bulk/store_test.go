@@ -88,7 +88,7 @@ func TestPipelineStoreFailedSolveNotPersisted(t *testing.T) {
 	// addresses refuse connections — it passes spec validation and fails
 	// in the solve stage, poisoning the chain as its last act.
 	in := storeLassoStream(2) +
-		`{"id":"bad","workload":"lasso","spec":{"m":32,"lambda":0.3},"executor":{"kind":"sharded","shards":2,"transport":"sockets","addrs":["127.0.0.1:1","127.0.0.1:1"]}}` + "\n"
+		`{"id":"bad","workload":"lasso","spec":{"m":32,"lambda":0.3},"executor":{"kind":"sharded","shards":2,"transport":"sockets","addrs":["127.0.0.1:1","127.0.0.1:2"]}}` + "\n"
 
 	var out bytes.Buffer
 	stats, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 2, Store: s})

@@ -78,6 +78,9 @@ func TestSolveHandler(t *testing.T) {
 		{"shards on serial", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"serial","shards":2}}`, http.StatusBadRequest},
 		{"unknown partition strategy", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","partition":"metis"}}`, http.StatusBadRequest},
 		{"shards over cap", `{"workload":"lasso","spec":{"m":16},"executor":{"kind":"sharded","shards":1000000}}`, http.StatusBadRequest},
+		// "wait":false: a failed solve is a 400 too, but only admission
+		// answers before the job runs.
+		{"worker named twice", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","transport":"sockets","addrs":["unix:/tmp/w0","unix:/tmp/w0"]},"wait":false}`, http.StatusBadRequest},
 
 		{"lasso serial", `{"workload":"lasso","spec":{"m":16},"max_iter":100}`, http.StatusOK},
 		{"mpc sharded", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2},"max_iter":100}`, http.StatusOK},

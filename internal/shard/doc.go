@@ -142,9 +142,12 @@
 // returned by NewRemote at the handshake and by Remote.Iterate (hence
 // admm.Run) mid-solve; nothing panics on a lost worker. ProbeWorkers
 // speaks the Ping/Pong health frames the worker's accept loop answers
-// even mid-session. Solve (solve.go) is the one route from an
-// ExecutorSpec to a finished solve — the serving layer, the bulk
-// pipeline and paradmm-solve all call it and nothing else — and for a
+// even mid-session. A worker's session is one state table (mesh-wait,
+// await-state, ready; runSession documents it), and any control frame
+// outside it is refused with FrameErr and ends the session. Solve
+// (solve.go) is the one route from an ExecutorSpec to a finished
+// solve — the serving layer, the bulk pipeline and paradmm-solve all
+// call it and nothing else — and for a
 // spec naming workers it turns a fail-stop worker into a policy
 // decision: fail with the typed error, or probe the pool, re-partition
 // onto the survivors and re-run cold — or finish on the local fused

@@ -323,6 +323,9 @@ func TestSpecTransportValidation(t *testing.T) {
 		{Kind: admm.ExecSharded, Transport: "carrier-pigeon"},
 		{Kind: admm.ExecSharded, Addrs: []string{"unix:/tmp/w0"}},
 		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Shards: 3, Addrs: []string{"unix:/tmp/w0"}},
+		// One worker named twice: its first session would wait for a mesh
+		// peer that only its second session could supply.
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"unix:/tmp/w0", "unix:/tmp/w0"}},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {

@@ -114,10 +114,6 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 		}
 	}()
 
-	type peerConn struct {
-		conn  net.Conn
-		hello wirePeer
-	}
 	// opener is a session-opening connection and its checked config.
 	type opener struct {
 		conn net.Conn
@@ -181,40 +177,8 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 		}
 		pendingPeers = pendingPeers[:0]
 		opts.logf("shard worker: session %d: worker %d/%d, workload %s", cfg.Session, cfg.Worker, cfg.Shards, cfg.Workload)
-		go func(peers chan peerConn) {
-			// Higher-numbered peers dial in concurrently from separate
-			// processes, so their hellos arrive in any order; hold the
-			// ones a later waitPeer call will want.
-			held := map[int]net.Conn{}
-			waitPeer := func(from int, hungUp <-chan struct{}) (net.Conn, error) {
-				if pc, ok := held[from]; ok {
-					delete(held, from)
-					return pc, nil
-				}
-				timeout := time.After(opts.meshWait())
-				for {
-					select {
-					case p := <-peers:
-						if p.hello.From == from {
-							return p.conn, nil
-						}
-						if prev, dup := held[p.hello.From]; dup {
-							prev.Close()
-						}
-						held[p.hello.From] = p.conn
-					case <-hungUp:
-						return nil, fmt.Errorf("coordinator hung up while waiting for mesh peer %d", from)
-					case <-timeout:
-						return nil, fmt.Errorf("timed out waiting for mesh peer %d", from)
-					}
-				}
-			}
-			err := runSession(conn, cfg, cache, opts, waitPeer)
-			for _, pc := range held {
-				pc.Close()
-			}
-			conn.Close()
-			sessEnd <- err
+		go func(hellos <-chan peerConn) {
+			sessEnd <- runSession(conn, cfg, cache, opts, hellos)
 		}(sessPeers)
 	}
 
@@ -350,19 +314,63 @@ func buildSession(cfg wireConfig, opts WorkerOptions) (*cacheEntry, error) {
 	}, nil
 }
 
-// waitPeerFunc delivers the mesh connection dialed in by a
-// higher-numbered worker, giving up at MeshWait or as soon as hungUp
-// closes (the session's coordinator connection is gone).
-type waitPeerFunc func(from int, hungUp <-chan struct{}) (net.Conn, error)
+// peerConn is a mesh connection and the hello that opened it.
+type peerConn struct {
+	conn  net.Conn
+	hello wirePeer
+}
+
+// Worker session states: which control frames runSession acts on.
+const (
+	stateMeshWait   = "mesh-wait"
+	stateAwaitState = "await-state"
+	stateReady      = "ready"
+)
 
 // runSession executes one coordinator session: take the problem from
 // the cache (restoring the cached state too when the Cfg's state digest
 // matches) or build it, stand the mesh up, answer Ready with the cache
-// tier, then run the control loop of State/Params/Iter blocks until
-// Bye. waitPeer delivers mesh connections dialed in by higher-numbered
-// workers.
-func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOptions, waitPeer waitPeerFunc) (err error) {
+// tier, then run State/Params/Iter blocks until Bye. hellos delivers
+// the mesh connections higher-numbered workers dial in. It closes conn.
+//
+// One goroutine reads every control frame; the session acts on each by
+// this table, and any other (state, kind) pair is refused with FrameErr
+// naming both, which ends the session:
+//
+//	state        State            Params   Iter             Bye
+//	mesh-wait    refuse           refuse   refuse           refuse
+//	await-state  install -> ready refuse   refuse           end
+//	ready        install          install  block -> ready   end
+//
+// A build or a graph-tier hit answers Ready in await-state; a
+// state-tier hit in ready.
+func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOptions, hellos <-chan peerConn) (err error) {
 	fail := func(err error) error { return sessionFail(conn, err) }
+	refuseFrame := func(f exchange.Frame, state string) error {
+		return fail(fmt.Errorf("frame kind %d in state %s", f.Kind, state))
+	}
+	// The control reader delivers frames until a read fails, then closes
+	// frames with the failure in readErr. On return, closing conn ends
+	// its read and draining frames waits for it to exit.
+	frames := make(chan exchange.Frame)
+	var readErr error
+	go func() {
+		defer close(frames)
+		for {
+			f, _, err := exchange.ReadFrame(conn, nil)
+			if err != nil {
+				readErr = err
+				return
+			}
+			frames <- f
+		}
+	}()
+	defer func() {
+		conn.Close()
+		for range frames {
+		}
+	}()
+
 	id := cfg.Worker
 	key := problemKey(cfg.Workload, cfg.Spec, cfg.Shards)
 	ent := cache.get(key, id, cfg.Shards)
@@ -382,80 +390,62 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	}
 	g, plan, man := ent.g, ent.plan, ent.man
 
-	// The next control frame is read while the mesh stands up. The
-	// coordinator sends nothing a worker must act on before its mesh is
-	// complete, but it hangs up the moment any worker fails the
-	// handshake — and a worker that only finds out at MeshWait holds the
-	// retry (queued behind this session) hostage for that long.
-	type ctrlFrame struct {
-		f   exchange.Frame
-		buf []byte
-		err error
-	}
-	next := make(chan ctrlFrame, 1)
-	hungUp := make(chan struct{})
-	go func() {
-		var c ctrlFrame
-		c.f, c.buf, c.err = exchange.ReadFrame(conn, nil)
-		if c.err != nil {
-			close(hungUp)
-		}
-		next <- c
-	}()
-	prefetched := true
-	defer func() {
-		if prefetched {
-			// Leaving before the control loop took the frame: closing the
-			// connection ends the read.
-			conn.Close()
-			<-next
-		}
-	}()
-
 	// Mesh: dial every lower-numbered peer we share boundary state
-	// with; higher-numbered ones dial us.
-	peers := make([]io.ReadWriteCloser, cfg.Shards)
-	closePeers := func() {
-		for _, p := range peers {
+	// with; higher-numbered ones dial us, in any order, and each hello
+	// is filed into its slot or closed. The mesh's connections are the
+	// exchanger's streams, so closing them closes it too.
+	mesh := make([]io.ReadWriteCloser, cfg.Shards)
+	defer func() {
+		for _, p := range mesh {
 			if p != nil {
 				p.Close()
 			}
 		}
+	}()
+	waiting := 0
+	for j := range cfg.Shards {
+		switch {
+		case j == id || !meshNeeded(man, id, j):
+		case j > id:
+			waiting++
+		default:
+			pc, err := DialAddrTimeout(cfg.Peers[j], opts.DialTimeout)
+			if err != nil {
+				return fail(fmt.Errorf("dial mesh peer %d (%s): %w", j, cfg.Peers[j], err))
+			}
+			mesh[j] = pc
+			if err := writeJSONFrame(pc, exchange.FramePeer, wirePeer{Session: cfg.Session, From: id}); err != nil {
+				return fail(fmt.Errorf("mesh hello to peer %d: %w", j, err))
+			}
+		}
 	}
-	for j := 0; j < id; j++ {
-		if !meshNeeded(man, id, j) {
-			continue
+	timeout := time.After(opts.meshWait())
+	for waiting > 0 {
+		select {
+		case p := <-hellos:
+			j := p.hello.From
+			if j <= id || j >= cfg.Shards || mesh[j] != nil || !meshNeeded(man, id, j) {
+				p.conn.Close()
+				continue
+			}
+			mesh[j] = p.conn
+			waiting--
+		case f, ok := <-frames:
+			// The coordinator hangs up the moment any worker fails the
+			// handshake; noticing it here frees the worker for the retry.
+			if !ok {
+				return fail(fmt.Errorf("coordinator hung up while waiting for %d mesh peers", waiting))
+			}
+			return refuseFrame(f, stateMeshWait)
+		case <-timeout:
+			return fail(fmt.Errorf("timed out waiting for %d mesh peers", waiting))
 		}
-		pc, err := DialAddrTimeout(cfg.Peers[j], opts.DialTimeout)
-		if err != nil {
-			closePeers()
-			return fail(fmt.Errorf("dial mesh peer %d (%s): %w", j, cfg.Peers[j], err))
-		}
-		if err := writeJSONFrame(pc, exchange.FramePeer, wirePeer{Session: cfg.Session, From: id}); err != nil {
-			pc.Close()
-			closePeers()
-			return fail(fmt.Errorf("mesh hello to peer %d: %w", j, err))
-		}
-		peers[j] = pc
-	}
-	for j := id + 1; j < cfg.Shards; j++ {
-		if !meshNeeded(man, id, j) {
-			continue
-		}
-		pc, err := waitPeer(j, hungUp)
-		if err != nil {
-			closePeers()
-			return fail(err)
-		}
-		peers[j] = pc
 	}
 
-	ex, err := exchange.NewPeer(g, man, id, peers)
+	ex, err := exchange.NewPeer(g, man, id, mesh)
 	if err != nil {
-		closePeers()
 		return fail(err)
 	}
-	defer ex.Close()
 	// The coordinator's frame timeout applies symmetrically: bound the
 	// mesh exchange and this worker's control-plane writes, so a
 	// stalled peer or coordinator fails the session instead of wedging
@@ -487,44 +477,39 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 
 	lp := &plan.local[id]
 	ownedVars := lp.appendOwnedVars(nil)
-	var buf, out []byte
+	var out []byte
 	var zprevBuf []float64
-	stateInstalled := hit == cacheHitState
+	state := stateAwaitState
+	if hit == cacheHitState {
+		state = stateReady
+	}
 	block := 0
 	for {
-		var f exchange.Frame
-		if prefetched {
-			c := <-next
-			prefetched = false
-			f, buf, err = c.f, c.buf, c.err
-		} else {
-			f, buf, err = exchange.ReadFrame(conn, buf)
-		}
-		if err != nil {
-			if err == io.EOF {
+		f, ok := <-frames
+		if !ok {
+			if readErr == io.EOF {
 				// Coordinator went away without Bye — treat as session end.
 				return nil
 			}
-			return err
+			return readErr
 		}
-		switch f.Kind {
-		case exchange.FrameState:
+		switch {
+		case f.Kind == exchange.FrameBye:
+			return nil
+		case f.Kind == exchange.FrameState:
 			if err := installState(g, f.Payload); err != nil {
 				return fail(err)
 			}
-			stateInstalled = true
 			cache.capture(key, ent, f.Payload)
-		case exchange.FrameParams:
+			state = stateReady
+		case f.Kind == exchange.FrameParams && state == stateReady:
 			if err := installParams(g, f.Payload); err != nil {
 				return fail(err)
 			}
-		case exchange.FrameIter:
+		case f.Kind == exchange.FrameIter && state == stateReady:
 			var cmd wireIter
 			if err := decodeJSONFrame(f, &cmd); err != nil {
 				return fail(fmt.Errorf("iterate command: %w", err))
-			}
-			if !stateInstalled {
-				return fail(fmt.Errorf("iterate before state push"))
 			}
 			if cmd.Iters <= 0 {
 				return fail(fmt.Errorf("iterate %d", cmd.Iters))
@@ -553,10 +538,8 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			if err := exchange.WriteFrame(conn, exchange.FrameUp, 0, out); err != nil {
 				return err
 			}
-		case exchange.FrameBye:
-			return nil
 		default:
-			return fail(fmt.Errorf("unexpected frame kind %d mid-session", f.Kind))
+			return refuseFrame(f, state)
 		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,6 +200,109 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 	}
 }
 
+// TestWorkerSessionTable drives one worker into each state of
+// runSession's table — mesh-wait (worker 0 of 2, whose peer never
+// dials), await-state (a state-digest miss) and ready (after a State
+// push) — and sends every frame kind there. The pairs the table lists
+// act; every other pair is answered within 1 s by a FrameErr naming the
+// kind and the state, and the worker then serves a clean session.
+func TestWorkerSessionTable(t *testing.T) {
+	const n = 16
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), MeshWait: 5 * time.Second, CacheEntries: 2})
+	g := chainGraph(t, n)
+	var session uint64
+	open := func(t *testing.T, state string) net.Conn {
+		session++
+		cfg := wireConfig{Session: session, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}, StateDigest: "0000000000000000"}
+		if state == stateMeshWait {
+			cfg.Shards, cfg.Peers = 2, []string{addr, addr}
+		}
+		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
+		if state == stateMeshWait {
+			return conn
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, _, err := readFrameKind(conn, nil, exchange.FrameReady)
+		var ready wireReady
+		if err == nil {
+			err = decodeJSONFrame(f, &ready)
+		}
+		if err != nil || ready.Hit == cacheHitState || state == stateAwaitState && ready.Hit != cacheHitGraph {
+			t.Fatalf("opening a session for %s: hit %q, err %v", state, ready.Hit, err)
+		}
+		if state == stateReady {
+			if err := exchange.WriteFrame(conn, exchange.FrameState, 0, appendState(nil, g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return conn
+	}
+	iter := exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1}))
+	kinds := []struct {
+		kind    byte
+		payload []byte
+	}{
+		{exchange.FrameCfg, mustJSON(t, wireConfig{Session: 1 << 20, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}})},
+		{exchange.FramePeer, mustJSON(t, wirePeer{Session: 1, From: 1})},
+		{exchange.FrameReady, mustJSON(t, wireReady{})},
+		{exchange.FrameState, []byte{1, 2, 3}}, // the wrong length
+		{exchange.FrameParams, appendParams(nil, g)},
+		{exchange.FrameIter, mustJSON(t, wireIter{Iters: 1})},
+		{exchange.FrameDone, mustJSON(t, wireDone{})},
+		{exchange.FrameUp, nil},
+		{exchange.FrameErr, []byte("boom")},
+		{exchange.FramePing, nil},
+		{exchange.FramePong, mustJSON(t, wirePong{})},
+		{exchange.FrameM, nil},
+		{exchange.FrameZ, nil},
+		{3, nil}, {4, nil}, {22, []byte(`{}`)}, {23, []byte(`{}`)},
+		{99, nil},
+		{exchange.FrameBye, nil},
+	}
+	// ready runs before await-state: its State pushes fill the cache, so
+	// every await-state session is a graph-tier hit whose digest misses.
+	for _, state := range []string{stateMeshWait, stateReady, stateAwaitState} {
+		for _, k := range kinds {
+			t.Run(fmt.Sprintf("%s/kind-%d", state, k.kind), func(t *testing.T) {
+				conn := open(t, state)
+				raw := exchange.AppendFrame(nil, k.kind, 0, k.payload)
+				if k.kind == exchange.FrameParams {
+					// Params draws no reply of its own: the Iter after it
+					// shows whether it was installed or refused.
+					raw = append(raw, iter...)
+				}
+				if _, err := conn.Write(raw); err != nil {
+					t.Fatal(err)
+				}
+				conn.SetReadDeadline(time.Now().Add(time.Second))
+				f, _, err := exchange.ReadFrame(conn, nil)
+				listed := state != stateMeshWait && (k.kind == exchange.FrameState || k.kind == exchange.FrameBye) ||
+					state == stateReady && (k.kind == exchange.FrameParams || k.kind == exchange.FrameIter)
+				want := fmt.Sprintf("frame kind %d in state %s", k.kind, state)
+				switch {
+				case !listed:
+				case k.kind == exchange.FrameBye:
+					if err != io.EOF {
+						t.Fatalf("Bye: got kind %d, err %v; want the session to end", f.Kind, err)
+					}
+					return
+				case k.kind == exchange.FrameState:
+					want = "state payload"
+				default: // Params then Iter, or Iter: one block runs
+					if err != nil || f.Kind != exchange.FrameDone {
+						t.Fatalf("got kind %d %q, err %v; want Done", f.Kind, f.Payload, err)
+					}
+					return
+				}
+				if err != nil || f.Kind != exchange.FrameErr || !strings.Contains(string(f.Payload), want) {
+					t.Fatalf("got kind %d %q, err %v; want a FrameErr naming %q", f.Kind, f.Payload, err, want)
+				}
+			})
+		}
+	}
+	checkCleanSession(t, addr, n)
+}
+
 // Op codes of a FuzzWorkerSession input: five bytes per op, [code,
 // conn, x, y, z]. conn%4 picks one of three persistent connections (a
 // closed one is redialed) or, for 3, a fresh one-shot connection.
@@ -248,6 +353,13 @@ func FuzzWorkerSession(f *testing.F) {
 	// A two-worker session that dials itself for its mesh, State of the
 	// wrong length, Params, Bye.
 	f.Add(seq(op(opCfg, 0, 2, 1, 0), op(opState, 0, 0, 3, 5), op(opCfg, 1, 2, 0, 1), op(opParams, 1, 1, 0, 0), op(opBye, 1, 0, 0, 0)))
+	// Params before State, then Iter.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opParams, 0, 1, 0, 0), op(opIter, 0, 1, 0, 0)))
+	// State before Ready: worker 0 of 2 waits for a peer that never dials.
+	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opState, 0, 1, 0, 0)))
+	// Mesh hellos from -1, from the session's own index, and from its
+	// shard count.
+	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opPeer, 3, 0, 0xff, 0), op(opPeer, 3, 0, 0, 0), op(opPeer, 3, 0, 2, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		baseline := runtime.NumGoroutine()
 		dir := t.TempDir()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -70,7 +71,7 @@ func decodeStrict(raw json.RawMessage, into any) error {
 	if len(raw) == 0 {
 		return fmt.Errorf("missing spec")
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	return dec.Decode(into)
 }
