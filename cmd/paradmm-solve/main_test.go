@@ -62,7 +62,7 @@ func TestParseConfig(t *testing.T) {
 		{"retired backend", []string{"-backend", "parallel"}, config{}, `unknown executor "parallel"`},
 		{"transport on serial", []string{"-transport", "sockets"}, config{}, "transport"},
 		{"unfused sharded", []string{"-backend", "sharded", "-fused=false"}, config{}, "fused"},
-		{"worker named twice", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "a,a"}, config{}, `addr "a" named twice`},
+		{"worker named twice", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "a,a"}, config{}, `addrs "a" and "a" name one worker`},
 		{"fleet without addrs", []string{"-fleet"}, config{}, "-fleet needs -addrs"},
 		{"garbage count", []string{"-size", "ten"}, config{}, `invalid value "ten" for flag -size`},
 		{"unknown flag", []string{"-workers", "2"}, config{}, "flag provided but not defined: -workers"},

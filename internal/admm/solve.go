@@ -3,6 +3,7 @@ package admm
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -133,6 +134,23 @@ const (
 	TransportSockets = "sockets"
 )
 
+// SplitAddr parses a worker endpoint into a network and address for
+// net.Dial/net.Listen: "unix:/path" and "tcp:host:port" are explicit;
+// a bare string containing a path separator is a unix socket path,
+// anything else a TCP host:port.
+func SplitAddr(addr string) (network, address string) {
+	switch {
+	case strings.HasPrefix(addr, "unix:"):
+		return "unix", strings.TrimPrefix(addr, "unix:")
+	case strings.HasPrefix(addr, "tcp:"):
+		return "tcp", strings.TrimPrefix(addr, "tcp:")
+	case strings.ContainsAny(addr, "/\\"):
+		return "unix", addr
+	default:
+		return "tcp", addr
+	}
+}
+
 // ProblemRef names a problem that worker processes can rebuild locally:
 // a workload name from the serving registry (internal/workload) plus
 // its raw spec JSON. Proximal operators cannot cross a process
@@ -220,13 +238,20 @@ func (s ExecutorSpec) Validate() error {
 			return fmt.Errorf("admm: %d addrs for %d shards — the sockets transport runs one worker process per shard", len(s.Addrs), s.Shards)
 		}
 		// A worker runs one session at a time, so a worker named twice
-		// would wait on its own second session for the mesh.
-		seen := make(map[string]bool, len(s.Addrs))
+		// would wait on its own second session for the mesh. Two
+		// spellings of one endpoint ("tcp:h:p" and "h:p", an uncleaned
+		// unix path) count as one; host names are not resolved.
+		seen := make(map[string]string, len(s.Addrs))
 		for _, a := range s.Addrs {
-			if seen[a] {
-				return fmt.Errorf("admm: addr %q named twice — one worker process per shard", a)
+			network, address := SplitAddr(a)
+			if network == "unix" {
+				address = filepath.Clean(address)
 			}
-			seen[a] = true
+			key := network + ":" + address
+			if first, ok := seen[key]; ok {
+				return fmt.Errorf("admm: addrs %q and %q name one worker — one worker process per shard", first, a)
+			}
+			seen[key] = a
 		}
 	}
 	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 || s.FrameTimeoutMS != 0 ||

@@ -207,24 +207,7 @@ const (
 	DefaultDialAttempts = 3
 )
 
-// SplitAddr parses a worker endpoint into a network and address for
-// net.Dial/net.Listen: "unix:/path" and "tcp:host:port" are explicit;
-// a bare string containing a path separator is a unix socket path,
-// anything else a TCP host:port.
-func SplitAddr(addr string) (network, address string) {
-	switch {
-	case strings.HasPrefix(addr, "unix:"):
-		return "unix", strings.TrimPrefix(addr, "unix:")
-	case strings.HasPrefix(addr, "tcp:"):
-		return "tcp", strings.TrimPrefix(addr, "tcp:")
-	case strings.ContainsAny(addr, "/\\"):
-		return "unix", addr
-	default:
-		return "tcp", addr
-	}
-}
-
-// DialAddr connects to a worker endpoint (see SplitAddr) with the
+// DialAddr connects to a worker endpoint (see admm.SplitAddr) with the
 // default dial timeout.
 func DialAddr(addr string) (net.Conn, error) {
 	return DialAddrTimeout(addr, DefaultDialTimeout)
@@ -236,13 +219,13 @@ func DialAddrTimeout(addr string, timeout time.Duration) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	network, address := SplitAddr(addr)
+	network, address := admm.SplitAddr(addr)
 	return net.DialTimeout(network, address, timeout)
 }
 
-// ListenAddr listens on a worker endpoint (see SplitAddr).
+// ListenAddr listens on a worker endpoint (see admm.SplitAddr).
 func ListenAddr(addr string) (net.Listener, error) {
-	network, address := SplitAddr(addr)
+	network, address := admm.SplitAddr(addr)
 	return net.Listen(network, address)
 }
 

@@ -326,15 +326,24 @@ func TestSpecTransportValidation(t *testing.T) {
 		// One worker named twice: its first session would wait for a mesh
 		// peer that only its second session could supply.
 		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"unix:/tmp/w0", "unix:/tmp/w0"}},
+		// ... or under two spellings of one endpoint.
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"tcp:127.0.0.1:9000", "127.0.0.1:9000"}},
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"unix:/tmp/w0", "unix:/tmp//w0"}},
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"/tmp/w0", "unix:/tmp/./w0"}},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("spec %d validated: %+v", i, spec)
 		}
 	}
-	ok := admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Shards: 2}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("loopback sockets spec rejected: %v", err)
+	for _, ok := range []admm.ExecutorSpec{
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Shards: 2},
+		// A unix path and a TCP endpoint are different workers.
+		{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: []string{"unix:127.0.0.1:9000", "tcp:127.0.0.1:9000"}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("spec %+v rejected: %v", ok, err)
+		}
 	}
 	// Remote without a problem reference fails at build time with a
 	// pointed message, not at solve time.

@@ -351,13 +351,18 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	}
 	// The control reader delivers frames until a read fails, then closes
 	// frames with the failure in readErr. On return, closing conn ends
-	// its read and draining frames waits for it to exit.
+	// its read and draining frames waits for it to exit. frames is
+	// unbuffered, so the session is done with frame k's payload once it
+	// takes frame k+1; the reader alternates two buffers, and repeated
+	// State and Params pushes (a Params per rho change) reuse them.
 	frames := make(chan exchange.Frame)
 	var readErr error
 	go func() {
 		defer close(frames)
-		for {
-			f, _, err := exchange.ReadFrame(conn, nil)
+		var bufs [2][]byte
+		for i := 0; ; i ^= 1 {
+			f, buf, err := exchange.ReadFrame(conn, bufs[i])
+			bufs[i] = buf
 			if err != nil {
 				readErr = err
 				return

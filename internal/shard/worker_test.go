@@ -303,6 +303,60 @@ func TestWorkerSessionTable(t *testing.T) {
 	checkCleanSession(t, addr, n)
 }
 
+// TestWorkerParamsPushesReuseBuffers: a Remote re-sends Params before
+// every block where rho moved, and a Params frame is about as large as
+// the State push. A worker reads them into reused buffers: after two
+// warm-up rounds, a Params+Iter round allocates less than a quarter of
+// the Params payload more than an Iter round does, where a fresh buffer
+// per frame would cost all of it.
+func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count over a live session")
+	}
+	const n, rounds = 4096, 20
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n)})
+	g := chainGraph(t, n)
+	cfg := wireConfig{Session: 1, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}}
+	conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	buf := make([]byte, 0, 1<<20)
+	var err error
+	if _, buf, err = readFrameKind(conn, buf, exchange.FrameReady); err != nil {
+		t.Fatal(err)
+	}
+	if err := exchange.WriteFrame(conn, exchange.FrameState, 0, appendState(nil, g)); err != nil {
+		t.Fatal(err)
+	}
+	params := appendParams(nil, g)
+	iter := exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1}))
+	withParams := append(exchange.AppendFrame(nil, exchange.FrameParams, 0, params), iter...)
+	// perRound reports the bytes allocated per round of raw, after two
+	// warm-up rounds.
+	perRound := func(raw []byte) uint64 {
+		var before, after runtime.MemStats
+		for i := range rounds + 2 {
+			if i == 2 {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := conn.Write(raw); err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []byte{exchange.FrameDone, exchange.FrameUp} {
+				if _, buf, err = readFrameKind(conn, buf, kind); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / rounds
+	}
+	bare, pushed := perRound(iter), perRound(withParams)
+	t.Logf("per round: Iter %d B, Params+Iter %d B; Params payload %d B", bare, pushed, len(params))
+	if pushed > bare+uint64(len(params))/4 {
+		t.Fatalf("a Params+Iter round allocated %d B, an Iter round %d B; the Params payload is %d B", pushed, bare, len(params))
+	}
+}
+
 // Op codes of a FuzzWorkerSession input: five bytes per op, [code,
 // conn, x, y, z]. conn%4 picks one of three persistent connections (a
 // closed one is redialed) or, for 3, a fresh one-shot connection.
