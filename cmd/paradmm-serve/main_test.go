@@ -82,7 +82,7 @@ func TestParseConfigOptions(t *testing.T) {
 	if got := strings.Join(o.fleet.Addrs, "|"); got != "tcp:a:1|unix:/b" {
 		t.Errorf("fleet addrs %q", got)
 	}
-	if o.fleet.DeadAfter != 5 || o.fleet.ProbeInterval != 200*time.Millisecond || o.fleet.ProbeTimeout != time.Second || o.fleet.Prewarm != 1 {
+	if o.fleet.DeadAfter != 5 || o.fleet.ProbeInterval != 200*time.Millisecond || o.fleet.ProbeTimeout != time.Second {
 		t.Errorf("fleet config %+v", o.fleet)
 	}
 }

@@ -48,7 +48,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.sessions, "sessions", 0, "exit after N coordinator sessions (0 = serve forever)")
 	fs.BoolVar(&c.quiet, "quiet", false, "suppress session lifecycle logging")
 	fs.DurationVar(&c.dialTimeout, "dial-timeout", 0, "bound on each mesh peer connection establishment (0 = 10s default)")
-	fs.DurationVar(&c.handshakeTimeout, "handshake-timeout", 0, "bound on finishing a new connection's opening frame once its first byte arrives, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
+	fs.DurationVar(&c.handshakeTimeout, "handshake-timeout", 0, "bound on a new connection's whole opening frame, first byte included, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
 	fs.IntVar(&c.cacheEntries, "cache", 4, "problem-cache entries: built graphs (and their last state) kept between sessions, so a coordinator re-solving the same problem skips the rebuild and, from the same state, the state down-sync (0 = disabled)")
 	fs.IntVar(&c.chaosKillBlock, "chaos-kill-block", -1, "fault injection: exit(2) immediately before executing the Nth iteration block of a session (-1 = disabled; for failover testing)")
 	fs.Usage = func() {

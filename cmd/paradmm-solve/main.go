@@ -88,7 +88,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&dialAttempts, "dial-attempts", 0, "sockets transport: dial+handshake retry budget with capped exponential backoff (0 = 3 attempts)")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
 	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
-	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve, dial from a prewarmed pool")
+	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve")
 	fs.Int64Var(&c.seed, "seed", 1, "workload seed (0 selects the workload spec's default seed)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: paradmm-solve [-problem P] [-size N] [-iters N] [-backend B] [flags]\n\n")
@@ -215,18 +215,17 @@ func problemRef(workload string, spec any) (*admm.ProblemRef, error) {
 
 // run solves g -repeat times from the same initial state. With -fleet
 // the worker addresses are managed by one fleet.Registry reused across
-// every repeat: probed up front, leased per solve, dialed from a
-// prewarmed pool. Over worker processes, with or without -fleet, the
-// repeats after the first hit the workers' caches.
+// every repeat: probed up front and leased per solve. Over worker
+// processes, with or without -fleet, the repeats after the first hit
+// the workers' caches.
 func run(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef) (admm.Result, error) {
 	var reg *fleet.Registry
 	if c.fleet {
 		var err error
-		reg, err = fleet.New(fleet.Config{Addrs: c.spec.Addrs, Prewarm: 1})
+		reg, err = fleet.New(fleet.Config{Addrs: c.spec.Addrs})
 		if err != nil {
 			return admm.Result{}, err
 		}
-		defer reg.Close()
 		for _, w := range reg.ProbeOnce(context.Background()) {
 			if w.State != fleet.StateHealthy {
 				return admm.Result{}, fmt.Errorf("fleet worker %s is %s: %s", w.Addr, w.State, w.LastErr)
@@ -268,7 +267,6 @@ func runOnce(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef, reg *
 			return admm.Result{}, fmt.Errorf("fleet has no free session slots")
 		}
 		defer lease.Release()
-		spec.WorkerDialer = reg.Dial
 	}
 	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: iters})
 	if err != nil {

@@ -75,25 +75,31 @@ func startScriptedWorkers(t testing.TB, scripts []faultnet.Script) ([]string, []
 		if err != nil {
 			t.Fatal(err)
 		}
-		if script == nil {
-			script = faultnet.Plans()
-		}
-		fln := faultnet.WrapListener(ln, script)
-		t.Cleanup(func() { fln.Close() })
-		// Tight mesh bounds: a faulted run can leave one surviving session
-		// waiting for a mesh peer whose session already died; that wait is
-		// deadline-bounded by MeshWait, and the leak check below budgets
-		// for it draining.
-		go shard.ServeWorker(fln, shard.WorkerOptions{
-			Builders:     workload.Builders(),
-			DialTimeout:  2 * time.Second,
-			MeshWait:     2 * time.Second,
-			CacheEntries: 4,
-		})
 		addrs[i] = "tcp:" + ln.Addr().String()
-		lns[i] = fln
+		lns[i] = serveScriptedWorker(t, ln, script)
 	}
 	return addrs, lns
+}
+
+// serveScriptedWorker runs a shard worker on ln with script's faults (nil
+// = none) and closes it when the test ends.
+func serveScriptedWorker(t testing.TB, ln net.Listener, script faultnet.Script) *faultnet.Listener {
+	if script == nil {
+		script = faultnet.Plans()
+	}
+	fln := faultnet.WrapListener(ln, script)
+	t.Cleanup(func() { fln.Close() })
+	// Tight mesh bounds: a faulted run can leave one surviving session
+	// waiting for a mesh peer whose session already died; that wait is
+	// deadline-bounded by MeshWait, and the leak checks budget for it
+	// draining.
+	go shard.ServeWorker(fln, shard.WorkerOptions{
+		Builders:     workload.Builders(),
+		DialTimeout:  2 * time.Second,
+		MeshWait:     2 * time.Second,
+		CacheEntries: 4,
+	})
+	return fln
 }
 
 // settleGoroutines polls until the goroutine count drops back to the

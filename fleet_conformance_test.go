@@ -1,5 +1,5 @@
 // Fleet conformance: solves routed through the persistent worker
-// registry (lease → handshake → registry dialer) must stay
+// registry (lease → dial on demand → handshake) must stay
 // bit-identical to Serial on every workload, and a second solve of the
 // same ProblemRef must reuse the workers' caches — pinned both by the
 // coordinator's handshake accounting (state hits, zero State pushes)
@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +28,6 @@ import (
 	"repro/internal/packing"
 	"repro/internal/shard"
 	"repro/internal/svm"
-	"repro/internal/workload"
 )
 
 // fleetWorkload pairs a deterministic graph builder with the
@@ -95,7 +95,6 @@ func fleetRegistry(t *testing.T, addrs []string, deadAfter int) *fleet.Registry 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reg.Close)
 	for _, w := range reg.ProbeOnce(context.Background()) {
 		if w.State != fleet.StateHealthy {
 			t.Fatalf("worker %s failed its first probe: %s (%s)", w.Addr, w.State, w.LastErr)
@@ -170,7 +169,7 @@ func TestFleetConformance(t *testing.T) {
 				g := w.build(t)
 				d := fleetPlan(t, reg, g, 2)
 				defer d.Release()
-				spec := d.Spec(reg, admm.ExecutorSpec{
+				spec := d.Spec(admm.ExecutorSpec{
 					Problem:            &admm.ProblemRef{Workload: name, Spec: w.spec},
 					DialTimeoutMS:      2000,
 					HandshakeTimeoutMS: 5000,
@@ -229,45 +228,32 @@ func TestFleetConformance(t *testing.T) {
 	}
 }
 
-// TestFleetPrewarmedPoolOutlivesMeshWait: a registry's prewarmed control
-// connections sit idle until a solve takes them, which can be longer
-// than the workers' handshake budget. The workers must keep them: a
-// solve that starts after MeshWait has passed runs its handshake on the
-// pooled connections, succeeds on the first attempt with no fresh
-// control dial, and matches Serial bit for bit.
-func TestFleetPrewarmedPoolOutlivesMeshWait(t *testing.T) {
-	const meshWait = 200 * time.Millisecond
-	addrs := make([]string, 2)
-	lns := make([]*faultnet.Listener, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fln := faultnet.WrapListener(ln, faultnet.Plans())
-		t.Cleanup(func() { fln.Close() })
-		go shard.ServeWorker(fln, shard.WorkerOptions{Builders: workload.Builders(), MeshWait: meshWait})
-		addrs[i], lns[i] = "tcp:"+ln.Addr().String(), fln
-	}
-	reg, err := fleet.New(fleet.Config{Addrs: addrs, Prewarm: 1, ProbeTimeout: 2 * time.Second})
+// TestFleetWorkerRestartBetweenProbes: a worker that restarts at the
+// same address between two probe rounds reads healthy both times, and
+// the next fleet solve reaches the new process on its first attempt —
+// the registry holds nothing that outlives the old one — and matches
+// Serial bit for bit.
+func TestFleetWorkerRestartBetweenProbes(t *testing.T) {
+	addrs, lns := startScriptedWorkers(t, []faultnet.Script{nil, nil})
+	reg := fleetRegistry(t, addrs, 3)
+
+	// Closing worker 0's listener closes its connections too; a new
+	// worker then serves at the same address.
+	lns[0].Close()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(addrs[0], "tcp:"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reg.Close)
+	serveScriptedWorker(t, ln, nil)
 	for _, w := range reg.ProbeOnce(context.Background()) {
 		if w.State != fleet.StateHealthy {
-			t.Fatalf("worker %s failed its first probe: %s (%s)", w.Addr, w.State, w.LastErr)
+			t.Fatalf("worker %s after the restart: %s (%s), want healthy", w.Addr, w.State, w.LastErr)
 		}
 	}
-	time.Sleep(meshWait + 100*time.Millisecond)
-	// Worker 1 dials its mesh link out to worker 0, so past the probe
-	// and the prewarm dial (both accepted by now) its listener sees
-	// nothing unless the solve passes over its pooled control connection.
-	before := lns[1].Accepted()
 
 	g := matrixGraph(t)
 	d := fleetPlan(t, reg, g, 2)
-	spec := d.Spec(reg, admm.ExecutorSpec{
+	spec := d.Spec(admm.ExecutorSpec{
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
@@ -277,13 +263,10 @@ func TestFleetPrewarmedPoolOutlivesMeshWait(t *testing.T) {
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()
 	if err != nil {
-		t.Fatalf("solve over connections pooled longer than MeshWait failed: %v (trail %v)", err, out.Failures)
+		t.Fatalf("solve after a worker restart failed: %v (trail %v)", err, out.Failures)
 	}
-	if out.HandshakeRetries != 0 || out.Attempts != 1 {
-		t.Fatalf("handshake retries %d, attempts %d: want 0 and 1", out.HandshakeRetries, out.Attempts)
-	}
-	if n := lns[1].Accepted(); n != before {
-		t.Fatalf("worker 1 accepted %d new connections during the solve, want 0: the pooled one was not used", n-before)
+	if out.Attempts != 1 || len(out.Failures) != 0 {
+		t.Fatalf("attempts %d, failures %v: want one clean attempt", out.Attempts, out.Failures)
 	}
 
 	ref := matrixGraph(t)
@@ -292,7 +275,7 @@ func TestFleetPrewarmedPoolOutlivesMeshWait(t *testing.T) {
 	}
 	for i := range ref.Z {
 		if ref.Z[i] != g.Z[i] {
-			t.Fatalf("solve over pooled connections != serial at Z[%d]: %g vs %g", i, g.Z[i], ref.Z[i])
+			t.Fatalf("solve after a worker restart != serial at Z[%d]: %g vs %g", i, g.Z[i], ref.Z[i])
 		}
 	}
 }
@@ -325,7 +308,7 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 
 	g := matrixGraph(t)
 	d := fleetPlan(t, reg, g, 3)
-	spec := d.Spec(reg, admm.ExecutorSpec{
+	spec := d.Spec(admm.ExecutorSpec{
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
@@ -364,7 +347,6 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 		t.Fatalf("survivors not healthy after the chaos round: %s/%s", ws[0].State, ws[1].State)
 	}
 
-	reg.Close()
 	for _, ln := range lns {
 		ln.Close()
 	}

@@ -2,10 +2,8 @@ package admm
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -89,11 +87,6 @@ type ExecutorSpec struct {
 	// and the CLIs from their request context, never decoded from the
 	// wire spec itself.
 	Problem *ProblemRef `json:"-"`
-	// WorkerDialer, when non-nil, replaces the sockets transport's
-	// per-worker control dials — the fleet registry hands out
-	// pre-established connections from its warm pool here. Never part
-	// of the wire spec.
-	WorkerDialer func(addr string, timeout time.Duration) (net.Conn, error) `json:"-"`
 }
 
 // Failover policies for ExecutorSpec.Failover. Every policy preserves
@@ -149,6 +142,18 @@ func SplitAddr(addr string) (network, address string) {
 	default:
 		return "tcp", addr
 	}
+}
+
+// EndpointKey names the worker process an endpoint reaches, so that two
+// spellings of one endpoint compare equal: "tcp:h:p" and "h:p" share a
+// key, and so do unix paths that differ only before filepath.Clean.
+// Host names are not resolved.
+func EndpointKey(addr string) string {
+	network, address := SplitAddr(addr)
+	if network == "unix" {
+		address = filepath.Clean(address)
+	}
+	return network + ":" + address
 }
 
 // ProblemRef names a problem that worker processes can rebuild locally:
@@ -238,16 +243,11 @@ func (s ExecutorSpec) Validate() error {
 			return fmt.Errorf("admm: %d addrs for %d shards — the sockets transport runs one worker process per shard", len(s.Addrs), s.Shards)
 		}
 		// A worker runs one session at a time, so a worker named twice
-		// would wait on its own second session for the mesh. Two
-		// spellings of one endpoint ("tcp:h:p" and "h:p", an uncleaned
-		// unix path) count as one; host names are not resolved.
+		// would wait on its own second session for the mesh; two
+		// spellings of one endpoint count as one (EndpointKey).
 		seen := make(map[string]string, len(s.Addrs))
 		for _, a := range s.Addrs {
-			network, address := SplitAddr(a)
-			if network == "unix" {
-				address = filepath.Clean(address)
-			}
-			key := network + ":" + address
+			key := EndpointKey(a)
 			if first, ok := seen[key]; ok {
 				return fmt.Errorf("admm: addrs %q and %q name one worker — one worker process per shard", first, a)
 			}

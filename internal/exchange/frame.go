@@ -87,23 +87,42 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends one encoded frame to dst and returns the extended
-// slice (the allocation-free encode path).
-func AppendFrame(dst []byte, kind byte, seq uint32, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(5+len(payload)))
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, seq)
-	return append(dst, payload...)
+// BeginFrame appends a frame header, its length left unset, to buf. The
+// caller appends the payload and hands the frame to FinishFrame.
+// Together they encode a frame in place, in a buffer the caller reuses,
+// without copying the payload.
+func BeginFrame(buf []byte, kind byte, seq uint32) []byte {
+	buf = append(buf, 0, 0, 0, 0, kind)
+	return binary.LittleEndian.AppendUint32(buf, seq)
 }
 
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
-	if len(payload) > MaxFrameLen-5 {
-		return fmt.Errorf("exchange: frame payload %d bytes exceeds limit", len(payload))
+// FinishFrame sets the length of the frame that BeginFrame started at
+// buf[0] and writes the whole frame to w with one Write. A frame past
+// MaxFrameLen is an error and is not written: every reader refuses it.
+func FinishFrame(w io.Writer, buf []byte) error {
+	if len(buf)-4 > MaxFrameLen {
+		return fmt.Errorf("exchange: frame payload %d bytes exceeds limit", len(buf)-frameOverhead)
 	}
-	buf := make([]byte, 0, frameOverhead+len(payload))
-	_, err := w.Write(AppendFrame(buf, kind, seq, payload))
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+	_, err := w.Write(buf)
 	return err
+}
+
+// AppendFrame appends one encoded frame to dst and returns the extended
+// slice.
+func AppendFrame(dst []byte, kind byte, seq uint32, payload []byte) []byte {
+	start := len(dst)
+	dst = append(BeginFrame(dst, kind, seq), payload...)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(5+len(payload)))
+	return dst
+}
+
+// WriteFrame encodes and writes one frame whose payload the caller
+// already holds; a sender that builds its payload fresh for each frame
+// builds it in place with BeginFrame and FinishFrame instead.
+func WriteFrame(w io.Writer, kind byte, seq uint32, payload []byte) error {
+	buf := BeginFrame(make([]byte, 0, frameOverhead+len(payload)), kind, seq)
+	return FinishFrame(w, append(buf, payload...))
 }
 
 // frameReadStep is the most ReadFrame allocates for a frame its buffer

@@ -1,7 +1,6 @@
 package exchange
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -224,7 +223,7 @@ func (m *Messaged) sendM(w int) {
 	st := &m.state[w]
 	for j := 0; j < k; j++ {
 		if row := m.mb.out[w*k+j]; len(row) > 0 {
-			buf := AppendF64s(beginFrame(st.sendBuf[:0], FrameM, st.round), row)
+			buf := AppendF64s(BeginFrame(st.sendBuf[:0], FrameM, st.round), row)
 			st.sendBuf = m.sendFrame(m.streams[w][j], buf, w, j)
 		}
 	}
@@ -267,7 +266,7 @@ func (m *Messaged) sendZ(w int) {
 		if j == w || len(row) == 0 {
 			continue
 		}
-		buf := beginFrame(st.sendBuf[:0], FrameZ, st.round)
+		buf := BeginFrame(st.sendBuf[:0], FrameZ, st.round)
 		for _, v := range row {
 			base := int(v) * d
 			buf = AppendF64s(buf, g.Z[base:base+d])
@@ -355,19 +354,12 @@ var closedCh = func() chan struct{} {
 	return ch
 }()
 
-// beginFrame starts an encoded frame in buf; finishFrame (inside
-// sendFrame) patches the length once the payload is appended.
-func beginFrame(buf []byte, kind byte, seq uint32) []byte {
-	buf = append(buf, 0, 0, 0, 0, kind)
-	return binary.LittleEndian.AppendUint32(buf, seq)
-}
-
-// sendFrame patches the frame length, writes the frame, and accounts
-// traffic: the payload doubles carried and the full frame length.
+// sendFrame finishes and writes a frame begun with BeginFrame, and
+// accounts traffic: the payload doubles carried and the full frame
+// length.
 func (m *Messaged) sendFrame(w io.Writer, buf []byte, from, to int) []byte {
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	m.armWrite(w)
-	if _, err := w.Write(buf); err != nil {
+	if err := FinishFrame(w, buf); err != nil {
 		panic(fmt.Sprintf("exchange: worker %d: send to peer %d: %v", from, to, err))
 	}
 	m.bytes.Add(int64(len(buf) - frameOverhead))

@@ -150,18 +150,16 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 // Spec projects a remote decision onto an executor spec, clearing the
 // one knob that belongs to the kind the request named (a request that
 // asked for the serial oracle's fused: false must still validate once
-// it is rewritten to sharded; tolerances ride elsewhere) and wiring the
-// registry in as the dialer so handshakes drain the prewarmed pool.
-// The workers' caches need no knob: every session consults them, so the
-// second solve of a problem on a persistent fleet skips the rebuild and
-// the state down-sync.
-func (d Decision) Spec(r *Registry, base admm.ExecutorSpec) admm.ExecutorSpec {
+// it is rewritten to sharded; tolerances ride elsewhere). The workers'
+// caches need no knob: every session consults them, so the second solve
+// of a problem on a persistent fleet skips the rebuild and the state
+// down-sync.
+func (d Decision) Spec(base admm.ExecutorSpec) admm.ExecutorSpec {
 	s := base
 	s.Kind = admm.ExecSharded
 	s.Transport = admm.TransportSockets
 	s.Addrs = append([]string(nil), d.Addrs...)
 	s.Shards = len(d.Addrs)
-	s.WorkerDialer = r.Dial
 	s.Fused = nil
 	if s.Failover == "" {
 		s.Failover = admm.FailoverSurvivors

@@ -66,7 +66,6 @@ func plannerFleet(t *testing.T, rounds ...[]shard.WorkerHealth) (*fleet.Registry
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
 	r.ProbeOnce(context.Background())
 	pc := fleet.PlannerConfig{MinEdges: 16, MaxCutShare: 0.25, MinWorkers: 2, MaxWorkers: 3}
 	return r, addrs, pc
@@ -183,7 +182,6 @@ func TestPlannerLoadInputIsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	r.ProbeOnce(context.Background())
 
 	hold := r.Acquire(1) // occupies the fast worker's only slot
@@ -215,7 +213,7 @@ func TestDecisionSpecClearsKindKnobs(t *testing.T) {
 		t.Fatalf("got %s (%s), want a remote route", d.Route, d.Reason)
 	}
 	off := false
-	spec := d.Spec(r, admm.ExecutorSpec{Kind: admm.ExecSerial, Fused: &off})
+	spec := d.Spec(admm.ExecutorSpec{Kind: admm.ExecSerial, Fused: &off})
 	if spec.Kind != admm.ExecSharded || spec.Fused != nil {
 		t.Fatalf("routed spec %+v still carries the request kind's knobs", spec)
 	}

@@ -2,21 +2,21 @@
 // per-solve dial targets into a long-lived serve fleet. A Registry
 // tracks each worker through a probe-driven state machine (joining →
 // healthy → suspect → dead, and back on recovery), hands out in-flight
-// leases so concurrent solves never oversubscribe a worker, and can
-// keep prewarmed control connections ready for the next handshake. The
-// admission planner (planner.go) consults the registry's live load and
-// the request graph's predicted exchange share to route each solve
-// local, remote, or shed.
+// leases so concurrent solves never oversubscribe a worker; each solve
+// dials its leased workers on demand. The admission planner
+// (planner.go) consults the registry's live load and the request
+// graph's predicted exchange share to route each solve local, remote,
+// or shed.
 package fleet
 
 import (
 	"context"
 	"errors"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/admm"
 	"repro/internal/shard"
 )
 
@@ -63,13 +63,6 @@ type Config struct {
 	// serves one session at a time, so a second concurrent solve would
 	// only queue behind the first).
 	MaxInFlight int
-	// Prewarm is the number of control connections kept dialed per
-	// healthy worker (default 0: dial on demand). The pool refills after
-	// each probe round and drains through Dial.
-	Prewarm int
-	// DialTimeout bounds prewarm and on-demand dials (default
-	// shard.DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Now is the clock (default time.Now). Tests inject a fake clock so
 	// state timestamps are deterministic.
 	Now func() time.Time
@@ -92,12 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 1
 	}
-	if c.Prewarm < 0 {
-		c.Prewarm = 0
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = shard.DefaultDialTimeout
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -117,8 +104,8 @@ func (e *dupAddrError) Error() string {
 
 // Worker is one endpoint's registry snapshot.
 type Worker struct {
-	Addr string `json:"addr"`
-	State State `json:"state"`
+	Addr  string `json:"addr"`
+	State State  `json:"state"`
 	// Fails is the current consecutive probe-failure streak.
 	Fails int `json:"consecutive_failures,omitempty"`
 	// InFlight is the worker's live leased-solve count — the planner's
@@ -139,17 +126,12 @@ type Worker struct {
 	LastChange time.Time `json:"last_change"`
 }
 
-type worker struct {
-	Worker
-	pool []net.Conn // prewarmed control conns; only while healthy
-}
-
 // Stats aggregates the registry for metrics export.
 type Stats struct {
-	Rounds   uint64         `json:"probe_rounds"`
-	States   map[State]int  `json:"states"`
-	InFlight int            `json:"in_flight"`
-	Solves   uint64         `json:"solves_total"`
+	Rounds   uint64        `json:"probe_rounds"`
+	States   map[State]int `json:"states"`
+	InFlight int           `json:"in_flight"`
+	Solves   uint64        `json:"solves_total"`
 }
 
 // Registry tracks a fixed worker set through probe rounds and lease
@@ -158,14 +140,14 @@ type Registry struct {
 	cfg Config
 
 	mu      sync.Mutex
-	workers []*worker
+	workers []*Worker
 	rounds  uint64
-	closed  bool
 }
 
 // New builds a registry over the configured addresses; every worker
-// starts joining. It never dials — call ProbeOnce or Run to discover
-// the fleet.
+// starts joining. Two spellings of one endpoint (admm.EndpointKey) are
+// one worker and refused. New never dials — call ProbeOnce or Run to
+// discover the fleet.
 func New(cfg Config) (*Registry, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {
@@ -175,13 +157,14 @@ func New(cfg Config) (*Registry, error) {
 	r := &Registry{cfg: cfg}
 	now := cfg.Now()
 	for _, addr := range cfg.Addrs {
-		if seen[addr] {
+		key := admm.EndpointKey(addr)
+		if seen[key] {
 			return nil, &dupAddrError{addr}
 		}
-		seen[addr] = true
-		r.workers = append(r.workers, &worker{Worker: Worker{
+		seen[key] = true
+		r.workers = append(r.workers, &Worker{
 			Addr: addr, State: StateJoining, LastChange: now,
-		}})
+		})
 	}
 	return r, nil
 }
@@ -194,16 +177,14 @@ func New(cfg Config) (*Registry, error) {
 //	joining + fail → joining until the streak reaches DeadAfter → dead
 //	dead    + fail → dead
 //
-// After the transitions it tops up prewarmed connection pools for
-// healthy workers. The returned slice is the post-round snapshot.
-// Deterministic given an injected Probe and Now.
+// The returned slice is the post-round snapshot. Deterministic given an
+// injected Probe and Now.
 func (r *Registry) ProbeOnce(ctx context.Context) []Worker {
 	health := r.cfg.Probe(ctx, r.cfg.Addrs, r.cfg.ProbeTimeout)
 	now := r.cfg.Now()
 
 	r.mu.Lock()
 	r.rounds++
-	var stale []net.Conn
 	for i, w := range r.workers {
 		h := health[i]
 		w.LastProbe = now
@@ -220,8 +201,6 @@ func (r *Registry) ProbeOnce(ctx context.Context) []Worker {
 		w.Busy = false
 		switch w.State {
 		case StateHealthy:
-			stale = append(stale, w.pool...)
-			w.pool = nil
 			// With DeadAfter <= 1 there is no grace round: the worker is
 			// declared dead within the probe interval that saw it fail.
 			if w.Fails >= r.cfg.DeadAfter {
@@ -236,13 +215,7 @@ func (r *Registry) ProbeOnce(ctx context.Context) []Worker {
 		}
 	}
 	snap := r.snapshotLocked()
-	want := r.prewarmWantLocked()
 	r.mu.Unlock()
-
-	for _, c := range stale {
-		c.Close()
-	}
-	r.prewarm(want)
 	return snap
 }
 
@@ -286,12 +259,12 @@ func (r *Registry) Stats() Stats {
 func (r *Registry) snapshotLocked() []Worker {
 	out := make([]Worker, len(r.workers))
 	for i, w := range r.workers {
-		out[i] = w.Worker
+		out[i] = *w
 	}
 	return out
 }
 
-func (r *Registry) transition(w *worker, to State, now time.Time) {
+func (r *Registry) transition(w *Worker, to State, now time.Time) {
 	if r.cfg.Logf != nil {
 		r.cfg.Logf("fleet: worker %s: %s -> %s (fails=%d)", w.Addr, w.State, to, w.Fails)
 	}
@@ -320,7 +293,7 @@ func (r *Registry) Acquire(want int) *Lease {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var avail []*worker
+	var avail []*Worker
 	for _, w := range r.workers {
 		if w.State == StateHealthy && w.InFlight < r.cfg.MaxInFlight {
 			avail = append(avail, w)
@@ -362,86 +335,5 @@ func (l *Lease) Release() {
 				break
 			}
 		}
-	}
-}
-
-// Dial hands out a worker control connection, preferring the prewarmed
-// pool and falling back to a fresh dial. Its signature matches
-// admm.ExecutorSpec.WorkerDialer so a registry plugs straight into the
-// sharded transport.
-func (r *Registry) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	r.mu.Lock()
-	for _, w := range r.workers {
-		if w.Addr == addr && len(w.pool) > 0 {
-			conn := w.pool[0]
-			w.pool = w.pool[1:]
-			r.mu.Unlock()
-			return conn, nil
-		}
-	}
-	r.mu.Unlock()
-	if timeout <= 0 {
-		timeout = r.cfg.DialTimeout
-	}
-	return shard.DialAddrTimeout(addr, timeout)
-}
-
-// prewarmWantLocked lists healthy workers whose pools are short.
-func (r *Registry) prewarmWantLocked() []string {
-	if r.cfg.Prewarm <= 0 || r.closed {
-		return nil
-	}
-	var want []string
-	for _, w := range r.workers {
-		if w.State == StateHealthy {
-			for n := len(w.pool); n < r.cfg.Prewarm; n++ {
-				want = append(want, w.Addr)
-			}
-		}
-	}
-	return want
-}
-
-// prewarm dials outside the lock and installs each connection only if
-// its worker is still healthy with pool room; otherwise the dial is
-// discarded.
-func (r *Registry) prewarm(addrs []string) {
-	for _, addr := range addrs {
-		conn, err := shard.DialAddrTimeout(addr, r.cfg.DialTimeout)
-		if err != nil {
-			continue
-		}
-		r.mu.Lock()
-		kept := false
-		if !r.closed {
-			for _, w := range r.workers {
-				if w.Addr == addr && w.State == StateHealthy && len(w.pool) < r.cfg.Prewarm {
-					w.pool = append(w.pool, conn)
-					kept = true
-					break
-				}
-			}
-		}
-		r.mu.Unlock()
-		if !kept {
-			conn.Close()
-		}
-	}
-}
-
-// Close drops every prewarmed connection. The registry remains usable
-// for probes and leases (Run's ctx governs its lifetime); Close exists
-// so tests and shutdown paths do not leak pooled conns.
-func (r *Registry) Close() {
-	r.mu.Lock()
-	r.closed = true
-	var conns []net.Conn
-	for _, w := range r.workers {
-		conns = append(conns, w.pool...)
-		w.pool = nil
-	}
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
 	}
 }

@@ -2,7 +2,6 @@ package fleet_test
 
 import (
 	"context"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -81,12 +80,12 @@ func states(ws []fleet.Worker) []fleet.State {
 func TestRegistryStateMachine(t *testing.T) {
 	addrs := []string{"hostA:1", "hostB:1"}
 	probe := &scriptProbe{rounds: [][]shard.WorkerHealth{
-		round(addrs, "", ""),                      // 1: both up
+		round(addrs, "", ""),                          // 1: both up
 		round(addrs, "probe: connection refused", ""), // 2: A refused
 		round(addrs, "probe: i/o timeout", ""),        // 3: A times out
 		round(addrs, "probe: connection refused", ""), // 4: A still down
 		round(addrs, "probe: connection refused", ""), // 5: A stays dead
-		round(addrs, "", ""),                      // 6: A recovers
+		round(addrs, "", ""),                          // 6: A recovers
 	}}
 	clk := newFakeClock()
 	r, err := fleet.New(fleet.Config{
@@ -96,7 +95,6 @@ func TestRegistryStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	ctx := context.Background()
 
 	// Before any probe: everything is joining and nothing is leasable.
@@ -139,7 +137,7 @@ func TestRegistryStateMachine(t *testing.T) {
 	if !ws[0].LastChange.After(suspectAt) {
 		t.Fatal("dead transition did not restamp LastChange")
 	}
-	step(fleet.StateDead, fleet.StateHealthy, 4)    // round 5: dead stays dead
+	step(fleet.StateDead, fleet.StateHealthy, 4)         // round 5: dead stays dead
 	ws = step(fleet.StateHealthy, fleet.StateHealthy, 0) // round 6: rejoin
 	if ws[0].LastErr != "" {
 		t.Fatal("rejoined worker kept a stale probe error")
@@ -167,7 +165,6 @@ func TestRegistryJoiningToDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	ctx := context.Background()
 	if ws := r.ProbeOnce(ctx); ws[0].State != fleet.StateJoining || ws[0].Fails != 1 {
 		t.Fatalf("after one failure: %s fails=%d, want joining fails=1", ws[0].State, ws[0].Fails)
@@ -193,7 +190,6 @@ func TestRegistryLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	ctx := context.Background()
 	r.ProbeOnce(ctx)
 
@@ -279,7 +275,6 @@ func TestRegistryProbesScriptedListeners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	ctx := context.Background()
 
 	ws := r.ProbeOnce(ctx)
@@ -302,71 +297,6 @@ func TestRegistryProbesScriptedListeners(t *testing.T) {
 	}
 }
 
-// TestRegistryPrewarmPool: a healthy worker's pool is filled after the
-// probe round, Dial drains it before falling back to fresh dials, and
-// leaving the healthy state closes the pooled connections.
-func TestRegistryPrewarmPool(t *testing.T) {
-	dir := t.TempDir()
-	addr := "unix:" + dir + "/pw.sock"
-	ln, err := shard.ListenAddr(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	probe := &scriptProbe{rounds: [][]shard.WorkerHealth{
-		round([]string{addr}, ""),
-		round([]string{addr}, ""),
-		round([]string{addr}, "probe: connection refused"),
-	}}
-	r, err := fleet.New(fleet.Config{
-		Addrs: []string{addr}, Prewarm: 1, DialTimeout: 2 * time.Second,
-		Now: newFakeClock().Now, Probe: probe.probe,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	ctx := context.Background()
-
-	r.ProbeOnce(ctx) // healthy → one prewarmed dial
-	server, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	// Dial must hand back the pooled connection: bytes written to it
-	// surface on the connection the listener already accepted.
-	conn, err := r.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte{0x5a}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	server.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(server, buf); err != nil || buf[0] != 0x5a {
-		t.Fatalf("pooled connection not live: %v %x", err, buf)
-	}
-	conn.Close()
-
-	// The next round refills the drained pool; dropping out of healthy
-	// then closes it — the server side observes EOF.
-	r.ProbeOnce(ctx)
-	server2, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server2.Close()
-	r.ProbeOnce(ctx) // healthy → suspect: pool closed
-	server2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := server2.Read(buf); err != io.EOF {
-		t.Fatalf("pooled conn not closed on suspect transition: read err %v, want EOF", err)
-	}
-}
-
 // TestRegistryRun: the probe loop fires immediately and then on every
 // tick until the context is cancelled.
 func TestRegistryRun(t *testing.T) {
@@ -385,7 +315,6 @@ func TestRegistryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -410,13 +339,20 @@ func TestRegistryRun(t *testing.T) {
 	}
 }
 
-// TestRegistryConfigErrors: empty and duplicate address lists are
-// rejected at construction.
+// TestRegistryConfigErrors: an empty address list is rejected at
+// construction, and so is one that names a worker twice — as the same
+// string or as two spellings of one endpoint.
 func TestRegistryConfigErrors(t *testing.T) {
 	if _, err := fleet.New(fleet.Config{}); err == nil {
 		t.Fatal("New accepted an empty fleet")
 	}
-	if _, err := fleet.New(fleet.Config{Addrs: []string{"a:1", "a:1"}}); err == nil {
-		t.Fatal("New accepted duplicate addresses")
+	for _, addrs := range [][]string{
+		{"a:1", "a:1"},
+		{"tcp:127.0.0.1:9001", "127.0.0.1:9001"},
+		{"unix:/a//b", "/a/b"},
+	} {
+		if _, err := fleet.New(fleet.Config{Addrs: addrs}); err == nil {
+			t.Errorf("New accepted %q, which names one worker twice", addrs)
+		}
 	}
 }

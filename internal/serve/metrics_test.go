@@ -105,7 +105,6 @@ func goldenFleet(t *testing.T) *fleet.Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reg.Close)
 	reg.ProbeOnce(context.Background())
 	reg.ProbeOnce(context.Background())
 	reg.Acquire(1).Release()

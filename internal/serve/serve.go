@@ -552,7 +552,7 @@ func (s *Server) runJob(j *Job) {
 			fail(fmt.Errorf("fleet saturated: %s", d.Reason))
 			return
 		case fleet.RouteRemote:
-			spec = d.Spec(s.cfg.Fleet, spec)
+			spec = d.Spec(spec)
 		}
 	}
 	if len(spec.Addrs) > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -553,7 +554,9 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 // TestSilentOpenerDropped: a client that connects, writes only a frame
 // header declaring MaxFrameLen and then says nothing is dropped once the
 // worker's handshake budget (MeshWait) runs out — its read ends in EOF,
-// well before its own 1 s deadline — and a normal session on the same
+// well before its own 1 s deadline. So are 50 clients that connect and
+// send nothing at all, and the worker's goroutines drain back to their
+// count before the idle clients came. A normal session on the same
 // worker afterwards matches Serial bit for bit.
 func TestSilentOpenerDropped(t *testing.T) {
 	builders := chainBuilders(t, 48)
@@ -563,18 +566,42 @@ func TestSilentOpenerDropped(t *testing.T) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	go ServeWorker(ln, WorkerOptions{Builders: builders, MeshWait: 200 * time.Millisecond})
-
-	silent, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		return c
 	}
-	defer silent.Close()
+	dropped := func(c net.Conn, what string) {
+		t.Helper()
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s's read ended with %v, want EOF: the worker kept the connection", what, err)
+		}
+	}
+
+	silent := dial()
 	if _, err := silent.Write([]byte{0, 0, 0, 0x10}); err != nil { // length MaxFrameLen
 		t.Fatal(err)
 	}
-	silent.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := silent.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("silent opener's read ended with %v, want EOF: the worker kept the connection", err)
+	dropped(silent, "stalled opener")
+
+	time.Sleep(50 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+	idle := make([]net.Conn, 50)
+	for i := range idle {
+		idle[i] = dial()
+	}
+	for _, c := range idle {
+		dropped(c, "idle opener")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the idle openers were dropped, %d before they came", runtime.NumGoroutine(), baseline)
+		}
 	}
 
 	spec := chainSpec(append([]string{"tcp:" + ln.Addr().String()}, startTestWorkers(t, 1, builders)...))

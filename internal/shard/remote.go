@@ -77,9 +77,9 @@ type Remote struct {
 	bufs      [][]byte
 
 	problem *admm.ProblemRef
-	// dialer, when non-nil, replaces DialAddrTimeout (the fleet
-	// registry's pre-warmed connection pool plugs in here).
-	dialer func(addr string, timeout time.Duration) (net.Conn, error)
+	// params is the reused Params frame, built in place before each
+	// block where Rho or U moved.
+	params []byte
 
 	// rhoShadow/uShadow are Rho and U as the workers last saw them
 	// (handshake state, params pushes, and each block's own uploads).
@@ -131,7 +131,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		tmo:     specTimeouts(spec),
 		g:       g,
 		problem: spec.Problem,
-		dialer:  spec.WorkerDialer,
 	}
 	var err error
 	r.plan, err = newPlan(g, shards, false)
@@ -178,15 +177,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 	return r, nil
 }
 
-// dialWorker establishes one control connection, through the injected
-// dialer when the spec supplied one.
-func (r *Remote) dialWorker(addr string) (net.Conn, error) {
-	if r.dialer != nil {
-		return r.dialer(addr, r.tmo.dial)
-	}
-	return DialAddrTimeout(addr, r.tmo.dial)
-}
-
 // handshake runs Cfg -> Ready -> State against every worker under the
 // handshake deadline; a worker whose Ready reports a state-tier cache
 // hit already holds the exact state, and its push is skipped. Configs
@@ -203,7 +193,11 @@ func (r *Remote) handshake() error {
 	werr := func(i int, phase string, config bool, err error) error {
 		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: phase, Err: err, Config: config}
 	}
-	state := appendState(nil, r.g)
+	// The State frame is built once, in place, and written to every
+	// worker whose cache misses.
+	state := exchange.BeginFrame(nil, exchange.FrameState, 0)
+	payloadAt := len(state)
+	state = appendState(state, r.g)
 	cfg := wireConfig{
 		Session:        r.session,
 		Shards:         r.shards,
@@ -211,10 +205,10 @@ func (r *Remote) handshake() error {
 		Spec:           r.problem.Spec,
 		Peers:          r.addrs,
 		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
-		StateDigest:    stateDigest(state),
+		StateDigest:    stateDigest(state[payloadAt:]),
 	}
 	for i := 0; i < r.shards; i++ {
-		conn, err := r.dialWorker(r.addrs[i])
+		conn, err := DialAddrTimeout(r.addrs[i], r.tmo.dial)
 		if err != nil {
 			return werr(i, PhaseDial, false, err)
 		}
@@ -321,12 +315,12 @@ func (r *Remote) readReady(i int) (string, error) {
 	return ready.Hit, nil
 }
 
-// pushState ships the full state payload to worker i under the
-// handshake deadline.
+// pushState ships the State frame begun in handshake to worker i under
+// the handshake deadline.
 func (r *Remote) pushState(i int, state []byte) error {
 	conn := r.conns[i]
 	conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
-	if err := exchange.WriteFrame(conn, exchange.FrameState, 0, state); err != nil {
+	if err := exchange.FinishFrame(conn, state); err != nil {
 		return fmt.Errorf("send state: %w", err)
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -376,10 +370,10 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	// U coordinator-side; push them before the next block when (and
 	// only when) either moved against the workers' last view.
 	if r.started && r.paramsChanged(g) {
-		params := appendParams(nil, g)
+		r.params = appendParams(exchange.BeginFrame(r.params[:0], exchange.FrameParams, 0), g)
 		for i, conn := range r.conns {
 			r.armWrite(i)
-			if err := exchange.WriteFrame(conn, exchange.FrameParams, 0, params); err != nil {
+			if err := exchange.FinishFrame(conn, r.params); err != nil {
 				return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseParams, Err: err}
 			}
 		}

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admm"
 	"repro/internal/exchange"
+	"repro/internal/faultnet"
 	"repro/internal/gpusim"
 	"repro/internal/graph"
 	"repro/internal/lasso"
@@ -162,63 +162,52 @@ func startTestWorkers(t *testing.T, n int, builders map[string]BuilderFunc) []st
 
 // TestRemoteHandshakeFailures: a worker that rebuilds a different graph
 // (spec drift) or does not know the workload fails the handshake with a
-// pointed error — NewBackend returns it, nothing half-solves.
+// pointed error — NewBackend returns it, nothing half-solves — and a
+// config refusal is not retried. A Cfg that still carries a retired key
+// is refused by the worker's strict decoder, naming the field.
 func TestRemoteHandshakeFailures(t *testing.T) {
-	builders := map[string]BuilderFunc{
-		"chain": func(spec []byte) (*graph.Graph, error) {
-			return chainGraph(t, 48), nil // ignores the spec: fixed shape
-		},
+	builders := chainBuilders(t, 48) // ignores the spec: fixed shape
+	var addrs []string
+	var lns []*faultnet.Listener
+	for range 2 {
+		addr, ln := startFaultWorker(t, builders, nil, WorkerOptions{})
+		addrs, lns = append(addrs, addr), append(lns, ln)
 	}
-	addrs := startTestWorkers(t, 2, builders)
 
-	spec := admm.ExecutorSpec{
-		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs,
-		Problem: &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)},
-	}
+	spec := chainSpec(addrs)
 	// Coordinator graph has a different shape than the workers rebuild.
 	if _, err := NewRemote(context.Background(), spec, chainGraph(t, 64)); err == nil ||
 		!strings.Contains(err.Error(), "different graph") {
 		t.Fatalf("shape mismatch not detected: %v", err)
 	}
-	// Unknown workload.
+	// Unknown workload: a config error, so one dial per worker and no
+	// retry. A worker accepts in arrival order, so once it has answered
+	// a probe dialed after the refusal, any retried dial would have been
+	// accepted too: each listener must have grown by exactly two.
+	before := []int{lns[0].Accepted(), lns[1].Accepted()}
 	spec.Problem = &admm.ProblemRef{Workload: "nope", Spec: []byte(`{}`)}
-	if _, err := NewRemote(context.Background(), spec, chainGraph(t, 48)); err == nil ||
-		!strings.Contains(err.Error(), "unknown workload") {
-		t.Fatalf("unknown workload not detected: %v", err)
-	}
-	// A Cfg that still carries a retired key (here stamped in on the
-	// wire, as an older coordinator would send it) is refused by the
-	// worker's strict decoder, and the refusal is a config error: one
-	// dial per worker, no retry.
-	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}
-	dials := 0
-	spec.WorkerDialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-		dials++
-		conn, err := DialAddrTimeout(addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return &tamperConn{conn, func(frame []byte) []byte {
-			if frame[4] != exchange.FrameCfg {
-				return frame
-			}
-			// frame[9] is the JSON payload's opening brace.
-			payload := append([]byte(`{"delta_threshold":0,`), frame[10:]...)
-			return exchange.AppendFrame(nil, exchange.FrameCfg, 0, payload)
-		}}, nil
-	}
 	_, err := NewRemote(context.Background(), spec, chainGraph(t, 48))
 	var we *WorkerError
-	if !errors.As(err, &we) || !we.Config || we.Phase != PhaseHandshake ||
-		!strings.Contains(err.Error(), `unknown field "delta_threshold"`) {
-		t.Fatalf("Cfg with a retired key: got %v, want a handshake config *WorkerError naming the field", err)
+	if !errors.As(err, &we) || !we.Config || !strings.Contains(err.Error(), "unknown workload") {
+		t.Fatalf("unknown workload: got %v, want a config *WorkerError", err)
 	}
-	if dials != len(addrs) {
-		t.Fatalf("%d dials for %d workers: a config refusal was retried", dials, len(addrs))
+	for i, addr := range addrs {
+		checkPing(t, addr)
+		if n := lns[i].Accepted() - before[i]; n != 2 {
+			t.Fatalf("worker %d accepted %d connections for the refused session and a probe, want 2: a config refusal was retried", i, n)
+		}
 	}
-	spec.WorkerDialer = nil
-	// Healthy handshake + solve on the same worker pool afterwards: the
-	// workers survived the failed sessions.
+	// A Cfg that still carries a retired key, as an older coordinator
+	// would send it.
+	cfg := mustJSON(t, wireConfig{Session: 7, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: addrs[:1]})
+	conn := dialFrame(t, addrs[0], exchange.FrameCfg, append([]byte(`{"delta_threshold":0,`), cfg[1:]...))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	f, _, err := exchange.ReadFrame(conn, nil)
+	if err != nil || f.Kind != exchange.FrameErr || !strings.Contains(string(f.Payload), `unknown field "delta_threshold"`) {
+		t.Fatalf("Cfg with a retired key: got kind %d %q (%v), want FrameErr naming the field", f.Kind, f.Payload, err)
+	}
+	// Healthy handshake + solve on the same workers afterwards: they
+	// survived the failed sessions.
 	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}
 	g := chainGraph(t, 48)
 	r, err := NewRemote(context.Background(), spec, g)

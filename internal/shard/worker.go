@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -31,12 +30,11 @@ type WorkerOptions struct {
 	// DialTimeout bounds this worker's mesh dials to lower-numbered
 	// peers (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
-	// MeshWait bounds how long a new connection may take to finish an
-	// opening frame once its first byte has arrived (an idle connection
-	// is kept: a fleet registry pools them), and how long a session
-	// waits for its mesh to complete — peers dialing in and peers being
-	// dialed (0 = DefaultHandshakeTimeout, the same budget the
-	// coordinator gives the whole handshake).
+	// MeshWait bounds how long a new connection may take to send its
+	// whole opening frame, and how long a session waits for its mesh to
+	// complete — peers dialing in and peers being dialed
+	// (0 = DefaultHandshakeTimeout, the same budget the coordinator
+	// gives the whole handshake).
 	MeshWait time.Duration
 	// OnIterBlock, when non-nil, observes each iteration-block command
 	// just before it executes (session id, 0-based block index within
@@ -91,19 +89,11 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 			go func(conn net.Conn) {
 				// First frame classifies the connection; a malformed
 				// opener only poisons this connection, not the worker.
-				// A fleet registry dials control connections ahead of
-				// need and may hold one idle for any length of time, so
-				// the wait for the first byte is unbounded (an idle
-				// connection pins no buffer). Once a frame has started,
-				// the rest of it gets the handshake budget: a client that
-				// begins an opener and stalls is dropped, not kept.
-				var first [1]byte
-				if _, err := io.ReadFull(conn, first[:]); err != nil {
-					conn.Close()
-					return
-				}
+				// The whole opener, first byte included, gets the
+				// handshake budget: a client that sends nothing, or
+				// begins an opener and stalls, is dropped, not kept.
 				conn.SetReadDeadline(time.Now().Add(opts.meshWait()))
-				f, _, err := exchange.ReadFrame(io.MultiReader(bytes.NewReader(first[:]), conn), nil)
+				f, _, err := exchange.ReadFrame(conn, nil)
 				if err != nil {
 					conn.Close()
 					return
@@ -538,9 +528,9 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			if err := writeJSONFrame(conn, exchange.FrameDone, done); err != nil {
 				return err
 			}
-			out = appendOwned(out[:0], g, lp, ownedVars, zprev)
+			out = appendOwned(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), g, lp, ownedVars, zprev)
 			armWrite()
-			if err := exchange.WriteFrame(conn, exchange.FrameUp, 0, out); err != nil {
+			if err := exchange.FinishFrame(conn, out); err != nil {
 				return err
 			}
 		default:

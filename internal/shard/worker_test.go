@@ -308,7 +308,9 @@ func TestWorkerSessionTable(t *testing.T) {
 // the State push. A worker reads them into reused buffers: after two
 // warm-up rounds, a Params+Iter round allocates less than a quarter of
 // the Params payload more than an Iter round does, where a fresh buffer
-// per frame would cost all of it.
+// per frame would cost all of it. The worker builds its Up frame in
+// place too, so an Iter round — whose upload is the whole 4096-variable
+// chain's owned state — allocates under 16 KiB.
 func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count over a live session")
@@ -352,6 +354,9 @@ func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
 	}
 	bare, pushed := perRound(iter), perRound(withParams)
 	t.Logf("per round: Iter %d B, Params+Iter %d B; Params payload %d B", bare, pushed, len(params))
+	if bare >= 16<<10 {
+		t.Fatalf("an Iter round allocated %d B, want under 16 KiB: the Up frame is copied", bare)
+	}
 	if pushed > bare+uint64(len(params))/4 {
 		t.Fatalf("a Params+Iter round allocated %d B, an Iter round %d B; the Params payload is %d B", pushed, bare, len(params))
 	}
