@@ -171,3 +171,27 @@ func TestSolveRejectsBadSpec(t *testing.T) {
 		t.Fatal("Solve with MaxIter 0 should fail")
 	}
 }
+
+// TestEndpointKey: spellings of one worker endpoint share a key, and
+// endpoints that reach different processes do not.
+func TestEndpointKey(t *testing.T) {
+	for _, c := range []struct {
+		a, b string
+		same bool
+	}{
+		{"127.0.0.1:9001", "tcp:127.0.0.1:9001", true},
+		{"unix:/run/w.sock", "/run/w.sock", true},
+		{"unix:/a//b", "/a/b", true},
+		{"/a/./b/../c", "unix:/a/c", true},
+		{"127.0.0.1:9001", "127.0.0.1:9002", false},
+		{"unix:h:9001", "tcp:h:9001", false},
+		{"localhost:9001", "127.0.0.1:9001", false}, // host names are not resolved
+	} {
+		t.Run(c.a+"|"+c.b, func(t *testing.T) {
+			ka, kb := EndpointKey(c.a), EndpointKey(c.b)
+			if (ka == kb) != c.same {
+				t.Fatalf("keys %q and %q: same = %v, want %v", ka, kb, ka == kb, c.same)
+			}
+		})
+	}
+}

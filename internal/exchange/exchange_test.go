@@ -130,6 +130,50 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBuiltInPlace: BeginFrame + FinishFrame put on the wire the
+// bytes AppendFrame encodes, in one Write, and a buffer reused for the
+// next frame carries no trace of the last one.
+func TestFrameBuiltInPlace(t *testing.T) {
+	var wire bytes.Buffer
+	var buf []byte
+	payloads := [][]byte{AppendF64s(nil, []float64{1.5, -2, 1e300}), nil, {9}}
+	for i, p := range payloads {
+		buf = append(BeginFrame(buf[:0], FrameUp, uint32(i)), p...)
+		before := wire.Len()
+		if err := FinishFrame(&wire, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := AppendFrame(nil, FrameUp, uint32(i), p)
+		if got := wire.Bytes()[before:]; !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: in place % x, AppendFrame % x", i, got, want)
+		}
+	}
+	var rbuf []byte
+	for i, p := range payloads {
+		f, next, err := ReadFrame(&wire, rbuf)
+		if err != nil || f.Kind != FrameUp || f.Seq != uint32(i) || !bytes.Equal(f.Payload, p) {
+			t.Fatalf("frame %d = %+v, err %v", i, f, err)
+		}
+		rbuf = next
+	}
+
+	// A failed write is the caller's error; the frame is not retried.
+	w := &failWriter{err: errors.New("peer gone")}
+	if err := FinishFrame(w, BeginFrame(nil, FrameZ, 0)); !errors.Is(err, w.err) || w.writes != 1 {
+		t.Fatalf("FinishFrame on a failing writer: err %v after %d writes", err, w.writes)
+	}
+}
+
+type failWriter struct {
+	err    error
+	writes int
+}
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return 0, w.err
+}
+
 // TestReadFrameErrors: corrupt streams error instead of panicking or
 // allocating unbounded buffers.
 func TestReadFrameErrors(t *testing.T) {
