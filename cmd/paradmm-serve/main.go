@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/admm"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -133,6 +134,9 @@ func parseConfig(args []string) (serve.Config, options, error) {
 			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
 		}
 	})
+	if limit := admm.MaxTransportTimeoutMS * time.Millisecond; bad == nil && max(cfg.DialTimeout, cfg.HandshakeTimeout) > limit {
+		bad = fmt.Errorf("-dial-timeout and -handshake-timeout must not exceed %v", limit)
+	}
 	if bad != nil {
 		fmt.Fprintln(fs.Output(), bad)
 		fs.Usage()

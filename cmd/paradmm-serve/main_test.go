@@ -42,6 +42,7 @@ func TestParseConfig(t *testing.T) {
 		{"negative queue", []string{"-queue", "-5"}, serve.Config{}, "-queue = -5"},
 		{"negative body bytes", []string{"-max-body-bytes", "-1"}, serve.Config{}, "-max-body-bytes = -1"},
 		{"negative duration", []string{"-dial-timeout", "-1s"}, serve.Config{}, "-dial-timeout = -1s"},
+		{"timeout past the bound", []string{"-handshake-timeout", "2h"}, serve.Config{}, "must not exceed 1h0m0s"},
 		{"garbage cache per key", []string{"-cache-per-key", "two"}, serve.Config{}, `invalid value "two" for flag -cache-per-key`},
 		{"unknown flag", []string{"-cache-bytes", "1"}, serve.Config{}, "flag provided but not defined: -cache-bytes"},
 		{"stray argument", []string{"serve"}, serve.Config{}, `unexpected argument "serve"`},

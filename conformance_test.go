@@ -388,8 +388,8 @@ func flushTrajectory(t *testing.T, backend admm.Backend, g *graph.Graph, objecti
 // bit-identical at every residual check across the serial oracle, the
 // fused serial schedule, parallel-for, two shards over shared memory,
 // two over loopback sockets, and two real worker processes — the leg
-// that proves the coordinator's pre-block parameter push carries the
-// flushed U to state held elsewhere. The trajectory must also differ
+// that proves the flush Run reports reaches state held elsewhere, where
+// each worker replays it on its own U. The trajectory must also differ
 // from the unflushed one, or the comparison proves nothing.
 func TestFlushConformance(t *testing.T) {
 	build := func() (*graph.Graph, func() float64) {

@@ -39,13 +39,13 @@
 // (internal/bench), the examples and the tests, and run through Run.
 //
 // Run drives a Backend in blocks (one per residual check, or one for a
-// fixed-count run) and between blocks does the one thing no kernel
-// does: it zeroes the subnormal entries of U (flushSubnormals), which
-// would otherwise stick at the smallest subnormal and slow every later
-// z gather. The edit is made to the graph, above the Backend, so every
-// executor continues from the same state and the bit-identity contract
-// is untouched; a Backend's Iterate called directly never flushes.
-// Phase times are taken with one Stopwatch lap per phase boundary.
+// fixed-count run) and between blocks edits the graph above the
+// Backend: it zeroes U's subnormal entries (flushSubnormals), which
+// would otherwise slow every later z gather, and adaptRho may rescale
+// Rho and U. Every executor continues from the same state, so the
+// bit-identity contract is untouched; Iterate called directly never
+// flushes, and a backend holding state elsewhere replays Run's edits
+// (EditObserver). Phase times are one Stopwatch lap per phase boundary.
 //
 // # The residual check
 //
@@ -249,6 +249,65 @@ type ZPrevIterator interface {
 	IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[NumPhases]int64) error
 }
 
+// EditObserver is an optional Backend extension for executors keeping
+// their own copy of the state (shard.Remote): after every block Run
+// reports its edit to g, which the backend replays (Edit.Apply) before
+// the next block. Between blocks, only Run may edit such a graph.
+type EditObserver interface {
+	ObserveEdit(e Edit)
+}
+
+// Edit is what Run did to Rho and U after a block: Flush zeroed U's
+// subnormal entries, then a nonzero Rescale (adaptRho's step) ran.
+type Edit struct {
+	Flush   bool
+	Rescale Rescale
+}
+
+// Rescale multiplies every rho by Factor and clamps it to [Min, Max].
+type Rescale struct {
+	Factor, Min, Max float64
+}
+
+// Check refuses a step adaptRho never takes: a factor or inverse that
+// is not finite and positive, or bounds outside 0 < Min <= Max.
+func (r Rescale) Check() error {
+	if !(r.Factor > 0 && r.Min > 0 && r.Min <= r.Max) || math.IsInf(r.Factor, 1) || math.IsInf(1/r.Factor, 1) {
+		return fmt.Errorf("admm: rescale by %g into [%g, %g]: want a finite positive factor and inverse, 0 < min <= max", r.Factor, r.Min, r.Max)
+	}
+	return nil
+}
+
+// Apply makes e on a run of edges — rho holds their rho, u their U
+// blocks of d entries (nil: rho alone) — with Run's own arithmetic, so a
+// replay is bit-identical. The rescale keeps each edge's y = rho*u: the
+// scaled u = y/rho is multiplied by 1/Factor, or by rho_old/rho_new where
+// the clamp changed the step.
+func (e Edit) Apply(rho, u []float64, d int) {
+	if e.Flush {
+		flushSubnormals(u)
+	}
+	r := e.Rescale
+	if r == (Rescale{}) {
+		return
+	}
+	inv := 1 / r.Factor
+	for i, old := range rho {
+		scaled := old * r.Factor
+		rho[i] = linalg.Clamp(scaled, r.Min, r.Max)
+		if u == nil {
+			continue
+		}
+		k := inv
+		if rho[i] != scaled {
+			k = old / rho[i]
+		}
+		for j := i * d; j < (i+1)*d; j++ {
+			u[j] *= k
+		}
+	}
+}
+
 // Options configures Run.
 type Options struct {
 	// MaxIter is the iteration budget (required, > 0).
@@ -346,6 +405,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	res.Primal, res.Dual = math.NaN(), math.NaN()
 	phaseNanos := phaseScratch.Get().(*[NumPhases]int64)
 	*phaseNanos = [NumPhases]int64{}
+	observer, _ := backend.(EditObserver)
 
 	start := time.Now()
 	done := 0
@@ -366,10 +426,17 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 			flushSubnormals(g.U)
 		}
 		done += step
-		if opts.Adapt != nil && adaptRho(g, opts.Adapt, res.Primal, res.Dual) {
-			// U was rescaled, so the pass's sum of squares no longer
-			// describes it; NaN sends the decision to the exact test.
-			sums.uu = math.NaN()
+		edit := Edit{Flush: true}
+		if opts.Adapt != nil {
+			edit.Rescale = adaptRho(g, opts.Adapt, res.Primal, res.Dual)
+			if edit.Rescale != (Rescale{}) {
+				// U was rescaled, so the pass's sum of squares no longer
+				// describes it; NaN sends the decision to the exact test.
+				sums.uu = math.NaN()
+			}
+		}
+		if observer != nil {
+			observer.ObserveEdit(edit)
 		}
 		if check {
 			if opts.OnIteration != nil && !opts.OnIteration(done, res.Primal, res.Dual) {
@@ -397,11 +464,11 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 // round-to-nearest maps to itself forever; from then on every r*(x+u)
 // of the z gather takes a floating-point microcode assist. Zero is the
 // limit the sequence was converging to. The pass edits g.U above the
-// Backend, so every executor continues from the same state
-// (shard.Remote pushes a coordinator-side change of U before its next
-// block) and iterates stay bit-identical across executors; n = z - u
-// heals in the next u/n sweep. Run calls it after a fixed-count block;
-// a residual block's checkPass applies the same predicate in its pass.
+// Backend, so every executor continues from the same state (a backend
+// holding state elsewhere replays it, Edit.Apply) and iterates stay
+// bit-identical across executors; n = z - u heals in the next u/n
+// sweep. Run calls it after a fixed-count block; a residual block's
+// checkPass applies the same predicate in its pass.
 func flushSubnormals(u []float64) {
 	for i, v := range u {
 		// Shifting out the sign leaves 0 for zero and at least 1<<53 for
@@ -520,50 +587,36 @@ type AdaptConfig struct {
 	adjusted int
 }
 
-// adaptRho applies one adaptation step and reports whether it rescaled
-// U.
-func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) bool {
-	if c.Mu <= 0 || c.Tau <= 0 {
-		return false
-	}
-	if math.IsNaN(primal) || math.IsNaN(dual) {
-		return false
-	}
+// adaptRho takes one adaptation step on g and returns it, or the zero
+// Rescale when it takes none — as for any step Rescale.Check refuses.
+func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) Rescale {
 	maxAdjust := c.MaxAdjust
 	if maxAdjust <= 0 {
 		maxAdjust = 50
 	}
-	if c.adjusted >= maxAdjust {
-		return false
+	if c.Mu <= 0 || c.adjusted >= maxAdjust {
+		return Rescale{}
 	}
-	min, max := c.Min, c.Max
-	if min <= 0 {
-		min = 1e-6
+	r := Rescale{Factor: c.Tau, Min: c.Min, Max: c.Max}
+	if r.Min <= 0 {
+		r.Min = 1e-6
 	}
-	if max <= 0 {
-		max = 1e6
+	if r.Max <= 0 {
+		r.Max = 1e6
 	}
-	scale := 1.0
 	switch {
 	case primal > c.Mu*dual:
-		scale = c.Tau
 	case dual > c.Mu*primal:
-		scale = 1 / c.Tau
-	default:
-		return false
+		r.Factor = 1 / c.Tau
+	default: // balanced, or a NaN residual
+		return Rescale{}
+	}
+	if r.Check() != nil {
+		return Rescale{}
 	}
 	c.adjusted++
-	for e := range g.Rho {
-		r := g.Rho[e] * scale
-		g.Rho[e] = linalg.Clamp(r, min, max)
-	}
-	// Rescale u to keep the scaled dual variable consistent: in the
-	// scaled form u represents y/rho, so u must shrink when rho grows.
-	inv := 1 / scale
-	for i := range g.U {
-		g.U[i] *= inv
-	}
-	return true
+	Edit{Rescale: r}.Apply(g.Rho, g.U, g.D())
+	return r
 }
 
 // Serial is the single-core backend: the Go analogue of the paper's

@@ -378,6 +378,94 @@ func TestAdaptConfigClamps(t *testing.T) {
 	}
 }
 
+// TestAdaptRescaleKeepsDualAtClamp: the rescale keeps every edge's
+// unscaled dual y = rho*u. AdaptConfig{Mu: 10, Tau: 2, Min: 1} with the
+// dual residual far above the primal one halves rho; on an edge at
+// rho = 1 the floor holds it at 1, so u must stay 0.5 (y 0.5, not 1).
+// An edge the clamp leaves alone keeps the 1/Factor product bit for bit.
+func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
+	g := buildAveraging(t, []float64{1, 2})
+	g.SetUniformParams(1, 1)
+	g.Rho[1] = 4
+	g.U[0], g.U[1] = 0.5, 0.3
+	adaptRho(g, &AdaptConfig{Mu: 10, Tau: 2, Min: 1}, 0, 1)
+	if g.Rho[0] != 1 || g.U[0] != 0.5 {
+		t.Errorf("clamped edge: rho %g, u %g; want 1, 0.5 (y = rho*u unchanged)", g.Rho[0], g.U[0])
+	}
+	if inv := 1 / 0.5; g.Rho[1] != 2 || g.U[1] != 0.3*inv {
+		t.Errorf("free edge: rho %g, u %g; want 2, %g", g.Rho[1], g.U[1], 0.3*inv)
+	}
+}
+
+// TestRunReportsEdits: Run tells an EditObserver backend, after every
+// block, the edit it has just made — the flush always, the rescale when
+// adaptRho fired, with the bounds it resolved — and replaying each edit
+// with Edit.Apply on Rho and U as the block left them reproduces Run's
+// bit for bit.
+func TestRunReportsEdits(t *testing.T) {
+	g := buildAveraging(t, []float64{0, 10})
+	g.SetUniformParams(100, 1)
+	b := &editRecorder{Backend: NewSerialFused()}
+	if _, err := Run(g, Options{MaxIter: 60, CheckEvery: 5, Backend: b, Adapt: &AdaptConfig{Mu: 10, Tau: 2, Max: 200}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.edits) != 12 {
+		t.Fatalf("%d edits reported for 12 blocks", len(b.edits))
+	}
+	rescales := 0
+	for i, r := range b.edits {
+		if !r.edit.Flush {
+			t.Errorf("block %d: edit %+v without the flush", i, r.edit)
+		}
+		if s := r.edit.Rescale; s != (Rescale{}) {
+			rescales++
+			if s.Min != 1e-6 || s.Max != 200 || s.Check() != nil {
+				t.Errorf("block %d: rescale %+v, want resolved bounds [1e-6, 200]", i, s)
+			}
+		}
+		rho, u := r.before[0], r.before[1]
+		r.edit.Apply(rho, u, g.D())
+		for k, arr := range [2][]float64{rho, u} {
+			for n, v := range arr {
+				if math.Float64bits(v) != math.Float64bits(r.after[k][n]) {
+					t.Fatalf("block %d: replayed array %d [%d] = %v, Run's %v", i, k, n, v, r.after[k][n])
+				}
+			}
+		}
+	}
+	if rescales == 0 {
+		t.Fatal("adaptRho never fired: no rescale was reported")
+	}
+}
+
+// editRecorder records each edit Run reports with Rho and U as the
+// block left them and as the edit left them.
+type editRecorder struct {
+	Backend
+	g     *graph.Graph
+	block [2][]float64
+	edits []recordedEdit
+}
+
+type recordedEdit struct {
+	edit          Edit
+	before, after [2][]float64
+}
+
+func snapshotRhoU(g *graph.Graph) [2][]float64 {
+	return [2][]float64{append([]float64(nil), g.Rho...), append([]float64(nil), g.U...)}
+}
+
+func (b *editRecorder) Iterate(g *graph.Graph, iters int, ph *[NumPhases]int64) error {
+	err := b.Backend.Iterate(g, iters, ph)
+	b.g, b.block = g, snapshotRhoU(g)
+	return err
+}
+
+func (b *editRecorder) ObserveEdit(e Edit) {
+	b.edits = append(b.edits, recordedEdit{e, b.block, snapshotRhoU(b.g)})
+}
+
 type valuedOp struct {
 	prox.SquaredNorm
 	c float64

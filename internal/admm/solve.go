@@ -67,7 +67,8 @@ type ExecutorSpec struct {
 	// iteration block's compute time, and 0 keeps mid-solve I/O
 	// unbounded (a large block is legitimately slow). DialAttempts caps
 	// the dial+handshake retry loop (default 3, capped exponential
-	// backoff between attempts).
+	// backoff between attempts). No timeout may exceed
+	// MaxTransportTimeoutMS.
 	DialTimeoutMS      int `json:"dial_timeout_ms,omitempty"`
 	HandshakeTimeoutMS int `json:"handshake_timeout_ms,omitempty"`
 	FrameTimeoutMS     int `json:"frame_timeout_ms,omitempty"`
@@ -108,6 +109,11 @@ const (
 // MaxDialAttempts bounds ExecutorSpec.DialAttempts: retries beyond this
 // only stretch a doomed handshake (the backoff is already capped).
 const MaxDialAttempts = 16
+
+// MaxTransportTimeoutMS bounds each transport timeout at one hour: a
+// silent endpoint holds a serving pool slot for the handshake timeout
+// per attempt, and a large enough count overflows time.Duration.
+const MaxTransportTimeoutMS = 3_600_000
 
 // FusedEnabled reports whether the spec selects the fused schedule:
 // true unless Fused explicitly disables it (kind serial only).
@@ -258,9 +264,9 @@ func (s ExecutorSpec) Validate() error {
 		s.DialAttempts != 0 || s.Failover != "") && s.Kind != ExecSharded {
 		return fmt.Errorf("admm: dial/handshake/frame timeouts, dial_attempts, and failover apply only to %q, not %q", ExecSharded, s.Kind)
 	}
-	if s.DialTimeoutMS < 0 || s.HandshakeTimeoutMS < 0 || s.FrameTimeoutMS < 0 {
-		return fmt.Errorf("admm: negative transport timeout (dial %d / handshake %d / frame %d ms)",
-			s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS)
+	if min(s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS) < 0 || max(s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS) > MaxTransportTimeoutMS {
+		return fmt.Errorf("admm: transport timeouts (dial %d / handshake %d / frame %d ms) need 0..%d ms",
+			s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS, MaxTransportTimeoutMS)
 	}
 	if s.DialAttempts < 0 || s.DialAttempts > MaxDialAttempts {
 		return fmt.Errorf("admm: dial_attempts = %d, need 0..%d", s.DialAttempts, MaxDialAttempts)

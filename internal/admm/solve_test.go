@@ -50,6 +50,11 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecSharded, Shards: -1},
 		{Kind: ExecSharded, Shards: MaxShards + 1},
 		{Kind: ExecSerial, Shards: 2},
+		// Transport timeouts are bounded: ~24.8 days per handshake
+		// attempt, and a count whose Duration overflows negative.
+		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS + 1},
+		{Kind: ExecSharded, HandshakeTimeoutMS: 2147483647},
+		{Kind: ExecSharded, FrameTimeoutMS: 10000000000000},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -69,6 +74,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecAuto},
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},
+		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS, HandshakeTimeoutMS: MaxTransportTimeoutMS, FrameTimeoutMS: MaxTransportTimeoutMS},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {

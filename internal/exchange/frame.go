@@ -45,11 +45,10 @@ const (
 	FrameReady byte = 12
 	// FrameState pushes full ADMM state down: raw Rho|Alpha|X|U|N|Z.
 	FrameState byte = 13
-	// FrameIter commands a block of iterations: JSON {iters, params}.
+	// FrameIter commands a block of iterations: JSON {iters, zprev, edit}.
 	FrameIter byte = 14
-	// FrameParams precedes FrameIter when per-edge parameters changed
-	// between blocks (rho adaptation): raw Rho|U.
-	FrameParams byte = 15
+	// Kind 15 is retired (it was Params, a Rho|U push) and must not be
+	// reused: a worker refuses it.
 	// FrameDone reports a finished block: JSON worker statistics.
 	FrameDone byte = 16
 	// FrameUp follows FrameDone: raw owned X|U|Z state (plus a zPrev

@@ -44,7 +44,7 @@ func TestSolveSocketsLoopback(t *testing.T) {
 
 // TestSolveTransportValidation: transport fields are validated at
 // admission — a non-sharded executor with a transport is a 400, as is
-// an addrs/shards mismatch.
+// an addrs/shards mismatch or a timeout past MaxTransportTimeoutMS.
 func TestSolveTransportValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	bad := []string{
@@ -56,5 +56,11 @@ func TestSolveTransportValidation(t *testing.T) {
 		if code, _ := postSolve(t, ts, body); code != 400 {
 			t.Errorf("request %d admitted with code %d", i, code)
 		}
+	}
+	// A handshake bound of ~24.8 days per attempt would hold a pool slot
+	// that long against a silent endpoint.
+	code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"sharded","transport":"sockets","addrs":["unix:/tmp/w0"],"handshake_timeout_ms":2147483647}}`)
+	if code != 400 || !strings.Contains(v.Error, "need 0..3600000 ms") {
+		t.Errorf("handshake_timeout_ms 2147483647: code %d, error %q; want 400 naming the bound", code, v.Error)
 	}
 }

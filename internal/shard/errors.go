@@ -10,8 +10,6 @@ const (
 	PhaseHandshake = "handshake"
 	// PhaseState: the full state push after Ready.
 	PhaseState = "state"
-	// PhaseParams: a parameter refresh between blocks.
-	PhaseParams = "params"
 	// PhaseIterate: sending the block command.
 	PhaseIterate = "iterate"
 	// PhaseCollect: reading the block's Done report and state upload.

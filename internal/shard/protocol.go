@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"time"
@@ -30,10 +31,13 @@ import (
 //	worker i    -> coordinator: Ready {graph shape, manifest digest, cache hit}
 //	coordinator -> worker i:  State {Rho|Alpha|X|U|N|Z}   (skipped on a state hit)
 //	repeat:
-//	  coordinator -> worker i:  [Params {Rho|U}]  Iter {iters}
+//	  coordinator -> worker i:  Iter {iters, zprev, edit}
 //	  ...workers exchange FrameM/FrameZ over the mesh per iteration...
 //	  worker i    -> coordinator: Done {timings, bytes}  Up {owned state}
 //	coordinator -> worker i:  Bye
+//
+// After the handshake only Iter and Bye go down: what admm.Run changed
+// in the coordinator's graph between blocks rides in the next Iter.
 //
 // Any side that detects a malformed frame, a shape or manifest-digest
 // mismatch, or an I/O failure sends Err (when it still can) and tears
@@ -126,6 +130,37 @@ type wireReady struct {
 type wireIter struct {
 	Iters int  `json:"iters"`
 	ZPrev bool `json:"zprev,omitempty"`
+	// Edit is Run's edit after the previous block, replayed first.
+	Edit wireEdit `json:"edit,omitzero"`
+}
+
+// wireEdit is an admm.Edit; a rescale travels as the IEEE-754 bits of
+// its factor, floor and ceiling, exact even for a +Inf ceiling.
+type wireEdit struct {
+	Flush   bool     `json:"flush,omitempty"`
+	Rescale []uint64 `json:"rescale,omitempty"`
+}
+
+func encodeEdit(e admm.Edit) wireEdit {
+	w := wireEdit{Flush: e.Flush}
+	if r := e.Rescale; r != (admm.Rescale{}) {
+		w.Rescale = []uint64{math.Float64bits(r.Factor), math.Float64bits(r.Min), math.Float64bits(r.Max)}
+	}
+	return w
+}
+
+// decode refuses a rescale adaptRho could not have taken.
+func (w wireEdit) decode() (admm.Edit, error) {
+	e := admm.Edit{Flush: w.Flush}
+	if w.Rescale == nil {
+		return e, nil
+	}
+	if len(w.Rescale) != 3 {
+		return e, fmt.Errorf("rescale of %d words, want 3", len(w.Rescale))
+	}
+	f := func(i int) float64 { return math.Float64frombits(w.Rescale[i]) }
+	e.Rescale = admm.Rescale{Factor: f(0), Min: f(1), Max: f(2)}
+	return e, e.Rescale.Check()
 }
 
 // wirePong answers a FramePing health probe: whether a session is
@@ -229,13 +264,10 @@ func ListenAddr(addr string) (net.Listener, error) {
 	return net.Listen(network, address)
 }
 
-// State payload layouts. The full down-sync (FrameState) concatenates
-// Rho|Alpha|X|U|N|Z; the parameter refresh (FrameParams) Rho|U — the
-// only arrays the engine mutates between Iterate calls (residual
-// checks read, rho adaptation rescales Rho and U), sent only before
-// blocks where Rho actually moved. M is never shipped: the workers'
-// kernels form every m-contribution they read in registers, so the
-// array is scratch (the staleness contract the fused path documents).
+// State payload layout: the down-sync (FrameState), sent once at the
+// handshake, concatenates Rho|Alpha|X|U|N|Z. M is never shipped: the
+// workers' kernels form every m-contribution they read in registers, so
+// the array is scratch (the staleness contract the fused path documents).
 
 func stateWords(g *graph.Graph) int {
 	e, v, d := g.NumEdges(), g.NumVariables(), g.D()
@@ -272,23 +304,6 @@ func installState(g *graph.Graph, payload []byte) error {
 	for _, arr := range [][]float64{g.Rho, g.Alpha, g.X, g.U, g.N, g.Z} {
 		cur.take(arr)
 	}
-	return nil
-}
-
-func paramsWords(g *graph.Graph) int { return g.NumEdges() + g.NumEdges()*g.D() }
-
-func appendParams(dst []byte, g *graph.Graph) []byte {
-	dst = exchange.AppendF64s(dst, g.Rho)
-	return exchange.AppendF64s(dst, g.U)
-}
-
-func installParams(g *graph.Graph, payload []byte) error {
-	if len(payload) != paramsWords(g)*8 {
-		return fmt.Errorf("shard: params payload %d bytes, want %d", len(payload), paramsWords(g)*8)
-	}
-	cur := payloadCursor{payload: payload}
-	cur.take(g.Rho)
-	cur.take(g.U)
 	return nil
 }
 

@@ -58,11 +58,13 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 // transport (the conformance and integration suites pin this).
 //
 // Remote is bound to the graph it was built for; the serving layer and
-// CLIs build one backend per solve. Mid-solve transport failures are
-// fail-stop per solve: Iterate returns a typed *WorkerError naming the
-// worker and protocol phase, admm.Run stops there, and Solve turns it
-// into a retry, a survivor re-partitioning, or a failed request —
-// never a corrupted result (see docs/fault-tolerance.md).
+// CLIs build one backend per solve. Between blocks only admm.Run may
+// edit that graph: the workers learn only the edits Run reports.
+// Mid-solve transport failures are fail-stop per solve: Iterate
+// returns a typed *WorkerError naming the worker and protocol phase,
+// admm.Run stops there, and Solve turns it into a retry, a survivor
+// re-partitioning, or a failed request — never a corrupted result (see
+// docs/fault-tolerance.md).
 type Remote struct {
 	shards  int
 	session uint64
@@ -77,23 +79,10 @@ type Remote struct {
 	bufs      [][]byte
 
 	problem *admm.ProblemRef
-	// params is the reused Params frame, built in place before each
-	// block where Rho or U moved.
-	params []byte
+	edit    admm.Edit // Run's last edit, for the next Iter
 
-	// rhoShadow/uShadow are Rho and U as the workers last saw them
-	// (handshake state, params pushes, and each block's own uploads).
-	// The engine path that mutates parameters between Iterate calls is
-	// rho adaptation — which can rescale U even while Rho stays
-	// bit-identical (every edge clamped at the floor/ceiling) — so the
-	// refresh gate compares both arrays; residual-checked solves
-	// without adaptation then ship only the boundary exchange.
-	rhoShadow []float64
-	uShadow   []float64
-
-	started bool
-	closed  bool
-	stats   Stats
+	closed bool
+	stats  Stats
 	// Cumulative data-plane counters, summed from the workers' reports.
 	exBytes  int64
 	exWire   int64
@@ -239,8 +228,6 @@ func (r *Remote) handshake() error {
 			return werr(i, PhaseState, false, err)
 		}
 	}
-	r.rhoShadow = append([]float64(nil), r.g.Rho...)
-	r.uShadow = append([]float64(nil), r.g.U...)
 	return nil
 }
 
@@ -338,6 +325,10 @@ func (r *Remote) Name() string {
 // from the workers' per-block reports.
 func (r *Remote) Stats() Stats { return r.stats.snapshot() }
 
+// ObserveEdit implements admm.EditObserver: the next Iter carries e.
+// Run reports one edit per block, so none is ever overwritten unsent.
+func (r *Remote) ObserveEdit(e admm.Edit) { r.edit = e }
+
 // Iterate implements admm.Backend: one iteration block across all
 // worker processes.
 func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
@@ -366,22 +357,11 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	if g != r.g {
 		panic("shard: Remote backend is bound to the problem it was built for; build a new backend per graph")
 	}
-	// Parameter refresh: rho adaptation between blocks rescales Rho and
-	// U coordinator-side; push them before the next block when (and
-	// only when) either moved against the workers' last view.
-	if r.started && r.paramsChanged(g) {
-		r.params = appendParams(exchange.BeginFrame(r.params[:0], exchange.FrameParams, 0), g)
-		for i, conn := range r.conns {
-			r.armWrite(i)
-			if err := exchange.FinishFrame(conn, r.params); err != nil {
-				return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseParams, Err: err}
-			}
-		}
-	}
-	r.started = true
+	cmd := wireIter{Iters: iters, ZPrev: zPrev != nil, Edit: encodeEdit(r.edit)}
+	r.edit = admm.Edit{}
 	for i, conn := range r.conns {
 		r.armWrite(i)
-		if err := writeJSONFrame(conn, exchange.FrameIter, wireIter{Iters: iters, ZPrev: zPrev != nil}); err != nil {
+		if err := writeJSONFrame(conn, exchange.FrameIter, cmd); err != nil {
 			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
@@ -420,11 +400,6 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	// the reference kernels maintain, against the just-installed
 	// authoritative Z and U.
 	admm.UpdateNRange(g, 0, g.NumEdges())
-	// After the block, the coordinator's Rho went down with the last
-	// params push (or never changed) and U was just uploaded by the
-	// workers — both sides agree again; resync the shadows.
-	copy(r.rhoShadow, g.Rho)
-	copy(r.uShadow, g.U)
 	var bytes, wire, frames int64
 	for i := range dones {
 		bytes += dones[i].BytesMoved
@@ -445,22 +420,6 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	r.stats.WireBytesPerIter = float64(r.exWire) / float64(r.stats.Iterations)
 	r.stats.ExchangeFrames = r.exFrames
 	return nil
-}
-
-// paramsChanged reports whether Rho or U differs from the workers'
-// last view.
-func (r *Remote) paramsChanged(g *graph.Graph) bool {
-	for i, v := range g.Rho {
-		if r.rhoShadow[i] != v {
-			return true
-		}
-	}
-	for i, v := range g.U {
-		if r.uShadow[i] != v {
-			return true
-		}
-	}
-	return false
 }
 
 // armWrite/armRead arm one mid-solve frame deadline on worker i's
@@ -531,3 +490,4 @@ func (r *Remote) teardown() {
 
 var _ admm.Backend = (*Remote)(nil)
 var _ admm.ZPrevIterator = (*Remote)(nil)
+var _ admm.EditObserver = (*Remote)(nil)

@@ -1,12 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -248,9 +252,9 @@ func starGraph3(t testing.TB, funcs int) *graph.Graph {
 // TestRemoteThreeWorkersOutOfOrderMesh: with 3+ worker processes the
 // owner's mesh dials arrive concurrently and in any order; the session
 // must hold early arrivals instead of dropping them. The solve also
-// runs rho adaptation, so the conditional Params refresh path (push
-// only when Rho moved) is exercised and must stay bit-identical to
-// Serial under the identical Run options.
+// runs rho adaptation, so the workers replay the rescales their Iters
+// carry and must stay bit-identical to Serial under the identical Run
+// options.
 func TestRemoteThreeWorkersOutOfOrderMesh(t *testing.T) {
 	builders := map[string]BuilderFunc{
 		"star": func(spec []byte) (*graph.Graph, error) {
@@ -295,7 +299,7 @@ func TestRemoteThreeWorkersOutOfOrderMesh(t *testing.T) {
 		}
 	}
 	if ref.Rho[0] == 20 {
-		t.Fatal("adaptation never fired — the params-refresh path was not exercised")
+		t.Fatal("adaptation never fired — no rescale was replayed")
 	}
 	for i := range ref.Rho {
 		if ref.Rho[i] != g.Rho[i] {
@@ -343,5 +347,240 @@ func TestSpecTransportValidation(t *testing.T) {
 	}
 	if _, err := remote.NewBackend(g); err == nil {
 		t.Error("remote spec without a problem reference built a backend")
+	}
+}
+
+// tapListener records what each accepted connection's peer sent (in)
+// and what the worker answered (out), for a frame census after the
+// session.
+type tapListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*tapConn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
+}
+
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	in, out []byte
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in = append(c.in, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.mu.Lock()
+	c.out = append(c.out, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// controlStream is one worker's session control connection as tapped:
+// the frames the coordinator sent down and those the worker sent up.
+type controlStream struct {
+	down, up []exchange.Frame
+}
+
+// decodeFrames splits a tapped byte stream into its frames.
+func decodeFrames(t *testing.T, raw []byte) []exchange.Frame {
+	t.Helper()
+	var out []exchange.Frame
+	r := bytes.NewReader(raw)
+	for {
+		f, _, err := exchange.ReadFrame(r, nil)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("tapped stream: %v", err)
+		}
+		out = append(out, f)
+	}
+}
+
+// adaptiveRemoteSolve runs opts (with a fresh adapt config from adapt)
+// on the star graph over two workers whose listeners are tapped, and on
+// Serial; X, U, Z and Rho must end bit for bit equal. It returns the
+// remote graph, Run's result and each worker's control stream, tapped
+// after the session ended.
+func adaptiveRemoteSolve(t *testing.T, opts admm.Options, adapt func() *admm.AdaptConfig) (*graph.Graph, admm.Result, []controlStream) {
+	t.Helper()
+	builders := map[string]BuilderFunc{
+		"star": func(spec []byte) (*graph.Graph, error) { return starGraph3(t, 30), nil },
+	}
+	dir := t.TempDir()
+	addrs := make([]string, 2)
+	taps := make([]*tapListener, 2)
+	served := make(chan error, 2)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("unix:%s/w%d.sock", dir, i)
+		ln, err := ListenAddr(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		taps[i] = &tapListener{Listener: ln}
+		go func() { served <- ServeWorker(taps[i], WorkerOptions{Builders: builders, MaxSessions: 1}) }()
+	}
+
+	ref := starGraph3(t, 30)
+	opts.Backend, opts.Adapt = admm.NewSerial(), adapt()
+	if _, err := admm.Run(ref, opts); err != nil {
+		t.Fatal(err)
+	}
+	g := starGraph3(t, 30)
+	r, err := NewRemote(context.Background(), admm.ExecutorSpec{
+		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs,
+		Problem: &admm.ProblemRef{Workload: "star", Spec: []byte(`{}`)},
+	}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Backend, opts.Adapt = r, adapt()
+	res, err := admm.Run(g, opts)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range addrs {
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a worker's session did not end after Bye")
+		}
+	}
+	for name, pair := range map[string][2][]float64{"X": {g.X, ref.X}, "U": {g.U, ref.U}, "Z": {g.Z, ref.Z}, "Rho": {g.Rho, ref.Rho}} {
+		for i := range pair[1] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("remote %s[%d] = %v, serial %v", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+
+	streams := make([]controlStream, len(taps))
+	for w, ln := range taps {
+		for _, c := range ln.conns {
+			c.mu.Lock()
+			down := decodeFrames(t, c.in)
+			up := decodeFrames(t, c.out)
+			c.mu.Unlock()
+			if len(down) > 0 && down[0].Kind == exchange.FrameCfg {
+				streams[w] = controlStream{down, up}
+			}
+		}
+		if streams[w].down == nil {
+			t.Fatalf("worker %d: no control connection tapped", w)
+		}
+	}
+	return g, res, streams
+}
+
+// iterEdits decodes the edits of a control stream's Iter frames.
+func iterEdits(t *testing.T, s controlStream) []wireEdit {
+	t.Helper()
+	var out []wireEdit
+	for _, f := range s.down {
+		if f.Kind == exchange.FrameIter {
+			var cmd wireIter
+			if err := decodeJSONFrame(f, &cmd); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, cmd.Edit)
+		}
+	}
+	return out
+}
+
+// TestRemoteControlStreamCensus: in a checked adaptive solve over two
+// worker processes, after the handshake (Cfg, then the State push: the
+// workers' caches are off) the coordinator sends each worker nothing
+// but one Iter per block and a Bye, and each worker answers Ready, then
+// one Done and one Up per block. Rho changes ride inside the Iters as
+// edits: every Iter after the first carries the flush, and some carry a
+// rescale.
+func TestRemoteControlStreamCensus(t *testing.T) {
+	const every = 20
+	_, res, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: every},
+		func() *admm.AdaptConfig { return &admm.AdaptConfig{Mu: 2, Tau: 2} })
+	blocks := (res.Iterations + every - 1) / every
+	wantDown := []byte{exchange.FrameCfg, exchange.FrameState}
+	wantUp := []byte{exchange.FrameReady}
+	for range blocks {
+		wantDown = append(wantDown, exchange.FrameIter)
+		wantUp = append(wantUp, exchange.FrameDone, exchange.FrameUp)
+	}
+	wantDown = append(wantDown, exchange.FrameBye)
+	kinds := func(fs []exchange.Frame) []byte {
+		var out []byte
+		for _, f := range fs {
+			out = append(out, f.Kind)
+		}
+		return out
+	}
+	for w, s := range streams {
+		if got := kinds(s.down); !bytes.Equal(got, wantDown) {
+			t.Errorf("worker %d: coordinator sent kinds %v, want %v", w, got, wantDown)
+		}
+		if got := kinds(s.up); !bytes.Equal(got, wantUp) {
+			t.Errorf("worker %d: worker sent kinds %v, want %v", w, got, wantUp)
+		}
+		rescales := 0
+		for b, e := range iterEdits(t, s) {
+			if b > 0 && !e.Flush {
+				t.Errorf("worker %d: block %d's Iter carries no flush", w, b)
+			}
+			if e.Rescale != nil {
+				rescales++
+			}
+		}
+		if rescales == 0 {
+			t.Errorf("worker %d: no Iter carried a rescale — adaptation never fired", w)
+		}
+	}
+}
+
+// TestRemoteAdaptiveClampHoldsRho: a remote adaptive solve whose clamp
+// holds every rho (floor and ceiling at the starting 20) still takes
+// rescale steps, which must leave Rho and U alone on both sides: the
+// solve matches Serial bit for bit.
+func TestRemoteAdaptiveClampHoldsRho(t *testing.T) {
+	g, _, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: 20},
+		func() *admm.AdaptConfig { return &admm.AdaptConfig{Mu: 2, Tau: 2, Min: 20, Max: 20} })
+	for e, r := range g.Rho {
+		if r != 20 {
+			t.Fatalf("rho[%d] = %g, want the clamp's 20", e, r)
+		}
+	}
+	for w, s := range streams {
+		rescales := 0
+		for _, e := range iterEdits(t, s) {
+			if e.Rescale != nil {
+				rescales++
+			}
+		}
+		if rescales == 0 {
+			t.Errorf("worker %d: no Iter carried a rescale — the clamp case was not exercised", w)
+		}
 	}
 }

@@ -320,17 +320,17 @@ const (
 // runSession executes one coordinator session: take the problem from
 // the cache (restoring the cached state too when the Cfg's state digest
 // matches) or build it, stand the mesh up, answer Ready with the cache
-// tier, then run State/Params/Iter blocks until Bye. hellos delivers
-// the mesh connections higher-numbered workers dial in. It closes conn.
+// tier, take the State push, then run Iter blocks until Bye. hellos
+// delivers the mesh dials of higher-numbered workers. It closes conn.
 //
 // One goroutine reads every control frame; the session acts on each by
 // this table, and any other (state, kind) pair is refused with FrameErr
 // naming both, which ends the session:
 //
-//	state        State            Params   Iter             Bye
-//	mesh-wait    refuse           refuse   refuse           refuse
-//	await-state  install -> ready refuse   refuse           end
-//	ready        install          install  block -> ready   end
+//	state        State            Iter             Bye
+//	mesh-wait    refuse           refuse           refuse
+//	await-state  install -> ready refuse           end
+//	ready        refuse           block -> ready   end
 //
 // A build or a graph-tier hit answers Ready in await-state; a
 // state-tier hit in ready.
@@ -341,18 +341,14 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	}
 	// The control reader delivers frames until a read fails, then closes
 	// frames with the failure in readErr. On return, closing conn ends
-	// its read and draining frames waits for it to exit. frames is
-	// unbuffered, so the session is done with frame k's payload once it
-	// takes frame k+1; the reader alternates two buffers, and repeated
-	// State and Params pushes (a Params per rho change) reuse them.
+	// its read and draining frames waits for it to exit. Each frame gets
+	// a buffer of its own; after the one State push they are small.
 	frames := make(chan exchange.Frame)
 	var readErr error
 	go func() {
 		defer close(frames)
-		var bufs [2][]byte
-		for i := 0; ; i ^= 1 {
-			f, buf, err := exchange.ReadFrame(conn, bufs[i])
-			bufs[i] = buf
+		for {
+			f, _, err := exchange.ReadFrame(conn, nil)
 			if err != nil {
 				readErr = err
 				return
@@ -491,16 +487,12 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		switch {
 		case f.Kind == exchange.FrameBye:
 			return nil
-		case f.Kind == exchange.FrameState:
+		case f.Kind == exchange.FrameState && state == stateAwaitState:
 			if err := installState(g, f.Payload); err != nil {
 				return fail(err)
 			}
 			cache.capture(key, ent, f.Payload)
 			state = stateReady
-		case f.Kind == exchange.FrameParams && state == stateReady:
-			if err := installParams(g, f.Payload); err != nil {
-				return fail(err)
-			}
 		case f.Kind == exchange.FrameIter && state == stateReady:
 			var cmd wireIter
 			if err := decodeJSONFrame(f, &cmd); err != nil {
@@ -509,10 +501,15 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			if cmd.Iters <= 0 {
 				return fail(fmt.Errorf("iterate %d", cmd.Iters))
 			}
+			edit, err := cmd.Edit.decode()
+			if err != nil {
+				return fail(fmt.Errorf("iterate command edit: %w", err))
+			}
 			if opts.OnIterBlock != nil {
 				opts.OnIterBlock(cfg.Session, block)
 			}
 			block++
+			replayEdit(g, lp, edit)
 			var zprev []float64
 			if cmd.ZPrev {
 				if zprevBuf == nil {
@@ -537,6 +534,20 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			return refuseFrame(f, state)
 		}
 	}
+}
+
+// replayEdit makes Run's edit to Rho on every edge (the boundary
+// combine reads peers' edges' rho) and to U on the edges this worker
+// owns, the only U it reads.
+func replayEdit(g *graph.Graph, lp *localPlan, e admm.Edit) {
+	d := g.D()
+	next := 0
+	for _, r := range lp.edgeRuns {
+		e.Apply(g.Rho[next:r.Lo], nil, d)
+		e.Apply(g.Rho[r.Lo:r.Hi], g.U[r.Lo*d:r.Hi*d], d)
+		next = r.Hi
+	}
+	e.Apply(g.Rho[next:], nil, d)
 }
 
 // runWorkerBlock executes one iteration block on a worker process,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -203,9 +204,11 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 // TestWorkerSessionTable drives one worker into each state of
 // runSession's table — mesh-wait (worker 0 of 2, whose peer never
 // dials), await-state (a state-digest miss) and ready (after a State
-// push) — and sends every frame kind there. The pairs the table lists
-// act; every other pair is answered within 1 s by a FrameErr naming the
-// kind and the state, and the worker then serves a clean session.
+// push) — and sends every frame kind there. The four pairs the table
+// lists act — await-state × State and Bye, ready × Iter and Bye; every
+// other pair, a second State and the retired kind 15 (Params) included,
+// is answered within 1 s by a FrameErr naming the kind and the state,
+// and the worker then serves a clean session.
 func TestWorkerSessionTable(t *testing.T) {
 	const n = 16
 	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), MeshWait: 5 * time.Second, CacheEntries: 2})
@@ -237,7 +240,6 @@ func TestWorkerSessionTable(t *testing.T) {
 		}
 		return conn
 	}
-	iter := exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1}))
 	kinds := []struct {
 		kind    byte
 		payload []byte
@@ -246,8 +248,8 @@ func TestWorkerSessionTable(t *testing.T) {
 		{exchange.FramePeer, mustJSON(t, wirePeer{Session: 1, From: 1})},
 		{exchange.FrameReady, mustJSON(t, wireReady{})},
 		{exchange.FrameState, []byte{1, 2, 3}}, // the wrong length
-		{exchange.FrameParams, appendParams(nil, g)},
-		{exchange.FrameIter, mustJSON(t, wireIter{Iters: 1})},
+		{15, make([]byte, 8*(len(g.Rho)+len(g.U)))},
+		{exchange.FrameIter, mustJSON(t, wireIter{Iters: 1, Edit: encodeEdit(admm.Edit{Flush: true})})},
 		{exchange.FrameDone, mustJSON(t, wireDone{})},
 		{exchange.FrameUp, nil},
 		{exchange.FrameErr, []byte("boom")},
@@ -265,19 +267,14 @@ func TestWorkerSessionTable(t *testing.T) {
 		for _, k := range kinds {
 			t.Run(fmt.Sprintf("%s/kind-%d", state, k.kind), func(t *testing.T) {
 				conn := open(t, state)
-				raw := exchange.AppendFrame(nil, k.kind, 0, k.payload)
-				if k.kind == exchange.FrameParams {
-					// Params draws no reply of its own: the Iter after it
-					// shows whether it was installed or refused.
-					raw = append(raw, iter...)
-				}
-				if _, err := conn.Write(raw); err != nil {
+				if _, err := conn.Write(exchange.AppendFrame(nil, k.kind, 0, k.payload)); err != nil {
 					t.Fatal(err)
 				}
 				conn.SetReadDeadline(time.Now().Add(time.Second))
 				f, _, err := exchange.ReadFrame(conn, nil)
-				listed := state != stateMeshWait && (k.kind == exchange.FrameState || k.kind == exchange.FrameBye) ||
-					state == stateReady && (k.kind == exchange.FrameParams || k.kind == exchange.FrameIter)
+				listed := state == stateAwaitState && k.kind == exchange.FrameState ||
+					state == stateReady && k.kind == exchange.FrameIter ||
+					state != stateMeshWait && k.kind == exchange.FrameBye
 				want := fmt.Sprintf("frame kind %d in state %s", k.kind, state)
 				switch {
 				case !listed:
@@ -288,7 +285,7 @@ func TestWorkerSessionTable(t *testing.T) {
 					return
 				case k.kind == exchange.FrameState:
 					want = "state payload"
-				default: // Params then Iter, or Iter: one block runs
+				default: // Iter: one block runs
 					if err != nil || f.Kind != exchange.FrameDone {
 						t.Fatalf("got kind %d %q, err %v; want Done", f.Kind, f.Payload, err)
 					}
@@ -303,15 +300,12 @@ func TestWorkerSessionTable(t *testing.T) {
 	checkCleanSession(t, addr, n)
 }
 
-// TestWorkerParamsPushesReuseBuffers: a Remote re-sends Params before
-// every block where rho moved, and a Params frame is about as large as
-// the State push. A worker reads them into reused buffers: after two
-// warm-up rounds, a Params+Iter round allocates less than a quarter of
-// the Params payload more than an Iter round does, where a fresh buffer
-// per frame would cost all of it. The worker builds its Up frame in
-// place too, so an Iter round — whose upload is the whole 4096-variable
-// chain's owned state — allocates under 16 KiB.
-func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
+// TestWorkerIterRoundAllocs: a session's Iter rounds, each carrying an
+// edit to replay (the flush and a rescale), allocate under 16 KiB on the
+// worker after two warm-up rounds, though each round uploads the whole
+// 4096-variable chain's owned state: the worker builds its Up frame in
+// place and replays the edit on its own arrays.
+func TestWorkerIterRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count over a live session")
 	}
@@ -329,38 +323,91 @@ func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
 	if err := exchange.WriteFrame(conn, exchange.FrameState, 0, appendState(nil, g)); err != nil {
 		t.Fatal(err)
 	}
-	params := appendParams(nil, g)
-	iter := exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1}))
-	withParams := append(exchange.AppendFrame(nil, exchange.FrameParams, 0, params), iter...)
-	// perRound reports the bytes allocated per round of raw, after two
-	// warm-up rounds.
-	perRound := func(raw []byte) uint64 {
-		var before, after runtime.MemStats
-		for i := range rounds + 2 {
-			if i == 2 {
-				runtime.ReadMemStats(&before)
-			}
-			if _, err := conn.Write(raw); err != nil {
+	edit := admm.Edit{Flush: true, Rescale: admm.Rescale{Factor: 1, Min: 1e-6, Max: 1e6}}
+	iter := exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1, Edit: encodeEdit(edit)}))
+	var before, after runtime.MemStats
+	for i := range rounds + 2 {
+		if i == 2 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := conn.Write(iter); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []byte{exchange.FrameDone, exchange.FrameUp} {
+			if _, buf, err = readFrameKind(conn, buf, kind); err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []byte{exchange.FrameDone, exchange.FrameUp} {
-				if _, buf, err = readFrameKind(conn, buf, kind); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / rounds
 	}
-	bare, pushed := perRound(iter), perRound(withParams)
-	t.Logf("per round: Iter %d B, Params+Iter %d B; Params payload %d B", bare, pushed, len(params))
-	if bare >= 16<<10 {
-		t.Fatalf("an Iter round allocated %d B, want under 16 KiB: the Up frame is copied", bare)
-	}
-	if pushed > bare+uint64(len(params))/4 {
-		t.Fatalf("a Params+Iter round allocated %d B, an Iter round %d B; the Params payload is %d B", pushed, bare, len(params))
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("per Iter round: %d B", perRound)
+	if perRound >= 16<<10 {
+		t.Fatalf("an Iter round allocated %d B, want under 16 KiB: the Up frame is copied", perRound)
 	}
 }
+
+// TestWorkerRefusesMalformedEdit: an Iter's edit comes from outside the
+// worker, so one adaptRho could not have made — a NaN, ±Inf, zero,
+// negative or subnormal factor, a bound at or below zero, a floor above
+// the ceiling, a rescale of the wrong length — is refused with a
+// FrameErr before the block runs.
+func TestWorkerRefusesMalformedEdit(t *testing.T) {
+	const n = 16
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n)})
+	g := chainGraph(t, n)
+	for i, w := range malformedEdits {
+		cfg := wireConfig{Session: uint64(i + 1), Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}}
+		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, _, err := readFrameKind(conn, nil, exchange.FrameReady); err != nil {
+			t.Fatal(err)
+		}
+		raw := exchange.AppendFrame(nil, exchange.FrameState, 0, appendState(nil, g))
+		raw = exchange.AppendFrame(raw, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: 1, Edit: w}))
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := exchange.ReadFrame(conn, nil)
+		if err != nil || f.Kind != exchange.FrameErr || !strings.Contains(string(f.Payload), "edit") {
+			t.Fatalf("edit %v: got kind %d %q, err %v; want a FrameErr naming the edit", w.Rescale, f.Kind, f.Payload, err)
+		}
+		conn.Close()
+	}
+	checkCleanSession(t, addr, n)
+}
+
+// wellFormedEdits are Iter edits a Run makes: none, the flush, and the
+// flush with a rescale up, down, and against an open ceiling.
+var wellFormedEdits = []wireEdit{
+	{},
+	encodeEdit(admm.Edit{Flush: true}),
+	encodeEdit(admm.Edit{Flush: true, Rescale: admm.Rescale{Factor: 2, Min: 1e-6, Max: 1e6}}),
+	encodeEdit(admm.Edit{Flush: true, Rescale: admm.Rescale{Factor: 0.5, Min: 1, Max: math.Inf(1)}}),
+}
+
+// malformedEdits are Iter edits no Run makes.
+var malformedEdits = func() []wireEdit {
+	nan, inf := math.NaN(), math.Inf(1)
+	var out []wireEdit
+	for _, r := range []admm.Rescale{
+		{Factor: nan, Min: 1, Max: 2},
+		{Factor: inf, Min: 1, Max: 2},
+		{Factor: -inf, Min: 1, Max: 2},
+		{Factor: 0, Min: 1, Max: 2},
+		{Factor: -2, Min: 1, Max: 2},
+		{Factor: 5e-324, Min: 1, Max: 2},
+		{Factor: 2, Min: 0, Max: 2},
+		{Factor: 2, Min: -1, Max: 2},
+		{Factor: 2, Min: 1, Max: -1},
+		{Factor: 2, Min: 3, Max: 2},
+		{Factor: 2, Min: nan, Max: 2},
+		{Factor: 2, Min: 1, Max: nan},
+	} {
+		out = append(out, encodeEdit(admm.Edit{Flush: true, Rescale: r}))
+	}
+	return append(out, wireEdit{Rescale: []uint64{math.Float64bits(2)}})
+}()
 
 // Op codes of a FuzzWorkerSession input: five bytes per op, [code,
 // conn, x, y, z]. conn%4 picks one of three persistent connections (a
@@ -368,7 +415,6 @@ func TestWorkerParamsPushesReuseBuffers(t *testing.T) {
 const (
 	opCfg = iota
 	opState
-	opParams
 	opIter
 	opPeer
 	opPing
@@ -385,9 +431,10 @@ const fuzzChainVars = 16
 
 // FuzzWorkerSession drives one in-process worker with a fuzzed
 // sequence of frames: openers with fuzzed shape, workload, spec, state
-// digest and peers; State and Params of fuzzed lengths; Iter, also
-// before any State; mesh hellos; Ping; Bye; the retired kinds 3, 4, 22
-// and 23; a bare header declaring MaxFrameLen; and frames of any kind.
+// digest and peers; State of fuzzed lengths; Iter, also before any
+// State, carrying edits well-formed and malformed; mesh hellos; Ping;
+// Bye; the retired kinds 3, 4, 15, 22 and 23; a bare header declaring
+// MaxFrameLen; and frames of any kind.
 // Whatever the sequence, the worker must still answer Ping, then serve
 // a clean session bit-identical to Serial, and once its listener
 // closes, leave no goroutine behind. Peer addresses are the worker's own
@@ -407,13 +454,20 @@ func FuzzWorkerSession(f *testing.F) {
 	// A second Cfg mid-session.
 	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 1, 0), op(opCfg, 0, 1, 0, 0)))
 	// Iter before State; retired kinds as openers and mid-session.
-	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opIter, 0, 1, 0, 0), op(opRetired, 3, 2, 0, 0), op(opRetired, 3, 3, 0, 0),
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opIter, 0, 1, 0, 0), op(opRetired, 3, 3, 0, 0), op(opRetired, 3, 4, 0, 0),
 		op(opCfg, 1, 1, 0, 0), op(opState, 1, 1, 0, 0), op(opRetired, 1, 0, 0, 0)))
 	// A two-worker session that dials itself for its mesh, State of the
-	// wrong length, Params, Bye.
-	f.Add(seq(op(opCfg, 0, 2, 1, 0), op(opState, 0, 0, 3, 5), op(opCfg, 1, 2, 0, 1), op(opParams, 1, 1, 0, 0), op(opBye, 1, 0, 0, 0)))
-	// Params before State, then Iter.
-	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opParams, 0, 1, 0, 0), op(opIter, 0, 1, 0, 0)))
+	// wrong length, the retired Params kind, Bye.
+	f.Add(seq(op(opCfg, 0, 2, 1, 0), op(opState, 0, 0, 3, 5), op(opCfg, 1, 2, 0, 1), op(opRetired, 1, 2, 8, 0), op(opBye, 1, 0, 0, 0)))
+	// The retired Params kind before State, then Iter; a second State
+	// mid-session.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opRetired, 0, 2, 15, 7), op(opIter, 0, 1, 0, 0)))
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 1, 0, 1), op(opState, 0, 1, 0, 0)))
+	// Iters carrying well-formed edits, then each malformed one.
+	f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 0, 1), op(opIter, 0, 1, 1, 2), op(opIter, 0, 1, 0, 3)))
+	for k := range malformedEdits {
+		f.Add(seq(op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 1, 0, byte(len(wellFormedEdits)+k))))
+	}
 	// State before Ready: worker 0 of 2 waits for a peer that never dials.
 	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opState, 0, 1, 0, 0)))
 	// Mesh hellos from -1, from the session's own index, and from its
@@ -429,7 +483,7 @@ func FuzzWorkerSession(f *testing.F) {
 			CacheEntries: 2,
 		})
 		g := chainGraph(t, fuzzChainVars)
-		stateLen, paramsLen := stateWords(g)*8, paramsWords(g)*8
+		stateLen := stateWords(g) * 8
 
 		var conns [3]net.Conn
 		var oneShot []net.Conn
@@ -513,10 +567,10 @@ func FuzzWorkerSession(f *testing.F) {
 				frame = exchange.AppendFrame(nil, exchange.FrameCfg, 0, mustJSON(t, cfg))
 			case opState:
 				frame = exchange.AppendFrame(nil, exchange.FrameState, 0, sized(x&1 != 0, int(y)*8+int(z&7), stateLen, y))
-			case opParams:
-				frame = exchange.AppendFrame(nil, exchange.FrameParams, 0, sized(x&1 != 0, int(y)*8+int(z&7), paramsLen, y))
 			case opIter:
-				frame = exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, wireIter{Iters: int(int8(x)) % 4, ZPrev: y&1 != 0}))
+				edits := append(wellFormedEdits[:len(wellFormedEdits):len(wellFormedEdits)], malformedEdits...)
+				cmd := wireIter{Iters: int(int8(x)) % 4, ZPrev: y&1 != 0, Edit: edits[int(z)%len(edits)]}
+				frame = exchange.AppendFrame(nil, exchange.FrameIter, 0, mustJSON(t, cmd))
 			case opPeer:
 				frame = exchange.AppendFrame(nil, exchange.FramePeer, 0, mustJSON(t, wirePeer{Session: uint64(x&3) + 1, From: int(int8(y))}))
 			case opPing:
@@ -524,7 +578,7 @@ func FuzzWorkerSession(f *testing.F) {
 			case opBye:
 				frame = exchange.AppendFrame(nil, exchange.FrameBye, 0, nil)
 			case opRetired:
-				frame = exchange.AppendFrame(nil, []byte{3, 4, 22, 23}[x&3], 0, bytes.Repeat([]byte{z}, int(y&15)))
+				frame = exchange.AppendFrame(nil, []byte{3, 4, 15, 22, 23}[x%5], 0, bytes.Repeat([]byte{z}, int(y&15)))
 			case opHeader:
 				frame = []byte{0, 0, 0, 0x10} // length MaxFrameLen, and nothing after it
 			case opClose:
