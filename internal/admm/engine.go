@@ -44,8 +44,10 @@
 // would otherwise slow every later z gather, and adaptRho may rescale
 // Rho and U. Every executor continues from the same state, so the
 // bit-identity contract is untouched; Iterate called directly never
-// flushes, and a backend holding state elsewhere replays Run's edits
-// (EditObserver). Phase times are one Stopwatch lap per phase boundary.
+// flushes. A backend holding state elsewhere (shard.Remote) takes each
+// block whole, as one BlockRunner call that carries the previous
+// block's edit in and the residual block's zPrev capture out. Phase
+// times are one Stopwatch lap per phase boundary.
 //
 // # The residual check
 //
@@ -232,29 +234,21 @@ type Backend interface {
 	Close()
 }
 
-// ZPrevIterator is an optional Backend extension for executors whose
-// authoritative state lives remotely (shard.Remote): IterateZPrev runs
-// a residual round's whole block as one call — iters iterations, with z
-// as of iteration iters-1 captured into zPrev — instead of Run's split
-// Iterate(iters-1)/Iterate(1) pair. The split exists only so Run can
-// copy zPrev between the calls; a backend that captures it in flight
-// saves the mid-block state up-sync and a full control round trip.
-// Implementations must leave g and zPrev bit-identical to
+// BlockRunner is an optional Backend extension for executors keeping
+// their own copy of the state (shard.Remote): Run hands it each block
+// whole, so one call — one round trip — carries the block. edit is
+// what Run did to Rho and U after the previous block (the zero Edit
+// before the first); a non-nil zPrev, on a residual block, receives z
+// as of iteration iters-1. Implementations must leave g and zPrev
+// bit-identical to replaying edit on their own state (Edit.Apply), then
 //
 //	Iterate(g, iters-1, ...); copy(zPrev, g.Z); Iterate(g, 1, ...)
 //
-// Run uses the extension only when iters > 1 (a 1-iteration block has
-// no mid-block boundary).
-type ZPrevIterator interface {
-	IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[NumPhases]int64) error
-}
-
-// EditObserver is an optional Backend extension for executors keeping
-// their own copy of the state (shard.Remote): after every block Run
-// reports its edit to g, which the backend replays (Edit.Apply) before
-// the next block. Between blocks, only Run may edit such a graph.
-type EditObserver interface {
-	ObserveEdit(e Edit)
+// or Iterate(g, iters, ...) with a nil zPrev. Between blocks only Run
+// may edit such a graph. Every other backend runs Run's split form
+// (iterateBlock).
+type BlockRunner interface {
+	RunBlock(g *graph.Graph, edit Edit, iters int, zPrev []float64, phaseNanos *[NumPhases]int64) error
 }
 
 // Edit is what Run did to Rho and U after a block: Flush zeroed U's
@@ -405,7 +399,9 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	res.Primal, res.Dual = math.NaN(), math.NaN()
 	phaseNanos := phaseScratch.Get().(*[NumPhases]int64)
 	*phaseNanos = [NumPhases]int64{}
-	observer, _ := backend.(EditObserver)
+	runner, _ := backend.(BlockRunner)
+	var edit Edit // Run's edit after the previous block
+	adjusted := 0 // adaptRho's steps so far
 
 	start := time.Now()
 	done := 0
@@ -415,7 +411,12 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		if needResiduals && step > every {
 			step = every
 		}
-		if err = iterateBlock(backend, g, step, zPrev, phaseNanos); err != nil {
+		if runner != nil {
+			err = runner.RunBlock(g, edit, step, zPrev, phaseNanos)
+		} else {
+			err = iterateBlock(backend, g, step, zPrev, phaseNanos)
+		}
+		if err != nil {
 			break
 		}
 		var sums checkSums
@@ -426,17 +427,15 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 			flushSubnormals(g.U)
 		}
 		done += step
-		edit := Edit{Flush: true}
+		edit = Edit{Flush: true}
 		if opts.Adapt != nil {
-			edit.Rescale = adaptRho(g, opts.Adapt, res.Primal, res.Dual)
+			edit.Rescale = adaptRho(g, opts.Adapt, adjusted, res.Primal, res.Dual)
 			if edit.Rescale != (Rescale{}) {
+				adjusted++
 				// U was rescaled, so the pass's sum of squares no longer
 				// describes it; NaN sends the decision to the exact test.
 				sums.uu = math.NaN()
 			}
-		}
-		if observer != nil {
-			observer.ObserveEdit(edit)
 		}
 		if check {
 			if opts.OnIteration != nil && !opts.OnIteration(done, res.Primal, res.Dual) {
@@ -479,21 +478,17 @@ func flushSubnormals(u []float64) {
 	}
 }
 
-// iterateBlock runs one block of step iterations. With a non-nil zPrev
-// (a residual round) the block's last iteration runs separately, so
-// that zPrev holds z as of iteration step-1 and the dual residual
-// reflects one iteration's z movement, not the whole block's —
-// residual-balancing rho adaptation is badly biased otherwise. Backends
-// that can capture zPrev in flight run the block unsplit (see
-// ZPrevIterator).
+// iterateBlock runs one block of step iterations on a backend that is
+// not a BlockRunner. With a non-nil zPrev (a residual round) the
+// block's last iteration runs separately, so that zPrev holds z as of
+// iteration step-1 and the dual residual reflects one iteration's z
+// movement, not the whole block's — residual-balancing rho adaptation
+// is badly biased otherwise.
 func iterateBlock(backend Backend, g *graph.Graph, step int, zPrev []float64, phaseNanos *[NumPhases]int64) error {
 	if zPrev == nil {
 		return backend.Iterate(g, step, phaseNanos)
 	}
 	if step > 1 {
-		if zp, ok := backend.(ZPrevIterator); ok {
-			return zp.IterateZPrev(g, step, zPrev, phaseNanos)
-		}
 		if err := backend.Iterate(g, step-1, phaseNanos); err != nil {
 			return err
 		}
@@ -579,22 +574,23 @@ type AdaptConfig struct {
 	Tau float64 // multiplicative step, e.g. 2
 	Min float64 // rho floor (default 1e-6)
 	Max float64 // rho ceiling (default 1e6)
-	// MaxAdjust caps the total number of rho changes (0 means 50);
+	// MaxAdjust caps the number of rho changes in one Run (0 means 50);
 	// stopping adaptation eventually is what keeps the fixed-rho
-	// convergence theory applicable to the tail of the run.
+	// convergence theory applicable to the tail of the run. Each Run
+	// counts its own, so one config may serve many Runs, concurrent
+	// ones included.
 	MaxAdjust int
-
-	adjusted int
 }
 
 // adaptRho takes one adaptation step on g and returns it, or the zero
-// Rescale when it takes none — as for any step Rescale.Check refuses.
-func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) Rescale {
+// Rescale when it takes none — as for any step Rescale.Check refuses,
+// and once the Run has taken adjusted >= MaxAdjust steps.
+func adaptRho(g *graph.Graph, c *AdaptConfig, adjusted int, primal, dual float64) Rescale {
 	maxAdjust := c.MaxAdjust
 	if maxAdjust <= 0 {
 		maxAdjust = 50
 	}
-	if c.Mu <= 0 || c.adjusted >= maxAdjust {
+	if c.Mu <= 0 || adjusted >= maxAdjust {
 		return Rescale{}
 	}
 	r := Rescale{Factor: c.Tau, Min: c.Min, Max: c.Max}
@@ -614,7 +610,6 @@ func adaptRho(g *graph.Graph, c *AdaptConfig, primal, dual float64) Rescale {
 	if r.Check() != nil {
 		return Rescale{}
 	}
-	c.adjusted++
 	Edit{Rescale: r}.Apply(g.Rho, g.U, g.D())
 	return r
 }

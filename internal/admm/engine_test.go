@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -388,7 +389,7 @@ func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
 	g.SetUniformParams(1, 1)
 	g.Rho[1] = 4
 	g.U[0], g.U[1] = 0.5, 0.3
-	adaptRho(g, &AdaptConfig{Mu: 10, Tau: 2, Min: 1}, 0, 1)
+	adaptRho(g, &AdaptConfig{Mu: 10, Tau: 2, Min: 1}, 0, 0, 1)
 	if g.Rho[0] != 1 || g.U[0] != 0.5 {
 		t.Errorf("clamped edge: rho %g, u %g; want 1, 0.5 (y = rho*u unchanged)", g.Rho[0], g.U[0])
 	}
@@ -397,38 +398,42 @@ func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
 	}
 }
 
-// TestRunReportsEdits: Run tells an EditObserver backend, after every
-// block, the edit it has just made — the flush always, the rescale when
-// adaptRho fired, with the bounds it resolved — and replaying each edit
-// with Edit.Apply on Rho and U as the block left them reproduces Run's
-// bit for bit.
+// TestRunReportsEdits: Run hands a BlockRunner backend, with every
+// block, the edit it made after the previous one — the zero Edit before
+// the first block, then the flush always and the rescale when adaptRho
+// fired, with the bounds it resolved — and replaying each edit with
+// Edit.Apply on Rho and U as the previous block left them reproduces
+// Run's bit for bit.
 func TestRunReportsEdits(t *testing.T) {
 	g := buildAveraging(t, []float64{0, 10})
 	g.SetUniformParams(100, 1)
-	b := &editRecorder{Backend: NewSerialFused()}
+	b := &editRecorder{Backend: NewSerialFused(), state: snapshotRhoU(g)}
 	if _, err := Run(g, Options{MaxIter: 60, CheckEvery: 5, Backend: b, Adapt: &AdaptConfig{Mu: 10, Tau: 2, Max: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.edits) != 12 {
 		t.Fatalf("%d edits reported for 12 blocks", len(b.edits))
 	}
+	if e := b.edits[0].edit; e != (Edit{}) {
+		t.Errorf("first block: edit %+v, want the zero Edit", e)
+	}
 	rescales := 0
-	for i, r := range b.edits {
+	for i, r := range b.edits[1:] {
 		if !r.edit.Flush {
-			t.Errorf("block %d: edit %+v without the flush", i, r.edit)
+			t.Errorf("block %d: edit %+v without the flush", i+1, r.edit)
 		}
 		if s := r.edit.Rescale; s != (Rescale{}) {
 			rescales++
 			if s.Min != 1e-6 || s.Max != 200 || s.Check() != nil {
-				t.Errorf("block %d: rescale %+v, want resolved bounds [1e-6, 200]", i, s)
+				t.Errorf("block %d: rescale %+v, want resolved bounds [1e-6, 200]", i+1, s)
 			}
 		}
-		rho, u := r.before[0], r.before[1]
-		r.edit.Apply(rho, u, g.D())
-		for k, arr := range [2][]float64{rho, u} {
+	}
+	for i, r := range b.edits {
+		for k, arr := range r.replayed {
 			for n, v := range arr {
-				if math.Float64bits(v) != math.Float64bits(r.after[k][n]) {
-					t.Fatalf("block %d: replayed array %d [%d] = %v, Run's %v", i, k, n, v, r.after[k][n])
+				if math.Float64bits(v) != math.Float64bits(r.run[k][n]) {
+					t.Fatalf("block %d: replayed array %d [%d] = %v, Run's %v", i, k, n, v, r.run[k][n])
 				}
 			}
 		}
@@ -438,32 +443,95 @@ func TestRunReportsEdits(t *testing.T) {
 	}
 }
 
-// editRecorder records each edit Run reports with Rho and U as the
-// block left them and as the edit left them.
+// editRecorder is a BlockRunner over Run's split path that keeps its
+// own copy of Rho and U, as the previous block left them, and records
+// each edit with that copy replayed and with Run's Rho and U.
 type editRecorder struct {
 	Backend
-	g     *graph.Graph
-	block [2][]float64
+	state [2][]float64
 	edits []recordedEdit
 }
 
 type recordedEdit struct {
 	edit          Edit
-	before, after [2][]float64
+	replayed, run [2][]float64
 }
 
 func snapshotRhoU(g *graph.Graph) [2][]float64 {
 	return [2][]float64{append([]float64(nil), g.Rho...), append([]float64(nil), g.U...)}
 }
 
-func (b *editRecorder) Iterate(g *graph.Graph, iters int, ph *[NumPhases]int64) error {
-	err := b.Backend.Iterate(g, iters, ph)
-	b.g, b.block = g, snapshotRhoU(g)
+func (b *editRecorder) RunBlock(g *graph.Graph, e Edit, iters int, zPrev []float64, ph *[NumPhases]int64) error {
+	e.Apply(b.state[0], b.state[1], g.D())
+	b.edits = append(b.edits, recordedEdit{e, b.state, snapshotRhoU(g)})
+	err := iterateBlock(b.Backend, g, iters, zPrev, ph)
+	b.state = snapshotRhoU(g)
 	return err
 }
 
-func (b *editRecorder) ObserveEdit(e Edit) {
-	b.edits = append(b.edits, recordedEdit{e, b.block, snapshotRhoU(b.g)})
+// adaptiveRun runs the averaging problem from a mis-tuned rho under
+// cfg, whose MaxAdjust of 1 lets one rescale through per Run.
+func adaptiveRun(t *testing.T, cfg *AdaptConfig) (Result, *graph.Graph) {
+	t.Helper()
+	g := buildAveraging(t, []float64{0, 10})
+	g.SetUniformParams(100, 1)
+	res, err := Run(g, Options{MaxIter: 60, CheckEvery: 5, AbsTol: 1e-12, Adapt: cfg})
+	if err != nil {
+		t.Error(err)
+	}
+	return res, g
+}
+
+// sameRun fails unless two runs ended with the same result and the same
+// Rho, U and Z bits.
+func sameRun(t *testing.T, a, b Result, ga, gb *graph.Graph) {
+	t.Helper()
+	if a.Iterations != b.Iterations || a.Converged != b.Converged ||
+		math.Float64bits(a.Primal) != math.Float64bits(b.Primal) || math.Float64bits(a.Dual) != math.Float64bits(b.Dual) {
+		t.Fatalf("results differ: %+v vs %+v", a, b)
+	}
+	for name, pair := range map[string][2][]float64{"Rho": {ga.Rho, gb.Rho}, "U": {ga.U, gb.U}, "Z": {ga.Z, gb.Z}} {
+		for i := range pair[0] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d]: %v vs %v", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+}
+
+// TestAdaptConfigReusedAcrossRuns: each Run counts its own adaptation
+// steps, so a config reused for a second Run on an identical graph
+// gives bit-identical results — its MaxAdjust of 1 is not already spent.
+func TestAdaptConfigReusedAcrossRuns(t *testing.T) {
+	cfg := &AdaptConfig{MaxAdjust: 1, Mu: 10, Tau: 2}
+	first, g1 := adaptiveRun(t, cfg)
+	if g1.Rho[0] == 100 {
+		t.Fatal("adaptation never fired")
+	}
+	second, g2 := adaptiveRun(t, cfg)
+	sameRun(t, first, second, g1, g2)
+}
+
+// TestAdaptConfigSharedByConcurrentRuns: two concurrent Runs sharing
+// one config race on nothing (run it under -race) and each matches a
+// Run of its own.
+func TestAdaptConfigSharedByConcurrentRuns(t *testing.T) {
+	cfg := &AdaptConfig{MaxAdjust: 1, Mu: 10, Tau: 2}
+	want, wg := adaptiveRun(t, &AdaptConfig{MaxAdjust: 1, Mu: 10, Tau: 2})
+	var res [2]Result
+	var gs [2]*graph.Graph
+	var done sync.WaitGroup
+	for i := range res {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			res[i], gs[i] = adaptiveRun(t, cfg)
+		}()
+	}
+	done.Wait()
+	for i := range res {
+		sameRun(t, want, res[i], wg, gs[i])
+	}
 }
 
 type valuedOp struct {

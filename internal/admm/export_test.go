@@ -44,7 +44,7 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 	}
 	res.Primal, res.Dual = math.NaN(), math.NaN()
 	start := time.Now()
-	done := 0
+	done, adjusted := 0, 0
 	var err error
 	for done < opts.MaxIter {
 		step := opts.MaxIter - done
@@ -59,8 +59,8 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 			res.Primal, res.Dual = Residuals(g, zPrev)
 		}
 		done += step
-		if opts.Adapt != nil {
-			adaptRho(g, opts.Adapt, res.Primal, res.Dual)
+		if opts.Adapt != nil && adaptRho(g, opts.Adapt, adjusted, res.Primal, res.Dual) != (Rescale{}) {
+			adjusted++
 		}
 		if check {
 			if opts.OnIteration != nil && !opts.OnIteration(done, res.Primal, res.Dual) {

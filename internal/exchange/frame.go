@@ -48,11 +48,13 @@ const (
 	// FrameIter commands a block of iterations: JSON {iters, zprev, edit}.
 	FrameIter byte = 14
 	// Kind 15 is retired (it was Params, a Rho|U push) and must not be
-	// reused: a worker refuses it.
-	// FrameDone reports a finished block: JSON worker statistics.
-	FrameDone byte = 16
-	// FrameUp follows FrameDone: raw owned X|U|Z state (plus a zPrev
-	// capture when the block requested one); N is recomputed
+	// reused: a worker refuses it. Kind 16 is retired too (it was Done,
+	// a block's JSON statistics ahead of its Up): a coordinator refuses
+	// it as an unexpected frame.
+
+	// FrameUp answers FrameIter, one per worker per block: the block's
+	// statistics as raw int64 words, then raw owned X|U|Z state (plus a
+	// zPrev capture when the block requested one); N is recomputed
 	// coordinator-side from the n = z - u identity.
 	FrameUp byte = 17
 	// FrameBye ends a session.

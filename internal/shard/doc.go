@@ -119,8 +119,8 @@
 // encode + write plus whatever blocking the interior compute failed to
 // hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up to the
 // loop's wall time. In-process workers and worker processes time the
-// same loop, the latter reporting in each block's Done frame, and
-// Stats.SyncWaitByShard carries the whole vector. It has to: the shard the others wait for is the one
+// same loop, the latter reporting in the statistics header of each
+// block's Up frame, and Stats.SyncWaitByShard carries the whole vector. It has to: the shard the others wait for is the one
 // that reports the least wait, so a single shard's figure
 // (Stats.SyncWaitNanos is shard 0's, kept for its readers) says little
 // about what synchronization costs the solve. paradmm-solve prints the

@@ -12,7 +12,7 @@ const (
 	PhaseState = "state"
 	// PhaseIterate: sending the block command.
 	PhaseIterate = "iterate"
-	// PhaseCollect: reading the block's Done report and state upload.
+	// PhaseCollect: reading the block's Up frame (statistics and state).
 	PhaseCollect = "collect"
 	// PhaseProbe: a health probe outside any session.
 	PhaseProbe = "probe"

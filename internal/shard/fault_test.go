@@ -229,7 +229,7 @@ func TestStalledStateTimeout(t *testing.T) {
 		return
 	}
 	defer r.Close()
-	// Handshake got through (Ready was frame 1); the first block's Done
+	// Handshake got through (Ready was frame 1); the first block's Up
 	// read must now hit the frame deadline instead of wedging.
 	done := make(chan error, 1)
 	go func() {
@@ -548,6 +548,47 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredDoneReplyRefused: kind 16 was Done, a block's JSON
+// statistics ahead of its Up. A worker answering an Iter with it is
+// refused as an unexpected frame: Iterate returns a *WorkerError naming
+// that worker in the collect phase, and the coordinator's graph keeps
+// the state it had.
+func TestRetiredDoneReplyRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := &tamperListener{ln, func(frame []byte) []byte {
+		if frame[4] != exchange.FrameUp {
+			return frame
+		}
+		out := append([]byte(nil), frame...)
+		out[4] = 16
+		return out
+	}}
+	t.Cleanup(func() { tl.Close() })
+	go ServeWorker(tl, WorkerOptions{Builders: chainBuilders(t, 48)})
+
+	g := chainGraph(t, 48)
+	before := append([]float64(nil), g.Z...)
+	r, err := NewRemote(context.Background(), chainSpec([]string{"tcp:" + ln.Addr().String()}), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var nanos [admm.NumPhases]int64
+	err = r.Iterate(g, 10, &nanos)
+	var we *WorkerError
+	if !errors.As(err, &we) || we.Worker != 0 || we.Phase != PhaseCollect || !strings.Contains(err.Error(), "unexpected frame kind 16") {
+		t.Fatalf("a kind-16 reply: got %v, want a collect-phase *WorkerError naming the unexpected kind", err)
+	}
+	for i := range before {
+		if g.Z[i] != before[i] {
+			t.Fatalf("Z[%d] changed to %g after a refused reply", i, g.Z[i])
+		}
 	}
 }
 

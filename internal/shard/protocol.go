@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -33,11 +34,12 @@ import (
 //	repeat:
 //	  coordinator -> worker i:  Iter {iters, zprev, edit}
 //	  ...workers exchange FrameM/FrameZ over the mesh per iteration...
-//	  worker i    -> coordinator: Done {timings, bytes}  Up {owned state}
+//	  worker i    -> coordinator: Up {block stats, owned state}
 //	coordinator -> worker i:  Bye
 //
-// After the handshake only Iter and Bye go down: what admm.Run changed
-// in the coordinator's graph between blocks rides in the next Iter.
+// After the handshake each block is one round trip: one Iter down,
+// carrying what admm.Run changed in the coordinator's graph after the
+// previous block, and one Up back. Only Iter and Bye go down.
 //
 // Any side that detects a malformed frame, a shape or manifest-digest
 // mismatch, or an I/O failure sends Err (when it still can) and tears
@@ -170,20 +172,6 @@ type wirePong struct {
 	Sessions int  `json:"sessions"`
 }
 
-// wireDone reports a finished block (FrameDone payload). PhaseNanos,
-// SyncWaitNanos and BoundaryZNanos are this block's values; BytesMoved
-// and Frames are the worker's cumulative data-plane counters since the
-// session started (every byte counted at its sender, so the
-// coordinator's sum across workers is total bytes moved).
-type wireDone struct {
-	PhaseNanos     [admm.NumPhases]int64 `json:"phase_nanos"`
-	SyncWaitNanos  int64                 `json:"sync_wait_nanos"`
-	BoundaryZNanos int64                 `json:"boundary_z_nanos"`
-	BytesMoved     int64                 `json:"bytes_moved"`
-	WireBytes      int64                 `json:"wire_bytes"`
-	Frames         int64                 `json:"frames"`
-}
-
 // writeJSONFrame marshals v and writes it as one frame of the given kind.
 func writeJSONFrame(w io.Writer, kind byte, v any) error {
 	payload, err := json.Marshal(v)
@@ -307,27 +295,56 @@ func installState(g *graph.Graph, payload []byte) error {
 	return nil
 }
 
-// Owned-state upload (FrameUp): X and U over the shard's owned edge
-// runs, then Z over its owned variables (appendOwnedVars order), then —
-// when the block requested a zPrev capture (wireIter.ZPrev) — the owned
-// z as of the block's second-to-last iteration, same variable order.
-// N is never uploaded: the n-update is the pure identity n = z - u, so
-// the coordinator recomputes it from the X/U/Z it just installed
+// The block's answer (FrameUp), one frame per worker per Iter. It opens
+// with upStatsWords little-endian int64 words of statistics: the
+// block's five phase nanos, sync wait and boundary-z nanos, then the
+// worker's bytes moved, wire bytes and data frames since the session
+// started (every byte counted at its sender, so the coordinator's sum
+// across workers is total bytes moved). The owned state follows as raw
+// doubles: X and U over the shard's owned edge runs, then Z over its
+// owned variables (appendOwnedVars order), then — when the block
+// requested a zPrev capture (wireIter.ZPrev) — the owned z as of the
+// block's second-to-last iteration, same variable order. N is never
+// uploaded: the n-update is the pure identity n = z - u, so the
+// coordinator recomputes it from the X/U/Z it just installed
 // (admm.UpdateNRange), bit-identical to the workers' own sweep. Both
-// ends derive the layout from the same partition, so the payload is
-// raw doubles.
+// ends derive the layout from the same partition.
 
-func ownedWords(lp *localPlan, d int, zprev bool) int {
-	n := 2*lp.ownedEdgeCount()*d + lp.ownedVarCount()*d
+// upStatsWords is the length of an Up frame's statistics header.
+const upStatsWords = int(admm.NumPhases) + 5
+
+// blockReport is what an Up frame says besides the state: the worker's
+// timings of the block and its cumulative data-plane counters
+// (BytesMoved, WireBytes, Frames).
+type blockReport struct {
+	tm workerTimings
+	ex exchange.Stats
+}
+
+// words lists the header's words in wire order.
+func (r *blockReport) words() [upStatsWords]*int64 {
+	var w [upStatsWords]*int64
+	for p := range r.tm.phaseNanos {
+		w[p] = &r.tm.phaseNanos[p]
+	}
+	copy(w[admm.NumPhases:], []*int64{&r.tm.syncWait, &r.tm.boundaryZ, &r.ex.BytesMoved, &r.ex.WireBytes, &r.ex.Frames})
+	return w
+}
+
+func upWords(lp *localPlan, d int, zprev bool) int {
+	n := upStatsWords + 2*lp.ownedEdgeCount()*d + lp.ownedVarCount()*d
 	if zprev {
 		n += lp.ownedVarCount() * d
 	}
 	return n
 }
 
-// appendOwned encodes the upload; zprev is the worker's captured owned
+// appendUp encodes the Up payload; zprev is the worker's captured owned
 // z in appendOwnedVars order (nil when the block did not request it).
-func appendOwned(dst []byte, g *graph.Graph, lp *localPlan, ownedVars []int, zprev []float64) []byte {
+func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int, zprev []float64) []byte {
+	for _, w := range rep.words() {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(*w))
+	}
 	d := g.D()
 	for _, arr := range [][]float64{g.X, g.U} {
 		for _, r := range lp.edgeRuns {
@@ -340,15 +357,19 @@ func appendOwned(dst []byte, g *graph.Graph, lp *localPlan, ownedVars []int, zpr
 	return exchange.AppendF64s(dst, zprev)
 }
 
-// installOwned decodes the upload into g; zPrev, when non-nil, is the
+// installUp checks the Up payload's whole length, then decodes its
+// header into rep and its state into g; zPrev, when non-nil, is the
 // coordinator's full-length zPrev array, into which the trailing
 // capture segment is scattered at the owned variables' offsets.
-func installOwned(g *graph.Graph, lp *localPlan, ownedVars []int, payload []byte, zPrev []float64) error {
+func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int, payload []byte, zPrev []float64) error {
 	d := g.D()
-	if want := ownedWords(lp, d, zPrev != nil) * 8; len(payload) != want {
-		return fmt.Errorf("shard: owned-state payload %d bytes, want %d", len(payload), want)
+	if want := upWords(lp, d, zPrev != nil) * 8; len(payload) != want {
+		return fmt.Errorf("shard: up payload %d bytes, want %d", len(payload), want)
 	}
-	cur := payloadCursor{payload: payload}
+	for i, w := range rep.words() {
+		*w = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+	}
+	cur := payloadCursor{payload: payload, off: upStatsWords}
 	for _, arr := range [][]float64{g.X, g.U} {
 		for _, r := range lp.edgeRuns {
 			cur.take(arr[r.Lo*d : r.Hi*d])

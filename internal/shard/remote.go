@@ -57,9 +57,12 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 // readout. Iterates are bit-identical to Serial, like every other
 // transport (the conformance and integration suites pin this).
 //
-// Remote is bound to the graph it was built for; the serving layer and
-// CLIs build one backend per solve. Between blocks only admm.Run may
-// edit that graph: the workers learn only the edits Run reports.
+// Remote is bound to the graph it was built for and serves one
+// admm.Run; the serving layer and CLIs build one backend per solve. Run
+// hands it each block whole (admm.BlockRunner): one Iter down per
+// worker, carrying Run's edit after the previous block, and one Up
+// back. Between blocks only Run may edit that graph: the workers learn
+// only the edits Run hands over.
 // Mid-solve transport failures are fail-stop per solve: Iterate
 // returns a typed *WorkerError naming the worker and protocol phase,
 // admm.Run stops there, and Solve turns it into a retry, a survivor
@@ -79,14 +82,9 @@ type Remote struct {
 	bufs      [][]byte
 
 	problem *admm.ProblemRef
-	edit    admm.Edit // Run's last edit, for the next Iter
 
 	closed bool
 	stats  Stats
-	// Cumulative data-plane counters, summed from the workers' reports.
-	exBytes  int64
-	exWire   int64
-	exFrames int64
 }
 
 // remoteSessions feeds session identifiers; combined with the PID they
@@ -325,54 +323,44 @@ func (r *Remote) Name() string {
 // from the workers' per-block reports.
 func (r *Remote) Stats() Stats { return r.stats.snapshot() }
 
-// ObserveEdit implements admm.EditObserver: the next Iter carries e.
-// Run reports one edit per block, so none is ever overwritten unsent.
-func (r *Remote) ObserveEdit(e admm.Edit) { r.edit = e }
-
-// Iterate implements admm.Backend: one iteration block across all
-// worker processes.
+// Iterate implements admm.Backend: one block of iters iterations on
+// the workers' state as it stands, which is RunBlock with no edit and
+// no zPrev capture.
 func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
-	return r.iterateBlock(g, iters, nil, phaseNanos)
+	return r.RunBlock(g, admm.Edit{}, iters, nil, phaseNanos)
 }
 
-// IterateZPrev implements admm.ZPrevIterator: the whole residual round
-// runs as ONE worker block, with each worker capturing its owned slice
-// of z after iteration iters-1 and appending the capture to its upload.
-// The assembled capture is exactly what the engine's split form
-// (Iterate(iters-1); copy zPrev; Iterate(1)) would have observed —
-// ownedVars partition the variables — so residuals are bit-identical
-// while the round costs one control round-trip and one state upload
-// instead of two.
-func (r *Remote) IterateZPrev(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
-	return r.iterateBlock(g, iters, zPrev, phaseNanos)
-}
-
-// iterateBlock runs one block on every worker. The first transport
-// failure is returned as a *WorkerError; the session is then dead (the
-// streams are desynchronized) and the caller must Close the backend.
-func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
+// RunBlock implements admm.BlockRunner: one block across all worker
+// processes, one Iter down and one Up back per worker. Each worker
+// replays edit on its own state, runs the block and, for a non-nil
+// zPrev, captures its owned slice of z after iteration iters-1 into the
+// Up it sends; the ownedVars partition the variables, so the assembled
+// capture is exactly what Run's split form would have observed. The
+// first transport failure is returned as a *WorkerError; the session is
+// then dead (the streams are desynchronized) and the caller must Close
+// the backend.
+func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
 	if r.closed {
 		panic("shard: Iterate on closed Remote")
 	}
 	if g != r.g {
 		panic("shard: Remote backend is bound to the problem it was built for; build a new backend per graph")
 	}
-	cmd := wireIter{Iters: iters, ZPrev: zPrev != nil, Edit: encodeEdit(r.edit)}
-	r.edit = admm.Edit{}
+	cmd := wireIter{Iters: iters, ZPrev: zPrev != nil, Edit: encodeEdit(edit)}
 	for i, conn := range r.conns {
 		r.armWrite(i)
 		if err := writeJSONFrame(conn, exchange.FrameIter, cmd); err != nil {
 			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
-	dones := make([]wireDone, r.shards)
+	reps := make([]blockReport, r.shards)
 	var wg sync.WaitGroup
 	errs := make([]error, r.shards)
 	for i := range r.conns {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.collect(i, g, zPrev, &dones[i])
+			errs[i] = r.collect(i, g, zPrev, &reps[i])
 		}(i)
 	}
 	wg.Wait()
@@ -400,25 +388,15 @@ func (r *Remote) iterateBlock(g *graph.Graph, iters int, zPrev []float64, phaseN
 	// the reference kernels maintain, against the just-installed
 	// authoritative Z and U.
 	admm.UpdateNRange(g, 0, g.NumEdges())
-	var bytes, wire, frames int64
-	for i := range dones {
-		bytes += dones[i].BytesMoved
-		wire += dones[i].WireBytes
-		frames += dones[i].Frames
+	tms := make([]workerTimings, r.shards)
+	ex := exchange.Stats{Rounds: r.stats.Iterations + int64(iters)}
+	for i := range reps {
+		tms[i] = reps[i].tm
+		ex.BytesMoved += reps[i].ex.BytesMoved
+		ex.WireBytes += reps[i].ex.WireBytes
+		ex.Frames += reps[i].ex.Frames
 	}
-	r.exBytes, r.exWire, r.exFrames = bytes, wire, frames
-	for p, v := range dones[0].PhaseNanos {
-		phaseNanos[p] += v
-	}
-	for i := range dones {
-		r.stats.SyncWaitByShard[i] += dones[i].SyncWaitNanos
-	}
-	r.stats.SyncWaitNanos = r.stats.SyncWaitByShard[0]
-	r.stats.BoundaryZNanos += dones[0].BoundaryZNanos
-	r.stats.Iterations += int64(iters)
-	r.stats.BytesPerIter = float64(r.exBytes) / float64(r.stats.Iterations)
-	r.stats.WireBytesPerIter = float64(r.exWire) / float64(r.stats.Iterations)
-	r.stats.ExchangeFrames = r.exFrames
+	r.stats.endBlock(iters, tms, ex, phaseNanos)
 	return nil
 }
 
@@ -439,27 +417,19 @@ func (r *Remote) armRead(i int) {
 	}
 }
 
-// collect reads one worker's Done report and owned-state upload and
-// installs the state into the coordinator graph (disjoint slices per
-// worker, so installs run concurrently). A non-nil zPrev receives the
-// worker's owned z-capture from the block's penultimate iteration.
-func (r *Remote) collect(i int, g *graph.Graph, zPrev []float64, done *wireDone) error {
+// collect reads one worker's Up frame, checks its length, and installs
+// its report into rep and its state into the coordinator graph
+// (disjoint slices per worker, so installs run concurrently). A non-nil
+// zPrev receives the worker's owned z-capture from the block's
+// penultimate iteration.
+func (r *Remote) collect(i int, g *graph.Graph, zPrev []float64, rep *blockReport) error {
 	r.armRead(i)
-	f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameDone)
+	f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameUp)
 	r.bufs[i] = buf
 	if err != nil {
 		return err
 	}
-	if err := decodeJSONFrame(f, done); err != nil {
-		return fmt.Errorf("done report: %w", err)
-	}
-	r.armRead(i)
-	f, buf, err = readFrameKind(r.conns[i], r.bufs[i], exchange.FrameUp)
-	r.bufs[i] = buf
-	if err != nil {
-		return err
-	}
-	return installOwned(g, &r.plan.local[i], r.ownedVars[i], f.Payload, zPrev)
+	return installUp(rep, g, &r.plan.local[i], r.ownedVars[i], f.Payload, zPrev)
 }
 
 // Close implements admm.Backend: ends the session and closes the
@@ -489,5 +459,4 @@ func (r *Remote) teardown() {
 }
 
 var _ admm.Backend = (*Remote)(nil)
-var _ admm.ZPrevIterator = (*Remote)(nil)
-var _ admm.EditObserver = (*Remote)(nil)
+var _ admm.BlockRunner = (*Remote)(nil)

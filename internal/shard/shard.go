@@ -32,10 +32,11 @@ type Backend struct {
 	done   chan struct{}
 	closed bool
 
-	// Iterate inputs, published to workers via cmd sends.
-	g          *graph.Graph
-	iters      int
-	phaseNanos *[admm.NumPhases]int64
+	// Iterate inputs, published to workers via cmd sends, and each
+	// worker's timings of the block, read back after its done send.
+	g       *graph.Graph
+	iters   int
+	timings []workerTimings
 
 	plan    *plan
 	ex      exchange.Exchanger
@@ -79,7 +80,7 @@ type Stats struct {
 	Iterations int64
 	// SyncWaitByShard is each shard's own cumulative time blocked at
 	// the two per-iteration sync points, timed by that shard's worker
-	// (in-process) or reported in its Done frames (cross-process). A
+	// (in-process) or reported in its Up frames (cross-process). A
 	// shard that waits little is the one the others wait for, so a
 	// speedup is only explained by the whole vector.
 	SyncWaitByShard []int64
@@ -138,10 +139,11 @@ func New(shards int) (*Backend, error) {
 		return nil, fmt.Errorf("shard: shards = %d, need > 0", shards)
 	}
 	b := &Backend{
-		shards: shards,
-		cmd:    make(chan struct{}),
-		done:   make(chan struct{}),
-		stats:  Stats{SyncWaitByShard: make([]int64, shards)},
+		shards:  shards,
+		cmd:     make(chan struct{}),
+		done:    make(chan struct{}),
+		timings: make([]workerTimings, shards),
+		stats:   Stats{SyncWaitByShard: make([]int64, shards)},
 	}
 	for s := 0; s < shards; s++ {
 		go b.worker(s)
@@ -188,20 +190,35 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		st.BoundaryZNanos = b.stats.BoundaryZNanos
 		b.stats = st
 	}
-	b.g, b.iters, b.phaseNanos = g, iters, phaseNanos
+	b.g, b.iters = g, iters
 	for s := 0; s < b.shards; s++ {
 		b.cmd <- struct{}{}
 	}
 	for s := 0; s < b.shards; s++ {
 		<-b.done
 	}
-	b.stats.Iterations += int64(iters)
-	b.stats.SyncWaitNanos = b.stats.SyncWaitByShard[0]
-	ex := b.ex.Stats()
-	b.stats.BytesPerIter = ex.BytesPerRound()
-	b.stats.WireBytesPerIter = ex.WireBytesPerRound()
-	b.stats.ExchangeFrames = ex.Frames
+	b.stats.endBlock(iters, b.timings, b.ex.Stats(), phaseNanos)
 	return nil
+}
+
+// endBlock accounts one finished block of iters iterations, for the
+// in-process Backend and the cross-process Remote alike: tm holds each
+// shard's own timings of the block and ex the data plane's cumulative
+// traffic over ex.Rounds iterations. The solve's phase and boundary-z
+// times are shard 0's.
+func (s *Stats) endBlock(iters int, tm []workerTimings, ex exchange.Stats, phaseNanos *[admm.NumPhases]int64) {
+	for i := range tm {
+		s.SyncWaitByShard[i] += tm[i].syncWait
+	}
+	for p, v := range tm[0].phaseNanos {
+		phaseNanos[p] += v
+	}
+	s.BoundaryZNanos += tm[0].boundaryZ
+	s.Iterations += int64(iters)
+	s.SyncWaitNanos = s.SyncWaitByShard[0]
+	s.BytesPerIter = ex.BytesPerRound()
+	s.WireBytesPerIter = ex.WireBytesPerRound()
+	s.ExchangeFrames = ex.Frames
 }
 
 // bindExchanger (re)builds the exchanger and the mailbox for a freshly
@@ -249,20 +266,13 @@ func (b *Backend) Close() {
 }
 
 // worker is one persistent shard: it executes runShardIters for its
-// local plan on every Iterate command. Every worker times itself, as a
-// cross-process worker does; the solve's phase and boundary-z times are
-// worker 0's.
+// local plan on every Iterate command, timing itself as a
+// cross-process worker does.
 func (b *Backend) worker(id int) {
 	for range b.cmd {
 		var tm workerTimings
 		runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, &tm)
-		b.stats.SyncWaitByShard[id] += tm.syncWait
-		if id == 0 {
-			for p, v := range tm.phaseNanos {
-				b.phaseNanos[p] += v
-			}
-			b.stats.BoundaryZNanos += tm.boundaryZ
-		}
+		b.timings[id] = tm
 		b.done <- struct{}{}
 	}
 }

@@ -189,7 +189,6 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 	// serial default), bit-identical to every other executor.
 	g.RestoreState(snap)
 	opts.Executor = admm.ExecutorSpec{Kind: admm.ExecSerial}
-	opts.Adapt = cloneAdapt(opts.Adapt)
 	res, err := admm.Solve(g, opts)
 	if err != nil {
 		return out, err
@@ -226,25 +225,15 @@ func (out *Outcome) run(g *graph.Graph, opts admm.SolveOptions, backend admm.Bac
 }
 
 // attempt is one cold solve over the worker processes in spec.Addrs.
-// The rho-adaptation config is cloned per attempt: AdaptConfig counts
-// its adjustments internally, and a re-run from a restored snapshot
-// must not inherit a failed attempt's count.
+// Each attempt's Run counts its own rho adaptations, so a re-run from a
+// restored snapshot starts from none.
 func (out *Outcome) attempt(ctx context.Context, g *graph.Graph, opts admm.SolveOptions, spec admm.ExecutorSpec) error {
 	r, err := NewRemote(ctx, spec, g)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	opts.Adapt = cloneAdapt(opts.Adapt)
 	return out.run(g, opts, r)
-}
-
-func cloneAdapt(a *admm.AdaptConfig) *admm.AdaptConfig {
-	if a == nil {
-		return nil
-	}
-	c := *a
-	return &c
 }
 
 func dropAddr(addrs []string, addr string) []string {

@@ -3,9 +3,9 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -273,7 +273,6 @@ func TestRemoteThreeWorkersOutOfOrderMesh(t *testing.T) {
 
 	ref := starGraph3(t, 30)
 	refOpts := opts
-	refOpts.Adapt = &admm.AdaptConfig{Mu: 2, Tau: 2} // AdaptConfig carries state; fresh per run
 	refOpts.Backend = admm.NewSerial()
 	if _, err := admm.Run(ref, refOpts); err != nil {
 		t.Fatal(err)
@@ -350,8 +349,8 @@ func TestSpecTransportValidation(t *testing.T) {
 	}
 }
 
-// tapListener records what each accepted connection's peer sent (in)
-// and what the worker answered (out), for a frame census after the
+// tapListener records, in order, what each accepted connection's peer
+// sent and what the worker answered, for a frame census after the
 // session.
 type tapListener struct {
 	net.Listener
@@ -371,60 +370,96 @@ func (l *tapListener) Accept() (net.Conn, error) {
 	return tc, nil
 }
 
+// tapConn logs every chunk read (down) and written (up). A write is
+// logged before it is sent, so a reply is always logged ahead of the
+// frame that answers it.
 type tapConn struct {
 	net.Conn
-	mu      sync.Mutex
-	in, out []byte
+	mu     sync.Mutex
+	chunks []tapChunk
+}
+
+type tapChunk struct {
+	up bool
+	b  []byte
+}
+
+func (c *tapConn) log(up bool, p []byte) {
+	c.mu.Lock()
+	c.chunks = append(c.chunks, tapChunk{up, append([]byte(nil), p...)})
+	c.mu.Unlock()
 }
 
 func (c *tapConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	c.in = append(c.in, p[:n]...)
-	c.mu.Unlock()
+	c.log(false, p[:n])
 	return n, err
 }
 
 func (c *tapConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
+	c.log(true, p)
+	return c.Conn.Write(p)
+}
+
+// tappedFrame is one frame of a tapped connection and its direction.
+type tappedFrame struct {
+	up bool
+	f  exchange.Frame
+}
+
+// frames decodes the log into frames, in the order each one completed.
+func (c *tapConn) frames(t *testing.T) []tappedFrame {
+	t.Helper()
 	c.mu.Lock()
-	c.out = append(c.out, p[:n]...)
-	c.mu.Unlock()
-	return n, err
+	defer c.mu.Unlock()
+	var out []tappedFrame
+	var pending [2][]byte
+	for _, ch := range c.chunks {
+		buf := &pending[0]
+		if ch.up {
+			buf = &pending[1]
+		}
+		*buf = append(*buf, ch.b...)
+		for len(*buf) >= 4 {
+			n := 4 + int(binary.LittleEndian.Uint32(*buf))
+			if len(*buf) < n {
+				break
+			}
+			f, _, err := exchange.ReadFrame(bytes.NewReader((*buf)[:n]), nil)
+			if err != nil {
+				t.Fatalf("tapped stream: %v", err)
+			}
+			out = append(out, tappedFrame{ch.up, f})
+			*buf = (*buf)[n:]
+		}
+	}
+	if len(pending[0])+len(pending[1]) > 0 {
+		t.Fatalf("tapped stream ends inside a frame")
+	}
+	return out
 }
 
 // controlStream is one worker's session control connection as tapped:
-// the frames the coordinator sent down and those the worker sent up.
+// every frame in order, and the frames the coordinator sent down and
+// those the worker sent up.
 type controlStream struct {
+	all      []tappedFrame
 	down, up []exchange.Frame
 }
 
-// decodeFrames splits a tapped byte stream into its frames.
-func decodeFrames(t *testing.T, raw []byte) []exchange.Frame {
+// tappedSolve runs opts on the problem build makes of problem, over two
+// workers whose listeners are tapped, and on Serial; X, U, Z and Rho
+// must end bit for bit equal. It returns the remote graph, Run's result
+// and each worker's control stream, tapped after the session ended.
+func tappedSolve(t *testing.T, problem admm.ProblemRef, build BuilderFunc, opts admm.Options) (*graph.Graph, admm.Result, []controlStream) {
 	t.Helper()
-	var out []exchange.Frame
-	r := bytes.NewReader(raw)
-	for {
-		f, _, err := exchange.ReadFrame(r, nil)
-		if err == io.EOF {
-			return out
-		}
+	builders := map[string]BuilderFunc{problem.Workload: build}
+	newGraph := func() *graph.Graph {
+		g, err := build(problem.Spec)
 		if err != nil {
-			t.Fatalf("tapped stream: %v", err)
+			t.Fatal(err)
 		}
-		out = append(out, f)
-	}
-}
-
-// adaptiveRemoteSolve runs opts (with a fresh adapt config from adapt)
-// on the star graph over two workers whose listeners are tapped, and on
-// Serial; X, U, Z and Rho must end bit for bit equal. It returns the
-// remote graph, Run's result and each worker's control stream, tapped
-// after the session ended.
-func adaptiveRemoteSolve(t *testing.T, opts admm.Options, adapt func() *admm.AdaptConfig) (*graph.Graph, admm.Result, []controlStream) {
-	t.Helper()
-	builders := map[string]BuilderFunc{
-		"star": func(spec []byte) (*graph.Graph, error) { return starGraph3(t, 30), nil },
+		return g
 	}
 	dir := t.TempDir()
 	addrs := make([]string, 2)
@@ -441,20 +476,19 @@ func adaptiveRemoteSolve(t *testing.T, opts admm.Options, adapt func() *admm.Ada
 		go func() { served <- ServeWorker(taps[i], WorkerOptions{Builders: builders, MaxSessions: 1}) }()
 	}
 
-	ref := starGraph3(t, 30)
-	opts.Backend, opts.Adapt = admm.NewSerial(), adapt()
+	ref := newGraph()
+	opts.Backend = admm.NewSerial()
 	if _, err := admm.Run(ref, opts); err != nil {
 		t.Fatal(err)
 	}
-	g := starGraph3(t, 30)
+	g := newGraph()
 	r, err := NewRemote(context.Background(), admm.ExecutorSpec{
-		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs,
-		Problem: &admm.ProblemRef{Workload: "star", Spec: []byte(`{}`)},
+		Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: addrs, Problem: &problem,
 	}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Backend, opts.Adapt = r, adapt()
+	opts.Backend = r
 	res, err := admm.Run(g, opts)
 	r.Close()
 	if err != nil {
@@ -481,19 +515,33 @@ func adaptiveRemoteSolve(t *testing.T, opts admm.Options, adapt func() *admm.Ada
 	streams := make([]controlStream, len(taps))
 	for w, ln := range taps {
 		for _, c := range ln.conns {
-			c.mu.Lock()
-			down := decodeFrames(t, c.in)
-			up := decodeFrames(t, c.out)
-			c.mu.Unlock()
-			if len(down) > 0 && down[0].Kind == exchange.FrameCfg {
-				streams[w] = controlStream{down, up}
+			all := c.frames(t)
+			if len(all) == 0 || all[0].f.Kind != exchange.FrameCfg {
+				continue
 			}
+			s := controlStream{all: all}
+			for _, tf := range all {
+				if tf.up {
+					s.up = append(s.up, tf.f)
+				} else {
+					s.down = append(s.down, tf.f)
+				}
+			}
+			streams[w] = s
 		}
-		if streams[w].down == nil {
+		if streams[w].all == nil {
 			t.Fatalf("worker %d: no control connection tapped", w)
 		}
 	}
 	return g, res, streams
+}
+
+// adaptiveRemoteSolve is tappedSolve on the star graph under adapt.
+func adaptiveRemoteSolve(t *testing.T, opts admm.Options, adapt admm.AdaptConfig) (*graph.Graph, admm.Result, []controlStream) {
+	t.Helper()
+	star := func([]byte) (*graph.Graph, error) { return starGraph3(t, 30), nil }
+	opts.Adapt = &adapt
+	return tappedSolve(t, admm.ProblemRef{Workload: "star", Spec: []byte(`{}`)}, star, opts)
 }
 
 // iterEdits decodes the edits of a control stream's Iter frames.
@@ -514,21 +562,21 @@ func iterEdits(t *testing.T, s controlStream) []wireEdit {
 
 // TestRemoteControlStreamCensus: in a checked adaptive solve over two
 // worker processes, after the handshake (Cfg, then the State push: the
-// workers' caches are off) the coordinator sends each worker nothing
-// but one Iter per block and a Bye, and each worker answers Ready, then
-// one Done and one Up per block. Rho changes ride inside the Iters as
-// edits: every Iter after the first carries the flush, and some carry a
-// rescale.
+// workers' caches are off) each block is one round trip: the
+// coordinator sends each worker nothing but one Iter per block and a
+// Bye, and each worker answers Ready, then exactly one Up per block.
+// Rho changes ride inside the Iters as edits: every Iter after the
+// first carries the flush, and some carry a rescale.
 func TestRemoteControlStreamCensus(t *testing.T) {
 	const every = 20
 	_, res, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: every},
-		func() *admm.AdaptConfig { return &admm.AdaptConfig{Mu: 2, Tau: 2} })
+		admm.AdaptConfig{Mu: 2, Tau: 2})
 	blocks := (res.Iterations + every - 1) / every
 	wantDown := []byte{exchange.FrameCfg, exchange.FrameState}
 	wantUp := []byte{exchange.FrameReady}
 	for range blocks {
 		wantDown = append(wantDown, exchange.FrameIter)
-		wantUp = append(wantUp, exchange.FrameDone, exchange.FrameUp)
+		wantUp = append(wantUp, exchange.FrameUp)
 	}
 	wantDown = append(wantDown, exchange.FrameBye)
 	kinds := func(fs []exchange.Frame) []byte {
@@ -566,7 +614,7 @@ func TestRemoteControlStreamCensus(t *testing.T) {
 // solve matches Serial bit for bit.
 func TestRemoteAdaptiveClampHoldsRho(t *testing.T) {
 	g, _, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: 20},
-		func() *admm.AdaptConfig { return &admm.AdaptConfig{Mu: 2, Tau: 2, Min: 20, Max: 20} })
+		admm.AdaptConfig{Mu: 2, Tau: 2, Min: 20, Max: 20})
 	for e, r := range g.Rho {
 		if r != 20 {
 			t.Fatalf("rho[%d] = %g, want the clamp's 20", e, r)
@@ -581,6 +629,35 @@ func TestRemoteAdaptiveClampHoldsRho(t *testing.T) {
 		}
 		if rescales == 0 {
 			t.Errorf("worker %d: no Iter carried a rescale — the clamp case was not exercised", w)
+		}
+	}
+}
+
+// TestRemoteCheckEveryIteration: a checked adaptive solve that checks
+// after every iteration runs 1-iteration blocks, each capturing zPrev
+// on the workers before its only iteration; it matches Serial bit for
+// bit (tappedSolve compares X, U, Z and Rho), and every Iter asks for
+// one iteration and the capture.
+func TestRemoteCheckEveryIteration(t *testing.T) {
+	_, res, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 30, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: 1},
+		admm.AdaptConfig{Mu: 2, Tau: 2})
+	for w, s := range streams {
+		iters := 0
+		for _, f := range s.down {
+			if f.Kind != exchange.FrameIter {
+				continue
+			}
+			var cmd wireIter
+			if err := decodeJSONFrame(f, &cmd); err != nil {
+				t.Fatal(err)
+			}
+			if cmd.Iters != 1 || !cmd.ZPrev {
+				t.Fatalf("worker %d: Iter %+v, want 1 iteration with the zPrev capture", w, cmd)
+			}
+			iters++
+		}
+		if iters != res.Iterations {
+			t.Fatalf("worker %d: %d Iters for %d iterations", w, iters, res.Iterations)
 		}
 	}
 }

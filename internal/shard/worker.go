@@ -271,14 +271,20 @@ func sessionFail(conn net.Conn, err error) error {
 	return err
 }
 
-// checkSessionShape validates an opener's worker/shard indices. The
-// accept loop runs it before a session allocates anything they size.
+// checkSessionShape validates an opener's worker/shard indices and its
+// frame timeout. The accept loop runs it before a session allocates
+// anything they size or arms a deadline from it: a timeout past
+// admm.MaxTransportTimeoutMS would overflow time.Duration and silently
+// unbound the mesh I/O.
 func checkSessionShape(cfg wireConfig) error {
 	if cfg.Shards < 1 || cfg.Shards > admm.MaxShards || cfg.Worker < 0 || cfg.Worker >= cfg.Shards {
 		return fmt.Errorf("worker %d of %d shards (want 1..%d shards)", cfg.Worker, cfg.Shards, admm.MaxShards)
 	}
 	if len(cfg.Peers) != cfg.Shards {
 		return fmt.Errorf("%d peer addrs for %d shards", len(cfg.Peers), cfg.Shards)
+	}
+	if cfg.FrameTimeoutMS < 0 || cfg.FrameTimeoutMS > admm.MaxTransportTimeoutMS {
+		return fmt.Errorf("frame_timeout_ms %d (want 0..%d)", cfg.FrameTimeoutMS, admm.MaxTransportTimeoutMS)
 	}
 	return nil
 }
@@ -517,15 +523,11 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 				}
 				zprev = zprevBuf
 			}
-			done, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev)
+			rep, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev)
 			if iterErr != nil {
 				return fail(iterErr)
 			}
-			armWrite()
-			if err := writeJSONFrame(conn, exchange.FrameDone, done); err != nil {
-				return err
-			}
-			out = appendOwned(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), g, lp, ownedVars, zprev)
+			out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
 			armWrite()
 			if err := exchange.FinishFrame(conn, out); err != nil {
 				return err
@@ -554,34 +556,24 @@ func replayEdit(g *graph.Graph, lp *localPlan, e admm.Edit) {
 // converting the exchanger's fail-stop panics into session errors (the
 // worker must survive a dead peer and serve the next session). A
 // non-nil zprev receives this worker's owned z (appendOwnedVars order)
-// as of the block's penultimate iteration — the capture a merged
-// residual round uploads alongside the final state.
-func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, ownedVars []int, zprev []float64) (done wireDone, err error) {
+// as of the block's penultimate iteration — the capture a residual
+// round uploads alongside the final state, whatever the block's length.
+func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, ownedVars []int, zprev []float64) (rep blockReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("iteration block: %v", r)
 		}
 	}()
-	var tm workerTimings
-	run := func(n int) { runShardIters(g, lp, ex, ex.Mailbox(), id, n, &tm) }
+	run := func(n int) { runShardIters(g, lp, ex, ex.Mailbox(), id, n, &rep.tm) }
 	if zprev != nil {
-		if iters > 1 {
-			run(iters - 1)
-		}
+		run(iters - 1)
 		d := g.D()
 		for k, v := range ownedVars {
 			copy(zprev[k*d:(k+1)*d], g.Z[v*d:(v+1)*d])
 		}
-		run(1)
-	} else {
-		run(iters)
+		iters = 1
 	}
-	done.PhaseNanos = tm.phaseNanos
-	done.SyncWaitNanos = tm.syncWait
-	done.BoundaryZNanos = tm.boundaryZ
-	st := ex.Stats()
-	done.BytesMoved = st.BytesMoved
-	done.WireBytes = st.WireBytes
-	done.Frames = st.Frames
-	return done, nil
+	run(iters)
+	rep.ex = ex.Stats()
+	return rep, nil
 }

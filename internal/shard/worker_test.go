@@ -94,9 +94,11 @@ func checkCleanSession(t testing.TB, addr string, n int) {
 // TestHostileShardCountRefused: a Cfg whose shape no session can have —
 // a negative shard count, one whose peer channel alone would not fit in
 // memory, one past admm.MaxShards, a worker index out of range, a peer
-// list of the wrong length — is answered with FrameErr on the accept
-// loop, before anything is sized by it, and the worker then serves a
-// clean session bit-identical to Serial.
+// list of the wrong length, a frame timeout below zero, past
+// admm.MaxTransportTimeoutMS or so large its duration overflows — is
+// answered with FrameErr on the accept loop, before anything is sized
+// or armed by it, and the worker then serves a clean session
+// bit-identical to Serial.
 func TestHostileShardCountRefused(t *testing.T) {
 	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, 48)})
 	peers := func(n int) []string {
@@ -113,6 +115,9 @@ func TestHostileShardCountRefused(t *testing.T) {
 		{Shards: 2, Worker: 2, Peers: peers(2)},
 		{Shards: 2, Worker: -1, Peers: peers(2)},
 		{Shards: 2, Peers: peers(3)},
+		{Shards: 1, Peers: peers(1), FrameTimeoutMS: -1},
+		{Shards: 1, Peers: peers(1), FrameTimeoutMS: admm.MaxTransportTimeoutMS + 1},
+		{Shards: 1, Peers: peers(1), FrameTimeoutMS: 1e13},
 	} {
 		cfg.Session, cfg.Workload, cfg.Spec = 7, "chain", []byte(`{}`)
 		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
@@ -120,7 +125,7 @@ func TestHostileShardCountRefused(t *testing.T) {
 		_, _, err := readFrameKind(conn, nil, exchange.FrameReady)
 		var re *remoteError
 		if !errors.As(err, &re) || re.transient() {
-			t.Fatalf("worker %d of %d shards, %d peers: got %v, want a FrameErr refusal", cfg.Worker, cfg.Shards, len(cfg.Peers), err)
+			t.Fatalf("worker %d of %d shards, %d peers, frame timeout %d ms: got %v, want a FrameErr refusal", cfg.Worker, cfg.Shards, len(cfg.Peers), cfg.FrameTimeoutMS, err)
 		}
 		conn.Close()
 	}
@@ -205,10 +210,11 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 // runSession's table — mesh-wait (worker 0 of 2, whose peer never
 // dials), await-state (a state-digest miss) and ready (after a State
 // push) — and sends every frame kind there. The four pairs the table
-// lists act — await-state × State and Bye, ready × Iter and Bye; every
-// other pair, a second State and the retired kind 15 (Params) included,
-// is answered within 1 s by a FrameErr naming the kind and the state,
-// and the worker then serves a clean session.
+// lists act — await-state × State and Bye, ready × Iter (one Up comes
+// back) and Bye; every other pair, a second State and the retired kinds
+// 15 (Params) and 16 (Done) included, is answered within 1 s by a
+// FrameErr naming the kind and the state, and the worker then serves a
+// clean session.
 func TestWorkerSessionTable(t *testing.T) {
 	const n = 16
 	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), MeshWait: 5 * time.Second, CacheEntries: 2})
@@ -250,7 +256,7 @@ func TestWorkerSessionTable(t *testing.T) {
 		{exchange.FrameState, []byte{1, 2, 3}}, // the wrong length
 		{15, make([]byte, 8*(len(g.Rho)+len(g.U)))},
 		{exchange.FrameIter, mustJSON(t, wireIter{Iters: 1, Edit: encodeEdit(admm.Edit{Flush: true})})},
-		{exchange.FrameDone, mustJSON(t, wireDone{})},
+		{16, []byte(`{}`)}, // the retired Done
 		{exchange.FrameUp, nil},
 		{exchange.FrameErr, []byte("boom")},
 		{exchange.FramePing, nil},
@@ -286,8 +292,8 @@ func TestWorkerSessionTable(t *testing.T) {
 				case k.kind == exchange.FrameState:
 					want = "state payload"
 				default: // Iter: one block runs
-					if err != nil || f.Kind != exchange.FrameDone {
-						t.Fatalf("got kind %d %q, err %v; want Done", f.Kind, f.Payload, err)
+					if err != nil || f.Kind != exchange.FrameUp {
+						t.Fatalf("got kind %d %q, err %v; want Up", f.Kind, f.Payload, err)
 					}
 					return
 				}
@@ -301,9 +307,10 @@ func TestWorkerSessionTable(t *testing.T) {
 }
 
 // TestWorkerIterRoundAllocs: a session's Iter rounds, each carrying an
-// edit to replay (the flush and a rescale), allocate under 16 KiB on the
-// worker after two warm-up rounds, though each round uploads the whole
-// 4096-variable chain's owned state: the worker builds its Up frame in
+// edit to replay (the flush and a rescale) and each answered by one Up
+// frame, allocate under 16 KiB on the worker after two warm-up rounds,
+// though each round uploads the whole 4096-variable chain's owned
+// state: the worker builds its Up frame, statistics header included, in
 // place and replays the edit on its own arrays.
 func TestWorkerIterRoundAllocs(t *testing.T) {
 	if testing.Short() {
@@ -333,10 +340,8 @@ func TestWorkerIterRoundAllocs(t *testing.T) {
 		if _, err := conn.Write(iter); err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range []byte{exchange.FrameDone, exchange.FrameUp} {
-			if _, buf, err = readFrameKind(conn, buf, kind); err != nil {
-				t.Fatal(err)
-			}
+		if _, buf, err = readFrameKind(conn, buf, exchange.FrameUp); err != nil {
+			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -411,7 +416,9 @@ var malformedEdits = func() []wireEdit {
 
 // Op codes of a FuzzWorkerSession input: five bytes per op, [code,
 // conn, x, y, z]. conn%4 picks one of three persistent connections (a
-// closed one is redialed) or, for 3, a fresh one-shot connection.
+// closed one is redialed) or, for 3, a fresh one-shot connection; on an
+// opCfg, conn>>2&3 picks a hostile frame timeout (1..3: -1 ms, one past
+// admm.MaxTransportTimeoutMS, 1e13 ms) over the valid one.
 const (
 	opCfg = iota
 	opState
@@ -431,17 +438,18 @@ const fuzzChainVars = 16
 
 // FuzzWorkerSession drives one in-process worker with a fuzzed
 // sequence of frames: openers with fuzzed shape, workload, spec, state
-// digest and peers; State of fuzzed lengths; Iter, also before any
-// State, carrying edits well-formed and malformed; mesh hellos; Ping;
-// Bye; the retired kinds 3, 4, 15, 22 and 23; a bare header declaring
-// MaxFrameLen; and frames of any kind.
+// digest, peers and frame timeout; State of fuzzed lengths; Iter, also
+// before any State, carrying edits well-formed and malformed; mesh
+// hellos; Ping; Bye; the retired kinds 3, 4, 15, 16, 22 and 23; a bare
+// header declaring MaxFrameLen; and frames of any kind.
 // Whatever the sequence, the worker must still answer Ping, then serve
 // a clean session bit-identical to Serial, and once its listener
 // closes, leave no goroutine behind. Peer addresses are the worker's own
 // or a socket nobody listens on, so nothing leaves the machine.
-// Fuzzed configs always carry a frame timeout: without one, mid-solve
-// mesh I/O is unbounded by design, and a config naming a peer that
-// never answers holds its session until the peer does.
+// Fuzzed configs always carry a frame timeout, valid or refused:
+// without one, mid-solve mesh I/O is unbounded by design, and a config
+// naming a peer that never answers holds its session until the peer
+// does.
 func FuzzWorkerSession(f *testing.F) {
 	op := func(code, conn, x, y, z byte) []byte { return []byte{code, conn, x, y, z} }
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -470,6 +478,9 @@ func FuzzWorkerSession(f *testing.F) {
 	}
 	// State before Ready: worker 0 of 2 waits for a peer that never dials.
 	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opState, 0, 1, 0, 0)))
+	// One-shot openers with each hostile frame timeout, then a session.
+	f.Add(seq(op(opCfg, 1<<2|3, 1, 0, 0), op(opCfg, 2<<2|3, 1, 0, 0), op(opCfg, 3<<2|3, 1, 0, 0),
+		op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 0, 1)))
 	// Mesh hellos from -1, from the session's own index, and from its
 	// shard count.
 	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opPeer, 3, 0, 0xff, 0), op(opPeer, 3, 0, 0, 0), op(opPeer, 3, 0, 2, 0)))
@@ -541,7 +552,7 @@ func FuzzWorkerSession(f *testing.F) {
 					Worker:         int(int8(y)) % 4,
 					Workload:       "chain",
 					Spec:           []byte(`{}`),
-					FrameTimeoutMS: 100 + 200*int(z>>7),
+					FrameTimeoutMS: []int{100 + 200*int(z>>7), -1, admm.MaxTransportTimeoutMS + 1, 1e13}[ci>>2&3],
 				}
 				peer := addr
 				if z&0x08 != 0 {
@@ -578,7 +589,7 @@ func FuzzWorkerSession(f *testing.F) {
 			case opBye:
 				frame = exchange.AppendFrame(nil, exchange.FrameBye, 0, nil)
 			case opRetired:
-				frame = exchange.AppendFrame(nil, []byte{3, 4, 15, 22, 23}[x%5], 0, bytes.Repeat([]byte{z}, int(y&15)))
+				frame = exchange.AppendFrame(nil, []byte{3, 4, 15, 22, 23, 16}[x%6], 0, bytes.Repeat([]byte{z}, int(y&15)))
 			case opHeader:
 				frame = []byte{0, 0, 0, 0x10} // length MaxFrameLen, and nothing after it
 			case opClose:

@@ -231,7 +231,7 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 				t.Fatalf("hub split: %d boundary vars / %d of %d edges, %.0f bytes/iter vs %.0f priced",
 					st.BoundaryVars, st.BoundaryEdges, g.NumEdges(), st.BytesPerIter, 8*st.CutCost)
 			}
-			// Every worker's Done frames carry its own sync wait.
+			// Every worker's Up frames carry its own sync wait.
 			if len(st.SyncWaitByShard) != 2 || st.SyncWaitByShard[0] <= 0 || st.SyncWaitByShard[1] <= 0 {
 				t.Fatalf("per-shard sync wait %v, want both workers' figures", st.SyncWaitByShard)
 			}
