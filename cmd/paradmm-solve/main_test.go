@@ -40,12 +40,12 @@ func TestParseConfig(t *testing.T) {
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
 			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
-			"-dial-timeout", "5s", "-handshake-timeout", "2s", "-frame-timeout", "1s", "-dial-attempts", "4", "-failover", "survivors", "-fleet"},
+			"-dial-timeout", "5s", "-handshake-timeout", "2s", "-dial-attempts", "4", "-failover", "survivors", "-fleet"},
 			with(func(c *config) {
 				c.run.fleet = true
 				c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
 					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, DialTimeoutMS: 5000, HandshakeTimeoutMS: 2000,
-					FrameTimeoutMS: 1000, DialAttempts: 4, Failover: "survivors"}
+					DialAttempts: 4, Failover: "survivors"}
 			}), ""},
 		{"five-phase oracle", []string{"-fused=false"}, with(func(c *config) { c.run.spec.Fused = &unfused }), ""},
 		{"negative size", []string{"-size", "-1"}, config{}, "-size = -1: must not be negative"},
@@ -56,7 +56,9 @@ func TestParseConfig(t *testing.T) {
 		{"negative dial attempts", []string{"-dial-attempts", "-1"}, config{}, "-dial-attempts = -1"},
 		{"negative dial timeout", []string{"-dial-timeout", "-1s"}, config{}, "-dial-timeout = -1s"},
 		{"negative handshake timeout", []string{"-handshake-timeout", "-5ms"}, config{}, "-handshake-timeout = -5ms"},
-		{"negative frame timeout", []string{"-frame-timeout", "-1ms"}, config{}, "-frame-timeout = -1ms"},
+		// A running block is bounded by the workers' heartbeats; there is
+		// no per-frame deadline to set.
+		{"retired frame timeout", []string{"-frame-timeout", "1s"}, config{}, "flag provided but not defined: -frame-timeout"},
 		{"unknown problem", []string{"-problem", "tsp"}, config{}, `unknown problem "tsp"`},
 		{"unknown backend", []string{"-backend", "gpu"}, config{}, `unknown executor "gpu"`},
 		{"retired backend", []string{"-backend", "parallel"}, config{}, `unknown executor "parallel"`},

@@ -58,7 +58,6 @@ func matrixSpec(addrs []string) admm.ExecutorSpec {
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
-		FrameTimeoutMS:     5000,
 		DialAttempts:       1,
 	}
 }

@@ -62,16 +62,13 @@ type ExecutorSpec struct {
 	//
 	// DialTimeoutMS bounds each control/mesh connection establishment;
 	// HandshakeTimeoutMS bounds each handshake frame (config out, Ready
-	// back, state push); FrameTimeoutMS, when set, bounds every
-	// mid-solve frame read/write — it must comfortably exceed an
-	// iteration block's compute time, and 0 keeps mid-solve I/O
-	// unbounded (a large block is legitimately slow). DialAttempts caps
-	// the dial+handshake retry loop (default 3, capped exponential
-	// backoff between attempts). No timeout may exceed
-	// MaxTransportTimeoutMS.
+	// back, state push). DialAttempts caps the dial+handshake retry loop
+	// (default 3, capped exponential backoff between attempts). No
+	// timeout may exceed MaxTransportTimeoutMS. A running block needs no
+	// knob: the workers' heartbeats bound it (the liveness rule of
+	// internal/shard).
 	DialTimeoutMS      int `json:"dial_timeout_ms,omitempty"`
 	HandshakeTimeoutMS int `json:"handshake_timeout_ms,omitempty"`
-	FrameTimeoutMS     int `json:"frame_timeout_ms,omitempty"`
 	DialAttempts       int `json:"dial_attempts,omitempty"`
 	// Failover selects the recovery policy when a worker process is
 	// lost mid-solve: "" or "none" fail the solve with a typed error,
@@ -260,13 +257,13 @@ func (s ExecutorSpec) Validate() error {
 			seen[key] = a
 		}
 	}
-	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 || s.FrameTimeoutMS != 0 ||
+	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 ||
 		s.DialAttempts != 0 || s.Failover != "") && s.Kind != ExecSharded {
-		return fmt.Errorf("admm: dial/handshake/frame timeouts, dial_attempts, and failover apply only to %q, not %q", ExecSharded, s.Kind)
+		return fmt.Errorf("admm: dial/handshake timeouts, dial_attempts, and failover apply only to %q, not %q", ExecSharded, s.Kind)
 	}
-	if min(s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS) < 0 || max(s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS) > MaxTransportTimeoutMS {
-		return fmt.Errorf("admm: transport timeouts (dial %d / handshake %d / frame %d ms) need 0..%d ms",
-			s.DialTimeoutMS, s.HandshakeTimeoutMS, s.FrameTimeoutMS, MaxTransportTimeoutMS)
+	if min(s.DialTimeoutMS, s.HandshakeTimeoutMS) < 0 || max(s.DialTimeoutMS, s.HandshakeTimeoutMS) > MaxTransportTimeoutMS {
+		return fmt.Errorf("admm: transport timeouts (dial %d / handshake %d ms) need 0..%d ms",
+			s.DialTimeoutMS, s.HandshakeTimeoutMS, MaxTransportTimeoutMS)
 	}
 	if s.DialAttempts < 0 || s.DialAttempts > MaxDialAttempts {
 		return fmt.Errorf("admm: dial_attempts = %d, need 0..%d", s.DialAttempts, MaxDialAttempts)

@@ -51,10 +51,9 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecSharded, Shards: MaxShards + 1},
 		{Kind: ExecSerial, Shards: 2},
 		// Transport timeouts are bounded: ~24.8 days per handshake
-		// attempt, and a count whose Duration overflows negative.
+		// attempt.
 		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS + 1},
 		{Kind: ExecSharded, HandshakeTimeoutMS: 2147483647},
-		{Kind: ExecSharded, FrameTimeoutMS: 10000000000000},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -74,7 +73,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecAuto},
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},
-		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS, HandshakeTimeoutMS: MaxTransportTimeoutMS, FrameTimeoutMS: MaxTransportTimeoutMS},
+		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS, HandshakeTimeoutMS: MaxTransportTimeoutMS},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {

@@ -528,6 +528,7 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 		{"partition", `{"kind":"sharded","shards":2,"partition":"balanced"}`},
 		{"refine", `{"kind":"sharded","shards":2,"refine":true}`},
 		{"warm_cache", `{"kind":"sharded","shards":2,"transport":"sockets","warm_cache":true}`},
+		{"frame_timeout_ms", `{"kind":"sharded","shards":2,"transport":"sockets","frame_timeout_ms":5000}`},
 	}
 	for _, r := range refused {
 		line(r.executor)

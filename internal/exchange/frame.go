@@ -70,6 +70,10 @@ const (
 	// opener and its CacheAck; FrameCfg and FrameReady carry the cache
 	// handshake now) and must not be reused: a worker refuses either as
 	// an unexpected frame.
+
+	// FrameTick is a worker's heartbeat while a block runs: raw int64
+	// mesh peer it waits on (-1 while it computes) and nanoseconds waited.
+	FrameTick byte = 24
 )
 
 // frameOverhead is the non-payload bytes of one frame on the wire.

@@ -54,8 +54,9 @@ import (
 // channel, and a half-exchanged iteration has no consistent state to
 // resume from. The worker loop (internal/shard) recovers these panics
 // into session errors, so a dead peer fails the solve, never the worker
-// process. SetIOTimeout bounds each frame read/write so a stalled (not
-// just dead) peer also surfaces as a failure instead of a wedge. See
+// process. A stalled (not just dead) peer is the worker session's to
+// notice: Waiting reports which peer a worker has been blocked on and
+// for how long, and closing the exchanger ends the wait. See
 // docs/fault-tolerance.md.
 type Messaged struct {
 	g      *graph.Graph
@@ -70,12 +71,9 @@ type Messaged struct {
 	// acct is the lowest local worker id; it owns the rounds counter.
 	acct int
 
-	// ioTimeout, when > 0, bounds each mesh frame read and write via
-	// the streams' deadline support (loopback pipes have none and stay
-	// unbounded). sendFault carries a send-goroutine panic across
-	// dispatchSends' completion channel so it re-raises on the worker
-	// goroutine, where the session loop can recover it.
-	ioTimeout time.Duration
+	// sendFault carries a send-goroutine panic across dispatchSends'
+	// completion channel so it re-raises on the worker goroutine, where
+	// the session loop can recover it.
 	sendFault any
 
 	bytes  atomic.Int64
@@ -92,12 +90,24 @@ type msgWorkerState struct {
 	// pend is the in-flight send completion between a Begin and its
 	// Finish.
 	pend <-chan struct{}
+	// recvWait and sendWait are the mesh read and write this worker is
+	// in, if any: waitMark of its peer, or 0. The write runs on the
+	// send goroutine, so it counts as a wait only while joinWait, the
+	// worker's own wait in joinSends (waitMark(-1), or 0), is set.
+	recvWait, sendWait, joinWait atomic.Int64
 }
 
-// newWorkerState sizes worker w's scratch for the largest frame the
+// waitMark packs a mesh wait on peer that begins now: microseconds since
+// waitEpoch, shifted left 8 bits, or'd with peer+1.
+func waitMark(peer int) int64 { return time.Since(waitEpoch).Microseconds()<<8 | int64(peer+1) }
+
+var waitEpoch = time.Now()
+
+// initWorkerState sizes worker w's scratch for the largest frame the
 // manifest has it send and receive, so a solve allocates each buffer
 // once instead of growing it by doubling over its first rounds.
-func newWorkerState(man *Manifest, w int) msgWorkerState {
+func (m *Messaged) initWorkerState(w int) {
+	man := m.man
 	k := man.Shards
 	out, in := 0, 0 // blocks in the largest outbound / inbound row
 	for j := 0; j < k; j++ {
@@ -107,10 +117,9 @@ func newWorkerState(man *Manifest, w int) msgWorkerState {
 		out = max(out, len(man.MEdges[w*k+j]), len(man.ZVars[w*k+j]))
 		in = max(in, len(man.MEdges[j*k+w]), len(man.ZVars[j*k+w]))
 	}
-	return msgWorkerState{
-		sendBuf: make([]byte, 0, frameOverhead+out*man.D*8),
-		recvBuf: make([]byte, 0, frameOverhead+in*man.D*8),
-	}
+	st := &m.state[w]
+	st.sendBuf = make([]byte, 0, frameOverhead+out*man.D*8)
+	st.recvBuf = make([]byte, 0, frameOverhead+in*man.D*8)
 }
 
 // NewLoopback returns a messaged exchanger carrying all of the
@@ -134,7 +143,7 @@ func NewLoopback(g *graph.Graph, man *Manifest, _ bool) *Messaged {
 		acct:    0,
 	}
 	for w := range m.state {
-		m.state[w] = newWorkerState(man, w)
+		m.initWorkerState(w)
 	}
 	return m
 }
@@ -170,38 +179,31 @@ func NewPeer(g *graph.Graph, man *Manifest, id int, conns []io.ReadWriteCloser) 
 		state:   make([]msgWorkerState, k),
 		acct:    id,
 	}
-	m.state[id] = newWorkerState(man, id)
+	m.initWorkerState(id)
 	return m, nil
 }
 
-// SetIOTimeout bounds each subsequent frame read and write to d (0
-// restores unbounded I/O). Streams without deadline support (loopback
-// pipes) are unaffected. Call before the solve starts; the exchanger
-// applies it per operation, so the bound is per frame, not per solve.
-func (m *Messaged) SetIOTimeout(d time.Duration) { m.ioTimeout = d }
-
-// deadlined is the deadline surface of net.Conn streams.
-type deadlined interface {
-	SetReadDeadline(time.Time) error
-	SetWriteDeadline(time.Time) error
-}
-
-func (m *Messaged) armRead(s io.ReadWriteCloser) {
-	if m.ioTimeout <= 0 {
-		return
+// Waiting reports the mesh peer worker w has waited on longest, to read
+// its frame or to finish writing one to it, and for how long; peer is -1
+// while w waits on none. A write still in flight while w computes is
+// no wait. It is safe to call while the worker runs.
+func (m *Messaged) Waiting(w int) (peer int, waited time.Duration) {
+	st := &m.state[w]
+	// The marks are read before the clock, so none is later than now.
+	marks := [2]int64{st.recvWait.Load(), st.sendWait.Load()}
+	switch join := st.joinWait.Load(); {
+	case join == 0:
+		marks[1] = 0
+	case marks[1] != 0 && join>>8 > marks[1]>>8:
+		marks[1] = join&^0xff | marks[1]&0xff // the wait began at the join
 	}
-	if d, ok := s.(deadlined); ok {
-		d.SetReadDeadline(time.Now().Add(m.ioTimeout))
+	now, peer := waitMark(-1), -1
+	for _, v := range marks {
+		if d := time.Duration(now>>8-v>>8) * time.Microsecond; v != 0 && (peer < 0 || d > waited) {
+			peer, waited = int(v&0xff)-1, d
+		}
 	}
-}
-
-func (m *Messaged) armWrite(s io.Writer) {
-	if m.ioTimeout <= 0 {
-		return
-	}
-	if d, ok := s.(deadlined); ok {
-		d.SetWriteDeadline(time.Now().Add(m.ioTimeout))
-	}
+	return peer, waited
 }
 
 // Mailbox returns the packed boundary rows this exchanger carries:
@@ -239,8 +241,7 @@ func (m *Messaged) FinishGatherM(w int) {
 			decodeF64s(row, m.recvData(st, w, j, FrameM, len(row)))
 		}
 	}
-	m.joinSends(st.pend)
-	st.pend = nil
+	m.joinSends(st)
 }
 
 // GatherM implements Exchanger (sync point 1).
@@ -299,8 +300,7 @@ func (m *Messaged) FinishScatterZ(w int) {
 			decodeF64s(g.Z[base:base+d], payload[idx*d*8:])
 		}
 	}
-	m.joinSends(st.pend)
-	st.pend = nil
+	m.joinSends(st)
 	st.round++
 	if w == m.acct {
 		m.rounds++
@@ -338,10 +338,15 @@ func (m *Messaged) dispatchSends(w int, send func(*Messaged, int)) <-chan struct
 	return done
 }
 
-// joinSends waits for dispatchSends' completion and re-raises any
-// captured send panic on the caller.
-func (m *Messaged) joinSends(done <-chan struct{}) {
-	<-done
+// joinSends waits for the pending dispatchSends' completion and
+// re-raises any captured send panic on the caller.
+func (m *Messaged) joinSends(st *msgWorkerState) {
+	if !m.shared { // a loopback send ran inline: there is nothing to wait for
+		st.joinWait.Store(waitMark(-1))
+		<-st.pend
+		st.joinWait.Store(0)
+	}
+	st.pend = nil
 	if f := m.sendFault; f != nil {
 		m.sendFault = nil
 		panic(f)
@@ -358,8 +363,10 @@ var closedCh = func() chan struct{} {
 // accounts traffic: the payload doubles carried and the full frame
 // length.
 func (m *Messaged) sendFrame(w io.Writer, buf []byte, from, to int) []byte {
-	m.armWrite(w)
-	if err := FinishFrame(w, buf); err != nil {
+	m.state[from].sendWait.Store(waitMark(to))
+	err := FinishFrame(w, buf)
+	m.state[from].sendWait.Store(0)
+	if err != nil {
 		panic(fmt.Sprintf("exchange: worker %d: send to peer %d: %v", from, to, err))
 	}
 	m.bytes.Add(int64(len(buf) - frameOverhead))
@@ -373,8 +380,9 @@ func (m *Messaged) sendFrame(w io.Writer, buf []byte, from, to int) []byte {
 // manifest row's doubles — otherwise the stream has desynchronized (or
 // the peer speaks a retired frame kind) and the solve fail-stops.
 func (m *Messaged) recvData(st *msgWorkerState, w, j int, kind byte, doubles int) []byte {
-	m.armRead(m.streams[w][j])
+	st.recvWait.Store(waitMark(j))
 	f, buf, err := ReadFrame(m.streams[w][j], st.recvBuf)
+	st.recvWait.Store(0)
 	st.recvBuf = buf
 	if err != nil {
 		panic(fmt.Sprintf("exchange: worker %d: recv from peer %d: %v", w, j, err))

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -92,5 +93,48 @@ func TestSplitSyncDelivery(t *testing.T) {
 	}
 	if st := ex0.Stats(); st.Rounds != 1 {
 		t.Fatalf("worker-0 stats %+v", st)
+	}
+}
+
+// TestWaitingCountsJoinedSendsOnly: a send still in flight on the send
+// goroutine is no wait while its worker computes — over a socket whose
+// buffer is full it may stay in flight for a whole slow block — and
+// becomes a wait on that peer, counted from then, once the worker joins
+// it. net.Pipe has no buffer, so the send is in flight until the owner
+// reads it.
+func TestWaitingCountsJoinedSendsOnly(t *testing.T) {
+	_, _, ex0, ex1, p := twoPeers(t)
+	owner := p.VarPart[1]
+	sender, from := ex0, 0
+	ownerEx := ex1
+	if owner == 0 {
+		sender, from, ownerEx = ex1, 1, ex0
+	}
+	sender.Mailbox().Post(from)
+	sender.BeginGatherM(from)
+	time.Sleep(30 * time.Millisecond) // interior compute
+	if peer, waited := sender.Waiting(from); peer != -1 || waited != 0 {
+		t.Fatalf("computing with a send in flight: waiting on peer %d for %v, want none", peer, waited)
+	}
+	joined := time.Now()
+	done := make(chan struct{})
+	go func() { defer close(done); sender.FinishGatherM(from) }()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		peer, waited := sender.Waiting(from)
+		if peer == owner && waited >= 10*time.Millisecond {
+			if waited > time.Since(joined) {
+				t.Fatalf("joined %v ago, but the wait counts %v: from the send, not the join", time.Since(joined), waited)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("joined a blocked send: waiting on peer %d for %v, want peer %d", peer, waited, owner)
+		}
+	}
+	ownerEx.Mailbox().Post(owner)
+	ownerEx.GatherM(owner)
+	<-done
+	if peer, _ := sender.Waiting(from); peer != -1 {
+		t.Fatalf("after the round's M phase: waiting on peer %d, want none", peer)
 	}
 }

@@ -105,6 +105,9 @@ func TestSolveHandler(t *testing.T) {
 		// warm_cache is a retired key: every remote session consults the
 		// workers' caches, so there is nothing to switch on.
 		{"sockets with the retired warm_cache field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","warm_cache":true},"max_iter":100}`, http.StatusBadRequest},
+		// frame_timeout_ms is a retired key: the workers' heartbeats bound
+		// every running block, so there is no deadline to set.
+		{"sockets with the retired frame_timeout_ms field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","frame_timeout_ms":5000},"max_iter":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,16 +135,18 @@
 //
 // # Fault tolerance
 //
-// Cross-process sessions run under deadlines (dial, handshake, and
-// optional per-frame bounds — ExecutorSpec's *_timeout_ms knobs) with
-// a retried dial+handshake budget, and every transport failure carries
+// Cross-process sessions open under deadlines (dial and handshake —
+// ExecutorSpec's *_timeout_ms knobs) with a retried dial+handshake
+// budget, every running block is bounded by the liveness rule (the
+// workers' Ticks; protocol.go), and every transport failure carries
 // a *WorkerError attributing worker, endpoint, and protocol phase —
 // returned by NewRemote at the handshake and by Remote.Iterate (hence
 // admm.Run) mid-solve; nothing panics on a lost worker. ProbeWorkers
 // speaks the Ping/Pong health frames the worker's accept loop answers
 // even mid-session. A worker's session is one state table (mesh-wait,
-// await-state, ready; runSession documents it), and any control frame
-// outside it is refused with FrameErr and ends the session. Solve
+// await-state, ready, running; runSession documents it), and any
+// control frame outside it is refused with FrameErr and ends the
+// session. Solve
 // (solve.go) is the one route from an ExecutorSpec to a finished
 // solve — the serving layer, the bulk pipeline and paradmm-solve all
 // call it and nothing else — and for a

@@ -205,9 +205,12 @@ func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
 }
 
 // TestStalledStateTimeout: a connection cut mid-handshake (stalled
-// instead of closed) trips the handshake deadline rather than hanging
-// the coordinator. faultnet's stall plan models a half-open TCP peer.
+// instead of closed) trips the handshake deadline or, past the
+// handshake, the default liveness rule (shrunk here) rather than
+// hanging the coordinator. faultnet's stall plan models a half-open TCP
+// peer.
 func TestStalledStateTimeout(t *testing.T) {
+	shrinkLiveness(t, 50*time.Millisecond, 300*time.Millisecond)
 	builders := chainBuilders(t, 32)
 	// Stall the worker's outbound stream after its first frame (Ready):
 	// the coordinator's next read of this conn blocks until its deadline.
@@ -217,7 +220,6 @@ func TestStalledStateTimeout(t *testing.T) {
 	g := chainGraph(t, 32)
 	spec := chainSpec([]string{addr})
 	spec.HandshakeTimeoutMS = 300
-	spec.FrameTimeoutMS = 300
 	spec.DialAttempts = 1
 	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
@@ -230,7 +232,7 @@ func TestStalledStateTimeout(t *testing.T) {
 	}
 	defer r.Close()
 	// Handshake got through (Ready was frame 1); the first block's Up
-	// read must now hit the frame deadline instead of wedging.
+	// read must now hit the liveness bound instead of wedging.
 	done := make(chan error, 1)
 	go func() {
 		var nanos [admm.NumPhases]int64
@@ -246,7 +248,7 @@ func TestStalledStateTimeout(t *testing.T) {
 			t.Fatalf("unexpected phase %q", we.Phase)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Iterate wedged on a stalled worker despite frame timeout")
+		t.Fatal("Iterate wedged on a stalled worker despite the liveness rule")
 	}
 }
 

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"net"
+	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admm"
@@ -34,12 +37,14 @@ import (
 //	repeat:
 //	  coordinator -> worker i:  Iter {iters, zprev, edit}
 //	  ...workers exchange FrameM/FrameZ over the mesh per iteration...
+//	  worker i    -> coordinator: Tick {peer, waited}  (every tickEvery while the block runs)
 //	  worker i    -> coordinator: Up {block stats, owned state}
 //	coordinator -> worker i:  Bye
 //
 // After the handshake each block is one round trip: one Iter down,
 // carrying what admm.Run changed in the coordinator's graph after the
-// previous block, and one Up back. Only Iter and Bye go down.
+// previous block, and one Up back; a block longer than tickEvery also
+// sends Ticks ahead of its Up. Only Iter and Bye go down.
 //
 // Any side that detects a malformed frame, a shape or manifest-digest
 // mismatch, or an I/O failure sends Err (when it still can) and tears
@@ -56,11 +61,6 @@ type wireConfig struct {
 	// Peers lists every worker's control endpoint, indexed by worker;
 	// worker i dials workers j < i it shares boundary state with.
 	Peers []string `json:"peers"`
-	// FrameTimeoutMS, when > 0, bounds each of the worker's mid-solve
-	// frame reads and writes (mesh exchange and control replies) — the
-	// coordinator propagates its ExecutorSpec.FrameTimeoutMS so both
-	// sides of a stalled stream give up instead of wedging.
-	FrameTimeoutMS int `json:"frame_timeout_ms,omitempty"`
 	// StateDigest fingerprints the exact FrameState payload the
 	// coordinator would push (stateDigest): a worker whose cached
 	// snapshot has the same digest restores it and answers a state hit,
@@ -216,9 +216,9 @@ func decodeJSONFrame(f exchange.Frame, into any) error {
 	return dec.Decode(into)
 }
 
-// Default transport deadlines; every one of them is overridable per
-// solve via ExecutorSpec (dial_timeout_ms etc.) and per process via the
-// -dial-timeout/-handshake-timeout CLI flags.
+// Default deadlines for opening a session; every one of them is
+// overridable per solve via ExecutorSpec (dial_timeout_ms etc.) and per
+// process via the -dial-timeout/-handshake-timeout CLI flags.
 const (
 	// DefaultDialTimeout bounds control and mesh connection
 	// establishment.
@@ -229,6 +229,66 @@ const (
 	// DefaultDialAttempts is the dial+handshake retry budget.
 	DefaultDialAttempts = 3
 )
+
+// The liveness rule of a running block (docs/fault-tolerance.md): a
+// worker sends a Tick every tickEvery, and the coordinator fails the
+// block once a worker's control stream is silent for livenessBound, or
+// every worker still in it has waited on a mesh peer that long. No slow
+// block trips it.
+const tickEvery, livenessBound = time.Second, 10 * time.Second
+
+// liveTick and liveBound hold the two constants for the session code;
+// export_test.go shrinks them.
+var liveTick, liveBound atomic.Int64
+
+func init() {
+	liveTick.Store(int64(tickEvery))
+	liveBound.Store(int64(livenessBound))
+}
+
+// liveConn is a control connection during a block. Each Read gets the
+// bound for its first byte, and a Write's deadline moves on while its
+// bytes move, so a frame of any size crosses on a slow link and only
+// silence for the bound trips the rule.
+type liveConn struct {
+	net.Conn
+	bound time.Duration
+}
+
+func (c liveConn) Read(p []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(c.bound))
+	return c.Conn.Read(p)
+}
+
+func (c liveConn) Write(p []byte) (n int, err error) {
+	for {
+		c.SetWriteDeadline(time.Now().Add(c.bound))
+		m, err := c.Conn.Write(p[n:])
+		if n += m; m == 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			return n, err
+		}
+	}
+}
+
+// appendTick encodes a Tick payload: two int64 words, the mesh peer the
+// worker waits on (-1 while it computes) and for how many nanoseconds.
+func appendTick(dst []byte, peer int, waited time.Duration) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(peer))
+	return binary.LittleEndian.AppendUint64(dst, uint64(waited))
+}
+
+// decodeTick checks worker self's Tick: its exact length, a peer in
+// -1..shards-1 other than self, and a wait that is not negative.
+func decodeTick(payload []byte, self, shards int) (peer int, waited time.Duration, err error) {
+	if len(payload) != 16 {
+		return 0, 0, fmt.Errorf("shard: tick payload %d bytes, want 16", len(payload))
+	}
+	p, waited := int64(binary.LittleEndian.Uint64(payload)), time.Duration(binary.LittleEndian.Uint64(payload[8:]))
+	if p < -1 || p >= int64(shards) || p == int64(self) || waited < 0 {
+		return 0, 0, fmt.Errorf("shard: tick says worker %d waited on peer %d for %d ns", self, p, waited)
+	}
+	return int(p), waited, nil
+}
 
 // DialAddr connects to a worker endpoint (see admm.SplitAddr) with the
 // default dial timeout.
@@ -357,18 +417,24 @@ func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, owned
 	return exchange.AppendF64s(dst, zprev)
 }
 
-// installUp checks the Up payload's whole length, then decodes its
-// header into rep and its state into g; zPrev, when non-nil, is the
-// coordinator's full-length zPrev array, into which the trailing
+// installUp checks the Up payload's length and header (no negative
+// block time, no counter below rep, the worker's previous report), then
+// decodes the header into rep and the state into g; zPrev, when non-nil,
+// is the coordinator's full-length zPrev array, into which the trailing
 // capture segment is scattered at the owned variables' offsets.
 func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int, payload []byte, zPrev []float64) error {
 	d := g.D()
 	if want := upWords(lp, d, zPrev != nil) * 8; len(payload) != want {
 		return fmt.Errorf("shard: up payload %d bytes, want %d", len(payload), want)
 	}
-	for i, w := range rep.words() {
-		*w = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+	var next blockReport
+	prev := rep.words()
+	for i, w := range next.words() {
+		if *w = int64(binary.LittleEndian.Uint64(payload[i*8:])); *w < 0 || i >= upStatsWords-3 && *w < *prev[i] {
+			return fmt.Errorf("shard: up header word %d is %d, previous %d", i, *w, *prev[i])
+		}
 	}
+	*rep = next
 	cur := payloadCursor{payload: payload, off: upStatsWords}
 	for _, arr := range [][]float64{g.X, g.U} {
 		for _, r := range lp.edgeRuns {

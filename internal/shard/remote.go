@@ -19,7 +19,6 @@ import (
 type timeouts struct {
 	dial      time.Duration
 	handshake time.Duration
-	frame     time.Duration // 0 = unbounded mid-solve I/O
 	attempts  int
 }
 
@@ -36,9 +35,6 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 	}
 	if spec.HandshakeTimeoutMS > 0 {
 		t.handshake = time.Duration(spec.HandshakeTimeoutMS) * time.Millisecond
-	}
-	if spec.FrameTimeoutMS > 0 {
-		t.frame = time.Duration(spec.FrameTimeoutMS) * time.Millisecond
 	}
 	if spec.DialAttempts > 0 {
 		t.attempts = spec.DialAttempts
@@ -66,8 +62,9 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 // Mid-solve transport failures are fail-stop per solve: Iterate
 // returns a typed *WorkerError naming the worker and protocol phase,
 // admm.Run stops there, and Solve turns it into a retry, a survivor
-// re-partitioning, or a failed request — never a corrupted result (see
-// docs/fault-tolerance.md).
+// re-partitioning, or a failed request — never a corrupted result. A
+// stall fails the block the same way, by the liveness rule (protocol.go;
+// see docs/fault-tolerance.md).
 type Remote struct {
 	shards  int
 	session uint64
@@ -80,6 +77,8 @@ type Remote struct {
 	ownedVars [][]int
 	conns     []net.Conn
 	bufs      [][]byte
+	// reps holds each worker's last accepted block report.
+	reps []blockReport
 
 	problem *admm.ProblemRef
 
@@ -130,6 +129,7 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		r.ownedVars[i] = r.plan.local[i].appendOwnedVars(nil)
 	}
 	r.bufs = make([][]byte, shards)
+	r.reps = make([]blockReport, shards)
 	r.stats = r.plan.shapeStats(admm.TransportSockets)
 	r.stats.SyncWaitByShard = make([]int64, shards)
 	backoff := 50 * time.Millisecond
@@ -186,13 +186,12 @@ func (r *Remote) handshake() error {
 	payloadAt := len(state)
 	state = appendState(state, r.g)
 	cfg := wireConfig{
-		Session:        r.session,
-		Shards:         r.shards,
-		Workload:       r.problem.Workload,
-		Spec:           r.problem.Spec,
-		Peers:          r.addrs,
-		FrameTimeoutMS: int(r.tmo.frame / time.Millisecond),
-		StateDigest:    stateDigest(state[payloadAt:]),
+		Session:     r.session,
+		Shards:      r.shards,
+		Workload:    r.problem.Workload,
+		Spec:        r.problem.Spec,
+		Peers:       r.addrs,
+		StateDigest: stateDigest(state[payloadAt:]),
 	}
 	for i := 0; i < r.shards; i++ {
 		conn, err := DialAddrTimeout(r.addrs[i], r.tmo.dial)
@@ -205,7 +204,6 @@ func (r *Remote) handshake() error {
 		if err := writeJSONFrame(conn, exchange.FrameCfg, cfg); err != nil {
 			return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
 		}
-		conn.SetWriteDeadline(time.Time{})
 		r.stats.HandshakeFrames++
 	}
 	hits, err := r.readReadyAll()
@@ -273,7 +271,6 @@ func (r *Remote) readReady(i int) (string, error) {
 	r.conns[i].SetReadDeadline(time.Now().Add(r.tmo.handshake))
 	f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameReady)
 	r.bufs[i] = buf
-	r.conns[i].SetReadDeadline(time.Time{})
 	if err != nil {
 		// A worker's considered refusal (FrameErr) is a config
 		// problem unless it is just busy tearing down the previous
@@ -308,7 +305,6 @@ func (r *Remote) pushState(i int, state []byte) error {
 	if err := exchange.FinishFrame(conn, state); err != nil {
 		return fmt.Errorf("send state: %w", err)
 	}
-	conn.SetWriteDeadline(time.Time{})
 	r.stats.StatePushes++
 	r.stats.HandshakeFrames++
 	return nil
@@ -347,42 +343,35 @@ func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []flo
 		panic("shard: Remote backend is bound to the problem it was built for; build a new backend per graph")
 	}
 	cmd := wireIter{Iters: iters, ZPrev: zPrev != nil, Edit: encodeEdit(edit)}
+	bound := time.Duration(liveBound.Load())
 	for i, conn := range r.conns {
-		r.armWrite(i)
-		if err := writeJSONFrame(conn, exchange.FrameIter, cmd); err != nil {
+		if err := writeJSONFrame(liveConn{conn, bound}, exchange.FrameIter, cmd); err != nil {
 			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
-	reps := make([]blockReport, r.shards)
+	w := &blockWatch{r: r, bound: bound, progress: time.Now(), stuck: make([]time.Duration, r.shards)}
+	// A failure on a worker's own connection is the verdict; an error
+	// frame may only relay that a peer went away, and the failover
+	// policy acts on the worker the error names.
 	var wg sync.WaitGroup
 	errs := make([]error, r.shards)
 	for i := range r.conns {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.collect(i, g, zPrev, &reps[i])
+			if errs[i] = r.collect(i, g, zPrev, w); errs[i] != nil && !errors.As(errs[i], new(*remoteError)) {
+				w.fail(i, errs[i])
+			}
 		}(i)
 	}
 	wg.Wait()
-	// Name the worker whose own connection failed, when there is one: a
-	// survivor's error frame only relays that one of its peers went
-	// away, and the failover policy acts on the worker the error names.
-	var relayed error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		we := &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseCollect, Err: err}
-		var re *remoteError
-		if !errors.As(err, &re) {
-			return we
-		}
-		if relayed == nil {
-			relayed = we
-		}
+	if w.verdict != nil {
+		return w.verdict
 	}
-	if relayed != nil {
-		return relayed
+	for i, err := range errs {
+		if err != nil {
+			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseCollect, Err: err}
+		}
 	}
 	// The slim upload drops N; rebuild it from the n = z - u identity
 	// the reference kernels maintain, against the just-installed
@@ -390,46 +379,96 @@ func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []flo
 	admm.UpdateNRange(g, 0, g.NumEdges())
 	tms := make([]workerTimings, r.shards)
 	ex := exchange.Stats{Rounds: r.stats.Iterations + int64(iters)}
-	for i := range reps {
-		tms[i] = reps[i].tm
-		ex.BytesMoved += reps[i].ex.BytesMoved
-		ex.WireBytes += reps[i].ex.WireBytes
-		ex.Frames += reps[i].ex.Frames
+	for i, rep := range r.reps {
+		tms[i] = rep.tm
+		ex.BytesMoved += rep.ex.BytesMoved
+		ex.WireBytes += rep.ex.WireBytes
+		ex.Frames += rep.ex.Frames
 	}
 	r.stats.endBlock(iters, tms, ex, phaseNanos)
 	return nil
 }
 
-// armWrite/armRead arm one mid-solve frame deadline on worker i's
-// control connection when the spec configured a frame timeout; with
-// none, mid-solve I/O stays unbounded (large blocks are legitimately
-// slow) and a lost worker still surfaces promptly as EOF or a FrameErr
-// relayed by its surviving peers.
-func (r *Remote) armWrite(i int) {
-	if r.tmo.frame > 0 {
-		r.conns[i].SetWriteDeadline(time.Now().Add(r.tmo.frame))
+// collect reads worker i's Ticks, reporting each to w, until its Up,
+// which installUp checks and installs (disjoint slices per worker, so
+// installs run concurrently). The worker may fall silent for at most
+// the bound, mid-frame included.
+func (r *Remote) collect(i int, g *graph.Graph, zPrev []float64, w *blockWatch) error {
+	conn := liveConn{r.conns[i], w.bound}
+	for {
+		f, buf, err := exchange.ReadFrame(conn, r.bufs[i])
+		r.bufs[i] = buf
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return fmt.Errorf("shard: silent for %v: %w", w.bound, err)
+		case err != nil:
+			return err
+		case f.Kind == exchange.FrameUp:
+			w.finished(i)
+			return installUp(&r.reps[i], g, &r.plan.local[i], r.ownedVars[i], f.Payload, zPrev)
+		case f.Kind == exchange.FrameErr:
+			return &remoteError{msg: string(f.Payload)}
+		case f.Kind != exchange.FrameTick:
+			return fmt.Errorf("shard: unexpected frame kind %d, want %d", f.Kind, exchange.FrameUp)
+		}
+		peer, waited, err := decodeTick(f.Payload, i, r.shards)
+		if err != nil {
+			return err
+		}
+		w.report(i, peer, waited)
 	}
 }
 
-func (r *Remote) armRead(i int) {
-	if r.tmo.frame > 0 {
-		r.conns[i].SetReadDeadline(time.Now().Add(r.tmo.frame))
+// blockWatch applies the liveness rule to one block's collects. The
+// first verdict hangs up on every worker, which ends every collect.
+type blockWatch struct {
+	r        *Remote
+	bound    time.Duration
+	mu       sync.Mutex
+	progress time.Time       // the block's start or its last Up: waits count from there
+	stuck    []time.Duration // each worker's wait on a peer since then, by its last Tick; -1 once its Up is in
+	verdict  error
+}
+
+// report records worker i's Tick: it computes (peer -1) or has waited
+// on peer for waited. Once every worker still in the block has waited
+// the bound, the one that has waited longest is blamed.
+func (w *blockWatch) report(i, peer int, waited time.Duration) {
+	if peer < 0 {
+		waited = 0
+	}
+	w.mu.Lock()
+	w.stuck[i] = min(waited, time.Since(w.progress))
+	worst, all := i, true
+	for j, d := range w.stuck {
+		all = all && (d < 0 || d >= w.bound)
+		if d > w.stuck[worst] {
+			worst = j
+		}
+	}
+	w.mu.Unlock()
+	if all {
+		w.fail(worst, fmt.Errorf("shard: every worker still in the block has waited on a mesh peer for %v", w.bound))
 	}
 }
 
-// collect reads one worker's Up frame, checks its length, and installs
-// its report into rep and its state into the coordinator graph
-// (disjoint slices per worker, so installs run concurrently). A non-nil
-// zPrev receives the worker's owned z-capture from the block's
-// penultimate iteration.
-func (r *Remote) collect(i int, g *graph.Graph, zPrev []float64, rep *blockReport) error {
-	r.armRead(i)
-	f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameUp)
-	r.bufs[i] = buf
-	if err != nil {
-		return err
+// finished records worker i's Up: progress, from which the other
+// workers' waits count again (each one ticks again well within the
+// bound, or the bound finds it silent).
+func (w *blockWatch) finished(i int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.progress, w.stuck[i] = time.Now(), -1
+}
+
+// fail blames worker i, unless a verdict stands, and hangs up.
+func (w *blockWatch) fail(i int, cause error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.verdict == nil {
+		w.verdict = &WorkerError{Worker: i, Addr: w.r.addrs[i], Phase: PhaseCollect, Err: cause}
+		w.r.teardown()
 	}
-	return installUp(rep, g, &r.plan.local[i], r.ownedVars[i], f.Payload, zPrev)
 }
 
 // Close implements admm.Backend: ends the session and closes the

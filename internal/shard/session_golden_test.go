@@ -25,6 +25,7 @@ var frameNames = map[byte]string{
 	exchange.FrameState: "State",
 	exchange.FrameIter:  "Iter",
 	exchange.FrameUp:    "Up",
+	exchange.FrameTick:  "Tick",
 	exchange.FrameBye:   "Bye",
 	exchange.FrameErr:   "Err",
 }
@@ -41,19 +42,7 @@ var frameNames = map[byte]string{
 //
 //	go test ./internal/shard -run TestSessionGolden -update
 func TestSessionGolden(t *testing.T) {
-	build := func(spec []byte) (*graph.Graph, error) {
-		var s mpc.Spec
-		if err := json.Unmarshal(spec, &s); err != nil {
-			return nil, err
-		}
-		p, err := mpc.FromSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		p.Graph.InitZero()
-		return p.Graph, nil
-	}
-	_, _, streams := tappedSolve(t, admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":8}`)}, build,
+	_, _, streams := tappedSolve(t, admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":8}`)}, buildMPC,
 		admm.Options{MaxIter: 60, AbsTol: 1e-9, RelTol: 1e-9, CheckEvery: 10, Adapt: &admm.AdaptConfig{Mu: 2, Tau: 2}})
 
 	var got bytes.Buffer
@@ -77,6 +66,20 @@ func TestSessionGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("session transcript differs from %s (rewrite it with -update if the change is intended):\n--- got\n%s--- want\n%s", path, got.Bytes(), want)
 	}
+}
+
+// buildMPC builds the mpc workload from its spec JSON, zero-initialized.
+func buildMPC(spec []byte) (*graph.Graph, error) {
+	var s mpc.Spec
+	if err := json.Unmarshal(spec, &s); err != nil {
+		return nil, err
+	}
+	p, err := mpc.FromSpec(s)
+	if err != nil {
+		return nil, err
+	}
+	p.Graph.InitZero()
+	return p.Graph, nil
 }
 
 // transcriptLine renders one tapped frame.

@@ -271,20 +271,14 @@ func sessionFail(conn net.Conn, err error) error {
 	return err
 }
 
-// checkSessionShape validates an opener's worker/shard indices and its
-// frame timeout. The accept loop runs it before a session allocates
-// anything they size or arms a deadline from it: a timeout past
-// admm.MaxTransportTimeoutMS would overflow time.Duration and silently
-// unbound the mesh I/O.
+// checkSessionShape validates an opener's worker/shard indices. The
+// accept loop runs it before a session allocates anything they size.
 func checkSessionShape(cfg wireConfig) error {
 	if cfg.Shards < 1 || cfg.Shards > admm.MaxShards || cfg.Worker < 0 || cfg.Worker >= cfg.Shards {
 		return fmt.Errorf("worker %d of %d shards (want 1..%d shards)", cfg.Worker, cfg.Shards, admm.MaxShards)
 	}
 	if len(cfg.Peers) != cfg.Shards {
 		return fmt.Errorf("%d peer addrs for %d shards", len(cfg.Peers), cfg.Shards)
-	}
-	if cfg.FrameTimeoutMS < 0 || cfg.FrameTimeoutMS > admm.MaxTransportTimeoutMS {
-		return fmt.Errorf("frame_timeout_ms %d (want 0..%d)", cfg.FrameTimeoutMS, admm.MaxTransportTimeoutMS)
 	}
 	return nil
 }
@@ -321,6 +315,7 @@ const (
 	stateMeshWait   = "mesh-wait"
 	stateAwaitState = "await-state"
 	stateReady      = "ready"
+	stateRunning    = "running"
 )
 
 // runSession executes one coordinator session: take the problem from
@@ -333,13 +328,17 @@ const (
 // this table, and any other (state, kind) pair is refused with FrameErr
 // naming both, which ends the session:
 //
-//	state        State            Iter             Bye
-//	mesh-wait    refuse           refuse           refuse
-//	await-state  install -> ready refuse           end
-//	ready        refuse           block -> ready   end
+//	state        State            Iter               Bye
+//	mesh-wait    refuse           refuse             refuse
+//	await-state  install -> ready refuse             end
+//	ready        refuse           run -> running     end
+//	running      refuse*          refuse*            end*
 //
 // A build or a graph-tier hit answers Ready in await-state; a
-// state-tier hit in ready.
+// state-tier hit in ready. A block runs in running (watchBlock), and
+// its Up returns the session to ready. * A frame or a hang-up there
+// first closes the mesh, ending any wait on a peer, and is acted on
+// once the block has ended.
 func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOptions, hellos <-chan peerConn) (err error) {
 	fail := func(err error) error { return sessionFail(conn, err) }
 	refuseFrame := func(f exchange.Frame, state string) error {
@@ -443,20 +442,6 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	if err != nil {
 		return fail(err)
 	}
-	// The coordinator's frame timeout applies symmetrically: bound the
-	// mesh exchange and this worker's control-plane writes, so a
-	// stalled peer or coordinator fails the session instead of wedging
-	// this worker forever. Control reads stay unbounded — an idle
-	// session between blocks is normal.
-	frameTimeout := time.Duration(cfg.FrameTimeoutMS) * time.Millisecond
-	if frameTimeout > 0 {
-		ex.SetIOTimeout(frameTimeout)
-	}
-	armWrite := func() {
-		if frameTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(frameTimeout))
-		}
-	}
 
 	st := g.Stats()
 	ready := wireReady{
@@ -467,7 +452,6 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		ManifestDigest: fmt.Sprintf("%016x", man.Digest()),
 		Hit:            hit,
 	}
-	armWrite()
 	if err := writeJSONFrame(conn, exchange.FrameReady, ready); err != nil {
 		return err
 	}
@@ -481,8 +465,13 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		state = stateReady
 	}
 	block := 0
+	var f exchange.Frame
+	var ok, held bool // held: running read f (or the hang-up, !ok)
 	for {
-		f, ok := <-frames
+		if !held {
+			f, ok = <-frames
+		}
+		held = false
 		if !ok {
 			if readErr == io.EOF {
 				// Coordinator went away without Bye — treat as session end.
@@ -523,17 +512,57 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 				}
 				zprev = zprevBuf
 			}
+			state = stateRunning
+			live := liveConn{conn, time.Duration(liveBound.Load())}
+			var tickErr error
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() { f, ok, held, tickErr = watchBlock(live, frames, ex, id, stop); close(done) }()
 			rep, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev)
-			if iterErr != nil {
+			if iterErr == nil {
+				// Encoding a large Up takes a while: tick through it.
+				out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
+			}
+			close(stop)
+			<-done
+			switch {
+			case tickErr != nil:
+				return tickErr
+			case held:
+				continue
+			case iterErr != nil:
 				return fail(iterErr)
 			}
-			out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
-			armWrite()
-			if err := exchange.FinishFrame(conn, out); err != nil {
+			state = stateReady
+			if err := exchange.FinishFrame(live, out); err != nil {
 				return err
 			}
 		default:
 			return refuseFrame(f, state)
+		}
+	}
+}
+
+// watchBlock sends a Tick every tickEvery until stop closes; a control
+// frame or hang-up (seen: f, ok) or a failed Tick (err) first closes the
+// mesh, ending any wait on a peer.
+func watchBlock(conn liveConn, frames <-chan exchange.Frame, ex *exchange.Messaged, id int, stop <-chan struct{}) (f exchange.Frame, ok, seen bool, err error) {
+	ticks := time.NewTicker(time.Duration(liveTick.Load()))
+	defer ticks.Stop()
+	var buf []byte
+	for {
+		select {
+		case <-stop:
+			return
+		case f, ok = <-frames:
+			ex.Close()
+			return f, ok, true, nil
+		case <-ticks.C:
+			peer, waited := ex.Waiting(id)
+			buf = appendTick(exchange.BeginFrame(buf[:0], exchange.FrameTick, 0), peer, waited)
+			if err = exchange.FinishFrame(conn, buf); err != nil {
+				ex.Close()
+				return
+			}
 		}
 	}
 }

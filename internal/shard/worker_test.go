@@ -94,11 +94,10 @@ func checkCleanSession(t testing.TB, addr string, n int) {
 // TestHostileShardCountRefused: a Cfg whose shape no session can have —
 // a negative shard count, one whose peer channel alone would not fit in
 // memory, one past admm.MaxShards, a worker index out of range, a peer
-// list of the wrong length, a frame timeout below zero, past
-// admm.MaxTransportTimeoutMS or so large its duration overflows — is
-// answered with FrameErr on the accept loop, before anything is sized
-// or armed by it, and the worker then serves a clean session
-// bit-identical to Serial.
+// list of the wrong length — or that carries the retired
+// frame_timeout_ms key, whatever its value, is answered with FrameErr on
+// the accept loop, before anything is sized by it, and the worker then
+// serves a clean session bit-identical to Serial.
 func TestHostileShardCountRefused(t *testing.T) {
 	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, 48)})
 	peers := func(n int) []string {
@@ -108,24 +107,32 @@ func TestHostileShardCountRefused(t *testing.T) {
 		}
 		return out
 	}
-	for _, cfg := range []wireConfig{
-		{Shards: -1},
-		{Shards: 1 << 40},
-		{Shards: admm.MaxShards + 1, Peers: peers(admm.MaxShards + 1)},
-		{Shards: 2, Worker: 2, Peers: peers(2)},
-		{Shards: 2, Worker: -1, Peers: peers(2)},
-		{Shards: 2, Peers: peers(3)},
-		{Shards: 1, Peers: peers(1), FrameTimeoutMS: -1},
-		{Shards: 1, Peers: peers(1), FrameTimeoutMS: admm.MaxTransportTimeoutMS + 1},
-		{Shards: 1, Peers: peers(1), FrameTimeoutMS: 1e13},
+	for _, tc := range []struct {
+		cfg          wireConfig
+		frameTimeout string // a retired frame_timeout_ms value to splice in
+	}{
+		{cfg: wireConfig{Shards: -1}},
+		{cfg: wireConfig{Shards: 1 << 40}},
+		{cfg: wireConfig{Shards: admm.MaxShards + 1, Peers: peers(admm.MaxShards + 1)}},
+		{cfg: wireConfig{Shards: 2, Worker: 2, Peers: peers(2)}},
+		{cfg: wireConfig{Shards: 2, Worker: -1, Peers: peers(2)}},
+		{cfg: wireConfig{Shards: 2, Peers: peers(3)}},
+		{cfg: wireConfig{Shards: 1, Peers: peers(1)}, frameTimeout: "-1"},
+		{cfg: wireConfig{Shards: 1, Peers: peers(1)}, frameTimeout: "5000"},
+		{cfg: wireConfig{Shards: 1, Peers: peers(1)}, frameTimeout: "1e13"},
 	} {
+		cfg := tc.cfg
 		cfg.Session, cfg.Workload, cfg.Spec = 7, "chain", []byte(`{}`)
-		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
+		payload := mustJSON(t, cfg)
+		if tc.frameTimeout != "" {
+			payload = append([]byte(`{"frame_timeout_ms":`+tc.frameTimeout+`,`), payload[1:]...)
+		}
+		conn := dialFrame(t, addr, exchange.FrameCfg, payload)
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		_, _, err := readFrameKind(conn, nil, exchange.FrameReady)
 		var re *remoteError
-		if !errors.As(err, &re) || re.transient() {
-			t.Fatalf("worker %d of %d shards, %d peers, frame timeout %d ms: got %v, want a FrameErr refusal", cfg.Worker, cfg.Shards, len(cfg.Peers), cfg.FrameTimeoutMS, err)
+		if !errors.As(err, &re) || re.transient() || tc.frameTimeout != "" && !strings.Contains(re.msg, `unknown field "frame_timeout_ms"`) {
+			t.Fatalf("worker %d of %d shards, %d peers, frame_timeout_ms %q: got %v, want a FrameErr refusal", cfg.Worker, cfg.Shards, len(cfg.Peers), tc.frameTimeout, err)
 		}
 		conn.Close()
 	}
@@ -208,27 +215,52 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 
 // TestWorkerSessionTable drives one worker into each state of
 // runSession's table — mesh-wait (worker 0 of 2, whose peer never
-// dials), await-state (a state-digest miss) and ready (after a State
-// push) — and sends every frame kind there. The four pairs the table
-// lists act — await-state × State and Bye, ready × Iter (one Up comes
-// back) and Bye; every other pair, a second State and the retired kinds
-// 15 (Params) and 16 (Done) included, is answered within 1 s by a
-// FrameErr naming the kind and the state, and the worker then serves a
-// clean session.
+// dials), await-state (a state-digest miss), ready (after a State push)
+// and running (worker 1 of 2 inside a block, waiting on a peer 0 that
+// takes its mesh dial and never answers) — and sends every frame kind
+// there. The five pairs the table lists act — await-state × State and
+// Bye, ready × Iter (one Up comes back) and Bye, running × Bye; every
+// other pair, a second State and the retired kinds 15 (Params) and 16
+// (Done) included, is answered within 1 s by a FrameErr naming the kind
+// and the state, and the worker then serves a clean session. A running
+// worker first says, in a Tick, that it waits on peer 0, and any frame
+// closes its mesh.
 func TestWorkerSessionTable(t *testing.T) {
 	const n = 16
+	shrinkLiveness(t, 20*time.Millisecond, 5*time.Second)
 	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), MeshWait: 5 * time.Second, CacheEntries: 2})
 	g := chainGraph(t, n)
 	var session uint64
+	var mesh net.Conn // peer 0's end of the running worker's mesh
 	open := func(t *testing.T, state string) net.Conn {
 		session++
 		cfg := wireConfig{Session: session, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}, StateDigest: "0000000000000000"}
-		if state == stateMeshWait {
+		var peer0 net.Listener
+		switch state {
+		case stateMeshWait:
 			cfg.Shards, cfg.Peers = 2, []string{addr, addr}
+		case stateRunning:
+			var err error
+			if peer0, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer peer0.Close()
+			cfg.Shards, cfg.Worker, cfg.Peers = 2, 1, []string{"tcp:" + peer0.Addr().String(), addr}
 		}
 		conn := dialFrame(t, addr, exchange.FrameCfg, mustJSON(t, cfg))
 		if state == stateMeshWait {
 			return conn
+		}
+		if state == stateRunning {
+			var err error
+			if mesh, err = peer0.Accept(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { mesh.Close() })
+			mesh.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := readFrameKind(mesh, nil, exchange.FramePeer); err != nil {
+				t.Fatal(err)
+			}
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		f, _, err := readFrameKind(conn, nil, exchange.FrameReady)
@@ -239,12 +271,36 @@ func TestWorkerSessionTable(t *testing.T) {
 		if err != nil || ready.Hit == cacheHitState || state == stateAwaitState && ready.Hit != cacheHitGraph {
 			t.Fatalf("opening a session for %s: hit %q, err %v", state, ready.Hit, err)
 		}
-		if state == stateReady {
+		if state == stateReady || state == stateRunning {
 			if err := exchange.WriteFrame(conn, exchange.FrameState, 0, appendState(nil, g)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if state == stateRunning {
+			if err := writeJSONFrame(conn, exchange.FrameIter, wireIter{Iters: 1}); err != nil {
+				t.Fatal(err)
+			}
+			f, _, err := readFrameKind(conn, nil, exchange.FrameTick)
+			if err == nil {
+				var peer int
+				if peer, _, err = decodeTick(f.Payload, 1, 2); err == nil && peer != 0 {
+					err = fmt.Errorf("tick names peer %d, want 0", peer)
+				}
+			}
+			if err != nil {
+				t.Fatalf("a running worker's Tick: %v", err)
+			}
+		}
 		return conn
+	}
+	// reply reads the worker's answer, past any Tick still in flight.
+	reply := func(conn net.Conn) (exchange.Frame, error) {
+		for {
+			f, _, err := exchange.ReadFrame(conn, nil)
+			if err != nil || f.Kind != exchange.FrameTick {
+				return f, err
+			}
+		}
 	}
 	kinds := []struct {
 		kind    byte
@@ -263,13 +319,15 @@ func TestWorkerSessionTable(t *testing.T) {
 		{exchange.FramePong, mustJSON(t, wirePong{})},
 		{exchange.FrameM, nil},
 		{exchange.FrameZ, nil},
+		{exchange.FrameTick, appendTick(nil, -1, 0)},
 		{3, nil}, {4, nil}, {22, []byte(`{}`)}, {23, []byte(`{}`)},
 		{99, nil},
 		{exchange.FrameBye, nil},
 	}
 	// ready runs before await-state: its State pushes fill the cache, so
 	// every await-state session is a graph-tier hit whose digest misses.
-	for _, state := range []string{stateMeshWait, stateReady, stateAwaitState} {
+	// The running sessions (two shards) keep the other cache entry.
+	for _, state := range []string{stateMeshWait, stateReady, stateRunning, stateAwaitState} {
 		for _, k := range kinds {
 			t.Run(fmt.Sprintf("%s/kind-%d", state, k.kind), func(t *testing.T) {
 				conn := open(t, state)
@@ -277,7 +335,14 @@ func TestWorkerSessionTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				conn.SetReadDeadline(time.Now().Add(time.Second))
-				f, _, err := exchange.ReadFrame(conn, nil)
+				f, err := reply(conn)
+				if state == stateRunning {
+					// The frame closed the mesh: peer 0 reads the
+					// worker's first sends, then EOF.
+					if _, err := io.Copy(io.Discard, mesh); err != nil {
+						t.Fatalf("running worker's mesh after kind %d: %v, want EOF", k.kind, err)
+					}
+				}
 				listed := state == stateAwaitState && k.kind == exchange.FrameState ||
 					state == stateReady && k.kind == exchange.FrameIter ||
 					state != stateMeshWait && k.kind == exchange.FrameBye
@@ -417,8 +482,8 @@ var malformedEdits = func() []wireEdit {
 // Op codes of a FuzzWorkerSession input: five bytes per op, [code,
 // conn, x, y, z]. conn%4 picks one of three persistent connections (a
 // closed one is redialed) or, for 3, a fresh one-shot connection; on an
-// opCfg, conn>>2&3 picks a hostile frame timeout (1..3: -1 ms, one past
-// admm.MaxTransportTimeoutMS, 1e13 ms) over the valid one.
+// opCfg, conn>>2&3 = 1..3 splices in the retired frame_timeout_ms key
+// (-1, 5000 or 1e13 ms), which the worker refuses as unknown.
 const (
 	opCfg = iota
 	opState
@@ -438,18 +503,17 @@ const fuzzChainVars = 16
 
 // FuzzWorkerSession drives one in-process worker with a fuzzed
 // sequence of frames: openers with fuzzed shape, workload, spec, state
-// digest, peers and frame timeout; State of fuzzed lengths; Iter, also
+// digest and peers, some carrying a retired key; State of fuzzed
+// lengths; Iter, also
 // before any State, carrying edits well-formed and malformed; mesh
 // hellos; Ping; Bye; the retired kinds 3, 4, 15, 16, 22 and 23; a bare
 // header declaring MaxFrameLen; and frames of any kind.
 // Whatever the sequence, the worker must still answer Ping, then serve
 // a clean session bit-identical to Serial, and once its listener
 // closes, leave no goroutine behind. Peer addresses are the worker's own
-// or a socket nobody listens on, so nothing leaves the machine.
-// Fuzzed configs always carry a frame timeout, valid or refused:
-// without one, mid-solve mesh I/O is unbounded by design, and a config
-// naming a peer that never answers holds its session until the peer
-// does.
+// or a socket nobody listens on, so nothing leaves the machine. A
+// session still running a block when the fuzzer hangs up closes its
+// mesh and ends (the running row of runSession's table).
 func FuzzWorkerSession(f *testing.F) {
 	op := func(code, conn, x, y, z byte) []byte { return []byte{code, conn, x, y, z} }
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -478,7 +542,8 @@ func FuzzWorkerSession(f *testing.F) {
 	}
 	// State before Ready: worker 0 of 2 waits for a peer that never dials.
 	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opState, 0, 1, 0, 0)))
-	// One-shot openers with each hostile frame timeout, then a session.
+	// One-shot openers carrying each retired frame timeout, then a
+	// session.
 	f.Add(seq(op(opCfg, 1<<2|3, 1, 0, 0), op(opCfg, 2<<2|3, 1, 0, 0), op(opCfg, 3<<2|3, 1, 0, 0),
 		op(opCfg, 0, 1, 0, 0), op(opState, 0, 1, 0, 0), op(opIter, 0, 2, 0, 1)))
 	// Mesh hellos from -1, from the session's own index, and from its
@@ -548,11 +613,10 @@ func FuzzWorkerSession(f *testing.F) {
 					shards = 1 << 40
 				}
 				cfg := wireConfig{
-					Session:        uint64(z&3) + 1,
-					Worker:         int(int8(y)) % 4,
-					Workload:       "chain",
-					Spec:           []byte(`{}`),
-					FrameTimeoutMS: []int{100 + 200*int(z>>7), -1, admm.MaxTransportTimeoutMS + 1, 1e13}[ci>>2&3],
+					Session:  uint64(z&3) + 1,
+					Worker:   int(int8(y)) % 4,
+					Workload: "chain",
+					Spec:     []byte(`{}`),
 				}
 				peer := addr
 				if z&0x08 != 0 {
@@ -575,7 +639,11 @@ func FuzzWorkerSession(f *testing.F) {
 				if z&0x40 != 0 {
 					cfg.StateDigest = "0000000000000000"
 				}
-				frame = exchange.AppendFrame(nil, exchange.FrameCfg, 0, mustJSON(t, cfg))
+				payload := mustJSON(t, cfg)
+				if ms := []string{"", "-1", "5000", "1e13"}[ci>>2&3]; ms != "" {
+					payload = append([]byte(`{"frame_timeout_ms":`+ms+`,`), payload[1:]...)
+				}
+				frame = exchange.AppendFrame(nil, exchange.FrameCfg, 0, payload)
 			case opState:
 				frame = exchange.AppendFrame(nil, exchange.FrameState, 0, sized(x&1 != 0, int(y)*8+int(z&7), stateLen, y))
 			case opIter:
