@@ -70,7 +70,7 @@ var solvers = map[string]func(size, iters int, cfg runConfig, seed int64) error{
 func parseConfig(args []string) (config, error) {
 	var c config
 	var backend, transport, addrs, failover string
-	var shards, dialAttempts int
+	var shards int
 	var fused bool
 	var dialTimeout, handshakeTimeout time.Duration
 	fs := flag.NewFlagSet("paradmm-solve", flag.ContinueOnError)
@@ -84,7 +84,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	fs.DurationVar(&dialTimeout, "dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
 	fs.DurationVar(&handshakeTimeout, "handshake-timeout", 0, "sockets transport: bound on each handshake frame exchange (0 = 30s default)")
-	fs.IntVar(&dialAttempts, "dial-attempts", 0, "sockets transport: dial+handshake retry budget with capped exponential backoff (0 = 3 attempts)")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
 	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
 	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve")
@@ -131,7 +130,6 @@ func parseConfig(args []string) (config, error) {
 		spec.Fused = &fused
 		spec.DialTimeoutMS = int(dialTimeout / time.Millisecond)
 		spec.HandshakeTimeoutMS = int(handshakeTimeout / time.Millisecond)
-		spec.DialAttempts = dialAttempts
 		spec.Failover = failover
 		if spec.Kind == admm.ExecSharded {
 			// One worker process per shard. An un-passed -shards follows

@@ -40,12 +40,12 @@ func TestParseConfig(t *testing.T) {
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
 			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
-			"-dial-timeout", "5s", "-handshake-timeout", "2s", "-dial-attempts", "4", "-failover", "survivors", "-fleet"},
+			"-dial-timeout", "5s", "-handshake-timeout", "2s", "-failover", "survivors", "-fleet"},
 			with(func(c *config) {
 				c.run.fleet = true
 				c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
 					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, DialTimeoutMS: 5000, HandshakeTimeoutMS: 2000,
-					DialAttempts: 4, Failover: "survivors"}
+					Failover: "survivors"}
 			}), ""},
 		{"five-phase oracle", []string{"-fused=false"}, with(func(c *config) { c.run.spec.Fused = &unfused }), ""},
 		{"negative size", []string{"-size", "-1"}, config{}, "-size = -1: must not be negative"},
@@ -53,7 +53,9 @@ func TestParseConfig(t *testing.T) {
 		{"negative shards", []string{"-shards", "-2"}, config{}, "-shards = -2"},
 		{"negative repeat", []string{"-repeat", "-1"}, config{}, "-repeat = -1"},
 		{"zero repeat", []string{"-repeat", "0"}, config{}, "-repeat 0 out of range"},
-		{"negative dial attempts", []string{"-dial-attempts", "-1"}, config{}, "-dial-attempts = -1"},
+		// shard.Solve's one attempt loop owns every retry; there is no
+		// retry budget to set.
+		{"retired dial attempts", []string{"-dial-attempts", "3"}, config{}, "flag provided but not defined: -dial-attempts"},
 		{"negative dial timeout", []string{"-dial-timeout", "-1s"}, config{}, "-dial-timeout = -1s"},
 		{"negative handshake timeout", []string{"-handshake-timeout", "-5ms"}, config{}, "-handshake-timeout = -5ms"},
 		// A running block is bounded by the workers' heartbeats; there is

@@ -58,7 +58,6 @@ func matrixSpec(addrs []string) admm.ExecutorSpec {
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
-		DialAttempts:       1,
 	}
 }
 
@@ -245,7 +244,6 @@ func TestFailoverSurvivorConformance(t *testing.T) {
 	g := matrixGraph(t)
 	spec := matrixSpec(addrs)
 	spec.Failover = admm.FailoverSurvivors
-	spec.DialAttempts = 2
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	if err != nil {
 		t.Fatalf("failover solve failed: %v (trail %v)", err, out.Failures)

@@ -173,7 +173,6 @@ func TestFleetConformance(t *testing.T) {
 					Problem:            &admm.ProblemRef{Workload: name, Spec: w.spec},
 					DialTimeoutMS:      2000,
 					HandshakeTimeoutMS: 5000,
-					DialAttempts:       1,
 				})
 				out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
 					Executor: spec, MaxIter: iters,
@@ -256,7 +255,6 @@ func TestFleetWorkerRestartBetweenProbes(t *testing.T) {
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
-		DialAttempts:       1,
 	})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()
@@ -310,7 +308,6 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 		DialTimeoutMS:      2000,
 		HandshakeTimeoutMS: 5000,
-		DialAttempts:       2,
 	})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()

@@ -62,14 +62,12 @@ type ExecutorSpec struct {
 	//
 	// DialTimeoutMS bounds each control/mesh connection establishment;
 	// HandshakeTimeoutMS bounds each handshake frame (config out, Ready
-	// back, state push). DialAttempts caps the dial+handshake retry loop
-	// (default 3, capped exponential backoff between attempts). No
-	// timeout may exceed MaxTransportTimeoutMS. A running block needs no
-	// knob: the workers' heartbeats bound it (the liveness rule of
-	// internal/shard).
+	// back, state push). No timeout may exceed MaxTransportTimeoutMS.
+	// There is no retry knob: shard.Solve's one attempt loop owns every
+	// retry. A running block needs no knob either: the workers'
+	// heartbeats bound it (the liveness rule of internal/shard).
 	DialTimeoutMS      int `json:"dial_timeout_ms,omitempty"`
 	HandshakeTimeoutMS int `json:"handshake_timeout_ms,omitempty"`
-	DialAttempts       int `json:"dial_attempts,omitempty"`
 	// Failover selects the recovery policy when a worker process is
 	// lost mid-solve: "" or "none" fail the solve with a typed error,
 	// "survivors" re-partitions onto the workers still alive and
@@ -102,10 +100,6 @@ const (
 	// coordinator itself is healthy.
 	FailoverLocal = "local"
 )
-
-// MaxDialAttempts bounds ExecutorSpec.DialAttempts: retries beyond this
-// only stretch a doomed handshake (the backoff is already capped).
-const MaxDialAttempts = 16
 
 // MaxTransportTimeoutMS bounds each transport timeout at one hour: a
 // silent endpoint holds a serving pool slot for the handshake timeout
@@ -258,15 +252,12 @@ func (s ExecutorSpec) Validate() error {
 		}
 	}
 	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 ||
-		s.DialAttempts != 0 || s.Failover != "") && s.Kind != ExecSharded {
-		return fmt.Errorf("admm: dial/handshake timeouts, dial_attempts, and failover apply only to %q, not %q", ExecSharded, s.Kind)
+		s.Failover != "") && s.Kind != ExecSharded {
+		return fmt.Errorf("admm: dial/handshake timeouts and failover apply only to %q, not %q", ExecSharded, s.Kind)
 	}
 	if min(s.DialTimeoutMS, s.HandshakeTimeoutMS) < 0 || max(s.DialTimeoutMS, s.HandshakeTimeoutMS) > MaxTransportTimeoutMS {
 		return fmt.Errorf("admm: transport timeouts (dial %d / handshake %d ms) need 0..%d ms",
 			s.DialTimeoutMS, s.HandshakeTimeoutMS, MaxTransportTimeoutMS)
-	}
-	if s.DialAttempts < 0 || s.DialAttempts > MaxDialAttempts {
-		return fmt.Errorf("admm: dial_attempts = %d, need 0..%d", s.DialAttempts, MaxDialAttempts)
 	}
 	switch s.Failover {
 	case "", FailoverNone, FailoverSurvivors, FailoverLocal:

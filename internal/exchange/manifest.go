@@ -107,6 +107,15 @@ func (m *Manifest) ScatterWords() int {
 	return n * m.D
 }
 
+// Linked reports whether workers i and j exchange any boundary state
+// in either direction — the condition for a mesh connection between
+// them.
+func (m *Manifest) Linked(i, j int) bool {
+	k := m.Shards
+	return len(m.MEdges[i*k+j]) > 0 || len(m.MEdges[j*k+i]) > 0 ||
+		len(m.ZVars[i*k+j]) > 0 || len(m.ZVars[j*k+i]) > 0
+}
+
 // Words returns the total steady-state doubles per iteration. By
 // construction this equals graph.CutCost of the source partition: the
 // off-diagonal MEdges entries of a boundary variable count

@@ -159,12 +159,7 @@ func NewPeer(g *graph.Graph, man *Manifest, id int, conns []io.ReadWriteCloser) 
 	}
 	k := man.Shards
 	for j := 0; j < k; j++ {
-		if j == id {
-			continue
-		}
-		need := len(man.MEdges[id*k+j]) > 0 || len(man.MEdges[j*k+id]) > 0 ||
-			len(man.ZVars[id*k+j]) > 0 || len(man.ZVars[j*k+id]) > 0
-		if need && conns[j] == nil {
+		if j != id && man.Linked(id, j) && conns[j] == nil {
 			return nil, fmt.Errorf("exchange: worker %d needs a peer connection to %d (boundary traffic in manifest)", id, j)
 		}
 	}

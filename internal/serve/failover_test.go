@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/exchange"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -40,7 +42,7 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, DialTimeout: 2 * time.Second})
 	body := fmt.Sprintf(`{"workload":"mpc","spec":{"k":24},"max_iter":60,
 		"executor":{"kind":"sharded","transport":"sockets","failover":"survivors",
-		            "dial_attempts":1,"addrs":[%q,%q,%q]}}`,
+		            "addrs":[%q,%q,%q]}}`,
 		addrs[0], addrs[1], deadAddr)
 	code, v := postSolve(t, ts, body)
 	if code != 200 || v.Status != StatusDone {
@@ -60,16 +62,7 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 		t.Fatalf("failover view carries no failure trail: %+v", fo)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(raw)
+	metrics := scrapeMetrics(t, ts)
 	for _, m := range []string{
 		"paradmm_shard_failovers_total 1",
 		"paradmm_shard_worker_failures_total",
@@ -80,6 +73,56 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 			t.Errorf("metrics missing %q", m)
 		}
 	}
+}
+
+// TestFailedSolveCountsRetries: the one endpoint answers every health
+// probe and hangs up on every session opener. Under the default policy
+// the solve retries the same worker once, because the probe finds it
+// alive, and then fails; the failed solve's retry still lands in
+// paradmm_shard_retries_total.
+func TestFailedSolveCountsRetries(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if f, _, err := exchange.ReadFrame(conn, nil); err == nil && f.Kind == exchange.FramePing {
+				exchange.WriteFrame(conn, exchange.FramePong, 0, []byte(`{"active":false,"sessions":0}`))
+			}
+			conn.Close()
+		}
+	}()
+
+	_, ts := newTestServer(t, Config{Workers: 1, DialTimeout: 2 * time.Second})
+	body := fmt.Sprintf(`{"workload":"mpc","spec":{"k":24},"max_iter":60,
+		"executor":{"kind":"sharded","transport":"sockets","addrs":[%q]}}`, "tcp:"+ln.Addr().String())
+	if _, v := postSolve(t, ts, body); v.Status != StatusFailed {
+		t.Fatalf("job %+v, want a failed solve", v)
+	}
+	if metrics := scrapeMetrics(t, ts); !strings.Contains(metrics, "paradmm_shard_retries_total 1\n") {
+		t.Fatalf("metrics lack paradmm_shard_retries_total 1:\n%s", metrics)
+	}
+}
+
+// scrapeMetrics returns the server's /metrics exposition.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestSolveFailoverValidation: failover policies are validated at

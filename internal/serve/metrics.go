@@ -118,7 +118,7 @@ func newMetrics(withStore, withFleet bool, fill func(*snapshot)) *metrics {
 		{"paradmm_shard_shards", "Shard count of the last sharded solve.", gauge, read(func(s *snapshot) int64 { return int64(s.shard.Shards) })},
 		{"paradmm_shard_bytes_per_iter", "Boundary-state payload bytes per iteration the last sharded solve's message transport moved (0 on the local transport; equals cut cost x 8 when the manifest is healthy).", gauge, readFloat(func(s *snapshot) float64 { return s.shard.BytesPerIter })},
 		{"paradmm_shard_cut_cost_words", "Degree-weighted cut cost of the last sharded solve's partition (predicted cross-shard words per iteration).", gauge, readFloat(func(s *snapshot) float64 { return s.shard.CutCost })},
-		{"paradmm_shard_retries_total", "Dial+handshake retries burned by sharded sockets solves.", counter, value(&m.shardRetries)},
+		{"paradmm_shard_retries_total", "Attempts sharded sockets solves ran again on an unchanged worker set.", counter, value(&m.shardRetries)},
 		{"paradmm_shard_failovers_total", "Worker-set shrinks: a lost worker's load re-partitioned onto survivors and the solve re-run cold.", counter, value(&m.shardFailovers)},
 		{"paradmm_shard_local_fallbacks_total", "Failover solves finished on the in-process fused executor after the remote pool was exhausted.", counter, value(&m.shardLocalFallbacks)},
 		{"paradmm_shard_worker_failures_total", "Solve attempts lost to a worker transport failure.", counter, value(&m.shardWorkerFailures)},

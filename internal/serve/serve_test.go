@@ -108,6 +108,9 @@ func TestSolveHandler(t *testing.T) {
 		// frame_timeout_ms is a retired key: the workers' heartbeats bound
 		// every running block, so there is no deadline to set.
 		{"sockets with the retired frame_timeout_ms field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","frame_timeout_ms":5000},"max_iter":100}`, http.StatusBadRequest},
+		// dial_attempts is a retired key: shard.Solve's one attempt loop
+		// owns every retry.
+		{"sockets with the retired dial_attempts field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","dial_attempts":3},"max_iter":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

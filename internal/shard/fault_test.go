@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/faultnet"
 	"repro/internal/graph"
+	"repro/internal/prox"
 )
 
 // startFaultWorker hosts one in-process shard worker behind a
@@ -47,28 +49,26 @@ func chainSpec(addrs []string) admm.ExecutorSpec {
 }
 
 // TestDialRetryThroughRefusingListener: the first connection to a
-// worker is refused (accepted and immediately torn down); the
-// dial+handshake retry loop must absorb it and complete on the second
-// attempt, reporting the burned attempt in Stats.
+// worker is refused (accepted and immediately torn down). NewRemote
+// makes one attempt and fails; Solve's attempt loop probes the worker,
+// finds it alive and runs the same set once more, which completes bit
+// for bit like serial and leaves one retry in the trail.
 func TestDialRetryThroughRefusingListener(t *testing.T) {
 	builders := chainBuilders(t, 48)
 	addr, _ := startFaultWorker(t, builders, faultnet.PlanAt(0, faultnet.Plan{Refuse: true}), WorkerOptions{})
 
 	g := chainGraph(t, 48)
-	spec := chainSpec([]string{addr})
-	spec.DialAttempts = 3
-	r, err := NewRemote(context.Background(), spec, g)
+	out, err := Solve(context.Background(), g, admm.SolveOptions{Executor: chainSpec([]string{addr}), MaxIter: 10})
 	if err != nil {
-		t.Fatalf("handshake did not survive one refused connection: %v", err)
+		t.Fatalf("solve did not survive one refused connection: %v", err)
 	}
-	defer r.Close()
-	if got := r.Stats().HandshakeRetries; got < 1 {
-		t.Fatalf("HandshakeRetries = %d, want >= 1", got)
+	if out.Attempts != 2 || out.HandshakeRetries != 1 || out.Failovers != 0 {
+		t.Fatalf("trail %+v, want 2 attempts, 1 retry, 0 failovers", out.Recovery)
 	}
-	var nanos [admm.NumPhases]int64
-	r.Iterate(g, 10, &nanos)
 	ref := chainGraph(t, 48)
-	admm.NewSerialFused().Iterate(ref, 10, &nanos)
+	if _, err := admm.Solve(ref, admm.SolveOptions{MaxIter: 10}); err != nil {
+		t.Fatal(err)
+	}
 	for i := range ref.Z {
 		if ref.Z[i] != g.Z[i] {
 			t.Fatalf("post-retry solve diverged from serial at Z[%d]", i)
@@ -78,10 +78,11 @@ func TestDialRetryThroughRefusingListener(t *testing.T) {
 
 // busyListener answers the next `refuse` session openers the way a
 // worker with a running session and a full queue slot does, and hands
-// every other connection to the worker behind it.
+// every other connection to the worker behind it. accepted counts every
+// connection it took.
 type busyListener struct {
 	net.Listener
-	refuse atomic.Int32
+	refuse, accepted atomic.Int32
 }
 
 func (l *busyListener) Accept() (net.Conn, error) {
@@ -90,6 +91,7 @@ func (l *busyListener) Accept() (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
+		l.accepted.Add(1)
 		if l.refuse.Load() == 0 {
 			return conn, nil
 		}
@@ -101,13 +103,27 @@ func (l *busyListener) Accept() (net.Conn, error) {
 	}
 }
 
+// startBusyWorker serves a worker behind a busyListener and returns the
+// listener and its dialable addr.
+func startBusyWorker(t *testing.T, opts WorkerOptions) (*busyListener, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := &busyListener{Listener: ln}
+	t.Cleanup(func() { busy.Close() })
+	go ServeWorker(busy, opts)
+	return busy, "tcp:" + ln.Addr().String()
+}
+
 // TestBusyRefusalFailsHandshakeFast: worker 1 refuses the opener as
 // busy while worker 0 (default MeshWait, 30 s) is already waiting for
-// worker 1's mesh dial. The refusal must fail the attempt at once —
-// not sit unread behind worker 0's Ready — and worker 0 must drop the
-// orphaned session when the coordinator hangs up, so the retry finds it
-// free instead of queueing behind a 30 s ghost. Same contract whether
-// the workers keep a problem cache (warm) or not.
+// worker 1's mesh dial. The refusal must fail NewRemote's one attempt
+// at once — not sit unread behind worker 0's Ready — and worker 0 must
+// drop the orphaned session when the coordinator hangs up, so Solve's
+// retry finds it free instead of queueing behind a 30 s ghost. Same
+// contract whether the workers keep a problem cache (warm) or not.
 func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		t.Run(fmt.Sprintf("warm=%t", warm), func(t *testing.T) {
@@ -117,19 +133,12 @@ func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 			}
 			builders := chainBuilders(t, 48)
 			addrs := startCacheWorkers(t, 1, entries, builders)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			busy := &busyListener{Listener: ln}
-			t.Cleanup(func() { busy.Close() })
-			go ServeWorker(busy, WorkerOptions{Builders: builders, CacheEntries: entries})
-			spec := chainSpec(append(addrs, "tcp:"+ln.Addr().String()))
+			busy, busyAddr := startBusyWorker(t, WorkerOptions{Builders: builders, CacheEntries: entries})
+			spec := chainSpec(append(addrs, busyAddr))
 
 			busy.refuse.Store(1)
-			spec.DialAttempts = 1
 			start := time.Now()
-			_, err = NewRemote(context.Background(), spec, chainGraph(t, 48))
+			_, err := NewRemote(context.Background(), spec, chainGraph(t, 48))
 			var we *WorkerError
 			if !errors.As(err, &we) || we.Worker != 1 || we.Phase != PhaseHandshake || we.Config {
 				t.Fatalf("want a transient handshake WorkerError for worker 1, got %v", err)
@@ -139,27 +148,171 @@ func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 			}
 
 			busy.refuse.Store(1)
-			spec.DialAttempts = 0
 			start = time.Now()
 			g := chainGraph(t, 48)
-			r, err := NewRemote(context.Background(), spec, g)
+			out, err := Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: 40})
 			if err != nil {
 				t.Fatalf("retry after a busy refusal did not stand up: %v", err)
 			}
-			defer r.Close()
-			if got := r.Stats().HandshakeRetries; got != 1 {
-				t.Fatalf("HandshakeRetries = %d, want 1", got)
+			if out.Attempts != 2 || out.HandshakeRetries != 1 {
+				t.Fatalf("trail %+v, want 2 attempts and 1 retry", out.Recovery)
 			}
-			var nanos [admm.NumPhases]int64
-			r.Iterate(g, 40, &nanos)
 			if el := time.Since(start); el > 2*time.Second {
 				t.Fatalf("solve behind a busy refusal took %v", el)
 			}
 			ref := chainGraph(t, 48)
-			admm.NewSerial().Iterate(ref, 40, &nanos)
+			if _, err := admm.Solve(ref, admm.SolveOptions{MaxIter: 40}); err != nil {
+				t.Fatal(err)
+			}
 			for i := range ref.Z {
 				if ref.Z[i] != g.Z[i] {
 					t.Fatalf("remote diverged from serial at Z[%d]", i)
+				}
+			}
+		})
+	}
+}
+
+// TestRetryTrailCountsEveryRetry: worker 1 refuses six openers as busy.
+// Under every policy Solve out-waits them on the same worker set, one
+// attempt per refusal, and the trail counts each: seven attempts, six
+// retries, seven openers at the busy worker, and the serial answer.
+func TestRetryTrailCountsEveryRetry(t *testing.T) {
+	const refusals = 6
+	for _, policy := range []string{admm.FailoverNone, admm.FailoverSurvivors} {
+		t.Run(policy, func(t *testing.T) {
+			builders := chainBuilders(t, 48)
+			busy, busyAddr := startBusyWorker(t, WorkerOptions{Builders: builders})
+			spec := chainSpec(append(startTestWorkers(t, 1, builders), busyAddr))
+			spec.Failover = policy
+			busy.refuse.Store(refusals)
+
+			g := chainGraph(t, 48)
+			out, err := Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: 40})
+			if err != nil {
+				t.Fatalf("solve behind %d busy refusals failed: %v (trail %v)", refusals, err, out.Failures)
+			}
+			if out.Attempts != refusals+1 || out.HandshakeRetries != refusals || out.Failovers != 0 {
+				t.Fatalf("trail %+v, want %d attempts, %d retries, 0 failovers", out.Recovery, refusals+1, refusals)
+			}
+			if got := busy.accepted.Load(); got != refusals+1 {
+				t.Fatalf("%d openers reached the busy worker, want %d", got, refusals+1)
+			}
+			ref := chainGraph(t, 48)
+			if _, err := admm.Solve(ref, admm.SolveOptions{MaxIter: 40}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref.Z {
+				if ref.Z[i] != g.Z[i] {
+					t.Fatalf("solve diverged from serial at Z[%d]", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDoneContextEndsRetries: a worker that refuses every opener as
+// busy keeps Solve retrying; cancelling ctx ends the loop at once with
+// an error that wraps context.Canceled.
+func TestDoneContextEndsRetries(t *testing.T) {
+	builders := chainBuilders(t, 48)
+	busy, addr := startBusyWorker(t, WorkerOptions{Builders: builders})
+	busy.refuse.Store(1 << 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(300*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := Solve(ctx, chainGraph(t, 48), admm.SolveOptions{Executor: chainSpec([]string{addr}), MaxIter: 10})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want an error wrapping context.Canceled", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("a cancelled solve took %v to return", el)
+	}
+}
+
+// isolatedGraph is n variables, each with its own squared-norm prox
+// and nothing else: no partition of it has a boundary, so its workers
+// open no mesh and answer the handshake without waiting on each other.
+func isolatedGraph(t testing.TB, n int) *graph.Graph {
+	t.Helper()
+	g := graph.New(2)
+	for i := 0; i < n; i++ {
+		g.AddNode(prox.SquaredNorm{C: 0.5, Dim: 2}, i)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	g.SetUniformParams(1, 1)
+	g.InitRandom(-1, 1, rand.New(rand.NewSource(1)))
+	return g
+}
+
+// TestSilentEndpointCostsOneHandshake: worker 2 is an endpoint that
+// accepts and never replies, and both timeouts are 500 ms. One
+// handshake and one probe find it out: it accepts exactly two
+// connections. Under none the solve returns its handshake WorkerError;
+// under survivors it finishes on the two live workers, bit for bit like
+// serial. Either way within 1.5 s.
+func TestSilentEndpointCostsOneHandshake(t *testing.T) {
+	for _, policy := range []string{admm.FailoverNone, admm.FailoverSurvivors} {
+		t.Run(policy, func(t *testing.T) {
+			builders := map[string]BuilderFunc{
+				"isolated": func([]byte) (*graph.Graph, error) { return isolatedGraph(t, 24), nil },
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			var accepted atomic.Int32
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					accepted.Add(1)
+					defer conn.Close() // hold open, never reply
+				}
+			}()
+			silent := "tcp:" + ln.Addr().String()
+			spec := admm.ExecutorSpec{
+				Kind: admm.ExecSharded, Transport: admm.TransportSockets,
+				Addrs:         append(startTestWorkers(t, 2, builders), silent),
+				Problem:       &admm.ProblemRef{Workload: "isolated", Spec: []byte(`{}`)},
+				DialTimeoutMS: 500, HandshakeTimeoutMS: 500, Failover: policy,
+			}
+
+			g := isolatedGraph(t, 24)
+			start := time.Now()
+			out, err := Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: 20})
+			elapsed := time.Since(start)
+			if got := accepted.Load(); got != 2 {
+				t.Fatalf("the silent endpoint accepted %d connections, want 2 (one handshake, one probe)", got)
+			}
+			if elapsed > 1500*time.Millisecond {
+				t.Fatalf("solve took %v, want at most 1.5 s", elapsed)
+			}
+			if policy == admm.FailoverNone {
+				var we *WorkerError
+				if !errors.As(err, &we) || we.Addr != silent || we.Phase != PhaseHandshake {
+					t.Fatalf("got %v, want the silent endpoint's handshake WorkerError", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("survivors solve failed: %v (trail %v)", err, out.Failures)
+			}
+			if out.Failovers != 1 || len(out.FinalAddrs) != 2 || out.FinalAddrs[1] == silent {
+				t.Fatalf("trail %+v, want one failover onto the two live workers", out.Recovery)
+			}
+			ref := isolatedGraph(t, 24)
+			if _, err := admm.Solve(ref, admm.SolveOptions{MaxIter: 20}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref.Z {
+				if ref.Z[i] != g.Z[i] {
+					t.Fatalf("survivor solve diverged from serial at Z[%d]", i)
 				}
 			}
 		})
@@ -189,7 +342,6 @@ func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
 	g := chainGraph(t, 32)
 	spec := chainSpec([]string{"tcp:" + ln.Addr().String()})
 	spec.HandshakeTimeoutMS = 200
-	spec.DialAttempts = 1
 	start := time.Now()
 	_, err = NewRemote(context.Background(), spec, g)
 	if err == nil {
@@ -220,7 +372,6 @@ func TestStalledStateTimeout(t *testing.T) {
 	g := chainGraph(t, 32)
 	spec := chainSpec([]string{addr})
 	spec.HandshakeTimeoutMS = 300
-	spec.DialAttempts = 1
 	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		// Acceptable: the stall can already bite during handshake reads.
@@ -324,9 +475,10 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 		t.Fatalf("Iterate over torn-down connections returned %v, want a *WorkerError", err)
 	}
 
-	// The worker must come back: a fresh session on the same endpoint
-	// handshakes and solves to the serial answer. The previous session's
-	// teardown can race this handshake, which the retry budget absorbs.
+	// The worker must come back: once the torn-down session ends, a
+	// fresh session on the same endpoint handshakes and solves to the
+	// serial answer.
+	awaitIdle(t, []string{addr}, 5*time.Second)
 	g2 := chainGraph(t, 48)
 	r2, err := NewRemote(context.Background(), spec, g2)
 	if err != nil {
@@ -424,7 +576,6 @@ func TestSolveWithFailoverLocal(t *testing.T) {
 	spec := chainSpec(deadAddrs)
 	spec.Failover = admm.FailoverLocal
 	spec.DialTimeoutMS = 500
-	spec.DialAttempts = 1
 	out, err := Solve(context.Background(), g, admm.SolveOptions{
 		Executor: spec, MaxIter: 25,
 	})

@@ -64,7 +64,7 @@ func probeWorker(ctx context.Context, addr string, timeout time.Duration) Worker
 		h.Err = (&WorkerError{Addr: addr, Phase: PhaseProbe, Err: err}).Error()
 		return h
 	}
-	conn, err := DialAddrTimeout(addr, timeout)
+	conn, err := DialAddr(ctx, addr, timeout)
 	if err != nil {
 		return fail(err)
 	}

@@ -27,7 +27,7 @@ import (
 
 // awaitIdle demands every worker at addrs answer a probe with no
 // session running within bound.
-func awaitIdle(t *testing.T, addrs []string, bound time.Duration) {
+func awaitIdle(t testing.TB, addrs []string, bound time.Duration) {
 	t.Helper()
 	for deadline := time.Now().Add(bound); ; time.Sleep(10 * time.Millisecond) {
 		idle := true
@@ -38,7 +38,7 @@ func awaitIdle(t *testing.T, addrs []string, bound time.Duration) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("workers %v still in a session %v after the block failed", addrs, bound)
+			t.Fatalf("workers %v still in a session %v later", addrs, bound)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -226,8 +227,6 @@ const (
 	// DefaultHandshakeTimeout bounds each handshake frame exchange
 	// (problem build + partition + mesh happen between Cfg and Ready).
 	DefaultHandshakeTimeout = 30 * time.Second
-	// DefaultDialAttempts is the dial+handshake retry budget.
-	DefaultDialAttempts = 3
 )
 
 // The liveness rule of a running block (docs/fault-tolerance.md): a
@@ -290,20 +289,16 @@ func decodeTick(payload []byte, self, shards int) (peer int, waited time.Duratio
 	return int(p), waited, nil
 }
 
-// DialAddr connects to a worker endpoint (see admm.SplitAddr) with the
-// default dial timeout.
-func DialAddr(addr string) (net.Conn, error) {
-	return DialAddrTimeout(addr, DefaultDialTimeout)
-}
-
-// DialAddrTimeout connects to a worker endpoint with an explicit bound
-// on connection establishment (<= 0 falls back to the default).
-func DialAddrTimeout(addr string, timeout time.Duration) (net.Conn, error) {
+// DialAddr connects to a worker endpoint (see admm.SplitAddr) with a
+// bound on connection establishment (<= 0 falls back to the default);
+// ctx aborts the dial early.
+func DialAddr(ctx context.Context, addr string, timeout time.Duration) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
 	network, address := admm.SplitAddr(addr)
-	return net.DialTimeout(network, address, timeout)
+	d := net.Dialer{Timeout: timeout}
+	return d.DialContext(ctx, network, address)
 }
 
 // ListenAddr listens on a worker endpoint (see admm.SplitAddr).
@@ -450,12 +445,4 @@ func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int,
 		}
 	}
 	return nil
-}
-
-// meshNeeded reports whether workers i and j exchange any boundary
-// state under the manifest — the condition for a mesh connection.
-func meshNeeded(man *exchange.Manifest, i, j int) bool {
-	k := man.Shards
-	return len(man.MEdges[i*k+j]) > 0 || len(man.MEdges[j*k+i]) > 0 ||
-		len(man.ZVars[i*k+j]) > 0 || len(man.ZVars[j*k+i]) > 0
 }

@@ -19,7 +19,6 @@ import (
 type timeouts struct {
 	dial      time.Duration
 	handshake time.Duration
-	attempts  int
 }
 
 // specTimeouts resolves the spec's reliability knobs against the
@@ -28,16 +27,12 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 	t := timeouts{
 		dial:      DefaultDialTimeout,
 		handshake: DefaultHandshakeTimeout,
-		attempts:  DefaultDialAttempts,
 	}
 	if spec.DialTimeoutMS > 0 {
 		t.dial = time.Duration(spec.DialTimeoutMS) * time.Millisecond
 	}
 	if spec.HandshakeTimeoutMS > 0 {
 		t.handshake = time.Duration(spec.HandshakeTimeoutMS) * time.Millisecond
-	}
-	if spec.DialAttempts > 0 {
-		t.attempts = spec.DialAttempts
 	}
 	return t
 }
@@ -95,11 +90,11 @@ var remoteSessions atomic.Uint64
 // verifies every worker rebuilt the same graph and boundary manifest,
 // and pushes g's full state down. The returned backend drives the
 // workers on each Iterate. g must be the finalized coordinator-side
-// replica of the referenced problem. The dial+handshake retry loop
-// (spec.DialAttempts attempts, capped exponential backoff) aborts
-// between attempts when ctx is done. Configuration mismatches (graph
-// shape, manifest digest, unknown workload) fail immediately —
-// retrying the same config cannot succeed.
+// replica of the referenced problem. NewRemote makes exactly one dial
+// and handshake; ctx aborts its dials. On failure it tears the attempt
+// down and returns the typed *WorkerError — Config set for a mismatch
+// (graph shape, manifest digest, unknown workload) that no retry can
+// cure. Retrying is Solve's business.
 func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Remote, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: remote transport needs a finalized graph")
@@ -132,34 +127,12 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 	r.reps = make([]blockReport, shards)
 	r.stats = r.plan.shapeStats(admm.TransportSockets)
 	r.stats.SyncWaitByShard = make([]int64, shards)
-	backoff := 50 * time.Millisecond
-	for attempt := 1; ; attempt++ {
-		err = r.handshake()
-		if err == nil {
-			break
-		}
-		// A failed handshake abandons every connection of the attempt;
-		// the next one redials the full worker set under a fresh
-		// session id, so half-meshed workers from this attempt time out
-		// and clean up on their own.
+	if err := r.handshake(ctx); err != nil {
+		// A failed handshake abandons every connection of the attempt,
+		// so half-meshed workers see the hang-up and clean up on their
+		// own; a retry redials under a fresh session id.
 		r.teardown()
-		var we *WorkerError
-		if errors.As(err, &we) && we.Config {
-			return nil, err
-		}
-		if attempt >= r.tmo.attempts {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("shard: handshake abandoned: %w (last failure: %v)", ctx.Err(), err)
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > time.Second {
-			backoff = time.Second
-		}
-		r.stats.HandshakeRetries++
+		return nil, err
 	}
 	return r, nil
 }
@@ -169,12 +142,9 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 // hit already holds the exact state, and its push is skipped. Configs
 // go out in ascending worker order so that by the time worker i dials
 // its mesh peers j < i, those workers already know the session. Each
-// attempt uses a fresh session id so stray mesh dials from an abandoned
-// attempt are discarded by the workers.
-func (r *Remote) handshake() error {
-	// The control-plane counters describe the attempt that succeeds.
-	r.stats.CacheHits, r.stats.CacheGraphHits, r.stats.CacheMisses = 0, 0, 0
-	r.stats.StatePushes, r.stats.HandshakeFrames = 0, 0
+// session id is fresh, so the workers discard stray mesh dials from an
+// abandoned one.
+func (r *Remote) handshake(ctx context.Context) error {
 	r.session = uint64(os.Getpid())<<32 | remoteSessions.Add(1)
 	r.conns = make([]net.Conn, r.shards)
 	werr := func(i int, phase string, config bool, err error) error {
@@ -194,7 +164,7 @@ func (r *Remote) handshake() error {
 		StateDigest: stateDigest(state[payloadAt:]),
 	}
 	for i := 0; i < r.shards; i++ {
-		conn, err := DialAddrTimeout(r.addrs[i], r.tmo.dial)
+		conn, err := DialAddr(ctx, r.addrs[i], r.tmo.dial)
 		if err != nil {
 			return werr(i, PhaseDial, false, err)
 		}

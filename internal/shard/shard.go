@@ -108,10 +108,6 @@ type Stats struct {
 	// field stays only because the frozen benchmark/solver.go reads it
 	// by name; it goes with the benchmark unfreeze (ROADMAP).
 	DeltaFrames int64
-	// HandshakeRetries counts full dial+handshake attempts the remote
-	// transport burned beyond the first before the session stood up
-	// (always 0 in-process).
-	HandshakeRetries int
 	// Worker-cache outcomes per worker, as each Ready reported them
 	// (remote transport only; all zero in-process). CacheHits are
 	// state-tier hits — the worker restored its cached problem and
@@ -121,8 +117,7 @@ type Stats struct {
 	CacheHits      int
 	CacheGraphHits int
 	CacheMisses    int
-	// StatePushes counts the full-state downloads the successful
-	// handshake sent, and HandshakeFrames every control frame it
+	// StatePushes counts the full-state downloads the handshake sent, and HandshakeFrames every control frame it
 	// exchanged in either direction: Cfg, Ready and State per worker,
 	// less the State a state hit skips — the fleet conformance suite
 	// pins a repeated solve to zero State pushes and one frame fewer

@@ -21,8 +21,10 @@ type Recovery struct {
 	// fired). 0 means the spec named no workers: the solve ran
 	// in-process and the trail holds nothing but Backend.
 	Attempts int `json:"attempts"`
-	// HandshakeRetries is the successful attempt's dial+handshake
-	// retries (Stats.HandshakeRetries).
+	// HandshakeRetries counts the attempts Solve ran again on an
+	// unchanged worker set: busy-refusal waits and the one same-set
+	// retry after a failure every worker survived. A failed solve
+	// counts its retries too.
 	HandshakeRetries int `json:"dial_retries,omitempty"`
 	// Failovers counts worker-set shrinks: each one re-partitioned the
 	// problem onto fewer workers and re-ran the solve cold.
@@ -62,22 +64,33 @@ type Outcome struct {
 // one channel — the returned error; a worker process lost mid-solve is
 // a typed *WorkerError like one lost at the handshake.
 //
-// A spec that names worker processes (Addrs) runs under its failover
-// policy (spec.Failover): FailoverNone fails on the first worker loss,
-// FailoverSurvivors probes the workers, re-partitions the problem onto
-// the live ones and re-runs cold until none remain, FailoverLocal
-// additionally finishes on the in-process fused executor. Every
-// attempt starts from the same snapshot of g's pre-solve state, so the
-// final result is bit-identical to a clean solve with the final worker
-// set (or with the serial executor, under FailoverLocal) — recovery
-// never changes the answer, only who computes it. Non-transport errors
-// (engine errors, config mismatches) are never retried. ctx cancels
-// between attempts and during handshakes and probes.
+// A spec that names worker processes (Addrs) runs the one attempt
+// loop; each attempt is one NewRemote — one dial and handshake — and
+// one Run. After a failed attempt the loop decides:
+//
+//   - a config *WorkerError, an error that is no *WorkerError, or a
+//     done ctx ends the solve at once: no worker set can change it;
+//   - a busy refusal retries the same set after busyPoll, until the
+//     waits add up to the handshake timeout;
+//   - under FailoverNone, a failure after the handshake (PhaseIterate,
+//     PhaseCollect) ends the solve, so none never re-runs a solve that
+//     started;
+//   - any other failure probes the workers. If every one answers, the
+//     same set runs once more. Otherwise, or on a second failure,
+//     FailoverSurvivors and FailoverLocal re-partition onto the live
+//     workers (dropping the one the error named when all answer) and
+//     re-run cold, and FailoverNone returns the error. FailoverLocal
+//     finishes on the in-process fused executor once no worker is left.
+//
+// Every attempt starts from the same snapshot of g's pre-solve state,
+// so the final result is bit-identical to a clean solve with the final
+// worker set (or with the serial executor, under FailoverLocal) —
+// recovery never changes the answer, only who computes it. ctx cancels
+// between attempts and during dials and probes.
 func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome, error) {
 	var out Outcome
-	// Warm state applies once: a failed-over re-run must restart from
-	// the same warm iterate the first attempt saw, not re-apply it onto
-	// mutated state.
+	// Warm state applies once: a re-run must restart from the same warm
+	// iterate the first attempt saw, not re-apply it onto mutated state.
 	if opts.Warm != nil && opts.Warm.Captured() {
 		if err := opts.Warm.Apply(g); err != nil {
 			return out, err
@@ -96,11 +109,8 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 	if err := spec.Validate(); err != nil {
 		return out, err
 	}
-	failover := spec.Failover == admm.FailoverSurvivors || spec.Failover == admm.FailoverLocal
-	var snap graph.State
-	if failover {
-		snap = g.SaveState()
-	}
+	shrink := spec.Failover == admm.FailoverSurvivors || spec.Failover == admm.FailoverLocal
+	snap := g.SaveState()
 	tmo := specTimeouts(spec)
 	cur := spec
 	cur.Addrs = append([]string(nil), spec.Addrs...)
@@ -112,6 +122,9 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 	// busy" rejections, bounded by the handshake timeout.
 	const busyPoll = 250 * time.Millisecond
 	var busyWaited time.Duration
+	abandoned := func(last error) error {
+		return fmt.Errorf("shard: solve abandoned: %w (last failure: %v)", ctx.Err(), last)
+	}
 	for out.Attempts < maxAttempts && len(cur.Addrs) > 0 {
 		if out.Attempts > 0 {
 			g.RestoreState(snap)
@@ -119,35 +132,37 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 		out.Attempts++
 		err := out.attempt(ctx, g, opts, cur)
 		if err == nil {
-			out.HandshakeRetries = out.ShardStats.HandshakeRetries
 			out.FinalAddrs = cur.Addrs
 			return out, nil
 		}
 		out.Failures = append(out.Failures, err.Error())
+		if ctx.Err() != nil {
+			return out, abandoned(err)
+		}
 		var we *WorkerError
-		if !failover || !errors.As(err, &we) || we.Config {
-			// No recovery policy; or an engine or configuration error,
-			// or an abandoned context, that another worker set cannot
-			// change.
+		if !errors.As(err, &we) || we.Config {
+			// An engine or configuration error that another worker set
+			// cannot change.
 			return out, err
 		}
 		// A busy refusal is the worker's explicit word that it is
 		// alive but occupied — typically a previous attempt's session
 		// still draining its mesh wait after a peer died, or a queued
-		// opener from an abandoned attempt. Shrinking would drop a
-		// live worker, so out-wait the teardown instead, bounded by
-		// the handshake timeout.
+		// opener from an abandoned attempt. Out-wait the teardown
+		// instead of dropping a live worker.
 		var re *remoteError
 		if errors.As(err, &re) && re.transient() && busyWaited < tmo.handshake {
 			busyWaited += busyPoll
 			maxAttempts++ // patience, not a failover attempt
-			if err := sleepCtx(ctx, busyPoll); err != nil {
-				return out, fmt.Errorf("shard: failover abandoned: %w (last failure: %v)", err, we)
+			out.HandshakeRetries++
+			if sleepCtx(ctx, busyPoll) != nil {
+				return out, abandoned(err)
 			}
 			continue
 		}
-		// Transport failure under an active failover policy: probe the
-		// current worker set and shrink onto the survivors.
+		if !shrink && (we.Phase == PhaseIterate || we.Phase == PhaseCollect) {
+			return out, err
+		}
 		out.Health = ProbeWorkers(ctx, cur.Addrs, tmo.dial)
 		survivors := make([]string, 0, len(cur.Addrs))
 		for _, h := range out.Health {
@@ -155,30 +170,31 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 				survivors = append(survivors, h.Addr)
 			}
 		}
-		if len(survivors) == len(cur.Addrs) {
+		switch {
+		case len(survivors) == len(cur.Addrs) && !sameSetRetried:
 			// Every worker answered the probe — the failure may have
-			// been transient (a flaky link, a worker busy tearing down).
-			// Retry the full set once; a second failure drops the
-			// worker the error named, even though it still answers
-			// probes.
-			if !sameSetRetried {
-				sameSetRetried = true
-			} else {
+			// been transient (a flaky link, a worker busy tearing
+			// down). Retry the same set once.
+			sameSetRetried = true
+			out.HandshakeRetries++
+		case !shrink:
+			return out, err
+		default:
+			// Shrink onto the live workers; a second failure with every
+			// worker alive drops the one the error named, even though
+			// it still answers probes.
+			if len(survivors) == len(cur.Addrs) {
 				survivors = dropAddr(survivors, we.Addr)
-				sameSetRetried = false
 			}
-		} else {
 			sameSetRetried = false
-		}
-		if len(survivors) < len(cur.Addrs) {
 			out.Failovers++
 			cur.Addrs = survivors // NewRemote runs one shard per addr
 		}
 		if len(cur.Addrs) == 0 {
 			break
 		}
-		if err := sleepCtx(ctx, attemptBackoff(out.Attempts)); err != nil {
-			return out, fmt.Errorf("shard: failover abandoned: %w (last failure: %v)", err, we)
+		if sleepCtx(ctx, attemptBackoff(out.Attempts)) != nil {
+			return out, abandoned(err)
 		}
 	}
 	if spec.Failover != admm.FailoverLocal {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -401,11 +402,11 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	waiting := 0
 	for j := range cfg.Shards {
 		switch {
-		case j == id || !meshNeeded(man, id, j):
+		case j == id || !man.Linked(id, j):
 		case j > id:
 			waiting++
 		default:
-			pc, err := DialAddrTimeout(cfg.Peers[j], opts.DialTimeout)
+			pc, err := DialAddr(context.Background(), cfg.Peers[j], opts.DialTimeout)
 			if err != nil {
 				return fail(fmt.Errorf("dial mesh peer %d (%s): %w", j, cfg.Peers[j], err))
 			}
@@ -420,7 +421,7 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		select {
 		case p := <-hellos:
 			j := p.hello.From
-			if j <= id || j >= cfg.Shards || mesh[j] != nil || !meshNeeded(man, id, j) {
+			if j <= id || j >= cfg.Shards || mesh[j] != nil || !man.Linked(id, j) {
 				p.conn.Close()
 				continue
 			}

@@ -35,7 +35,7 @@ func startWorker(t testing.TB, opts WorkerOptions) (string, net.Listener, <-chan
 // dialFrame opens a connection to the worker and writes one frame on it.
 func dialFrame(t testing.TB, addr string, kind byte, payload []byte) net.Conn {
 	t.Helper()
-	conn, err := DialAddr(addr)
+	conn, err := DialAddr(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +66,13 @@ func checkPing(t testing.TB, addr string) WorkerHealth {
 }
 
 // checkCleanSession runs a one-worker chain session of n variables
-// against addr and demands Serial's iterates bit for bit. The dial
-// budget outwaits a worker still draining earlier sessions.
+// against addr and demands Serial's iterates bit for bit, once the
+// worker has drained earlier sessions.
 func checkCleanSession(t testing.TB, addr string, n int) {
 	t.Helper()
-	spec := chainSpec([]string{addr})
-	spec.DialAttempts = admm.MaxDialAttempts
+	awaitIdle(t, []string{addr}, 15*time.Second)
 	g := chainGraph(t, n)
-	r, err := NewRemote(context.Background(), spec, g)
+	r, err := NewRemote(context.Background(), chainSpec([]string{addr}), g)
 	if err != nil {
 		t.Fatalf("clean session refused: %v", err)
 	}
@@ -573,7 +572,7 @@ func FuzzWorkerSession(f *testing.F) {
 		}
 		defer closeAll()
 		dial := func() net.Conn {
-			c, err := DialAddr(addr)
+			c, err := DialAddr(context.Background(), addr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

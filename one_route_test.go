@@ -47,7 +47,7 @@ func oneRouteExecutor(addrs []string, failover string) string {
 	}
 	quoted, _ := json.Marshal(addrs)
 	return fmt.Sprintf(`{"kind":"sharded","transport":"sockets","addrs":%s,"failover":%q,`+
-		`"dial_timeout_ms":2000,"handshake_timeout_ms":5000,"dial_attempts":2}`,
+		`"dial_timeout_ms":2000,"handshake_timeout_ms":5000}`,
 		quoted, failover)
 }
 

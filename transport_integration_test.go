@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -79,7 +80,7 @@ func spawnWorkers(t *testing.T, addrs []string, sessions int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for _, addr := range addrs {
 		for {
-			conn, err := shard.DialAddr(addr)
+			conn, err := shard.DialAddr(context.Background(), addr, 0)
 			if err == nil {
 				conn.Close()
 				break
