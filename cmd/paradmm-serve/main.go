@@ -46,7 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admm"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -100,8 +99,6 @@ func parseConfig(args []string) (serve.Config, options, error) {
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", serve.DefaultIdleTimeout, "drop keep-alive connections idle this long between requests")
 	fs.StringVar(&o.storeDir, "store", "", "persistent warm-start store directory (empty = disabled); bulk streams seed from and persist to it across restarts")
 	fs.Int64Var(&o.storeMaxBytes, "store-max-bytes", 256<<20, "solution store log size cap before compaction")
-	fs.DurationVar(&cfg.DialTimeout, "dial-timeout", 0, "default worker dial timeout for sharded sockets solves whose specs leave dial_timeout_ms unset (0 = 10s)")
-	fs.DurationVar(&cfg.HandshakeTimeout, "handshake-timeout", 0, "default worker handshake timeout for sharded sockets solves whose specs leave handshake_timeout_ms unset (0 = 30s)")
 	fs.StringVar(&fleetAddrs, "fleet-addrs", "", "comma-separated paradmm-shardworker endpoints forming a persistent serve fleet; eligible requests are routed local/remote/shed by the admission planner (see docs/fleet.md)")
 	fs.DurationVar(&o.fleet.ProbeInterval, "fleet-probe-interval", 2*time.Second, "fleet registry health-probe period")
 	fs.DurationVar(&o.fleet.ProbeTimeout, "fleet-probe-timeout", time.Second, "per-worker health-probe deadline")
@@ -134,9 +131,6 @@ func parseConfig(args []string) (serve.Config, options, error) {
 			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
 		}
 	})
-	if limit := admm.MaxTransportTimeoutMS * time.Millisecond; bad == nil && max(cfg.DialTimeout, cfg.HandshakeTimeout) > limit {
-		bad = fmt.Errorf("-dial-timeout and -handshake-timeout must not exceed %v", limit)
-	}
 	if bad != nil {
 		fmt.Fprintln(fs.Output(), bad)
 		fs.Usage()

@@ -32,17 +32,19 @@ func TestParseConfig(t *testing.T) {
 	}{
 		{"defaults", nil, defaults, ""},
 		{"cache per key", []string{"-cache-per-key=4"}, with(func(c *serve.Config) { c.CachePerKey = 4 }), ""},
-		{"workers and timeouts", []string{"-workers", "3", "-dial-timeout", "2s", "-fleet-min-edges", "500"},
+		{"workers and fleet floor", []string{"-workers", "3", "-fleet-min-edges", "500"},
 			with(func(c *serve.Config) {
 				c.Workers = 3
-				c.DialTimeout = 2 * time.Second
 				c.FleetPlanner.MinEdges = 500
 			}), ""},
 		{"negative cache per key", []string{"-cache-per-key=-2"}, serve.Config{}, "-cache-per-key = -2: must not be negative"},
 		{"negative queue", []string{"-queue", "-5"}, serve.Config{}, "-queue = -5"},
 		{"negative body bytes", []string{"-max-body-bytes", "-1"}, serve.Config{}, "-max-body-bytes = -1"},
-		{"negative duration", []string{"-dial-timeout", "-1s"}, serve.Config{}, "-dial-timeout = -1s"},
-		{"timeout past the bound", []string{"-handshake-timeout", "2h"}, serve.Config{}, "must not exceed 1h0m0s"},
+		{"negative duration", []string{"-idle-timeout", "-1s"}, serve.Config{}, "-idle-timeout = -1s"},
+		// The liveness rule bounds a whole worker session: there is no
+		// dial or handshake timeout to set.
+		{"retired dial timeout", []string{"-dial-timeout", "2s"}, serve.Config{}, "flag provided but not defined: -dial-timeout"},
+		{"retired handshake timeout", []string{"-handshake-timeout", "2h"}, serve.Config{}, "flag provided but not defined: -handshake-timeout"},
 		{"garbage cache per key", []string{"-cache-per-key", "two"}, serve.Config{}, `invalid value "two" for flag -cache-per-key`},
 		{"unknown flag", []string{"-cache-bytes", "1"}, serve.Config{}, "flag provided but not defined: -cache-bytes"},
 		{"stray argument", []string{"serve"}, serve.Config{}, `unexpected argument "serve"`},

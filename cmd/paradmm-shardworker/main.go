@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -28,17 +27,15 @@ import (
 
 // config is what the command line sets.
 type config struct {
-	listen           string
-	sessions         int
-	quiet            bool
-	dialTimeout      time.Duration
-	handshakeTimeout time.Duration
-	cacheEntries     int
-	chaosKillBlock   int
+	listen         string
+	sessions       int
+	quiet          bool
+	cacheEntries   int
+	chaosKillBlock int
 }
 
 // parseConfig parses the command line. A missing -listen, a malformed
-// value, a stray argument, or a negative count or duration is an error,
+// value, a stray argument, or a negative count is an error,
 // reported with the usage the way the flag package reports its own; -h
 // prints the usage and returns flag.ErrHelp.
 func parseConfig(args []string) (config, error) {
@@ -47,8 +44,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.listen, "listen", "", "control endpoint: unix:/path or tcp:host:port (required)")
 	fs.IntVar(&c.sessions, "sessions", 0, "exit after N coordinator sessions (0 = serve forever)")
 	fs.BoolVar(&c.quiet, "quiet", false, "suppress session lifecycle logging")
-	fs.DurationVar(&c.dialTimeout, "dial-timeout", 0, "bound on each mesh peer connection establishment (0 = 10s default)")
-	fs.DurationVar(&c.handshakeTimeout, "handshake-timeout", 0, "bound on a new connection's whole opening frame, first byte included, and on waiting for inbound mesh peers during session setup (0 = 30s default)")
 	fs.IntVar(&c.cacheEntries, "cache", 4, "problem-cache entries: built graphs (and their last state) kept between sessions, so a coordinator re-solving the same problem skips the rebuild and, from the same state, the state down-sync (0 = disabled)")
 	fs.IntVar(&c.chaosKillBlock, "chaos-kill-block", -1, "fault injection: exit(2) immediately before executing the Nth iteration block of a session (-1 = disabled; for failover testing)")
 	fs.Usage = func() {
@@ -65,17 +60,11 @@ func parseConfig(args []string) (config, error) {
 	case c.listen == "":
 		bad = errors.New("-listen is required")
 	}
-	// Every count and duration but the fault drill's block index (any
-	// negative disables it) must not be negative.
+	// Every count but the fault drill's block index (any negative
+	// disables it) must not be negative.
 	fs.Visit(func(f *flag.Flag) {
-		var neg bool
-		switch v := f.Value.(flag.Getter).Get().(type) {
-		case int:
-			neg = v < 0 && f.Name != "chaos-kill-block"
-		case time.Duration:
-			neg = v < 0
-		}
-		if neg && bad == nil {
+		v, ok := f.Value.(flag.Getter).Get().(int)
+		if neg := ok && v < 0 && f.Name != "chaos-kill-block"; neg && bad == nil {
 			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
 		}
 	})
@@ -105,8 +94,6 @@ func main() {
 	opts := shard.WorkerOptions{
 		Builders:     workload.Builders(),
 		MaxSessions:  c.sessions,
-		DialTimeout:  c.dialTimeout,
-		MeshWait:     c.handshakeTimeout,
 		CacheEntries: c.cacheEntries,
 	}
 	if c.chaosKillBlock >= 0 {

@@ -63,7 +63,7 @@ var solvers = map[string]func(size, iters int, cfg runConfig, seed int64) error{
 }
 
 // parseConfig parses the command line. A malformed value, a stray
-// argument, a negative count or duration, an unknown problem or an
+// argument, a negative count, an unknown problem or an
 // invalid executor is an error, reported with the usage the way the
 // flag package reports its own; -h prints the usage and returns
 // flag.ErrHelp.
@@ -72,7 +72,6 @@ func parseConfig(args []string) (config, error) {
 	var backend, transport, addrs, failover string
 	var shards int
 	var fused bool
-	var dialTimeout, handshakeTimeout time.Duration
 	fs := flag.NewFlagSet("paradmm-solve", flag.ContinueOnError)
 	fs.StringVar(&c.problem, "problem", "packing", "packing | mpc | svm | lasso")
 	fs.IntVar(&c.size, "size", 10, "circles / horizon / data points / observations")
@@ -82,8 +81,6 @@ func parseConfig(args []string) (config, error) {
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
-	fs.DurationVar(&dialTimeout, "dial-timeout", 0, "sockets transport: bound on each worker connection establishment (0 = 10s default)")
-	fs.DurationVar(&handshakeTimeout, "handshake-timeout", 0, "sockets transport: bound on each handshake frame exchange (0 = 30s default)")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
 	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
 	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve")
@@ -102,18 +99,12 @@ func parseConfig(args []string) (config, error) {
 	case solvers[c.problem] == nil:
 		bad = fmt.Errorf("unknown problem %q", c.problem)
 	}
-	// Every count and duration must not be negative; -seed may be.
+	// Every count must not be negative; -seed may be.
 	passed := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) {
 		passed[f.Name] = true
-		var neg bool
-		switch v := f.Value.(flag.Getter).Get().(type) {
-		case int:
-			neg = v < 0
-		case time.Duration:
-			neg = v < 0
-		}
-		if neg && bad == nil {
+		v, ok := f.Value.(flag.Getter).Get().(int)
+		if neg := ok && v < 0; neg && bad == nil {
 			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
 		}
 	})
@@ -128,8 +119,6 @@ func parseConfig(args []string) (config, error) {
 		spec.Transport = transport
 		spec.Addrs = splitAddrs(addrs)
 		spec.Fused = &fused
-		spec.DialTimeoutMS = int(dialTimeout / time.Millisecond)
-		spec.HandshakeTimeoutMS = int(handshakeTimeout / time.Millisecond)
 		spec.Failover = failover
 		if spec.Kind == admm.ExecSharded {
 			// One worker process per shard. An un-passed -shards follows

@@ -40,12 +40,11 @@ func TestParseConfig(t *testing.T) {
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
 			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
-			"-dial-timeout", "5s", "-handshake-timeout", "2s", "-failover", "survivors", "-fleet"},
+			"-failover", "survivors", "-fleet"},
 			with(func(c *config) {
 				c.run.fleet = true
 				c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
-					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, DialTimeoutMS: 5000, HandshakeTimeoutMS: 2000,
-					Failover: "survivors"}
+					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, Failover: "survivors"}
 			}), ""},
 		{"five-phase oracle", []string{"-fused=false"}, with(func(c *config) { c.run.spec.Fused = &unfused }), ""},
 		{"negative size", []string{"-size", "-1"}, config{}, "-size = -1: must not be negative"},
@@ -56,8 +55,10 @@ func TestParseConfig(t *testing.T) {
 		// shard.Solve's one attempt loop owns every retry; there is no
 		// retry budget to set.
 		{"retired dial attempts", []string{"-dial-attempts", "3"}, config{}, "flag provided but not defined: -dial-attempts"},
-		{"negative dial timeout", []string{"-dial-timeout", "-1s"}, config{}, "-dial-timeout = -1s"},
-		{"negative handshake timeout", []string{"-handshake-timeout", "-5ms"}, config{}, "-handshake-timeout = -5ms"},
+		// The liveness rule bounds a whole worker session, dial and
+		// handshake included: there is no timeout to set.
+		{"retired dial timeout", []string{"-dial-timeout", "5s"}, config{}, "flag provided but not defined: -dial-timeout"},
+		{"retired handshake timeout", []string{"-handshake-timeout", "2s"}, config{}, "flag provided but not defined: -handshake-timeout"},
 		// A running block is bounded by the workers' heartbeats; there is
 		// no per-frame deadline to set.
 		{"retired frame timeout", []string{"-frame-timeout", "1s"}, config{}, "flag provided but not defined: -frame-timeout"},

@@ -51,13 +51,11 @@ func matrixOpts(spec admm.ExecutorSpec) admm.SolveOptions {
 
 func matrixSpec(addrs []string) admm.ExecutorSpec {
 	return admm.ExecutorSpec{
-		Kind:               admm.ExecSharded,
-		Shards:             len(addrs),
-		Transport:          admm.TransportSockets,
-		Addrs:              addrs,
-		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
-		DialTimeoutMS:      2000,
-		HandshakeTimeoutMS: 5000,
+		Kind:      admm.ExecSharded,
+		Shards:    len(addrs),
+		Transport: admm.TransportSockets,
+		Addrs:     addrs,
+		Problem:   &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
 	}
 }
 
@@ -87,16 +85,12 @@ func serveScriptedWorker(t testing.TB, ln net.Listener, script faultnet.Script) 
 	}
 	fln := faultnet.WrapListener(ln, script)
 	t.Cleanup(func() { fln.Close() })
-	// Tight mesh bounds: a faulted run can leave one surviving session
-	// waiting for a mesh peer whose session already died; that wait is
-	// deadline-bounded by MeshWait, and the leak checks budget for it
+	// A faulted run can leave a surviving session waiting for a mesh
+	// peer whose session already died, or whose hello was cut; the
+	// coordinator's verdict (the liveness bound, for a lost hello) or
+	// hang-up ends that wait, and the leak checks budget for it
 	// draining.
-	go shard.ServeWorker(fln, shard.WorkerOptions{
-		Builders:     workload.Builders(),
-		DialTimeout:  2 * time.Second,
-		MeshWait:     2 * time.Second,
-		CacheEntries: 4,
-	})
+	go shard.ServeWorker(fln, shard.WorkerOptions{Builders: workload.Builders(), CacheEntries: 4})
 	return fln
 }
 

@@ -169,11 +169,7 @@ func TestFleetConformance(t *testing.T) {
 				g := w.build(t)
 				d := fleetPlan(t, reg, g, 2)
 				defer d.Release()
-				spec := d.Spec(admm.ExecutorSpec{
-					Problem:            &admm.ProblemRef{Workload: name, Spec: w.spec},
-					DialTimeoutMS:      2000,
-					HandshakeTimeoutMS: 5000,
-				})
+				spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: name, Spec: w.spec}})
 				out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
 					Executor: spec, MaxIter: iters,
 				})
@@ -251,11 +247,7 @@ func TestFleetWorkerRestartBetweenProbes(t *testing.T) {
 
 	g := matrixGraph(t)
 	d := fleetPlan(t, reg, g, 2)
-	spec := d.Spec(admm.ExecutorSpec{
-		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
-		DialTimeoutMS:      2000,
-		HandshakeTimeoutMS: 5000,
-	})
+	spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()
 	if err != nil {
@@ -304,11 +296,7 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 
 	g := matrixGraph(t)
 	d := fleetPlan(t, reg, g, 3)
-	spec := d.Spec(admm.ExecutorSpec{
-		Problem:            &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)},
-		DialTimeoutMS:      2000,
-		HandshakeTimeoutMS: 5000,
-	})
+	spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
 	d.Release()
 	if err != nil {

@@ -55,19 +55,10 @@ type ExecutorSpec struct {
 	// or "tcp:host:port"). Empty keeps the sockets transport in-process
 	// over loopback streams.
 	Addrs []string `json:"addrs,omitempty"`
-	// Reliability knobs for the sharded sockets transport (sharded
-	// only; see docs/fault-tolerance.md). Zero values keep the
-	// defaults (shard.DefaultDialTimeout etc.); the timeouts are
-	// milliseconds so specs stay plain JSON numbers.
-	//
-	// DialTimeoutMS bounds each control/mesh connection establishment;
-	// HandshakeTimeoutMS bounds each handshake frame (config out, Ready
-	// back, state push). No timeout may exceed MaxTransportTimeoutMS.
-	// There is no retry knob: shard.Solve's one attempt loop owns every
-	// retry. A running block needs no knob either: the workers'
-	// heartbeats bound it (the liveness rule of internal/shard).
-	DialTimeoutMS      int `json:"dial_timeout_ms,omitempty"`
-	HandshakeTimeoutMS int `json:"handshake_timeout_ms,omitempty"`
+	// The sockets transport has no timeout or retry knob: the liveness
+	// rule of internal/shard (the workers' heartbeats) bounds a whole
+	// worker session, dial, handshake and every block, and shard.Solve's
+	// one attempt loop owns every retry.
 	// Failover selects the recovery policy when a worker process is
 	// lost mid-solve: "" or "none" fail the solve with a typed error,
 	// "survivors" re-partitions onto the workers still alive and
@@ -100,11 +91,6 @@ const (
 	// coordinator itself is healthy.
 	FailoverLocal = "local"
 )
-
-// MaxTransportTimeoutMS bounds each transport timeout at one hour: a
-// silent endpoint holds a serving pool slot for the handshake timeout
-// per attempt, and a large enough count overflows time.Duration.
-const MaxTransportTimeoutMS = 3_600_000
 
 // FusedEnabled reports whether the spec selects the fused schedule:
 // true unless Fused explicitly disables it (kind serial only).
@@ -251,13 +237,8 @@ func (s ExecutorSpec) Validate() error {
 			seen[key] = a
 		}
 	}
-	if (s.DialTimeoutMS != 0 || s.HandshakeTimeoutMS != 0 ||
-		s.Failover != "") && s.Kind != ExecSharded {
-		return fmt.Errorf("admm: dial/handshake timeouts and failover apply only to %q, not %q", ExecSharded, s.Kind)
-	}
-	if min(s.DialTimeoutMS, s.HandshakeTimeoutMS) < 0 || max(s.DialTimeoutMS, s.HandshakeTimeoutMS) > MaxTransportTimeoutMS {
-		return fmt.Errorf("admm: transport timeouts (dial %d / handshake %d ms) need 0..%d ms",
-			s.DialTimeoutMS, s.HandshakeTimeoutMS, MaxTransportTimeoutMS)
+	if s.Failover != "" && s.Kind != ExecSharded {
+		return fmt.Errorf("admm: failover applies only to %q, not %q", ExecSharded, s.Kind)
 	}
 	switch s.Failover {
 	case "", FailoverNone, FailoverSurvivors, FailoverLocal:

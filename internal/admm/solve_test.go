@@ -1,6 +1,7 @@
 package admm
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -50,10 +51,7 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecSharded, Shards: -1},
 		{Kind: ExecSharded, Shards: MaxShards + 1},
 		{Kind: ExecSerial, Shards: 2},
-		// Transport timeouts are bounded: ~24.8 days per handshake
-		// attempt.
-		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS + 1},
-		{Kind: ExecSharded, HandshakeTimeoutMS: 2147483647},
+		{Kind: ExecSerial, Failover: FailoverSurvivors},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -73,11 +71,20 @@ func TestExecutorSpecValidate(t *testing.T) {
 		{Kind: ExecAuto},
 		{Fused: &off},
 		{Kind: ExecSerial, Fused: &off},
-		{Kind: ExecSharded, DialTimeoutMS: MaxTransportTimeoutMS, HandshakeTimeoutMS: MaxTransportTimeoutMS},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", s, err)
+		}
+	}
+	// The liveness rule bounds a whole worker session: the retired
+	// timeout keys are unknown fields, whatever their value.
+	for _, key := range []string{"dial_timeout_ms", "handshake_timeout_ms"} {
+		dec := json.NewDecoder(strings.NewReader(`{"kind":"sharded","transport":"sockets","` + key + `":5000}`))
+		dec.DisallowUnknownFields()
+		var s ExecutorSpec
+		if err := dec.Decode(&s); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("decoding a spec with %s: %v, want an unknown-field error", key, err)
 		}
 	}
 }

@@ -530,6 +530,8 @@ func TestPipelinePerRecordExecutor(t *testing.T) {
 		{"warm_cache", `{"kind":"sharded","shards":2,"transport":"sockets","warm_cache":true}`},
 		{"frame_timeout_ms", `{"kind":"sharded","shards":2,"transport":"sockets","frame_timeout_ms":5000}`},
 		{"dial_attempts", `{"kind":"sharded","shards":2,"transport":"sockets","dial_attempts":3}`},
+		{"dial_timeout_ms", `{"kind":"sharded","shards":2,"transport":"sockets","dial_timeout_ms":5000}`},
+		{"handshake_timeout_ms", `{"kind":"sharded","shards":2,"transport":"sockets","handshake_timeout_ms":5000}`},
 	}
 	for _, r := range refused {
 		line(r.executor)
@@ -572,7 +574,7 @@ func TestPipelineFailoverLocalRefusedDial(t *testing.T) {
 		ln.Close()
 	}
 	const rec = `{"workload":"mpc","spec":{"k":24},"max_iter":200,"abs_tol":1e-6,"rel_tol":1e-6%s}` + "\n"
-	remote := fmt.Sprintf(`,"executor":{"kind":"sharded","transport":"sockets","failover":"local","dial_timeout_ms":500,"addrs":[%q,%q]}`,
+	remote := fmt.Sprintf(`,"executor":{"kind":"sharded","transport":"sockets","failover":"local","addrs":[%q,%q]}`,
 		addrs[0], addrs[1])
 	solve := func(executor string) Result {
 		var out bytes.Buffer

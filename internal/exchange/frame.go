@@ -71,7 +71,8 @@ const (
 	// handshake now) and must not be reused: a worker refuses either as
 	// an unexpected frame.
 
-	// FrameTick is a worker's heartbeat while a block runs: raw int64
+	// FrameTick is a worker's heartbeat while its coordinator waits on
+	// it (from Cfg to Ready, an install of State, a block): raw int64
 	// mesh peer it waits on (-1 while it computes) and nanoseconds waited.
 	FrameTick byte = 24
 )

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/shard"
@@ -26,10 +25,7 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		go shard.ServeWorker(ln, shard.WorkerOptions{
-			Builders: workload.Builders(),
-			MeshWait: 2 * time.Second,
-		})
+		go shard.ServeWorker(ln, shard.WorkerOptions{Builders: workload.Builders()})
 		addrs[i] = "tcp:" + ln.Addr().String()
 	}
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,7 +35,7 @@ func TestSolveFailoverSurvivors(t *testing.T) {
 	deadAddr := "tcp:" + dead.Addr().String()
 	dead.Close()
 
-	_, ts := newTestServer(t, Config{Workers: 2, DialTimeout: 2 * time.Second})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	body := fmt.Sprintf(`{"workload":"mpc","spec":{"k":24},"max_iter":60,
 		"executor":{"kind":"sharded","transport":"sockets","failover":"survivors",
 		            "addrs":[%q,%q,%q]}}`,
@@ -99,7 +95,7 @@ func TestFailedSolveCountsRetries(t *testing.T) {
 		}
 	}()
 
-	_, ts := newTestServer(t, Config{Workers: 1, DialTimeout: 2 * time.Second})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	body := fmt.Sprintf(`{"workload":"mpc","spec":{"k":24},"max_iter":60,
 		"executor":{"kind":"sharded","transport":"sockets","addrs":[%q]}}`, "tcp:"+ln.Addr().String())
 	if _, v := postSolve(t, ts, body); v.Status != StatusFailed {

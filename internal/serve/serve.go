@@ -97,13 +97,6 @@ type Config struct {
 	// FleetPlanner tunes fleet admission; zero values take the auto
 	// policy's thresholds (see fleet.PlannerConfig).
 	FleetPlanner fleet.PlannerConfig
-	// DialTimeout/HandshakeTimeout are the server-wide defaults for
-	// sharded sockets solves whose specs leave dial_timeout_ms /
-	// handshake_timeout_ms unset (zero keeps the shard package
-	// defaults). Set from paradmm-serve's -dial-timeout and
-	// -handshake-timeout flags.
-	DialTimeout      time.Duration
-	HandshakeTimeout time.Duration
 }
 
 func (c *Config) defaults() {
@@ -557,14 +550,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	if len(spec.Addrs) > 0 {
 		spec.Problem = &admm.ProblemRef{Workload: j.workload, Spec: j.rawSpec}
-		// Server-wide reliability defaults fill in where the request's
-		// spec left the knobs unset.
-		if spec.DialTimeoutMS == 0 && s.cfg.DialTimeout > 0 {
-			spec.DialTimeoutMS = int(s.cfg.DialTimeout / time.Millisecond)
-		}
-		if spec.HandshakeTimeoutMS == 0 && s.cfg.HandshakeTimeout > 0 {
-			spec.HandshakeTimeoutMS = int(s.cfg.HandshakeTimeout / time.Millisecond)
-		}
 	}
 	// Jobs outlive their submitting requests — async clients poll — so
 	// the solve is deliberately not bound to the request context.

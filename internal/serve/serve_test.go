@@ -111,6 +111,10 @@ func TestSolveHandler(t *testing.T) {
 		// dial_attempts is a retired key: shard.Solve's one attempt loop
 		// owns every retry.
 		{"sockets with the retired dial_attempts field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","dial_attempts":3},"max_iter":100}`, http.StatusBadRequest},
+		// dial_timeout_ms and handshake_timeout_ms are retired keys: the
+		// liveness rule bounds a whole worker session.
+		{"sockets with the retired dial_timeout_ms field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","dial_timeout_ms":5000},"max_iter":100}`, http.StatusBadRequest},
+		{"sockets with the retired handshake_timeout_ms field", `{"workload":"mpc","spec":{"k":8},"executor":{"kind":"sharded","shards":2,"transport":"sockets","handshake_timeout_ms":5000},"max_iter":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,8 @@ func TestSolveSocketsLoopback(t *testing.T) {
 
 // TestSolveTransportValidation: transport fields are validated at
 // admission — a non-sharded executor with a transport is a 400, as is
-// an addrs/shards mismatch or a timeout past MaxTransportTimeoutMS.
+// an addrs/shards mismatch or a retired timeout key, whatever its
+// value.
 func TestSolveTransportValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	bad := []string{
@@ -57,10 +58,10 @@ func TestSolveTransportValidation(t *testing.T) {
 			t.Errorf("request %d admitted with code %d", i, code)
 		}
 	}
-	// A handshake bound of ~24.8 days per attempt would hold a pool slot
-	// that long against a silent endpoint.
+	// The liveness rule bounds a whole worker session; a handshake
+	// timeout is no longer a key, not even a huge one.
 	code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":4},"executor":{"kind":"sharded","transport":"sockets","addrs":["unix:/tmp/w0"],"handshake_timeout_ms":2147483647}}`)
-	if code != 400 || !strings.Contains(v.Error, "need 0..3600000 ms") {
-		t.Errorf("handshake_timeout_ms 2147483647: code %d, error %q; want 400 naming the bound", code, v.Error)
+	if code != 400 || !strings.Contains(v.Error, `unknown field "handshake_timeout_ms"`) {
+		t.Errorf("handshake_timeout_ms 2147483647: code %d, error %q; want 400 naming the unknown field", code, v.Error)
 	}
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+
 	"repro/internal/exchange"
 	"repro/internal/graph"
 )
@@ -86,24 +88,13 @@ func (c *workerCache) capture(key string, ent *cacheEntry, payload []byte) {
 
 // remove drops the entry for key, if present.
 func (c *workerCache) remove(key string) {
-	if _, ok := c.entries[key]; !ok {
-		return
-	}
 	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	c.order = slices.DeleteFunc(c.order, func(k string) bool { return k == key })
 }
 
+// touch makes key the most recently used.
 func (c *workerCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			c.order = append(c.order, key)
-			return
-		}
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = append(slices.Delete(c.order, i, i+1), key)
 	}
 }

@@ -135,11 +135,11 @@
 //
 // # Fault tolerance
 //
-// Cross-process sessions open under deadlines (dial and handshake —
-// ExecutorSpec's *_timeout_ms knobs), one dial and handshake per
-// NewRemote (Solve's attempt loop owns every retry); every running
-// block is bounded by the liveness rule (the workers' Ticks;
-// protocol.go), and every transport failure carries
+// One rule with no knob, the liveness rule (the workers' Ticks;
+// protocol.go), bounds a cross-process session from its dial through
+// its handshake to every running block, with one dial and handshake per
+// NewRemote (Solve's attempt loop owns every retry); every transport
+// failure carries
 // a *WorkerError attributing worker, endpoint, and protocol phase —
 // returned by NewRemote at the handshake and by Remote.Iterate (hence
 // admm.Run) mid-solve; nothing panics on a lost worker. ProbeWorkers

@@ -118,12 +118,13 @@ func startBusyWorker(t *testing.T, opts WorkerOptions) (*busyListener, string) {
 }
 
 // TestBusyRefusalFailsHandshakeFast: worker 1 refuses the opener as
-// busy while worker 0 (default MeshWait, 30 s) is already waiting for
-// worker 1's mesh dial. The refusal must fail NewRemote's one attempt
-// at once — not sit unread behind worker 0's Ready — and worker 0 must
-// drop the orphaned session when the coordinator hangs up, so Solve's
-// retry finds it free instead of queueing behind a 30 s ghost. Same
-// contract whether the workers keep a problem cache (warm) or not.
+// busy while worker 0 is already waiting for worker 1's mesh dial, a
+// wait with no timer of its own. The refusal must fail NewRemote's one
+// attempt at once — not sit unread behind worker 0's Ready — and
+// worker 0 must drop the orphaned session when the coordinator hangs
+// up, so Solve's retry finds it free instead of queueing behind a
+// ghost. Same contract whether the workers keep a problem cache (warm)
+// or not.
 func TestBusyRefusalFailsHandshakeFast(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		t.Run(fmt.Sprintf("warm=%t", warm), func(t *testing.T) {
@@ -248,14 +249,15 @@ func isolatedGraph(t testing.TB, n int) *graph.Graph {
 }
 
 // TestSilentEndpointCostsOneHandshake: worker 2 is an endpoint that
-// accepts and never replies, and both timeouts are 500 ms. One
-// handshake and one probe find it out: it accepts exactly two
-// connections. Under none the solve returns its handshake WorkerError;
+// accepts and never replies, and the liveness bound is shrunk to
+// 400 ms. One handshake and one probe find it out: it accepts exactly
+// two connections. Under none the solve returns its handshake WorkerError;
 // under survivors it finishes on the two live workers, bit for bit like
 // serial. Either way within 1.5 s.
 func TestSilentEndpointCostsOneHandshake(t *testing.T) {
 	for _, policy := range []string{admm.FailoverNone, admm.FailoverSurvivors} {
 		t.Run(policy, func(t *testing.T) {
+			shrinkLiveness(t, 40*time.Millisecond, 400*time.Millisecond)
 			builders := map[string]BuilderFunc{
 				"isolated": func([]byte) (*graph.Graph, error) { return isolatedGraph(t, 24), nil },
 			}
@@ -278,9 +280,9 @@ func TestSilentEndpointCostsOneHandshake(t *testing.T) {
 			silent := "tcp:" + ln.Addr().String()
 			spec := admm.ExecutorSpec{
 				Kind: admm.ExecSharded, Transport: admm.TransportSockets,
-				Addrs:         append(startTestWorkers(t, 2, builders), silent),
-				Problem:       &admm.ProblemRef{Workload: "isolated", Spec: []byte(`{}`)},
-				DialTimeoutMS: 500, HandshakeTimeoutMS: 500, Failover: policy,
+				Addrs:    append(startTestWorkers(t, 2, builders), silent),
+				Problem:  &admm.ProblemRef{Workload: "isolated", Spec: []byte(`{}`)},
+				Failover: policy,
 			}
 
 			g := isolatedGraph(t, 24)
@@ -321,9 +323,11 @@ func TestSilentEndpointCostsOneHandshake(t *testing.T) {
 
 // TestHandshakeTimeoutAgainstSilentEndpoint: an endpoint that accepts
 // and then never answers (a mistyped addr pointing at an unrelated
-// server) must fail the handshake within the configured deadline with a
-// typed error naming the worker and phase — not wedge forever.
+// server) must fail the handshake once it has been silent for the
+// (shrunk) liveness bound, with a typed error naming the worker and
+// phase — not wedge forever.
 func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
+	shrinkLiveness(t, 20*time.Millisecond, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +345,6 @@ func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
 
 	g := chainGraph(t, 32)
 	spec := chainSpec([]string{"tcp:" + ln.Addr().String()})
-	spec.HandshakeTimeoutMS = 200
 	start := time.Now()
 	_, err = NewRemote(context.Background(), spec, g)
 	if err == nil {
@@ -352,15 +355,14 @@ func TestHandshakeTimeoutAgainstSilentEndpoint(t *testing.T) {
 		t.Fatalf("error not a handshake WorkerError: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("handshake timeout took %v, configured 200ms", elapsed)
+		t.Fatalf("handshake against a silent endpoint took %v, bound 200ms", elapsed)
 	}
 }
 
 // TestStalledStateTimeout: a connection cut mid-handshake (stalled
-// instead of closed) trips the handshake deadline or, past the
-// handshake, the default liveness rule (shrunk here) rather than
-// hanging the coordinator. faultnet's stall plan models a half-open TCP
-// peer.
+// instead of closed) trips the liveness rule (shrunk here), at the
+// handshake or past it, rather than hanging the coordinator. faultnet's
+// stall plan models a half-open TCP peer.
 func TestStalledStateTimeout(t *testing.T) {
 	shrinkLiveness(t, 50*time.Millisecond, 300*time.Millisecond)
 	builders := chainBuilders(t, 32)
@@ -371,7 +373,6 @@ func TestStalledStateTimeout(t *testing.T) {
 
 	g := chainGraph(t, 32)
 	spec := chainSpec([]string{addr})
-	spec.HandshakeTimeoutMS = 300
 	r, err := NewRemote(context.Background(), spec, g)
 	if err != nil {
 		// Acceptable: the stall can already bite during handshake reads.
@@ -521,7 +522,6 @@ func TestSolveWithFailoverSurvivors(t *testing.T) {
 	g := chainGraph(t, n)
 	spec := chainSpec([]string{w0, w1, w2})
 	spec.Failover = admm.FailoverSurvivors
-	spec.DialTimeoutMS = 2000
 	out, err := Solve(context.Background(), g, admm.SolveOptions{
 		Executor: spec, MaxIter: 30,
 	})
@@ -575,7 +575,6 @@ func TestSolveWithFailoverLocal(t *testing.T) {
 	g := chainGraph(t, n)
 	spec := chainSpec(deadAddrs)
 	spec.Failover = admm.FailoverLocal
-	spec.DialTimeoutMS = 500
 	out, err := Solve(context.Background(), g, admm.SolveOptions{
 		Executor: spec, MaxIter: 25,
 	})
@@ -747,19 +746,20 @@ func TestRetiredDoneReplyRefused(t *testing.T) {
 
 // TestSilentOpenerDropped: a client that connects, writes only a frame
 // header declaring MaxFrameLen and then says nothing is dropped once the
-// worker's handshake budget (MeshWait) runs out — its read ends in EOF,
-// well before its own 1 s deadline. So are 50 clients that connect and
+// (shrunk) liveness bound runs out — its read ends in EOF, well before
+// its own 1 s deadline. So are 50 clients that connect and
 // send nothing at all, and the worker's goroutines drain back to their
 // count before the idle clients came. A normal session on the same
 // worker afterwards matches Serial bit for bit.
 func TestSilentOpenerDropped(t *testing.T) {
+	shrinkLiveness(t, 20*time.Millisecond, 200*time.Millisecond)
 	builders := chainBuilders(t, 48)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go ServeWorker(ln, WorkerOptions{Builders: builders, MeshWait: 200 * time.Millisecond})
+	go ServeWorker(ln, WorkerOptions{Builders: builders})
 	dial := func() net.Conn {
 		t.Helper()
 		c, err := net.Dial("tcp", ln.Addr().String())

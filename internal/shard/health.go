@@ -34,11 +34,11 @@ type WorkerHealth struct {
 // rides the control port but never opens a session, so it is safe
 // against a worker that is mid-solve for another coordinator (the
 // accept loop answers pings concurrently). timeout bounds each probe
-// end-to-end (<= 0 falls back to DefaultDialTimeout); ctx cancellation
+// end-to-end (<= 0 falls back to the liveness bound); ctx cancellation
 // aborts in-flight probes early. The result is indexed like addrs.
 func ProbeWorkers(ctx context.Context, addrs []string, timeout time.Duration) []WorkerHealth {
 	if timeout <= 0 {
-		timeout = DefaultDialTimeout
+		timeout = time.Duration(liveBound.Load())
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -64,13 +64,16 @@ func probeWorker(ctx context.Context, addr string, timeout time.Duration) Worker
 		h.Err = (&WorkerError{Addr: addr, Phase: PhaseProbe, Err: err}).Error()
 		return h
 	}
-	conn, err := DialAddr(ctx, addr, timeout)
+	// The whole exchange, dial included, shares one absolute deadline; a
+	// ctx watchdog closes the connection to interrupt a probe that
+	// should stop early.
+	ctx, cancel := context.WithDeadline(ctx, start.Add(timeout))
+	defer cancel()
+	conn, err := DialAddr(ctx, addr)
 	if err != nil {
 		return fail(err)
 	}
 	defer conn.Close()
-	// The whole exchange shares one absolute deadline; a ctx watchdog
-	// closes the connection to interrupt a probe that should stop early.
 	conn.SetDeadline(start.Add(timeout))
 	watch := make(chan struct{})
 	defer close(watch)

@@ -117,6 +117,62 @@ func TestRemoteMeshStallFailsFast(t *testing.T) {
 	awaitIdle(t, []string{w0, w1}, bound)
 }
 
+// TestRemoteHandshakeMeshStallFailsFast: worker 1's mesh hello to
+// worker 0 stalls on its way in, so worker 0 waits on peer 1 for its
+// mesh while worker 1, its hello sent, has answered Ready. Worker 0's
+// Ticks say so, and the all-waiting half of the liveness rule (shrunk
+// here) fails the handshake with a *WorkerError within twice the
+// bound; the hang-up returns both workers to their accept loops within
+// one more bound.
+func TestRemoteHandshakeMeshStallFailsFast(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	shrinkLiveness(t, bound/10, bound)
+	builders := chainBuilders(t, 48)
+	// Worker 0 accepts the coordinator first, then worker 1's mesh dial.
+	w0, _ := startFaultWorker(t, builders, faultnet.PlanAt(1, faultnet.Plan{In: faultnet.Cut{AfterBytes: 1, Stall: true}}), WorkerOptions{})
+	w1, _ := startFaultWorker(t, builders, faultnet.Plans(), WorkerOptions{})
+	start := time.Now()
+	_, err := NewRemote(context.Background(), chainSpec([]string{w0, w1}), chainGraph(t, 48))
+	var we *WorkerError
+	if el := time.Since(start); !errors.As(err, &we) || we.Phase != PhaseHandshake || we.Config || el > 2*bound ||
+		!strings.Contains(err.Error(), "waited on a mesh peer") {
+		t.Fatalf("after %v: got %v, want a handshake-phase *WorkerError by the all-waiting rule within %v", el, err, 2*bound)
+	}
+	awaitIdle(t, []string{w0, w1}, bound)
+}
+
+// TestRemoteSlowBuildDoesNotTrip: worker 1's builder takes three
+// (shrunk) bounds. Worker 1 ticks through its build and worker 0
+// through its wait for worker 1's mesh hello, so the handshake holds,
+// and the solve matches Serial bit for bit in one attempt.
+func TestRemoteSlowBuildDoesNotTrip(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	shrinkLiveness(t, bound/10, bound)
+	slow := map[string]BuilderFunc{"chain": func([]byte) (*graph.Graph, error) {
+		time.Sleep(3 * bound)
+		return chainGraph(t, 48), nil
+	}}
+	addrs := append(startTestWorkers(t, 1, chainBuilders(t, 48)), startTestWorkers(t, 1, slow)...)
+	g := chainGraph(t, 48)
+	start := time.Now()
+	out, err := Solve(context.Background(), g, admm.SolveOptions{Executor: chainSpec(addrs), MaxIter: 40})
+	if err != nil || out.Attempts != 1 {
+		t.Fatalf("a slow build: %v (trail %+v), want the first attempt to finish", err, out.Recovery)
+	}
+	if el := time.Since(start); el < 3*bound {
+		t.Fatalf("the solve took %v, want at least %v", el, 3*bound)
+	}
+	ref := chainGraph(t, 48)
+	if _, err := admm.Solve(ref, admm.SolveOptions{MaxIter: 40}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Z {
+		if ref.Z[i] != g.Z[i] {
+			t.Fatalf("slow-build solve diverged from serial at Z[%d]", i)
+		}
+	}
+}
+
 // sleepyOp is an operator whose next Eval first sleeps for whatever
 // *sleep holds, once.
 type sleepyOp struct {
@@ -243,7 +299,10 @@ func ringGraph(t testing.TB, n, d, slow int, sleep *atomic.Int64) *graph.Graph {
 // right after it has sent its m-frames. Its sends stay in flight on
 // full buffers while it computes and its peers wait on one another
 // behind them, but a send in flight is no wait while its worker
-// computes, so the block runs to its end, bit-equal to Serial.
+// computes, so the block runs to its end, bit-equal to Serial. The
+// slow block is the session's first, so its silence clock also spans
+// every worker's install of the multi-MB state push, under the same
+// shrunk bound: a worker ticks while it installs.
 func TestRemoteSlowBlockBigFramesDoesNotTrip(t *testing.T) {
 	const bound = 300 * time.Millisecond
 	const n, d, shards, iters = 6, 1 << 15, 3, 3
@@ -257,6 +316,7 @@ func TestRemoteSlowBlockBigFramesDoesNotTrip(t *testing.T) {
 				t.Fatalf("worker %d computes nothing after sending its m-frames", slow)
 			}
 			f := p.local[slow].xAfter[0].Lo
+			shrinkLiveness(t, bound/10, bound)
 			var sleep atomic.Int64
 			builders := map[string]BuilderFunc{"ring": func([]byte) (*graph.Graph, error) { return ringGraph(t, n, d, f, &sleep), nil }}
 			spec := admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets, Addrs: startTestWorkers(t, shards, builders),
@@ -267,14 +327,7 @@ func TestRemoteSlowBlockBigFramesDoesNotTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			// A first block, under the default rule, makes sure every
-			// worker has installed the multi-MB state push (a worker
-			// installs it before it starts to tick) before the slow one.
 			var nanos [admm.NumPhases]int64
-			if err := r.Iterate(g, 1, &nanos); err != nil {
-				t.Fatal(err)
-			}
-			shrinkLiveness(t, bound/10, bound)
 			sleep.Store(int64(7 * bound / 2))
 			start := time.Now()
 			if err := r.Iterate(g, iters, &nanos); err != nil {
@@ -284,7 +337,7 @@ func TestRemoteSlowBlockBigFramesDoesNotTrip(t *testing.T) {
 				t.Fatalf("the block took %v, want at least %v", el, 3*bound)
 			}
 			ref := ringGraph(t, n, d, -1, nil)
-			admm.NewSerialFused().Iterate(ref, 1+iters, &nanos)
+			admm.NewSerialFused().Iterate(ref, iters, &nanos)
 			for i := range ref.Z {
 				if ref.Z[i] != g.Z[i] {
 					t.Fatalf("slow block diverged from serial at Z[%d]", i)
@@ -325,7 +378,10 @@ func TestRemoteSlowUpDoesNotTrip(t *testing.T) {
 			}
 		}()
 		start := time.Now()
-		err := r.collect(0, g, zPrev, &blockWatch{r: r, bound: bound, progress: start, stuck: make([]time.Duration, 2)})
+		payload, err := r.collect(0, exchange.FrameUp, &blockWatch{r: r, phase: PhaseCollect, bound: bound, progress: start, stuck: make([]time.Duration, 2)})
+		if err == nil {
+			err = installUp(&r.reps[0], g, &r.plan.local[0], r.ownedVars[0], payload, zPrev)
+		}
 		coord.Close()
 		if pause == 0 && (err != nil || time.Since(start) < 3*bound) {
 			t.Fatalf("an Up arriving over %v: %v, want it collected after at least %v", time.Since(start), err, 3*bound)
@@ -371,7 +427,7 @@ func TestBlockWatchRule(t *testing.T) {
 	const bound = time.Second
 	watch := func(started time.Duration) *blockWatch {
 		r := &Remote{shards: 3, addrs: []string{"w0", "w1", "w2"}}
-		return &blockWatch{r: r, bound: bound, progress: time.Now().Add(-started), stuck: make([]time.Duration, 3)}
+		return &blockWatch{r: r, phase: PhaseCollect, bound: bound, progress: time.Now().Add(-started), stuck: make([]time.Duration, 3)}
 	}
 	w := watch(5 * time.Second)
 	w.report(0, 1, 3*time.Second)
@@ -618,8 +674,14 @@ func collectAll(t *testing.T, r *Remote, w int, stream []byte) {
 	prev := r.Stats()
 	for {
 		done := make(chan error, 1)
-		watch := &blockWatch{r: r, bound: time.Second, progress: time.Now(), stuck: make([]time.Duration, r.shards)}
-		go func() { done <- r.collect(w, r.g, zPrev, watch) }()
+		watch := &blockWatch{r: r, phase: PhaseCollect, bound: time.Second, progress: time.Now(), stuck: make([]time.Duration, r.shards)}
+		go func() {
+			payload, err := r.collect(w, exchange.FrameUp, watch)
+			if err == nil {
+				err = installUp(&r.reps[w], r.g, &r.plan.local[w], r.ownedVars[w], payload, zPrev)
+			}
+			done <- err
+		}()
 		var err error
 		select {
 		case err = <-done:

@@ -33,8 +33,10 @@ import (
 //
 //	coordinator -> worker i:  Cfg   {worker, shards, problem, knobs, peers, state digest}
 //	worker i    -> worker j<i: Peer {from, session}      (mesh dial)
+//	worker i    -> coordinator: Tick {peer, waited}  (every tickEvery from Cfg on: build, mesh wait)
 //	worker i    -> coordinator: Ready {graph shape, manifest digest, cache hit}
 //	coordinator -> worker i:  State {Rho|Alpha|X|U|N|Z}   (skipped on a state hit)
+//	worker i    -> coordinator: Tick {-1, 0}      (every tickEvery while it installs State)
 //	repeat:
 //	  coordinator -> worker i:  Iter {iters, zprev, edit}
 //	  ...workers exchange FrameM/FrameZ over the mesh per iteration...
@@ -44,8 +46,11 @@ import (
 //
 // After the handshake each block is one round trip: one Iter down,
 // carrying what admm.Run changed in the coordinator's graph after the
-// previous block, and one Up back; a block longer than tickEvery also
-// sends Ticks ahead of its Up. Only Iter and Bye go down.
+// previous block, and one Up back. Only Iter and Bye go down. A worker
+// ticks whenever the coordinator waits on it — from its Cfg to its
+// Ready, through its install of the State push, through every block —
+// so one rule, the liveness rule below, bounds the whole session and
+// none of it has a timeout of its own.
 //
 // Any side that detects a malformed frame, a shape or manifest-digest
 // mismatch, or an I/O failure sends Err (when it still can) and tears
@@ -194,22 +199,6 @@ func (e *remoteError) Error() string { return "shard: remote error: " + e.msg }
 // session finishes tearing down.
 func (e *remoteError) transient() bool { return strings.Contains(e.msg, "busy") }
 
-// readFrameKind reads one frame and requires the given kind; a FrameErr
-// is surfaced as the remote side's error message.
-func readFrameKind(r io.Reader, buf []byte, kind byte) (exchange.Frame, []byte, error) {
-	f, buf, err := exchange.ReadFrame(r, buf)
-	if err != nil {
-		return f, buf, err
-	}
-	if f.Kind == exchange.FrameErr {
-		return f, buf, &remoteError{msg: string(f.Payload)}
-	}
-	if f.Kind != kind {
-		return f, buf, fmt.Errorf("shard: unexpected frame kind %d, want %d", f.Kind, kind)
-	}
-	return f, buf, nil
-}
-
 // decodeJSONFrame strictly decodes a control payload.
 func decodeJSONFrame(f exchange.Frame, into any) error {
 	dec := json.NewDecoder(bytes.NewReader(f.Payload))
@@ -217,23 +206,14 @@ func decodeJSONFrame(f exchange.Frame, into any) error {
 	return dec.Decode(into)
 }
 
-// Default deadlines for opening a session; every one of them is
-// overridable per solve via ExecutorSpec (dial_timeout_ms etc.) and per
-// process via the -dial-timeout/-handshake-timeout CLI flags.
-const (
-	// DefaultDialTimeout bounds control and mesh connection
-	// establishment.
-	DefaultDialTimeout = 10 * time.Second
-	// DefaultHandshakeTimeout bounds each handshake frame exchange
-	// (problem build + partition + mesh happen between Cfg and Ready).
-	DefaultHandshakeTimeout = 30 * time.Second
-)
-
-// The liveness rule of a running block (docs/fault-tolerance.md): a
-// worker sends a Tick every tickEvery, and the coordinator fails the
-// block once a worker's control stream is silent for livenessBound, or
-// every worker still in it has waited on a mesh peer that long. No slow
-// block trips it.
+// The liveness rule of a worker session (docs/fault-tolerance.md): from
+// its Cfg until its Ready, while it installs the State push, and while
+// it runs a block, a worker sends a Tick every tickEvery; the
+// coordinator fails the handshake or the block once a worker's control
+// stream is silent for livenessBound, or every worker it still waits on
+// has waited on a mesh peer that long. No slow build or block trips it.
+// The same bound caps every dial, Solve's probes, the opener a worker's
+// accept loop waits for, and Solve's patience with busy workers.
 const tickEvery, livenessBound = time.Second, 10 * time.Second
 
 // liveTick and liveBound hold the two constants for the session code;
@@ -289,15 +269,11 @@ func decodeTick(payload []byte, self, shards int) (peer int, waited time.Duratio
 	return int(p), waited, nil
 }
 
-// DialAddr connects to a worker endpoint (see admm.SplitAddr) with a
-// bound on connection establishment (<= 0 falls back to the default);
-// ctx aborts the dial early.
-func DialAddr(ctx context.Context, addr string, timeout time.Duration) (net.Conn, error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
+// DialAddr connects to a worker endpoint (see admm.SplitAddr) within
+// the liveness bound; ctx aborts the dial early.
+func DialAddr(ctx context.Context, addr string) (net.Conn, error) {
 	network, address := admm.SplitAddr(addr)
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: time.Duration(liveBound.Load())}
 	return d.DialContext(ctx, network, address)
 }
 

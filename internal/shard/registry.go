@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 
 	"repro/internal/admm"
@@ -18,11 +19,7 @@ func init() {
 		if s.Transport == admm.TransportSockets && len(s.Addrs) > 0 {
 			return NewRemote(context.Background(), s, g)
 		}
-		shards := s.Shards
-		if shards == 0 {
-			shards = 4
-		}
-		sb, err := New(shards)
+		sb, err := New(cmp.Or(s.Shards, 4))
 		if err != nil {
 			return nil, err
 		}

@@ -15,28 +15,6 @@ import (
 	"repro/internal/graph"
 )
 
-// timeouts is a spec's resolved per-phase deadline policy.
-type timeouts struct {
-	dial      time.Duration
-	handshake time.Duration
-}
-
-// specTimeouts resolves the spec's reliability knobs against the
-// defaults.
-func specTimeouts(spec admm.ExecutorSpec) timeouts {
-	t := timeouts{
-		dial:      DefaultDialTimeout,
-		handshake: DefaultHandshakeTimeout,
-	}
-	if spec.DialTimeoutMS > 0 {
-		t.dial = time.Duration(spec.DialTimeoutMS) * time.Millisecond
-	}
-	if spec.HandshakeTimeoutMS > 0 {
-		t.handshake = time.Duration(spec.HandshakeTimeoutMS) * time.Millisecond
-	}
-	return t
-}
-
 // Remote is the cross-process sharded executor's coordinator: it drives
 // one paradmm-shardworker process per shard over the control protocol
 // in protocol.go. Workers rebuild the problem from the spec's
@@ -58,13 +36,12 @@ func specTimeouts(spec admm.ExecutorSpec) timeouts {
 // returns a typed *WorkerError naming the worker and protocol phase,
 // admm.Run stops there, and Solve turns it into a retry, a survivor
 // re-partitioning, or a failed request — never a corrupted result. A
-// stall fails the block the same way, by the liveness rule (protocol.go;
-// see docs/fault-tolerance.md).
+// stall fails the handshake or a block the same way, by the liveness
+// rule (protocol.go; see docs/fault-tolerance.md).
 type Remote struct {
 	shards  int
 	session uint64
 	addrs   []string
-	tmo     timeouts
 
 	g         *graph.Graph
 	plan      *plan
@@ -109,7 +86,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 	r := &Remote{
 		shards:  shards,
 		addrs:   append([]string(nil), spec.Addrs...),
-		tmo:     specTimeouts(spec),
 		g:       g,
 		problem: spec.Problem,
 	}
@@ -138,18 +114,16 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 }
 
 // handshake runs Cfg -> Ready -> State against every worker under the
-// handshake deadline; a worker whose Ready reports a state-tier cache
-// hit already holds the exact state, and its push is skipped. Configs
-// go out in ascending worker order so that by the time worker i dials
-// its mesh peers j < i, those workers already know the session. Each
+// liveness rule; a worker whose Ready reports a state-tier cache hit
+// already holds the exact state, and its push is skipped. Configs go
+// out in ascending worker order so that by the time worker i dials its
+// mesh peers j < i, those workers already know the session. Each
 // session id is fresh, so the workers discard stray mesh dials from an
 // abandoned one.
 func (r *Remote) handshake(ctx context.Context) error {
 	r.session = uint64(os.Getpid())<<32 | remoteSessions.Add(1)
 	r.conns = make([]net.Conn, r.shards)
-	werr := func(i int, phase string, config bool, err error) error {
-		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: phase, Err: err, Config: config}
-	}
+	bound := time.Duration(liveBound.Load())
 	// The State frame is built once, in place, and written to every
 	// worker whose cache misses.
 	state := exchange.BeginFrame(nil, exchange.FrameState, 0)
@@ -164,22 +138,25 @@ func (r *Remote) handshake(ctx context.Context) error {
 		StateDigest: stateDigest(state[payloadAt:]),
 	}
 	for i := 0; i < r.shards; i++ {
-		conn, err := DialAddr(ctx, r.addrs[i], r.tmo.dial)
+		conn, err := DialAddr(ctx, r.addrs[i])
 		if err != nil {
-			return werr(i, PhaseDial, false, err)
+			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseDial, Err: err}
 		}
 		r.conns[i] = conn
 		cfg.Worker = i
-		conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
-		if err := writeJSONFrame(conn, exchange.FrameCfg, cfg); err != nil {
-			return werr(i, PhaseHandshake, false, fmt.Errorf("send config: %w", err))
+		if err := writeJSONFrame(liveConn{conn, bound}, exchange.FrameCfg, cfg); err != nil {
+			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseHandshake, Err: fmt.Errorf("send config: %w", err)}
 		}
 		r.stats.HandshakeFrames++
 	}
-	hits, err := r.readReadyAll()
-	if err != nil {
+	hits := make([]string, r.shards)
+	if err := r.await(PhaseHandshake, exchange.FrameReady, func(i int, payload []byte) (err error) {
+		hits[i], err = r.checkReady(payload)
+		return err
+	}); err != nil {
 		return err
 	}
+	r.stats.HandshakeFrames += r.shards
 	for i, hit := range hits {
 		switch hit {
 		case cacheHitState:
@@ -190,94 +167,47 @@ func (r *Remote) handshake(ctx context.Context) error {
 		default:
 			r.stats.CacheMisses++
 		}
-		if err := r.pushState(i, state); err != nil {
-			return werr(i, PhaseState, false, err)
+		if err := exchange.FinishFrame(liveConn{r.conns[i], bound}, state); err != nil {
+			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseState, Err: fmt.Errorf("send state: %w", err)}
 		}
+		r.stats.StatePushes++
+		r.stats.HandshakeFrames++
 	}
 	return nil
 }
 
-// readReadyAll collects Ready from every worker at once and returns
-// each one's cache tier, or the first failure. Reading in worker order
-// would leave worker 1's instant refusal unread behind worker 0, which
-// cannot answer until its mesh stands — and the mesh is waiting for the
-// very worker that refused. The first failure closes the attempt's
-// connections: that ends the other reads, and it is the hang-up a
-// worker still waiting for mesh peers acts on.
-func (r *Remote) readReadyAll() ([]string, error) {
-	hits := make([]string, r.shards)
-	errs := make(chan error, r.shards)
-	for i := range hits {
-		go func(i int) {
-			var err error
-			hits[i], err = r.readReady(i)
-			errs <- err
-		}(i)
-	}
-	var first error
-	for range hits {
-		err := <-errs
-		if err == nil {
-			r.stats.HandshakeFrames++
-		} else if first == nil {
-			first = err
-			r.teardown()
-		}
-	}
-	return hits, first
-}
+// mismatch is a Ready that does not match the coordinator's own graph
+// and manifest: a config error no retry can cure.
+type mismatch struct{ error }
 
-// readReady collects and verifies worker i's Ready acknowledgment and
-// returns its cache tier. It touches only worker i's connection and
-// buffer, so readReadyAll runs one per worker concurrently.
-func (r *Remote) readReady(i int) (string, error) {
-	werr := func(config bool, err error) error {
-		return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseHandshake, Err: err, Config: config}
-	}
-	// A handshake must answer promptly — an endpoint that accepts
-	// and then never replies (a mistyped addr pointing at some
-	// unrelated server) would otherwise wedge this coordinator (and
-	// a serve pool slot) forever.
-	r.conns[i].SetReadDeadline(time.Now().Add(r.tmo.handshake))
-	f, buf, err := readFrameKind(r.conns[i], r.bufs[i], exchange.FrameReady)
-	r.bufs[i] = buf
-	if err != nil {
-		// A worker's considered refusal (FrameErr) is a config
-		// problem unless it is just busy tearing down the previous
-		// session, which a retry outwaits.
-		var re *remoteError
-		config := errors.As(err, &re) && !re.transient()
-		return "", werr(config, err)
-	}
+// checkReady verifies a worker's Ready and returns its cache tier. It
+// is the proof gate every session passes, cache hit or not, before any
+// state is trusted: the worker's graph shape and boundary manifest must
+// be the coordinator's own.
+func (r *Remote) checkReady(payload []byte) (string, error) {
 	var ready wireReady
-	if err := decodeJSONFrame(f, &ready); err != nil {
-		return "", werr(true, fmt.Errorf("ready: %w", err))
+	if err := decodeJSONFrame(exchange.Frame{Payload: payload}, &ready); err != nil {
+		return "", mismatch{fmt.Errorf("ready: %w", err)}
 	}
-	// The proof gate every session passes, cache hit or not, before any
-	// state is trusted: the worker's graph shape and boundary manifest
-	// must be the coordinator's own.
 	if st := r.g.Stats(); ready.Functions != st.Functions || ready.Variables != st.Variables || ready.Edges != st.Edges || ready.D != st.D {
-		return "", werr(true, fmt.Errorf("rebuilt a different graph (%d/%d/%d/%d vs %d/%d/%d/%d functions/variables/edges/d) — problem spec mismatch",
-			ready.Functions, ready.Variables, ready.Edges, ready.D, st.Functions, st.Variables, st.Edges, st.D))
+		return "", mismatch{fmt.Errorf("rebuilt a different graph (%d/%d/%d/%d vs %d/%d/%d/%d functions/variables/edges/d) — problem spec mismatch",
+			ready.Functions, ready.Variables, ready.Edges, ready.D, st.Functions, st.Variables, st.Edges, st.D)}
 	}
 	if want := fmt.Sprintf("%016x", r.man.Digest()); ready.ManifestDigest != want {
-		return "", werr(true, fmt.Errorf("boundary manifest %s != coordinator %s — partition derivations diverged",
-			ready.ManifestDigest, want))
+		return "", mismatch{fmt.Errorf("boundary manifest %s != coordinator %s — partition derivations diverged",
+			ready.ManifestDigest, want)}
 	}
 	return ready.Hit, nil
 }
 
-// pushState ships the State frame begun in handshake to worker i under
-// the handshake deadline.
-func (r *Remote) pushState(i int, state []byte) error {
-	conn := r.conns[i]
-	conn.SetWriteDeadline(time.Now().Add(r.tmo.handshake))
-	if err := exchange.FinishFrame(conn, state); err != nil {
-		return fmt.Errorf("send state: %w", err)
-	}
-	r.stats.StatePushes++
-	r.stats.HandshakeFrames++
-	return nil
+// blame is the *WorkerError naming worker i for cause in phase. A
+// mismatched Ready is a config error, and so, at the handshake, is a
+// worker's refusal (FrameErr) — unless it is only busy tearing down the
+// previous session, which a retry outwaits.
+func (r *Remote) blame(i int, phase string, cause error) *WorkerError {
+	var re *remoteError
+	config := errors.As(cause, new(mismatch)) || phase == PhaseHandshake && errors.As(cause, &re) && !re.transient()
+	return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: phase, Err: cause, Config: config}
 }
 
 // Name implements admm.Backend.
@@ -319,29 +249,10 @@ func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []flo
 			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
-	w := &blockWatch{r: r, bound: bound, progress: time.Now(), stuck: make([]time.Duration, r.shards)}
-	// A failure on a worker's own connection is the verdict; an error
-	// frame may only relay that a peer went away, and the failover
-	// policy acts on the worker the error names.
-	var wg sync.WaitGroup
-	errs := make([]error, r.shards)
-	for i := range r.conns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if errs[i] = r.collect(i, g, zPrev, w); errs[i] != nil && !errors.As(errs[i], new(*remoteError)) {
-				w.fail(i, errs[i])
-			}
-		}(i)
-	}
-	wg.Wait()
-	if w.verdict != nil {
-		return w.verdict
-	}
-	for i, err := range errs {
-		if err != nil {
-			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseCollect, Err: err}
-		}
+	if err := r.await(PhaseCollect, exchange.FrameUp, func(i int, payload []byte) error {
+		return installUp(&r.reps[i], g, &r.plan.local[i], r.ownedVars[i], payload, zPrev)
+	}); err != nil {
+		return err
 	}
 	// The slim upload drops N; rebuild it from the n = z - u identity
 	// the reference kernels maintain, against the just-installed
@@ -359,50 +270,90 @@ func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []flo
 	return nil
 }
 
-// collect reads worker i's Ticks, reporting each to w, until its Up,
-// which installUp checks and installs (disjoint slices per worker, so
-// installs run concurrently). The worker may fall silent for at most
+// await reads one frame of kind want from every worker at once under
+// the liveness rule and hands each payload to accept (disjoint state
+// per worker, so accepts run concurrently). A failure on a worker's own
+// connection, a refused payload or a liveness verdict fails phase and
+// hangs up on every worker, which ends every read. In a block an error
+// frame may only relay that a peer went away, so it waits for the
+// verdict, and the failover policy acts on the worker the error names.
+// At the handshake it is the worker's own refusal, and the hang-up it
+// triggers is what frees the workers still waiting for their mesh.
+func (r *Remote) await(phase string, want byte, accept func(i int, payload []byte) error) error {
+	w := &blockWatch{r: r, phase: phase, bound: time.Duration(liveBound.Load()), progress: time.Now(), stuck: make([]time.Duration, r.shards)}
+	var wg sync.WaitGroup
+	errs := make([]error, r.shards)
+	for i := range r.conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			payload, err := r.collect(i, want, w)
+			if err == nil {
+				err = accept(i, payload)
+			}
+			if errs[i] = err; err != nil && (phase == PhaseHandshake || !errors.As(err, new(*remoteError))) {
+				w.fail(i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if w.verdict != nil {
+		return w.verdict
+	}
+	for i, err := range errs {
+		if err != nil {
+			return r.blame(i, phase, err)
+		}
+	}
+	return nil
+}
+
+// collect reads worker i's Ticks, reporting each to w, until a frame of
+// kind want, whose payload it returns; the payload lives in worker i's
+// buffer until the next read. The worker may fall silent for at most
 // the bound, mid-frame included.
-func (r *Remote) collect(i int, g *graph.Graph, zPrev []float64, w *blockWatch) error {
+func (r *Remote) collect(i int, want byte, w *blockWatch) ([]byte, error) {
 	conn := liveConn{r.conns[i], w.bound}
 	for {
 		f, buf, err := exchange.ReadFrame(conn, r.bufs[i])
 		r.bufs[i] = buf
 		switch {
 		case errors.Is(err, os.ErrDeadlineExceeded):
-			return fmt.Errorf("shard: silent for %v: %w", w.bound, err)
+			return nil, fmt.Errorf("shard: silent for %v: %w", w.bound, err)
 		case err != nil:
-			return err
-		case f.Kind == exchange.FrameUp:
+			return nil, err
+		case f.Kind == want:
 			w.finished(i)
-			return installUp(&r.reps[i], g, &r.plan.local[i], r.ownedVars[i], f.Payload, zPrev)
+			return f.Payload, nil
 		case f.Kind == exchange.FrameErr:
-			return &remoteError{msg: string(f.Payload)}
+			return nil, &remoteError{msg: string(f.Payload)}
 		case f.Kind != exchange.FrameTick:
-			return fmt.Errorf("shard: unexpected frame kind %d, want %d", f.Kind, exchange.FrameUp)
+			return nil, fmt.Errorf("shard: unexpected frame kind %d, want %d", f.Kind, want)
 		}
 		peer, waited, err := decodeTick(f.Payload, i, r.shards)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		w.report(i, peer, waited)
 	}
 }
 
-// blockWatch applies the liveness rule to one block's collects. The
-// first verdict hangs up on every worker, which ends every collect.
+// blockWatch applies the liveness rule to one phase's collects: the
+// handshake's Readys or a block's Ups. The first verdict hangs up on
+// every worker, which ends every collect.
 type blockWatch struct {
 	r        *Remote
+	phase    string
 	bound    time.Duration
 	mu       sync.Mutex
-	progress time.Time       // the block's start or its last Up: waits count from there
-	stuck    []time.Duration // each worker's wait on a peer since then, by its last Tick; -1 once its Up is in
+	progress time.Time       // the phase's start or its last answer: waits count from there
+	stuck    []time.Duration // each worker's wait on a peer since then, by its last Tick; -1 once it answered
 	verdict  error
 }
 
 // report records worker i's Tick: it computes (peer -1) or has waited
-// on peer for waited. Once every worker still in the block has waited
-// the bound, the one that has waited longest is blamed.
+// on peer for waited. Once every worker still owing its answer has
+// waited the bound, the one that has waited longest is blamed.
 func (w *blockWatch) report(i, peer int, waited time.Duration) {
 	if peer < 0 {
 		waited = 0
@@ -418,11 +369,11 @@ func (w *blockWatch) report(i, peer int, waited time.Duration) {
 	}
 	w.mu.Unlock()
 	if all {
-		w.fail(worst, fmt.Errorf("shard: every worker still in the block has waited on a mesh peer for %v", w.bound))
+		w.fail(worst, fmt.Errorf("shard: every worker yet to answer has waited on a mesh peer for %v", w.bound))
 	}
 }
 
-// finished records worker i's Up: progress, from which the other
+// finished records worker i's answer: progress, from which the other
 // workers' waits count again (each one ticks again well within the
 // bound, or the bound finds it silent).
 func (w *blockWatch) finished(i int) {
@@ -436,7 +387,7 @@ func (w *blockWatch) fail(i int, cause error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.verdict == nil {
-		w.verdict = &WorkerError{Worker: i, Addr: w.r.addrs[i], Phase: PhaseCollect, Err: cause}
+		w.verdict = w.r.blame(i, w.phase, cause)
 		w.r.teardown()
 	}
 }

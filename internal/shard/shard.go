@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/admm"
@@ -241,12 +242,7 @@ func (b *Backend) bindExchanger(g *graph.Graph, p *plan) {
 }
 
 // transportLabel canonicalizes the Transport knob for Stats.
-func transportLabel(t string) string {
-	if t == "" {
-		return admm.TransportLocal
-	}
-	return t
-}
+func transportLabel(t string) string { return cmp.Or(t, admm.TransportLocal) }
 
 // Close implements admm.Backend: terminates the shard workers.
 func (b *Backend) Close() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/admm"
@@ -71,7 +72,7 @@ type Outcome struct {
 //   - a config *WorkerError, an error that is no *WorkerError, or a
 //     done ctx ends the solve at once: no worker set can change it;
 //   - a busy refusal retries the same set after busyPoll, until the
-//     waits add up to the handshake timeout;
+//     waits add up to the liveness bound;
 //   - under FailoverNone, a failure after the handshake (PhaseIterate,
 //     PhaseCollect) ends the solve, so none never re-runs a solve that
 //     started;
@@ -111,7 +112,7 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 	}
 	shrink := spec.Failover == admm.FailoverSurvivors || spec.Failover == admm.FailoverLocal
 	snap := g.SaveState()
-	tmo := specTimeouts(spec)
+	bound := time.Duration(liveBound.Load())
 	cur := spec
 	cur.Addrs = append([]string(nil), spec.Addrs...)
 	// Worst case sheds one worker per failover down to a single
@@ -119,7 +120,7 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 	maxAttempts := len(cur.Addrs) + 2
 	sameSetRetried := false
 	// Busy-refusal patience: total time spent out-waiting "worker
-	// busy" rejections, bounded by the handshake timeout.
+	// busy" rejections, bounded by the liveness bound.
 	const busyPoll = 250 * time.Millisecond
 	var busyWaited time.Duration
 	abandoned := func(last error) error {
@@ -151,7 +152,7 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 		// opener from an abandoned attempt. Out-wait the teardown
 		// instead of dropping a live worker.
 		var re *remoteError
-		if errors.As(err, &re) && re.transient() && busyWaited < tmo.handshake {
+		if errors.As(err, &re) && re.transient() && busyWaited < bound {
 			busyWaited += busyPoll
 			maxAttempts++ // patience, not a failover attempt
 			out.HandshakeRetries++
@@ -163,7 +164,7 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 		if !shrink && (we.Phase == PhaseIterate || we.Phase == PhaseCollect) {
 			return out, err
 		}
-		out.Health = ProbeWorkers(ctx, cur.Addrs, tmo.dial)
+		out.Health = ProbeWorkers(ctx, cur.Addrs, bound)
 		survivors := make([]string, 0, len(cur.Addrs))
 		for _, h := range out.Health {
 			if h.Alive {
@@ -184,7 +185,7 @@ func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome
 			// worker alive drops the one the error named, even though
 			// it still answers probes.
 			if len(survivors) == len(cur.Addrs) {
-				survivors = dropAddr(survivors, we.Addr)
+				survivors = slices.DeleteFunc(survivors, func(a string) bool { return a == we.Addr })
 			}
 			sameSetRetried = false
 			out.Failovers++
@@ -252,22 +253,8 @@ func (out *Outcome) attempt(ctx context.Context, g *graph.Graph, opts admm.Solve
 	return out.run(g, opts, r)
 }
 
-func dropAddr(addrs []string, addr string) []string {
-	out := addrs[:0]
-	for _, a := range addrs {
-		if a != addr {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 func attemptBackoff(attempt int) time.Duration {
-	d := time.Duration(attempt) * 100 * time.Millisecond
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	return min(time.Duration(attempt)*100*time.Millisecond, time.Second)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

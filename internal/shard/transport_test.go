@@ -408,7 +408,7 @@ type tappedFrame struct {
 }
 
 // frames decodes the log into frames, in the order each one completed.
-func (c *tapConn) frames(t *testing.T) []tappedFrame {
+func (c *tapConn) frames(t testing.TB) []tappedFrame {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -451,7 +451,7 @@ type controlStream struct {
 // workers whose listeners are tapped, and on Serial; X, U, Z and Rho
 // must end bit for bit equal. It returns the remote graph, Run's result
 // and each worker's control stream, tapped after the session ended.
-func tappedSolve(t *testing.T, problem admm.ProblemRef, build BuilderFunc, opts admm.Options) (*graph.Graph, admm.Result, []controlStream) {
+func tappedSolve(t testing.TB, problem admm.ProblemRef, build BuilderFunc, opts admm.Options) (*graph.Graph, admm.Result, []controlStream) {
 	t.Helper()
 	builders := map[string]BuilderFunc{problem.Workload: build}
 	newGraph := func() *graph.Graph {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/admm"
@@ -28,15 +29,6 @@ type WorkerOptions struct {
 	// MaxSessions, when > 0, returns from ServeWorker after that many
 	// sessions complete (successfully or not) — used by tests and CI.
 	MaxSessions int
-	// DialTimeout bounds this worker's mesh dials to lower-numbered
-	// peers (0 = DefaultDialTimeout).
-	DialTimeout time.Duration
-	// MeshWait bounds how long a new connection may take to send its
-	// whole opening frame, and how long a session waits for its mesh to
-	// complete — peers dialing in and peers being dialed
-	// (0 = DefaultHandshakeTimeout, the same budget the coordinator
-	// gives the whole handshake).
-	MeshWait time.Duration
 	// OnIterBlock, when non-nil, observes each iteration-block command
 	// just before it executes (session id, 0-based block index within
 	// the session). The -chaos-kill-block fault drill hooks here.
@@ -56,13 +48,6 @@ func (o *WorkerOptions) logf(format string, args ...any) {
 	}
 }
 
-func (o *WorkerOptions) meshWait() time.Duration {
-	if o.MeshWait > 0 {
-		return o.MeshWait
-	}
-	return DefaultHandshakeTimeout
-}
-
 // ServeWorker runs one shard-worker endpoint on ln: it accepts
 // coordinator sessions (FrameCfg) and worker-to-worker mesh connections
 // (FramePeer) on the same listener, executing one session at a time.
@@ -72,7 +57,10 @@ func (o *WorkerOptions) meshWait() time.Duration {
 // it), installs the pushed (or cached) state, and then runs iteration
 // blocks with a socket-meshed exchange.Messaged — the exact worker loop
 // the in-process executor runs, pointed at a different Exchanger. It
-// returns when the listener closes or MaxSessions is reached.
+// returns when the listener closes or MaxSessions is reached. A
+// session has no timer of its own: the liveness bound caps an opener
+// and a mesh dial, and the coordinator's verdict or hang-up ends the
+// session.
 func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 	type accepted struct {
 		conn net.Conn
@@ -91,9 +79,9 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 				// First frame classifies the connection; a malformed
 				// opener only poisons this connection, not the worker.
 				// The whole opener, first byte included, gets the
-				// handshake budget: a client that sends nothing, or
+				// liveness bound: a client that sends nothing, or
 				// begins an opener and stalls, is dropped, not kept.
-				conn.SetReadDeadline(time.Now().Add(opts.meshWait()))
+				conn.SetReadDeadline(time.Now().Add(time.Duration(liveBound.Load())))
 				f, _, err := exchange.ReadFrame(conn, nil)
 				if err != nil {
 					conn.Close()
@@ -192,6 +180,14 @@ func ServeWorker(ln net.Listener, opts WorkerOptions) error {
 				// Let the in-flight session finish; its connections
 				// are independent of the listener.
 				endSession(<-sessEnd)
+			}
+			if pendingOpen != nil {
+				// Hang up on the queued opener as a dead worker would:
+				// its coordinator's probe finds this worker gone and
+				// the failover policy acts. (An Err frame at the
+				// handshake would be a config error, which no failover
+				// follows.)
+				pendingOpen.conn.Close()
 			}
 			if errors.Is(err, net.ErrClosed) {
 				return nil
@@ -330,16 +326,19 @@ const (
 // naming both, which ends the session:
 //
 //	state        State            Iter               Bye
-//	mesh-wait    refuse           refuse             refuse
+//	mesh-wait    refuse*          refuse*            refuse*
 //	await-state  install -> ready refuse             end
 //	ready        refuse           run -> running     end
 //	running      refuse*          refuse*            end*
 //
-// A build or a graph-tier hit answers Ready in await-state; a
-// state-tier hit in ready. A block runs in running (watchBlock), and
-// its Up returns the session to ready. * A frame or a hang-up there
-// first closes the mesh, ending any wait on a peer, and is acted on
-// once the block has ended.
+// mesh-wait lasts from the Cfg to the Ready: the build (or cache
+// lookup) and the mesh. A build or a graph-tier hit answers Ready in
+// await-state; a state-tier hit in ready. A block runs in running, and
+// its Up returns the session to ready. The session ticks (ticking)
+// through mesh-wait, an install and a block. * A frame or a hang-up
+// there first ends any wait on a peer, and is acted on once the work
+// has stopped; one that arrives during an install is acted on in
+// ready.
 func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOptions, hellos <-chan peerConn) (err error) {
 	fail := func(err error) error { return sessionFail(conn, err) }
 	refuseFrame := func(f exchange.Frame, state string) error {
@@ -370,27 +369,9 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 
 	id := cfg.Worker
 	key := problemKey(cfg.Workload, cfg.Spec, cfg.Shards)
-	ent := cache.get(key, id, cfg.Shards)
-	var hit string
-	switch {
-	case ent == nil:
-		if ent, err = buildSession(cfg, opts); err != nil {
-			return fail(err)
-		}
-	case ent.digest == cfg.StateDigest:
-		if err := installState(ent.g, ent.snapshot); err != nil {
-			return fail(err)
-		}
-		hit = cacheHitState
-	default:
-		hit = cacheHitGraph
-	}
-	g, plan, man := ent.g, ent.plan, ent.man
-
-	// Mesh: dial every lower-numbered peer we share boundary state
-	// with; higher-numbered ones dial us, in any order, and each hello
-	// is filed into its slot or closed. The mesh's connections are the
-	// exchanger's streams, so closing them closes it too.
+	live := liveConn{conn, time.Duration(liveBound.Load())}
+	// The mesh's connections are the exchanger's streams, so closing
+	// them closes it too.
 	mesh := make([]io.ReadWriteCloser, cfg.Shards)
 	defer func() {
 		for _, p := range mesh {
@@ -399,46 +380,37 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			}
 		}
 	}()
-	waiting := 0
-	for j := range cfg.Shards {
-		switch {
-		case j == id || !man.Linked(id, j):
-		case j > id:
-			waiting++
+	var ent *cacheEntry
+	var hit string
+	var prepErr error
+	wait := &handshakeWait{peer: -1}
+	quit := make(chan struct{})
+	f, ok, held, tickErr := ticking(live, frames, wait.waiting, func() { close(quit) }, func() {
+		switch ent = cache.get(key, id, cfg.Shards); {
+		case ent == nil:
+			ent, prepErr = buildSession(cfg, opts)
+		case ent.digest == cfg.StateDigest:
+			prepErr, hit = installState(ent.g, ent.snapshot), cacheHitState
 		default:
-			pc, err := DialAddr(context.Background(), cfg.Peers[j], opts.DialTimeout)
-			if err != nil {
-				return fail(fmt.Errorf("dial mesh peer %d (%s): %w", j, cfg.Peers[j], err))
-			}
-			mesh[j] = pc
-			if err := writeJSONFrame(pc, exchange.FramePeer, wirePeer{Session: cfg.Session, From: id}); err != nil {
-				return fail(fmt.Errorf("mesh hello to peer %d: %w", j, err))
-			}
+			hit = cacheHitGraph
 		}
-	}
-	timeout := time.After(opts.meshWait())
-	for waiting > 0 {
-		select {
-		case p := <-hellos:
-			j := p.hello.From
-			if j <= id || j >= cfg.Shards || mesh[j] != nil || !man.Linked(id, j) {
-				p.conn.Close()
-				continue
-			}
-			mesh[j] = p.conn
-			waiting--
-		case f, ok := <-frames:
-			// The coordinator hangs up the moment any worker fails the
-			// handshake; noticing it here frees the worker for the retry.
-			if !ok {
-				return fail(fmt.Errorf("coordinator hung up while waiting for %d mesh peers", waiting))
-			}
-			return refuseFrame(f, stateMeshWait)
-		case <-timeout:
-			return fail(fmt.Errorf("timed out waiting for %d mesh peers", waiting))
+		if prepErr == nil {
+			prepErr = standMesh(mesh, cfg, ent.man, hellos, wait, quit)
 		}
+	})
+	switch {
+	case held && !ok:
+		// The coordinator hangs up the moment any worker fails the
+		// handshake; noticing it here frees the worker for the retry.
+		return fmt.Errorf("coordinator hung up before Ready: %v", readErr)
+	case held:
+		return refuseFrame(f, stateMeshWait)
+	case tickErr != nil:
+		return tickErr
+	case prepErr != nil:
+		return fail(prepErr)
 	}
-
+	g, plan, man := ent.g, ent.plan, ent.man
 	ex, err := exchange.NewPeer(g, man, id, mesh)
 	if err != nil {
 		return fail(err)
@@ -453,7 +425,7 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		ManifestDigest: fmt.Sprintf("%016x", man.Digest()),
 		Hit:            hit,
 	}
-	if err := writeJSONFrame(conn, exchange.FrameReady, ready); err != nil {
+	if err := writeJSONFrame(live, exchange.FrameReady, ready); err != nil {
 		return err
 	}
 
@@ -465,9 +437,9 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	if hit == cacheHitState {
 		state = stateReady
 	}
+	computing := func() (int, time.Duration) { return -1, 0 }
 	block := 0
-	var f exchange.Frame
-	var ok, held bool // held: running read f (or the hang-up, !ok)
+	// held: a ticking phase read f (or the hang-up, !ok) for the loop.
 	for {
 		if !held {
 			f, ok = <-frames
@@ -484,10 +456,19 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		case f.Kind == exchange.FrameBye:
 			return nil
 		case f.Kind == exchange.FrameState && state == stateAwaitState:
-			if err := installState(g, f.Payload); err != nil {
-				return fail(err)
+			payload := f.Payload
+			var installErr error
+			f, ok, held, tickErr = ticking(live, frames, computing, func() {}, func() {
+				if installErr = installState(g, payload); installErr == nil {
+					cache.capture(key, ent, payload)
+				}
+			})
+			switch {
+			case installErr != nil:
+				return fail(installErr)
+			case !held && tickErr != nil:
+				return tickErr
 			}
-			cache.capture(key, ent, f.Payload)
 			state = stateReady
 		case f.Kind == exchange.FrameIter && state == stateReady:
 			var cmd wireIter
@@ -514,22 +495,20 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 				zprev = zprevBuf
 			}
 			state = stateRunning
-			live := liveConn{conn, time.Duration(liveBound.Load())}
-			var tickErr error
-			stop, done := make(chan struct{}), make(chan struct{})
-			go func() { f, ok, held, tickErr = watchBlock(live, frames, ex, id, stop); close(done) }()
-			rep, iterErr := runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev)
-			if iterErr == nil {
-				// Encoding a large Up takes a while: tick through it.
-				out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
-			}
-			close(stop)
-			<-done
+			var iterErr error
+			waiting := func() (int, time.Duration) { return ex.Waiting(id) }
+			f, ok, held, tickErr = ticking(live, frames, waiting, func() { ex.Close() }, func() {
+				var rep blockReport
+				if rep, iterErr = runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev); iterErr == nil {
+					// Encoding a large Up takes a while: tick through it.
+					out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
+				}
+			})
 			switch {
-			case tickErr != nil:
-				return tickErr
 			case held:
 				continue
+			case tickErr != nil:
+				return tickErr
 			case iterErr != nil:
 				return fail(iterErr)
 			}
@@ -543,29 +522,118 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	}
 }
 
-// watchBlock sends a Tick every tickEvery until stop closes; a control
-// frame or hang-up (seen: f, ok) or a failed Tick (err) first closes the
-// mesh, ending any wait on a peer.
-func watchBlock(conn liveConn, frames <-chan exchange.Frame, ex *exchange.Messaged, id int, stop <-chan struct{}) (f exchange.Frame, ok, seen bool, err error) {
-	ticks := time.NewTicker(time.Duration(liveTick.Load()))
-	defer ticks.Stop()
-	var buf []byte
-	for {
-		select {
-		case <-stop:
-			return
-		case f, ok = <-frames:
-			ex.Close()
-			return f, ok, true, nil
-		case <-ticks.C:
-			peer, waited := ex.Waiting(id)
-			buf = appendTick(exchange.BeginFrame(buf[:0], exchange.FrameTick, 0), peer, waited)
-			if err = exchange.FinishFrame(conn, buf); err != nil {
-				ex.Close()
-				return
-			}
+// standMesh stands the session's mesh up in mesh: it dials every
+// lower-numbered peer this worker shares boundary state with, then files
+// the hellos of the higher-numbered ones, in any order, into their
+// slots, closing any other, until every slot is filled or quit closes.
+// wait says which peer it waits on, and since when.
+func standMesh(mesh []io.ReadWriteCloser, cfg wireConfig, man *exchange.Manifest, hellos <-chan peerConn, wait *handshakeWait, quit <-chan struct{}) error {
+	id := cfg.Worker
+	for j := range id {
+		if !man.Linked(id, j) {
+			continue
+		}
+		wait.set(j)
+		pc, err := DialAddr(context.Background(), cfg.Peers[j])
+		if err != nil {
+			return fmt.Errorf("dial mesh peer %d (%s): %w", j, cfg.Peers[j], err)
+		}
+		mesh[j] = pc
+		if err := writeJSONFrame(pc, exchange.FramePeer, wirePeer{Session: cfg.Session, From: id}); err != nil {
+			return fmt.Errorf("mesh hello to peer %d: %w", j, err)
 		}
 	}
+	for {
+		next := -1
+		for j := cfg.Shards - 1; j > id; j-- {
+			if mesh[j] == nil && man.Linked(id, j) {
+				next = j
+			}
+		}
+		if next < 0 {
+			wait.set(-1)
+			return nil
+		}
+		wait.set(next)
+		select {
+		case p := <-hellos:
+			j := p.hello.From
+			if j <= id || j >= cfg.Shards || mesh[j] != nil || !man.Linked(id, j) {
+				p.conn.Close()
+				continue
+			}
+			mesh[j] = p.conn
+		case <-quit:
+			return fmt.Errorf("stopped waiting for mesh peer %d", next)
+		}
+	}
+}
+
+// handshakeWait is what a session's Ticks say before its Ready: the mesh peer
+// it waits on, and since when, or -1 while it computes.
+type handshakeWait struct {
+	mu    sync.Mutex
+	peer  int
+	since time.Time
+}
+
+// set names the peer the session waits on; its wait counts from the
+// first time it is named.
+func (m *handshakeWait) set(peer int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if peer != m.peer {
+		m.peer, m.since = peer, time.Now()
+	}
+}
+
+func (m *handshakeWait) waiting() (int, time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.peer < 0 {
+		return -1, 0
+	}
+	return m.peer, time.Since(m.since)
+}
+
+// ticking runs work on the calling goroutine while another sends a Tick
+// on conn every tickEvery, saying what waiting reports, and returns once
+// both have stopped, so the caller alone writes to conn again. The
+// first control frame or hang-up seen meanwhile (f, ok; held) calls
+// abort, which must end any wait on a peer, and is returned for the
+// caller to act on; the Ticks go on until work returns. A failed Tick
+// (err) calls abort too and ends the Ticks.
+func ticking(conn liveConn, frames <-chan exchange.Frame, waiting func() (int, time.Duration), abort, work func()) (f exchange.Frame, ok, held bool, err error) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ticks := time.NewTicker(time.Duration(liveTick.Load()))
+		defer ticks.Stop()
+		in := frames
+		var buf []byte
+		for {
+			select {
+			case <-stop:
+				return
+			case f, ok = <-in:
+				held, in = true, nil
+				abort()
+			case <-ticks.C:
+				peer, waited := waiting()
+				buf = appendTick(exchange.BeginFrame(buf[:0], exchange.FrameTick, 0), peer, waited)
+				if err = exchange.FinishFrame(conn, buf); err != nil {
+					if !held {
+						abort()
+					}
+					return
+				}
+			}
+		}
+	}()
+	work()
+	close(stop)
+	<-done
+	return
 }
 
 // replayEdit makes Run's edit to Rho on every edge (the boundary

@@ -35,7 +35,7 @@ func startWorker(t testing.TB, opts WorkerOptions) (string, net.Listener, <-chan
 // dialFrame opens a connection to the worker and writes one frame on it.
 func dialFrame(t testing.TB, addr string, kind byte, payload []byte) net.Conn {
 	t.Helper()
-	conn, err := DialAddr(context.Background(), addr, 0)
+	conn, err := DialAddr(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,26 @@ func dialFrame(t testing.TB, addr string, kind byte, payload []byte) net.Conn {
 		t.Fatal(err)
 	}
 	return conn
+}
+
+// readFrameKind reads one frame past any Tick — or the next Tick, when
+// kind is FrameTick — and requires the given kind; a FrameErr is
+// surfaced as the remote side's error message.
+func readFrameKind(r io.Reader, buf []byte, kind byte) (exchange.Frame, []byte, error) {
+	for {
+		f, buf, err := exchange.ReadFrame(r, buf)
+		switch {
+		case err != nil:
+			return f, buf, err
+		case f.Kind == exchange.FrameTick && kind != exchange.FrameTick:
+			continue
+		case f.Kind == exchange.FrameErr:
+			return f, buf, &remoteError{msg: string(f.Payload)}
+		case f.Kind != kind:
+			return f, buf, fmt.Errorf("shard: unexpected frame kind %d, want %d", f.Kind, kind)
+		}
+		return f, buf, nil
+	}
 }
 
 func mustJSON(t testing.TB, v any) []byte {
@@ -227,7 +247,7 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 func TestWorkerSessionTable(t *testing.T) {
 	const n = 16
 	shrinkLiveness(t, 20*time.Millisecond, 5*time.Second)
-	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), MeshWait: 5 * time.Second, CacheEntries: 2})
+	addr, _, _ := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n), CacheEntries: 2})
 	g := chainGraph(t, n)
 	var session uint64
 	var mesh net.Conn // peer 0's end of the running worker's mesh
@@ -279,12 +299,16 @@ func TestWorkerSessionTable(t *testing.T) {
 			if err := writeJSONFrame(conn, exchange.FrameIter, wireIter{Iters: 1}); err != nil {
 				t.Fatal(err)
 			}
-			f, _, err := readFrameKind(conn, nil, exchange.FrameTick)
-			if err == nil {
-				var peer int
-				if peer, _, err = decodeTick(f.Payload, 1, 2); err == nil && peer != 0 {
-					err = fmt.Errorf("tick names peer %d, want 0", peer)
+			// Past any Tick of the install, which computes (peer -1).
+			peer := -1
+			for peer < 0 && err == nil {
+				f, _, err = readFrameKind(conn, nil, exchange.FrameTick)
+				if err == nil {
+					peer, _, err = decodeTick(f.Payload, 1, 2)
 				}
+			}
+			if err == nil && peer != 0 {
+				err = fmt.Errorf("tick names peer %d, want 0", peer)
 			}
 			if err != nil {
 				t.Fatalf("a running worker's Tick: %v", err)
@@ -368,6 +392,54 @@ func TestWorkerSessionTable(t *testing.T) {
 		}
 	}
 	checkCleanSession(t, addr, n)
+}
+
+// TestListenerCloseEndsQueuedOpener: a session runs, a second opener
+// queues behind it (a third is refused as busy), and the worker's
+// listener closes. ServeWorker lets the running session finish, then
+// hangs up on the queued opener before it returns: that coordinator
+// reads EOF (or an Err) as soon as the first session ends, instead of
+// waiting on a worker that is gone.
+func TestListenerCloseEndsQueuedOpener(t *testing.T) {
+	const n = 16
+	addr, ln, served := startWorker(t, WorkerOptions{Builders: chainBuilders(t, n)})
+	g := chainGraph(t, n)
+	r, err := NewRemote(context.Background(), chainSpec([]string{addr}), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := mustJSON(t, wireConfig{Session: 1 << 20, Shards: 1, Workload: "chain", Spec: []byte(`{}`), Peers: []string{addr}})
+	replies := make(chan error, 2)
+	for range 2 {
+		conn := dialFrame(t, addr, exchange.FrameCfg, cfg)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		go func() {
+			_, _, err := readFrameKind(conn, nil, exchange.FrameReady)
+			replies <- err
+		}()
+	}
+	var re *remoteError
+	if err := <-replies; !errors.As(err, &re) || !re.transient() {
+		t.Fatalf("one of two openers behind a running session: %v, want a busy refusal", err)
+	}
+	ln.Close()
+	// Nothing outside ServeWorker shows that its loop has seen the
+	// listener close; it does so at once, with no session event pending.
+	time.Sleep(200 * time.Millisecond)
+	start := time.Now()
+	r.Close()
+	if err := <-replies; err != io.EOF && !errors.As(err, &re) || time.Since(start) > time.Second {
+		t.Fatalf("the queued opener read %v %v after the session ended, want EOF or an Err at once", err, time.Since(start))
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ServeWorker: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeWorker did not return after its listener closed")
+	}
 }
 
 // TestWorkerIterRoundAllocs: a session's Iter rounds, each carrying an
@@ -548,13 +620,14 @@ func FuzzWorkerSession(f *testing.F) {
 	// Mesh hellos from -1, from the session's own index, and from its
 	// shard count.
 	f.Add(seq(op(opCfg, 0, 2, 0, 0), op(opPeer, 3, 0, 0xff, 0), op(opPeer, 3, 0, 0, 0), op(opPeer, 3, 0, 2, 0)))
+	// The shrunk bound drops a stalled opener within 200 ms; a session
+	// waiting for its mesh ends when the fuzzer hangs up.
+	shrinkLiveness(f, 20*time.Millisecond, 200*time.Millisecond)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		baseline := runtime.NumGoroutine()
 		dir := t.TempDir()
 		addr, ln, served := startWorker(t, WorkerOptions{
 			Builders:     chainBuilders(t, fuzzChainVars),
-			DialTimeout:  time.Second,
-			MeshWait:     200 * time.Millisecond,
 			CacheEntries: 2,
 		})
 		g := chainGraph(t, fuzzChainVars)
@@ -572,7 +645,7 @@ func FuzzWorkerSession(f *testing.F) {
 		}
 		defer closeAll()
 		dial := func() net.Conn {
-			c, err := DialAddr(context.Background(), addr, 0)
+			c, err := DialAddr(context.Background(), addr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,9 +46,7 @@ func oneRouteExecutor(addrs []string, failover string) string {
 		return `{"kind":"serial"}`
 	}
 	quoted, _ := json.Marshal(addrs)
-	return fmt.Sprintf(`{"kind":"sharded","transport":"sockets","addrs":%s,"failover":%q,`+
-		`"dial_timeout_ms":2000,"handshake_timeout_ms":5000}`,
-		quoted, failover)
+	return fmt.Sprintf(`{"kind":"sharded","transport":"sockets","addrs":%s,"failover":%q}`, quoted, failover)
 }
 
 var oneRoutes = []struct {

@@ -80,7 +80,7 @@ func spawnWorkers(t *testing.T, addrs []string, sessions int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for _, addr := range addrs {
 		for {
-			conn, err := shard.DialAddr(context.Background(), addr, 0)
+			conn, err := shard.DialAddr(context.Background(), addr)
 			if err == nil {
 				conn.Close()
 				break
