@@ -34,12 +34,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/admm"
 	"repro/internal/bulk"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // config is what the command line sets: the pipeline's options, with
@@ -68,7 +68,7 @@ func parseConfig(args []string) (config, error) {
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-executor serial only)")
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints, one per shard, for -transport sockets")
-	fs.IntVar(&c.opts.MaxIter, "max-iter", 1000, "default iteration budget for records without max_iter")
+	fs.IntVar(&c.opts.MaxIter, "max-iter", workload.DefaultMaxIter, "default iteration budget for records without max_iter")
 	fs.Float64Var(&c.opts.AbsTol, "abs-tol", 0, "default absolute stopping tolerance (0 = none)")
 	fs.Float64Var(&c.opts.RelTol, "rel-tol", 0, "default relative stopping tolerance (0 = none)")
 	fs.IntVar(&c.opts.MaxLineBytes, "max-line-bytes", 1<<20, "longest accepted input line; longer lines become error records")
@@ -124,7 +124,7 @@ func executorSpec(kind string, shards int, fused bool, transport, addrs string) 
 		spec.Shards = shards
 	}
 	spec.Transport = transport
-	spec.Addrs = splitAddrs(addrs)
+	spec.Addrs = admm.ParseAddrs(addrs)
 	if len(spec.Addrs) > 0 && shards == 0 {
 		spec.Shards = len(spec.Addrs)
 	}
@@ -186,19 +186,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-func splitAddrs(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

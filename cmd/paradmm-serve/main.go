@@ -42,28 +42,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/admm"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
-
-// splitAddrs parses the comma-separated -fleet-addrs list.
-func splitAddrs(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // options are the flags that set up the process around the server: its
 // listener and HTTP timeouts, the solution store and the fleet registry
@@ -91,7 +78,7 @@ func parseConfig(args []string) (serve.Config, options, error) {
 	fs.IntVar(&cfg.Workers, "workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.QueueDepth, "queue", 64, "admission queue depth")
 	fs.IntVar(&cfg.CachePerKey, "cache-per-key", 2, "pooled graphs per shape key")
-	fs.IntVar(&cfg.MaxIterLimit, "max-iter-limit", 200000, "reject requests asking for more iterations")
+	fs.IntVar(&cfg.MaxIterLimit, "max-iter-limit", workload.MaxIterLimit, "reject requests asking for more iterations")
 	fs.IntVar(&cfg.BulkStreams, "bulk-streams", 2, "max concurrent POST /v1/bulk streams")
 	fs.IntVar(&cfg.BulkWorkers, "bulk-workers", 0, "solve workers per bulk stream (0 = -workers)")
 	fs.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", 1<<20, "max POST /v1/solve body size in bytes")
@@ -136,7 +123,7 @@ func parseConfig(args []string) (serve.Config, options, error) {
 		fs.Usage()
 		return cfg, o, bad
 	}
-	o.fleet.Addrs = splitAddrs(fleetAddrs)
+	o.fleet.Addrs = admm.ParseAddrs(fleetAddrs)
 	return cfg, o, nil
 }
 

@@ -1,8 +1,9 @@
 // Command paradmm-solve builds one of the four application domains and
 // solves it with a chosen executor (serial, sharded or auto), printing
 // domain-specific quality metrics — a quick way to exercise the full
-// stack end to end. Every solve goes through shard.Solve, the route the
-// serving layer and the bulk pipeline take. The paper's fork-join and
+// stack end to end. The flags map to the workload spec a serve request
+// would carry, and every solve goes through workload.Solve, the route
+// the serving layer and the bulk pipeline take. The paper's fork-join and
 // simulated-device backends run in paradmm-bench and examples/quickstart.
 //
 // Usage:
@@ -27,10 +28,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
+	"maps"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,31 +43,34 @@ import (
 	"repro/internal/packing"
 	"repro/internal/shard"
 	"repro/internal/svm"
+	"repro/internal/workload"
 )
 
 // config is what the command line sets: the problem to build and how
-// to solve it.
+// to solve it, and the job admitted from them.
 type config struct {
 	problem string
 	size    int
 	iters   int
 	seed    int64
 	run     runConfig
+	job     workload.Job
 }
 
-// solvers maps each -problem to the function that builds and solves it.
-var solvers = map[string]func(size, iters int, cfg runConfig, seed int64) error{
-	"packing": solvePacking,
-	"mpc":     solveMPC,
-	"svm":     solveSVM,
-	"lasso":   solveLasso,
+// specs maps each -problem, with -size and -seed, to its workload spec.
+var specs = map[string]func(size int, seed int64) any{
+	"packing": func(n int, seed int64) any { return packing.Spec{N: n, Seed: seed} },
+	"mpc":     func(k int, _ int64) any { return mpc.Spec{K: k} },
+	"svm":     func(n int, seed int64) any { return svm.Spec{N: n, Lambda: 0.5, Seed: seed} },
+	"lasso":   func(m int, seed int64) any { return lasso.Spec{M: m, Lambda: 0.3, Seed: seed} },
 }
 
-// parseConfig parses the command line. A malformed value, a stray
-// argument, a negative count, an unknown problem or an
-// invalid executor is an error, reported with the usage the way the
-// flag package reports its own; -h prints the usage and returns
-// flag.ErrHelp.
+// parseConfig parses the command line and admits the problem the flags
+// describe, the way a serve request or a shardworker admits its spec. A
+// malformed value, a stray argument, a negative count, an unknown
+// problem, a size admission refuses or an invalid executor is an error,
+// reported with the usage the way the flag package reports its own; -h
+// prints the usage and returns flag.ErrHelp.
 func parseConfig(args []string) (config, error) {
 	var c config
 	var backend, transport, addrs, failover string
@@ -75,7 +79,7 @@ func parseConfig(args []string) (config, error) {
 	fs := flag.NewFlagSet("paradmm-solve", flag.ContinueOnError)
 	fs.StringVar(&c.problem, "problem", "packing", "packing | mpc | svm | lasso")
 	fs.IntVar(&c.size, "size", 10, "circles / horizon / data points / observations")
-	fs.IntVar(&c.iters, "iters", 2000, "ADMM iterations")
+	fs.IntVar(&c.iters, "iters", 2000, fmt.Sprintf("ADMM iterations (0 selects the serving default, %d)", workload.DefaultMaxIter))
 	fs.StringVar(&backend, "backend", "serial", "serial | sharded | auto")
 	fs.IntVar(&shards, "shards", 4, "shard count for -backend sharded")
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
@@ -96,7 +100,7 @@ func parseConfig(args []string) (config, error) {
 	switch {
 	case fs.NArg() > 0:
 		bad = fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	case solvers[c.problem] == nil:
+	case specs[c.problem] == nil:
 		bad = fmt.Errorf("unknown problem %q", c.problem)
 	}
 	// Every count must not be negative; -seed may be.
@@ -117,7 +121,7 @@ func parseConfig(args []string) (config, error) {
 		// them on any other, so a -transport or -failover request against
 		// the wrong backend errors instead of silently solving locally.
 		spec.Transport = transport
-		spec.Addrs = splitAddrs(addrs)
+		spec.Addrs = admm.ParseAddrs(addrs)
 		spec.Fused = &fused
 		spec.Failover = failover
 		if spec.Kind == admm.ExecSharded {
@@ -137,6 +141,12 @@ func parseConfig(args []string) (config, error) {
 		bad = fmt.Errorf("-repeat %d out of range (>= 1)", c.run.repeat)
 	case c.run.fleet && len(c.run.spec.Addrs) == 0:
 		bad = fmt.Errorf("-fleet needs -addrs naming the shardworker fleet")
+	default:
+		c.job.Spec, bad = json.Marshal(specs[c.problem](c.size, c.seed))
+	}
+	if bad == nil {
+		c.job.Admission, bad = workload.Parse(c.problem, c.job.Spec)
+		c.job.Executor, c.job.MaxIter = c.run.spec, c.iters
 	}
 	if bad != nil {
 		fmt.Fprintln(fs.Output(), bad)
@@ -154,32 +164,13 @@ func main() {
 	case err != nil:
 		os.Exit(2) // parseConfig printed the error and the usage
 	}
-	// The sharded executor partitions the factor graph up front, so the
-	// backend is built after the problem: solve* functions carry the
-	// run config to run(), which adds the rebuildable problem reference
-	// that worker processes reconstruct the graph from and hands the
-	// spec to shard.Solve.
-	if err := solvers[c.problem](c.size, c.iters, c.run, c.seed); err != nil {
+	if err := run(c); err != nil {
 		fatal(err)
 	}
 }
 
-func splitAddrs(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// runConfig is what every solve* function hands to run: the executor
-// spec from the flags, and how many times to solve.
+// runConfig is how to solve: the executor spec from the flags, and how
+// many times.
 type runConfig struct {
 	spec   admm.ExecutorSpec
 	repeat int
@@ -188,85 +179,73 @@ type runConfig struct {
 	fleet bool
 }
 
-// problemRef marshals a workload spec into the reference remote shard
-// workers rebuild from.
-func problemRef(workload string, spec any) (*admm.ProblemRef, error) {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &admm.ProblemRef{Workload: workload, Spec: raw}, nil
-}
-
-// run solves g -repeat times from the same initial state. With -fleet
-// the worker addresses are managed by one fleet.Registry reused across
-// every repeat: probed up front and leased per solve. Over worker
-// processes, with or without -fleet, the repeats after the first hit
-// the workers' caches.
-func run(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef) (admm.Result, error) {
+// run solves the problem -repeat times, each from its initial state,
+// and prints the last solve's quality metrics. The first solve builds
+// the problem and the repeats reuse it; over worker processes they hit
+// the workers' caches too. With -fleet the worker addresses are managed
+// by one fleet.Registry: probed up front and leased per solve.
+func run(c config) error {
+	job := c.job
 	var reg *fleet.Registry
-	if c.fleet {
-		var err error
-		reg, err = fleet.New(fleet.Config{Addrs: c.spec.Addrs})
-		if err != nil {
-			return admm.Result{}, err
+	var err error
+	if c.run.fleet {
+		if reg, err = fleet.New(fleet.Config{Addrs: job.Executor.Addrs}); err != nil {
+			return err
 		}
 		for _, w := range reg.ProbeOnce(context.Background()) {
 			if w.State != fleet.StateHealthy {
-				return admm.Result{}, fmt.Errorf("fleet worker %s is %s: %s", w.Addr, w.State, w.LastErr)
+				return fmt.Errorf("fleet worker %s is %s: %s", w.Addr, w.State, w.LastErr)
 			}
 		}
-		fmt.Printf("fleet: %d workers healthy\n", len(c.spec.Addrs))
+		fmt.Printf("fleet: %d workers healthy\n", len(job.Executor.Addrs))
 	}
-	var snap graph.State
-	if c.repeat > 1 {
-		snap = g.SaveState()
-	}
-	var res admm.Result
-	for rep := 1; rep <= c.repeat; rep++ {
+	var out workload.Outcome
+	for rep := 1; rep <= c.run.repeat; rep++ {
 		if rep > 1 {
-			g.RestoreState(snap)
-			fmt.Printf("--- repeat %d/%d ---\n", rep, c.repeat)
+			fmt.Printf("--- repeat %d/%d ---\n", rep, c.run.repeat)
 		}
-		var err error
-		if res, err = runOnce(g, iters, c, ref, reg); err != nil {
-			return res, err
+		if out, err = solveOnce(job, out.Problem, reg); err != nil {
+			return err
 		}
 	}
 	if reg != nil {
-		st := reg.Stats()
-		fmt.Printf("fleet: %d worker-solves leased across %d repeats\n", st.Solves, c.repeat)
+		fmt.Printf("fleet: %d worker-solves leased across %d repeats\n", reg.Stats().Solves, c.run.repeat)
 	}
-	return res, nil
+	keys := slices.Sorted(maps.Keys(out.Metrics))
+	for i, k := range keys {
+		keys[i] = k + "=" + strconv.FormatFloat(out.Metrics[k], 'g', -1, 64)
+	}
+	fmt.Printf("%s: %s\n", job.Workload, strings.Join(keys, " "))
+	return nil
 }
 
-func runOnce(g *graph.Graph, iters int, c runConfig, ref *admm.ProblemRef, reg *fleet.Registry) (admm.Result, error) {
-	spec := c.spec
-	if len(spec.Addrs) > 0 {
-		spec.Problem = ref
-	}
+// solveOnce solves job on held (nil builds it) and reports the solve.
+// The -fleet lease is taken here, not by the planner: the spec pins its
+// workers.
+func solveOnce(job workload.Job, held workload.Problem, reg *fleet.Registry) (workload.Outcome, error) {
 	if reg != nil {
-		lease := reg.Acquire(len(spec.Addrs))
-		if lease == nil || len(lease.Addrs) < len(spec.Addrs) {
+		want := len(job.Executor.Addrs)
+		lease := reg.Acquire(want)
+		if lease == nil || len(lease.Addrs) < want {
 			lease.Release()
-			return admm.Result{}, fmt.Errorf("fleet has no free session slots")
+			return workload.Outcome{}, fmt.Errorf("fleet has no free session slots")
 		}
 		defer lease.Release()
 	}
-	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{Executor: spec, MaxIter: iters})
+	out, err := workload.Solve(context.Background(), job, held, workload.Env{})
 	if err != nil {
-		return admm.Result{}, err
+		return out, err
 	}
 	var st *shard.Stats
 	if out.HasShardStats {
 		st = &out.ShardStats
 	}
-	report(out.Result, g, out.Backend, st)
+	report(out.Result, out.Problem.FactorGraph(), out.Backend, st)
 	if out.Attempts > 1 || out.Failovers > 0 || out.LocalFallback {
 		fmt.Printf("failover: %d attempts, %d failovers, local fallback %v; failures: %s\n",
 			out.Attempts, out.Failovers, out.LocalFallback, strings.Join(out.Failures, "; "))
 	}
-	return out.Result, nil
+	return out, nil
 }
 
 func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
@@ -307,98 +286,6 @@ func waitShares(waitNanos []int64, elapsed time.Duration) (lo, med, hi float64) 
 }
 
 func nanos(n int64) string { return fmt.Sprintf("%.2fms", float64(n)/1e6) }
-
-func solvePacking(n, iters int, cfg runConfig, seed int64) error {
-	if seed == 0 {
-		// packing.Spec's documented default; applying it here keeps the
-		// local InitRandom consistent with what the shipped spec (and a
-		// serve request for the same spec) would initialize from.
-		seed = 1
-	}
-	spec := packing.Spec{N: n, Seed: seed}
-	ref, err := problemRef("packing", spec)
-	if err != nil {
-		return err
-	}
-	p, err := packing.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	p.InitRandom(rand.New(rand.NewSource(seed)))
-	if _, err := run(p.Graph, iters, cfg, ref); err != nil {
-		return err
-	}
-	v := p.CheckValidity()
-	fmt.Printf("packing: coverage %.1f%%, max overlap %.2e, max wall violation %.2e, min radius %.4f\n",
-		100*p.Coverage(), v.MaxOverlap, v.MaxWall, v.MinRadius)
-	return nil
-}
-
-func solveMPC(k, iters int, cfg runConfig, _ int64) error {
-	spec := mpc.Spec{K: k}
-	ref, err := problemRef("mpc", spec)
-	if err != nil {
-		return err
-	}
-	p, err := mpc.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	p.Graph.InitZero()
-	if _, err := run(p.Graph, iters, cfg, ref); err != nil {
-		return err
-	}
-	fmt.Printf("mpc: cost %.6f, dynamics residual %.2e, u(0) = %.4f\n",
-		p.Cost(), p.DynamicsResidual(), p.Input(0))
-	return nil
-}
-
-func solveSVM(n, iters int, cfg runConfig, seed int64) error {
-	spec := svm.Spec{N: n, Lambda: 0.5, Seed: seed}
-	ref, err := problemRef("svm", spec)
-	if err != nil {
-		return err
-	}
-	p, err := svm.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	p.Graph.InitZero()
-	if _, err := run(p.Graph, iters, cfg, ref); err != nil {
-		return err
-	}
-	w, b := p.Plane()
-	fmt.Printf("svm: training accuracy %.1f%%, |w| = %.4f, b = %.4f, objective %.4f\n",
-		100*p.Accuracy(p.Cfg.Data), norm(w), b, p.HingeObjective())
-	return nil
-}
-
-func solveLasso(m, iters int, cfg runConfig, seed int64) error {
-	spec := lasso.Spec{M: m, Lambda: 0.3, Seed: seed}
-	ref, err := problemRef("lasso", spec)
-	if err != nil {
-		return err
-	}
-	p, err := lasso.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	p.Graph.InitZero()
-	if _, err := run(p.Graph, iters, cfg, ref); err != nil {
-		return err
-	}
-	x := p.Coefficients()
-	fmt.Printf("lasso: objective %.6f, optimality gap %.2e\n", p.Objective(x), p.OptimalityGap(x))
-	return nil
-}
-
-func norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "paradmm-solve:", err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/admm"
+	"repro/internal/workload"
 )
 
 // TestParseConfig pins what the command line sets: the defaults the
@@ -52,6 +53,11 @@ func TestParseConfig(t *testing.T) {
 		{"negative shards", []string{"-shards", "-2"}, config{}, "-shards = -2"},
 		{"negative repeat", []string{"-repeat", "-1"}, config{}, "-repeat = -1"},
 		{"zero repeat", []string{"-repeat", "0"}, config{}, "-repeat 0 out of range"},
+		// 0 leaves the budget to workload.Solve's serving default.
+		{"zero iters", []string{"-iters", "0"}, with(func(c *config) { c.iters = 0 }), ""},
+		// The flags map to a workload spec, admitted like a serve request.
+		{"size admission refuses", []string{"-problem", "svm", "-size", "1"}, config{}, "svm: n = 1, need 2..8192"},
+		{"packing past its cap", []string{"-size", "513"}, config{}, "packing: n = 513, need 1..512"},
 		// shard.Solve's one attempt loop owns every retry; there is no
 		// retry budget to set.
 		{"retired dial attempts", []string{"-dial-attempts", "3"}, config{}, "flag provided but not defined: -dial-attempts"},
@@ -85,6 +91,14 @@ func TestParseConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The admitted job carries the flags; its builder is a func,
+			// so it is checked by parts and left out of the comparison.
+			job := got.job
+			if job.Build == nil || job.Workload != c.want.problem || job.MaxIter != c.want.iters ||
+				!reflect.DeepEqual(job.Executor, c.want.run.spec) {
+				t.Errorf("job %+v does not carry the flags of %+v", job, c.want)
+			}
+			got.job = workload.Job{}
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("config\n got %+v\nwant %+v", got, c.want)
 			}

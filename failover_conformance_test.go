@@ -1,16 +1,13 @@
-// Fault matrix: a two-worker cross-process solve is killed at every
-// frame boundary of every connection, in both directions, via the
-// deterministic faultnet wrapper. The contract under test is the
-// paper's determinism guarantee carried through failure: a faulted
-// solve may fail with a typed error, but if it reports success its
-// iterates are bit-identical to Serial — never a silently wrong
-// answer. A goroutine census before/after the sweep pins the absence
-// of leaks from torn-down sessions.
+// Failover conformance over in-process shard workers behind faultnet
+// listeners: killing one worker mid-solve under "survivors" must give
+// the answer, to the last bit, of a clean solve on the survivors and of
+// Serial. The scripted-worker helpers here serve the fleet and one-route
+// conformance tests too; the every-frame-boundary fault matrix lives
+// with the shard package (internal/shard/fault_matrix_test.go).
 package repro_test
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -24,9 +21,9 @@ import (
 	"repro/internal/workload"
 )
 
-// matrixProblem is the shared workload for the sweep: small enough
-// that one faulted run is milliseconds, residual-checked so the solve
-// spans multiple iteration blocks (Iter/Done/Up all repeat).
+// matrixIters iterations at a check period of 3 on an mpc k=40 graph:
+// small enough that one faulted run is milliseconds, residual-checked
+// so the solve spans multiple iteration blocks.
 const matrixIters = 6
 
 func matrixGraph(t testing.TB) *graph.Graph {
@@ -111,112 +108,6 @@ func settleGoroutines(t *testing.T, baseline int, context string) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-func TestFaultMatrixEveryFrameBoundary(t *testing.T) {
-	// Serial reference for the bit-identical check.
-	ref := matrixGraph(t)
-	refOpts := matrixOpts(admm.ExecutorSpec{})
-	if _, err := admm.Solve(ref, refOpts); err != nil {
-		t.Fatal(err)
-	}
-
-	// Census run: clean two-worker solve over instrumented listeners to
-	// learn how many frames cross each connection in each direction.
-	addrs, lns := startScriptedWorkers(t, []faultnet.Script{nil, nil})
-	g := matrixGraph(t)
-	if _, err := shard.Solve(context.Background(), g, matrixOpts(matrixSpec(addrs))); err != nil {
-		t.Fatalf("census solve failed: %v", err)
-	}
-	for i := range ref.Z {
-		if ref.Z[i] != g.Z[i] {
-			t.Fatalf("clean sharded solve diverged from serial at Z[%d]", i)
-		}
-	}
-	type edge struct {
-		worker, conn  int // worker index, accept index on its listener
-		in            bool
-		frames, bytes int
-	}
-	var edges []edge
-	for w, ln := range lns {
-		for ci, conn := range ln.Conns() {
-			edges = append(edges,
-				edge{w, ci, true, conn.FramesIn(), int(conn.BytesIn())},
-				edge{w, ci, false, conn.FramesOut(), int(conn.BytesOut())},
-			)
-		}
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-
-	// Let the census workers wind down, then take the leak baseline.
-	time.Sleep(100 * time.Millisecond)
-	baseline := runtime.NumGoroutine() + 2
-
-	// One faulted run per (connection, direction, frame boundary), plus
-	// mid-frame byte cuts: sever after k complete frames — the next byte
-	// on that stream kills the connection at exactly that boundary.
-	runs, failed, clean := 0, 0, 0
-	runOne := func(name string, victim, connIdx int, plan faultnet.Plan) {
-		t.Helper()
-		scripts := []faultnet.Script{nil, nil}
-		scripts[victim] = faultnet.PlanAt(connIdx, plan)
-		addrs, lns := startScriptedWorkers(t, scripts)
-		g := matrixGraph(t)
-		_, err := shard.Solve(context.Background(), g, matrixOpts(matrixSpec(addrs)))
-		runs++
-		if err != nil {
-			failed++
-		} else {
-			clean++
-			for i := range ref.Z {
-				if ref.Z[i] != g.Z[i] {
-					t.Fatalf("%s: solve reported success with wrong answer at Z[%d]: %g vs %g",
-						name, i, g.Z[i], ref.Z[i])
-				}
-			}
-		}
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}
-	for _, e := range edges {
-		dir := "out"
-		if e.in {
-			dir = "in"
-		}
-		for k := 1; k <= e.frames; k++ {
-			cut := faultnet.Cut{AfterFrames: k}
-			plan := faultnet.Plan{Out: cut}
-			if e.in {
-				plan = faultnet.Plan{In: cut}
-			}
-			runOne(fmt.Sprintf("w%d/conn%d/%s/frame%d", e.worker, e.conn, dir, k),
-				e.worker, e.conn, plan)
-		}
-		// Two mid-frame byte cuts per edge: inside the first frame header
-		// and mid-stream, exercising partial-frame teardown.
-		for _, b := range []int{5, e.bytes / 2} {
-			if b <= 0 || b >= e.bytes {
-				continue
-			}
-			cut := faultnet.Cut{AfterBytes: b}
-			plan := faultnet.Plan{Out: cut}
-			if e.in {
-				plan = faultnet.Plan{In: cut}
-			}
-			runOne(fmt.Sprintf("w%d/conn%d/%s/byte%d", e.worker, e.conn, dir, b),
-				e.worker, e.conn, plan)
-		}
-	}
-	t.Logf("fault matrix: %d runs (%d errored, %d completed bit-identical) over %d edges",
-		runs, failed, clean, len(edges))
-	if failed == 0 {
-		t.Fatal("no fault in the matrix produced a failure — cuts are not landing")
-	}
-	settleGoroutines(t, baseline, "after fault matrix")
 }
 
 // TestFailoverSurvivorConformance is the acceptance pin for recovery:

@@ -166,6 +166,19 @@ func ParseExecutor(name string) (ExecutorSpec, error) {
 	return s, nil
 }
 
+// ParseAddrs splits a comma-separated list of worker endpoints into
+// ExecutorSpec.Addrs form: entries trimmed, empty ones dropped, nil
+// when none is left.
+func ParseAddrs(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // executorKinds lists the kinds a spec can name, for error messages.
 const executorKinds = "serial | sharded | auto"
 
@@ -305,7 +318,8 @@ type SolveOptions struct {
 	// solve: x/u/z restored from a previous same-shape solution, derived
 	// messages recomputed. The caller remains responsible for resetting
 	// state when Warm is nil (cold start) — Solve never implicitly
-	// zeroes a graph.
+	// zeroes a graph. Only Solve reads it; shard.Solve runs g as it finds
+	// it.
 	Warm *WarmState
 }
 

@@ -26,8 +26,9 @@
 // workloads, spec violations, solve errors (a lost shard worker under
 // failover "none" included), even a panic inside a solve — are isolated
 // into error records on the output stream; the pipeline keeps going.
-// Every record's solve goes through shard.Solve, so a record's failover
-// policy is honored exactly as a /v1/solve request's is. Output order always matches input order, and
+// Every record's solve goes through workload.Solve, the path a
+// /v1/solve request takes, so a record solves exactly as that request
+// does, failover policy included. Output order always matches input order, and
 // records carry no wall-clock fields, so two runs over the same stream
 // (or the CLI and the serving endpoint fed the same body) produce
 // byte-identical output.

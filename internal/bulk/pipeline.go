@@ -13,13 +13,12 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // Options configures one bulk pipeline run. The zero value is usable:
-// GOMAXPROCS solve workers, serial executor, 1000-iteration budget.
+// GOMAXPROCS solve workers, serial executor, workload.DefaultMaxIter.
 type Options struct {
 	// Workers is the solve-stage worker count (default GOMAXPROCS).
 	// Records are routed to workers by shape key, so same-shape records
@@ -30,8 +29,8 @@ type Options struct {
 	// executor field replaces it wholesale for that record.
 	Executor admm.ExecutorSpec
 	// MaxIter is the default iteration budget for records that do not
-	// set max_iter (default 1000). MaxIterLimit caps per-record
-	// overrides (default 200000).
+	// set max_iter (0 leaves workload.Solve's DefaultMaxIter). MaxIterLimit caps
+	// per-record overrides (default workload.MaxIterLimit).
 	MaxIter      int
 	MaxIterLimit int
 	// AbsTol/RelTol are the default stopping tolerances; a record's own
@@ -67,11 +66,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 1000
-	}
 	if o.MaxIterLimit <= 0 {
-		o.MaxIterLimit = 200000
+		o.MaxIterLimit = workload.MaxIterLimit
 	}
 	if o.MaxLineBytes <= 0 {
 		o.MaxLineBytes = 1 << 20
@@ -421,99 +417,64 @@ func (p *pipeline) solve(in <-chan *task, out chan<- encoded, shapes map[string]
 	}
 }
 
-// solveOne solves one record on its shape's state: bind the shape's
-// problem (cache hit or build), warm-start from the shape's previous
-// solution when one exists, solve, capture the new solution.
-func (p *pipeline) solveOne(st *shapeState, t *task) (res Result) {
-	res = Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key}
-	defer func() {
-		// Crash guard: a panic while solving one record (a bug in an
-		// operator or a backend) must not take the stream down. Solve
-		// failures, a lost shard worker included, arrive as errors.
-		if r := recover(); r != nil {
-			// A panic mid-solve leaves the graph in an unknown state: the
-			// chain's snapshot can no longer be trusted, so the next record
-			// of this shape starts cold and the poisoned chain is never
-			// persisted.
-			st.warm = admm.WarmState{}
-			st.dirty = false
-			res = Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key,
-				Error: fmt.Sprintf("solve panic: %v", r)}
-		}
-	}()
-
-	if st.prob == nil && p.opts.Cache != nil {
-		if prob, hit := p.opts.Cache.Get(t.adm.Key); hit {
-			st.prob = prob
-			p.cacheHits.Add(1)
-		}
+// solveOne solves one record on its shape's state through
+// workload.Solve: the shape's problem is bound on first sight (cache
+// hit or build) and kept, and the solve warm-starts from the shape's
+// previous solution when one exists (on first sight, from the solution
+// store), then captures the new one.
+func (p *pipeline) solveOne(st *shapeState, t *task) Result {
+	res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key}
+	job := workload.Job{
+		Admission: t.adm,
+		Spec:      t.req.Spec,
+		Executor:  p.opts.Executor,
+		MaxIter:   p.opts.MaxIter,
+		AbsTol:    p.opts.AbsTol,
+		RelTol:    p.opts.RelTol,
+		Warm:      &st.warm,
 	}
-	if st.prob == nil {
-		prob, err := t.adm.Build()
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		st.prob = prob
-	}
-
-	spec := p.opts.Executor
 	if t.req.Executor != nil {
-		spec = *t.req.Executor
-	}
-	if len(spec.Addrs) > 0 {
-		spec.Problem = &admm.ProblemRef{Workload: t.adm.Workload, Spec: append([]byte(nil), t.req.Spec...)}
-	}
-	sopts := admm.SolveOptions{
-		Executor: spec,
-		MaxIter:  p.opts.MaxIter,
-		AbsTol:   p.opts.AbsTol,
-		RelTol:   p.opts.RelTol,
-		OnIteration: func(int, float64, float64) bool {
-			return p.ctx.Err() == nil
-		},
+		job.Executor = *t.req.Executor
 	}
 	if t.req.MaxIter > 0 {
-		sopts.MaxIter = t.req.MaxIter
+		job.MaxIter = t.req.MaxIter
 	}
 	if t.req.AbsTol > 0 {
-		sopts.AbsTol = t.req.AbsTol
+		job.AbsTol = t.req.AbsTol
 	}
 	if t.req.RelTol > 0 {
-		sopts.RelTol = t.req.RelTol
+		job.RelTol = t.req.RelTol
 	}
 
-	g := st.prob.FactorGraph()
-
-	// First record of a shape: try to seed the chain from the solution
-	// store. Apply's shape guard vets the snapshot against the built
-	// graph, so a stale or corrupt entry (wrong shape for its key) is
-	// rejected and the record solves cold — the store can cost
-	// iterations, never correctness.
+	// First sight of a shape: try to seed the chain from the solution
+	// store. Solve vets the snapshot against the bound graph, so a stale
+	// or corrupt entry (wrong shape for its key) is not applied and the
+	// record solves cold — the store can cost iterations, never
+	// correctness. Until the check, the chain holds no snapshot of its
+	// own.
 	if p.opts.Store != nil && !st.storeChecked {
-		st.storeChecked = true
-		if !st.warm.Captured() {
-			if snap, ok := p.opts.Store.Get(t.adm.Key); ok && snap.Warm.Apply(g) == nil {
-				st.warm = snap.Warm
-				p.storeHits.Add(1)
-			} else {
-				p.storeMisses.Add(1)
-			}
+		if snap, ok := p.opts.Store.Get(t.adm.Key); ok {
+			job.Warm = &snap.Warm
 		}
 	}
 
-	warm := st.warm.Captured()
-	if warm {
-		sopts.Warm = &st.warm
-	} else {
-		st.prob.Reset()
+	out, err := workload.Solve(p.ctx, job, st.prob, workload.Env{Cache: p.opts.Cache})
+	st.prob = out.Problem
+	if out.CacheHit {
+		p.cacheHits.Add(1)
 	}
-
-	out, err := shard.Solve(p.ctx, g, sopts)
+	if p.opts.Store != nil && !st.storeChecked && st.prob != nil {
+		st.storeChecked = true
+		if out.Warm {
+			p.storeHits.Add(1)
+		} else {
+			p.storeMisses.Add(1)
+		}
+	}
 	if err != nil {
-		// The graph's state is suspect after a failed solve; drop the
-		// warm snapshot so the next record of this shape starts cold,
-		// and never persist the poisoned chain.
+		// The graph's state is suspect after a failed or panicked solve;
+		// drop the warm snapshot so the next record of this shape starts
+		// cold, and never persist the poisoned chain.
 		st.warm = admm.WarmState{}
 		st.dirty = false
 		res.Error = err.Error()
@@ -523,15 +484,15 @@ func (p *pipeline) solveOne(st *shapeState, t *task) (res Result) {
 	// A diverged solve (NaN/Inf iterate) still reports its result, but
 	// Capture refuses it: the chain is dropped (next record of the shape
 	// starts cold) and nothing of it reaches the store.
-	st.dirty = st.warm.Capture(g)
+	st.dirty = st.warm.Capture(st.prob.FactorGraph())
 	st.iterations = r.Iterations
 
-	res.Warm = warm
+	res.Warm = out.Warm
 	res.Iterations = r.Iterations
 	res.Converged = r.Converged
-	res.Metrics = st.prob.Metrics()
+	res.Metrics = out.Metrics
 	p.solved.Add(1)
-	if warm {
+	if out.Warm {
 		p.warmStarts.Add(1)
 	}
 	p.iterations.Add(uint64(r.Iterations))

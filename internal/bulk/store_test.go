@@ -108,7 +108,7 @@ func TestPipelineStoreFailedSolveNotPersisted(t *testing.T) {
 }
 
 // panicOp is a prox operator that panics on first evaluation — the
-// direct way to drive solveOne's panic recovery with a graph whose
+// direct way to drive workload.Solve's crash guard with a graph whose
 // shape still matches the chain's snapshot.
 type panicOp struct{}
 

@@ -69,7 +69,7 @@ type Config struct {
 	// CachePerKey bounds pooled graphs per shape key (default 2).
 	CachePerKey int
 	// MaxIterLimit rejects specs asking for more iterations (default
-	// 200000), protecting the pool from unbounded requests.
+	// workload.MaxIterLimit), protecting the pool from unbounded requests.
 	MaxIterLimit int
 	// JobHistory bounds the finished-job registry (default 1024).
 	JobHistory int
@@ -107,7 +107,7 @@ func (c *Config) defaults() {
 		c.QueueDepth = 64
 	}
 	if c.MaxIterLimit <= 0 {
-		c.MaxIterLimit = 200000
+		c.MaxIterLimit = workload.MaxIterLimit
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 1024
@@ -132,7 +132,7 @@ type SolveRequest struct {
 	Spec json.RawMessage `json:"spec"`
 	// Executor selects the backend; zero value is serial.
 	Executor admm.ExecutorSpec `json:"executor"`
-	// MaxIter is the iteration budget (default 1000).
+	// MaxIter is the iteration budget (default workload.DefaultMaxIter).
 	MaxIter int `json:"max_iter,omitempty"`
 	// AbsTol/RelTol enable early stopping on the ADMM residuals.
 	AbsTol float64 `json:"abs_tol,omitempty"`
@@ -182,17 +182,10 @@ const (
 	StatusFailed  = "failed"
 )
 
-// Job is one admitted solve.
+// Job is one admitted solve and its progress.
 type Job struct {
+	workload.Job
 	id       string
-	workload string
-	key      string
-	rawSpec  json.RawMessage
-	build    func() (problem, error)
-	executor admm.ExecutorSpec
-	maxIter  int
-	absTol   float64
-	relTol   float64
 	admitted time.Time // stamped before Submit: a worker may start the job first
 
 	mu       sync.Mutex
@@ -209,9 +202,9 @@ func (j *Job) view() JobView {
 	defer j.mu.Unlock()
 	return JobView{
 		ID:       j.id,
-		Workload: j.workload,
+		Workload: j.Workload,
 		Status:   j.status,
-		Executor: j.executor,
+		Executor: j.Executor,
 		CacheHit: j.cacheHit,
 		Shed:     j.shed,
 		Error:    j.err,
@@ -345,23 +338,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: "bad executor: " + err.Error()})
 		return
 	}
-	if req.MaxIter == 0 {
-		req.MaxIter = 1000
-	}
 	if err := workload.CheckControls(req.MaxIter, s.cfg.MaxIterLimit, req.AbsTol, req.RelTol); err != nil {
 		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 
 	job := &Job{
-		workload: wl,
-		key:      adm.Key,
-		rawSpec:  req.Spec,
-		build:    adm.Build,
-		executor: req.Executor,
-		maxIter:  req.MaxIter,
-		absTol:   req.AbsTol,
-		relTol:   req.RelTol,
+		Job: workload.Job{
+			Admission: adm,
+			Spec:      req.Spec,
+			Executor:  req.Executor,
+			MaxIter:   req.MaxIter,
+			AbsTol:    req.AbsTol,
+			RelTol:    req.RelTol,
+		},
 		status:   StatusQueued,
 		done:     make(chan struct{}),
 		admitted: time.Now(),
@@ -468,9 +458,9 @@ func (s *Server) unregister(id string) {
 	}
 }
 
-// runJob executes one admitted solve on a pool worker: check the graph
-// cache, build on miss, reset state, solve with the requested executor,
-// record metrics, and return the graph to the cache.
+// runJob executes one admitted solve on a pool worker through
+// workload.Solve, records its metrics and result, and returns the
+// problem to the graph cache.
 func (s *Server) runJob(j *Job) {
 	s.met.queueWait.observe(time.Since(j.admitted).Nanoseconds())
 	s.met.inflight.Add(1)
@@ -478,114 +468,58 @@ func (s *Server) runJob(j *Job) {
 	j.status = StatusRunning
 	j.mu.Unlock()
 
-	// finish leaves the inflight gauge before it wakes the job's
-	// waiters, so a client that reads /metrics after its reply never
-	// sees its own job still in flight.
-	finish := func() {
-		s.met.inflight.Add(-1)
-		close(j.done)
-	}
-	fail := func(err error) {
-		j.mu.Lock()
-		j.status = StatusFailed
-		j.err = err.Error()
-		j.mu.Unlock()
-		finish()
-	}
-
-	// Crash guard: a panic on this pool worker (a bug in an operator or
-	// a backend) becomes a failed job instead of taking the server and
-	// every other tenant's job down with it. Solve failures, a lost
-	// shard worker included, arrive as errors, not here.
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if j.finished() {
-			// Nothing left to report the failure to; re-raise.
-			panic(rec)
-		}
-		fail(fmt.Errorf("solve aborted: %v", rec))
-	}()
-
-	var buildNanos int64
-	p, hit := s.cache.Get(j.key)
-	if !hit {
-		t := time.Now()
-		built, err := j.build()
-		if err != nil {
-			fail(err)
-			return
-		}
-		buildNanos = time.Since(t).Nanoseconds()
-		p = built
-	}
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.mu.Unlock()
-
-	p.Reset()
-	// Dress the spec, then one call. Worker processes rebuild the graph
-	// from the problem reference: the request's workload + spec, exactly
-	// what this job admitted.
-	g := p.FactorGraph()
-	spec := j.executor
-	if s.cfg.Fleet != nil && fleetEligible(spec) {
-		d := s.cfg.Fleet.Plan(g, s.cfg.FleetPlanner)
-		// The lease (if any) outlives the whole solve, including the
-		// failover loop's re-partitioned retries.
-		defer d.Release()
-		s.met.fleetRouted[index(fleetRoutes[:], string(d.Route))].Add(1)
-		switch d.Route {
-		case fleet.RouteShed:
-			j.mu.Lock()
-			j.shed = true
-			j.mu.Unlock()
-			fail(fmt.Errorf("fleet saturated: %s", d.Reason))
-			return
-		case fleet.RouteRemote:
-			spec = d.Spec(spec)
-		}
-	}
-	if len(spec.Addrs) > 0 {
-		spec.Problem = &admm.ProblemRef{Workload: j.workload, Spec: j.rawSpec}
-	}
 	// Jobs outlive their submitting requests — async clients poll — so
 	// the solve is deliberately not bound to the request context.
-	out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
-		Executor: spec,
-		MaxIter:  j.maxIter,
-		AbsTol:   j.absTol,
-		RelTol:   j.relTol,
+	out, err := workload.Solve(context.Background(), j.Job, nil, workload.Env{
+		Cache: s.cache, Fleet: s.cfg.Fleet, Planner: s.cfg.FleetPlanner,
 	})
-	s.met.recordFailover(out)
-	if err != nil {
-		fail(err)
-		return
+	if out.Route != "" {
+		s.met.fleetRouted[index(fleetRoutes[:], string(out.Route))].Add(1)
 	}
-	if out.HasShardStats {
-		s.met.recordShard(out.ShardStats)
+	s.met.recordFailover(out.Outcome)
+	var r *SolveResult
+	if err == nil {
+		if out.HasShardStats {
+			s.met.recordShard(out.ShardStats)
+		}
+		s.met.recordSolve(out.Result, out.BuildNanos)
+		r = newSolveResult(out)
+		s.cache.Put(j.Key, out.Problem)
 	}
-	res := out.Result
-	s.met.recordSolve(res, buildNanos)
 
+	j.mu.Lock()
+	j.cacheHit = out.CacheHit
+	j.shed = out.Route == fleet.RouteShed
+	if err != nil {
+		j.status = StatusFailed
+		j.err = err.Error()
+	} else {
+		j.status = StatusDone
+		j.result = r
+	}
+	j.mu.Unlock()
+	// The inflight gauge drops before the job's waiters wake, so a
+	// client that reads /metrics after its reply never sees its own job
+	// still in flight.
+	s.met.inflight.Add(-1)
+	close(j.done)
+}
+
+// newSolveResult renders a finished solve as its reply payload.
+func newSolveResult(out workload.Outcome) *SolveResult {
+	res := out.Result
 	r := &SolveResult{
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
 		ElapsedNS:  res.Elapsed.Nanoseconds(),
-		BuildNS:    buildNanos,
+		BuildNS:    out.BuildNanos,
 		PhaseNanos: map[string]int64{},
-		Metrics:    p.Metrics(),
+		Metrics:    out.Metrics,
 	}
 	if out.Attempts > 0 {
 		trail := out.Recovery
 		r.Failover = &trail
 	}
-	// Only now may the instance go back to the cache: a concurrent
-	// same-shape request takes it from there and resets its graph, which
-	// everything above reads.
-	s.cache.Put(j.key, p)
 	if !math.IsNaN(res.Primal) {
 		pr := res.Primal
 		r.Primal = &pr
@@ -597,9 +531,5 @@ func (s *Server) runJob(j *Job) {
 	for ph := admm.Phase(0); ph < admm.NumPhases; ph++ {
 		r.PhaseNanos[ph.String()] = res.PhaseNanos[ph]
 	}
-	j.mu.Lock()
-	j.status = StatusDone
-	j.result = r
-	j.mu.Unlock()
-	finish()
+	return r
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/admm"
+	"repro/internal/fleet"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -522,4 +524,33 @@ func TestConcurrentSameShapeReplies(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFleetShedReplies429: a fleet-eligible request on a fleet whose
+// every healthy worker is leased is shed — 429, the job flagged shed,
+// and the planner's verdict counted.
+func TestFleetShedReplies429(t *testing.T) {
+	addrs := []string{"w0:1", "w1:1"}
+	reg, err := fleet.New(fleet.Config{Addrs: addrs, Probe: func(_ context.Context, addrs []string, _ time.Duration) []shard.WorkerHealth {
+		out := make([]shard.WorkerHealth, len(addrs))
+		for i, a := range addrs {
+			out[i] = shard.WorkerHealth{Addr: a, Alive: true}
+		}
+		return out
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.ProbeOnce(context.Background())
+	lease := reg.Acquire(len(addrs))
+	defer lease.Release()
+
+	_, ts := newTestServer(t, Config{Workers: 1, Fleet: reg, FleetPlanner: fleet.PlannerConfig{MinEdges: 1}})
+	code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":40}}`)
+	if code != http.StatusTooManyRequests || !v.Shed || !strings.Contains(v.Error, "fleet saturated") {
+		t.Fatalf("status %d, job %+v: want 429, shed, fleet saturated", code, v)
+	}
+	if m := scrapeMetrics(t, ts); !strings.Contains(m, `paradmm_fleet_routed_total{route="shed"} 1`) {
+		t.Fatalf("shed verdict not counted:\n%s", m)
+	}
 }

@@ -15,3 +15,7 @@ func shrinkLiveness(t testing.TB, tick, bound time.Duration) {
 		liveBound.Store(int64(livenessBound))
 	})
 }
+
+// ShrinkLivenessBound is shrinkLiveness at the default tick, for the
+// external shard_test files: no extra Tick frame joins a session.
+func ShrinkLivenessBound(t testing.TB, bound time.Duration) { shrinkLiveness(t, tickEvery, bound) }

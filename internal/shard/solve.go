@@ -60,8 +60,10 @@ type Outcome struct {
 }
 
 // Solve is the one route from an executor spec to a finished solve: it
-// applies opts.Warm, builds the backend the spec describes, runs ADMM
-// on g, releases the backend, and reports what happened. Failure has
+// builds the backend the spec describes, runs ADMM on g from the state
+// the caller left it in (opts.Warm is not consulted: a warm start is
+// applied to g before the call), releases the backend, and reports
+// what happened. Failure has
 // one channel — the returned error; a worker process lost mid-solve is
 // a typed *WorkerError like one lost at the handshake.
 //
@@ -90,14 +92,6 @@ type Outcome struct {
 // between attempts and during dials and probes.
 func Solve(ctx context.Context, g *graph.Graph, opts admm.SolveOptions) (Outcome, error) {
 	var out Outcome
-	// Warm state applies once: a re-run must restart from the same warm
-	// iterate the first attempt saw, not re-apply it onto mutated state.
-	if opts.Warm != nil && opts.Warm.Captured() {
-		if err := opts.Warm.Apply(g); err != nil {
-			return out, err
-		}
-		opts.Warm = nil
-	}
 	spec := opts.Executor
 	if len(spec.Addrs) == 0 {
 		backend, err := spec.NewBackend(g)

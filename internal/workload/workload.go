@@ -6,6 +6,9 @@
 // coordinator's graph deterministically — proximal operators cannot
 // cross a process boundary, so the spec travels instead, and the
 // operators are rebuilt from the same seeded draw on both sides.
+//
+// Solve is the one path from an admitted Job to its Outcome that the
+// serving layer, the bulk pipeline and paradmm-solve share.
 package workload
 
 import (
