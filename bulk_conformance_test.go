@@ -48,8 +48,8 @@ const (
 
 func TestBulkConformance(t *testing.T) {
 	// Three records per workload, deterministically shuffled so shapes
-	// interleave on the stream (the pipeline's shape-affine routing has
-	// to untangle them).
+	// interleave on the stream (the pipeline's per-shape dispatch has to
+	// untangle them).
 	type rec struct{ caseIdx int }
 	var order []rec
 	for i := range bulkConfCases {

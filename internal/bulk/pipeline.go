@@ -21,9 +21,10 @@ import (
 // GOMAXPROCS solve workers, serial executor, workload.DefaultMaxIter.
 type Options struct {
 	// Workers is the solve-stage worker count (default GOMAXPROCS).
-	// Records are routed to workers by shape key, so same-shape records
-	// always solve sequentially in input order on one worker — that is
-	// what makes warm-start chains deterministic.
+	// Any free worker takes the next shape that has records waiting,
+	// but a shape is held by one worker at a time, so same-shape records
+	// always solve sequentially in input order — that is what makes
+	// warm-start chains deterministic.
 	Workers int
 	// Executor is the stream-level executor spec; a record's own
 	// executor field replaces it wholesale for that record.
@@ -75,14 +76,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-const (
-	// window bounds the records in flight — read but not yet written —
-	// and with them the writer's reorder buffer, whatever the input.
-	window = 1024
-	// queueDepth is each solve worker's queue length. A shallow queue
-	// stalls the reader on one busy worker while another sits idle.
-	queueDepth = 16
-)
+// window bounds the records in flight — read but not yet written —
+// and with them the dispatcher's pending runs and the writer's reorder
+// buffer, whatever the input. It also bounds the admission memo.
+const window = 1024
 
 // Stats summarizes one pipeline run. Results/Errors count records
 // actually written to the output; the solve counters count work
@@ -113,7 +110,7 @@ type Stats struct {
 	StoreSaves  uint64 `json:"store_saves,omitempty"`
 }
 
-// task is an admitted record on its way to its solve worker. When
+// task is an admitted record on its way to a solve worker. When
 // errMsg is set the record was refused and the worker only encodes the
 // error.
 type task struct {
@@ -136,10 +133,11 @@ type encodeScratch struct {
 	enc *json.Encoder
 }
 
-// shapeState is the per-shape solve state a worker carries across the
+// shapeState is the per-shape solve state a lane carries across the
 // stream: the built problem (checked out of the graph cache, if any)
-// and the warm-start snapshot of its last solution. Shape-affine
-// routing guarantees a single worker touches it.
+// and the warm-start snapshot of its last solution. The dispatcher
+// hands a lane to one worker at a time, so one worker touches it at
+// once.
 type shapeState struct {
 	prob workload.Problem
 	warm admm.WarmState
@@ -153,11 +151,23 @@ type shapeState struct {
 	iterations   int
 }
 
+// parsed is one memoized workload.Parse outcome, refusal included.
+type parsed struct {
+	adm workload.Admission
+	err error
+}
+
+// parseKey is what an admission is a pure function of: the raw workload
+// name and the raw spec bytes.
+type parseKey struct{ workload, spec string }
+
 type pipeline struct {
 	ctx  context.Context
 	opts Options
 
 	scratch sync.Pool
+	// memo is the reader's alone: at most window parses of this stream.
+	memo map[parseKey]parsed
 
 	lines      atomic.Uint64
 	results    atomic.Uint64
@@ -193,30 +203,28 @@ func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 // teardown that cancels the request context; files and pipes with
 // data never block) must arrange that themselves.
 func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, error) {
-	p := &pipeline{ctx: ctx, opts: opts.withDefaults()}
+	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[parseKey]parsed{}}
 	p.scratch.New = func() any {
 		s := &encodeScratch{}
 		s.enc = json.NewEncoder(&s.buf)
 		return s
 	}
 
-	// The reader takes a token for each record it routes and the writer
-	// returns it once the record is written.
+	// The reader takes a token for each record it dispatches and the
+	// writer returns it once the record is written.
 	tokens := make(chan struct{}, window)
-	queues := make([]chan *task, p.opts.Workers)
-	shapes := make([]map[string]*shapeState, p.opts.Workers)
+	d := &dispatcher{lanes: map[string]*lane{}}
+	d.wake.L = &d.mu
 	// out's buffer lets a worker hand off a finished record and start
 	// the next one while the writer is inside a Write.
 	out := make(chan encoded, 16)
 
 	var wg sync.WaitGroup
-	for i := range queues {
-		queues[i] = make(chan *task, queueDepth)
-		shapes[i] = map[string]*shapeState{}
+	for range p.opts.Workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.solve(queues[i], out, shapes[i])
+			p.solve(d, out)
 		}()
 	}
 	go func() {
@@ -229,18 +237,17 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 	// with a blocking receive once the downstream stages have unwound.
 	readErrCh := make(chan error, 1)
 	go func() {
-		readErrCh <- p.read(r, queues, tokens)
-		for _, q := range queues {
-			close(q)
-		}
+		err := p.read(r, d, tokens)
+		d.close()
+		readErrCh <- err
 	}()
 
 	// write returns once out is closed, that is once every solve worker
-	// has exited, so the shape maps are no longer touched and no graph
-	// is still being solved when it is published to a shared cache
-	// below. The reader join terminates too: once the context is done
-	// its sends fall through to ctx.Done, and it deposits its error as
-	// soon as the in-flight r.Read returns.
+	// has exited, so no graph is still being solved when it is
+	// published to a shared cache below. The reader join terminates
+	// too: once the context is done its token send falls through to
+	// ctx.Done, and it deposits its error as soon as the in-flight
+	// r.Read returns. After it, nothing touches the lanes.
 	writeErr := p.write(w, out, tokens)
 	readErr := <-readErrCh
 
@@ -248,18 +255,15 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 	// the cache for the next stream (or the serving layer's other
 	// handlers). Only dirty chains are written: a chain whose last solve
 	// failed or panicked was reset and must not poison the store.
-	nShapes := 0
-	for _, m := range shapes {
-		nShapes += len(m)
-		for key, st := range m {
-			if p.opts.Store != nil && st.dirty && st.warm.Captured() {
-				if err := p.opts.Store.Put(key, store.Snapshot{Warm: st.warm, Iterations: st.iterations}); err == nil {
-					p.storeSaves.Add(1)
-				}
+	for key, l := range d.lanes {
+		st := &l.st
+		if p.opts.Store != nil && st.dirty && st.warm.Captured() {
+			if err := p.opts.Store.Put(key, store.Snapshot{Warm: st.warm, Iterations: st.iterations}); err == nil {
+				p.storeSaves.Add(1)
 			}
-			if st.prob != nil && p.opts.Cache != nil {
-				p.opts.Cache.Put(key, st.prob)
-			}
+		}
+		if st.prob != nil && p.opts.Cache != nil {
+			p.opts.Cache.Put(key, st.prob)
 		}
 	}
 
@@ -271,7 +275,7 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 		WarmStarts: p.warmStarts.Load(),
 		Iterations: p.iterations.Load(),
 		CacheHits:  p.cacheHits.Load(),
-		Shapes:     nShapes,
+		Shapes:     len(d.lanes),
 
 		StoreHits:   p.storeHits.Load(),
 		StoreMisses: p.storeMisses.Load(),
@@ -288,12 +292,10 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 }
 
 // read splits the input into length-capped lines, admits each non-blank
-// line and routes it, in input order, to a solve worker: an admitted
-// record to its shape's worker, a refused one (over-long, undecodable
-// or inadmissible) to worker seq % Workers. Over-long lines are
-// consumed, not buffered. Each record takes a token first, so the
+// line and hands it, in input order, to the dispatcher. Over-long lines
+// are consumed, not buffered. Each record takes a token first, so the
 // reader stalls while the window is full.
-func (p *pipeline) read(r io.Reader, queues []chan *task, tokens chan<- struct{}) error {
+func (p *pipeline) read(r io.Reader, d *dispatcher, tokens chan<- struct{}) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	seq := 0
 	for {
@@ -304,13 +306,10 @@ func (p *pipeline) read(r io.Reader, queues []chan *task, tokens chan<- struct{}
 		if tooLong || len(bytes.TrimSpace(line)) > 0 {
 			p.lines.Add(1)
 			t := p.admit(seq, line, tooLong)
-			q := queues[seq%len(queues)]
-			if t.errMsg == "" {
-				q = queues[shapeWorker(t.adm.Key, len(queues))]
-			}
-			if !send(p.ctx, tokens, struct{}{}) || !send(p.ctx, q, t) {
+			if !send(p.ctx, tokens, struct{}{}) {
 				return nil
 			}
+			d.push(t)
 			seq++
 		}
 		if err == io.EOF {
@@ -365,7 +364,7 @@ func (p *pipeline) admit(seq int, line []byte, tooLong bool) *task {
 		return t
 	}
 	t.req = req
-	t.adm, err = workload.Parse(req.Workload, req.Spec)
+	t.adm, err = p.parse(req.Workload, req.Spec)
 	if err == nil {
 		err = req.validate(p.opts.MaxIterLimit)
 	}
@@ -375,44 +374,124 @@ func (p *pipeline) admit(seq int, line []byte, tooLong bool) *task {
 	return t
 }
 
-// shapeWorker routes a shape key to a solve worker (FNV-1a). All
-// records of one shape land on one worker, in input order.
-func shapeWorker(key string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+// parse is workload.Parse memoized on the raw workload name and spec
+// bytes, refusals included: an admission is a pure function of the
+// two, and a stream worth grouping by shape repeats its specs. The memo
+// holds at most window entries; a spec past the bound parses fresh.
+func (p *pipeline) parse(name string, spec json.RawMessage) (workload.Admission, error) {
+	if m, ok := p.memo[parseKey{name, string(spec)}]; ok {
+		return m.adm, m.err
 	}
-	return int(h % uint32(n))
+	adm, err := workload.Parse(name, spec)
+	if len(p.memo) < window {
+		p.memo[parseKey{name, string(spec)}] = parsed{adm, err}
+	}
+	return adm, err
 }
 
-// solve runs one worker's share of the stream: each record is solved
-// (or keeps its admission error), encoded, and handed to the writer.
-// shapes holds the state of every shape routed to this worker.
-func (p *pipeline) solve(in <-chan *task, out chan<- encoded, shapes map[string]*shapeState) {
+// lane is one shape's place in the dispatcher: its solve state and its
+// records waiting for a worker, in input order. A refused record rides
+// a lane of its own, which no later record joins.
+type lane struct {
+	st      shapeState
+	pending []*task
+	// queued marks a lane on the ready list or held by a worker.
+	queued bool
+}
+
+// dispatcher hands the stream's records to the solve workers a shape
+// at a time. The reader appends each record to its shape's lane; a lane
+// with records and no worker waits on the ready list, first in first
+// out; a free worker takes the whole pending run of the first ready
+// lane. A lane is held by one worker at a time and passes between
+// workers only under mu, so a shape's records solve one at a time, in
+// input order, on its one shapeState whatever the worker count.
+type dispatcher struct {
+	mu    sync.Mutex
+	wake  sync.Cond
+	lanes map[string]*lane
+	ready []*lane
+	// closed marks that the reader is done, which on cancellation is
+	// as soon as its in-flight Read returns: no record follows.
+	closed bool
+}
+
+// push files a record on its shape's lane, or a refused one on a lane
+// of its own, and readies the lane if no worker holds it.
+func (d *dispatcher) push(t *task) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var l *lane
+	if t.errMsg != "" {
+		l = &lane{}
+	} else if l = d.lanes[t.adm.Key]; l == nil {
+		l = &lane{}
+		d.lanes[t.adm.Key] = l
+	}
+	l.pending = append(l.pending, t)
+	if !l.queued {
+		l.queued = true
+		d.ready = append(d.ready, l)
+		d.wake.Signal()
+	}
+}
+
+// close wakes every idle worker to find that no record follows.
+func (d *dispatcher) close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	d.wake.Broadcast()
+}
+
+// next gives back held, the lane the caller just drained (readied again
+// if records arrived meanwhile), and takes the whole pending run of the
+// first ready lane, leaving run's emptied buffer in its place. It waits
+// for a ready lane and returns a nil lane once ctx is done, or once the
+// stream is closed and nothing is ready.
+func (d *dispatcher) next(ctx context.Context, held *lane, run []*task) (*lane, []*task) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if held != nil {
+		if len(held.pending) > 0 {
+			d.ready = append(d.ready, held)
+		} else {
+			held.queued = false
+		}
+	}
+	for len(d.ready) == 0 && !d.closed {
+		d.wake.Wait()
+	}
+	if len(d.ready) == 0 || ctx.Err() != nil {
+		return nil, nil
+	}
+	l := d.ready[0]
+	d.ready = d.ready[1:]
+	clear(run)
+	l.pending, run = run[:0], l.pending
+	return l, run
+}
+
+// solve runs one worker: it takes lanes from the dispatcher and solves
+// (or keeps the admission error of) each record of a lane's run in
+// order, encodes it, and hands it to the writer.
+func (p *pipeline) solve(d *dispatcher, out chan<- encoded) {
+	var l *lane
+	var run []*task
 	for {
-		var t *task
-		var ok bool
-		select {
-		case t, ok = <-in:
-			if !ok {
+		if l, run = d.next(p.ctx, l, run); l == nil {
+			return
+		}
+		for _, t := range run {
+			res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg}
+			if t.errMsg == "" {
+				res = p.solveOne(&l.st, t)
+			}
+			e := p.encode(res)
+			if !send(p.ctx, out, e) {
+				p.scratch.Put(e.s)
 				return
 			}
-		case <-p.ctx.Done():
-			return
-		}
-		res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg}
-		if t.errMsg == "" {
-			st := shapes[t.adm.Key]
-			if st == nil {
-				st = &shapeState{}
-				shapes[t.adm.Key] = st
-			}
-			res = p.solveOne(st, t)
-		}
-		e := p.encode(res)
-		if !send(p.ctx, out, e) {
-			p.scratch.Put(e.s)
-			return
 		}
 	}
 }

@@ -348,75 +348,111 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestPipelineReorderWindowBounded pins the window: one record stuck in
-// its solve ahead of a long run of fast records routed to the other
-// worker stalls the reader once the window is full, instead of letting
-// the writer's reorder buffer grow with the input. Released, the stream
-// completes in order.
-func TestPipelineReorderWindowBounded(t *testing.T) {
-	const fast = 100000
-	const rec = `{"id":"r%06d","workload":"mpc","spec":{"k":%d},"max_iter":1}` + "\n"
-	key := func(k int) string {
-		adm, err := workload.Parse("mpc", []byte(fmt.Sprintf(`{"k":%d}`, k)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return adm.Key
-	}
-	// The fast records are mpc k=1. Record 0 is the first horizon routed
-	// to the other of two workers; its shape's first store lookup blocks.
-	stuck := 2
-	for shapeWorker(key(stuck), 2) == shapeWorker(key(1), 2) {
-		stuck++
-	}
+// stuckStream runs a stream whose record 0 is stuckLine, followed by n
+// copies of fastLine (each formatted with its record number), on two
+// workers whose store blocks the first lookup of stuckKey. It waits for
+// the reader to stall — the count of bytes read holds across ten polls
+// — and returns that count and a release that lets the stream finish
+// and returns its output.
+func stuckStream(t *testing.T, stuckLine, stuckKey, fastLine string, n int) (read int64, release func() []byte) {
+	t.Helper()
 	var in bytes.Buffer
-	fmt.Fprintf(&in, rec, 0, stuck)
-	for i := 1; i <= fast; i++ {
-		fmt.Fprintf(&in, rec, i, 1)
+	in.WriteString(stuckLine)
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&in, fastLine, i)
 	}
-	lineLen := int64(len(fmt.Sprintf(rec, 1, 1)))
-
 	cr := &countingReader{r: &in}
-	st := blockingStore{key: key(stuck), release: make(chan struct{})}
+	st := blockingStore{key: stuckKey, release: make(chan struct{})}
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(context.Background(), cr, &out, Options{Workers: 2, Store: st})
 		done <- err
 	}()
-
-	// The reader has stalled once the count holds across ten polls.
-	var read int64
 	for stable := 0; stable < 10; {
 		time.Sleep(20 * time.Millisecond)
-		if n := cr.n.Load(); n == read {
+		if c := cr.n.Load(); c == read {
 			stable++
 		} else {
-			read, stable = n, 0
+			read, stable = c, 0
 		}
 	}
-	// The window's records, the one line waiting for a token, and what
-	// the reader's 64 KiB bufio buffer holds ahead.
-	if bound := window*lineLen + 64<<10 + 4<<10; read > bound {
+	return read, func() []byte {
 		close(st.release)
-		<-done
-		t.Fatalf("read %d bytes past a stuck record, want <= %d (window %d x %d-byte lines + buffer)",
-			read, bound, window, lineLen)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
 	}
+}
 
-	close(st.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
-	if len(lines) != fast+1 {
-		t.Fatalf("got %d records, want %d", len(lines), fast+1)
+// checkAllSolved demands one solved record per input line, in order.
+func checkAllSolved(t *testing.T, out []byte, n int) {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimSuffix(out, []byte("\n")), []byte("\n"))
+	if len(lines) != n {
+		t.Fatalf("got %d records, want %d", len(lines), n)
 	}
 	for i, l := range lines {
 		if !bytes.HasPrefix(l, []byte(fmt.Sprintf(`{"seq":%d,`, i))) || bytes.Contains(l, []byte(`"error"`)) {
 			t.Fatalf("record %d is %s, want seq %d solved", i, l, i)
 		}
 	}
+}
+
+func shapeKey(t *testing.T, name, spec string) string {
+	t.Helper()
+	adm, err := workload.Parse(name, []byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adm.Key
+}
+
+// TestPipelineReorderWindowBounded pins the window: one record stuck in
+// its solve ahead of a long run of fast records of another shape stalls
+// the reader once the window is full, instead of letting the writer's
+// reorder buffer grow with the input. Released, the stream completes in
+// order.
+func TestPipelineReorderWindowBounded(t *testing.T) {
+	const fast = 100000
+	const rec = `{"id":"r%06d","workload":"mpc","spec":{"k":1},"max_iter":1}` + "\n"
+	// Record 0 is mpc k=2, whose shape's first store lookup blocks; the
+	// fast records are mpc k=1, which the other worker takes.
+	read, release := stuckStream(t, `{"id":"r000000","workload":"mpc","spec":{"k":2},"max_iter":1}`+"\n",
+		shapeKey(t, "mpc", `{"k":2}`), rec, fast)
+	lineLen := int64(len(fmt.Sprintf(rec, 1)))
+	// The window's records, the one line waiting for a token, and what
+	// the reader's 64 KiB bufio buffer holds ahead.
+	if bound := window*lineLen + 64<<10 + 4<<10; read > bound {
+		release()
+		t.Fatalf("read %d bytes past a stuck record, want <= %d (window %d x %d-byte lines + buffer)",
+			read, bound, window, lineLen)
+	}
+	checkAllSolved(t, release(), fast+1)
+}
+
+// TestPipelineStuckShapeHoldsOneWorker pins that a stuck shape holds one
+// worker, not the shapes that would share its worker under a static
+// split: the other worker keeps solving the second shape's records, so
+// the reader runs on until the window fills. The two shapes, mpc k=8
+// and svm n=40 dim=2, hash to the same one of two workers under FNV-1a
+// of their shape keys, the routing that an earlier pipeline used; there
+// the reader stalled once that worker's 16-record queue filled.
+func TestPipelineStuckShapeHoldsOneWorker(t *testing.T) {
+	const n = 4000
+	// The id's padding makes 512 lines over three times the reader's
+	// 64 KiB buffer.
+	rec := `{"id":"r%06d-` + strings.Repeat("p", 400) + `","workload":"svm","spec":{"n":40,"dim":2},"max_iter":1}` + "\n"
+	read, release := stuckStream(t, `{"workload":"mpc","spec":{"k":8},"max_iter":1}`+"\n",
+		shapeKey(t, "mpc", `{"k":8}`), rec, n)
+	lineLen := int64(len(fmt.Sprintf(rec, 1)))
+	if want := window / 2 * lineLen; read < want {
+		release()
+		t.Fatalf("reader stalled after %d bytes (%d lines' worth) behind a stuck shape, want >= %d (%d lines)",
+			read, read/lineLen, want, window/2)
+	}
+	checkAllSolved(t, release(), n+1)
 }
 
 // TestReadLineCapBoundary pins that MaxLineBytes bounds the payload,
@@ -589,5 +625,79 @@ func TestPipelineFailoverLocalRefusedDial(t *testing.T) {
 	}
 	if got, want := solve(remote), solve(""); !reflect.DeepEqual(got, want) {
 		t.Fatalf("failover-local record differs from the serial one:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// checkAdmitFresh demands that p.admit, memo and all, gives line the
+// shape key, workload and error text that a fresh decode, parse and
+// control check give it.
+func checkAdmitFresh(t *testing.T, p *pipeline, line string) {
+	t.Helper()
+	var want task
+	req, err := DecodeLine([]byte(line))
+	if err == nil {
+		want.adm, err = workload.Parse(req.Workload, req.Spec)
+		if err == nil {
+			err = req.validate(p.opts.MaxIterLimit)
+		}
+	}
+	if err != nil {
+		want.errMsg = err.Error()
+	}
+	got := p.admit(0, []byte(line), false)
+	if got.adm.Key != want.adm.Key || got.adm.Workload != want.adm.Workload || got.errMsg != want.errMsg {
+		t.Fatalf("line %s admitted as (%q, %q, %q), fresh (%q, %q, %q)", line,
+			got.adm.Key, got.adm.Workload, got.errMsg, want.adm.Key, want.adm.Workload, want.errMsg)
+	}
+}
+
+func newTestPipeline() *pipeline {
+	return &pipeline{ctx: context.Background(), opts: Options{}.withDefaults(), memo: map[parseKey]parsed{}}
+}
+
+// TestAdmitMemoMatchesFreshParse pins that the admission memo changes
+// no verdict: every line of a generated stream, each of its malformed
+// kinds, a spec with an unknown field, a memoized spec under bad
+// controls and one spec under two workloads admit twice through one
+// pipeline exactly as a fresh parse admits them.
+func TestAdmitMemoMatchesFreshParse(t *testing.T) {
+	var in bytes.Buffer
+	if err := Generate(&in, 2000, 7); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(in.String(), "\n"), "\n")
+	lines = append(lines,
+		`{"workload":"lasso","spec":{"m":32`,
+		`{"workload":"qp","spec":{"n":4}}`,
+		`{"workload":"svm","spec":{"n":999999}}`,
+		`{"workload":"lasso","spec":{"m":32,"bogus":1}}`,
+		`{"workload":"lasso","spec":{"m":32,"lambda":0.3},"max_iter":-5}`,
+		`{"workload":"Lasso","spec":{"m":32,"lambda":0.3}}`,
+		`{"workload":"svm","spec":{"n":4}}`,
+		`{"workload":"packing","spec":{"n":4}}`,
+	)
+	p := newTestPipeline()
+	for range 2 {
+		for _, line := range lines {
+			checkAdmitFresh(t, p, line)
+		}
+	}
+}
+
+// TestAdmitMemoBounded pins the memo's bound: a stream of more distinct
+// specs than the window holds the memo at the window, and the specs
+// past it, parsed fresh, still admit correctly.
+func TestAdmitMemoBounded(t *testing.T) {
+	p := newTestPipeline()
+	for i := range window + 500 {
+		line := fmt.Sprintf(`{"workload":"mpc","spec":{"k":4,"q0":[%d,0,0,0]}}`, i)
+		checkAdmitFresh(t, p, line)
+		checkAdmitFresh(t, p, line)
+		if len(p.memo) > window {
+			t.Fatalf("memo holds %d entries after %d distinct specs, want <= %d", len(p.memo), i+1, window)
+		}
+	}
+	if len(p.memo) != window {
+		t.Fatalf("memo holds %d entries, want a full %d", len(p.memo), window)
 	}
 }

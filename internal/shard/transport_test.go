@@ -187,7 +187,14 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 	// Unknown workload: a config error, so one dial per worker and no
 	// retry. A worker accepts in arrival order, so once it has answered
 	// a probe dialed after the refusal, any retried dial would have been
-	// accepted too: each listener must have grown by exactly two.
+	// accepted too: each listener must have grown by exactly two. The
+	// refused session's mesh dials may still be queued at a listener:
+	// once both workers are idle every dial is made, and once each has
+	// answered a probe dialed after that, it has accepted them.
+	awaitIdle(t, addrs, 15*time.Second)
+	for _, addr := range addrs {
+		checkPing(t, addr)
+	}
 	before := []int{lns[0].Accepted(), lns[1].Accepted()}
 	spec.Problem = &admm.ProblemRef{Workload: "nope", Spec: []byte(`{}`)}
 	_, err := NewRemote(context.Background(), spec, chainGraph(t, 48))
@@ -211,7 +218,10 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 		t.Fatalf("Cfg with a retired key: got kind %d %q (%v), want FrameErr naming the field", f.Kind, f.Payload, err)
 	}
 	// Healthy handshake + solve on the same workers afterwards: they
-	// survived the failed sessions.
+	// survived the failed sessions. NewRemote makes one attempt, so wait
+	// until each worker has torn its refused session down, or it answers
+	// busy.
+	awaitIdle(t, addrs, 15*time.Second)
 	spec.Problem = &admm.ProblemRef{Workload: "chain", Spec: []byte(`{}`)}
 	g := chainGraph(t, 48)
 	r, err := NewRemote(context.Background(), spec, g)
