@@ -33,7 +33,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/admm"
 	"repro/internal/fleet"
@@ -236,11 +235,7 @@ func solveOnce(job workload.Job, held workload.Problem, reg *fleet.Registry) (wo
 	if err != nil {
 		return out, err
 	}
-	var st *shard.Stats
-	if out.HasShardStats {
-		st = &out.ShardStats
-	}
-	report(out.Result, out.Problem.FactorGraph(), out.Backend, st)
+	report(out.Result, out.Problem.FactorGraph(), out.Backend, out.ShardStats)
 	if out.Attempts > 1 || out.Failovers > 0 || out.LocalFallback {
 		fmt.Printf("failover: %d attempts, %d failovers, local fallback %v; failures: %s\n",
 			out.Attempts, out.Failovers, out.LocalFallback, strings.Join(out.Failures, "; "))
@@ -248,7 +243,9 @@ func solveOnce(job workload.Job, held workload.Problem, reg *fleet.Registry) (wo
 	return out, nil
 }
 
-func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
+// report prints the solve; a sharded one adds the partition, one line
+// per worker and the exchange and handshake traffic.
+func report(res admm.Result, g *graph.Graph, name string, st shard.Stats) {
 	s := g.Stats()
 	fmt.Printf("graph: %d functions, %d variables, %d edges (d=%d)\n",
 		s.Functions, s.Variables, s.Edges, s.D)
@@ -256,33 +253,29 @@ func report(res admm.Result, g *graph.Graph, name string, st *shard.Stats) {
 	fr := res.PhaseFractions()
 	fmt.Printf("phase time: x %.0f%%, m %.0f%%, z %.0f%%, u %.0f%%, n %.0f%%\n",
 		100*fr[0], 100*fr[1], 100*fr[2], 100*fr[3], 100*fr[4])
-	if st != nil {
-		lo, med, hi := waitShares(st.SyncWaitByShard, res.Elapsed)
-		fmt.Printf("shards: %d (%s transport), %d boundary vars / %d boundary edges, cut cost %.0f words, sync wait %v (shard 0; share of the solve per shard min/median/max %.1f%%/%.1f%%/%.1f%%), boundary z %v (shard 0; boundary vars combined per shard %v)\n",
-			st.Shards, st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost,
-			nanos(st.SyncWaitNanos), 100*lo, 100*med, 100*hi, nanos(st.BoundaryZNanos), st.BoundaryVarsByShard)
-		if st.BytesPerIter > 0 {
-			fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",
-				st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)
-		}
-		if st.CacheHits+st.CacheGraphHits+st.CacheMisses > 0 {
-			fmt.Printf("worker cache: %d state hits, %d graph hits, %d misses (%d state pushes, %d handshake frames)\n",
-				st.CacheHits, st.CacheGraphHits, st.CacheMisses, st.StatePushes, st.HandshakeFrames)
-		}
+	if len(st.Workers) == 0 {
+		return
 	}
-}
-
-// waitShares returns the smallest, median and largest share of the
-// solve's wall time that a shard spent blocked at its sync points. The
-// shard with the smallest share is the one the others waited for.
-func waitShares(waitNanos []int64, elapsed time.Duration) (lo, med, hi float64) {
-	if len(waitNanos) == 0 || elapsed <= 0 {
-		return 0, 0, 0
+	fmt.Printf("shards: %d (%s transport), %d boundary vars / %d boundary edges, cut cost %.0f words; phase time above is each block's straggler's\n",
+		len(st.Workers), st.Transport, st.BoundaryVars, st.BoundaryEdges, st.CutCost)
+	share := func(n int64) float64 { return 100 * float64(n) / float64(max(res.Elapsed.Nanoseconds(), 1)) }
+	for i, w := range st.Workers {
+		ph := &w.PhaseNanos
+		fmt.Printf("worker %d: %d edges, %d boundary vars; x %.1f%%, z %.1f%%, u %.1f%%, sync wait %.1f%% of the solve; boundary z %v; straggler in %d blocks",
+			i, w.Edges, w.BoundaryVars, share(ph[admm.PhaseX]), share(ph[admm.PhaseM]+ph[admm.PhaseZ]), share(ph[admm.PhaseU]+ph[admm.PhaseN]),
+			share(w.SyncWait), nanos(w.BoundaryZ), w.Straggles)
+		if w.Cache != "" {
+			fmt.Printf("; cache %s", w.Cache)
+		}
+		fmt.Println()
 	}
-	w := slices.Sorted(slices.Values(waitNanos))
-	share := func(n int64) float64 { return float64(n) / float64(elapsed.Nanoseconds()) }
-	n := len(w)
-	return share(w[0]), (share(w[(n-1)/2]) + share(w[n/2])) / 2, share(w[n-1])
+	if st.BytesPerIter > 0 {
+		fmt.Printf("exchange: %.0f payload bytes/iter moved vs %.0f predicted (cut cost x 8), %.0f on the wire with framing\n",
+			st.BytesPerIter, 8*st.CutCost, st.WireBytesPerIter)
+	}
+	if st.HandshakeFrames > 0 {
+		fmt.Printf("handshake: %d state pushes, %d frames\n", st.StatePushes, st.HandshakeFrames)
+	}
 }
 
 func nanos(n int64) string { return fmt.Sprintf("%.2fms", float64(n)/1e6) }

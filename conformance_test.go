@@ -259,8 +259,8 @@ func TestHubBoundaryConformance(t *testing.T) {
 					t.Fatalf("boundary %d vars / %d edges, want the hub and all %d edges",
 						st.BoundaryVars, st.BoundaryEdges, inst.g.NumEdges())
 				}
-				if len(st.SyncWaitByShard) != shards || st.SyncWaitNanos != st.SyncWaitByShard[0] {
-					t.Fatalf("sync wait %d, by shard %v", st.SyncWaitNanos, st.SyncWaitByShard)
+				if len(st.Workers) != shards || st.SyncWaitNanos != st.Workers[0].SyncWait {
+					t.Fatalf("sync wait %d, workers %+v", st.SyncWaitNanos, st.Workers)
 				}
 				if spec.Transport == admm.TransportSockets && st.BytesPerIter != 8*st.CutCost {
 					t.Fatalf("frames moved %.1f payload bytes/iter, cut cost prices %.0f", st.BytesPerIter, 8*st.CutCost)
@@ -323,11 +323,11 @@ func TestBoundaryCombineConformance(t *testing.T) {
 					}
 					st := backend.(shard.StatsReporter).Stats()
 					combined := 0
-					for _, n := range st.BoundaryVarsByShard {
-						combined += n
+					for _, w := range st.Workers {
+						combined += w.BoundaryVars
 					}
-					if st.BoundaryVars == 0 || combined != st.BoundaryVars || len(st.BoundaryVarsByShard) != shards {
-						t.Fatalf("%d boundary variables, combined per shard %v", st.BoundaryVars, st.BoundaryVarsByShard)
+					if st.BoundaryVars == 0 || combined != st.BoundaryVars || len(st.Workers) != shards {
+						t.Fatalf("%d boundary variables, combined per worker %+v", st.BoundaryVars, st.Workers)
 					}
 				})
 			}

@@ -145,6 +145,16 @@ func frameMeter(t *testing.T, addrs []string, lns []*faultnet.Listener) func() i
 	}
 }
 
+// cacheTiers lists each worker's cache tier in worker order,
+// comma-separated.
+func cacheTiers(st shard.Stats) string {
+	var ts []string
+	for _, w := range st.Workers {
+		ts = append(ts, w.Cache)
+	}
+	return strings.Join(ts, ",")
+}
+
 // TestFleetConformance: for every workload, a registry-routed fleet
 // solve is bit-identical to Serial, and re-solving the same ProblemRef
 // through the same registry is a state-tier cache hit on every worker —
@@ -176,7 +186,7 @@ func TestFleetConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fleet solve failed: %v (trail %v)", err, out.Failures)
 				}
-				if !out.HasShardStats {
+				if len(out.ShardStats.Workers) == 0 {
 					t.Fatal("fleet solve reported no shard stats")
 				}
 				return g, out.ShardStats
@@ -192,17 +202,16 @@ func TestFleetConformance(t *testing.T) {
 
 			g1, st1 := solve()
 			checkZ("cold fleet solve", g1)
-			if st1.CacheMisses != 2 || st1.StatePushes != 2 || st1.HandshakeFrames != 6 {
-				t.Fatalf("cold solve: misses/state pushes/handshake frames = %d/%d/%d, want 2/2/6",
-					st1.CacheMisses, st1.StatePushes, st1.HandshakeFrames)
+			if got := cacheTiers(st1); got != "miss,miss" || st1.StatePushes != 2 || st1.HandshakeFrames != 6 {
+				t.Fatalf("cold solve: cache tiers %s, state pushes/handshake frames = %d/%d, want miss,miss and 2/6",
+					got, st1.StatePushes, st1.HandshakeFrames)
 			}
 			coldFrames := moved()
 
 			g2, st2 := solve()
 			checkZ("warm fleet solve", g2)
-			if st2.CacheHits != 2 || st2.CacheMisses != 0 || st2.CacheGraphHits != 0 {
-				t.Fatalf("warm solve: hits/graph/misses = %d/%d/%d, want 2/0/0",
-					st2.CacheHits, st2.CacheGraphHits, st2.CacheMisses)
+			if got := cacheTiers(st2); got != "state,state" {
+				t.Fatalf("warm solve: cache tiers %s, want state,state", got)
 			}
 			if st2.StatePushes != 0 {
 				t.Fatalf("warm solve re-sent the state: %d state pushes", st2.StatePushes)

@@ -32,12 +32,12 @@ type metrics struct {
 	queueWait, build, solve hist
 	http                    [len(httpRoutes)]hist
 
-	// Sharded solves: count, longest shard sync wait, shard 0's combine
-	// time; failover retries, shrinks, local fallbacks, failed attempts;
-	// the worker-cache tiers Ready reported.
+	// Sharded solves: count, longest shard sync wait, combine time over
+	// all shards; failover retries, shrinks, local fallbacks, failed
+	// attempts; the worker-cache tiers Ready reported.
 	shardSolves, shardSyncNanos, shardBoundaryNanos                        atomic.Int64
 	shardRetries, shardFailovers, shardLocalFallbacks, shardWorkerFailures atomic.Int64
-	cacheHits, cacheGraphHits, cacheMisses                                 atomic.Int64
+	cacheTiers                                                             [len(workerCacheTiers)]atomic.Int64
 	bulkRecords, bulkErrors, bulkSolved, bulkWarmStarts, bulkIterations    atomic.Int64
 	iterations, inflight, bulkInflight                                     atomic.Int64
 
@@ -60,14 +60,15 @@ type snapshot struct {
 	probed, alive int
 }
 
-// Closed label sets, sorted; phases, cache-eviction reasons and fleet
-// states keep their lifecycle order.
+// Closed label sets, sorted; phases, cache-eviction reasons, fleet
+// states and worker-cache tiers keep their own order.
 var (
-	requestOutcomes = [...]string{"abandoned", "accepted", "bad_request", "failed", "ok", "queue_full", "shed", "too_large"}
-	bulkOutcomes    = [...]string{"aborted", "ok", "rejected"}
-	fleetRoutes     = [...]string{string(fleet.RouteLocal), string(fleet.RouteRemote), string(fleet.RouteShed)}
-	httpRoutes      = [...]string{"bulk", "fleet", "healthz", "jobs", "metrics", "solve"}
-	fleetStates     = []string{string(fleet.StateJoining), string(fleet.StateHealthy), string(fleet.StateSuspect), string(fleet.StateDead)}
+	requestOutcomes  = [...]string{"abandoned", "accepted", "bad_request", "failed", "ok", "queue_full", "shed", "too_large"}
+	bulkOutcomes     = [...]string{"aborted", "ok", "rejected"}
+	fleetRoutes      = [...]string{string(fleet.RouteLocal), string(fleet.RouteRemote), string(fleet.RouteShed)}
+	httpRoutes       = [...]string{"bulk", "fleet", "healthz", "jobs", "metrics", "solve"}
+	fleetStates      = []string{string(fleet.StateJoining), string(fleet.StateHealthy), string(fleet.StateSuspect), string(fleet.StateDead)}
+	workerCacheTiers = [...]string{shard.CacheState, shard.CacheGraph, shard.CacheMiss}
 )
 
 const counter, gauge, histogram = "counter", "gauge", "histogram"
@@ -112,10 +113,10 @@ func newMetrics(withStore, withFleet bool, fill func(*snapshot)) *metrics {
 		})},
 		{"paradmm_shard_solves_total", "Solves run on the sharded executor.", counter, value(&m.shardSolves)},
 		{"paradmm_shard_sync_wait_nanos_total", "Time the longest-waiting shard of each solve spent blocked at the two per-iteration sync points.", counter, value(&m.shardSyncNanos)},
-		{"paradmm_shard_boundary_z_nanos_total", "Shard 0's time combining the boundary-variable z it owns.", counter, value(&m.shardBoundaryNanos)},
+		{"paradmm_shard_boundary_z_nanos_total", "Time the shards of each solve spent combining the boundary-variable z they own, summed over shards.", counter, value(&m.shardBoundaryNanos)},
 		{"paradmm_shard_boundary_vars", "Boundary variables in the last sharded solve's partition.", gauge, read(func(s *snapshot) int64 { return int64(s.shard.BoundaryVars) })},
 		{"paradmm_shard_boundary_edges", "Edges incident to boundary variables in the last sharded solve.", gauge, read(func(s *snapshot) int64 { return int64(s.shard.BoundaryEdges) })},
-		{"paradmm_shard_shards", "Shard count of the last sharded solve.", gauge, read(func(s *snapshot) int64 { return int64(s.shard.Shards) })},
+		{"paradmm_shard_shards", "Shard count of the last sharded solve.", gauge, read(func(s *snapshot) int64 { return int64(len(s.shard.Workers)) })},
 		{"paradmm_shard_bytes_per_iter", "Boundary-state payload bytes per iteration the last sharded solve's message transport moved (0 on the local transport; equals cut cost x 8 when the manifest is healthy).", gauge, readFloat(func(s *snapshot) float64 { return s.shard.BytesPerIter })},
 		{"paradmm_shard_cut_cost_words", "Degree-weighted cut cost of the last sharded solve's partition (predicted cross-shard words per iteration).", gauge, readFloat(func(s *snapshot) float64 { return s.shard.CutCost })},
 		{"paradmm_shard_retries_total", "Attempts sharded sockets solves ran again on an unchanged worker set.", counter, value(&m.shardRetries)},
@@ -151,9 +152,9 @@ func newMetrics(withStore, withFleet bool, fill func(*snapshot)) *metrics {
 			{"paradmm_fleet_in_flight", "Session slots currently leased to running solves.", gauge, read(func(s *snapshot) int64 { return int64(s.fleet.InFlight) })},
 			{"paradmm_fleet_solves_total", "Leases released back to the registry (worker-solves).", counter, read(func(s *snapshot) int64 { return int64(s.fleet.Solves) })},
 			{"paradmm_fleet_routed_total", "Planner verdicts by route.", counter, labelled(pairs("route", fleetRoutes[:]...), false, cells(m.fleetRouted[:]))},
-			{"paradmm_fleet_cache_hits_total", "Remote worker sessions served from the worker's cache with their state: no rebuild, no state push (state tier).", counter, value(&m.cacheHits)},
-			{"paradmm_fleet_cache_graph_hits_total", "Remote worker sessions that reused the cached graph but took the state push (graph tier).", counter, value(&m.cacheGraphHits)},
-			{"paradmm_fleet_cache_misses_total", "Remote worker sessions that built the problem from the config.", counter, value(&m.cacheMisses)},
+			{"paradmm_fleet_cache_hits_total", "Remote worker sessions served from the worker's cache with their state: no rebuild, no state push (state tier).", counter, value(&m.cacheTiers[0])},
+			{"paradmm_fleet_cache_graph_hits_total", "Remote worker sessions that reused the cached graph but took the state push (graph tier).", counter, value(&m.cacheTiers[1])},
+			{"paradmm_fleet_cache_misses_total", "Remote worker sessions that built the problem from the config.", counter, value(&m.cacheTiers[2])},
 		}...)
 	}
 	m.families = append(m.families, []family{
@@ -188,13 +189,15 @@ func (m *metrics) recordShard(s shard.Stats) {
 	m.shardSolves.Add(1)
 	// The shard that waited longest: shard 0 alone may be the one the
 	// others wait for, and then reports next to nothing.
-	if len(s.SyncWaitByShard) > 0 {
-		m.shardSyncNanos.Add(slices.Max(s.SyncWaitByShard))
+	var maxWait int64
+	for _, w := range s.Workers {
+		maxWait = max(maxWait, w.SyncWait)
+		m.shardBoundaryNanos.Add(w.BoundaryZ)
+		if i := slices.Index(workerCacheTiers[:], w.Cache); i >= 0 {
+			m.cacheTiers[i].Add(1)
+		}
 	}
-	m.shardBoundaryNanos.Add(s.BoundaryZNanos)
-	m.cacheHits.Add(int64(s.CacheHits))
-	m.cacheGraphHits.Add(int64(s.CacheGraphHits))
-	m.cacheMisses.Add(int64(s.CacheMisses))
+	m.shardSyncNanos.Add(maxWait)
 	m.lastMu.Lock()
 	m.last.shard = s
 	m.lastMu.Unlock()

@@ -49,14 +49,21 @@ func driveMetrics(m *metrics) {
 		Elapsed:    3 * time.Millisecond,
 	}, 1_500_000)
 	m.recordShard(shard.Stats{
-		Shards: 3, BoundaryVars: 2, BoundaryEdges: 4, CutCost: 6,
-		SyncWaitNanos: 10, SyncWaitByShard: []int64{10, 500, 30}, BoundaryZNanos: 40,
-		CacheHits: 1, CacheMisses: 2,
+		BoundaryVars: 2, BoundaryEdges: 4, CutCost: 6,
+		Workers: []shard.WorkerStats{
+			{SyncWait: 10, BoundaryZ: 40, Cache: "state"},
+			{SyncWait: 500, BoundaryZ: 5, Cache: "miss"},
+			{SyncWait: 30, Cache: "miss"},
+		},
 	})
 	m.recordShard(shard.Stats{
-		Shards: 4, BoundaryVars: 3, BoundaryEdges: 6, CutCost: 12.5, BytesPerIter: 100,
-		SyncWaitNanos: 7, SyncWaitByShard: []int64{7, 3, 9, 1}, BoundaryZNanos: 11,
-		CacheHits: 2, CacheGraphHits: 1,
+		BoundaryVars: 3, BoundaryEdges: 6, CutCost: 12.5, BytesPerIter: 100,
+		Workers: []shard.WorkerStats{
+			{SyncWait: 7, BoundaryZ: 11, Cache: "state"},
+			{SyncWait: 3, BoundaryZ: 2, Cache: "state"},
+			{SyncWait: 9, Cache: "graph"},
+			{SyncWait: 1, BoundaryZ: 3},
+		},
 	})
 	m.recordFailover(shard.Outcome{
 		Recovery: shard.Recovery{Attempts: 3, HandshakeRetries: 2, Failovers: 1, LocalFallback: true,
@@ -308,7 +315,7 @@ func TestMetricsRecordAllocatesNothing(t *testing.T) {
 		t.Skip("race instrumentation allocates on its own")
 	}
 	m := newMetrics(false, false, nil)
-	st := shard.Stats{Shards: 2, SyncWaitByShard: []int64{3, 4}, CacheHits: 1}
+	st := shard.Stats{Workers: []shard.WorkerStats{{SyncWait: 3, Cache: "state"}, {SyncWait: 4, Cache: "miss"}}}
 	out := shard.Outcome{Recovery: shard.Recovery{Failovers: 1, Failures: []string{"lost"}}, Health: []shard.WorkerHealth{{Alive: true}, {}}}
 	res := admm.Result{Iterations: 3, PhaseNanos: [admm.NumPhases]int64{1, 2, 3, 4, 5}, Elapsed: time.Millisecond}
 	handler := m.timed("healthz", func(http.ResponseWriter, *http.Request) {})
@@ -334,7 +341,7 @@ func TestMetricsRecordAllocatesNothing(t *testing.T) {
 func TestMetricsScrapeNeverMixesSolves(t *testing.T) {
 	m := newMetrics(false, false, func(*snapshot) {})
 	stats := func(k int) shard.Stats {
-		return shard.Stats{Shards: k, BoundaryVars: 10 * k, BoundaryEdges: 100 * k, BytesPerIter: float64(8 * k), CutCost: float64(k)}
+		return shard.Stats{Workers: make([]shard.WorkerStats, k), BoundaryVars: 10 * k, BoundaryEdges: 100 * k, BytesPerIter: float64(8 * k), CutCost: float64(k)}
 	}
 	m.recordShard(stats(2))
 	stop := make(chan struct{})

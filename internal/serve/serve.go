@@ -158,6 +158,16 @@ type SolveResult struct {
 	// processes — attempts, dial_retries, failovers, local_fallback,
 	// backend, workers, failures (absent for an in-process solve).
 	Failover *shard.Recovery `json:"failover,omitempty"`
+	// Shards is each worker's share of a sharded solve (absent otherwise);
+	// phase_nanos above are, block by block, the straggler's.
+	Shards []ShardView `json:"shards,omitempty"`
+}
+
+// ShardView is one shard worker's cumulative loop time in a reply.
+type ShardView struct {
+	PhaseNanos    map[string]int64 `json:"phase_nanos"`
+	SyncWaitNanos int64            `json:"sync_wait_nanos"`
+	Straggles     int64            `json:"straggles"`
 }
 
 // JobView is the JSON shape of a job in responses.
@@ -479,7 +489,7 @@ func (s *Server) runJob(j *Job) {
 	s.met.recordFailover(out.Outcome)
 	var r *SolveResult
 	if err == nil {
-		if out.HasShardStats {
+		if len(out.ShardStats.Workers) > 0 {
 			s.met.recordShard(out.ShardStats)
 		}
 		s.met.recordSolve(out.Result, out.BuildNanos)
@@ -513,8 +523,11 @@ func newSolveResult(out workload.Outcome) *SolveResult {
 		Converged:  res.Converged,
 		ElapsedNS:  res.Elapsed.Nanoseconds(),
 		BuildNS:    out.BuildNanos,
-		PhaseNanos: map[string]int64{},
+		PhaseNanos: phaseMap(res.PhaseNanos),
 		Metrics:    out.Metrics,
+	}
+	for _, w := range out.ShardStats.Workers {
+		r.Shards = append(r.Shards, ShardView{PhaseNanos: phaseMap(w.PhaseNanos), SyncWaitNanos: w.SyncWait, Straggles: w.Straggles})
 	}
 	if out.Attempts > 0 {
 		trail := out.Recovery
@@ -528,8 +541,14 @@ func newSolveResult(out workload.Outcome) *SolveResult {
 		du := res.Dual
 		r.Dual = &du
 	}
-	for ph := admm.Phase(0); ph < admm.NumPhases; ph++ {
-		r.PhaseNanos[ph.String()] = res.PhaseNanos[ph]
-	}
 	return r
+}
+
+// phaseMap names each phase's nanoseconds.
+func phaseMap(nanos [admm.NumPhases]int64) map[string]int64 {
+	m := make(map[string]int64, admm.NumPhases)
+	for ph := admm.Phase(0); ph < admm.NumPhases; ph++ {
+		m[ph.String()] = nanos[ph]
+	}
+	return m
 }

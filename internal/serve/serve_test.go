@@ -410,13 +410,31 @@ func TestJobsInflightZeroAfterWaitReply(t *testing.T) {
 }
 
 // TestShardMetricsReported: a sharded solve must surface its partition
-// footprint (boundary vars/edges, shard count) through /metrics.
+// footprint (boundary vars/edges, shard count) through /metrics, and
+// each shard's loop time in its reply; a serial reply has no shards.
 func TestShardMetricsReported(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	code, v := postSolve(t, ts,
 		`{"workload":"mpc","spec":{"k":16},"executor":{"kind":"sharded","shards":4},"max_iter":200}`)
 	if code != http.StatusOK || v.Status != StatusDone {
 		t.Fatalf("sharded solve: status %d, job %+v", code, v)
+	}
+	shards := v.Result.Shards
+	if len(shards) != 4 {
+		t.Fatalf("reply carries %d shards, want 4: %+v", len(shards), shards)
+	}
+	straggles := int64(0)
+	for i, s := range shards {
+		if s.PhaseNanos[admm.PhaseX.String()] <= 0 || s.SyncWaitNanos <= 0 {
+			t.Errorf("shard %d reports %+v, want its x time and sync wait", i, s)
+		}
+		straggles += s.Straggles
+	}
+	if straggles != 1 {
+		t.Errorf("%d straggles in a one-block solve, want 1", straggles)
+	}
+	if code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":16},"max_iter":200}`); code != http.StatusOK || v.Result == nil || v.Result.Shards != nil {
+		t.Fatalf("serial solve: status %d, result %+v, want no shards", code, v.Result)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -460,8 +478,8 @@ func TestShardMetricsReported(t *testing.T) {
 // the very shard the others were waiting for.
 func TestShardSyncWaitCountsSlowestShard(t *testing.T) {
 	m := newMetrics(false, false, nil)
-	m.recordShard(shard.Stats{Shards: 3, SyncWaitNanos: 10, SyncWaitByShard: []int64{10, 500, 30}})
-	m.recordShard(shard.Stats{Shards: 2, SyncWaitNanos: 7, SyncWaitByShard: []int64{7, 3}})
+	m.recordShard(shard.Stats{Workers: []shard.WorkerStats{{SyncWait: 10}, {SyncWait: 500}, {SyncWait: 30}}})
+	m.recordShard(shard.Stats{Workers: []shard.WorkerStats{{SyncWait: 7}, {SyncWait: 3}}})
 	if got := m.shardSyncNanos.Load(); got != 507 {
 		t.Fatalf("sync-wait total = %d, want 500 + 7", got)
 	}

@@ -117,21 +117,16 @@
 // (boundary z, the combine, is a sub-count of z), the four Begin/Finish
 // calls are sync wait: the barrier crossings on shared memory, frame
 // encode + write plus whatever blocking the interior compute failed to
-// hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up to the
-// loop's wall time. In-process workers and worker processes time the
-// same loop, the latter reporting in the statistics header of each
-// block's Up frame, and Stats.SyncWaitByShard carries the whole vector. It has to: the shard the others wait for is the one
-// that reports the least wait, so a single shard's figure
-// (Stats.SyncWaitNanos is shard 0's, kept for its readers) says little
-// about what synchronization costs the solve. paradmm-solve prints the
-// min / median / max share of the solve per shard; the serving layer's
-// paradmm_shard_sync_wait_nanos_total follows the longest-waiting
-// shard. In-process waits follow one policy (sched.SpinThenPark —
-// exchange.Local's barrier and the loopback pipes alike): yield-spin for about the cost of a
-// futex sleep/wake, then park. Phase times and BoundaryZNanos remain
-// worker 0's — one shard's share of the combine, so
-// Stats.BoundaryVarsByShard says how many boundary variables each shard
-// combines and paradmm-solve prints it next to the figure.
+// hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up
+// to the loop's wall time. In-process workers hand their block's times
+// to Iterate, worker processes send them in each Up frame's header, and
+// one Stats.endBlock adds every worker's to its Stats.Workers entry. A
+// block's straggler is the worker that waited least — the one the
+// others waited for — so the solve's phase times are, block by block,
+// the straggler's, and Straggles counts how often each worker was it
+// (TestStragglerNamed). In-process waits follow one policy
+// (sched.SpinThenPark — exchange.Local's barrier and the loopback pipes
+// alike): yield-spin for about the cost of a futex sleep/wake, then park.
 //
 // # Fault tolerance
 //

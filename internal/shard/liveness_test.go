@@ -519,7 +519,7 @@ func TestRemoteRefusesTamperedUpHeader(t *testing.T) {
 					}
 				}
 			}
-			if after := r.Stats(); after.Iterations != stats.Iterations || after.SyncWaitByShard[0] != stats.SyncWaitByShard[0] {
+			if after := r.Stats(); after.Iterations != stats.Iterations || after.Workers[0] != stats.Workers[0] {
 				t.Fatalf("Stats moved after a refused Up: %+v -> %+v", stats, after)
 			}
 		})
@@ -651,7 +651,6 @@ func plannedRemote(t *testing.T, g *graph.Graph, shards int) *Remote {
 		r.ownedVars[i] = p.local[i].appendOwnedVars(nil)
 	}
 	r.stats = p.shapeStats(admm.TransportSockets)
-	r.stats.SyncWaitByShard = make([]int64, shards)
 	return r
 }
 
@@ -692,15 +691,7 @@ func collectAll(t *testing.T, r *Remote, w int, stream []byte) {
 			return
 		}
 		// RunBlock's fold of the reports into Stats.
-		tms := make([]workerTimings, r.shards)
-		ex := exchange.Stats{Rounds: r.stats.Iterations + 1}
-		for i, rep := range r.reps {
-			tms[i] = rep.tm
-			ex.BytesMoved += rep.ex.BytesMoved
-			ex.WireBytes += rep.ex.WireBytes
-			ex.Frames += rep.ex.Frames
-		}
-		r.stats.endBlock(1, tms, ex, &nanos)
+		r.stats.endBlock(1, r.reps, exchange.Stats{Rounds: r.stats.Iterations + 1}, &nanos)
 		s := r.Stats()
 		for p, v := range nanos {
 			if v < prevNanos[p] {
@@ -708,12 +699,24 @@ func collectAll(t *testing.T, r *Remote, w int, stream []byte) {
 			}
 		}
 		prevNanos = nanos
-		for i, v := range s.SyncWaitByShard {
-			if v < prev.SyncWaitByShard[i] {
-				t.Fatalf("shard %d sync wait went from %d to %d", i, prev.SyncWaitByShard[i], v)
+		straggles := int64(0)
+		for i, v := range s.Workers {
+			old := prev.Workers[i]
+			for p := range v.PhaseNanos {
+				if v.PhaseNanos[p] < old.PhaseNanos[p] {
+					t.Fatalf("worker %d phase %d went from %d to %d ns", i, p, old.PhaseNanos[p], v.PhaseNanos[p])
+				}
 			}
+			if v.SyncWait < old.SyncWait || v.BoundaryZ < old.BoundaryZ || v.Straggles < old.Straggles {
+				t.Fatalf("worker %d went from %+v to %+v", i, old, v)
+			}
+			straggles += v.Straggles
 		}
-		if s.BoundaryZNanos < prev.BoundaryZNanos || s.ExchangeFrames < prev.ExchangeFrames || s.Iterations != prev.Iterations+1 ||
+		if straggles != s.Iterations {
+			t.Fatalf("%d straggles after %d one-iteration blocks, want one per block", straggles, s.Iterations)
+		}
+		if s.SyncWaitNanos != s.Workers[0].SyncWait || s.BoundaryZNanos != s.Workers[0].BoundaryZ ||
+			s.ExchangeFrames < prev.ExchangeFrames || s.Iterations != prev.Iterations+1 ||
 			s.BytesPerIter < 0 || s.WireBytesPerIter < 0 {
 			t.Fatalf("Stats went from %+v to %+v", prev, s)
 		}

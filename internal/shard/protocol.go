@@ -74,17 +74,19 @@ type wireConfig struct {
 	StateDigest string `json:"state_digest,omitempty"`
 }
 
-// Worker-cache tiers (wireReady.Hit). The empty string is a miss: the
-// worker built the problem from the Cfg's workload spec.
+// Worker-cache tiers (wireReady.Hit, WorkerStats.Cache). On the wire
+// the empty string is a miss: the worker built the problem from the
+// Cfg's workload spec; WorkerStats records it as CacheMiss.
 const (
-	// cacheHitState: problem key and state digest both match — the
+	// CacheState: problem key and state digest both match — the
 	// worker restored its cached snapshot and the State push is skipped.
-	cacheHitState = "state"
-	// cacheHitGraph: the problem key matches but the state digest does
+	CacheState = "state"
+	// CacheGraph: the problem key matches but the state digest does
 	// not (a warm start, rho adaptation, or a different initial iterate)
 	// — the worker reuses the cached graph, partition and manifest, and
 	// the State push follows.
-	cacheHitGraph = "graph"
+	CacheGraph = "graph"
+	CacheMiss  = "miss"
 )
 
 // problemKey fingerprints what a worker must have built for a cached
@@ -119,8 +121,8 @@ type wirePeer struct {
 // wireReady acknowledges a config (FrameReady payload): the graph's
 // shape and the worker's boundary-manifest digest, which the
 // coordinator verifies against its own before any state moves, and the
-// worker-cache tier the session was served from (cacheHitState,
-// cacheHitGraph, or "" for a build).
+// worker-cache tier the session was served from (CacheState,
+// CacheGraph, or "" for a build).
 type wireReady struct {
 	Functions      int    `json:"functions"`
 	Variables      int    `json:"variables"`
@@ -344,9 +346,9 @@ func installState(g *graph.Graph, payload []byte) error {
 // upStatsWords is the length of an Up frame's statistics header.
 const upStatsWords = int(admm.NumPhases) + 5
 
-// blockReport is what an Up frame says besides the state: the worker's
-// timings of the block and its cumulative data-plane counters
-// (BytesMoved, WireBytes, Frames).
+// blockReport is a worker's account of a block — what an Up frame says
+// besides the state: its timings of the block and its cumulative
+// data-plane counters (BytesMoved, WireBytes, Frames; in-process, none).
 type blockReport struct {
 	tm workerTimings
 	ex exchange.Stats

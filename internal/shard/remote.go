@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -102,7 +103,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 	r.bufs = make([][]byte, shards)
 	r.reps = make([]blockReport, shards)
 	r.stats = r.plan.shapeStats(admm.TransportSockets)
-	r.stats.SyncWaitByShard = make([]int64, shards)
 	if err := r.handshake(ctx); err != nil {
 		// A failed handshake abandons every connection of the attempt,
 		// so half-meshed workers see the hang-up and clean up on their
@@ -149,23 +149,17 @@ func (r *Remote) handshake(ctx context.Context) error {
 		}
 		r.stats.HandshakeFrames++
 	}
-	hits := make([]string, r.shards)
-	if err := r.await(PhaseHandshake, exchange.FrameReady, func(i int, payload []byte) (err error) {
-		hits[i], err = r.checkReady(payload)
+	if err := r.await(PhaseHandshake, exchange.FrameReady, func(i int, payload []byte) error {
+		hit, err := r.checkReady(payload)
+		r.stats.Workers[i].Cache = cmp.Or(hit, CacheMiss)
 		return err
 	}); err != nil {
 		return err
 	}
 	r.stats.HandshakeFrames += r.shards
-	for i, hit := range hits {
-		switch hit {
-		case cacheHitState:
-			r.stats.CacheHits++
+	for i, w := range r.stats.Workers {
+		if w.Cache == CacheState {
 			continue
-		case cacheHitGraph:
-			r.stats.CacheGraphHits++
-		default:
-			r.stats.CacheMisses++
 		}
 		if err := exchange.FinishFrame(liveConn{r.conns[i], bound}, state); err != nil {
 			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseState, Err: fmt.Errorf("send state: %w", err)}
@@ -258,15 +252,7 @@ func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []flo
 	// the reference kernels maintain, against the just-installed
 	// authoritative Z and U.
 	admm.UpdateNRange(g, 0, g.NumEdges())
-	tms := make([]workerTimings, r.shards)
-	ex := exchange.Stats{Rounds: r.stats.Iterations + int64(iters)}
-	for i, rep := range r.reps {
-		tms[i] = rep.tm
-		ex.BytesMoved += rep.ex.BytesMoved
-		ex.WireBytes += rep.ex.WireBytes
-		ex.Frames += rep.ex.Frames
-	}
-	r.stats.endBlock(iters, tms, ex, phaseNanos)
+	r.stats.endBlock(iters, r.reps, exchange.Stats{Rounds: r.stats.Iterations + int64(iters)}, phaseNanos)
 	return nil
 }
 

@@ -339,7 +339,7 @@ func (sw *scriptedWorker) apply(code byte, i int, x, y byte, bound time.Duration
 		if !slices.Contains(keys, "hit") {
 			keys = slices.Insert(keys, 0, "hit")
 		}
-		m[keys[int(x&15)%len(keys)]] = []any{int(y), -int(y) - 1, cacheHitState, cacheHitGraph, "deadbeef", nil}[int(x>>4)%6]
+		m[keys[int(x&15)%len(keys)]] = []any{int(y), -int(y) - 1, CacheState, CacheGraph, "deadbeef", nil}[int(x>>4)%6]
 		p, _ := json.Marshal(m)
 		set(kind, p)
 	case rsErr:

@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/admm"
 	"repro/internal/exchange"
@@ -34,10 +35,10 @@ type Backend struct {
 	closed bool
 
 	// Iterate inputs, published to workers via cmd sends, and each
-	// worker's timings of the block, read back after its done send.
-	g       *graph.Graph
-	iters   int
-	timings []workerTimings
+	// worker's report of the block, read back after its done send.
+	g     *graph.Graph
+	iters int
+	reps  []blockReport
 
 	plan    *plan
 	ex      exchange.Exchanger
@@ -50,7 +51,8 @@ type Backend struct {
 // backend's most recent graph. It must not be called concurrently with
 // Iterate; counters accumulate across Iterate calls.
 type Stats struct {
-	Shards int
+	// Workers holds one entry per shard worker; its length is the shard count.
+	Workers []WorkerStats
 	// Transport names the boundary-exchange implementation ("local"
 	// shared memory, "sockets" message transport).
 	Transport string
@@ -60,37 +62,18 @@ type Stats struct {
 	BoundaryVars  int
 	BoundaryEdges int
 	InteriorVars  int
-	// BoundaryVarsByShard is how many boundary variables each shard
-	// combines. On the local transport the plan evens the shards'
-	// z-gather loads (graph.Partition.GatherOwners), so every shard
-	// that touches the cut combines a share; on a message transport a
-	// variable stays with the shard holding most of its edges.
-	BoundaryVarsByShard []int
-	// PartEdges is each shard's owned-edge count — the load the sweeps
-	// see. The default partition balances modelled work (x-update plus
-	// sweeps), which equals edge balance only when every function costs
-	// the same per edge.
-	PartEdges []int
 	// CutCost is the partition's degree-weighted cut cost
 	// (graph.CutCost): the predicted cross-shard words per iteration.
 	CutCost float64
-	// LoadImbalance is the largest PartEdges entry over their mean
-	// (graph.Partition.LoadImbalance): 1.0 is an even edge split.
-	LoadImbalance float64
 	// Iterations executed by this backend so far.
 	Iterations int64
-	// SyncWaitByShard is each shard's own cumulative time blocked at
-	// the two per-iteration sync points, timed by that shard's worker
-	// (in-process) or reported in its Up frames (cross-process). A
-	// shard that waits little is the one the others wait for, so a
-	// speedup is only explained by the whole vector.
-	SyncWaitByShard []int64
-	// SyncWaitNanos is SyncWaitByShard[0]; BoundaryZNanos is shard 0's
-	// cumulative time combining the BoundaryVarsByShard[0] boundary
-	// variables it owns (0 when it owns none) — one shard's share of
-	// the combine, to be read next to that count, not the solve's.
+	// SyncWaitNanos and BoundaryZNanos are Workers[0]'s SyncWait and
+	// BoundaryZ, and DeltaFrames is always 0 (the wire has one, dense,
+	// codec). The three stay only because the frozen benchmark reads
+	// them by name; they go with the benchmark unfreeze (ROADMAP A4/A5).
 	SyncWaitNanos  int64
 	BoundaryZNanos int64
+	DeltaFrames    int64
 	// BytesPerIter is the boundary-state payload a message transport
 	// moves per iteration, each byte counted once at its sender (0 on
 	// the local transport). It is priced by the same word model as
@@ -105,26 +88,35 @@ type Stats struct {
 	WireBytesPerIter float64
 	// ExchangeFrames counts data-plane frames sent so far.
 	ExchangeFrames int64
-	// DeltaFrames is always 0: the wire has one (dense) codec. The
-	// field stays only because the frozen benchmark/solver.go reads it
-	// by name; it goes with the benchmark unfreeze (ROADMAP).
-	DeltaFrames int64
-	// Worker-cache outcomes per worker, as each Ready reported them
-	// (remote transport only; all zero in-process). CacheHits are
-	// state-tier hits — the worker restored its cached problem and
-	// state, and the coordinator skipped the State push; CacheGraphHits
-	// reused the cached problem but still took the push; CacheMisses
-	// built the problem from the Cfg.
-	CacheHits      int
-	CacheGraphHits int
-	CacheMisses    int
-	// StatePushes counts the full-state downloads the handshake sent, and HandshakeFrames every control frame it
-	// exchanged in either direction: Cfg, Ready and State per worker,
-	// less the State a state hit skips — the fleet conformance suite
-	// pins a repeated solve to zero State pushes and one frame fewer
-	// per worker.
+	// StatePushes counts the full-state downloads the handshake sent,
+	// and HandshakeFrames every control frame it exchanged either way:
+	// Cfg, Ready and State per worker, less the State a state hit skips
+	// (a repeated fleet solve pushes none and sends one frame fewer each).
 	StatePushes     int
 	HandshakeFrames int
+}
+
+// WorkerStats is one shard worker's share of the solve: what the plan
+// gave it, and its own loop's cumulative times, in-process or from its
+// Up frames.
+type WorkerStats struct {
+	// Edges is the worker's owned-edge count, the load its sweeps see;
+	// BoundaryVars is how many boundary variables it combines (on shared
+	// memory the plan evens the gather loads, graph.Partition.GatherOwners;
+	// on a message transport a variable stays with its majority shard).
+	Edges, BoundaryVars int
+	// Every nanosecond of the loop lands in one phase or in SyncWait,
+	// the time blocked at the two per-iteration sync points; BoundaryZ
+	// (the combine of its BoundaryVars) is a sub-count of the z phase.
+	PhaseNanos          [admm.NumPhases]int64
+	SyncWait, BoundaryZ int64
+	// Straggles counts the blocks in which the worker waited least, so
+	// the others waited for it; Result.PhaseNanos adds up those phases.
+	Straggles int64
+	// Cache is the worker-cache tier its Ready reported: CacheState (no
+	// State push), CacheGraph (problem reused, state pushed) or
+	// CacheMiss; "" in-process.
+	Cache string
 }
 
 // New returns a sharded backend with the given shard count. The graph
@@ -135,11 +127,10 @@ func New(shards int) (*Backend, error) {
 		return nil, fmt.Errorf("shard: shards = %d, need > 0", shards)
 	}
 	b := &Backend{
-		shards:  shards,
-		cmd:     make(chan struct{}),
-		done:    make(chan struct{}),
-		timings: make([]workerTimings, shards),
-		stats:   Stats{SyncWaitByShard: make([]int64, shards)},
+		shards: shards,
+		cmd:    make(chan struct{}),
+		done:   make(chan struct{}),
+		reps:   make([]blockReport, shards),
 	}
 	for s := 0; s < shards; s++ {
 		go b.worker(s)
@@ -159,10 +150,10 @@ func (b *Backend) Name() string {
 // the first Iterate.
 func (b *Backend) Stats() Stats { return b.stats.snapshot() }
 
-// snapshot returns s with its own copy of the per-shard counters, which
-// later Iterate calls keep accumulating into.
+// snapshot returns s with its own copy of the per-worker counters,
+// which later Iterate calls keep accumulating into.
 func (s Stats) snapshot() Stats {
-	s.SyncWaitByShard = append([]int64(nil), s.SyncWaitByShard...)
+	s.Workers = slices.Clone(s.Workers)
 	return s
 }
 
@@ -181,9 +172,11 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		b.plan = p
 		b.bindExchanger(g, p)
 		st := p.shapeStats(transportLabel(b.Transport))
+		for i, w := range b.stats.Workers { // the counters carry over to the new plan
+			w.Edges, w.BoundaryVars = st.Workers[i].Edges, st.Workers[i].BoundaryVars
+			st.Workers[i] = w
+		}
 		st.Iterations = b.stats.Iterations
-		st.SyncWaitByShard = b.stats.SyncWaitByShard
-		st.BoundaryZNanos = b.stats.BoundaryZNanos
 		b.stats = st
 	}
 	b.g, b.iters = g, iters
@@ -193,25 +186,38 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 	for s := 0; s < b.shards; s++ {
 		<-b.done
 	}
-	b.stats.endBlock(iters, b.timings, b.ex.Stats(), phaseNanos)
+	b.stats.endBlock(iters, b.reps, b.ex.Stats(), phaseNanos)
 	return nil
 }
 
 // endBlock accounts one finished block of iters iterations, for the
-// in-process Backend and the cross-process Remote alike: tm holds each
-// shard's own timings of the block and ex the data plane's cumulative
-// traffic over ex.Rounds iterations. The solve's phase and boundary-z
-// times are shard 0's.
-func (s *Stats) endBlock(iters int, tm []workerTimings, ex exchange.Stats, phaseNanos *[admm.NumPhases]int64) {
-	for i := range tm {
-		s.SyncWaitByShard[i] += tm[i].syncWait
+// in-process Backend and the cross-process Remote alike: reps holds
+// each worker's report of the block, and ex the data plane's traffic
+// over ex.Rounds iterations besides the reports' own counters. The
+// block's straggler is the worker that waited least (the lowest on a
+// tie): the others waited for it, so its phases are the solve's.
+func (s *Stats) endBlock(iters int, reps []blockReport, ex exchange.Stats, phaseNanos *[admm.NumPhases]int64) {
+	straggler := 0
+	for i := range reps {
+		rep, w := &reps[i], &s.Workers[i]
+		for p, v := range rep.tm.phaseNanos {
+			w.PhaseNanos[p] += v
+		}
+		w.SyncWait += rep.tm.syncWait
+		w.BoundaryZ += rep.tm.boundaryZ
+		ex.BytesMoved += rep.ex.BytesMoved
+		ex.WireBytes += rep.ex.WireBytes
+		ex.Frames += rep.ex.Frames
+		if rep.tm.syncWait < reps[straggler].tm.syncWait {
+			straggler = i
+		}
 	}
-	for p, v := range tm[0].phaseNanos {
+	s.Workers[straggler].Straggles++
+	for p, v := range reps[straggler].tm.phaseNanos {
 		phaseNanos[p] += v
 	}
-	s.BoundaryZNanos += tm[0].boundaryZ
 	s.Iterations += int64(iters)
-	s.SyncWaitNanos = s.SyncWaitByShard[0]
+	s.SyncWaitNanos, s.BoundaryZNanos = s.Workers[0].SyncWait, s.Workers[0].BoundaryZ
 	s.BytesPerIter = ex.BytesPerRound()
 	s.WireBytesPerIter = ex.WireBytesPerRound()
 	s.ExchangeFrames = ex.Frames
@@ -263,7 +269,7 @@ func (b *Backend) worker(id int) {
 	for range b.cmd {
 		var tm workerTimings
 		runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, &tm)
-		b.timings[id] = tm
+		b.reps[id].tm = tm
 		b.done <- struct{}{}
 	}
 }
@@ -376,20 +382,17 @@ type plan struct {
 // the cross-process Remote; the counters start at zero.
 func (p *plan) shapeStats(transport string) Stats {
 	part := &p.part
-	byShard := make([]int, len(p.local))
+	workers := make([]WorkerStats, len(p.local))
 	for s := range p.local {
-		byShard[s] = len(p.local[s].boundary)
+		workers[s] = WorkerStats{Edges: p.local[s].ownedEdgeCount(), BoundaryVars: len(p.local[s].boundary)}
 	}
 	return Stats{
-		Shards:              len(p.local),
-		Transport:           transport,
-		BoundaryVars:        len(part.BoundaryVars),
-		BoundaryEdges:       part.BoundaryEdges,
-		InteriorVars:        part.InteriorVars(p.g),
-		BoundaryVarsByShard: byShard,
-		PartEdges:           part.PartLoads(p.g),
-		CutCost:             graph.CutCost(p.g, part),
-		LoadImbalance:       part.LoadImbalance(p.g),
+		Workers:       workers,
+		Transport:     transport,
+		BoundaryVars:  len(part.BoundaryVars),
+		BoundaryEdges: part.BoundaryEdges,
+		InteriorVars:  part.InteriorVars(p.g),
+		CutCost:       graph.CutCost(p.g, part),
 	}
 }
 

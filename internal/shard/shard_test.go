@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/admm"
 	"repro/internal/graph"
@@ -164,7 +167,7 @@ func TestShardedStats(t *testing.T) {
 	g := chainGraph(t, 1000)
 	runIters(t, b, g, 5)
 	s := b.Stats()
-	if s.Shards != 4 {
+	if len(s.Workers) != 4 {
 		t.Fatalf("stats %+v", s)
 	}
 	if s.BoundaryVars == 0 || s.BoundaryVars > 8 {
@@ -174,30 +177,112 @@ func TestShardedStats(t *testing.T) {
 		t.Fatalf("interior %d + boundary %d != %d vars", s.InteriorVars, s.BoundaryVars, g.NumVariables())
 	}
 	total := 0
-	for _, l := range s.PartEdges {
-		total += l
+	for _, w := range s.Workers {
+		total += w.Edges
 	}
 	if total != g.NumEdges() {
-		t.Fatalf("part loads sum %d != %d edges", total, g.NumEdges())
+		t.Fatalf("worker edges sum %d != %d edges", total, g.NumEdges())
 	}
 	if s.Iterations != 5 {
 		t.Fatalf("iterations %d", s.Iterations)
 	}
-	// Every worker times its own sync points; the vector accumulates
-	// across Iterate calls and a returned Stats is a snapshot.
-	if len(s.SyncWaitByShard) != 4 || s.SyncWaitNanos != s.SyncWaitByShard[0] {
-		t.Fatalf("sync wait %d, by shard %v", s.SyncWaitNanos, s.SyncWaitByShard)
+	// Every worker times its own loop; the counters accumulate across
+	// Iterate calls and a returned Stats is a snapshot.
+	if s.SyncWaitNanos != s.Workers[0].SyncWait || s.BoundaryZNanos != s.Workers[0].BoundaryZ {
+		t.Fatalf("sync wait %d, boundary z %d, worker 0 %+v", s.SyncWaitNanos, s.BoundaryZNanos, s.Workers[0])
 	}
-	for w, ns := range s.SyncWaitByShard {
-		if ns <= 0 {
-			t.Fatalf("shard %d reports no sync wait: %v", w, s.SyncWaitByShard)
+	for i, w := range s.Workers {
+		if w.SyncWait <= 0 || w.PhaseNanos[admm.PhaseX] <= 0 {
+			t.Fatalf("worker %d reports no sync wait or x time: %+v", i, w)
 		}
 	}
 	runIters(t, b, g, 5)
-	for w, ns := range b.Stats().SyncWaitByShard {
-		if ns <= s.SyncWaitByShard[w] {
-			t.Fatalf("shard %d sync wait did not accumulate: %d then %d", w, s.SyncWaitByShard[w], ns)
+	straggles := int64(0)
+	for i, w := range b.Stats().Workers {
+		if w.SyncWait <= s.Workers[i].SyncWait || w.PhaseNanos[admm.PhaseX] <= s.Workers[i].PhaseNanos[admm.PhaseX] {
+			t.Fatalf("worker %d did not accumulate: %+v then %+v", i, s.Workers[i], w)
 		}
+		straggles += w.Straggles
+	}
+	if straggles != 2 {
+		t.Fatalf("%d straggles over two blocks, want one per block", straggles)
+	}
+}
+
+// TestStragglerNamed: a function on the last shard sleeps once per
+// block, so every block that shard is the straggler — the one the other
+// waited for — on the in-process backend and over worker processes
+// alike. Its Straggles count every block, the solve's x time is its x
+// time (which holds the sleeps), and shard 0's loop spent the sleeps
+// waiting at its sync points.
+func TestStragglerNamed(t *testing.T) {
+	const n, iters, blocks = 48, 5, 3
+	const nap = 30 * time.Millisecond
+	var sleep atomic.Int64
+	// chainGraph's shape, with its last pairwise function sleepy.
+	const sleepy = n - 2
+	sleepyChain := func() *graph.Graph {
+		g := graph.New(2)
+		for i := 0; i+1 < n; i++ {
+			var op graph.Op = prox.Consensus{Dim: 2}
+			if i == sleepy {
+				op = sleepyOp{op, &sleep}
+			}
+			g.AddNode(op, i, i+1)
+		}
+		for i := range n {
+			g.AddNode(prox.SquaredNorm{C: 0.5, Dim: 2}, i)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		g.SetUniformParams(1, 1)
+		return g
+	}
+	builders := map[string]BuilderFunc{"chain": func([]byte) (*graph.Graph, error) { return sleepyChain(), nil }}
+	for _, name := range []string{"in-process", "remote"} {
+		t.Run(name, func(t *testing.T) {
+			g := sleepyChain()
+			if p, err := newPlan(g, 2, true); err != nil || p.part.FuncPart[sleepy] != 1 {
+				t.Fatalf("the sleepy function is not on the last shard (%v)", err)
+			}
+			var b admm.Backend
+			var err error
+			if name == "remote" {
+				b, err = NewRemote(context.Background(), chainSpec(startTestWorkers(t, 2, builders)), g)
+			} else {
+				b, err = New(2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			var x int64
+			for range blocks {
+				sleep.Store(int64(nap))
+				res, err := admm.Run(g, admm.Options{MaxIter: iters, Backend: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x += res.PhaseNanos[admm.PhaseX]
+			}
+			st := b.(StatsReporter).Stats()
+			w0, w1 := st.Workers[0], st.Workers[1]
+			if w1.Straggles != blocks || w0.Straggles != 0 {
+				t.Fatalf("straggles %d and %d, want 0 and %d: %+v", w0.Straggles, w1.Straggles, blocks, st.Workers)
+			}
+			if x < blocks*int64(nap) {
+				t.Fatalf("the solve's x time is %v, want at least the %v shard 1 slept", time.Duration(x), blocks*nap)
+			}
+			// Shard 0 waits from when it reaches a sync point until the
+			// sleeper does; only its own compute and the two workers'
+			// start skew come off the sleep, so three quarters is a
+			// generous floor.
+			if w0.SyncWait < blocks*int64(nap)*3/4 || w0.SyncWait <= w1.SyncWait {
+				t.Fatalf("shard 0 waited %v and shard 1 %v, want shard 0 to wait through most of the %v slept",
+					time.Duration(w0.SyncWait), time.Duration(w1.SyncWait), blocks*nap)
+			}
+		})
 	}
 }
 

@@ -49,10 +49,9 @@ type Outcome struct {
 	// Result is the engine result of the attempt that succeeded.
 	Result admm.Result
 	// ShardStats is the successful sharded backend's partition and
-	// synchronization statistics; HasShardStats is false when another
+	// synchronization statistics; its Workers is empty when another
 	// executor (or the local fallback) produced the result.
-	ShardStats    Stats
-	HasShardStats bool
+	ShardStats Stats
 	Recovery
 	// Health is the last worker-health probe taken while failing over
 	// (nil when the first attempt succeeded).
@@ -230,7 +229,7 @@ func (out *Outcome) run(g *graph.Graph, opts admm.SolveOptions, backend admm.Bac
 	out.Result = res
 	out.Backend = backend.Name()
 	if sr, ok := backend.(StatsReporter); ok {
-		out.ShardStats, out.HasShardStats = sr.Stats(), true
+		out.ShardStats = sr.Stats()
 	}
 	return nil
 }

@@ -390,9 +390,9 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 		case ent == nil:
 			ent, prepErr = buildSession(cfg, opts)
 		case ent.digest == cfg.StateDigest:
-			prepErr, hit = installState(ent.g, ent.snapshot), cacheHitState
+			prepErr, hit = installState(ent.g, ent.snapshot), CacheState
 		default:
-			hit = cacheHitGraph
+			hit = CacheGraph
 		}
 		if prepErr == nil {
 			prepErr = standMesh(mesh, cfg, ent.man, hellos, wait, quit)
@@ -434,7 +434,7 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	var out []byte
 	var zprevBuf []float64
 	state := stateAwaitState
-	if hit == cacheHitState {
+	if hit == CacheState {
 		state = stateReady
 	}
 	computing := func() (int, time.Duration) { return -1, 0 }

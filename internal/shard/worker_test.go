@@ -287,7 +287,7 @@ func TestWorkerSessionTable(t *testing.T) {
 		if err == nil {
 			err = decodeJSONFrame(f, &ready)
 		}
-		if err != nil || ready.Hit == cacheHitState || state == stateAwaitState && ready.Hit != cacheHitGraph {
+		if err != nil || ready.Hit == CacheState || state == stateAwaitState && ready.Hit != CacheGraph {
 			t.Fatalf("opening a session for %s: hit %q, err %v", state, ready.Hit, err)
 		}
 		if state == stateReady || state == stateRunning {

@@ -232,9 +232,14 @@ func TestCrossProcessShardedSockets(t *testing.T) {
 				t.Fatalf("hub split: %d boundary vars / %d of %d edges, %.0f bytes/iter vs %.0f priced",
 					st.BoundaryVars, st.BoundaryEdges, g.NumEdges(), st.BytesPerIter, 8*st.CutCost)
 			}
-			// Every worker's Up frames carry its own sync wait.
-			if len(st.SyncWaitByShard) != 2 || st.SyncWaitByShard[0] <= 0 || st.SyncWaitByShard[1] <= 0 {
-				t.Fatalf("per-shard sync wait %v, want both workers' figures", st.SyncWaitByShard)
+			// Every worker's Up frames carry its own loop times.
+			if len(st.Workers) != 2 {
+				t.Fatalf("stats for %d workers, want 2", len(st.Workers))
+			}
+			for i, w := range st.Workers {
+				if w.SyncWait <= 0 || w.PhaseNanos[admm.PhaseX] <= 0 || w.PhaseNanos[admm.PhaseZ] <= 0 || w.PhaseNanos[admm.PhaseU] <= 0 {
+					t.Fatalf("worker %d reports %+v, want its sync wait and x, z and u times", i, w)
+				}
 			}
 		})
 	}
