@@ -22,6 +22,10 @@
 //	       buffers
 //	write  Run's goroutine restores input order and streams results out
 //
+// The per-record codec scans a canonical envelope and appends a plain
+// result directly, and leaves every other line or record, and so every
+// refusal text, to encoding/json, whose bytes both paths give exactly.
+//
 // At most 1024 records are in flight, read but not yet written, so the
 // lanes' pending runs and the writer's reorder buffer stay bounded
 // whatever the input.

@@ -1,7 +1,10 @@
 package bulk
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -9,9 +12,12 @@ import (
 
 // FuzzBulkLineDecode drives the bulk stream's per-line admission path —
 // strict envelope decode, per-record control validation, workload spec
-// admission — with arbitrary bytes: no input may panic, any accepted
-// line must re-encode to an envelope that decodes back to the same
-// request, and any admitted spec must carry a usable shape key.
+// admission — with arbitrary bytes: no input may panic, DecodeLine must
+// give exactly the request or the error text encoding/json's strict
+// decoder gives (and the direct scan, whenever it takes a line, exactly
+// that request), any accepted line must re-encode to an envelope that
+// decodes back to the same request, and any admitted spec must carry a
+// usable shape key.
 //
 // Run as a regression suite by plain `go test` over the seed corpus;
 // run `go test -fuzz=FuzzBulkLineDecode ./internal/bulk` to explore.
@@ -31,11 +37,58 @@ func FuzzBulkLineDecode(f *testing.F) {
 		`null`,
 		`[1,2]`,
 		`"just a string"`,
+		// The direct scan's refusals, each a line encoding/json decides.
+		`{"workload":"mpc","spec":{"k":8},"executor":null}`,
+		`{"id":null,"workload":"mpc","spec":null,"max_iter":null,"abs_tol":null}`,
+		`{"workload":"mpc","workload":"lasso","spec":{"k":8}}`,
+		`{"Workload":"mpc","SPEC":{"k":8},"Max_Iter":5}`,
+		`{"id":"a\"b\\cA\n","workload":"mpc","spec":{"k":8}}`,
+		`{"id":"é","workload":"mpc","spec":{"k":8}}`,
+		"{\"id\":\"\xff\",\"workload\":\"mpc\",\"spec\":{\"k\":8}}",
+		"{\"id\":\"a\tb\",\"workload\":\"mpc\",\"spec\":{\"k\":8}}",
+		"{\"id\":\"a\x7fb\",\"workload\":\"mpc\",\"spec\":{\"k\":8}}",
+		"{\v\"workload\":\"mpc\",\"spec\":{\"k\":8}}",
+		`{"workload":"lasso","spec":{"m":32},"max_iter":1.0}`,
+		`{"workload":"lasso","spec":{"m":32},"max_iter":1e3}`,
+		`{"workload":"lasso","spec":{"m":32},"max_iter":9223372036854775808}`,
+		`{"workload":"lasso","spec":{"m":32}}}`,
+		`{"workload":"lasso","spec":{"m":32}}]`,
+		`{"workload":"lasso","spec":{"m":32}}{}`,
+		`{"workload":"lasso","spec":{"m":32},}`,
+		`{"workload":"lasso","spec":{"m":32,}}`,
+		// Numbers and framing at the edge of what the scan takes.
+		`{"workload":"lasso","spec":{"m":32},"max_iter":-0,"abs_tol":-0,"rel_tol":-0.0}`,
+		`{"workload":"lasso","spec":{"m":32},"max_iter":4294967297}`,
+		`{"workload":"lasso","spec":{"m":32},"max_iter":-9223372036854775808}`,
+		`{"workload":"lasso","spec":{"m":32},"max_iter":007}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":01e-4}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":1e400}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":1e-400,"rel_tol":1.5E+2}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":.5}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":1.}`,
+		`{"workload":"lasso","spec":{"m":32},"abs_tol":0x10}`,
+		"{\"workload\":\"lasso\",\"spec\":{\"m\":32}}\r\n",
+		" \t{ \"workload\" : \"lasso\" , \"spec\" : { \"m\" : 32 } }\r\n",
+		`{"workload":"mpc","spec":{"k":8,"note":"}"}}`,
+		`{"workload":"mpc","spec":{"k":8,"note":"\"}"}}`,
+		`{"workload":"mpc","spec":{"k":[8}}}`,
+		`{"workload":"mpc","spec":{"k":8}`,
+		`{}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		want, wantErr := decodeJSON(line)
 		req, err := DecodeLine(line)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("line %q: DecodeLine error %v, encoding/json %v", line, err, wantErr)
+		}
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("line %q: DecodeLine %+v, encoding/json %+v", line, req, want)
+		}
+		if scanned, ok := scanLine(line); ok && (wantErr != nil || !reflect.DeepEqual(scanned, want)) {
+			t.Fatalf("line %q: scan took %+v, encoding/json gives %+v, %v", line, scanned, want, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -62,6 +115,61 @@ func FuzzBulkLineDecode(f *testing.F) {
 		}
 		if adm.Key == "" || adm.Build == nil {
 			t.Fatalf("admitted line %q with key %q, nil build %t", line, adm.Key, adm.Build == nil)
+		}
+	})
+}
+
+// FuzzResultEncode pins the result encoder to json.Encoder's bytes for
+// arbitrary records: the direct append must write exactly them whenever
+// it takes a record, must take every record of plain strings and finite
+// metrics, and encode (direct or fallback) must write them always.
+//
+// Run `go test -fuzz=FuzzResultEncode ./internal/bulk` to explore.
+func FuzzResultEncode(f *testing.F) {
+	bits := math.Float64bits
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 1,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), -1e-7,
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), 1e20, -1e21,
+		0.1, 123456789.125, 9.288181335165291e-12, 1e-10, 1e-100,
+		math.Inf(1), math.NaN(),
+	} {
+		f.Add(7, "r000007", "lasso", "lasso/m=32", "", true, 10, true, "objective", bits(v), "gap", bits(-v), false)
+	}
+	for _, s := range []string{"a<b", "a>b", "a&b", "a\u2028b\u2029", "\xff\xfe", "ctl\x01\x1f", "del\x7f", `q"b`, `b\`, "é", "\t\n"} {
+		f.Add(-3, s, s, s, s, false, 0, false, s, bits(2.5), "z", bits(1e-7), false)
+	}
+	f.Add(0, "", "", "", "decode: json: unknown field \"bogus\"", false, 0, false, "", uint64(0), "", uint64(0), true)
+	f.Fuzz(func(t *testing.T, seq int, id, name, shape, errMsg string, warm bool, iters int, conv bool,
+		k1 string, v1 uint64, k2 string, v2 uint64, emptyMetrics bool) {
+		res := Result{Seq: seq, ID: id, Workload: name, Shape: shape, Warm: warm,
+			Iterations: iters, Converged: conv, Error: errMsg}
+		if emptyMetrics {
+			res.Metrics = map[string]float64{}
+		} else if k1 != "" || k2 != "" {
+			res.Metrics = map[string]float64{k1: math.Float64frombits(v1), k2: math.Float64frombits(v2)}
+		}
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(res)
+
+		got, ok := new(encodeScratch).appendResult(nil, &res)
+		if ok && (wantErr != nil || !bytes.Equal(got, want.Bytes())) {
+			t.Fatalf("direct encode %q, json.Encoder %q (%v)", got, want.Bytes(), wantErr)
+		}
+		direct := plain(id) && plain(name) && plain(shape) && plain(errMsg)
+		for k, v := range res.Metrics {
+			direct = direct && plain(k) && !math.IsInf(v, 0) && !math.IsNaN(v)
+		}
+		if ok != direct {
+			t.Fatalf("direct encode took the record %t, want %t: %+v", ok, direct, res)
+		}
+		if wantErr != nil {
+			return
+		}
+		e := newTestPipeline().encode(res)
+		if !bytes.Equal(e.s.buf.Bytes(), want.Bytes()) {
+			t.Fatalf("encode %q, json.Encoder %q", e.s.buf.Bytes(), want.Bytes())
 		}
 	})
 }

@@ -128,9 +128,13 @@ type encoded struct {
 	s     *encodeScratch
 }
 
+// encodeScratch is one pooled record buffer, with encoding/json's
+// encoder over it for the records the direct append refuses and the
+// metric names' sort scratch.
 type encodeScratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	keys []string
 }
 
 // shapeState is the per-shape solve state a lane carries across the
@@ -182,6 +186,17 @@ type pipeline struct {
 	storeSaves  atomic.Uint64
 }
 
+// newPipeline makes the state of one Run.
+func newPipeline(ctx context.Context, opts Options) *pipeline {
+	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[parseKey]parsed{}}
+	p.scratch.New = func() any {
+		s := &encodeScratch{}
+		s.enc = json.NewEncoder(&s.buf)
+		return s
+	}
+	return p
+}
+
 // send delivers v unless the context is done first.
 func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 	select {
@@ -203,12 +218,7 @@ func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 // teardown that cancels the request context; files and pipes with
 // data never block) must arrange that themselves.
 func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, error) {
-	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[parseKey]parsed{}}
-	p.scratch.New = func() any {
-		s := &encodeScratch{}
-		s.enc = json.NewEncoder(&s.buf)
-		return s
-	}
+	p := newPipeline(ctx, opts)
 
 	// The reader takes a token for each record it dispatches and the
 	// writer returns it once the record is written.
@@ -298,11 +308,13 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 func (p *pipeline) read(r io.Reader, d *dispatcher, tokens chan<- struct{}) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	seq := 0
+	var buf []byte
 	for {
 		if p.ctx.Err() != nil {
 			return nil
 		}
-		line, tooLong, err := readLine(br, p.opts.MaxLineBytes)
+		line, tooLong, err := readLine(br, buf, p.opts.MaxLineBytes)
+		buf = line
 		if tooLong || len(bytes.TrimSpace(line)) > 0 {
 			p.lines.Add(1)
 			t := p.admit(seq, line, tooLong)
@@ -321,31 +333,33 @@ func (p *pipeline) read(r io.Reader, d *dispatcher, tokens chan<- struct{}) erro
 	}
 }
 
-// readLine reads up to and including the next newline, accumulating a
-// payload of at most max bytes — the line terminator is not counted
-// against the cap, so a payload of exactly max bytes is accepted. Past
-// the cap it keeps consuming (so the stream stays framed) but stops
-// buffering and reports tooLong.
-func readLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err error) {
-	var buf []byte
+// readLine reads up to and including the next newline into buf's
+// storage, accumulating a payload of at most max bytes — the line
+// terminator is not counted against the cap, so a payload of exactly
+// max bytes is accepted. Past the cap it keeps consuming (so the stream
+// stays framed) but stops buffering and reports tooLong. The reader
+// passes each line's storage back in: admission copies out whatever it
+// keeps.
+func readLine(br *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool, err error) {
+	line = buf[:0]
 	for {
 		frag, e := br.ReadSlice('\n')
 		if !tooLong {
-			n := len(buf) + len(frag)
+			n := len(line) + len(frag)
 			if len(frag) > 0 && frag[len(frag)-1] == '\n' {
 				n--
 			}
 			if n > max {
 				tooLong = true
-				buf = nil
+				line = line[:0]
 			} else {
-				buf = append(buf, frag...)
+				line = append(line, frag...)
 			}
 		}
 		if e == bufio.ErrBufferFull {
 			continue
 		}
-		return buf, tooLong, e
+		return line, tooLong, e
 	}
 }
 
@@ -578,11 +592,15 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 	return res
 }
 
-// encode renders one result record into a pooled scratch buffer.
+// encode renders one result record into a pooled scratch buffer: a
+// direct append of encoding/json's bytes, or encoding/json itself for a
+// record the append refuses.
 func (p *pipeline) encode(res Result) encoded {
 	s := p.scratch.Get().(*encodeScratch)
 	s.buf.Reset()
-	if err := s.enc.Encode(res); err != nil {
+	if b, ok := s.appendResult(s.buf.AvailableBuffer(), &res); ok {
+		s.buf.Write(b)
+	} else if err := s.enc.Encode(res); err != nil {
 		// Results are plain structs over finite floats; this is
 		// unreachable short of memory corruption, but keep the record
 		// rather than dropping a seq.

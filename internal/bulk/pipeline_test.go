@@ -458,22 +458,23 @@ func TestPipelineStuckShapeHoldsOneWorker(t *testing.T) {
 // TestReadLineCapBoundary pins that MaxLineBytes bounds the payload,
 // not payload plus terminator: a line of exactly the cap is accepted,
 // one byte more is rejected, and framing survives both — with and
-// without a trailing newline at EOF.
+// without a trailing newline at EOF. Each call reuses the previous
+// line's storage, as the reader does.
 func TestReadLineCapBoundary(t *testing.T) {
 	const max = 64
 	exact := strings.Repeat("a", max)
 	over := strings.Repeat("b", max+1)
 	br := bufio.NewReaderSize(strings.NewReader(exact+"\n"+over+"\n"+exact), 16)
 
-	line, tooLong, err := readLine(br, max)
+	line, tooLong, err := readLine(br, nil, max)
 	if err != nil || tooLong || string(line) != exact+"\n" {
 		t.Fatalf("exact-cap line: tooLong=%v err=%v len=%d", tooLong, err, len(line))
 	}
-	line, tooLong, err = readLine(br, max)
+	line, tooLong, err = readLine(br, line, max)
 	if err != nil || !tooLong || len(line) != 0 {
 		t.Fatalf("cap+1 line: tooLong=%v err=%v len=%d", tooLong, err, len(line))
 	}
-	line, tooLong, err = readLine(br, max)
+	line, tooLong, err = readLine(br, line, max)
 	if err != io.EOF || tooLong || string(line) != exact {
 		t.Fatalf("unterminated exact-cap line: tooLong=%v err=%v len=%d", tooLong, err, len(line))
 	}
@@ -652,7 +653,7 @@ func checkAdmitFresh(t *testing.T, p *pipeline, line string) {
 }
 
 func newTestPipeline() *pipeline {
-	return &pipeline{ctx: context.Background(), opts: Options{}.withDefaults(), memo: map[parseKey]parsed{}}
+	return newPipeline(context.Background(), Options{})
 }
 
 // TestAdmitMemoMatchesFreshParse pins that the admission memo changes

@@ -61,8 +61,19 @@ type Result struct {
 
 // DecodeLine strictly decodes one JSONL input line into a Request.
 // Unknown envelope fields are errors; spec-level validation is the
-// workload admission layer's job.
+// workload admission layer's job. A canonical line takes a direct scan;
+// every other line, and so every refusal, takes encoding/json. Neither
+// keeps a reference to line.
 func DecodeLine(line []byte) (Request, error) {
+	if req, ok := scanLine(line); ok {
+		return req, nil
+	}
+	return decodeJSON(line)
+}
+
+// decodeJSON is DecodeLine through encoding/json's strict decoder, the
+// authority on what the envelope accepts and how it refuses.
+func decodeJSON(line []byte) (Request, error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
