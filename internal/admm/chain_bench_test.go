@@ -52,7 +52,9 @@ func BenchmarkSerialIterTiny(b *testing.B) {
 
 // BenchmarkChainedSolve is the bulk pipeline's warm chain in miniature:
 // 600 records on one svm n=40 graph, each {WarmState.Apply, 10
-// iterations, one residual check, Capture}. The chain's slack duals
+// iterations, Capture}. A record has no tolerance, so it never stops
+// early: its 10 iterations run as two checked blocks, 1 and 9, with a
+// residual check after each. The chain's slack duals
 // underflow near iteration 2033 — record 203 — so records 0–199 run
 // before it and 400–599 long after; the two ns/record metrics are equal
 // while Run flushes the stuck subnormals and ~1.6x apart when it does

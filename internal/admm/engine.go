@@ -51,6 +51,17 @@
 //
 // # The residual check
 //
+// A run that checks residuals (a tolerance, OnIteration or Adapt)
+// checks after its first iteration, then at every multiple of
+// CheckEvery and at MaxIter (blockLen). A warm start that already meets
+// its tolerances — every record of a bulk chain that re-solves a
+// converged problem — costs one iteration. Every other run takes the
+// same iterations, and ends on the same bits, as with its first check
+// at CheckEvery: the extra boundary adds one flush, which changes
+// nothing unless U holds a subnormal entry after iteration 1, and
+// adaptRho steps only at multiples of CheckEvery and at MaxIter
+// (adaptsAt), never at the extra check alone.
+//
 // A residual block ends with one pass over the edges in index order
 // (checkPass) instead of four: it accumulates Residuals' two sums in
 // Residuals' order, so Result.Primal and Dual keep their bits; it
@@ -313,7 +324,10 @@ type Options struct {
 	// is how the paper times its experiments.
 	AbsTol, RelTol float64
 	// CheckEvery is how often (in iterations) residuals are evaluated
-	// when tolerances are set. Zero means every 10 iterations.
+	// when tolerances are set. Zero means every 10 iterations. A run
+	// that checks also checks after its first iteration, so the checks
+	// fall at 1, CheckEvery, 2·CheckEvery, … and at MaxIter; Adapt
+	// steps only at the multiples of CheckEvery and at MaxIter.
 	CheckEvery int
 	// Adapt, if non-nil, enables residual-balancing rho adaptation.
 	Adapt *AdaptConfig
@@ -407,10 +421,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	done := 0
 	var err error
 	for done < opts.MaxIter {
-		step := opts.MaxIter - done
-		if needResiduals && step > every {
-			step = every
-		}
+		step := blockLen(done, opts.MaxIter, every, needResiduals)
 		if runner != nil {
 			err = runner.RunBlock(g, edit, step, zPrev, phaseNanos)
 		} else {
@@ -428,7 +439,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		}
 		done += step
 		edit = Edit{Flush: true}
-		if opts.Adapt != nil {
+		if opts.Adapt != nil && adaptsAt(done, opts.MaxIter, every) {
 			edit.Rescale = adaptRho(g, opts.Adapt, adjusted, res.Primal, res.Dual)
 			if edit.Rescale != (Rescale{}) {
 				adjusted++
@@ -452,6 +463,29 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	res.PhaseNanos = *phaseNanos
 	phaseScratch.Put(phaseNanos)
 	return res, err
+}
+
+// blockLen is the length of the block Run starts after done of maxIter
+// iterations. A fixed-count run is one block. A residual run's first
+// block is one iteration, so a warm start that already meets its
+// tolerances stops there, and every later block ends on a multiple of
+// every: the checks fall at 1, every, 2·every, … and at maxIter.
+func blockLen(done, maxIter, every int, residuals bool) int {
+	step := maxIter - done
+	switch {
+	case !residuals:
+		return step
+	case done == 0:
+		return min(step, 1)
+	}
+	return min(step, every-done%every)
+}
+
+// adaptsAt reports whether adaptRho may step at the check after done
+// iterations: on the every grid and at maxIter only, so the check after
+// iteration 1 leaves the iterations adaptive solves rescale at alone.
+func adaptsAt(done, maxIter, every int) bool {
+	return done%every == 0 || done == maxIter
 }
 
 // flushSubnormals zeroes the subnormal entries of u: Run's repair,

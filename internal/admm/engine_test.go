@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,9 +86,11 @@ func (b *failingBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhas
 
 // TestRunReturnsIterateError: Run stops at the block whose Iterate
 // failed, returns that error with the iterations completed before it,
-// and calls the backend no further — with and without residual checks
-// (whose blocks are two Iterate calls each).
+// and calls the backend no further — with and without residual checks.
+// A checked run's blocks end at iterations 1, 10, 20, …; the first is
+// one Iterate call, every later one two.
 func TestRunReturnsIterateError(t *testing.T) {
+	checked := Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}
 	for _, tc := range []struct {
 		name      string
 		opts      Options
@@ -95,8 +98,11 @@ func TestRunReturnsIterateError(t *testing.T) {
 		wantIters int
 	}{
 		{"fixed-count", Options{MaxIter: 40}, 1, 0},
-		{"residual-checked, first half of block 2", Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}, 3, 10},
-		{"residual-checked, second half of block 2", Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}, 4, 10},
+		{"residual-checked, block 1", checked, 1, 0},
+		{"residual-checked, first half of block 2", checked, 2, 1},
+		{"residual-checked, second half of block 2", checked, 3, 1},
+		{"residual-checked, first half of block 3", checked, 4, 10},
+		{"residual-checked, second half of block 3", checked, 5, 10},
 	} {
 		b := &failingBackend{Backend: NewSerialFused(), failAt: tc.failAt}
 		tc.opts.Backend = b
@@ -403,7 +409,9 @@ func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
 // the first block, then the flush always and the rescale when adaptRho
 // fired, with the bounds it resolved — and replaying each edit with
 // Edit.Apply on Rho and U as the previous block left them reproduces
-// Run's bit for bit.
+// Run's bit for bit. The blocks end at iterations 1, 5, 10, …, 60;
+// adaptRho does not step after iteration 1, so the rescales land after
+// the iterations recorded when the first block ended at 5.
 func TestRunReportsEdits(t *testing.T) {
 	g := buildAveraging(t, []float64{0, 10})
 	g.SetUniformParams(100, 1)
@@ -411,19 +419,19 @@ func TestRunReportsEdits(t *testing.T) {
 	if _, err := Run(g, Options{MaxIter: 60, CheckEvery: 5, Backend: b, Adapt: &AdaptConfig{Mu: 10, Tau: 2, Max: 200}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.edits) != 12 {
-		t.Fatalf("%d edits reported for 12 blocks", len(b.edits))
+	if len(b.edits) != 13 {
+		t.Fatalf("%d edits reported for 13 blocks", len(b.edits))
 	}
 	if e := b.edits[0].edit; e != (Edit{}) {
 		t.Errorf("first block: edit %+v, want the zero Edit", e)
 	}
-	rescales := 0
+	var rescaled []int
 	for i, r := range b.edits[1:] {
 		if !r.edit.Flush {
 			t.Errorf("block %d: edit %+v without the flush", i+1, r.edit)
 		}
 		if s := r.edit.Rescale; s != (Rescale{}) {
-			rescales++
+			rescaled = append(rescaled, r.at)
 			if s.Min != 1e-6 || s.Max != 200 || s.Check() != nil {
 				t.Errorf("block %d: rescale %+v, want resolved bounds [1e-6, 200]", i+1, s)
 			}
@@ -438,8 +446,8 @@ func TestRunReportsEdits(t *testing.T) {
 			}
 		}
 	}
-	if rescales == 0 {
-		t.Fatal("adaptRho never fired: no rescale was reported")
+	if want := []int{5, 10, 15, 20, 25, 30, 45, 50, 55}; !slices.Equal(rescaled, want) {
+		t.Errorf("rescaled after iterations %v, want %v", rescaled, want)
 	}
 }
 
@@ -449,11 +457,13 @@ func TestRunReportsEdits(t *testing.T) {
 type editRecorder struct {
 	Backend
 	state [2][]float64
+	done  int // iterations run so far
 	edits []recordedEdit
 }
 
 type recordedEdit struct {
 	edit          Edit
+	at            int // the iteration after which Run made edit
 	replayed, run [2][]float64
 }
 
@@ -463,7 +473,8 @@ func snapshotRhoU(g *graph.Graph) [2][]float64 {
 
 func (b *editRecorder) RunBlock(g *graph.Graph, e Edit, iters int, zPrev []float64, ph *[NumPhases]int64) error {
 	e.Apply(b.state[0], b.state[1], g.D())
-	b.edits = append(b.edits, recordedEdit{e, b.state, snapshotRhoU(g)})
+	b.edits = append(b.edits, recordedEdit{e, b.done, b.state, snapshotRhoU(g)})
+	b.done += iters
 	err := iterateBlock(b.Backend, g, iters, zPrev, ph)
 	b.state = snapshotRhoU(g)
 	return err

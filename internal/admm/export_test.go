@@ -47,10 +47,7 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 	done, adjusted := 0, 0
 	var err error
 	for done < opts.MaxIter {
-		step := opts.MaxIter - done
-		if needResiduals && step > every {
-			step = every
-		}
+		step := blockLen(done, opts.MaxIter, every, needResiduals)
 		if err = iterateBlock(backend, g, step, zPrev, &res.PhaseNanos); err != nil {
 			break
 		}
@@ -59,7 +56,7 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 			res.Primal, res.Dual = Residuals(g, zPrev)
 		}
 		done += step
-		if opts.Adapt != nil && adaptRho(g, opts.Adapt, adjusted, res.Primal, res.Dual) != (Rescale{}) {
+		if opts.Adapt != nil && adaptsAt(done, opts.MaxIter, every) && adaptRho(g, opts.Adapt, adjusted, res.Primal, res.Dual) != (Rescale{}) {
 			adjusted++
 		}
 		if check {

@@ -307,7 +307,8 @@ type SolveOptions struct {
 	// AbsTol/RelTol enable the standard ADMM stopping criterion; zero
 	// disables convergence checks (fixed iteration count).
 	AbsTol, RelTol float64
-	// CheckEvery is the residual-check period in iterations (default 10).
+	// CheckEvery is the residual-check period in iterations (default
+	// 10). A checked solve also checks after its first iteration (Run).
 	CheckEvery int
 	// Adapt, if non-nil, enables residual-balancing rho adaptation.
 	Adapt *AdaptConfig

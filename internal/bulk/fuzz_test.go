@@ -119,6 +119,27 @@ func FuzzBulkLineDecode(f *testing.F) {
 	})
 }
 
+// TestDecodeLineTrailingData: only whitespace may follow the request
+// object on a line. A stray closing bracket, a second object or text
+// after it is refused on both decode paths with the text serve's
+// /v1/solve gives; trailing blanks and a CRLF are not data.
+func TestDecodeLineTrailingData(t *testing.T) {
+	const obj = `{"workload":"lasso","spec":{"m":32}}`
+	for _, tail := range []string{"}", "]", "{}", " {}", " trailing", "x"} {
+		line := []byte(obj + tail)
+		for name, decode := range map[string]func([]byte) (Request, error){"DecodeLine": DecodeLine, "decodeJSON": decodeJSON} {
+			if _, err := decode(line); err == nil || err.Error() != "decode: trailing data after request object" {
+				t.Errorf("%s(%q): error %v, want the trailing-data refusal", name, line, err)
+			}
+		}
+	}
+	for _, tail := range []string{"", " ", "\r\n", " \t\n"} {
+		if req, err := DecodeLine([]byte(obj + tail)); err != nil || req.Workload != "lasso" {
+			t.Errorf("DecodeLine(%q): %+v, %v; want the lasso request", obj+tail, req, err)
+		}
+	}
+}
+
 // FuzzResultEncode pins the result encoder to json.Encoder's bytes for
 // arbitrary records: the direct append must write exactly them whenever
 // it takes a record, must take every record of plain strings and finite

@@ -75,14 +75,8 @@ func DecodeLine(line []byte) (Request, error) {
 // authority on what the envelope accepts and how it refuses.
 func decodeJSON(line []byte) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := workload.DecodeRequest(bytes.NewReader(line), &req); err != nil {
 		return Request{}, fmt.Errorf("decode: %v", err)
-	}
-	// A second document on the same line is a framing error, not data.
-	if dec.More() {
-		return Request{}, fmt.Errorf("decode: trailing data after request object")
 	}
 	return req, nil
 }

@@ -17,8 +17,7 @@ import (
 
 // solveBodyOfSize renders a valid /v1/solve body padded with interior
 // whitespace to exactly n bytes. The padding sits before the closing
-// brace so the decoder must consume every byte — trailing bytes after
-// the JSON value would never be read and never trip the cap.
+// brace, so the body is one object however the decoder reads past it.
 func solveBodyOfSize(t *testing.T, n int) string {
 	t.Helper()
 	core := `{"workload":"lasso","spec":{"m":24,"lambda":0.3},"max_iter":500,"abs_tol":1e-4,"rel_tol":1e-4`
@@ -64,6 +63,45 @@ func TestSolveBodyCapBoundary(t *testing.T) {
 	}
 	if !strings.Contains(envelope.Error, fmt.Sprint(cap)) {
 		t.Fatalf("413 envelope %q does not name the %d-byte cap", envelope.Error, cap)
+	}
+}
+
+// TestSolveTrailingDataRefused: only whitespace may follow the request
+// object. A stray closing bracket or a second object is a 400 naming
+// the trailing data, as the bulk envelope refuses it; a final newline
+// solves.
+func TestSolveTrailingDataRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const obj = `{"workload":"mpc","spec":{"k":4},"max_iter":20}`
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{obj + "}", http.StatusBadRequest},
+		{obj + "]", http.StatusBadRequest},
+		{obj + " {}", http.StatusBadRequest},
+		{obj + "x", http.StatusBadRequest},
+		{obj + "\n", http.StatusOK},
+		{" \t" + obj + " \r\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("body %q: reply is not JSON: %v", tc.body, err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Fatalf("body %q: status %d, want %d (%s)", tc.body, resp.StatusCode, tc.code, reply.Error)
+		}
+		if want := "bad request body: trailing data after request object"; tc.code != http.StatusOK && reply.Error != want {
+			t.Errorf("body %q: error %q, want %q", tc.body, reply.Error, want)
+		}
 	}
 }
 

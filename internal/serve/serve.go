@@ -321,9 +321,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	// Cap the body before touching it: an unbounded decode would let one
 	// client buffer arbitrary bytes into the process.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := workload.DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.reply(w, "unknown", "too_large", http.StatusRequestEntityTooLarge, errorBody{

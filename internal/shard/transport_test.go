@@ -576,12 +576,13 @@ func iterEdits(t *testing.T, s controlStream) []wireEdit {
 // coordinator sends each worker nothing but one Iter per block and a
 // Bye, and each worker answers Ready, then exactly one Up per block.
 // Rho changes ride inside the Iters as edits: every Iter after the
-// first carries the flush, and some carry a rescale.
+// first carries the flush, and some carry a rescale. The blocks are
+// iteration 1's, then one per CheckEvery.
 func TestRemoteControlStreamCensus(t *testing.T) {
 	const every = 20
 	_, res, streams := adaptiveRemoteSolve(t, admm.Options{MaxIter: 120, AbsTol: 1e-12, RelTol: 1e-12, CheckEvery: every},
 		admm.AdaptConfig{Mu: 2, Tau: 2})
-	blocks := (res.Iterations + every - 1) / every
+	blocks := 1 + (res.Iterations-1+every-1)/every
 	wantDown := []byte{exchange.FrameCfg, exchange.FrameState}
 	wantUp := []byte{exchange.FrameReady}
 	for range blocks {

@@ -3,7 +3,9 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -233,6 +235,27 @@ func CheckControls(maxIter, maxIterLimit int, absTol, relTol float64) error {
 		return fmt.Errorf("abs_tol/rel_tol must be finite and >= 0")
 	}
 	return nil
+}
+
+// DecodeRequest decodes the request object r holds into into, by the
+// rule the serving and the bulk envelope share: unknown fields are
+// errors, and only whitespace may follow the object. A read error past
+// the object (an http.MaxBytesError) comes back as it is.
+func DecodeRequest(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil && !errors.As(err, &syntax):
+		return err
+	}
+	return errors.New("trailing data after request object")
 }
 
 // finite drops m's NaN and ±Inf values in place and returns it.

@@ -37,11 +37,12 @@ type oneRouteCase struct {
 	tol            float64 // abs_tol and rel_tol; 0 = none
 }
 
-// lossCase runs three residual-checked blocks at the default period.
+// lossCase runs four residual-checked blocks: iteration 1, then three
+// at the default period.
 var lossCase = oneRouteCase{"mpc", `{"k":40}`, 30, 1e-12}
 
-// fixedCase is tolerance-free. Checked in 10-iteration blocks it ends
-// on other Z bits than as one fixed-count block.
+// fixedCase is tolerance-free. Checked, in blocks ending at iterations
+// 1, 10, 20, …, it ends on other Z bits than as one fixed-count block.
 var fixedCase = oneRouteCase{"svm", `{"n":40,"lambda":0.5,"seed":1}`, 3000, 0}
 
 // body is the case as a serve request or a bulk record.
@@ -294,9 +295,10 @@ func TestOneRouteCancelAtNextCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Checks fall every 10 iterations: the first passes, the second stops.
-	if out.Result.Iterations != 20 || out.Result.Converged {
-		t.Fatalf("canceled checked solve ran %d iterations (converged %v), want 20", out.Result.Iterations, out.Result.Converged)
+	// Checks fall after iteration 1, then every 10 iterations: the first
+	// passes, the second stops.
+	if out.Result.Iterations != 10 || out.Result.Converged {
+		t.Fatalf("canceled checked solve ran %d iterations (converged %v), want 10", out.Result.Iterations, out.Result.Converged)
 	}
 
 	job := fixedCase.job(t, serial)
