@@ -202,6 +202,7 @@ func run(c config) error {
 	for rep := 1; rep <= c.run.repeat; rep++ {
 		if rep > 1 {
 			fmt.Printf("--- repeat %d/%d ---\n", rep, c.run.repeat)
+			out.Problem.Reset() // a held problem continues its state
 		}
 		if out, err = solveOnce(job, out.Problem, reg); err != nil {
 			return err

@@ -51,9 +51,10 @@
 //
 // # The residual check
 //
-// A run that checks residuals (a tolerance, OnIteration or Adapt)
-// checks after its first iteration, then at every multiple of
-// CheckEvery and at MaxIter (blockLen). A warm start that already meets
+// A run that checks residuals (a tolerance or OnIteration) checks
+// after its first iteration, then at every multiple of CheckEvery and at
+// MaxIter (blockLen); an Adapt-only run skips the first of those, which
+// nothing would read. A warm start that already meets
 // its tolerances — every record of a bulk chain that re-solves a
 // converged problem — costs one iteration. Every other run takes the
 // same iterations, and ends on the same bits, as with its first check
@@ -350,6 +351,12 @@ type Result struct {
 	PhaseNanos [NumPhases]int64
 	// Elapsed is total wall-clock time inside the backend.
 	Elapsed time.Duration
+	// Flushed reports that the pass after the last block zeroed a
+	// subnormal entry of U, where N = z - u is stale until the next u/n
+	// sweep. Finite reports that the last check's sums of squares of X,
+	// U and Z were finite, which proves every entry finite; it is false
+	// after a run that took no check or whose last block rescaled U.
+	Flushed, Finite bool
 }
 
 // PhaseFractions returns each phase's share of total phase time,
@@ -421,7 +428,7 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	done := 0
 	var err error
 	for done < opts.MaxIter {
-		step := blockLen(done, opts.MaxIter, every, needResiduals)
+		step := blockLen(done, opts.MaxIter, every, needResiduals, check)
 		if runner != nil {
 			err = runner.RunBlock(g, edit, step, zPrev, phaseNanos)
 		} else {
@@ -433,9 +440,9 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		var sums checkSums
 		if needResiduals {
 			sums = checkPass(g, zPrev)
-			res.Primal, res.Dual = sums.primal, sums.dual
+			res.Primal, res.Dual, res.Flushed = sums.primal, sums.dual, sums.flushed
 		} else {
-			flushSubnormals(g.U)
+			res.Flushed = flushSubnormals(g.U)
 		}
 		done += step
 		edit = Edit{Flush: true}
@@ -448,6 +455,9 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 				sums.uu = math.NaN()
 			}
 		}
+		// A NaN or an infinity anywhere makes its sum NaN or +Inf (so does
+		// an overflowing square, which only costs the caller a scan).
+		res.Finite = needResiduals && sums.xx+sums.uu+sums.zz <= math.MaxFloat64
 		if check {
 			if opts.OnIteration != nil && !opts.OnIteration(done, res.Primal, res.Dual) {
 				break
@@ -466,16 +476,18 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 }
 
 // blockLen is the length of the block Run starts after done of maxIter
-// iterations. A fixed-count run is one block. A residual run's first
-// block is one iteration, so a warm start that already meets its
-// tolerances stops there, and every later block ends on a multiple of
-// every: the checks fall at 1, every, 2·every, … and at maxIter.
-func blockLen(done, maxIter, every int, residuals bool) int {
+// iterations. A fixed-count run is one block. A residual run's blocks
+// end on multiples of every and at maxIter; one that checks (a
+// tolerance or OnIteration) also ends its first block after one
+// iteration, so a warm start that already meets its tolerances stops
+// there: its checks fall at 1, every, 2·every, …. An Adapt-only run
+// would read nothing at 1 (adaptsAt), so it takes no block there.
+func blockLen(done, maxIter, every int, residuals, check bool) int {
 	step := maxIter - done
 	switch {
 	case !residuals:
 		return step
-	case done == 0:
+	case done == 0 && check:
 		return min(step, 1)
 	}
 	return min(step, every-done%every)
@@ -501,15 +513,17 @@ func adaptsAt(done, maxIter, every int) bool {
 // holding state elsewhere replays it, Edit.Apply) and iterates stay
 // bit-identical across executors; n = z - u heals in the next u/n
 // sweep. Run calls it after a fixed-count block; a residual block's
-// checkPass applies the same predicate in its pass.
-func flushSubnormals(u []float64) {
+// checkPass applies the same predicate in its pass. It reports whether
+// it zeroed an entry.
+func flushSubnormals(u []float64) (flushed bool) {
 	for i, v := range u {
 		// Shifting out the sign leaves 0 for zero and at least 1<<53 for
 		// normals, infinities and NaNs; the -1 wraps zero out of range.
 		if math.Float64bits(v)<<1-1 < 1<<53-1 {
-			u[i] = 0
+			u[i], flushed = 0, true
 		}
 	}
+	return flushed
 }
 
 // iterateBlock runs one block of step iterations on a backend that is

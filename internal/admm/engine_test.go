@@ -409,9 +409,9 @@ func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
 // the first block, then the flush always and the rescale when adaptRho
 // fired, with the bounds it resolved — and replaying each edit with
 // Edit.Apply on Rho and U as the previous block left them reproduces
-// Run's bit for bit. The blocks end at iterations 1, 5, 10, …, 60;
-// adaptRho does not step after iteration 1, so the rescales land after
-// the iterations recorded when the first block ended at 5.
+// Run's bit for bit. An Adapt-only run checks nothing after iteration
+// 1, so the blocks end at iterations 5, 10, …, 60 and the rescales land
+// after 5, 10, ….
 func TestRunReportsEdits(t *testing.T) {
 	g := buildAveraging(t, []float64{0, 10})
 	g.SetUniformParams(100, 1)
@@ -419,8 +419,8 @@ func TestRunReportsEdits(t *testing.T) {
 	if _, err := Run(g, Options{MaxIter: 60, CheckEvery: 5, Backend: b, Adapt: &AdaptConfig{Mu: 10, Tau: 2, Max: 200}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.edits) != 13 {
-		t.Fatalf("%d edits reported for 13 blocks", len(b.edits))
+	if len(b.edits) != 12 {
+		t.Fatalf("%d edits reported for 12 blocks", len(b.edits))
 	}
 	if e := b.edits[0].edit; e != (Edit{}) {
 		t.Errorf("first block: edit %+v, want the zero Edit", e)

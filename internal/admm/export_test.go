@@ -47,7 +47,7 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 	done, adjusted := 0, 0
 	var err error
 	for done < opts.MaxIter {
-		step := blockLen(done, opts.MaxIter, every, needResiduals)
+		step := blockLen(done, opts.MaxIter, every, needResiduals, check)
 		if err = iterateBlock(backend, g, step, zPrev, &res.PhaseNanos); err != nil {
 			break
 		}

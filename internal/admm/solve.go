@@ -315,13 +315,6 @@ type SolveOptions struct {
 	// OnIteration, if non-nil, observes residual checks; return false to
 	// stop early.
 	OnIteration func(iter int, primal, dual float64) bool
-	// Warm, if non-nil and captured, is applied to the graph before the
-	// solve: x/u/z restored from a previous same-shape solution, derived
-	// messages recomputed. The caller remains responsible for resetting
-	// state when Warm is nil (cold start) — Solve never implicitly
-	// zeroes a graph. Only Solve reads it; shard.Solve runs g as it finds
-	// it.
-	Warm *WarmState
 }
 
 // Solve is the in-process library entrypoint over Run: it builds the
@@ -331,11 +324,6 @@ type SolveOptions struct {
 // the products call shard.Solve, which adds the backend's statistics
 // and the failover policies for specs that name worker processes.
 func Solve(g *graph.Graph, opts SolveOptions) (Result, error) {
-	if opts.Warm != nil && opts.Warm.Captured() {
-		if err := opts.Warm.Apply(g); err != nil {
-			return Result{}, err
-		}
-	}
 	backend, err := opts.Executor.NewBackend(g)
 	if err != nil {
 		return Result{}, err

@@ -22,11 +22,12 @@ func tolerance(a, relTol, v float64) float64 {
 }
 
 // checkSums is what checkPass leaves for the stopping test: the
-// residuals, bit for bit Residuals', and plain (unscaled, any-order)
-// sums of squares of X, U and Z.
+// residuals, bit for bit Residuals', plain (unscaled, any-order) sums
+// of squares of X, U and Z, and whether the pass zeroed an entry of U.
 type checkSums struct {
 	primal, dual float64
 	xx, uu, zz   float64
+	flushed      bool
 }
 
 // checkPass is a residual block's one pass over the state: it
@@ -38,6 +39,7 @@ func checkPass(g *graph.Graph, zPrev []float64) checkSums {
 	X, U, Z, Rho := g.X, g.U, g.Z, g.Rho
 	U, zPrev = U[:len(X)], zPrev[:len(Z)]
 	var p, du, xx, uu float64
+	var fl bool
 	nE := g.NumEdges()
 	if d <= 5 {
 		// Small-d path (packing d=2, svm d=3, mpc d=5): one edge per
@@ -46,18 +48,18 @@ func checkPass(g *graph.Graph, zPrev []float64) checkSums {
 		for e := 0; e < nE; e++ {
 			r := Rho[e]
 			b, zb := e*d, g.EdgeVar(e)*d
-			p, du, xx, uu, U[b] = checkStep(p, du, xx, uu, X[b], Z[zb], zPrev[zb], r, U[b])
+			p, du, xx, uu, U[b], fl = checkStep(p, du, xx, uu, fl, X[b], Z[zb], zPrev[zb], r, U[b])
 			if d > 1 {
-				p, du, xx, uu, U[b+1] = checkStep(p, du, xx, uu, X[b+1], Z[zb+1], zPrev[zb+1], r, U[b+1])
+				p, du, xx, uu, U[b+1], fl = checkStep(p, du, xx, uu, fl, X[b+1], Z[zb+1], zPrev[zb+1], r, U[b+1])
 			}
 			if d > 2 {
-				p, du, xx, uu, U[b+2] = checkStep(p, du, xx, uu, X[b+2], Z[zb+2], zPrev[zb+2], r, U[b+2])
+				p, du, xx, uu, U[b+2], fl = checkStep(p, du, xx, uu, fl, X[b+2], Z[zb+2], zPrev[zb+2], r, U[b+2])
 			}
 			if d > 3 {
-				p, du, xx, uu, U[b+3] = checkStep(p, du, xx, uu, X[b+3], Z[zb+3], zPrev[zb+3], r, U[b+3])
+				p, du, xx, uu, U[b+3], fl = checkStep(p, du, xx, uu, fl, X[b+3], Z[zb+3], zPrev[zb+3], r, U[b+3])
 			}
 			if d > 4 {
-				p, du, xx, uu, U[b+4] = checkStep(p, du, xx, uu, X[b+4], Z[zb+4], zPrev[zb+4], r, U[b+4])
+				p, du, xx, uu, U[b+4], fl = checkStep(p, du, xx, uu, fl, X[b+4], Z[zb+4], zPrev[zb+4], r, U[b+4])
 			}
 		}
 	} else {
@@ -65,7 +67,7 @@ func checkPass(g *graph.Graph, zPrev []float64) checkSums {
 			r := Rho[e]
 			b, zb := e*d, g.EdgeVar(e)*d
 			for i := 0; i < d; i++ {
-				p, du, xx, uu, U[b+i] = checkStep(p, du, xx, uu, X[b+i], Z[zb+i], zPrev[zb+i], r, U[b+i])
+				p, du, xx, uu, U[b+i], fl = checkStep(p, du, xx, uu, fl, X[b+i], Z[zb+i], zPrev[zb+i], r, U[b+i])
 			}
 		}
 	}
@@ -73,19 +75,20 @@ func checkPass(g *graph.Graph, zPrev []float64) checkSums {
 	for _, v := range Z {
 		zz += v * v
 	}
-	return checkSums{primal: math.Sqrt(p), dual: math.Sqrt(du), xx: xx, uu: uu, zz: zz}
+	return checkSums{primal: math.Sqrt(p), dual: math.Sqrt(du), xx: xx, uu: uu, zz: zz, flushed: fl}
 }
 
 // checkStep adds one component's terms to checkPass's four sums and
-// returns u flushed: Residuals' p += (x-z)^2 and du += (rho*(z-zp))^2,
-// the plain x^2 and u^2, and flushSubnormals' predicate.
-func checkStep(p, du, xx, uu, x, z, zp, r, u float64) (float64, float64, float64, float64, float64) {
+// returns u flushed, and fl set if it was: Residuals' p += (x-z)^2 and
+// du += (rho*(z-zp))^2, the plain x^2 and u^2, and flushSubnormals'
+// predicate.
+func checkStep(p, du, xx, uu float64, fl bool, x, z, zp, r, u float64) (float64, float64, float64, float64, float64, bool) {
 	dv := x - z
 	sv := r * (z - zp)
 	if math.Float64bits(u)<<1-1 < 1<<53-1 {
-		u = 0
+		u, fl = 0, true
 	}
-	return p + dv*dv, du + sv*sv, xx + x*x, uu + u*u, u
+	return p + dv*dv, du + sv*sv, xx + x*x, uu + u*u, u, fl
 }
 
 // converged returns converged(g, s.primal, s.dual, absTol, relTol) for

@@ -17,14 +17,17 @@ import (
 // from the previous fixed point instead of from zero.
 //
 // Only x/u/z are stored. The message arrays m and n are derived state,
-// so Apply recomputes them with the reference kernels: n = z_b - u is
-// exactly the value the n-update leaves at iteration end (it runs last,
-// over the final z and u), and m = x + u is what the next m-update
-// would write — every schedule overwrites (or, fused, never reads) M
-// before consuming it, so the iterate trajectory after Apply is
-// identical to continuing the captured run, regardless of whether the
-// capture came from a fused schedule (which never materializes M) or
-// the five-phase reference. A graph that has no M yet keeps none.
+// so Apply recomputes them with the reference kernels: n = z_b - u, and
+// m = x + u, which is what the next m-update would write — every
+// schedule overwrites (or, fused, never reads) M before consuming it.
+// The n-update leaves n = z_b - u at iteration end (it runs last, over
+// the final z and u), except on edges whose subnormal u Run's flush
+// zeroed after the last block (Result.Flushed): there the captured run
+// still holds n = z_b - u_old, and Apply gives z_b - 0. Where nothing
+// was flushed, the iterate trajectory after Apply is identical to
+// continuing the captured run, whether the capture came from a fused
+// schedule (which never materializes M) or the five-phase reference. A
+// graph that has no M yet keeps none.
 type WarmState struct {
 	X, U, Z []float64
 	// edges/vars/d pin the captured shape so Apply can reject a

@@ -95,9 +95,10 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	ws.Capture(cold.Graph)
 
 	warm := build()
-	warmOpts := opts
-	warmOpts.Warm = &ws
-	warmRes, err := admm.Solve(warm.Graph, warmOpts)
+	if err := ws.Apply(warm.Graph); err != nil {
+		t.Fatal(err)
+	}
+	warmRes, err := admm.Solve(warm.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

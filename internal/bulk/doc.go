@@ -15,12 +15,19 @@
 //	       its shape's lane in the dispatcher
 //	solve  any free worker takes the whole pending run of the next
 //	       ready lane; a lane is held by one worker at a time and keeps
-//	       one built problem and a warm-start snapshot
-//	       (admm.WarmState): the first record of a shape solves cold,
-//	       later records warm-start from the previous solution of that
-//	       shape; each worker encodes its results with pooled scratch
-//	       buffers
+//	       one built problem, whose graph holds the shape's warm-start
+//	       chain: the first record of a shape solves cold (or from the
+//	       solution store's admm.WarmState), later records continue
+//	       from the previous solution of that shape; each worker
+//	       encodes its results with pooled scratch buffers
 //	write  Run's goroutine restores input order and streams results out
+//
+// A chain leaves its lane only at hand-back, when the stream ends: a
+// live chain is captured once for the solution store. A failed,
+// panicked or diverged solve drops it, and the next record of the
+// shape starts cold. Finiteness comes from the last residual check's
+// sums of squares (admm.Result.Finite); a record without one is
+// scanned.
 //
 // The per-record codec scans a canonical envelope and appends a plain
 // result directly, and leaves every other line or record, and so every

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/graph"
+	"repro/internal/linalg"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -50,8 +51,8 @@ type Options struct {
 	// shape's chain is seeded from the store on first sight (a snapshot
 	// whose shape does not match the built graph is rejected and the
 	// solve runs cold), and each chain's final state is persisted when
-	// the run ends. Chains that ended on a failed or panicked solve are
-	// never persisted.
+	// the run ends. Chains that ended on a failed, panicked or diverged
+	// solve are never persisted.
 	Store SolutionStore
 }
 
@@ -138,21 +139,17 @@ type encodeScratch struct {
 }
 
 // shapeState is the per-shape solve state a lane carries across the
-// stream: the built problem (checked out of the graph cache, if any)
-// and the warm-start snapshot of its last solution. The dispatcher
-// hands a lane to one worker at a time, so one worker touches it at
-// once.
+// stream: the built problem (checked out of the graph cache, if any),
+// whose graph holds the warm-start chain between records. The
+// dispatcher hands a lane to one worker at a time, so one worker
+// touches it at once.
 type shapeState struct {
 	prob workload.Problem
-	warm admm.WarmState
-	// storeChecked marks that the one-per-shape store lookup happened;
-	// dirty marks that warm holds a snapshot from a successful solve
-	// that the store does not have yet (cleared whenever a failed,
-	// panicked or diverged solve resets the chain); iterations is the iteration
-	// count of the solve that produced the snapshot.
-	storeChecked bool
-	dirty        bool
-	iterations   int
+	// live marks that prob's graph holds the finite state of the chain's
+	// last successful solve: the next record starts from it, and the
+	// store gets it at hand-back. iterations is that solve's count.
+	live       bool
+	iterations int
 }
 
 // parsed is one memoized workload.Parse outcome, refusal included.
@@ -261,16 +258,15 @@ func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, er
 	writeErr := p.write(w, out, tokens)
 	readErr := <-readErrCh
 
-	// Persist each chain's final snapshot, then return built graphs to
-	// the cache for the next stream (or the serving layer's other
-	// handlers). Only dirty chains are written: a chain whose last solve
-	// failed or panicked was reset and must not poison the store.
+	// Persist each chain's final state, then return built graphs to the
+	// cache for the next stream (or the serving layer's other handlers).
+	// Only live chains are written: a chain whose last solve failed,
+	// panicked or diverged was dropped and must not poison the store.
 	for key, l := range d.lanes {
 		st := &l.st
-		if p.opts.Store != nil && st.dirty && st.warm.Captured() {
-			if err := p.opts.Store.Put(key, store.Snapshot{Warm: st.warm, Iterations: st.iterations}); err == nil {
-				p.storeSaves.Add(1)
-			}
+		snap := store.Snapshot{Iterations: st.iterations}
+		if p.opts.Store != nil && st.live && snap.Warm.Capture(st.prob.FactorGraph()) && p.opts.Store.Put(key, snap) == nil {
+			p.storeSaves.Add(1)
 		}
 		if st.prob != nil && p.opts.Cache != nil {
 			p.opts.Cache.Put(key, st.prob)
@@ -512,9 +508,9 @@ func (p *pipeline) solve(d *dispatcher, out chan<- encoded) {
 
 // solveOne solves one record on its shape's state through
 // workload.Solve: the shape's problem is bound on first sight (cache
-// hit or build) and kept, and the solve warm-starts from the shape's
-// previous solution when one exists (on first sight, from the solution
-// store), then captures the new one.
+// hit or build) and kept, and its graph carries the chain, so a record
+// continues from the shape's previous solution when one exists — on
+// first sight, from a snapshot in the solution store.
 func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 	res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Shape: t.adm.Key}
 	job := workload.Job{
@@ -524,7 +520,6 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 		MaxIter:   p.opts.MaxIter,
 		AbsTol:    p.opts.AbsTol,
 		RelTol:    p.opts.RelTol,
-		Warm:      &st.warm,
 	}
 	if t.req.Executor != nil {
 		job.Executor = *t.req.Executor
@@ -543,49 +538,57 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 	// store. Solve vets the snapshot against the bound graph, so a stale
 	// or corrupt entry (wrong shape for its key) is not applied and the
 	// record solves cold — the store can cost iterations, never
-	// correctness. Until the check, the chain holds no snapshot of its
-	// own.
-	if p.opts.Store != nil && !st.storeChecked {
+	// correctness. A held graph whose chain was dropped starts cold.
+	held := st.prob
+	if held != nil && !st.live {
+		held.Reset()
+	} else if held == nil && p.opts.Store != nil {
 		if snap, ok := p.opts.Store.Get(t.adm.Key); ok {
 			job.Warm = &snap.Warm
 		}
 	}
 
-	out, err := workload.Solve(p.ctx, job, st.prob, workload.Env{Cache: p.opts.Cache})
+	out, err := workload.Solve(p.ctx, job, held, workload.Env{Cache: p.opts.Cache})
 	st.prob = out.Problem
 	if out.CacheHit {
 		p.cacheHits.Add(1)
 	}
-	if p.opts.Store != nil && !st.storeChecked && st.prob != nil {
-		st.storeChecked = true
-		if out.Warm {
-			p.storeHits.Add(1)
-		} else {
-			p.storeMisses.Add(1)
-		}
+	// out.Warm means Solve applied a store snapshot, which only a lane's
+	// first bound record asks for.
+	if out.Warm {
+		p.storeHits.Add(1)
+	} else if p.opts.Store != nil && held == nil && st.prob != nil {
+		p.storeMisses.Add(1)
 	}
 	if err != nil {
-		// The graph's state is suspect after a failed or panicked solve;
-		// drop the warm snapshot so the next record of this shape starts
-		// cold, and never persist the poisoned chain.
-		st.warm = admm.WarmState{}
-		st.dirty = false
+		// The graph's state is suspect after a failed or panicked solve:
+		// drop the chain, so the next record of this shape starts cold
+		// and nothing of it reaches the store.
+		st.live = false
 		res.Error = err.Error()
 		return res
 	}
+	res.Warm = st.live || out.Warm
 	r := out.Result
 	// A diverged solve (NaN/Inf iterate) still reports its result, but
-	// Capture refuses it: the chain is dropped (next record of the shape
-	// starts cold) and nothing of it reaches the store.
-	st.dirty = st.warm.Capture(st.prob.FactorGraph())
+	// its chain is dropped too. The last check's sums prove the state
+	// finite; a run that took no check, or whose sums overflowed, is
+	// scanned.
+	g := st.prob.FactorGraph()
+	st.live = r.Finite || linalg.AllFinite(g.X) && linalg.AllFinite(g.U) && linalg.AllFinite(g.Z)
+	if st.live && r.Flushed {
+		// The flush after the last block zeroed some U entries and left
+		// n = z - u stale there; rebuild N as WarmState.Apply would, so
+		// the next record starts where a snapshot of this one would.
+		admm.UpdateNRange(g, 0, g.NumEdges())
+	}
 	st.iterations = r.Iterations
 
-	res.Warm = out.Warm
 	res.Iterations = r.Iterations
 	res.Converged = r.Converged
 	res.Metrics = out.Metrics
 	p.solved.Add(1)
-	if out.Warm {
+	if res.Warm {
 		p.warmStarts.Add(1)
 	}
 	p.iterations.Add(uint64(r.Iterations))

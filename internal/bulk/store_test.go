@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/admm"
 	"repro/internal/graph"
+	"repro/internal/linalg"
 	"repro/internal/prox"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -107,59 +109,129 @@ func TestPipelineStoreFailedSolveNotPersisted(t *testing.T) {
 	}
 }
 
-// panicOp is a prox operator that panics on first evaluation — the
-// direct way to drive workload.Solve's crash guard with a graph whose
-// shape still matches the chain's snapshot.
-type panicOp struct{}
+// panicking is a problem whose Metrics panics on its at'th call: a way
+// into workload.Solve's crash guard in the middle of a real chain.
+type panicking struct {
+	workload.Problem
+	at, calls int
+}
 
-func (panicOp) Eval(x, n, rho []float64, d int) { panic("prox exploded") }
-func (panicOp) Work(deg, d int) graph.Work      { return prox.Identity{}.Work(deg, d) }
+func (p *panicking) Metrics() map[string]float64 {
+	if p.calls++; p.calls == p.at {
+		panic("metrics exploded")
+	}
+	return p.Problem.Metrics()
+}
 
-// brokenProblem is a workload.Problem whose solve panics in the
-// kernels.
-type brokenProblem struct{ g *graph.Graph }
-
-func (b brokenProblem) FactorGraph() *graph.Graph   { return b.g }
-func (b brokenProblem) Bytes() int64                { return b.g.Bytes() }
-func (b brokenProblem) Reset()                      {}
-func (b brokenProblem) Metrics() map[string]float64 { return nil }
+// seedCache returns a graph cache that hands out prob for adm's shape,
+// so a stream of that shape solves on it.
+func seedCache(t *testing.T, adm workload.Admission, prob workload.Problem) *graph.Cache[workload.Problem] {
+	t.Helper()
+	cache := graph.NewCache[workload.Problem](1)
+	// A key's second miss admits it to the pool.
+	cache.Get(adm.Key)
+	cache.Get(adm.Key)
+	cache.Put(adm.Key, prob)
+	return cache
+}
 
 // TestPipelineStorePanicResetsChain pins the poisoned-chain rule for
-// the panic path: a panicked solve must reset the shape's in-memory
-// warm chain (this was the bug — the error path reset it, the panic
-// path did not) so the stale snapshot is neither reused nor persisted.
+// the panic path: a panicked solve drops its shape's chain. A stream
+// that ends on the panic leaves nothing in the store; otherwise the
+// next record starts cold, bit for bit the stream's first record, and
+// the one after it continues the new chain, which is what the store
+// then gets.
 func TestPipelineStorePanicResetsChain(t *testing.T) {
-	p := &pipeline{ctx: context.Background(), opts: Options{}.withDefaults()}
-
-	// A previously successful chain for the shape...
-	good := graph.New(1)
-	good.AddNode(prox.Identity{}, 0)
-	if err := good.Finalize(); err != nil {
+	adm, err := workload.Parse("lasso", []byte(`{"m":32,"lambda":0.3}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := &shapeState{}
-	st.warm.Capture(good)
-	st.dirty = true
-	st.iterations = 3
+	run := func(records, panicAt int) ([]Result, *store.Store) {
+		prob, err := adm.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := openTestStore(t)
+		var out bytes.Buffer
+		opts := Options{Workers: 1, Store: s, Cache: seedCache(t, adm, &panicking{Problem: prob, at: panicAt})}
+		if _, err := Run(context.Background(), strings.NewReader(storeLassoStream(records)), &out, opts); err != nil {
+			t.Fatal(err)
+		}
+		return decodeResults(t, out.Bytes()), s
+	}
 
-	// ...then its problem is swapped for a same-shape graph whose prox
-	// evaluation panics, so the warm snapshot applies cleanly and the
-	// panic fires inside the solve itself.
-	bad := graph.New(1)
-	bad.AddNode(panicOp{}, 0)
-	if err := bad.Finalize(); err != nil {
-		t.Fatal(err)
+	res, s := run(2, 2)
+	if !strings.Contains(res[1].Error, "solve panic") {
+		t.Fatalf("record 1 = %+v, want a solve panic", res[1])
 	}
-	st.prob = brokenProblem{g: bad}
-	res := p.solveOne(st, &task{seq: 0, adm: workload.Admission{Key: "poison-key"}})
-	if !strings.Contains(res.Error, "solve panic") {
-		t.Fatalf("result error = %q, want a solve panic", res.Error)
+	if s.Len() != 0 {
+		t.Fatalf("store holds %d keys after a stream that ended on a panic, want 0", s.Len())
 	}
-	if st.warm.Captured() {
-		t.Fatal("panicked solve left the warm chain captured")
+
+	res, s = run(4, 2)
+	if !strings.Contains(res[1].Error, "solve panic") {
+		t.Fatalf("record 1 = %+v, want a solve panic", res[1])
 	}
-	if st.dirty {
-		t.Fatal("panicked solve left the chain marked dirty for persistence")
+	if res[2].Warm || res[2].Iterations != res[0].Iterations || !reflect.DeepEqual(res[2].Metrics, res[0].Metrics) {
+		t.Fatalf("record after the panic = %+v, want the cold open %+v", res[2], res[0])
+	}
+	if !res[3].Warm {
+		t.Fatalf("record 3 = %+v, want it warm on the restarted chain", res[3])
+	}
+	snap, ok := s.Get(adm.Key)
+	if !ok || snap.Iterations != res[3].Iterations {
+		t.Fatalf("store entry = %v (%d iterations), want the restarted chain's last solve (%d)", ok, snap.Iterations, res[3].Iterations)
+	}
+}
+
+// TestPipelineDivergedChainRestarts pins the divergence rule mid-chain:
+// an mpc chain whose initial state sits at the edge of the doubles
+// stays finite for two iterations and overflows in the next two, so
+// its second record diverges after a good first one. A stream that ends
+// there leaves nothing in the store; otherwise the next record reports
+// "warm":false, solves as a cold open does, and the one after it
+// continues the new chain into the store. The records check residuals
+// (a tolerance no solve meets), so the check's sums decide finiteness,
+// except for the fixed-count variant, which scans.
+func TestPipelineDivergedChainRestarts(t *testing.T) {
+	for _, tol := range []string{`,"abs_tol":1e-300`, ""} {
+		line := func(id string, iters int) string {
+			return fmt.Sprintf(`{"id":%q,"workload":"mpc","spec":{"k":4,"q0":[1e308,1e308,1e308,1e308]},"max_iter":%d%s}`+"\n", id, iters, tol)
+		}
+		run := func(in string) ([]Result, *store.Store) {
+			s := openTestStore(t)
+			var out bytes.Buffer
+			if _, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 1, Store: s}); err != nil {
+				t.Fatal(err)
+			}
+			return decodeResults(t, out.Bytes()), s
+		}
+		// A diverged state has no finite u0 to report.
+		finite := func(r Result) bool { _, ok := r.Metrics["u0"]; return ok }
+		diverged := func(r Result) bool { return r.Error == "" && r.Iterations == 2 && r.Warm && !finite(r) }
+
+		res, s := run(line("a", 2) + line("b", 2))
+		if res[0].Error != "" || res[0].Warm || !finite(res[0]) || !diverged(res[1]) {
+			t.Fatalf("tol %q: records = %+v, want a finite cold open, then a warm record that diverges", tol, res)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("tol %q: store holds %d keys after a stream that ended on a diverged chain, want 0", tol, s.Len())
+		}
+
+		res, s = run(line("a", 2) + line("b", 2) + line("c", 1) + line("d", 1))
+		cold, _ := run(line("c", 1))
+		if !diverged(res[1]) {
+			t.Fatalf("tol %q: record 1 = %+v, want it diverged", tol, res[1])
+		}
+		if res[2].Warm || res[2].Iterations != 1 || !reflect.DeepEqual(res[2].Metrics, cold[0].Metrics) {
+			t.Fatalf("tol %q: record after the divergence = %+v, want the cold open %+v", tol, res[2], cold[0])
+		}
+		if !res[3].Warm || !finite(res[3]) {
+			t.Fatalf("tol %q: record 3 = %+v, want it warm and finite on the restarted chain", tol, res[3])
+		}
+		if snap, ok := s.Get(res[3].Shape); !ok || snap.Iterations != 1 || !linalg.AllFinite(snap.Warm.X) {
+			t.Fatalf("tol %q: store entry = %v, %+v; want the restarted chain's finite state", tol, ok, snap)
+		}
 	}
 }
 

@@ -201,23 +201,8 @@ func (p *Problem) Coefficients() []float64 {
 
 // Objective evaluates 1/2||Ax-y||^2 + lambda||x||_1 at x.
 func (p *Problem) Objective(x []float64) float64 {
-	inst := p.Cfg.Inst
-	r := make([]float64, inst.A.Rows)
-	inst.A.MulVec(r, x)
-	var total float64
-	for i := range r {
-		d := r[i] - inst.Y[i]
-		total += d * d
-	}
-	total /= 2
-	for _, v := range x {
-		if v < 0 {
-			total -= p.Cfg.Lambda * v
-		} else {
-			total += p.Cfg.Lambda * v
-		}
-	}
-	return total
+	objective, _ := p.Quality(x)
+	return objective
 }
 
 // OptimalityGap returns the worst violation of the Lasso subgradient
@@ -225,35 +210,49 @@ func (p *Problem) Objective(x []float64) float64 {
 // |grad_j + lambda sign(x_j)|, for zeros max(|grad_j| - lambda, 0),
 // where grad = A^T (A x - y).
 func (p *Problem) OptimalityGap(x []float64) float64 {
-	inst := p.Cfg.Inst
-	r := make([]float64, inst.A.Rows)
-	inst.A.MulVec(r, x)
+	_, gap := p.Quality(x)
+	return gap
+}
+
+// Quality returns Objective(x) and OptimalityGap(x) from one residual
+// r = Ax - y. It forms grad = A^T r row by row, so A is read in storage
+// order, and each grad_j still sums its terms in row order.
+func (p *Problem) Quality(x []float64) (objective, gap float64) {
+	A, y := p.Cfg.Inst.A, p.Cfg.Inst.Y
+	r := make([]float64, A.Rows)
+	A.MulVec(r, x)
+	grad := make([]float64, p.p)
 	for i := range r {
-		r[i] -= inst.Y[i]
+		r[i] -= y[i]
+		objective += r[i] * r[i]
+		for j, a := range A.Row(i) {
+			grad[j] += a * r[i]
+		}
 	}
-	var worst float64
-	for j := 0; j < p.p; j++ {
-		var gj float64
-		for i := 0; i < inst.A.Rows; i++ {
-			gj += inst.A.At(i, j) * r[i]
+	objective /= 2
+	for j, v := range x {
+		if v < 0 {
+			objective -= p.Cfg.Lambda * v
+		} else {
+			objective += p.Cfg.Lambda * v
 		}
 		var viol float64
 		switch {
-		case x[j] > 1e-8:
-			viol = abs(gj + p.Cfg.Lambda)
-		case x[j] < -1e-8:
-			viol = abs(gj - p.Cfg.Lambda)
+		case v > 1e-8:
+			viol = abs(grad[j] + p.Cfg.Lambda)
+		case v < -1e-8:
+			viol = abs(grad[j] - p.Cfg.Lambda)
 		default:
-			viol = abs(gj) - p.Cfg.Lambda
+			viol = abs(grad[j]) - p.Cfg.Lambda
 			if viol < 0 {
 				viol = 0
 			}
 		}
-		if viol > worst {
-			worst = viol
+		if viol > gap {
+			gap = viol
 		}
 	}
-	return worst
+	return objective, gap
 }
 
 func abs(v float64) float64 {

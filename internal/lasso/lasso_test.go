@@ -182,3 +182,60 @@ func TestObjectiveAndGapBasics(t *testing.T) {
 		t.Fatalf("gap = %g", g)
 	}
 }
+
+// TestQualityMatchesColumnWalk pins the metrics' bits: Quality forms
+// A^T r row by row, and its gap equals the one from the gradient walked
+// down each column of A (the i order every grad_j keeps); its objective,
+// summed along with the gradient, equals the residual's squares summed
+// on their own.
+func TestQualityMatchesColumnWalk(t *testing.T) {
+	inst := Synthetic(40, 9, 3, 0.1, rand.New(rand.NewSource(4)))
+	p, err := Build(Config{Inst: inst, Blocks: 4, Lambda: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		x := make([]float64, 9)
+		for j := range x {
+			if rng.Intn(3) > 0 {
+				x[j] = rng.NormFloat64()
+			}
+		}
+		r := make([]float64, inst.A.Rows)
+		inst.A.MulVec(r, x)
+		for i := range r {
+			r[i] -= inst.Y[i]
+		}
+		var obj0 float64
+		for i := range r {
+			obj0 += r[i] * r[i]
+		}
+		obj0 /= 2
+		for _, v := range x {
+			obj0 += p.Cfg.Lambda * math.Abs(v)
+		}
+		var want float64
+		for j := range x {
+			var gj float64
+			for i := range r {
+				gj += inst.A.At(i, j) * r[i]
+			}
+			viol := math.Abs(gj) - p.Cfg.Lambda
+			switch {
+			case x[j] > 1e-8:
+				viol = math.Abs(gj + p.Cfg.Lambda)
+			case x[j] < -1e-8:
+				viol = math.Abs(gj - p.Cfg.Lambda)
+			}
+			want = math.Max(want, viol)
+		}
+		obj, gap := p.Quality(x)
+		if math.Float64bits(gap) != math.Float64bits(want) {
+			t.Fatalf("trial %d: gap %v, column walk %v", trial, gap, want)
+		}
+		if math.Float64bits(obj) != math.Float64bits(obj0) {
+			t.Fatalf("trial %d: objective %v, summed apart %v", trial, obj, obj0)
+		}
+	}
+}

@@ -183,8 +183,8 @@ func SoftThreshold(x, t float64) float64 {
 
 // AllFinite reports whether every element of v is finite (not NaN/Inf).
 // One integer test per element — the exponent field is all ones exactly
-// for NaN and ±Inf — because WarmState.Capture runs it over a whole
-// iterate per bulk record.
+// for NaN and ±Inf — because a bulk record that took no residual check
+// runs it over a whole iterate.
 func AllFinite(v []float64) bool {
 	const exp = 0x7ff << 52
 	for _, x := range v {

@@ -60,11 +60,10 @@ type Outcome struct {
 
 // Solve is the one route from an executor spec to a finished solve: it
 // builds the backend the spec describes, runs ADMM on g from the state
-// the caller left it in (opts.Warm is not consulted: a warm start is
-// applied to g before the call), releases the backend, and reports
-// what happened. Failure has
-// one channel — the returned error; a worker process lost mid-solve is
-// a typed *WorkerError like one lost at the handshake.
+// the caller left it in (a warm start is applied to g before the call),
+// releases the backend, and reports what happened. Failure has one
+// channel — the returned error; a worker process lost mid-solve is a
+// typed *WorkerError like one lost at the handshake.
 //
 // A spec that names worker processes (Addrs) runs the one attempt
 // loop; each attempt is one NewRemote — one dial and handshake — and

@@ -246,10 +246,18 @@ func (p *Problem) Slack(i int) float64 {
 	return p.Graph.VarBlock(p.Graph.Z, slackVar(i))[0]
 }
 
+// Quality returns Accuracy(p.Cfg.Data), HingeObjective() and
+// PlaneSpread(), bit for bit, from one Plane.
+func (p *Problem) Quality() (accuracy, hinge, spread float64) {
+	w, b := p.Plane()
+	return p.accuracy(p.Cfg.Data, w, b), p.hingeObjective(w, b), p.planeSpread(w, b)
+}
+
 // PlaneSpread measures consensus quality: the largest distance of any
 // plane copy from the average plane.
-func (p *Problem) PlaneSpread() float64 {
-	w, b := p.Plane()
+func (p *Problem) PlaneSpread() float64 { return p.planeSpread(p.Plane()) }
+
+func (p *Problem) planeSpread(w []float64, b float64) float64 {
 	avg := append(append([]float64(nil), w...), b)
 	var worst float64
 	for i := 0; i < p.N(); i++ {
@@ -264,6 +272,10 @@ func (p *Problem) PlaneSpread() float64 {
 // Accuracy classifies the dataset with the consensus plane.
 func (p *Problem) Accuracy(ds Dataset) float64 {
 	w, b := p.Plane()
+	return p.accuracy(ds, w, b)
+}
+
+func (p *Problem) accuracy(ds Dataset, w []float64, b float64) float64 {
 	correct := 0
 	for i, x := range ds.X {
 		score := linalg.Dot(w, x) + b
@@ -276,8 +288,9 @@ func (p *Problem) Accuracy(ds Dataset) float64 {
 
 // HingeObjective evaluates the true SVM objective at the consensus plane:
 // 1/2||w||^2 + lambda * sum hinge losses.
-func (p *Problem) HingeObjective() float64 {
-	w, b := p.Plane()
+func (p *Problem) HingeObjective() float64 { return p.hingeObjective(p.Plane()) }
+
+func (p *Problem) hingeObjective(w []float64, b float64) float64 {
 	total := linalg.Norm2Sq(w) / 2
 	for i, x := range p.Cfg.Data.X {
 		h := 1 - p.Cfg.Data.Y[i]*(linalg.Dot(w, x)+b)

@@ -225,6 +225,11 @@ func TestTrainSeparableReachesHighAccuracy(t *testing.T) {
 	if obj := p.HingeObjective(); math.IsNaN(obj) || obj < 0 {
 		t.Fatalf("bad objective %g", obj)
 	}
+	// Quality reads the plane once and reports the three metrics' bits.
+	acc, hinge, spread := p.Quality()
+	if acc != p.Accuracy(ds) || math.Float64bits(hinge) != math.Float64bits(p.HingeObjective()) || math.Float64bits(spread) != math.Float64bits(p.PlaneSpread()) {
+		t.Fatalf("Quality = %v, %v, %v; the three metrics give %v, %v, %v", acc, hinge, spread, p.Accuracy(ds), p.HingeObjective(), p.PlaneSpread())
+	}
 }
 
 func TestTrainGeneralizes(t *testing.T) {

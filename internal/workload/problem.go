@@ -272,10 +272,10 @@ type lassoProblem struct{ *lasso.Problem }
 
 func (p lassoProblem) Reset() { p.Graph.InitZero() }
 func (p lassoProblem) Metrics() map[string]float64 {
-	x := p.Coefficients()
+	objective, gap := p.Quality(p.Coefficients())
 	return finite(map[string]float64{
-		"objective":      p.Objective(x),
-		"optimality_gap": p.OptimalityGap(x),
+		"objective":      objective,
+		"optimality_gap": gap,
 	})
 }
 
@@ -283,10 +283,11 @@ type svmProblem struct{ *svm.Problem }
 
 func (p svmProblem) Reset() { p.Graph.InitZero() }
 func (p svmProblem) Metrics() map[string]float64 {
+	accuracy, hinge, spread := p.Quality()
 	return finite(map[string]float64{
-		"accuracy":        p.Accuracy(p.Cfg.Data),
-		"hinge_objective": p.HingeObjective(),
-		"plane_spread":    p.PlaneSpread(),
+		"accuracy":        accuracy,
+		"hinge_objective": hinge,
+		"plane_spread":    spread,
 	})
 }
 

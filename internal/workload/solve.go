@@ -33,7 +33,8 @@ type Job struct {
 	// whole budget as one fixed-count block.
 	AbsTol, RelTol float64
 	// Warm, when captured and of the problem's shape, is the state the
-	// solve starts from; otherwise the problem is Reset.
+	// solve starts from. Otherwise a held problem starts from the state
+	// its graph holds, and one Solve binds is Reset.
 	Warm *admm.WarmState
 }
 
@@ -69,6 +70,10 @@ type Outcome struct {
 // problem reference worker processes rebuild from, and run shard.Solve.
 // A panic on the way — in the build, an operator or a backend — is
 // returned as an error.
+//
+// A held problem is the caller's chain: unless job.Warm applies, the
+// solve continues from the state its graph holds, and a caller that
+// wants a cold start Resets it first.
 //
 // A job with a tolerance stops at its next residual check once ctx is
 // done; a tolerance-free job runs its budget as one fixed-count block,
@@ -111,9 +116,10 @@ func Solve(ctx context.Context, job Job, held Problem, env Env) (out Outcome, er
 	}
 
 	// Apply checks the shape before it writes: a snapshot that does not
-	// fit leaves g untouched, and the solve starts cold.
-	out.Warm = job.Warm != nil && job.Warm.Captured() && job.Warm.Apply(g) == nil
-	if !out.Warm {
+	// fit leaves g untouched, and the solve starts from the held state
+	// or cold.
+	out.Warm = job.Warm != nil && job.Warm.Apply(g) == nil
+	if !out.Warm && held == nil {
 		p.Reset()
 	}
 	if len(spec.Addrs) > 0 {
