@@ -90,7 +90,6 @@ func parseConfig(args []string) (serve.Config, options, error) {
 	fs.DurationVar(&o.fleet.ProbeInterval, "fleet-probe-interval", 2*time.Second, "fleet registry health-probe period")
 	fs.DurationVar(&o.fleet.ProbeTimeout, "fleet-probe-timeout", time.Second, "per-worker health-probe deadline")
 	fs.IntVar(&o.fleet.DeadAfter, "fleet-dead-after", 3, "consecutive probe failures before a fleet worker is marked dead")
-	fs.IntVar(&cfg.FleetPlanner.MinEdges, "fleet-min-edges", 0, "smallest graph (edges) the planner will route to the fleet (0 = the auto policy's sharding floor)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: paradmm-serve [-addr :8080] [-workers N] [-queue N] [flags]\n\n")
 		fs.PrintDefaults()

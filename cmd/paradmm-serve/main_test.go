@@ -32,11 +32,7 @@ func TestParseConfig(t *testing.T) {
 	}{
 		{"defaults", nil, defaults, ""},
 		{"cache per key", []string{"-cache-per-key=4"}, with(func(c *serve.Config) { c.CachePerKey = 4 }), ""},
-		{"workers and fleet floor", []string{"-workers", "3", "-fleet-min-edges", "500"},
-			with(func(c *serve.Config) {
-				c.Workers = 3
-				c.FleetPlanner.MinEdges = 500
-			}), ""},
+		{"workers", []string{"-workers", "3"}, with(func(c *serve.Config) { c.Workers = 3 }), ""},
 		{"negative cache per key", []string{"-cache-per-key=-2"}, serve.Config{}, "-cache-per-key = -2: must not be negative"},
 		{"negative queue", []string{"-queue", "-5"}, serve.Config{}, "-queue = -5"},
 		{"negative body bytes", []string{"-max-body-bytes", "-1"}, serve.Config{}, "-max-body-bytes = -1"},
@@ -45,6 +41,9 @@ func TestParseConfig(t *testing.T) {
 		// dial or handshake timeout to set.
 		{"retired dial timeout", []string{"-dial-timeout", "2s"}, serve.Config{}, "flag provided but not defined: -dial-timeout"},
 		{"retired handshake timeout", []string{"-handshake-timeout", "2h"}, serve.Config{}, "flag provided but not defined: -handshake-timeout"},
+		// The fleet planner routes on the auto policy's floor: there is
+		// no remote floor to set.
+		{"retired fleet floor", []string{"-fleet-min-edges", "500"}, serve.Config{}, "flag provided but not defined: -fleet-min-edges"},
 		{"garbage cache per key", []string{"-cache-per-key", "two"}, serve.Config{}, `invalid value "two" for flag -cache-per-key`},
 		{"unknown flag", []string{"-cache-bytes", "1"}, serve.Config{}, "flag provided but not defined: -cache-bytes"},
 		{"stray argument", []string{"serve"}, serve.Config{}, `unexpected argument "serve"`},

@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"repro/internal/admm"
-	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/lasso"
 	"repro/internal/mpc"
@@ -86,7 +85,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
 	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
-	fs.BoolVar(&c.run.fleet, "fleet", false, "manage -addrs through a persistent fleet registry reused across -repeat solves: health-probe once, lease workers per solve")
 	fs.Int64Var(&c.seed, "seed", 1, "workload seed (0 selects the workload spec's default seed)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: paradmm-solve [-problem P] [-size N] [-iters N] [-backend B] [flags]\n\n")
@@ -138,8 +136,6 @@ func parseConfig(args []string) (config, error) {
 	case bad != nil:
 	case c.run.repeat < 1:
 		bad = fmt.Errorf("-repeat %d out of range (>= 1)", c.run.repeat)
-	case c.run.fleet && len(c.run.spec.Addrs) == 0:
-		bad = fmt.Errorf("-fleet needs -addrs naming the shardworker fleet")
 	default:
 		c.job.Spec, bad = json.Marshal(specs[c.problem](c.size, c.seed))
 	}
@@ -173,43 +169,24 @@ func main() {
 type runConfig struct {
 	spec   admm.ExecutorSpec
 	repeat int
-	// fleet manages spec.Addrs through a fleet.Registry reused across
-	// repeat solves.
-	fleet bool
 }
 
 // run solves the problem -repeat times, each from its initial state,
 // and prints the last solve's quality metrics. The first solve builds
 // the problem and the repeats reuse it; over worker processes they hit
-// the workers' caches too. With -fleet the worker addresses are managed
-// by one fleet.Registry: probed up front and leased per solve.
+// the workers' caches too.
 func run(c config) error {
 	job := c.job
-	var reg *fleet.Registry
-	var err error
-	if c.run.fleet {
-		if reg, err = fleet.New(fleet.Config{Addrs: job.Executor.Addrs}); err != nil {
-			return err
-		}
-		for _, w := range reg.ProbeOnce(context.Background()) {
-			if w.State != fleet.StateHealthy {
-				return fmt.Errorf("fleet worker %s is %s: %s", w.Addr, w.State, w.LastErr)
-			}
-		}
-		fmt.Printf("fleet: %d workers healthy\n", len(job.Executor.Addrs))
-	}
 	var out workload.Outcome
+	var err error
 	for rep := 1; rep <= c.run.repeat; rep++ {
 		if rep > 1 {
 			fmt.Printf("--- repeat %d/%d ---\n", rep, c.run.repeat)
 			out.Problem.Reset() // a held problem continues its state
 		}
-		if out, err = solveOnce(job, out.Problem, reg); err != nil {
+		if out, err = solveOnce(job, out.Problem); err != nil {
 			return err
 		}
-	}
-	if reg != nil {
-		fmt.Printf("fleet: %d worker-solves leased across %d repeats\n", reg.Stats().Solves, c.run.repeat)
 	}
 	keys := slices.Sorted(maps.Keys(out.Metrics))
 	for i, k := range keys {
@@ -220,18 +197,7 @@ func run(c config) error {
 }
 
 // solveOnce solves job on held (nil builds it) and reports the solve.
-// The -fleet lease is taken here, not by the planner: the spec pins its
-// workers.
-func solveOnce(job workload.Job, held workload.Problem, reg *fleet.Registry) (workload.Outcome, error) {
-	if reg != nil {
-		want := len(job.Executor.Addrs)
-		lease := reg.Acquire(want)
-		if lease == nil || len(lease.Addrs) < want {
-			lease.Release()
-			return workload.Outcome{}, fmt.Errorf("fleet has no free session slots")
-		}
-		defer lease.Release()
-	}
+func solveOnce(job workload.Job, held workload.Problem) (workload.Outcome, error) {
 	out, err := workload.Solve(context.Background(), job, held, workload.Env{})
 	if err != nil {
 		return out, err

@@ -41,9 +41,8 @@ func TestParseConfig(t *testing.T) {
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
 			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
-			"-failover", "survivors", "-fleet"},
+			"-failover", "survivors"},
 			with(func(c *config) {
-				c.run.fleet = true
 				c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
 					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, Failover: "survivors"}
 			}), ""},
@@ -74,7 +73,9 @@ func TestParseConfig(t *testing.T) {
 		{"transport on serial", []string{"-transport", "sockets"}, config{}, "transport"},
 		{"unfused sharded", []string{"-backend", "sharded", "-fused=false"}, config{}, "fused"},
 		{"worker named twice", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "a,a"}, config{}, `addrs "a" and "a" name one worker`},
-		{"fleet without addrs", []string{"-fleet"}, config{}, "-fleet needs -addrs"},
+		// -repeat over -addrs reaches the workers' caches without a
+		// fleet registry: there is no fleet to manage.
+		{"retired fleet", []string{"-fleet"}, config{}, "flag provided but not defined: -fleet"},
 		{"garbage count", []string{"-size", "ten"}, config{}, `invalid value "ten" for flag -size`},
 		{"unknown flag", []string{"-workers", "2"}, config{}, "flag provided but not defined: -workers"},
 		{"stray argument", []string{"mpc"}, config{}, `unexpected argument "mpc"`},

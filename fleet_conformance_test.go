@@ -32,10 +32,13 @@ import (
 
 // fleetWorkload pairs a deterministic graph builder with the
 // ProblemRef the workers rebuild it from — the same four workloads the
-// transport conformance suite pins.
+// transport conformance suite pins. A planned workload is above the
+// auto policy's sharding floor and is routed by the admission planner;
+// the others lease their workers directly.
 type fleetWorkload struct {
-	build func(t testing.TB) *graph.Graph
-	spec  json.RawMessage
+	build   func(t testing.TB) *graph.Graph
+	spec    json.RawMessage
+	planned bool
 }
 
 func fleetWorkloads() map[string]fleetWorkload {
@@ -64,14 +67,15 @@ func fleetWorkloads() map[string]fleetWorkload {
 		},
 		"mpc": {
 			build: func(t testing.TB) *graph.Graph {
-				p, err := mpc.FromSpec(mpc.Spec{K: 400})
+				p, err := mpc.FromSpec(mpc.Spec{K: 7000})
 				if err != nil {
 					t.Fatal(err)
 				}
 				p.Graph.InitZero()
 				return p.Graph
 			},
-			spec: json.RawMessage(`{"k":400}`),
+			spec:    json.RawMessage(`{"k":7000}`), // 21 002 edges
+			planned: true,
 		},
 		"packing": {
 			build: func(t testing.TB) *graph.Graph {
@@ -103,16 +107,16 @@ func fleetRegistry(t *testing.T, addrs []string, deadAfter int) *fleet.Registry 
 	return reg
 }
 
-// fleetPlan routes one solve through the registry's admission planner
-// (remote floor lowered so the test workloads qualify) and demands the
-// remote route.
-func fleetPlan(t *testing.T, reg *fleet.Registry, g *graph.Graph, workers int) fleet.Decision {
+// fleetLease leases the given number of registry workers and returns
+// the sharded sockets spec over them, as a remote admission decision
+// would, with the lease to release.
+func fleetLease(t *testing.T, reg *fleet.Registry, workers int, base admm.ExecutorSpec) (admm.ExecutorSpec, *fleet.Lease) {
 	t.Helper()
-	d := reg.Plan(g, fleet.PlannerConfig{MinEdges: 1, MaxCutShare: 1, MinWorkers: 2, MaxWorkers: workers})
-	if d.Route != fleet.RouteRemote {
-		t.Fatalf("planner routed %s (%s), want remote", d.Route, d.Reason)
+	l := reg.Acquire(workers)
+	if l == nil || len(l.Addrs) != workers {
+		t.Fatalf("lease %v, want %d workers", l, workers)
 	}
-	return d
+	return fleet.Decision{Addrs: l.Addrs}.Spec(base), l
 }
 
 // frameMeter returns a function reporting the complete frames moved
@@ -155,7 +159,7 @@ func cacheTiers(st shard.Stats) string {
 	return strings.Join(ts, ",")
 }
 
-// TestFleetConformance: for every workload, a registry-routed fleet
+// TestFleetConformance: for every workload, a registry-leased fleet
 // solve is bit-identical to Serial, and re-solving the same ProblemRef
 // through the same registry is a state-tier cache hit on every worker —
 // nothing is rebuilt, the state is never re-sent, and the wire carries
@@ -177,9 +181,20 @@ func TestFleetConformance(t *testing.T) {
 			solve := func() (*graph.Graph, shard.Stats) {
 				t.Helper()
 				g := w.build(t)
-				d := fleetPlan(t, reg, g, 2)
-				defer d.Release()
-				spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: name, Spec: w.spec}})
+				base := admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: name, Spec: w.spec}}
+				var spec admm.ExecutorSpec
+				if w.planned {
+					d := reg.Plan(g)
+					defer d.Release()
+					if d.Route != fleet.RouteRemote || d.Shards != 2 {
+						t.Fatalf("planner routed %s on %d workers (%s), want remote on 2", d.Route, d.Shards, d.Reason)
+					}
+					spec = d.Spec(base)
+				} else {
+					var l *fleet.Lease
+					spec, l = fleetLease(t, reg, 2, base)
+					defer l.Release()
+				}
 				out, err := shard.Solve(context.Background(), g, admm.SolveOptions{
 					Executor: spec, MaxIter: iters,
 				})
@@ -255,10 +270,9 @@ func TestFleetWorkerRestartBetweenProbes(t *testing.T) {
 	}
 
 	g := matrixGraph(t)
-	d := fleetPlan(t, reg, g, 2)
-	spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
+	spec, l := fleetLease(t, reg, 2, admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
-	d.Release()
+	l.Release()
 	if err != nil {
 		t.Fatalf("solve after a worker restart failed: %v (trail %v)", err, out.Failures)
 	}
@@ -277,7 +291,7 @@ func TestFleetWorkerRestartBetweenProbes(t *testing.T) {
 	}
 }
 
-// TestFleetChaosWorkerDeath: one of three registry-routed workers dies
+// TestFleetChaosWorkerDeath: one of three registry-leased workers dies
 // mid-solve. shard.Solve must recover onto the survivors with a
 // bit-identical result, the registry must mark the victim dead within
 // one probe round, and the teardown must leak no goroutines.
@@ -304,10 +318,9 @@ func TestFleetChaosWorkerDeath(t *testing.T) {
 	reg := fleetRegistry(t, addrs, 1) // DeadAfter 1: one failed probe is enough
 
 	g := matrixGraph(t)
-	d := fleetPlan(t, reg, g, 3)
-	spec := d.Spec(admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
+	spec, l := fleetLease(t, reg, 3, admm.ExecutorSpec{Problem: &admm.ProblemRef{Workload: "mpc", Spec: []byte(`{"k":40}`)}})
 	out, err := shard.Solve(context.Background(), g, matrixOpts(spec))
-	d.Release()
+	l.Release()
 	if err != nil {
 		t.Fatalf("chaos solve failed: %v (trail %v)", err, out.Failures)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/gpusim"
-	"repro/internal/graph"
 	"repro/internal/lasso"
 	"repro/internal/mpc"
 	"repro/internal/packing"
@@ -39,40 +38,6 @@ func TestPackingEndToEndOnGPU(t *testing.T) {
 	fr := res.PhaseFractions()
 	if fr[admm.PhaseX]+fr[admm.PhaseZ] < 0.4 {
 		t.Fatalf("x+z share %.2f implausibly low on GPU", fr[admm.PhaseX]+fr[admm.PhaseZ])
-	}
-}
-
-// TestDeviceImageRoundTripMidSolve encodes the graph halfway through a
-// solve, decodes it, and finishes on the copy: both must agree exactly
-// (the paper's CPU->GPU->CPU copy fidelity).
-func TestDeviceImageRoundTripMidSolve(t *testing.T) {
-	build := func() (*svm.Problem, error) {
-		ds := svm.TwoGaussians(20, 2, 5, rand.New(rand.NewSource(3)))
-		return svm.Build(svm.Config{Data: ds, Lambda: 0.5})
-	}
-	p1, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Graph.InitZero()
-	var nanos [admm.NumPhases]int64
-	admm.NewSerial().Iterate(p1.Graph, 100, &nanos)
-
-	img := p1.Graph.Encode()
-	ops := make([]graph.Op, p1.Graph.NumFunctions())
-	for a := range ops {
-		ops[a] = p1.Graph.Op(a)
-	}
-	g2, err := graph.Decode(img, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admm.NewSerial().Iterate(p1.Graph, 100, &nanos)
-	admm.NewSerial().Iterate(g2, 100, &nanos)
-	for i := range p1.Graph.Z {
-		if p1.Graph.Z[i] != g2.Z[i] {
-			t.Fatalf("decoded graph diverged at Z[%d]", i)
-		}
 	}
 }
 

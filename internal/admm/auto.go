@@ -80,16 +80,14 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 	if procs <= 1 || !shardedLinked {
 		return out
 	}
-	st := g.Stats()
-	if st.Edges < AutoShardMinEdges {
+	if g.NumEdges() < AutoShardMinEdges {
 		return out
 	}
 	shards := procs
 	if shards > AutoMaxShards {
 		shards = AutoMaxShards
 	}
-	cut, ok := ShardedCutCost(g, shards)
-	if !ok || cut > AutoMaxCutShare*float64(st.Edges*st.D) {
+	if _, ok := ShardingPays(g, shards); !ok {
 		return out
 	}
 	out.Kind = ExecSharded
@@ -97,18 +95,24 @@ func (s ExecutorSpec) resolveAuto(g *graph.Graph, procs int, shardedLinked bool)
 	return out
 }
 
-// ShardedCutCost prices the partition a sharded solve of g at the given
-// shard count runs on: its degree-weighted cut cost (graph.CutCost), or
-// ok=false when that partition's load imbalance exceeds
-// AutoMaxImbalance. The auto policy and the fleet admission planner
-// both decide on it, so they agree on when sharding pays. The sharded
-// backend recomputes the partition when the resolved spec is built;
-// partitioning is O(E) and a solve runs thousands of O(E) iterations,
-// so the duplicate work is noise.
-func ShardedCutCost(g *graph.Graph, shards int) (float64, bool) {
+// ShardingPays reports whether the partition a sharded solve of g at
+// the given shard count runs on is worth sharding: refused when its load
+// imbalance exceeds AutoMaxImbalance, or when its degree-weighted cut
+// cost (graph.CutCost) exceeds AutoMaxCutShare of the graph's
+// per-iteration edge-state words (Edges * D). share is that cut cost
+// over Edges * D, and 0 for a split refused on its imbalance. The auto
+// policy and the fleet admission planner both decide on it, so they
+// agree on when sharding pays. The sharded backend recomputes the
+// partition when the resolved spec is built; partitioning is O(E) and a
+// solve runs thousands of O(E) iterations, so the duplicate work is
+// noise.
+func ShardingPays(g *graph.Graph, shards int) (share float64, ok bool) {
 	p, err := graph.NewPartition(g, shards, graph.StrategyBalanced)
 	if err != nil || p.LoadImbalance(g) > AutoMaxImbalance {
 		return 0, false
 	}
-	return graph.CutCost(g, &p), true
+	st := g.Stats()
+	words := float64(st.Edges * st.D)
+	cut := graph.CutCost(g, &p)
+	return cut / words, cut <= AutoMaxCutShare*words
 }

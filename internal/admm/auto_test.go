@@ -79,8 +79,8 @@ func TestResolveAutoDenseGraph(t *testing.T) {
 	if st.Edges < AutoShardMinEdges {
 		t.Fatalf("test graph below the size threshold: %+v", st)
 	}
-	if cut, ok := ShardedCutCost(g, AutoMaxShards); !ok || cut <= AutoMaxCutShare*float64(st.Edges*st.D) {
-		t.Fatalf("test graph does not exercise the cut-share branch: cut %v, ok %v", cut, ok)
+	if share, ok := ShardingPays(g, AutoMaxShards); ok || share <= AutoMaxCutShare {
+		t.Fatalf("test graph does not exercise the cut-share branch: share %v, ok %v", share, ok)
 	}
 	got := ExecutorSpec{Kind: ExecAuto}.resolveAuto(g, 8, true)
 	if !reflect.DeepEqual(got, ExecutorSpec{Kind: ExecSerial}) {

@@ -8,46 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
-// PlannerConfig tunes the admission planner. Zero values take the auto
-// policy's thresholds, so the planner and ExecutorSpec{Kind: "auto"}
-// agree on when sharding pays.
-type PlannerConfig struct {
-	// MinEdges is the remote floor: graphs below it solve locally
-	// regardless of fleet state (default admm.AutoShardMinEdges).
-	MinEdges int
-	// MaxCutShare caps the predicted exchange share — the balanced
-	// partition's graph.CutCost divided by the graph's
-	// per-iteration edge-state words (Edges * D). Above it, boundary
-	// traffic would dominate the solve and the request stays local
-	// (default admm.AutoMaxCutShare).
-	MaxCutShare float64
-	// MinWorkers is the smallest remote shard count worth the network
-	// round trips (default 2). A fleet with fewer healthy workers routes
-	// local; fewer *available* (unleased) workers sheds.
-	MinWorkers int
-	// MaxWorkers caps the leased shard count (default
-	// admm.AutoMaxShards).
-	MaxWorkers int
-}
-
-func (c PlannerConfig) withDefaults() PlannerConfig {
-	if c.MinEdges <= 0 {
-		c.MinEdges = admm.AutoShardMinEdges
-	}
-	if c.MaxCutShare <= 0 {
-		c.MaxCutShare = admm.AutoMaxCutShare
-	}
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = 2
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = admm.AutoMaxShards
-	}
-	if c.MaxWorkers < c.MinWorkers {
-		c.MaxWorkers = c.MinWorkers
-	}
-	return c
-}
+// minWorkers is the smallest remote shard count worth the network
+// round trips. A fleet with fewer healthy workers routes local; fewer
+// with a free session slot sheds.
+const minWorkers = 2
 
 // Route is the planner's verdict for one request.
 type Route string
@@ -89,18 +53,19 @@ func (d *Decision) Release() {
 	d.lease = nil
 }
 
-// Plan routes one solve. The load input is the registry's live
-// in-flight lease count — deliberately not probe RTT, which measures
-// how fast a worker's accept loop answered a ping, not whether its
-// single session slot is free. The slot is claimed (Acquire) before
-// the partition is evaluated, so two concurrent Plans cannot both be
-// promised the same worker; if the partition then predicts too much
-// boundary traffic the lease is returned and the request stays local.
-func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
-	pc = pc.withDefaults()
-	st := g.Stats()
-	if st.Edges < pc.MinEdges {
-		return Decision{Route: RouteLocal, Reason: fmt.Sprintf("graph below remote floor (%d edges < %d)", st.Edges, pc.MinEdges)}
+// Plan routes one solve on the auto policy's rule: a graph below
+// admm.AutoShardMinEdges stays local, and a remote split must pass
+// admm.ShardingPays at the leased worker count, which is at least
+// minWorkers and at most admm.AutoMaxShards. The load input is the
+// registry's live in-flight lease count — deliberately not probe RTT,
+// which measures how fast a worker's accept loop answered a ping, not
+// whether its single session slot is free. The slots are claimed
+// (Acquire) before the partition is evaluated, so two concurrent Plans
+// cannot both be promised the same worker; if the partition then does
+// not pay the lease is returned and the request stays local.
+func (r *Registry) Plan(g *graph.Graph) Decision {
+	if e := g.NumEdges(); e < admm.AutoShardMinEdges {
+		return Decision{Route: RouteLocal, Reason: fmt.Sprintf("graph below remote floor (%d edges < %d)", e, admm.AutoShardMinEdges)}
 	}
 	healthy, avail := 0, 0
 	for _, w := range r.Snapshot() {
@@ -108,34 +73,33 @@ func (r *Registry) Plan(g *graph.Graph, pc PlannerConfig) Decision {
 			continue
 		}
 		healthy++
-		if w.InFlight < r.cfg.MaxInFlight {
+		if w.InFlight < maxInFlight {
 			avail++
 		}
 	}
-	if healthy < pc.MinWorkers {
-		return Decision{Route: RouteLocal, Reason: fmt.Sprintf("fleet too small (%d healthy < %d)", healthy, pc.MinWorkers)}
+	if healthy < minWorkers {
+		return Decision{Route: RouteLocal, Reason: fmt.Sprintf("fleet too small (%d healthy < %d)", healthy, minWorkers)}
 	}
-	if avail < pc.MinWorkers {
-		return Decision{Route: RouteShed, Reason: fmt.Sprintf("fleet saturated (%d healthy, %d with a free slot, need %d)", healthy, avail, pc.MinWorkers)}
+	if avail < minWorkers {
+		return Decision{Route: RouteShed, Reason: fmt.Sprintf("fleet saturated (%d healthy, %d with a free slot, need %d)", healthy, avail, minWorkers)}
 	}
-	lease := r.Acquire(pc.MaxWorkers)
-	if lease == nil || len(lease.Addrs) < pc.MinWorkers {
+	lease := r.Acquire(admm.AutoMaxShards)
+	if lease == nil || len(lease.Addrs) < minWorkers {
 		// Lost the race to a concurrent Plan between Snapshot and
 		// Acquire.
 		lease.Release()
 		return Decision{Route: RouteShed, Reason: "fleet saturated (lease race)"}
 	}
 	shards := len(lease.Addrs)
-	// Partition evaluation runs outside the registry lock — CutCost is
-	// O(E) and must not stall probe rounds or concurrent admissions.
-	cut, ok := admm.ShardedCutCost(g, shards)
-	share := cut / float64(st.Edges*st.D)
-	if !ok || share > pc.MaxCutShare {
+	// Partition evaluation runs outside the registry lock — it is O(E)
+	// and must not stall probe rounds or concurrent admissions.
+	share, ok := admm.ShardingPays(g, shards)
+	if !ok {
 		lease.Release()
-		if !ok {
+		if share == 0 {
 			return Decision{Route: RouteLocal, Reason: fmt.Sprintf("no balanced %d-way partition", shards)}
 		}
-		return Decision{Route: RouteLocal, CutShare: share, Reason: fmt.Sprintf("predicted exchange share %.2f above %.2f cap", share, pc.MaxCutShare)}
+		return Decision{Route: RouteLocal, CutShare: share, Reason: fmt.Sprintf("predicted exchange share %.2f above %.2f cap", share, admm.AutoMaxCutShare)}
 	}
 	return Decision{
 		Route:    RouteRemote,

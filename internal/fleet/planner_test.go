@@ -53,9 +53,8 @@ func starGraph(t testing.TB, n int) *graph.Graph {
 	return g
 }
 
-// plannerFleet builds a 3-worker registry with scripted health and a
-// low remote floor so small test graphs exercise every branch.
-func plannerFleet(t *testing.T, rounds ...[]shard.WorkerHealth) (*fleet.Registry, []string, fleet.PlannerConfig) {
+// plannerFleet builds a 3-worker registry with scripted health.
+func plannerFleet(t *testing.T, rounds ...[]shard.WorkerHealth) (*fleet.Registry, []string) {
 	t.Helper()
 	addrs := []string{"w0:1", "w1:1", "w2:1"}
 	if len(rounds) == 0 {
@@ -67,21 +66,26 @@ func plannerFleet(t *testing.T, rounds ...[]shard.WorkerHealth) (*fleet.Registry
 		t.Fatal(err)
 	}
 	r.ProbeOnce(context.Background())
-	pc := fleet.PlannerConfig{MinEdges: 16, MaxCutShare: 0.25, MinWorkers: 2, MaxWorkers: 3}
-	return r, addrs, pc
+	return r, addrs
 }
 
 // TestPlannerTable walks every admission branch: local below the
 // remote floor, remote on a low-cut graph, local on a high-cut graph
 // (with the lease returned), shed when the healthy fleet is saturated,
-// and local when too few workers are healthy at all.
+// and local when too few workers are healthy at all. The graphs are
+// above admm.AutoShardMinEdges and are never solved.
 func TestPlannerTable(t *testing.T) {
-	chain := chainGraph(t, 64) // 190 edges, cut share ~0
-	star := starGraph(t, 64)   // 126 edges, no acceptable split
+	chain := chainGraph(t, 6700) // 20 098 edges, cut share ~0
+	star := starGraph(t, 10001)  // 20 000 edges, no acceptable split
+	for _, g := range []*graph.Graph{chain, star} {
+		if e := g.NumEdges(); e < admm.AutoShardMinEdges {
+			t.Fatalf("test graph of %d edges is below the remote floor", e)
+		}
+	}
 
 	t.Run("local below floor", func(t *testing.T) {
-		r, _, pc := plannerFleet(t)
-		d := r.Plan(chainGraph(t, 4), pc)
+		r, _ := plannerFleet(t)
+		d := r.Plan(chainGraph(t, 4))
 		defer d.Release()
 		if d.Route != fleet.RouteLocal || !strings.Contains(d.Reason, "below remote floor") {
 			t.Fatalf("got %s (%s), want local below the floor", d.Route, d.Reason)
@@ -89,16 +93,16 @@ func TestPlannerTable(t *testing.T) {
 	})
 
 	t.Run("remote low cut", func(t *testing.T) {
-		r, addrs, pc := plannerFleet(t)
-		d := r.Plan(chain, pc)
+		r, addrs := plannerFleet(t)
+		d := r.Plan(chain)
 		if d.Route != fleet.RouteRemote {
 			t.Fatalf("got %s (%s), want remote", d.Route, d.Reason)
 		}
 		if d.Shards != 3 || len(d.Addrs) != 3 {
 			t.Fatalf("remote plan incomplete: %+v", d)
 		}
-		if d.CutShare <= 0 || d.CutShare > pc.MaxCutShare {
-			t.Fatalf("cut share %.3f outside (0, %.2f]", d.CutShare, pc.MaxCutShare)
+		if d.CutShare <= 0 || d.CutShare > admm.AutoMaxCutShare {
+			t.Fatalf("cut share %.3f outside (0, %.2f]", d.CutShare, admm.AutoMaxCutShare)
 		}
 		// The lease is live until released.
 		for i, w := range r.Snapshot() {
@@ -115,8 +119,8 @@ func TestPlannerTable(t *testing.T) {
 	})
 
 	t.Run("local high cut share releases lease", func(t *testing.T) {
-		r, _, pc := plannerFleet(t)
-		d := r.Plan(star, pc)
+		r, _ := plannerFleet(t)
+		d := r.Plan(star)
 		defer d.Release()
 		if d.Route != fleet.RouteLocal {
 			t.Fatalf("got %s (%s), want local for the consensus star", d.Route, d.Reason)
@@ -129,10 +133,10 @@ func TestPlannerTable(t *testing.T) {
 	})
 
 	t.Run("shed when saturated", func(t *testing.T) {
-		r, _, pc := plannerFleet(t)
-		hold := r.Acquire(2) // 2 of 3 slots taken: 1 available < MinWorkers
+		r, _ := plannerFleet(t)
+		hold := r.Acquire(2) // 2 of 3 slots taken: 1 available < 2
 		defer hold.Release()
-		d := r.Plan(chain, pc)
+		d := r.Plan(chain)
 		defer d.Release()
 		if d.Route != fleet.RouteShed || !strings.Contains(d.Reason, "saturated") {
 			t.Fatalf("got %s (%s), want shed on a saturated fleet", d.Route, d.Reason)
@@ -141,8 +145,8 @@ func TestPlannerTable(t *testing.T) {
 
 	t.Run("local when fleet too small", func(t *testing.T) {
 		addrs := []string{"w0:1", "w1:1", "w2:1"}
-		r, _, pc := plannerFleet(t, round(addrs, "", "probe: refused", "probe: refused"))
-		d := r.Plan(chain, pc)
+		r, _ := plannerFleet(t, round(addrs, "", "probe: refused", "probe: refused"))
+		d := r.Plan(chain)
 		defer d.Release()
 		if d.Route != fleet.RouteLocal || !strings.Contains(d.Reason, "fleet too small") {
 			t.Fatalf("got %s (%s), want local with one healthy worker", d.Route, d.Reason)
@@ -150,10 +154,10 @@ func TestPlannerTable(t *testing.T) {
 	})
 
 	t.Run("partial lease shrinks shard count", func(t *testing.T) {
-		r, addrs, pc := plannerFleet(t)
+		r, addrs := plannerFleet(t)
 		hold := r.Acquire(1) // takes w0
 		defer hold.Release()
-		d := r.Plan(chain, pc)
+		d := r.Plan(chain)
 		defer d.Release()
 		if d.Route != fleet.RouteRemote || d.Shards != 2 {
 			t.Fatalf("got %s shards=%d (%s), want remote on the 2 free workers", d.Route, d.Shards, d.Reason)
@@ -189,7 +193,7 @@ func TestPlannerLoadInputIsInFlight(t *testing.T) {
 	if hold == nil || hold.Addrs[0] != addrs[0] {
 		t.Fatalf("setup lease went to %v, want %s", hold.Addrs, addrs[0])
 	}
-	d := r.Plan(chainGraph(t, 64), fleet.PlannerConfig{MinEdges: 16, MinWorkers: 2, MaxWorkers: 3})
+	d := r.Plan(chainGraph(t, 6700))
 	defer d.Release()
 	if d.Route != fleet.RouteRemote || len(d.Addrs) != 2 {
 		t.Fatalf("got %s addrs=%v (%s), want remote on the two idle workers", d.Route, d.Addrs, d.Reason)
@@ -206,8 +210,8 @@ func TestPlannerLoadInputIsInFlight(t *testing.T) {
 // particular a request for the serial oracle (fused: false), which is
 // fleet-eligible, must not fail Validate after routing.
 func TestDecisionSpecClearsKindKnobs(t *testing.T) {
-	r, _, pc := plannerFleet(t)
-	d := r.Plan(chainGraph(t, 64), pc)
+	r, _ := plannerFleet(t)
+	d := r.Plan(chainGraph(t, 6700))
 	defer d.Release()
 	if d.Route != fleet.RouteRemote {
 		t.Fatalf("got %s (%s), want a remote route", d.Route, d.Reason)
@@ -247,9 +251,10 @@ func TestOnePartitionPriced(t *testing.T) {
 		t.Fatalf("auto resolved to %+v, want sharded at 2 shards", spec)
 	}
 
-	r, _, pc := plannerFleet(t)
-	pc.MaxWorkers = 2
-	d := r.Plan(g, pc)
+	r, _ := plannerFleet(t)
+	hold := r.Acquire(1) // the planner finds 2 free workers
+	defer hold.Release()
+	d := r.Plan(g)
 	d.Release()
 	if d.Route != fleet.RouteRemote || d.Shards != 2 {
 		t.Fatalf("planner: %s (%s) at %d shards, want remote at 2", d.Route, d.Reason, d.Shards)

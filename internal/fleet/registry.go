@@ -1,12 +1,12 @@
 // Package fleet promotes a set of paradmm-shardworker processes from
 // per-solve dial targets into a long-lived serve fleet. A Registry
 // tracks each worker through a probe-driven state machine (joining →
-// healthy → suspect → dead, and back on recovery), hands out in-flight
-// leases so concurrent solves never oversubscribe a worker; each solve
-// dials its leased workers on demand. The admission planner
-// (planner.go) consults the registry's live load and the request
-// graph's predicted exchange share to route each solve local, remote,
-// or shed.
+// healthy → suspect → dead, and back on recovery) and leases each
+// worker's one session slot (maxInFlight), so concurrent solves never
+// oversubscribe a worker; each solve dials its leased workers on
+// demand. The admission planner (planner.go) consults the registry's
+// live load and the auto policy's rule (admm.ShardingPays) to route
+// each solve local, remote, or shed.
 package fleet
 
 import (
@@ -59,10 +59,6 @@ type Config struct {
 	// DeadAfter is the consecutive-failure count that moves a worker
 	// (joining or suspect) to dead (default 3).
 	DeadAfter int
-	// MaxInFlight is the per-worker lease cap (default 1: a shardworker
-	// serves one session at a time, so a second concurrent solve would
-	// only queue behind the first).
-	MaxInFlight int
 	// Now is the clock (default time.Now). Tests inject a fake clock so
 	// state timestamps are deterministic.
 	Now func() time.Time
@@ -82,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 1
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -93,6 +86,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxInFlight is every worker's lease cap: a shardworker runs one
+// session at a time, queues one opener and refuses the rest as busy, so
+// a second lease on a worker would only queue behind the first.
+const maxInFlight = 1
 
 var errNoAddrs = errors.New("fleet: registry needs at least one worker address")
 
@@ -108,9 +106,10 @@ type Worker struct {
 	State State  `json:"state"`
 	// Fails is the current consecutive probe-failure streak.
 	Fails int `json:"consecutive_failures,omitempty"`
-	// InFlight is the worker's live leased-solve count — the planner's
-	// load signal (never probe RTT, which says how fast the accept loop
-	// answered, not whether a session slot is free).
+	// InFlight is the worker's live leased-solve count, at most
+	// maxInFlight — the planner's load signal (never probe RTT, which
+	// says how fast the accept loop answered, not whether a session slot
+	// is free).
 	InFlight int `json:"in_flight"`
 	// Solves counts leases released against this worker.
 	Solves uint64 `json:"solves_total"`
@@ -272,7 +271,7 @@ func (r *Registry) transition(w *Worker, to State, now time.Time) {
 	w.LastChange = now
 }
 
-// Lease is a claim on session slots across one or more healthy workers.
+// Lease is a claim on the session slot of one or more healthy workers.
 // Release returns the slots; a Lease must be released exactly once
 // (further calls are no-ops) and a nil Lease releases safely.
 type Lease struct {
@@ -295,7 +294,7 @@ func (r *Registry) Acquire(want int) *Lease {
 	defer r.mu.Unlock()
 	var avail []*Worker
 	for _, w := range r.workers {
-		if w.State == StateHealthy && w.InFlight < r.cfg.MaxInFlight {
+		if w.State == StateHealthy && w.InFlight < maxInFlight {
 			avail = append(avail, w)
 		}
 	}

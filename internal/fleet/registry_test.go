@@ -177,16 +177,17 @@ func TestRegistryJoiningToDead(t *testing.T) {
 	}
 }
 
-// TestRegistryLeases pins the lease accounting: least-loaded-first
-// selection, the MaxInFlight cap, exhaustion, release idempotence, and
-// that suspect workers take no new leases.
+// TestRegistryLeases pins the lease accounting: one session slot per
+// worker, taken in registration order, a short lease when fewer slots
+// are free than asked for, exhaustion, release idempotence, and that
+// suspect workers take no new leases.
 func TestRegistryLeases(t *testing.T) {
 	addrs := []string{"a:1", "b:1", "c:1"}
 	probe := &scriptProbe{rounds: [][]shard.WorkerHealth{
 		round(addrs, "", "", ""),
 		round(addrs, "probe: connection refused", "", ""),
 	}}
-	r, err := fleet.New(fleet.Config{Addrs: addrs, MaxInFlight: 2, Now: newFakeClock().Now, Probe: probe.probe})
+	r, err := fleet.New(fleet.Config{Addrs: addrs, Now: newFakeClock().Now, Probe: probe.probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,20 +208,28 @@ func TestRegistryLeases(t *testing.T) {
 			}
 		}
 	}
+	if l := r.Acquire(0); l != nil {
+		t.Fatalf("leased %v for no slots", l.Addrs)
+	}
 	l1 := r.Acquire(2)
 	expect(l1, "a:1", "b:1") // all idle: registration order
 	l2 := r.Acquire(2)
-	expect(l2, "c:1", "a:1") // c idle beats a/b at one in-flight
-	l3 := r.Acquire(3)
-	expect(l3, "b:1", "c:1") // a is at the cap
+	expect(l2, "c:1") // a and b hold their one slot: a short lease
 	if l := r.Acquire(1); l != nil {
 		t.Fatalf("leased %v from a saturated fleet", l.Addrs)
+	}
+	for _, w := range r.Snapshot() {
+		if w.InFlight != 1 {
+			t.Fatalf("worker %s shows %d in flight, want its one slot taken", w.Addr, w.InFlight)
+		}
 	}
 
 	l1.Release()
 	l1.Release() // idempotent
 	var nilLease *fleet.Lease
 	nilLease.Release() // nil-safe
+	l3 := r.Acquire(3)
+	expect(l3, "a:1", "b:1") // the released slots, c still held
 	l2.Release()
 	l3.Release()
 	total := uint64(0)
@@ -230,8 +239,8 @@ func TestRegistryLeases(t *testing.T) {
 		}
 		total += w.Solves
 	}
-	if total != 6 {
-		t.Fatalf("solves_total %d, want 6 (three leases over two workers each)", total)
+	if total != 5 {
+		t.Fatalf("solves_total %d, want 5 (leases of two, one and two workers)", total)
 	}
 
 	// Round 2 marks a suspect: it must take no new leases.

@@ -225,10 +225,8 @@ func (g *Graph) EnsureM() []float64 {
 }
 
 // maxFuncDegree returns (computing lazily on first use) the largest
-// function-node degree. Lazy rather than set in Finalize so every path
-// that marks a graph finalized — Finalize, Decode — gets it for free;
-// a finalized graph has no zero-degree functions, so 0 means "not yet
-// computed".
+// function-node degree. A finalized graph has no zero-degree functions,
+// so 0 means "not yet computed".
 func (g *Graph) maxFuncDegree() int {
 	if g.maxFuncDeg == 0 {
 		for a := 0; a < len(g.ops); a++ {
@@ -275,6 +273,21 @@ func (g *Graph) Bytes() int64 {
 		cap(g.Rho) + cap(g.Alpha) + cap(g.X) + cap(g.M) + cap(g.U) + cap(g.N) + cap(g.Z) +
 		cap(g.scratchZ) + cap(g.scratchEdge) + 2*cap(g.ops)
 	return 8 * int64(words)
+}
+
+// EncodedSize returns the size in bytes of g's host-to-device image: the
+// paper's copyGraphFromCPUtoGPU materializes the topology, parameters and
+// all ADMM state in GPU global memory, and internal/gpusim charges a
+// modeled PCIe transfer time proportional to this size (paper: up to
+// 450 s for the N=5000 packing graph). The image holds M whether or not
+// this graph allocated it.
+func (g *Graph) EncodedSize() int {
+	g.mustFinal()
+	nF, nV, nE, d := g.NumFunctions(), g.NumVariables(), g.NumEdges(), g.d
+	const header = 5 * 8              // magic, d and the three counts
+	ints := nF + 1 + nE + nV + 1 + nE // fEdgeStart, edgeVar, vEdgeStart, vEdges
+	floats := 2*nE + 4*nE*d + nV*d    // Rho, Alpha; X, M, U, N; Z
+	return header + 8*(ints+floats)
 }
 
 // mustFinal panics if the graph has not been finalized.
@@ -444,9 +457,9 @@ func (g *Graph) Stats() Stats {
 }
 
 // Validate performs consistency checks on the finalized graph, returning
-// the first problem found. It is O(|E|) and intended for tests, for
-// builders to call once after construction, and for Decode, whose input
-// may be hostile: it checks every index before it uses one.
+// the first problem found. It is O(|E|) and intended for tests and for
+// builders to call once after construction; it checks every index
+// before it uses one.
 func (g *Graph) Validate() error {
 	if !g.finalized {
 		return errors.New("graph: not finalized")

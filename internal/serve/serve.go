@@ -71,8 +71,6 @@ type Config struct {
 	// MaxIterLimit rejects specs asking for more iterations (default
 	// workload.MaxIterLimit), protecting the pool from unbounded requests.
 	MaxIterLimit int
-	// JobHistory bounds the finished-job registry (default 1024).
-	JobHistory int
 	// BulkStreams caps concurrent POST /v1/bulk streams (default 2);
 	// streams beyond it get 429. BulkWorkers sets each stream's
 	// solve-stage worker count (default Workers).
@@ -94,9 +92,6 @@ type Config struct {
 	// session slot is taken. The caller owns the registry's probe loop
 	// (fleet.Registry.Run) and its shutdown.
 	Fleet *fleet.Registry
-	// FleetPlanner tunes fleet admission; zero values take the auto
-	// policy's thresholds (see fleet.PlannerConfig).
-	FleetPlanner fleet.PlannerConfig
 }
 
 func (c *Config) defaults() {
@@ -108,9 +103,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxIterLimit <= 0 {
 		c.MaxIterLimit = workload.MaxIterLimit
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 1024
 	}
 	if c.BulkStreams <= 0 {
 		c.BulkStreams = 2
@@ -237,20 +229,25 @@ type Server struct {
 	met     *metrics
 	bulkSem chan struct{}
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID uint64
+	mu         sync.Mutex
+	jobs       map[string]*Job
+	order      []string
+	nextID     uint64
+	jobHistory int // jobHistory; tests shrink it
 }
+
+// jobHistory bounds the finished-job registry.
+const jobHistory = 1024
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
-		cfg:     cfg,
-		cache:   graph.NewCache[problem](cfg.CachePerKey),
-		jobs:    map[string]*Job{},
-		bulkSem: make(chan struct{}, cfg.BulkStreams),
+		cfg:        cfg,
+		cache:      graph.NewCache[problem](cfg.CachePerKey),
+		jobs:       map[string]*Job{},
+		bulkSem:    make(chan struct{}, cfg.BulkStreams),
+		jobHistory: jobHistory,
 	}
 	s.met = newMetrics(cfg.Store != nil, cfg.Fleet != nil, func(sn *snapshot) {
 		sn.cache, sn.queue = s.cache.Stats(), s.pool.Depth()
@@ -441,7 +438,7 @@ func (s *Server) register(j *Job) {
 	// Prune the oldest finished jobs beyond the history bound. Queued and
 	// running jobs are skipped, not waited for: one long solve at the
 	// head must not pin every job that finished after it.
-	for i := 0; len(s.order) > s.cfg.JobHistory && i < len(s.order); {
+	for i := 0; len(s.order) > s.jobHistory && i < len(s.order); {
 		id := s.order[i]
 		if !s.jobs[id].finished() {
 			i++
@@ -479,7 +476,7 @@ func (s *Server) runJob(j *Job) {
 	// Jobs outlive their submitting requests — async clients poll — so
 	// the solve is deliberately not bound to the request context.
 	out, err := workload.Solve(context.Background(), j.Job, nil, workload.Env{
-		Cache: s.cache, Fleet: s.cfg.Fleet, Planner: s.cfg.FleetPlanner,
+		Cache: s.cache, Fleet: s.cfg.Fleet,
 	})
 	if out.Route != "" {
 		s.met.fleetRouted[index(fleetRoutes[:], string(out.Route))].Add(1)

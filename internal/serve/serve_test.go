@@ -249,8 +249,9 @@ func TestGraphCacheHit(t *testing.T) {
 // head of the history cannot pin every job that finishes after it.
 func TestJobHistorySkipsRunningJobs(t *testing.T) {
 	const history = 16
-	s := New(Config{Workers: 1, JobHistory: history})
+	s := New(Config{Workers: 1})
 	defer s.Close()
+	s.jobHistory = history
 	blocked := &Job{status: StatusRunning}
 	s.register(blocked)
 	for i := 0; i < history+50; i++ {
@@ -563,8 +564,9 @@ func TestFleetShedReplies429(t *testing.T) {
 	lease := reg.Acquire(len(addrs))
 	defer lease.Release()
 
-	_, ts := newTestServer(t, Config{Workers: 1, Fleet: reg, FleetPlanner: fleet.PlannerConfig{MinEdges: 1}})
-	code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":40}}`)
+	// k=7000 is 21 002 edges, above the auto policy's sharding floor.
+	_, ts := newTestServer(t, Config{Workers: 1, Fleet: reg})
+	code, v := postSolve(t, ts, `{"workload":"mpc","spec":{"k":7000}}`)
 	if code != http.StatusTooManyRequests || !v.Shed || !strings.Contains(v.Error, "fleet saturated") {
 		t.Fatalf("status %d, job %+v: want 429, shed, fleet saturated", code, v)
 	}

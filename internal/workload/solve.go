@@ -41,9 +41,8 @@ type Job struct {
 // Env is what a caller shares across solves. The zero Env builds every
 // problem and runs no fleet.
 type Env struct {
-	Cache   *graph.Cache[Problem]
-	Fleet   *fleet.Registry
-	Planner fleet.PlannerConfig
+	Cache *graph.Cache[Problem]
+	Fleet *fleet.Registry
 }
 
 // Outcome is what Solve did.
@@ -102,7 +101,7 @@ func Solve(ctx context.Context, job Job, held Problem, env Env) (out Outcome, er
 
 	spec := job.Executor
 	if env.Fleet != nil && fleetEligible(spec) {
-		d := env.Fleet.Plan(g, env.Planner)
+		d := env.Fleet.Plan(g)
 		// The lease (if any) outlives the whole solve, including the
 		// failover loop's re-partitioned retries.
 		defer d.Release()
