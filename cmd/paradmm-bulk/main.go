@@ -1,5 +1,5 @@
 // Command paradmm-bulk streams JSONL solve requests from stdin through
-// the staged bulk pipeline (internal/bulk) and writes JSONL results to
+// the bulk pipeline (internal/bulk) and writes JSONL results to
 // stdout in input order. Same-shape requests share one cached factor
 // graph and warm-start from the previous solution of that shape, so a
 // stream of similar problems costs a fraction of solving each cold.
@@ -21,9 +21,12 @@
 //
 // Malformed lines, unknown workloads, and failed solves become error
 // records on the stream; the pipeline keeps going. Run statistics go
-// to stderr. Output bytes are a pure function of the input stream and
-// the flags — POST the same stream to a paradmm-serve /v1/bulk endpoint
-// configured alike and the responses diff clean.
+// to stderr, among them the cores the W workers kept busy: W less their
+// summed time away from the stream's work (waiting for work, in a Read of
+// stdin or a Write to stdout) over the wall time. Output bytes are a pure
+// function of the input stream and the flags — POST the same stream to
+// a paradmm-serve /v1/bulk endpoint configured alike and the responses
+// diff clean.
 package main
 
 import (
@@ -35,6 +38,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/admm"
 	"repro/internal/bulk"
@@ -62,7 +66,7 @@ func parseConfig(args []string) (config, error) {
 	var shards int
 	var fused bool
 	fs := flag.NewFlagSet("paradmm-bulk", flag.ContinueOnError)
-	fs.IntVar(&c.opts.Workers, "workers", 0, "solve-stage workers (0 = GOMAXPROCS)")
+	fs.IntVar(&c.opts.Workers, "workers", 0, "workers (0 = GOMAXPROCS)")
 	fs.StringVar(&executor, "executor", "serial", "stream-level executor: serial | sharded | auto (per-record executor fields override)")
 	fs.IntVar(&shards, "shards", 0, "shard count for -executor sharded (0 = executor default)")
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-executor serial only)")
@@ -156,8 +160,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
-		// A canceled Run still joins its reader, which can sit in a
-		// blocked stdin read (e.g. an idle terminal). Dropping the
+		// A canceled Run still joins the worker holding its reader
+		// role, which can sit in a blocked stdin read (e.g. an idle terminal). Dropping the
 		// signal handler here restores default disposition, so a second
 		// interrupt exits the process instead of being swallowed.
 		<-ctx.Done()
@@ -173,12 +177,15 @@ func main() {
 		c.opts.Store = st
 	}
 
+	start := time.Now()
 	stats, err := bulk.Run(ctx, os.Stdin, out, c.opts)
+	wall := time.Since(start)
 	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
-	fmt.Fprintf(os.Stderr, "paradmm-bulk: %d records in, %d results out (%d errors), %d solved (%d warm-started, %d cache hits) across %d shapes, %d total iterations\n",
-		stats.Lines, stats.Results, stats.Errors, stats.Solved, stats.WarmStarts, stats.CacheHits, stats.Shapes, stats.Iterations)
+	fmt.Fprintf(os.Stderr, "paradmm-bulk: %d records in, %d results out (%d errors), %d solved (%d warm-started, %d cache hits) across %d shapes, %d total iterations, cores busy %.2f of %d\n",
+		stats.Lines, stats.Results, stats.Errors, stats.Solved, stats.WarmStarts, stats.CacheHits, stats.Shapes, stats.Iterations,
+		float64(stats.Workers)-float64(stats.IdleNanos)/float64(wall), stats.Workers)
 	if c.storeDir != "" {
 		fmt.Fprintf(os.Stderr, "paradmm-bulk: store: %d hits, %d misses, %d saved\n",
 			stats.StoreHits, stats.StoreMisses, stats.StoreSaves)

@@ -53,11 +53,11 @@ func TestCodecAllocs(t *testing.T) {
 
 	p := newTestPipeline()
 	for _, res := range solved {
-		p.scratch.Put(p.encode(res).s)
+		p.scratch.Put(p.encode(res))
 	}
 	i = 0
 	if allocs := testing.AllocsPerRun(len(solved), func() {
-		p.scratch.Put(p.encode(solved[i%len(solved)]).s)
+		p.scratch.Put(p.encode(solved[i%len(solved)]))
 		i++
 	}); allocs > 0 {
 		t.Fatalf("encode allocates %.1f objects per solved record into a warmed pool, want 0", allocs)

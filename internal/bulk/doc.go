@@ -4,23 +4,36 @@
 // construction, cold ADMM iterations, encode scratch — amortized across
 // the stream.
 //
-// The pipeline has three stages (backpressure propagates from the
-// writer back to the reader; a slow consumer slows admission instead of
-// ballooning memory):
+// The pipeline is one stage: Run starts Options.Workers workers, its
+// own goroutine among them, and each takes turns at whatever the stream
+// needs next (backpressure propagates from the output back to the
+// input; a slow consumer slows admission instead of ballooning memory):
 //
-//	read   one goroutine splits the input into length-capped lines,
-//	       decodes and admits each (strict JSONL envelope decode,
+//	read   one worker at a time holds the reader role: it splits the
+//	       input into length-capped lines and decodes and admits up to
+//	       64 of them (strict JSONL envelope decode,
 //	       internal/workload.Parse once per distinct spec: spec
-//	       validation and size caps) and files it, in input order, on
-//	       its shape's lane in the dispatcher
-//	solve  any free worker takes the whole pending run of the next
-//	       ready lane; a lane is held by one worker at a time and keeps
-//	       one built problem, whose graph holds the shape's warm-start
+//	       validation and size caps), then files each, in input order,
+//	       on its shape's lane in the dispatcher and gives the role back
+//	solve  a free worker takes the whole pending run of the next ready
+//	       lane; a lane is held by one worker at a time and keeps one
+//	       built problem, whose graph holds the shape's warm-start
 //	       chain: the first record of a shape solves cold (or from the
 //	       solution store's admm.WarmState), later records continue
-//	       from the previous solution of that shape; each worker
-//	       encodes its results with pooled scratch buffers
-//	write  Run's goroutine restores input order and streams results out
+//	       from the previous solution of that shape; the worker encodes
+//	       each result with a pooled scratch buffer
+//	write  each encoded record takes its slot in a ring of 1024; the
+//	       worker that fills the head slot writes that record and every
+//	       consecutive one after it, so output keeps input order
+//
+// A free worker takes the reader role first while the window has room,
+// so reading never waits behind a solve; but ahead of a ready lane only
+// when a whole line is buffered or a waiting worker is there for every
+// ready lane, so no ready lane waits on a worker sitting in a Read. There is no reader, writer or closer
+// goroutine: every core the stream gets goes to a worker, and
+// Stats.IdleNanos says how long the workers spent away from the
+// stream's work, waiting for it or inside the input's Read or the
+// output's Write.
 //
 // A chain leaves its lane only at hand-back, when the stream ends: a
 // live chain is captured once for the solution store. A failed,
@@ -34,8 +47,9 @@
 // refusal text, to encoding/json, whose bytes both paths give exactly.
 //
 // At most 1024 records are in flight, read but not yet written, so the
-// lanes' pending runs and the writer's reorder buffer stay bounded
-// whatever the input.
+// lanes' pending runs and the commit ring stay bounded whatever the
+// input. The first write error stops the stream at each worker's next
+// record.
 //
 // Per-record failures — malformed or over-long lines, unknown
 // workloads, spec violations, solve errors (a lost shard worker under

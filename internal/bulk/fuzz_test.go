@@ -189,8 +189,8 @@ func FuzzResultEncode(f *testing.F) {
 			return
 		}
 		e := newTestPipeline().encode(res)
-		if !bytes.Equal(e.s.buf.Bytes(), want.Bytes()) {
-			t.Fatalf("encode %q, json.Encoder %q", e.s.buf.Bytes(), want.Bytes())
+		if !bytes.Equal(e.buf.Bytes(), want.Bytes()) {
+			t.Fatalf("encode %q, json.Encoder %q", e.buf.Bytes(), want.Bytes())
 		}
 	})
 }

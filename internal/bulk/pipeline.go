@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/admm"
 	"repro/internal/graph"
@@ -19,9 +20,9 @@ import (
 )
 
 // Options configures one bulk pipeline run. The zero value is usable:
-// GOMAXPROCS solve workers, serial executor, workload.DefaultMaxIter.
+// GOMAXPROCS workers, serial executor, workload.DefaultMaxIter.
 type Options struct {
-	// Workers is the solve-stage worker count (default GOMAXPROCS).
+	// Workers is the worker count (default GOMAXPROCS).
 	// Any free worker takes the next shape that has records waiting,
 	// but a shape is held by one worker at a time, so same-shape records
 	// always solve sequentially in input order — that is what makes
@@ -58,7 +59,7 @@ type Options struct {
 
 // SolutionStore is the persistence seam for warm-start chains; it is
 // satisfied by *store.Store. Implementations must be safe for
-// concurrent use — every solve worker calls Get.
+// concurrent use — every worker calls Get.
 type SolutionStore interface {
 	Get(key string) (store.Snapshot, bool)
 	Put(key string, snap store.Snapshot) error
@@ -78,9 +79,13 @@ func (o Options) withDefaults() Options {
 }
 
 // window bounds the records in flight — read but not yet written —
-// and with them the dispatcher's pending runs and the writer's reorder
-// buffer, whatever the input. It also bounds the admission memo.
+// and with them the lanes' pending runs and the commit ring, whatever
+// the input. It also bounds the admission memo.
 const window = 1024
+
+// chunk is the most records one turn of the reader role reads and
+// admits before it files them on their lanes and gives the role back.
+const chunk = 64
 
 // Stats summarizes one pipeline run. Results/Errors count records
 // actually written to the output; the solve counters count work
@@ -109,11 +114,17 @@ type Stats struct {
 	StoreHits   uint64 `json:"store_hits,omitempty"`
 	StoreMisses uint64 `json:"store_misses,omitempty"`
 	StoreSaves  uint64 `json:"store_saves,omitempty"`
+	// Workers is the worker count the run used. IdleNanos is their
+	// summed time away from the stream's own work: waiting in the
+	// dispatcher for a lane, the reader role or room in the window,
+	// inside the input's Read or the output's Write, and gone before Run
+	// returns. A run of wall time T kept Workers - IdleNanos/T cores busy.
+	Workers   int   `json:"workers"`
+	IdleNanos int64 `json:"idle_nanos"`
 }
 
-// task is an admitted record on its way to a solve worker. When
-// errMsg is set the record was refused and the worker only encodes the
-// error.
+// task is an admitted record on its way to a worker. When errMsg is set
+// the record was refused and the worker only encodes the error.
 type task struct {
 	seq    int
 	req    Request
@@ -121,21 +132,14 @@ type task struct {
 	errMsg string
 }
 
-// encoded is one rendered output record awaiting its turn at the
-// writer. The scratch buffer returns to the pool after the write.
-type encoded struct {
-	seq   int
-	isErr bool
-	s     *encodeScratch
-}
-
 // encodeScratch is one pooled record buffer, with encoding/json's
 // encoder over it for the records the direct append refuses and the
-// metric names' sort scratch.
+// metric names' sort scratch. isErr marks a rendered error record.
 type encodeScratch struct {
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	keys []string
+	buf   bytes.Buffer
+	enc   *json.Encoder
+	keys  []string
+	isErr bool
 }
 
 // shapeState is the per-shape solve state a lane carries across the
@@ -165,27 +169,47 @@ type parseKey struct{ workload, spec string }
 type pipeline struct {
 	ctx  context.Context
 	opts Options
+	d    dispatcher
 
 	scratch sync.Pool
-	// memo is the reader's alone: at most window parses of this stream.
-	memo map[parseKey]parsed
+	// failed marks a write error: the reader role and the workers stop
+	// at their next record.
+	failed atomic.Bool
 
-	lines      atomic.Uint64
-	results    atomic.Uint64
-	errs       atomic.Uint64
-	solved     atomic.Uint64
-	warmStarts atomic.Uint64
-	iterations atomic.Uint64
-	cacheHits  atomic.Uint64
+	// start is when Run began; left sums the workers' exits since then.
+	start time.Time
+	left  time.Duration
 
+	// The reader role's state, touched only by the worker holding the
+	// role: the input, timed, the line buffer, the admission memo (at
+	// most window parses of this stream) and the read error that closed
+	// the stream.
+	in      timedReader
+	br      *bufio.Reader
+	line    []byte
+	memo    map[parseKey]parsed
+	readErr error
+
+	// The committer's state, touched only by the worker writing the
+	// ring's head run, with the time spent inside w.Write.
+	w             io.Writer
+	writeErr      error
+	results, errs uint64
+	writeWait     time.Duration
+
+	solved      atomic.Uint64
+	warmStarts  atomic.Uint64
+	iterations  atomic.Uint64
+	cacheHits   atomic.Uint64
 	storeHits   atomic.Uint64
 	storeMisses atomic.Uint64
-	storeSaves  atomic.Uint64
 }
 
 // newPipeline makes the state of one Run.
 func newPipeline(ctx context.Context, opts Options) *pipeline {
 	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[parseKey]parsed{}}
+	p.d.lanes = map[string]*lane{}
+	p.d.wake.L = &p.d.mu
 	p.scratch.New = func() any {
 		s := &encodeScratch{}
 		s.enc = json.NewEncoder(&s.buf)
@@ -194,139 +218,154 @@ func newPipeline(ctx context.Context, opts Options) *pipeline {
 	return p
 }
 
-// send delivers v unless the context is done first.
-func send[T any](ctx context.Context, ch chan<- T, v T) bool {
-	select {
-	case ch <- v:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Run streams JSONL requests from r through the staged pipeline and
-// writes JSONL results to w in input order. Per-record failures become
-// error records on the stream; Run itself only fails on input read
-// errors, output write errors, or context cancellation. On
-// cancellation all stages drain and every goroutine exits before Run
-// returns — including the reader, so a canceled Run blocks until the
-// in-flight r.Read returns. Callers whose cancellation does not also
-// unblock r (net/http request bodies unblock on the connection
-// teardown that cancels the request context; files and pipes with
-// data never block) must arrange that themselves.
+// Run streams JSONL requests from r through the pipeline and writes
+// JSONL results to w in input order. Per-record failures become error
+// records on the stream; Run itself only fails on input read errors,
+// output write errors, or context cancellation. A write error or a
+// cancellation stops the stream at each worker's next record, and every
+// worker exits before Run returns — including one holding the reader
+// role, so a canceled Run blocks until the in-flight r.Read returns.
+// Callers whose cancellation does not also unblock r (net/http request
+// bodies unblock on the connection teardown that cancels the request
+// context; files and pipes with data never block) must arrange that
+// themselves.
 func Run(ctx context.Context, r io.Reader, w io.Writer, opts Options) (Stats, error) {
 	p := newPipeline(ctx, opts)
+	p.start = time.Now()
+	p.in.r = r
+	p.br = bufio.NewReaderSize(&p.in, 64<<10)
+	p.w = w
 
-	// The reader takes a token for each record it dispatches and the
-	// writer returns it once the record is written.
-	tokens := make(chan struct{}, window)
-	d := &dispatcher{lanes: map[string]*lane{}}
-	d.wake.L = &d.mu
-	// out's buffer lets a worker hand off a finished record and start
-	// the next one while the writer is inside a Write.
-	out := make(chan encoded, 16)
-
+	// Run's own goroutine is one of the workers.
 	var wg sync.WaitGroup
-	for range p.opts.Workers {
+	for range p.opts.Workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.solve(d, out)
+			p.work()
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
+	p.work()
+	wg.Wait()
+	joined := time.Now()
 
-	// The reader's error travels over a buffered channel so the
-	// goroutine can deposit it and exit unconditionally; Run joins it
-	// with a blocking receive once the downstream stages have unwound.
-	readErrCh := make(chan error, 1)
-	go func() {
-		err := p.read(r, d, tokens)
-		d.close()
-		readErrCh <- err
-	}()
-
-	// write returns once out is closed, that is once every solve worker
-	// has exited, so no graph is still being solved when it is
-	// published to a shared cache below. The reader join terminates
-	// too: once the context is done its token send falls through to
-	// ctx.Done, and it deposits its error as soon as the in-flight
-	// r.Read returns. After it, nothing touches the lanes.
-	writeErr := p.write(w, out, tokens)
-	readErr := <-readErrCh
-
-	// Persist each chain's final state, then return built graphs to the
-	// cache for the next stream (or the serving layer's other handlers).
-	// Only live chains are written: a chain whose last solve failed,
-	// panicked or diverged was dropped and must not poison the store.
-	for key, l := range d.lanes {
+	// Every worker has exited, so no graph is still being solved when it
+	// is published to a shared cache below, and nothing touches the
+	// lanes. Persist each chain's final state, then return built graphs
+	// to the cache for the next stream (or the serving layer's other
+	// handlers). Only live chains are written: a chain whose last solve
+	// failed, panicked or diverged was dropped and must not poison the
+	// store.
+	var saves uint64
+	for key, l := range p.d.lanes {
 		st := &l.st
 		snap := store.Snapshot{Iterations: st.iterations}
 		if p.opts.Store != nil && st.live && snap.Warm.Capture(st.prob.FactorGraph()) && p.opts.Store.Put(key, snap) == nil {
-			p.storeSaves.Add(1)
+			saves++
 		}
 		if st.prob != nil && p.opts.Cache != nil {
 			p.opts.Cache.Put(key, st.prob)
 		}
 	}
+	// Each worker was idle from its exit to Run's return, but Run's own
+	// goroutine did the hand-back above.
+	end := time.Now()
+	idle := p.d.idle + p.in.wait + p.writeWait +
+		time.Duration(p.opts.Workers)*end.Sub(p.start) - p.left - end.Sub(joined)
 
 	stats := Stats{
-		Lines:      p.lines.Load(),
-		Results:    p.results.Load(),
-		Errors:     p.errs.Load(),
+		Lines:      uint64(p.d.seq),
+		Results:    p.results,
+		Errors:     p.errs,
 		Solved:     p.solved.Load(),
 		WarmStarts: p.warmStarts.Load(),
 		Iterations: p.iterations.Load(),
 		CacheHits:  p.cacheHits.Load(),
-		Shapes:     len(d.lanes),
+		Shapes:     len(p.d.lanes),
 
 		StoreHits:   p.storeHits.Load(),
 		StoreMisses: p.storeMisses.Load(),
-		StoreSaves:  p.storeSaves.Load(),
+		StoreSaves:  saves,
+		Workers:     p.opts.Workers,
+		IdleNanos:   int64(idle),
 	}
 	switch {
-	case writeErr != nil:
-		return stats, fmt.Errorf("bulk: write output: %w", writeErr)
-	case readErr != nil:
-		return stats, fmt.Errorf("bulk: read input: %w", readErr)
+	case p.writeErr != nil:
+		return stats, fmt.Errorf("bulk: write output: %w", p.writeErr)
+	case p.readErr != nil:
+		return stats, fmt.Errorf("bulk: read input: %w", p.readErr)
 	default:
 		return stats, ctx.Err()
 	}
 }
 
-// read splits the input into length-capped lines, admits each non-blank
-// line and hands it, in input order, to the dispatcher. Over-long lines
-// are consumed, not buffered. Each record takes a token first, so the
-// reader stalls while the window is full.
-func (p *pipeline) read(r io.Reader, d *dispatcher, tokens chan<- struct{}) error {
-	br := bufio.NewReaderSize(r, 64<<10)
-	seq := 0
-	var buf []byte
+// stopped reports a canceled or failed stream.
+func (p *pipeline) stopped() bool {
+	return p.failed.Load() || p.ctx.Err() != nil
+}
+
+// work runs one worker. It takes turns from the dispatcher — a lane's
+// pending run, whose records it solves (or keeps the admission error
+// of), encodes and commits in order, or the reader role — until the
+// stream ends or stops. A leaving worker wakes the others to look again.
+func (p *pipeline) work() {
+	defer p.leave()
+	var l *lane
+	var run []*task
 	for {
-		if p.ctx.Err() != nil {
-			return nil
+		var room int
+		if l, run, room = p.d.next(p, l, run); room > 0 {
+			p.read(room)
+			continue
 		}
-		line, tooLong, err := readLine(br, buf, p.opts.MaxLineBytes)
-		buf = line
-		if tooLong || len(bytes.TrimSpace(line)) > 0 {
-			p.lines.Add(1)
-			t := p.admit(seq, line, tooLong)
-			if !send(p.ctx, tokens, struct{}{}) {
-				return nil
+		if l == nil {
+			return
+		}
+		for _, t := range run {
+			if p.stopped() {
+				return
 			}
-			d.push(t)
-			seq++
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
+			res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg}
+			if t.errMsg == "" {
+				res = p.solveOne(&l.st, t)
+			}
+			p.commit(t.seq, p.encode(res))
 		}
 	}
+}
+
+// read is one turn of the reader role: it reads and admits up to room
+// records, at most a chunk, files them on their lanes and gives the role
+// back. The turn ends early before a line that is not buffered whole, so
+// no admitted record waits on a Read that may block; and it closes the
+// stream at the input's end, at a read error, or once the stream has
+// stopped. Over-long lines are consumed, not buffered.
+func (p *pipeline) read(room int) {
+	batch := make([]*task, 0, min(room, chunk))
+	end := false
+	for len(batch) < cap(batch) {
+		if p.stopped() {
+			end = true
+			break
+		}
+		if len(batch) > 0 && !p.lineBuffered() {
+			break
+		}
+		line, tooLong, err := readLine(p.br, p.line, p.opts.MaxLineBytes)
+		p.line = line
+		if tooLong || len(bytes.TrimSpace(line)) > 0 {
+			// The role holder is the only writer of d.seq.
+			batch = append(batch, p.admit(p.d.seq+len(batch), line, tooLong))
+		}
+		if err != nil {
+			if err != io.EOF {
+				p.readErr = err
+			}
+			end = true
+			break
+		}
+	}
+	p.d.file(batch, end)
 }
 
 // readLine reads up to and including the next newline into buf's
@@ -409,57 +448,55 @@ type lane struct {
 	queued bool
 }
 
-// dispatcher hands the stream's records to the solve workers a shape
-// at a time. The reader appends each record to its shape's lane; a lane
-// with records and no worker waits on the ready list, first in first
-// out; a free worker takes the whole pending run of the first ready
-// lane. A lane is held by one worker at a time and passes between
-// workers only under mu, so a shape's records solve one at a time, in
-// input order, on its one shapeState whatever the worker count.
+// dispatcher holds all that the workers share, under one mutex: the
+// lanes, the reader role and the commit ring. A reader turn files each
+// record on its shape's lane; a lane with records and no worker waits
+// on the ready list, first in first out; a free worker takes the whole
+// pending run of the first ready lane. A lane is held by one worker at
+// a time and passes between workers only under mu, so a shape's
+// records solve one at a time, in input order, on its one shapeState
+// whatever the worker count.
 type dispatcher struct {
 	mu    sync.Mutex
 	wake  sync.Cond
 	lanes map[string]*lane
 	ready []*lane
-	// closed marks that the reader is done, which on cancellation is
-	// as soon as its in-flight Read returns: no record follows.
-	closed bool
-}
-
-// push files a record on its shape's lane, or a refused one on a lane
-// of its own, and readies the lane if no worker holds it.
-func (d *dispatcher) push(t *task) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var l *lane
-	if t.errMsg != "" {
-		l = &lane{}
-	} else if l = d.lanes[t.adm.Key]; l == nil {
-		l = &lane{}
-		d.lanes[t.adm.Key] = l
-	}
-	l.pending = append(l.pending, t)
-	if !l.queued {
-		l.queued = true
-		d.ready = append(d.ready, l)
-		d.wake.Signal()
-	}
-}
-
-// close wakes every idle worker to find that no record follows.
-func (d *dispatcher) close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.wake.Broadcast()
+	// reading marks that a worker holds the reader role; closed that the
+	// role met the input's end, a read error or a stopped stream, so no
+	// record follows.
+	reading, closed bool
+	// seq counts the records admitted and written those the writer has
+	// passed; the reader role admits record seq only while
+	// seq - written < window.
+	seq, written int
+	// ring holds each encoded record awaiting its turn in slot
+	// seq % window; writing marks that a worker is writing the head run.
+	ring    [window]*encodeScratch
+	writing bool
+	// waiting counts the workers waiting on wake, or woken and not yet
+	// back under mu; idle sums their waits.
+	waiting int
+	idle    time.Duration
 }
 
 // next gives back held, the lane the caller just drained (readied again
-// if records arrived meanwhile), and takes the whole pending run of the
-// first ready lane, leaving run's emptied buffer in its place. It waits
-// for a ready lane and returns a nil lane once ctx is done, or once the
-// stream is closed and nothing is ready.
-func (d *dispatcher) next(ctx context.Context, held *lane, run []*task) (*lane, []*task) {
+// if records arrived meanwhile), and finds the caller its next turn.
+// The reader role, with room for that many records, comes first while
+// it is free and the window has room, so reading never waits behind a
+// solve and the lanes' runs grow long — but only when a whole line is
+// buffered, or when the waiting workers are enough to take every ready
+// lane. A Read may block, and no ready lane waits on a worker sitting in
+// one. Else comes the whole pending run of the first ready lane, leaving
+// run's emptied buffer in its place; else the caller waits. It returns
+// neither once the stream has stopped, or once it is closed and nothing
+// is ready.
+//
+// Every worker waiting while the reader role is free, the window has
+// room and the stream is open cannot happen: a worker that finds no
+// ready lane takes the role. So a waiter is always woken: by the end of
+// a reader turn, by the committer freeing a full window or failing a
+// write, or by a worker leaving.
+func (d *dispatcher) next(p *pipeline, held *lane, run []*task) (*lane, []*task, int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if held != nil {
@@ -469,41 +506,134 @@ func (d *dispatcher) next(ctx context.Context, held *lane, run []*task) (*lane, 
 			held.queued = false
 		}
 	}
-	for len(d.ready) == 0 && !d.closed {
+	for !p.stopped() {
+		switch {
+		case !d.reading && !d.closed && d.seq-d.written < window &&
+			(len(d.ready) <= d.waiting || p.lineBuffered()):
+			d.reading = true
+			return nil, run, window - (d.seq - d.written)
+		case len(d.ready) > 0:
+			l := d.ready[0]
+			d.ready = d.ready[1:]
+			clear(run)
+			l.pending, run = run[:0], l.pending
+			return l, run, 0
+		case d.closed:
+			return nil, run, 0
+		}
+		t := time.Now()
+		d.waiting++
 		d.wake.Wait()
+		d.waiting--
+		d.idle += time.Since(t)
 	}
-	if len(d.ready) == 0 || ctx.Err() != nil {
-		return nil, nil
-	}
-	l := d.ready[0]
-	d.ready = d.ready[1:]
-	clear(run)
-	l.pending, run = run[:0], l.pending
-	return l, run
+	return nil, run, 0
 }
 
-// solve runs one worker: it takes lanes from the dispatcher and solves
-// (or keeps the admission error of) each record of a lane's run in
-// order, encodes it, and hands it to the writer.
-func (p *pipeline) solve(d *dispatcher, out chan<- encoded) {
-	var l *lane
-	var run []*task
-	for {
-		if l, run = d.next(p.ctx, l, run); l == nil {
-			return
+// lineBuffered reports a whole line in the reader's buffer, which the
+// next line read takes without a Read. Only the reader role's holder,
+// or a worker under mu while the role is free, may ask.
+func (p *pipeline) lineBuffered() bool {
+	b, _ := p.br.Peek(p.br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// file ends a reader turn: it puts each record on its shape's lane, a
+// refused one on a lane of its own, readies each lane no worker holds,
+// and gives the role back, closing the stream at its end.
+func (d *dispatcher) file(batch []*task, end bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, t := range batch {
+		var l *lane
+		if t.errMsg != "" {
+			l = &lane{}
+		} else if l = d.lanes[t.adm.Key]; l == nil {
+			l = &lane{}
+			d.lanes[t.adm.Key] = l
 		}
-		for _, t := range run {
-			res := Result{Seq: t.seq, ID: t.req.ID, Workload: t.adm.Workload, Error: t.errMsg}
-			if t.errMsg == "" {
-				res = p.solveOne(&l.st, t)
-			}
-			e := p.encode(res)
-			if !send(p.ctx, out, e) {
-				p.scratch.Put(e.s)
-				return
+		l.pending = append(l.pending, t)
+		if !l.queued {
+			l.queued = true
+			d.ready = append(d.ready, l)
+		}
+	}
+	d.seq += len(batch)
+	d.reading = false
+	d.closed = end
+	d.wake.Broadcast()
+}
+
+// leave notes a worker's exit and wakes every waiting worker to look
+// again.
+func (p *pipeline) leave() {
+	d := &p.d
+	d.mu.Lock()
+	p.left += time.Since(p.start)
+	d.wake.Broadcast()
+	d.mu.Unlock()
+}
+
+// timedReader sums the time spent inside the input's Read, where the
+// reader role's holder may sit blocked.
+type timedReader struct {
+	r    io.Reader
+	wait time.Duration
+}
+
+func (t *timedReader) Read(b []byte) (int, error) {
+	start := time.Now()
+	n, err := t.r.Read(b)
+	t.wait += time.Since(start)
+	return n, err
+}
+
+// commit puts a record's encoding in its ring slot. The worker that
+// fills the head slot writes that record and every consecutive one
+// after it, each Write outside the lock.
+func (p *pipeline) commit(seq int, s *encodeScratch) {
+	d := &p.d
+	d.mu.Lock()
+	d.ring[seq%window] = s
+	if d.writing || seq != d.written {
+		d.mu.Unlock()
+		return
+	}
+	d.writing = true
+	for head := s; head != nil; head = d.ring[d.written%window] {
+		d.ring[d.written%window] = nil
+		d.mu.Unlock()
+		p.write(head)
+		d.mu.Lock()
+		// A full window's first free slot, or a failed write, is news for
+		// the waiting workers.
+		if d.seq-d.written == window || p.writeErr != nil {
+			d.wake.Broadcast()
+		}
+		d.written++
+	}
+	d.writing = false
+	d.mu.Unlock()
+}
+
+// write writes one record unless an earlier write failed, and returns
+// its buffer to the pool. The first write error stops the stream.
+func (p *pipeline) write(s *encodeScratch) {
+	if p.writeErr == nil {
+		start := time.Now()
+		_, err := p.w.Write(s.buf.Bytes())
+		p.writeWait += time.Since(start)
+		if err != nil {
+			p.writeErr = err
+			p.failed.Store(true)
+		} else {
+			p.results++
+			if s.isErr {
+				p.errs++
 			}
 		}
 	}
+	p.scratch.Put(s)
 }
 
 // solveOne solves one record on its shape's state through
@@ -598,7 +728,7 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 // encode renders one result record into a pooled scratch buffer: a
 // direct append of encoding/json's bytes, or encoding/json itself for a
 // record the append refuses.
-func (p *pipeline) encode(res Result) encoded {
+func (p *pipeline) encode(res Result) *encodeScratch {
 	s := p.scratch.Get().(*encodeScratch)
 	s.buf.Reset()
 	if b, ok := s.appendResult(s.buf.AvailableBuffer(), &res); ok {
@@ -610,42 +740,6 @@ func (p *pipeline) encode(res Result) encoded {
 		s.buf.Reset()
 		fmt.Fprintf(&s.buf, `{"seq":%d,"error":"encode: %s"}`+"\n", res.Seq, err)
 	}
-	return encoded{seq: res.Seq, isErr: res.Error != "", s: s}
-}
-
-// write restores input order and streams records out, returning each
-// written record's token. On a write error (client gone) it keeps
-// draining so upstream stages unwind, but writes nothing further.
-func (p *pipeline) write(w io.Writer, in <-chan encoded, tokens <-chan struct{}) error {
-	pending := map[int]encoded{}
-	next := 0
-	var writeErr error
-	for e := range in {
-		pending[e.seq] = e
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if writeErr == nil {
-				if _, err := w.Write(cur.s.buf.Bytes()); err != nil {
-					writeErr = err
-				} else {
-					p.results.Add(1)
-					if cur.isErr {
-						p.errs.Add(1)
-					}
-				}
-			}
-			p.scratch.Put(cur.s)
-			<-tokens
-			next++
-		}
-	}
-	// On cancellation seq gaps can strand later records; release them.
-	for _, e := range pending {
-		p.scratch.Put(e.s)
-	}
-	return writeErr
+	s.isErr = res.Error != ""
+	return s
 }

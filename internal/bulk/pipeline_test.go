@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -263,6 +264,215 @@ func TestPipelineCancellation(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
+// failingWriter fails its nth write and every one after it, noting the
+// input bytes read at the first failure.
+type failingWriter struct {
+	n, writes int
+	cr        *countingReader
+	readAt    int64
+}
+
+var errWriteFailed = errors.New("client gone")
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.writes++; w.writes == w.n {
+		w.readAt = w.cr.n.Load()
+	}
+	if w.writes >= w.n {
+		return 0, errWriteFailed
+	}
+	return len(b), nil
+}
+
+// waitGoroutines requires the goroutine count back at most at before
+// within five seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestPipelineWriteErrorStops pins that the first write error ends the
+// stream: the reader role and the workers stop at their next record, so
+// no more than the window's lines and the reader's 64 KiB buffer are
+// read past the failure; Run returns the write error, and no goroutine
+// is left behind.
+func TestPipelineWriteErrorStops(t *testing.T) {
+	const n = 100000
+	const rec = `{"id":"r%06d","workload":"mpc","spec":{"k":1},"max_iter":1}` + "\n"
+	var in bytes.Buffer
+	for i := range n {
+		fmt.Fprintf(&in, rec, i)
+	}
+	before := runtime.NumGoroutine()
+	cr := &countingReader{r: &in}
+	w := &failingWriter{n: 10, cr: cr}
+	_, err := Run(context.Background(), cr, w, Options{Workers: 2})
+	if !errors.Is(err, errWriteFailed) || !strings.HasPrefix(err.Error(), "bulk: write output: ") {
+		t.Fatalf("Run returned %v, want bulk: write output: %v", err, errWriteFailed)
+	}
+	lineLen := int64(len(fmt.Sprintf(rec, 1)))
+	if past, bound := cr.n.Load()-w.readAt, window*lineLen+64<<10; past > bound {
+		t.Fatalf("read %d bytes past the failed write, want <= %d (window %d x %d-byte lines + buffer)",
+			past, bound, window, lineLen)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestRunStartsOnlyItsWorkers pins the shape of the pipeline: a stream
+// runs on its workers alone, Run's own goroutine among them, and no
+// reader, writer or closer goroutine waits beside them. While the first
+// Write is blocked, Run has added at most Workers goroutines.
+func TestRunStartsOnlyItsWorkers(t *testing.T) {
+	const workers = 3
+	var in bytes.Buffer
+	if err := Generate(&in, 500, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	w := &slowWriter{firstWrite: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), bytes.NewReader(in.Bytes()), w, Options{Workers: workers})
+		done <- err
+	}()
+	<-w.firstWrite
+	added := runtime.NumGoroutine() - before
+	close(w.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if added > workers {
+		t.Fatalf("Run added %d goroutines with %d workers, want <= %d", added, workers, workers)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestPipelineAnswersBeforeNextLine pins that no admitted record waits
+// on a Read: a client that sends one line and waits for its result
+// before it sends the next gets every answer, at one worker and at two.
+func TestPipelineAnswersBeforeNextLine(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		inR, inW := io.Pipe()
+		outR, outW := io.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), inR, outW, Options{Workers: workers})
+			outW.CloseWithError(err)
+			done <- err
+		}()
+		lines := make(chan string)
+		go func() {
+			sc := bufio.NewScanner(outR)
+			for sc.Scan() {
+				lines <- sc.Text()
+			}
+			close(lines)
+		}()
+		for i := range 3 {
+			fmt.Fprintf(inW, `{"id":"q%d","workload":"mpc","spec":{"k":4},"max_iter":5}`+"\n", i)
+			select {
+			case line := <-lines:
+				if want := fmt.Sprintf(`{"seq":%d,"id":"q%d",`, i, i); !strings.HasPrefix(line, want) {
+					t.Fatalf("workers %d: answer %d is %s, want a record starting %s", workers, i, line, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers %d: no answer to line %d while the input waits", workers, i)
+			}
+		}
+		inW.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		for range lines {
+		}
+	}
+}
+
+// TestPipelineTwoWorkersSolvePipedLines pins that a worker never sits in
+// a Read that may block while a lane is ready: a client sends four lines
+// of four shapes in one write and waits for the four answers, and both
+// workers solve. Every lookup of the store waits until two are in flight
+// at once, which happens only if both workers are solving. The run's
+// stats count the workers and their time away from work.
+func TestPipelineTwoWorkersSolvePipedLines(t *testing.T) {
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	st := &pairStore{both: make(chan struct{})}
+	done := make(chan error, 1)
+	var stats Stats
+	var wall time.Duration
+	go func() {
+		start := time.Now()
+		var err error
+		stats, err = Run(context.Background(), inR, outW, Options{Workers: 2, Store: st})
+		wall = time.Since(start)
+		outW.CloseWithError(err)
+		done <- err
+	}()
+	var in strings.Builder
+	for k := 2; k <= 5; k++ {
+		fmt.Fprintf(&in, `{"workload":"mpc","spec":{"k":%d},"max_iter":5}`+"\n", k)
+	}
+	io.WriteString(inW, in.String())
+	sc := bufio.NewScanner(outR)
+	for i := range 4 {
+		if !sc.Scan() {
+			t.Fatalf("stream ended before answer %d", i)
+		}
+		if want := fmt.Sprintf(`{"seq":%d,`, i); !strings.HasPrefix(sc.Text(), want) {
+			t.Fatalf("answer %d is %s, want a record starting %s", i, sc.Text(), want)
+		}
+	}
+	inW.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.both:
+	default:
+		t.Fatal("one worker solved all four lanes while the other waited on the input")
+	}
+	// The workers sat in the input's Read while the client waited for
+	// its answers: that is time away from work, and no more than theirs.
+	if idle := time.Duration(stats.IdleNanos); stats.Workers != 2 || idle <= 0 || idle > 2*wall {
+		t.Fatalf("stats report %d workers idle %v of a %v run, want 2 workers idle in (0, 2 x run]", stats.Workers, idle, wall)
+	}
+}
+
+// pairStore finds nothing, but each lookup waits up to a second for a
+// second lookup to be in flight at the same time, and closes both when
+// one is.
+type pairStore struct {
+	mu       sync.Mutex
+	inFlight int
+	both     chan struct{}
+	once     sync.Once
+}
+
+func (s *pairStore) Get(string) (store.Snapshot, bool) {
+	s.mu.Lock()
+	if s.inFlight++; s.inFlight == 2 {
+		s.once.Do(func() { close(s.both) })
+	}
+	s.mu.Unlock()
+	select {
+	case <-s.both:
+	case <-time.After(time.Second):
+	}
+	s.mu.Lock()
+	s.inFlight--
+	s.mu.Unlock()
+	return store.Snapshot{}, false
+}
+
+func (*pairStore) Put(string, store.Snapshot) error { return nil }
+
 // neverEnding yields blank lines forever.
 type neverEnding struct{}
 
@@ -287,10 +497,10 @@ func (g *gateReader) Read(p []byte) (int, error) {
 	return 0, io.EOF
 }
 
-// TestRunJoinsReader pins that a canceled Run does not return while its
-// reader goroutine is still inside r.Read — the contract that lets the
-// serving handler hand Run the request body without the body being
-// read after the handler returns.
+// TestRunJoinsReader pins that a canceled Run does not return while the
+// worker holding its reader role is still inside r.Read — the contract
+// that lets the serving handler hand Run the request body without the
+// body being read after the handler returns.
 func TestRunJoinsReader(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -422,8 +632,8 @@ func TestPipelineReorderWindowBounded(t *testing.T) {
 	read, release := stuckStream(t, `{"id":"r000000","workload":"mpc","spec":{"k":2},"max_iter":1}`+"\n",
 		shapeKey(t, "mpc", `{"k":2}`), rec, fast)
 	lineLen := int64(len(fmt.Sprintf(rec, 1)))
-	// The window's records, the one line waiting for a token, and what
-	// the reader's 64 KiB bufio buffer holds ahead.
+	// The window's records, and what the reader role's 64 KiB bufio
+	// buffer holds ahead of them, with 4 KiB to spare.
 	if bound := window*lineLen + 64<<10 + 4<<10; read > bound {
 		release()
 		t.Fatalf("read %d bytes past a stuck record, want <= %d (window %d x %d-byte lines + buffer)",

@@ -38,10 +38,10 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	s.met.bulkInflight.Add(1)
 	defer s.met.bulkInflight.Add(-1)
 
-	// Run joins its reader goroutine before returning, so r.Body is
-	// never read after this handler returns. The join cannot hang: the
-	// only thing that cancels r.Context() is the connection going away,
-	// which also unblocks the in-flight Body.Read.
+	// Run joins the worker holding its reader role before returning, so
+	// r.Body is never read after this handler returns. The join cannot
+	// hang: the only thing that cancels r.Context() is the connection
+	// going away, which also unblocks the in-flight Body.Read.
 	opts := bulk.Options{
 		Workers:      s.cfg.BulkWorkers,
 		Cache:        s.cache,

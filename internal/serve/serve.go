@@ -73,7 +73,7 @@ type Config struct {
 	MaxIterLimit int
 	// BulkStreams caps concurrent POST /v1/bulk streams (default 2);
 	// streams beyond it get 429. BulkWorkers sets each stream's
-	// solve-stage worker count (default Workers).
+	// worker count (default Workers).
 	BulkStreams int
 	BulkWorkers int
 	// MaxBodyBytes caps the POST /v1/solve request body (default 1 MiB);
