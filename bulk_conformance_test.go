@@ -146,7 +146,7 @@ func TestBulkConformance(t *testing.T) {
 				t.Errorf("%s cold: metrics %v vs reference %v", c.workload, res.Metrics, ref.metrics)
 			}
 			for k, want := range ref.metrics {
-				if got, ok := res.Metrics[k]; !ok || got != want {
+				if got, ok := res.Metrics.Map()[k]; !ok || got != want {
 					t.Errorf("%s cold: metric %s = %v via pipeline, %v via admm.Solve", c.workload, k, got, want)
 				}
 			}
@@ -160,7 +160,7 @@ func TestBulkConformance(t *testing.T) {
 				c.workload, i, res.Iterations, ref.iterations)
 		}
 		want := ref.metrics[c.metric]
-		got, ok := res.Metrics[c.metric]
+		got, ok := res.Metrics.Map()[c.metric]
 		if !ok {
 			t.Fatalf("%s warm record %d missing metric %s: %v", c.workload, i, c.metric, res.Metrics)
 		}

@@ -28,9 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -188,11 +186,11 @@ func run(c config) error {
 			return err
 		}
 	}
-	keys := slices.Sorted(maps.Keys(out.Metrics))
-	for i, k := range keys {
-		keys[i] = k + "=" + strconv.FormatFloat(out.Metrics[k], 'g', -1, 64)
+	pairs := make([]string, len(out.Metrics))
+	for i, m := range out.Metrics {
+		pairs[i] = m.Name + "=" + strconv.FormatFloat(m.Value, 'g', -1, 64)
 	}
-	fmt.Printf("%s: %s\n", job.Workload, strings.Join(keys, " "))
+	fmt.Printf("%s: %s\n", job.Workload, strings.Join(pairs, " "))
 	return nil
 }
 

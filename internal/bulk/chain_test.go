@@ -43,9 +43,11 @@ func (p flushProblem) Reset() {
 		p.g.N[e] = -p.g.U[e]
 	}
 }
-func (p flushProblem) Metrics() map[string]float64 {
-	return map[string]float64{"x0": p.g.X[0], "x1": p.g.X[1], "z": p.g.Z[0]}
+func (p flushProblem) AppendMetrics(dst []workload.Metric) []workload.Metric {
+	return append(dst, workload.Metric{Name: "x0", Value: p.g.X[0]}, workload.Metric{Name: "x1", Value: p.g.X[1]},
+		workload.Metric{Name: "z", Value: p.g.Z[0]})
 }
+func (p flushProblem) Metrics() map[string]float64 { return workload.MetricMap(p.AppendMetrics(nil)) }
 
 // TestHeldChainMatchesAppliedAcrossFlush pins that a lane's held graph
 // starts each record where a snapshot would: a reference loop that
@@ -95,9 +97,10 @@ func TestHeldChainMatchesAppliedAcrossFlush(t *testing.T) {
 				if r.Error != "" || r.Warm != (i > 0) || r.Iterations != res.Iterations || r.Converged != res.Converged {
 					t.Fatalf("record %d = %+v, want warm %v, %d iterations, converged %v", i, r, i > 0, res.Iterations, res.Converged)
 				}
+				got := r.Metrics.Map()
 				for k, v := range want {
-					if math.Float64bits(r.Metrics[k]) != math.Float64bits(v) {
-						t.Fatalf("record %d: %s = %g, the applied snapshot's chain gives %g", i, k, r.Metrics[k], v)
+					if math.Float64bits(got[k]) != math.Float64bits(v) {
+						t.Fatalf("record %d: %s = %g, the applied snapshot's chain gives %g", i, k, got[k], v)
 					}
 				}
 			}

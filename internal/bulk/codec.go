@@ -3,7 +3,6 @@ package bulk
 import (
 	"encoding/json"
 	"math"
-	"slices"
 	"strconv"
 )
 
@@ -108,12 +107,6 @@ func (s *envScan) number() (lit []byte, integer, ok bool) {
 	return lit, integer, true
 }
 
-// text scans a string as str does and returns a copy.
-func (s *envScan) text() (string, bool) {
-	v, ok := s.str()
-	return string(v), ok
-}
-
 // integer scans an integer literal that fits an int.
 func (s *envScan) integer() (int, bool) {
 	lit, integer, ok := s.number()
@@ -134,10 +127,10 @@ func (s *envScan) float() (float64, bool) {
 	return f, err == nil
 }
 
-// object scans an object that json.Valid accepts and returns a copy of
-// its bytes. The bracket count only finds the candidate end; json.Valid
-// decides.
-func (s *envScan) object() (json.RawMessage, bool) {
+// object scans to the end of an object by a bracket count and returns
+// its bytes, which alias the line. The count only finds the candidate
+// end: whether the bytes are JSON is json.Valid's to decide.
+func (s *envScan) object() ([]byte, bool) {
 	s.ws()
 	b := s.b
 	if s.i >= len(b) || b[s.i] != '{' {
@@ -163,77 +156,90 @@ func (s *envScan) object() (json.RawMessage, bool) {
 		case '}', ']':
 			if depth--; depth == 0 {
 				v := b[s.i : j+1]
-				if !json.Valid(v) {
-					return nil, false
-				}
 				s.i = j + 1
-				return append(json.RawMessage(nil), v...), true
+				return v, true
 			}
 		}
 	}
 	return nil, false
 }
 
-// scanLine decodes a canonical envelope: an object of the Request keys
-// but executor, each spelled exactly and at most once; strings of
-// printable ASCII without escapes; spec an object; max_iter an integer
-// literal that fits an int; the tolerances numbers ParseFloat takes;
-// nothing but whitespace around. It reports false for any other line,
-// which DecodeLine then hands to encoding/json: on a line scanLine
-// takes, the two agree exactly.
-func scanLine(line []byte) (Request, bool) {
+// envelope is a canonical line's fields as scanLine found them. The
+// strings and the spec alias the line, and the spec is a candidate
+// object that no one has validated yet.
+type envelope struct {
+	id, workload, spec []byte
+	maxIter            int
+	absTol, relTol     float64
+}
+
+// validSpec reports whether the spec, when present, is JSON.
+func (e *envelope) validSpec() bool {
+	return e.spec == nil || json.Valid(e.spec)
+}
+
+// scanLine scans a canonical envelope in place: an object of the
+// Request keys but executor, each spelled exactly and at most once;
+// strings of printable ASCII without escapes; spec an object by its
+// brackets; max_iter an integer literal that fits an int; the
+// tolerances numbers ParseFloat takes; nothing but whitespace around.
+// It reports false for any other line, which DecodeLine then hands to
+// encoding/json. On a line scanLine takes whose spec is json.Valid,
+// the two agree exactly; on one whose spec is not, encoding/json
+// refuses the line.
+func scanLine(line []byte) (envelope, bool) {
 	s := envScan{b: line}
-	var req Request
+	var e envelope
 	if !s.tok('{') {
-		return Request{}, false
+		return envelope{}, false
 	}
 	if !s.tok('}') {
 		var seen uint8
 		for {
 			key, ok := s.str()
 			if !ok || !s.tok(':') {
-				return Request{}, false
+				return envelope{}, false
 			}
 			var bit uint8
 			switch string(key) {
 			case "id":
 				bit = 1
-				req.ID, ok = s.text()
+				e.id, ok = s.str()
 			case "workload":
 				bit = 2
-				req.Workload, ok = s.text()
+				e.workload, ok = s.str()
 			case "spec":
 				bit = 4
-				req.Spec, ok = s.object()
+				e.spec, ok = s.object()
 			case "max_iter":
 				bit = 8
-				req.MaxIter, ok = s.integer()
+				e.maxIter, ok = s.integer()
 			case "abs_tol":
 				bit = 16
-				req.AbsTol, ok = s.float()
+				e.absTol, ok = s.float()
 			case "rel_tol":
 				bit = 32
-				req.RelTol, ok = s.float()
+				e.relTol, ok = s.float()
 			default:
-				return Request{}, false
+				return envelope{}, false
 			}
 			if !ok || seen&bit != 0 {
-				return Request{}, false
+				return envelope{}, false
 			}
 			seen |= bit
 			if s.tok('}') {
 				break
 			}
 			if !s.tok(',') {
-				return Request{}, false
+				return envelope{}, false
 			}
 		}
 	}
 	s.ws()
 	if s.i != len(line) {
-		return Request{}, false
+		return envelope{}, false
 	}
-	return req, true
+	return e, true
 }
 
 // plain reports whether encoding/json writes str as its bytes between
@@ -272,25 +278,22 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendResult appends res and a newline as json.Encoder writes them,
-// sorting the metric names in s.keys. It reports false, with b's
-// extension to be discarded, when a string needs escaping or a metric
-// is not finite: encoding/json owns those records.
-func (s *encodeScratch) appendResult(b []byte, res *Result) ([]byte, bool) {
+// appendResult appends res and a newline as json.Encoder writes them.
+// It reports false, with b's extension to be discarded, when a string
+// needs escaping, a metric is not finite or the metric names are not
+// strictly ascending: encoding/json owns those records. So the metrics
+// go out in the list's order, which is the order of a map's keys.
+func appendResult(b []byte, res *Result) ([]byte, bool) {
 	for _, str := range [...]string{res.ID, res.Workload, res.Shape, res.Error} {
 		if !plain(str) {
 			return b, false
 		}
 	}
-	ks := s.keys[:0]
-	for k, v := range res.Metrics {
-		if !plain(k) || math.IsInf(v, 0) || math.IsNaN(v) {
+	for i, m := range res.Metrics {
+		if !plain(m.Name) || math.IsInf(m.Value, 0) || math.IsNaN(m.Value) || i > 0 && m.Name <= res.Metrics[i-1].Name {
 			return b, false
 		}
-		ks = append(ks, k)
 	}
-	slices.Sort(ks)
-	s.keys = ks
 
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(res.Seq), 10)
@@ -312,13 +315,13 @@ func (s *encodeScratch) appendResult(b []byte, res *Result) ([]byte, bool) {
 	if res.Converged {
 		b = append(b, `,"converged":true`...)
 	}
-	if len(ks) > 0 {
+	if len(res.Metrics) > 0 {
 		b = append(b, `,"metrics":{`...)
-		for i, k := range ks {
+		for i, m := range res.Metrics {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(append(appendString(b, k), ':'), res.Metrics[k])
+			b = appendFloat(append(appendString(b, m.Name), ':'), m.Value)
 		}
 		b = append(b, '}')
 	}

@@ -42,9 +42,22 @@
 // sums of squares (admm.Result.Finite); a record without one is
 // scanned.
 //
-// The per-record codec scans a canonical envelope and appends a plain
-// result directly, and leaves every other line or record, and so every
-// refusal text, to encoding/json, whose bytes both paths give exactly.
+// The per-record codec scans a canonical envelope in place and appends
+// a plain result directly, and leaves every other line or record, and
+// so every refusal text, to encoding/json, whose bytes both paths give
+// exactly. A result's metrics are the workload's sorted list
+// (workload.Problem.AppendMetrics, into storage the lane keeps), which
+// the encoder writes in order; the encode buffers come from a pool that
+// outlives the stream.
+//
+// The admission memo maps a line's raw workload name and spec bytes to
+// the workload.Parse outcome, refusal included, with the name and a
+// validated copy of the spec, for at most window distinct specs a
+// stream. A canonical line looks it up with the bytes where they stand
+// in the line; only a miss checks the spec with json.Valid and copies
+// it, and a hit hands out the memo's name and spec. So a record of a
+// known spec allocates only its id, and a warm record, whose solve,
+// metrics and encode allocate nothing, costs little more.
 //
 // At most 1024 records are in flight, read but not yet written, so the
 // lanes' pending runs and the commit ring stay bounded whatever the

@@ -3,8 +3,10 @@ package bulk
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -14,8 +16,8 @@ import (
 // strict envelope decode, per-record control validation, workload spec
 // admission — with arbitrary bytes: no input may panic, DecodeLine must
 // give exactly the request or the error text encoding/json's strict
-// decoder gives (and the direct scan, whenever it takes a line, exactly
-// that request), any accepted line must re-encode to an envelope that
+// decoder gives (and the direct scan, whenever it takes a line, a spec
+// json.Valid judges as encoding/json judges the line), any accepted line must re-encode to an envelope that
 // decodes back to the same request, and any admitted spec must carry a
 // usable shape key.
 //
@@ -86,8 +88,12 @@ func FuzzBulkLineDecode(f *testing.F) {
 		if !reflect.DeepEqual(req, want) {
 			t.Fatalf("line %q: DecodeLine %+v, encoding/json %+v", line, req, want)
 		}
-		if scanned, ok := scanLine(line); ok && (wantErr != nil || !reflect.DeepEqual(scanned, want)) {
-			t.Fatalf("line %q: scan took %+v, encoding/json gives %+v, %v", line, scanned, want, wantErr)
+		// DecodeLine's request is the scan's whenever the scan takes the
+		// line and its spec is valid, so the check above covers the
+		// scan's fields; a spec json.Valid refuses is encoding/json's to
+		// refuse too.
+		if e, ok := scanLine(line); ok && e.validSpec() != (wantErr == nil) {
+			t.Fatalf("line %q: scan took it with a valid spec %t, encoding/json error %v", line, e.validSpec(), wantErr)
 		}
 		if err != nil {
 			return
@@ -140,10 +146,27 @@ func TestDecodeLineTrailingData(t *testing.T) {
 	}
 }
 
+// mapResult is Result with its metrics as a map: the record schema
+// encoding/json writes from the map of a record's metric pairs.
+type mapResult struct {
+	Seq        int                `json:"seq"`
+	ID         string             `json:"id,omitempty"`
+	Workload   string             `json:"workload,omitempty"`
+	Shape      string             `json:"shape,omitempty"`
+	Warm       bool               `json:"warm,omitempty"`
+	Iterations int                `json:"iterations,omitempty"`
+	Converged  bool               `json:"converged,omitempty"`
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Error      string             `json:"error,omitempty"`
+}
+
 // FuzzResultEncode pins the result encoder to json.Encoder's bytes for
-// arbitrary records: the direct append must write exactly them whenever
-// it takes a record, must take every record of plain strings and finite
-// metrics, and encode (direct or fallback) must write them always.
+// arbitrary records: the record's metrics go in as the sorted list of a
+// map's pairs, and the bytes to match are encoding/json's for the same
+// record with that map. The direct append must write exactly them
+// whenever it takes a record, must take every record of plain strings
+// and finite metrics, and must refuse the list out of order; encode
+// (direct or fallback) must write them always.
 //
 // Run `go test -fuzz=FuzzResultEncode ./internal/bulk` to explore.
 func FuzzResultEncode(f *testing.F) {
@@ -161,26 +184,32 @@ func FuzzResultEncode(f *testing.F) {
 	for _, s := range []string{"a<b", "a>b", "a&b", "a\u2028b\u2029", "\xff\xfe", "ctl\x01\x1f", "del\x7f", `q"b`, `b\`, "é", "\t\n"} {
 		f.Add(-3, s, s, s, s, false, 0, false, s, bits(2.5), "z", bits(1e-7), false)
 	}
+	f.Add(1, "r1", "svm", "svm/n=24", "", false, 3, false, "same", bits(1), "same", bits(2), false)
 	f.Add(0, "", "", "", "decode: json: unknown field \"bogus\"", false, 0, false, "", uint64(0), "", uint64(0), true)
 	f.Fuzz(func(t *testing.T, seq int, id, name, shape, errMsg string, warm bool, iters int, conv bool,
 		k1 string, v1 uint64, k2 string, v2 uint64, emptyMetrics bool) {
-		res := Result{Seq: seq, ID: id, Workload: name, Shape: shape, Warm: warm,
+		want := mapResult{Seq: seq, ID: id, Workload: name, Shape: shape, Warm: warm,
 			Iterations: iters, Converged: conv, Error: errMsg}
 		if emptyMetrics {
-			res.Metrics = map[string]float64{}
+			want.Metrics = map[string]float64{}
 		} else if k1 != "" || k2 != "" {
-			res.Metrics = map[string]float64{k1: math.Float64frombits(v1), k2: math.Float64frombits(v2)}
+			want.Metrics = map[string]float64{k1: math.Float64frombits(v1), k2: math.Float64frombits(v2)}
 		}
-		var want bytes.Buffer
-		wantErr := json.NewEncoder(&want).Encode(res)
+		res := Result{Seq: seq, ID: id, Workload: name, Shape: shape, Warm: warm,
+			Iterations: iters, Converged: conv, Error: errMsg}
+		for _, k := range slices.Sorted(maps.Keys(want.Metrics)) {
+			res.Metrics = append(res.Metrics, workload.Metric{Name: k, Value: want.Metrics[k]})
+		}
+		var wantBuf bytes.Buffer
+		wantErr := json.NewEncoder(&wantBuf).Encode(want)
 
-		got, ok := new(encodeScratch).appendResult(nil, &res)
-		if ok && (wantErr != nil || !bytes.Equal(got, want.Bytes())) {
-			t.Fatalf("direct encode %q, json.Encoder %q (%v)", got, want.Bytes(), wantErr)
+		got, ok := appendResult(nil, &res)
+		if ok && (wantErr != nil || !bytes.Equal(got, wantBuf.Bytes())) {
+			t.Fatalf("direct encode %q, json.Encoder %q (%v)", got, wantBuf.Bytes(), wantErr)
 		}
 		direct := plain(id) && plain(name) && plain(shape) && plain(errMsg)
-		for k, v := range res.Metrics {
-			direct = direct && plain(k) && !math.IsInf(v, 0) && !math.IsNaN(v)
+		for _, m := range res.Metrics {
+			direct = direct && plain(m.Name) && !math.IsInf(m.Value, 0) && !math.IsNaN(m.Value)
 		}
 		if ok != direct {
 			t.Fatalf("direct encode took the record %t, want %t: %+v", ok, direct, res)
@@ -188,9 +217,18 @@ func FuzzResultEncode(f *testing.F) {
 		if wantErr != nil {
 			return
 		}
-		e := newTestPipeline().encode(res)
-		if !bytes.Equal(e.buf.Bytes(), want.Bytes()) {
-			t.Fatalf("encode %q, json.Encoder %q", e.buf.Bytes(), want.Bytes())
+		if e := encode(&res); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("encode %q, json.Encoder %q", e.buf.Bytes(), wantBuf.Bytes())
+		}
+		if len(res.Metrics) < 2 {
+			return
+		}
+		slices.Reverse(res.Metrics)
+		if _, ok := appendResult(nil, &res); ok {
+			t.Fatalf("direct encode took the metrics out of order: %+v", res.Metrics)
+		}
+		if e := encode(&res); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("encode of the reversed list %q, json.Encoder %q", e.buf.Bytes(), wantBuf.Bytes())
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,14 +134,21 @@ type task struct {
 }
 
 // encodeScratch is one pooled record buffer, with encoding/json's
-// encoder over it for the records the direct append refuses and the
-// metric names' sort scratch. isErr marks a rendered error record.
+// encoder over it for the records the direct append refuses. isErr
+// marks a rendered error record.
 type encodeScratch struct {
 	buf   bytes.Buffer
 	enc   *json.Encoder
-	keys  []string
 	isErr bool
 }
+
+// scratchPool holds the record buffers of every Run, so a stream starts
+// on the buffers the last one left instead of growing a window's worth.
+var scratchPool = sync.Pool{New: func() any {
+	s := &encodeScratch{}
+	s.enc = json.NewEncoder(&s.buf)
+	return s
+}}
 
 // shapeState is the per-shape solve state a lane carries across the
 // stream: the built problem (checked out of the graph cache, if any),
@@ -154,24 +162,26 @@ type shapeState struct {
 	// store gets it at hand-back. iterations is that solve's count.
 	live       bool
 	iterations int
+	// metrics is the storage of the last record's metrics, which its
+	// encode reads before the lane passes on.
+	metrics []workload.Metric
 }
 
-// parsed is one memoized workload.Parse outcome, refusal included.
+// parsed is one memoized workload.Parse outcome, refusal included,
+// with the raw workload name and the validated spec it was parsed
+// from, which every record of that spec shares.
 type parsed struct {
-	adm workload.Admission
-	err error
+	adm  workload.Admission
+	err  error
+	name string
+	spec json.RawMessage
 }
-
-// parseKey is what an admission is a pure function of: the raw workload
-// name and the raw spec bytes.
-type parseKey struct{ workload, spec string }
 
 type pipeline struct {
 	ctx  context.Context
 	opts Options
 	d    dispatcher
 
-	scratch sync.Pool
 	// failed marks a write error: the reader role and the workers stop
 	// at their next record.
 	failed atomic.Bool
@@ -181,13 +191,18 @@ type pipeline struct {
 	left  time.Duration
 
 	// The reader role's state, touched only by the worker holding the
-	// role: the input, timed, the line buffer, the admission memo (at
-	// most window parses of this stream) and the read error that closed
-	// the stream.
+	// role: the input, timed, the line buffer, the turn's batch, the
+	// rest of the slab the next tasks come from, chunk at a time, the
+	// admission memo (at most window parses of this stream, keyed by
+	// memoKey) with its key buffer, and the read error that closed the
+	// stream.
 	in      timedReader
 	br      *bufio.Reader
 	line    []byte
-	memo    map[parseKey]parsed
+	batch   []*task
+	slab    []task
+	memo    map[string]*parsed
+	key     []byte
 	readErr error
 
 	// The committer's state, touched only by the worker writing the
@@ -207,14 +222,9 @@ type pipeline struct {
 
 // newPipeline makes the state of one Run.
 func newPipeline(ctx context.Context, opts Options) *pipeline {
-	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[parseKey]parsed{}}
+	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[string]*parsed{}}
 	p.d.lanes = map[string]*lane{}
 	p.d.wake.L = &p.d.mu
-	p.scratch.New = func() any {
-		s := &encodeScratch{}
-		s.enc = json.NewEncoder(&s.buf)
-		return s
-	}
 	return p
 }
 
@@ -329,7 +339,7 @@ func (p *pipeline) work() {
 			if t.errMsg == "" {
 				res = p.solveOne(&l.st, t)
 			}
-			p.commit(t.seq, p.encode(res))
+			p.commit(t.seq, encode(&res))
 		}
 	}
 }
@@ -341,9 +351,9 @@ func (p *pipeline) work() {
 // stream at the input's end, at a read error, or once the stream has
 // stopped. Over-long lines are consumed, not buffered.
 func (p *pipeline) read(room int) {
-	batch := make([]*task, 0, min(room, chunk))
+	batch := p.batch[:0]
 	end := false
-	for len(batch) < cap(batch) {
+	for len(batch) < min(room, chunk) {
 		if p.stopped() {
 			end = true
 			break
@@ -355,7 +365,14 @@ func (p *pipeline) read(room int) {
 		p.line = line
 		if tooLong || len(bytes.TrimSpace(line)) > 0 {
 			// The role holder is the only writer of d.seq.
-			batch = append(batch, p.admit(p.d.seq+len(batch), line, tooLong))
+			if len(p.slab) == 0 {
+				p.slab = make([]task, chunk)
+			}
+			t := &p.slab[0]
+			p.slab = p.slab[1:]
+			t.seq = p.d.seq + len(batch)
+			p.admit(t, line, tooLong)
+			batch = append(batch, t)
 		}
 		if err != nil {
 			if err != io.EOF {
@@ -365,6 +382,8 @@ func (p *pipeline) read(room int) {
 			break
 		}
 	}
+	// The role passes on inside file, so the buffer is kept first.
+	p.batch = batch[:0]
 	p.d.file(batch, end)
 }
 
@@ -398,44 +417,69 @@ func readLine(br *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool,
 	}
 }
 
-// admit turns one input line into a task: strict envelope decode,
-// workload admission (spec validation + shape key), per-record control
+// admit turns one input line into t: strict envelope decode, workload
+// admission (spec validation + shape key), per-record control
 // validation. A failure rides along as the task's error.
-func (p *pipeline) admit(seq int, line []byte, tooLong bool) *task {
-	t := &task{seq: seq}
+//
+// A canonical line is scanned in place, and its workload and spec
+// bytes look the admission memo up with no copy. Only a miss validates
+// and copies the spec; a hit hands out the memo's name and spec, so a
+// record of a known spec allocates only its id.
+func (p *pipeline) admit(t *task, line []byte, tooLong bool) {
 	if tooLong {
 		t.errMsg = fmt.Sprintf("line exceeds %d bytes", p.opts.MaxLineBytes)
-		return t
+		return
 	}
-	req, err := DecodeLine(line)
-	if err != nil {
-		t.errMsg = err.Error()
-		return t
+	var m *parsed
+	e, ok := scanLine(line)
+	if ok {
+		if m = p.memo[string(p.memoKey(e.workload, e.spec))]; m == nil && e.validSpec() {
+			m = p.parse(string(e.workload), bytes.Clone(e.spec))
+		}
 	}
-	t.req = req
-	t.adm, err = p.parse(req.Workload, req.Spec)
+	if m != nil {
+		t.req = Request{ID: string(e.id), MaxIter: e.maxIter, AbsTol: e.absTol, RelTol: e.relTol}
+	} else {
+		req, err := decodeJSON(line)
+		if err != nil {
+			t.errMsg = err.Error()
+			return
+		}
+		t.req = req
+		if m = p.memo[string(p.memoKey([]byte(req.Workload), req.Spec))]; m == nil {
+			m = p.parse(req.Workload, req.Spec)
+		}
+	}
+	t.req.Workload, t.req.Spec, t.adm = m.name, m.spec, m.adm
+	err := m.err
 	if err == nil {
-		err = req.validate(p.opts.MaxIterLimit)
+		err = t.req.validate(p.opts.MaxIterLimit)
 	}
 	if err != nil {
 		t.errMsg = err.Error()
 	}
-	return t
 }
 
-// parse is workload.Parse memoized on the raw workload name and spec
-// bytes, refusals included: an admission is a pure function of the
-// two, and a stream worth grouping by shape repeats its specs. The memo
-// holds at most window entries; a spec past the bound parses fresh.
-func (p *pipeline) parse(name string, spec json.RawMessage) (workload.Admission, error) {
-	if m, ok := p.memo[parseKey{name, string(spec)}]; ok {
-		return m.adm, m.err
-	}
+// memoKey writes the admission memo's key for a raw workload name and
+// spec into the key buffer and returns it: the name's length, the name
+// and the spec.
+func (p *pipeline) memoKey(name, spec []byte) []byte {
+	p.key = append(append(binary.AppendUvarint(p.key[:0], uint64(len(name))), name...), spec...)
+	return p.key
+}
+
+// parse is workload.Parse memoized under the key buffer's key, refusals
+// included: an admission is a pure function of the raw workload name
+// and spec bytes, and a stream worth grouping by shape repeats its
+// specs. The memo holds at most window entries; a spec past the bound
+// parses fresh.
+func (p *pipeline) parse(name string, spec json.RawMessage) *parsed {
 	adm, err := workload.Parse(name, spec)
+	m := &parsed{adm: adm, err: err, name: name, spec: spec}
 	if len(p.memo) < window {
-		p.memo[parseKey{name, string(spec)}] = parsed{adm, err}
+		p.memo[string(p.key)] = m
 	}
-	return adm, err
+	return m
 }
 
 // lane is one shape's place in the dispatcher: its solve state and its
@@ -540,7 +584,8 @@ func (p *pipeline) lineBuffered() bool {
 
 // file ends a reader turn: it puts each record on its shape's lane, a
 // refused one on a lane of its own, readies each lane no worker holds,
-// and gives the role back, closing the stream at its end.
+// clears the batch for the role's next turn, and gives the role back,
+// closing the stream at its end.
 func (d *dispatcher) file(batch []*task, end bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -558,6 +603,7 @@ func (d *dispatcher) file(batch []*task, end bool) {
 			d.ready = append(d.ready, l)
 		}
 	}
+	clear(batch)
 	d.seq += len(batch)
 	d.reading = false
 	d.closed = end
@@ -633,7 +679,7 @@ func (p *pipeline) write(s *encodeScratch) {
 			}
 		}
 	}
-	p.scratch.Put(s)
+	scratchPool.Put(s)
 }
 
 // solveOne solves one record on its shape's state through
@@ -650,6 +696,7 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 		MaxIter:   p.opts.MaxIter,
 		AbsTol:    p.opts.AbsTol,
 		RelTol:    p.opts.RelTol,
+		Metrics:   st.metrics,
 	}
 	if t.req.Executor != nil {
 		job.Executor = *t.req.Executor
@@ -716,6 +763,7 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 
 	res.Iterations = r.Iterations
 	res.Converged = r.Converged
+	st.metrics = out.Metrics
 	res.Metrics = out.Metrics
 	p.solved.Add(1)
 	if res.Warm {
@@ -728,12 +776,12 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 // encode renders one result record into a pooled scratch buffer: a
 // direct append of encoding/json's bytes, or encoding/json itself for a
 // record the append refuses.
-func (p *pipeline) encode(res Result) *encodeScratch {
-	s := p.scratch.Get().(*encodeScratch)
+func encode(res *Result) *encodeScratch {
+	s := scratchPool.Get().(*encodeScratch)
 	s.buf.Reset()
-	if b, ok := s.appendResult(s.buf.AvailableBuffer(), &res); ok {
+	if b, ok := appendResult(s.buf.AvailableBuffer(), res); ok {
 		s.buf.Write(b)
-	} else if err := s.enc.Encode(res); err != nil {
+	} else if err := s.enc.Encode(*res); err != nil {
 		// Results are plain structs over finite floats; this is
 		// unreachable short of memory corruption, but keep the record
 		// rather than dropping a seq.

@@ -167,6 +167,31 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestPipelineReaderTurnsPassBetweenWorkers runs a stream long enough
+// for dozens of reader turns, which pass between the workers, at 2 and
+// 4 workers: the output must be the 1-worker output byte for byte.
+// Under the race detector it pins that a turn's batch buffer passes on
+// with the role: a holder that touched it after filing would race with
+// the next holder's turn.
+func TestPipelineReaderTurnsPassBetweenWorkers(t *testing.T) {
+	var in bytes.Buffer
+	if err := Generate(&in, 3000, 1); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		var out bytes.Buffer
+		if _, err := Run(context.Background(), bytes.NewReader(in.Bytes()), &out, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = out.Bytes()
+		} else if !bytes.Equal(want, out.Bytes()) {
+			t.Fatalf("output with %d workers differs from 1-worker output", workers)
+		}
+	}
+}
+
 // TestPipelineSharedCacheConcurrent runs two pipelines concurrently
 // over one shared graph cache — the serving layer's deployment shape —
 // under more workers than shapes. The race detector owns the
@@ -841,12 +866,14 @@ func TestPipelineFailoverLocalRefusedDial(t *testing.T) {
 
 // checkAdmitFresh demands that p.admit, memo and all, gives line the
 // shape key, workload and error text that a fresh decode, parse and
-// control check give it.
+// control check give it, and a decoded line the request DecodeLine
+// gives.
 func checkAdmitFresh(t *testing.T, p *pipeline, line string) {
 	t.Helper()
 	var want task
 	req, err := DecodeLine([]byte(line))
 	if err == nil {
+		want.req = req
 		want.adm, err = workload.Parse(req.Workload, req.Spec)
 		if err == nil {
 			err = req.validate(p.opts.MaxIterLimit)
@@ -855,10 +882,14 @@ func checkAdmitFresh(t *testing.T, p *pipeline, line string) {
 	if err != nil {
 		want.errMsg = err.Error()
 	}
-	got := p.admit(0, []byte(line), false)
+	var got task
+	p.admit(&got, []byte(line), false)
 	if got.adm.Key != want.adm.Key || got.adm.Workload != want.adm.Workload || got.errMsg != want.errMsg {
 		t.Fatalf("line %s admitted as (%q, %q, %q), fresh (%q, %q, %q)", line,
 			got.adm.Key, got.adm.Workload, got.errMsg, want.adm.Key, want.adm.Workload, want.errMsg)
+	}
+	if !reflect.DeepEqual(got.req, want.req) {
+		t.Fatalf("line %s admitted the request %+v, DecodeLine gives %+v", line, got.req, want.req)
 	}
 }
 
@@ -886,6 +917,11 @@ func TestAdmitMemoMatchesFreshParse(t *testing.T) {
 		`{"workload":"Lasso","spec":{"m":32,"lambda":0.3}}`,
 		`{"workload":"svm","spec":{"n":4}}`,
 		`{"workload":"packing","spec":{"n":4}}`,
+		`{"workload":"mpc","spec":{"k":[8}}}`,
+		"{\"workload\":\"mpc\",\"spec\":{\"k\":8,\"a\":\"\x01\"}}",
+		`{"workload":"mpc","spec":{"k":8},"max_iter":10}`,
+		`{"workload":"mpc", "spec":{"k":8}, "executor":{"kind":"serial"}}`,
+		`{"workload":"mpc","spec":{"k":8},"id":"a\"b"}`,
 	)
 	p := newTestPipeline()
 	for range 2 {

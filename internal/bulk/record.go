@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/admm"
 	"repro/internal/workload"
@@ -53,20 +55,61 @@ type Result struct {
 	Converged  bool `json:"converged,omitempty"`
 	// Metrics carries the workload's quality numbers, finite values only
 	// (workload.Problem drops the rest: JSON cannot carry them).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Metrics Metrics `json:"metrics,omitempty"`
 	// Error, when non-empty, marks a failed record; the other solve
 	// fields are zero. Failures are per-record: the stream continues.
 	Error string `json:"error,omitempty"`
 }
 
+// Metrics is a record's quality numbers, sorted by name, with unique
+// names. JSON carries them as an object, as it would the map of the
+// same pairs.
+type Metrics []workload.Metric
+
+// MarshalJSON writes m as encoding/json writes its map.
+func (m Metrics) MarshalJSON() ([]byte, error) {
+	return json.Marshal(m.Map())
+}
+
+// UnmarshalJSON reads an object into m, sorted by name.
+func (m *Metrics) UnmarshalJSON(b []byte) error {
+	var pairs map[string]float64
+	if err := json.Unmarshal(b, &pairs); err != nil {
+		return err
+	}
+	*m = nil
+	for name, v := range pairs {
+		*m = append(*m, workload.Metric{Name: name, Value: v})
+	}
+	slices.SortFunc(*m, func(a, b workload.Metric) int { return strings.Compare(a.Name, b.Name) })
+	return nil
+}
+
+// Map returns m as a map, nil when m is empty, as a record's decoded
+// map would be.
+func (m Metrics) Map() map[string]float64 {
+	if len(m) == 0 {
+		return nil
+	}
+	return workload.MetricMap(m)
+}
+
 // DecodeLine strictly decodes one JSONL input line into a Request.
 // Unknown envelope fields are errors; spec-level validation is the
-// workload admission layer's job. A canonical line takes a direct scan;
-// every other line, and so every refusal, takes encoding/json. Neither
-// keeps a reference to line.
+// workload admission layer's job. A canonical line takes a direct scan,
+// json.Valid on its spec, and copies of its strings and spec; every
+// other line, and so every refusal, takes encoding/json. Neither keeps
+// a reference to line.
 func DecodeLine(line []byte) (Request, error) {
-	if req, ok := scanLine(line); ok {
-		return req, nil
+	if e, ok := scanLine(line); ok && e.validSpec() {
+		return Request{
+			ID:       string(e.id),
+			Workload: string(e.workload),
+			Spec:     bytes.Clone(e.spec),
+			MaxIter:  e.maxIter,
+			AbsTol:   e.absTol,
+			RelTol:   e.relTol,
+		}, nil
 	}
 	return decodeJSON(line)
 }

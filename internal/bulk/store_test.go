@@ -109,18 +109,19 @@ func TestPipelineStoreFailedSolveNotPersisted(t *testing.T) {
 	}
 }
 
-// panicking is a problem whose Metrics panics on its at'th call: a way
-// into workload.Solve's crash guard in the middle of a real chain.
+// panicking is a problem whose AppendMetrics panics on its at'th call:
+// a way into workload.Solve's crash guard in the middle of a real
+// chain.
 type panicking struct {
 	workload.Problem
 	at, calls int
 }
 
-func (p *panicking) Metrics() map[string]float64 {
+func (p *panicking) AppendMetrics(dst []workload.Metric) []workload.Metric {
 	if p.calls++; p.calls == p.at {
 		panic("metrics exploded")
 	}
-	return p.Problem.Metrics()
+	return p.Problem.AppendMetrics(dst)
 }
 
 // seedCache returns a graph cache that hands out prob for adm's shape,
@@ -207,7 +208,7 @@ func TestPipelineDivergedChainRestarts(t *testing.T) {
 			return decodeResults(t, out.Bytes()), s
 		}
 		// A diverged state has no finite u0 to report.
-		finite := func(r Result) bool { _, ok := r.Metrics["u0"]; return ok }
+		finite := func(r Result) bool { _, ok := r.Metrics.Map()["u0"]; return ok }
 		diverged := func(r Result) bool { return r.Error == "" && r.Iterations == 2 && r.Warm && !finite(r) }
 
 		res, s := run(line("a", 2) + line("b", 2))

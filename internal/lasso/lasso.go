@@ -139,6 +139,8 @@ type Problem struct {
 	Cfg   Config
 	Graph *graph.Graph
 	p     int
+	// r and grad are Quality's residual and gradient.
+	r, grad []float64
 }
 
 // ExpectedShape returns the element counts for B blocks: B+1 function
@@ -189,7 +191,8 @@ func Build(cfg Config) (*Problem, error) {
 		return nil, err
 	}
 	g.SetUniformParams(cfg.Rho, cfg.Alpha)
-	return &Problem{Cfg: cfg, Graph: g, p: p}, nil
+	scratch := make([]float64, m+p)
+	return &Problem{Cfg: cfg, Graph: g, p: p, r: scratch[:m:m], grad: scratch[m:]}, nil
 }
 
 // Coefficients returns the consensus solution.
@@ -216,12 +219,14 @@ func (p *Problem) OptimalityGap(x []float64) float64 {
 
 // Quality returns Objective(x) and OptimalityGap(x) from one residual
 // r = Ax - y. It forms grad = A^T r row by row, so A is read in storage
-// order, and each grad_j still sums its terms in row order.
+// order, and each grad_j still sums its terms in row order. The
+// residual and gradient are scratch the problem owns, so Quality, and
+// with it Objective and OptimalityGap, is for one caller at a time.
 func (p *Problem) Quality(x []float64) (objective, gap float64) {
 	A, y := p.Cfg.Inst.A, p.Cfg.Inst.Y
-	r := make([]float64, A.Rows)
+	r, grad := p.r, p.grad
 	A.MulVec(r, x)
-	grad := make([]float64, p.p)
+	clear(grad)
 	for i := range r {
 		r[i] -= y[i]
 		objective += r[i] * r[i]

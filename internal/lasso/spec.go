@@ -12,11 +12,11 @@ func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
 
 // Bytes prices the problem for the serving layer's graph cache: the
 // graph's arrays, each block's ridge factors and A^T y, and the full
-// instance Objective reads. A block's rows of A and its observations
-// are views of the instance's and count once.
+// instance Objective reads, with Quality's scratch. A block's rows of A
+// and its observations are views of the instance's and count once.
 func (p *Problem) Bytes() int64 {
 	inst := p.Cfg.Inst
-	n := p.Graph.Bytes() + 8*int64(cap(inst.A.Data)+cap(inst.Y)+cap(inst.XTrue))
+	n := p.Graph.Bytes() + 8*int64(cap(inst.A.Data)+cap(inst.Y)+cap(inst.XTrue)+cap(p.r)+cap(p.grad))
 	for a := 0; a < p.Graph.NumFunctions(); a++ {
 		if ls, ok := p.Graph.Op(a).(*LeastSquaresOp); ok {
 			n += 8*int64(cap(ls.aty)+cap(ls.rbuf)) + ls.ridge.Bytes()

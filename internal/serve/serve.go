@@ -519,7 +519,7 @@ func newSolveResult(out workload.Outcome) *SolveResult {
 		ElapsedNS:  res.Elapsed.Nanoseconds(),
 		BuildNS:    out.BuildNanos,
 		PhaseNanos: phaseMap(res.PhaseNanos),
-		Metrics:    out.Metrics,
+		Metrics:    workload.MetricMap(out.Metrics),
 	}
 	for _, w := range out.ShardStats.Workers {
 		r.Shards = append(r.Shards, ShardView{PhaseNanos: phaseMap(w.PhaseNanos), SyncWaitNanos: w.SyncWait, Straggles: w.Straggles})

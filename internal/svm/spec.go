@@ -12,10 +12,10 @@ func (p *Problem) FactorGraph() *graph.Graph { return p.Graph }
 
 // Bytes prices the problem for the serving layer's graph cache: the
 // graph's arrays plus the dataset, whose points the margin operators
-// share.
+// share, and Quality's scratch.
 func (p *Problem) Bytes() int64 {
 	ds := p.Cfg.Data
-	n := p.Graph.Bytes() + 8*int64(cap(ds.Y)) + 24*int64(cap(ds.X))
+	n := p.Graph.Bytes() + 8*int64(cap(ds.Y)+cap(p.plane)) + 24*int64(cap(ds.X))
 	for _, x := range ds.X {
 		n += 8 * int64(cap(x))
 	}

@@ -153,6 +153,8 @@ type Problem struct {
 	Cfg   Config
 	Graph *graph.Graph
 	dim   int
+	// plane is Quality's average plane (w, b).
+	plane []float64
 }
 
 func planeVar(i int) int { return 2 * i }
@@ -213,7 +215,7 @@ func Build(cfg Config) (*Problem, error) {
 		return nil, err
 	}
 	g.SetUniformParams(cfg.Rho, cfg.Alpha)
-	return &Problem{Cfg: cfg, Graph: g, dim: dim}, nil
+	return &Problem{Cfg: cfg, Graph: g, dim: dim, plane: make([]float64, d)}, nil
 }
 
 // Dim returns the feature dimension.
@@ -226,8 +228,15 @@ func (p *Problem) N() int { return len(p.Cfg.Data.X) }
 // per-point copies (they coincide at convergence; averaging reads a
 // sensible plane mid-stream too).
 func (p *Problem) Plane() (w []float64, b float64) {
-	d := p.dim + 1
-	acc := make([]float64, d)
+	acc := p.averagePlane(make([]float64, p.dim+1))
+	return acc[:p.dim], acc[p.dim]
+}
+
+// averagePlane writes the average of the plane copies, (w, b), into
+// acc of length dim+1 and returns it.
+func (p *Problem) averagePlane(acc []float64) []float64 {
+	d := len(acc)
+	clear(acc)
 	n := p.N()
 	for i := 0; i < n; i++ {
 		z := p.Graph.VarBlock(p.Graph.Z, planeVar(i))
@@ -238,7 +247,7 @@ func (p *Problem) Plane() (w []float64, b float64) {
 	for j := range acc {
 		acc[j] /= float64(n)
 	}
-	return acc[:p.dim], acc[p.dim]
+	return acc
 }
 
 // Slack returns the slack value for point i.
@@ -247,18 +256,22 @@ func (p *Problem) Slack(i int) float64 {
 }
 
 // Quality returns Accuracy(p.Cfg.Data), HingeObjective() and
-// PlaneSpread(), bit for bit, from one Plane.
+// PlaneSpread(), bit for bit, from one average plane. The plane is
+// scratch the problem owns, so Quality is for one caller at a time.
 func (p *Problem) Quality() (accuracy, hinge, spread float64) {
-	w, b := p.Plane()
-	return p.accuracy(p.Cfg.Data, w, b), p.hingeObjective(w, b), p.planeSpread(w, b)
+	avg := p.averagePlane(p.plane)
+	w, b := avg[:p.dim], avg[p.dim]
+	return p.accuracy(p.Cfg.Data, w, b), p.hingeObjective(w, b), p.planeSpread(avg)
 }
 
 // PlaneSpread measures consensus quality: the largest distance of any
 // plane copy from the average plane.
-func (p *Problem) PlaneSpread() float64 { return p.planeSpread(p.Plane()) }
+func (p *Problem) PlaneSpread() float64 {
+	return p.planeSpread(p.averagePlane(make([]float64, p.dim+1)))
+}
 
-func (p *Problem) planeSpread(w []float64, b float64) float64 {
-	avg := append(append([]float64(nil), w...), b)
+// planeSpread is PlaneSpread from the average plane avg = (w, b).
+func (p *Problem) planeSpread(avg []float64) float64 {
 	var worst float64
 	for i := 0; i < p.N(); i++ {
 		z := p.Graph.VarBlock(p.Graph.Z, planeVar(i))

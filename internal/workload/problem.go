@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -21,6 +22,10 @@ import (
 // graph owner a graph.Cache pools, plus reset and quality-metric hooks.
 // Both the per-request solve service (internal/serve) and the streaming
 // bulk pipeline (internal/bulk) admit requests through it.
+//
+// A Problem is for one caller at a time: its metrics read the graph's
+// state, and lasso's and svm's keep their working vectors in scratch
+// the problem owns.
 type Problem interface {
 	// FactorGraph returns the finalized graph the solve runs on.
 	FactorGraph() *graph.Graph
@@ -32,11 +37,41 @@ type Problem interface {
 	// Reset reinitializes ADMM state so a (possibly cache-reused) graph
 	// starts a fresh solve.
 	Reset()
-	// Metrics reports domain-specific quality numbers after a solve:
-	// finite values only, always in a non-nil map. A degenerate solve
-	// can make a metric NaN or ±Inf (packing's min_radius), and JSON
-	// cannot carry those, so they are left out.
+	// AppendMetrics appends the domain-specific quality numbers of the
+	// graph's state to dst, sorted by name, and returns the extended
+	// slice: finite values only. A degenerate solve can make a metric NaN
+	// or ±Inf (packing's min_radius), and JSON cannot carry those, so
+	// they are left out.
+	AppendMetrics(dst []Metric) []Metric
+	// Metrics is AppendMetrics as a map, always non-nil.
 	Metrics() map[string]float64
+}
+
+// Metric is one named quality number of a solve.
+type Metric struct {
+	Name  string
+	Value float64
+}
+
+// MetricMap returns ms as a map, always non-nil.
+func MetricMap(ms []Metric) map[string]float64 {
+	out := make(map[string]float64, len(ms))
+	for _, m := range ms {
+		out[m.Name] = m.Value
+	}
+	return out
+}
+
+// appendFinite appends the finite metrics of ms, given in name order,
+// to dst, growing it at most once.
+func appendFinite(dst []Metric, ms ...Metric) []Metric {
+	dst = slices.Grow(dst, len(ms))
+	for _, m := range ms {
+		if !math.IsNaN(m.Value) && !math.IsInf(m.Value, 0) {
+			dst = append(dst, m)
+		}
+	}
+	return dst
 }
 
 // Admission is a validated solve admission: the canonical shape key for
@@ -258,49 +293,31 @@ func DecodeRequest(r io.Reader, into any) error {
 	return errors.New("trailing data after request object")
 }
 
-// finite drops m's NaN and ±Inf values in place and returns it.
-func finite(m map[string]float64) map[string]float64 {
-	for k, v := range m {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			delete(m, k)
-		}
-	}
-	return m
-}
-
 type lassoProblem struct{ *lasso.Problem }
 
 func (p lassoProblem) Reset() { p.Graph.InitZero() }
-func (p lassoProblem) Metrics() map[string]float64 {
-	objective, gap := p.Quality(p.Coefficients())
-	return finite(map[string]float64{
-		"objective":      objective,
-		"optimality_gap": gap,
-	})
+func (p lassoProblem) AppendMetrics(dst []Metric) []Metric {
+	objective, gap := p.Quality(p.Graph.VarBlock(p.Graph.Z, 0))
+	return appendFinite(dst, Metric{"objective", objective}, Metric{"optimality_gap", gap})
 }
+func (p lassoProblem) Metrics() map[string]float64 { return MetricMap(p.AppendMetrics(nil)) }
 
 type svmProblem struct{ *svm.Problem }
 
 func (p svmProblem) Reset() { p.Graph.InitZero() }
-func (p svmProblem) Metrics() map[string]float64 {
+func (p svmProblem) AppendMetrics(dst []Metric) []Metric {
 	accuracy, hinge, spread := p.Quality()
-	return finite(map[string]float64{
-		"accuracy":        accuracy,
-		"hinge_objective": hinge,
-		"plane_spread":    spread,
-	})
+	return appendFinite(dst, Metric{"accuracy", accuracy}, Metric{"hinge_objective", hinge}, Metric{"plane_spread", spread})
 }
+func (p svmProblem) Metrics() map[string]float64 { return MetricMap(p.AppendMetrics(nil)) }
 
 type mpcProblem struct{ *mpc.Problem }
 
 func (p mpcProblem) Reset() { p.Graph.InitZero() }
-func (p mpcProblem) Metrics() map[string]float64 {
-	return finite(map[string]float64{
-		"cost":              p.Cost(),
-		"dynamics_residual": p.DynamicsResidual(),
-		"u0":                p.Input(0),
-	})
+func (p mpcProblem) AppendMetrics(dst []Metric) []Metric {
+	return appendFinite(dst, Metric{"cost", p.Cost()}, Metric{"dynamics_residual", p.DynamicsResidual()}, Metric{"u0", p.Input(0)})
 }
+func (p mpcProblem) Metrics() map[string]float64 { return MetricMap(p.AppendMetrics(nil)) }
 
 type packingProblem struct {
 	*packing.Problem
@@ -317,12 +334,9 @@ func (p packingProblem) Reset() {
 	p.InitRandom(rand.New(rand.NewSource(seed)))
 }
 
-func (p packingProblem) Metrics() map[string]float64 {
+func (p packingProblem) AppendMetrics(dst []Metric) []Metric {
 	v := p.CheckValidity()
-	return finite(map[string]float64{
-		"coverage":    p.Coverage(),
-		"max_overlap": v.MaxOverlap,
-		"max_wall":    v.MaxWall,
-		"min_radius":  v.MinRadius,
-	})
+	return appendFinite(dst, Metric{"coverage", p.Coverage()}, Metric{"max_overlap", v.MaxOverlap},
+		Metric{"max_wall", v.MaxWall}, Metric{"min_radius", v.MinRadius})
 }
+func (p packingProblem) Metrics() map[string]float64 { return MetricMap(p.AppendMetrics(nil)) }

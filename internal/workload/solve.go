@@ -36,6 +36,9 @@ type Job struct {
 	// solve starts from. Otherwise a held problem starts from the state
 	// its graph holds, and one Solve binds is Reset.
 	Warm *admm.WarmState
+	// Metrics is the storage Outcome.Metrics is appended to, from length
+	// 0; a caller that solves in a loop passes the last outcome's back.
+	Metrics []Metric
 }
 
 // Env is what a caller shares across solves. The zero Env builds every
@@ -58,9 +61,10 @@ type Outcome struct {
 	Warm bool
 	// Route is the fleet planner's verdict, "" when no fleet ran.
 	Route fleet.Route
-	// Metrics is Problem's quality report, read before Solve returned:
-	// the caller may hand Problem on without touching it again.
-	Metrics map[string]float64
+	// Metrics is Problem's quality report, sorted by name, read before
+	// Solve returned: the caller may hand Problem on without touching it
+	// again.
+	Metrics []Metric
 }
 
 // Solve takes an admitted job to its outcome on the one path every
@@ -137,7 +141,7 @@ func Solve(ctx context.Context, job Job, held Problem, env Env) (out Outcome, er
 	if out.Outcome, err = shard.Solve(ctx, g, opts); err != nil {
 		return out, err
 	}
-	out.Metrics = p.Metrics()
+	out.Metrics = p.AppendMetrics(job.Metrics[:0])
 	return out, nil
 }
 

@@ -55,6 +55,96 @@ func TestMetricsFinite(t *testing.T) {
 	}
 }
 
+// rawMetrics is every metric of p, finite or not, from the domain
+// packages' own one-metric methods.
+func rawMetrics(t *testing.T, p Problem) map[string]float64 {
+	t.Helper()
+	switch p := p.(type) {
+	case lassoProblem:
+		x := p.Coefficients()
+		return map[string]float64{"objective": p.Objective(x), "optimality_gap": p.OptimalityGap(x)}
+	case svmProblem:
+		return map[string]float64{"accuracy": p.Accuracy(p.Cfg.Data), "hinge_objective": p.HingeObjective(), "plane_spread": p.PlaneSpread()}
+	case mpcProblem:
+		return map[string]float64{"cost": p.Cost(), "dynamics_residual": p.DynamicsResidual(), "u0": p.Input(0)}
+	case packingProblem:
+		v := p.CheckValidity()
+		return map[string]float64{"coverage": p.Coverage(), "max_overlap": v.MaxOverlap, "max_wall": v.MaxWall, "min_radius": v.MinRadius}
+	}
+	t.Fatalf("no raw metrics for %T", p)
+	return nil
+}
+
+// TestAppendMetricsMatchesMap pins the metric list every product reads:
+// after a short solve, and again with NaN written over Z, AppendMetrics
+// appends behind what dst holds a list sorted by name with unique
+// names, holding exactly the finite values of the domain packages' own
+// metrics, bit for bit, and Metrics is that list as a map.
+func TestAppendMetricsMatchesMap(t *testing.T) {
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			adm, err := Parse(name, json.RawMessage(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := adm.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Reset()
+			g := p.FactorGraph()
+			if _, err := admm.Solve(g, admm.SolveOptions{MaxIter: 50}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(state string) (dropped int) {
+				sentinel := Metric{"sentinel", math.NaN()}
+				list := p.AppendMetrics([]Metric{sentinel})
+				if len(list) == 0 || list[0].Name != sentinel.Name {
+					t.Fatalf("%s: AppendMetrics wrote over dst: %v", state, list)
+				}
+				list = list[1:]
+				raw := rawMetrics(t, p)
+				want := map[string]float64{}
+				for k, v := range raw {
+					if !math.IsNaN(v) && !math.IsInf(v, 0) {
+						want[k] = v
+					}
+				}
+				for i, m := range list {
+					if i > 0 && m.Name <= list[i-1].Name {
+						t.Fatalf("%s: %v is not sorted by unique names", state, list)
+					}
+					if w, ok := want[m.Name]; !ok || math.Float64bits(w) != math.Float64bits(m.Value) {
+						t.Fatalf("%s: AppendMetrics has %s = %g; the finite raw metrics are %v", state, m.Name, m.Value, want)
+					}
+				}
+				if len(list) != len(want) {
+					t.Fatalf("%s: AppendMetrics %v, want the finite raw metrics %v", state, list, want)
+				}
+				m := p.Metrics()
+				if len(m) != len(list) {
+					t.Fatalf("%s: Metrics %v, AppendMetrics %v", state, m, list)
+				}
+				for _, e := range list {
+					if v, ok := m[e.Name]; !ok || math.Float64bits(v) != math.Float64bits(e.Value) {
+						t.Fatalf("%s: Metrics %v, AppendMetrics %v", state, m, list)
+					}
+				}
+				return len(raw) - len(want)
+			}
+			if dropped := check("solved"); dropped != 0 {
+				t.Fatalf("a healthy solve dropped %d metrics", dropped)
+			}
+			for i := range g.Z {
+				g.Z[i] = math.NaN()
+			}
+			if dropped := check("NaN in Z"); dropped == 0 {
+				t.Fatal("a NaN in Z dropped no metric: the check above saw no non-finite entry")
+			}
+		})
+	}
+}
+
 // TestBuildIsDeterministic pins the cross-process rebuild contract: a
 // shard worker that builds the same ProblemRef as its coordinator gets
 // the same graph shape, derives the same boundary manifest under the

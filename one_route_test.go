@@ -118,7 +118,7 @@ var oneRoutes = []struct {
 		if err != nil {
 			return oneRouteAnswer{Err: err.Error()}
 		}
-		return oneRouteAnswer{Iterations: out.Result.Iterations, Metrics: out.Metrics}
+		return oneRouteAnswer{Iterations: out.Result.Iterations, Metrics: workload.MetricMap(out.Metrics)}
 	}},
 	{"serve job", func(t *testing.T, c oneRouteCase, executor string) oneRouteAnswer {
 		srv := serve.New(serve.Config{Workers: 1})
@@ -143,7 +143,7 @@ var oneRoutes = []struct {
 	}},
 	{"bulk record", func(t *testing.T, c oneRouteCase, executor string) oneRouteAnswer {
 		rec := solveBulkRecord(t, c.body(executor), nil)
-		return oneRouteAnswer{Iterations: rec.Iterations, Metrics: rec.Metrics, Err: rec.Error}
+		return oneRouteAnswer{Iterations: rec.Iterations, Metrics: rec.Metrics.Map(), Err: rec.Error}
 	}},
 }
 

@@ -3,11 +3,15 @@
 #
 # Compares where the benchmark binary's placement-sensitive code lands,
 # built at REF and from the working tree: the three admm sweep kernels
-# (UpdateXRange, UpdateZFusedRange, UpdateUNRange), every text symbol of
-# repro/internal/linalg, and the calibration kernel main.calibrate, whose
-# alignment scales every reported time. A change in a package linked
-# ahead of them can move them by 32 bytes and move a benchmark cell with
-# no change to the code that runs (ROADMAP, "Do not retry").
+# (UpdateXRange, UpdateZFusedRange, UpdateUNRange) and the residual
+# check's pass (checkPass), every text symbol of repro/internal/linalg,
+# the boundary exchange's Post and Combine, the shard loop
+# (runShardIters), the proximal operators' Eval methods (every value
+# receiver in repro/internal/prox, packing's CollisionOp and svm's
+# MarginOp), and the calibration kernel main.calibrate, whose alignment
+# scales every reported time. A change in a package linked ahead of them
+# can move them by 32 bytes and move a benchmark cell with no change to
+# the code that runs (ROADMAP, "Do not retry").
 #
 # Prints each symbol's address mod 64 on both sides and exits 1 if any
 # differs or is present on one side only, 2 on a usage or build error.
@@ -42,7 +46,11 @@ placement() {
 		case "$kind" in T | t) ;; *) continue ;; esac
 		case "$name" in
 		repro/internal/admm.UpdateXRange | repro/internal/admm.UpdateZFusedRange | \
-			repro/internal/admm.UpdateUNRange | repro/internal/linalg.* | main.calibrate)
+			repro/internal/admm.UpdateUNRange | repro/internal/admm.checkPass | \
+			repro/internal/linalg.* | 'repro/internal/exchange.(*Mailbox).Post' | \
+			'repro/internal/exchange.(*Mailbox).Combine' | repro/internal/shard.runShardIters | \
+			repro/internal/prox.[A-Z]*.Eval | repro/internal/packing.CollisionOp.Eval | \
+			repro/internal/svm.MarginOp.Eval | main.calibrate)
 			echo "$name $((16#$addr % 64))"
 			;;
 		esac

@@ -99,7 +99,7 @@ func TestStoreRestartConformance(t *testing.T) {
 				c.workload, res.Iterations, ref.Iterations)
 		}
 		for k, want := range prob.Metrics() {
-			if got, ok := res.Metrics[k]; !ok || got != want {
+			if got, ok := res.Metrics.Map()[k]; !ok || got != want {
 				t.Errorf("%s cold: metric %s = %v via pipeline, %v via admm.Solve", c.workload, k, got, want)
 			}
 		}
@@ -122,8 +122,8 @@ func TestStoreRestartConformance(t *testing.T) {
 			t.Errorf("%s restarted: %d iterations, cold %d — the persisted chain bought nothing",
 				c.workload, res.Iterations, coldRes.Iterations)
 		}
-		want := coldRes.Metrics[c.metric]
-		got, ok := res.Metrics[c.metric]
+		want := coldRes.Metrics.Map()[c.metric]
+		got, ok := res.Metrics.Map()[c.metric]
 		if !ok {
 			t.Fatalf("%s restarted record missing metric %s: %v", c.workload, c.metric, res.Metrics)
 		}
