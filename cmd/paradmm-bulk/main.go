@@ -40,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admm"
 	"repro/internal/bulk"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -57,9 +56,11 @@ type config struct {
 }
 
 // parseConfig parses the command line. A malformed value, a stray
-// argument, a negative count, size or tolerance, or an invalid executor
-// is an error, reported with the usage the way the flag package reports
-// its own; -h prints the usage and returns flag.ErrHelp.
+// argument, a negative count or size, or stream defaults that no record
+// may carry (an invalid executor, a budget past workload.MaxIterLimit,
+// a negative, NaN or infinite tolerance) is an error, reported with the
+// usage the way the flag package reports its own; -h prints the usage
+// and returns flag.ErrHelp.
 func parseConfig(args []string) (config, error) {
 	var c config
 	var executor, transport, addrs string
@@ -68,14 +69,13 @@ func parseConfig(args []string) (config, error) {
 	fs := flag.NewFlagSet("paradmm-bulk", flag.ContinueOnError)
 	fs.IntVar(&c.opts.Workers, "workers", 0, "workers (0 = GOMAXPROCS)")
 	fs.StringVar(&executor, "executor", "serial", "stream-level executor: serial | sharded | auto (per-record executor fields override)")
-	fs.IntVar(&shards, "shards", 0, "shard count for -executor sharded (0 = executor default)")
+	fs.IntVar(&shards, "shards", 0, "shard count for -executor sharded (0 = one per -addrs endpoint, else the executor default, 4)")
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-executor serial only)")
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints, one per shard, for -transport sockets")
 	fs.IntVar(&c.opts.MaxIter, "max-iter", workload.DefaultMaxIter, "default iteration budget for records without max_iter")
 	fs.Float64Var(&c.opts.AbsTol, "abs-tol", 0, "default absolute stopping tolerance (0 = none)")
 	fs.Float64Var(&c.opts.RelTol, "rel-tol", 0, "default relative stopping tolerance (0 = none)")
-	fs.IntVar(&c.opts.MaxLineBytes, "max-line-bytes", 1<<20, "longest accepted input line; longer lines become error records")
 	fs.StringVar(&c.storeDir, "store", "", "persistent warm-start store directory (empty = disabled); chains seed from and persist to it across runs")
 	fs.Int64Var(&c.storeMaxBytes, "store-max-bytes", 256<<20, "solution store log size cap before compaction")
 	fs.IntVar(&c.gen, "gen", 0, "generate an N-record deterministic request stream to stdout and exit")
@@ -108,7 +108,10 @@ func parseConfig(args []string) (config, error) {
 		}
 	})
 	if bad == nil {
-		c.opts.Executor, bad = executorSpec(executor, shards, fused, transport, addrs)
+		c.opts.Executor, bad = workload.ExecutorFlags(executor, shards, transport, addrs, "", fused)
+	}
+	if bad == nil {
+		bad = workload.CheckRequest(&c.opts.Executor, c.opts.MaxIter, c.opts.AbsTol, c.opts.RelTol)
 	}
 	if bad != nil {
 		fmt.Fprintln(fs.Output(), bad)
@@ -116,24 +119,6 @@ func parseConfig(args []string) (config, error) {
 		return c, bad
 	}
 	return c, nil
-}
-
-// executorSpec assembles and validates the stream-level executor.
-func executorSpec(kind string, shards int, fused bool, transport, addrs string) (admm.ExecutorSpec, error) {
-	spec, err := admm.ParseExecutor(kind)
-	if err != nil {
-		return spec, err
-	}
-	if spec.Kind == admm.ExecSharded {
-		spec.Shards = shards
-	}
-	spec.Transport = transport
-	spec.Addrs = admm.ParseAddrs(addrs)
-	if len(spec.Addrs) > 0 && shards == 0 {
-		spec.Shards = len(spec.Addrs)
-	}
-	spec.Fused = &fused
-	return spec, spec.Validate()
 }
 
 func main() {

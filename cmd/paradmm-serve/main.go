@@ -49,7 +49,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/workload"
 )
 
 // options are the flags that set up the process around the server: its
@@ -78,10 +77,8 @@ func parseConfig(args []string) (serve.Config, options, error) {
 	fs.IntVar(&cfg.Workers, "workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.QueueDepth, "queue", 64, "admission queue depth")
 	fs.IntVar(&cfg.CachePerKey, "cache-per-key", 2, "pooled graphs per shape key")
-	fs.IntVar(&cfg.MaxIterLimit, "max-iter-limit", workload.MaxIterLimit, "reject requests asking for more iterations")
 	fs.IntVar(&cfg.BulkStreams, "bulk-streams", 2, "max concurrent POST /v1/bulk streams")
 	fs.IntVar(&cfg.BulkWorkers, "bulk-workers", 0, "solve workers per bulk stream (0 = -workers)")
-	fs.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", 1<<20, "max POST /v1/solve body size in bytes")
 	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", serve.DefaultReadHeaderTimeout, "drop connections that stall delivering request headers")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", serve.DefaultIdleTimeout, "drop keep-alive connections idle this long between requests")
 	fs.StringVar(&o.storeDir, "store", "", "persistent warm-start store directory (empty = disabled); bulk streams seed from and persist to it across restarts")

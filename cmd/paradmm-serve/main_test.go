@@ -13,11 +13,9 @@ import (
 // refused before a server starts.
 func TestParseConfig(t *testing.T) {
 	defaults := serve.Config{
-		QueueDepth:   64,
-		CachePerKey:  2,
-		MaxIterLimit: 200000,
-		BulkStreams:  2,
-		MaxBodyBytes: 1 << 20,
+		QueueDepth:  64,
+		CachePerKey: 2,
+		BulkStreams: 2,
 	}
 	with := func(edit func(*serve.Config)) serve.Config {
 		c := defaults
@@ -35,7 +33,6 @@ func TestParseConfig(t *testing.T) {
 		{"workers", []string{"-workers", "3"}, with(func(c *serve.Config) { c.Workers = 3 }), ""},
 		{"negative cache per key", []string{"-cache-per-key=-2"}, serve.Config{}, "-cache-per-key = -2: must not be negative"},
 		{"negative queue", []string{"-queue", "-5"}, serve.Config{}, "-queue = -5"},
-		{"negative body bytes", []string{"-max-body-bytes", "-1"}, serve.Config{}, "-max-body-bytes = -1"},
 		{"negative duration", []string{"-idle-timeout", "-1s"}, serve.Config{}, "-idle-timeout = -1s"},
 		// The liveness rule bounds a whole worker session: there is no
 		// dial or handshake timeout to set.
@@ -44,6 +41,10 @@ func TestParseConfig(t *testing.T) {
 		// The fleet planner routes on the auto policy's floor: there is
 		// no remote floor to set.
 		{"retired fleet floor", []string{"-fleet-min-edges", "500"}, serve.Config{}, "flag provided but not defined: -fleet-min-edges"},
+		// Every route caps a request at workload.MaxRequestBytes and its
+		// budget at workload.MaxIterLimit: there is no limit to set.
+		{"retired max body bytes", []string{"-max-body-bytes", "4096"}, serve.Config{}, "flag provided but not defined: -max-body-bytes"},
+		{"retired max iter limit", []string{"-max-iter-limit", "10"}, serve.Config{}, "flag provided but not defined: -max-iter-limit"},
 		{"garbage cache per key", []string{"-cache-per-key", "two"}, serve.Config{}, `invalid value "two" for flag -cache-per-key`},
 		{"unknown flag", []string{"-cache-bytes", "1"}, serve.Config{}, "flag provided but not defined: -cache-bytes"},
 		{"stray argument", []string{"serve"}, serve.Config{}, `unexpected argument "serve"`},

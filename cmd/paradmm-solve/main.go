@@ -62,9 +62,11 @@ var specs = map[string]func(size int, seed int64) any{
 }
 
 // parseConfig parses the command line and admits the problem the flags
-// describe, the way a serve request or a shardworker admits its spec. A
-// malformed value, a stray argument, a negative count, an unknown
-// problem, a size admission refuses or an invalid executor is an error,
+// describe, the way a serve request or a shardworker admits its spec:
+// workload.Parse, then workload.CheckRequest. A malformed value, a
+// stray argument, a negative count, an unknown problem, a size
+// admission refuses, an invalid executor or -iters past
+// workload.MaxIterLimit is an error,
 // reported with the usage the way the flag package reports its own; -h
 // prints the usage and returns flag.ErrHelp.
 func parseConfig(args []string) (config, error) {
@@ -77,7 +79,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.size, "size", 10, "circles / horizon / data points / observations")
 	fs.IntVar(&c.iters, "iters", 2000, fmt.Sprintf("ADMM iterations (0 selects the serving default, %d)", workload.DefaultMaxIter))
 	fs.StringVar(&backend, "backend", "serial", "serial | sharded | auto")
-	fs.IntVar(&shards, "shards", 4, "shard count for -backend sharded")
+	fs.IntVar(&shards, "shards", 0, "shard count for -backend sharded (0 = one per -addrs endpoint, else the executor default, 4)")
 	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
@@ -99,36 +101,14 @@ func parseConfig(args []string) (config, error) {
 		bad = fmt.Errorf("unknown problem %q", c.problem)
 	}
 	// Every count must not be negative; -seed may be.
-	passed := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) {
-		passed[f.Name] = true
 		v, ok := f.Value.(flag.Getter).Get().(int)
 		if neg := ok && v < 0; neg && bad == nil {
 			bad = fmt.Errorf("-%s = %s: must not be negative", f.Name, f.Value)
 		}
 	})
 	if bad == nil {
-		c.run.spec, bad = admm.ParseExecutor(backend)
-	}
-	if bad == nil {
-		spec := &c.run.spec
-		// The sharded knobs are set whatever the kind: Validate rejects
-		// them on any other, so a -transport or -failover request against
-		// the wrong backend errors instead of silently solving locally.
-		spec.Transport = transport
-		spec.Addrs = admm.ParseAddrs(addrs)
-		spec.Fused = &fused
-		spec.Failover = failover
-		if spec.Kind == admm.ExecSharded {
-			// One worker process per shard. An un-passed -shards follows
-			// the addr count; an explicit one must agree (Validate reports
-			// the mismatch).
-			spec.Shards = shards
-			if len(spec.Addrs) > 0 && !passed["shards"] {
-				spec.Shards = len(spec.Addrs)
-			}
-		}
-		bad = spec.Validate()
+		c.run.spec, bad = workload.ExecutorFlags(backend, shards, transport, addrs, failover, fused)
 	}
 	switch {
 	case bad != nil:
@@ -140,6 +120,9 @@ func parseConfig(args []string) (config, error) {
 	if bad == nil {
 		c.job.Admission, bad = workload.Parse(c.problem, c.job.Spec)
 		c.job.Executor, c.job.MaxIter = c.run.spec, c.iters
+	}
+	if bad == nil {
+		bad = workload.CheckRequest(&c.job.Executor, c.job.MaxIter, 0, 0)
 	}
 	if bad != nil {
 		fmt.Fprintln(fs.Output(), bad)

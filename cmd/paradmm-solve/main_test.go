@@ -38,6 +38,9 @@ func TestParseConfig(t *testing.T) {
 		{"defaults", nil, defaults, ""},
 		{"problem knobs", []string{"-problem", "mpc", "-size", "2000", "-iters", "50", "-seed", "-3", "-repeat", "2"},
 			with(func(c *config) { c.problem, c.size, c.iters, c.seed, c.run.repeat = "mpc", 2000, 50, -3, 2 }), ""},
+		// No -shards and no -addrs leaves the executor default, 4.
+		{"sharded default", []string{"-backend", "sharded"},
+			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Fused: &fused} }), ""},
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
 			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
@@ -71,6 +74,10 @@ func TestParseConfig(t *testing.T) {
 		{"unknown backend", []string{"-backend", "gpu"}, config{}, `unknown executor "gpu"`},
 		{"retired backend", []string{"-backend", "parallel"}, config{}, `unknown executor "parallel"`},
 		{"transport on serial", []string{"-transport", "sockets"}, config{}, "transport"},
+		{"addrs on serial", []string{"-backend", "serial", "-addrs", "unix:/x"}, config{}, `transport/addrs apply only to "sharded"`},
+		{"shards on serial", []string{"-shards", "2"}, config{}, `shards apply only to "sharded"`},
+		// The job passes the check a serve request passes.
+		{"iters past the limit", []string{"-iters", "200001"}, config{}, "max_iter = 200001, need 0..200000"},
 		{"unfused sharded", []string{"-backend", "sharded", "-fused=false"}, config{}, "fused"},
 		{"worker named twice", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "a,a"}, config{}, `addrs "a" and "a" name one worker`},
 		// -repeat over -addrs reaches the workers' caches without a

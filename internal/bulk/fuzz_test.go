@@ -111,12 +111,9 @@ func FuzzBulkLineDecode(f *testing.F) {
 			again.MaxIter != req.MaxIter || again.AbsTol != req.AbsTol || again.RelTol != req.RelTol {
 			t.Fatalf("round trip changed the request: %+v vs %+v", again, req)
 		}
-		// Control validation and spec admission must classify, not panic.
-		if err := req.validate(200000); err != nil {
-			return
-		}
+		// Spec admission and the request check must classify, not panic.
 		adm, err := workload.Parse(req.Workload, req.Spec)
-		if err != nil {
+		if err != nil || workload.CheckRequest(req.Executor, req.MaxIter, req.AbsTol, req.RelTol) != nil {
 			return
 		}
 		if adm.Key == "" || adm.Build == nil {

@@ -33,10 +33,8 @@ type Options struct {
 	// executor field replaces it wholesale for that record.
 	Executor admm.ExecutorSpec
 	// MaxIter is the default iteration budget for records that do not
-	// set max_iter (0 leaves workload.Solve's DefaultMaxIter). MaxIterLimit caps
-	// per-record overrides (default workload.MaxIterLimit).
-	MaxIter      int
-	MaxIterLimit int
+	// set max_iter (0 leaves workload.Solve's DefaultMaxIter).
+	MaxIter int
 	// AbsTol/RelTol are the default stopping tolerances; a record's own
 	// non-zero values override them.
 	AbsTol, RelTol float64
@@ -45,10 +43,6 @@ type Options struct {
 	// problem is returned to it when the run ends. Nil builds every
 	// shape.
 	Cache *graph.Cache[workload.Problem]
-	// MaxLineBytes bounds one input line's payload, excluding the line
-	// terminator (default 1 MiB). Longer lines become error records
-	// without buffering the excess.
-	MaxLineBytes int
 	// Store, when non-nil, extends warm-start chains across runs: each
 	// shape's chain is seeded from the store on first sight (a snapshot
 	// whose shape does not match the built graph is rejected and the
@@ -64,19 +58,6 @@ type Options struct {
 type SolutionStore interface {
 	Get(key string) (store.Snapshot, bool)
 	Put(key string, snap store.Snapshot) error
-}
-
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxIterLimit <= 0 {
-		o.MaxIterLimit = workload.MaxIterLimit
-	}
-	if o.MaxLineBytes <= 0 {
-		o.MaxLineBytes = 1 << 20
-	}
-	return o
 }
 
 // window bounds the records in flight — read but not yet written —
@@ -222,7 +203,10 @@ type pipeline struct {
 
 // newPipeline makes the state of one Run.
 func newPipeline(ctx context.Context, opts Options) *pipeline {
-	p := &pipeline{ctx: ctx, opts: opts.withDefaults(), memo: map[string]*parsed{}}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	p := &pipeline{ctx: ctx, opts: opts, memo: map[string]*parsed{}}
 	p.d.lanes = map[string]*lane{}
 	p.d.wake.L = &p.d.mu
 	return p
@@ -361,7 +345,7 @@ func (p *pipeline) read(room int) {
 		if len(batch) > 0 && !p.lineBuffered() {
 			break
 		}
-		line, tooLong, err := readLine(p.br, p.line, p.opts.MaxLineBytes)
+		line, tooLong, err := readLine(p.br, p.line, workload.MaxRequestBytes)
 		p.line = line
 		if tooLong || len(bytes.TrimSpace(line)) > 0 {
 			// The role holder is the only writer of d.seq.
@@ -418,8 +402,9 @@ func readLine(br *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool,
 }
 
 // admit turns one input line into t: strict envelope decode, workload
-// admission (spec validation + shape key), per-record control
-// validation. A failure rides along as the task's error.
+// admission (spec validation + shape key), then the record's executor
+// and controls (workload.CheckRequest). A failure rides along as the
+// task's error.
 //
 // A canonical line is scanned in place, and its workload and spec
 // bytes look the admission memo up with no copy. Only a miss validates
@@ -427,7 +412,7 @@ func readLine(br *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool,
 // record of a known spec allocates only its id.
 func (p *pipeline) admit(t *task, line []byte, tooLong bool) {
 	if tooLong {
-		t.errMsg = fmt.Sprintf("line exceeds %d bytes", p.opts.MaxLineBytes)
+		t.errMsg = fmt.Sprintf("line exceeds %d bytes", workload.MaxRequestBytes)
 		return
 	}
 	var m *parsed
@@ -453,7 +438,7 @@ func (p *pipeline) admit(t *task, line []byte, tooLong bool) {
 	t.req.Workload, t.req.Spec, t.adm = m.name, m.spec, m.adm
 	err := m.err
 	if err == nil {
-		err = t.req.validate(p.opts.MaxIterLimit)
+		err = workload.CheckRequest(t.req.Executor, t.req.MaxIter, t.req.AbsTol, t.req.RelTol)
 	}
 	if err != nil {
 		t.errMsg = err.Error()

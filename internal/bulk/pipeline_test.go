@@ -690,7 +690,7 @@ func TestPipelineStuckShapeHoldsOneWorker(t *testing.T) {
 	checkAllSolved(t, release(), n+1)
 }
 
-// TestReadLineCapBoundary pins that MaxLineBytes bounds the payload,
+// TestReadLineCapBoundary pins that readLine's cap bounds the payload,
 // not payload plus terminator: a line of exactly the cap is accepted,
 // one byte more is rejected, and framing survives both — with and
 // without a trailing newline at EOF. Each call reuses the previous
@@ -715,14 +715,14 @@ func TestReadLineCapBoundary(t *testing.T) {
 	}
 }
 
-// TestPipelineLineCap pins over-long line handling: the line becomes an
-// error record (without buffering the payload) and framing recovers on
-// the next line.
+// TestPipelineLineCap pins over-long line handling: a line past
+// workload.MaxRequestBytes becomes an error record (without buffering
+// the payload) and framing recovers on the next line.
 func TestPipelineLineCap(t *testing.T) {
-	long := `{"workload":"lasso","spec":{"m":32,"pad":"` + strings.Repeat("x", 4096) + `"}}`
+	long := `{"workload":"lasso","spec":{"m":32,"pad":"` + strings.Repeat("x", workload.MaxRequestBytes) + `"}}`
 	in := long + "\n" + `{"workload":"lasso","spec":{"m":16,"lambda":0.3},"max_iter":50}` + "\n"
 	var out bytes.Buffer
-	_, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 1, MaxLineBytes: 1024})
+	_, err := Run(context.Background(), strings.NewReader(in), &out, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestPipelineLineCap(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
-	if !strings.Contains(results[0].Error, "exceeds") {
+	if want := fmt.Sprintf("line exceeds %d bytes", workload.MaxRequestBytes); results[0].Error != want {
 		t.Fatalf("over-long line produced %+v, want a line-cap error", results[0])
 	}
 	if results[1].Error != "" || results[1].Iterations != 50 {
@@ -876,7 +876,7 @@ func checkAdmitFresh(t *testing.T, p *pipeline, line string) {
 		want.req = req
 		want.adm, err = workload.Parse(req.Workload, req.Spec)
 		if err == nil {
-			err = req.validate(p.opts.MaxIterLimit)
+			err = workload.CheckRequest(req.Executor, req.MaxIter, req.AbsTol, req.RelTol)
 		}
 	}
 	if err != nil {

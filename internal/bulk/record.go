@@ -123,15 +123,3 @@ func decodeJSON(line []byte) (Request, error) {
 	}
 	return req, nil
 }
-
-// validate checks the per-record executor and solve controls against
-// the stream limits. It runs at admission so solve workers only ever
-// see well-formed work.
-func (r *Request) validate(maxIterLimit int) error {
-	if r.Executor != nil {
-		if err := r.Executor.Validate(); err != nil {
-			return err
-		}
-	}
-	return workload.CheckControls(r.MaxIter, maxIterLimit, r.AbsTol, r.RelTol)
-}

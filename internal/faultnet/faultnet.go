@@ -51,8 +51,6 @@ type Cut struct {
 	Stall bool
 }
 
-func (c Cut) armed() bool { return c.AfterBytes > 0 || c.AfterFrames > 0 }
-
 // Plan scripts the faults of one connection. The zero value is a
 // transparent pass-through.
 type Plan struct {

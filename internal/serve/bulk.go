@@ -42,11 +42,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	// r.Body is never read after this handler returns. The join cannot
 	// hang: the only thing that cancels r.Context() is the connection
 	// going away, which also unblocks the in-flight Body.Read.
-	opts := bulk.Options{
-		Workers:      s.cfg.BulkWorkers,
-		Cache:        s.cache,
-		MaxIterLimit: s.cfg.MaxIterLimit,
-	}
+	opts := bulk.Options{Workers: s.cfg.BulkWorkers, Cache: s.cache}
 	// Assign only when non-nil: a nil *store.Store stuffed into the
 	// interface field would read as "store configured" to the pipeline.
 	if s.cfg.Store != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // solveBodyOfSize renders a valid /v1/solve body padded with interior
@@ -29,11 +30,12 @@ func solveBodyOfSize(t *testing.T, n int) string {
 }
 
 // TestSolveBodyCapBoundary pins the request-body cap at its exact
-// boundary: a body of exactly MaxBodyBytes is solved normally, one
-// byte more is rejected with 413 and a JSON error envelope.
+// boundary: a body of exactly workload.MaxRequestBytes is solved
+// normally, one byte more is rejected with 413 and a JSON error
+// envelope.
 func TestSolveBodyCapBoundary(t *testing.T) {
-	const cap = 512
-	_, ts := newTestServer(t, Config{Workers: 2, MaxBodyBytes: cap})
+	const cap = workload.MaxRequestBytes
+	_, ts := newTestServer(t, Config{Workers: 2})
 
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
 		strings.NewReader(solveBodyOfSize(t, cap)))

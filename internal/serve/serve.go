@@ -17,8 +17,11 @@
 //	                   time, cache and queue gauges, and histograms of
 //	                   queue wait, build, solve and per-route latency
 //
-// Two knobs bound admission (Config.Workers, Config.QueueDepth); a
-// shape-keyed graph cache (internal/graph.Cache) lets repeated requests
+// Two knobs bound admission (Config.Workers, Config.QueueDepth), and
+// constants bound each request (workload.MaxRequestBytes,
+// workload.MaxIterLimit): every route admits a request by one rule,
+// workload.Parse then workload.CheckRequest. A shape-keyed graph cache
+// (internal/graph.Cache) lets repeated requests
 // skip factor-graph construction, which for the heavier workloads
 // (lasso's per-block Cholesky pre-factorizations, packing's O(N^2)
 // collision nodes) dominates short solves. It pools a shape from its
@@ -68,18 +71,11 @@ type Config struct {
 	QueueDepth int
 	// CachePerKey bounds pooled graphs per shape key (default 2).
 	CachePerKey int
-	// MaxIterLimit rejects specs asking for more iterations (default
-	// workload.MaxIterLimit), protecting the pool from unbounded requests.
-	MaxIterLimit int
 	// BulkStreams caps concurrent POST /v1/bulk streams (default 2);
 	// streams beyond it get 429. BulkWorkers sets each stream's
 	// worker count (default Workers).
 	BulkStreams int
 	BulkWorkers int
-	// MaxBodyBytes caps the POST /v1/solve request body (default 1 MiB);
-	// larger bodies get 413. Bulk streams are exempt — they are bounded
-	// per line by the pipeline's MaxLineBytes instead.
-	MaxBodyBytes int64
 	// Store, when non-nil, is the persistent warm-start solution store
 	// shared by every bulk stream (and across restarts, by whoever opens
 	// the same directory next). See internal/store.
@@ -101,17 +97,11 @@ func (c *Config) defaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.MaxIterLimit <= 0 {
-		c.MaxIterLimit = workload.MaxIterLimit
-	}
 	if c.BulkStreams <= 0 {
 		c.BulkStreams = 2
 	}
 	if c.BulkWorkers <= 0 {
 		c.BulkWorkers = c.Workers
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 }
 
@@ -317,8 +307,9 @@ type errorBody struct {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	// Cap the body before touching it: an unbounded decode would let one
-	// client buffer arbitrary bytes into the process.
-	if err := workload.DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
+	// client buffer arbitrary bytes into the process. A bulk stream has
+	// no body cap; each of its lines is capped the same.
+	if err := workload.DecodeRequest(http.MaxBytesReader(w, r.Body, workload.MaxRequestBytes), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.reply(w, "unknown", "too_large", http.StatusRequestEntityTooLarge, errorBody{
@@ -339,11 +330,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wl := adm.Workload
-	if err := req.Executor.Validate(); err != nil {
-		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: "bad executor: " + err.Error()})
-		return
-	}
-	if err := workload.CheckControls(req.MaxIter, s.cfg.MaxIterLimit, req.AbsTol, req.RelTol); err != nil {
+	if err := workload.CheckRequest(&req.Executor, req.MaxIter, req.AbsTol, req.RelTol); err != nil {
 		s.reply(w, wl, "bad_request", http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}

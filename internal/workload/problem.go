@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/admm"
 	"repro/internal/graph"
 	"repro/internal/lasso"
 	"repro/internal/mpc"
@@ -257,19 +258,47 @@ func Parse(name string, raw json.RawMessage) (Admission, error) {
 	return adm, err
 }
 
-// CheckControls validates a request's solve controls, the same for the
-// per-request and the bulk envelope: an iteration budget in
-// 0..maxIterLimit (0 selects the caller's default) and finite,
-// non-negative stopping tolerances.
-func CheckControls(maxIter, maxIterLimit int, absTol, relTol float64) error {
-	if maxIter < 0 || maxIter > maxIterLimit {
-		return fmt.Errorf("max_iter = %d, need 0..%d", maxIter, maxIterLimit)
+// CheckRequest validates what a request asks of its solve, after Parse
+// has admitted its spec, by one rule on every route: the executor, when
+// the request names one, then an iteration budget in 0..MaxIterLimit
+// (0 selects DefaultMaxIter) and finite, non-negative stopping
+// tolerances.
+func CheckRequest(executor *admm.ExecutorSpec, maxIter int, absTol, relTol float64) error {
+	if executor != nil {
+		if err := executor.Validate(); err != nil {
+			return err
+		}
+	}
+	if maxIter < 0 || maxIter > MaxIterLimit {
+		return fmt.Errorf("max_iter = %d, need 0..%d", maxIter, MaxIterLimit)
 	}
 	// !(x >= 0) refuses NaN along with the negatives.
 	if !(absTol >= 0) || !(relTol >= 0) || math.IsInf(absTol, 1) || math.IsInf(relTol, 1) {
 		return fmt.Errorf("abs_tol/rel_tol must be finite and >= 0")
 	}
 	return nil
+}
+
+// ExecutorFlags assembles the executor spec a command line names: the
+// kind, its shard count (0 = one shard per addr, else the executor
+// default), transport, worker addrs (comma-separated), failover policy
+// and schedule. Every knob is set whatever the kind, so CheckRequest
+// refuses one that does not apply instead of the solve dropping it;
+// only an unknown kind is an error here.
+func ExecutorFlags(kind string, shards int, transport, addrs, failover string, fused bool) (admm.ExecutorSpec, error) {
+	spec, err := admm.ParseExecutor(kind)
+	if err != nil {
+		return spec, err
+	}
+	spec.Shards = shards
+	spec.Transport = transport
+	spec.Addrs = admm.ParseAddrs(addrs)
+	spec.Failover = failover
+	spec.Fused = &fused
+	if spec.Kind == admm.ExecSharded && shards == 0 {
+		spec.Shards = len(spec.Addrs)
+	}
+	return spec, nil
 }
 
 // DecodeRequest decodes the request object r holds into into, by the

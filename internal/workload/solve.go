@@ -12,11 +12,14 @@ import (
 	"repro/internal/shard"
 )
 
-// The serving defaults every product reads: the iteration budget of a
-// request that names none, and the largest budget a request may name.
+// The serving defaults and limits every route reads: the iteration
+// budget of a request that names none, the largest budget a request may
+// name (CheckRequest), and the largest request object, a /v1/solve body
+// or a bulk line's payload without its terminator.
 const (
-	DefaultMaxIter = 1000
-	MaxIterLimit   = 200000
+	DefaultMaxIter  = 1000
+	MaxIterLimit    = 200000
+	MaxRequestBytes = 1 << 20
 )
 
 // Job is an admitted solve: what the spec builds, how to run it, and

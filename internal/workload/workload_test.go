@@ -346,3 +346,32 @@ func TestResetRestoresFreshSolve(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckRequest pins the one request check every route runs after
+// Parse: the executor first, then the budget against MaxIterLimit, then
+// the tolerances; no executor is the caller's default.
+func TestCheckRequest(t *testing.T) {
+	bad := admm.ExecutorSpec{Kind: admm.ExecSerial, Shards: 2}
+	cases := []struct {
+		name     string
+		executor *admm.ExecutorSpec
+		maxIter  int
+		tol      float64
+		wantErr  string // substring; "" for admitted
+	}{
+		{"defaults", nil, 0, 0, ""},
+		{"at the limit", &admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}, MaxIterLimit, 1e-4, ""},
+		{"executor before controls", &bad, -1, math.NaN(), `shards apply only to "sharded"`},
+		{"past the limit", nil, MaxIterLimit + 1, 0, "max_iter = 200001, need 0..200000"},
+		{"negative budget", nil, -1, 0, "max_iter = -1"},
+		{"infinite tolerance", nil, 10, math.Inf(1), "must be finite"},
+		{"NaN tolerance", nil, 10, math.NaN(), "must be finite"},
+		{"negative tolerance", nil, 10, -1e-4, "must be finite"},
+	}
+	for _, c := range cases {
+		err := CheckRequest(c.executor, c.maxIter, c.tol, c.tol)
+		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+}
