@@ -49,7 +49,7 @@ type config struct {
 	size    int
 	iters   int
 	seed    int64
-	run     runConfig
+	repeat  int // solves of the one problem, each from its initial state
 	job     workload.Job
 }
 
@@ -84,7 +84,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")
-	fs.IntVar(&c.run.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
+	fs.IntVar(&c.repeat, "repeat", 1, "solve the same problem N times from the same initial state (over -addrs, repeats after the first hit the workers' caches and skip the state down-sync)")
 	fs.Int64Var(&c.seed, "seed", 1, "workload seed (0 selects the workload spec's default seed)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: paradmm-solve [-problem P] [-size N] [-iters N] [-backend B] [flags]\n\n")
@@ -108,18 +108,18 @@ func parseConfig(args []string) (config, error) {
 		}
 	})
 	if bad == nil {
-		c.run.spec, bad = workload.ExecutorFlags(backend, shards, transport, addrs, failover, fused)
+		c.job.Executor, bad = workload.ExecutorFlags(backend, shards, transport, addrs, failover, fused)
 	}
 	switch {
 	case bad != nil:
-	case c.run.repeat < 1:
-		bad = fmt.Errorf("-repeat %d out of range (>= 1)", c.run.repeat)
+	case c.repeat < 1:
+		bad = fmt.Errorf("-repeat %d out of range (>= 1)", c.repeat)
 	default:
 		c.job.Spec, bad = json.Marshal(specs[c.problem](c.size, c.seed))
 	}
 	if bad == nil {
 		c.job.Admission, bad = workload.Parse(c.problem, c.job.Spec)
-		c.job.Executor, c.job.MaxIter = c.run.spec, c.iters
+		c.job.MaxIter = c.iters
 	}
 	if bad == nil {
 		bad = workload.CheckRequest(&c.job.Executor, c.job.MaxIter, 0, 0)
@@ -145,13 +145,6 @@ func main() {
 	}
 }
 
-// runConfig is how to solve: the executor spec from the flags, and how
-// many times.
-type runConfig struct {
-	spec   admm.ExecutorSpec
-	repeat int
-}
-
 // run solves the problem -repeat times, each from its initial state,
 // and prints the last solve's quality metrics. The first solve builds
 // the problem and the repeats reuse it; over worker processes they hit
@@ -160,9 +153,9 @@ func run(c config) error {
 	job := c.job
 	var out workload.Outcome
 	var err error
-	for rep := 1; rep <= c.run.repeat; rep++ {
+	for rep := 1; rep <= c.repeat; rep++ {
 		if rep > 1 {
-			fmt.Printf("--- repeat %d/%d ---\n", rep, c.run.repeat)
+			fmt.Printf("--- repeat %d/%d ---\n", rep, c.repeat)
 			out.Problem.Reset() // a held problem continues its state
 		}
 		if out, err = solveOnce(job, out.Problem); err != nil {

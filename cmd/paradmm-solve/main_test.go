@@ -19,10 +19,8 @@ func TestParseConfig(t *testing.T) {
 		size:    10,
 		iters:   2000,
 		seed:    1,
-		run: runConfig{
-			spec:   admm.ExecutorSpec{Kind: admm.ExecSerial, Fused: &fused},
-			repeat: 1,
-		},
+		repeat:  1,
+		job:     workload.Job{Executor: admm.ExecutorSpec{Kind: admm.ExecSerial, Fused: &fused}},
 	}
 	with := func(edit func(*config)) config {
 		c := defaults
@@ -37,19 +35,19 @@ func TestParseConfig(t *testing.T) {
 	}{
 		{"defaults", nil, defaults, ""},
 		{"problem knobs", []string{"-problem", "mpc", "-size", "2000", "-iters", "50", "-seed", "-3", "-repeat", "2"},
-			with(func(c *config) { c.problem, c.size, c.iters, c.seed, c.run.repeat = "mpc", 2000, 50, -3, 2 }), ""},
+			with(func(c *config) { c.problem, c.size, c.iters, c.seed, c.repeat = "mpc", 2000, 50, -3, 2 }), ""},
 		// No -shards and no -addrs leaves the executor default, 4.
 		{"sharded default", []string{"-backend", "sharded"},
-			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Fused: &fused} }), ""},
+			with(func(c *config) { c.job.Executor = admm.ExecutorSpec{Kind: admm.ExecSharded, Fused: &fused} }), ""},
 		{"sharded", []string{"-backend", "sharded", "-shards", "2"},
-			with(func(c *config) { c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
+			with(func(c *config) { c.job.Executor = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused} }), ""},
 		{"sockets over addrs", []string{"-backend", "sharded", "-transport", "sockets", "-addrs", "unix:/a, unix:/b",
 			"-failover", "survivors"},
 			with(func(c *config) {
-				c.run.spec = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
+				c.job.Executor = admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets,
 					Addrs: []string{"unix:/a", "unix:/b"}, Fused: &fused, Failover: "survivors"}
 			}), ""},
-		{"five-phase oracle", []string{"-fused=false"}, with(func(c *config) { c.run.spec.Fused = &unfused }), ""},
+		{"five-phase oracle", []string{"-fused=false"}, with(func(c *config) { c.job.Executor.Fused = &unfused }), ""},
 		{"negative size", []string{"-size", "-1"}, config{}, "-size = -1: must not be negative"},
 		{"negative iters", []string{"-iters", "-5"}, config{}, "-iters = -5"},
 		{"negative shards", []string{"-shards", "-2"}, config{}, "-shards = -2"},
@@ -103,10 +101,10 @@ func TestParseConfig(t *testing.T) {
 			// so it is checked by parts and left out of the comparison.
 			job := got.job
 			if job.Build == nil || job.Workload != c.want.problem || job.MaxIter != c.want.iters ||
-				!reflect.DeepEqual(job.Executor, c.want.run.spec) {
+				!reflect.DeepEqual(job.Executor, c.want.job.Executor) {
 				t.Errorf("job %+v does not carry the flags of %+v", job, c.want)
 			}
-			got.job = workload.Job{}
+			got.job, c.want.job = workload.Job{}, workload.Job{}
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("config\n got %+v\nwant %+v", got, c.want)
 			}

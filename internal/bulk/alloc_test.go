@@ -40,8 +40,15 @@ func TestCodecAllocs(t *testing.T) {
 		if res.Error != "" {
 			continue
 		}
-		if _, ok := appendResult(nil, &res); !ok {
+		// Unvetted, the encoder checks every string and the order of
+		// the metric names, so this also pins what vetting takes on
+		// trust for every workload the generator sends.
+		direct, ok := appendResult(nil, &res, false)
+		if !ok {
 			t.Fatalf("solved record %+v missed the direct encoder", res)
+		}
+		if vetted, _ := appendResult(nil, &res, true); !bytes.Equal(vetted, direct) {
+			t.Fatalf("vetted encode %q, unvetted %q", vetted, direct)
 		}
 		solved = append(solved, res)
 	}
@@ -57,11 +64,11 @@ func TestCodecAllocs(t *testing.T) {
 	}
 
 	for _, res := range solved {
-		scratchPool.Put(encode(&res))
+		scratchPool.Put(encode(&res, true))
 	}
 	i = 0
 	if allocs := testing.AllocsPerRun(len(solved), func() {
-		scratchPool.Put(encode(&solved[i%len(solved)]))
+		scratchPool.Put(encode(&solved[i%len(solved)], true))
 		i++
 	}); allocs > 0 {
 		t.Fatalf("encode allocates %.1f objects per solved record into a warmed pool, want 0", allocs)

@@ -278,19 +278,38 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// sharedPlain reports whether the strings a record shares with every
+// record of its spec are plain: the workload, the shape key and the
+// metric names, which must also ascend. For a solved record of an
+// admitted spec they are: the memo checks the workload and the key, and
+// every workload.Problem appends its metrics under fixed names in order.
+func sharedPlain(res *Result) bool {
+	if !plain(res.Workload) || !plain(res.Shape) {
+		return false
+	}
+	for i, m := range res.Metrics {
+		if !plain(m.Name) || i > 0 && m.Name <= res.Metrics[i-1].Name {
+			return false
+		}
+	}
+	return true
+}
+
 // appendResult appends res and a newline as json.Encoder writes them.
 // It reports false, with b's extension to be discarded, when a string
 // needs escaping, a metric is not finite or the metric names are not
 // strictly ascending: encoding/json owns those records. So the metrics
 // go out in the list's order, which is the order of a map's keys.
-func appendResult(b []byte, res *Result) ([]byte, bool) {
-	for _, str := range [...]string{res.ID, res.Workload, res.Shape, res.Error} {
-		if !plain(str) {
-			return b, false
-		}
+//
+// vetted vouches for the strings a record shares with its spec (see
+// sharedPlain), as admit decides once per spec; then only the id, the
+// error and the metric values are checked.
+func appendResult(b []byte, res *Result, vetted bool) ([]byte, bool) {
+	if !plain(res.ID) || !plain(res.Error) || !vetted && !sharedPlain(res) {
+		return b, false
 	}
-	for i, m := range res.Metrics {
-		if !plain(m.Name) || math.IsInf(m.Value, 0) || math.IsNaN(m.Value) || i > 0 && m.Name <= res.Metrics[i-1].Name {
+	for _, m := range res.Metrics {
+		if math.IsInf(m.Value, 0) || math.IsNaN(m.Value) {
 			return b, false
 		}
 	}

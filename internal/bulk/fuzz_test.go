@@ -200,31 +200,41 @@ func FuzzResultEncode(f *testing.F) {
 		var wantBuf bytes.Buffer
 		wantErr := json.NewEncoder(&wantBuf).Encode(want)
 
-		got, ok := appendResult(nil, &res)
+		got, ok := appendResult(nil, &res, false)
 		if ok && (wantErr != nil || !bytes.Equal(got, wantBuf.Bytes())) {
 			t.Fatalf("direct encode %q, json.Encoder %q (%v)", got, wantBuf.Bytes(), wantErr)
 		}
 		direct := plain(id) && plain(name) && plain(shape) && plain(errMsg)
+		finite := true
 		for _, m := range res.Metrics {
-			direct = direct && plain(m.Name) && !math.IsInf(m.Value, 0) && !math.IsNaN(m.Value)
+			direct = direct && plain(m.Name)
+			finite = finite && !math.IsInf(m.Value, 0) && !math.IsNaN(m.Value)
 		}
-		if ok != direct {
-			t.Fatalf("direct encode took the record %t, want %t: %+v", ok, direct, res)
+		if ok != (direct && finite) {
+			t.Fatalf("direct encode took the record %t, want %t: %+v", ok, direct && finite, res)
+		}
+		// Vetted, the workload, shape and names are taken on trust: a
+		// record that earns the trust encodes alike, and the id, the
+		// error and the values are still checked.
+		if vetted, vok := appendResult(nil, &res, true); direct && (vok != finite || vok && !bytes.Equal(vetted, got)) {
+			t.Fatalf("vetted encode %q (%t), unvetted %q (%t)", vetted, vok, got, ok)
+		} else if vok && !(plain(id) && plain(errMsg) && finite) {
+			t.Fatalf("vetted encode took id %q, error %q, metrics %+v", id, errMsg, res.Metrics)
 		}
 		if wantErr != nil {
 			return
 		}
-		if e := encode(&res); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
+		if e := encode(&res, false); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
 			t.Fatalf("encode %q, json.Encoder %q", e.buf.Bytes(), wantBuf.Bytes())
 		}
 		if len(res.Metrics) < 2 {
 			return
 		}
 		slices.Reverse(res.Metrics)
-		if _, ok := appendResult(nil, &res); ok {
+		if _, ok := appendResult(nil, &res, false); ok {
 			t.Fatalf("direct encode took the metrics out of order: %+v", res.Metrics)
 		}
-		if e := encode(&res); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
+		if e := encode(&res, false); !bytes.Equal(e.buf.Bytes(), wantBuf.Bytes()) {
 			t.Fatalf("encode of the reversed list %q, json.Encoder %q", e.buf.Bytes(), wantBuf.Bytes())
 		}
 	})

@@ -112,6 +112,8 @@ type task struct {
 	req    Request
 	adm    workload.Admission
 	errMsg string
+	// plain is the memo's verdict on adm's workload and shape key.
+	plain bool
 }
 
 // encodeScratch is one pooled record buffer, with encoding/json's
@@ -150,12 +152,14 @@ type shapeState struct {
 
 // parsed is one memoized workload.Parse outcome, refusal included,
 // with the raw workload name and the validated spec it was parsed
-// from, which every record of that spec shares.
+// from, which every record of that spec shares, and whether the
+// admitted workload and shape key encode as they are (plain).
 type parsed struct {
-	adm  workload.Admission
-	err  error
-	name string
-	spec json.RawMessage
+	adm   workload.Admission
+	err   error
+	name  string
+	spec  json.RawMessage
+	plain bool
 }
 
 type pipeline struct {
@@ -323,7 +327,7 @@ func (p *pipeline) work() {
 			if t.errMsg == "" {
 				res = p.solveOne(&l.st, t)
 			}
-			p.commit(t.seq, encode(&res))
+			p.commit(t.seq, encode(&res, t.plain))
 		}
 	}
 }
@@ -435,7 +439,7 @@ func (p *pipeline) admit(t *task, line []byte, tooLong bool) {
 			m = p.parse(req.Workload, req.Spec)
 		}
 	}
-	t.req.Workload, t.req.Spec, t.adm = m.name, m.spec, m.adm
+	t.req.Workload, t.req.Spec, t.adm, t.plain = m.name, m.spec, m.adm, m.plain
 	err := m.err
 	if err == nil {
 		err = workload.CheckRequest(t.req.Executor, t.req.MaxIter, t.req.AbsTol, t.req.RelTol)
@@ -461,6 +465,7 @@ func (p *pipeline) memoKey(name, spec []byte) []byte {
 func (p *pipeline) parse(name string, spec json.RawMessage) *parsed {
 	adm, err := workload.Parse(name, spec)
 	m := &parsed{adm: adm, err: err, name: name, spec: spec}
+	m.plain = plain(adm.Key) && plain(adm.Workload)
 	if len(p.memo) < window {
 		p.memo[string(p.key)] = m
 	}
@@ -760,11 +765,11 @@ func (p *pipeline) solveOne(st *shapeState, t *task) Result {
 
 // encode renders one result record into a pooled scratch buffer: a
 // direct append of encoding/json's bytes, or encoding/json itself for a
-// record the append refuses.
-func encode(res *Result) *encodeScratch {
+// record the append refuses. vetted is appendResult's.
+func encode(res *Result, vetted bool) *encodeScratch {
 	s := scratchPool.Get().(*encodeScratch)
 	s.buf.Reset()
-	if b, ok := appendResult(s.buf.AvailableBuffer(), res); ok {
+	if b, ok := appendResult(s.buf.AvailableBuffer(), res, vetted); ok {
 		s.buf.Write(b)
 	} else if err := s.enc.Encode(*res); err != nil {
 		// Results are plain structs over finite floats; this is

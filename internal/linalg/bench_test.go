@@ -8,10 +8,11 @@ import (
 // BenchmarkCholeskySolve sweeps solves over 32 factors, the lasso-dense
 // working set (32 row blocks of one design matrix), so the factors come
 // from L2 and not from L1 as a single-factor loop would have them. An op
-// is one solve: n^2 multiply-adds.
+// is one solve of n = 128: n^2 multiply-adds. It runs once on the Go
+// loops and once on the AVX2 kernels, where the CPU has them.
 func BenchmarkCholeskySolve(b *testing.B) {
 	const factors, n = 32, 128
-	b.Run("n=128", func(b *testing.B) {
+	bench := func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		chs := make([]*Cholesky, factors)
 		rhs := make([][]float64, factors)
@@ -32,7 +33,14 @@ func BenchmarkCholeskySolve(b *testing.B) {
 			chs[f].Solve(rhs[f])
 		}
 		b.ReportMetric(n*n*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+	}
+	b.Run("go", func(b *testing.B) {
+		forceGo(b)
+		bench(b)
 	})
+	if useAVX2 {
+		b.Run("avx2", bench)
+	}
 }
 
 // BenchmarkAffineProject times the projection kernel alone, one

@@ -64,8 +64,9 @@ func checkSolution(t *testing.T, a *Mat, b, x []float64) {
 	}
 }
 
-// kernelSizes hits every tail of the four-row blocking, and the lasso
-// size on both sides.
+// kernelSizes hits every count of rows in a partial panel, panels left
+// over past the kernels' four-panel passes, and the lasso size on both
+// sides.
 var kernelSizes = []int{1, 2, 3, 5, 8, 63, 64, 127, 128, 130}
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -80,20 +81,22 @@ func TestCholeskyMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range kernelSizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			a := randSPD(rng, n)
-			ch, err := NewCholesky(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ch.N() != n {
-				t.Fatalf("N() = %d", ch.N())
-			}
-			for trial := 0; trial < 3; trial++ {
-				b := randVec(rng, n)
-				x := append([]float64(nil), b...)
-				ch.Solve(x)
-				checkSolution(t, a, b, x)
-			}
+			eachPath(t, func(t *testing.T) {
+				a := randSPD(rng, n)
+				ch, err := NewCholesky(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ch.N() != n {
+					t.Fatalf("N() = %d", ch.N())
+				}
+				for trial := 0; trial < 3; trial++ {
+					b := randVec(rng, n)
+					x := append([]float64(nil), b...)
+					ch.Solve(x)
+					checkSolution(t, a, b, x)
+				}
+			})
 		})
 	}
 }
@@ -104,28 +107,32 @@ func TestRidgeMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range kernelSizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			q := randSPD(rng, n)
-			r, err := NewRidge(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rho := range []float64{1, 1, 7.5, 0.25, 1} {
-				shifted := q.Clone()
-				for i := 0; i < n; i++ {
-					shifted.Data[i*n+i] += rho
-				}
-				b := randVec(rng, n)
-				x := append([]float64(nil), b...)
-				if err := r.Solve(rho, x); err != nil {
+			eachPath(t, func(t *testing.T) {
+				q := randSPD(rng, n)
+				r, err := NewRidge(q)
+				if err != nil {
 					t.Fatal(err)
 				}
-				checkSolution(t, shifted, b, x)
-			}
+				for _, rho := range []float64{1, 1, 7.5, 0.25, 1} {
+					shifted := q.Clone()
+					for i := 0; i < n; i++ {
+						shifted.Data[i*n+i] += rho
+					}
+					b := randVec(rng, n)
+					x := append([]float64(nil), b...)
+					if err := r.Solve(rho, x); err != nil {
+						t.Fatal(err)
+					}
+					checkSolution(t, shifted, b, x)
+				}
+			})
 		})
 	}
 }
 
-func TestRidgeErrorsAndRecovers(t *testing.T) {
+func TestRidgeErrorsAndRecovers(t *testing.T) { eachPath(t, testRidgeErrorsAndRecovers) }
+
+func testRidgeErrorsAndRecovers(t *testing.T) {
 	if _, err := NewRidge(NewMat(2, 3)); err == nil {
 		t.Fatal("expected error for non-square matrix")
 	}
@@ -153,7 +160,9 @@ func TestRidgeErrorsAndRecovers(t *testing.T) {
 
 // TestRidgeSolveAllocs: neither a solve nor a refactorization on a rho
 // change allocates.
-func TestRidgeSolveAllocs(t *testing.T) {
+func TestRidgeSolveAllocs(t *testing.T) { eachPath(t, testRidgeSolveAllocs) }
+
+func testRidgeSolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r, err := NewRidge(randSPD(rng, 20))
 	if err != nil {

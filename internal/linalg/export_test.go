@@ -1,0 +1,11 @@
+package linalg
+
+import "testing"
+
+// forceGo makes forwardSolve and backwardSolve run the Go loops in place
+// of the AVX2 kernels until the test ends.
+func forceGo(t testing.TB) {
+	saved := useAVX2
+	useAVX2 = false
+	t.Cleanup(func() { useAVX2 = saved })
+}
