@@ -20,13 +20,16 @@ type AffineProjector struct {
 	C *Mat      // m x n constraint matrix
 	D []float64 // length m right-hand side
 
-	// cblk and kblk are C and K^T for the weights last passed to
-	// Precompute (nil until then), in blocks of four rows, column-major
-	// inside a block: rows 4b..4b+3 of column j are element b*n+j. A
-	// projection reads each block front to back once, with the four
-	// residuals of a block in registers. The last block of an m that is
-	// not a multiple of four leaves its high slots unused.
-	cblk, kblk [][4]float64
+	// cblk and gain are C and the gain K^T for the weights last passed to
+	// Precompute (nil until then), in blocks of four rows. cblk is
+	// column-major inside a block: rows 4b..4b+3 of column j are element
+	// b*n+j. gain cuts each block into groups of four columns: the gain of
+	// row 4b+i on column j is lane j%4 of element b*nr+j&^3+i, with nr the
+	// column count rounded up to a multiple of four. A projection reads
+	// each block front to back once, with the four residuals of a block in
+	// registers, and subtracts four columns at a time. Slots past row m or
+	// column n stay zero.
+	cblk, gain [][4]float64
 }
 
 // NewAffineProjector builds a projector for {v : C v = d}. C must have
@@ -75,11 +78,11 @@ func (p *AffineProjector) Precompute(rho []float64) error {
 	}
 	// G is symmetric, so row j of K = W C^T G^{-1} is G^{-1} applied to
 	// row j of W C^T. K is kept transposed: Project then subtracts m
-	// scaled rows from v, n independent updates per row, where K itself
-	// would give n short dependent sums.
-	blocks := (m + 3) / 4
+	// scaled rows from v, n independent updates per row (four columns to
+	// a group), where K itself would give n short dependent sums.
+	blocks, nr := (m+3)/4, (n+3)&^3
 	cblk := make([][4]float64, blocks*n)
-	kblk := make([][4]float64, blocks*n)
+	gain := make([][4]float64, blocks*nr)
 	kj := make([]float64, m)
 	for j := 0; j < n; j++ {
 		for i := range kj {
@@ -88,10 +91,10 @@ func (p *AffineProjector) Precompute(rho []float64) error {
 		ch.Solve(kj)
 		for i, kji := range kj {
 			cblk[i/4*n+j][i%4] = p.C.Data[i*n+j]
-			kblk[i/4*n+j][i%4] = kji
+			gain[i/4*nr+j&^3+i%4][j&3] = kji
 		}
 	}
-	p.cblk, p.kblk = cblk, kblk
+	p.cblk, p.gain = cblk, gain
 	return nil
 }
 
@@ -118,26 +121,36 @@ func (p *AffineProjector) Project(dst, src []float64) {
 	// Element by element the arithmetic is that of the plain two loops
 	// (all residuals, then the rows subtracted in order): each residual
 	// sums its columns in ascending order, each v_j loses its gain terms
-	// in ascending row order.
+	// in ascending row order. Every product is rounded before it is added,
+	// so no architecture fuses the two. The AVX2 kernel runs every whole
+	// block in the same order, the Go loops the rest.
 	from := src // the first block starts from src, later ones go on from dst
 	b := 0
+	if useAVX2 && m >= 4 { // Precompute has C full row rank, so n >= m
+		projectAVX2(&p.cblk[0], &p.gain[0], &p.D[0], &src[0], &dst[0], n, m/4)
+		b, from = m&^3, dst
+	}
+	nr := (n + 3) &^ 3
 	for ; b+4 <= m; b += 4 {
-		c, k := p.cblk[b/4*n:][:n], p.kblk[b/4*n:][:n]
+		c, k := p.cblk[b/4*n:][:n], p.gain[b/4*nr:][:nr]
 		r0, r1, r2, r3 := -p.D[b], -p.D[b+1], -p.D[b+2], -p.D[b+3]
 		for j, s := range src {
 			cj := &c[j]
-			r0 += cj[0] * s
-			r1 += cj[1] * s
-			r2 += cj[2] * s
-			r3 += cj[3] * s
+			r0 += float64(cj[0] * s)
+			r1 += float64(cj[1] * s)
+			r2 += float64(cj[2] * s)
+			r3 += float64(cj[3] * s)
 		}
 		for j, v := range from {
-			kj := &k[j]
-			v -= kj[0] * r0
-			v -= kj[1] * r1
-			v -= kj[2] * r2
-			v -= kj[3] * r3
+			kg, l := (*[4][4]float64)(k), j&3
+			v -= float64(kg[0][l] * r0)
+			v -= float64(kg[1][l] * r1)
+			v -= float64(kg[2][l] * r2)
+			v -= float64(kg[3][l] * r3)
 			dst[j] = v
+			if l == 3 {
+				k = k[4:] // the next group of four columns
+			}
 		}
 		from = dst
 	}
@@ -145,18 +158,19 @@ func (p *AffineProjector) Project(dst, src []float64) {
 		return
 	}
 	// The 1-3 rows left when m is not a multiple of four.
-	c, k := p.cblk[b/4*n:], p.kblk[b/4*n:]
+	c, k := p.cblk[b/4*n:], p.gain[b/4*nr:]
 	var r [3]float64
 	for i := range r[:m-b] {
 		s := -p.D[b+i]
 		for j, sj := range src {
-			s += c[j][i] * sj
+			s += float64(c[j][i] * sj)
 		}
 		r[i] = s
 	}
 	for j, v := range from {
+		kg := (*[4][4]float64)(k[j&^3:])
 		for i, ri := range r[:m-b] {
-			v -= k[j][i] * ri
+			v -= float64(kg[i][j&3] * ri)
 		}
 		dst[j] = v
 	}

@@ -2,8 +2,8 @@ package linalg
 
 // useAVX2 is true where the CPU has AVX2 and the OS saves the YMM
 // registers across context switches; then forwardSolve and backwardSolve
-// run their whole panels in cholesky_amd64.s. Tests turn it off to run
-// the Go loops.
+// run their whole panels in cholesky_amd64.s, and Project its whole
+// blocks in affine_amd64.s. Tests turn it off to run the Go loops.
 var useAVX2 bool
 
 func init() {

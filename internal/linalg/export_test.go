@@ -2,10 +2,17 @@ package linalg
 
 import "testing"
 
-// forceGo makes forwardSolve and backwardSolve run the Go loops in place
-// of the AVX2 kernels until the test ends.
+// forceGo makes forwardSolve, backwardSolve and Project run the Go loops
+// in place of the AVX2 kernels until the test ends.
 func forceGo(t testing.TB) {
 	saved := useAVX2
 	useAVX2 = false
 	t.Cleanup(func() { useAVX2 = saved })
 }
+
+// ForceGo is forceGo for the external tests, which run whole solves on
+// each path.
+var ForceGo = forceGo
+
+// AVX2 reports whether the kernels run, for the external tests.
+func AVX2() bool { return useAVX2 }

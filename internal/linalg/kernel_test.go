@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -74,8 +75,15 @@ func solveBits(t testing.TB, a *Mat, rhs [][]float64, poison []int, odd []float6
 // build's, which the kernels match.
 func sameBits(t testing.TB, what string, got, want []float64) {
 	t.Helper()
+	sameBitsNaN(t, what, got, want, raceEnabled)
+}
+
+// sameBitsNaN is sameBits with two NaNs matching whatever their payloads
+// when anyNaN is set.
+func sameBitsNaN(t testing.TB, what string, got, want []float64, anyNaN bool) {
+	t.Helper()
 	for i := range want {
-		if raceEnabled && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+		if anyNaN && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 			continue
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -202,5 +210,162 @@ func FuzzCholeskySolve(f *testing.F) {
 			sameBits(t, fmt.Sprintf("n=%d factor element %d", n, e), factor[e][:], wantFactor[e][:])
 		}
 		sameBits(t, fmt.Sprintf("n=%d solve", n), x, want)
+	})
+}
+
+// rawProjector returns an m x n projector whose cblk, gain and D are
+// drawn by draw, set without Precompute, so any m and n will do: the
+// kernel must match the Go loops on whatever a gain holds. The slots
+// past row m or column n are drawn too when dead is set, and stay zero,
+// as Precompute leaves them, when it is not.
+func rawProjector(m, n int, dead bool, draw func() float64) *AffineProjector {
+	blocks, nr := (m+3)/4, (n+3)&^3
+	p := &AffineProjector{
+		C:    &Mat{Rows: m, Cols: n, Data: make([]float64, m*n)},
+		D:    make([]float64, m),
+		cblk: make([][4]float64, blocks*n),
+		gain: make([][4]float64, blocks*nr),
+	}
+	for i := range p.D {
+		p.D[i] = draw()
+	}
+	for b := 0; b < blocks; b++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < nr; j++ {
+				if live := 4*b+i < m && j < n; !live && !dead {
+					continue
+				}
+				if j < n {
+					p.cblk[b*n+j][i] = draw()
+				}
+				p.gain[b*nr+j&^3+i][j&3] = draw()
+			}
+		}
+	}
+	return p
+}
+
+// projectGuarded projects src through p into a dst that sits between
+// guard words, and fails if Project wrote a guard or src. src is copied
+// into a buffer whose words past n are NaNs of their own, so a residual
+// that read past src[:n] would show in dst.
+func projectGuarded(t testing.TB, p *AffineProjector, src []float64) []float64 {
+	t.Helper()
+	const guard = 0x7ff4_dead_beef_0001
+	n := len(src)
+	in := make([]float64, n+4)
+	out := make([]float64, n+8)
+	for i := range in[n:] {
+		in[n+i] = math.Float64frombits(guard + uint64(i))
+	}
+	for i := range out {
+		out[i] = math.Float64frombits(guard + uint64(i))
+	}
+	copy(in, src)
+	dst := out[4 : 4+n]
+	p.Project(dst, in[:n])
+	for i, v := range out {
+		if (i < 4 || i >= 4+n) && math.Float64bits(v) != guard+uint64(i) {
+			t.Fatalf("%dx%d: Project wrote word %d outside dst", p.C.Rows, n, i-4)
+		}
+	}
+	for i, v := range in {
+		if i < n && math.Float64bits(v) != math.Float64bits(src[i]) || i >= n && math.Float64bits(v) != guard+uint64(i-n) {
+			t.Fatalf("%dx%d: Project wrote src word %d", p.C.Rows, n, i)
+		}
+	}
+	return append([]float64(nil), dst...)
+}
+
+// TestAffineKernelMatchesGo pins the AVX2 projection to the Go loops bit
+// for bit: m = 1..12 rows, so none, one and two whole blocks, the second
+// going on from dst, each with and without a row tail, and n = 1..24
+// columns, so every column tail, mpc's n = 10 among them. C, the gain, D
+// and src carry infinities, subnormals, signed zeros and NaNs with
+// payloads of their own; dst starts stale and sits between guard words.
+func TestAffineKernelMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels on this CPU or architecture")
+	}
+	type problem struct {
+		p   *AffineProjector
+		src [][]float64
+	}
+	rng := rand.New(rand.NewSource(52))
+	var problems []problem
+	for m := 1; m <= 12; m++ {
+		for n := 1; n <= 24; n++ {
+			for _, poisoned := range []bool{false, true} {
+				draw := rng.NormFloat64
+				if poisoned {
+					draw = func() float64 {
+						if rng.Intn(4) == 0 {
+							return oddValue(rng)
+						}
+						return rng.NormFloat64()
+					}
+				}
+				pr := problem{p: rawProjector(m, n, poisoned, draw)}
+				for trial := 0; trial < 3; trial++ {
+					src := make([]float64, n)
+					for j := range src {
+						src[j] = draw()
+					}
+					pr.src = append(pr.src, src)
+				}
+				problems = append(problems, pr)
+			}
+		}
+	}
+	got := make([][][]float64, len(problems))
+	for i, pr := range problems {
+		for _, src := range pr.src {
+			got[i] = append(got[i], projectGuarded(t, pr.p, src))
+		}
+	}
+	forceGo(t)
+	for i, pr := range problems {
+		for s, src := range pr.src {
+			want := projectGuarded(t, pr.p, src)
+			sameBits(t, fmt.Sprintf("%dx%d problem %d src %d", pr.p.C.Rows, pr.p.C.Cols, i, s), got[i][s], want)
+		}
+	}
+}
+
+// FuzzAffineProject is TestAffineKernelMatchesGo on fuzzed input: m and
+// n, and C, the gain, D and src taken as raw bits, every slot of every
+// block filled, dead ones included, so a kernel that let a slot past row
+// m or column n into the result would show too.
+func FuzzAffineProject(f *testing.F) {
+	if !useAVX2 {
+		f.Skip("no AVX2 kernels on this CPU or architecture")
+	}
+	f.Add(uint8(4), uint8(10), []byte("\x00\x00\x00\x00\x00\x00\xf0\x3f"), []byte("\x01\x00\x00\x00\x00\x00\xf8\x7f"))
+	f.Add(uint8(9), uint8(6), []byte("\x00\x00\x00\x00\x00\x00\x00\x40\x02\x00\x00\x00\x00\x00\xf8\xff"), []byte("\x00\x00\x00\x00\x00\x00\xf0\x7f\x03\x00\x00\x00\x00\x00\xf8\x7f"))
+	f.Add(uint8(8), uint8(23), []byte{}, []byte("\x00\x00\x00\x00\x00\x00\x10\x00"))
+	f.Fuzz(func(t *testing.T, rows, cols uint8, entries, vec []byte) {
+		m, n := 1+int(rows)%12, 1+int(cols)%24
+		word := func(src []byte, i int) float64 {
+			if len(src) < 8 {
+				return float64(i%7) - 2.5
+			}
+			o := 8 * i % (len(src) &^ 7)
+			return math.Float64frombits(binary.LittleEndian.Uint64(src[o:]))
+		}
+		e := 0
+		p := rawProjector(m, n, true, func() float64 { e++; return word(entries, e) })
+		src := make([]float64, n)
+		for j := range src {
+			src[j] = word(vec, j)
+		}
+		got := projectGuarded(t, p, src)
+		forceGo(t)
+		// A -fuzz run builds the package with coverage instrumentation,
+		// under which Project's residual loop adds r1..r3 to their
+		// products the other way round, as the race detector's build
+		// does; there too two NaNs match whatever their payloads. A plain
+		// go test run of the seed corpus checks every bit.
+		fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+		sameBitsNaN(t, fmt.Sprintf("%dx%d", m, n), got, projectGuarded(t, p, src), raceEnabled || fuzzing)
 	})
 }

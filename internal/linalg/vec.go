@@ -30,11 +30,23 @@
 // AffineProjector serves the mpc dynamics nodes, a 4x10 constraint
 // evaluated once per node per iteration. Precompute folds the Gram
 // factorization into a gain matrix, so a projection is two small
-// matrix-vector products, with no triangular solve and no division; C and
-// the gain are stored interleaved four rows to a block, so each product is
-// one pass with four accumulators (or four gain terms) in registers.
+// matrix-vector products, with no triangular solve and no division. C is
+// stored four rows to a block, column by column, and the gain in the same
+// blocks cut into groups of four columns, so the residuals are one pass
+// with a block's four accumulators in registers and the update one pass
+// that subtracts the block's four gain rows from four columns at a time.
 //
-// There is no assembly and no SIMD beyond what the compiler provides.
+// On amd64 CPUs whose CPUID and XGETBV report AVX2 with the YMM state
+// saved by the OS, both kernels run their bulk in assembly, four doubles
+// to a register: cholesky_amd64.s the whole panels of the forward and
+// backward substitutions, affine_amd64.s the whole four-row blocks of a
+// projection, the last n%4 columns through masked loads and stores. Each
+// product is its own multiply and each update its own add or subtract,
+// never fused, with the operands in the order the Go compiler emits for
+// the Go loops, so the assembly gives the Go loops' bits, NaN payloads
+// included. The Go loops are the only path on other CPUs and
+// architectures, and the tests' oracle; they round every product
+// explicitly, so no compiler fuses a multiply-add into them either.
 package linalg
 
 import (
