@@ -80,7 +80,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.iters, "iters", 2000, fmt.Sprintf("ADMM iterations (0 selects the serving default, %d)", workload.DefaultMaxIter))
 	fs.StringVar(&backend, "backend", "serial", "serial | sharded | auto")
 	fs.IntVar(&shards, "shards", 0, "shard count for -backend sharded (0 = one per -addrs endpoint, else the executor default, 4)")
-	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused two-pass schedule)")
+	fs.BoolVar(&fused, "fused", true, "false = the five-phase reference schedule (-backend serial only; every other executor runs the fused schedule: x, then one sweep of z and u/n)")
 	fs.StringVar(&transport, "transport", "", "sharded boundary exchange: local (default) | sockets (in-process loopback, or remote workers with -addrs)")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated paradmm-shardworker endpoints (unix:/path | tcp:host:port), one per shard, for -transport sockets")
 	fs.StringVar(&failover, "failover", "", "sockets transport recovery on worker loss: none (default, fail the solve) | survivors (re-partition onto live workers, re-run cold) | local (survivors, then in-process fused fallback)")

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro"
 	"repro/internal/admm"
 	"repro/internal/gpusim"
 	"repro/internal/graph"
@@ -184,7 +185,19 @@ func confRun(t *testing.T, inst confInstance, backend admm.Backend, iters int) [
 
 // TestExecutorConformance is the deterministic half: identical iterates,
 // every executor x every workload.
-func TestExecutorConformance(t *testing.T) {
+func TestExecutorConformance(t *testing.T) { executorConformance(t) }
+
+// TestExecutorConformanceGoSweep is the same matrix with the fused
+// schedule's one sweep on its Go loops, the body every CPU without AVX2
+// and every other architecture runs.
+func TestExecutorConformanceGoSweep(t *testing.T) {
+	if !repro.ForceGoSweep(t) {
+		t.Skip("the sweep runs its Go loops already")
+	}
+	executorConformance(t)
+}
+
+func executorConformance(t *testing.T) {
 	for wname, build := range confWorkloads {
 		t.Run(wname, func(t *testing.T) {
 			ref := confRun(t, build(t), admm.NewSerial(), confIters)

@@ -53,31 +53,6 @@ func BenchmarkIterateSerialFused(b *testing.B) { benchmarkIterate(b, NewSerialFu
 func BenchmarkIterateParallelFor(b *testing.B) { benchmarkIterate(b, NewParallelFor(4)) }
 func BenchmarkIterateAsync(b *testing.B)       { benchmarkIterate(b, NewAsync(1)) }
 
-// benchmarkStreamingPass times just the post-x streaming work (the
-// memory-bound phases the fused schedule collapses), isolating the
-// fusion win from the prox-dominated x-update.
-func benchmarkStreamingPass(b *testing.B, fused bool) {
-	g := benchGraph(b, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if fused {
-		for i := 0; i < b.N; i++ {
-			UpdateZFusedRange(g, 0, g.NumVariables())
-			UpdateUNRange(g, 0, g.NumEdges())
-		}
-		return
-	}
-	for i := 0; i < b.N; i++ {
-		UpdateMRange(g, 0, g.NumEdges())
-		UpdateZRange(g, 0, g.NumVariables())
-		UpdateURange(g, 0, g.NumEdges())
-		UpdateNRange(g, 0, g.NumEdges())
-	}
-}
-
-func BenchmarkStreamingPassReference(b *testing.B) { benchmarkStreamingPass(b, false) }
-func BenchmarkStreamingPassFused(b *testing.B)     { benchmarkStreamingPass(b, true) }
-
 // BenchmarkObjective pins the allocation-free objective path: 0 B/op
 // after the graph scratch warms up.
 func BenchmarkObjective(b *testing.B) {

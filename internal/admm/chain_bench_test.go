@@ -11,7 +11,7 @@ import (
 
 // BenchmarkSerialIterTiny keeps the stopwatch's share of a tiny
 // iteration visible: ns per iteration through the serial fused
-// backend's Iterate (three clock reads) against the same three kernels
+// backend's Iterate (two clock reads) against the same two kernels
 // called bare, on two of the bulk generator's shapes. At nine reads per
 // iteration the gap was ~300 ns, 30–40 % of these iterations.
 func BenchmarkSerialIterTiny(b *testing.B) {
@@ -43,8 +43,7 @@ func BenchmarkSerialIterTiny(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				admm.UpdateXRange(g, 0, g.NumFunctions())
-				admm.UpdateZFusedRange(g, 0, g.NumVariables())
-				admm.UpdateUNRange(g, 0, g.NumEdges())
+				admm.UpdateZUNRange(g, 0, g.NumVariables())
 			}
 		})
 	}

@@ -18,12 +18,13 @@
 //
 // On CPUs the m-, u- and n-updates are pure streaming loops that
 // re-traverse state an adjacent phase just produced, so the package also
-// provides a fused two-pass schedule (fused.go): the x-update prox pass,
-// a z gather that forms m = x + u in registers, and one edge sweep that
-// merges the u- and n-updates. The fused path is bit-identical to the
-// five-phase reference and is what every executor but the serial oracle
-// runs; the five-loop form remains the reference (NewSerial) and the
-// shape the GPU simulator's launch model reasons about.
+// provides a fused schedule (fused.go): the x-update prox pass, then one
+// sweep over variables that gathers each z with m = x + u formed in
+// registers and runs the merged u- and n-updates over that variable's
+// edges. The fused path is bit-identical to the five-phase reference and
+// is what every executor but the serial oracle runs; the five-loop form
+// remains the reference (NewSerial) and the shape the GPU simulator's
+// launch model reasons about.
 //
 // The package provides several executors over identical kernels: Serial
 // (the paper's optimized single-core C baseline, on either schedule —
@@ -196,7 +197,7 @@ func UpdateZRange(g *graph.Graph, lo, hi int) {
 			rhoSum += r
 			m := g.EdgeBlock(g.M, e)
 			for i := range z {
-				z[i] += r * m[i]
+				z[i] += float64(r * m[i])
 			}
 		}
 		inv := 1 / rhoSum
@@ -215,7 +216,7 @@ func UpdateURange(g *graph.Graph, lo, hi int) {
 		u := g.EdgeBlock(g.U, e)
 		z := g.VarBlock(g.Z, g.EdgeVar(e))
 		for i := 0; i < d; i++ {
-			u[i] += al * (x[i] - z[i])
+			u[i] += float64(al * (x[i] - z[i]))
 		}
 	}
 }
@@ -670,10 +671,10 @@ type serialBackend struct{ fused bool }
 // NewSerial returns the serial reference backend (five-phase schedule).
 func NewSerial() Backend { return serialBackend{} }
 
-// NewSerialFused returns the serial backend on the fused two-pass
-// schedule — bit-identical iterates, roughly a third less memory traffic
-// on the streaming phases. This is what ExecutorSpec{Kind: "serial"}
-// builds by default.
+// NewSerialFused returns the serial backend on the fused schedule, x
+// then one sweep of z and u/n — bit-identical iterates, about two thirds
+// less memory traffic on the streaming phases. This is what
+// ExecutorSpec{Kind: "serial"} builds by default.
 func NewSerialFused() Backend { return serialBackend{fused: true} }
 
 func (b serialBackend) Name() string {
@@ -685,18 +686,17 @@ func (b serialBackend) Name() string {
 func (serialBackend) Close() {}
 
 // Iterate runs each iteration's phases inline, one stopwatch lap each.
-// On the fused schedule the m and n buckets stay zero: their work rides
-// inside the z gather and the u/n sweep.
+// On the fused schedule only x and z are timed: the m-message rides
+// inside the z gather and the u/n updates inside the same sweep, so the
+// m, u and n buckets stay zero.
 func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	sw := StartStopwatch()
 	if b.fused {
 		for it := 0; it < iters; it++ {
 			UpdateXRange(g, 0, g.NumFunctions())
 			sw.Lap(&phaseNanos[PhaseX])
-			UpdateZFusedRange(g, 0, g.NumVariables())
+			UpdateZUNRange(g, 0, g.NumVariables())
 			sw.Lap(&phaseNanos[PhaseZ])
-			UpdateUNRange(g, 0, g.NumEdges())
-			sw.Lap(&phaseNanos[PhaseU])
 		}
 		return nil
 	}

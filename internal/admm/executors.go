@@ -8,22 +8,25 @@ import (
 )
 
 // ParallelForBackend is the paper's first (and measured-faster) OpenMP
-// strategy: each iteration runs fork-join parallel loops — three on the
-// fused schedule (x, z with the m message formed inside the gather, and
-// one merged u/n edge sweep) where the paper's five-loop form has one
-// per update kind; the iterates are the same bit for bit. Workers is
+// strategy: each iteration runs fork-join parallel loops — two on the
+// fused schedule (x, and the one sweep over variables that gathers z
+// with the m message formed inside and runs the merged u/n update over
+// each variable's edges) where the paper's five-loop form has one per
+// update kind; the iterates are the same bit for bit. Workers is
 // the core count (the paper sweeps 1..32). The paper's second strategy,
 // persistent workers separated by barriers, is the sharded executor
 // over the shared-memory transport (internal/shard).
 //
-// ZGrouping selects how z-update tasks map to workers: contiguous static
-// chunks (the paper's current implementation, whose weakness on skewed
-// degree distributions the Conclusion discusses) or degree-balanced
-// groups (the paper's proposed fix, implemented in internal/sched).
+// ZGrouping selects how the sweep's variables map to workers:
+// contiguous static chunks (the paper's current implementation, whose
+// weakness on skewed degree distributions the Conclusion discusses) or
+// degree-balanced groups (the paper's proposed fix, implemented in
+// internal/sched).
 type ParallelForBackend struct {
 	Workers int
 	// Dynamic enables self-scheduled (guided) loops instead of static
-	// chunks for the x- and z-updates, which have non-uniform task costs.
+	// chunks for the x-update and the sweep, which have non-uniform task
+	// costs.
 	Dynamic bool
 	// ZGrouping: nil means contiguous chunking; otherwise a precomputed
 	// degree-balanced partition from PrepareBalancedZ.
@@ -71,31 +74,31 @@ func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[Num
 	loop := func(n int, fn func(lo, hi int)) {
 		sched.ParallelFor(w, n, fn)
 	}
-	heavyLoop := loop
 	if b.Dynamic {
-		heavyLoop = func(n int, fn func(lo, hi int)) {
+		loop = func(n int, fn func(lo, hi int)) {
 			sched.DynamicFor(w, n, 0, fn)
 		}
 	}
+	// The sweep is timed as the z phase, as on the serial executor: the
+	// u and n buckets stay zero.
 	sw := StartStopwatch()
 	for it := 0; it < iters; it++ {
-		heavyLoop(g.NumFunctions(), func(lo, hi int) { UpdateXRange(g, lo, hi) })
+		loop(g.NumFunctions(), func(lo, hi int) { UpdateXRange(g, lo, hi) })
 		sw.Lap(&phaseNanos[PhaseX])
 
 		switch {
 		case b.zGroups != nil:
 			sched.ParallelFor(len(b.zGroups), len(b.zGroups), func(lo, hi int) {
 				for gi := lo; gi < hi; gi++ {
-					UpdateZFusedVars(g, b.zGroups[gi])
+					for _, v := range b.zGroups[gi] {
+						UpdateZUNRange(g, v, v+1)
+					}
 				}
 			})
 		default:
-			heavyLoop(g.NumVariables(), func(lo, hi int) { UpdateZFusedRange(g, lo, hi) })
+			loop(g.NumVariables(), func(lo, hi int) { UpdateZUNRange(g, lo, hi) })
 		}
 		sw.Lap(&phaseNanos[PhaseZ])
-
-		loop(g.NumEdges(), func(lo, hi int) { UpdateUNRange(g, lo, hi) })
-		sw.Lap(&phaseNanos[PhaseU])
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package admm
 
 import (
 	"math"
+	"testing"
 	"time"
 
 	"repro/internal/graph"
@@ -73,3 +74,17 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 	res.Elapsed = time.Since(start)
 	return res, err
 }
+
+// ForceGoSweep makes UpdateZUNRange run the Go loops in place of the
+// AVX2 sweep until the test ends.
+func ForceGoSweep(t testing.TB) {
+	saved := sweepAVX2
+	sweepAVX2 = false
+	t.Cleanup(func() { sweepAVX2 = saved })
+}
+
+// SweepAVX2 reports whether UpdateZUNRange runs the AVX2 sweep.
+func SweepAVX2() bool { return sweepAVX2 }
+
+// BenchGraph is benchGraph for the external benchmarks.
+var BenchGraph = benchGraph

@@ -42,9 +42,9 @@ type ExecutorSpec struct {
 	// Fused, set to false, selects the five-phase reference schedule —
 	// the oracle every conformance pin and the benchmark compare
 	// against — and is valid for kind serial only: every other executor
-	// runs the fused two-pass schedule (fused.go; bit-identical
-	// iterates, strictly cheaper) and nothing else. nil and true mean
-	// that one schedule.
+	// runs the fused schedule (fused.go: one sweep after the x-update;
+	// bit-identical iterates, strictly cheaper) and nothing else. nil
+	// and true mean that one schedule.
 	Fused *bool `json:"fused,omitempty"`
 	// Transport selects how the sharded executor's boundary exchange is
 	// carried (sharded only): "" or "local" for in-process shared

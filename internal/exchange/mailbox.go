@@ -214,34 +214,34 @@ func (mb *Mailbox) Combine(w int) {
 				rhoSum += r
 				if s := from[i]; s >= 0 {
 					m := in[int(s)*d : int(s)*d+d]
-					z0 += r * m[0]
+					z0 += float64(r * m[0])
 					if d > 1 {
-						z1 += r * m[1]
+						z1 += float64(r * m[1])
 					}
 					if d > 2 {
-						z2 += r * m[2]
+						z2 += float64(r * m[2])
 					}
 					if d > 3 {
-						z3 += r * m[3]
+						z3 += float64(r * m[3])
 					}
 					if d > 4 {
-						z4 += r * m[4]
+						z4 += float64(r * m[4])
 					}
 					continue
 				}
 				base := e * d
-				z0 += r * (X[base] + U[base])
+				z0 += float64(r * (X[base] + U[base]))
 				if d > 1 {
-					z1 += r * (X[base+1] + U[base+1])
+					z1 += float64(r * (X[base+1] + U[base+1]))
 				}
 				if d > 2 {
-					z2 += r * (X[base+2] + U[base+2])
+					z2 += float64(r * (X[base+2] + U[base+2]))
 				}
 				if d > 3 {
-					z3 += r * (X[base+3] + U[base+3])
+					z3 += float64(r * (X[base+3] + U[base+3]))
 				}
 				if d > 4 {
-					z4 += r * (X[base+4] + U[base+4])
+					z4 += float64(r * (X[base+4] + U[base+4]))
 				}
 			}
 			inv := 1 / rhoSum
@@ -277,7 +277,7 @@ func (mb *Mailbox) Combine(w int) {
 			if s := from[n]; s >= 0 {
 				m := in[int(s)*d : int(s)*d+d][:len(z)]
 				for i := range z {
-					z[i] += r * m[i]
+					z[i] += float64(r * m[i])
 				}
 				continue
 			}
@@ -285,7 +285,7 @@ func (mb *Mailbox) Combine(w int) {
 			u := U[e*d : e*d+d][:len(z)]
 			for i := range z {
 				m := x[i] + u[i]
-				z[i] += r * m
+				z[i] += float64(r * m)
 			}
 		}
 		inv := 1 / rhoSum

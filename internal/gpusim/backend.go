@@ -138,7 +138,7 @@ func (b *Backend) SimulatedIterationSec(g *graph.Graph) float64 {
 // charges modeled single-core time from the CPUModel — the simulated
 // counterpart of the paper's serial C baseline, used whenever a speedup
 // must compare simulated GPU time against simulated CPU time on equal
-// footing. The host state advances with the fused two-pass kernels
+// footing. The host state advances with the fused schedule
 // (bit-identical iterates, less wall time spent simulating); the
 // *charged* time stays the five-phase model: this backend stands in for
 // the paper's serial C engine, whose launch structure is what the cost
@@ -193,13 +193,12 @@ func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPha
 }
 
 // hostAdvance moves the ADMM state forward on the host for a simulated
-// CPU backend with the fused two-pass kernels (bit-identical to the
-// five-phase reference, ~1/3 less memory traffic).
+// CPU backend with the fused schedule, x then the one sweep of z and u/n
+// (bit-identical to the five-phase reference).
 func hostAdvance(g *graph.Graph, iters int) {
 	for it := 0; it < iters; it++ {
 		admm.UpdateXRange(g, 0, g.NumFunctions())
-		admm.UpdateZFusedRange(g, 0, g.NumVariables())
-		admm.UpdateUNRange(g, 0, g.NumEdges())
+		admm.UpdateZUNRange(g, 0, g.NumVariables())
 	}
 }
 

@@ -116,8 +116,8 @@ func (m *MultiCPUModel) IterationTime(tasks [admm.NumPhases][]Task, cores int) f
 // MultiCoreBackend is an admm.Backend that advances the ADMM with the
 // real host kernels while charging modeled multi-core time — the
 // simulated stand-in for the paper's 32-core measurements, mirroring the
-// GPU Backend's design. The host state advances with the fused two-pass
-// kernels; charged time stays the five-loop OpenMP model it simulates.
+// GPU Backend's design. The host state advances with the fused
+// schedule; charged time stays the five-loop OpenMP model it simulates.
 type MultiCoreBackend struct {
 	Model *MultiCPUModel
 	Cores int

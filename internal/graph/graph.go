@@ -319,6 +319,11 @@ func (g *Graph) VarEdges(b int) []int {
 	return g.vEdges[g.vEdgeStart[b]:g.vEdgeStart[b+1]]
 }
 
+// VarCSR returns the variable-side CSR whole: the edges of variable b
+// are edges[start[b]:start[b+1]]. Both slices alias internal storage,
+// must not be modified, and are nil before Finalize.
+func (g *Graph) VarCSR() (start, edges []int) { return g.vEdgeStart, g.vEdges }
+
 // VarDegree returns the number of edges incident to variable b.
 func (g *Graph) VarDegree(b int) int {
 	g.mustFinal()

@@ -6,6 +6,11 @@ package linalg
 // blocks in affine_amd64.s. Tests turn it off to run the Go loops.
 var useAVX2 bool
 
+// AVX2 reports whether the AVX2 kernels run: the CPU has AVX2 and the OS
+// saves the YMM registers. Other packages' kernels consult it in place of
+// a detection of their own.
+func AVX2() bool { return useAVX2 }
+
 func init() {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return

@@ -13,6 +13,3 @@ func forceGo(t testing.TB) {
 // ForceGo is forceGo for the external tests, which run whole solves on
 // each path.
 var ForceGo = forceGo
-
-// AVX2 reports whether the kernels run, for the external tests.
-func AVX2() bool { return useAVX2 }

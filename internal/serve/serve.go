@@ -29,9 +29,9 @@
 // shapes cost a build and no memory afterwards. Executor selection is
 // per-request: kind "serial", "sharded" (with its shard count and
 // transport knobs), or "auto" to resolve serial / sharded from the
-// graph's shape; every executor runs the fused two-pass schedule
-// ({"fused": false}, kind serial only, selects the five-phase
-// reference).
+// graph's shape; every executor runs the fused schedule, one sweep
+// after the x-update ({"fused": false}, kind serial only, selects the
+// five-phase reference).
 // Sharded solves take a per-request boundary-exchange transport
 // ({"transport": "sockets"} with optional {"addrs": [...]} naming
 // paradmm-shardworker processes — the server ships the request's

@@ -32,8 +32,8 @@
 // # The boundary-only protocol, behind the Exchanger seam
 //
 // Each shard worker runs the whole iteration over its local edges — on
-// the fused two-pass kernels of internal/admm/fused.go, the one
-// schedule every executor but the serial oracle runs — and one
+// the fused kernels of internal/admm/fused.go, the one schedule every
+// executor but the serial oracle runs — and one
 // iteration needs only two synchronization points instead of a global
 // join after every phase. There is one loop (runShardIters) for every
 // transport and for the worker process; each sync point is split in a
@@ -45,7 +45,9 @@
 //	      boundary variable, into the owner's packed row
 //	-- BeginGatherM --   (rows depart)
 //	x over the remaining functions               (plan: xAfter)
-//	z over interior vars (m = x + u in registers)
+//	one sweep over interior vars: z (m = x + u in registers), then
+//	      u+n of their edges while z is in registers (no frame
+//	      carries an interior edge's u)
 //	══ FinishGatherM: every row into this shard's inbox is this
 //	   iteration's — written in place by its sender on shared memory,
 //	   decoded from the sender's frame on a message transport ══
@@ -53,19 +55,21 @@
 //	   variable's edges in CSR order, a remote edge's block from the
 //	   inbox, a local edge's as x + u in registers
 //	-- BeginScatterZ --  (owned boundary z departs)
-//	u+n sweep over edges whose z is local        (plan: unBefore)
+//	u+n sweep over owned edges of owned boundary vars (plan: unBefore)
 //	══ FinishScatterZ: boundary z-blocks available ══
 //	u+n sweep over edges whose z a peer combined (plan: unAfter)
 //	            ... next iteration ...
 //
 // The schedule is data in the plan, chosen from the transport the plan
 // is built for, not by an option. A message plan fills all four lists
-// (frontier/rest functions, local-z/remote-z edges): the sockets
-// transport always sends before interior compute and awaits only where
-// the data is consumed. On shared memory nothing departs at a Begin, so
-// a shared-memory plan leaves xAfter and unBefore empty and the same
-// loop runs x, post, interior z, barrier, combine, barrier, u+n.
-// TestPlanSplitsPartitionRuns pins the split.
+// (frontier/rest functions, local-z/remote-z boundary edges): the
+// sockets transport always sends before interior compute and awaits
+// only where the data is consumed. On shared memory nothing departs at
+// a Begin, so a shared-memory plan leaves xAfter and unBefore empty and
+// the same loop runs x, post, interior z+u/n, barrier, combine,
+// barrier, boundary u+n. TestPlanSplitsPartitionRuns pins the split:
+// interior variables' edges, unBefore and unAfter partition a shard's
+// edges, so each owned edge gets one u/n per iteration.
 //
 // The crossings are an exchange.Exchanger (internal/exchange), the
 // transport seam this executor is structured around:

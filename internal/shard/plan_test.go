@@ -30,8 +30,10 @@ func flatten(t *testing.T, what string, runs []sched.Range) []int {
 
 // TestPlanSplitsPartitionRuns pins what the plan now decides — the
 // schedule runShardIters executes. On every workload, shard count and
-// plan kind, the before/after lists partition the shard's functions
-// (resp. edges) exactly; a shared-memory plan leaves nothing to overlap;
+// plan kind, xBefore and xAfter partition the shard's functions
+// exactly, and the edges of its interior variables, unBefore and
+// unAfter partition its edges exactly, so every owned edge gets one u/n
+// update per iteration; a shared-memory plan leaves nothing to overlap;
 // a message plan runs before BeginGatherM exactly the functions that
 // own an edge on a boundary variable another shard combines, and after
 // FinishScatterZ exactly those edges.
@@ -60,8 +62,12 @@ func TestPlanSplitsPartitionRuns(t *testing.T) {
 						if got := slices.Sorted(slices.Values(append(slices.Clone(xBefore), xAfter...))); !slices.Equal(got, funcs) {
 							t.Fatalf("shard %d: xBefore ∪ xAfter = %v, funcRuns = %v", s, got, funcs)
 						}
-						if got := slices.Sorted(slices.Values(append(slices.Clone(unBefore), unAfter...))); !slices.Equal(got, edges) {
-							t.Fatalf("shard %d: unBefore ∪ unAfter = %v, edgeRuns = %v", s, got, edges)
+						un := append(slices.Clone(unBefore), unAfter...)
+						for _, v := range flatten(t, "interiorRuns", lp.interiorRuns) {
+							un = append(un, g.VarEdges(v)...)
+						}
+						if got := slices.Sorted(slices.Values(un)); !slices.Equal(got, edges) {
+							t.Fatalf("shard %d: interior edges ∪ unBefore ∪ unAfter = %v, edgeRuns = %v", s, got, edges)
 						}
 						if shared {
 							if len(xAfter) != 0 || len(unBefore) != 0 {
@@ -77,6 +83,9 @@ func TestPlanSplitsPartitionRuns(t *testing.T) {
 						for _, e := range edges {
 							if after := slices.Contains(unAfter, e); after != remote(e) {
 								t.Fatalf("shard %d: edge %d in unAfter = %v, its z is remotely combined = %v", s, e, after, remote(e))
+							}
+							if before := slices.Contains(unBefore, e); before != (p.part.IsBoundary(g.EdgeVar(e)) && !remote(e)) {
+								t.Fatalf("shard %d: edge %d in unBefore = %v, on a boundary variable it combines = %v", s, e, before, !before)
 							}
 						}
 						for _, a := range funcs {

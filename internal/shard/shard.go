@@ -291,13 +291,15 @@ type workerTimings struct {
 //	x over lp.xBefore                (their edges feed outbound rows)
 //	post, -- BeginGatherM --         (m-rows depart; x + u is final for
 //	                                  every posted edge)
-//	x over lp.xAfter, z over interior variables
+//	x over lp.xAfter
+//	z, then u/n of their edges,      (admm.UpdateZUNRange: no frame
+//	  over interior variables         carries an interior edge)
 //	-- FinishGatherM --              (every row into this worker's inbox
 //	                                  holds this iteration's blocks)
 //	z for owned boundary variables   (mb.Combine, CSR order:
 //	                                  bit-identical to serial)
 //	-- BeginScatterZ --              (owned boundary z departs)
-//	u/n over lp.unBefore             (their z never crosses a shard)
+//	u/n over lp.unBefore             (owned boundary z)
 //	-- FinishScatterZ --             (peers' boundary z arrived)
 //	u/n over lp.unAfter
 //
@@ -305,16 +307,17 @@ type workerTimings struct {
 // the functions owning a remotely-combined edge in xBefore and the
 // edges awaiting peer z in unAfter, so frames fly while the interior
 // computes; on shared memory nothing departs at a Begin, so xAfter and
-// unBefore are empty and the loop is x, post, interior z, barrier,
-// combine, barrier, u/n. Either way every per-edge and per-variable
-// computation is the same arithmetic in the same order — only where the
-// waiting happens differs — so iterates are bit-identical to Serial;
-// the conformance suite pins it.
+// unBefore are empty and the loop is x, post, interior z+u/n, barrier,
+// combine, barrier, boundary u/n. Either way every per-edge and
+// per-variable computation is the same arithmetic in the same order —
+// only where the waiting happens differs — so iterates are
+// bit-identical to Serial; the conformance suite pins it.
 //
 // The z gather forms m = x + u in registers, Post reads x + u of the
-// posted edges, and no step between the post and the u/n sweep writes X
-// or U, so the posted blocks are exactly what the reference m-update
-// would have frozen. The u/n sweep and the next iteration's x read only
+// posted edges, and the only U written between the post and the
+// boundary u/n is that of interior edges, which no post or combine
+// reads, so the posted blocks are exactly what the reference m-update
+// would have frozen. The u/n updates and the next iteration's x read only
 // shard-local state plus z delivered by FinishScatterZ, so no further
 // synchronization is needed: a shard racing ahead blocks in
 // FinishGatherM before it can touch anything another shard still reads.
@@ -340,7 +343,7 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exc
 		}
 		sw.Lap(&ph[admm.PhaseX])
 		for _, r := range lp.interiorRuns {
-			admm.UpdateZFusedRange(g, r.Lo, r.Hi)
+			admm.UpdateZUNRange(g, r.Lo, r.Hi)
 		}
 		sw.Lap(&ph[admm.PhaseZ])
 		ex.FinishGatherM(id)
@@ -407,14 +410,16 @@ type localPlan struct {
 	boundary     []int
 
 	// The schedule runShardIters executes: xBefore/xAfter split
-	// funcRuns around BeginGatherM, unBefore/unAfter split edgeRuns
-	// around FinishScatterZ, each pair partitioning its parent exactly.
-	// On a message plan xBefore is the frontier — functions owning at
-	// least one edge whose boundary variable another shard combines, so
-	// their x feeds an outbound m-frame — and unAfter the edges whose z
-	// a peer computes; the rest overlaps the frames' flight. A
-	// shared-memory plan has nothing in flight to overlap: every
-	// function is in xBefore and every edge in unAfter.
+	// funcRuns around BeginGatherM, and unBefore/unAfter split the
+	// owned edges of boundary variables around FinishScatterZ; the
+	// edges of interiorRuns take their u/n in the z sweep, so those
+	// three partition edgeRuns exactly. On a message plan xBefore is
+	// the frontier — functions owning at least one edge whose boundary
+	// variable another shard combines, so their x feeds an outbound
+	// m-frame — and unAfter the edges whose z a peer computes; the rest
+	// overlaps the frames' flight. A shared-memory plan has nothing in
+	// flight to overlap: every function is in xBefore and every
+	// boundary edge in unAfter.
 	xBefore, xAfter   []sched.Range
 	unBefore, unAfter []sched.Range
 }
@@ -491,21 +496,28 @@ func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
 		lp := &p.local[s]
 		lp.funcRuns = appendRun(lp.funcRuns, a, a+1)
 		lp.edgeRuns = appendRun(lp.edgeRuns, lo, hi)
-		if sharedMemory {
-			continue
-		}
+		// An interior variable's edges take their u/n in its z sweep.
 		// An edge whose boundary variable another shard combines is
 		// shipped at sync point 1 (its function is frontier) and
-		// receives its z back at sync point 2; everything else is local.
+		// receives its z back at sync point 2; one on a boundary
+		// variable this shard combines has its z after Combine. Shared
+		// memory sends nothing at a Begin: every boundary edge waits.
 		frontier := false
 		for e := lo; e < hi; e++ {
 			v := g.EdgeVar(e)
-			if part.IsBoundary(v) && owner[v] != s {
+			switch {
+			case !part.IsBoundary(v):
+			case owner[v] != s:
 				frontier = true
 				lp.unAfter = appendRun(lp.unAfter, e, e+1)
-			} else {
+			case sharedMemory:
+				lp.unAfter = appendRun(lp.unAfter, e, e+1)
+			default:
 				lp.unBefore = appendRun(lp.unBefore, e, e+1)
 			}
+		}
+		if sharedMemory {
+			continue
 		}
 		if frontier {
 			lp.xBefore = appendRun(lp.xBefore, a, a+1)
@@ -526,7 +538,7 @@ func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
 	if sharedMemory {
 		for s := range p.local {
 			lp := &p.local[s]
-			lp.xBefore, lp.unAfter = lp.funcRuns, lp.edgeRuns
+			lp.xBefore = lp.funcRuns
 		}
 	}
 	return p, nil

@@ -2,9 +2,10 @@
 # Usage: scripts/layout.sh REF
 #
 # Compares where the benchmark binary's placement-sensitive code lands,
-# built at REF and from the working tree: the three admm sweep kernels
-# (UpdateXRange, UpdateZFusedRange, UpdateUNRange) and the residual
-# check's pass (checkPass), every text symbol of repro/internal/linalg,
+# built at REF and from the working tree: the admm sweep kernels
+# (UpdateXRange, UpdateZFusedRange, UpdateUNRange, the one sweep
+# UpdateZUNRange and its AVX2 body zunAVX2) and the residual check's
+# pass (checkPass), every text symbol of repro/internal/linalg,
 # the boundary exchange's Post and Combine, the shard loop
 # (runShardIters), the proximal operators' Eval methods (every value
 # receiver in repro/internal/prox, packing's CollisionOp and svm's
@@ -46,7 +47,8 @@ placement() {
 		case "$kind" in T | t) ;; *) continue ;; esac
 		case "$name" in
 		repro/internal/admm.UpdateXRange | repro/internal/admm.UpdateZFusedRange | \
-			repro/internal/admm.UpdateUNRange | repro/internal/admm.checkPass | \
+			repro/internal/admm.UpdateUNRange | repro/internal/admm.UpdateZUNRange | \
+			repro/internal/admm.zunAVX2.abi0 | repro/internal/admm.checkPass | \
 			repro/internal/linalg.* | 'repro/internal/exchange.(*Mailbox).Post' | \
 			'repro/internal/exchange.(*Mailbox).Combine' | repro/internal/shard.runShardIters | \
 			repro/internal/prox.[A-Z]*.Eval | repro/internal/packing.CollisionOp.Eval | \
