@@ -188,8 +188,8 @@ func confRun(t *testing.T, inst confInstance, backend admm.Backend, iters int) [
 func TestExecutorConformance(t *testing.T) { executorConformance(t) }
 
 // TestExecutorConformanceGoSweep is the same matrix with the fused
-// schedule's one sweep on its Go loops, the body every CPU without AVX2
-// and every other architecture runs.
+// schedule's one sweep and the boundary combine on their Go loops, the
+// bodies every CPU without AVX2 and every other architecture runs.
 func TestExecutorConformanceGoSweep(t *testing.T) {
 	if !repro.ForceGoSweep(t) {
 		t.Skip("the sweep runs its Go loops already")
@@ -284,12 +284,16 @@ func TestHubBoundaryConformance(t *testing.T) {
 }
 
 // TestBoundaryCombineConformance drives the one boundary-combine kernel
-// (exchange.Mailbox.Combine) through every way a sharded solve reaches
-// it — posted in place on the local transport, framed and decoded over
-// loopback — at each width the kernel specializes on: the register path at d = 2 (packing), 3 (svm) and 5 (mpc), the generic
-// path at d = 128 (lasso). Each cell must have a boundary to combine,
-// account for every boundary variable in its per-shard counts, and
-// reproduce Serial bit for bit.
+// (exchange.Mailbox.Combine: boundary z, then the u/n of the combiner's
+// own edges) through every way a sharded solve reaches it — posted in
+// place on the local transport, framed and decoded over loopback — at
+// each width the kernel specializes on: the register path at d = 2
+// (packing), 3 (svm) and 5 (mpc), the generic path at d = 128 (lasso).
+// Every cell runs twice: at the workload's uniform rho = 1, and with a
+// seeded rho and alpha per edge, under which a product that is not
+// rounded before its add (a fused multiply-add) changes the bits. Each
+// cell must have a boundary to combine, account for every boundary
+// variable in its per-shard counts, and reproduce Serial bit for bit.
 func TestBoundaryCombineConformance(t *testing.T) {
 	builds := map[int]func(t *testing.T) confInstance{
 		2: confWorkloads["packing"],
@@ -304,6 +308,19 @@ func TestBoundaryCombineConformance(t *testing.T) {
 			return confInstance{g: p.Graph}
 		},
 	}
+	// mixed is build with a seeded per-edge rho in [0.5, 2) and alpha in
+	// [0.5, 1.5), the same on every call.
+	mixed := func(build func(t *testing.T) confInstance) func(t *testing.T) confInstance {
+		return func(t *testing.T) confInstance {
+			inst := build(t)
+			rng := rand.New(rand.NewSource(54))
+			for e := range inst.g.Rho {
+				inst.g.Rho[e] = 0.5 + 1.5*rng.Float64()
+				inst.g.Alpha[e] = 0.5 + rng.Float64()
+			}
+			return inst
+		}
+	}
 	const iters = 200
 	fused := true
 	cells := []struct {
@@ -313,36 +330,42 @@ func TestBoundaryCombineConformance(t *testing.T) {
 		{"local", admm.ExecutorSpec{Kind: admm.ExecSharded}},
 		{"loopback", admm.ExecutorSpec{Kind: admm.ExecSharded, Transport: admm.TransportSockets}},
 	}
-	for d, build := range builds {
-		if got := build(t).g.D(); got != d {
+	for d, uniform := range builds {
+		if got := uniform(t).g.D(); got != d {
 			t.Fatalf("workload built for d=%d has d=%d", d, got)
 		}
-		ref := confRun(t, build(t), admm.NewSerial(), iters)
-		for _, shards := range []int{2, 3} {
-			for _, c := range cells {
-				spec := c.spec
-				spec.Shards, spec.Fused = shards, &fused
-				t.Run("d"+strconv.Itoa(d)+"-"+c.name+"-"+strconv.Itoa(shards), func(t *testing.T) {
-					inst := build(t)
-					backend, err := spec.NewBackend(inst.g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := confRun(t, inst, backend, iters)
-					for i := range ref {
-						if ref[i] != got[i] {
-							t.Fatalf("diverged from serial at Z[%d]: %g vs %g", i, got[i], ref[i])
+		for _, weights := range []string{"", "-mixed"} {
+			build := uniform
+			if weights != "" {
+				build = mixed(uniform)
+			}
+			ref := confRun(t, build(t), admm.NewSerial(), iters)
+			for _, shards := range []int{2, 3} {
+				for _, c := range cells {
+					spec := c.spec
+					spec.Shards, spec.Fused = shards, &fused
+					t.Run("d"+strconv.Itoa(d)+"-"+c.name+"-"+strconv.Itoa(shards)+weights, func(t *testing.T) {
+						inst := build(t)
+						backend, err := spec.NewBackend(inst.g)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					st := backend.(shard.StatsReporter).Stats()
-					combined := 0
-					for _, w := range st.Workers {
-						combined += w.BoundaryVars
-					}
-					if st.BoundaryVars == 0 || combined != st.BoundaryVars || len(st.Workers) != shards {
-						t.Fatalf("%d boundary variables, combined per worker %+v", st.BoundaryVars, st.Workers)
-					}
-				})
+						got := confRun(t, inst, backend, iters)
+						for i := range ref {
+							if ref[i] != got[i] {
+								t.Fatalf("diverged from serial at Z[%d]: %g vs %g", i, got[i], ref[i])
+							}
+						}
+						st := backend.(shard.StatsReporter).Stats()
+						combined := 0
+						for _, w := range st.Workers {
+							combined += w.BoundaryVars
+						}
+						if st.BoundaryVars == 0 || combined != st.BoundaryVars || len(st.Workers) != shards {
+							t.Fatalf("%d boundary variables, combined per worker %+v", st.BoundaryVars, st.Workers)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -33,8 +33,9 @@ import (
 // memory: a graph only the fused path runs on never allocates M. The
 // same arithmetic as two passes, a z gather over variables
 // (UpdateZFusedRange) and a u/n sweep over edges (UpdateUNRange: ~56d
-// bytes/edge in all), serves the sweep's wide blocks and a shard's
-// boundary edges, whose z arrives after the combine. Per-edge
+// bytes/edge in all), serves the sweep's wide blocks; a shard's
+// boundary variables take the same arithmetic in exchange.Mailbox's
+// Combine and Settle. Per-edge
 // arithmetic order is exactly the reference kernels' — the sum x+u is
 // rounded before the rho multiply, the CSR gather order is unchanged,
 // and n reads the just-updated u — and every edge belongs to exactly one
@@ -137,9 +138,9 @@ func UpdateZFusedRange(g *graph.Graph, lo, hi int) {
 }
 
 // UpdateUNRange merges the u- and n-updates into one sweep over edges
-// [lo, hi): u += alpha*(x - z_b), then n = z_b - u from the fresh u. A
-// shard runs it over its boundary edges once their z is known.
-// Element-wise this is the exact sequence the separate reference kernels
+// [lo, hi): u += alpha*(x - z_b), then n = z_b - u from the fresh u:
+// UpdateZUNRange's u/n for d > 5, and the u/n half of the two-pass form
+// the tests hold the sweep to. Element-wise this is the exact sequence the separate reference kernels
 // execute, so results are bit-identical.
 func UpdateUNRange(g *graph.Graph, lo, hi int) {
 	d := g.D()

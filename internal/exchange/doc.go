@@ -14,20 +14,21 @@
 //
 //	x over the functions feeding outbound rows, post boundary rows
 //	-- sync 1 begin: m-contributions of boundary variables depart --
-//	remaining x, interior z
+//	remaining x, interior z and u/n
 //	-- sync 1 finish: peers' m-contributions arrived --
-//	owner combines boundary z
+//	owner combines boundary z, then u/n over its own edges of it
 //	-- sync 2 begin: boundary z departs --
-//	u/n over edges whose z is local
 //	-- sync 2 finish: peers' boundary z arrived --
-//	remaining u/n
+//	u/n over the posted edges, whose z a peer combined
 //
 // Boundary m-state travels in packed rows. Every ordered shard pair
 // i -> j has one: the m-blocks of i's edges on the boundary variables j
 // combines, contiguous, in the order Manifest.MEdges lists them. The
 // Mailbox holds the rows and both ends of their use — Post writes a
 // worker's outbound rows (x + u), Combine computes the owned boundary z
-// from the worker's inbox rows and its own edges' x + u — and the
+// from the worker's inbox rows and its own edges' x + u and runs the
+// u/n of those own edges while z is in registers, and Settle runs the
+// u/n of the posted edges once their z is back — and the
 // Exchanger is what carries a posted row to its combiner and the
 // combined z back. On return from FinishGatherM every row into the
 // worker's inbox holds this iteration's blocks; on return from
@@ -90,7 +91,14 @@
 // gather forms before its rho multiply, and exactly the reference
 // m-block — and neither a shared buffer nor the frame codec changes a
 // bit of it, so the same values meet the same operations in the same
-// order: boundary z equals Serial's by construction. The cross-executor
+// order: boundary z equals Serial's by construction. The combine then
+// runs u += alpha*(x - z), n = z - u over the worker's own edges of the
+// variable exactly as admm.UpdateZUNRange does after its gather, and
+// Settle runs the same u/n over the posted edges with the z delivered
+// by ScatterZ; on amd64 with AVX2 and d <= 5 both run in
+// combine_amd64.s, which TestCombineKernelMatchesGo,
+// TestSettleKernelMatchesGo and FuzzCombine hold to the Go loops bit
+// for bit, NaN payloads included. The cross-executor
 // conformance suite pins all of it for every workload, and
 // internal/shard's TestCombineReadsNoRemoteEdgeState pins the
 // structure: a combine with every remote X and U poisoned still

@@ -1,12 +1,16 @@
 package exchange
 
-import "repro/internal/graph"
+import (
+	"repro/internal/admm"
+	"repro/internal/graph"
+	"repro/internal/linalg"
+)
 
 // Mailbox holds the packed boundary rows of one (graph, manifest) pair
 // — for every ordered shard pair i -> j the m-blocks Manifest.MEdges
-// enumerates, contiguous and in manifest order — and the kernel that
-// combines boundary z from them. It is the only way boundary m-state
-// reaches its combiner:
+// enumerates, contiguous and in manifest order — and the kernels that
+// combine boundary z from them and run every boundary edge's u/n. It is
+// the only way boundary m-state reaches its combiner:
 //
 //	Post(w)     worker w forms m = x + u for the edges of its outbound
 //	            rows and writes them into the rows
@@ -14,7 +18,11 @@ import "repro/internal/graph"
 //	Combine(w)  worker w computes z for the boundary variables it owns,
 //	            walking each variable's edges in CSR order: a remote
 //	            edge's block comes from w's inbox, a local edge's is
-//	            formed as x + u in registers
+//	            formed as x + u in registers; then it runs u/n over
+//	            w's own edges of the variable while z is in registers
+//	-- sync point 2 (Exchanger.ScatterZ) --
+//	Settle(w)   worker w runs u/n over the edges it posted, with the z
+//	            its peers combined
 //
 // so a combiner reads no other shard's X or U: on shared memory those
 // cache lines stay on their shard's core, and a worker process needs no
@@ -25,9 +33,12 @@ import "repro/internal/graph"
 // decoded into; Messaged builds that form itself.
 //
 // Combine gathers the same values in the same order with the same
-// rounding as admm.UpdateZFusedRange (a posted block is the x + u sum
+// rounding as admm.UpdateZUNRange (a posted block is the x + u sum
 // already rounded, exactly what the register path forms), so boundary z
-// is bit-identical to Serial by construction.
+// is bit-identical to Serial by construction, and then updates u and n
+// of w's own edges as that sweep does; a peer's edges on the variable
+// take their u/n in the peer's Settle once z arrives, so on shared
+// memory no two cores write one U or N line.
 type Mailbox struct {
 	g   *graph.Graph
 	man *Manifest
@@ -45,6 +56,10 @@ type Mailbox struct {
 	// a remote edge, -1 for one of w's own.
 	vars [][]int
 	src  [][]int32
+
+	// settle[w] lists the edges worker w posts, row by row, and
+	// settleVar[w] each one's variable: the edges Settle updates.
+	settle, settleVar [][]int32
 }
 
 // NewMailbox returns the shared-memory mailbox of a sharded solve over
@@ -66,6 +81,9 @@ func newMailbox(g *graph.Graph, man *Manifest, shared bool, only int) *Mailbox {
 		inbox: make([][]float64, k),
 		vars:  make([][]int, k),
 		src:   make([][]int32, k),
+
+		settle:    make([][]int32, k),
+		settleVar: make([][]int32, k),
 	}
 	// slot[e-e0] is edge e's block index in its receiver's inbox, -1
 	// for one its own shard combines; owner[v-v0] the combiner of
@@ -121,13 +139,18 @@ func newMailbox(g *graph.Graph, man *Manifest, shared bool, only int) *Mailbox {
 	}
 	for pi, row := range man.MEdges {
 		i, j := pi/k, pi%k
-		switch {
-		case i == j || (only >= 0 && i != only):
-		case shared:
+		if i == j || (only >= 0 && i != only) {
+			continue
+		}
+		if shared {
 			mb.out[pi] = mb.in[pi]
-		default:
+		} else {
 			mb.out[pi] = make([]float64, len(row)*d)
 		}
+		for _, e := range row {
+			mb.settleVar[i] = append(mb.settleVar[i], int32(g.EdgeVar(int(e))))
+		}
+		mb.settle[i] = append(mb.settle[i], row...)
 	}
 	for i, w := range owner {
 		if w < 0 || (only >= 0 && int(w) != only) {
@@ -192,89 +215,44 @@ func (mb *Mailbox) Post(w int) {
 	}
 }
 
-// Combine computes the consensus z of the boundary variables worker w
-// owns from its inbox and its own edges' x + u. Every row into w must
-// have been posted and have crossed sync point 1, and w's own x-update
-// must be complete. The per-element operation sequence is
-// admm.UpdateZFusedRange's, small-d register path included.
+// Combine runs, for the boundary variables worker w combines, the
+// fused schedule's one sweep after the x-update (admm.UpdateZUNRange):
+// it gathers each variable's z from w's inbox and w's own edges' x + u,
+// then runs u += alpha*(x - z), n = z - u over w's own edges of that
+// variable while z is still in registers. A peer's edges on the
+// variable are not touched: their u/n runs in the peer's Settle once
+// the z arrives (sync point 2). Every row into w must have been posted
+// and have crossed sync point 1, and w's own x-update must be complete.
+// The per-element operation sequence is UpdateZUNRange's, small-d
+// register path included; on amd64 with AVX2 and d <= 5 it runs in
+// combine_amd64.s.
 func (mb *Mailbox) Combine(w int) {
 	g := mb.g
 	d := g.D()
-	X, U, Z, Rho := g.X, g.U, g.Z, g.Rho
-	in, src := mb.inbox[w], mb.src[w]
+	start, edges := g.VarCSR()
 	if d <= 5 {
-		for _, b := range mb.vars[w] {
-			var z0, z1, z2, z3, z4 float64
-			var rhoSum float64
-			edges := g.VarEdges(b)
-			from := src[:len(edges)]
-			src = src[len(edges):]
-			for i, e := range edges {
-				r := Rho[e]
-				rhoSum += r
-				if s := from[i]; s >= 0 {
-					m := in[int(s)*d : int(s)*d+d]
-					z0 += float64(r * m[0])
-					if d > 1 {
-						z1 += float64(r * m[1])
-					}
-					if d > 2 {
-						z2 += float64(r * m[2])
-					}
-					if d > 3 {
-						z3 += float64(r * m[3])
-					}
-					if d > 4 {
-						z4 += float64(r * m[4])
-					}
-					continue
-				}
-				base := e * d
-				z0 += float64(r * (X[base] + U[base]))
-				if d > 1 {
-					z1 += float64(r * (X[base+1] + U[base+1]))
-				}
-				if d > 2 {
-					z2 += float64(r * (X[base+2] + U[base+2]))
-				}
-				if d > 3 {
-					z3 += float64(r * (X[base+3] + U[base+3]))
-				}
-				if d > 4 {
-					z4 += float64(r * (X[base+4] + U[base+4]))
-				}
-			}
-			inv := 1 / rhoSum
-			zb := b * d
-			Z[zb] = z0 * inv
-			if d > 1 {
-				Z[zb+1] = z1 * inv
-			}
-			if d > 2 {
-				Z[zb+2] = z2 * inv
-			}
-			if d > 3 {
-				Z[zb+3] = z3 * inv
-			}
-			if d > 4 {
-				Z[zb+4] = z4 * inv
-			}
+		if useAVX2 {
+			combineAVX2(mb.vars[w], start, edges, mb.src[w], mb.inbox[w], g.X, g.U, g.N, g.Z, g.Rho, g.Alpha, d)
+			return
 		}
+		combineGo(mb.vars[w], start, edges, mb.src[w], mb.inbox[w], g.X, g.U, g.N, g.Z, g.Rho, g.Alpha, d)
 		return
 	}
+	X, U, Z, Rho := g.X, g.U, g.Z, g.Rho
+	in, src := mb.inbox[w], mb.src[w]
 	for _, b := range mb.vars[w] {
 		z := Z[b*d : b*d+d]
 		for i := range z {
 			z[i] = 0
 		}
 		var rhoSum float64
-		edges := g.VarEdges(b)
-		from := src[:len(edges)]
-		src = src[len(edges):]
-		for n, e := range edges {
+		vEdges := edges[start[b]:start[b+1]]
+		from := src[:len(vEdges)]
+		src = src[len(vEdges):]
+		for k, e := range vEdges {
 			r := Rho[e]
 			rhoSum += r
-			if s := from[n]; s >= 0 {
+			if s := from[k]; s >= 0 {
 				m := in[int(s)*d : int(s)*d+d][:len(z)]
 				for i := range z {
 					z[i] += float64(r * m[i])
@@ -291,6 +269,190 @@ func (mb *Mailbox) Combine(w int) {
 		inv := 1 / rhoSum
 		for i := range z {
 			z[i] *= inv
+		}
+		for k, e := range vEdges {
+			if from[k] < 0 {
+				admm.UpdateUNRange(g, e, e+1)
+			}
+		}
+	}
+}
+
+// Settle runs u += alpha*(x - z), n = z - u over the edges worker w
+// posted — its edges on the boundary variables its peers combine —
+// once FinishScatterZ has delivered those variables' z. Each edge's
+// arithmetic is admm.UpdateUNRange's; on amd64 with AVX2 and d <= 5 it
+// runs in combine_amd64.s.
+func (mb *Mailbox) Settle(w int) {
+	g := mb.g
+	d := g.D()
+	if d <= 5 {
+		if useAVX2 {
+			settleAVX2(mb.settle[w], mb.settleVar[w], g.X, g.U, g.N, g.Z, g.Alpha, d)
+			return
+		}
+		settleGo(mb.settle[w], mb.settleVar[w], g.X, g.U, g.N, g.Z, g.Alpha, d)
+		return
+	}
+	for _, e := range mb.settle[w] {
+		admm.UpdateUNRange(g, int(e), int(e)+1)
+	}
+}
+
+// useAVX2 selects the AVX2 combine and settle: linalg's CPU check,
+// false off amd64. Tests turn it off to run the Go loops.
+var useAVX2 = linalg.AVX2()
+
+// combineGo is Combine's Go loops for d <= 5 over the boundary
+// variables vars, the variable CSR (the edges of b are
+// edges[start[b]:start[b+1]]), the combine program src (one entry per
+// edge of vars, in that order: a block index into in, or -1 for an own
+// edge) and the graph's arrays: the body off AVX2, and the reference
+// the AVX2 combine is tested against. Per element the sequence is
+// admm's one sweep, a remote edge's posted block standing in for the
+// x + u its owner formed; a variable with no edges gets 0 * (1/0), a
+// NaN, as there. As in that sweep, rhoSum's add follows the lanes so
+// that r stays live through them, and z is stored after the u/n loop,
+// which keeps Z's slice out of that loop.
+func combineGo(vars, start, edges []int, src []int32, in, X, U, N, Z, Rho, Alpha []float64, d int) {
+	// One length for X, U and N and one for rho and alpha: a bounds
+	// check on x or rho then covers u and n or alpha, which keeps the
+	// loops' slice lengths out of registers they need.
+	U, N = U[:len(X)], N[:len(X)]
+	Alpha = Alpha[:len(Rho)]
+	for _, b := range vars {
+		vEdges := edges[start[b]:start[b+1]]
+		from := src[:len(vEdges)]
+		src = src[len(vEdges):]
+		var z0, z1, z2, z3, z4 float64
+		var rhoSum float64
+		for k, e := range vEdges {
+			r := Rho[e]
+			if s := int(from[k]); s >= 0 {
+				m := in[s*d : s*d+d]
+				z0 += float64(r * m[0])
+				if d > 1 {
+					z1 += float64(r * m[1])
+				}
+				if d > 2 {
+					z2 += float64(r * m[2])
+				}
+				if d > 3 {
+					z3 += float64(r * m[3])
+				}
+				if d > 4 {
+					z4 += float64(r * m[4])
+				}
+			} else {
+				base := e * d
+				z0 += float64(r * (X[base] + U[base]))
+				if d > 1 {
+					z1 += float64(r * (X[base+1] + U[base+1]))
+				}
+				if d > 2 {
+					z2 += float64(r * (X[base+2] + U[base+2]))
+				}
+				if d > 3 {
+					z3 += float64(r * (X[base+3] + U[base+3]))
+				}
+				if d > 4 {
+					z4 += float64(r * (X[base+4] + U[base+4]))
+				}
+			}
+			rhoSum += r
+		}
+		// Rounded explicitly: z feeds the u/n subtracts below, and an
+		// architecture with fused multiply-adds would otherwise take
+		// the unrounded product into them.
+		inv := 1 / rhoSum
+		z0 = float64(z0 * inv)
+		z1 = float64(z1 * inv)
+		z2 = float64(z2 * inv)
+		z3 = float64(z3 * inv)
+		z4 = float64(z4 * inv)
+		for k, e := range vEdges {
+			if from[k] >= 0 {
+				continue
+			}
+			al := Alpha[e]
+			base := e * d
+			u0 := U[base] + float64(al*(X[base]-z0))
+			U[base] = u0
+			N[base] = z0 - u0
+			if d > 1 {
+				u1 := U[base+1] + float64(al*(X[base+1]-z1))
+				U[base+1] = u1
+				N[base+1] = z1 - u1
+			}
+			if d > 2 {
+				u2 := U[base+2] + float64(al*(X[base+2]-z2))
+				U[base+2] = u2
+				N[base+2] = z2 - u2
+			}
+			if d > 3 {
+				u3 := U[base+3] + float64(al*(X[base+3]-z3))
+				U[base+3] = u3
+				N[base+3] = z3 - u3
+			}
+			if d > 4 {
+				u4 := U[base+4] + float64(al*(X[base+4]-z4))
+				U[base+4] = u4
+				N[base+4] = z4 - u4
+			}
+		}
+		zb := b * d
+		Z[zb] = z0
+		if d > 1 {
+			Z[zb+1] = z1
+		}
+		if d > 2 {
+			Z[zb+2] = z2
+		}
+		if d > 3 {
+			Z[zb+3] = z3
+		}
+		if d > 4 {
+			Z[zb+4] = z4
+		}
+	}
+}
+
+// settleGo is Settle's Go loop for d <= 5 over the edges and their
+// variables: the body off AVX2, and the reference the AVX2 settle is
+// tested against. Per element the sequence is admm.UpdateUNRange's.
+func settleGo(edges, vars []int32, X, U, N, Z, Alpha []float64, d int) {
+	U, N = U[:len(X)], N[:len(X)]
+	vars = vars[:len(edges)]
+	for i, e := range edges {
+		al := Alpha[e]
+		base, zb := int(e)*d, int(vars[i])*d
+		z0 := Z[zb]
+		u0 := U[base] + float64(al*(X[base]-z0))
+		U[base] = u0
+		N[base] = z0 - u0
+		if d > 1 {
+			z1 := Z[zb+1]
+			u1 := U[base+1] + float64(al*(X[base+1]-z1))
+			U[base+1] = u1
+			N[base+1] = z1 - u1
+		}
+		if d > 2 {
+			z2 := Z[zb+2]
+			u2 := U[base+2] + float64(al*(X[base+2]-z2))
+			U[base+2] = u2
+			N[base+2] = z2 - u2
+		}
+		if d > 3 {
+			z3 := Z[zb+3]
+			u3 := U[base+3] + float64(al*(X[base+3]-z3))
+			U[base+3] = u3
+			N[base+3] = z3 - u3
+		}
+		if d > 4 {
+			z4 := Z[zb+4]
+			u4 := U[base+4] + float64(al*(X[base+4]-z4))
+			U[base+4] = u4
+			N[base+4] = z4 - u4
 		}
 	}
 }

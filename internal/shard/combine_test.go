@@ -71,7 +71,7 @@ func (c *mailboxCell) phaseAThroughSync1(g *graph.Graph) {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
 		for _, r := range lp.interiorRuns {
-			admm.UpdateZFusedRange(g, r.Lo, r.Hi)
+			admm.UpdateZUNRange(g, r.Lo, r.Hi)
 		}
 		c.mb.Post(w)
 	}
@@ -90,12 +90,16 @@ func (c *mailboxCell) phaseAThroughSync1(g *graph.Graph) {
 // exist for: after phase A and the posts, a shard combines its boundary
 // z without reading X or U of any edge it does not own — every such
 // block is poisoned with NaN before its Combine — and the result is
-// bit-identical to the serial fused z-update on an untouched copy.
+// bit-identical to the serial fused sweep on an untouched copy. It pins
+// the combine's write set too: U and N of every edge but the shard's own
+// edges on the variables it combines carry a tagged NaN through the
+// Combine, and those own edges get the serial sweep's u and n. Then the
+// same for Settle and the edges the shard posted.
 func TestCombineReadsNoRemoteEdgeState(t *testing.T) {
 	for _, shards := range []int{2, 3} {
 		ref := packingGraph(t, 12)
 		admm.UpdateXRange(ref, 0, ref.NumFunctions())
-		admm.UpdateZFusedRange(ref, 0, ref.NumVariables())
+		admm.UpdateZUNRange(ref, 0, ref.NumVariables())
 		for _, build := range []int{0, 1} {
 			g := packingGraph(t, 12)
 			c := mailboxCells(t, g, shards)[build]
@@ -107,31 +111,99 @@ func TestCombineReadsNoRemoteEdgeState(t *testing.T) {
 				d := g.D()
 				keepX := append([]float64(nil), g.X...)
 				keepU := append([]float64(nil), g.U...)
+				keepN := append([]float64(nil), g.N...)
+				tag := func(e int) float64 { return math.Float64frombits(0x7ff8_dead_0000_0000 | uint64(e)) }
+				written := 0
 				for w := range c.plan.local {
-					if c.lb == nil && len(c.plan.local[w].boundary) == 0 {
+					lp := &c.plan.local[w]
+					if c.lb == nil && len(lp.boundary) == 0 {
 						t.Fatalf("shard %d combines nothing on shared memory", w)
 					}
 					owned := make([]bool, g.NumEdges())
-					for _, r := range c.plan.local[w].edgeRuns {
+					for _, r := range lp.edgeRuns {
 						for e := r.Lo; e < r.Hi; e++ {
 							owned[e] = true
 						}
 					}
-					for e, mine := range owned {
-						if !mine {
-							for i := e * d; i < (e+1)*d; i++ {
-								g.X[i], g.U[i] = math.NaN(), math.NaN()
+					combined := make([]bool, g.NumEdges())
+					for _, v := range lp.boundary {
+						for _, e := range g.VarEdges(v) {
+							combined[e] = owned[e]
+						}
+					}
+					for e := range owned {
+						for i := e * d; i < (e+1)*d; i++ {
+							if !owned[e] {
+								g.X[i] = math.NaN()
+							}
+							if !combined[e] {
+								g.U[i], g.N[i] = tag(e), tag(e)
 							}
 						}
 					}
 					c.mb.Combine(w)
+					for e, mine := range combined {
+						for i := e * d; i < (e+1)*d; i++ {
+							wantU, wantN := tag(e), tag(e)
+							if mine {
+								wantU, wantN = ref.U[i], ref.N[i]
+								written++
+							}
+							if math.Float64bits(g.U[i]) != math.Float64bits(wantU) || math.Float64bits(g.N[i]) != math.Float64bits(wantN) {
+								t.Fatalf("shard %d: edge %d (own edge on a variable it combines: %v) has U[%d], N[%d] = %g, %g after the combine, want %g, %g",
+									w, e, mine, i, i, g.U[i], g.N[i], wantU, wantN)
+							}
+						}
+					}
 					copy(g.X, keepX)
 					copy(g.U, keepU)
+					copy(g.N, keepN)
+				}
+				if written == 0 {
+					t.Fatal("no shard combines an edge of its own: the write set went unchecked")
 				}
 				for i := range ref.Z {
 					if math.Float64bits(g.Z[i]) != math.Float64bits(ref.Z[i]) {
-						t.Fatalf("Z[%d] = %g, serial fused z-update has %g", i, g.Z[i], ref.Z[i])
+						t.Fatalf("Z[%d] = %g, serial fused sweep has %g", i, g.Z[i], ref.Z[i])
 					}
+				}
+				// Every boundary z is in place (one graph in-process), so
+				// each shard's Settle must give exactly the edges it
+				// posted the serial sweep's u and n, and write no other.
+				written = 0
+				for w := range c.plan.local {
+					posted := make([]bool, g.NumEdges())
+					for j := 0; j < shards; j++ {
+						if j != w {
+							for _, e := range c.man.MEdges[w*shards+j] {
+								posted[e] = true
+							}
+						}
+					}
+					for e, mine := range posted {
+						for i := e * d; i < (e+1)*d && !mine; i++ {
+							g.U[i], g.N[i] = tag(e), tag(e)
+						}
+					}
+					c.mb.Settle(w)
+					for e, mine := range posted {
+						for i := e * d; i < (e+1)*d; i++ {
+							wantU, wantN := tag(e), tag(e)
+							if mine {
+								wantU, wantN = ref.U[i], ref.N[i]
+								written++
+							}
+							if math.Float64bits(g.U[i]) != math.Float64bits(wantU) || math.Float64bits(g.N[i]) != math.Float64bits(wantN) {
+								t.Fatalf("shard %d: edge %d (posted: %v) has U[%d], N[%d] = %g, %g after Settle, want %g, %g",
+									w, e, mine, i, i, g.U[i], g.N[i], wantU, wantN)
+							}
+						}
+					}
+					copy(g.U, keepU)
+					copy(g.N, keepN)
+				}
+				if written == 0 {
+					t.Fatal("no shard posts an edge: Settle went unchecked")
 				}
 			})
 		}
@@ -175,19 +247,39 @@ func TestInboxRowsMatchManifest(t *testing.T) {
 	}
 }
 
-// BenchmarkBoundaryCombine times the boundary half of one fused
-// iteration on the benchmark's packing shape (n=64, 2 shards, shared
-// memory): both shards' posts, then both shards' combines, on one
-// goroutine, in ns per boundary edge.
+// BenchmarkBoundaryCombine times the boundary combine of one fused
+// iteration — each boundary variable's z, then the u/n of its
+// combiner's own edges on it — on the benchmark's packing shape (n=64,
+// 2 shards), both shards' combines on one goroutine after one round of
+// posts, in ns per boundary edge: on the Go loops (go/*) and, where the
+// CPU has it, the AVX2 kernel (avx2/*), over shared memory (*/local)
+// and the framed loopback (*/loopback). The combines move U, so every
+// 1024 rounds it is put back, untimed.
 func BenchmarkBoundaryCombine(b *testing.B) {
-	g := packingGraph(b, 64)
-	c := mailboxCells(b, g, 2)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.mb.Post(0)
-		c.mb.Post(1)
-		c.mb.Combine(0)
-		c.mb.Combine(1)
+	kernels := []string{"go"}
+	if combineAVX2 {
+		kernels = append(kernels, "avx2")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.plan.part.BoundaryEdges), "ns/boundary-edge")
+	for _, kernel := range kernels {
+		for _, cell := range []int{0, 1} {
+			g := packingGraph(b, 64)
+			c := mailboxCells(b, g, 2)[cell]
+			b.Run(kernel+"/"+c.name, func(b *testing.B) {
+				forceCombineAVX2(b, kernel == "avx2")
+				c.phaseAThroughSync1(g)
+				keepU := append([]float64(nil), g.U...)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%1024 == 1023 {
+						b.StopTimer()
+						copy(g.U, keepU)
+						b.StartTimer()
+					}
+					c.mb.Combine(0)
+					c.mb.Combine(1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.plan.part.BoundaryEdges), "ns/boundary-edge")
+			})
+		}
+	}
 }

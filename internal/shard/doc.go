@@ -51,25 +51,31 @@
 //	══ FinishGatherM: every row into this shard's inbox is this
 //	   iteration's — written in place by its sender on shared memory,
 //	   decoded from the sender's frame on a message transport ══
-//	z for owned boundary vars (exchange.Mailbox.Combine): each
-//	   variable's edges in CSR order, a remote edge's block from the
-//	   inbox, a local edge's as x + u in registers
+//	one sweep over owned boundary vars (exchange.Mailbox.Combine):
+//	   z from each variable's edges in CSR order, a remote edge's
+//	   block from the inbox, a local edge's as x + u in registers;
+//	   then u+n of this shard's own edges on it while z is in
+//	   registers (a peer's edges on it are left to the peer)
 //	-- BeginScatterZ --  (owned boundary z departs)
-//	u+n sweep over owned edges of owned boundary vars (plan: unBefore)
 //	══ FinishScatterZ: boundary z-blocks available ══
-//	u+n sweep over edges whose z a peer combined (plan: unAfter)
+//	u+n sweep over the edges this shard posted, whose z a peer
+//	   combined (exchange.Mailbox.Settle)
 //	            ... next iteration ...
 //
 // The schedule is data in the plan, chosen from the transport the plan
-// is built for, not by an option. A message plan fills all four lists
-// (frontier/rest functions, local-z/remote-z boundary edges): the
-// sockets transport always sends before interior compute and awaits
-// only where the data is consumed. On shared memory nothing departs at
-// a Begin, so a shared-memory plan leaves xAfter and unBefore empty and
-// the same loop runs x, post, interior z+u/n, barrier, combine,
-// barrier, boundary u+n. TestPlanSplitsPartitionRuns pins the split:
-// interior variables' edges, unBefore and unAfter partition a shard's
-// edges, so each owned edge gets one u/n per iteration.
+// is built for, not by an option. A message plan splits the functions
+// into frontier and rest: the sockets transport always sends before
+// interior compute and awaits only where the data is consumed. On
+// shared memory nothing departs at a Begin, so a shared-memory plan
+// leaves xAfter empty and the same loop runs x, post, interior z+u/n,
+// barrier, combine (z+u/n), barrier, settle. On both, the settled edges
+// are the posted ones: exactly the owned edges whose variable a peer
+// combines. TestPlanSplitsPartitionRuns pins the split: interior
+// variables' edges, the own edges of the boundary variables a shard
+// combines, and the posted edges partition a shard's edges, so each
+// owned edge gets one u/n per iteration. A shard writes U and N of its
+// own edges only: a combine that ran u/n over every edge of its
+// variables would have two cores writing the same U and N cache lines.
 //
 // The crossings are an exchange.Exchanger (internal/exchange), the
 // transport seam this executor is structured around:
@@ -107,7 +113,10 @@
 // by one core only, and the row is written once and read once per
 // iteration, ordered by the two sync points (the race job runs the
 // suite under the detector). TestCombineReadsNoRemoteEdgeState poisons
-// every remote X and U before the combine and still gets Serial's z.
+// every remote X and U before the combine and still gets Serial's z,
+// and Serial's u and n on the combiner's own edges of the variables it
+// combines, the only U and N the combine writes; then Serial's u and n
+// on each shard's posted edges, the only ones its settle writes.
 // Every strategy, owner rule, shard count and transport therefore
 // produces bit-identical iterates to the Serial reference; the
 // cross-executor conformance suite and the cross-process integration
@@ -118,7 +127,8 @@
 // Every worker times its own loop, by one rule on every transport:
 // each nanosecond between entry and exit lands in exactly one of the x,
 // z and u phase buckets or in sync wait — Post and Combine are z work
-// (boundary z, the combine, is a sub-count of z), the four Begin/Finish
+// (boundary z, the combine with its own edges' u/n, is a sub-count of
+// z; the u phase is the settle alone), the four Begin/Finish
 // calls are sync wait: the barrier crossings on shared memory, frame
 // encode + write plus whatever blocking the interior compute failed to
 // hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up

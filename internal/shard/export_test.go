@@ -3,7 +3,24 @@ package shard
 import (
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
+
+	_ "repro/internal/exchange"
 )
+
+// combineAVX2 is exchange's choice of the AVX2 boundary combine, which
+// BenchmarkBoundaryCombine turns off to time the Go loops.
+//
+//go:linkname combineAVX2 repro/internal/exchange.useAVX2
+var combineAVX2 bool
+
+// forceCombineAVX2 runs the calling test or benchmark with the AVX2
+// combine on or off.
+func forceCombineAVX2(t testing.TB, on bool) {
+	saved := combineAVX2
+	combineAVX2 = on
+	t.Cleanup(func() { combineAVX2 = saved })
+}
 
 // shrinkLiveness runs the calling test under a liveness rule of tick
 // and bound in place of tickEvery and livenessBound.

@@ -28,15 +28,18 @@ func flatten(t *testing.T, what string, runs []sched.Range) []int {
 	return out
 }
 
-// TestPlanSplitsPartitionRuns pins what the plan now decides — the
-// schedule runShardIters executes. On every workload, shard count and
-// plan kind, xBefore and xAfter partition the shard's functions
-// exactly, and the edges of its interior variables, unBefore and
-// unAfter partition its edges exactly, so every owned edge gets one u/n
-// update per iteration; a shared-memory plan leaves nothing to overlap;
-// a message plan runs before BeginGatherM exactly the functions that
-// own an edge on a boundary variable another shard combines, and after
-// FinishScatterZ exactly those edges.
+// TestPlanSplitsPartitionRuns pins what the plan decides — the x half
+// of the schedule runShardIters executes — and where each owned edge
+// takes its u/n. On every workload, shard count and plan kind, xBefore
+// and xAfter partition the shard's functions exactly, and its edges
+// split exactly into three groups: the edges of its interior variables
+// (the z sweep's u/n), its own edges on the boundary variables it
+// combines (the combine's u/n) and the edges it posts in the plan's
+// manifest (Mailbox.Settle's u/n), which are exactly the edges whose
+// variable a peer combines, on both transports — so every owned edge
+// gets one u/n update per iteration. A shared-memory plan leaves
+// nothing to overlap; a message plan runs before BeginGatherM exactly
+// the functions that own a posted edge.
 func TestPlanSplitsPartitionRuns(t *testing.T) {
 	for name, g := range transportWorkloads(t) {
 		for _, shards := range []int{1, 2, 4} {
@@ -50,6 +53,7 @@ func TestPlanSplitsPartitionRuns(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					man := exchange.NewManifestOwners(g, &p.part, shards, p.owner)
 					frontierFuncs := 0
 					for s := range p.local {
 						lp := &p.local[s]
@@ -57,45 +61,56 @@ func TestPlanSplitsPartitionRuns(t *testing.T) {
 						edges := flatten(t, "edgeRuns", lp.edgeRuns)
 						xBefore := flatten(t, "xBefore", lp.xBefore)
 						xAfter := flatten(t, "xAfter", lp.xAfter)
-						unBefore := flatten(t, "unBefore", lp.unBefore)
-						unAfter := flatten(t, "unAfter", lp.unAfter)
 						if got := slices.Sorted(slices.Values(append(slices.Clone(xBefore), xAfter...))); !slices.Equal(got, funcs) {
 							t.Fatalf("shard %d: xBefore ∪ xAfter = %v, funcRuns = %v", s, got, funcs)
 						}
-						un := append(slices.Clone(unBefore), unAfter...)
+						mine := func(e int) bool { return slices.Contains(edges, e) }
+						var interior, combined, posted []int
 						for _, v := range flatten(t, "interiorRuns", lp.interiorRuns) {
-							un = append(un, g.VarEdges(v)...)
+							interior = append(interior, g.VarEdges(v)...)
 						}
-						if got := slices.Sorted(slices.Values(un)); !slices.Equal(got, edges) {
-							t.Fatalf("shard %d: interior edges ∪ unBefore ∪ unAfter = %v, edgeRuns = %v", s, got, edges)
+						for _, v := range lp.boundary {
+							for _, e := range g.VarEdges(v) {
+								if mine(e) {
+									combined = append(combined, e)
+								}
+							}
+						}
+						for j := 0; j < shards; j++ {
+							if j != s {
+								for _, e := range man.MEdges[s*shards+j] {
+									posted = append(posted, int(e))
+								}
+							}
+						}
+						groups := slices.Concat(interior, combined, posted)
+						if got := slices.Sorted(slices.Values(groups)); !slices.Equal(got, edges) {
+							t.Fatalf("shard %d: interior edges (%d) + own edges of combined boundary variables (%d) + posted edges (%d) = %v, edgeRuns = %v",
+								s, len(interior), len(combined), len(posted), got, edges)
+						}
+						var peers []int
+						for _, e := range edges {
+							if v := g.EdgeVar(e); p.part.IsBoundary(v) && p.owner[v] != s {
+								peers = append(peers, e)
+							}
+						}
+						if got := slices.Sorted(slices.Values(posted)); !slices.Equal(got, peers) {
+							t.Fatalf("shard %d: posted edges %v, the edges whose variable a peer combines %v", s, got, peers)
 						}
 						if shared {
-							if len(xAfter) != 0 || len(unBefore) != 0 {
-								t.Fatalf("shard %d: shared-memory plan split its work (%d functions after the post, %d edges before the z barrier)",
-									s, len(xAfter), len(unBefore))
+							if len(xAfter) != 0 {
+								t.Fatalf("shard %d: shared-memory plan runs %d functions after the post", s, len(xAfter))
 							}
 							continue
-						}
-						remote := func(e int) bool {
-							v := g.EdgeVar(e)
-							return p.part.IsBoundary(v) && p.owner[v] != s
-						}
-						for _, e := range edges {
-							if after := slices.Contains(unAfter, e); after != remote(e) {
-								t.Fatalf("shard %d: edge %d in unAfter = %v, its z is remotely combined = %v", s, e, after, remote(e))
-							}
-							if before := slices.Contains(unBefore, e); before != (p.part.IsBoundary(g.EdgeVar(e)) && !remote(e)) {
-								t.Fatalf("shard %d: edge %d in unBefore = %v, on a boundary variable it combines = %v", s, e, before, !before)
-							}
 						}
 						for _, a := range funcs {
 							lo, hi := g.FuncEdges(a)
 							frontier := false
 							for e := lo; e < hi; e++ {
-								frontier = frontier || remote(e)
+								frontier = frontier || slices.Contains(posted, e)
 							}
 							if before := slices.Contains(xBefore, a); before != frontier {
-								t.Fatalf("shard %d: function %d in xBefore = %v, owns a remotely combined edge = %v", s, a, before, frontier)
+								t.Fatalf("shard %d: function %d in xBefore = %v, owns a posted edge = %v", s, a, before, frontier)
 							}
 						}
 						frontierFuncs += len(xBefore)

@@ -107,7 +107,9 @@ type WorkerStats struct {
 	Edges, BoundaryVars int
 	// Every nanosecond of the loop lands in one phase or in SyncWait,
 	// the time blocked at the two per-iteration sync points; BoundaryZ
-	// (the combine of its BoundaryVars) is a sub-count of the z phase.
+	// (the combine of its BoundaryVars: their z, then the u/n of its
+	// own edges on them) is a sub-count of the z phase, and the u phase
+	// is the settle: the u/n of the edges whose z a peer combined.
 	PhaseNanos          [admm.NumPhases]int64
 	SyncWait, BoundaryZ int64
 	// Straggles counts the blocks in which the worker waited least, so
@@ -276,8 +278,8 @@ func (b *Backend) worker(id int) {
 
 // workerTimings is one worker's accounting for a block of iterations.
 // Every nanosecond of runShardIters lands in exactly one of the phase
-// buckets or syncWait; boundaryZ (the combine) is a sub-count of the z
-// phase.
+// buckets or syncWait; boundaryZ (the combine, its own-edge u/n
+// included) is a sub-count of the z phase.
 type workerTimings struct {
 	phaseNanos [admm.NumPhases]int64
 	syncWait   int64
@@ -296,36 +298,40 @@ type workerTimings struct {
 //	  over interior variables         carries an interior edge)
 //	-- FinishGatherM --              (every row into this worker's inbox
 //	                                  holds this iteration's blocks)
-//	z for owned boundary variables   (mb.Combine, CSR order:
-//	                                  bit-identical to serial)
+//	z, then u/n of own edges,        (mb.Combine, CSR order:
+//	  over owned boundary variables   bit-identical to serial)
 //	-- BeginScatterZ --              (owned boundary z departs)
-//	u/n over lp.unBefore             (owned boundary z)
 //	-- FinishScatterZ --             (peers' boundary z arrived)
-//	u/n over lp.unAfter
+//	u/n over the posted edges        (mb.Settle: the edges whose z a
+//	                                  peer combined)
 //
 // The schedule is data in the plan (newPlan): a message transport puts
-// the functions owning a remotely-combined edge in xBefore and the
-// edges awaiting peer z in unAfter, so frames fly while the interior
-// computes; on shared memory nothing departs at a Begin, so xAfter and
-// unBefore are empty and the loop is x, post, interior z+u/n, barrier,
-// combine, barrier, boundary u/n. Either way every per-edge and
-// per-variable computation is the same arithmetic in the same order —
-// only where the waiting happens differs — so iterates are
-// bit-identical to Serial; the conformance suite pins it.
+// the functions owning a remotely-combined edge in xBefore, so frames
+// fly while the interior computes; on shared memory nothing departs at
+// a Begin, so xAfter is empty and the loop is x, post, interior
+// z+u/n, barrier, combine (z+u/n), barrier, settle. Either way every
+// per-edge and per-variable computation is the same arithmetic in the
+// same order — only where the waiting happens differs — so iterates
+// are bit-identical to Serial; the conformance suite pins it.
 //
 // The z gather forms m = x + u in registers, Post reads x + u of the
 // posted edges, and the only U written between the post and the
-// boundary u/n is that of interior edges, which no post or combine
-// reads, so the posted blocks are exactly what the reference m-update
-// would have frozen. The u/n updates and the next iteration's x read only
+// settle is that of interior edges and of own edges on owned boundary
+// variables, which no post reads and the sweep or combine writing them
+// reads just before, so the posted blocks are exactly what the
+// reference m-update would have frozen. The combine and the settle
+// write only their worker's own edges, so on shared memory no two
+// cores write one U or N line. The u/n updates and the next iteration's x read only
 // shard-local state plus z delivered by FinishScatterZ, so no further
 // synchronization is needed: a shard racing ahead blocks in
 // FinishGatherM before it can touch anything another shard still reads.
 //
 // Time accounting, the same on both transports: Post and Combine are z
-// work, the four Begin/Finish calls are syncWait — on a wire that is
-// frame encode + write plus the residual blocking the overlap failed to
-// hide, on shared memory the two barrier crossings.
+// work (Combine's own-edge u/n included, and timed as boundaryZ), the
+// four Begin/Finish calls are syncWait — on a wire that is frame
+// encode + write plus the residual blocking the overlap failed to
+// hide, on shared memory the two barrier crossings — and the u phase is
+// the settle alone.
 func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
 	ph := &tm.phaseNanos
 	sw := admm.StartStopwatch()
@@ -351,16 +357,9 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exc
 		mb.Combine(id)
 		ph[admm.PhaseZ] += sw.Lap(&tm.boundaryZ)
 		ex.BeginScatterZ(id)
-		sw.Lap(&tm.syncWait)
-		for _, r := range lp.unBefore {
-			admm.UpdateUNRange(g, r.Lo, r.Hi)
-		}
-		sw.Lap(&ph[admm.PhaseU])
 		ex.FinishScatterZ(id)
 		sw.Lap(&tm.syncWait)
-		for _, r := range lp.unAfter {
-			admm.UpdateUNRange(g, r.Lo, r.Hi)
-		}
+		mb.Settle(id)
 		sw.Lap(&ph[admm.PhaseU])
 	}
 }
@@ -409,19 +408,18 @@ type localPlan struct {
 	interiorRuns []sched.Range
 	boundary     []int
 
-	// The schedule runShardIters executes: xBefore/xAfter split
-	// funcRuns around BeginGatherM, and unBefore/unAfter split the
-	// owned edges of boundary variables around FinishScatterZ; the
-	// edges of interiorRuns take their u/n in the z sweep, so those
-	// three partition edgeRuns exactly. On a message plan xBefore is
+	// The x half of the schedule runShardIters executes: xBefore/xAfter
+	// split funcRuns around BeginGatherM. On a message plan xBefore is
 	// the frontier — functions owning at least one edge whose boundary
 	// variable another shard combines, so their x feeds an outbound
-	// m-frame — and unAfter the edges whose z a peer computes; the rest
-	// overlaps the frames' flight. A shared-memory plan has nothing in
-	// flight to overlap: every function is in xBefore and every
-	// boundary edge in unAfter.
-	xBefore, xAfter   []sched.Range
-	unBefore, unAfter []sched.Range
+	// m-frame — and xAfter overlaps the frames' flight. A shared-memory
+	// plan has nothing in flight to overlap: every function is in
+	// xBefore. Each owned edge takes its u/n in one of three places: the
+	// z sweep of interiorRuns, the combine of the boundary variables
+	// this shard combines, or, for the edges it posts (those on a
+	// variable a peer combines), Mailbox.Settle once the peer's z
+	// arrives.
+	xBefore, xAfter []sched.Range
 }
 
 // ownedEdgeCount is the number of edges this shard owns.
@@ -496,28 +494,15 @@ func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
 		lp := &p.local[s]
 		lp.funcRuns = appendRun(lp.funcRuns, a, a+1)
 		lp.edgeRuns = appendRun(lp.edgeRuns, lo, hi)
-		// An interior variable's edges take their u/n in its z sweep.
-		// An edge whose boundary variable another shard combines is
-		// shipped at sync point 1 (its function is frontier) and
-		// receives its z back at sync point 2; one on a boundary
-		// variable this shard combines has its z after Combine. Shared
-		// memory sends nothing at a Begin: every boundary edge waits.
-		frontier := false
-		for e := lo; e < hi; e++ {
-			v := g.EdgeVar(e)
-			switch {
-			case !part.IsBoundary(v):
-			case owner[v] != s:
-				frontier = true
-				lp.unAfter = appendRun(lp.unAfter, e, e+1)
-			case sharedMemory:
-				lp.unAfter = appendRun(lp.unAfter, e, e+1)
-			default:
-				lp.unBefore = appendRun(lp.unBefore, e, e+1)
-			}
-		}
 		if sharedMemory {
 			continue
+		}
+		// A function owning an edge whose boundary variable another
+		// shard combines is frontier: its x feeds an outbound m-row.
+		frontier := false
+		for e := lo; e < hi && !frontier; e++ {
+			v := g.EdgeVar(e)
+			frontier = part.IsBoundary(v) && owner[v] != s
 		}
 		if frontier {
 			lp.xBefore = appendRun(lp.xBefore, a, a+1)

@@ -6,7 +6,8 @@
 # (UpdateXRange, UpdateZFusedRange, UpdateUNRange, the one sweep
 # UpdateZUNRange and its AVX2 body zunAVX2) and the residual check's
 # pass (checkPass), every text symbol of repro/internal/linalg,
-# the boundary exchange's Post and Combine, the shard loop
+# the boundary exchange's Post, Combine and Settle and the AVX2 bodies
+# combineAVX2 and settleAVX2, the shard loop
 # (runShardIters), the proximal operators' Eval methods (every value
 # receiver in repro/internal/prox, packing's CollisionOp and svm's
 # MarginOp), and the calibration kernel main.calibrate, whose alignment
@@ -50,7 +51,9 @@ placement() {
 			repro/internal/admm.UpdateUNRange | repro/internal/admm.UpdateZUNRange | \
 			repro/internal/admm.zunAVX2.abi0 | repro/internal/admm.checkPass | \
 			repro/internal/linalg.* | 'repro/internal/exchange.(*Mailbox).Post' | \
-			'repro/internal/exchange.(*Mailbox).Combine' | repro/internal/shard.runShardIters | \
+			'repro/internal/exchange.(*Mailbox).Combine' | repro/internal/exchange.combineAVX2.abi0 | \
+			'repro/internal/exchange.(*Mailbox).Settle' | repro/internal/exchange.settleAVX2.abi0 | \
+			repro/internal/shard.runShardIters | \
 			repro/internal/prox.[A-Z]*.Eval | repro/internal/packing.CollisionOp.Eval | \
 			repro/internal/svm.MarginOp.Eval | main.calibrate)
 			echo "$name $((16#$addr % 64))"
