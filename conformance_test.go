@@ -8,7 +8,7 @@
 // objective tolerance for the asynchronous one (its randomized
 // activation schedule visits a different but equally valid trajectory).
 // Adding an executor family to the table buys it correctness coverage
-// on all four workloads for free. The suite also pins the zero-allocation steady state: Iterate
+// on all four workloads for free. The suite also pins the zero-allocation steady state: a block
 // and the residual/objective evaluation path must not touch the heap
 // after warm-up.
 package repro_test
@@ -401,14 +401,9 @@ func flushTrajectory(t *testing.T, backend admm.Backend, g *graph.Graph, objecti
 			t.Fatalf("Run = %+v, %v", res, err)
 		}
 	} else {
-		var ph [admm.NumPhases]int64
 		zPrev := make([]float64, len(g.Z))
 		for done := 0; done < iters; done += every {
-			if err := backend.Iterate(g, every-1, &ph); err != nil {
-				t.Fatal(err)
-			}
-			copy(zPrev, g.Z)
-			if err := backend.Iterate(g, 1, &ph); err != nil {
+			if _, err := backend.RunBlock(g, admm.Block{Iters: every, ZPrev: zPrev}); err != nil {
 				t.Fatal(err)
 			}
 			primal, dual := admm.Residuals(g, zPrev)
@@ -528,27 +523,32 @@ func TestAsyncConformance(t *testing.T) {
 const gainAllocs = 12
 
 // TestSteadyStateAllocs pins the zero-allocation iteration loop: after
-// warm-up (operator factorization caches, graph scratch), Iterate must
+// warm-up (operator factorization caches, graph scratch), RunBlock must
 // perform no heap allocations for the serial executor on either
 // schedule and for the sharded executor's persistent workers, built by
-// the shard package's constructor and through a spec, and the residual/
-// objective evaluation path must be allocation-free too. ParallelFor is
+// the shard package's constructor and through a spec — a checked block
+// too, whose workers capture zPrev and whose report comes back by
+// value — and the residual/objective evaluation path must be
+// allocation-free too. ParallelFor is
 // exempt by design: its fork-join loops spawn goroutines each phase —
 // that is the executor's identity (the paper's "#pragma omp parallel
 // for"), not an accident. The same holds for the iteration after a rho
 // change, once a first change has been absorbed (see below).
 func TestSteadyStateAllocs(t *testing.T) {
 	backends := []struct {
-		name string
-		make func(g *graph.Graph) (admm.Backend, error)
+		name    string
+		make    func(g *graph.Graph) (admm.Backend, error)
+		checked bool // blocks of 2 iterations with a zPrev capture
 	}{
-		{"serial", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerial(), nil }},
-		{"serial-fused", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerialFused(), nil }},
-		{"sharded-2", func(g *graph.Graph) (admm.Backend, error) { return shard.New(2) }},
+		{"serial", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerial(), nil }, false},
+		{"serial-fused", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerialFused(), nil }, false},
+		{"sharded-2", func(g *graph.Graph) (admm.Backend, error) { return shard.New(2) }, false},
 		{"sharded-2-fused", func(g *graph.Graph) (admm.Backend, error) {
 			fused := true
 			return admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Fused: &fused}.NewBackend(g)
-		}},
+		}, false},
+		{"serial-checked", func(g *graph.Graph) (admm.Backend, error) { return admm.NewSerial(), nil }, true},
+		{"sharded-2-checked", func(g *graph.Graph) (admm.Backend, error) { return shard.New(2) }, true},
 	}
 	for wname, build := range confWorkloads {
 		t.Run(wname, func(t *testing.T) {
@@ -560,13 +560,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer backend.Close()
-					var nanos [admm.NumPhases]int64
-					backend.Iterate(inst.g, 5, &nanos) // warm-up
+					blk := admm.Block{Iters: 1}
+					if be.checked {
+						blk = admm.Block{Iters: 2, ZPrev: inst.g.ScratchZ()}
+					}
+					backend.RunBlock(inst.g, admm.Block{Iters: 5}) // warm-up
 					allocs := testing.AllocsPerRun(10, func() {
-						backend.Iterate(inst.g, 1, &nanos)
+						backend.RunBlock(inst.g, blk)
 					})
 					if allocs != 0 {
-						t.Errorf("Iterate allocates %.1f objects per iteration in steady state", allocs)
+						t.Errorf("RunBlock allocates %.1f objects per block in steady state", allocs)
 					}
 					// The rho-change path: once a first change has been
 					// absorbed, the iteration after a later one allocates
@@ -581,10 +584,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 						}
 					}
 					scaleRho(2)
-					backend.Iterate(inst.g, 1, &nanos)
+					backend.RunBlock(inst.g, blk)
 					allocs = testing.AllocsPerRun(5, func() {
 						scaleRho(1.25)
-						backend.Iterate(inst.g, 1, &nanos)
+						backend.RunBlock(inst.g, blk)
 					})
 					limit := 0.0
 					if wname == "mpc" {

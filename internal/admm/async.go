@@ -39,7 +39,12 @@ func (b *AsyncBackend) Name() string { return "async-random-activation" }
 // Close implements Backend.
 func (b *AsyncBackend) Close() {}
 
-// Iterate implements Backend.
+// RunBlock implements Backend.
+func (b *AsyncBackend) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
+	return SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations, adding each phase's time.
 func (b *AsyncBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	nF := g.NumFunctions()
 	d := g.D()

@@ -217,8 +217,7 @@ func TestAutoNewBackend(t *testing.T) {
 	if !strings.Contains(b.Name(), "fused") {
 		t.Fatalf("auto backend %q is not fused", b.Name())
 	}
-	var nanos [NumPhases]int64
-	b.Iterate(g, 3, &nanos)
+	b.RunBlock(g, Block{Iters: 3})
 
 	if _, err := (ExecutorSpec{Kind: ExecAuto}).NewBackend(nil); err == nil {
 		t.Fatal("auto without a graph accepted")

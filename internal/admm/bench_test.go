@@ -42,10 +42,9 @@ func benchGraph(b *testing.B, funcs int) *graph.Graph {
 func benchmarkIterate(b *testing.B, backend Backend) {
 	defer backend.Close()
 	g := benchGraph(b, 512)
-	var phase [NumPhases]int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	backend.Iterate(g, b.N, &phase)
+	backend.RunBlock(g, Block{Iters: b.N})
 }
 
 func BenchmarkIterateSerial(b *testing.B)      { benchmarkIterate(b, NewSerial()) }

@@ -40,15 +40,13 @@
 // (internal/bench), the examples and the tests, and run through Run.
 //
 // Run drives a Backend in blocks (one per residual check, or one for a
-// fixed-count run) and between blocks edits the graph above the
-// Backend: it zeroes U's subnormal entries (flushSubnormals), which
-// would otherwise slow every later z gather, and adaptRho may rescale
-// Rho and U. Every executor continues from the same state, so the
-// bit-identity contract is untouched; Iterate called directly never
-// flushes. A backend holding state elsewhere (shard.Remote) takes each
-// block whole, as one BlockRunner call that carries the previous
-// block's edit in and the residual block's zPrev capture out. Phase
-// times are one Stopwatch lap per phase boundary.
+// fixed-count run), one RunBlock call each, and between blocks edits the
+// graph above the Backend: it zeroes U's subnormal entries
+// (flushSubnormals), which would otherwise slow every later z gather,
+// and adaptRho may rescale Rho and U. Every executor continues from the
+// same state, so the bit-identity contract is untouched. The next Block
+// carries that edit to a backend holding its state elsewhere
+// (shard.Remote). Phase times are one Stopwatch lap per phase boundary.
 //
 // # The residual check
 //
@@ -115,7 +113,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -234,34 +231,53 @@ func UpdateNRange(g *graph.Graph, lo, hi int) {
 	}
 }
 
-// Backend runs ADMM iterations over a graph and accounts per-phase time.
+// Backend runs ADMM iterations over a graph, one block per call.
 type Backend interface {
 	// Name identifies the backend in reports.
 	Name() string
-	// Iterate runs iters full iterations, adding per-phase elapsed time
-	// into phaseNanos. A non-nil error means the block did not complete
-	// and g's state is unspecified (a lost worker process, see
-	// shard.Remote); in-process executors always return nil.
-	Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error
+	// RunBlock runs one Block and reports its phase times. A non-nil
+	// error means the block did not complete and g's state is
+	// unspecified (a lost worker process, see shard.Remote); in-process
+	// executors always return nil.
+	RunBlock(g *graph.Graph, blk Block) (BlockReport, error)
 	// Close releases any persistent resources (workers).
 	Close()
 }
 
-// BlockRunner is an optional Backend extension for executors keeping
-// their own copy of the state (shard.Remote): Run hands it each block
-// whole, so one call — one round trip — carries the block. edit is
-// what Run did to Rho and U after the previous block (the zero Edit
-// before the first); a non-nil zPrev, on a residual block, receives z
-// as of iteration iters-1. Implementations must leave g and zPrev
-// bit-identical to replaying edit on their own state (Edit.Apply), then
-//
-//	Iterate(g, iters-1, ...); copy(zPrev, g.Z); Iterate(g, 1, ...)
-//
-// or Iterate(g, iters, ...) with a nil zPrev. Between blocks only Run
-// may edit such a graph. Every other backend runs Run's split form
-// (iterateBlock).
-type BlockRunner interface {
-	RunBlock(g *graph.Graph, edit Edit, iters int, zPrev []float64, phaseNanos *[NumPhases]int64) error
+// Block is one RunBlock call's work: Iters iterations, leaving g and a
+// non-nil ZPrev bit-identical to SplitBlock's. Edit is what Run did to
+// Rho and U after the previous block (the zero Edit before the first);
+// Run has already applied it to g, so only a backend keeping its own
+// copy of the state replays it (Edit.Apply). Between blocks only Run
+// may edit such a graph. ZPrev receives z as of iteration Iters-1.
+type Block struct {
+	Iters int
+	Edit  Edit
+	ZPrev []float64
+}
+
+// BlockReport is what a block took: per-phase elapsed time (simulated
+// device time on the simulated backends).
+type BlockReport struct {
+	PhaseNanos [NumPhases]int64
+}
+
+// SplitBlock is RunBlock for a backend that iterates g in place:
+// iterate(g, n, phaseNanos) runs n iterations and adds each phase's
+// time. With a non-nil ZPrev the block's last iteration runs
+// separately, after the capture, so that the dual residual reflects one
+// iteration's z movement, not the whole block's — residual-balancing
+// rho adaptation is badly biased otherwise.
+func SplitBlock(iterate func(*graph.Graph, int, *[NumPhases]int64) error, g *graph.Graph, blk Block) (rep BlockReport, err error) {
+	n := blk.Iters
+	if blk.ZPrev != nil {
+		if err = iterate(g, n-1, &rep.PhaseNanos); err != nil {
+			return rep, err
+		}
+		copy(blk.ZPrev, g.Z)
+		n = 1
+	}
+	return rep, iterate(g, n, &rep.PhaseNanos)
 }
 
 // Edit is what Run did to Rho and U after a block: Flush zeroed U's
@@ -377,13 +393,7 @@ func (r Result) PhaseFractions() [NumPhases]float64 {
 	return out
 }
 
-// phaseScratch recycles the per-Run phase-time accumulator. Passing
-// &res.PhaseNanos into the Backend interface would force the whole
-// Result to escape to the heap on every Run; a pooled array keeps the
-// steady-state solve loop allocation-free.
-var phaseScratch = sync.Pool{New: func() any { return new([NumPhases]int64) }}
-
-// Run executes the message-passing ADMM on g. A backend's Iterate error
+// Run executes the message-passing ADMM on g. A backend's RunBlock error
 // ends the run at that block: Run returns it with the iterations
 // completed before it, and g's state is whatever the backend left.
 //
@@ -419,24 +429,20 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 		zPrev = g.ScratchZ()
 	}
 	res.Primal, res.Dual = math.NaN(), math.NaN()
-	phaseNanos := phaseScratch.Get().(*[NumPhases]int64)
-	*phaseNanos = [NumPhases]int64{}
-	runner, _ := backend.(BlockRunner)
 	var edit Edit // Run's edit after the previous block
 	adjusted := 0 // adaptRho's steps so far
 
 	start := time.Now()
 	done := 0
 	var err error
+	var rep BlockReport // out of the loop: this Run keeps fused.go's kernels in place (scripts/layout.sh)
 	for done < opts.MaxIter {
 		step := blockLen(done, opts.MaxIter, every, needResiduals, check)
-		if runner != nil {
-			err = runner.RunBlock(g, edit, step, zPrev, phaseNanos)
-		} else {
-			err = iterateBlock(backend, g, step, zPrev, phaseNanos)
-		}
-		if err != nil {
+		if rep, err = backend.RunBlock(g, Block{Iters: step, Edit: edit, ZPrev: zPrev}); err != nil {
 			break
+		}
+		for p := range res.PhaseNanos {
+			res.PhaseNanos[p] += rep.PhaseNanos[p]
 		}
 		var sums checkSums
 		if needResiduals {
@@ -471,8 +477,6 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 	}
 	res.Iterations = done
 	res.Elapsed = time.Since(start)
-	res.PhaseNanos = *phaseNanos
-	phaseScratch.Put(phaseNanos)
 	return res, err
 }
 
@@ -525,25 +529,6 @@ func flushSubnormals(u []float64) (flushed bool) {
 		}
 	}
 	return flushed
-}
-
-// iterateBlock runs one block of step iterations on a backend that is
-// not a BlockRunner. With a non-nil zPrev (a residual round) the
-// block's last iteration runs separately, so that zPrev holds z as of
-// iteration step-1 and the dual residual reflects one iteration's z
-// movement, not the whole block's — residual-balancing rho adaptation
-// is badly biased otherwise.
-func iterateBlock(backend Backend, g *graph.Graph, step int, zPrev []float64, phaseNanos *[NumPhases]int64) error {
-	if zPrev == nil {
-		return backend.Iterate(g, step, phaseNanos)
-	}
-	if step > 1 {
-		if err := backend.Iterate(g, step-1, phaseNanos); err != nil {
-			return err
-		}
-	}
-	copy(zPrev, g.Z)
-	return backend.Iterate(g, 1, phaseNanos)
 }
 
 // Residuals computes the primal residual ||x - z||_2 (consensus
@@ -666,30 +651,42 @@ func adaptRho(g *graph.Graph, c *AdaptConfig, adjusted int, primal, dual float64
 // Serial is the single-core backend: the Go analogue of the paper's
 // optimized serial C implementation, against which all speedups are
 // measured.
-type serialBackend struct{ fused bool }
+type Serial struct{ fused bool }
 
 // NewSerial returns the serial reference backend (five-phase schedule).
-func NewSerial() Backend { return serialBackend{} }
+func NewSerial() Serial { return Serial{} }
 
 // NewSerialFused returns the serial backend on the fused schedule, x
 // then one sweep of z and u/n — bit-identical iterates, about two thirds
 // less memory traffic on the streaming phases. This is what
 // ExecutorSpec{Kind: "serial"} builds by default.
-func NewSerialFused() Backend { return serialBackend{fused: true} }
+func NewSerialFused() Serial { return Serial{fused: true} }
 
-func (b serialBackend) Name() string {
+func (b Serial) Name() string {
 	if b.fused {
 		return "serial-fused"
 	}
 	return "serial"
 }
-func (serialBackend) Close() {}
+func (Serial) Close() {}
+
+// RunBlock implements Backend: SplitBlock over Iterate, written out so
+// that the report stays on the caller's stack.
+func (b Serial) RunBlock(g *graph.Graph, blk Block) (rep BlockReport, _ error) {
+	n := blk.Iters
+	if blk.ZPrev != nil {
+		b.Iterate(g, n-1, &rep.PhaseNanos)
+		copy(blk.ZPrev, g.Z)
+		n = 1
+	}
+	return rep, b.Iterate(g, n, &rep.PhaseNanos)
+}
 
 // Iterate runs each iteration's phases inline, one stopwatch lap each.
 // On the fused schedule only x and z are timed: the m-message rides
 // inside the z gather and the u/n updates inside the same sweep, so the
 // m, u and n buckets stay zero.
-func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
+func (b Serial) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	sw := StartStopwatch()
 	if b.fused {
 		for it := 0; it < iters; it++ {
@@ -715,4 +712,4 @@ func (b serialBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases
 	return nil
 }
 
-var _ Backend = serialBackend{}
+var _ Backend = Serial{}

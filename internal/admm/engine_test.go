@@ -66,7 +66,7 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// failingBackend is the serial backend until its failAt-th Iterate
+// failingBackend is the serial backend until its failAt-th RunBlock
 // call, which returns an error — what a lost worker process looks like
 // to the engine.
 type failingBackend struct {
@@ -76,19 +76,19 @@ type failingBackend struct {
 
 var errWorkerLost = errors.New("worker lost")
 
-func (b *failingBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
+func (b *failingBackend) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
 	b.calls++
 	if b.calls == b.failAt {
-		return errWorkerLost
+		return BlockReport{}, errWorkerLost
 	}
-	return b.Backend.Iterate(g, iters, phaseNanos)
+	return b.Backend.RunBlock(g, blk)
 }
 
-// TestRunReturnsIterateError: Run stops at the block whose Iterate
+// TestRunReturnsIterateError: Run stops at the block whose RunBlock
 // failed, returns that error with the iterations completed before it,
 // and calls the backend no further — with and without residual checks.
-// A checked run's blocks end at iterations 1, 10, 20, …; the first is
-// one Iterate call, every later one two.
+// A checked run's blocks end at iterations 1, 10, 20, …, one RunBlock
+// call each.
 func TestRunReturnsIterateError(t *testing.T) {
 	checked := Options{MaxIter: 40, AbsTol: 1e-30, CheckEvery: 10}
 	for _, tc := range []struct {
@@ -99,10 +99,8 @@ func TestRunReturnsIterateError(t *testing.T) {
 	}{
 		{"fixed-count", Options{MaxIter: 40}, 1, 0},
 		{"residual-checked, block 1", checked, 1, 0},
-		{"residual-checked, first half of block 2", checked, 2, 1},
-		{"residual-checked, second half of block 2", checked, 3, 1},
-		{"residual-checked, first half of block 3", checked, 4, 10},
-		{"residual-checked, second half of block 3", checked, 5, 10},
+		{"residual-checked, block 2", checked, 2, 1},
+		{"residual-checked, block 3", checked, 3, 10},
 	} {
 		b := &failingBackend{Backend: NewSerialFused(), failAt: tc.failAt}
 		tc.opts.Backend = b
@@ -111,7 +109,7 @@ func TestRunReturnsIterateError(t *testing.T) {
 			t.Fatalf("%s: Run returned %v, want the backend's error", tc.name, err)
 		}
 		if b.calls != tc.failAt {
-			t.Fatalf("%s: %d Iterate calls, want Run to stop at call %d", tc.name, b.calls, tc.failAt)
+			t.Fatalf("%s: %d RunBlock calls, want Run to stop at call %d", tc.name, b.calls, tc.failAt)
 		}
 		if res.Iterations != tc.wantIters || res.Converged {
 			t.Fatalf("%s: result %+v, want %d completed iterations, not converged", tc.name, res, tc.wantIters)
@@ -212,8 +210,7 @@ func TestBackendsProduceIdenticalIterates(t *testing.T) {
 	for _, m := range backends {
 		t.Run(m.name, func(t *testing.T) {
 			g := mixedGraph(t, 7, 13, 40, 2)
-			var ns [NumPhases]int64
-			m.b.Iterate(g, iters, &ns)
+			m.b.RunBlock(g, Block{Iters: iters})
 			m.b.Close()
 			// All backends implement the same sweep with the same
 			// per-task arithmetic ordering; allow only tiny numerical
@@ -404,8 +401,8 @@ func TestAdaptRescaleKeepsDualAtClamp(t *testing.T) {
 	}
 }
 
-// TestRunReportsEdits: Run hands a BlockRunner backend, with every
-// block, the edit it made after the previous one — the zero Edit before
+// TestRunReportsEdits: Run hands the backend, with every block, the
+// edit it made after the previous one — the zero Edit before
 // the first block, then the flush always and the rescale when adaptRho
 // fired, with the bounds it resolved — and replaying each edit with
 // Edit.Apply on Rho and U as the previous block left them reproduces
@@ -451,7 +448,7 @@ func TestRunReportsEdits(t *testing.T) {
 	}
 }
 
-// editRecorder is a BlockRunner over Run's split path that keeps its
+// editRecorder is a backend over the fused serial one that keeps its
 // own copy of Rho and U, as the previous block left them, and records
 // each edit with that copy replayed and with Run's Rho and U.
 type editRecorder struct {
@@ -471,13 +468,13 @@ func snapshotRhoU(g *graph.Graph) [2][]float64 {
 	return [2][]float64{append([]float64(nil), g.Rho...), append([]float64(nil), g.U...)}
 }
 
-func (b *editRecorder) RunBlock(g *graph.Graph, e Edit, iters int, zPrev []float64, ph *[NumPhases]int64) error {
-	e.Apply(b.state[0], b.state[1], g.D())
-	b.edits = append(b.edits, recordedEdit{e, b.done, b.state, snapshotRhoU(g)})
-	b.done += iters
-	err := iterateBlock(b.Backend, g, iters, zPrev, ph)
+func (b *editRecorder) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
+	blk.Edit.Apply(b.state[0], b.state[1], g.D())
+	b.edits = append(b.edits, recordedEdit{blk.Edit, b.done, b.state, snapshotRhoU(g)})
+	b.done += blk.Iters
+	rep, err := b.Backend.RunBlock(g, blk)
 	b.state = snapshotRhoU(g)
-	return err
+	return rep, err
 }
 
 // adaptiveRun runs the averaging problem from a mis-tuned rho under

@@ -68,7 +68,12 @@ func (b *ParallelForBackend) Name() string {
 // Close implements Backend.
 func (b *ParallelForBackend) Close() {}
 
-// Iterate implements Backend.
+// RunBlock implements Backend.
+func (b *ParallelForBackend) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
+	return SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations, adding each phase's time.
 func (b *ParallelForBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	w := b.Workers
 	loop := func(n int, fn func(lo, hi int)) {

@@ -49,8 +49,12 @@ func RunExact(g *graph.Graph, opts Options) (Result, error) {
 	var err error
 	for done < opts.MaxIter {
 		step := blockLen(done, opts.MaxIter, every, needResiduals, check)
-		if err = iterateBlock(backend, g, step, zPrev, &res.PhaseNanos); err != nil {
+		var rep BlockReport
+		if rep, err = backend.RunBlock(g, Block{Iters: step, ZPrev: zPrev}); err != nil {
 			break
+		}
+		for p, v := range rep.PhaseNanos {
+			res.PhaseNanos[p] += v
 		}
 		flushSubnormals(g.U)
 		if needResiduals {

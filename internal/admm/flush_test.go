@@ -62,9 +62,9 @@ func TestRunFlushesStuckSubnormalDuals(t *testing.T) {
 			t.Fatalf("%d subnormal entries in U after two chained 1200-iteration runs", n)
 		}
 	})
-	// Backend.Iterate alone never flushes: the finding itself (21 stuck
-	// entries on amd64), so the subtests above cannot pass because the
-	// workload stopped underflowing.
+	// A block alone never flushes, only Run between blocks: the finding
+	// itself (21 stuck entries on amd64), so the subtests above cannot
+	// pass because the workload stopped underflowing.
 	t.Run("iterate-alone-sticks", func(t *testing.T) {
 		g := svmGraph(t, 24)
 		var ph [admm.NumPhases]int64

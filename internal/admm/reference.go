@@ -71,9 +71,14 @@ func (r *ReferenceBackend) store(g *graph.Graph) {
 	}
 }
 
-// Iterate implements Backend. The iterates match the serial backend
-// exactly (same update order, same arithmetic); only the data-structure
-// traversal differs.
+// RunBlock implements Backend.
+func (r *ReferenceBackend) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
+	return SplitBlock(r.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations. The iterates match the serial
+// backend exactly (same update order, same arithmetic); only the
+// data-structure traversal differs.
 func (r *ReferenceBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	d := g.D()
 	r.load(g)

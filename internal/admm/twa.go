@@ -39,7 +39,12 @@ func (b *TWABackend) Name() string { return "twa-serial" }
 // Close implements Backend.
 func (b *TWABackend) Close() {}
 
-// Iterate implements Backend.
+// RunBlock implements Backend.
+func (b *TWABackend) RunBlock(g *graph.Graph, blk Block) (BlockReport, error) {
+	return SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations, adding each phase's time.
 func (b *TWABackend) Iterate(g *graph.Graph, iters int, phaseNanos *[NumPhases]int64) error {
 	nE := g.NumEdges()
 	if len(b.weights) != nE {

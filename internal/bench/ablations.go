@@ -281,9 +281,8 @@ func init() {
 				p.InitRandom(rand.New(rand.NewSource(s.Seed + 20)))
 				backend := row.mk()
 				reached := -1
-				var nanos [admm.NumPhases]int64
 				for it := 0; it < 20000; it += 50 {
-					backend.Iterate(p.Graph, 50, &nanos)
+					backend.RunBlock(p.Graph, admm.Block{Iters: 50})
 					if p.CheckValidity().Valid(1e-3) {
 						reached = it + 50
 						break

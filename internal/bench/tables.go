@@ -13,10 +13,9 @@ import (
 // measureIterate wall-clocks backend iterations on g (with one warmup
 // iteration) and returns seconds per iteration.
 func measureIterate(b admm.Backend, g *graph.Graph, iters int) float64 {
-	var nanos [admm.NumPhases]int64
-	b.Iterate(g, 1, &nanos) // warmup
+	b.RunBlock(g, admm.Block{Iters: 1}) // warmup
 	start := time.Now()
-	b.Iterate(g, iters, &nanos)
+	b.RunBlock(g, admm.Block{Iters: iters})
 	return time.Since(start).Seconds() / float64(iters)
 }
 

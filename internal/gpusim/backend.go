@@ -104,8 +104,13 @@ func (b *Backend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
 	return b.phaseSec
 }
 
-// Iterate implements admm.Backend: it advances the ADMM state with the
-// host kernels and charges simulated device time.
+// RunBlock implements admm.Backend.
+func (b *Backend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
+	return admm.SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances the ADMM state with the host kernels and charges
+// simulated device time.
 func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	for it := 0; it < iters; it++ {
@@ -182,7 +187,12 @@ func (b *CPUBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
 	return b.phaseSec
 }
 
-// Iterate implements admm.Backend.
+// RunBlock implements admm.Backend.
+func (b *CPUBackend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
+	return admm.SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations, adding each phase's time.
 func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	hostAdvance(g, iters)

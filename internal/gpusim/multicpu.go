@@ -161,7 +161,12 @@ func (b *MultiCoreBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 
 	return b.phaseSec
 }
 
-// Iterate implements admm.Backend.
+// RunBlock implements admm.Backend.
+func (b *MultiCoreBackend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
+	return admm.SplitBlock(b.Iterate, g, blk)
+}
+
+// Iterate advances g by iters iterations, adding each phase's time.
 func (b *MultiCoreBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
 	b.prepare(g)
 	hostAdvance(g, iters)

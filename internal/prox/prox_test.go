@@ -437,16 +437,23 @@ func TestAffineEqualityPerInstanceState(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { clone = first.Clone() }); a != 1 || clone == nil {
 		t.Errorf("Clone allocates %v times, want 1", a)
 	}
+	// TotalAlloc counts every goroutine's allocations, so one window can
+	// charge the runtime's or another test's to Clone: take the smallest
+	// of three.
 	const clones = 1000
 	keep := make([]*AffineEquality, clones)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range keep {
-		keep[i] = first.Clone()
+	per := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = first.Clone()
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		per = min(per, float64(after.TotalAlloc-before.TotalAlloc)/clones)
 	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(keep)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / clones; per > 24 {
+	if per > 24 {
 		t.Errorf("a Clone allocates %.1f bytes, want at most 24", per)
 	}
 	rho := []float64{0.7, 3.5}

@@ -59,8 +59,7 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		var nanos [admm.NumPhases]int64
-		r.Iterate(g, iters, &nanos)
+		r.RunBlock(g, admm.Block{Iters: iters})
 		return r.Stats()
 	}
 	serial := func(mutate func(*graph.Graph), iters int) *graph.Graph {
@@ -69,10 +68,9 @@ func TestWarmCacheHandshakeTiers(t *testing.T) {
 		if mutate != nil {
 			mutate(ref)
 		}
-		var nanos [admm.NumPhases]int64
 		b := admm.NewSerialFused()
 		defer b.Close()
-		b.Iterate(ref, iters, &nanos)
+		b.RunBlock(ref, admm.Block{Iters: iters})
 		return ref
 	}
 	checkZ := func(tag string, g, ref *graph.Graph) {
@@ -151,8 +149,7 @@ func TestWarmCacheDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var nanos [admm.NumPhases]int64
-		r.Iterate(g, 20, &nanos)
+		r.RunBlock(g, admm.Block{Iters: 20})
 		st := r.Stats()
 		r.Close()
 		if got := tiers(st); got != "miss,miss" || st.StatePushes != 2 || st.HandshakeFrames != 6 {
@@ -161,7 +158,7 @@ func TestWarmCacheDisabled(t *testing.T) {
 		}
 		ref := chainGraph(t, 32)
 		b := admm.NewSerialFused()
-		b.Iterate(ref, 20, &nanos)
+		b.RunBlock(ref, admm.Block{Iters: 20})
 		b.Close()
 		for i := range ref.Z {
 			if ref.Z[i] != g.Z[i] {
@@ -197,8 +194,7 @@ func TestWarmCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		var nanos [admm.NumPhases]int64
-		r.Iterate(g, 10, &nanos)
+		r.RunBlock(g, admm.Block{Iters: 10})
 		return r.Stats()
 	}
 	if got := tiers(solveN(32)); got != "miss,miss" {

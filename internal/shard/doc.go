@@ -133,7 +133,7 @@
 // encode + write plus whatever blocking the interior compute failed to
 // hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up
 // to the loop's wall time. In-process workers hand their block's times
-// to Iterate, worker processes send them in each Up frame's header, and
+// to RunBlock, worker processes send them in each Up frame's header, and
 // one Stats.endBlock adds every worker's to its Stats.Workers entry. A
 // block's straggler is the worker that waited least — the one the
 // others waited for — so the solve's phase times are, block by block,
@@ -150,7 +150,7 @@
 // NewRemote (Solve's attempt loop owns every retry); every transport
 // failure carries
 // a *WorkerError attributing worker, endpoint, and protocol phase —
-// returned by NewRemote at the handshake and by Remote.Iterate (hence
+// returned by NewRemote at the handshake and by Remote.RunBlock (hence
 // admm.Run) mid-solve; nothing panics on a lost worker. ProbeWorkers
 // speaks the Ping/Pong health frames the worker's accept loop answers
 // even mid-session. A worker's session is one state table (mesh-wait,

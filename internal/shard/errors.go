@@ -21,7 +21,7 @@ const (
 // WorkerError is a typed transport failure against one worker: which
 // worker, at which endpoint, in which protocol phase. Handshake
 // failures are returned from NewRemote, mid-solve failures from
-// Remote.Iterate (and so from admm.Run); Solve acts on both under the
+// Remote.RunBlock (and so from admm.Run); Solve acts on both under the
 // spec's failover policy.
 type WorkerError struct {
 	Worker int

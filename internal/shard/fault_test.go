@@ -387,20 +387,20 @@ func TestStalledStateTimeout(t *testing.T) {
 	// read must now hit the liveness bound instead of wedging.
 	done := make(chan error, 1)
 	go func() {
-		var nanos [admm.NumPhases]int64
-		done <- r.Iterate(g, 5, &nanos)
+		_, err := r.RunBlock(g, admm.Block{Iters: 5})
+		done <- err
 	}()
 	select {
 	case err := <-done:
 		var we *WorkerError
 		if !errors.As(err, &we) {
-			t.Fatalf("Iterate against a stalled worker returned %v, want a *WorkerError", err)
+			t.Fatalf("RunBlock against a stalled worker returned %v, want a *WorkerError", err)
 		}
 		if we.Phase != PhaseCollect && we.Phase != PhaseIterate {
 			t.Fatalf("unexpected phase %q", we.Phase)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Iterate wedged on a stalled worker despite the liveness rule")
+		t.Fatal("RunBlock wedged on a stalled worker despite the liveness rule")
 	}
 }
 
@@ -462,8 +462,8 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 	}
 	iterDone := make(chan error, 1)
 	go func() {
-		var nanos [admm.NumPhases]int64
-		iterDone <- r.Iterate(g, 10, &nanos)
+		_, err := r.RunBlock(g, admm.Block{Iters: 10})
+		iterDone <- err
 	}()
 	<-blockStarted
 	// Abrupt teardown: close the control connections without Bye while
@@ -473,7 +473,7 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 	close(release)
 	var we *WorkerError
 	if err := <-iterDone; !errors.As(err, &we) {
-		t.Fatalf("Iterate over torn-down connections returned %v, want a *WorkerError", err)
+		t.Fatalf("RunBlock over torn-down connections returned %v, want a *WorkerError", err)
 	}
 
 	// The worker must come back: once the torn-down session ends, a
@@ -487,7 +487,7 @@ func TestWorkerSurvivesCoordinatorMidSolveDisconnect(t *testing.T) {
 	}
 	defer r2.Close()
 	var nanos [admm.NumPhases]int64
-	r2.Iterate(g2, 10, &nanos)
+	r2.RunBlock(g2, admm.Block{Iters: 10})
 	ref := chainGraph(t, 48)
 	admm.NewSerialFused().Iterate(ref, 10, &nanos)
 	for i := range ref.Z {
@@ -676,11 +676,11 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			var nanos [admm.NumPhases]int64
-			err = r.Iterate(g, 10, &nanos)
+			_, err = r.RunBlock(g, admm.Block{Iters: 10})
 			r.Close()
 			var we *WorkerError
 			if !errors.As(err, &we) || !fired.Load() {
-				t.Fatalf("Iterate over a retired frame kind returned %v (tampered: %t), want a *WorkerError", err, fired.Load())
+				t.Fatalf("RunBlock over a retired frame kind returned %v (tampered: %t), want a *WorkerError", err, fired.Load())
 			}
 
 			g2 := chainGraph(t, 48)
@@ -689,7 +689,7 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 				t.Fatalf("workers did not accept a session after the refused frame: %v", err)
 			}
 			defer r2.Close()
-			if err := r2.Iterate(g2, 10, &nanos); err != nil {
+			if _, err := r2.RunBlock(g2, admm.Block{Iters: 10}); err != nil {
 				t.Fatal(err)
 			}
 			ref := chainGraph(t, 48)
@@ -705,7 +705,7 @@ func TestRetiredFrameKindFailsBlock(t *testing.T) {
 
 // TestRetiredDoneReplyRefused: kind 16 was Done, a block's JSON
 // statistics ahead of its Up. A worker answering an Iter with it is
-// refused as an unexpected frame: Iterate returns a *WorkerError naming
+// refused as an unexpected frame: RunBlock returns a *WorkerError naming
 // that worker in the collect phase, and the coordinator's graph keeps
 // the state it had.
 func TestRetiredDoneReplyRefused(t *testing.T) {
@@ -731,8 +731,7 @@ func TestRetiredDoneReplyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	var nanos [admm.NumPhases]int64
-	err = r.Iterate(g, 10, &nanos)
+	_, err = r.RunBlock(g, admm.Block{Iters: 10})
 	var we *WorkerError
 	if !errors.As(err, &we) || we.Worker != 0 || we.Phase != PhaseCollect || !strings.Contains(err.Error(), "unexpected frame kind 16") {
 		t.Fatalf("a kind-16 reply: got %v, want a collect-phase *WorkerError naming the unexpected kind", err)
@@ -806,7 +805,7 @@ func TestSilentOpenerDropped(t *testing.T) {
 	}
 	defer r.Close()
 	var nanos [admm.NumPhases]int64
-	if err := r.Iterate(g, 10, &nanos); err != nil {
+	if _, err := r.RunBlock(g, admm.Block{Iters: 10}); err != nil {
 		t.Fatal(err)
 	}
 	ref := chainGraph(t, 48)

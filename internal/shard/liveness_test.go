@@ -101,8 +101,8 @@ func TestRemoteMeshStallFailsFast(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		var nanos [admm.NumPhases]int64
-		done <- r.Iterate(g, 10, &nanos)
+		_, err := r.RunBlock(g, admm.Block{Iters: 10})
+		done <- err
 	}()
 	select {
 	case err = <-done:
@@ -223,7 +223,7 @@ func TestRemoteSlowBlockDoesNotTrip(t *testing.T) {
 	sleep.Store(int64(7 * bound / 2))
 	var nanos [admm.NumPhases]int64
 	start := time.Now()
-	if err := r.Iterate(g, 20, &nanos); err != nil {
+	if _, err := r.RunBlock(g, admm.Block{Iters: 20}); err != nil {
 		t.Fatalf("a slow block failed: %v", err)
 	}
 	if el := time.Since(start); el < 3*bound {
@@ -330,7 +330,7 @@ func TestRemoteSlowBlockBigFramesDoesNotTrip(t *testing.T) {
 			var nanos [admm.NumPhases]int64
 			sleep.Store(int64(7 * bound / 2))
 			start := time.Now()
-			if err := r.Iterate(g, iters, &nanos); err != nil {
+			if _, err := r.RunBlock(g, admm.Block{Iters: iters}); err != nil {
 				t.Fatalf("a slow block failed: %v", err)
 			}
 			if el := time.Since(start); el < 3*bound {
@@ -380,7 +380,7 @@ func TestRemoteSlowUpDoesNotTrip(t *testing.T) {
 		start := time.Now()
 		payload, err := r.collect(0, exchange.FrameUp, &blockWatch{r: r, phase: PhaseCollect, bound: bound, progress: start, stuck: make([]time.Duration, 2)})
 		if err == nil {
-			err = installUp(&r.reps[0], g, &r.plan.local[0], r.ownedVars[0], payload, zPrev)
+			err = installUp(&r.reps[0], g, &r.plan.local[0], payload, zPrev)
 		}
 		coord.Close()
 		if pause == 0 && (err != nil || time.Since(start) < 3*bound) {
@@ -499,20 +499,19 @@ func TestRemoteRefusesTamperedUpHeader(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			var nanos [admm.NumPhases]int64
 			if cumulative {
-				if err := r.Iterate(g, 10, &nanos); err != nil {
+				if _, err := r.RunBlock(g, admm.Block{Iters: 10}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			before, stats := append([]float64(nil), g.Z...), r.Stats()
-			err = r.Iterate(g, 10, &nanos)
+			_, err = r.RunBlock(g, admm.Block{Iters: 10})
 			var we *WorkerError
 			if !errors.As(err, &we) || we.Worker != 0 || we.Phase != PhaseCollect || !strings.Contains(err.Error(), "up header") {
 				t.Fatalf("a tampered header word %d: got %v, want a collect-phase *WorkerError naming worker 0", word, err)
 			}
 			d := g.D()
-			for _, v := range r.ownedVars[0] {
+			for _, v := range r.plan.local[0].owned {
 				for i := v * d; i < (v+1)*d; i++ {
 					if g.Z[i] != before[i] {
 						t.Fatalf("worker 0's Z[%d] changed after a refused Up", i)
@@ -646,10 +645,7 @@ func plannedRemote(t *testing.T, g *graph.Graph, shards int) *Remote {
 		t.Fatal(err)
 	}
 	r := &Remote{shards: shards, addrs: make([]string, shards), g: g, plan: p,
-		ownedVars: make([][]int, shards), bufs: make([][]byte, shards), reps: make([]blockReport, shards)}
-	for i := range r.ownedVars {
-		r.ownedVars[i] = p.local[i].appendOwnedVars(nil)
-	}
+		bufs: make([][]byte, shards), reps: make([]blockReport, shards)}
 	r.stats = p.shapeStats(admm.TransportSockets)
 	return r
 }
@@ -677,7 +673,7 @@ func collectAll(t *testing.T, r *Remote, w int, stream []byte) {
 		go func() {
 			payload, err := r.collect(w, exchange.FrameUp, watch)
 			if err == nil {
-				err = installUp(&r.reps[w], r.g, &r.plan.local[w], r.ownedVars[w], payload, zPrev)
+				err = installUp(&r.reps[w], r.g, &r.plan.local[w], payload, zPrev)
 			}
 			done <- err
 		}()
@@ -691,7 +687,9 @@ func collectAll(t *testing.T, r *Remote, w int, stream []byte) {
 			return
 		}
 		// RunBlock's fold of the reports into Stats.
-		r.stats.endBlock(1, r.reps, exchange.Stats{Rounds: r.stats.Iterations + 1}, &nanos)
+		for p, v := range r.stats.endBlock(1, r.reps, exchange.Stats{Rounds: r.stats.Iterations + 1}) {
+			nanos[p] += v
+		}
 		s := r.Stats()
 		for p, v := range nanos {
 			if v < prevNanos[p] {

@@ -335,7 +335,7 @@ func installState(g *graph.Graph, payload []byte) error {
 // started (every byte counted at its sender, so the coordinator's sum
 // across workers is total bytes moved). The owned state follows as raw
 // doubles: X and U over the shard's owned edge runs, then Z over its
-// owned variables (appendOwnedVars order), then — when the block
+// owned variables (localPlan.owned order), then — when the block
 // requested a zPrev capture (wireIter.ZPrev) — the owned z as of the
 // block's second-to-last iteration, same variable order. N is never
 // uploaded: the n-update is the pure identity n = z - u, so the
@@ -365,16 +365,17 @@ func (r *blockReport) words() [upStatsWords]*int64 {
 }
 
 func upWords(lp *localPlan, d int, zprev bool) int {
-	n := upStatsWords + 2*lp.ownedEdgeCount()*d + lp.ownedVarCount()*d
+	n := upStatsWords + 2*lp.ownedEdgeCount()*d + len(lp.owned)*d
 	if zprev {
-		n += lp.ownedVarCount() * d
+		n += len(lp.owned) * d
 	}
 	return n
 }
 
-// appendUp encodes the Up payload; zprev is the worker's captured owned
-// z in appendOwnedVars order (nil when the block did not request it).
-func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int, zprev []float64) []byte {
+// appendUp encodes the Up payload; zprev, as long as Z, holds the
+// worker's captured owned z at the variables' offsets (nil when the
+// block did not request it).
+func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, zprev []float64) []byte {
 	for _, w := range rep.words() {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(*w))
 	}
@@ -384,10 +385,15 @@ func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, owned
 			dst = exchange.AppendF64s(dst, arr[r.Lo*d:r.Hi*d])
 		}
 	}
-	for _, v := range ownedVars {
+	for _, v := range lp.owned {
 		dst = exchange.AppendF64s(dst, g.Z[v*d:(v+1)*d])
 	}
-	return exchange.AppendF64s(dst, zprev)
+	if zprev != nil {
+		for _, v := range lp.owned {
+			dst = exchange.AppendF64s(dst, zprev[v*d:(v+1)*d])
+		}
+	}
+	return dst
 }
 
 // installUp checks the Up payload's length and header (no negative
@@ -395,7 +401,7 @@ func appendUp(dst []byte, rep *blockReport, g *graph.Graph, lp *localPlan, owned
 // decodes the header into rep and the state into g; zPrev, when non-nil,
 // is the coordinator's full-length zPrev array, into which the trailing
 // capture segment is scattered at the owned variables' offsets.
-func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int, payload []byte, zPrev []float64) error {
+func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, payload []byte, zPrev []float64) error {
 	d := g.D()
 	if want := upWords(lp, d, zPrev != nil) * 8; len(payload) != want {
 		return fmt.Errorf("shard: up payload %d bytes, want %d", len(payload), want)
@@ -414,11 +420,11 @@ func installUp(rep *blockReport, g *graph.Graph, lp *localPlan, ownedVars []int,
 			cur.take(arr[r.Lo*d : r.Hi*d])
 		}
 	}
-	for _, v := range ownedVars {
+	for _, v := range lp.owned {
 		cur.take(g.Z[v*d : (v+1)*d])
 	}
 	if zPrev != nil {
-		for _, v := range ownedVars {
+		for _, v := range lp.owned {
 			cur.take(zPrev[v*d : (v+1)*d])
 		}
 	}

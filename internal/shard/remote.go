@@ -28,12 +28,11 @@ import (
 // transport (the conformance and integration suites pin this).
 //
 // Remote is bound to the graph it was built for and serves one
-// admm.Run; the serving layer and CLIs build one backend per solve. Run
-// hands it each block whole (admm.BlockRunner): one Iter down per
-// worker, carrying Run's edit after the previous block, and one Up
-// back. Between blocks only Run may edit that graph: the workers learn
-// only the edits Run hands over.
-// Mid-solve transport failures are fail-stop per solve: Iterate
+// admm.Run; the serving layer and CLIs build one backend per solve. Each
+// RunBlock is one Iter down per worker, carrying the block's edit, and
+// one Up back. Between blocks only Run may edit that graph: the workers
+// learn only the edits a Block hands over.
+// Mid-solve transport failures are fail-stop per solve: RunBlock
 // returns a typed *WorkerError naming the worker and protocol phase,
 // admm.Run stops there, and Solve turns it into a retry, a survivor
 // re-partitioning, or a failed request — never a corrupted result. A
@@ -44,12 +43,11 @@ type Remote struct {
 	session uint64
 	addrs   []string
 
-	g         *graph.Graph
-	plan      *plan
-	man       *exchange.Manifest
-	ownedVars [][]int
-	conns     []net.Conn
-	bufs      [][]byte
+	g     *graph.Graph
+	plan  *plan
+	man   *exchange.Manifest
+	conns []net.Conn
+	bufs  [][]byte
 	// reps holds each worker's last accepted block report.
 	reps []blockReport
 
@@ -67,7 +65,7 @@ var remoteSessions atomic.Uint64
 // shard per worker — ships the spec's ProblemRef and executor knobs,
 // verifies every worker rebuilt the same graph and boundary manifest,
 // and pushes g's full state down. The returned backend drives the
-// workers on each Iterate. g must be the finalized coordinator-side
+// workers on each RunBlock. g must be the finalized coordinator-side
 // replica of the referenced problem. NewRemote makes exactly one dial
 // and handshake; ctx aborts its dials. On failure it tears the attempt
 // down and returns the typed *WorkerError — Config set for a mismatch
@@ -96,10 +94,6 @@ func NewRemote(ctx context.Context, spec admm.ExecutorSpec, g *graph.Graph) (*Re
 		return nil, err
 	}
 	r.man = exchange.NewManifest(g, &r.plan.part, shards)
-	r.ownedVars = make([][]int, shards)
-	for i := range r.ownedVars {
-		r.ownedVars[i] = r.plan.local[i].appendOwnedVars(nil)
-	}
 	r.bufs = make([][]byte, shards)
 	r.reps = make([]blockReport, shards)
 	r.stats = r.plan.shapeStats(admm.TransportSockets)
@@ -213,47 +207,40 @@ func (r *Remote) Name() string {
 // from the workers' per-block reports.
 func (r *Remote) Stats() Stats { return r.stats.snapshot() }
 
-// Iterate implements admm.Backend: one block of iters iterations on
-// the workers' state as it stands, which is RunBlock with no edit and
-// no zPrev capture.
-func (r *Remote) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
-	return r.RunBlock(g, admm.Edit{}, iters, nil, phaseNanos)
-}
-
-// RunBlock implements admm.BlockRunner: one block across all worker
+// RunBlock implements admm.Backend: one block across all worker
 // processes, one Iter down and one Up back per worker. Each worker
-// replays edit on its own state, runs the block and, for a non-nil
-// zPrev, captures its owned slice of z after iteration iters-1 into the
-// Up it sends; the ownedVars partition the variables, so the assembled
-// capture is exactly what Run's split form would have observed. The
-// first transport failure is returned as a *WorkerError; the session is
-// then dead (the streams are desynchronized) and the caller must Close
-// the backend.
-func (r *Remote) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
+// replays blk.Edit on its own state, runs the block (runBlock) and, for
+// a non-nil blk.ZPrev, sends its owned slice of z as of iteration
+// Iters-1 in its Up; the shards' owned variables partition the
+// variables, so the assembled capture is exactly SplitBlock's. The first
+// transport failure is returned as a *WorkerError; the session is then
+// dead (the streams are desynchronized) and the caller must Close the
+// backend.
+func (r *Remote) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
 	if r.closed {
-		panic("shard: Iterate on closed Remote")
+		panic("shard: RunBlock on closed Remote")
 	}
 	if g != r.g {
 		panic("shard: Remote backend is bound to the problem it was built for; build a new backend per graph")
 	}
-	cmd := wireIter{Iters: iters, ZPrev: zPrev != nil, Edit: encodeEdit(edit)}
+	cmd := wireIter{Iters: blk.Iters, ZPrev: blk.ZPrev != nil, Edit: encodeEdit(blk.Edit)}
 	bound := time.Duration(liveBound.Load())
 	for i, conn := range r.conns {
 		if err := writeJSONFrame(liveConn{conn, bound}, exchange.FrameIter, cmd); err != nil {
-			return &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
+			return admm.BlockReport{}, &WorkerError{Worker: i, Addr: r.addrs[i], Phase: PhaseIterate, Err: err}
 		}
 	}
 	if err := r.await(PhaseCollect, exchange.FrameUp, func(i int, payload []byte) error {
-		return installUp(&r.reps[i], g, &r.plan.local[i], r.ownedVars[i], payload, zPrev)
+		return installUp(&r.reps[i], g, &r.plan.local[i], payload, blk.ZPrev)
 	}); err != nil {
-		return err
+		return admm.BlockReport{}, err
 	}
 	// The slim upload drops N; rebuild it from the n = z - u identity
 	// the reference kernels maintain, against the just-installed
 	// authoritative Z and U.
 	admm.UpdateNRange(g, 0, g.NumEdges())
-	r.stats.endBlock(iters, r.reps, exchange.Stats{Rounds: r.stats.Iterations + int64(iters)}, phaseNanos)
-	return nil
+	ex := exchange.Stats{Rounds: r.stats.Iterations + int64(blk.Iters)}
+	return admm.BlockReport{PhaseNanos: r.stats.endBlock(blk.Iters, r.reps, ex)}, nil
 }
 
 // await reads one frame of kind want from every worker at once under
@@ -405,4 +392,3 @@ func (r *Remote) teardown() {
 }
 
 var _ admm.Backend = (*Remote)(nil)
-var _ admm.BlockRunner = (*Remote)(nil)

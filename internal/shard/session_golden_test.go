@@ -357,11 +357,11 @@ type timedBlocks struct {
 	took *[]time.Duration
 }
 
-func (r timedBlocks) RunBlock(g *graph.Graph, edit admm.Edit, iters int, zPrev []float64, phaseNanos *[admm.NumPhases]int64) error {
+func (r timedBlocks) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
 	start := time.Now()
-	err := r.Remote.RunBlock(g, edit, iters, zPrev, phaseNanos)
+	rep, err := r.Remote.RunBlock(g, blk)
 	*r.took = append(*r.took, time.Since(start))
-	return err
+	return rep, err
 }
 
 // replaySession serves each scripted worker on a loopback listener and

@@ -27,17 +27,18 @@ type Backend struct {
 	// shared-memory spin barriers, admm.TransportSockets for the framed
 	// message protocol over in-process loopback streams (every boundary
 	// byte serialized and decoded exactly as between processes). Set
-	// before the first Iterate.
+	// before the first RunBlock.
 	Transport string
 
 	cmd    chan struct{}
 	done   chan struct{}
 	closed bool
 
-	// Iterate inputs, published to workers via cmd sends, and each
+	// RunBlock inputs, published to workers via cmd sends, and each
 	// worker's report of the block, read back after its done send.
 	g     *graph.Graph
 	iters int
+	zPrev []float64
 	reps  []blockReport
 
 	plan    *plan
@@ -49,7 +50,7 @@ type Backend struct {
 
 // Stats reports the partition shape and synchronization cost of the
 // backend's most recent graph. It must not be called concurrently with
-// Iterate; counters accumulate across Iterate calls.
+// RunBlock; counters accumulate across RunBlock calls.
 type Stats struct {
 	// Workers holds one entry per shard worker; its length is the shard count.
 	Workers []WorkerStats
@@ -122,8 +123,8 @@ type WorkerStats struct {
 }
 
 // New returns a sharded backend with the given shard count. The graph
-// is partitioned (graph.StrategyBalanced) lazily on the first Iterate
-// and re-partitioned whenever Iterate sees a different graph.
+// is partitioned (graph.StrategyBalanced) lazily on the first RunBlock
+// and re-partitioned whenever RunBlock sees a different graph.
 func New(shards int) (*Backend, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shards = %d, need > 0", shards)
@@ -149,20 +150,22 @@ func (b *Backend) Name() string {
 }
 
 // Stats returns partition and synchronization statistics. Valid after
-// the first Iterate.
+// the first RunBlock.
 func (b *Backend) Stats() Stats { return b.stats.snapshot() }
 
 // snapshot returns s with its own copy of the per-worker counters,
-// which later Iterate calls keep accumulating into.
+// which later RunBlock calls keep accumulating into.
 func (s Stats) snapshot() Stats {
 	s.Workers = slices.Clone(s.Workers)
 	return s
 }
 
-// Iterate implements admm.Backend.
-func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
+// RunBlock implements admm.Backend: it wakes every worker once for the
+// whole block, residual blocks included (runBlock). blk.Edit is already
+// in g, the state the workers share.
+func (b *Backend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
 	if b.closed {
-		panic("shard: Iterate on closed Backend")
+		panic("shard: RunBlock on closed Backend")
 	}
 	if b.plan == nil || b.plan.g != g {
 		p, err := newPlan(g, b.shards, transportLabel(b.Transport) == admm.TransportLocal)
@@ -181,15 +184,14 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 		st.Iterations = b.stats.Iterations
 		b.stats = st
 	}
-	b.g, b.iters = g, iters
+	b.g, b.iters, b.zPrev = g, blk.Iters, blk.ZPrev
 	for s := 0; s < b.shards; s++ {
 		b.cmd <- struct{}{}
 	}
 	for s := 0; s < b.shards; s++ {
 		<-b.done
 	}
-	b.stats.endBlock(iters, b.reps, b.ex.Stats(), phaseNanos)
-	return nil
+	return admm.BlockReport{PhaseNanos: b.stats.endBlock(blk.Iters, b.reps, b.ex.Stats())}, nil
 }
 
 // endBlock accounts one finished block of iters iterations, for the
@@ -197,8 +199,9 @@ func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases
 // each worker's report of the block, and ex the data plane's traffic
 // over ex.Rounds iterations besides the reports' own counters. The
 // block's straggler is the worker that waited least (the lowest on a
-// tie): the others waited for it, so its phases are the solve's.
-func (s *Stats) endBlock(iters int, reps []blockReport, ex exchange.Stats, phaseNanos *[admm.NumPhases]int64) {
+// tie): the others waited for it, so its phases, returned, are the
+// solve's.
+func (s *Stats) endBlock(iters int, reps []blockReport, ex exchange.Stats) [admm.NumPhases]int64 {
 	straggler := 0
 	for i := range reps {
 		rep, w := &reps[i], &s.Workers[i]
@@ -215,14 +218,12 @@ func (s *Stats) endBlock(iters int, reps []blockReport, ex exchange.Stats, phase
 		}
 	}
 	s.Workers[straggler].Straggles++
-	for p, v := range reps[straggler].tm.phaseNanos {
-		phaseNanos[p] += v
-	}
 	s.Iterations += int64(iters)
 	s.SyncWaitNanos, s.BoundaryZNanos = s.Workers[0].SyncWait, s.Workers[0].BoundaryZ
 	s.BytesPerIter = ex.BytesPerRound()
 	s.WireBytesPerIter = ex.WireBytesPerRound()
 	s.ExchangeFrames = ex.Frames
+	return reps[straggler].tm.phaseNanos
 }
 
 // bindExchanger (re)builds the exchanger and the mailbox for a freshly
@@ -264,13 +265,13 @@ func (b *Backend) Close() {
 	}
 }
 
-// worker is one persistent shard: it executes runShardIters for its
-// local plan on every Iterate command, timing itself as a
-// cross-process worker does.
+// worker is one persistent shard: it executes runBlock for its local
+// plan on every RunBlock command, timing itself as a cross-process
+// worker does.
 func (b *Backend) worker(id int) {
 	for range b.cmd {
 		var tm workerTimings
-		runShardIters(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, &tm)
+		runBlock(b.g, &b.plan.local[id], b.ex, b.mb, id, b.iters, b.zPrev, &tm)
 		b.reps[id].tm = tm
 		b.done <- struct{}{}
 	}
@@ -286,9 +287,26 @@ type workerTimings struct {
 	boundaryZ  int64
 }
 
+// runBlock runs one block of iters iterations for worker id, in-process
+// or in a worker process (runWorkerBlock). A non-nil zPrev, as long as
+// Z, receives the z of lp.owned as of iteration iters-1 at their own
+// offsets: only their shard writes them, and the shards' lists
+// partition the variables, so the workers' copies need no sync point.
+func runBlock(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, zPrev []float64, tm *workerTimings) {
+	if zPrev != nil {
+		runShardIters(g, lp, ex, mb, id, iters-1, tm)
+		d := g.D()
+		for _, v := range lp.owned {
+			copy(zPrev[v*d:(v+1)*d], g.Z[v*d:(v+1)*d])
+		}
+		iters = 1
+	}
+	runShardIters(g, lp, ex, mb, id, iters, tm)
+}
+
 // runShardIters executes iters iterations of the shard schedule for one
-// worker over its local plan — the one iteration loop of the in-process
-// Backend and the cross-process worker (worker.go). Per iteration:
+// worker over its local plan — the one iteration loop of every block
+// (runBlock). Per iteration:
 //
 //	x over lp.xBefore                (their edges feed outbound rows)
 //	post, -- BeginGatherM --         (m-rows depart; x + u is final for
@@ -407,6 +425,10 @@ type localPlan struct {
 	edgeRuns     []sched.Range
 	interiorRuns []sched.Range
 	boundary     []int
+	// owned lists, ascending, every variable whose z this shard computes
+	// (interior and boundary): the capture runBlock takes, and the
+	// layout of an Up frame's z, derived identically on both ends.
+	owned []int
 
 	// The x half of the schedule runShardIters executes: xBefore/xAfter
 	// split funcRuns around BeginGatherM. On a message plan xBefore is
@@ -429,38 +451,6 @@ func (lp *localPlan) ownedEdgeCount() int {
 		n += r.Hi - r.Lo
 	}
 	return n
-}
-
-// ownedVarCount is the number of variables whose z this shard computes
-// (interior plus owned boundary).
-func (lp *localPlan) ownedVarCount() int {
-	n := len(lp.boundary)
-	for _, r := range lp.interiorRuns {
-		n += r.Hi - r.Lo
-	}
-	return n
-}
-
-// appendOwnedVars appends, ascending, the variables whose z this shard
-// computes — the merge of its interior runs and its owned boundary
-// list. The order is the canonical layout of the cross-process
-// state-upload payload, derived identically on both ends.
-func (lp *localPlan) appendOwnedVars(dst []int) []int {
-	bi := 0
-	emitBoundaryBelow := func(limit int) {
-		for bi < len(lp.boundary) && lp.boundary[bi] < limit {
-			dst = append(dst, lp.boundary[bi])
-			bi++
-		}
-	}
-	for _, r := range lp.interiorRuns {
-		emitBoundaryBelow(r.Lo)
-		for v := r.Lo; v < r.Hi; v++ {
-			dst = append(dst, v)
-		}
-	}
-	emitBoundaryBelow(int(^uint(0) >> 1))
-	return dst
 }
 
 // newPlan partitions g (graph.StrategyBalanced), picks each
@@ -511,8 +501,9 @@ func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
 		}
 	}
 	for v := 0; v < g.NumVariables(); v++ {
+		lp := &p.local[owner[v]]
+		lp.owned = append(lp.owned, v)
 		if !part.IsBoundary(v) {
-			lp := &p.local[owner[v]]
 			lp.interiorRuns = appendRun(lp.interiorRuns, v, v+1)
 		}
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -35,8 +36,7 @@ func chainGraph(t testing.TB, n int) *graph.Graph {
 
 func runIters(t *testing.T, b admm.Backend, g *graph.Graph, iters int) []float64 {
 	t.Helper()
-	var nanos [admm.NumPhases]int64
-	b.Iterate(g, iters, &nanos)
+	b.RunBlock(g, admm.Block{Iters: iters})
 	out := make([]float64, len(g.Z))
 	copy(out, g.Z)
 	return out
@@ -76,8 +76,8 @@ func TestShardedMatchesSerialBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedSplitIterateCalls checks determinism across Iterate
-// batching (admm.Run's residual checking splits iterations).
+// TestShardedSplitIterateCalls checks determinism across block lengths
+// (admm.Run's residual checking splits a run into blocks).
 func TestShardedSplitIterateCalls(t *testing.T) {
 	ref := runIters(t, admm.NewSerial(), chainGraph(t, 40), 100)
 	b, err := New(3)
@@ -86,13 +86,12 @@ func TestShardedSplitIterateCalls(t *testing.T) {
 	}
 	defer b.Close()
 	g := chainGraph(t, 40)
-	var nanos [admm.NumPhases]int64
 	for _, step := range []int{1, 9, 40, 50} {
-		b.Iterate(g, step, &nanos)
+		b.RunBlock(g, admm.Block{Iters: step})
 	}
 	for i := range ref {
 		if ref[i] != g.Z[i] {
-			t.Fatalf("split Iterate diverged at Z[%d]", i)
+			t.Fatalf("split blocks diverged at Z[%d]", i)
 		}
 	}
 	if got := b.Stats().Iterations; got != 100 {
@@ -100,9 +99,71 @@ func TestShardedSplitIterateCalls(t *testing.T) {
 	}
 }
 
+// hubGraph is a consensus star — variable 0 shared by one pairwise
+// function per leaf, so any partition cuts it — plus a chain over the
+// leaves, a squared-norm prox on every variable, and one more variable
+// with nothing but its own prox: isolated.
+func hubGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	const leaves = 24
+	g := graph.New(2)
+	for v := 1; v <= leaves; v++ {
+		g.AddNode(prox.Consensus{Dim: 2}, 0, v)
+		if v < leaves {
+			g.AddNode(prox.Consensus{Dim: 2}, v, v+1)
+		}
+	}
+	for v := 0; v <= leaves+1; v++ {
+		g.AddNode(prox.SquaredNorm{C: 0.5, Dim: 2}, v)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	g.SetUniformParams(1, 1)
+	g.InitRandom(-1, 1, rand.New(rand.NewSource(3)))
+	return g
+}
+
+// TestShardedCheckedBlockMatchesSerialSplit: a checked block wakes the
+// workers once, and each copies the z of its own variables into
+// Block.ZPrev between the block's last two iterations. Over two checked
+// blocks in a row, ZPrev, X, U and Z must equal serial's split form bit
+// for bit, at 2 and 3 shards and every block length, ZPrev's
+// NaN-poisoned entries included: one a worker missed stays NaN.
+func TestShardedCheckedBlockMatchesSerialSplit(t *testing.T) {
+	for _, shards := range []int{2, 3} {
+		for _, iters := range []int{1, 2, 10} {
+			ref, g := hubGraph(t), hubGraph(t)
+			b, err := New(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refPrev, zPrev := make([]float64, len(g.Z)), make([]float64, len(g.Z))
+			for block := 0; block < 2; block++ {
+				for i := range zPrev {
+					zPrev[i] = math.NaN()
+				}
+				admm.NewSerial().RunBlock(ref, admm.Block{Iters: iters, ZPrev: refPrev})
+				b.RunBlock(g, admm.Block{Iters: iters, ZPrev: zPrev})
+				for name, pair := range map[string][2][]float64{"zPrev": {refPrev, zPrev}, "X": {ref.X, g.X}, "U": {ref.U, g.U}, "Z": {ref.Z, g.Z}} {
+					for i, v := range pair[0] {
+						if math.Float64bits(v) != math.Float64bits(pair[1][i]) {
+							t.Fatalf("%d shards, %d iterations, block %d: %s[%d] = %v, serial %v", shards, iters, block, name, i, pair[1][i], v)
+						}
+					}
+				}
+			}
+			if st := b.Stats(); st.BoundaryVars == 0 {
+				t.Fatalf("%d shards: no boundary variable — the graph does not span the workers", shards)
+			}
+			b.Close()
+		}
+	}
+}
+
 // TestShardedReuseAndClose is the persistent-worker lifecycle contract
 // (ported from the barrier executor this one replaced): a backend serves
-// Iterate after Iterate, Close is idempotent, and Iterate on a closed
+// block after block, Close is idempotent, and RunBlock on a closed
 // backend panics instead of hanging on workers that are gone.
 func TestShardedReuseAndClose(t *testing.T) {
 	b, err := New(3)
@@ -110,17 +171,16 @@ func TestShardedReuseAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := chainGraph(t, 20)
-	var nanos [admm.NumPhases]int64
-	b.Iterate(g, 3, &nanos)
-	b.Iterate(g, 3, &nanos) // reuse after first batch
+	b.RunBlock(g, admm.Block{Iters: 3})
+	b.RunBlock(g, admm.Block{Iters: 3}) // reuse after first batch
 	b.Close()
 	b.Close() // idempotent
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on Iterate after Close")
+			t.Fatal("expected panic on RunBlock after Close")
 		}
 	}()
-	b.Iterate(g, 1, &nanos)
+	b.RunBlock(g, admm.Block{Iters: 1})
 }
 
 // TestShardedThroughSolve exercises the declarative path end to end,
@@ -187,7 +247,7 @@ func TestShardedStats(t *testing.T) {
 		t.Fatalf("iterations %d", s.Iterations)
 	}
 	// Every worker times its own loop; the counters accumulate across
-	// Iterate calls and a returned Stats is a snapshot.
+	// RunBlock calls and a returned Stats is a snapshot.
 	if s.SyncWaitNanos != s.Workers[0].SyncWait || s.BoundaryZNanos != s.Workers[0].BoundaryZ {
 		t.Fatalf("sync wait %d, boundary z %d, worker 0 %+v", s.SyncWaitNanos, s.BoundaryZNanos, s.Workers[0])
 	}
@@ -379,6 +439,5 @@ func TestAutoResolvesToShardedWhenLinked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	var nanos [admm.NumPhases]int64
-	b.Iterate(g, 2, &nanos)
+	b.RunBlock(g, admm.Block{Iters: 2})
 }

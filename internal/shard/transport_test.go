@@ -78,9 +78,8 @@ func TestSocketsBytesMatchCutCostModel(t *testing.T) {
 			}
 			b.Transport = admm.TransportSockets
 			defer b.Close()
-			var nanos [admm.NumPhases]int64
 			const iters = 50
-			b.Iterate(g, iters, &nanos)
+			b.RunBlock(g, admm.Block{Iters: iters})
 			st := b.Stats()
 			if st.Transport != admm.TransportSockets {
 				t.Fatalf("transport label %q", st.Transport)
@@ -122,8 +121,7 @@ func TestLocalTransportMovesNoBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	var nanos [admm.NumPhases]int64
-	b.Iterate(g, 10, &nanos)
+	b.RunBlock(g, admm.Block{Iters: 10})
 	st := b.Stats()
 	if st.Transport != admm.TransportLocal {
 		t.Fatalf("transport label %q", st.Transport)
@@ -232,7 +230,7 @@ func TestRemoteHandshakeFailures(t *testing.T) {
 	ref := chainGraph(t, 48)
 	var nanos [admm.NumPhases]int64
 	admm.NewSerial().Iterate(ref, 40, &nanos)
-	r.Iterate(g, 40, &nanos)
+	r.RunBlock(g, admm.Block{Iters: 40})
 	for i := range ref.Z {
 		if ref.Z[i] != g.Z[i] {
 			t.Fatalf("remote diverged from serial at Z[%d]", i)

@@ -430,9 +430,7 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 	}
 
 	lp := &plan.local[id]
-	ownedVars := lp.appendOwnedVars(nil)
 	var out []byte
-	var zprevBuf []float64
 	state := stateAwaitState
 	if hit == CacheState {
 		state = stateReady
@@ -489,19 +487,16 @@ func runSession(conn net.Conn, cfg wireConfig, cache *workerCache, opts WorkerOp
 			replayEdit(g, lp, edit)
 			var zprev []float64
 			if cmd.ZPrev {
-				if zprevBuf == nil {
-					zprevBuf = make([]float64, len(ownedVars)*g.D())
-				}
-				zprev = zprevBuf
+				zprev = g.ScratchZ()
 			}
 			state = stateRunning
 			var iterErr error
 			waiting := func() (int, time.Duration) { return ex.Waiting(id) }
 			f, ok, held, tickErr = ticking(live, frames, waiting, func() { ex.Close() }, func() {
 				var rep blockReport
-				if rep, iterErr = runWorkerBlock(g, lp, ex, id, cmd.Iters, ownedVars, zprev); iterErr == nil {
+				if rep, iterErr = runWorkerBlock(g, lp, ex, id, cmd.Iters, zprev); iterErr == nil {
 					// Encoding a large Up takes a while: tick through it.
-					out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, ownedVars, zprev)
+					out = appendUp(exchange.BeginFrame(out[:0], exchange.FrameUp, 0), &rep, g, lp, zprev)
 				}
 			})
 			switch {
@@ -650,28 +645,19 @@ func replayEdit(g *graph.Graph, lp *localPlan, e admm.Edit) {
 	e.Apply(g.Rho[next:], nil, d)
 }
 
-// runWorkerBlock executes one iteration block on a worker process,
-// converting the exchanger's fail-stop panics into session errors (the
-// worker must survive a dead peer and serve the next session). A
-// non-nil zprev receives this worker's owned z (appendOwnedVars order)
-// as of the block's penultimate iteration — the capture a residual
-// round uploads alongside the final state, whatever the block's length.
-func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, ownedVars []int, zprev []float64) (rep blockReport, err error) {
+// runWorkerBlock executes one iteration block on a worker process
+// (runBlock), converting the exchanger's fail-stop panics into session
+// errors (the worker must survive a dead peer and serve the next
+// session). A non-nil zprev receives this worker's owned z as of the
+// block's penultimate iteration — the capture a residual round uploads
+// alongside the final state, whatever the block's length.
+func runWorkerBlock(g *graph.Graph, lp *localPlan, ex *exchange.Messaged, id, iters int, zprev []float64) (rep blockReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("iteration block: %v", r)
 		}
 	}()
-	run := func(n int) { runShardIters(g, lp, ex, ex.Mailbox(), id, n, &rep.tm) }
-	if zprev != nil {
-		run(iters - 1)
-		d := g.D()
-		for k, v := range ownedVars {
-			copy(zprev[k*d:(k+1)*d], g.Z[v*d:(v+1)*d])
-		}
-		iters = 1
-	}
-	run(iters)
+	runBlock(g, lp, ex, ex.Mailbox(), id, iters, zprev, &rep.tm)
 	rep.ex = ex.Stats()
 	return rep, nil
 }

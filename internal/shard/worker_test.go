@@ -98,7 +98,7 @@ func checkCleanSession(t testing.TB, addr string, n int) {
 	}
 	defer r.Close()
 	var nanos [admm.NumPhases]int64
-	if err := r.Iterate(g, 10, &nanos); err != nil {
+	if _, err := r.RunBlock(g, admm.Block{Iters: 10}); err != nil {
 		t.Fatal(err)
 	}
 	ref := chainGraph(t, n)
@@ -220,7 +220,7 @@ func TestSurplusMeshHellosDoNotWedgeWorker(t *testing.T) {
 	checkPing(t, addr)
 
 	var nanos [admm.NumPhases]int64
-	if err := r.Iterate(g, 10, &nanos); err != nil {
+	if _, err := r.RunBlock(g, admm.Block{Iters: 10}); err != nil {
 		t.Fatal(err)
 	}
 	ref := chainGraph(t, 48)

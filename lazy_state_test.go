@@ -29,7 +29,7 @@ func TestFusedSolvesNeverAllocateM(t *testing.T) {
 		make  func() admm.Backend
 		exact bool
 	}{
-		{"serial", admm.NewSerial, true},
+		{"serial", func() admm.Backend { return admm.NewSerial() }, true},
 		{"twa", func() admm.Backend { return admm.NewTWA() }, true},
 		{"gpusim", func() admm.Backend { return gpusim.NewBackend(nil) }, true},
 		{"async", func() admm.Backend { return admm.NewAsync(1) }, false},
