@@ -1,18 +1,20 @@
 // Command docgen keeps the repo's documentation honest: it regenerates
 // docs/cli.md (the CLI flag reference, captured from each command's -h
-// output) and checks every intra-repo markdown link resolves to a real
-// file.
+// output), checks every intra-repo markdown link resolves to a real
+// file, and checks every *.md path a Go // comment cites resolves from
+// the repository root.
 //
 // Usage:
 //
 //	go run ./cmd/docgen           # rewrite docs/cli.md
-//	go run ./cmd/docgen -check    # CI mode: fail on stale docs/cli.md
-//	                              # or broken intra-repo markdown links
+//	go run ./cmd/docgen -check    # CI mode: fail on stale docs/cli.md,
+//	                              # broken intra-repo markdown links or
+//	                              # unresolved *.md paths in Go comments
 //
 // Run it from the repository root (where go.mod lives). The CI "docs"
 // job runs the -check mode on every push, so a flag change that is not
-// followed by a docgen run — or a doc that links to a moved file —
-// fails the build instead of rotting.
+// followed by a docgen run — or a doc or comment that cites a moved
+// file — fails the build instead of rotting.
 package main
 
 import (
@@ -20,6 +22,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -67,19 +71,19 @@ func main() {
 		fmt.Printf("wrote %s\n", cliDoc)
 	}
 
-	broken, err := checkMarkdownLinks(".")
+	broken, err := checkLinks(".")
 	if err != nil {
 		fatal(err)
 	}
 	for _, b := range broken {
-		fmt.Fprintf(os.Stderr, "docgen: broken link: %s\n", b)
+		fmt.Fprintf(os.Stderr, "docgen: %s\n", b)
 		failed = true
 	}
 	if failed {
 		os.Exit(1)
 	}
 	if *check {
-		fmt.Println("docgen: docs/cli.md current, all intra-repo links resolve")
+		fmt.Println("docgen: docs/cli.md current, all intra-repo links and comment paths resolve")
 	}
 }
 
@@ -126,11 +130,13 @@ func normalize(out []byte) string {
 // mdLink matches [text](target); targets are filtered afterwards.
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^()\s]+)\)`)
 
-// checkMarkdownLinks walks every .md file under root (skipping VCS and
-// tool directories) and verifies that every relative link target —
-// after stripping any #fragment — exists on disk. Fenced code blocks
-// are ignored: snippets legitimately contain link-shaped text.
-func checkMarkdownLinks(root string) ([]string, error) {
+// checkLinks walks every .md and .go file under root (skipping VCS and
+// tool directories). In a .md file every relative link target — after
+// stripping any #fragment — must exist on disk; fenced code blocks are
+// ignored, as snippets legitimately contain link-shaped text. In a .go
+// file every *.md path in a // comment must resolve from root
+// (commentPaths).
+func checkLinks(root string) ([]string, error) {
 	var broken []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -142,6 +148,11 @@ func checkMarkdownLinks(root string) ([]string, error) {
 				return filepath.SkipDir
 			}
 			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			cited, err := commentPaths(root, path)
+			broken = append(broken, cited...)
+			return err
 		}
 		if !strings.HasSuffix(path, ".md") {
 			return nil
@@ -172,13 +183,45 @@ func checkMarkdownLinks(root string) ([]string, error) {
 				}
 				resolved := filepath.Join(filepath.Dir(path), target)
 				if _, err := os.Stat(resolved); err != nil {
-					broken = append(broken, fmt.Sprintf("%s -> %s", path, m[1]))
+					broken = append(broken, fmt.Sprintf("broken link: %s -> %s", path, m[1]))
 				}
 			}
 		}
 		return nil
 	})
 	return broken, err
+}
+
+// mdPath matches a *.md path in a comment. The character before it may
+// not belong to a path or a URL, so a link's tail never matches.
+var mdPath = regexp.MustCompile(`(?:^|[^\w./:-])(\w[\w./-]*\.md)\b`)
+
+// commentPaths reports each *.md path in a // comment of the Go file
+// at path that does not resolve from root. String literals are not
+// comments and are not read.
+func commentPaths(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var sc scanner.Scanner
+	sc.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var broken []string
+	for {
+		pos, tok, lit := sc.Scan()
+		if tok == token.EOF {
+			return broken, nil
+		}
+		if tok != token.COMMENT || !strings.HasPrefix(lit, "//") {
+			continue
+		}
+		for _, m := range mdPath.FindAllStringSubmatch(lit, -1) {
+			if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+				broken = append(broken, fmt.Sprintf("comment cites a missing file: %s -> %s", fset.Position(pos), m[1]))
+			}
+		}
+	}
 }
 
 func fatal(err error) {

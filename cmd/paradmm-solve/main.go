@@ -3,8 +3,10 @@
 // domain-specific quality metrics — a quick way to exercise the full
 // stack end to end. The flags map to the workload spec a serve request
 // would carry, and every solve goes through workload.Solve, the route
-// the serving layer and the bulk pipeline take. The paper's fork-join and
-// simulated-device backends run in paradmm-bench and examples/quickstart.
+// the serving layer and the bulk pipeline take. The paper's fork-join
+// backend runs in paradmm-bench and examples/quickstart; the simulated
+// devices run as backends only in examples/quickstart, and paradmm-bench
+// reads their price models.
 //
 // Usage:
 //

@@ -59,56 +59,13 @@ import (
 // UpdateZFusedRange computes the rho-weighted consensus average for
 // variable nodes [lo, hi), forming each edge's m = x + u message on the
 // fly instead of reading the M array: UpdateZUNRange's gather for d > 5,
-// and the z half of the two-pass form the tests hold the sweep to. Safe
-// to call concurrently on disjoint ranges once X and U are quiescent.
+// and the z half of the two-pass form the tests hold the sweep to. One
+// loop serves every d; the sweep's small-d path is zunGo and its AVX2
+// kernel. Safe to call concurrently on disjoint ranges once X and U are
+// quiescent.
 func UpdateZFusedRange(g *graph.Graph, lo, hi int) {
 	d := g.D()
 	X, U, Z, Rho := g.X, g.U, g.Z, g.Rho
-	if d <= 5 {
-		// Small-d fast path (packing d=2, svm d=3, mpc d=5): the gather
-		// state lives entirely in registers — no z store per edge, no
-		// slice headers. Per element the operation sequence is unchanged
-		// (m = x+u rounds, then the rho multiply accumulates), so
-		// iterates stay bit-identical to the reference kernels.
-		for b := lo; b < hi; b++ {
-			var z0, z1, z2, z3, z4 float64
-			var rhoSum float64
-			for _, e := range g.VarEdges(b) {
-				r := Rho[e]
-				rhoSum += r
-				base := e * d
-				z0 += float64(r * (X[base] + U[base]))
-				if d > 1 {
-					z1 += float64(r * (X[base+1] + U[base+1]))
-				}
-				if d > 2 {
-					z2 += float64(r * (X[base+2] + U[base+2]))
-				}
-				if d > 3 {
-					z3 += float64(r * (X[base+3] + U[base+3]))
-				}
-				if d > 4 {
-					z4 += float64(r * (X[base+4] + U[base+4]))
-				}
-			}
-			inv := 1 / rhoSum
-			zb := b * d
-			Z[zb] = z0 * inv
-			if d > 1 {
-				Z[zb+1] = z1 * inv
-			}
-			if d > 2 {
-				Z[zb+2] = z2 * inv
-			}
-			if d > 3 {
-				Z[zb+3] = z3 * inv
-			}
-			if d > 4 {
-				Z[zb+4] = z4 * inv
-			}
-		}
-		return
-	}
 	for b := lo; b < hi; b++ {
 		z := Z[b*d : b*d+d]
 		for i := range z {
@@ -139,51 +96,13 @@ func UpdateZFusedRange(g *graph.Graph, lo, hi int) {
 
 // UpdateUNRange merges the u- and n-updates into one sweep over edges
 // [lo, hi): u += alpha*(x - z_b), then n = z_b - u from the fresh u:
-// UpdateZUNRange's u/n for d > 5, and the u/n half of the two-pass form
-// the tests hold the sweep to. Element-wise this is the exact sequence the separate reference kernels
-// execute, so results are bit-identical.
+// UpdateZUNRange's u/n for d > 5, Mailbox.Settle's and Combine's for
+// d > 5, and the u/n half of the two-pass form the tests hold the sweep
+// to. Element-wise this is the exact sequence the separate reference
+// kernels execute, so results are bit-identical.
 func UpdateUNRange(g *graph.Graph, lo, hi int) {
 	d := g.D()
 	X, U, N, Z, Alpha := g.X, g.U, g.N, g.Z, g.Alpha
-	if d <= 5 {
-		// Small-d fast path: fully unrolled, no slice headers. The
-		// per-element sequence (u' = u + alpha*(x-z), then n = z - u')
-		// is the reference kernels' exactly.
-		for e := lo; e < hi; e++ {
-			al := Alpha[e]
-			base := e * d
-			zb := g.EdgeVar(e) * d
-			z0 := Z[zb]
-			u0 := U[base] + float64(al*(X[base]-z0))
-			U[base] = u0
-			N[base] = z0 - u0
-			if d > 1 {
-				z1 := Z[zb+1]
-				u1 := U[base+1] + float64(al*(X[base+1]-z1))
-				U[base+1] = u1
-				N[base+1] = z1 - u1
-			}
-			if d > 2 {
-				z2 := Z[zb+2]
-				u2 := U[base+2] + float64(al*(X[base+2]-z2))
-				U[base+2] = u2
-				N[base+2] = z2 - u2
-			}
-			if d > 3 {
-				z3 := Z[zb+3]
-				u3 := U[base+3] + float64(al*(X[base+3]-z3))
-				U[base+3] = u3
-				N[base+3] = z3 - u3
-			}
-			if d > 4 {
-				z4 := Z[zb+4]
-				u4 := U[base+4] + float64(al*(X[base+4]-z4))
-				U[base+4] = u4
-				N[base+4] = z4 - u4
-			}
-		}
-		return
-	}
 	for e := lo; e < hi; e++ {
 		al := Alpha[e]
 		base := e * d

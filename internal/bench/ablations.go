@@ -191,8 +191,8 @@ func init() {
 			t := NewTable("device sensitivity (combined speedup vs 1 CPU core)",
 				"workload", gpusim.TeslaK40().Name, gpusim.TitanXLike().Name)
 			add := func(name string, g *graph.Graph) {
-				k40 := gpusim.CompareGPU(g, gpusim.TeslaK40(), nil, [admm.NumPhases]int{}, false)
-				tx := gpusim.CompareGPU(g, gpusim.TitanXLike(), nil, [admm.NumPhases]int{}, false)
+				k40 := gpusim.CompareGPU(g, gpusim.TeslaK40(), nil)
+				tx := gpusim.CompareGPU(g, gpusim.TitanXLike(), nil)
 				t.AddRow(name, CellX(k40.Combined), CellX(tx.Combined))
 			}
 			g, err := packingGraph(nPack)

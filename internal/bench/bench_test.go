@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -111,8 +113,22 @@ func quickTables(t *testing.T, id string) []*Table {
 	return tables
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/simulated.golden from the current output")
+
+// simulatedIDs are the experiments that read only the simulated
+// platforms' price models (no wall clock), so their output is a pure
+// function of the code and the seed.
+var simulatedIDs = []string{
+	"fig7", "fig8", "fig10", "fig11", "fig13", "fig14",
+	"tab-breakdown", "tab-svm-dim", "abl-devices", "abl-multigpu",
+	"tab-ntb-mpc", "tab-ntb-packing",
+}
+
 // TestAllExperimentsRunQuick executes every registered experiment at
-// Quick scale and sanity-checks the output tables.
+// Quick scale and sanity-checks the output tables. The CSV of the
+// simulated experiments must match testdata/simulated.golden byte for
+// byte — the same bytes as `paradmm-bench -csv` on those ids. Run with
+// -update to rewrite the file.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -134,6 +150,40 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+	var got bytes.Buffer
+	for _, id := range simulatedIDs {
+		for _, tb := range quickTables(t, id) {
+			if err := tb.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const path = "testdata/simulated.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("simulated experiments differ from %s at line %d:\n got %q\nwant %q", path, i+1, g, w)
+		}
 	}
 }
 

@@ -91,10 +91,10 @@ func gpuFigure(title, sizeLabel string, sizes []int, itersShown int,
 		if err != nil {
 			return nil, err
 		}
-		s := gpusim.CompareGPU(g, nil, nil, [admm.NumPhases]int{}, false)
+		s := gpusim.CompareGPU(g, nil, nil)
 		left.AddRow(CellInt(n), CellInt(g.NumEdges()),
-			Cell(totalSec(s.CPUSec)*float64(itersShown)),
-			Cell(totalSec(s.GPUSec)*float64(itersShown)),
+			Cell(totalSec(s.BaseSec)*float64(itersShown)),
+			Cell(totalSec(s.AccelSec)*float64(itersShown)),
 			CellX(s.Combined))
 		right.AddRow(CellInt(n),
 			CellX(s.PerPhase[admm.PhaseX]), CellX(s.PerPhase[admm.PhaseM]),
@@ -125,10 +125,10 @@ func cpuFigure(title, sizeLabel string, sizes []int, itersShown, coresLeft, size
 			return nil, err
 		}
 		mc := gpusim.CompareMultiCPU(g, nil, coresLeft)
-		gp := gpusim.CompareGPU(g, nil, nil, [admm.NumPhases]int{}, false)
+		gp := gpusim.CompareGPU(g, nil, nil)
 		left.AddRow(CellInt(n),
-			Cell(totalSec(mc.CPUSec)*float64(itersShown)),
-			Cell(totalSec(mc.GPUSec)*float64(itersShown)),
+			Cell(totalSec(mc.BaseSec)*float64(itersShown)),
+			Cell(totalSec(mc.AccelSec)*float64(itersShown)),
 			CellX(mc.Combined), CellX(gp.Combined))
 	}
 	right := NewTable(fmt.Sprintf("%s — speedup vs cores at %s=%d (right plot)", title, sizeLabel, sizeRight),

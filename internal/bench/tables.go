@@ -94,7 +94,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				gp := gpusim.CompareGPU(g, nil, nil, [admm.NumPhases]int{}, false)
+				gp := gpusim.CompareGPU(g, nil, nil)
 				mc := gpusim.CompareMultiCPU(g, nil, 32)
 				t.AddRow(CellInt(d), CellX(gp.Combined), CellX(mc.Combined))
 			}
@@ -127,18 +127,18 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				gp := gpusim.CompareGPU(g, nil, nil, [admm.NumPhases]int{}, false)
-				tg := totalSec(gp.GPUSec)
+				gp := gpusim.CompareGPU(g, nil, nil)
+				tg := totalSec(gp.AccelSec)
 				gpu.AddRow(d.name,
-					CellPct(gp.GPUSec[0]/tg), CellPct(gp.GPUSec[1]/tg), CellPct(gp.GPUSec[2]/tg),
-					CellPct(gp.GPUSec[3]/tg), CellPct(gp.GPUSec[4]/tg),
-					CellPct((gp.GPUSec[0]+gp.GPUSec[2])/tg))
+					CellPct(gp.AccelSec[0]/tg), CellPct(gp.AccelSec[1]/tg), CellPct(gp.AccelSec[2]/tg),
+					CellPct(gp.AccelSec[3]/tg), CellPct(gp.AccelSec[4]/tg),
+					CellPct((gp.AccelSec[0]+gp.AccelSec[2])/tg))
 				mc := gpusim.CompareMultiCPU(g, nil, 32)
-				tc := totalSec(mc.GPUSec)
+				tc := totalSec(mc.AccelSec)
 				cpu.AddRow(d.name,
-					CellPct(mc.GPUSec[0]/tc), CellPct(mc.GPUSec[1]/tc), CellPct(mc.GPUSec[2]/tc),
-					CellPct(mc.GPUSec[3]/tc), CellPct(mc.GPUSec[4]/tc),
-					CellPct((mc.GPUSec[1]+mc.GPUSec[3]+mc.GPUSec[4])/tc))
+					CellPct(mc.AccelSec[0]/tc), CellPct(mc.AccelSec[1]/tc), CellPct(mc.AccelSec[2]/tc),
+					CellPct(mc.AccelSec[3]/tc), CellPct(mc.AccelSec[4]/tc),
+					CellPct((mc.AccelSec[1]+mc.AccelSec[3]+mc.AccelSec[4])/tc))
 			}
 			return []*Table{gpu, cpu}, nil
 		},

@@ -32,25 +32,24 @@ func TuneNtb(dev *Device, tasks []Task, candidates []int) (int, float64) {
 	return bestNtb, bestTime
 }
 
-// Backend is an admm.Backend that executes the five update kernels
-// functionally on the host (bit-identical iterates to the serial engine)
-// while accounting simulated GPU time per phase. It is the stand-in for
-// running parADMM's CUDA kernels on a Tesla K40.
+// Backend is an admm.Backend for a simulated platform: the paper's
+// Tesla K40, its serial C baseline or its 32-core machine. The host
+// state advances with the fused schedule, x then the one sweep of z and
+// u/n, bit-identical to the five-phase oracle. Only the charged time is
+// simulated: each phase is charged its entry in a price table, the
+// platform's simulated seconds per iteration of that phase under the
+// paper's five-kernel launch structure. The table is computed once per
+// graph from IterationTasks (the topology is immutable after Finalize).
 type Backend struct {
-	Dev *Device
-	// Ntb fixes threads-per-block per phase; a zero entry means
-	// DefaultNtb, or autotuned when AutoTune is set.
-	Ntb [admm.NumPhases]int
-	// AutoTune selects the best ntb per phase by simulation at first use.
-	AutoTune bool
+	name  string
+	price func(tasks []Task) float64 // simulated seconds for one phase
 
-	prepared  *graph.Graph
-	phaseSec  [admm.NumPhases]float64
-	chosenNtb [admm.NumPhases]int
+	prepared *graph.Graph
+	phaseSec [admm.NumPhases]float64
 }
 
-// NewBackend returns a GPU-simulator backend for dev (nil means a Tesla
-// K40 profile).
+// NewBackend returns the simulated GPU, every kernel launched at
+// DefaultNtb (nil dev means a Tesla K40 profile).
 func NewBackend(dev *Device) *Backend {
 	if dev == nil {
 		dev = TeslaK40()
@@ -58,50 +57,66 @@ func NewBackend(dev *Device) *Backend {
 	if err := dev.Validate(); err != nil {
 		panic(err)
 	}
-	return &Backend{Dev: dev}
+	return &Backend{name: "gpusim(" + dev.Name + ")", price: func(tasks []Task) float64 {
+		return dev.KernelTime(tasks, LaunchConfig{Ntb: DefaultNtb})
+	}}
+}
+
+// NewCPUBackend returns the simulated serial baseline (nil cpu means
+// the Opteron 6300 profile), the footing every simulated speedup is
+// measured against.
+func NewCPUBackend(cpu *CPUModel) *Backend {
+	if cpu == nil {
+		cpu = Opteron6300()
+	}
+	return &Backend{name: "cpusim(" + cpu.Name + ")", price: cpu.PhaseTime}
+}
+
+// NewMultiCoreBackend returns the simulated fork-join machine on cores
+// cores (nil model means the 32-core Opteron profile).
+func NewMultiCoreBackend(model *MultiCPUModel, cores int) *Backend {
+	if model == nil {
+		model = Opteron6300x32()
+	}
+	if cores < 1 {
+		panic("gpusim: cores must be >= 1")
+	}
+	return &Backend{name: "multicpu-sim", price: func(tasks []Task) float64 {
+		return model.PhaseTime(tasks, cores)
+	}}
 }
 
 // Name implements admm.Backend.
-func (b *Backend) Name() string { return "gpusim(" + b.Dev.Name + ")" }
+func (b *Backend) Name() string { return b.name }
 
 // Close implements admm.Backend.
 func (b *Backend) Close() {}
 
-// prepare computes per-phase simulated kernel times for g. The factor
-// graph topology is immutable after Finalize, so kernel time is constant
-// across iterations and computed once.
-func (b *Backend) prepare(g *graph.Graph) {
-	if b.prepared == g {
-		return
-	}
-	tasks := IterationTasks(g)
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		ntb := b.Ntb[p]
-		switch {
-		case ntb > 0:
-			b.phaseSec[p] = b.Dev.KernelTime(tasks[p], LaunchConfig{Ntb: ntb})
-			b.chosenNtb[p] = ntb
-		case b.AutoTune:
-			b.chosenNtb[p], b.phaseSec[p] = TuneNtb(b.Dev, tasks[p], nil)
-		default:
-			b.phaseSec[p] = b.Dev.KernelTime(tasks[p], LaunchConfig{Ntb: DefaultNtb})
-			b.chosenNtb[p] = DefaultNtb
-		}
-	}
-	b.prepared = g
-}
-
-// ChosenNtb reports the per-phase launch widths in effect after the
-// first Iterate (or PhaseSeconds) call.
-func (b *Backend) ChosenNtb(g *graph.Graph) [admm.NumPhases]int {
-	b.prepare(g)
-	return b.chosenNtb
-}
-
-// PhaseSeconds reports the simulated per-iteration kernel time per phase.
+// PhaseSeconds returns g's price table: simulated seconds per iteration
+// per phase.
 func (b *Backend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
-	b.prepare(g)
+	if b.prepared != g {
+		b.phaseSec, b.prepared = b.prices(IterationTasks(g)), g
+	}
 	return b.phaseSec
+}
+
+// prices prices one iteration's tasks, phase by phase.
+func (b *Backend) prices(tasks [admm.NumPhases][]Task) (sec [admm.NumPhases]float64) {
+	for p := range sec {
+		sec[p] = b.price(tasks[p])
+	}
+	return sec
+}
+
+// SimulatedIterationSec returns the total simulated seconds for one full
+// iteration on g.
+func (b *Backend) SimulatedIterationSec(g *graph.Graph) float64 {
+	var s float64
+	for _, v := range b.PhaseSeconds(g) {
+		s += v
+	}
+	return s
 }
 
 // RunBlock implements admm.Backend.
@@ -109,143 +124,53 @@ func (b *Backend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, er
 	return admm.SplitBlock(b.Iterate, g, blk)
 }
 
-// Iterate advances the ADMM state with the host kernels and charges
-// simulated device time.
+// Iterate advances g by iters iterations on the host and adds each
+// phase's simulated time.
 func (b *Backend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
-	b.prepare(g)
+	sec := b.PhaseSeconds(g)
 	for it := 0; it < iters; it++ {
 		admm.UpdateXRange(g, 0, g.NumFunctions())
-		admm.UpdateMRange(g, 0, g.NumEdges())
-		admm.UpdateZRange(g, 0, g.NumVariables())
-		admm.UpdateURange(g, 0, g.NumEdges())
-		admm.UpdateNRange(g, 0, g.NumEdges())
+		admm.UpdateZUNRange(g, 0, g.NumVariables())
 	}
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
+	for p := range sec {
+		phaseNanos[p] += int64(sec[p] * float64(iters) * 1e9)
 	}
 	return nil
 }
 
 var _ admm.Backend = (*Backend)(nil)
 
-// SimulatedIterationSec returns the total simulated seconds for one full
-// iteration on g.
-func (b *Backend) SimulatedIterationSec(g *graph.Graph) float64 {
-	b.prepare(g)
-	var s float64
-	for _, v := range b.phaseSec {
-		s += v
-	}
-	return s
-}
-
-// CPUBackend is an admm.Backend that advances the state identically but
-// charges modeled single-core time from the CPUModel — the simulated
-// counterpart of the paper's serial C baseline, used whenever a speedup
-// must compare simulated GPU time against simulated CPU time on equal
-// footing. The host state advances with the fused schedule
-// (bit-identical iterates, less wall time spent simulating); the
-// *charged* time stays the five-phase model: this backend stands in for
-// the paper's serial C engine, whose launch structure is what the cost
-// meters describe.
-type CPUBackend struct {
-	CPU *CPUModel
-
-	prepared *graph.Graph
-	phaseSec [admm.NumPhases]float64
-}
-
-// NewCPUBackend returns a simulated serial backend (nil means the
-// Opteron 6300 profile).
-func NewCPUBackend(cpu *CPUModel) *CPUBackend {
-	if cpu == nil {
-		cpu = Opteron6300()
-	}
-	return &CPUBackend{CPU: cpu}
-}
-
-// Name implements admm.Backend.
-func (b *CPUBackend) Name() string { return "cpusim(" + b.CPU.Name + ")" }
-
-// Close implements admm.Backend.
-func (b *CPUBackend) Close() {}
-
-func (b *CPUBackend) prepare(g *graph.Graph) {
-	if b.prepared == g {
-		return
-	}
-	tasks := IterationTasks(g)
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		b.phaseSec[p] = b.CPU.PhaseTime(tasks[p])
-	}
-	b.prepared = g
-}
-
-// PhaseSeconds reports modeled per-iteration seconds per phase.
-func (b *CPUBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
-	b.prepare(g)
-	return b.phaseSec
-}
-
-// RunBlock implements admm.Backend.
-func (b *CPUBackend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
-	return admm.SplitBlock(b.Iterate, g, blk)
-}
-
-// Iterate advances g by iters iterations, adding each phase's time.
-func (b *CPUBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
-	b.prepare(g)
-	hostAdvance(g, iters)
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
-	}
-	return nil
-}
-
-// hostAdvance moves the ADMM state forward on the host for a simulated
-// CPU backend with the fused schedule, x then the one sweep of z and u/n
-// (bit-identical to the five-phase reference).
-func hostAdvance(g *graph.Graph, iters int) {
-	for it := 0; it < iters; it++ {
-		admm.UpdateXRange(g, 0, g.NumFunctions())
-		admm.UpdateZUNRange(g, 0, g.NumVariables())
-	}
-}
-
-var _ admm.Backend = (*CPUBackend)(nil)
-
-// Speedups compares modeled CPU time against simulated GPU time per
-// phase and combined for one iteration on g.
+// Speedups compares a baseline platform's price table against an
+// accelerated one's, per phase and combined for one iteration.
 type Speedups struct {
 	PerPhase [admm.NumPhases]float64
 	Combined float64
-	GPUSec   [admm.NumPhases]float64
-	CPUSec   [admm.NumPhases]float64
+	BaseSec  [admm.NumPhases]float64
+	AccelSec [admm.NumPhases]float64
+}
+
+// compare divides base by accel, per phase and summed in phase order.
+func compare(base, accel [admm.NumPhases]float64) Speedups {
+	out := Speedups{BaseSec: base, AccelSec: accel}
+	var bt, at float64
+	for p := range base {
+		bt += base[p]
+		at += accel[p]
+		if accel[p] > 0 {
+			out.PerPhase[p] = base[p] / accel[p]
+		}
+	}
+	if at > 0 {
+		out.Combined = bt / at
+	}
+	return out
 }
 
 // CompareGPU computes the paper's headline measurement for a graph:
 // simulated single-core time / simulated GPU time, per phase and overall.
-func CompareGPU(g *graph.Graph, dev *Device, cpu *CPUModel, ntb [admm.NumPhases]int, autoTune bool) Speedups {
-	gb := NewBackend(dev)
-	gb.Ntb = ntb
-	gb.AutoTune = autoTune
-	cb := NewCPUBackend(cpu)
-	gsec := gb.PhaseSeconds(g)
-	csec := cb.PhaseSeconds(g)
-	var out Speedups
-	out.GPUSec, out.CPUSec = gsec, csec
-	var gt, ct float64
-	for p := 0; p < int(admm.NumPhases); p++ {
-		gt += gsec[p]
-		ct += csec[p]
-		if gsec[p] > 0 {
-			out.PerPhase[p] = csec[p] / gsec[p]
-		}
-	}
-	if gt > 0 {
-		out.Combined = ct / gt
-	}
-	return out
+func CompareGPU(g *graph.Graph, dev *Device, cpu *CPUModel) Speedups {
+	tasks := IterationTasks(g)
+	return compare(NewCPUBackend(cpu).prices(tasks), NewBackend(dev).prices(tasks))
 }
 
 // String renders the speedups compactly.

@@ -60,7 +60,8 @@ type Device struct {
 // TeslaK40 returns a device profile shaped like the paper's NVIDIA Tesla
 // K40: 15 SMs x 192 cores at 745 MHz, 288 GB/s, warp 32. The cost-model
 // constants are calibrated so the three application domains land in the
-// paper's reported speedup bands (see EXPERIMENTS.md).
+// paper's reported speedup bands: `paradmm-bench fig7 fig10 fig13`
+// prints them, and internal/bench/testdata/simulated.golden pins them.
 func TeslaK40() *Device {
 	return &Device{
 		Name:            "tesla-k40-sim",

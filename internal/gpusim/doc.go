@@ -22,6 +22,11 @@
 //     simulated speedups depend only on schedule and shape, never on two
 //     inconsistent instrumentation paths.
 //
-// Kernels execute functionally on the host via the internal/admm kernels;
-// only the clock is simulated.
+// A simulated platform — the GPU (NewBackend), the serial CPU
+// (NewCPUBackend) or the fork-join multi-core (NewMultiCoreBackend) — is
+// a price table: simulated seconds per iteration for each of the five
+// phases, computed once per graph from the Task meters. One Backend type
+// serves all three. Its host state advances on the fused sweep
+// (admm.UpdateXRange, then admm.UpdateZUNRange), bit-identical to the
+// five-phase oracle; only the charged time is the five-phase model.
 package gpusim

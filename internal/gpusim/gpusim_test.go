@@ -280,8 +280,8 @@ func TestCPUBackendMatchesSerialIterates(t *testing.T) {
 func TestCompareGPUSpeedupGrowsWithProblemSize(t *testing.T) {
 	small := testGraph(t, 7, 40, 80, 2)
 	big := testGraph(t, 7, 4000, 20000, 2)
-	sSmall := CompareGPU(small, nil, nil, [admm.NumPhases]int{}, false)
-	sBig := CompareGPU(big, nil, nil, [admm.NumPhases]int{}, false)
+	sSmall := CompareGPU(small, nil, nil)
+	sBig := CompareGPU(big, nil, nil)
 	if sBig.Combined <= sSmall.Combined {
 		t.Fatalf("speedup did not grow with size: small %.2f, big %.2f",
 			sSmall.Combined, sBig.Combined)
@@ -296,7 +296,7 @@ func TestCompareGPUSpeedupGrowsWithProblemSize(t *testing.T) {
 
 func TestCompareGPUStringFormat(t *testing.T) {
 	g := testGraph(t, 2, 30, 60, 2)
-	s := CompareGPU(g, nil, nil, [admm.NumPhases]int{}, false)
+	s := CompareGPU(g, nil, nil)
 	if s.String() == "" || math.IsNaN(s.Combined) {
 		t.Fatalf("bad speedups: %+v", s)
 	}

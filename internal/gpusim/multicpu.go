@@ -113,71 +113,6 @@ func (m *MultiCPUModel) IterationTime(tasks [admm.NumPhases][]Task, cores int) f
 	return total
 }
 
-// MultiCoreBackend is an admm.Backend that advances the ADMM with the
-// real host kernels while charging modeled multi-core time — the
-// simulated stand-in for the paper's 32-core measurements, mirroring the
-// GPU Backend's design. The host state advances with the fused
-// schedule; charged time stays the five-loop OpenMP model it simulates.
-type MultiCoreBackend struct {
-	Model *MultiCPUModel
-	Cores int
-
-	prepared *graph.Graph
-	phaseSec [admm.NumPhases]float64
-}
-
-// NewMultiCoreBackend returns a simulated multi-core backend (nil model
-// means the 32-core Opteron profile).
-func NewMultiCoreBackend(model *MultiCPUModel, cores int) *MultiCoreBackend {
-	if model == nil {
-		model = Opteron6300x32()
-	}
-	if cores < 1 {
-		panic("gpusim: cores must be >= 1")
-	}
-	return &MultiCoreBackend{Model: model, Cores: cores}
-}
-
-// Name implements admm.Backend.
-func (b *MultiCoreBackend) Name() string { return "multicpu-sim" }
-
-// Close implements admm.Backend.
-func (b *MultiCoreBackend) Close() {}
-
-func (b *MultiCoreBackend) prepare(g *graph.Graph) {
-	if b.prepared == g {
-		return
-	}
-	tasks := IterationTasks(g)
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		b.phaseSec[p] = b.Model.PhaseTime(tasks[p], b.Cores)
-	}
-	b.prepared = g
-}
-
-// PhaseSeconds reports modeled per-iteration seconds per phase.
-func (b *MultiCoreBackend) PhaseSeconds(g *graph.Graph) [admm.NumPhases]float64 {
-	b.prepare(g)
-	return b.phaseSec
-}
-
-// RunBlock implements admm.Backend.
-func (b *MultiCoreBackend) RunBlock(g *graph.Graph, blk admm.Block) (admm.BlockReport, error) {
-	return admm.SplitBlock(b.Iterate, g, blk)
-}
-
-// Iterate advances g by iters iterations, adding each phase's time.
-func (b *MultiCoreBackend) Iterate(g *graph.Graph, iters int, phaseNanos *[admm.NumPhases]int64) error {
-	b.prepare(g)
-	hostAdvance(g, iters)
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		phaseNanos[p] += int64(b.phaseSec[p] * float64(iters) * 1e9)
-	}
-	return nil
-}
-
-var _ admm.Backend = (*MultiCoreBackend)(nil)
-
 // CompareMultiCPU computes modeled multi-core speedup over the serial
 // model for one iteration on g — the measurement behind Figures 8, 11
 // and 14.
@@ -186,21 +121,5 @@ func CompareMultiCPU(g *graph.Graph, model *MultiCPUModel, cores int) Speedups {
 		model = Opteron6300x32()
 	}
 	tasks := IterationTasks(g)
-	var out Speedups
-	var st, mt float64
-	for p := admm.Phase(0); p < admm.NumPhases; p++ {
-		s := model.CPU.PhaseTime(tasks[p])
-		mu := model.PhaseTime(tasks[p], cores)
-		out.CPUSec[p] = s
-		out.GPUSec[p] = mu // reused slot: "accelerated" time
-		if mu > 0 {
-			out.PerPhase[p] = s / mu
-		}
-		st += s
-		mt += mu
-	}
-	if mt > 0 {
-		out.Combined = st / mt
-	}
-	return out
+	return compare(NewCPUBackend(model.CPU).prices(tasks), NewMultiCoreBackend(model, cores).prices(tasks))
 }

@@ -5,24 +5,27 @@ import (
 
 	"repro/internal/admm"
 	"repro/internal/gpusim"
+	"repro/internal/graph"
 )
 
 // TestFusedSolvesNeverAllocateM pins the lazy M array. A graph that only
 // the fused schedule runs on — serial, sharded over the local barrier or
-// over loopback sockets — never holds M, and still reproduces the
-// five-phase oracle bit for bit. The five-phase consumers allocate M on
-// first use (one zeroed NumEdges*D array): the oracle itself, TWA and the
-// simulated GPU, which must all match the oracle bit for bit, and Async,
-// whose randomized schedule TestAsyncConformance compares by objective.
+// over loopback sockets, and the simulated platforms, which advance the
+// host state on the fused sweep and only charge five-phase time — never
+// holds M, and still reproduces the five-phase oracle bit for bit. The
+// five-phase consumers allocate M on first use (one zeroed
+// NumEdges*D array): the oracle itself and TWA, which must match the
+// oracle bit for bit, and Async, whose randomized schedule
+// TestAsyncConformance compares by objective.
 func TestFusedSolvesNeverAllocateM(t *testing.T) {
 	const iters = 200
-	fused := []struct {
-		name string
-		spec admm.ExecutorSpec
-	}{
-		{"serial-fused", admm.ExecutorSpec{Kind: admm.ExecSerial}},
-		{"sharded-2", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}},
-		{"sharded-2-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets}},
+	fused := []confExec{
+		{"serial-fused", admm.ExecutorSpec{Kind: admm.ExecSerial}.NewBackend},
+		{"sharded-2", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2}.NewBackend},
+		{"sharded-2-sockets", admm.ExecutorSpec{Kind: admm.ExecSharded, Shards: 2, Transport: admm.TransportSockets}.NewBackend},
+		{"gpusim", func(*graph.Graph) (admm.Backend, error) { return gpusim.NewBackend(nil), nil }},
+		{"cpusim", func(*graph.Graph) (admm.Backend, error) { return gpusim.NewCPUBackend(nil), nil }},
+		{"multicpu-sim", func(*graph.Graph) (admm.Backend, error) { return gpusim.NewMultiCoreBackend(nil, 8), nil }},
 	}
 	fivePhase := []struct {
 		name  string
@@ -31,7 +34,6 @@ func TestFusedSolvesNeverAllocateM(t *testing.T) {
 	}{
 		{"serial", func() admm.Backend { return admm.NewSerial() }, true},
 		{"twa", func() admm.Backend { return admm.NewTWA() }, true},
-		{"gpusim", func() admm.Backend { return gpusim.NewBackend(nil) }, true},
 		{"async", func() admm.Backend { return admm.NewAsync(1) }, false},
 	}
 	for _, wname := range []string{"mpc", "svm"} {
@@ -49,7 +51,7 @@ func TestFusedSolvesNeverAllocateM(t *testing.T) {
 			for _, f := range fused {
 				t.Run(f.name, func(t *testing.T) {
 					inst := build(t)
-					backend, err := f.spec.NewBackend(inst.g)
+					backend, err := f.make(inst.g)
 					if err != nil {
 						t.Fatal(err)
 					}
