@@ -163,8 +163,32 @@ func PhaseTasks(g *graph.Graph, p Phase) int {
 }
 
 // UpdateXRange evaluates the proximal operators of function nodes
-// [lo, hi). Safe to call concurrently on disjoint ranges.
+// [lo, hi): each part of a run (graph.Runs) inside the range in one
+// EvalRun call, every other node by its own Eval. Safe to call
+// concurrently on disjoint ranges.
 func UpdateXRange(g *graph.Graph, lo, hi int) {
+	d := g.D()
+	a := lo
+	for _, r := range g.Runs() {
+		if r.Lo >= hi {
+			break
+		}
+		rlo, rhi := max(r.Lo, a), min(r.Hi, hi)
+		if rlo >= rhi {
+			continue // the run ends before a
+		}
+		updateXNodes(g, a, rlo)
+		elo, _ := g.FuncEdges(rlo)
+		_, ehi := g.FuncEdges(rhi - 1)
+		r.Op.EvalRun(g.X[elo*d:ehi*d], g.N[elo*d:ehi*d], g.Rho[elo:ehi], d, rhi-rlo)
+		a = rhi
+	}
+	updateXNodes(g, a, hi)
+}
+
+// updateXNodes evaluates the proximal operators of function nodes
+// [lo, hi) one Eval call each.
+func updateXNodes(g *graph.Graph, lo, hi int) {
 	d := g.D()
 	for a := lo; a < hi; a++ {
 		elo, ehi := g.FuncEdges(a)

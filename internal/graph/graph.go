@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 )
 
 // Op is a proximal operator attached to a function node: the x-update
-// task of the paper's Algorithm 2, line 3.
+// task of the paper's Algorithm 2, line 3. An operator may also
+// implement RunEvaluator, which evaluates a run of consecutive nodes
+// that hold it in one call.
 type Op interface {
 	// Eval computes
 	//
@@ -30,6 +33,30 @@ type Op interface {
 	// Work estimates the computational cost of one Eval for the GPU
 	// simulator's cost model: deg is the node degree, d the block size.
 	Work(deg, d int) Work
+}
+
+// RunEvaluator is optionally implemented by operators that evaluate a
+// run of consecutive function nodes in one call. EvalRun must write
+// exactly the bits that count Eval calls, one per node in node order,
+// would write. The nodes hold equal operator values and have the same
+// degree deg, and their edges are contiguous: node c's blocks are
+// x[c*deg*d : (c+1)*deg*d] (and likewise n), its rhos
+// rho[c*deg : (c+1)*deg], so len(rho) = count*deg.
+//
+// Finalize finds the runs itself (see Runs), so a builder only adds
+// nodes. It compares two operators only when their type implements
+// RunEvaluator and the value is comparable, so an operator holding a
+// slice never makes == panic.
+type RunEvaluator interface {
+	EvalRun(x, n, rho []float64, d, count int)
+}
+
+// Run is a range [Lo, Hi) of at least two consecutive function nodes
+// that hold equal operator values implementing RunEvaluator and have
+// the same degree; Op is that operator.
+type Run struct {
+	Lo, Hi int
+	Op     RunEvaluator
 }
 
 // Work is a device-independent cost estimate for one task: floating-point
@@ -100,6 +127,10 @@ type Graph struct {
 	maxFuncDeg  int
 
 	finalized bool
+
+	// runs lists the maximal runs Finalize found, in node order; empty
+	// when no two neighbouring nodes qualify.
+	runs []Run
 }
 
 // New returns an empty factor-graph whose edges each carry d doubles.
@@ -205,9 +236,42 @@ func (g *Graph) Finalize() error {
 	g.U = make([]float64, nE*g.d)
 	g.N = make([]float64, nE*g.d)
 	g.Z = make([]float64, g.numVars*g.d)
+	g.findRuns()
 	g.finalized = true
 	return nil
 }
+
+// findRuns records every maximal run of two or more nodes in g.runs.
+func (g *Graph) findRuns() {
+	for a := 0; a < len(g.ops); {
+		b := a + 1
+		if ev, ok := runOp(g.ops[a]); ok {
+			deg := g.FuncDegree(a)
+			for b < len(g.ops) && g.FuncDegree(b) == deg {
+				if _, ok := runOp(g.ops[b]); !ok || g.ops[b] != g.ops[a] {
+					break
+				}
+				b++
+			}
+			if b-a >= 2 {
+				g.runs = append(g.runs, Run{Lo: a, Hi: b, Op: ev})
+			}
+		}
+		a = b
+	}
+}
+
+// runOp returns op as a RunEvaluator when it implements one and == may
+// compare it: a value of a non-comparable type, or one holding such a
+// value behind an interface, would make == panic.
+func runOp(op Op) (RunEvaluator, bool) {
+	ev, ok := op.(RunEvaluator)
+	return ev, ok && reflect.ValueOf(op).Comparable()
+}
+
+// Runs returns the runs Finalize found, in node order. The slice aliases
+// internal storage and must not be modified.
+func (g *Graph) Runs() []Run { return g.runs }
 
 // EnsureM returns M, allocating it zeroed (NumEdges*D doubles) on the
 // first call. Its callers are the five-phase consumers — UpdateMRange
@@ -264,14 +328,14 @@ func (g *Graph) ScratchEdgeBuf() []float64 {
 }
 
 // Bytes prices the graph's own arrays — topology, parameters, ADMM
-// state (M once allocated) and scratch — from their capacities, plus one
-// interface value per operator. What an operator owns behind that
-// interface is its builder's to add (see the workload packages'
-// Problem.Bytes).
+// state (M once allocated), scratch and the run table — from their
+// capacities, plus one interface value per operator. What an operator
+// owns behind that interface is its builder's to add (see the workload
+// packages' Problem.Bytes).
 func (g *Graph) Bytes() int64 {
 	words := cap(g.fEdgeStart) + cap(g.edgeVar) + cap(g.vEdgeStart) + cap(g.vEdges) +
 		cap(g.Rho) + cap(g.Alpha) + cap(g.X) + cap(g.M) + cap(g.U) + cap(g.N) + cap(g.Z) +
-		cap(g.scratchZ) + cap(g.scratchEdge) + 2*cap(g.ops)
+		cap(g.scratchZ) + cap(g.scratchEdge) + 2*cap(g.ops) + 4*cap(g.runs)
 	return 8 * int64(words)
 }
 

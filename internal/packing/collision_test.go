@@ -53,28 +53,61 @@ func referenceCollisionEval(x, n, rho []float64, d int) {
 	x[3*d] = r2 - alpha/rr2
 }
 
-// referenceCollisionOp is CollisionOp with the reference Eval.
-type referenceCollisionOp struct{ CollisionOp }
+// referenceCollisionOp is CollisionOp with the reference Eval and no
+// EvalRun, so a graph holding it evaluates every pair by its own Eval.
+type referenceCollisionOp struct{}
 
 func (referenceCollisionOp) Eval(x, n, rho []float64, d int) { referenceCollisionEval(x, n, rho, d) }
+func (referenceCollisionOp) Work(deg, d int) graph.Work      { return CollisionOp{}.Work(deg, d) }
 
-// collisionMismatch evaluates both implementations on one input, each
-// into an output pre-filled with the same sentinel, and describes the
-// first output whose bits differ ("" when none does).
-func collisionMismatch(n, rho []float64) string {
-	const sentinel = 0x7ff8_dead_beef_0001 // a NaN no operator computes
-	var got, want [8]float64
-	for i := range got {
-		got[i] = math.Float64frombits(sentinel)
-		want[i] = got[i]
+// sentinelFilled returns k doubles that all hold a NaN no operator
+// computes, so an output an implementation forgets to write shows.
+func sentinelFilled(k int) []float64 {
+	out := make([]float64, k)
+	for i := range out {
+		out[i] = math.Float64frombits(0x7ff8_dead_beef_0001)
 	}
-	CollisionOp{}.Eval(got[:], n, rho, Dims)
-	referenceCollisionEval(want[:], n, rho, Dims)
+	return out
+}
+
+// bitsDiff describes the first index where got and want differ in their
+// bits ("" when none does).
+func bitsDiff(got, want []float64) string {
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Sprintf("n=%v rho=%v: x[%d] = %v (%#x), reference %v (%#x)",
-				n, rho, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			return fmt.Sprintf("x[%d] = %v (%#x), want %v (%#x)",
+				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
+	}
+	return ""
+}
+
+// collisionMismatch evaluates both implementations on one input, each
+// into a sentinel-filled output, and describes the first output whose
+// bits differ ("" when none does).
+func collisionMismatch(n, rho []float64) string {
+	got, want := sentinelFilled(4*Dims), sentinelFilled(4*Dims)
+	CollisionOp{}.Eval(got, n, rho, Dims)
+	referenceCollisionEval(want, n, rho, Dims)
+	if msg := bitsDiff(got, want); msg != "" {
+		return fmt.Sprintf("n=%v rho=%v: %s (reference)", n, rho, msg)
+	}
+	return ""
+}
+
+// runMismatch evaluates the pairs n holds back to back (four rhos each
+// in rho) once as one run through EvalRun and once by a per-node Eval
+// loop, each into a sentinel-filled output, and describes the first
+// output whose bits differ ("" when none does).
+func runMismatch(n, rho []float64) string {
+	count := len(rho) / 4
+	got, want := sentinelFilled(len(n)), sentinelFilled(len(n))
+	CollisionOp{}.EvalRun(got, n, rho, Dims, count)
+	for c := 0; c < count; c++ {
+		CollisionOp{}.Eval(want[c*4*Dims:(c+1)*4*Dims], n[c*4*Dims:(c+1)*4*Dims], rho[c*4:c*4+4], Dims)
+	}
+	if msg := bitsDiff(got, want); msg != "" {
+		return fmt.Sprintf("run of %d, n=%v rho=%v: %s (per-node Eval)", count, n, rho, msg)
 	}
 	return ""
 }
@@ -164,10 +197,9 @@ func adversarialCollisionPairs(rng *rand.Rand) [][]float64 {
 // without the s > 1e-150 guard (the subnormal pair).
 func TestCollisionEvalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	rhos := [][]float64{{1, 1, 1, 1}, {2, 0.5, 3, 0.25}, {math.Inf(1), 1, 0, -1}, {math.NaN(), 1, 1, 1}}
 	check := func(n []float64) {
 		t.Helper()
-		for _, rho := range rhos {
+		for _, rho := range collisionRhos {
 			if msg := collisionMismatch(n, rho); msg != "" {
 				t.Fatal(msg)
 			}
@@ -181,8 +213,91 @@ func TestCollisionEvalMatchesReference(t *testing.T) {
 	}
 }
 
+// collisionRhos are the per-pair rho vectors the operator tests use:
+// uniform, unequal, and non-finite, zero and negative entries.
+var collisionRhos = [][]float64{{1, 1, 1, 1}, {2, 0.5, 3, 0.25}, {math.Inf(1), 1, 0, -1}, {math.NaN(), 1, 1, 1}}
+
+// TestCollisionRunMatchesEval pins EvalRun to per-node Eval, every bit
+// of every output, NaN payloads and pads included: on the adversarial
+// table cut into runs of 1–9 pairs, on random runs of 1–9 pairs that
+// mix certain rejects with overlaps, and through admm.UpdateXRange on
+// every [lo, hi) of a graph whose runs sit between nodes without one,
+// so a range boundary falls inside a run, against a per-node loop.
+// Mutations this must catch: a reject that copies fewer than the
+// pair's eight doubles, a run that skips or repeats a pair, and a
+// range clipped to the wrong end of a run.
+func TestCollisionRunMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	check := func(pairs [][]float64) {
+		t.Helper()
+		var n, rho []float64
+		for _, p := range pairs {
+			n = append(n, p...)
+			rho = append(rho, collisionRhos[rng.Intn(len(collisionRhos))]...)
+		}
+		if msg := runMismatch(n, rho); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	for adv := adversarialCollisionPairs(rng); len(adv) > 0; {
+		k := min(1+rng.Intn(9), len(adv))
+		check(adv[:k])
+		adv = adv[k:]
+	}
+	for trial := 0; trial < 5000; trial++ {
+		pairs := make([][]float64, 1+rng.Intn(9))
+		for i := range pairs {
+			pairs[i] = pair(rng.Float64(), rng.Float64(), 0.3*rng.Float64(), rng.Float64(), rng.Float64(), 0.3*rng.Float64())
+		}
+		check(pairs)
+	}
+
+	// Nodes 1–7 and 9–11 are runs of pairs among six circles; the wall
+	// and radius nodes around them have none.
+	g := graph.New(Dims)
+	wall := WallOp{Wall: UnitTriangle().Walls[0]}
+	g.AddNode(wall, centerVar(0), radiusVar(0))
+	for k := 0; k < 10; k++ {
+		if k == 7 {
+			g.AddNode(RadiusOp{Delta: 0.5}, radiusVar(1))
+		}
+		i, j := k%6, (k+1+k/6)%6
+		g.AddNode(CollisionOp{}, centerVar(i), radiusVar(i), centerVar(j), radiusVar(j))
+	}
+	g.AddNode(wall, centerVar(5), radiusVar(5))
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := g.Runs(); len(runs) != 2 || runs[0].Lo != 1 || runs[0].Hi != 8 || runs[1].Lo != 9 || runs[1].Hi != 12 {
+		t.Fatalf("runs %+v, want [1, 8) and [9, 12)", runs)
+	}
+	for i := range g.N {
+		g.N[i] = rng.Float64() * 0.6 // radii up to 0.6 among centers in the unit square: some pairs overlap
+	}
+	for e := range g.Rho {
+		g.Rho[e] = 0.6 + rng.Float64()
+	}
+	d, nF := g.D(), g.NumFunctions()
+	for lo := 0; lo <= nF; lo++ {
+		for hi := lo; hi <= nF; hi++ {
+			copy(g.X, sentinelFilled(len(g.X)))
+			admm.UpdateXRange(g, lo, hi)
+			want := sentinelFilled(len(g.X))
+			for a := lo; a < hi; a++ {
+				elo, ehi := g.FuncEdges(a)
+				g.Op(a).Eval(want[elo*d:ehi*d], g.N[elo*d:ehi*d], g.Rho[elo:ehi], d)
+			}
+			if msg := bitsDiff(g.X, want); msg != "" {
+				t.Fatalf("UpdateXRange(%d, %d): %s", lo, hi, msg)
+			}
+		}
+	}
+}
+
 // FuzzCollisionEval compares the operator with the reference on
-// arbitrary float64 bits in every input slot.
+// arbitrary float64 bits in every input slot, and EvalRun with per-node
+// Eval on the decoded pair as the middle of a three-pair run between a
+// pair the reject decides and an overlapping one.
 func FuzzCollisionEval(f *testing.F) {
 	u := math.Ldexp(1, -537)
 	for _, n := range [][]float64{
@@ -199,21 +314,29 @@ func FuzzCollisionEval(f *testing.F) {
 		if msg := collisionMismatch(n, []float64{rc1, rr1, rc2, rr2}); msg != "" {
 			t.Fatal(msg)
 		}
+		run := append(append(pair(0, 0, 0.1, 3, 4, 0.2), n...), pair(0, 0, 1, 0.5, 0, 1)...)
+		if msg := runMismatch(run, []float64{1, 1, 1, 1, rc1, rr1, rc2, rr2, 2, 0.5, 3, 0.25}); msg != "" {
+			t.Fatal(msg)
+		}
 	})
 }
 
 // TestCollisionSolveMatchesReference: a whole 2000-iteration serial
 // n=64 solve (the packing-wide cell's shape) leaves Z bit-equal whether
-// the graph carries the operator or the reference.
+// the graph carries the operator, whose pairs form one run evaluated by
+// EvalRun, or the reference, which every pair's node evaluates alone.
 func TestCollisionSolveMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 2000-iteration solves")
 	}
-	solve := func(op graph.Op) []float64 {
+	solve := func(op graph.Op, runs int) []float64 {
 		t.Helper()
 		p, err := build(Config{N: 64}, op)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := len(p.Graph.Runs()); got != runs {
+			t.Fatalf("%T graph has %d runs, want %d", op, got, runs)
 		}
 		p.InitRandom(rand.New(rand.NewSource(5)))
 		if _, err := admm.Run(p.Graph, admm.Options{MaxIter: 2000}); err != nil {
@@ -221,7 +344,7 @@ func TestCollisionSolveMatchesReference(t *testing.T) {
 		}
 		return p.Graph.Z
 	}
-	got, want := solve(CollisionOp{}), solve(referenceCollisionOp{})
+	got, want := solve(CollisionOp{}, 1), solve(referenceCollisionOp{}, 0)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("Z[%d] = %v, reference solve %v", i, got[i], want[i])
@@ -233,7 +356,8 @@ func TestCollisionSolveMatchesReference(t *testing.T) {
 // pair) on three mixes: pairs the reject decides, overlapping pairs that
 // take the Hypot path, and every pair of an n=64 iterate after 200
 // iterations (the packing-wide cell's mix). apart_share is the share of
-// the mix the reject decides.
+// the mix the reject decides. Each mix's "-run" twin evaluates the whole
+// mix as one run through EvalRun per op and reports ns/pair.
 func BenchmarkCollisionEval(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	var far, near [][]float64
@@ -280,6 +404,17 @@ func BenchmarkCollisionEval(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(decided)/float64(len(mix.pairs)), "apart_share")
+		})
+		b.Run(mix.name+"-run", func(b *testing.B) {
+			var n, runRho []float64
+			for _, p := range mix.pairs {
+				n, runRho = append(n, p...), append(runRho, rho...)
+			}
+			x := make([]float64, len(n))
+			for b.Loop() {
+				CollisionOp{}.EvalRun(x, n, runRho, Dims, len(mix.pairs))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(mix.pairs)), "ns/pair")
 		})
 	}
 }

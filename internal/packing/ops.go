@@ -44,6 +44,11 @@ import (
 //     s2 > s*s*(1+1e-12) gives Hypot(dx, dy) > s.
 //
 // Value tests feasibility with the same helper, so the two agree.
+//
+// EvalRun, the x-update's one call for the run of pair nodes, takes the
+// same decision with the same apart call on the same inputs, so the
+// argument above holds for it unchanged: a pair apart decides gets the
+// bits of the identity branch, and every other pair is Eval.
 type CollisionOp struct{}
 
 // apart reports whether math.Hypot(dx, dy) >= s is certain without
@@ -96,6 +101,32 @@ func (CollisionOp) Eval(x, n, rho []float64, d int) {
 	x[2*d] = c2x - alpha/rc2*ux
 	x[2*d+1] = c2y - alpha/rc2*uy
 	x[3*d] = r2 - alpha/rr2
+}
+
+// EvalRun implements graph.RunEvaluator over count consecutive pairs.
+// A pair apart decides is Eval's identity branch, x = n: its 4*Dims
+// doubles, pads included, are copied element by element (a whole-array
+// copy calls memmove, as x and n might overlap). Every other pair, and
+// every node of a run whose d or degree is not the packing graph's,
+// calls Eval unchanged.
+func (op CollisionOp) EvalRun(x, n, rho []float64, d, count int) {
+	if deg := len(rho) / count; d != Dims || deg != 4 {
+		w := deg * d
+		for c := 0; c < count; c++ {
+			op.Eval(x[c*w:(c+1)*w], n[c*w:(c+1)*w], rho[c*deg:(c+1)*deg], d)
+		}
+		return
+	}
+	const w = 4 * Dims
+	for c := 0; c < count; c++ {
+		p, q := (*[w]float64)(n[c*w:]), (*[w]float64)(x[c*w:])
+		if apart(p[0]-p[4], p[1]-p[5], p[2]+p[6]) {
+			q[0], q[1], q[2], q[3] = p[0], p[1], p[2], p[3]
+			q[4], q[5], q[6], q[7] = p[4], p[5], p[6], p[7]
+			continue
+		}
+		op.Eval(q[:], p[:], rho[c*4:c*4+4], Dims)
+	}
 }
 
 // Work implements graph.Op.

@@ -89,6 +89,32 @@ func consensusMismatch(p Consensus, n, rho []float64, d int) string {
 	return ""
 }
 
+// consensusRunMismatch evaluates count nodes of p, back to back in n
+// with len(rho)/count rhos each, once as one run through EvalRun and
+// once by the reference node by node, each into a sentinel-filled
+// output, and describes the first output whose bits differ under
+// consensusMismatch's NaN rule ("" when none does).
+func consensusRunMismatch(p Consensus, n, rho []float64, d, count int) string {
+	anyNaN := false
+	for _, r := range rho {
+		anyNaN = anyNaN || math.IsNaN(r)
+	}
+	got, want := make([]float64, len(n)), make([]float64, len(n))
+	for i := range got {
+		got[i] = math.Float64frombits(sentinel)
+		want[i] = got[i]
+	}
+	p.EvalRun(got, n, rho, d, count)
+	deg := len(rho) / count
+	for c, w := 0, deg*d; c < count; c++ {
+		referenceConsensusEval(p, want[c*w:(c+1)*w], n[c*w:(c+1)*w], rho[c*deg:(c+1)*deg], d)
+	}
+	if msg := bitsMismatch(got, want, anyNaN); msg != "" {
+		return fmt.Sprintf("run of %d, Dim %d d %d n=%v rho=%v: %s", count, p.Dim, d, n, rho, msg)
+	}
+	return ""
+}
+
 // adversarialValues are the inputs the two-edge path's operation order
 // is pinned on: signed zeros (the leading 0 + turns a -0 sum into +0),
 // infinities of both signs (Inf - Inf is NaN), NaNs with two different
@@ -105,20 +131,25 @@ var adversarialValues = []float64{
 // every output bit, pads included, on random inputs over degrees 1–4,
 // d 1–6 and Dim from 0 to past d, and on two-edge nodes over the
 // adversarial values in every slot, with equal, unequal, zero, negative
-// and non-finite rho.
+// and non-finite rho. EvalRun is pinned the same way, node by node: on
+// random runs of 1–5 nodes of every such shape, and on runs of two-edge
+// nodes over the adversarial values.
 func TestConsensusEvalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 20000; trial++ {
-		deg, d := 1+rng.Intn(4), 1+rng.Intn(6)
+		deg, d, count := 1+rng.Intn(4), 1+rng.Intn(6), 1+rng.Intn(5)
 		p := Consensus{Dim: rng.Intn(d + 2)}
-		n, rho := make([]float64, deg*d), make([]float64, deg)
+		n, rho := make([]float64, count*deg*d), make([]float64, count*deg)
 		for i := range n {
 			n[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(20)-10)
 		}
 		for k := range rho {
 			rho[k] = rng.ExpFloat64()
 		}
-		if msg := consensusMismatch(p, n, rho, d); msg != "" {
+		if msg := consensusMismatch(p, n[:deg*d], rho[:deg], d); msg != "" {
+			t.Fatal(msg)
+		}
+		if msg := consensusRunMismatch(p, n, rho, d, count); msg != "" {
 			t.Fatal(msg)
 		}
 	}
@@ -129,6 +160,7 @@ func TestConsensusEvalMatchesReference(t *testing.T) {
 			p := Consensus{Dim: dim}
 			for _, rho := range rhos {
 				for _, a := range adversarialValues {
+					var runN, runRho []float64
 					for _, b := range adversarialValues {
 						n := make([]float64, 2*d)
 						for i := range n {
@@ -139,6 +171,10 @@ func TestConsensusEvalMatchesReference(t *testing.T) {
 						if msg := consensusMismatch(p, n, rho, d); msg != "" {
 							t.Fatal(msg)
 						}
+						runN, runRho = append(runN, n...), append(runRho, rho...)
+					}
+					if msg := consensusRunMismatch(p, runN, runRho, d, len(adversarialValues)); msg != "" {
+						t.Fatal(msg)
 					}
 				}
 			}

@@ -269,6 +269,22 @@ func consensus2(x, n, rho []float64, d, nd int) {
 	}
 }
 
+// EvalRun implements graph.RunEvaluator over count consecutive nodes
+// of one degree: a two-edge node takes consensus2 directly, in node
+// order, as Eval would call it; any other degree calls Eval.
+func (p Consensus) EvalRun(x, n, rho []float64, d, count int) {
+	deg := len(rho) / count
+	w, nd := deg*d, min(p.Dim, d)
+	for c := 0; c < count; c++ {
+		xc, nc, rc := x[c*w:(c+1)*w], n[c*w:(c+1)*w], rho[c*deg:(c+1)*deg]
+		if deg == 2 {
+			consensus2(xc, nc, rc, d, nd)
+		} else {
+			p.Eval(xc, nc, rc, d)
+		}
+	}
+}
+
 // Work implements graph.Op.
 func (p Consensus) Work(deg, d int) graph.Work {
 	return graph.Work{Flops: float64(3 * deg * d), MemWords: float64(2 * deg * d)}

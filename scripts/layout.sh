@@ -10,7 +10,9 @@
 # combineAVX2 and settleAVX2, the shard loop
 # (runShardIters), the proximal operators' Eval methods (every value
 # receiver in repro/internal/prox, packing's CollisionOp and svm's
-# MarginOp), and the calibration kernel main.calibrate, whose alignment
+# MarginOp) and EvalRun methods (every value receiver in
+# repro/internal/prox and packing's CollisionOp), and the calibration
+# kernel main.calibrate, whose alignment
 # scales every reported time. A change in a package linked ahead of them
 # can move them by 32 bytes and move a benchmark cell with no change to
 # the code that runs (ROADMAP, "Do not retry").
@@ -55,6 +57,7 @@ placement() {
 			'repro/internal/exchange.(*Mailbox).Settle' | repro/internal/exchange.settleAVX2.abi0 | \
 			repro/internal/shard.runShardIters | \
 			repro/internal/prox.[A-Z]*.Eval | repro/internal/packing.CollisionOp.Eval | \
+			repro/internal/prox.[A-Z]*.EvalRun | repro/internal/packing.CollisionOp.EvalRun | \
 			repro/internal/svm.MarginOp.Eval | main.calibrate)
 			echo "$name $((16#$addr % 64))"
 			;;
