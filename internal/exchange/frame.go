@@ -187,8 +187,13 @@ func AppendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// AppendF64s appends every element of vals to dst.
+// AppendF64s appends every element of vals to dst: one copy of the row
+// where memory already holds little-endian doubles (f64Copy), else
+// element by element.
 func AppendF64s(dst []byte, vals []float64) []byte {
+	if f64Copy {
+		return append(dst, f64Bytes(vals)...)
+	}
 	for _, v := range vals {
 		dst = AppendF64(dst, v)
 	}
@@ -211,8 +216,13 @@ func CopyF64s(dst []float64, payload []byte) error {
 }
 
 // decodeF64s decodes the first len(dst) float64s of a payload whose
-// length the caller has already checked.
+// length the caller has already checked, in one copy where f64Copy
+// holds.
 func decodeF64s(dst []float64, payload []byte) {
+	if f64Copy {
+		copy(f64Bytes(dst), payload[:8*len(dst)])
+		return
+	}
 	for i := range dst {
 		dst[i] = F64At(payload, i)
 	}

@@ -10,7 +10,9 @@ import (
 // ReadFrame must return an error or a well-formed frame, never panic
 // and never allocate beyond the length bound. Every decoded frame must
 // re-encode to the bytes it was decoded from (the codec is a
-// bijection on valid streams).
+// bijection on valid streams). Each payload's whole doubles also
+// round-trip through both float row codec bodies, the one-copy form and
+// the element loops, to the same bits and bytes.
 func FuzzExchangeFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, byte(FrameM), 1, 0, 0, 0})
@@ -35,6 +37,13 @@ func FuzzExchangeFrameDecode(f *testing.F) {
 			start := consumed - len(reenc)
 			if start < 0 || !bytes.Equal(reenc, data[start:consumed]) {
 				t.Fatalf("frame %+v does not re-encode to its source bytes", f)
+			}
+			if f64Copy {
+				vals := make([]float64, len(f.Payload)/8)
+				for i := range vals {
+					vals[i] = F64At(f.Payload, i)
+				}
+				checkF64Bodies(t, "payload doubles", vals)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/admm"
@@ -70,7 +71,7 @@ func (c *mailboxCell) phaseAThroughSync1(g *graph.Graph) {
 		for _, r := range lp.funcRuns {
 			admm.UpdateXRange(g, r.Lo, r.Hi)
 		}
-		for _, r := range lp.interiorRuns {
+		for _, r := range slices.Concat(lp.interiorRuns, lp.interiorAfter) {
 			admm.UpdateZUNRange(g, r.Lo, r.Hi)
 		}
 		c.mb.Post(w)
@@ -281,5 +282,47 @@ func BenchmarkBoundaryCombine(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.plan.part.BoundaryEdges), "ns/boundary-edge")
 			})
 		}
+	}
+}
+
+// BenchmarkShardedPacking times one 2000-iteration solve block of the
+// benchmark's packing shape (n=64) on a 2-shard backend, over shared
+// memory (local) and the framed loopback (sockets), from the same
+// start every op (restored untimed), so a schedule change can be sized
+// without the full benchmark. It reports each worker's share of the
+// block spent waiting at the sync points (w0-wait, w1-wait).
+func BenchmarkShardedPacking(b *testing.B) {
+	const iters = 2000
+	for _, transport := range []string{admm.TransportLocal, admm.TransportSockets} {
+		b.Run(transport, func(b *testing.B) {
+			g := packingGraph(b, 64)
+			be, err := New(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer be.Close()
+			be.Transport = transport
+			be.RunBlock(g, admm.Block{Iters: 1}) // plan the graph, untimed
+			x, u, n, z := slices.Clone(g.X), slices.Clone(g.U), slices.Clone(g.N), slices.Clone(g.Z)
+			before := be.Stats().Workers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(g.X, x)
+				copy(g.U, u)
+				copy(g.N, n)
+				copy(g.Z, z)
+				b.StartTimer()
+				be.RunBlock(g, admm.Block{Iters: iters})
+			}
+			b.StopTimer()
+			for w, ws := range be.Stats().Workers {
+				total := ws.SyncWait - before[w].SyncWait
+				for p, v := range ws.PhaseNanos {
+					total += v - before[w].PhaseNanos[p]
+				}
+				b.ReportMetric(float64(ws.SyncWait-before[w].SyncWait)/float64(total), fmt.Sprintf("w%d-wait", w))
+			}
+		})
 	}
 }

@@ -45,9 +45,9 @@
 //	      boundary variable, into the owner's packed row
 //	-- BeginGatherM --   (rows depart)
 //	x over the remaining functions               (plan: xAfter)
-//	one sweep over interior vars: z (m = x + u in registers), then
-//	      u+n of their edges while z is in registers (no frame
-//	      carries an interior edge's u)
+//	one sweep over interior vars (plan: interiorRuns): z (m = x + u
+//	      in registers), then u+n of their edges while z is in
+//	      registers (no frame carries an interior edge's u)
 //	══ FinishGatherM: every row into this shard's inbox is this
 //	   iteration's — written in place by its sender on shared memory,
 //	   decoded from the sender's frame on a message transport ══
@@ -57,6 +57,8 @@
 //	   then u+n of this shard's own edges on it while z is in
 //	   registers (a peer's edges on it are left to the peer)
 //	-- BeginScatterZ --  (owned boundary z departs)
+//	the same sweep over the fill (plan: interiorAfter), the interior
+//	   variables the plan moved behind the combine
 //	══ FinishScatterZ: boundary z-blocks available ══
 //	u+n sweep over the edges this shard posted, whose z a peer
 //	   combined (exchange.Mailbox.Settle)
@@ -65,15 +67,25 @@
 // The schedule is data in the plan, chosen from the transport the plan
 // is built for, not by an option. A message plan splits the functions
 // into frontier and rest: the sockets transport always sends before
-// interior compute and awaits only where the data is consumed. On
-// shared memory nothing departs at a Begin, so a shared-memory plan
-// leaves xAfter empty and the same loop runs x, post, interior z+u/n,
-// barrier, combine (z+u/n), barrier, settle. On both, the settled edges
-// are the posted ones: exactly the owned edges whose variable a peer
-// combines. TestPlanSplitsPartitionRuns pins the split: interior
-// variables' edges, the own edges of the boundary variables a shard
-// combines, and the posted edges partition a shard's edges, so each
-// owned edge gets one u/n per iteration. A shard writes U and N of its
+// interior compute and awaits only where the data is consumed, and its
+// fill is empty (the interior sweep already overlaps the frames'
+// flight; filling behind the combine was measured slower,
+// docs/partitioning.md). On shared memory nothing departs at a Begin,
+// so a shared-memory plan leaves xAfter empty and the same loop runs x,
+// post, interior z+u/n, barrier, combine (z+u/n), fill z+u/n, barrier,
+// settle. The fill balances the phases: the shards' total gather loads
+// are even, but the combine degrees are not, so a shard whose combine
+// walks fewer edges than the busiest combiner's moves the longest
+// suffix of its interior variables whose summed degree fits in the
+// difference behind its combine, and the barriers see even phases
+// (packing n=64 at 2 shards: 4256 edges between them on both shards,
+// none before the first). On both, the settled edges are the posted
+// ones: exactly the owned edges whose variable a peer combines.
+// TestPlanSplitsPartitionRuns pins the split: interior variables'
+// edges (swept before the first barrier or in the fill), the own edges
+// of the boundary variables a shard combines, and the posted edges
+// partition a shard's edges, so each owned edge gets one u/n per
+// iteration. A shard writes U and N of its
 // own edges only: a combine that ran u/n over every edge of its
 // variables would have two cores writing the same U and N cache lines.
 //
@@ -126,10 +138,10 @@
 //
 // Every worker times its own loop, by one rule on every transport:
 // each nanosecond between entry and exit lands in exactly one of the x,
-// z and u phase buckets or in sync wait — Post and Combine are z work
-// (boundary z, the combine with its own edges' u/n, is a sub-count of
-// z; the u phase is the settle alone), the four Begin/Finish
-// calls are sync wait: the barrier crossings on shared memory, frame
+// z and u phase buckets or in sync wait — Post, Combine and the fill
+// are z work (boundary z, the combine with its own edges' u/n, is a
+// sub-count of z; the u phase is the settle alone), the four
+// Begin/Finish calls are sync wait: the barrier crossings on shared memory, frame
 // encode + write plus whatever blocking the interior compute failed to
 // hide on a wire. TestShardLoopTimeAddsUp pins that the buckets add up
 // to the loop's wall time. In-process workers hand their block's times

@@ -313,24 +313,33 @@ func runBlock(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange
 //	                                  every posted edge)
 //	x over lp.xAfter
 //	z, then u/n of their edges,      (admm.UpdateZUNRange: no frame
-//	  over interior variables         carries an interior edge)
+//	  over lp.interiorRuns            carries an interior edge)
 //	-- FinishGatherM --              (every row into this worker's inbox
 //	                                  holds this iteration's blocks)
 //	z, then u/n of own edges,        (mb.Combine, CSR order:
 //	  over owned boundary variables   bit-identical to serial)
 //	-- BeginScatterZ --              (owned boundary z departs)
+//	z, then u/n of their edges,      (the fill: what the busiest
+//	  over lp.interiorAfter           combiner's extra edges leave idle)
 //	-- FinishScatterZ --             (peers' boundary z arrived)
 //	u/n over the posted edges        (mb.Settle: the edges whose z a
 //	                                  peer combined)
 //
 // The schedule is data in the plan (newPlan): a message transport puts
 // the functions owning a remotely-combined edge in xBefore, so frames
-// fly while the interior computes; on shared memory nothing departs at
-// a Begin, so xAfter is empty and the loop is x, post, interior
-// z+u/n, barrier, combine (z+u/n), barrier, settle. Either way every
-// per-edge and per-variable computation is the same arithmetic in the
-// same order — only where the waiting happens differs — so iterates
-// are bit-identical to Serial; the conformance suite pins it.
+// fly while the interior computes, and leaves interiorAfter empty; on
+// shared memory nothing departs at a Begin, so xAfter is empty and the
+// loop is x, post, interior z+u/n, barrier, combine (z+u/n), the fill's
+// interior z+u/n, barrier, settle. The fill moves interior edges from
+// the phase before the first barrier to the one between the barriers
+// until the shard carries as many edges there as the busiest combiner,
+// so the even total gather load (graph.Partition.GatherOwners) holds
+// phase by phase. Either way every per-edge and per-variable
+// computation is the same arithmetic in the same order — only where
+// the waiting happens differs — so iterates are bit-identical to
+// Serial; the conformance suite pins it. No peer reads an interior
+// variable's z or its edges' state, so the fill can run while the
+// peers combine.
 //
 // The z gather forms m = x + u in registers, Post reads x + u of the
 // posted edges, and the only U written between the post and the
@@ -344,12 +353,12 @@ func runBlock(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange
 // synchronization is needed: a shard racing ahead blocks in
 // FinishGatherM before it can touch anything another shard still reads.
 //
-// Time accounting, the same on both transports: Post and Combine are z
-// work (Combine's own-edge u/n included, and timed as boundaryZ), the
-// four Begin/Finish calls are syncWait — on a wire that is frame
-// encode + write plus the residual blocking the overlap failed to
-// hide, on shared memory the two barrier crossings — and the u phase is
-// the settle alone.
+// Time accounting, the same on both transports: Post, Combine and the
+// fill are z work (Combine's own-edge u/n included, and timed as
+// boundaryZ), the four Begin/Finish calls are syncWait — on a wire
+// that is frame encode + write plus the residual blocking the overlap
+// failed to hide, on shared memory the two barrier crossings — and the
+// u phase is the settle alone.
 func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exchange.Mailbox, id, iters int, tm *workerTimings) {
 	ph := &tm.phaseNanos
 	sw := admm.StartStopwatch()
@@ -375,6 +384,11 @@ func runShardIters(g *graph.Graph, lp *localPlan, ex exchange.Exchanger, mb *exc
 		mb.Combine(id)
 		ph[admm.PhaseZ] += sw.Lap(&tm.boundaryZ)
 		ex.BeginScatterZ(id)
+		sw.Lap(&tm.syncWait)
+		for _, r := range lp.interiorAfter {
+			admm.UpdateZUNRange(g, r.Lo, r.Hi)
+		}
+		sw.Lap(&ph[admm.PhaseZ])
 		ex.FinishScatterZ(id)
 		sw.Lap(&tm.syncWait)
 		mb.Settle(id)
@@ -421,10 +435,20 @@ func (p *plan) shapeStats(transport string) Stats {
 // boundary gaps, so runs beat an index list), plus the boundary
 // variables it combines.
 type localPlan struct {
-	funcRuns     []sched.Range
-	edgeRuns     []sched.Range
-	interiorRuns []sched.Range
-	boundary     []int
+	funcRuns []sched.Range
+	edgeRuns []sched.Range
+	// interiorRuns and interiorAfter split the interior variables
+	// around the combine: interiorRuns is swept before FinishGatherM,
+	// interiorAfter between BeginScatterZ and FinishScatterZ. On shared
+	// memory interiorAfter is the longest suffix of interior variables
+	// whose summed degree fits in the gap between this shard's combine
+	// degree (the summed degree of its boundary variables) and the
+	// largest of any shard, so every shard carries as many edges
+	// between the two barriers as the busiest combiner. A message plan
+	// leaves it empty: there the whole interior sweep already overlaps
+	// the frames' flight.
+	interiorRuns, interiorAfter []sched.Range
+	boundary                    []int
 	// owned lists, ascending, every variable whose z this shard computes
 	// (interior and boundary): the capture runBlock takes, and the
 	// layout of an Up frame's z, derived identically on both ends.
@@ -436,11 +460,12 @@ type localPlan struct {
 	// variable another shard combines, so their x feeds an outbound
 	// m-frame — and xAfter overlaps the frames' flight. A shared-memory
 	// plan has nothing in flight to overlap: every function is in
-	// xBefore. Each owned edge takes its u/n in one of three places: the
-	// z sweep of interiorRuns, the combine of the boundary variables
-	// this shard combines, or, for the edges it posts (those on a
-	// variable a peer combines), Mailbox.Settle once the peer's z
-	// arrives.
+	// xBefore. Each owned edge takes its u/n in one of four places: the
+	// z sweep of interiorRuns before the first sync point, the combine
+	// of the boundary variables this shard combines, the z sweep of
+	// interiorAfter behind the combine, or, for the edges it posts
+	// (those on a variable a peer combines), Mailbox.Settle once the
+	// peer's z arrives.
 	xBefore, xAfter []sched.Range
 }
 
@@ -512,10 +537,42 @@ func newPlan(g *graph.Graph, shards int, sharedMemory bool) (*plan, error) {
 		lp.boundary = append(lp.boundary, v)
 	}
 	if sharedMemory {
+		combine := make([]int, shards)
+		for s := range p.local {
+			for _, v := range p.local[s].boundary {
+				combine[s] += g.VarDegree(v)
+			}
+		}
+		most := slices.Max(combine)
 		for s := range p.local {
 			lp := &p.local[s]
 			lp.xBefore = lp.funcRuns
+			lp.interiorRuns, lp.interiorAfter = splitFill(g, lp.interiorRuns, most-combine[s])
 		}
 	}
 	return p, nil
+}
+
+// splitFill splits interior runs in two at the start of their longest
+// suffix of variables whose summed degree is at most gap: the sweep
+// before FinishGatherM and the fill after the combine.
+func splitFill(g *graph.Graph, runs []sched.Range, gap int) (before, after []sched.Range) {
+	i, cut := len(runs), 0
+	for ; i > 0; i-- {
+		r := runs[i-1]
+		for cut = r.Hi; cut > r.Lo && g.VarDegree(cut-1) <= gap; cut-- {
+			gap -= g.VarDegree(cut - 1)
+		}
+		if cut > r.Lo {
+			break
+		}
+	}
+	if i == 0 {
+		return nil, runs
+	}
+	before = append(runs[:i-1:i-1], sched.Range{Lo: runs[i-1].Lo, Hi: cut})
+	if cut < runs[i-1].Hi {
+		after = append(after, sched.Range{Lo: cut, Hi: runs[i-1].Hi})
+	}
+	return before, append(after, runs[i:]...)
 }
